@@ -51,7 +51,7 @@ from __future__ import annotations
 import pathlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .durable_queue import _DurableLog, _read_json_lines
+from .durable_queue import _DurableLog, _read_json_lines, _record_line
 
 __all__ = ["CompensationLog"]
 
@@ -82,11 +82,13 @@ class CompensationLog(_DurableLog):
         self.decisions: Dict[str, str] = {}
         #: lifetime appended records (monotone; survives compaction).
         self.records_total = 0
-        for record in _read_json_lines(self.path):
-            if record.get("meta") == "base":
+        for record in _read_json_lines(self.path, cut_tail=True):
+            kind = record.get("meta")
+            if kind == "base":
                 base = int(record.get("base", 0))
                 self.base = max(self.base, base)
                 self._seq = max(self._seq, base)
+            if kind is not None:
                 continue
             seq = int(record["seq"])
             self._seq = max(self._seq, seq)
@@ -109,7 +111,7 @@ class CompensationLog(_DurableLog):
     def _append(self, payload: Dict[str, Any]) -> None:
         self._seq += 1
         self._records.append((self._seq, payload))
-        self._write_records([{"seq": self._seq, "payload": payload}])
+        self._write_data(_record_line(self._seq, payload, None))
         self.records_total += 1
 
     # -- writes ----------------------------------------------------------------

@@ -13,9 +13,12 @@ Two halves, matching the two ends of a channel:
   next channel sequence number and durably logs the payload *before*
   the caller acknowledges anything to a client; ``ack_through``
   processes a cumulative acknowledgement (everything ``<= seq`` is
-  durably held by the receiver) and advances the delivery frontier in
-  one batched truncation.  After a restart everything past the
-  frontier is pending again and will be re-sent.
+  durably held by the receiver) and advances the delivery frontier.
+  Pending records are always the dense range ``(frontier, _seq]``,
+  held as one ordered window, so an ack pops exactly the prefix it
+  covers — its cost does not depend on the backlog behind it.  After
+  a restart everything past the frontier is pending again and will be
+  re-sent.
 * :class:`DurableInbox` — the receiver's half.  ``record`` /
   ``record_many`` durably log received payloads and deduplicate by
   sequence number (the channel is FIFO, so a contiguous frontier
@@ -67,6 +70,17 @@ reloaded pending payloads from the log) the blob for a pending
 record, which is what lets a sender re-send from its log without
 re-encoding either.
 
+The ack frontier lives in the log stream: each advance appends one
+``{"meta": "ack", "seq": N}`` line to the outbox's own open log
+(write + flush, never an fsync of its own, no second file), a rewind
+or reset emits the same marker, and on reload the last marker wins.
+A crash may lose the newest markers and nothing else: the reloaded
+frontier is then a lower bound, the receiver's dedup absorbs the
+re-sent records and its next cumulative ack retires them again.  Data
+dirs from before the marker existed keep the frontier in a
+``<log>.ack`` sidecar: read on open while the log holds no marker,
+never written.
+
 Compaction: both halves support ``compact(through_seq)`` — a
 tail-verified rewrite that drops every record at or below
 ``through_seq`` once a persisted site snapshot covers them.  The
@@ -77,7 +91,13 @@ atomically renamed over the live log, so a crash at any instant leaves
 either the complete old log or the complete new one.  ``base`` is the
 compaction floor: an outbox can no longer serve records at or below
 it (a receiver that regressed past the floor needs a snapshot, not a
-log replay), and an inbox treats it as its replay origin.
+log replay), and an inbox treats it as its replay origin.  A rewritten
+outbox log ends with one ack marker (the current frontier) in place of
+all earlier ones.
+
+Crash tails: a reload stops at the first torn (no newline),
+undecodable or structurally wrong line and cuts the file there before
+reopening it for append.  Loaders skip ``meta`` kinds they do not know.
 """
 
 from __future__ import annotations
@@ -86,13 +106,19 @@ import json
 import os
 import pathlib
 import time
+from collections import deque
+from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["DurableOutbox", "DurableInbox"]
 
 
-def _splice_line(seq: int, blob: bytes) -> str:
-    """One log line built around an already-encoded payload blob.
+def _json_line(record: Dict[str, Any]) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _record_line(seq: int, payload: Any, blob: Optional[bytes]) -> str:
+    """One data-record log line, spliced around ``blob`` when given.
 
     ``blob`` must be the canonical compact-JSON encoding of the
     payload (``json.dumps(payload, separators=(",", ":"))``), which
@@ -100,39 +126,53 @@ def _splice_line(seq: int, blob: bytes) -> str:
     ``json.dumps({"seq": seq, "payload": payload})`` — the log stays
     plain JSONL whatever codec the wire negotiated.
     """
+    if blob is None:
+        return _json_line({"seq": seq, "payload": payload})
     return '{"seq":%d,"payload":%s}\n' % (seq, blob.decode("utf-8"))
 
 
-def _read_json_lines(path: pathlib.Path) -> Iterator[Dict[str, Any]]:
+def _ack_marker(seq: int) -> Dict[str, Any]:
+    """The control record that carries an outbox's ack frontier."""
+    return {"meta": "ack", "seq": seq}
+
+
+def _read_json_lines(
+    path: pathlib.Path, cut_tail: bool = False
+) -> Iterator[Dict[str, Any]]:
+    """Each intact record of ``path``, stopping at the first line that
+    is not one: everything before a torn line is intact, and the torn
+    record was never acknowledged to anyone, so it is safe to drop.
+    ``cut_tail`` (the recovery scan, once exhausted) truncates the file
+    there — appended behind torn bytes, the next record would be glued
+    onto them and lost, acknowledged or not, at the reload after that.
+    """
     if not path.exists():
         return
+    intact = 0
     with path.open("rb") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                # A torn final line from a crash mid-append: everything
-                # before it is intact, the torn record was never
-                # acknowledged to anyone, so it is safe to drop.
-                return
-            if not isinstance(record, dict):
-                return
-            if isinstance(record.get("meta"), str):
-                # Compaction marker (or a future control record).
+            if line.strip():
+                if not line.endswith(b"\n"):
+                    # A record and its newline go out in one write:
+                    # this one never completed, even if it parses.
+                    break
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    break
+                # A control record or a whole data record; anything
+                # else that decodes (e.g. a partial buffer flush that
+                # happens to be valid JSON) is structurally corrupt.
+                if not isinstance(record, dict) or not (
+                    isinstance(record.get("meta"), str)
+                    or isinstance(record.get("seq"), int)
+                    and "payload" in record
+                ):
+                    break
                 yield record
-                continue
-            if (
-                not isinstance(record.get("seq"), int)
-                or "payload" not in record
-            ):
-                # Decodable but structurally corrupt (e.g. a partial
-                # buffer flush that happens to be valid JSON): same
-                # torn-tail reasoning — it was never acknowledged.
-                return
-            yield record
+            intact += len(line)
+    if cut_tail and path.stat().st_size > intact:
+        os.truncate(path, intact)
 
 
 class _DurableLog:
@@ -167,31 +207,20 @@ class _DurableLog:
     def _open_log(self) -> None:
         self._log = self.path.open("a", encoding="utf-8")
 
-    def _write_data(self, data: str) -> None:
+    def _write_data(self, data: str, durable: bool = True) -> None:
         """Group commit: one write + flush + at most one fsync for the
-        whole pre-rendered batch of lines."""
+        whole pre-rendered batch of lines — no fsync, and nothing
+        ``dirty``, for lines that make no durability claim."""
         if not data:
             return
         self._log.write(data)
         self._log.flush()
         self.bytes_written += len(data)
-        if self.fsync:
+        if durable and self.fsync:
             self.dirty = True
-        self._maybe_fsync()
-
-    def _write_records(self, records: Sequence[Dict[str, Any]]) -> None:
-        if not records:
-            return
-        self._write_data(
-            "".join(
-                json.dumps(record, separators=(",", ":")) + "\n"
-                for record in records
-            )
-        )
+            self._maybe_fsync()
 
     def _maybe_fsync(self) -> None:
-        if not self.fsync:
-            return
         now = time.monotonic()
         if (
             self.fsync_interval > 0
@@ -252,10 +281,7 @@ class _DurableLog:
         """
         tmp = self.path.with_suffix(self.path.suffix + ".compact")
         marker = {"meta": "base", "base": base}
-        data = "".join(
-            json.dumps(record, separators=(",", ":")) + "\n"
-            for record in [marker, *records]
-        )
+        data = "".join(map(_json_line, [marker, *records]))
         with tmp.open("w", encoding="utf-8") as handle:
             handle.write(data)
             handle.flush()
@@ -300,40 +326,54 @@ class DurableOutbox(_DurableLog):
         fsync_interval: float = 0.0,
     ) -> None:
         super().__init__(path, fsync, fsync_interval)
-        self._ack_path = self.path.with_suffix(self.path.suffix + ".ack")
         #: highest contiguously acknowledged sequence number.
         self.frontier = 0
-        if self._ack_path.exists():
-            try:
-                self.frontier = int(self._ack_path.read_text().strip() or 0)
-            except ValueError:
-                self.frontier = 0
-        #: unacknowledged payloads by sequence number, insertion-ordered.
-        self._pending: Dict[int, Any] = {}
-        #: canonical wire bytes of pending payloads (the zero
-        #: re-encode relay cache); lazily filled by :meth:`wire_blob`
-        #: for records reloaded from the log, dropped as acks retire
-        #: their sequence numbers.
-        self._blobs: Dict[int, bytes] = {}
+        #: the pending records ``(frontier, _seq]``, oldest first, as
+        #: ``(payload, blob)``.  ``blob`` is the payload's canonical
+        #: wire bytes (the zero re-encode relay cache), ``None`` until
+        #: :meth:`wire_blob` fills it for a record reloaded from the log.
+        self._window: deque[Tuple[Any, Optional[bytes]]] = deque()
         #: acks received for sequence numbers we never assigned — a
         #: receiver durably holds records this (restarted) sender has
         #: no memory of sending, i.e. the sender lost its own log.
         self.regressed_acks = 0
-        self._seq = self.frontier
-        for record in _read_json_lines(self.path):
-            if record.get("meta") == "base":
-                base = int(record.get("base", 0))
-                self.base = max(self.base, base)
+        self._seq = 0
+        marked = False
+        for record in _read_json_lines(self.path, cut_tail=True):
+            kind = record.get("meta")
+            if kind is None:
+                seq = record["seq"]
+                if seq > self._seq + 1:
+                    # Numbering only ever jumps over an acked range (a
+                    # frontier that outlived the log's tail).
+                    self._retire(seq - 1)
+                if seq == self._seq + 1:
+                    self._seq = seq
+                    self._window.append((record["payload"], None))
+            elif kind == "base":
+                self.base = max(self.base, int(record.get("base", 0)))
                 # Compaction only ever drops acked records, so the
                 # floor is also a lower bound on the ack frontier
-                # (covers a lost/stale .ack file).
-                self.frontier = max(self.frontier, base)
-                self._seq = max(self._seq, base)
-                continue
-            seq = int(record["seq"])
-            self._seq = max(self._seq, seq)
-            if seq > self.frontier:
-                self._pending[seq] = record["payload"]
+                # (covers a log whose newest ack markers were lost).
+                if self.base > self.frontier:
+                    self._retire(self.base)
+            elif kind == "ack":
+                marked = True
+                seq = int(record["seq"])
+                if seq > self.frontier:
+                    self._retire(seq)
+                elif seq < self.frontier:
+                    self._unretire(seq)  # a rewind's marker
+        if not marked:
+            # A data dir from before the marker existed keeps its
+            # frontier in a sidecar; the first marker retires it.
+            try:
+                sidecar = self.path.with_suffix(self.path.suffix + ".ack")
+                legacy = int(sidecar.read_text().strip() or 0)
+            except (OSError, ValueError):
+                legacy = 0
+            if legacy > self.frontier:
+                self._retire(legacy)
         self._open_log()
 
     def append(self, payload: Any, blob: Optional[bytes] = None) -> int:
@@ -363,18 +403,9 @@ class DurableOutbox(_DurableLog):
         lines: List[str] = []
         for index, payload in enumerate(payloads):
             self._seq += 1
-            self._pending[self._seq] = payload
-            if blobs is not None:
-                self._blobs[self._seq] = blobs[index]
-                lines.append(_splice_line(self._seq, blobs[index]))
-            else:
-                lines.append(
-                    json.dumps(
-                        {"seq": self._seq, "payload": payload},
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+            blob = None if blobs is None else blobs[index]
+            self._window.append((payload, blob))
+            lines.append(_record_line(self._seq, payload, blob))
             seqs.append(self._seq)
         self._write_data("".join(lines))
         return seqs
@@ -387,32 +418,66 @@ class DurableOutbox(_DurableLog):
         either way, every subsequent send and re-send of this record
         forwards the same bytes with no re-encode.
         """
-        blob = self._blobs.get(seqno)
+        index = seqno - self.frontier - 1
+        if index < 0:
+            raise KeyError(seqno)  # already acknowledged
+        payload, blob = self._window[index]
         if blob is None:
-            blob = json.dumps(
-                self._pending[seqno], separators=(",", ":")
-            ).encode("utf-8")
-            self._blobs[seqno] = blob
+            blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            self._window[index] = (payload, blob)
         return blob
 
-    def ack(self, seqno: int) -> None:
-        """The receiver confirmed durable receipt of exactly ``seqno``."""
-        if seqno in self._pending:
-            del self._pending[seqno]
-            self._blobs.pop(seqno, None)
-        if seqno > self.frontier and not any(
-            s <= seqno for s in self._pending
-        ):
-            self.frontier = max(self.frontier, seqno)
-            self._ack_path.write_text(str(self.frontier))
+    def _retire(self, seqno: int) -> List[Tuple[int, Any]]:
+        """Move the frontier up to ``seqno``, popping the window
+        prefix it covers — one pop per retired record, whatever the
+        backlog behind them."""
+        pop = self._window.popleft
+        covered = [
+            (seq, pop()[0])
+            for seq in range(self.frontier + 1, min(seqno, self._seq) + 1)
+        ]
+        self.frontier = seqno
+        # Only a reload can be told of more than the log holds (a
+        # sidecar or floor that outlived the log's tail).
+        self._seq = max(self._seq, seqno)
+        return covered
 
-    def ack_through(self, seqno: int) -> List[int]:
+    def _unretire(self, ack_seq: int) -> bool:
+        """Move the frontier back down to ``ack_seq``, making the
+        logged records ``(ack_seq, frontier]`` pending again; False
+        (and no change) when the log no longer holds all of them."""
+        again = [
+            (payload, None)
+            for seq, payload in self._logged()
+            if ack_seq < seq <= self.frontier
+        ]
+        if len(again) != self.frontier - ack_seq:
+            return False
+        self._window.extendleft(reversed(again))
+        self.frontier = ack_seq
+        return True
+
+    def _logged(self) -> Iterator[Tuple[int, Any]]:
+        """The (seqno, payload) data records currently in the log."""
+        for record in _read_json_lines(self.path):
+            if record.get("meta") is None:
+                yield record["seq"], record["payload"]
+
+    def _mark_frontier(self) -> None:
+        """Note the frontier in the log stream: flushed, never fsynced
+        on its own — the marker carries no durability claim; losing it
+        only ages the reloaded frontier."""
+        line = _json_line(_ack_marker(self.frontier))
+        self._write_data(line, durable=False)
+
+    def ack_through(self, seqno: int) -> List[Tuple[int, Any]]:
         """Cumulative acknowledgement: the receiver durably holds every
         sequence number ``<= seqno``.
 
-        Drops the whole covered range in one batched truncation (one
-        frontier write instead of one per record) and returns the
-        sequence numbers that were newly acknowledged, in order.
+        Retires the covered records and returns them as (seqno,
+        payload) pairs in order; a stale or duplicate ack retires
+        nothing.  Costs one window pop per retired record and one
+        marker line — no scan of the backlog, no file opened.
         """
         if seqno > self._seq:
             # The receiver durably holds records we never assigned:
@@ -421,39 +486,28 @@ class DurableOutbox(_DurableLog):
             # this) instead of silently pretending we sent that far.
             self.regressed_acks += 1
             seqno = self._seq
-        covered = sorted(s for s in self._pending if s <= seqno)
-        for s in covered:
-            del self._pending[s]
-            self._blobs.pop(s, None)
-        if seqno > self.frontier:
-            self.frontier = seqno
-            self._ack_path.write_text(str(self.frontier))
+        if seqno <= self.frontier:
+            return []
+        covered = self._retire(seqno)
+        self._mark_frontier()
         return covered
 
     def rewind_to(self, ack_seq: int) -> bool:
-        """Reload records above ``ack_seq`` into the pending set.
+        """Reload records above ``ack_seq`` into the pending window.
 
         Repairs a channel whose receiver regressed below our ack
         frontier (it lost its inbox and now durably holds only
         ``<= ack_seq``): previously-acked records still in the log
         become pending again and will be re-sent in order.  Returns
-        False when the needed records were compacted away
-        (``ack_seq < base``) — the receiver then needs a snapshot,
-        not a log replay.
+        False when the needed records are not all in the log —
+        compacted away (``ack_seq < base``) or lost with the log's
+        tail — the receiver then needs a snapshot, not a log replay.
         """
         if ack_seq >= self.frontier:
             return True  # no regression; nothing to reload
-        if ack_seq < self.base:
-            return False  # prefix compacted: unservable from this log
-        for record in _read_json_lines(self.path):
-            if record.get("meta") == "base":
-                continue
-            seq = int(record["seq"])
-            if ack_seq < seq and seq not in self._pending:
-                self._pending[seq] = record["payload"]
-        self._pending = dict(sorted(self._pending.items()))
-        self.frontier = ack_seq
-        self._ack_path.write_text(str(self.frontier))
+        if ack_seq < self.base or not self._unretire(ack_seq):
+            return False  # unservable from this log
+        self._mark_frontier()
         return True
 
     def reset_to(self, seqno: int) -> None:
@@ -465,13 +519,9 @@ class DurableOutbox(_DurableLog):
         served from this log again, so the floor, the ack frontier and
         the next-assignment counter all become ``seqno``.
         """
-        self._rewrite([], base=seqno)
-        self._pending.clear()
-        self._blobs.clear()
-        self.base = seqno
-        self.frontier = seqno
-        self._seq = seqno
-        self._ack_path.write_text(str(self.frontier))
+        self._rewrite([_ack_marker(seqno)], base=seqno)
+        self._window.clear()
+        self.base = self.frontier = self._seq = seqno
 
     def compact(self, through_seq: int) -> int:
         """Drop acked records ``<= through_seq`` from the log.
@@ -481,21 +531,20 @@ class DurableOutbox(_DurableLog):
         responsible for the snapshot-coverage invariant — compact only
         below a *persisted* snapshot frontier, so anything dropped
         here is reconstructable from the snapshot.  Returns the number
-        of records removed.  Crash-safe via the tail-verified rewrite.
+        of records removed.  Crash-safe via the tail-verified rewrite,
+        which also folds every ack marker into one trailing marker.
         """
         through = min(through_seq, self.frontier)
         if through <= self.base:
             return 0
         survivors: List[Dict[str, Any]] = []
         dropped = 0
-        for record in _read_json_lines(self.path):
-            if record.get("meta") == "base":
-                continue
-            if int(record["seq"]) > through:
-                survivors.append(record)
+        for seq, payload in self._logged():
+            if seq > through:
+                survivors.append({"seq": seq, "payload": payload})
             else:
                 dropped += 1
-        self._rewrite(survivors, base=through)
+        self._rewrite([*survivors, _ack_marker(self.frontier)], base=through)
         self.base = through
         self.compaction_count += 1
         self.compacted_records += dropped
@@ -503,38 +552,29 @@ class DurableOutbox(_DurableLog):
 
     def pending(self) -> List[Tuple[int, Any]]:
         """Unacknowledged (seqno, payload) pairs in FIFO order."""
-        return sorted(self._pending.items())
+        return self.pending_after(self.frontier, len(self._window))
 
     def pending_after(
         self, seqno: int, limit: int
     ) -> List[Tuple[int, Any]]:
         """Up to ``limit`` pending (seqno, payload) pairs above
-        ``seqno``, in order.
-
-        The sender's scan: cumulative acks keep the pending set a
-        (nearly) dense seqno range, so a bounded walk from the floor
-        replaces sorting the whole backlog — which made every sender
-        wakeup O(backlog log backlog) and the drain of a deep backlog
-        quadratic.  Seqnos individually acked out of order (the
-        non-cumulative :meth:`ack`) leave holes the walk just skips.
-        """
-        out: List[Tuple[int, Any]] = []
-        pending = self._pending
-        s = max(seqno, self.frontier)
-        hi = self._seq
-        while len(out) < limit and s < hi:
-            s += 1
-            payload = pending.get(s)
-            if payload is not None:
-                out.append((s, payload))
-        return out
+        ``seqno``, in order — the sender's fetch, a slice of the
+        window bounded by ``limit`` rather than by the backlog."""
+        first = max(seqno, self.frontier) + 1
+        start = first - self.frontier - 1
+        return [
+            (first + offset, entry[0])
+            for offset, entry in enumerate(
+                islice(self._window, start, start + limit)
+            )
+        ]
 
     def drained(self) -> bool:
-        return not self._pending
+        return not self._window
 
     @property
     def backlog(self) -> int:
-        return len(self._pending)
+        return len(self._window)
 
 
 class DurableInbox(_DurableLog):
@@ -551,16 +591,15 @@ class DurableInbox(_DurableLog):
         #: ``base + 1`` (``base`` is 0 for a never-compacted log).
         self.frontier = 0
         self._records: List[Tuple[int, Any]] = []
-        for record in _read_json_lines(self.path):
-            if record.get("meta") == "base":
+        for record in _read_json_lines(self.path, cut_tail=True):
+            kind = record.get("meta")
+            if kind == "base":
                 base = int(record.get("base", 0))
                 self.base = max(self.base, base)
                 self.frontier = max(self.frontier, base)
-                continue
-            seq = int(record["seq"])
-            if seq == self.frontier + 1:
-                self._records.append((seq, record["payload"]))
-                self.frontier = seq
+            elif kind is None and record["seq"] == self.frontier + 1:
+                self._records.append((record["seq"], record["payload"]))
+                self.frontier = record["seq"]
         self._open_log()
 
     def record(
@@ -577,10 +616,7 @@ class DurableInbox(_DurableLog):
         """
         if seqno != self.frontier + 1:
             return False
-        if blob is not None:
-            self._write_data(_splice_line(seqno, blob))
-        else:
-            self._write_records([{"seq": seqno, "payload": payload}])
+        self._write_data(_record_line(seqno, payload, blob))
         self._records.append((seqno, payload))
         self.frontier = seqno
         return True
@@ -608,16 +644,8 @@ class DurableInbox(_DurableLog):
                     "non-contiguous batch record: got %d, expected %d"
                     % (seqno, expected)
                 )
-            if blobs is not None:
-                lines.append(_splice_line(seqno, blobs[index]))
-            else:
-                lines.append(
-                    json.dumps(
-                        {"seq": seqno, "payload": payload},
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+            blob = None if blobs is None else blobs[index]
+            lines.append(_record_line(seqno, payload, blob))
             expected += 1
         self._write_data("".join(lines))
         for seqno, payload in items:

@@ -372,8 +372,6 @@ class ReplicaServer:
         #: notified whenever the drain condition may have changed; the
         #: ``settle`` verb waits here instead of clients busy-polling.
         self._drain_cond = asyncio.Condition()
-        #: (peer, channel seq) -> local update tid, for ack tracking.
-        self._seq_tid: Dict[Tuple[str, int], Any] = {}
         #: local update tid -> peers whose durable ack is outstanding.
         self._unacked: Dict[Any, Set[str]] = {}
         #: local update tid -> written keys (lock-counter release).
@@ -750,9 +748,8 @@ class ReplicaServer:
                 acked_local.add(tid)
                 replayed_local.add(tid)
         for peer, outbox in self.outboxes.items():
-            for seq, payload in outbox.pending():
+            for _, payload in outbox.pending():
                 tid = payload["mset"]["tid"]
-                self._seq_tid[(peer, seq)] = tid
                 self._unacked.setdefault(tid, set()).add(peer)
                 self._local_keys[tid] = keys_of.get(
                     tid,
@@ -1805,10 +1802,8 @@ class ReplicaServer:
         (cumulative acknowledgement)."""
         covered = self.outboxes[peer].ack_through(seq)
         released = []
-        for acked_seq in covered:
-            tid = self._seq_tid.pop((peer, acked_seq), None)
-            if tid is None:
-                continue
+        for _, payload in covered:
+            tid = payload["mset"]["tid"]
             waiting = self._unacked.get(tid)
             if waiting is None:
                 continue
@@ -2546,7 +2541,6 @@ class ReplicaServer:
                 local_floor = translated.get(LOCAL_CHANNEL, 0)
                 for outbox in self.outboxes.values():
                     outbox.reset_to(local_floor)
-                self._seq_tid.clear()
                 self._unacked.clear()
                 self._local_keys.clear()
                 for fut in list(self._apply_futures.values()) + list(
@@ -3202,8 +3196,7 @@ class ReplicaServer:
             if self.peer_names:
                 self._unacked[tid] = set(self.peer_names)
                 for peer in self.peer_names:
-                    seq = self.outboxes[peer].append(payload, blob=blob)
-                    self._seq_tid[(peer, seq)] = tid
+                    self.outboxes[peer].append(payload, blob=blob)
             self.inboxes[LOCAL_CHANNEL].sync()
             for peer in self.peer_names:
                 self.outboxes[peer].sync()
@@ -3269,7 +3262,7 @@ class ReplicaServer:
         record first, then every outbound channel log — but under a
         *fresh* tid with ``info=(("decides", target),)``: reusing the
         update's tid would corrupt the ack bookkeeping
-        (``_seq_tid``/``_unacked``) that still tracks the update itself.
+        (``_unacked``) that still tracks the update itself.
         The origin emits both the update and its decision on the same
         channels, so every replica sees update-before-decision and a
         decision can never arrive for an update it has not logged.
@@ -3295,8 +3288,7 @@ class ReplicaServer:
             if self.peer_names:
                 self._unacked[tid] = set(self.peer_names)
                 for peer in self.peer_names:
-                    seq = self.outboxes[peer].append(payload, blob=blob)
-                    self._seq_tid[(peer, seq)] = tid
+                    self.outboxes[peer].append(payload, blob=blob)
             self.inboxes[LOCAL_CHANNEL].sync()
             for peer in self.peer_names:
                 self.outboxes[peer].sync()

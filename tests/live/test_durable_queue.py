@@ -1,6 +1,7 @@
 """Durable queue tests: exactly-once FIFO channels that survive restarts."""
 
 import json
+from collections import deque
 
 import pytest
 
@@ -19,22 +20,12 @@ class TestOutbox:
         outbox = DurableOutbox(tmp_path / "peer.log")
         for payload in "abc":
             outbox.append(payload)
-        outbox.ack(1)
+        outbox.ack_through(1)
         assert outbox.pending() == [(2, "b"), (3, "c")]
         assert outbox.frontier == 1
-        outbox.ack(2)
-        outbox.ack(3)
+        outbox.ack_through(2)
+        outbox.ack_through(3)
         assert outbox.drained()
-        outbox.close()
-
-    def test_out_of_order_ack_does_not_skip_frontier(self, tmp_path):
-        outbox = DurableOutbox(tmp_path / "peer.log")
-        for payload in "abc":
-            outbox.append(payload)
-        outbox.ack(3)
-        # 1 and 2 still pending: the durable frontier must not pass them.
-        assert outbox.frontier == 0
-        assert outbox.pending() == [(1, "a"), (2, "b")]
         outbox.close()
 
     def test_pending_survives_restart(self, tmp_path):
@@ -42,8 +33,8 @@ class TestOutbox:
         outbox = DurableOutbox(path)
         for i in range(5):
             outbox.append({"n": i})
-        outbox.ack(1)
-        outbox.ack(2)
+        outbox.ack_through(1)
+        outbox.ack_through(2)
         outbox.close()
 
         reloaded = DurableOutbox(path)
@@ -123,7 +114,7 @@ class TestCrashAtomicity:
         outbox = DurableOutbox(path)
         for i in range(3):
             outbox.append({"n": i})
-        outbox.ack(1)
+        outbox.ack_through(1)
         outbox.close()
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"seq": 4, "pa')  # crash mid-append
@@ -233,7 +224,7 @@ class TestCumulativeAck:
     def test_ack_through_truncates_covered_range(self, tmp_path):
         outbox = DurableOutbox(tmp_path / "peer.log")
         outbox.append_many(list("abcde"))
-        assert outbox.ack_through(3) == [1, 2, 3]
+        assert outbox.ack_through(3) == [(1, "a"), (2, "b"), (3, "c")]
         assert outbox.frontier == 3
         assert [seq for seq, _ in outbox.pending()] == [4, 5]
         outbox.close()
@@ -305,7 +296,7 @@ class TestGroupCommitCrash:
         assert applied == [4, 5, 6, 7]  # second half only: exactly-once
         # The receiver's cumulative frontier now acks the whole window.
         covered = recovered_out.ack_through(recovered_in.frontier)
-        assert covered == list(range(1, 9))
+        assert covered == [(n + 1, {"n": n}) for n in range(8)]
         assert recovered_out.drained()
         recovered_out.close()
         recovered_in.close()
@@ -340,10 +331,10 @@ class TestChannelContract:
         for _ in range(3):
             for seq, payload in outbox.pending():
                 if inbox.duplicate(seq):
-                    outbox.ack(seq)
+                    outbox.ack_through(seq)
                 elif inbox.record(seq, payload):
                     applied.append(payload)
-                    outbox.ack(seq)
+                    outbox.ack_through(seq)
         assert applied == list(range(10))
         assert outbox.drained()
         outbox.close()
@@ -414,3 +405,356 @@ class TestFsyncWindow:
         outbox.close()
         assert not dirty or outbox.fsync_count > before
         assert not outbox.dirty
+
+
+class TestTornTailSecondRestart:
+    """A torn tail must not swallow the *next* append: reopening in
+    append mode behind torn bytes would glue the new line onto them,
+    and the reload after that would drop it — acknowledged or not."""
+
+    def test_outbox_append_after_torn_tail_survives_next_restart(
+        self, tmp_path
+    ):
+        path = tmp_path / "peer.log"
+        outbox = DurableOutbox(path)
+        outbox.append("a")
+        outbox.close()
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"seq": 2, "pay')  # crash mid-append
+
+        second = DurableOutbox(path)
+        assert second.append("b") == 2  # acknowledged to a client
+        second.close()
+
+        third = DurableOutbox(path)
+        assert third.pending() == [(1, "a"), (2, "b")]
+        third.close()
+        # The torn bytes are gone, not buried mid-file.
+        assert [record["seq"] for record in _log_lines(path)] == [1, 2]
+
+    def test_inbox_record_after_torn_tail_survives_next_restart(
+        self, tmp_path
+    ):
+        path = tmp_path / "peer.log"
+        inbox = DurableInbox(path)
+        inbox.record(1, "a")
+        inbox.close()
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"seq": 2, "pay')
+
+        second = DurableInbox(path)
+        assert second.record(2, "b") is True  # acked upstream
+        second.close()
+
+        third = DurableInbox(path)
+        assert third.replay() == [(1, "a"), (2, "b")]
+        assert third.frontier == 2
+        third.close()
+
+    def test_line_without_newline_is_torn_even_if_it_parses(self, tmp_path):
+        path = tmp_path / "peer.log"
+        outbox = DurableOutbox(path)
+        outbox.append("a")
+        outbox.close()
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"seq":2,"payload":"never-flushed-whole"}')
+
+        second = DurableOutbox(path)
+        assert second.pending() == [(1, "a")]
+        assert second.append("b") == 2
+        second.close()
+        third = DurableOutbox(path)
+        assert third.pending() == [(1, "a"), (2, "b")]
+        third.close()
+
+
+class TestUnknownMeta:
+    """Loaders skip control records of a kind they do not know."""
+
+    FUTURE = '{"meta":"future-kind","note":"no seq, no payload"}\n'
+
+    def test_outbox_load_rewind_and_compact_skip_unknown_meta(self, tmp_path):
+        path = tmp_path / "peer.log"
+        outbox = DurableOutbox(path)
+        outbox.append_many(list("abc"))
+        outbox.close()
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(self.FUTURE)
+
+        reloaded = DurableOutbox(path)
+        assert reloaded.pending() == [(1, "a"), (2, "b"), (3, "c")]
+        assert reloaded.append("d") == 4
+        reloaded.ack_through(4)
+        assert reloaded.rewind_to(1) is True
+        assert [seq for seq, _ in reloaded.pending()] == [2, 3, 4]
+        reloaded.ack_through(3)
+        assert reloaded.compact(2) == 2
+        assert reloaded.pending() == [(4, "d")]
+        reloaded.close()
+
+    def test_inbox_skips_unknown_meta_and_the_outbox_ack_marker(
+        self, tmp_path
+    ):
+        path = tmp_path / "peer.log"
+        inbox = DurableInbox(path)
+        inbox.record(1, "a")
+        inbox.close()
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(self.FUTURE)
+            handle.write('{"meta":"ack","seq":1}\n')
+            handle.write('{"seq":2,"payload":"b"}\n')
+
+        reloaded = DurableInbox(path)
+        assert reloaded.replay() == [(1, "a"), (2, "b")]
+        reloaded.close()
+
+
+def _log_lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestAckMarker:
+    """The ack frontier is persisted in the outbox's own log stream."""
+
+    def test_frontier_advance_appends_one_marker_and_no_sidecar(
+        self, tmp_path
+    ):
+        path = tmp_path / "peer.log"
+        outbox = DurableOutbox(path)
+        outbox.append_many(list("abcd"))
+        outbox.ack_through(2)
+        outbox.ack_through(2)  # duplicate: no second marker
+        outbox.ack_through(1)  # stale: no marker
+        outbox.ack_through(3)
+        outbox.close()
+        markers = [r for r in _log_lines(path) if "meta" in r]
+        assert markers == [
+            {"meta": "ack", "seq": 2},
+            {"meta": "ack", "seq": 3},
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["peer.log"]
+
+    def test_marker_is_flushed_but_never_fsynced(self, tmp_path):
+        outbox = DurableOutbox(tmp_path / "peer.log", fsync=True)
+        outbox.append_many(list("ab"))
+        fsyncs = outbox.fsync_count
+        outbox.ack_through(2)
+        assert outbox.fsync_count == fsyncs
+        assert not outbox.dirty
+        # Flushed: a second handle already sees it.
+        assert _log_lines(tmp_path / "peer.log")[-1] == {
+            "meta": "ack",
+            "seq": 2,
+        }
+        outbox.close()
+
+    def test_last_marker_wins_across_a_rewind(self, tmp_path):
+        path = tmp_path / "peer.log"
+        outbox = DurableOutbox(path)
+        outbox.append_many(list("abcde"))
+        outbox.ack_through(4)
+        assert outbox.rewind_to(1) is True
+        outbox.close()
+
+        reloaded = DurableOutbox(path)
+        assert reloaded.frontier == 1
+        assert reloaded.pending() == [
+            (2, "b"),
+            (3, "c"),
+            (4, "d"),
+            (5, "e"),
+        ]
+        reloaded.ack_through(3)
+        reloaded.close()
+        again = DurableOutbox(path)
+        assert again.frontier == 3
+        again.close()
+
+    def test_compact_folds_markers_into_one(self, tmp_path):
+        path = tmp_path / "peer.log"
+        outbox = DurableOutbox(path)
+        outbox.append_many(list("abcde"))
+        for seq in (1, 2, 3, 4):
+            outbox.ack_through(seq)
+        outbox.compact(3)
+        outbox.close()
+        assert [r for r in _log_lines(path) if "meta" in r] == [
+            {"meta": "base", "base": 3},
+            {"meta": "ack", "seq": 4},
+        ]
+        reloaded = DurableOutbox(path)
+        assert (reloaded.base, reloaded.frontier) == (3, 4)
+        assert reloaded.pending() == [(5, "e")]
+        reloaded.close()
+
+    def test_lost_markers_only_age_the_frontier(self, tmp_path):
+        """A crash may lose the newest (unsynced) markers: the reload
+        then sees a lower bound and re-sends, never skips."""
+        path = tmp_path / "peer.log"
+        outbox = DurableOutbox(path)
+        outbox.append_many(list("abcd"))
+        outbox.ack_through(2)
+        size_before_last_marker = path.stat().st_size
+        outbox.ack_through(4)
+        outbox.close()
+        with path.open("r+b") as handle:
+            handle.truncate(size_before_last_marker)
+
+        reloaded = DurableOutbox(path)
+        assert reloaded.frontier == 2
+        assert reloaded.pending() == [(3, "c"), (4, "d")]
+        assert reloaded.ack_through(4) == [(3, "c"), (4, "d")]
+        reloaded.close()
+
+    def test_wire_blob_of_an_acked_record_is_a_key_error(self, tmp_path):
+        outbox = DurableOutbox(tmp_path / "peer.log")
+        outbox.append_many(list("ab"), blobs=[b'"a"', b'"b"'])
+        outbox.ack_through(1)
+        assert outbox.wire_blob(2) == b'"b"'
+        with pytest.raises(KeyError):
+            outbox.wire_blob(1)
+        outbox.close()
+
+
+class TestLegacySidecar:
+    """A data dir written before the marker existed: the frontier sits
+    in ``<log>.ack``, the log has no markers."""
+
+    @staticmethod
+    def _legacy_dir(tmp_path, n_records, acked):
+        path = tmp_path / "peer.log"
+        path.write_text(
+            "".join(
+                '{"seq":%d,"payload":{"n":%d}}\n' % (seq, seq)
+                for seq in range(1, n_records + 1)
+            )
+        )
+        sidecar = tmp_path / "peer.log.ack"
+        sidecar.write_text(str(acked))
+        return path, sidecar
+
+    def test_reopens_with_the_same_frontier_and_pending(self, tmp_path):
+        path, _ = self._legacy_dir(tmp_path, 5, acked=3)
+        outbox = DurableOutbox(path)
+        assert outbox.frontier == 3
+        assert outbox.pending() == [(4, {"n": 4}), (5, {"n": 5})]
+        assert outbox.append("later") == 6
+        outbox.close()
+
+    def test_sidecar_is_never_written_and_markers_supersede_it(
+        self, tmp_path
+    ):
+        path, sidecar = self._legacy_dir(tmp_path, 5, acked=3)
+        outbox = DurableOutbox(path)
+        outbox.ack_through(4)
+        outbox.close()
+        assert sidecar.read_text() == "3"
+        reloaded = DurableOutbox(path)
+        assert reloaded.frontier == 4
+        # A rewind below the sidecar's value sticks too.
+        assert reloaded.rewind_to(1) is True
+        reloaded.close()
+        assert sidecar.read_text() == "3"
+        again = DurableOutbox(path)
+        assert again.frontier == 1
+        assert [seq for seq, _ in again.pending()] == [2, 3, 4, 5]
+        # So does a snapshot install below it.
+        again.reset_to(2)
+        again.close()
+        final = DurableOutbox(path)
+        assert final.frontier == 2
+        final.close()
+
+    def test_sidecar_ahead_of_a_log_that_lost_its_tail(self, tmp_path):
+        """The sender's log regressed but its sidecar did not: nothing
+        is pending, numbering resumes above the sidecar, and a
+        receiver regressed into the hole cannot be served by replay."""
+        path, _ = self._legacy_dir(tmp_path, 3, acked=5)
+        outbox = DurableOutbox(path)
+        assert outbox.frontier == 5 and outbox.drained()
+        assert outbox.append("next") == 6
+        assert outbox.rewind_to(2) is False  # 4 and 5 are gone
+        assert outbox.frontier == 5
+        assert outbox.pending() == [(6, "next")]
+        outbox.close()
+        reloaded = DurableOutbox(path)
+        assert reloaded.pending() == [(6, "next")]
+        reloaded.close()
+
+
+class _CountingWindow(deque):
+    """The outbox's window with every element access counted."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.pops = 0
+        self.other_touches = 0
+
+    def popleft(self):
+        self.pops += 1
+        return super().popleft()
+
+    def __iter__(self):
+        self.other_touches += len(self)
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        self.other_touches += 1
+        return super().__getitem__(index)
+
+
+class TestAckCostIsIndependentOfBacklog:
+    """Counts, not clocks: retiring a cumulative ack touches the
+    records it covers and one log line — nothing proportional to the
+    backlog behind them, and no file but the open log."""
+
+    BACKLOG = 16384
+    STEP = 32
+
+    def test_ack_touches_only_what_it_retires(self, tmp_path):
+        path = tmp_path / "peer.log"
+        outbox = DurableOutbox(path)
+        outbox.append_many([{"n": n} for n in range(self.BACKLOG)])
+        window = outbox._window = _CountingWindow(outbox._window)
+        listing = sorted(p.name for p in tmp_path.iterdir())
+        inode = path.stat().st_ino
+        size = path.stat().st_size
+        lines = len(path.read_bytes().splitlines())
+
+        for upto in range(self.STEP, self.BACKLOG + 1, self.STEP):
+            pops = window.pops
+            covered = outbox.ack_through(upto)
+            assert len(covered) == self.STEP
+            # Same cost at 16k behind as at nothing behind.
+            assert window.pops - pops == self.STEP
+            grown = path.stat().st_size
+            assert grown > size  # appended to, never truncated
+            size = grown
+
+        assert outbox.drained() and outbox.frontier == self.BACKLOG
+        assert window.pops == self.BACKLOG
+        assert window.other_touches == 0
+        # One marker line per frontier advance, in the same file.
+        advances = self.BACKLOG // self.STEP
+        assert len(path.read_bytes().splitlines()) == lines + advances
+        assert path.stat().st_ino == inode  # never replaced
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
+        assert not list(tmp_path.glob("*.ack"))
+        outbox.close()
+
+    def test_sender_fetch_slices_the_window(self, tmp_path):
+        outbox = DurableOutbox(tmp_path / "peer.log")
+        outbox.append_many(list(range(self.BACKLOG)))
+        outbox.ack_through(100)
+        assert outbox.pending_after(0, 3) == [
+            (101, 100),
+            (102, 101),
+            (103, 102),
+        ]
+        assert outbox.pending_after(150, 2) == [(151, 150), (152, 151)]
+        assert outbox.pending_after(self.BACKLOG - 1, 5) == [
+            (self.BACKLOG, self.BACKLOG - 1)
+        ]
+        assert outbox.pending_after(self.BACKLOG, 5) == []
+        assert outbox.backlog == self.BACKLOG - 100
+        outbox.close()

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.operations import IncrementOp, ReadOp
 from repro.core.transactions import EpsilonSpec
-from repro.live import LiveCluster, LiveETFailed
+from repro.live import FaultPlan, LiveCluster, LiveETFailed
 
 
 def run(coro):
@@ -165,6 +165,68 @@ class TestCrashRecovery:
                 values = await cluster.site_values()
                 assert values["site0"]["k"] == acked
                 assert values["site2"]["k"] == acked
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+
+    def test_sender_killed_mid_drain_resends_never_loses(self, tmp_path):
+        """Kill the *sender* halfway through draining a backlog and
+        lose its newest ack markers with it (they are flushed, never
+        fsynced): the restarted outbox sees an older frontier, re-sends
+        a bounded stretch the receivers already hold, and their dedup
+        keeps every increment applied exactly once."""
+
+        n_updates = 400
+        batch = 8
+
+        async def scenario():
+            plan = FaultPlan(0)
+            cluster = LiveCluster(
+                n_sites=3,
+                method="commu",
+                data_dir=tmp_path,
+                faults=plan,
+                batch_size=batch,
+                window=1,
+                server_options={"retry_base": 0.005, "retry_max": 0.02},
+            )
+            await cluster.start()
+            try:
+                c0 = await cluster.client("site0")
+                cluster.partition([["site0"], ["site1", "site2"]])
+                for i in range(n_updates):
+                    await c0.increment(KEYS[i % len(KEYS)], 1)
+                outboxes = cluster.servers["site0"].outboxes
+                assert all(b.frontier == 0 for b in outboxes.values())
+                cluster.heal()
+                while min(b.frontier for b in outboxes.values()) < 5 * batch:
+                    await asyncio.sleep(0)
+                await cluster.kill("site0")
+                acked = {peer: b.frontier for peer, b in outboxes.items()}
+                assert all(0 < seq < n_updates for seq in acked.values())
+
+                # The crash also eats each log's last three markers.
+                for peer in acked:
+                    log = tmp_path / "site0" / "outbox" / ("%s.log" % peer)
+                    lines = log.read_text().splitlines(keepends=True)
+                    marks = [i for i, l in enumerate(lines) if '"ack"' in l]
+                    log.write_text("".join(lines[: marks[-3]]))
+                assert not list((tmp_path / "site0").rglob("*.ack"))
+
+                await cluster.restart("site0")
+                stale = cluster.servers["site0"].outboxes
+                for peer, box in stale.items():
+                    assert box.frontier == acked[peer] - 3 * batch
+                    assert box.backlog == n_updates - box.frontier
+                await cluster.settle(timeout=60)
+                assert await cluster.converged()
+                values = await cluster.site_values()
+                for name in cluster.names:
+                    total = sum(values[name].get(k, 0) for k in KEYS)
+                    assert total == n_updates, (name, values[name])
+                assert all(b.drained() for b in stale.values())
             finally:
                 await cluster.stop()
 
