@@ -22,8 +22,10 @@ Two halves, matching the two ends of a channel:
 * :class:`DurableInbox` — the receiver's half.  ``record`` /
   ``record_many`` durably log received payloads and deduplicate by
   sequence number (the channel is FIFO, so a contiguous frontier
-  suffices); ``replay`` yields every recorded payload in receipt
-  order for crash recovery.
+  suffices); ``replay`` streams every recorded payload in receipt
+  order, from the file, for crash recovery.  The running inbox is
+  two integers (frontier and floor): like the outbox beyond its
+  unacked window, it keeps no copy of what it has logged.
 
 Group commit: ``append_many`` / ``record_many`` coalesce a whole
 batch of records into a *single* write + flush + (at most one) fsync,
@@ -83,7 +85,8 @@ never written.
 
 Compaction: both halves support ``compact(through_seq)`` — a
 tail-verified rewrite that drops every record at or below
-``through_seq`` once a persisted site snapshot covers them.  The
+``through_seq`` once a persisted site snapshot covers them (one
+shared path, ``_compact_log``, filtering the file itself).  The
 rewritten log opens with a ``{"meta": "base", "base": N}`` record so a
 reload knows the log starts above ``N``; the rewrite goes to a
 temporary file that is fsynced, re-parsed (tail verification), and
@@ -109,6 +112,8 @@ import time
 from collections import deque
 from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from .snapshot import fsync_dir
 
 __all__ = ["DurableOutbox", "DurableInbox"]
 
@@ -254,16 +259,36 @@ class _DurableLog:
 
     def _fsync_dir(self) -> None:
         """Persist a rename in the containing directory's metadata."""
-        try:
-            fd = os.open(str(self.path.parent), os.O_RDONLY)
-        except OSError:
-            return  # platform without directory fds; rename still atomic
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
+        fsync_dir(self.path.parent)
+
+    def _logged(self) -> Iterator[Tuple[int, Any]]:
+        """The (seqno, payload) data records currently in the log."""
+        for record in _read_json_lines(self.path):
+            if record.get("meta") is None:
+                yield record["seq"], record["payload"]
+
+    def _compact_log(
+        self, through_seq: int, trailer: Sequence[Dict[str, Any]] = ()
+    ) -> int:
+        """Rewrite the log without its data records ``<= through_seq``
+        (capped at the frontier: only what is behind it may go), closed
+        by the ``trailer`` control records, and raise the floor;
+        returns the number of records dropped."""
+        through = min(through_seq, self.frontier)
+        if through <= self.base:
+            return 0
+        survivors: List[Dict[str, Any]] = []
+        dropped = 0
+        for seq, payload in self._logged():
+            if seq > through:
+                survivors.append({"seq": seq, "payload": payload})
+            else:
+                dropped += 1
+        self._rewrite([*survivors, *trailer], base=through)
+        self.base = through
+        self.compaction_count += 1
+        self.compacted_records += dropped
+        return dropped
 
     def _rewrite(
         self, records: Sequence[Dict[str, Any]], base: int
@@ -457,12 +482,6 @@ class DurableOutbox(_DurableLog):
         self.frontier = ack_seq
         return True
 
-    def _logged(self) -> Iterator[Tuple[int, Any]]:
-        """The (seqno, payload) data records currently in the log."""
-        for record in _read_json_lines(self.path):
-            if record.get("meta") is None:
-                yield record["seq"], record["payload"]
-
     def _mark_frontier(self) -> None:
         """Note the frontier in the log stream: flushed, never fsynced
         on its own — the marker carries no durability claim; losing it
@@ -534,21 +553,7 @@ class DurableOutbox(_DurableLog):
         of records removed.  Crash-safe via the tail-verified rewrite,
         which also folds every ack marker into one trailing marker.
         """
-        through = min(through_seq, self.frontier)
-        if through <= self.base:
-            return 0
-        survivors: List[Dict[str, Any]] = []
-        dropped = 0
-        for seq, payload in self._logged():
-            if seq > through:
-                survivors.append({"seq": seq, "payload": payload})
-            else:
-                dropped += 1
-        self._rewrite([*survivors, _ack_marker(self.frontier)], base=through)
-        self.base = through
-        self.compaction_count += 1
-        self.compacted_records += dropped
-        return dropped
+        return self._compact_log(through_seq, [_ack_marker(self.frontier)])
 
     def pending(self) -> List[Tuple[int, Any]]:
         """Unacknowledged (seqno, payload) pairs in FIFO order."""
@@ -590,7 +595,6 @@ class DurableInbox(_DurableLog):
         #: highest sequence number durably recorded, contiguous from
         #: ``base + 1`` (``base`` is 0 for a never-compacted log).
         self.frontier = 0
-        self._records: List[Tuple[int, Any]] = []
         for record in _read_json_lines(self.path, cut_tail=True):
             kind = record.get("meta")
             if kind == "base":
@@ -598,7 +602,6 @@ class DurableInbox(_DurableLog):
                 self.base = max(self.base, base)
                 self.frontier = max(self.frontier, base)
             elif kind is None and record["seq"] == self.frontier + 1:
-                self._records.append((record["seq"], record["payload"]))
                 self.frontier = record["seq"]
         self._open_log()
 
@@ -617,7 +620,6 @@ class DurableInbox(_DurableLog):
         if seqno != self.frontier + 1:
             return False
         self._write_data(_record_line(seqno, payload, blob))
-        self._records.append((seqno, payload))
         self.frontier = seqno
         return True
 
@@ -648,19 +650,22 @@ class DurableInbox(_DurableLog):
             lines.append(_record_line(seqno, payload, blob))
             expected += 1
         self._write_data("".join(lines))
-        for seqno, payload in items:
-            self._records.append((seqno, payload))
-            self.frontier = seqno
+        self.frontier = expected - 1
         return len(lines)
 
     def duplicate(self, seqno: int) -> bool:
         """True when ``seqno`` was already recorded (needs re-ack only)."""
         return seqno <= self.frontier
 
-    def replay(self) -> List[Tuple[int, Any]]:
+    def replay(self) -> Iterator[Tuple[int, Any]]:
         """Recorded (seqno, payload) pairs above the compaction floor,
-        in receipt order — the log tail a snapshot does not cover."""
-        return list(self._records)
+        in receipt order — the log tail a snapshot does not cover —
+        streamed from the file."""
+        expected = self.base + 1
+        for seq, payload in self._logged():
+            if seq == expected:  # the loader's rule: stale lines skip
+                yield seq, payload
+                expected += 1
 
     def compact(self, through_seq: int) -> int:
         """Drop recorded receipts ``<= through_seq`` from the log.
@@ -671,20 +676,7 @@ class DurableInbox(_DurableLog):
         top of that snapshot.  Crash-safe via the tail-verified
         rewrite; returns the number of records removed.
         """
-        through = min(through_seq, self.frontier)
-        if through <= self.base:
-            return 0
-        survivors = [(s, p) for s, p in self._records if s > through]
-        self._rewrite(
-            [{"seq": s, "payload": p} for s, p in survivors],
-            base=through,
-        )
-        dropped = len(self._records) - len(survivors)
-        self._records = survivors
-        self.base = through
-        self.compaction_count += 1
-        self.compacted_records += dropped
-        return dropped
+        return self._compact_log(through_seq)
 
     def reset_to(self, seqno: int) -> None:
         """Restart this inbox at frontier ``seqno`` with an empty tail.
@@ -695,6 +687,5 @@ class DurableInbox(_DurableLog):
         ``seqno + 1``.  Crash-safe via the tail-verified rewrite.
         """
         self._rewrite([], base=seqno)
-        self._records = []
         self.base = seqno
         self.frontier = seqno

@@ -34,10 +34,15 @@ refuses.
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from .snapshot import write_atomic
+
 __all__ = ["ElectionState"]
+
+log = logging.getLogger(__name__)
 
 
 class ElectionState:
@@ -51,6 +56,8 @@ class ElectionState:
         self.base = 0
         #: epoch -> base, for every epoch adopted at this replica.
         self.bases: Dict[int, int] = {}
+        #: loads that found the record present but unreadable.
+        self.load_errors = 0
 
     # ------------------------------------------------------------------
     # persistence
@@ -60,15 +67,23 @@ class ElectionState:
             return
         try:
             raw = json.loads(self.path.read_text())
-            self.promised = int(raw.get("promised", 0))
-            self.epoch = int(raw.get("epoch", 0))
-            self.leader = raw.get("leader")
-            self.base = int(raw.get("base", 0))
-            self.bases = {int(k): int(v) for k, v in raw.get("bases", {}).items()}
-        except (ValueError, KeyError, OSError):
-            pass
+            promised = int(raw.get("promised", 0))
+            epoch = int(raw.get("epoch", 0))
+            base = int(raw.get("base", 0))
+            bases = {int(k): int(v) for k, v in raw.get("bases", {}).items()}
+        except (ValueError, AttributeError, TypeError, OSError) as exc:
+            # The atomic rewrite never leaves such a file: this is
+            # outside damage, and restarting from zero forgets promises
+            # the fence depends on — never do it silently.
+            self.load_errors += 1
+            log.error("election record %s unreadable: %r", self.path, exc)
+            return
+        self.promised, self.epoch, self.base = promised, epoch, base
+        self.leader, self.bases = raw.get("leader"), bases
 
     def _persist(self) -> None:
+        """Durable on return (temp file + fsync + rename): a crash at
+        any instant keeps the previous record or this one, whole."""
         if self.path is None:
             return
         payload = {
@@ -78,10 +93,7 @@ class ElectionState:
             "base": self.base,
             "bases": {str(k): v for k, v in self.bases.items()},
         }
-        try:
-            self.path.write_text(json.dumps(payload))
-        except OSError:
-            pass
+        write_atomic(self.path, json.dumps(payload).encode("utf-8"))
 
     # ------------------------------------------------------------------
     # transitions

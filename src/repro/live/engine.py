@@ -137,6 +137,9 @@ class LiveEngine:
         self.cond = asyncio.Condition()
         #: tid -> worst-case value drift of that update (None=unbounded).
         self._drift: Dict[Any, Optional[float]] = {}
+        #: tid -> reasons a query could still be charged for it (see
+        #: :meth:`_pin`); its drift is dropped with the last one.
+        self._pins: Dict[Any, int] = {}
         #: tid -> values read by a read-modify-report update at its
         #: origin's apply instant (standard read-then-write semantics).
         self.read_results: Dict[Any, Dict[str, Any]] = {}
@@ -190,6 +193,25 @@ class LiveEngine:
             labels=("method",),
             buckets=DEFAULT_COUNT_BUCKETS,
         )
+        self._tracked_gauge = registry.gauge(
+            "engine_tracked_tids",
+            "update tids whose drift is resident: in flight, or "
+            "applied since the oldest active query began",
+        )
+        self._history_gauge = registry.gauge(
+            "engine_history_entries",
+            "per-key apply-history entries resident for "
+            "mixed-observation detection",
+        )
+
+    def refresh_gauges(self) -> None:
+        """Publish resident-state sizes; called at scrape time."""
+        self._tracked_gauge.set(len(self._pins))
+        self._history_gauge.set(self.history_entries())
+
+    def history_entries(self) -> int:
+        """Apply-history entries a query could still read."""
+        return 0
 
     def note_query_outcome(
         self, outcome: "QueryOutcome", spec: EpsilonSpec
@@ -271,6 +293,7 @@ class LiveEngine:
         async with self.cond:
             started = self.clock()
             applied = self._accept_locked(mset, local)
+            self._forget_unreachable()
             self._apply_hist.observe(self.clock() - started)
             self.cond.notify_all()
         self._applied_counter.inc(len(applied))
@@ -292,6 +315,7 @@ class LiveEngine:
             started = self.clock()
             for mset in msets:
                 applied.extend(self._accept_locked(mset, local))
+            self._forget_unreachable()
             self._apply_hist.observe(self.clock() - started)
             self.cond.notify_all()
         self._applied_counter.inc(len(applied))
@@ -301,7 +325,12 @@ class LiveEngine:
         """Method-specific MSet processing; ``self.cond`` is held."""
         raise NotImplementedError
 
-    def _note_drift(self, mset: MSet) -> None:
+    def _forget_unreachable(self) -> None:
+        """Drop apply history no active query can still read (once per
+        delivered batch, ``self.cond`` held).  No-op without one."""
+
+    def _note_drift(self, mset: MSet, pins: int = 1) -> None:
+        """Record ``mset``'s worst-case drift, pinned ``pins`` times."""
         total: Optional[float] = 0.0
         for op in mset.ops:
             delta = op.value_delta()
@@ -310,6 +339,22 @@ class LiveEngine:
                 break
             total += delta
         self._drift[mset.tid] = total
+        self._pin(mset.tid, pins)
+
+    def _pin(self, tid: Any, pins: int = 1) -> None:
+        """One more reason a query can still be charged for ``tid``:
+        it is inside the apply history, holds a lock-counter, is
+        undecided, is a key's last writer, or wrote above the VTNC.
+        Each reason ends with one :meth:`_unpin`."""
+        self._pins[tid] = self._pins.get(tid, 0) + pins
+
+    def _unpin(self, tid: Any) -> None:
+        left = self._pins.get(tid, 0) - 1
+        if left > 0:
+            self._pins[tid] = left
+        else:
+            self._pins.pop(tid, None)
+            self._drift.pop(tid, None)
 
     def _apply_ops(self, mset: MSet) -> None:
         reads = mset.get_info("reads")
@@ -343,7 +388,7 @@ class LiveEngine:
         for tid, keys in items:
             await self.fully_acked(tid, keys)
 
-    async def hold_counters(self, tid: Any, keys: Sequence[str]) -> None:
+    async def hold_counters(self, mset: MSet) -> None:
         """Re-assert the divergence obligation of a still-unacked local
         update whose apply is already inside a restored checkpoint (so
         replay could not re-raise it).  No-op for methods without
@@ -384,9 +429,9 @@ class LiveEngine:
         Captured atomically under the engine condition: store values
         with their write stamps (the RITU multiversion floor — a
         restored site answers version queries exactly where the
-        pre-snapshot site did), the applied-MSet count, the per-tid
-        drift table queries charge against, and method-specific apply
-        state via :meth:`_method_checkpoint`.
+        pre-snapshot site did), the applied-MSet count, the drift of
+        every update a query could still be charged for, and
+        method-specific apply state via :meth:`_method_checkpoint`.
 
         Deliberately *not* captured: COMMU lock-counter holders (they
         mirror the outbox pending set and are rebuilt from it at
@@ -447,13 +492,19 @@ class LiveEngine:
             )
         )
         self.applied_count = int(state.get("applied_count", 0))
-        self._drift = dict(state.get("drift", {}))
+        self._drift, self._pins = {}, {}
         self.read_results.clear()
         self.last_applied_at = self.clock()
         self._method_restore(state)
 
     def _method_restore(self, state: Dict[str, Any]) -> None:
-        """Method-specific state install; ``self.cond`` is held."""
+        """Method-specific state install; ``self.cond`` is held.  Pins
+        (:meth:`_restore_pin`) the tids the installed state can still
+        charge; the rest of the image's drift table is not loaded."""
+
+    def _restore_pin(self, state: Dict[str, Any], tid: Any) -> None:
+        self._drift[tid] = state.get("drift", {}).get(tid)
+        self._pin(tid)
 
     # -- introspection -------------------------------------------------------
 
@@ -493,6 +544,9 @@ class CommuLiveEngine(LiveEngine):
     def __init__(self, site, peers, clock=time.monotonic) -> None:
         super().__init__(site, peers, clock)
         self.state = LockCounterSiteState()
+        #: start of each query inside :meth:`query`, oldest first (a
+        #: re-serialised query re-enters at the back).
+        self._query_starts: Dict[Any, float] = {}
 
     def validate_update(self, ops: Sequence[Operation]) -> None:
         # The simulator's validator is the single source of truth for
@@ -500,17 +554,38 @@ class CommuLiveEngine(LiveEngine):
         CommutativeOperations.check_commutative(make_et(list(ops)))
 
     def _accept_locked(self, mset: MSet, local: bool) -> List[MSet]:
-        if local:
-            # Held until every peer durably acks (fully_acked).
-            self.state.raise_counters(mset.tid, mset.keys)
-        self._note_drift(mset)
+        # Held until every peer durably acks (fully_acked).
+        held = local and self.state.raise_counters(mset.tid, mset.keys)
+        # History is for the queries already reading: one that starts
+        # later cannot see this apply as a mixed observation.
+        watched = bool(self._query_starts)
+        if held or watched:
+            self._note_drift(mset, pins=held + watched)
         self._apply_ops(mset)
-        self.state.note_applied(self.clock(), mset.tid, mset.keys)
+        if watched:
+            self.state.note_applied(self.clock(), mset.tid, mset.keys)
         return [mset]
+
+    def _horizon(self) -> float:
+        """Start of the oldest query still reading; now when none is."""
+        for start in self._query_starts.values():
+            return start
+        return self.clock()
+
+    def _forget_unreachable(self) -> None:
+        for tid in self.state.prune_through(self._horizon()):
+            self._unpin(tid)
+
+    def history_entries(self) -> int:
+        return sum(map(len, self.state.applied.values()))
+
+    def _release(self, tid: Any, keys: Sequence[str]) -> None:
+        if self.state.release_counters(tid, keys):
+            self._unpin(tid)
 
     async def fully_acked(self, tid: Any, keys: Sequence[str]) -> None:
         async with self.cond:
-            self.state.release_counters(tid, keys)
+            self._release(tid, keys)
             self.cond.notify_all()
 
     async def fully_acked_many(
@@ -520,12 +595,13 @@ class CommuLiveEngine(LiveEngine):
             return
         async with self.cond:
             for tid, keys in items:
-                self.state.release_counters(tid, keys)
+                self._release(tid, keys)
             self.cond.notify_all()
 
-    async def hold_counters(self, tid: Any, keys: Sequence[str]) -> None:
+    async def hold_counters(self, mset: MSet) -> None:
         async with self.cond:
-            self.state.raise_counters(tid, keys)
+            if self.state.raise_counters(mset.tid, mset.keys):
+                self._note_drift(mset)
 
     def _query_sources(self, key: str, start: float) -> Set[Any]:
         """Inconsistency sources for one key read: in-flight updates
@@ -545,32 +621,39 @@ class CommuLiveEngine(LiveEngine):
         outcome = QueryOutcome()
         budget = _QueryBudget(spec)
         deadline = self.clock() + timeout
-        start = self.clock()
+        # While registered, history applied after ``start`` is kept.
+        start = self._query_starts[budget] = self.clock()
         index = 0
         ordered_keys = list(keys)
-        while index < len(ordered_keys):
-            advanced = False
-            async with self.cond:
-                key = ordered_keys[index]
-                sources = self._query_sources(key, start)
-                if budget.try_charge(sources, self._drift.get):
-                    outcome.values[key] = self.store.get(key, 0)
-                    index += 1
-                    advanced = True
-                else:
-                    # COMMU blocked-query semantics: discard partial
-                    # reads and re-serialize after the conflicting
-                    # updates.
-                    index = 0
-                    outcome.values.clear()
-                    budget.reset()
-                    await self._wait_for_change(outcome, deadline)
-                    start = self.clock()
-            if advanced:
-                # Yield between reads so update applies genuinely
-                # interleave with the query — the inconsistency ESR
-                # bounds is exactly this interleaving.
-                await asyncio.sleep(0)
+        try:
+            while index < len(ordered_keys):
+                advanced = False
+                async with self.cond:
+                    key = ordered_keys[index]
+                    sources = self._query_sources(key, start)
+                    if budget.try_charge(sources, self._drift.get):
+                        outcome.values[key] = self.store.get(key, 0)
+                        index += 1
+                        advanced = True
+                    else:
+                        # COMMU blocked-query semantics: discard
+                        # partial reads and re-serialize after the
+                        # conflicting updates.
+                        index = 0
+                        outcome.values.clear()
+                        budget.reset()
+                        await self._wait_for_change(outcome, deadline)
+                        del self._query_starts[budget]
+                        start = self._query_starts[budget] = self.clock()
+                if advanced:
+                    # Yield between reads so update applies genuinely
+                    # interleave with the query — the inconsistency
+                    # ESR bounds is exactly this interleaving.
+                    await asyncio.sleep(0)
+        finally:
+            # No await between here and return: atomic on the loop.
+            del self._query_starts[budget]
+            self._forget_unreachable()
         outcome.inconsistency = len(budget.imported)
         outcome.overlap = tuple(sorted(budget.imported))
         return outcome
@@ -685,11 +768,16 @@ class OrdupLiveEngine(LiveEngine):
             return []
         applied: List[MSet] = []
         for ready in self.buffer.offer(mset.order[0], mset):
-            self._note_drift(ready)
             self._apply_ops(ready)
             self.frontier = max(self.frontier, ready.order)
+            if ready.keys:
+                # Chargeable while it is some key's last writer.
+                self._note_drift(ready, pins=len(ready.keys))
             for key in ready.keys:
+                displaced = self.last_writer.get(key)
                 self.last_writer[key] = (ready.order, ready.tid)
+                if displaced is not None:
+                    self._unpin(displaced[1])
             applied.append(ready)
         return applied
 
@@ -736,6 +824,9 @@ class OrdupLiveEngine(LiveEngine):
     def quiescent(self) -> bool:
         return self.buffer.drained()
 
+    def history_entries(self) -> int:
+        return len(self.last_writer)
+
     def _method_checkpoint(self) -> Dict[str, Any]:
         # The apply-buffer position *is* ORDUP's recovery state: the
         # next order token the site may apply, the gap-free frontier,
@@ -777,6 +868,8 @@ class OrdupLiveEngine(LiveEngine):
                 "last_writer", {}
             ).items()
         }
+        for _, tid in self.last_writer.values():
+            self._restore_pin(state, tid)
         self._current_epoch = int(ordup.get("epoch", 0))
         self._epoch_bases = {
             int(e): int(b)
@@ -933,8 +1026,8 @@ class RituMvLiveEngine(RituLiveEngine):
     def __init__(self, site, peers, clock=time.monotonic) -> None:
         super().__init__(site, peers, clock)
         self.mvstore = MultiVersionStore()
-        #: transaction numbers applied here, above the VTNC.
-        self._applied_numbers: Set[int] = set()
+        #: transaction number -> writer tid, applied above the VTNC.
+        self._applied_numbers: Dict[int, Any] = {}
         self._version_count = 0
         #: reads served from a stable version because the budget was
         #: exhausted (the degrade-instead-of-block path).
@@ -965,15 +1058,17 @@ class RituMvLiveEngine(RituLiveEngine):
             info=mset.info,
         )
 
-    def _note_number(self, txn: int) -> None:
+    def _note_number(self, mset: MSet, txn: int) -> None:
         """Advance the VTNC along the contiguous applied prefix."""
         if txn <= self.mvstore.vtnc:
             return
-        self._applied_numbers.add(txn)
+        # Chargeable (its versions unstable) until the VTNC passes it.
+        self._note_drift(mset)
+        self._applied_numbers[txn] = mset.tid
         frontier = self.mvstore.vtnc
         while frontier + 1 in self._applied_numbers:
             frontier += 1
-            self._applied_numbers.discard(frontier)
+            self._unpin(self._applied_numbers.pop(frontier))
         self.mvstore.advance_vtnc(frontier)
 
     def _accept_locked(self, mset: MSet, local: bool) -> List[MSet]:
@@ -988,9 +1083,8 @@ class RituMvLiveEngine(RituLiveEngine):
         # Mirror into the flat store (Thomas rule) so convergence
         # checks, snapshots and the `values` verb keep working
         # unchanged alongside the version history.
-        self._note_drift(mset)
         self._apply_ops(mset)
-        self._note_number(txn)
+        self._note_number(mset, txn)
         self._versions_gauge.set(self._version_count)
         return [mset]
 
@@ -1050,9 +1144,18 @@ class RituMvLiveEngine(RituLiveEngine):
         super()._method_restore(state)
         mv = state.get("ritu_mv", {})
         self.mvstore = MultiVersionStore.from_state(mv.get("mv", {}))
-        self._applied_numbers = {
-            int(n) for n in mv.get("applied_numbers", ())
+        writers = {
+            version.txn_number: version.writer
+            for key in self.mvstore.keys()
+            for version in self.mvstore.unstable_versions(key)
         }
+        self._applied_numbers = {
+            int(n): writers.get(int(n))
+            for n in mv.get("applied_numbers", ())
+        }
+        for tid in self._applied_numbers.values():
+            if tid is not None:  # None: it wrote nothing to charge
+                self._restore_pin(state, tid)
         self._version_count = int(mv.get("version_count", 0))
         self._versions_gauge.set(self._version_count)
 
@@ -1219,6 +1322,8 @@ class CompeLiveEngine(CommuLiveEngine):
             if tid not in members:
                 members.append(tid)
         if tid not in self._decided:
+            if tid not in self._undecided:
+                self._note_drift(mset)  # chargeable until decided
             self._undecided[tid] = mset.keys
             for key in mset.keys:
                 self._undecided_by_key.setdefault(key, set()).add(tid)
@@ -1263,6 +1368,8 @@ class CompeLiveEngine(CommuLiveEngine):
             target, outcome
         ):
             self._clog_records_counter.inc()
+        if target in self._undecided:
+            self._unpin(target)
         keys = self._undecided.pop(target, ())
         for key in keys:
             holders = self._undecided_by_key.get(key)
@@ -1292,7 +1399,9 @@ class CompeLiveEngine(CommuLiveEngine):
                 # The compensation is itself a state change queries
                 # may observe mid-flight: charge it like any applied
                 # update.
-                self.state.note_applied(self.clock(), mset.tid, keys)
+                if self._query_starts:
+                    self._pin(mset.tid)
+                    self.state.note_applied(self.clock(), mset.tid, keys)
                 self.trace.event("compensate", tid=target, ops=undone)
         # Decided tids never need their undo step again (duplicates
         # are dropped above), so the tables stay bounded.
@@ -1362,6 +1471,7 @@ class CompeLiveEngine(CommuLiveEngine):
         }
         self._undecided_by_key = {}
         for tid, keys in self._undecided.items():
+            self._restore_pin(state, tid)
             for key in keys:
                 self._undecided_by_key.setdefault(key, set()).add(tid)
         self._decided = dict(compe.get("decided", {}))

@@ -36,10 +36,13 @@ existing heartbeat frames):
 from __future__ import annotations
 
 import json
+import logging
 import math
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+
+from .snapshot import write_atomic
 
 __all__ = [
     "ALIVE",
@@ -51,6 +54,8 @@ __all__ = [
     "MembershipTable",
     "FailureDetector",
 ]
+
+log = logging.getLogger(__name__)
 
 ALIVE = "alive"
 SUSPECT = "suspect"
@@ -147,6 +152,8 @@ class MembershipTable:
         self.path = path
         self._records: Dict[str, NodeRecord] = {}
         self.version = 0
+        #: loads that found the table present but unreadable.
+        self.load_errors = 0
 
     # ------------------------------------------------------------------
     # persistence
@@ -159,7 +166,15 @@ class MembershipTable:
                 for rec in raw.get("nodes", []):
                     node = NodeRecord.from_wire(rec)
                     self._records[node.name] = node
-            except (ValueError, KeyError, OSError):
+            except (
+                ValueError, KeyError, AttributeError, TypeError, OSError
+            ) as exc:
+                # Not something the atomic rewrite can leave behind;
+                # our incarnation restarts from zero, so say so.
+                self.load_errors += 1
+                log.error(
+                    "membership table %s unreadable: %r", self.path, exc
+                )
                 self._records = {}
         mine = self._records.get(self.self_name)
         if mine is None:
@@ -176,9 +191,9 @@ class MembershipTable:
             return
         payload = {"nodes": [rec.wire() for rec in self._records.values()]}
         try:
-            self.path.write_text(json.dumps(payload))
-        except OSError:
-            pass
+            write_atomic(self.path, json.dumps(payload).encode("utf-8"))
+        except OSError as exc:
+            log.error("membership table %s not persisted: %r", self.path, exc)
 
     # ------------------------------------------------------------------
     # local mutation
@@ -199,7 +214,8 @@ class MembershipTable:
         applied: Optional[int] = None,
     ) -> None:
         rec = self.self_record()
-        changed = False
+        changed = False  # something a restart must remember
+        progressed = False  # frontiers: gossip re-learns them
         if host is not None and rec.host != host:
             rec.host = host
             changed = True
@@ -208,19 +224,20 @@ class MembershipTable:
             changed = True
         if frontier is not None and rec.frontier != int(frontier):
             rec.frontier = int(frontier)
-            changed = True
+            progressed = True
         if shard is not None and rec.shard != shard:
             rec.shard = shard
             changed = True
         if applied is not None and rec.applied != int(applied):
             rec.applied = int(applied)
-            changed = True
+            progressed = True
         if rec.status != ALIVE:
             rec.status = ALIVE
             rec.incarnation += 1
             changed = True
-        if changed:
+        if changed or progressed:
             self.version += 1
+        if changed:
             self._persist()
 
     def observe(self, name: str, host: str = "", port: int = 0,
@@ -274,6 +291,7 @@ class MembershipTable:
         re-assert alive — the refutation dominates the rumor.
         """
         changed: List[str] = []
+        durable = False  # frontier-only progress is not worth an fsync
         for raw in records:
             try:
                 incoming = NodeRecord.from_wire(raw)
@@ -288,13 +306,16 @@ class MembershipTable:
                     mine.incarnation = incoming.incarnation + 1
                     mine.status = ALIVE
                     changed.append(mine.name)
+                    durable = True
                 continue
             current = self._records.get(incoming.name)
             if current is None:
                 self._records[incoming.name] = incoming
                 changed.append(incoming.name)
+                durable = True
                 continue
             if incoming.incarnation > current.incarnation:
+                durable = True
                 self._records[incoming.name] = incoming
                 if incoming.frontier < current.frontier:
                     incoming.frontier = current.frontier
@@ -308,7 +329,7 @@ class MembershipTable:
                     > STATUS_SEVERITY.get(current.status, 0)
                 ):
                     current.status = incoming.status
-                    rec_changed = True
+                    rec_changed = durable = True
                 if incoming.frontier > current.frontier:
                     current.frontier = incoming.frontier
                     rec_changed = True
@@ -319,12 +340,13 @@ class MembershipTable:
                     incoming.host, incoming.port,
                 ):
                     current.host, current.port = incoming.host, incoming.port
-                    rec_changed = True
+                    rec_changed = durable = True
                 if rec_changed:
                     changed.append(current.name)
             # lower incarnation: stale rumor, ignore
         if changed:
             self.version += 1
+        if durable:
             self._persist()
         return changed
 
@@ -403,6 +425,9 @@ class FailureDetector:
         self._window = int(window)
         self._gaps: Dict[str, Deque[float]] = {}
         self._last: Dict[str, float] = {}
+        #: peer -> suspicion bound over its current window: recomputed
+        #: when the window changes, read on every query response.
+        self._timeouts: Dict[str, float] = {}
 
     def heartbeat(self, peer: str, now: float) -> None:
         last = self._last.get(peer)
@@ -412,23 +437,26 @@ class FailureDetector:
         gap = now - last
         if gap <= 0:
             return
-        self._gaps.setdefault(peer, deque(maxlen=self._window)).append(gap)
+        gaps = self._gaps.setdefault(peer, deque(maxlen=self._window))
+        gaps.append(gap)
+        if len(gaps) >= self.min_samples:
+            n = len(gaps)
+            mean = sum(gaps) / n
+            var = sum((g - mean) ** 2 for g in gaps) / n
+            self._timeouts[peer] = max(
+                self.floor, mean + 4.0 * math.sqrt(var)
+            )
 
     def forget(self, peer: str) -> None:
         self._gaps.pop(peer, None)
         self._last.pop(peer, None)
+        self._timeouts.pop(peer, None)
 
     def last_seen(self, peer: str) -> Optional[float]:
         return self._last.get(peer)
 
     def timeout(self, peer: str) -> float:
-        gaps = self._gaps.get(peer)
-        if not gaps or len(gaps) < self.min_samples:
-            return self.floor
-        n = len(gaps)
-        mean = sum(gaps) / n
-        var = sum((g - mean) ** 2 for g in gaps) / n
-        return max(self.floor, mean + 4.0 * math.sqrt(var))
+        return self._timeouts.get(peer, self.floor)
 
     def staleness(self, peer: str, now: float) -> float:
         last = self._last.get(peer)

@@ -603,6 +603,12 @@ class ReplicaServer:
             "times the adaptive detector newly suspected one peer",
             labels=("peer",),
         )
+        self.m_record_load_errors = reg.counter(
+            "record_load_errors_total",
+            "small durable records found present but unreadable at boot "
+            "(state restarted from zero)",
+            labels=("record",),
+        )
         self.m_wire_negotiations = reg.counter(
             "wire_negotiations_total",
             "hello negotiations completed on inbound connections, "
@@ -656,6 +662,12 @@ class ReplicaServer:
                 self._order_counter = 0
         self.membership.load()
         self.election.load()
+        for record, owner in (
+            ("membership", self.membership), ("election", self.election)
+        ):
+            self.m_record_load_errors.labels(record=record).set_to(
+                owner.load_errors
+            )
         if self.election.epoch > 0 and hasattr(self.engine, "adopt_epoch"):
             self.engine.adopt_epoch(self.election.epoch, self.election.base)
         self.m_leader_epoch.set(self.election.epoch)
@@ -704,71 +716,72 @@ class ReplicaServer:
                 floor = snap_frontiers.get(src, 0)
                 if inbox.frontier < floor:
                     inbox.reset_to(floor)
+        # One streamed pass over each log tail; of the local log only
+        # what the repairs below need outlives the pass: the written
+        # keys of each replayed local update, and any record the
+        # shortest outbox has not assigned yet (normally none).
+        local_frontier = self.inboxes[LOCAL_CHANNEL].frontier
+        outbox_floor = min(
+            (outbox._seq for outbox in self.outboxes.values()),
+            default=local_frontier,
+        )
+        local_tail: Dict[int, Any] = {}
+        replayed_local: Dict[Any, Tuple[str, ...]] = {}
         for src, inbox in sorted(self.inboxes.items()):
             floor = snap_frontiers.get(src, 0)
+            local = src == LOCAL_CHANNEL
             for seq, payload in inbox.replay():
+                if local and seq > outbox_floor:
+                    local_tail[seq] = payload
                 if seq <= floor:
                     continue  # already inside the snapshot image
                 mset = decode_mset(payload["mset"])
-                await self.engine.accept(mset, local=(src == LOCAL_CHANNEL))
+                if local:
+                    replayed_local[mset.tid] = mset.keys
+                await self.engine.accept(mset, local=local)
         # Repair outbox lockstep: a crash between the local-channel
         # record and the per-peer channel appends leaves an outbox
         # missing the newest local records — re-append them from the
         # local log so every channel carries every local update (the
         # channel seq == local tid seq invariant the snapshot frontier
         # mapping relies on).
-        local_inbox = self.inboxes[LOCAL_CHANNEL]
-        local_tail = {seq: payload for seq, payload in local_inbox.replay()}
         for peer, outbox in self.outboxes.items():
-            if outbox._seq >= local_inbox.frontier:
+            if outbox._seq >= local_frontier:
                 continue
             missing = [
                 local_tail[seq]
-                for seq in range(outbox._seq + 1, local_inbox.frontier + 1)
+                for seq in range(outbox._seq + 1, local_frontier + 1)
                 if seq in local_tail
             ]
-            if len(missing) == local_inbox.frontier - outbox._seq:
+            if len(missing) == local_frontier - outbox._seq:
                 outbox.append_many(missing)
             else:
                 # The missing records were compacted below the local
                 # log's floor — they are covered by the persisted
                 # snapshot, which is exactly what a regressed receiver
                 # will be served.
-                outbox.reset_to(local_inbox.frontier)
+                outbox.reset_to(local_frontier)
         # Rebuild ack tracking from the outbound backlogs.
-        acked_local: Set[Any] = set()
-        keys_of: Dict[Any, Tuple[str, ...]] = {}
-        replayed_local: Set[Any] = set()
-        for seq, payload in local_inbox.replay():
-            tid = payload["mset"]["tid"]
-            keys_of[tid] = tuple(
-                {op["key"] for op in payload["mset"]["ops"]}
-            )
-            if seq > snap_frontiers.get(LOCAL_CHANNEL, 0):
-                acked_local.add(tid)
-                replayed_local.add(tid)
+        acked_local = set(replayed_local)
+        held: Dict[Any, MSet] = {}
         for peer, outbox in self.outboxes.items():
             for _, payload in outbox.pending():
-                tid = payload["mset"]["tid"]
-                self._unacked.setdefault(tid, set()).add(peer)
-                self._local_keys[tid] = keys_of.get(
-                    tid,
-                    tuple({op["key"] for op in payload["mset"]["ops"]}),
-                )
-                acked_local.discard(tid)
+                mset = decode_mset(payload["mset"])
+                self._unacked.setdefault(mset.tid, set()).add(peer)
+                self._local_keys[mset.tid] = mset.keys
+                acked_local.discard(mset.tid)
+                if mset.tid not in replayed_local:
+                    held[mset.tid] = mset
         # Local updates already acked by every peer before the crash:
         # release their lock-counters (replay re-raised them).
         for tid in acked_local:
-            await self.engine.fully_acked(tid, keys_of.get(tid, ()))
+            await self.engine.fully_acked(tid, replayed_local[tid])
         # The inverse hole: local updates applied *inside* the snapshot
         # image (so replay never re-raised their counters) but still
         # awaiting a peer ack — re-raise so origin-site queries keep
         # observing the cluster-wide in-flight inconsistency.
-        for tid, peers_waiting in self._unacked.items():
-            if peers_waiting and tid not in replayed_local:
-                await self.engine.hold_counters(
-                    tid, self._local_keys.get(tid, ())
-                )
+        for mset in held.values():
+            await self.engine.hold_counters(mset)
 
     def set_peers(self, addrs: Dict[str, Tuple[str, int]]) -> None:
         """Install (or update) peer addresses for the channel loops."""
@@ -2815,6 +2828,7 @@ class ReplicaServer:
         self._check_degraded_transition()
         self.m_degraded.set(1 if self.degraded() else 0)
         self.m_unacked.set(len(self._unacked))
+        self.engine.refresh_gauges()
         logs = [
             ("outbox/%s" % peer, box)
             for peer, box in self.outboxes.items()

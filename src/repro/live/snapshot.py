@@ -42,6 +42,8 @@ __all__ = [
     "open_snapshot",
     "snapshot_bytes",
     "SnapshotStore",
+    "write_atomic",
+    "fsync_dir",
 ]
 
 SNAPSHOT_VERSION = 1
@@ -99,6 +101,33 @@ def snapshot_bytes(envelope: Dict[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
+def fsync_dir(directory: pathlib.Path) -> None:
+    """Persist a rename in ``directory``'s metadata."""
+    try:
+        fd = os.open(str(directory), os.O_RDONLY)
+    except OSError:
+        return  # platform without directory fds; rename still atomic
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def write_atomic(path: pathlib.Path, data: bytes) -> None:
+    """Replace ``path``'s contents durably: temp file + fsync + rename
+    + directory fsync.  A crash at any instant leaves the complete old
+    file or the complete new one; on return the new one is on disk."""
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with tmp.open("wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    fsync_dir(path.parent)
+
+
 class SnapshotStore:
     """Atomic persistence for one site's snapshot file."""
 
@@ -109,13 +138,7 @@ class SnapshotStore:
     def save(self, envelope: Dict[str, Any]) -> int:
         """Persist atomically (temp + fsync + rename); returns bytes."""
         data = snapshot_bytes(envelope)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        self._fsync_dir()
+        write_atomic(self.path, data)
         return len(data)
 
     def load(self) -> Optional[Dict[str, Any]]:
@@ -152,15 +175,3 @@ class SnapshotStore:
 
     def exists(self) -> bool:
         return self.path.exists()
-
-    def _fsync_dir(self) -> None:
-        try:
-            fd = os.open(str(self.path.parent), os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)

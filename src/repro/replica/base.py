@@ -20,10 +20,12 @@ propagation — that interleaving is the inconsistency ESR bounds.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Iterable,
     List,
@@ -138,35 +140,69 @@ class LockCounterSiteState:
 
     #: key -> set of update tids holding the counter here.
     holders: Dict[str, Set[TransactionID]] = field(default_factory=dict)
-    #: key -> [(apply time, tid)] of updates applied at this site.
-    applied: Dict[str, List[Tuple[float, TransactionID]]] = field(
+    #: key -> [(apply time, tid)] of updates applied at this site,
+    #: oldest first.
+    applied: Dict[str, Deque[Tuple[float, TransactionID]]] = field(
         default_factory=dict
+    )
+    #: every ``note_applied`` call as (time, tid, keys), oldest first:
+    #: the order :meth:`prune_through` retires history in.
+    _noted: Deque[Tuple[float, TransactionID, Sequence[str]]] = field(
+        default_factory=deque
     )
 
     def note_applied(
         self, time: float, tid: TransactionID, keys: Sequence[str]
     ) -> None:
         for key in keys:
-            self.applied.setdefault(key, []).append((time, tid))
+            self.applied.setdefault(key, deque()).append((time, tid))
+        self._noted.append((time, tid, keys))
 
     def applied_since(self, key: str, start: float) -> Set[TransactionID]:
         return {tid for t, tid in self.applied.get(key, ()) if t > start}
 
+    def prune_through(self, horizon: float) -> List[TransactionID]:
+        """Forget history applied at or before ``horizon`` — what no
+        ``applied_since(key, start >= horizon)`` can return — and
+        return the tid of each dropped ``note_applied`` call.  Apply
+        times are monotone, so this pops a prefix.  For a caller that
+        knows its oldest reader (the live engine, not the simulator)."""
+        noted = self._noted
+        dropped: List[TransactionID] = []
+        while noted and noted[0][0] <= horizon:
+            _, tid, keys = noted.popleft()
+            for key in keys:
+                entries = self.applied[key]
+                entries.popleft()
+                if not entries:
+                    del self.applied[key]
+            dropped.append(tid)
+        return dropped
+
     def raise_counters(
         self, tid: TransactionID, keys: Sequence[str]
-    ) -> None:
+    ) -> bool:
+        """True when ``tid`` newly holds at least one counter."""
+        raised = False
         for key in keys:
-            self.holders.setdefault(key, set()).add(tid)
+            held = self.holders.setdefault(key, set())
+            raised |= tid not in held
+            held.add(tid)
+        return raised
 
     def release_counters(
         self, tid: TransactionID, keys: Sequence[str]
-    ) -> None:
+    ) -> bool:
+        """True when ``tid`` held (and now released) a counter."""
+        released = False
         for key in keys:
             held = self.holders.get(key)
             if held is not None:
+                released |= tid in held
                 held.discard(tid)
                 if not held:
                     self.holders.pop(key, None)
+        return released
 
     def count(self, key: str) -> int:
         return len(self.holders.get(key, ()))

@@ -8,8 +8,9 @@ queues and are processed independently by each local system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Optional, Tuple
 
 from ..core.operations import Operation
 from ..core.transactions import EpsilonTransaction, TransactionID
@@ -58,9 +59,9 @@ class MSet:
                 return v
         return default
 
-    @property
+    @cached_property
     def keys(self) -> Tuple[str, ...]:
-        seen: Dict[str, None] = {}
-        for op in self.ops:
-            seen.setdefault(op.key, None)
-        return tuple(seen)
+        """Distinct written keys in first-write order.  Computed once:
+        the cache lives in the instance ``__dict__``, outside the
+        dataclass fields, so equality, hash and repr do not see it."""
+        return tuple(dict.fromkeys(op.key for op in self.ops))

@@ -156,7 +156,7 @@ class TestInboxCompaction:
             inbox.record(i, {"n": i})
         inbox.reset_to(10)
         assert (inbox.base, inbox.frontier) == (10, 10)
-        assert inbox.replay() == []
+        assert list(inbox.replay()) == []
         assert inbox.record(11, "next") is True
         inbox.close()
 

@@ -89,7 +89,7 @@ class TestCrashAtomicity:
             handle.write(b"\x00\xffgarbage not json\n")
 
         recovered = DurableInbox(path)
-        assert recovered.replay() == [(1, "kept")]
+        assert list(recovered.replay()) == [(1, "kept")]
         assert recovered.frontier == 1
         recovered.close()
 
@@ -131,7 +131,7 @@ class TestInbox:
         inbox = DurableInbox(tmp_path / "peer.log")
         assert inbox.record(1, "a") is True
         assert inbox.record(2, "b") is True
-        assert inbox.replay() == [(1, "a"), (2, "b")]
+        assert list(inbox.replay()) == [(1, "a"), (2, "b")]
         inbox.close()
 
     def test_duplicates_refused_but_flagged(self, tmp_path):
@@ -189,7 +189,7 @@ class TestGroupCommit:
         inbox = DurableInbox(tmp_path / "peer.log")
         assert inbox.record_many([(1, "a"), (2, "b"), (3, "c")]) == 3
         assert inbox.frontier == 3
-        assert inbox.replay() == [(1, "a"), (2, "b"), (3, "c")]
+        assert list(inbox.replay()) == [(1, "a"), (2, "b"), (3, "c")]
         inbox.close()
 
     def test_record_many_rejects_gaps(self, tmp_path):
@@ -447,7 +447,7 @@ class TestTornTailSecondRestart:
         second.close()
 
         third = DurableInbox(path)
-        assert third.replay() == [(1, "a"), (2, "b")]
+        assert list(third.replay()) == [(1, "a"), (2, "b")]
         assert third.frontier == 2
         third.close()
 
@@ -505,7 +505,7 @@ class TestUnknownMeta:
             handle.write('{"seq":2,"payload":"b"}\n')
 
         reloaded = DurableInbox(path)
-        assert reloaded.replay() == [(1, "a"), (2, "b")]
+        assert list(reloaded.replay()) == [(1, "a"), (2, "b")]
         reloaded.close()
 
 

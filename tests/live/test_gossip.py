@@ -9,6 +9,7 @@ restart propagates without the test re-pointing anyone.
 """
 
 import asyncio
+import math
 import random
 import time
 
@@ -246,6 +247,36 @@ class TestFailureDetector:
         det.forget("p")
         assert det.last_seen("p") is None
         assert not det.suspect("p", 99.0)
+
+    def test_cached_bound_equals_the_recomputation(self):
+        """The bound is computed when the window changes and read per
+        query; it must be the documented function of the window —
+        exactly, after every arrival, over random gap sequences."""
+        rng = random.Random(16)
+        for _ in range(40):
+            floor = rng.choice([0.05, 0.5])
+            window = rng.choice([4, 64])
+            min_samples = rng.choice([2, 8])
+            det = FailureDetector(floor, window, min_samples)
+            now, gaps = 0.0, []
+            det.heartbeat("p", now)
+            for _ in range(rng.randint(1, 150)):
+                # Zero gaps (same-instant arrivals) are not samples.
+                then, now = now, now + rng.choice([0.0, rng.uniform(0.001, 2)])
+                det.heartbeat("p", now)
+                if now > then:
+                    gaps.append(now - then)
+                recent = gaps[-window:]
+                expected = floor
+                if len(recent) >= min_samples:
+                    mean = sum(recent) / len(recent)
+                    var = sum((g - mean) ** 2 for g in recent) / len(recent)
+                    expected = max(floor, mean + 4.0 * math.sqrt(var))
+                assert det.timeout("p") == expected
+                assert det.suspect("p", now + expected * 1.01)
+                assert not det.suspect("p", now + expected * 0.99)
+            det.forget("p")
+            assert det.timeout("p") == floor
 
 
 class TestHeartbeatJitter:

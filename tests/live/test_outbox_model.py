@@ -15,7 +15,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from hypothesis import settings, strategies as st
+from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
@@ -172,7 +172,4 @@ class OutboxMachine(RuleBasedStateMachine):
         assert not list(self.dir.glob("*.ack"))
 
 
-OutboxMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=30, deadline=None
-)
 TestOutboxModel = OutboxMachine.TestCase

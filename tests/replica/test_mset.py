@@ -1,5 +1,8 @@
 """Unit tests for MSets and the shared method runtime."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.operations import IncrementOp, ReadOp, WriteOp
@@ -10,6 +13,7 @@ from repro.core.transactions import (
     UpdateET,
     reset_tid_counter,
 )
+from repro.live.protocol import decode_mset, encode_mset
 from repro.replica.common import MethodRuntime
 from repro.replica.mset import MSet, MSetKind
 
@@ -38,6 +42,21 @@ class TestMSet:
         mset = MSet(1)
         with pytest.raises(Exception):
             mset.tid = 2  # type: ignore[misc]
+
+    def test_cached_keys_are_invisible_to_the_value(self):
+        """``keys`` is computed once per MSet; the cache must not leak
+        into equality, hash, repr, pickling or the wire encoding."""
+        ops = (IncrementOp("b", 1), IncrementOp("a", 1), IncrementOp("b", 2))
+        used, fresh = MSet("t1", ops=ops, origin="s"), MSet("t1", ops=ops, origin="s")
+        assert used.keys is used.keys == ("b", "a")  # same tuple: cached
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert len({used, fresh}) == 1
+        clone = pickle.loads(pickle.dumps(used))
+        assert clone == fresh and clone.keys == ("b", "a")
+        assert encode_mset(used) == encode_mset(fresh)
+        assert decode_mset(encode_mset(used)) == fresh
+        assert dataclasses.replace(used, ops=ops[:1]).keys == ("b",)
 
 
 class TestMethodRuntimeLifecycles:
