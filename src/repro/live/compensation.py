@@ -201,7 +201,7 @@ class CompensationLog(_DurableLog):
         if not dropped:
             return 0
         self._rewrite(
-            [{"seq": s, "payload": p} for s, p in survivors],
+            [_record_line(s, p, None).encode("utf-8") for s, p in survivors],
             base=self.base,
         )
         self._records = survivors

@@ -7,25 +7,32 @@ real append-only JSONL log on disk, so queue contents survive process
 restarts (Ravishankar-style asynchronous checkpointing of the channel
 state).
 
-Two halves, matching the two ends of a channel:
+An update ET produces *one* MSet that the stable queues deliver to
+every replica, and the logs have that shape — one at the origin, one
+at each receiver:
 
-* :class:`DurableOutbox` — the sender's half.  ``append`` assigns the
-  next channel sequence number and durably logs the payload *before*
-  the caller acknowledges anything to a client; ``ack_through``
-  processes a cumulative acknowledgement (everything ``<= seq`` is
-  durably held by the receiver) and advances the delivery frontier.
-  Pending records are always the dense range ``(frontier, _seq]``,
-  held as one ordered window, so an ack pops exactly the prefix it
-  covers — its cost does not depend on the backlog behind it.  After
-  a restart everything past the frontier is pending again and will be
-  re-sent.
-* :class:`DurableInbox` — the receiver's half.  ``record`` /
-  ``record_many`` durably log received payloads and deduplicate by
-  sequence number (the channel is FIFO, so a contiguous frontier
-  suffices); ``replay`` streams every recorded payload in receipt
-  order, from the file, for crash recovery.  The running inbox is
-  two integers (frontier and floor): like the outbox beyond its
-  unacked window, it keeps no copy of what it has logged.
+* :class:`DurableOutbox` — the origin's replication log, one per
+  replica.  ``append`` assigns the next sequence number and durably
+  logs the payload **once**, *before* the caller acknowledges anything
+  to a client; every peer is a *cursor* into that log — the highest
+  sequence number it has cumulatively acknowledged.  The records
+  ``(slowest cursor, _seq]`` are held, once, in an index-addressable
+  window all cursors share, so ``pending_after(peer, ...)`` costs its
+  own length at any cursor and ``ack_through(peer, seq)`` costs what
+  it releases — neither depends on how far another peer has fallen
+  behind.  A record the slowest cursor passes is acknowledged by every
+  peer: ``ack_through`` hands it back, exactly once (``released_hi``
+  is monotone, so a later rewind never releases it again).  After a
+  restart everything past a cursor is owed to that peer again.
+* :class:`DurableInbox` — the receiver's half of one (src, dst)
+  channel.  ``record`` / ``record_many`` durably log received
+  payloads and deduplicate by sequence number (the channel is FIFO,
+  so a contiguous frontier suffices).  The running inbox is two
+  integers (frontier and floor): it keeps no copy of what it has
+  logged.
+
+``replay`` (both) streams every logged payload above the compaction
+floor in order, from the file, for crash recovery.
 
 Group commit: ``append_many`` / ``record_many`` coalesce a whole
 batch of records into a *single* write + flush + (at most one) fsync,
@@ -40,8 +47,8 @@ recorded inside the fsync window is acknowledged upstream (a channel
 ack to the sending peer, a commit ack to a client) the caller must
 invoke :meth:`~_DurableLog.sync`, which forces a covering fsync if —
 and only if — unsynced records exist (``dirty``).  Without that, a
-receiver could ack a batch, the sender would truncate its outbox, and
-a crash of the receiver inside the window would lose the batch from
+receiver could ack a batch, the sender would move its cursor, and a
+crash of the receiver inside the window would lose the batch from
 both ends: an acknowledged update gone.  ``sync`` is a no-op when
 ``fsync=False`` (explicitly non-durable mode) or when nothing is
 dirty, so the hot path with ``fsync_interval=0`` pays nothing extra.
@@ -72,35 +79,41 @@ reloaded pending payloads from the log) the blob for a pending
 record, which is what lets a sender re-send from its log without
 re-encoding either.
 
-The ack frontier lives in the log stream: each advance appends one
-``{"meta": "ack", "seq": N}`` line to the outbox's own open log
-(write + flush, never an fsync of its own, no second file), a rewind
-or reset emits the same marker, and on reload the last marker wins.
-A crash may lose the newest markers and nothing else: the reloaded
-frontier is then a lower bound, the receiver's dedup absorbs the
-re-sent records and its next cumulative ack retires them again.  Data
-dirs from before the marker existed keep the frontier in a
-``<log>.ack`` sidecar: read on open while the log holds no marker,
-never written.
+The cursors live in the log stream: each advance appends one
+``{"meta": "ack", "peer": P, "seq": N}`` line to the open log (write
++ flush, never an fsync of its own, no second file), a rewind emits
+the same marker, and on reload the last marker per peer wins.  A
+crash may lose the newest markers and nothing else: a reloaded cursor
+is then a lower bound, the receiver's dedup absorbs the re-sent
+records and its next cumulative ack retires them again.  A cursor is
+created by a marker too (``add_cursor``, at the end of the log), so
+its first marker precedes every record the peer is owed and a reload
+trims the window as it reads.
 
-Compaction: both halves support ``compact(through_seq)`` — a
-tail-verified rewrite that drops every record at or below
-``through_seq`` once a persisted site snapshot covers them (one
-shared path, ``_compact_log``, filtering the file itself).  The
-rewritten log opens with a ``{"meta": "base", "base": N}`` record so a
-reload knows the log starts above ``N``; the rewrite goes to a
-temporary file that is fsynced, re-parsed (tail verification), and
-atomically renamed over the live log, so a crash at any instant leaves
-either the complete old log or the complete new one.  ``base`` is the
-compaction floor: an outbox can no longer serve records at or below
-it (a receiver that regressed past the floor needs a snapshot, not a
-log replay), and an inbox treats it as its replay origin.  A rewritten
-outbox log ends with one ack marker (the current frontier) in place of
-all earlier ones.
+Compaction: ``compact(through_seq)`` (both) is a tail-verified rewrite
+that drops every record at or below ``through_seq`` once a persisted
+site snapshot covers them (one shared path, ``_compact_log``, which
+filters the file on each line's ``{"seq":N,`` prefix and copies
+surviving lines byte for byte).  The rewritten log opens with a
+``{"meta": "base", "base": N}`` record so a reload knows the log
+starts above ``N``; the rewrite goes to a temporary file that is
+fsynced, re-parsed (tail verification), and atomically renamed over
+the live log, so a crash at any instant leaves either the complete old
+log or the complete new one.  ``base`` is the compaction floor: the
+replication log never compacts past its slowest cursor and can no
+longer serve records at or below the floor (a receiver that regressed
+past it needs a snapshot, not a log replay); an inbox treats the floor
+as its replay origin.  A rewritten replication log carries one ack
+marker per cursor, right after the floor marker, in place of all
+earlier ones.
 
 Crash tails: a reload stops at the first torn (no newline),
 undecodable or structurally wrong line and cuts the file there before
 reopening it for append.  Loaders skip ``meta`` kinds they do not know.
+
+:class:`GrantLog` puts the ORDUP sequencer's order-token counter on
+the same primitive: one appended line per grant, last intact line
+wins on reload.
 """
 
 from __future__ import annotations
@@ -109,13 +122,13 @@ import json
 import os
 import pathlib
 import time
-from collections import deque
-from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .snapshot import fsync_dir
+from .snapshot import fsync_dir, write_atomic
 
-__all__ = ["DurableOutbox", "DurableInbox"]
+__all__ = ["DurableOutbox", "DurableInbox", "GrantLog"]
+
+_SEQ_PREFIX = b'{"seq":'
 
 
 def _json_line(record: Dict[str, Any]) -> str:
@@ -136,9 +149,31 @@ def _record_line(seq: int, payload: Any, blob: Optional[bytes]) -> str:
     return '{"seq":%d,"payload":%s}\n' % (seq, blob.decode("utf-8"))
 
 
-def _ack_marker(seq: int) -> Dict[str, Any]:
-    """The control record that carries an outbox's ack frontier."""
-    return {"meta": "ack", "seq": seq}
+def _ack_marker(peer: str, seq: int) -> Dict[str, Any]:
+    """The control record that carries one peer's cursor."""
+    return {"meta": "ack", "peer": peer, "seq": seq}
+
+
+def _parse_line(line: bytes) -> Optional[Dict[str, Any]]:
+    """The record on one log line, or None when it is not an intact
+    one.  A record and its newline go out in one write: a line without
+    one never completed, even if it parses."""
+    if not line.endswith(b"\n"):
+        return None
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    # A control record or a whole data record; anything else that
+    # decodes (e.g. a partial buffer flush that happens to be valid
+    # JSON) is structurally corrupt.
+    if not isinstance(record, dict) or not (
+        isinstance(record.get("meta"), str)
+        or isinstance(record.get("seq"), int)
+        and "payload" in record
+    ):
+        return None
+    return record
 
 
 def _read_json_lines(
@@ -153,31 +188,17 @@ def _read_json_lines(
     """
     if not path.exists():
         return
-    intact = 0
+    good = 0
     with path.open("rb") as handle:
         for line in handle:
             if line.strip():
-                if not line.endswith(b"\n"):
-                    # A record and its newline go out in one write:
-                    # this one never completed, even if it parses.
-                    break
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    break
-                # A control record or a whole data record; anything
-                # else that decodes (e.g. a partial buffer flush that
-                # happens to be valid JSON) is structurally corrupt.
-                if not isinstance(record, dict) or not (
-                    isinstance(record.get("meta"), str)
-                    or isinstance(record.get("seq"), int)
-                    and "payload" in record
-                ):
+                record = _parse_line(line)
+                if record is None:
                     break
                 yield record
-            intact += len(line)
-    if cut_tail and path.stat().st_size > intact:
-        os.truncate(path, intact)
+            good += len(line)
+    if cut_tail and path.stat().st_size > good:
+        os.truncate(path, good)
 
 
 class _DurableLog:
@@ -267,59 +288,95 @@ class _DurableLog:
             if record.get("meta") is None:
                 yield record["seq"], record["payload"]
 
+    def replay(self) -> Iterator[Tuple[int, Any]]:
+        """Logged (seqno, payload) pairs above the compaction floor,
+        in order — the log tail a snapshot does not cover — streamed
+        from the file."""
+        expected = self.base + 1
+        for seq, payload in self._logged():
+            if seq == expected:  # the loader's rule: stale lines skip
+                yield seq, payload
+                expected += 1
+
     def _compact_log(
-        self, through_seq: int, trailer: Sequence[Dict[str, Any]] = ()
+        self, through: int, header: Sequence[Dict[str, Any]] = ()
     ) -> int:
-        """Rewrite the log without its data records ``<= through_seq``
-        (capped at the frontier: only what is behind it may go), closed
-        by the ``trailer`` control records, and raise the floor;
-        returns the number of records dropped."""
-        through = min(through_seq, self.frontier)
+        """Rewrite the log as the ``header`` control records plus its
+        data records ``> through``, and raise the floor; returns the
+        number of records dropped.  The caller caps ``through`` at what
+        may go.
+
+        A line written by :func:`_record_line` is filtered on its
+        ``{"seq":N,`` prefix and survives byte for byte; only a line
+        rendered some other way is parsed (and re-rendered), so the
+        result is what parsing and re-dumping every line would give.
+        """
         if through <= self.base:
             return 0
-        survivors: List[Dict[str, Any]] = []
+        lines: List[bytes] = []
         dropped = 0
-        for seq, payload in self._logged():
-            if seq > through:
-                survivors.append({"seq": seq, "payload": payload})
-            else:
-                dropped += 1
-        self._rewrite([*survivors, *trailer], base=through)
+        with self.path.open("rb") as handle:
+            for line in handle:
+                if not line.strip():
+                    continue
+                if line.startswith(_SEQ_PREFIX) and line.endswith(b"\n"):
+                    digits = line[len(_SEQ_PREFIX):line.find(b",")]
+                    if digits.isdigit():
+                        if int(digits) > through:
+                            lines.append(line)
+                        else:
+                            dropped += 1
+                        continue
+                record = _parse_line(line)
+                if record is None:
+                    break  # torn tail: never acknowledged to anyone
+                if record.get("meta") is not None:
+                    continue  # superseded by the header
+                if record["seq"] > through:
+                    lines.append(
+                        _record_line(
+                            record["seq"], record["payload"], None
+                        ).encode("utf-8")
+                    )
+                else:
+                    dropped += 1
+        self._rewrite(lines, base=through, header=header)
         self.base = through
         self.compaction_count += 1
         self.compacted_records += dropped
         return dropped
 
     def _rewrite(
-        self, records: Sequence[Dict[str, Any]], base: int
+        self,
+        lines: Sequence[bytes],
+        base: int,
+        header: Sequence[Dict[str, Any]] = (),
     ) -> None:
         """Tail-verified atomic rewrite of the log.
 
-        Writes a fresh log — a ``{"meta": "base", "base": N}`` marker
-        followed by ``records`` — to a temporary file, fsyncs it,
-        re-parses it end to end (tail verification: the bytes that hit
-        disk decode back to exactly what we meant to keep), then
+        Writes a fresh log — a ``{"meta": "base", "base": N}`` marker,
+        the ``header`` control records and the pre-rendered data
+        ``lines`` — to a temporary file, fsyncs it, re-parses it end to
+        end (tail verification: the bytes that hit disk decode back to
+        the control records we wrote and as many data records as we
+        meant to keep, ending with the one we meant to end with), then
         atomically renames it over the live log.  A crash before the
         rename leaves the old log intact; after the rename, the new
         one is complete.  Either way a restart recovers a consistent
         log — there is no instant at which records are half-dropped.
         """
         tmp = self.path.with_suffix(self.path.suffix + ".compact")
-        marker = {"meta": "base", "base": base}
-        data = "".join(map(_json_line, [marker, *records]))
-        with tmp.open("w", encoding="utf-8") as handle:
+        head = [{"meta": "base", "base": base}, *header]
+        data = "".join(map(_json_line, head)).encode("utf-8") + b"".join(lines)
+        with tmp.open("wb") as handle:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         check = list(_read_json_lines(tmp))
         ok = (
-            len(check) == 1 + len(records)
-            and check[0].get("meta") == "base"
-            and check[0].get("base") == base
-            and (
-                not records
-                or check[-1].get("seq") == records[-1].get("seq")
-            )
+            len(check) == len(head) + len(lines)
+            and check[:len(head)] == head
+            and (not lines or check[-1] == _parse_line(lines[-1]))
         )
         if not ok:
             tmp.unlink(missing_ok=True)
@@ -342,7 +399,8 @@ class _DurableLog:
 
 
 class DurableOutbox(_DurableLog):
-    """Sender half of one durable (src, dst) channel."""
+    """A replica's replication log: every MSet it originates, logged
+    once, with one cursor per peer into it."""
 
     def __init__(
         self,
@@ -351,64 +409,71 @@ class DurableOutbox(_DurableLog):
         fsync_interval: float = 0.0,
     ) -> None:
         super().__init__(path, fsync, fsync_interval)
-        #: highest contiguously acknowledged sequence number.
-        self.frontier = 0
-        #: the pending records ``(frontier, _seq]``, oldest first, as
-        #: ``(payload, blob)``.  ``blob`` is the payload's canonical
-        #: wire bytes (the zero re-encode relay cache), ``None`` until
-        #: :meth:`wire_blob` fills it for a record reloaded from the log.
-        self._window: deque[Tuple[Any, Optional[bytes]]] = deque()
-        #: acks received for sequence numbers we never assigned — a
-        #: receiver durably holds records this (restarted) sender has
-        #: no memory of sending, i.e. the sender lost its own log.
-        self.regressed_acks = 0
         self._seq = 0
-        marked = False
+        #: peer -> highest sequence number it cumulatively acknowledged.
+        self._cursors: Dict[str, int] = {}
+        #: the slowest cursor (``_seq`` with no cursors at all): the
+        #: window holds exactly the records ``(_head, _seq]``.
+        self._head = 0
+        #: ``(payload, blob)`` per held record, the one for sequence
+        #: number ``s`` at index ``_start + s - _head - 1``; slots below
+        #: ``_start`` are dead and trimmed in bulk.  ``blob`` is the
+        #: payload's canonical wire bytes (the zero re-encode relay
+        #: cache), ``None`` until :meth:`wire_blob` fills it for a
+        #: record reloaded from the log.
+        self._window: List[Tuple[Any, Optional[bytes]]] = []
+        self._start = 0
+        #: everything ``<= released_hi`` has been acknowledged by every
+        #: peer and handed back by :meth:`ack_through`.  Monotone within
+        #: one numbering (``reset_to`` starts another), so a rewind
+        #: never releases a record twice.
+        self.released_hi = 0
+        #: peer -> acks received for sequence numbers we never assigned
+        #: — the receiver durably holds records this (restarted) sender
+        #: has no memory of sending, i.e. the sender lost its own log.
+        self.regressed_acks: Dict[str, int] = {}
         for record in _read_json_lines(self.path, cut_tail=True):
             kind = record.get("meta")
             if kind is None:
-                seq = record["seq"]
-                if seq > self._seq + 1:
-                    # Numbering only ever jumps over an acked range (a
-                    # frontier that outlived the log's tail).
-                    self._retire(seq - 1)
-                if seq == self._seq + 1:
-                    self._seq = seq
-                    self._window.append((record["payload"], None))
+                if record["seq"] == self._seq + 1:
+                    self._seq += 1
+                    if self._seq > self._slowest():  # someone is owed it
+                        self._window.append((record["payload"], None))
+                    else:
+                        self._head = self._seq
             elif kind == "base":
-                self.base = max(self.base, int(record.get("base", 0)))
-                # Compaction only ever drops acked records, so the
-                # floor is also a lower bound on the ack frontier
-                # (covers a log whose newest ack markers were lost).
-                if self.base > self.frontier:
-                    self._retire(self.base)
-            elif kind == "ack":
-                marked = True
-                seq = int(record["seq"])
-                if seq > self.frontier:
-                    self._retire(seq)
-                elif seq < self.frontier:
-                    self._unretire(seq)  # a rewind's marker
-        if not marked:
-            # A data dir from before the marker existed keeps its
-            # frontier in a sidecar; the first marker retires it.
-            try:
-                sidecar = self.path.with_suffix(self.path.suffix + ".ack")
-                legacy = int(sidecar.read_text().strip() or 0)
-            except (OSError, ValueError):
-                legacy = 0
-            if legacy > self.frontier:
-                self._retire(legacy)
+                base = int(record.get("base", 0))
+                if base > self._seq:  # opens a rewritten log
+                    self.base = self._seq = self._head = base
+            elif (
+                kind == "ack"
+                and isinstance(record.get("peer"), str)
+                and isinstance(record.get("seq"), int)
+            ):
+                # Compaction only ever drops records every cursor has
+                # passed, so the floor bounds a cursor from below.  A
+                # rewritten log states its cursors ahead of its records.
+                seq = max(record["seq"], self.base)
+                if self._rewind(min(seq, self._seq)):
+                    self._cursors[record["peer"]] = seq
+                    self._slide(min(self._slowest(), self._seq))
+        # A log that lost its tail holds less than a cursor remembers.
+        self._cursors = {
+            peer: min(seq, self._seq) for peer, seq in self._cursors.items()
+        }
+        self.released_hi = self._head
         self._open_log()
 
-    def append(self, payload: Any, blob: Optional[bytes] = None) -> int:
-        """Durably enqueue ``payload``; returns its sequence number.
+    # -- the log -------------------------------------------------------------
 
-        ``blob``, when given, is the payload's canonical wire bytes
-        (see :func:`repro.live.protocol.payload_blob`): the log line
-        is spliced around it instead of re-serializing, and it seeds
-        the :meth:`wire_blob` cache for the sender's relay path.
-        """
+    @property
+    def assigned(self) -> int:
+        """The highest sequence number assigned so far."""
+        return self._seq
+
+    def append(self, payload: Any, blob: Optional[bytes] = None) -> int:
+        """Durably enqueue one ``payload`` (:meth:`append_many` of
+        one); returns its sequence number."""
         blobs = None if blob is None else [blob]
         return self.append_many([payload], blobs=blobs)[0]
 
@@ -421,165 +486,224 @@ class DurableOutbox(_DurableLog):
 
         Returns the assigned sequence numbers, contiguous and in
         payload order.  ``blobs`` (parallel to ``payloads``) carries
-        pre-encoded payload bytes, spliced into the log lines and
-        cached for the wire.
+        each payload's canonical wire bytes
+        (:func:`repro.live.protocol.payload_blob`): the log line is
+        spliced around them instead of re-serializing, and they seed
+        the :meth:`wire_blob` cache for the sender's relay path.
         """
         seqs: List[int] = []
         lines: List[str] = []
         for index, payload in enumerate(payloads):
-            self._seq += 1
             blob = None if blobs is None else blobs[index]
+            self._seq += 1
             self._window.append((payload, blob))
             lines.append(_record_line(self._seq, payload, blob))
             seqs.append(self._seq)
         self._write_data("".join(lines))
+        if not self._cursors:  # held for nobody
+            self._window.clear()
+            self._head = self.released_hi = self._seq
         return seqs
 
     def wire_blob(self, seqno: int) -> bytes:
-        """Canonical wire bytes of one pending payload.
+        """Canonical wire bytes of one held payload.
 
         Cache hit for payloads appended with a blob; computed once and
         cached for payloads reloaded from the log (restart, rewind) —
-        either way, every subsequent send and re-send of this record
-        forwards the same bytes with no re-encode.
+        either way, every subsequent send and re-send of this record,
+        to any peer, forwards the same bytes with no re-encode.
         """
-        index = seqno - self.frontier - 1
+        index = seqno - self._head - 1
         if index < 0:
-            raise KeyError(seqno)  # already acknowledged
+            raise KeyError(seqno)  # already acknowledged by every peer
+        index += self._start
         payload, blob = self._window[index]
         if blob is None:
             blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
             self._window[index] = (payload, blob)
         return blob
 
-    def _retire(self, seqno: int) -> List[Tuple[int, Any]]:
-        """Move the frontier up to ``seqno``, popping the window
-        prefix it covers — one pop per retired record, whatever the
-        backlog behind them."""
-        pop = self._window.popleft
-        covered = [
-            (seq, pop()[0])
-            for seq in range(self.frontier + 1, min(seqno, self._seq) + 1)
-        ]
-        self.frontier = seqno
-        # Only a reload can be told of more than the log holds (a
-        # sidecar or floor that outlived the log's tail).
-        self._seq = max(self._seq, seqno)
-        return covered
+    def drained(self) -> bool:
+        """True when every peer has acknowledged everything."""
+        return self._head == self._seq
 
-    def _unretire(self, ack_seq: int) -> bool:
-        """Move the frontier back down to ``ack_seq``, making the
-        logged records ``(ack_seq, frontier]`` pending again; False
-        (and no change) when the log no longer holds all of them."""
-        again = [
-            (payload, None)
-            for seq, payload in self._logged()
-            if ack_seq < seq <= self.frontier
-        ]
-        if len(again) != self.frontier - ack_seq:
+    # -- the cursors ---------------------------------------------------------
+
+    def add_cursor(self, peer: str) -> bool:
+        """Start a cursor for ``peer`` at the end of the log: it is
+        owed what is appended from here on, and nothing older.  False
+        (and no change) when the peer already has one."""
+        if peer in self._cursors:
             return False
-        self._window.extendleft(reversed(again))
-        self.frontier = ack_seq
+        self._cursors[peer] = self._seq
+        self._mark(peer)
         return True
 
-    def _mark_frontier(self) -> None:
-        """Note the frontier in the log stream: flushed, never fsynced
+    def frontier(self, peer: str) -> int:
+        """The highest sequence number ``peer`` cumulatively acknowledged."""
+        return self._cursors[peer]
+
+    def backlog(self, peer: str) -> int:
+        """How many records ``peer`` is still owed."""
+        return self._seq - self._cursors[peer]
+
+    def pending(self, peer: str) -> List[Tuple[int, Any]]:
+        """Everything ``peer`` is still owed, in FIFO order."""
+        return self.pending_after(peer, 0, self.backlog(peer))
+
+    def pending_after(
+        self, peer: str, seqno: int, limit: int
+    ) -> List[Tuple[int, Any]]:
+        """Up to ``limit`` (seqno, payload) pairs ``peer`` is owed
+        above ``seqno``, in order — the sender's fetch, a slice of the
+        shared window bounded by ``limit``, wherever in it the cursor
+        stands."""
+        first = max(seqno, self._cursors[peer]) + 1
+        start = self._start + first - self._head - 1
+        return [
+            (first + offset, entry[0])
+            for offset, entry in enumerate(
+                self._window[start:start + limit]
+            )
+        ]
+
+    def _mark(self, peer: str) -> None:
+        """Note one cursor in the log stream: flushed, never fsynced
         on its own — the marker carries no durability claim; losing it
-        only ages the reloaded frontier."""
-        line = _json_line(_ack_marker(self.frontier))
+        only ages the reloaded cursor."""
+        line = _json_line(_ack_marker(peer, self._cursors[peer]))
         self._write_data(line, durable=False)
 
-    def ack_through(self, seqno: int) -> List[Tuple[int, Any]]:
-        """Cumulative acknowledgement: the receiver durably holds every
+    def _slowest(self) -> int:
+        return min(self._cursors.values(), default=self._seq)
+
+    def _slide(self, head: int) -> None:
+        """Let go of the held records ``<= head``: the slowest cursor
+        has passed them.  Their slots are emptied now — a released
+        record's memory goes back as soon as the caller is done with
+        it, in the order it was allocated — and trimmed in bulk."""
+        stop = self._start + head - self._head
+        self._window[self._start:stop] = [None] * (stop - self._start)
+        self._start = stop
+        self._head = head
+        if self._start >= 64 and self._start * 2 >= len(self._window):
+            # Amortised: each trim moves no more slots than it frees.
+            del self._window[:self._start]
+            self._start = 0
+
+    def _rewind(self, ack_seq: int) -> bool:
+        """Make room for a cursor at ``ack_seq``: below the slowest
+        cursor the records ``(ack_seq, _head]`` come back from the file
+        into the window; False (and no change) when the log no longer
+        holds all of them."""
+        if ack_seq < self._head:
+            again = [
+                (payload, None)
+                for seq, payload in self._logged()
+                if ack_seq < seq <= self._head
+            ]
+            if len(again) != self._head - ack_seq:
+                return False
+            self._window[:self._start] = again
+            self._start = 0
+            self._head = ack_seq
+        return True
+
+    def ack_through(self, peer: str, seqno: int) -> List[Tuple[int, Any]]:
+        """Cumulative acknowledgement: ``peer`` durably holds every
         sequence number ``<= seqno``.
 
-        Retires the covered records and returns them as (seqno,
-        payload) pairs in order; a stale or duplicate ack retires
-        nothing.  Costs one window pop per retired record and one
-        marker line — no scan of the backlog, no file opened.
+        Advances that peer's cursor (a stale or duplicate ack moves
+        nothing) and returns, as (seqno, payload) pairs in order, the
+        records this ack made *fully* acknowledged — the slowest cursor
+        just passed them — each exactly once.  Costs one marker line
+        and one window slot per released record: no scan of anyone's
+        backlog, no file opened.
         """
         if seqno > self._seq:
             # The receiver durably holds records we never assigned:
             # this sender restarted from an older (or empty) log — it
-            # regressed.  Count it (the server triggers catch-up off
-            # this) instead of silently pretending we sent that far.
-            self.regressed_acks += 1
+            # regressed.  Count it instead of silently pretending we
+            # sent that far.
+            self.regressed_acks[peer] = self.regressed_acks.get(peer, 0) + 1
             seqno = self._seq
-        if seqno <= self.frontier:
+        behind = self._cursors[peer]
+        if seqno <= behind:
             return []
-        covered = self._retire(seqno)
-        self._mark_frontier()
-        return covered
+        self._cursors[peer] = seqno
+        self._mark(peer)
+        if behind > self._head:
+            return []  # a slower cursor still holds the window's tail
+        head = self._slowest()
+        released: List[Tuple[int, Any]] = []
+        low = max(self._head, self.released_hi)
+        if head > low:
+            start = self._start + low - self._head
+            stop = self._start + head - self._head
+            released = [
+                (low + 1 + offset, entry[0])
+                for offset, entry in enumerate(self._window[start:stop])
+            ]
+            self.released_hi = head
+        self._slide(head)
+        return released
 
-    def rewind_to(self, ack_seq: int) -> bool:
-        """Reload records above ``ack_seq`` into the pending window.
+    def rewind_to(self, peer: str, ack_seq: int) -> bool:
+        """Move ``peer``'s cursor back down to ``ack_seq``.
 
-        Repairs a channel whose receiver regressed below our ack
-        frontier (it lost its inbox and now durably holds only
-        ``<= ack_seq``): previously-acked records still in the log
-        become pending again and will be re-sent in order.  Returns
-        False when the needed records are not all in the log —
-        compacted away (``ack_seq < base``) or lost with the log's
-        tail — the receiver then needs a snapshot, not a log replay.
+        Repairs a channel whose receiver regressed below our cursor
+        (it lost its inbox and now durably holds only ``<= ack_seq``):
+        previously-acked records still in the log are owed again and
+        will be re-sent in order.  Returns False when the needed
+        records are not all in the log — compacted away (``ack_seq <
+        base``) or lost with the log's tail — the receiver then needs a
+        snapshot, not a log replay.
         """
-        if ack_seq >= self.frontier:
+        if ack_seq >= self._cursors[peer]:
             return True  # no regression; nothing to reload
-        if ack_seq < self.base or not self._unretire(ack_seq):
+        if ack_seq < self.base or not self._rewind(ack_seq):
             return False  # unservable from this log
-        self._mark_frontier()
+        self._cursors[peer] = ack_seq
+        self._mark(peer)
         return True
 
-    def reset_to(self, seqno: int) -> None:
-        """Re-seed an (empty or stale) outbox at ``seqno``.
+    # -- rewrites ------------------------------------------------------------
 
-        Used when installing a snapshot on a wiped site: the peer
-        channels restart at the snapshot's frontier — sequence numbers
-        at or below it are covered by the snapshot and can never be
-        served from this log again, so the floor, the ack frontier and
-        the next-assignment counter all become ``seqno``.
+    def reset_to(self, seqno: int) -> None:
+        """Re-seed an (empty or stale) log at ``seqno``.
+
+        Used when installing a snapshot on a wiped site: sequence
+        numbers at or below the snapshot's local frontier are covered
+        by the snapshot and can never be served from this log again,
+        so the floor, every cursor and the next-assignment counter all
+        become ``seqno``.
         """
-        self._rewrite([_ack_marker(seqno)], base=seqno)
-        self._window.clear()
-        self.base = self.frontier = self._seq = seqno
+        self._rewrite(
+            [],
+            base=seqno,
+            header=[_ack_marker(peer, seqno) for peer in self._cursors],
+        )
+        self._cursors = dict.fromkeys(self._cursors, seqno)
+        self._window = []
+        self._start = 0
+        self.base = self._head = self._seq = self.released_hi = seqno
 
     def compact(self, through_seq: int) -> int:
-        """Drop acked records ``<= through_seq`` from the log.
+        """Drop fully acknowledged records ``<= through_seq`` from the
+        log.
 
-        Only acked records are eligible (the frontier caps the cut:
-        pending records must survive for re-sends), and the caller is
-        responsible for the snapshot-coverage invariant — compact only
-        below a *persisted* snapshot frontier, so anything dropped
-        here is reconstructable from the snapshot.  Returns the number
-        of records removed.  Crash-safe via the tail-verified rewrite,
-        which also folds every ack marker into one trailing marker.
+        The slowest cursor caps the cut (records someone is owed must
+        survive for re-sends), and the caller is responsible for the
+        snapshot-coverage invariant — compact only below a *persisted*
+        snapshot frontier, so anything dropped here is reconstructable
+        from the snapshot.  Returns the number of records removed.
+        Crash-safe via the tail-verified rewrite, which also folds
+        every ack marker into one per cursor.
         """
-        return self._compact_log(through_seq, [_ack_marker(self.frontier)])
-
-    def pending(self) -> List[Tuple[int, Any]]:
-        """Unacknowledged (seqno, payload) pairs in FIFO order."""
-        return self.pending_after(self.frontier, len(self._window))
-
-    def pending_after(
-        self, seqno: int, limit: int
-    ) -> List[Tuple[int, Any]]:
-        """Up to ``limit`` pending (seqno, payload) pairs above
-        ``seqno``, in order — the sender's fetch, a slice of the
-        window bounded by ``limit`` rather than by the backlog."""
-        first = max(seqno, self.frontier) + 1
-        start = first - self.frontier - 1
-        return [
-            (first + offset, entry[0])
-            for offset, entry in enumerate(
-                islice(self._window, start, start + limit)
-            )
-        ]
-
-    def drained(self) -> bool:
-        return not self._window
-
-    @property
-    def backlog(self) -> int:
-        return len(self._window)
+        return self._compact_log(
+            min(through_seq, self._head),
+            [_ack_marker(peer, seq) for peer, seq in self._cursors.items()],
+        )
 
 
 class DurableInbox(_DurableLog):
@@ -657,16 +781,6 @@ class DurableInbox(_DurableLog):
         """True when ``seqno`` was already recorded (needs re-ack only)."""
         return seqno <= self.frontier
 
-    def replay(self) -> Iterator[Tuple[int, Any]]:
-        """Recorded (seqno, payload) pairs above the compaction floor,
-        in receipt order — the log tail a snapshot does not cover —
-        streamed from the file."""
-        expected = self.base + 1
-        for seq, payload in self._logged():
-            if seq == expected:  # the loader's rule: stale lines skip
-                yield seq, payload
-                expected += 1
-
     def compact(self, through_seq: int) -> int:
         """Drop recorded receipts ``<= through_seq`` from the log.
 
@@ -676,7 +790,7 @@ class DurableInbox(_DurableLog):
         top of that snapshot.  Crash-safe via the tail-verified
         rewrite; returns the number of records removed.
         """
-        return self._compact_log(through_seq)
+        return self._compact_log(min(through_seq, self.frontier))
 
     def reset_to(self, seqno: int) -> None:
         """Restart this inbox at frontier ``seqno`` with an empty tail.
@@ -689,3 +803,50 @@ class DurableInbox(_DurableLog):
         self._rewrite([], base=seqno)
         self.base = seqno
         self.frontier = seqno
+
+
+class GrantLog(_DurableLog):
+    """The ORDUP sequencer's order-token counter.
+
+    Each grant appends one ``{"meta": "grant", "next": N, "epoch": E}``
+    line before the token leaves this process (flushed; fsynced when
+    the server runs with ``fsync=True``); a reload takes the last
+    intact line and cuts a torn tail, so the counter never comes back
+    below a token that was handed out.
+    """
+
+    def __init__(self, path: pathlib.Path, fsync: bool = False) -> None:
+        super().__init__(path, fsync)
+        #: the last token granted (or the base an election resumed at).
+        self.next = 0
+        self._epoch = 0
+        self._lines = 0
+        for record in _read_json_lines(self.path, cut_tail=True):
+            if record.get("meta") == "grant" and isinstance(
+                record.get("next"), int
+            ):
+                self.next = record["next"]
+                self._epoch = int(record.get("epoch", 0))
+                self._lines += 1
+        self._open_log()
+
+    def _line(self) -> str:
+        return _json_line(
+            {"meta": "grant", "next": self.next, "epoch": self._epoch}
+        )
+
+    def grant(self, next_token: int, epoch: int) -> None:
+        """Durably move the counter up to ``next_token``."""
+        self.next, self._epoch = next_token, epoch
+        self._write_data(self._line())
+        self._lines += 1
+
+    def fold(self) -> None:
+        """Replace the accumulated lines with the last one, atomically."""
+        if self._lines > 1:
+            self._log.close()
+            try:
+                write_atomic(self.path, self._line().encode("utf-8"))
+                self._lines = 1
+            finally:
+                self._open_log()

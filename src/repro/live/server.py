@@ -7,15 +7,16 @@ serving two kinds of connections:
 
 * **clients** submit epsilon-transactions — ``update`` and ``query``
   verbs plus introspection (``values``, ``stats``, ``ping``);
-* **peers** deliver update MSets over per-channel durable queues and
-  receive acknowledgements.
+* **peers** deliver update MSets over durable queues and receive
+  acknowledgements.
 
 Durability contract (the paper's stable queues, live): an update ET is
 acknowledged to its client only after its MSet has been appended to the
-site's local durable log *and* every outbound channel log.  A replica
-killed and restarted replays its inbound logs through the engine and
-resumes its outbound channels, so acknowledged updates are never lost
-and peers' retries are deduplicated by channel sequence number.
+site's replication log — once; every peer channel is a cursor into that
+log.  A replica killed and restarted replays its logs through the
+engine and resumes its outbound channels from their cursors, so
+acknowledged updates are never lost and peers' retries are deduplicated
+by channel sequence number.
 
 Propagation hot path (batched + pipelined): each peer channel drains
 its backlog into multi-MSet ``mset-batch`` frames (up to ``batch_size``
@@ -23,7 +24,7 @@ MSets each, written as one buffered burst) and keeps up to ``window``
 batches in flight instead of stop-and-waiting on each acknowledgement.
 Acks are *cumulative* — ``ack.seq`` covers every channel sequence
 number ``<= seq`` — so one reply retires a whole window and the
-outbox truncates in one step.  The receive side records a batch with
+peer's cursor moves in one step.  The receive side records a batch with
 one group-commit append (single write + fsync) and applies it under
 one engine-lock acquisition; backpressure is structural: a receiver
 does not read the next frame from a connection until the current
@@ -36,7 +37,7 @@ Wire codec negotiation (``wire`` option): with the default
 both directions switch — batch frames become struct-packed envelopes
 carrying each MSet's canonical payload bytes exactly as they were
 encoded when the update was first accepted (zero re-encode relay:
-the outbox caches the blob, re-sends forward it verbatim, and the
+the log caches the blob, re-sends forward it verbatim, and the
 receiver splices the same bytes into its inbox log), and cumulative
 acks shrink to a 13-byte struct.  A peer that never answers the
 advert — an older build, or one running ``wire="json"`` — keeps the
@@ -70,7 +71,7 @@ a peer's snapshot in chunks (``snapshot-fetch`` verb), installs it
 when the snapshot dominates its own frontiers, and drains only the
 log tail above the snapshot from the normal channels.  Senders repair
 regressed receivers symmetrically — a cumulative ack (or heartbeat
-reply) below the outbox frontier rewinds the channel from the log
+reply) below the peer's cursor rewinds the channel from the log
 when the records survive, or sends a ``peer-reset`` frame directing
 the receiver to snapshot catch-up when they were compacted away.
 While catching up the replica refuses updates and ``epsilon = 0``
@@ -102,7 +103,7 @@ from ..obs.registry import (
 )
 from ..obs.trace import TraceRecorder
 from ..replica.mset import MSet, MSetKind
-from .durable_queue import DurableInbox, DurableOutbox
+from .durable_queue import DurableInbox, DurableOutbox, GrantLog
 from .election import ElectionState
 from .engine import LiveEngine, QueryTimeout, make_engine
 from .faults import FaultPlan
@@ -353,7 +354,10 @@ class ReplicaServer:
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._running = False
-        self.outboxes: Dict[str, DurableOutbox] = {}
+        #: the replication log: every MSet this site originates, once,
+        #: with one cursor per peer (opened by :meth:`bind`).
+        self.log: DurableOutbox
+        #: peer -> what this site durably holds from it.
         self.inboxes: Dict[str, DurableInbox] = {}
         self._outbox_events: Dict[str, asyncio.Event] = {}
         self._channel_tasks: List[asyncio.Task] = []
@@ -372,10 +376,6 @@ class ReplicaServer:
         #: notified whenever the drain condition may have changed; the
         #: ``settle`` verb waits here instead of clients busy-polling.
         self._drain_cond = asyncio.Condition()
-        #: local update tid -> peers whose durable ack is outstanding.
-        self._unacked: Dict[Any, Set[str]] = {}
-        #: local update tid -> written keys (lock-counter release).
-        self._local_keys: Dict[Any, Tuple[str, ...]] = {}
         #: tid -> future resolved when the MSet applies locally (ORDUP).
         self._apply_futures: Dict[Any, asyncio.Future] = {}
         #: tid -> future resolved when all peers acked (sync commit).
@@ -384,8 +384,8 @@ class ReplicaServer:
             Tuple[asyncio.StreamReader, asyncio.StreamWriter]
         ] = None
         self._order_lock = asyncio.Lock()
-        self._order_counter = 0
-        self._order_path = self.data_dir / "order.json"
+        #: the order-token counter (opened by :meth:`bind`).
+        self._order_log: GrantLog
         #: which peer the cached order connection dials (re-dial on
         #: leader change).
         self._order_target: Optional[str] = None
@@ -514,7 +514,7 @@ class ReplicaServer:
             "degraded_transitions_total",
             "times this replica entered or left degraded mode",
         )
-        self.m_unacked = reg.gauge(
+        self.m_updates_owed = reg.gauge(
             "unacked_updates",
             "local updates whose peer acknowledgements are outstanding",
         )
@@ -637,29 +637,12 @@ class ReplicaServer:
         addresses are known.
         """
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        for peer in self.peer_names:
-            self.outboxes[peer] = DurableOutbox(
-                self.data_dir / "outbox" / ("%s.log" % peer),
-                self.fsync,
-                self.fsync_interval,
-            )
-            self.inboxes[peer] = DurableInbox(
-                self.data_dir / "inbox" / ("%s.log" % peer),
-                self.fsync,
-                self.fsync_interval,
-            )
-        self.inboxes[LOCAL_CHANNEL] = DurableInbox(
-            self.data_dir / "inbox" / ("%s.log" % LOCAL_CHANNEL),
-            self.fsync,
-            self.fsync_interval,
+        self.log = DurableOutbox(
+            self.data_dir / "replication.log", self.fsync, self.fsync_interval
         )
-        if self._order_path.exists():
-            try:
-                self._order_counter = int(
-                    json.loads(self._order_path.read_text())["next"]
-                )
-            except (ValueError, KeyError, json.JSONDecodeError):
-                self._order_counter = 0
+        for peer in self.peer_names:
+            self._open_channel(peer)
+        self._order_log = GrantLog(self.data_dir / "order.log", self.fsync)
         self.membership.load()
         self.election.load()
         for record, owner in (
@@ -689,6 +672,31 @@ class ReplicaServer:
         self.m_membership_size.set(self.membership.active_count())
         return self.port
 
+    def _open_channel(self, peer: str) -> None:
+        """Open one peer channel's durable state: the inbox for what
+        the peer sends us and its cursor into our log.  A cursor that
+        is new while the log already has history starts at the log's
+        end and owes the peer a ``peer-reset``: it snapshot-installs
+        that history instead of replaying it through the channel."""
+        self.inboxes[peer] = DurableInbox(
+            self.data_dir / "inbox" / ("%s.log" % peer),
+            self.fsync,
+            self.fsync_interval,
+        )
+        if (
+            self.log.add_cursor(peer)
+            and self.log.assigned > 0
+            and self.catchup_enabled
+        ):
+            self._reset_peers.add(peer)
+
+    def _frontiers(self, local: str = LOCAL_CHANNEL) -> Dict[str, int]:
+        """Every channel's durable frontier: what each peer has
+        delivered here and, under ``local``, what this site originated."""
+        frontiers = {src: box.frontier for src, box in self.inboxes.items()}
+        frontiers[local] = self.log.assigned
+        return frontiers
+
     async def _recover(self) -> None:
         """Restore the persisted snapshot (if any), then replay the
         durable log tails above it through the engine.
@@ -698,9 +706,8 @@ class ReplicaServer:
         records *above* the snapshot's per-channel frontiers replay —
         including records a crash caught between snapshot persistence
         and log compaction (they are skipped by frontier, so nothing
-        double-applies).  Inboxes that lag the snapshot (a crash
-        between snapshot install and the frontier resets) are aligned
-        up to it.
+        double-applies).  Logs that lag the snapshot (a crash between
+        snapshot install and the frontier resets) are aligned up to it.
         """
         snap_frontiers: Dict[str, int] = {}
         snap = self._snapshot_store.load()
@@ -716,71 +723,40 @@ class ReplicaServer:
                 floor = snap_frontiers.get(src, 0)
                 if inbox.frontier < floor:
                     inbox.reset_to(floor)
-        # One streamed pass over each log tail; of the local log only
-        # what the repairs below need outlives the pass: the written
-        # keys of each replayed local update, and any record the
-        # shortest outbox has not assigned yet (normally none).
-        local_frontier = self.inboxes[LOCAL_CHANNEL].frontier
-        outbox_floor = min(
-            (outbox._seq for outbox in self.outboxes.values()),
-            default=local_frontier,
-        )
-        local_tail: Dict[int, Any] = {}
-        replayed_local: Dict[Any, Tuple[str, ...]] = {}
+            if self.log.assigned < snap_frontiers.get(LOCAL_CHANNEL, 0):
+                self.log.reset_to(snap_frontiers[LOCAL_CHANNEL])
+        # One streamed pass over each log tail.  The log's cursors say
+        # which local updates every peer already held before the crash
+        # and which are still owed to someone.
+        floor = snap_frontiers.get(LOCAL_CHANNEL, 0)
+        acked = self.log.released_hi
+        released: List[Tuple[Any, Tuple[str, ...]]] = []
+        held: List[MSet] = []
+        for seq, payload in self.log.replay():
+            if seq <= floor and seq <= acked:
+                continue  # inside the snapshot image, owed to nobody
+            mset = decode_mset(payload["mset"])
+            if seq <= floor:
+                held.append(mset)
+                continue
+            if seq <= acked:
+                released.append((mset.tid, mset.keys))
+            await self.engine.accept(mset, local=True)
         for src, inbox in sorted(self.inboxes.items()):
             floor = snap_frontiers.get(src, 0)
-            local = src == LOCAL_CHANNEL
             for seq, payload in inbox.replay():
-                if local and seq > outbox_floor:
-                    local_tail[seq] = payload
-                if seq <= floor:
-                    continue  # already inside the snapshot image
-                mset = decode_mset(payload["mset"])
-                if local:
-                    replayed_local[mset.tid] = mset.keys
-                await self.engine.accept(mset, local=local)
-        # Repair outbox lockstep: a crash between the local-channel
-        # record and the per-peer channel appends leaves an outbox
-        # missing the newest local records — re-append them from the
-        # local log so every channel carries every local update (the
-        # channel seq == local tid seq invariant the snapshot frontier
-        # mapping relies on).
-        for peer, outbox in self.outboxes.items():
-            if outbox._seq >= local_frontier:
-                continue
-            missing = [
-                local_tail[seq]
-                for seq in range(outbox._seq + 1, local_frontier + 1)
-                if seq in local_tail
-            ]
-            if len(missing) == local_frontier - outbox._seq:
-                outbox.append_many(missing)
-            else:
-                # The missing records were compacted below the local
-                # log's floor — they are covered by the persisted
-                # snapshot, which is exactly what a regressed receiver
-                # will be served.
-                outbox.reset_to(local_frontier)
-        # Rebuild ack tracking from the outbound backlogs.
-        acked_local = set(replayed_local)
-        held: Dict[Any, MSet] = {}
-        for peer, outbox in self.outboxes.items():
-            for _, payload in outbox.pending():
-                mset = decode_mset(payload["mset"])
-                self._unacked.setdefault(mset.tid, set()).add(peer)
-                self._local_keys[mset.tid] = mset.keys
-                acked_local.discard(mset.tid)
-                if mset.tid not in replayed_local:
-                    held[mset.tid] = mset
-        # Local updates already acked by every peer before the crash:
-        # release their lock-counters (replay re-raised them).
-        for tid in acked_local:
-            await self.engine.fully_acked(tid, replayed_local[tid])
+                if seq > floor:
+                    await self.engine.accept(
+                        decode_mset(payload["mset"]), local=False
+                    )
+        # Fully acknowledged before the crash: release the lock-counters
+        # replay re-raised.
+        await self.engine.fully_acked_many(released)
         # The inverse hole: local updates applied *inside* the snapshot
         # image (so replay never re-raised their counters) but still
         # awaiting a peer ack — re-raise so origin-site queries keep
         # observing the cluster-wide in-flight inconsistency.
-        for mset in held.values():
+        for mset in held:
             await self.engine.hold_counters(mset)
 
     def set_peers(self, addrs: Dict[str, Tuple[str, int]]) -> None:
@@ -830,7 +806,7 @@ class ReplicaServer:
             self.catchup_enabled
             and self.peer_names
             and self.engine.applied_count == 0
-            and all(box.frontier == 0 for box in self.inboxes.values())
+            and not any(self._frontiers().values())
             and not self._snapshot_store.exists()
         ):
             # Empty engine, empty logs, no snapshot: either a fresh
@@ -885,7 +861,7 @@ class ReplicaServer:
         if self._order_conn is not None:
             self._order_conn[1].close()
             self._order_conn = None
-        for box in list(self.outboxes.values()) + list(self.inboxes.values()):
+        for box in (self.log, self._order_log, *self.inboxes.values()):
             box.close()
         self.engine.close()
         for fut in list(self._apply_futures.values()) + list(
@@ -911,7 +887,7 @@ class ReplicaServer:
     # -- peer health ---------------------------------------------------------
 
     def _note_peer_alive(self, peer: str) -> None:
-        if peer in self.outboxes or peer in self.inboxes:
+        if peer in self.inboxes:
             now = self.engine.clock()
             self.peer_last_seen[peer] = now
             self.channel_failures[peer] = 0
@@ -1064,11 +1040,8 @@ class ReplicaServer:
 
     def add_peer(self, name: str, host: str, port: int) -> None:
         """Dynamically wire a gossip-discovered member into this
-        replica: durable channel logs, engine peer set, address book,
-        and (when running) a live channel loop.  The new channel
-        starts at our local frontier with a ``peer-reset`` owed, so
-        the joiner snapshot-installs history instead of replaying it
-        through the channel."""
+        replica: durable channel state, engine peer set, address book,
+        and (when running) a live channel loop."""
         if name == self.name:
             return
         if name in self.peer_names:
@@ -1077,23 +1050,7 @@ class ReplicaServer:
         self.peer_names = tuple(sorted(self.peer_names + (name,)))
         self.peer_addrs[name] = (host, int(port))
         self.membership.observe(name, host, int(port))
-        outbox = DurableOutbox(
-            self.data_dir / "outbox" / ("%s.log" % name),
-            self.fsync,
-            self.fsync_interval,
-        )
-        inbox = DurableInbox(
-            self.data_dir / "inbox" / ("%s.log" % name),
-            self.fsync,
-            self.fsync_interval,
-        )
-        self.outboxes[name] = outbox
-        self.inboxes[name] = inbox
-        local_frontier = self.inboxes[LOCAL_CHANNEL].frontier
-        if outbox._seq < local_frontier:
-            outbox.reset_to(local_frontier)
-            if self.catchup_enabled and local_frontier > 0:
-                self._reset_peers.add(name)
+        self._open_channel(name)
         self.engine.peers = tuple(sorted(set(self.engine.peers) | {name}))
         self.trace.event("membership", peer=name, status="join")
         logger.info(
@@ -1325,12 +1282,7 @@ class ReplicaServer:
                 # Resume sequencing above every grant any majority
                 # member has durably seen; persisted before the first
                 # new grant can be issued.
-                self._order_counter = max(self._order_counter, base)
-                self._order_path.write_text(
-                    json.dumps(
-                        {"next": self._order_counter, "epoch": epoch}
-                    )
-                )
+                self._order_log.grant(max(self._order_log.next, base), epoch)
             await self._adopt_leader(epoch, self.name, base)
             self.m_elections.labels(outcome="won").inc()
             self.trace.event(
@@ -1413,7 +1365,7 @@ class ReplicaServer:
         the peer's hello-ack upgrades it).
         """
         state = {
-            "sent_hi": self.outboxes[peer].frontier,
+            "sent_hi": self.log.frontier(peer),
             "inflight": deque(),
             "wire": WIRE_JSON,
             "hello_done": asyncio.Event(),
@@ -1459,15 +1411,15 @@ class ReplicaServer:
     async def _channel_sender(
         self, peer: str, writer: asyncio.StreamWriter, state: Dict[str, Any]
     ) -> None:
-        """Drain the outbox as batch frames, keeping up to ``window``
-        batches in flight; heartbeat while idle.
+        """Drain what the log owes ``peer`` as batch frames, keeping up
+        to ``window`` batches in flight; heartbeat while idle.
 
         Under fault injection frames are dropped, delayed, duplicated,
         or reordered; whatever stays unacknowledged past ``ack_timeout``
         is simply re-sent from the cumulative-ack frontier — the
         durable queue's at-least-once discipline does the recovery, no
         special cases."""
-        outbox = self.outboxes[peer]
+        log = self.log
         event = self._outbox_events[peer]
         inflight: Deque[Tuple[int, float, int]] = state["inflight"]
         if self.wire != WIRE_JSON:
@@ -1496,8 +1448,8 @@ class ReplicaServer:
                     {
                         "type": "peer-reset",
                         "src": self.name,
-                        "base": outbox.base,
-                        "frontier": outbox._seq,
+                        "base": log.base,
+                        "frontier": log.assigned,
                     },
                 )
             # Clear-before-check: an ack or new append landing during
@@ -1509,7 +1461,7 @@ class ReplicaServer:
                 # Stalled pipeline (dropped/reordered frames or a dead
                 # peer): fall back to the durable frontier and re-send.
                 inflight.clear()
-                state["sent_hi"] = outbox.frontier
+                state["sent_hi"] = log.frontier(peer)
                 await asyncio.sleep(self.retry_base)
                 continue
             if now >= state.get("hb_next", 0.0):
@@ -1527,8 +1479,8 @@ class ReplicaServer:
             # window of full batches, so never scan (or plan) more —
             # a deep backlog otherwise costs O(backlog) per wakeup,
             # making its drain quadratic.
-            fresh = outbox.pending_after(
-                state["sent_hi"], room * self.batch_size
+            fresh = log.pending_after(
+                peer, state["sent_hi"], room * self.batch_size
             ) if room > 0 else []
             if fresh:
                 await self._send_batches(peer, writer, state, fresh, room)
@@ -1561,7 +1513,7 @@ class ReplicaServer:
         write them as one buffered burst of pre-encoded bytes.
 
         On a negotiated binary channel each MSet's payload bytes are
-        forwarded exactly as cached when the update entered the outbox
+        forwarded exactly as cached when the update entered the log
         — the zero re-encode relay; re-sends from the log reuse the
         same cache.  On a JSON channel the frames are built as before
         (including the legacy single-``mset`` form an older peer
@@ -1569,12 +1521,12 @@ class ReplicaServer:
         """
         if self.faults is not None:
             entries = self.faults.reorder_batch(self.name, peer, entries)
-        outbox = self.outboxes[peer]
+        wire_blob = self.log.wire_blob
         use_bin = state.get("wire") == WIRE_BIN1
         wire_codec = WIRE_BIN1 if use_bin else WIRE_JSON
         now = self.engine.clock()
         chunks: List[bytes] = []
-        for batch in self._plan_batches(outbox, entries)[:room]:
+        for batch in self._plan_batches(entries)[:room]:
             last_seq = max(seq for seq, _ in batch)
             state["sent_hi"] = max(state["sent_hi"], last_seq)
             state["inflight"].append((last_seq, now, len(batch)))
@@ -1582,7 +1534,7 @@ class ReplicaServer:
             if use_bin:
                 data = encode_bin_batch_frame(
                     self.name,
-                    [(seq, outbox.wire_blob(seq)) for seq, _ in batch],
+                    [(seq, wire_blob(seq)) for seq, _ in batch],
                 )
                 self.m_frames_relayed.labels(peer=peer).inc(len(batch))
             elif len(batch) == 1:
@@ -1630,12 +1582,12 @@ class ReplicaServer:
         await write_encoded(writer, chunks)
 
     def _plan_batches(
-        self, outbox: DurableOutbox, entries: List[Tuple[int, Any]]
+        self, entries: List[Tuple[int, Any]]
     ) -> List[List[Tuple[int, Any]]]:
         """Split pending entries into frames of at most ``batch_size``
         MSets, cutting early when a frame approaches MAX_FRAME.
 
-        Sizes come from the outbox's cached payload bytes, so planning
+        Sizes come from the log's cached payload bytes, so planning
         costs a length lookup per entry instead of a ``json.dumps``
         per entry per send attempt.
         """
@@ -1643,8 +1595,9 @@ class ReplicaServer:
         current: List[Tuple[int, Any]] = []
         current_bytes = 0
         budget = MAX_FRAME // 2
+        wire_blob = self.log.wire_blob
         for seq, payload in entries:
-            size = len(outbox.wire_blob(seq))
+            size = len(wire_blob(seq))
             if current and (
                 len(current) >= self.batch_size
                 or current_bytes + size > budget
@@ -1667,7 +1620,7 @@ class ReplicaServer:
         """The membership + leadership digest piggybacked on every
         heartbeat and heartbeat reply."""
         self.membership.update_self(
-            frontier=self.inboxes[LOCAL_CHANNEL].frontier,
+            frontier=self.log.assigned,
             applied=self.engine.applied_count,
         )
         return {
@@ -1743,12 +1696,12 @@ class ReplicaServer:
     def _reconcile_ack(
         self, peer: str, seq: int, state: Dict[str, Any]
     ) -> None:
-        """Compare a receiver's durability claim against the outbox.
+        """Compare a receiver's durability claim against its cursor.
 
         Normal operation only ever moves ``seq`` forward.  Two
         anomalies mean one side lost durable state:
 
-        * ``seq`` *above* everything this outbox ever assigned — the
+        * ``seq`` *above* everything this log ever assigned — the
           receiver durably holds records this replica no longer knows
           it sent, so *this* side regressed (wiped or restored from an
           older image): trigger our own snapshot catch-up.
@@ -1759,15 +1712,15 @@ class ReplicaServer:
           the sender to emit a ``peer-reset`` frame directing the
           receiver to snapshot catch-up instead.
         """
-        outbox = self.outboxes[peer]
-        if seq > outbox._seq:
+        log = self.log
+        if seq > log.assigned:
             if self.catchup_enabled and not self._catching_up:
                 self._trigger_catchup("regressed-ack", preferred=peer)
             return
         if peer in self._reset_peers:
             return  # already directed to snapshot catch-up
-        lag = outbox._seq - seq
-        if seq >= outbox.frontier:
+        lag = log.assigned - seq
+        if seq >= log.frontier(peer):
             # Not regressed, merely behind.  With ``catchup_lag`` set,
             # a receiver this far back (e.g. returning from a long
             # outage) is told to snapshot-install instead of drinking
@@ -1779,13 +1732,13 @@ class ReplicaServer:
                 )
                 self._outbox_events[peer].set()
             return
-        rewound = outbox.rewind_to(seq)
+        rewound = log.rewind_to(peer, seq)
         self.m_channel_rewinds.labels(peer=peer).inc()
         if rewound:
             # Force the session to restart sending from the rewound
             # frontier instead of waiting out the stall deadline.
             state["inflight"].clear()
-            state["sent_hi"] = outbox.frontier
+            state["sent_hi"] = log.frontier(peer)
         if not rewound or (self.catchup_lag and lag > self.catchup_lag):
             self._reset_peers.add(peer)
         self.trace.event(
@@ -1813,28 +1766,23 @@ class ReplicaServer:
     async def _on_peer_ack(self, peer: str, seq: int) -> None:
         """A peer durably holds every channel message ``<= seq``
         (cumulative acknowledgement)."""
-        covered = self.outboxes[peer].ack_through(seq)
         released = []
-        for _, payload in covered:
-            tid = payload["mset"]["tid"]
-            waiting = self._unacked.get(tid)
-            if waiting is None:
-                continue
-            waiting.discard(peer)
-            if not waiting:
-                del self._unacked[tid]
-                released.append((tid, self._local_keys.pop(tid, ())))
+        for _, payload in self.log.ack_through(peer, seq):
+            mset = payload["mset"]  # encoded; the keys as ``MSet.keys``:
+            released.append(  # distinct, in first-write order
+                (mset["tid"], tuple({op["key"]: None for op in mset["ops"]}))
+            )
         if released:
-            # One cumulative ack can retire a whole send window of
-            # local updates: release their obligations under a single
-            # engine-lock acquisition instead of once per update.
+            # The slowest cursor moved: every peer now holds these
+            # local updates.  One cumulative ack can retire a whole
+            # send window of them: release their obligations under a
+            # single engine-lock acquisition instead of once per update.
             await self.engine.fully_acked_many(released)
             for tid, _ in released:
                 self.trace.event("update-ack", tid=tid)
                 fut = self._full_ack_futures.pop(tid, None)
                 if fut is not None and not fut.done():
                     fut.set_result(True)
-        if covered:
             await self._notify_drain()
 
     # -- connection handling ---------------------------------------------------
@@ -2052,7 +2000,7 @@ class ReplicaServer:
                 self._resolve_applied(applied)
             await self._notify_drain()
         # The cumulative ack is a durability claim over everything
-        # <= frontier: the sender will truncate its outbox on receipt.
+        # <= frontier: the sender will move our cursor on receipt.
         # Records written inside the fsync_interval window must be
         # fsynced before that claim leaves this process, or a crash
         # here would lose them from both ends of the channel.
@@ -2077,13 +2025,9 @@ class ReplicaServer:
 
     def _drained(self) -> bool:
         """True when this site has nothing left to propagate or apply:
-        every outbound channel is empty, the engine holds no buffered
-        or locked work, and no local update awaits a peer ack."""
-        return (
-            all(box.drained() for box in self.outboxes.values())
-            and self.engine.quiescent()
-            and not self._unacked
-        )
+        every peer has acknowledged every local update, and the engine
+        holds no buffered or locked work."""
+        return self.log.drained() and self.engine.quiescent()
 
     async def _notify_drain(self) -> None:
         """Wake any ``settle`` waiters; called whenever acks, applies,
@@ -2111,9 +2055,7 @@ class ReplicaServer:
         async with self._snapshot_lock:
             started = self.engine.clock()
             async with self._apply_lock:
-                frontiers = {
-                    src: box.frontier for src, box in self.inboxes.items()
-                }
+                frontiers = self._frontiers()
                 engine_state = await self.engine.checkpoint()
             body = {
                 "site": self.name,
@@ -2146,22 +2088,16 @@ class ReplicaServer:
     def _compact_logs(self, frontiers: Dict[str, int]) -> int:
         """Drop log records the persisted snapshot already covers.
 
-        Inboxes compact through their snapshot frontier.  Outboxes
-        (whose channel seqs mirror local tid seqs) compact through the
-        *local* snapshot frontier — never past the peer's cumulative
-        ack (``compact`` clamps), and never past what the snapshot can
-        serve to a receiver that later regresses below the log's base.
+        Inboxes compact through their snapshot frontier.  The
+        replication log compacts through the *local* snapshot frontier
+        — never past its slowest cursor (``compact`` clamps), and never
+        past what the snapshot can serve to a receiver that later
+        regresses below the log's base.  The order log folds to its
+        last grant.
         """
         total = 0
-        local_floor = frontiers.get(LOCAL_CHANNEL, 0)
-        logs = [
-            ("inbox/%s" % src, box, int(frontiers.get(src, 0)))
-            for src, box in self.inboxes.items()
-        ] + [
-            ("outbox/%s" % peer, box, local_floor)
-            for peer, box in self.outboxes.items()
-        ]
-        for label, box, through in logs:
+        for channel, label, box in self._logs():
+            through = int(frontiers.get(channel, 0))
             dropped = box.compact(through)
             if dropped:
                 total += dropped
@@ -2169,7 +2105,14 @@ class ReplicaServer:
                     "compaction", log=label, through=through,
                     dropped=dropped,
                 )
+        self._order_log.fold()
         return total
+
+    def _logs(self) -> List[Tuple[str, str, Any]]:
+        """Each channel log as (channel, ``log`` metric label, log)."""
+        return [(LOCAL_CHANNEL, "replication", self.log)] + [
+            (src, "inbox/%s" % src, box) for src, box in self.inboxes.items()
+        ]
 
     async def _snapshot_loop(self) -> None:
         """Periodic snapshot + compaction driver."""
@@ -2290,8 +2233,8 @@ class ReplicaServer:
         # Re-check emptiness: normal channel traffic may have landed
         # while the probe was out, in which case the channels are
         # already repairing us and a forced install is unnecessary.
-        if self.engine.applied_count == 0 and all(
-            box.frontier == 0 for box in self.inboxes.values()
+        if self.engine.applied_count == 0 and not any(
+            self._frontiers().values()
         ):
             self._trigger_catchup("wiped-disk", preferred=evidence_from)
 
@@ -2390,7 +2333,7 @@ class ReplicaServer:
                 int(s.get("inbox_frontier", {}).get(me, 0))
                 for s in surveys.values()
             ]
-            + [self.inboxes[LOCAL_CHANNEL].frontier]
+            + [self.log.assigned]
         )
 
         def advance(peer: str) -> Tuple[int, int]:
@@ -2503,11 +2446,9 @@ class ReplicaServer:
         Channels to third peers keep their names.
         """
         fr = {src: int(seq) for src, seq in frontiers.items()}
-        translated: Dict[str, int] = {}
+        translated = {LOCAL_CHANNEL: fr.get(self.name, 0)}
         for channel in self.inboxes:
-            if channel == LOCAL_CHANNEL:
-                translated[channel] = fr.get(self.name, 0)
-            elif channel == source:
+            if channel == source:
                 translated[channel] = fr.get(LOCAL_CHANNEL, 0)
             else:
                 translated[channel] = fr.get(channel, 0)
@@ -2520,8 +2461,8 @@ class ReplicaServer:
         site on *every* channel (installing would otherwise roll back
         applied state) and its local frontier covers every tid any
         reachable peer has seen from us (tid-collision protection)."""
-        for channel, inbox in self.inboxes.items():
-            if translated.get(channel, 0) < inbox.frontier:
+        for channel, frontier in self._frontiers().items():
+            if translated.get(channel, 0) < frontier:
                 return False
         return translated.get(LOCAL_CHANNEL, 0) >= required_local
 
@@ -2551,11 +2492,7 @@ class ReplicaServer:
                 self.m_snapshot_bytes.observe(size)
                 for src, inbox in self.inboxes.items():
                     inbox.reset_to(translated.get(src, 0))
-                local_floor = translated.get(LOCAL_CHANNEL, 0)
-                for outbox in self.outboxes.values():
-                    outbox.reset_to(local_floor)
-                self._unacked.clear()
-                self._local_keys.clear()
+                self.log.reset_to(translated.get(LOCAL_CHANNEL, 0))
                 for fut in list(self._apply_futures.values()) + list(
                     self._full_ack_futures.values()
                 ):
@@ -2783,18 +2720,17 @@ class ReplicaServer:
                 src: int(seq)
                 for src, seq in body.get("frontiers", {}).items()
             }
+            mine = self._frontiers()
             translated = {
-                channel: frontiers.get(channel, 0)
-                for channel in self.inboxes
+                channel: frontiers.get(channel, 0) for channel in mine
             }
             dominates = all(
-                translated[ch] >= box.frontier
-                for ch, box in self.inboxes.items()
+                translated[ch] >= frontier for ch, frontier in mine.items()
             )
             if not dominates:
                 if all(
-                    translated[ch] <= box.frontier
-                    for ch, box in self.inboxes.items()
+                    translated[ch] <= frontier
+                    for ch, frontier in mine.items()
                 ):
                     # Retried after a completed install: local state
                     # already covers the snapshot.  Never roll back.
@@ -2814,11 +2750,9 @@ class ReplicaServer:
         updates, and the durable logs' fsync/byte counters."""
         now = self.engine.clock()
         for peer in self.peer_names:
-            outbox = self.outboxes.get(peer)
-            if outbox is not None:
-                self.m_channel_backlog.labels(peer=peer).set(
-                    outbox.backlog
-                )
+            self.m_channel_backlog.labels(peer=peer).set(
+                self.log.backlog(peer)
+            )
             seen = self.peer_last_seen.get(peer)
             if seen is not None:
                 self.m_peer_staleness.labels(peer=peer).set(now - seen)
@@ -2827,16 +2761,12 @@ class ReplicaServer:
             )
         self._check_degraded_transition()
         self.m_degraded.set(1 if self.degraded() else 0)
-        self.m_unacked.set(len(self._unacked))
+        self.m_updates_owed.set(self.log.assigned - self.log.released_hi)
         self.engine.refresh_gauges()
-        logs = [
-            ("outbox/%s" % peer, box)
-            for peer, box in self.outboxes.items()
-        ] + [
-            ("inbox/%s" % src, box)
-            for src, box in self.inboxes.items()
-        ]
-        for label, box in logs:
+        logs = self._logs()
+        if self.engine.needs_order:
+            logs.append(("", "order", self._order_log))
+        for _, label, box in logs:
             self.m_log_fsync.labels(log=label).set_to(box.fsync_count)
             self.m_log_fsync_seconds.labels(log=label).set_to(
                 box.fsync_seconds
@@ -2879,9 +2809,9 @@ class ReplicaServer:
                 "staleness": (
                     None if seen is None else round(now - seen, 4)
                 ),
-                "backlog": self.outboxes[peer].backlog,
+                "backlog": self.log.backlog(peer),
                 "failures": self.channel_failures.get(peer, 0),
-                "ack_high_water": self.outboxes[peer].frontier,
+                "ack_high_water": self.log.frontier(peer),
                 "acked_msets": self.acked_msets.get(peer, 0),
                 "ack_ms": (
                     round(sum(lats) / len(lats) * 1000.0, 3)
@@ -2897,15 +2827,13 @@ class ReplicaServer:
             peers=peers,
             degraded=self.degraded(),
             outbound_backlog={
-                p: box.backlog for p, box in self.outboxes.items()
+                p: peers[p]["backlog"] for p in self.peer_names
             },
             ack_high_water={
-                p: box.frontier for p, box in self.outboxes.items()
+                p: peers[p]["ack_high_water"] for p in self.peer_names
             },
-            inbox_frontier={
-                src: box.frontier for src, box in self.inboxes.items()
-            },
-            unacked_updates=len(self._unacked),
+            inbox_frontier=self._frontiers(),
+            unacked_updates=self.log.assigned - self.log.released_hi,
             drained=self._drained(),
             catching_up=self._catching_up,
             catchup_installs=self.catchup_installs,
@@ -2921,11 +2849,10 @@ class ReplicaServer:
             },
             log_bases={
                 "inbox": {
-                    src: box.base for src, box in self.inboxes.items()
+                    LOCAL_CHANNEL: self.log.base,
+                    **{src: box.base for src, box in self.inboxes.items()},
                 },
-                "outbox": {
-                    p: box.base for p, box in self.outboxes.items()
-                },
+                "outbox": dict.fromkeys(self.peer_names, self.log.base),
             },
         )
         if self.shard_index is not None:
@@ -2964,8 +2891,8 @@ class ReplicaServer:
                         % (
                             timeout,
                             {
-                                p: box.backlog
-                                for p, box in self.outboxes.items()
+                                p: self.log.backlog(p)
+                                for p in self.peer_names
                             },
                         )
                     )
@@ -2980,7 +2907,7 @@ class ReplicaServer:
             "drained": True,
             "waited": waited,
             "ack_high_water": {
-                p: self.outboxes[p].frontier for p in self.peer_names
+                p: self.log.frontier(p) for p in self.peer_names
             },
         }
 
@@ -3015,13 +2942,9 @@ class ReplicaServer:
     def _grant_order(self) -> Tuple[int, int]:
         """Issue the next gap-free global order token (durable),
         stamped with the granting leader's epoch."""
-        self._order_counter += 1
-        self._order_path.write_text(
-            json.dumps(
-                {"next": self._order_counter, "epoch": self.election.epoch}
-            )
-        )
-        return (self._order_counter, self.election.epoch)
+        epoch = self.election.epoch
+        self._order_log.grant(self._order_log.next + 1, epoch)
+        return (self._order_log.next, epoch)
 
     async def _acquire_order(self) -> Tuple[int, int]:
         """Get a token from the cluster's order authority, with retry.
@@ -3134,9 +3057,7 @@ class ReplicaServer:
                 "update refused: replica is installing a peer snapshot"
             )
         if self.backlog_limit:
-            worst = max(
-                (box.backlog for box in self.outboxes.values()), default=0
-            )
+            worst = max(map(self.log.backlog, self.peer_names), default=0)
             if worst >= self.backlog_limit:
                 # Shed write load instead of growing the durable queues
                 # without bound while a peer is slow or partitioned.
@@ -3179,8 +3100,7 @@ class ReplicaServer:
                         "order token %r fenced by a newer leadership epoch"
                         % (list(order),)
                     )
-            tid_seq = self.inboxes[LOCAL_CHANNEL].frontier + 1
-            tid = "%s:%d" % (self.name, tid_seq)
+            tid = "%s:%d" % (self.name, self.log.assigned + 1)
             info_items = []
             if read_keys:
                 info_items.append(("reads", read_keys))
@@ -3191,45 +3111,18 @@ class ReplicaServer:
             # writes with its Lamport clock here, RITU-MV additionally
             # turns the order token into the global transaction number.
             mset = self.engine.make_mset(tid, writes, order=order, info=info)
-            payload = {"mset": encode_mset(mset)}
-            # Encode the payload exactly once; the same bytes become
-            # the local log line, every outbox log line, and (on a
-            # binary channel) the relayed wire bytes.
-            blob = payload_blob(payload)
             self.trace.event(
                 "update-submit", tid=tid, keys=list(mset.keys)
             )
-
-            # Durability before acknowledgement: the local log first,
-            # then every outbound channel log.  Only then is the update
-            # "in the stable queues" in the paper's sense.  ``sync()``
-            # closes the ``fsync_interval`` window — nothing below may
-            # be reported committed while its record is still unsynced.
-            self.inboxes[LOCAL_CHANNEL].record(tid_seq, payload, blob=blob)
-            self._local_keys[tid] = mset.keys
-            if self.peer_names:
-                self._unacked[tid] = set(self.peer_names)
-                for peer in self.peer_names:
-                    self.outboxes[peer].append(payload, blob=blob)
-            self.inboxes[LOCAL_CHANNEL].sync()
-            for peer in self.peer_names:
-                self.outboxes[peer].sync()
-
             loop = asyncio.get_event_loop()
             if self.engine.needs_order:
                 self._apply_futures[tid] = loop.create_future()
             if self.engine.sync_commit and self.peer_names:
                 self._full_ack_futures[tid] = loop.create_future()
-
-            applied = await self.engine.accept(mset, local=True)
-            self._resolve_applied(applied)
+            applied = await self._commit_local(mset)
         self.trace.event(
             "update-apply", tid=tid, held=(mset not in applied)
         )
-        self._kick_channels()
-
-        if not self.peer_names:
-            await self.engine.fully_acked(tid, self._local_keys.pop(tid, ()))
 
         if self.engine.needs_order:
             # Commit once the update executes at its origin in global
@@ -3269,22 +3162,41 @@ class ReplicaServer:
             body["saga"] = saga
         return body
 
+    async def _commit_local(self, mset: MSet) -> List[MSet]:
+        """Put one locally originated MSet — an update or a COMPE
+        decision — in the stable queues and apply it at its origin;
+        the caller holds the apply lock and numbered the MSet
+        ``log.assigned + 1``.  Returns what the engine applied.
+
+        Durability before acknowledgement: the MSet is serialised once
+        and appended once — the same bytes are the log line and, on a
+        binary channel, what every peer is sent — and ``sync()`` closes
+        the ``fsync_interval`` window: nothing may be reported committed
+        while its record is still unsynced.
+        """
+        payload = {"mset": encode_mset(mset)}
+        self.log.append(payload, blob=payload_blob(payload))
+        self.log.sync()
+        applied = await self.engine.accept(mset, local=True)
+        self._resolve_applied(applied)
+        self._kick_channels()
+        if not self.peer_names:
+            await self.engine.fully_acked(mset.tid, mset.keys)
+        return applied
+
     async def _emit_decision(self, target: str, outcome: str) -> str:
         """Originate a durable decision MSet for ``target``.
 
-        Decisions travel the same durable path as updates — local inbox
-        record first, then every outbound channel log — but under a
-        *fresh* tid with ``info=(("decides", target),)``: reusing the
-        update's tid would corrupt the ack bookkeeping
-        (``_unacked``) that still tracks the update itself.
-        The origin emits both the update and its decision on the same
-        channels, so every replica sees update-before-decision and a
+        Decisions travel the same durable path as updates but under a
+        *fresh* tid with ``info=(("decides", target),)``: the log
+        position *is* the tid, and the update keeps its own.  The
+        origin emits both the update and its decision through the same
+        log, so every replica sees update-before-decision and a
         decision can never arrive for an update it has not logged.
         """
         kind = MSetKind.ABORT if outcome == "abort" else MSetKind.COMMIT
         async with self._apply_lock:
-            tid_seq = self.inboxes[LOCAL_CHANNEL].frontier + 1
-            tid = "%s:%d" % (self.name, tid_seq)
+            tid = "%s:%d" % (self.name, self.log.assigned + 1)
             mset = MSet(
                 tid,
                 kind,
@@ -3292,25 +3204,10 @@ class ReplicaServer:
                 origin=self.name,
                 info=(("decides", target),),
             )
-            payload = {"mset": encode_mset(mset)}
-            blob = payload_blob(payload)
             self.trace.event(
                 "decision-submit", tid=tid, decides=target, outcome=outcome
             )
-            self.inboxes[LOCAL_CHANNEL].record(tid_seq, payload, blob=blob)
-            self._local_keys[tid] = mset.keys
-            if self.peer_names:
-                self._unacked[tid] = set(self.peer_names)
-                for peer in self.peer_names:
-                    self.outboxes[peer].append(payload, blob=blob)
-            self.inboxes[LOCAL_CHANNEL].sync()
-            for peer in self.peer_names:
-                self.outboxes[peer].sync()
-            applied = await self.engine.accept(mset, local=True)
-            self._resolve_applied(applied)
-        self._kick_channels()
-        if not self.peer_names:
-            await self.engine.fully_acked(tid, self._local_keys.pop(tid, ()))
+            await self._commit_local(mset)
         await self._notify_drain()
         return tid
 
@@ -3369,10 +3266,7 @@ class ReplicaServer:
         """Per-site applied frontier vector, with the local channel
         published under this site's own name (the wire/session-token
         namespace — ``_local`` is a private disk-layout detail)."""
-        return {
-            (self.name if src == LOCAL_CHANNEL else src): box.frontier
-            for src, box in self.inboxes.items()
-        }
+        return self._frontiers(local=self.name)
 
     def _check_session(self, token: Any) -> None:
         """Refuse a session read this replica cannot serve honestly.

@@ -9,44 +9,47 @@ crash test below kills the rewrite at each internal boundary and
 asserts exactly that.
 """
 
+import json
 import os
 
 import pytest
 
-from repro.live.durable_queue import DurableInbox, DurableOutbox
+from repro.live.durable_queue import DurableInbox
+
+from .test_durable_queue import PEER, _outbox
 
 
 class TestOutboxCompaction:
     def test_compact_drops_acked_prefix(self, tmp_path):
-        outbox = DurableOutbox(tmp_path / "peer.log")
+        outbox = _outbox(tmp_path / "peer.log")
         for i in range(6):
             outbox.append({"n": i})
-        outbox.ack_through(4)
+        outbox.ack_through(PEER, 4)
         assert outbox.compact(4) == 4
         assert outbox.base == 4
-        assert outbox.frontier == 4
-        assert [seq for seq, _ in outbox.pending()] == [5, 6]
+        assert outbox.frontier(PEER) == 4
+        assert [seq for seq, _ in outbox.pending(PEER)] == [5, 6]
         assert outbox.compaction_count == 1
         assert outbox.compacted_records == 4
         outbox.close()
 
     def test_compact_never_passes_the_ack_frontier(self, tmp_path):
-        outbox = DurableOutbox(tmp_path / "peer.log")
+        outbox = _outbox(tmp_path / "peer.log")
         for i in range(6):
             outbox.append({"n": i})
-        outbox.ack_through(2)
+        outbox.ack_through(PEER, 2)
         # Asking past the frontier clamps: pending records must
         # survive for re-sends.
         assert outbox.compact(6) == 2
         assert outbox.base == 2
-        assert [seq for seq, _ in outbox.pending()] == [3, 4, 5, 6]
+        assert [seq for seq, _ in outbox.pending(PEER)] == [3, 4, 5, 6]
         outbox.close()
 
     def test_compact_below_base_is_a_noop(self, tmp_path):
-        outbox = DurableOutbox(tmp_path / "peer.log")
+        outbox = _outbox(tmp_path / "peer.log")
         for i in range(4):
             outbox.append({"n": i})
-        outbox.ack_through(3)
+        outbox.ack_through(PEER, 3)
         assert outbox.compact(3) == 3
         assert outbox.compact(3) == 0
         assert outbox.compact(2) == 0
@@ -55,69 +58,70 @@ class TestOutboxCompaction:
 
     def test_compacted_log_survives_restart(self, tmp_path):
         path = tmp_path / "peer.log"
-        outbox = DurableOutbox(path)
+        outbox = _outbox(path)
         for i in range(6):
             outbox.append({"n": i})
-        outbox.ack_through(4)
+        outbox.ack_through(PEER, 4)
         outbox.compact(4)
         outbox.close()
 
-        reloaded = DurableOutbox(path)
+        reloaded = _outbox(path)
         assert reloaded.base == 4
-        assert reloaded.frontier == 4
-        assert [seq for seq, _ in reloaded.pending()] == [5, 6]
+        assert reloaded.frontier(PEER) == 4
+        assert [seq for seq, _ in reloaded.pending(PEER)] == [5, 6]
         # Sequence assignment continues above the survivors.
         assert reloaded.append("later") == 7
         reloaded.close()
 
     def test_base_marker_backstops_a_log_with_no_ack_marker(self, tmp_path):
         path = tmp_path / "peer.log"
-        outbox = DurableOutbox(path)
+        outbox = _outbox(path)
         for i in range(5):
             outbox.append({"n": i})
-        outbox.ack_through(3)
+        outbox.ack_through(PEER, 3)
         outbox.compact(3)
         outbox.close()
-        # A crash may lose ack markers (they are never fsynced).
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(l for l in lines if '"ack"' not in l))
-        assert '"base":3' in path.read_text()
+        # Outside damage: the rewritten log's marker says less than
+        # its floor does.
+        text = path.read_text()
+        assert '"base":3' in text and '"seq":3}' in text
+        path.write_text(text.replace('"seq":3}', '"seq":1}'))
 
-        reloaded = DurableOutbox(path)
-        # Compaction only drops acked records, so the floor is a
-        # lower bound on the frontier even with every marker gone.
-        assert reloaded.frontier == 3
-        assert [seq for seq, _ in reloaded.pending()] == [4, 5]
+        reloaded = _outbox(path)
+        # Compaction only drops records every cursor has passed, so
+        # the floor is a lower bound on each of them.
+        assert reloaded.frontier(PEER) == 3
+        assert [seq for seq, _ in reloaded.pending(PEER)] == [4, 5]
         reloaded.close()
 
     def test_rewind_fails_below_the_compaction_floor(self, tmp_path):
-        outbox = DurableOutbox(tmp_path / "peer.log")
+        outbox = _outbox(tmp_path / "peer.log")
         for i in range(6):
             outbox.append({"n": i})
-        outbox.ack_through(6)
+        outbox.ack_through(PEER, 6)
         outbox.compact(4)
         # A receiver regressed to 5: still servable from the log.
-        assert outbox.rewind_to(5) is True
-        assert [seq for seq, _ in outbox.pending()] == [6]
-        outbox.ack_through(6)
+        assert outbox.rewind_to(PEER, 5) is True
+        assert [seq for seq, _ in outbox.pending(PEER)] == [6]
+        outbox.ack_through(PEER, 6)
         # A receiver regressed below the floor: the records are gone,
         # it needs a snapshot.
-        assert outbox.rewind_to(2) is False
+        assert outbox.rewind_to(PEER, 2) is False
         outbox.close()
 
     def test_reset_to_reseeds_floor_frontier_and_counter(self, tmp_path):
         path = tmp_path / "peer.log"
-        outbox = DurableOutbox(path)
+        outbox = _outbox(path)
         outbox.append("stale")
         outbox.reset_to(40)
-        assert (outbox.base, outbox.frontier) == (40, 40)
-        assert outbox.pending() == []
+        assert (outbox.base, outbox.frontier(PEER)) == (40, 40)
+        assert outbox.pending(PEER) == []
         assert outbox.append("fresh") == 41
         outbox.close()
 
-        reloaded = DurableOutbox(path)
-        assert (reloaded.base, reloaded.frontier) == (40, 40)
-        assert [seq for seq, _ in reloaded.pending()] == [41]
+        reloaded = _outbox(path)
+        assert (reloaded.base, reloaded.frontier(PEER)) == (40, 40)
+        assert [seq for seq, _ in reloaded.pending(PEER)] == [41]
         reloaded.close()
 
 
@@ -247,29 +251,29 @@ def test_outbox_compaction_crash_recovers_old_or_new(
     """Crash the rewrite at every boundary: a reload sees exactly the
     old log or exactly the new one, and the channel still works."""
     path = tmp_path / "peer.log"
-    outbox = DurableOutbox(path)
+    outbox = _outbox(path)
     for i in range(8):
         outbox.append({"n": i})
-    outbox.ack_through(5)
+    outbox.ack_through(PEER, 5)
 
     with pytest.raises(_Crash):
         _crash_compact(outbox, 5, boundary, monkeypatch, tmp_path)
     monkeypatch.undo()
     # Simulated crash: abandon the live object, reload from disk.
 
-    reloaded = DurableOutbox(path)
+    reloaded = _outbox(path)
     compacted = boundary == "after-rename"
     assert reloaded.base == (5 if compacted else 0)
-    assert reloaded.frontier == 5
+    assert reloaded.frontier(PEER) == 5
     # Never half-dropped: the unacked tail is intact either way.
-    assert [seq for seq, _ in reloaded.pending()] == [6, 7, 8]
-    assert [p["n"] for _, p in reloaded.pending()] == [5, 6, 7]
+    assert [seq for seq, _ in reloaded.pending(PEER)] == [6, 7, 8]
+    assert [p["n"] for _, p in reloaded.pending(PEER)] == [5, 6, 7]
     # The channel still serves a regressed receiver from its floor.
-    assert reloaded.rewind_to(reloaded.base) is True
+    assert reloaded.rewind_to(PEER, reloaded.base) is True
     # And still assigns fresh sequence numbers above everything.
     assert reloaded.append("fresh") == 9
     # A later compaction succeeds regardless of leftover tmp files.
-    reloaded.ack_through(9)
+    reloaded.ack_through(PEER, 9)
     assert reloaded.compact(9) > 0
     assert reloaded.base == 9
     reloaded.close()
@@ -299,3 +303,69 @@ def test_inbox_compaction_crash_recovers_old_or_new(
     assert reloaded.record(9, {"n": 9}) is False
     assert reloaded.compact(9) > 0
     reloaded.close()
+
+
+def _redumped(path, through, header=()):
+    """The log ``json.loads``-ed line by line and its survivors
+    ``json.dumps``-ed again — the compaction this module used to have."""
+    def dump(record):
+        return json.dumps(record, separators=(",", ":")) + "\n"
+
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return "".join(
+        [dump({"meta": "base", "base": through})]
+        + [dump(marker) for marker in header]
+        + [
+            dump({"seq": r["seq"], "payload": r["payload"]})
+            for r in records
+            if "meta" not in r and r["seq"] > through
+        ]
+    )
+
+
+#: payloads whose canonical rendering is easy to get wrong.
+AWKWARD = [
+    {"n": 0},
+    "plain",
+    {"mset": {"tid": "s0:3", "ops": [{"t": "inc", "key": "k\u00e9", "amount": 0.1}]}},
+    {"nested": {"seq": 99, "payload": [1e-9, -2.5, None, True]}},
+    ["a,b", '{"seq":7,'],
+    {"text": "line\nbreak \\ \"quoted\" \u2028"},
+]
+
+
+@pytest.mark.parametrize("kind", ["outbox", "inbox"])
+def test_compaction_copies_survivors_byte_for_byte(kind, tmp_path):
+    """Survivors are filtered on their ``{"seq":N,`` prefix and copied
+    unparsed; the result is exactly what parsing and re-dumping gives,
+    whether a line was spliced around a blob, dumped whole, or written
+    by some other hand."""
+    path = tmp_path / "peer.log"
+    blobs = [
+        json.dumps(p, separators=(",", ":")).encode("utf-8") for p in AWKWARD
+    ]
+    if kind == "outbox":
+        box = _outbox(path)
+        box.append_many(AWKWARD[:3], blobs=blobs[:3])
+        box.append_many(AWKWARD[3:])
+        box.ack_through(PEER, 4)
+        header = [{"meta": "ack", "peer": PEER, "seq": 4}]
+    else:
+        box = DurableInbox(path)
+        box.record_many(list(enumerate(AWKWARD[:3], 1)), blobs=blobs[:3])
+        box.record_many(list(enumerate(AWKWARD[3:], 4)))
+        header = []
+    box.close()
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write('{"seq": 7, "payload": {"spaced": "out"}}\n')
+        handle.write('{"payload":"keys reversed","seq":8}\n')
+    box = _outbox(path) if kind == "outbox" else DurableInbox(path)
+    want = _redumped(path, 2, header)
+    assert box.compact(2) == 2
+    box.close()
+    assert path.read_text() == want
+    survivors = [
+        json.loads(line) for line in want.splitlines()[1 + len(header):]
+    ]
+    assert [r["seq"] for r in survivors] == [3, 4, 5, 6, 7, 8]
+    assert [r["payload"] for r in survivors[:4]] == AWKWARD[2:]

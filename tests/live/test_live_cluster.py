@@ -10,6 +10,7 @@ mid-run and restarts it, exercising durable-queue recovery.
 """
 
 import asyncio
+import json
 import random
 
 import pytest
@@ -174,9 +175,11 @@ class TestCrashRecovery:
     def test_sender_killed_mid_drain_resends_never_loses(self, tmp_path):
         """Kill the *sender* halfway through draining a backlog and
         lose its newest ack markers with it (they are flushed, never
-        fsynced): the restarted outbox sees an older frontier, re-sends
-        a bounded stretch the receivers already hold, and their dedup
-        keeps every increment applied exactly once."""
+        fsynced): the restarted log sees each peer's cursor further
+        back — by a different amount per peer — re-sends each peer
+        exactly its own unacked suffix, a bounded stretch of which the
+        receiver already holds, and the receivers' dedup keeps every
+        increment applied exactly once."""
 
         n_updates = 400
         batch = 8
@@ -198,35 +201,58 @@ class TestCrashRecovery:
                 cluster.partition([["site0"], ["site1", "site2"]])
                 for i in range(n_updates):
                     await c0.increment(KEYS[i % len(KEYS)], 1)
-                outboxes = cluster.servers["site0"].outboxes
-                assert all(b.frontier == 0 for b in outboxes.values())
+                peers = ("site1", "site2")
+                log = cluster.servers["site0"].log
+                assert all(log.frontier(p) == 0 for p in peers)
+                # site1 gets a head start, so the two cursors stand at
+                # different positions when the sender dies.
+                for a, b in (("site0", "site1"), ("site1", "site0")):
+                    plan.heal(a, b)
+                while log.frontier("site1") < 5 * batch:
+                    await asyncio.sleep(0)
                 cluster.heal()
-                while min(b.frontier for b in outboxes.values()) < 5 * batch:
+                while log.frontier("site2") < 2 * batch:
                     await asyncio.sleep(0)
                 await cluster.kill("site0")
-                acked = {peer: b.frontier for peer, b in outboxes.items()}
-                assert all(0 < seq < n_updates for seq in acked.values())
+                acked = {peer: log.frontier(peer) for peer in peers}
+                assert 0 < acked["site2"] < acked["site1"] <= n_updates
 
-                # The crash also eats each log's last three markers.
-                for peer in acked:
-                    log = tmp_path / "site0" / "outbox" / ("%s.log" % peer)
-                    lines = log.read_text().splitlines(keepends=True)
-                    marks = [i for i, l in enumerate(lines) if '"ack"' in l]
-                    log.write_text("".join(lines[: marks[-3]]))
-                assert not list((tmp_path / "site0").rglob("*.ack"))
+                # One log, no per-peer sender file.  The crash also
+                # eats its tail, and with it each peer's newest markers.
+                site_dir = tmp_path / "site0"
+                assert sorted(
+                    str(p.relative_to(site_dir)) for p in site_dir.rglob("*.log")
+                ) == [
+                    "inbox/site1.log", "inbox/site2.log",
+                    "order.log", "replication.log",
+                ]
+                path = site_dir / "replication.log"
+                lines = path.read_text().splitlines(keepends=True)
+                marks = [i for i, l in enumerate(lines) if '"ack"' in l]
+                kept = lines[: marks[-4]]
+                path.write_text("".join(kept))
+                survived = {}
+                for line in kept:
+                    record = json.loads(line)
+                    if record.get("meta") == "ack":
+                        survived[record["peer"]] = record["seq"]
+                assert all(survived[p] <= acked[p] for p in peers)
+                assert survived != acked
 
                 await cluster.restart("site0")
-                stale = cluster.servers["site0"].outboxes
-                for peer, box in stale.items():
-                    assert box.frontier == acked[peer] - 3 * batch
-                    assert box.backlog == n_updates - box.frontier
+                stale = cluster.servers["site0"].log
+                for peer in peers:
+                    assert stale.frontier(peer) == survived[peer]
+                    assert [seq for seq, _ in stale.pending(peer)] == list(
+                        range(survived[peer] + 1, n_updates + 1)
+                    )
                 await cluster.settle(timeout=60)
                 assert await cluster.converged()
                 values = await cluster.site_values()
                 for name in cluster.names:
                     total = sum(values[name].get(k, 0) for k in KEYS)
                     assert total == n_updates, (name, values[name])
-                assert all(b.drained() for b in stale.values())
+                assert stale.drained()
             finally:
                 await cluster.stop()
 
@@ -249,16 +275,12 @@ class TestTornTailRecovery:
                 await cluster.kill("site2")
 
                 # Simulate the kill landing mid-append: torn partial
-                # records at the tail of the local inbox and an outbox.
+                # record at the tail of the replication log.
                 site_dir = tmp_path / "site2"
-                with (site_dir / "inbox" / "_local.log").open(
+                with (site_dir / "replication.log").open(
                     "a", encoding="utf-8"
                 ) as handle:
                     handle.write('{"seq": 11, "payload": {"ms')
-                with (site_dir / "outbox" / "site0.log").open(
-                    "a", encoding="utf-8"
-                ) as handle:
-                    handle.write('{"seq": 11,')
 
                 await cluster.restart("site2")
                 await cluster.settle(timeout=60)

@@ -11,7 +11,6 @@ import pytest
 from repro.core.transactions import EpsilonSpec
 from repro.live import LiveCluster
 from repro.live.protocol import read_frame, write_frame
-from repro.live.server import LOCAL_CHANNEL
 
 
 def run(coro):
@@ -253,20 +252,14 @@ class TestFsyncWindowDurabilityClaims:
                 for i in range(5):
                     await client.increment("x", 1)
                     origin = cluster.servers["site0"]
-                    # Client ack implies the local log and every
-                    # outbound channel log are synced.
-                    assert not origin.inboxes[LOCAL_CHANNEL].dirty
-                    for outbox in origin.outboxes.values():
-                        assert not outbox.dirty
+                    # Client ack implies the replication log is synced.
+                    assert not origin.log.dirty
                 await cluster.settle(timeout=30)
                 receiver = cluster.servers["site1"]
                 # The channel ack advanced site0's frontier, so the
                 # receiving inbox must have been synced first.
                 assert not receiver.inboxes["site0"].dirty
-                assert (
-                    cluster.servers["site0"].outboxes["site1"].backlog
-                    == 0
-                )
+                assert cluster.servers["site0"].log.backlog("site1") == 0
             finally:
                 await cluster.stop()
 
@@ -284,7 +277,7 @@ class TestFsyncWindowDurabilityClaims:
                 scrape = await client.metrics()
                 text = scrape["prometheus"]
                 assert re.search(
-                    r'repro_log_fsync_total\{log="inbox/_local",'
+                    r'repro_log_fsync_total\{log="replication",'
                     r'site="site0"\} [1-9]',
                     text,
                 )

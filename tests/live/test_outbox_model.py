@@ -1,13 +1,23 @@
-"""Model-based test of :class:`DurableOutbox`.
+"""Model-based test of :class:`DurableOutbox`, the replication log.
 
-The outbox keeps its pending records as one dense window and its ack
-frontier as markers in the log stream.  This drives it with random
-operation sequences — appends, cumulative acks (fresh, stale,
-duplicate, beyond everything assigned), rewinds, compactions, resets
-and close-and-reopen — side by side with a reference object that
-spells the same contract out the slow way (seq-keyed dicts, scans and
-sorts, one number for the persisted frontier), and requires both to
-agree on everything a caller can observe after every step.
+The log holds every record once, in one window shared by N per-peer
+cursors, and keeps each cursor as markers in the log stream.  The
+oracle is the contract it replaced: N *independent* single-channel
+outboxes, one per peer, each fed the same appends and spelled out the
+slow way (seq-keyed dicts, scans and sorts, one number for the
+persisted frontier).  Random operation sequences — appends, per-peer
+cumulative acks (fresh, stale, duplicate, beyond everything assigned),
+per-peer rewinds (also below the slowest cursor), compactions, resets,
+a cursor added mid-stream, close-and-reopen with and without a torn
+tail — run against both, and after every step each cursor must agree
+with its own reference on everything a caller can observe.  On top of
+that the log's one extra promise is checked against the references
+taken together: ``ack_through`` hands back exactly the records that
+just became acknowledged by *all* peers, each exactly once.
+
+The references differ from free-standing outboxes in one deliberate
+way: there is one file, so a compaction cuts all of them at the same
+place — never past the slowest cursor.
 """
 
 import json
@@ -18,6 +28,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -25,14 +36,16 @@ from hypothesis.stateful import (
 
 from repro.live.durable_queue import DurableOutbox
 
+PEERS = ("p0", "p1", "p2")
+
 
 def _blob(payload):
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
 class ReferenceOutbox:
-    """The contract, with dicts: ``log`` is what the file holds,
-    ``pending`` what is owed to the receiver."""
+    """One channel's contract, with dicts: ``log`` is what the file
+    holds, ``pending`` what is owed to the receiver."""
 
     def __init__(self):
         self.log = {}
@@ -102,74 +115,135 @@ class OutboxMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.dir = Path(tempfile.mkdtemp(prefix="outbox-model-"))
-        self.path = self.dir / "peer.log"
+        self.path = self.dir / "replication.log"
         self.real = DurableOutbox(self.path)
-        self.ref = ReferenceOutbox()
+        self.refs = {}
+        #: sequence numbers already handed back as acknowledged by all.
+        self.released = set()
 
     def teardown(self):
         self.real.close()
         shutil.rmtree(self.dir, ignore_errors=True)
 
+    @property
+    def seq(self):
+        return self.real._seq
+
+    def acked_by_all(self):
+        return set(range(1, self.seq + 1)).difference(
+            *(ref.pending for ref in self.refs.values())
+        )
+
+    def _add(self, peer):
+        ref = self.refs[peer] = ReferenceOutbox()
+        # A new channel is owed what is appended from here on; the
+        # file it points into is the one everyone shares.
+        ref.reset_to(self.seq)
+        others = [r for p, r in self.refs.items() if p != peer]
+        if others:
+            ref.log, ref.base = dict(others[0].log), others[0].base
+        assert self.real.add_cursor(peer) is True
+        assert self.real.add_cursor(peer) is False
+
+    @initialize(n=st.integers(1, 3))
+    def open_cursors(self, n):
+        for peer in PEERS[:n]:
+            self._add(peer)
+
+    @precondition(lambda self: len(self.refs) < len(PEERS))
+    @rule()
+    def add_cursor(self):
+        self._add(PEERS[len(self.refs)])
+
     @rule(batch=payloads, with_blobs=st.booleans())
     def append_many(self, batch, with_blobs):
         blobs = [_blob(p) for p in batch] if with_blobs else None
-        assert self.real.append_many(batch, blobs=blobs) == (
-            self.ref.append_many(batch)
-        )
+        seqs = self.real.append_many(batch, blobs=blobs)
+        for ref in self.refs.values():
+            assert ref.append_many(batch) == seqs
 
     @rule(data=st.data())
     def ack_through(self, data):
+        peer = data.draw(st.sampled_from(sorted(self.refs)))
         # Stale, duplicate, fresh, and beyond anything assigned.
-        seqno = data.draw(st.integers(0, self.ref.seq + 3))
-        assert self.real.ack_through(seqno) == self.ref.ack_through(seqno)
+        seqno = data.draw(st.integers(0, self.seq + 3))
+        payload_of = dict(self.refs[peer].pending)
+        self.refs[peer].ack_through(seqno)
+        fresh = sorted(self.acked_by_all() - self.released)
+        assert self.real.ack_through(peer, seqno) == [
+            (seq, payload_of[seq]) for seq in fresh
+        ]
+        self.released.update(fresh)
 
     @rule(data=st.data())
     def rewind_to(self, data):
-        ack_seq = data.draw(st.integers(0, self.ref.frontier + 1))
-        assert self.real.rewind_to(ack_seq) == self.ref.rewind_to(ack_seq)
+        peer = data.draw(st.sampled_from(sorted(self.refs)))
+        ref = self.refs[peer]
+        ack_seq = data.draw(st.integers(0, ref.frontier + 1))
+        assert self.real.rewind_to(peer, ack_seq) == ref.rewind_to(ack_seq)
 
     @rule(data=st.data())
     def compact(self, data):
-        through = data.draw(st.integers(0, self.ref.seq + 2))
-        assert self.real.compact(through) == self.ref.compact(through)
+        through = data.draw(st.integers(0, self.seq + 2))
+        through = min(
+            [through] + [ref.frontier for ref in self.refs.values()]
+        )
+        dropped = {ref.compact(through) for ref in self.refs.values()}
+        assert dropped == {self.real.compact(through)}
 
     @rule(data=st.data())
     def reset_to(self, data):
-        seqno = data.draw(st.integers(0, self.ref.seq + 5))
+        seqno = data.draw(st.integers(0, self.seq + 5))
         self.real.reset_to(seqno)
-        self.ref.reset_to(seqno)
+        for ref in self.refs.values():
+            ref.reset_to(seqno)
+        self.released = set(range(1, seqno + 1))
 
-    @rule()
-    def close_and_reopen(self):
+    @rule(torn=st.booleans())
+    def close_and_reopen(self, torn):
         self.real.close()
+        if torn:
+            with self.path.open("a", encoding="utf-8") as handle:
+                handle.write('{"seq": %d, "payl' % (self.seq + 1))
         self.real = DurableOutbox(self.path)
-        self.ref.reopen()
+        for ref in self.refs.values():
+            ref.reopen()
+        # What every peer held before the restart is recovery's to
+        # release, not a later ack's.
+        self.released = self.acked_by_all()
 
-    @precondition(lambda self: self.ref.pending)
     @rule(data=st.data())
     def sender_fetch(self, data):
-        floor = data.draw(st.integers(0, self.ref.seq + 1))
+        peer = data.draw(st.sampled_from(sorted(self.refs)))
+        floor = data.draw(st.integers(0, self.seq + 1))
         limit = data.draw(st.integers(1, 8))
         want = [
-            (s, p) for s, p in sorted(self.ref.pending.items()) if s > floor
+            (s, p)
+            for s, p in sorted(self.refs[peer].pending.items())
+            if s > floor
         ][:limit]
-        assert self.real.pending_after(floor, limit) == want
+        assert self.real.pending_after(peer, floor, limit) == want
 
     @invariant()
     def observably_equal(self):
-        real, ref = self.real, self.ref
-        assert real.frontier == ref.frontier
-        assert real.base == ref.base
-        assert real._seq == ref.seq
-        assert real.pending() == sorted(ref.pending.items())
-        assert real.backlog == len(ref.pending)
-        assert real.drained() == (not ref.pending)
-        assert real.regressed_acks == ref.regressed_acks
-        for seq, payload in ref.pending.items():
+        real = self.real
+        owed = {}
+        for peer, ref in self.refs.items():
+            assert real.frontier(peer) == ref.frontier
+            assert real.pending(peer) == sorted(ref.pending.items())
+            assert real.backlog(peer) == len(ref.pending)
+            assert real.regressed_acks.get(peer, 0) == ref.regressed_acks
+            assert (real.base, real._seq) == (ref.base, ref.seq)
+            owed.update(ref.pending)
+        for seq, payload in owed.items():
             assert real.wire_blob(seq) == _blob(payload)
-        # The dense-window invariant itself.
-        assert real.backlog == real._seq - real.frontier
-        assert not list(self.dir.glob("*.ack"))
+        assert real.drained() == (not owed)
+        assert real.released_hi == max(self.released, default=0)
+        # One dense window, anchored at the slowest cursor.
+        slowest = min(ref.frontier for ref in self.refs.values())
+        assert real._head == slowest
+        assert len(real._window) - real._start == real._seq - slowest
+        assert [p.name for p in self.dir.iterdir()] == [self.path.name]
 
 
 TestOutboxModel = OutboxMachine.TestCase

@@ -1,12 +1,18 @@
 """The small durable records — election promise, membership
-incarnation — are durable in fact.
+incarnation, order-token counter — are durable in fact.
 
-Both rewrite one JSON file through :func:`repro.live.snapshot.write_atomic`
-(temp file + fsync + rename).  The crash test kills that rewrite at
-every boundary and reloads: the record is whole, and ``promised`` /
-``incarnation`` never fall below the last value the dying process
-could have acknowledged.  A file that is present but unreadable is
-outside damage, and loading it is loud.
+The first two rewrite one JSON file through
+:func:`repro.live.snapshot.write_atomic` (temp file + fsync + rename).
+The crash test kills that rewrite at every boundary and reloads: the
+record is whole, and ``promised`` / ``incarnation`` never fall below
+the last value the dying process could have acknowledged.  A file that
+is present but unreadable is outside damage, and loading it is loud.
+
+The order-token counter changes with every ORDUP update, so it is an
+appended line per grant (:class:`repro.live.durable_queue.GrantLog`)
+folded to one line, through the same ``write_atomic``, at snapshot
+time.  Both halves are killed at every boundary too: the reloaded
+counter is never below a token that was handed out.
 """
 
 import logging
@@ -15,7 +21,9 @@ import pathlib
 
 import pytest
 
+import repro.live.durable_queue as durable_queue
 import repro.live.snapshot as snapshot
+from repro.live.durable_queue import GrantLog
 from repro.live.election import ElectionState
 from repro.live.gossip import MembershipTable
 
@@ -177,3 +185,85 @@ def test_frontier_progress_does_not_rewrite_the_table(tmp_path, monkeypatch):
     reborn.load()
     assert reborn.get("siteB").status == gossip.SUSPECT
     assert reborn.get("siteB").frontier == 9  # rode along with the status
+
+
+class _DyingWriter:
+    """The open log, dying ``keep`` characters into its next write."""
+
+    def __init__(self, real, keep):
+        self.real, self.keep = real, keep
+
+    def write(self, data):
+        self.real.write(data[: self.keep])
+        self.real.flush()
+        raise _Crash
+
+
+@pytest.mark.parametrize(
+    "boundary", ["before-write", "torn-line", "before-fsync"]
+)
+def test_order_counter_never_regresses_below_a_granted_token(
+    boundary, tmp_path, monkeypatch
+):
+    path = tmp_path / "order.log"
+    log = GrantLog(path, fsync=True)
+    for token in (1, 2, 3):
+        log.grant(token, epoch=2)  # returned: handed out
+    assert log.fsync_count == 3
+
+    if boundary == "before-fsync":
+        monkeypatch.setattr(durable_queue.os, "fsync", _die)
+    else:
+        log._log = _DyingWriter(log._log, 0 if boundary == "before-write" else 9)
+    with pytest.raises(_Crash):
+        log.grant(4, epoch=2)  # dies before the token can leave
+    monkeypatch.undo()
+
+    reborn = GrantLog(path, fsync=True)
+    # The whole line reached the file only at the last boundary; a
+    # skipped token is harmless, a re-issued one is not.
+    assert reborn.next == (4 if boundary == "before-fsync" else 3)
+    # A torn tail is cut, not buried: the next grant survives too.
+    reborn.grant(reborn.next + 1, epoch=3)
+    reborn.close()
+    again = GrantLog(path)
+    assert again.next == reborn.next
+    assert all(
+        line.startswith('{"meta":"grant","next":')
+        for line in path.read_text().splitlines()
+    )
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_folding_the_order_log_is_atomic(boundary, tmp_path, monkeypatch):
+    path = tmp_path / "order.log"
+    log = GrantLog(path, fsync=True)
+    for token in range(1, 6):
+        log.grant(token, epoch=1)
+
+    _arm(boundary, path, monkeypatch)
+    with pytest.raises(_Crash):
+        log.fold()
+    monkeypatch.undo()
+
+    folded = boundary == "after-rename"
+    assert len(path.read_text().splitlines()) == (1 if folded else 5)
+    assert GrantLog(path).next == 5
+    # The surviving process keeps granting into whichever file won.
+    log.grant(6, epoch=1)
+    assert GrantLog(path).next == 6
+    log.fold()
+    assert path.read_text() == '{"meta":"grant","next":6,"epoch":1}\n'
+    log.grant(7, epoch=1)
+    assert GrantLog(path).next == 7
+
+
+def test_a_fresh_or_folded_order_log_is_not_rewritten(tmp_path, monkeypatch):
+    path = tmp_path / "order.log"
+    log = GrantLog(path)
+    assert log.next == 0
+    monkeypatch.setattr(durable_queue, "write_atomic", _die)
+    log.fold()  # nothing granted
+    log.grant(1, epoch=0)
+    log.fold()  # already one line
+    assert path.read_text() == '{"meta":"grant","next":1,"epoch":0}\n'

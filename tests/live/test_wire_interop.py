@@ -170,7 +170,7 @@ class TestWireVsDurableLog:
         self, tmp_path
     ):
         """The binary codec exists only on the wire: after a binary
-        run, every outbox/inbox log line is plain JSON, bit-identical
+        run, every replication/inbox log line is plain JSON, bit-identical
         to a full ``json.dumps`` of its record."""
 
         async def scenario():
