@@ -262,7 +262,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             window=args.window,
             wire=args.wire,
-            fsync_interval=args.fsync_interval,
             snapshot_interval=args.snapshot_interval,
             backlog_limit=args.backlog_limit,
             catchup=not args.no_catchup,
@@ -624,11 +623,6 @@ def main(argv: List[str] = None) -> int:
         "--uvloop", action="store_true",
         help="use uvloop for the event loop when available "
         "(falls back to the default loop with a warning)",
-    )
-    serve.add_argument(
-        "--fsync-interval", type=float, default=0.0,
-        help="min seconds between fsyncs (0 = every group append; "
-        "only meaningful with --fsync)",
     )
     serve.add_argument(
         "--snapshot-interval", type=float, default=0.0,

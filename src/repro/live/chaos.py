@@ -177,7 +177,6 @@ class ChaosConfig:
     #: propagation batching/pipelining under test (server knobs).
     batch_size: int = 32
     window: int = 4
-    fsync_interval: float = 0.0
 
 
 @dataclass
@@ -361,7 +360,6 @@ async def run_chaos(
         heartbeat_interval=config.heartbeat_interval,
         batch_size=config.batch_size,
         window=config.window,
-        fsync_interval=config.fsync_interval,
     )
     report = ChaosReport(config=config)
     rng = random.Random(config.seed)

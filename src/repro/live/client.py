@@ -87,6 +87,7 @@ from ..obs.registry import NULL_REGISTRY, Registry
 from .protocol import (
     SUPPORTED_WIRES,
     WIRE_JSON,
+    FrameWriter,
     ProtocolError,
     encode_ops,
     encode_spec,
@@ -271,9 +272,10 @@ class LiveClient:
         self._rng = rng if rng is not None else random.Random()
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        #: the per-turn request buffer over ``_writer``.
+        self._frames: Optional[FrameWriter] = None
         self._ids = itertools.count(1)
         self._waiting: Dict[int, asyncio.Future] = {}
-        self._write_lock = asyncio.Lock()
         self._dial_lock = asyncio.Lock()
         self._closed = False
         self._reader_task: Optional[asyncio.Task] = None
@@ -306,6 +308,11 @@ class LiveClient:
         #: site name -> {"addr", "applied", "frontier", "status"},
         #: learned from gossiped membership on stats replies.
         self._replicas: Dict[str, Dict[str, Any]] = {}
+        #: the fan-out draw over ``_replicas`` — (addresses, cumulative
+        #: lag weights) — built on first use after a membership refresh.
+        self._fan_out_draw: Optional[
+            Tuple[List[Tuple[str, int]], List[float]]
+        ] = None
         self._last_replica_refresh = 0.0
         #: per-address secondary connections used by read fan-out.
         self._pool: Dict[Tuple[str, int], LiveClient] = {}
@@ -362,10 +369,10 @@ class LiveClient:
         """While failed over, periodically probe the primary address
         and move the connection back when it answers.
 
-        The swap happens under the write lock and only while no
-        responses are outstanding, so no in-flight request can be
-        failed by it — at worst the probe is skipped and retried on a
-        later idle moment.
+        The swap happens only while no responses are outstanding (a
+        request still in the turn's write buffer is outstanding too),
+        so no in-flight request can be failed by it — at worst the
+        probe is skipped and retried on a later idle moment.
         """
         if (
             self._active_index == 0
@@ -383,19 +390,12 @@ class LiveClient:
             await write_frame(writer, self._hello_frame())
         except (OSError, ConnectionError):
             return  # primary still down: stay failed over
-        async with self._write_lock:
-            if self._waiting or not self.connected or self._closed:
-                writer.close()  # a bad moment to swap; try again later
-                return
-            self._teardown_connection()
-            self.wire = WIRE_JSON
-            self._reader = reader
-            self._writer = writer
-            self._active_index = 0
-            self._reader_task = asyncio.ensure_future(
-                self._read_loop(reader)
-            )
-            self.rehomes += 1
+        if self._waiting or not self.connected or self._closed:
+            writer.close()  # a bad moment to swap; try again later
+            return
+        self._teardown_connection()
+        self._attach(reader, writer, 0)
+        self.rehomes += 1
 
     async def _dial(self) -> None:
         """Try each address with jittered exponential backoff."""
@@ -413,14 +413,8 @@ class LiveClient:
                 except (OSError, ConnectionError) as exc:
                     last_error = exc
                     continue
-                self.wire = WIRE_JSON
                 await write_frame(writer, self._hello_frame())
-                self._reader = reader
-                self._writer = writer
-                self._active_index = index
-                self._reader_task = asyncio.ensure_future(
-                    self._read_loop(reader)
-                )
+                self._attach(reader, writer, index)
                 if redial:
                     self.reconnects += 1
                 return
@@ -429,6 +423,20 @@ class LiveClient:
         raise ConnectionError(
             "could not reach any of %r: %s" % (self._addrs, last_error)
         )
+
+    def _attach(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        index: int,
+    ) -> None:
+        """Make a greeted connection to ``_addrs[index]`` the live one."""
+        self.wire = WIRE_JSON
+        self._reader = reader
+        self._writer = writer
+        self._frames = FrameWriter(writer)
+        self._active_index = index
+        self._reader_task = asyncio.ensure_future(self._read_loop(reader))
 
     def _hello_frame(self) -> Dict[str, Any]:
         hello: Dict[str, Any] = {"type": "client-hello"}
@@ -541,28 +549,27 @@ class LiveClient:
         rid = next(self._ids)
         fut: asyncio.Future = asyncio.get_event_loop().create_future()
         self._waiting[rid] = fut
+        frames = self._frames
         try:
-            async with self._write_lock:
-                await write_frame(
-                    self._writer,
-                    {"type": "request", "id": rid, "verb": verb, **fields},
-                )
-        except (ConnectionError, OSError):
-            # The send never made it out: drop the orphan future so it
-            # cannot leak (and cannot be resolved by a later response
-            # reusing the id after a reconnect).
-            self._waiting.pop(rid, None)
-            raise
-        try:
+            # Buffered with whatever else this turn sends; ``fut`` fails
+            # if the buffer never reaches the socket.
+            frames.send(
+                {"type": "request", "id": rid, "verb": verb, **fields}, fut
+            )
+            await frames.drain()
             if timeout is not None:
                 frame = await asyncio.wait_for(fut, timeout=timeout)
             else:
                 frame = await fut
         except asyncio.TimeoutError:
-            self._waiting.pop(rid, None)
             raise RequestTimeout(
                 "%s request exceeded %.3fs" % (verb, timeout)
             ) from None
+        finally:
+            # However the wait ended, no orphan future is left behind
+            # (to leak, or to be resolved by a later response reusing
+            # the id after a reconnect).
+            self._waiting.pop(rid, None)
         if not frame.get("ok"):
             raise LiveETFailed(
                 frame.get("error", "ET failed"),
@@ -940,15 +947,31 @@ class LiveClient:
         if not (self._fan_out or prefer == "any"):
             return self
         await self._refresh_replicas()
-        candidates: List[Tuple[Tuple[str, int], float]] = []
-        best_applied = 0
+        if self._fan_out_draw is None:
+            self._fan_out_draw = self._plan_fan_out()
+        addrs, cum_weights = self._fan_out_draw
+        if not addrs:
+            return self
+        choice = self._rng.choices(addrs, cum_weights=cum_weights, k=1)[0]
+        if choice == self._client_addr(self):
+            return self
+        try:
+            return await self._pool_client(choice)
+        except (ConnectionError, OSError):
+            return self
+
+    def _plan_fan_out(self) -> Tuple[List[Tuple[str, int]], List[float]]:
+        """The routable replicas and their cumulative draw weights — a
+        function of ``_replicas`` alone, so computed once per
+        membership refresh, not per read."""
         infos = [
             info
             for info in self._replicas.values()
             if info.get("addr") and info.get("status") in _ROUTABLE_STATUSES
         ]
-        for info in infos:
-            best_applied = max(best_applied, int(info.get("applied", 0)))
+        best_applied = max(
+            (int(info.get("applied", 0)) for info in infos), default=0
+        )
         # Weight by applied-frontier lag *relative to total progress*.
         # Gossiped applied counts are delayed estimates, so absolute
         # lag is dominated by gossip staleness under write load; the
@@ -957,23 +980,15 @@ class LiveClient:
         # behind (fraction near 0 -> full weight).  The epsilon budget
         # itself is enforced server-side on every read regardless of
         # where it lands.
+        weights = []
         for info in infos:
             lag = best_applied - int(info.get("applied", 0))
             fraction = lag / max(best_applied, 1)
-            candidates.append(
-                (tuple(info["addr"]), 1.0 / (1.0 + 10.0 * fraction))
-            )
-        if not candidates:
-            return self
-        addrs = [addr for addr, _ in candidates]
-        weights = [weight for _, weight in candidates]
-        choice = self._rng.choices(addrs, weights=weights, k=1)[0]
-        if choice == self._client_addr(self):
-            return self
-        try:
-            return await self._pool_client(choice)
-        except (ConnectionError, OSError):
-            return self
+            weights.append(1.0 / (1.0 + 10.0 * fraction))
+        return (
+            [tuple(info["addr"]) for info in infos],
+            list(itertools.accumulate(weights)),
+        )
 
     async def _refresh_replicas(self) -> None:
         """Keep the fan-out view of the group reasonably fresh by
@@ -1059,6 +1074,7 @@ class LiveClient:
         joins, leaves, and address moves."""
         if not isinstance(records, list):
             return
+        self._fan_out_draw = None
         learned: List[Tuple[str, int]] = []
         for rec in records:
             if not isinstance(rec, dict):

@@ -57,7 +57,6 @@ class LiveCluster:
         heartbeat_interval: float = 0.25,
         batch_size: int = 32,
         window: int = 4,
-        fsync_interval: float = 0.0,
         observability: bool = True,
         server_options: Optional[Dict[str, Any]] = None,
         server_overrides: Optional[Dict[str, Dict[str, Any]]] = None,
@@ -83,7 +82,6 @@ class LiveCluster:
         self.heartbeat_interval = heartbeat_interval
         self.batch_size = batch_size
         self.window = window
-        self.fsync_interval = fsync_interval
         #: False swaps every replica's registry/trace for no-ops (the
         #: benchmark's metrics-off baseline).
         self.observability = observability
@@ -124,7 +122,6 @@ class LiveCluster:
             heartbeat_interval=self.heartbeat_interval,
             batch_size=self.batch_size,
             window=self.window,
-            fsync_interval=self.fsync_interval,
             observability=self.observability,
             shard=dict(self.shard) if self.shard is not None else None,
             **options,
@@ -215,7 +212,6 @@ class LiveCluster:
             heartbeat_interval=self.heartbeat_interval,
             batch_size=self.batch_size,
             window=self.window,
-            fsync_interval=self.fsync_interval,
             observability=self.observability,
             shard=dict(self.shard) if self.shard is not None else None,
             **options,

@@ -10,10 +10,11 @@ saga aborts.
 
 :class:`CompensationLog` is the durable half.  It reuses the live
 runtime's group-commit JSONL machinery (:class:`_DurableLog`): records
-are ``{"seq": N, "payload": {...}}`` lines, appends coalesce into one
-write + flush + at-most-one fsync, ``sync()`` forces a covering fsync
-before any durability claim, and compaction is the same tail-verified
-atomic rewrite the channel queues use.
+are ``{"seq": N, "payload": {...}}`` lines, an append is a write +
+flush, ``sync()`` — the engine calls it once per accepted batch, before
+any durability claim — issues the one fsync that covers them, and
+compaction is the same tail-verified atomic rewrite the channel queues
+use.
 
 Two record kinds::
 
@@ -69,10 +70,9 @@ class CompensationLog(_DurableLog):
         self,
         path: pathlib.Path,
         fsync: bool = False,
-        fsync_interval: float = 0.0,
         compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
     ) -> None:
-        super().__init__(path, fsync, fsync_interval)
+        super().__init__(path, fsync)
         self.compact_threshold = max(1, int(compact_threshold))
         self._seq = 0
         self._records: List[Tuple[int, Dict[str, Any]]] = []

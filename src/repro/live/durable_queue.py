@@ -35,23 +35,21 @@ at each receiver:
 floor in order, from the file, for crash recovery.
 
 Group commit: ``append_many`` / ``record_many`` coalesce a whole
-batch of records into a *single* write + flush + (at most one) fsync,
-so the per-record durability cost of the propagation hot path is paid
-once per batch instead of once per MSet.  ``fsync_interval`` further
-rate-limits fsyncs on high-throughput channels: ``0`` (the default)
-syncs every (group) append; ``> 0`` syncs at most once per interval —
-opt-in, and irrelevant unless ``fsync=True``.
+batch of records into a *single* write + flush, and
+:meth:`~_DurableLog.sync` is the one place a log is fsynced: a write
+leaves the log ``dirty`` and ``sync`` issues a covering fsync if — and
+only if — it is.  So the per-record durability cost is paid once per
+batch instead of once per MSet, and however many appends precede one
+``sync`` share its fsync.
 
-The rate limit never weakens a *durability claim*: before anything
-recorded inside the fsync window is acknowledged upstream (a channel
-ack to the sending peer, a commit ack to a client) the caller must
-invoke :meth:`~_DurableLog.sync`, which forces a covering fsync if —
-and only if — unsynced records exist (``dirty``).  Without that, a
-receiver could ack a batch, the sender would move its cursor, and a
-crash of the receiver inside the window would lose the batch from
-both ends: an acknowledged update gone.  ``sync`` is a no-op when
-``fsync=False`` (explicitly non-durable mode) or when nothing is
-dirty, so the hot path with ``fsync_interval=0`` pays nothing extra.
+Written is not yet durable: before anything appended here is
+acknowledged upstream (a channel ack to the sending peer, a commit ack
+to a client, an order token to its requester) the caller must invoke
+``sync``.  Without that, a receiver could ack a batch, the sender
+would move its cursor, and a crash of the receiver would lose the
+batch from both ends: an acknowledged update gone.  ``sync`` is a
+no-op when ``fsync=False`` (explicitly non-durable mode: nothing is
+ever dirty).
 
 Observability: every log tracks ``fsync_count``, ``fsync_seconds``
 (cumulative fsync latency) and ``bytes_written``; the server mirrors
@@ -202,22 +200,15 @@ def _read_json_lines(
 
 
 class _DurableLog:
-    """Shared append-side machinery: one JSONL log handle plus the
-    group-commit fsync policy."""
+    """Shared append-side machinery: one JSONL log handle, written in
+    groups and fsynced by :meth:`sync` alone."""
 
-    def __init__(
-        self,
-        path: pathlib.Path,
-        fsync: bool = False,
-        fsync_interval: float = 0.0,
-    ) -> None:
+    def __init__(self, path: pathlib.Path, fsync: bool = False) -> None:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
-        self.fsync_interval = fsync_interval
-        self._last_fsync = 0.0
-        #: True while flushed-but-not-fsynced records exist (only
-        #: meaningful with ``fsync=True`` and ``fsync_interval > 0``).
+        #: True while flushed-but-not-fsynced records exist (never
+        #: with ``fsync=False``).
         self.dirty = False
         #: compaction floor: every sequence number <= base has been
         #: rewritten out of the log (covered by a persisted snapshot).
@@ -234,9 +225,9 @@ class _DurableLog:
         self._log = self.path.open("a", encoding="utf-8")
 
     def _write_data(self, data: str, durable: bool = True) -> None:
-        """Group commit: one write + flush + at most one fsync for the
-        whole pre-rendered batch of lines — no fsync, and nothing
-        ``dirty``, for lines that make no durability claim."""
+        """Group commit: one write + flush for the whole pre-rendered
+        batch of lines, which :meth:`sync` then owes an fsync — nothing
+        ``dirty`` for lines that make no durability claim."""
         if not data:
             return
         self._log.write(data)
@@ -244,38 +235,24 @@ class _DurableLog:
         self.bytes_written += len(data)
         if durable and self.fsync:
             self.dirty = True
-            self._maybe_fsync()
-
-    def _maybe_fsync(self) -> None:
-        now = time.monotonic()
-        if (
-            self.fsync_interval > 0
-            and now - self._last_fsync < self.fsync_interval
-        ):
-            return  # rate-limited: the next append inside the window rides free
-        self._do_fsync()
-
-    def _do_fsync(self) -> None:
-        started = time.monotonic()
-        os.fsync(self._log.fileno())
-        now = time.monotonic()
-        self.fsync_count += 1
-        self.fsync_seconds += now - started
-        self._last_fsync = now
-        self.dirty = False
 
     def sync(self) -> bool:
-        """Force a covering fsync of any unsynced records.
+        """Fsync the log if it holds unsynced records — the only place
+        one is issued.
 
-        Must be called before a durability claim is made about records
-        written inside the ``fsync_interval`` window — before a channel
-        ack is sent upstream, and before a client commit ack.  Returns
-        True when an fsync actually ran (False: nothing was dirty, or
-        the log is non-durable by configuration).
+        Must be called before a durability claim is made about anything
+        written since the last call — before a channel ack is sent
+        upstream, and before a client commit ack.  Returns True when an
+        fsync actually ran (False: nothing was dirty, or the log is
+        non-durable by configuration).
         """
-        if not self.fsync or not self.dirty:
+        if not self.dirty:
             return False
-        self._do_fsync()
+        started = time.monotonic()
+        os.fsync(self._log.fileno())
+        self.fsync_count += 1
+        self.fsync_seconds += time.monotonic() - started
+        self.dirty = False
         return True
 
     def _fsync_dir(self) -> None:
@@ -393,8 +370,7 @@ class _DurableLog:
     def close(self) -> None:
         if self._log is not None and not self._log.closed:
             self._log.flush()
-            if self.fsync:
-                self._do_fsync()
+            self.sync()
             self._log.close()
 
 
@@ -402,13 +378,8 @@ class DurableOutbox(_DurableLog):
     """A replica's replication log: every MSet it originates, logged
     once, with one cursor per peer into it."""
 
-    def __init__(
-        self,
-        path: pathlib.Path,
-        fsync: bool = False,
-        fsync_interval: float = 0.0,
-    ) -> None:
-        super().__init__(path, fsync, fsync_interval)
+    def __init__(self, path: pathlib.Path, fsync: bool = False) -> None:
+        super().__init__(path, fsync)
         self._seq = 0
         #: peer -> highest sequence number it cumulatively acknowledged.
         self._cursors: Dict[str, int] = {}
@@ -482,7 +453,8 @@ class DurableOutbox(_DurableLog):
         payloads: Sequence[Any],
         blobs: Optional[Sequence[bytes]] = None,
     ) -> List[int]:
-        """Group-commit append: one write + fsync for the whole batch.
+        """Group-commit append: one write for the whole batch, which
+        the caller's ``sync()`` makes durable.
 
         Returns the assigned sequence numbers, contiguous and in
         payload order.  ``blobs`` (parallel to ``payloads``) carries
@@ -709,13 +681,8 @@ class DurableOutbox(_DurableLog):
 class DurableInbox(_DurableLog):
     """Receiver half of one durable (src, dst) channel."""
 
-    def __init__(
-        self,
-        path: pathlib.Path,
-        fsync: bool = False,
-        fsync_interval: float = 0.0,
-    ) -> None:
-        super().__init__(path, fsync, fsync_interval)
+    def __init__(self, path: pathlib.Path, fsync: bool = False) -> None:
+        super().__init__(path, fsync)
         #: highest sequence number durably recorded, contiguous from
         #: ``base + 1`` (``base`` is 0 for a never-compacted log).
         self.frontier = 0
@@ -757,7 +724,7 @@ class DurableInbox(_DurableLog):
         ``items`` must start at ``frontier + 1`` and be gap-free; the
         caller (the batch receive path) filters duplicates and stops at
         the first gap before calling.  The whole batch lands with one
-        write + flush + fsync.  ``blobs`` (parallel to ``items``)
+        write + flush.  ``blobs`` (parallel to ``items``)
         carries the payloads' wire bytes as received — a binary batch
         is logged without one ``json.dumps``.  Returns the number
         recorded.
@@ -836,10 +803,12 @@ class GrantLog(_DurableLog):
         )
 
     def grant(self, next_token: int, epoch: int) -> None:
-        """Durably move the counter up to ``next_token``."""
+        """Durably move the counter up to ``next_token``: synced before
+        returning, since the caller hands the token out at once."""
         self.next, self._epoch = next_token, epoch
         self._write_data(self._line())
         self._lines += 1
+        self.sync()
 
     def fold(self) -> None:
         """Replace the accumulated lines with the last one, atomically."""

@@ -268,10 +268,7 @@ class LiveEngine:
         )
 
     def attach_storage(
-        self,
-        data_dir: pathlib.Path,
-        fsync: bool = False,
-        fsync_interval: float = 0.0,
+        self, data_dir: pathlib.Path, fsync: bool = False
     ) -> None:
         """Open method-owned durable state under the site's data dir.
 
@@ -372,21 +369,18 @@ class LiveEngine:
     def pop_read_results(self, tid: Any) -> Dict[str, Any]:
         return self.read_results.pop(tid, {})
 
-    async def fully_acked(self, tid: Any, keys: Sequence[str]) -> None:
-        """Every peer durably holds this local update's MSet."""
-
     async def fully_acked_many(
         self, items: Sequence[Tuple[Any, Sequence[str]]]
     ) -> None:
-        """Batch form of :meth:`fully_acked` for cumulative acks.
+        """Every peer durably holds these local updates' MSets, given
+        as (tid, keys) pairs.
 
         One peer ack can retire a whole send window of local updates;
         methods with per-update obligations override this to release
         them under a single lock acquisition instead of thrashing
-        blocked queries awake once per retired update.
+        blocked queries awake once per retired update.  No-op for
+        methods without any.
         """
-        for tid, keys in items:
-            await self.fully_acked(tid, keys)
 
     async def hold_counters(self, mset: MSet) -> None:
         """Re-assert the divergence obligation of a still-unacked local
@@ -554,7 +548,7 @@ class CommuLiveEngine(LiveEngine):
         CommutativeOperations.check_commutative(make_et(list(ops)))
 
     def _accept_locked(self, mset: MSet, local: bool) -> List[MSet]:
-        # Held until every peer durably acks (fully_acked).
+        # Held until every peer durably acks (fully_acked_many).
         held = local and self.state.raise_counters(mset.tid, mset.keys)
         # History is for the queries already reading: one that starts
         # later cannot see this apply as a mixed observation.
@@ -582,11 +576,6 @@ class CommuLiveEngine(LiveEngine):
     def _release(self, tid: Any, keys: Sequence[str]) -> None:
         if self.state.release_counters(tid, keys):
             self._unpin(tid)
-
-    async def fully_acked(self, tid: Any, keys: Sequence[str]) -> None:
-        async with self.cond:
-            self._release(tid, keys)
-            self.cond.notify_all()
 
     async def fully_acked_many(
         self, items: Sequence[Tuple[Any, Sequence[str]]]
@@ -1233,15 +1222,10 @@ class CompeLiveEngine(CommuLiveEngine):
         )
 
     def attach_storage(
-        self,
-        data_dir: pathlib.Path,
-        fsync: bool = False,
-        fsync_interval: float = 0.0,
+        self, data_dir: pathlib.Path, fsync: bool = False
     ) -> None:
         self._clog = CompensationLog(
-            pathlib.Path(data_dir) / "compensation.log",
-            fsync=fsync,
-            fsync_interval=fsync_interval,
+            pathlib.Path(data_dir) / "compensation.log", fsync=fsync
         )
 
     def close(self) -> None:

@@ -41,6 +41,10 @@ fall back per-connection with no configuration.  Frames are
 self-describing (the length-word bit), so a mid-stream switch is
 safe.
 
+Writes are per turn, not per frame: a :class:`FrameWriter` buffers
+whatever one event-loop turn sends on a connection — replies, acks,
+requests, in either codec — and hands it to the socket in one write.
+
 Wire format vs durable-log format: the binary codec exists **only on
 the wire**.  Durable queue records (:mod:`repro.live.durable_queue`)
 stay JSON lines regardless of the negotiated codec, so channel logs
@@ -78,6 +82,7 @@ __all__ = [
     "WIRE_BIN1",
     "SUPPORTED_WIRES",
     "ProtocolError",
+    "FrameWriter",
     "encode_frame",
     "read_frame",
     "write_frame",
@@ -215,6 +220,85 @@ async def write_encoded(
         return
     writer.write(b"".join(chunks))
     await writer.drain()
+
+
+class FrameWriter:
+    """Everything one loop turn writes to a connection, as one socket
+    write.
+
+    :meth:`write` (encoded bytes) and :meth:`send` (a JSON frame)
+    append to one ordered buffer, and the first of a turn schedules a
+    ``call_soon`` flush that hands the whole buffer to the transport in
+    a single ``write``: a turn's frames leave in call order, whichever
+    coroutine wrote them and whichever codec they are in.  Nothing
+    bounds the batch — no size cap, no timer: it is what the turn
+    produced, so a lone frame waits for nothing but the end of its
+    turn.
+
+    A frame may carry a *waiter*, a future that is failed if the frame
+    never reaches the transport (the connection was closing when the
+    turn ended, or the write raised): exactly the requests a lost
+    buffer carried fail, and no one else.
+
+    Back-pressure is :meth:`drain`: a producer that awaits it after
+    writing stops while the transport is paused.  However many do, at
+    most one of them is inside ``StreamWriter.drain()`` at a time —
+    Python 3.9 and 3.10 assert on a second waiter while paused.
+    """
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self._writer = writer
+        self._loop = asyncio.get_running_loop()
+        self._frames: List[bytes] = []
+        self._waiters: List["asyncio.Future[Any]"] = []
+        #: set while some coroutine is inside ``StreamWriter.drain()``.
+        self._draining: Optional["asyncio.Future[None]"] = None
+
+    def write(
+        self, data: bytes, waiter: Optional["asyncio.Future[Any]"] = None
+    ) -> None:
+        """Queue one complete encoded frame for this turn's write."""
+        if not self._frames:
+            self._loop.call_soon(self._flush)
+        self._frames.append(data)
+        if waiter is not None:
+            self._waiters.append(waiter)
+
+    def send(
+        self,
+        obj: Dict[str, Any],
+        waiter: Optional["asyncio.Future[Any]"] = None,
+    ) -> None:
+        """Queue one JSON frame for this turn's write."""
+        self.write(encode_frame(obj), waiter)
+
+    def _flush(self) -> None:
+        frames, self._frames = self._frames, []
+        waiters, self._waiters = self._waiters, []
+        try:
+            if self._writer.transport.is_closing():
+                raise ConnectionResetError("connection lost before the write")
+            self._writer.write(b"".join(frames))
+        except (ConnectionError, OSError) as exc:
+            for waiter in waiters:
+                if not waiter.done():
+                    waiter.set_exception(exc)
+
+    async def drain(self) -> None:
+        """Return once the transport takes more; at once unless it is
+        holding bytes the kernel would not."""
+        while self._draining is not None:
+            # Shielded: a cancelled waiter must not cancel the future
+            # every other waiter is parked on.
+            await asyncio.shield(self._draining)
+        if not self._writer.transport.get_write_buffer_size():
+            return
+        self._draining = self._loop.create_future()
+        try:
+            await self._writer.drain()
+        finally:
+            draining, self._draining = self._draining, None
+            draining.set_result(None)
 
 
 # -- wire negotiation --------------------------------------------------------

@@ -18,6 +18,12 @@ engine and resumes its outbound channels from their cursors, so
 acknowledged updates are never lost and peers' retries are deduplicated
 by channel sequence number.
 
+Commit hot path (batched at the loop turn, no knob): the updates one
+event-loop turn delivers commit as one *group* — one log append, one
+fsync, one engine-lock acquisition (:meth:`ReplicaServer._commit_local`)
+— and everything a turn writes back on a connection leaves in one
+socket write (:class:`~repro.live.protocol.FrameWriter`).
+
 Propagation hot path (batched + pipelined): each peer channel drains
 its backlog into multi-MSet ``mset-batch`` frames (up to ``batch_size``
 MSets each, written as one buffered burst) and keeps up to ``window``
@@ -25,11 +31,12 @@ batches in flight instead of stop-and-waiting on each acknowledgement.
 Acks are *cumulative* — ``ack.seq`` covers every channel sequence
 number ``<= seq`` — so one reply retires a whole window and the
 peer's cursor moves in one step.  The receive side records a batch with
-one group-commit append (single write + fsync) and applies it under
-one engine-lock acquisition; backpressure is structural: a receiver
-does not read the next frame from a connection until the current
-batch is durable and applied, so a fast sender fills TCP flow control
-(bounded by ``window`` batches) instead of the receiver's memory.
+one group-commit append (single write, one fsync before its ack) and
+applies it under one engine-lock acquisition; backpressure is
+structural: a receiver does not read the next frame from a connection
+until the current batch is durable and applied, so a fast sender fills
+TCP flow control (bounded by ``window`` batches) instead of the
+receiver's memory.
 
 Wire codec negotiation (``wire`` option): with the default
 ``wire="bin1"`` a channel sender advertises the binary codec on its
@@ -92,7 +99,17 @@ import logging
 import pathlib
 import random
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..core.operations import is_write
 from ..obs.registry import (
@@ -113,6 +130,7 @@ from .protocol import (
     SUPPORTED_WIRES,
     WIRE_BIN1,
     WIRE_JSON,
+    FrameWriter,
     ProtocolError,
     decode_batch_frame,
     decode_mset,
@@ -245,7 +263,6 @@ class ReplicaServer:
         batch_size: int = 32,
         window: int = 4,
         wire: str = WIRE_BIN1,
-        fsync_interval: float = 0.0,
         snapshot_interval: float = 0.0,
         backlog_limit: int = 0,
         catchup: bool = True,
@@ -295,9 +312,6 @@ class ReplicaServer:
         if wire not in (WIRE_BIN1, WIRE_JSON):
             raise ValueError("unknown wire codec %r" % (wire,))
         self.wire = wire
-        #: min seconds between fsyncs on each durable log (0 = every
-        #: group append) — only meaningful with ``fsync=True``.
-        self.fsync_interval = fsync_interval
         #: seconds between automatic snapshots (0 = manual only).
         self.snapshot_interval = float(snapshot_interval)
         #: per-channel durable backlog above which client updates are
@@ -421,6 +435,16 @@ class ReplicaServer:
         #: snapshot taken between an inbox record and its engine apply
         #: would claim a frontier whose effects it does not contain.
         self._apply_lock = asyncio.Lock()
+        #: the group commit's waiting members — (MSet maker, order
+        #: token, result future) — and whether one of them is leading.
+        self._commit_queue: List[
+            Tuple[
+                Callable[[str], MSet],
+                Optional[Tuple[int, int]],
+                asyncio.Future,
+            ]
+        ] = []
+        self._commit_leader = False
         #: serializes snapshot capture/compaction/install.
         self._snapshot_lock = asyncio.Lock()
         self._snapshot_store = SnapshotStore(
@@ -495,6 +519,12 @@ class ReplicaServer:
             "batch_msets",
             "MSets coalesced into each outbound propagation frame",
             buckets=DEFAULT_SIZE_BUCKETS,
+        )
+        self.m_commit_group = reg.histogram(
+            "commit_group_msets",
+            "locally originated MSets committed by each group commit "
+            "(one log append and one fsync per group)",
+            buckets=(1, 2, 4, 8, 16, 32, 64),
         )
         self.m_channel_errors = reg.counter(
             "channel_errors_total",
@@ -638,7 +668,7 @@ class ReplicaServer:
         """
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.log = DurableOutbox(
-            self.data_dir / "replication.log", self.fsync, self.fsync_interval
+            self.data_dir / "replication.log", self.fsync
         )
         for peer in self.peer_names:
             self._open_channel(peer)
@@ -656,9 +686,7 @@ class ReplicaServer:
         self.m_leader_epoch.set(self.election.epoch)
         # Method-owned durable state (COMPE's compensation log) opens
         # before recovery so replay finds its dedup maps loaded.
-        self.engine.attach_storage(
-            self.data_dir, self.fsync, self.fsync_interval
-        )
+        self.engine.attach_storage(self.data_dir, self.fsync)
         await self._recover()
         self._running = True
         self._server = await asyncio.start_server(
@@ -679,9 +707,7 @@ class ReplicaServer:
         end and owes the peer a ``peer-reset``: it snapshot-installs
         that history instead of replaying it through the channel."""
         self.inboxes[peer] = DurableInbox(
-            self.data_dir / "inbox" / ("%s.log" % peer),
-            self.fsync,
-            self.fsync_interval,
+            self.data_dir / "inbox" / ("%s.log" % peer), self.fsync
         )
         if (
             self.log.add_cursor(peer)
@@ -1793,21 +1819,13 @@ class ReplicaServer:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        write_lock = asyncio.Lock()
-        # Per-connection negotiated codec for frames *we* send back on
-        # this socket (acks).  Flips to binary when the peer's hello
-        # advertises a codec we also speak.
+        # Every frame *we* send back on this socket — JSON replies, raw
+        # binary acks, the hello-ack — in one ordered per-turn buffer.
+        frames = FrameWriter(writer)
+        # Per-connection negotiated codec for those frames (acks).
+        # Flips to binary when the peer's hello advertises a codec we
+        # also speak.
         conn_wire = {"codec": WIRE_JSON}
-
-        async def send(obj: Dict[str, Any]) -> None:
-            async with write_lock:
-                await write_frame(writer, obj)
-
-        async def send_raw(data: bytes) -> None:
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()
-
         try:
             while self._running:
                 try:
@@ -1820,24 +1838,25 @@ class ReplicaServer:
                 if frame is None:
                     break
                 kind = frame.get("type")
+                if kind == "request":
+                    # Requests may block on divergence control or
+                    # commit acknowledgements: serve them concurrently.
+                    req_task = asyncio.ensure_future(
+                        self._serve_request(frame, frames)
+                    )
+                    self._conn_tasks.add(req_task)
+                    req_task.add_done_callback(self._conn_tasks.discard)
+                    continue
                 if kind in ("mset", "mset-batch"):
                     try:
                         await self._on_mset_batch_frame(
-                            frame, send, send_raw, conn_wire
+                            frame, frames, conn_wire
                         )
                     except ProtocolError:
                         self.m_frames_dropped.labels(
                             reason="malformed_mset"
                         ).inc()
                         break
-                elif kind == "request":
-                    # Requests may block on divergence control or
-                    # commit acknowledgements: serve them concurrently.
-                    req_task = asyncio.ensure_future(
-                        self._serve_request(frame, send)
-                    )
-                    self._conn_tasks.add(req_task)
-                    req_task.add_done_callback(self._conn_tasks.discard)
                 elif kind == "hb":
                     src = str(frame.get("src", ""))
                     self._note_peer_alive(src)
@@ -1854,7 +1873,7 @@ class ReplicaServer:
                         reply["seq"] = inbox.frontier
                     if "gossip" in frame:
                         reply["gossip"] = self._gossip_payload()
-                    await send(reply)
+                    frames.send(reply)
                 elif kind == "peer-reset":
                     # A sender compacted away records we never saw (or
                     # judged us too far behind to resend): the channel
@@ -1889,7 +1908,7 @@ class ReplicaServer:
                         # JSON.  Advertising also implies the sender
                         # can already read the codec, so acks may
                         # switch as soon as this reply is queued.
-                        await send(
+                        frames.send(
                             {
                                 "type": "hello-ack",
                                 "src": self.name,
@@ -1899,11 +1918,14 @@ class ReplicaServer:
                     self.m_wire_negotiations.labels(
                         wire_codec=choice or WIRE_JSON
                     ).inc()
-                    continue
                 else:
-                    await send(
+                    frames.send(
                         {"type": "error", "error": "unknown frame %r" % kind}
                     )
+                # Frames answered inline are not read faster than their
+                # answers are taken: a peer that stopped reading its
+                # acks fills TCP flow control, not this buffer.
+                await frames.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -1914,9 +1936,8 @@ class ReplicaServer:
     async def _on_mset_batch_frame(
         self,
         frame: Dict[str, Any],
-        send,
-        send_raw=None,
-        conn_wire: Optional[Dict[str, str]] = None,
+        frames: FrameWriter,
+        conn_wire: Dict[str, str],
     ) -> None:
         """Receive one ``mset``/``mset-batch`` frame (JSON or binary)
         from a peer.
@@ -2001,18 +2022,14 @@ class ReplicaServer:
             await self._notify_drain()
         # The cumulative ack is a durability claim over everything
         # <= frontier: the sender will move our cursor on receipt.
-        # Records written inside the fsync_interval window must be
-        # fsynced before that claim leaves this process, or a crash
-        # here would lose them from both ends of the channel.
+        # The batch is written but not yet fsynced; it must be before
+        # that claim leaves this process, or a crash here would lose
+        # it from both ends of the channel.
         inbox.sync()
-        if (
-            send_raw is not None
-            and conn_wire is not None
-            and conn_wire.get("codec") == WIRE_BIN1
-        ):
-            await send_raw(encode_bin_ack_frame(inbox.frontier))
+        if conn_wire.get("codec") == WIRE_BIN1:
+            frames.write(encode_bin_ack_frame(inbox.frontier))
         else:
-            await send({"type": "ack", "seq": inbox.frontier})
+            frames.send({"type": "ack", "seq": inbox.frontier})
 
     def _resolve_applied(self, applied: List[MSet]) -> None:
         """Applying remote MSets can release held-back local ones."""
@@ -2513,7 +2530,9 @@ class ReplicaServer:
 
     # -- request serving -------------------------------------------------------
 
-    async def _serve_request(self, frame: Dict[str, Any], send) -> None:
+    async def _serve_request(
+        self, frame: Dict[str, Any], frames: FrameWriter
+    ) -> None:
         rid = frame.get("id")
         verb = frame.get("verb")
         try:
@@ -2523,7 +2542,7 @@ class ReplicaServer:
                 raise ValueError("unknown verb %r" % verb)
             body = await handler(frame)
             self.m_requests.labels(verb=str(verb), outcome="ok").inc()
-            await send({"type": "response", "id": rid, "ok": True, **body})
+            frames.send({"type": "response", "id": rid, "ok": True, **body})
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # surfaced to the client, not fatal
@@ -2541,10 +2560,7 @@ class ReplicaServer:
             extra = getattr(exc, "extra", None)
             if isinstance(extra, dict):
                 response.update(extra)
-            try:
-                await send(response)
-            except (ConnectionError, OSError):
-                pass
+            frames.send(response)
 
     async def _handle_ping(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         return {"site": self.name, "method": self.engine.method_name}
@@ -3085,28 +3101,14 @@ class ReplicaServer:
         if self.engine.needs_order:
             order = await self._acquire_order()
 
-        # The tid-assign -> record -> append -> apply region runs under
-        # the apply lock so a concurrent snapshot never captures a
-        # frontier whose engine effects it lacks (commit waits happen
-        # after release).
-        async with self._apply_lock:
-            if order is not None and hasattr(self.engine, "order_admissible"):
-                if not self.engine.order_admissible(order):
-                    # The granting leader was deposed between the grant
-                    # and our durable record: refuse *before* any log
-                    # append, so a fenced update is never client-acked.
-                    self.m_updates_rejected.labels(reason="fenced").inc()
-                    raise Unavailable(
-                        "order token %r fenced by a newer leadership epoch"
-                        % (list(order),)
-                    )
-            tid = "%s:%d" % (self.name, self.log.assigned + 1)
-            info_items = []
-            if read_keys:
-                info_items.append(("reads", read_keys))
-            if saga is not None:
-                info_items.append(("saga", saga))
-            info = tuple(info_items)
+        info_items = []
+        if read_keys:
+            info_items.append(("reads", read_keys))
+        if saga is not None:
+            info_items.append(("saga", saga))
+        info = tuple(info_items)
+
+        def make(tid: str) -> MSet:
             # The engine owns local MSet construction: RITU stamps the
             # writes with its Lamport clock here, RITU-MV additionally
             # turns the order token into the global transaction number.
@@ -3114,15 +3116,11 @@ class ReplicaServer:
             self.trace.event(
                 "update-submit", tid=tid, keys=list(mset.keys)
             )
-            loop = asyncio.get_event_loop()
-            if self.engine.needs_order:
-                self._apply_futures[tid] = loop.create_future()
-            if self.engine.sync_commit and self.peer_names:
-                self._full_ack_futures[tid] = loop.create_future()
-            applied = await self._commit_local(mset)
-        self.trace.event(
-            "update-apply", tid=tid, held=(mset not in applied)
-        )
+            return mset
+
+        mset, held = await self._commit_local(make, order)
+        tid = mset.tid
+        self.trace.event("update-apply", tid=tid, held=held)
 
         if self.engine.needs_order:
             # Commit once the update executes at its origin in global
@@ -3154,7 +3152,6 @@ class ReplicaServer:
                 await self._emit_decision(tid, "commit")
                 decided = "commit"
         values = self.engine.pop_read_results(tid)
-        await self._notify_drain()
         body = {"tid": tid, "values": values}
         if decided is not None:
             body["decided"] = decided
@@ -3162,27 +3159,146 @@ class ReplicaServer:
             body["saga"] = saga
         return body
 
-    async def _commit_local(self, mset: MSet) -> List[MSet]:
+    async def _commit_local(
+        self,
+        make: Callable[[str], MSet],
+        order: Optional[Tuple[int, int]] = None,
+    ) -> Tuple[MSet, bool]:
         """Put one locally originated MSet — an update or a COMPE
-        decision — in the stable queues and apply it at its origin;
-        the caller holds the apply lock and numbered the MSet
-        ``log.assigned + 1``.  Returns what the engine applied.
+        decision — in the stable queues and apply it at its origin,
+        as one member of a *group commit*.  ``make`` builds the MSet
+        from the tid the group gives it; returns the MSet and whether
+        the engine held it back instead of applying it now.
 
-        Durability before acknowledgement: the MSet is serialised once
-        and appended once — the same bytes are the log line and, on a
-        binary channel, what every peer is sent — and ``sync()`` closes
-        the ``fsync_interval`` window: nothing may be reported committed
-        while its record is still unsynced.
+        A group is whatever one loop turn delivered; nothing else
+        bounds it.  Callers join a queue.  The first to find no leader
+        leads: it yields once, so the rest of the burst that arrived
+        with it can join, then — under one apply-lock hold, so a
+        snapshot never captures a frontier whose engine effects it
+        lacks — commits group after group until the queue is empty.
+        A member that joins while a group is in the engine rides the
+        next one; the lock is never handed from update to update.
+
+        One group, in order: a member whose ``order`` token a newer
+        leadership epoch fenced is refused alone, *before* any append,
+        so it is never client-acked and leaves no gap; the survivors
+        are numbered ``log.assigned + 1 ...`` in queue order (the log
+        position *is* the tid), built, serialised once — the same
+        bytes are the log line and, on a binary channel, what every
+        peer is sent — and get their commit futures; then one
+        ``append_many``, one ``sync()``, one ``accept_batch``, one
+        kick of the channel senders, one drain notification.
+
+        Durability before acknowledgement: a member's future resolves
+        only after its group's ``sync()`` returned, and an exception
+        anywhere in the group reaches every member still waiting.
+
+        Obligations before releases: ``append_many`` shows the records
+        to a channel sender that is already awake, so a peer's ack for
+        them can be on its way before the group has been applied.  The
+        whole group therefore enters the engine through *one*
+        ``accept_batch`` call, made in the same synchronous step as the
+        append: it queues on the engine's FIFO lock ahead of any
+        ``fully_acked_many`` those acks bring, exactly as the single
+        ``accept`` of a lone update would.  One ``accept`` per member
+        lets an ack in between two of them whenever an accept suspends
+        — an obligation released before it was raised is then held
+        forever, and ``settle`` hangs.
         """
-        payload = {"mset": encode_mset(mset)}
-        self.log.append(payload, blob=payload_blob(payload))
-        self.log.sync()
-        applied = await self.engine.accept(mset, local=True)
-        self._resolve_applied(applied)
-        self._kick_channels()
-        if not self.peer_names:
-            await self.engine.fully_acked(mset.tid, mset.keys)
-        return applied
+        loop = asyncio.get_event_loop()
+        mine: asyncio.Future = loop.create_future()
+        self._commit_queue.append((make, order, mine))
+        if self._commit_leader:
+            return await mine
+        self._commit_leader = True
+        engine = self.engine
+        await_apply = engine.needs_order
+        await_acks = engine.sync_commit and bool(self.peer_names)
+        try:
+            await asyncio.sleep(0)
+            async with self._apply_lock:
+                while self._commit_queue:
+                    group, self._commit_queue = self._commit_queue, []
+                    try:
+                        seq = self.log.assigned
+                        waiting = []
+                        msets: List[MSet] = []
+                        payloads = []
+                        for build, token, fut in group:
+                            if fut.done():
+                                continue  # its caller was cancelled
+                            if token is not None and self._fenced(token):
+                                fut.set_exception(
+                                    Unavailable(
+                                        "order token %r fenced by a newer "
+                                        "leadership epoch" % (list(token),)
+                                    )
+                                )
+                                continue
+                            seq += 1
+                            mset = build("%s:%d" % (self.name, seq))
+                            if await_apply:
+                                self._apply_futures[mset.tid] = (
+                                    loop.create_future()
+                                )
+                            if await_acks:
+                                self._full_ack_futures[mset.tid] = (
+                                    loop.create_future()
+                                )
+                            waiting.append(fut)
+                            msets.append(mset)
+                            payloads.append({"mset": encode_mset(mset)})
+                        if not msets:
+                            continue
+                        self.log.append_many(
+                            payloads, blobs=list(map(payload_blob, payloads))
+                        )
+                        self.log.sync()
+                        applied = await engine.accept_batch(
+                            msets, local=True
+                        )
+                        self._resolve_applied(applied)
+                        self._kick_channels()
+                        if not self.peer_names:
+                            await engine.fully_acked_many(
+                                [(mset.tid, mset.keys) for mset in msets]
+                            )
+                        self.m_commit_group.observe(len(msets))
+                        await self._notify_drain()
+                        applied_now = {mset.tid for mset in applied}
+                        for fut, mset in zip(waiting, msets):
+                            if not fut.done():
+                                fut.set_result(
+                                    (mset, mset.tid not in applied_now)
+                                )
+                    except BaseException as exc:
+                        # Whatever stopped the group stops every member
+                        # of it not yet answered (a cancelled leader
+                        # cancels them); the next group still runs.
+                        cancelled = not isinstance(exc, Exception)
+                        for _, _, fut in group:
+                            if fut.done():
+                                pass
+                            elif cancelled:
+                                fut.cancel()
+                            else:
+                                fut.set_exception(exc)
+                        if cancelled:
+                            raise
+        finally:
+            # Same step as finding the queue empty: releasing the apply
+            # lock does not yield, so no member joins in between.
+            self._commit_leader = False
+        return await mine
+
+    def _fenced(self, order: Tuple[int, int]) -> bool:
+        """True (and counted) when the leader that granted ``order``
+        was deposed between the grant and our durable record."""
+        admissible = getattr(self.engine, "order_admissible", None)
+        if admissible is None or admissible(order):
+            return False
+        self.m_updates_rejected.labels(reason="fenced").inc()
+        return True
 
     async def _emit_decision(self, target: str, outcome: str) -> str:
         """Originate a durable decision MSet for ``target``.
@@ -3191,25 +3307,27 @@ class ReplicaServer:
         *fresh* tid with ``info=(("decides", target),)``: the log
         position *is* the tid, and the update keeps its own.  The
         origin emits both the update and its decision through the same
-        log, so every replica sees update-before-decision and a
-        decision can never arrive for an update it has not logged.
+        log — the decision is only submitted once its update's group
+        has committed, so it is in a later one — and every replica
+        sees update-before-decision: a decision can never arrive for
+        an update it has not logged.
         """
         kind = MSetKind.ABORT if outcome == "abort" else MSetKind.COMMIT
-        async with self._apply_lock:
-            tid = "%s:%d" % (self.name, self.log.assigned + 1)
-            mset = MSet(
+
+        def make(tid: str) -> MSet:
+            self.trace.event(
+                "decision-submit", tid=tid, decides=target, outcome=outcome
+            )
+            return MSet(
                 tid,
                 kind,
                 (),
                 origin=self.name,
                 info=(("decides", target),),
             )
-            self.trace.event(
-                "decision-submit", tid=tid, decides=target, outcome=outcome
-            )
-            await self._commit_local(mset)
-        await self._notify_drain()
-        return tid
+
+        mset, _ = await self._commit_local(make)
+        return mset.tid
 
     async def _handle_decide(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Decide a saga (or an explicit tid list) commit or abort.

@@ -218,12 +218,18 @@ class _Family:
         self._children: Dict[Tuple[str, ...], _Child] = {}
 
     def labels(self, **labels: Any) -> Any:
-        if set(labels) != set(self.label_names):
+        names = self.label_names
+        try:
+            # One pass, no sets: a missing name is the KeyError, an
+            # extra one the length.
+            key = tuple([str(labels[name]) for name in names])
+        except KeyError:
+            key = None
+        if key is None or len(labels) != len(names):
             raise ValueError(
                 "metric %s takes labels %r, got %r"
-                % (self.name, self.label_names, tuple(sorted(labels)))
+                % (self.name, names, tuple(sorted(labels)))
             )
-        key = tuple(str(labels[n]) for n in self.label_names)
         child = self._children.get(key)
         if child is None:
             with self._lock:

@@ -6,7 +6,6 @@ import socket
 
 import pytest
 
-import repro.live.client as client_module
 from repro.live import LiveCluster, LiveETFailed
 from repro.live.client import LiveClient, RequestTimeout
 from repro.live.server import ReplicaServer
@@ -26,38 +25,67 @@ def _free_port() -> int:
 
 
 class TestFailedSendLeavesNoOrphanFuture:
-    def test_send_failure_pops_the_waiting_future(
-        self, tmp_path, monkeypatch
-    ):
+    def test_send_failure_pops_the_waiting_future(self, tmp_path):
         """A request whose send raises must not leak its future in
         ``_waiting`` (the leak would pin memory and could mismatch a
-        later response to the wrong caller)."""
+        later response to the wrong caller).  Requests are buffered and
+        written once per turn: the write that fails takes exactly the
+        requests of its turn with it."""
 
         async def scenario():
             cluster = LiveCluster(n_sites=1, method="commu", data_dir=tmp_path)
             await cluster.start()
             try:
                 client = await cluster.client("site0", reconnect=False)
-                real_write_frame = client_module.write_frame
+                writer = client._writer
+                real_write = writer.write
                 calls = {"n": 0}
 
-                async def flaky_write_frame(writer, obj):
-                    if obj.get("type") == "request":
-                        calls["n"] += 1
-                        if calls["n"] == 1:
-                            raise ConnectionResetError("boom mid-send")
-                    await real_write_frame(writer, obj)
+                def flaky_write(data):
+                    calls["n"] += 1
+                    if calls["n"] == 1:
+                        raise ConnectionResetError("boom mid-send")
+                    real_write(data)
 
-                monkeypatch.setattr(
-                    client_module, "write_frame", flaky_write_frame
+                writer.write = flaky_write
+                outcomes = await asyncio.gather(
+                    *(client.ping() for _ in range(3)),
+                    return_exceptions=True,
                 )
-                with pytest.raises(ConnectionError):
-                    await client.ping()
+                assert calls["n"] == 1  # one turn, one write
+                assert [type(o) for o in outcomes] == (
+                    [ConnectionResetError] * 3
+                )
                 assert client._waiting == {}
                 # The connection itself survived (nothing was written):
                 # the next request must work and clean up after itself.
                 reply = await client.ping()
                 assert reply["site"] == "site0"
+                assert client._waiting == {}
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_transport_dead_before_the_flush_fails_every_buffered_request(
+        self, tmp_path
+    ):
+        """The transport dies between a turn's requests being buffered
+        and its flush: every one of them fails, none is left waiting."""
+
+        async def scenario():
+            cluster = LiveCluster(n_sites=1, method="commu", data_dir=tmp_path)
+            await cluster.start()
+            try:
+                client = await cluster.client("site0", reconnect=False)
+                pings = [
+                    asyncio.ensure_future(client.ping()) for _ in range(4)
+                ]
+                await asyncio.sleep(0)  # buffered, flush still to come
+                assert len(client._waiting) == 4
+                client._writer.transport.abort()
+                outcomes = await asyncio.gather(*pings, return_exceptions=True)
+                assert all(isinstance(o, ConnectionError) for o in outcomes)
                 assert client._waiting == {}
             finally:
                 await cluster.stop()

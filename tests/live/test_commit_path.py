@@ -1,25 +1,37 @@
 """The commit path — ``ReplicaServer._commit_local`` — crashed at
-every boundary.
+every boundary, and counted.
 
-An accepted update is serialised, appended and synced once, to the
-replica's one replication log, then applied at its origin and handed
-to the channel senders.  The test kills the origin at each step of
-that sequence, with both peers partitioned away so nothing can have
+Accepted updates commit in groups: whatever one loop turn delivered is
+numbered, serialised, appended (``append_many``) and synced once, to
+the replica's one replication log, then applied at its origin
+(``accept_batch``) and handed to the channel senders.  The crash test
+kills the origin at each step of that sequence, for a group of one and
+a group of three, with both peers partitioned away so nothing can have
 been sent, and restarts it:
 
-* every update a client was told about reaches both peers exactly
-  once (and the doomed one too, exactly once, if its record had
-  reached the log — it was never acknowledged, so either is right);
+* no member of the group was acknowledged (the exception reaches all
+  of them), and every update a client *was* told about reaches both
+  peers exactly once (and the doomed group too, exactly once, if its
+  records had reached the log — never acknowledged, so either is
+  right);
 * the restarted origin charges exactly the still-unacknowledged
   updates to its queries — the one a snapshot already contains
   (``hold_counters``) and the ones replay re-applies alike — each with
   its own drift, and releases them all once the peers have them.
+
+The rest pins what a group is made of: one fsync, one log write and
+one socket write per connection for a turn's worth of updates; the
+group entering the engine ahead of any ack for it; a fenced ORDUP
+member refused alone; COMPE's decisions in a later group than their
+updates; ROWA's commit futures in place before the append.
 """
 
 import asyncio
+import json
 
 import pytest
 
+from repro.core.operations import WriteOp
 from repro.core.transactions import EpsilonSpec
 from repro.live import FaultPlan, LiveCluster, LiveETFailed
 from repro.live.engine import QueryTimeout
@@ -33,19 +45,48 @@ def _die(*args, **kwargs):
     raise _Crash
 
 
-#: boundary -> (what dies, is the doomed update's record in the log?)
+#: boundary -> (what dies, are the doomed group's records in the log?)
 BOUNDARIES = {
-    "before-append": (lambda server: (server.log, "append"), False),
+    "before-append": (lambda server: (server.log, "append_many"), False),
     "after-append-before-sync": (lambda server: (server.log, "sync"), True),
-    "after-sync-before-accept": (lambda server: (server.engine, "accept"), True),
-    "after-accept-before-send": (lambda server: (server, "_kick_channels"), True),
+    "after-sync-before-accept": (
+        lambda server: (server.engine, "accept_batch"), True,
+    ),
+    "after-accept-before-kick": (
+        lambda server: (server, "_kick_channels"), True,
+    ),
 }
 AMOUNT = 5
 
+FAST_REDIAL = {"retry_base": 0.005, "retry_max": 0.02}
 
+
+def _record_group_sizes(server, sizes):
+    """Note how many records each ``append_many`` of ``server`` takes."""
+    real = server.log.append_many
+
+    def append_many(payloads, blobs=None):
+        sizes.append(len(payloads))
+        return real(payloads, blobs=blobs)
+
+    server.log.append_many = append_many
+
+
+def _logged_msets(server):
+    """The data records of ``server``'s replication log, as (seq, mset)."""
+    lines = (server.data_dir / "replication.log").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    return [
+        (record["seq"], record["payload"]["mset"])
+        for record in records
+        if "meta" not in record
+    ]
+
+
+@pytest.mark.parametrize("group", [1, 3])
 @pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
 def test_commit_crash_loses_nothing_acked_and_charges_what_is_owed(
-    boundary, tmp_path, monkeypatch
+    boundary, group, tmp_path, monkeypatch
 ):
     target, logged = BOUNDARIES[boundary]
 
@@ -53,7 +94,7 @@ def test_commit_crash_loses_nothing_acked_and_charges_what_is_owed(
         plan = FaultPlan(0)
         cluster = LiveCluster(
             n_sites=3, method="commu", data_dir=tmp_path, faults=plan,
-            server_options={"retry_base": 0.005, "retry_max": 0.02},
+            server_options=FAST_REDIAL,
         )
         await cluster.start()
         try:
@@ -68,10 +109,28 @@ def test_commit_crash_loses_nothing_acked_and_charges_what_is_owed(
             acked = 5
 
             origin = cluster.servers["site0"]
+            sizes = []
             owner, attr = target(origin)
-            monkeypatch.setattr(owner, attr, _die)
-            with pytest.raises(LiveETFailed):
-                await client.increment("k", AMOUNT)  # site0:6 dies
+            if attr == "append_many":
+
+                def dying_append(payloads, blobs=None):
+                    sizes.append(len(payloads))
+                    raise _Crash
+
+                origin.log.append_many = dying_append
+            else:
+                _record_group_sizes(origin, sizes)
+                monkeypatch.setattr(owner, attr, _die)
+            # One connection, one turn: site0:6 ... die as one group,
+            # and no member of it is told anything but the failure.
+            doomed = await asyncio.gather(
+                *(client.increment("k", AMOUNT) for _ in range(group)),
+                return_exceptions=True,
+            )
+            assert [type(outcome) for outcome in doomed] == (
+                [LiveETFailed] * group
+            )
+            assert sizes == [group]
             monkeypatch.undo()
             await cluster.kill("site0")
             await cluster.restart("site0")
@@ -79,7 +138,9 @@ def test_commit_crash_loses_nothing_acked_and_charges_what_is_owed(
             # Still partitioned: exactly the unacknowledged updates are
             # charged, each with its own drift.
             origin = cluster.servers["site0"]
-            owed = ["site0:4", "site0:5"] + ["site0:6"] * logged
+            owed = ["site0:4", "site0:5"] + [
+                "site0:%d" % (6 + member) for member in range(group * logged)
+            ]
             engine = origin.engine
             assert engine.state.holders_of("k") == set(owed)
             assert origin.log.released_hi == 3
@@ -100,7 +161,7 @@ def test_commit_crash_loses_nothing_acked_and_charges_what_is_owed(
 
             cluster.heal()
             await cluster.settle(timeout=30)
-            total = AMOUNT * (acked + logged)
+            total = AMOUNT * (acked + group * logged)
             values = await cluster.site_values()
             assert {name: v["k"] for name, v in values.items()} == dict.fromkeys(
                 cluster.names, total
@@ -111,6 +172,270 @@ def test_commit_crash_loses_nothing_acked_and_charges_what_is_owed(
                 assert cluster.servers[name].inboxes["site0"].frontier == len(
                     owed
                 ) + 3
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+class _CountingFile:
+    """A log handle that notes what is written through it."""
+
+    def __init__(self, real, writes):
+        self._real = real
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(data)
+        return self._real.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+def test_a_turn_of_updates_costs_one_fsync_one_log_write_one_reply_write(
+    tmp_path, monkeypatch
+):
+    """16 concurrent updates on one connection are one group: one
+    ``os.fsync`` and one data write at the origin's log, and their 16
+    replies leave in at most two socket writes."""
+
+    async def scenario():
+        cluster = LiveCluster(
+            n_sites=3, method="commu", data_dir=tmp_path, fsync=True
+        )
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            await client.increment("warm", 1)
+            await cluster.settle(timeout=30)
+
+            origin = cluster.servers["site0"]
+            log_writes = []
+            origin.log._log = _CountingFile(origin.log._log, log_writes)
+            fsyncs = origin.log.fsync_count
+            reply_writes = []
+            real_write = asyncio.StreamWriter.write
+
+            def write(self, data):
+                if b'"type":"response"' in data:
+                    reply_writes.append(data.count(b'"type":"response"'))
+                return real_write(self, data)
+
+            monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+            replies = await asyncio.gather(
+                *(client.increment("k%d" % i, 1) for i in range(16))
+            )
+            monkeypatch.undo()
+            assert sorted(
+                int(reply["tid"].rpartition(":")[2]) for reply in replies
+            ) == list(range(2, 18))
+            assert origin.log.fsync_count == fsyncs + 1
+            data_writes = [w for w in log_writes if w.startswith('{"seq":')]
+            assert len(data_writes) == 1
+            assert data_writes[0].count("\n") == 16
+            assert sum(reply_writes) == 16 and len(reply_writes) <= 2
+            # The warm-up's group of one, then this group of 16.
+            groups = origin.m_commit_group
+            assert (groups.count, groups.sum) == (2, 17)
+            await cluster.settle(timeout=30)
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+def test_group_raises_its_obligations_before_any_ack_releases_them(tmp_path):
+    """Regression: the whole group enters the engine under one lock
+    acquisition, queued in the same step as the append.
+
+    ``append_many`` shows the group to the channel senders at once, so
+    the peers' cumulative ack for all of it can queue on the engine
+    lock while the group is still waiting for that lock (here: held,
+    as a waiting query holds it across a turn, until both peers have
+    acked).  Applied with one ``accept`` per member, the ack's
+    ``fully_acked_many`` runs between two members' accepts and
+    releases obligations that are raised only afterwards —
+    ``state.holders`` never empties again and ``settle`` hangs.
+    """
+
+    async def scenario():
+        plan = FaultPlan(0)
+        cluster = LiveCluster(
+            n_sites=3, method="commu", data_dir=tmp_path, faults=plan,
+            server_options=FAST_REDIAL,
+        )
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            await client.increment("hot", 1)
+            await cluster.settle(timeout=30)
+            origin = cluster.servers["site0"]
+            engine = origin.engine
+            base = origin.log.assigned
+
+            cluster.partition([["site0"], ["site1", "site2"]])
+            await engine.cond.acquire()
+            try:
+                updates = asyncio.gather(
+                    *(client.increment("hot", 1) for _ in range(16))
+                )
+                # The group is in the log, and parked at the engine.
+                for _ in range(400):
+                    if origin.log.assigned == base + 16:
+                        break
+                    await asyncio.sleep(0.005)
+                assert origin.log.assigned == base + 16
+                # A strict read of the hot key queues behind it ...
+                query = asyncio.ensure_future(
+                    engine.query(
+                        ["hot"], EpsilonSpec(import_limit=0), timeout=5.0
+                    )
+                )
+                await asyncio.sleep(0)
+                # ... and behind that, both peers' acks of the whole
+                # group at once.
+                cluster.heal()
+                for _ in range(2000):
+                    if origin.log.drained():
+                        break
+                    await asyncio.sleep(0.005)
+                assert origin.log.drained()
+                await asyncio.sleep(0.05)
+            finally:
+                engine.cond.release()
+
+            await asyncio.wait_for(updates, timeout=10)
+            # The read found the group in flight, waited in
+            # ``_wait_for_change`` and was released by the acks.
+            outcome = await asyncio.wait_for(query, timeout=10)
+            assert outcome.values == {"hot": 17}
+            assert outcome.inconsistency == 0 and outcome.waits >= 1
+            await cluster.settle(timeout=10)
+            assert engine.state.holders == {}
+            assert engine._pins == {} and engine._drift == {}
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+def test_ordup_group_refuses_a_fenced_member_alone(tmp_path):
+    """One member's token was fenced by a newer epoch: it alone is
+    refused, before any append, and the survivors' tids are gap-free
+    and are their log positions."""
+
+    async def scenario():
+        cluster = LiveCluster(n_sites=1, method="ordup", data_dir=tmp_path)
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            for _ in range(2):
+                await client.increment("k", 1)  # tokens (1, 0), (2, 0)
+            server = cluster.servers["site0"]
+            # A new leader took over at token 2: epoch-0 tokens above
+            # it are fenced.
+            server.engine.adopt_epoch(1, 2)
+            tokens = [(3, 1), (4, 0), (4, 1)]
+
+            async def next_token():
+                return tokens.pop(0)
+
+            server._acquire_order = next_token
+            sizes = []
+            _record_group_sizes(server, sizes)
+            outcomes = await asyncio.gather(
+                *(client.increment("k", 1) for _ in range(3)),
+                return_exceptions=True,
+            )
+            assert sizes == [2]
+            assert [reply["tid"] for reply in (outcomes[0], outcomes[2])] == [
+                "site0:3", "site0:4",
+            ]
+            assert isinstance(outcomes[1], LiveETFailed)
+            assert outcomes[1].code == "UNAVAILABLE"
+            assert "fenced" in str(outcomes[1])
+            assert [
+                (seq, mset["tid"], mset["order"])
+                for seq, mset in _logged_msets(server)[2:]
+            ] == [(3, "site0:3", [3, 1]), (4, "site0:4", [4, 1])]
+            assert (await client.values())["k"] == 4
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+def test_compe_decisions_commit_in_a_later_group_than_their_updates(tmp_path):
+    """An update and its decision are two trips through the commit
+    path: the decision is in a later group, after its update in the
+    log — four concurrent updates are a group of four updates, then a
+    group of their four decisions."""
+
+    async def scenario():
+        cluster = LiveCluster(n_sites=3, method="compe", data_dir=tmp_path)
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            server = cluster.servers["site0"]
+            sizes = []
+            _record_group_sizes(server, sizes)
+            replies = await asyncio.gather(
+                *(client.increment("k%d" % i, 1) for i in range(4))
+            )
+            assert sizes == [4, 4]
+            assert all(reply["decided"] == "commit" for reply in replies)
+            logged = _logged_msets(server)
+            assert [mset["kind"] for _, mset in logged] == (
+                ["update"] * 4 + ["commit"] * 4
+            )
+            position = {mset["tid"]: seq for seq, mset in logged}
+            decides = {
+                dict(map(tuple, mset["info"]))["decides"]: seq
+                for seq, mset in logged[4:]
+            }
+            assert sorted(decides) == sorted(r["tid"] for r in replies)
+            assert all(decides[tid] > position[tid] for tid in decides)
+            await cluster.settle(timeout=30)
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+def test_rowa_members_have_their_ack_futures_before_the_append(tmp_path):
+    """A peer's ack can only resolve a full-ack future that exists:
+    every member's is created before the group's records can be seen
+    by a channel sender."""
+
+    async def scenario():
+        cluster = LiveCluster(n_sites=3, method="rowa", data_dir=tmp_path)
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            server = cluster.servers["site0"]
+            seen = []
+            real = server.log.append_many
+
+            def append_many(payloads, blobs=None):
+                seen.append(
+                    [
+                        payload["mset"]["tid"] in server._full_ack_futures
+                        for payload in payloads
+                    ]
+                )
+                return real(payloads, blobs=blobs)
+
+            server.log.append_many = append_many
+            replies = await asyncio.gather(
+                *(client.update([WriteOp("k%d" % i, i)]) for i in range(3))
+            )
+            assert seen == [[True, True, True]]
+            assert sorted(r["tid"] for r in replies) == [
+                "site0:1", "site0:2", "site0:3",
+            ]
+            assert server._full_ack_futures == {}
+            await cluster.settle(timeout=30)
         finally:
             await cluster.stop()
 

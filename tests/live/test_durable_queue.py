@@ -261,18 +261,6 @@ class TestGroupCommit:
         assert len((tmp_path / "peer.log").read_text().splitlines()) == 1
         inbox.close()
 
-    def test_fsync_interval_rate_limits(self, tmp_path):
-        """With a long interval only the first group append syncs; the
-        queue keeps working and stays durable via flush."""
-        outbox = _outbox(tmp_path / "peer.log", fsync=True, fsync_interval=3600.0)
-        outbox.append_many(["a", "b"])
-        outbox.append_many(["c", "d"])
-        outbox.close()  # close fsyncs unconditionally
-
-        reloaded = _outbox(tmp_path / "peer.log")
-        assert [seq for seq, _ in reloaded.pending(PEER)] == [1, 2, 3, 4]
-        reloaded.close()
-
 
 class TestCumulativeAck:
     def test_ack_through_truncates_covered_range(self, tmp_path):
@@ -396,15 +384,18 @@ class TestChannelContract:
 
 
 class TestFsyncWindow:
-    """The fsync_interval rate limit must never weaken a durability
-    claim: ``sync()`` closes the window before any acknowledgement."""
+    """Written is not yet durable: an append leaves the log dirty and
+    ``sync()`` — the one fsync site — closes the window before any
+    acknowledgement."""
 
     def test_appends_inside_window_leave_log_dirty(self, tmp_path):
-        outbox = _outbox(tmp_path / "out.log", fsync=True, fsync_interval=3600.0)
-        outbox.append("a")  # may ride the initial fsync or not;
-        outbox.append("b")  # a second append inside the window cannot.
+        outbox = _outbox(tmp_path / "out.log", fsync=True)
+        outbox.append("a")
+        outbox.append("b")
         assert outbox.dirty
+        assert outbox.fsync_count == 0  # however many appends: none yet
         assert outbox.sync() is True
+        assert outbox.fsync_count == 1  # ... and one covers them all
         assert not outbox.dirty
         # Nothing new since the forced fsync: sync is now a no-op.
         assert outbox.sync() is False
@@ -418,9 +409,7 @@ class TestFsyncWindow:
         monkeypatch.setattr(
             dq.os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))
         )
-        inbox = DurableInbox(
-            tmp_path / "in.log", fsync=True, fsync_interval=3600.0
-        )
+        inbox = DurableInbox(tmp_path / "in.log", fsync=True)
         baseline = len(calls)
         inbox.record(1, "a")
         inbox.record(2, "b")
@@ -441,21 +430,23 @@ class TestFsyncWindow:
     def test_observability_counters_accumulate(self, tmp_path):
         outbox = _outbox(tmp_path / "out.log", fsync=True)
         outbox.append({"k": 1})
+        outbox.sync()
         outbox.append_many([{"k": 2}, {"k": 3}])
-        assert outbox.fsync_count >= 2  # one per group append
+        outbox.sync()
+        assert outbox.fsync_count == 2  # one per synced group append
         assert outbox.fsync_seconds >= 0.0
         assert outbox.bytes_written > 0
         outbox.close()
 
     def test_close_syncs_dirty_tail(self, tmp_path):
         path = tmp_path / "out.log"
-        outbox = _outbox(path, fsync=True, fsync_interval=3600.0)
+        outbox = _outbox(path, fsync=True)
         outbox.append("a")
         outbox.append("b")
         before = outbox.fsync_count
-        dirty = outbox.dirty
+        assert outbox.dirty
         outbox.close()
-        assert not dirty or outbox.fsync_count > before
+        assert outbox.fsync_count == before + 1
         assert not outbox.dirty
 
 
@@ -593,6 +584,7 @@ class TestAckMarker:
     def test_marker_is_flushed_but_never_fsynced(self, tmp_path):
         outbox = _outbox(tmp_path / "peer.log", fsync=True)
         outbox.append_many(list("ab"))
+        outbox.sync()
         fsyncs = outbox.fsync_count
         outbox.ack_through(PEER, 2)
         assert outbox.fsync_count == fsyncs

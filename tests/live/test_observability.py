@@ -237,16 +237,14 @@ class TestSettleErrorAttribution:
 
 class TestFsyncWindowDurabilityClaims:
     def test_no_dirty_log_behind_any_ack(self, tmp_path):
-        """Regression for the fsync_interval crash window: with a huge
-        interval, records written inside the window used to be acked
-        (to clients and to peers) before any covering fsync.  Now every
-        ack path forces ``sync()`` first, so no log an acknowledgement
-        depends on may be dirty once the ack is out."""
+        """Regression for the written-not-yet-synced window: an append
+        only writes, so between it and the ``sync()`` that follows the
+        log is dirty.  Every ack path (to clients and to peers) forces
+        ``sync()`` first, so no log an acknowledgement depends on may
+        be dirty once the ack is out."""
 
         async def scenario():
-            cluster = await _booted(
-                tmp_path, fsync=True, fsync_interval=3600.0
-            )
+            cluster = await _booted(tmp_path, fsync=True)
             try:
                 client = await cluster.client("site0")
                 for i in range(5):
@@ -267,9 +265,7 @@ class TestFsyncWindowDurabilityClaims:
 
     def test_fsync_metrics_exposed(self, tmp_path):
         async def scenario():
-            cluster = await _booted(
-                tmp_path, fsync=True, fsync_interval=0.0
-            )
+            cluster = await _booted(tmp_path, fsync=True)
             try:
                 client = await cluster.client("site0")
                 await client.increment("x", 1)

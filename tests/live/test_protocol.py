@@ -23,6 +23,7 @@ from repro.live.protocol import (
     MAX_FRAME,
     SUPPORTED_WIRES,
     WIRE_BIN1,
+    FrameWriter,
     ProtocolError,
     decode_batch_frame,
     decode_bin_frame,
@@ -654,3 +655,238 @@ class TestCodecProperties:
             except ProtocolError:
                 continue
             assert frame is None or isinstance(frame, dict)
+
+
+class _Transport:
+    def __init__(self):
+        self.closing = False
+        self.buffered = 0
+
+    def is_closing(self):
+        return self.closing
+
+    def get_write_buffer_size(self):
+        return self.buffered
+
+
+class _Sink:
+    """The part of a ``StreamWriter`` a :class:`FrameWriter` uses."""
+
+    def __init__(self):
+        self.transport = _Transport()
+        self.chunks = []
+
+    def write(self, data):
+        self.chunks.append(data)
+
+    async def drain(self):
+        pass
+
+
+class TestFrameWriter:
+    """One socket write per connection per loop turn."""
+
+    def test_one_turn_is_one_write_in_call_order(self):
+        """A JSON reply, a raw bin1 ack and a hello-ack written in one
+        turn leave as one transport write, in the order written."""
+        reply = {"type": "response", "id": 1, "ok": True}
+        hello_ack = {"type": "hello-ack", "src": "s0", "wire": WIRE_BIN1}
+
+        async def scenario():
+            sink = _Sink()
+            frames = FrameWriter(sink)
+            frames.send(reply)
+            frames.write(encode_bin_ack_frame(9))
+            frames.send(hello_ack)
+            frames.write(encode_bin_ack_frame(10))
+            assert sink.chunks == []  # nothing before the turn ends
+            await asyncio.sleep(0)
+            assert len(sink.chunks) == 1
+            reader = _feed(sink.chunks[0])
+            return [await read_frame(reader) for _ in range(5)]
+
+        assert asyncio.run(scenario()) == [
+            reply,
+            {"type": "ack", "seq": 9},
+            hello_ack,
+            {"type": "ack", "seq": 10},
+            None,
+        ]
+
+    def test_two_turns_are_two_writes(self):
+        async def scenario():
+            sink = _Sink()
+            frames = FrameWriter(sink)
+            frames.send({"i": 0})
+            frames.send({"i": 1})
+            await asyncio.sleep(0)
+            frames.send({"i": 2})
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)  # an idle turn writes nothing
+            return sink.chunks
+
+        assert asyncio.run(scenario()) == [
+            encode_frame({"i": 0}) + encode_frame({"i": 1}),
+            encode_frame({"i": 2}),
+        ]
+
+    def test_encodes_through_the_module_level_encode_frame(
+        self, monkeypatch
+    ):
+        """The benchmark's tracer swaps ``protocol.encode_frame`` by
+        name: the writer must look it up at call time."""
+        import repro.live.protocol as protocol
+
+        seen = []
+        real = protocol.encode_frame
+        monkeypatch.setattr(
+            protocol, "encode_frame", lambda obj: (seen.append(obj), real(obj))[1]
+        )
+
+        async def scenario():
+            frames = FrameWriter(_Sink())
+            frames.send({"i": 0})
+            await asyncio.sleep(0)
+
+        asyncio.run(scenario())
+        assert seen == [{"i": 0}]
+
+    def test_a_transport_that_died_before_the_flush_fails_its_waiters(self):
+        """Exactly the frames the lost buffer carried fail — not the
+        ones already written, not the ones written after."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            sink = _Sink()
+            frames = FrameWriter(sink)
+            before, lost_a, lost_b, after = (
+                loop.create_future() for _ in range(4)
+            )
+            frames.send({"i": 0}, before)
+            await asyncio.sleep(0)
+            frames.send({"i": 1}, lost_a)
+            frames.send({"i": 2})  # a frame nobody waits on
+            frames.send({"i": 3}, lost_b)
+            sink.transport.closing = True  # dies inside the turn
+            await asyncio.sleep(0)
+            sink.transport.closing = False
+            frames.send({"i": 4}, after)
+            await asyncio.sleep(0)
+            assert not before.done() and not after.done()
+            for lost in (lost_a, lost_b):
+                assert isinstance(lost.exception(), ConnectionResetError)
+            return sink.chunks
+
+        assert asyncio.run(scenario()) == [
+            encode_frame({"i": 0}), encode_frame({"i": 4}),
+        ]
+
+    def test_a_write_that_raises_fails_its_waiters(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            sink = _Sink()
+
+            def broken(data):
+                raise BrokenPipeError("boom mid-send")
+
+            sink.write = broken
+            frames = FrameWriter(sink)
+            waiter = loop.create_future()
+            done = loop.create_future()
+            done.set_result("answered already")
+            frames.send({"i": 0}, waiter)
+            frames.send({"i": 1}, done)
+            await asyncio.sleep(0)
+            assert isinstance(waiter.exception(), BrokenPipeError)
+            assert done.result() == "answered already"
+
+        asyncio.run(scenario())
+
+    def test_drain_returns_at_once_on_an_empty_transport(self):
+        async def scenario():
+            sink = _Sink()
+            calls = []
+
+            async def drain():
+                calls.append(1)
+
+            sink.drain = drain
+            frames = FrameWriter(sink)
+            frames.send({"i": 0})
+            await frames.drain()
+            return calls
+
+        assert asyncio.run(scenario()) == []
+
+    def test_paused_transport_has_one_drain_awaiter_at_a_time(self):
+        """Concurrent senders on a paused transport: Python 3.9/3.10
+        assert on a second ``StreamWriter.drain()`` waiter, so the
+        writer lets exactly one in at a time — over a real socket whose
+        far end does not read until every sender is waiting."""
+        senders = 8
+        blob = b"x" * (1 << 20)
+
+        async def scenario():
+            release = asyncio.Event()
+            finished = asyncio.Event()
+
+            async def far_end(reader, writer):
+                await release.wait()
+                while await reader.read(1 << 20):
+                    pass
+                writer.close()
+                finished.set()
+
+            server = await asyncio.start_server(far_end, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            inside = {"now": 0, "peak": 0, "calls": 0}
+            real_drain = writer.drain
+
+            async def drain():
+                inside["now"] += 1
+                inside["calls"] += 1
+                inside["peak"] = max(inside["peak"], inside["now"])
+                try:
+                    await real_drain()
+                finally:
+                    inside["now"] -= 1
+
+            writer.drain = drain
+            frames = FrameWriter(writer)
+            # Fill the kernel's buffers and then the transport's: paused.
+            writer.transport.set_write_buffer_limits(high=1 << 16)
+            for _ in range(16):
+                frames.write(blob)
+            await asyncio.sleep(0)
+            assert writer.transport.get_write_buffer_size() > (1 << 16)
+
+            async def sender(i):
+                frames.write(b"%d" % i)
+                await frames.drain()
+
+            tasks = [asyncio.ensure_future(sender(i)) for i in range(senders)]
+            await asyncio.sleep(0.05)
+            assert not any(task.done() for task in tasks)
+            assert inside["now"] == 1
+            # One of the parked senders is cancelled: the rest stay
+            # parked, not cancelled with it.
+            tasks[3].cancel()
+            await asyncio.sleep(0.01)
+            assert [t.done() for t in tasks].count(True) == 1
+            release.set()
+            await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), timeout=20
+            )
+            assert tasks[3].cancelled()
+            assert all(
+                t.exception() is None for t in tasks if not t.cancelled()
+            )
+            assert inside["peak"] == 1 and inside["calls"] >= 1
+            writer.close()
+            await writer.wait_closed()
+            await asyncio.wait_for(finished.wait(), timeout=20)
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(scenario())

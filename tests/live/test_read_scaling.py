@@ -12,6 +12,7 @@ client-default timeout threading on every introspection verb.
 """
 
 import asyncio
+import random
 import time
 
 import pytest
@@ -204,6 +205,46 @@ class TestReadCacheLive:
 
 
 class TestFanOut:
+    def test_draw_is_planned_once_per_membership_refresh(self):
+        """The fan-out draw is a function of the learned replica set
+        alone: built on first use after a refresh, and the same draw
+        ``rng.choices(addrs, weights=...)`` made per read before."""
+
+        def record(name, port, applied, status="alive"):
+            return {
+                "name": name, "host": "10.0.0.1", "port": port,
+                "applied": applied, "status": status,
+            }
+
+        client = LiveClient(
+            [("10.0.0.1", 7000)], fan_out=True, rng=random.Random(5)
+        )
+        client._learn_membership(
+            [
+                record("site0", 7000, 100),
+                record("site1", 7001, 90),
+                record("site2", 7002, 100, status="suspect"),
+            ]
+        )
+        assert client._fan_out_draw is None  # planned lazily
+        addrs, cum_weights = client._plan_fan_out()
+        assert addrs == [("10.0.0.1", 7000), ("10.0.0.1", 7001)]
+        weights = [1.0, 1.0 / (1.0 + 10.0 * (10 / 100))]
+        assert cum_weights == [weights[0], weights[0] + weights[1]]
+        reference = random.Random(5)
+        assert [
+            client._rng.choices(addrs, cum_weights=cum_weights, k=1)[0]
+            for _ in range(64)
+        ] == [
+            reference.choices(addrs, weights=weights, k=1)[0]
+            for _ in range(64)
+        ]
+        # A refresh drops the plan; the next one sees the new set.
+        client._fan_out_draw = (addrs, cum_weights)
+        client._learn_membership([record("site2", 7002, 100)])
+        assert client._fan_out_draw is None
+        assert len(client._plan_fan_out()[0]) == 3
+
     def test_bounded_reads_spread_strict_reads_pin(self, tmp_path):
         async def main():
             cluster = LiveCluster(n_sites=3, data_dir=tmp_path)

@@ -62,8 +62,17 @@ class TestCounter:
     def test_labels_validated(self):
         reg = Registry()
         c = reg.counter("errs_total", "errors", labels=("peer",))
-        with pytest.raises(ValueError):
-            c.labels(host="x")  # wrong label name
+        for wrong in (
+            {"host": "x"},  # wrong label name
+            {},  # a label missing
+            {"peer": "a", "host": "x"},  # one too many
+        ):
+            with pytest.raises(ValueError, match="takes labels"):
+                c.labels(**wrong)
+        two = reg.counter("pairs_total", "pairs", labels=("a", "b"))
+        with pytest.raises(ValueError, match="takes labels"):
+            two.labels(a=1, c=2)  # right count, wrong name
+        assert two.labels(b=2, a=1) is two.labels(a="1", b="2")
 
     def test_kind_collision_rejected(self):
         reg = Registry()
