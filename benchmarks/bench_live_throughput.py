@@ -47,13 +47,12 @@ Under pytest: pytest benchmarks/bench_live_throughput.py --benchmark-only
 """
 
 import asyncio
-import gc
 import json
 import os
 import pathlib
-import statistics
 import time
 
+from repro.consistency import Consistency
 from repro.core.transactions import EpsilonSpec
 from repro.live import (
     FaultPlan,
@@ -342,201 +341,6 @@ def run_metrics_overhead(quick=False, cycles=None):
     return "\n".join(lines), data
 
 
-#: wire mode: single-channel drain, JSON codec vs negotiated binary.
-#: Two sites isolate one peer channel; fsync stays off so the
-#: comparison is codec CPU, not disk scheduling (same reasoning as
-#: the overhead mode).  Each update is a multi-op MSet with realistic
-#: string payloads — the shape the codec cost actually scales with.
-WIRE_BATCH = 128
-WIRE_WINDOW = 8
-#: enough backlog that the timed drain runs for hundreds of ms —
-#: post-heal reconnect latency (~20 ms) must be noise, not signal.
-WIRE_UPDATES = 4000
-WIRE_UPDATES_QUICK = 1500
-WIRE_CYCLES = 3
-WIRE_CYCLES_QUICK = 2
-#: full-mode acceptance: regression floor for the binary fast path's
-#: end-to-end drain advantage.  Measured headroom on an idle machine
-#: is 1.3-1.5x; the floor sits below it so scheduler noise cannot
-#: fail an honest run.  The end-to-end ratio is bounded well under
-#: the codec's own >10x (see bench_micro_substrate's wire_* cases):
-#: both codecs still pay the shared receive pipeline — payload parse,
-#: op decode, engine apply, durable record, ack bookkeeping — so the
-#: drain can only expose the JSON-only share (frame re-encode per
-#: hop + log re-serialize per record), not the whole codec gap.
-WIRE_SPEEDUP_BOUND = 1.2
-
-
-def _wire_ops(i):
-    """One update's operation list: a transfer-ish ET touching two
-    counters, two string registers, and an audit append."""
-    from repro.core.operations import AppendOp, IncrementOp, WriteOp
-
-    return [
-        IncrementOp("acct%d" % (i % 4), 1),
-        IncrementOp("acct%d" % ((i + 1) % 4), 1),
-        WriteOp("status%d" % (i % 8), "state-%016d-%08d" % (i, i * 7)),
-        WriteOp("owner%d" % (i % 8), "client-%016d" % (i % 31)),
-        AppendOp("audit%d" % (i % 4), {"n": i, "who": "site0"}),
-    ]
-
-
-class _WireRig:
-    """One 2-site cluster pinned to a codec, reusable across cycles."""
-
-    def __init__(self, wire):
-        self.wire = wire
-        self.plan = FaultPlan(0)
-        self.cluster = LiveCluster(
-            n_sites=2,
-            method="commu",
-            faults=self.plan,
-            fsync=False,
-            batch_size=WIRE_BATCH,
-            window=WIRE_WINDOW,
-            server_options={
-                "retry_base": 0.005, "retry_max": 0.02, "wire": wire,
-            },
-        )
-        self.client = None
-        self.rates = []
-
-    async def start(self):
-        await self.cluster.start()
-        self.client = await self.cluster.client(self.cluster.names[0])
-
-    async def cycle(self, n_updates):
-        """One partition → backlog → heal → timed drain."""
-        writer, receiver = self.cluster.names
-        self.plan.partition([[writer], [receiver]])
-        # Pipelined backlog build (not part of the measurement).
-        await asyncio.gather(
-            *(self.client.update(_wire_ops(i)) for i in range(n_updates))
-        )
-        # Collect before timing: the JSON path allocates more, so a
-        # collection landing inside one codec's drain (but not the
-        # other's) would skew a paired cycle.
-        gc.collect()
-        t0 = time.monotonic()
-        self.plan.heal_all()
-        await self.cluster.settle(timeout=120)
-        self.rates.append(n_updates / max(time.monotonic() - t0, 1e-9))
-
-    async def finish(self, n_updates, cycles):
-        cluster, wire = self.cluster, self.wire
-        writer, receiver = cluster.names
-        converged = await cluster.converged()
-        stats = (await cluster.site_stats())[writer]
-        negotiated = stats["peers"][receiver]["wire"]
-        values = (await cluster.site_values())[receiver]
-        total = sum(values.get("acct%d" % k, 0) for k in range(4))
-        # Frames actually sent at the codec under test — negotiation
-        # alone is not enough (a late hello-ack would let the drain
-        # stream JSON on a channel that *reports* bin1 afterwards).
-        frames = cluster.servers[writer].registry.get_sample(
-            "propagation_frames_total", peer=receiver, wire_codec=wire
-        )
-        assert converged, "wire=%s run diverged" % wire
-        expected = 2 * n_updates * cycles  # two increments per update
-        assert total == expected, (
-            "wire=%s lost updates (%d != %d)" % (wire, total, expected)
-        )
-        # The negotiation must have produced the codec under test, or
-        # the comparison silently measures JSON twice.
-        assert negotiated == wire, (
-            "wire=%s channel negotiated %r" % (wire, negotiated)
-        )
-        assert frames and frames > 0, (
-            "wire=%s negotiated but sent no %s-coded frames"
-            % (wire, wire)
-        )
-        return {
-            "wire": wire,
-            "n_updates": n_updates,
-            "cycles": cycles,
-            "negotiated": negotiated,
-            "msets_per_sec": max(self.rates),
-            "rates": self.rates,
-        }
-
-
-async def _drive_wire_paired(n_updates, cycles):
-    """Interleaved paired cycles: json drain, then bin1 drain,
-    back-to-back inside each cycle, both clusters booted up front.
-
-    Running the codecs minutes apart lets machine drift (a noisy
-    neighbor, a background compaction) masquerade as a codec effect;
-    pairing them per cycle and taking the median per-cycle ratio
-    cancels drift that is slow relative to one cycle."""
-    rigs = {wire: _WireRig(wire) for wire in ("json", "bin1")}
-    data = {}
-    try:
-        for rig in rigs.values():
-            await rig.start()
-        for _ in range(cycles):
-            for rig in rigs.values():
-                await rig.cycle(n_updates)
-        for wire, rig in rigs.items():
-            data[wire] = await rig.finish(n_updates, cycles)
-    finally:
-        for rig in rigs.values():
-            await rig.cluster.stop()
-    return data
-
-
-def run_wire_throughput(quick=False, cycles=None):
-    """Drain the same multi-op backlog over one peer channel with the
-    JSON codec and the negotiated binary codec; report the speedup."""
-    n_updates = WIRE_UPDATES_QUICK if quick else WIRE_UPDATES
-    if cycles is None:
-        cycles = WIRE_CYCLES_QUICK if quick else WIRE_CYCLES
-    data = asyncio.run(_drive_wire_paired(n_updates, cycles))
-    ratios = [
-        b / max(j, 1e-9)
-        for j, b in zip(data["json"]["rates"], data["bin1"]["rates"])
-    ]
-    # Headline = ratio of best rates (the overhead mode's best-of
-    # discipline): both codecs' best cycles run on the same freshly
-    # collected heap, so this isolates the codec; later cycles add
-    # shared accumulated-state cost that dilutes the ratio without
-    # saying anything about the wire.  Per-cycle ratios stay in the
-    # report as a drift diagnostic.
-    speedup = data["bin1"]["msets_per_sec"] / max(
-        data["json"]["msets_per_sec"], 1e-9
-    )
-    data["cycle_ratios"] = ratios
-    lines = [
-        "Wire codec: single-channel drain of %d multi-op updates "
-        "(2-site COMMU, batch=%d window=%d, %d paired cycles)"
-        % (n_updates, WIRE_BATCH, WIRE_WINDOW, cycles),
-        "",
-        "%-8s %12s %14s %10s"
-        % ("wire", "negotiated", "best msets/s", "best"),
-    ]
-    for wire in ("json", "bin1"):
-        d = data[wire]
-        lines.append(
-            "%-8s %12s %14.0f %9.2fx"
-            % (
-                wire,
-                d["negotiated"],
-                d["msets_per_sec"],
-                d["msets_per_sec"]
-                / max(data["json"]["msets_per_sec"], 1e-9),
-            )
-        )
-    lines.append("")
-    lines.append(
-        "per-cycle bin1/json ratios: %s (median %.2fx)"
-        % (
-            " ".join("%.2f" % r for r in ratios),
-            statistics.median(ratios),
-        )
-    )
-    data["speedup"] = speedup
-    return "\n".join(lines), data
-
-
 #: shards mode: the contended mixed workload.  32 keys spread the
 #: crc32 routing evenly across up to 8 groups; the strict reads are
 #: the convoy — each one parks on the owning engine's condition
@@ -578,7 +382,7 @@ async def _drive_shards(n_shards, n_updates, n_reads):
             ops.append(router.increment(SHARD_KEYS[i % len(SHARD_KEYS)], 1))
         for i in range(n_reads):
             ops.append(router.read(SHARD_KEYS[i % len(SHARD_KEYS)],
-                                   epsilon=0))
+                                   Consistency.STRICT))
         t0 = time.monotonic()
         await asyncio.gather(*ops)
         elapsed = time.monotonic() - t0
@@ -673,19 +477,6 @@ def test_propagation_batching(benchmark, show):
     assert data[64]["msets_per_sec"] > data[1]["msets_per_sec"]
 
 
-def test_wire_codec_speedup(benchmark, show):
-    from conftest import run_once
-
-    text, data = run_once(benchmark, run_wire_throughput, quick=True)
-    show(text)
-
-    # Correctness (convergence, totals, negotiation, codec-of-record)
-    # is asserted inside the drive.  The calibrated regression floor
-    # is asserted on the standalone full run; loaded CI machines get
-    # the looser any-speedup bound.
-    assert data["bin1"]["msets_per_sec"] > data["json"]["msets_per_sec"]
-
-
 def test_shard_scaling(benchmark, show):
     from conftest import run_once
 
@@ -711,8 +502,7 @@ def _main(argv=None):
     parser.add_argument(
         "--mode",
         choices=(
-            "throughput", "propagation", "overhead", "wire", "shards",
-            "all",
+            "throughput", "propagation", "overhead", "shards", "all",
         ),
         default="all",
     )
@@ -798,32 +588,6 @@ def _main(argv=None):
                 % (data["overhead_pct"], OVERHEAD_BOUND_PCT)
             )
             return 1
-    if args.mode == "wire":
-        text, data = run_wire_throughput(quick=args.quick)
-        print(text)
-        speedup = data["speedup"]
-        bound = 1.0 if args.quick else WIRE_SPEEDUP_BOUND
-        if speedup < bound or (args.quick and speedup <= 1.0):
-            print(
-                "\nFAIL: bin1 speedup %.2fx below %.1fx bound"
-                % (speedup, bound)
-            )
-            return 1
-        if args.json:
-            path = args.json
-            if path == "BENCH_live_propagation.json":
-                path = "BENCH_live_wire.json"
-            payload = {
-                "benchmark": "live_wire",
-                "quick": args.quick,
-                "cpu_count": os.cpu_count(),
-                "results": [data["json"], data["bin1"]],
-                "speedup": speedup,
-            }
-            pathlib.Path(path).write_text(
-                json.dumps(payload, indent=2) + "\n"
-            )
-            print("\nwrote %s" % path)
     if args.mode == "shards":
         counts = tuple(
             int(part) for part in (args.shards or "1,4").split(",")

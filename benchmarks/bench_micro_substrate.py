@@ -133,22 +133,9 @@ def _wire_batch(n=64):
     return payloads
 
 
-def test_wire_json_batch_encode(benchmark):
-    """Baseline: build + serialize one JSON mset-batch frame."""
-    from repro.live.protocol import encode_batch_frame, encode_frame
-
-    entries = _wire_batch()
-    batch = [(seq, payload["mset"]) for seq, payload in entries]
-
-    def run():
-        return len(encode_frame(encode_batch_frame("site0", batch)))
-
-    assert benchmark(run) > 0
-
-
 def test_wire_bin_batch_relay(benchmark):
-    """Fast path: one binary frame from pre-encoded payload blobs —
-    the zero re-encode relay's per-send cost (struct pack + memcpy)."""
+    """One binary frame from pre-encoded payload blobs — the zero
+    re-encode relay's per-send cost (struct pack + memcpy)."""
     from repro.live.protocol import encode_bin_batch_frame, payload_blob
 
     entries = _wire_batch()
@@ -160,33 +147,9 @@ def test_wire_bin_batch_relay(benchmark):
     assert benchmark(run) > 0
 
 
-def test_wire_json_batch_decode(benchmark):
-    """Baseline receive: parse the JSON frame and validate the batch."""
-    import json
-
-    from repro.live.protocol import (
-        decode_batch_frame,
-        encode_batch_frame,
-        encode_frame,
-    )
-
-    entries = _wire_batch()
-    data = encode_frame(
-        encode_batch_frame(
-            "site0", [(seq, payload["mset"]) for seq, payload in entries]
-        )
-    )
-
-    def run():
-        frame = json.loads(data[4:])
-        return len(decode_batch_frame(frame))
-
-    assert benchmark(run) == 64
-
-
 def test_wire_bin_batch_decode(benchmark):
-    """Fast-path receive: split the binary envelope into (seq, blob)
-    pairs; blob JSON decode happens once, on the apply path."""
+    """Receive: split the binary envelope into (seq, blob) pairs; blob
+    JSON decode happens once, on the apply path."""
     from repro.live.protocol import (
         decode_bin_frame,
         encode_bin_batch_frame,

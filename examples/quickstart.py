@@ -18,6 +18,7 @@ Run:  python examples/quickstart.py
 from repro import (
     Client,
     CommutativeOperations,
+    Consistency,
     EpsilonSpec,
     ETError,
     IncrementOp,
@@ -101,7 +102,7 @@ def main() -> None:
     # ABORTED).  A live replica cut off from its peers would surface
     # here as code == "UNAVAILABLE" instead of a hang.
     try:
-        final = bob.read("counter", epsilon=0)  # serializable read
+        final = bob.read("counter", Consistency.STRICT)  # serializable read
     except ETError as exc:
         print("strict read failed honestly: code=%s (%s)" % (exc.code, exc))
         final = bob.read("counter")  # fall back to an unbounded read

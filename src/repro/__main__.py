@@ -261,7 +261,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fsync=args.fsync,
             batch_size=args.batch_size,
             window=args.window,
-            wire=args.wire,
             snapshot_interval=args.snapshot_interval,
             backlog_limit=args.backlog_limit,
             catchup=not args.no_catchup,
@@ -612,12 +611,6 @@ def main(argv: List[str] = None) -> int:
     serve.add_argument(
         "--window", type=int, default=4,
         help="max batch frames in flight per peer channel",
-    )
-    serve.add_argument(
-        "--wire", default="bin1", choices=("bin1", "json"),
-        help="preferred wire codec for peer channels; binary is "
-        "negotiated per connection, with transparent JSON fallback "
-        "for peers that don't speak it (json = never advertise)",
     )
     serve.add_argument(
         "--uvloop", action="store_true",

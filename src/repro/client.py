@@ -12,8 +12,6 @@ completes, returning plain values.
     value = client.read("balance", Consistency.BOUNDED(2))
     strict = client.read("balance", Consistency.STRICT)
 
-(the old ``epsilon=`` kwargs still work but emit DeprecationWarning)
-
 Because the client *runs the simulator* while waiting, it is intended
 for single-driver scripts (examples, notebooks, tests).  Concurrent
 multi-client scenarios should schedule submissions on the simulator
@@ -144,37 +142,22 @@ class Client:
     def read(
         self,
         key: str,
-        options: Union[ReadOptions, Consistency, float, None] = None,
-        *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
     ) -> Any:
-        """Read one key at the given consistency.
-
-        ``options`` is a :class:`~repro.consistency.ReadOptions` or
-        :class:`~repro.consistency.Consistency`; the bare ``epsilon``/
-        ``value_epsilon`` kwargs are the deprecated spelling.
-        """
-        opts = resolve_read_options(
-            options, epsilon=epsilon, value_epsilon=value_epsilon,
-            caller="read",
-        )
+        """Read one key at the given consistency: a
+        :class:`~repro.consistency.ReadOptions` or a
+        :class:`~repro.consistency.Consistency` level."""
+        opts = resolve_read_options(options, caller="read")
         result = self.execute([ReadOp(key)], opts.spec())
         return result.values[key]
 
     def read_many(
         self,
         keys: Sequence[str],
-        options: Union[ReadOptions, Consistency, float, None] = None,
-        *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
     ) -> Dict[str, Any]:
         """One query ET over several keys (a consistent unit of error)."""
-        opts = resolve_read_options(
-            options, epsilon=epsilon, value_epsilon=value_epsilon,
-            caller="read_many",
-        )
+        opts = resolve_read_options(options, caller="read_many")
         result = self.execute([ReadOp(key) for key in keys], opts.spec())
         return dict(result.values)
 
@@ -238,26 +221,16 @@ class ClientSession:
     def read(
         self,
         key: str,
-        options: Union[ReadOptions, Consistency, float, None] = None,
-        *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
     ) -> Any:
-        return self._client.read(
-            key, options, epsilon=epsilon, value_epsilon=value_epsilon
-        )
+        return self._client.read(key, options)
 
     def read_many(
         self,
         keys: Sequence[str],
-        options: Union[ReadOptions, Consistency, float, None] = None,
-        *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
     ) -> Dict[str, Any]:
-        return self._client.read_many(
-            keys, options, epsilon=epsilon, value_epsilon=value_epsilon
-        )
+        return self._client.read_many(keys, options)
 
     def query(
         self,

@@ -2,10 +2,9 @@
 
 The paper's pitch is that applications declare *how much* inconsistency
 a read may import instead of re-deriving serializability conditions.
-Historically that budget leaked through the clients as loose
-``epsilon=`` / ``value_epsilon=`` kwargs; this module makes it a typed,
-uniform surface accepted by ``read`` / ``read_many`` / ``query`` on the
-sim client, the live client, and the shard router:
+This module is that declaration: one typed surface, the only one
+``read`` / ``read_many`` / ``query`` accept on the sim client, the live
+client, and the shard router:
 
 * :class:`Consistency` — the level of a read:
 
@@ -28,17 +27,15 @@ sim client, the live client, and the shard router:
   and :meth:`SessionToken.decode` give a JSON wire format for
   cross-process handoff (documented in docs/LIVE.md).
 
-The old kwargs still work on every backend but emit a
-``DeprecationWarning`` (one release of grace)::
+Usage::
 
-    value = client.read("balance", epsilon=2)          # deprecated
-    value = client.read("balance", Consistency.BOUNDED(2))  # new
+    value = client.read("balance", Consistency.BOUNDED(2))
+    strict = client.read("balance", Consistency.STRICT)
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -165,7 +162,7 @@ class Consistency:
         Consistency.SESSION         # read-your-writes / monotonic reads
     """
 
-    __slots__ = ("level", "epsilon", "value_epsilon")
+    __slots__ = ("level", "epsilon", "value_limit")
 
     # Populated after the class body (singletons need the class).
     STRICT: "Consistency"
@@ -176,7 +173,7 @@ class Consistency:
         self,
         level: str = BOUNDED,
         epsilon: float = UNLIMITED,
-        value_epsilon: float = UNLIMITED,
+        value_limit: float = UNLIMITED,
     ) -> None:
         if level not in _LEVELS:
             raise ValueError(
@@ -187,19 +184,19 @@ class Consistency:
             epsilon = 0.0
         self.level = level
         self.epsilon = epsilon
-        self.value_epsilon = value_epsilon
+        self.value_limit = value_limit
 
     @staticmethod
     def BOUNDED(
-        epsilon: float, value_epsilon: float = UNLIMITED
+        epsilon: float, value_limit: float = UNLIMITED
     ) -> "Consistency":
         """A bounded-inconsistency (ESR) read budget."""
-        return Consistency(BOUNDED, epsilon, value_epsilon)
+        return Consistency(BOUNDED, epsilon, value_limit)
 
     def spec(self) -> EpsilonSpec:
         """The epsilon spec this level submits to the engine."""
         return EpsilonSpec(
-            import_limit=self.epsilon, value_limit=self.value_epsilon
+            import_limit=self.epsilon, value_limit=self.value_limit
         )
 
     @property
@@ -211,7 +208,7 @@ class Consistency:
             isinstance(other, Consistency)
             and self.level == other.level
             and self.epsilon == other.epsilon
-            and self.value_epsilon == other.value_epsilon
+            and self.value_limit == other.value_limit
         )
 
     def __repr__(self) -> str:
@@ -220,8 +217,8 @@ class Consistency:
         extras = []
         if self.epsilon != UNLIMITED:
             extras.append("epsilon=%r" % self.epsilon)
-        if self.value_epsilon != UNLIMITED:
-            extras.append("value_epsilon=%r" % self.value_epsilon)
+        if self.value_limit != UNLIMITED:
+            extras.append("value_limit=%r" % self.value_limit)
         return "Consistency(%r%s)" % (
             self.level, (", " + ", ".join(extras)) if extras else ""
         )
@@ -264,50 +261,17 @@ class ReadOptions:
 def resolve_read_options(
     options: Union[ReadOptions, Consistency, None] = None,
     *,
-    epsilon: Optional[float] = None,
-    value_epsilon: Optional[float] = None,
     timeout: Optional[float] = None,
     caller: str = "read",
 ) -> ReadOptions:
-    """Fold the new typed surface and the deprecated kwargs into one
-    :class:`ReadOptions`.
+    """Fold what a read was given into one :class:`ReadOptions`.
 
     Every backend's ``read``/``read_many``/``query`` funnels through
-    here, so deprecation behaviour stays identical across sim, live,
-    and sharded clients: passing ``epsilon=``/``value_epsilon=`` still
-    works but warns; combining them with a typed ``options`` argument
-    is a hard error (ambiguous intent).
+    here, so sim, live, and sharded clients accept exactly the same
+    things: nothing, a :class:`Consistency` level, or a full
+    :class:`ReadOptions`; anything else (a bare number included) is a
+    ``TypeError`` naming ``caller``.
     """
-    if isinstance(options, (int, float)) and not isinstance(options, bool):
-        # Historical positional spelling: read("k", 2) meant epsilon=2.
-        if epsilon is not None:
-            raise TypeError(
-                "%s(): epsilon passed both positionally and by keyword"
-                % caller
-            )
-        epsilon, options = options, None
-    legacy = epsilon is not None or value_epsilon is not None
-    if legacy:
-        if options is not None:
-            raise TypeError(
-                "%s(): pass either ReadOptions/Consistency or the "
-                "deprecated epsilon/value_epsilon kwargs, not both" % caller
-            )
-        warnings.warn(
-            "%s(epsilon=..., value_epsilon=...) is deprecated; pass "
-            "Consistency.BOUNDED(epsilon) or ReadOptions(...) instead"
-            % caller,
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ReadOptions(
-            consistency=Consistency(
-                BOUNDED,
-                UNLIMITED if epsilon is None else epsilon,
-                UNLIMITED if value_epsilon is None else value_epsilon,
-            ),
-            timeout=timeout,
-        )
     if options is None:
         return ReadOptions(timeout=timeout)
     if isinstance(options, Consistency):

@@ -42,10 +42,10 @@ Codes:
 
 Catch-all::
 
-    from repro import ETError
+    from repro import Consistency, ETError
 
     try:
-        client.read("balance", epsilon=0)
+        client.read("balance", Consistency.STRICT)
     except ETError as exc:
         if exc.unavailable:
             ...  # degrade: retry with a relaxed epsilon

@@ -8,8 +8,9 @@ queues, wall-clock time, and genuinely parallel client load.
 
 Layers:
 
-* :mod:`repro.live.protocol` — length-prefixed JSON wire protocol
-  reusing the operation algebra.
+* :mod:`repro.live.protocol` — length-prefixed wire protocol reusing
+  the operation algebra: JSON control and client frames, binary
+  propagation frames.
 * :mod:`repro.live.durable_queue` — at-least-once, FIFO-per-channel
   durable queues that survive process restarts.
 * :mod:`repro.live.engine` — transport-agnostic COMMU / ORDUP engines,

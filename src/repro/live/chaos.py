@@ -103,6 +103,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..consistency import Consistency
 from ..core.operations import IncrementOp
 from ..core.transactions import EpsilonSpec
 from ..obs.trace import dump_events_jsonl, merge_traces
@@ -500,7 +501,9 @@ async def _drive_scenario(cluster, plan, config, rng, report) -> None:
         probe_key = config.keys[0]
         t0 = time.monotonic()
         try:
-            await clients[isolated].read(probe_key, epsilon=0, timeout=5.0)
+            await clients[isolated].read(
+                probe_key, Consistency.STRICT, timeout=5.0
+            )
         except LiveETFailed as exc:
             report.strict_probe = (time.monotonic() - t0, exc.code)
         except (ConnectionError, OSError) as exc:
@@ -1119,7 +1122,7 @@ async def run_migrate(
         if report.migrated_keys:
             probe_key = report.migrated_keys[0]
             try:
-                await router.read(probe_key, epsilon=0)
+                await router.read(probe_key, Consistency.STRICT)
                 report.strict_read_ok = True
             except (LiveETFailed, ConnectionError, OSError):
                 report.strict_read_ok = False
@@ -1817,7 +1820,7 @@ async def run_wan(
             t0 = time.monotonic()
             try:
                 await clients[probe_site].read(
-                    probe_key, epsilon=0, timeout=5.0
+                    probe_key, Consistency.STRICT, timeout=5.0
                 )
             except LiveETFailed as exc:
                 report.strict_probes[region] = (

@@ -8,8 +8,7 @@ matched to requests by id, so concurrent ETs genuinely overlap on the
 wire.
 
 Reads take the typed consistency surface from
-:mod:`repro.consistency` (the old ``epsilon=``/``value_epsilon=``
-kwargs still work but emit ``DeprecationWarning``)::
+:mod:`repro.consistency`::
 
     client = await LiveClient.connect("127.0.0.1", 7000)
     await client.increment("balance", 100)
@@ -85,14 +84,11 @@ from ..core.transactions import EpsilonSpec, UNLIMITED
 from ..errors import ETError, SESSION_STALE
 from ..obs.registry import NULL_REGISTRY, Registry
 from .protocol import (
-    SUPPORTED_WIRES,
-    WIRE_JSON,
     FrameWriter,
     ProtocolError,
     encode_ops,
     encode_spec,
     read_frame,
-    write_frame,
 )
 from .read_cache import EpsilonReadCache
 
@@ -244,19 +240,9 @@ class LiveClient:
         fan_out_refresh: float = 1.0,
         session_retry_wait: float = 5.0,
         registry: Optional[Registry] = None,
-        wire: str = "bin1",
     ) -> None:
         if not addrs:
             raise ValueError("LiveClient needs at least one address")
-        if wire != WIRE_JSON and wire not in SUPPORTED_WIRES:
-            raise ValueError("unknown wire codec %r" % wire)
-        #: advertise binary wire support on hellos (``wire="json"``
-        #: disables the advert, pinning the connection to JSON).
-        self._wire_advert = wire != WIRE_JSON
-        #: codec the server accepted for this connection; informational
-        #: for clients (request/response frames are always JSON — the
-        #: binary codec covers the replication stream).
-        self.wire = WIRE_JSON
         self._addrs: List[Tuple[str, int]] = [
             (host, int(port)) for host, port in addrs
         ]
@@ -387,7 +373,6 @@ class LiveClient:
         host, port = self._addrs[0]
         try:
             reader, writer = await asyncio.open_connection(host, port)
-            await write_frame(writer, self._hello_frame())
         except (OSError, ConnectionError):
             return  # primary still down: stay failed over
         if self._waiting or not self.connected or self._closed:
@@ -413,7 +398,6 @@ class LiveClient:
                 except (OSError, ConnectionError) as exc:
                     last_error = exc
                     continue
-                await write_frame(writer, self._hello_frame())
                 self._attach(reader, writer, index)
                 if redial:
                     self.reconnects += 1
@@ -430,19 +414,12 @@ class LiveClient:
         writer: asyncio.StreamWriter,
         index: int,
     ) -> None:
-        """Make a greeted connection to ``_addrs[index]`` the live one."""
-        self.wire = WIRE_JSON
+        """Make an open connection to ``_addrs[index]`` the live one."""
         self._reader = reader
         self._writer = writer
         self._frames = FrameWriter(writer)
         self._active_index = index
         self._reader_task = asyncio.ensure_future(self._read_loop(reader))
-
-    def _hello_frame(self) -> Dict[str, Any]:
-        hello: Dict[str, Any] = {"type": "client-hello"}
-        if self._wire_advert:
-            hello["wire"] = list(SUPPORTED_WIRES)
-        return hello
 
     def _backoff(self, attempt: int) -> float:
         """Exponential backoff with full jitter (decorrelates a herd
@@ -474,11 +451,6 @@ class LiveClient:
                 frame = await read_frame(reader)
                 if frame is None:
                     break
-                if frame.get("type") == "hello-ack":
-                    wire = frame.get("wire")
-                    if wire in SUPPORTED_WIRES:
-                        self.wire = wire
-                    continue
                 rid = frame.get("id")
                 fut = self._waiting.pop(rid, None)
                 if fut is not None and not fut.done():
@@ -687,7 +659,7 @@ class LiveClient:
         espec = spec if spec is not None else EpsilonSpec()
         return espec, ReadOptions(
             consistency=Consistency(
-                epsilon=espec.import_limit, value_epsilon=espec.value_limit
+                epsilon=espec.import_limit, value_limit=espec.value_limit
             ),
             timeout=timeout,
         )
@@ -695,44 +667,26 @@ class LiveClient:
     async def read(
         self,
         key: str,
-        options: Union[ReadOptions, Consistency, float, None] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
         *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> Any:
-        """Read one key at the given consistency.
-
-        ``options`` is a :class:`ReadOptions` or :class:`Consistency`;
-        the bare ``epsilon``/``value_epsilon`` kwargs (and a bare
-        number as ``options``) are the deprecated spelling.
-        """
-        opts = resolve_read_options(
-            options,
-            epsilon=epsilon,
-            value_epsilon=value_epsilon,
-            timeout=timeout,
-            caller="read",
-        )
+        """Read one key at the given consistency: a
+        :class:`ReadOptions` or a :class:`Consistency` level."""
+        opts = resolve_read_options(options, timeout=timeout, caller="read")
         result = await self._query([key], opts.spec(), opts)
         return result.values[key]
 
     async def read_many(
         self,
         keys: Sequence[str],
-        options: Union[ReadOptions, Consistency, float, None] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
         *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
         """One query ET over several keys (a consistent unit of error)."""
         opts = resolve_read_options(
-            options,
-            epsilon=epsilon,
-            value_epsilon=value_epsilon,
-            timeout=timeout,
-            caller="read_many",
+            options, timeout=timeout, caller="read_many"
         )
         result = await self._query(list(keys), opts.spec(), opts)
         return dict(result.values)
@@ -1190,19 +1144,11 @@ class LiveSession:
 
     def _opts(
         self,
-        options: Union[ReadOptions, Consistency, float, None],
-        epsilon: Optional[float],
-        value_epsilon: Optional[float],
+        options: Union[ReadOptions, Consistency, None],
         timeout: Optional[float],
         caller: str,
     ) -> ReadOptions:
-        opts = resolve_read_options(
-            options,
-            epsilon=epsilon,
-            value_epsilon=value_epsilon,
-            timeout=timeout,
-            caller=caller,
-        )
+        opts = resolve_read_options(options, timeout=timeout, caller=caller)
         return ReadOptions(
             consistency=opts.consistency,
             session=self.token,
@@ -1215,28 +1161,22 @@ class LiveSession:
     async def read(
         self,
         key: str,
-        options: Union[ReadOptions, Consistency, float, None] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
         *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> Any:
-        opts = self._opts(options, epsilon, value_epsilon, timeout, "read")
+        opts = self._opts(options, timeout, "read")
         result = await self._client._query([key], opts.spec(), opts)
         return result.values[key]
 
     async def read_many(
         self,
         keys: Sequence[str],
-        options: Union[ReadOptions, Consistency, float, None] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
         *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
-        opts = self._opts(
-            options, epsilon, value_epsilon, timeout, "read_many"
-        )
+        opts = self._opts(options, timeout, "read_many")
         result = await self._client._query(list(keys), opts.spec(), opts)
         return dict(result.values)
 

@@ -59,7 +59,6 @@ class LiveCluster:
         window: int = 4,
         observability: bool = True,
         server_options: Optional[Dict[str, Any]] = None,
-        server_overrides: Optional[Dict[str, Dict[str, Any]]] = None,
         site_names: Optional[Sequence[str]] = None,
         shard: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -88,12 +87,6 @@ class LiveCluster:
         #: extra ReplicaServer keyword arguments (retry_base, ...),
         #: applied uniformly to every replica, including restarts.
         self.server_options: Dict[str, Any] = dict(server_options or {})
-        #: per-site keyword overrides layered on ``server_options``
-        #: (e.g. ``{"site2": {"wire": "json"}}`` for a mixed-codec
-        #: cluster); applied on restarts too.
-        self.server_overrides: Dict[str, Dict[str, Any]] = {
-            site: dict(opts) for site, opts in (server_overrides or {}).items()
-        }
         self._own_tmp: Optional[tempfile.TemporaryDirectory] = None
         if data_dir is None:
             self._own_tmp = tempfile.TemporaryDirectory(prefix="repro-live-")
@@ -109,8 +102,6 @@ class LiveCluster:
     # -- lifecycle -----------------------------------------------------------
 
     def _make_server(self, name: str) -> ReplicaServer:
-        options = dict(self.server_options)
-        options.update(self.server_overrides.get(name, {}))
         return ReplicaServer(
             name,
             peers=self.names,
@@ -124,7 +115,7 @@ class LiveCluster:
             window=self.window,
             observability=self.observability,
             shard=dict(self.shard) if self.shard is not None else None,
-            **options,
+            **self.server_options,
         )
 
     async def start(self) -> None:
@@ -199,8 +190,6 @@ class LiveCluster:
             raise RuntimeError("%s is already running" % name)
         if seed is None:
             seed = next(iter(self.servers))
-        options = dict(self.server_options)
-        options.update(self.server_overrides.get(name, {}))
         server = ReplicaServer(
             name,
             peers=[name, seed],
@@ -214,7 +203,7 @@ class LiveCluster:
             window=self.window,
             observability=self.observability,
             shard=dict(self.shard) if self.shard is not None else None,
-            **options,
+            **self.server_options,
         )
         port = await server.bind(self.host, 0)
         self.servers[name] = server

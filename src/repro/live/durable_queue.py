@@ -60,9 +60,9 @@ at-least-once retries on the sender plus frontier dedup on the
 receiver.
 
 Log format vs wire format: the record format here is **always** JSON
-lines — one ``{"seq": N, "payload": {...}}`` object per line — no
-matter which codec the peer channel negotiated on the wire
-(:mod:`repro.live.protocol` may speak the ``bin1`` binary framing).
+lines — one ``{"seq": N, "payload": {...}}`` object per line — while
+the peer channel carries the same payloads in binary frames
+(:mod:`repro.live.protocol`).
 That split is deliberate: logs stay greppable, debuggable, and
 readable by any build, while the wire is free to evolve.  The two
 formats meet at the *canonical payload blob* (the compact JSON bytes
@@ -140,7 +140,7 @@ def _record_line(seq: int, payload: Any, blob: Optional[bytes]) -> str:
     payload (``json.dumps(payload, separators=(",", ":"))``), which
     makes the spliced line byte-identical to a full
     ``json.dumps({"seq": seq, "payload": payload})`` — the log stays
-    plain JSONL whatever codec the wire negotiated.
+    plain JSONL under a binary wire.
     """
     if blob is None:
         return _json_line({"seq": seq, "payload": payload})

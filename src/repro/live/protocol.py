@@ -1,56 +1,48 @@
 """Length-prefixed wire protocol for the live replica runtime.
 
-Every *JSON* frame on the wire is a 4-byte big-endian length followed
-by a UTF-8 JSON object.  The payload vocabulary reuses the simulator's
+Every frame is a 4-byte big-endian length word followed by a body.
+The high bit of the length word says which of the two body kinds it
+is (safe because ``MAX_FRAME`` is far below ``2**31``, so a JSON
+length never has the bit set); frames are self-describing, and nothing
+is negotiated.
+
+*JSON frames* (bit clear) carry a UTF-8 JSON object — every control
+and client frame.  The payload vocabulary reuses the simulator's
 operation algebra and MSet types: operations and epsilon specs are
 encoded structurally (class -> tag), so a live server and the
 deterministic simulator speak about the *same* transactions.
 
-Frame kinds exchanged:
-
 * client -> server: ``{"type": "request", "id": n, "verb": ..., ...}``
 * server -> client: ``{"type": "response", "id": n, "ok": bool, ...}``
-* peer -> peer:     ``{"type": "mset", "src": site, "seq": n,
-  "mset": {...}}`` or the batched form ``{"type": "mset-batch",
-  "src": site, "msets": [{"seq": n, "mset": {...}}, ...]}``; both are
-  answered by a *cumulative* ``{"type": "ack", "seq": n}`` covering
-  every channel sequence number ``<= n``.  Single-``mset`` frames
-  remain fully supported so a batching sender interoperates with an
-  older peer and vice versa.
-* hello frames identify the connection role
-  (``{"type": "peer-hello", "src": site}``), optionally advertising
-  binary wire codecs (``"wire": ["bin1"]``).
+* peer -> peer: ``{"type": "peer-hello", "src": site}`` opens a
+  channel; ``hb`` / ``hb-ack`` carry liveness, the receiver's inbox
+  frontier and gossip; ``peer-reset`` directs a receiver to snapshot
+  catch-up.
 
-Binary fast path (the ``bin1`` codec): the high bit of the length
-word marks a *binary* frame (safe because ``MAX_FRAME`` is far below
-``2**31``, so a JSON length never has the bit set).  Binary frames
-cover exactly the propagation hot path — ``mset-batch`` and the
-cumulative ``ack`` — as struct-packed envelopes whose batch entries
-are *opaque payload blobs*: the canonical JSON bytes of one channel
-payload, computed once when an MSet enters its outbox and forwarded
-byte-for-byte from then on (zero re-encode relay).  Everything else
-(requests, responses, hellos, heartbeats, gossip) stays JSON.
+*Binary frames* (bit set) carry the propagation stream, and only it:
 
-Negotiation rides the existing hello frames: a sender advertises
-``"wire": ["bin1"]`` on its hello; a receiver that can read binary
-replies ``{"type": "hello-ack", "wire": "bin1"}`` and may itself
-switch to binary acks immediately (advertising a codec implies the
-ability to read it).  A legacy peer ignores the unknown key and never
-replies, so the channel transparently stays JSON — both directions
-fall back per-connection with no configuration.  Frames are
-self-describing (the length-word bit), so a mid-stream switch is
-safe.
+* ``mset-batch`` — ``>BHI`` (kind, src length, entry count), the
+  sender's site name, then per entry ``>QI`` (channel seq, blob
+  length) and the blob;
+* ``ack`` — ``>BQ`` (kind, seq): *cumulative*, covering every channel
+  sequence number ``<= seq``.
+
+A batch entry is an *opaque payload blob*: the canonical JSON bytes of
+one channel payload, computed once when an MSet enters its
+replication log and forwarded byte-for-byte from then on (zero
+re-encode relay).  :func:`decode_bin_frame` validates a body totally —
+every malformation is a :class:`ProtocolError` — and :func:`read_frame`
+hands both kinds to consumers as dicts keyed by ``"type"``.
 
 Writes are per turn, not per frame: a :class:`FrameWriter` buffers
 whatever one event-loop turn sends on a connection — replies, acks,
-requests, in either codec — and hands it to the socket in one write.
+requests, of either kind — and hands it to the socket in one write.
 
-Wire format vs durable-log format: the binary codec exists **only on
+Wire format vs durable-log format: binary framing exists **only on
 the wire**.  Durable queue records (:mod:`repro.live.durable_queue`)
-stay JSON lines regardless of the negotiated codec, so channel logs
-remain greppable/debuggable; the shared piece is the canonical
-payload blob, which the queue splices into its JSON-line records
-without re-encoding.
+are JSON lines, so channel logs remain greppable/debuggable; the
+shared piece is the canonical payload blob, which the queue splices
+into its JSON-line records without re-encoding.
 """
 
 from __future__ import annotations
@@ -78,20 +70,13 @@ from ..replica.mset import MSet
 __all__ = [
     "MAX_FRAME",
     "MAX_BATCH_ENTRIES",
-    "WIRE_JSON",
-    "WIRE_BIN1",
-    "SUPPORTED_WIRES",
     "ProtocolError",
     "FrameWriter",
     "encode_frame",
     "read_frame",
     "write_frame",
-    "write_frames",
     "write_encoded",
-    "encode_batch_frame",
-    "decode_batch_frame",
     "payload_blob",
-    "negotiate_wire",
     "encode_bin_batch_frame",
     "encode_bin_ack_frame",
     "decode_bin_frame",
@@ -113,14 +98,6 @@ MAX_FRAME = 16 * 1024 * 1024
 #: and the time the engine lock is held (backpressure against a fast
 #: sender flooding a slow replica).
 MAX_BATCH_ENTRIES = 4096
-
-#: wire codec names: ``json`` is the length-prefixed JSON baseline
-#: every build speaks; ``bin1`` is the struct-packed binary fast path.
-WIRE_JSON = "json"
-WIRE_BIN1 = "bin1"
-#: binary codecs this build can read and write, best first (the hello
-#: advert, and the preference order when negotiating).
-SUPPORTED_WIRES = (WIRE_BIN1,)
 
 _LEN = struct.Struct(">I")
 
@@ -154,10 +131,9 @@ def encode_frame(obj: Dict[str, Any]) -> bytes:
 async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     """Read one frame (JSON or binary); ``None`` on clean EOF.
 
-    Binary frames are normalized into the same dict vocabulary the
-    JSON codec uses (``mset-batch`` carries its entries under
-    ``"blobs"`` as undecoded payload bytes), so every consumer
-    dispatches on ``frame["type"]`` regardless of the wire codec.
+    Binary frames come back as dicts too (``mset-batch`` carries its
+    entries under ``"blobs"`` as undecoded payload bytes), so every
+    consumer dispatches on ``frame["type"]``.
     """
     try:
         header = await reader.readexactly(_LEN.size)
@@ -192,27 +168,12 @@ async def write_frame(
     await writer.drain()
 
 
-async def write_frames(
-    writer: asyncio.StreamWriter, objs: Sequence[Dict[str, Any]]
-) -> None:
-    """Write several frames as one buffered burst, draining once.
-
-    The propagation hot path sends a window of batch frames back to
-    back; coalescing them into a single ``write`` + ``drain`` avoids a
-    syscall-per-frame and lets the kernel fill packets.
-    """
-    if not objs:
-        return
-    writer.write(b"".join(encode_frame(obj) for obj in objs))
-    await writer.drain()
-
-
 async def write_encoded(
     writer: asyncio.StreamWriter, chunks: Sequence[bytes]
 ) -> None:
     """Write pre-encoded frame bytes as one buffered burst.
 
-    The binary sender path hands over complete on-wire frames (header
+    The propagation sender hands over complete on-wire frames (header
     included); this is the bytes-in -> bytes-out tail of the zero
     re-encode relay.
     """
@@ -230,7 +191,7 @@ class FrameWriter:
     append to one ordered buffer, and the first of a turn schedules a
     ``call_soon`` flush that hands the whole buffer to the transport in
     a single ``write``: a turn's frames leave in call order, whichever
-    coroutine wrote them and whichever codec they are in.  Nothing
+    coroutine wrote them and whichever kind they are.  Nothing
     bounds the batch — no size cap, no timer: it is what the turn
     produced, so a lone frame waits for nothing but the end of its
     turn.
@@ -301,27 +262,7 @@ class FrameWriter:
             draining.set_result(None)
 
 
-# -- wire negotiation --------------------------------------------------------
-
-
-def negotiate_wire(advert: Any) -> Optional[str]:
-    """Pick the best mutually supported binary codec from a hello
-    advert (the ``wire`` value of a hello frame); ``None`` when the
-    peer advertised nothing we speak — the channel stays JSON.
-
-    Tolerant by design: an advert of the wrong type is treated as no
-    advert, never an error, so future hello extensions cannot break
-    old receivers.
-    """
-    if not isinstance(advert, (list, tuple)):
-        return None
-    for wire in SUPPORTED_WIRES:
-        if wire in advert:
-            return wire
-    return None
-
-
-# -- binary frames (the bin1 codec) ------------------------------------------
+# -- binary frames -----------------------------------------------------------
 
 
 def payload_blob(payload: Dict[str, Any]) -> bytes:
@@ -430,66 +371,6 @@ def decode_bin_frame(body: bytes) -> Dict[str, Any]:
             "%d trailing bytes after binary batch" % (len(body) - offset)
         )
     return {"type": "mset-batch", "src": src, "blobs": tuple(blobs)}
-
-
-# -- batch frames ------------------------------------------------------------
-
-
-def encode_batch_frame(
-    src: str, entries: Sequence[Tuple[int, Dict[str, Any]]]
-) -> Dict[str, Any]:
-    """Build one ``mset-batch`` frame from (seq, encoded-mset) pairs.
-
-    Rejects empty batches: an empty batch carries no information and a
-    peer emitting one is malfunctioning.
-    """
-    if not entries:
-        raise ProtocolError("refusing to encode an empty mset-batch")
-    if len(entries) > MAX_BATCH_ENTRIES:
-        raise ProtocolError(
-            "mset-batch of %d entries exceeds MAX_BATCH_ENTRIES"
-            % len(entries)
-        )
-    return {
-        "type": "mset-batch",
-        "src": src,
-        "msets": [{"seq": seq, "mset": mset} for seq, mset in entries],
-    }
-
-
-def decode_batch_frame(
-    frame: Dict[str, Any]
-) -> Tuple[Tuple[int, Dict[str, Any]], ...]:
-    """Validate one ``mset-batch`` frame into (seq, encoded-mset) pairs.
-
-    A legacy single-``mset`` frame is accepted too (returned as a
-    one-entry batch), so the receive path has a single entry point for
-    both wire forms.
-    """
-    if frame.get("type") == "mset":
-        entries: Sequence[Any] = [
-            {"seq": frame.get("seq"), "mset": frame.get("mset")}
-        ]
-    else:
-        raw = frame.get("msets")
-        if not isinstance(raw, list) or not raw:
-            raise ProtocolError("mset-batch frame without msets")
-        entries = raw
-    if len(entries) > MAX_BATCH_ENTRIES:
-        raise ProtocolError(
-            "mset-batch of %d entries exceeds MAX_BATCH_ENTRIES"
-            % len(entries)
-        )
-    out = []
-    for entry in entries:
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("seq"), int)
-            or not isinstance(entry.get("mset"), dict)
-        ):
-            raise ProtocolError("malformed mset-batch entry: %r" % (entry,))
-        out.append((entry["seq"], entry["mset"]))
-    return tuple(out)
 
 
 # -- operation algebra <-> JSON ----------------------------------------------

@@ -399,37 +399,23 @@ class ShardRouter:
     async def read(
         self,
         key: str,
-        options: Union[ReadOptions, Consistency, float, None] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
         *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> Any:
-        opts = resolve_read_options(
-            options,
-            epsilon=epsilon,
-            value_epsilon=value_epsilon,
-            timeout=timeout,
-            caller="read",
-        )
+        opts = resolve_read_options(options, timeout=timeout, caller="read")
         result = await self.query([key], opts, timeout=opts.timeout)
         return result["values"][key]
 
     async def read_many(
         self,
         keys: Sequence[str],
-        options: Union[ReadOptions, Consistency, float, None] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
         *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
         opts = resolve_read_options(
-            options,
-            epsilon=epsilon,
-            value_epsilon=value_epsilon,
-            timeout=timeout,
-            caller="read_many",
+            options, timeout=timeout, caller="read_many"
         )
         result = await self.query(list(keys), opts, timeout=opts.timeout)
         return dict(result["values"])
@@ -535,19 +521,11 @@ class RouterSession:
 
     def _opts(
         self,
-        options: Union[ReadOptions, Consistency, float, None],
-        epsilon: Optional[float],
-        value_epsilon: Optional[float],
+        options: Union[ReadOptions, Consistency, None],
         timeout: Optional[float],
         caller: str,
     ) -> ReadOptions:
-        opts = resolve_read_options(
-            options,
-            epsilon=epsilon,
-            value_epsilon=value_epsilon,
-            timeout=timeout,
-            caller=caller,
-        )
+        opts = resolve_read_options(options, timeout=timeout, caller=caller)
         return ReadOptions(
             consistency=opts.consistency,
             session=self.token,
@@ -558,13 +536,11 @@ class RouterSession:
     async def read(
         self,
         key: str,
-        options: Union[ReadOptions, Consistency, float, None] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
         *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> Any:
-        opts = self._opts(options, epsilon, value_epsilon, timeout, "read")
+        opts = self._opts(options, timeout, "read")
         result = await self._router.query([key], opts, timeout=opts.timeout)
         self.token.merge(result.frontiers)
         return result.values[key]
@@ -572,15 +548,11 @@ class RouterSession:
     async def read_many(
         self,
         keys: Sequence[str],
-        options: Union[ReadOptions, Consistency, float, None] = None,
+        options: Union[ReadOptions, Consistency, None] = None,
         *,
-        epsilon: Optional[float] = None,
-        value_epsilon: Optional[float] = None,
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
-        opts = self._opts(
-            options, epsilon, value_epsilon, timeout, "read_many"
-        )
+        opts = self._opts(options, timeout, "read_many")
         result = await self._router.query(
             list(keys), opts, timeout=opts.timeout
         )
@@ -596,13 +568,13 @@ class RouterSession:
         if isinstance(spec, EpsilonSpec):
             opts = ReadOptions(
                 consistency=Consistency(
-                    epsilon=spec.import_limit, value_epsilon=spec.value_limit
+                    epsilon=spec.import_limit, value_limit=spec.value_limit
                 ),
                 session=self.token,
                 timeout=timeout,
             )
         else:
-            opts = self._opts(spec, None, None, timeout, "query")
+            opts = self._opts(spec, timeout, "query")
         result = await self._router.query(list(keys), opts, timeout=timeout)
         self.token.merge(result.frontiers)
         return result

@@ -1,7 +1,7 @@
 """Asyncio TCP replica server: one site of a live replicated system.
 
 A :class:`ReplicaServer` hosts a site's store and divergence-control
-engine (:mod:`repro.live.engine`) and speaks the length-prefixed JSON
+engine (:mod:`repro.live.engine`) and speaks the length-prefixed
 protocol (:mod:`repro.live.protocol`) on a single listening socket,
 serving two kinds of connections:
 
@@ -38,19 +38,17 @@ until the current batch is durable and applied, so a fast sender fills
 TCP flow control (bounded by ``window`` batches) instead of the
 receiver's memory.
 
-Wire codec negotiation (``wire`` option): with the default
-``wire="bin1"`` a channel sender advertises the binary codec on its
-``peer-hello``; a receiver that speaks it replies ``hello-ack`` and
-both directions switch — batch frames become struct-packed envelopes
-carrying each MSet's canonical payload bytes exactly as they were
-encoded when the update was first accepted (zero re-encode relay:
+One peer wire: a channel opens with a JSON ``peer-hello`` naming the
+sender and streams binary frames from the next byte on — nothing is
+negotiated and there is no option.  A batch frame is a struct-packed
+envelope carrying each MSet's canonical payload bytes exactly as they
+were encoded when the update was first accepted (zero re-encode relay:
 the log caches the blob, re-sends forward it verbatim, and the
-receiver splices the same bytes into its inbox log), and cumulative
-acks shrink to a 13-byte struct.  A peer that never answers the
-advert — an older build, or one running ``wire="json"`` — keeps the
-JSON framing on that connection with no configuration; the two
-codecs interoperate freely within one cluster because negotiation is
-per-connection and frames are self-describing.
+receiver splices the same bytes into its inbox log); a cumulative ack
+is a 13-byte struct.  Control frames (``hb``, ``hb-ack``,
+``peer-reset``) and everything a client exchanges stay JSON.  A frame
+kind this server does not know — a mis-versioned peer — is answered
+with an ``error`` frame and counted, never applied.
 
 Failure detection and graceful degradation: channel loops double as a
 heartbeat path — any acknowledgement or heartbeat reply marks the peer
@@ -127,21 +125,14 @@ from .faults import FaultPlan
 from .gossip import DEAD, LEFT, SUSPECT, FailureDetector, MembershipTable
 from .protocol import (
     MAX_FRAME,
-    SUPPORTED_WIRES,
-    WIRE_BIN1,
-    WIRE_JSON,
     FrameWriter,
     ProtocolError,
-    decode_batch_frame,
     decode_mset,
     decode_ops,
     decode_spec,
-    encode_batch_frame,
     encode_bin_ack_frame,
     encode_bin_batch_frame,
-    encode_frame,
     encode_mset,
-    negotiate_wire,
     payload_blob,
     read_frame,
     write_encoded,
@@ -235,13 +226,6 @@ class Compensated(RuntimeError):
 #: always fits the existing framing.
 SNAPSHOT_CHUNK = 1 << 20
 
-#: seconds an advertising channel sender holds data waiting for the
-#: receiver's hello-ack verdict.  New receivers always reply (accept or
-#: explicit "json" refusal), so the deadline only bites against
-#: receivers that predate hello-ack — which then stay JSON, once per
-#: connection.
-HELLO_ACK_TIMEOUT = 0.25
-
 
 class ReplicaServer:
     """One live replica site serving ESR protocols over TCP."""
@@ -262,7 +246,6 @@ class ReplicaServer:
         ack_timeout: float = 2.0,
         batch_size: int = 32,
         window: int = 4,
-        wire: str = WIRE_BIN1,
         snapshot_interval: float = 0.0,
         backlog_limit: int = 0,
         catchup: bool = True,
@@ -304,14 +287,6 @@ class ReplicaServer:
         self.batch_size = max(1, int(batch_size))
         #: max batch frames in flight per channel before waiting on acks.
         self.window = max(1, int(window))
-        #: best wire codec this replica negotiates on peer channels:
-        #: ``"bin1"`` (default) advertises the binary framing and
-        #: upgrades per-connection when the peer answers; ``"json"``
-        #: never advertises nor answers — the pure legacy behavior,
-        #: used for interop tests and as an escape hatch.
-        if wire not in (WIRE_BIN1, WIRE_JSON):
-            raise ValueError("unknown wire codec %r" % (wire,))
-        self.wire = wire
         #: seconds between automatic snapshots (0 = manual only).
         self.snapshot_interval = float(snapshot_interval)
         #: per-channel durable backlog above which client updates are
@@ -380,9 +355,6 @@ class ReplicaServer:
         self.peer_last_seen: Dict[str, float] = {}
         #: peer -> consecutive channel connect/send failures.
         self.channel_failures: Dict[str, int] = {}
-        #: peer -> wire codec negotiated on the current channel
-        #: session ("json" until a hello-ack upgrades it).
-        self._peer_wire: Dict[str, str] = {}
         #: peer -> rolling batch-acknowledgement latencies (seconds).
         self._ack_latencies: Dict[str, Deque[float]] = {}
         #: peer -> total MSets cumulatively acknowledged since boot.
@@ -639,16 +611,10 @@ class ReplicaServer:
             "(state restarted from zero)",
             labels=("record",),
         )
-        self.m_wire_negotiations = reg.counter(
-            "wire_negotiations_total",
-            "hello negotiations completed on inbound connections, "
-            "by resulting codec",
-            labels=("wire_codec",),
-        )
         self.m_propagation_frames = reg.counter(
             "propagation_frames_total",
-            "outbound propagation batch frames written, by codec",
-            labels=("peer", "wire_codec"),
+            "outbound propagation batch frames written",
+            labels=("peer",),
         )
         self.m_frames_relayed = reg.counter(
             "frames_relayed_total",
@@ -1344,15 +1310,9 @@ class ReplicaServer:
             writer = None
             try:
                 reader, writer = await asyncio.open_connection(*addr)
-                hello: Dict[str, Any] = {
-                    "type": "peer-hello", "src": self.name,
-                }
-                if self.wire != WIRE_JSON:
-                    # Advertise the binary codecs we can read and
-                    # write; an old (or wire="json") peer ignores the
-                    # key and never replies — the channel stays JSON.
-                    hello["wire"] = list(SUPPORTED_WIRES)
-                await write_frame(writer, hello)
+                await write_frame(
+                    writer, {"type": "peer-hello", "src": self.name}
+                )
                 backoff = self.retry_base
                 await self._channel_session(peer, reader, writer)
             except (
@@ -1386,17 +1346,12 @@ class ReplicaServer:
 
         ``state`` is shared between the two halves: ``sent_hi`` is the
         highest channel seq handed to this connection, ``inflight`` the
-        (last_seq, sent_at, n_msets) record of each un-retired batch,
-        ``wire`` the codec negotiated for this connection (JSON until
-        the peer's hello-ack upgrades it).
+        (last_seq, sent_at, n_msets) record of each un-retired batch.
         """
         state = {
             "sent_hi": self.log.frontier(peer),
             "inflight": deque(),
-            "wire": WIRE_JSON,
-            "hello_done": asyncio.Event(),
         }
-        self._peer_wire[peer] = WIRE_JSON
         sender = asyncio.ensure_future(
             self._channel_sender(peer, writer, state)
         )
@@ -1448,20 +1403,6 @@ class ReplicaServer:
         log = self.log
         event = self._outbox_events[peer]
         inflight: Deque[Tuple[int, float, int]] = state["inflight"]
-        if self.wire != WIRE_JSON:
-            # We advertised codecs on the hello: hold data until the
-            # receiver's verdict (new receivers always reply, even to
-            # refuse) or a short deadline covering receivers that
-            # predate hello-ack.  Without this gate the first send
-            # window after every (re)connect — which after a partition
-            # heal is the entire drain — streams JSON on a channel
-            # that is about to negotiate bin1.
-            try:
-                await asyncio.wait_for(
-                    state["hello_done"].wait(), timeout=HELLO_ACK_TIMEOUT
-                )
-            except asyncio.TimeoutError:
-                pass  # legacy receiver: stay on JSON
         while self._running:
             if self._link_severed(peer):
                 raise ConnectionResetError(
@@ -1538,18 +1479,13 @@ class ReplicaServer:
         """Chunk ``entries`` into at most ``room`` batch frames and
         write them as one buffered burst of pre-encoded bytes.
 
-        On a negotiated binary channel each MSet's payload bytes are
-        forwarded exactly as cached when the update entered the log
-        — the zero re-encode relay; re-sends from the log reuse the
-        same cache.  On a JSON channel the frames are built as before
-        (including the legacy single-``mset`` form an older peer
-        understands).
+        Each MSet's payload bytes are forwarded exactly as cached when
+        the update entered the log — the zero re-encode relay; re-sends
+        from the log reuse the same cache.
         """
         if self.faults is not None:
             entries = self.faults.reorder_batch(self.name, peer, entries)
         wire_blob = self.log.wire_blob
-        use_bin = state.get("wire") == WIRE_BIN1
-        wire_codec = WIRE_BIN1 if use_bin else WIRE_JSON
         now = self.engine.clock()
         chunks: List[bytes] = []
         for batch in self._plan_batches(entries)[:room]:
@@ -1557,37 +1493,11 @@ class ReplicaServer:
             state["sent_hi"] = max(state["sent_hi"], last_seq)
             state["inflight"].append((last_seq, now, len(batch)))
             self.m_batch_msets.observe(len(batch))
-            if use_bin:
-                data = encode_bin_batch_frame(
-                    self.name,
-                    [(seq, wire_blob(seq)) for seq, _ in batch],
-                )
-                self.m_frames_relayed.labels(peer=peer).inc(len(batch))
-            elif len(batch) == 1:
-                # Single-MSet batches ride the legacy frame so an
-                # older peer interoperates without knowing mset-batch.
-                seq, payload = batch[0]
-                data = encode_frame(
-                    {
-                        "type": "mset",
-                        "src": self.name,
-                        "seq": seq,
-                        "mset": payload["mset"],
-                    }
-                )
-            else:
-                data = encode_frame(
-                    encode_batch_frame(
-                        self.name,
-                        [
-                            (seq, payload["mset"])
-                            for seq, payload in batch
-                        ],
-                    )
-                )
-            self.m_propagation_frames.labels(
-                peer=peer, wire_codec=wire_codec
-            ).inc()
+            data = encode_bin_batch_frame(
+                self.name, [(seq, wire_blob(seq)) for seq, _ in batch]
+            )
+            self.m_frames_relayed.labels(peer=peer).inc(len(batch))
+            self.m_propagation_frames.labels(peer=peer).inc()
             copies = 1
             if self.faults is not None:
                 nbytes = 0
@@ -1705,19 +1615,6 @@ class ReplicaServer:
                     self._reconcile_ack(peer, int(frame["seq"]), state)
                 if "gossip" in frame:
                     await self._merge_gossip(peer, frame["gossip"])
-            elif kind == "hello-ack":
-                # The receiver's negotiation verdict for the codecs we
-                # advertised on the hello frame ("json" is an explicit
-                # refusal).  Every frame after this point may use the
-                # accepted codec; waking ``hello_done`` releases the
-                # sender, which holds data until the verdict so the
-                # first window after a (re)connect cannot race past
-                # the upgrade and stream JSON on a bin1 channel.
-                wire = frame.get("wire")
-                if self.wire != WIRE_JSON and wire in SUPPORTED_WIRES:
-                    state["wire"] = wire
-                    self._peer_wire[peer] = wire
-                state["hello_done"].set()
 
     def _reconcile_ack(
         self, peer: str, seq: int, state: Dict[str, Any]
@@ -1820,12 +1717,8 @@ class ReplicaServer:
         if task is not None:
             self._conn_tasks.add(task)
         # Every frame *we* send back on this socket — JSON replies, raw
-        # binary acks, the hello-ack — in one ordered per-turn buffer.
+        # binary acks — in one ordered per-turn buffer.
         frames = FrameWriter(writer)
-        # Per-connection negotiated codec for those frames (acks).
-        # Flips to binary when the peer's hello advertises a codec we
-        # also speak.
-        conn_wire = {"codec": WIRE_JSON}
         try:
             while self._running:
                 try:
@@ -1847,11 +1740,12 @@ class ReplicaServer:
                     self._conn_tasks.add(req_task)
                     req_task.add_done_callback(self._conn_tasks.discard)
                     continue
-                if kind in ("mset", "mset-batch"):
+                # Only ``decode_bin_frame`` yields a tuple of blobs (a
+                # JSON array is a list): no JSON frame reaches the inbox.
+                blobs = frame.get("blobs")
+                if kind == "mset-batch" and isinstance(blobs, tuple):
                     try:
-                        await self._on_mset_batch_frame(
-                            frame, frames, conn_wire
-                        )
+                        await self._on_mset_batch_frame(frame, frames)
                     except ProtocolError:
                         self.m_frames_dropped.labels(
                             reason="malformed_mset"
@@ -1886,39 +1780,17 @@ class ReplicaServer:
                         self.m_frames_dropped.labels(
                             reason="peer_reset_ignored"
                         ).inc()
-                elif kind in ("peer-hello", "client-hello"):
+                elif kind == "peer-hello":
                     src = frame.get("src")
                     if src:
                         self._note_peer_alive(str(src))
-                    advert = frame.get("wire")
-                    choice = None
-                    if self.wire != WIRE_JSON:
-                        choice = negotiate_wire(advert)
-                    if choice is not None:
-                        conn_wire["codec"] = choice
-                    if advert is not None:
-                        # The advert itself proves this sender speaks
-                        # hello-ack, so ALWAYS answer it — with the
-                        # chosen codec or an explicit "json" verdict.
-                        # An advertising sender holds data until the
-                        # reply lands; a silent receiver here would
-                        # stall it for the whole handshake deadline
-                        # and (worse) let the first send window after
-                        # every reconnect race past the upgrade as
-                        # JSON.  Advertising also implies the sender
-                        # can already read the codec, so acks may
-                        # switch as soon as this reply is queued.
-                        frames.send(
-                            {
-                                "type": "hello-ack",
-                                "src": self.name,
-                                "wire": choice or WIRE_JSON,
-                            }
-                        )
-                    self.m_wire_negotiations.labels(
-                        wire_codec=choice or WIRE_JSON
-                    ).inc()
                 else:
+                    # Includes the JSON ``mset`` / ``mset-batch`` frames
+                    # of a mis-versioned peer: refused where it can be
+                    # seen, nothing recorded, nothing applied.
+                    self.m_frames_dropped.labels(
+                        reason="unknown_frame"
+                    ).inc()
                     frames.send(
                         {"type": "error", "error": "unknown frame %r" % kind}
                     )
@@ -1934,13 +1806,9 @@ class ReplicaServer:
             writer.close()
 
     async def _on_mset_batch_frame(
-        self,
-        frame: Dict[str, Any],
-        frames: FrameWriter,
-        conn_wire: Dict[str, str],
+        self, frame: Dict[str, Any], frames: FrameWriter
     ) -> None:
-        """Receive one ``mset``/``mset-batch`` frame (JSON or binary)
-        from a peer.
+        """Receive one (binary) ``mset-batch`` frame from a peer.
 
         The contiguous fresh prefix of the batch is durably recorded
         with one group-commit append and applied under one engine-lock
@@ -1956,9 +1824,9 @@ class ReplicaServer:
         (dropping the connection) rather than poison the inbox log,
         where it would crash recovery replay on every restart.
 
-        Binary frames arrive with pre-encoded payload ``blobs``; those
-        exact bytes are spliced into the inbox log so the durable
-        record stays the same JSON line either way.
+        The frame arrives with pre-encoded payload ``blobs``; those
+        exact bytes are spliced into the inbox log, so the durable
+        record is the JSON line the sender's log holds.
         """
         src = frame.get("src", "")
         inbox = self.inboxes.get(src)
@@ -1971,42 +1839,29 @@ class ReplicaServer:
             )
             return
         self._note_peer_alive(src)
-        blobs = frame.get("blobs")
         fresh: List[Tuple[int, Any]] = []
-        fresh_blobs: Optional[List[bytes]] = None
+        fresh_blobs: List[bytes] = []
         expected = inbox.frontier + 1
-        if blobs is not None:
-            fresh_blobs = []
-            for seq, blob in blobs:
-                if seq < expected:
-                    continue  # duplicate: the cumulative ack re-covers it
-                if seq > expected:
-                    break  # gap (reordered/dropped frame): ack frontier
-                try:
-                    payload = json.loads(blob)
-                except ValueError as exc:
-                    raise ProtocolError(
-                        "binary entry %d is not valid JSON: %s"
-                        % (seq, exc)
-                    ) from exc
-                if not isinstance(payload, dict) or not isinstance(
-                    payload.get("mset"), dict
-                ):
-                    raise ProtocolError(
-                        "binary entry %d is not an mset payload" % seq
-                    )
-                fresh.append((seq, payload))
-                fresh_blobs.append(blob)
-                expected += 1
-        else:
-            entries = decode_batch_frame(frame)
-            for seq, encoded in entries:
-                if seq < expected:
-                    continue  # duplicate: the cumulative ack re-covers it
-                if seq > expected:
-                    break  # gap (reordered/dropped frame): ack frontier
-                fresh.append((seq, {"mset": encoded}))
-                expected += 1
+        for seq, blob in frame["blobs"]:
+            if seq < expected:
+                continue  # duplicate: the cumulative ack re-covers it
+            if seq > expected:
+                break  # gap (reordered/dropped frame): ack frontier
+            try:
+                payload = json.loads(blob)
+            except ValueError as exc:
+                raise ProtocolError(
+                    "binary entry %d is not valid JSON: %s" % (seq, exc)
+                ) from exc
+            if not isinstance(payload, dict) or not isinstance(
+                payload.get("mset"), dict
+            ):
+                raise ProtocolError(
+                    "binary entry %d is not an mset payload" % seq
+                )
+            fresh.append((seq, payload))
+            fresh_blobs.append(blob)
+            expected += 1
         if fresh:
             # Decode first (see docstring), then record + apply under
             # the apply lock: a snapshot captured between the two
@@ -2026,10 +1881,7 @@ class ReplicaServer:
         # that claim leaves this process, or a crash here would lose
         # it from both ends of the channel.
         inbox.sync()
-        if conn_wire.get("codec") == WIRE_BIN1:
-            frames.write(encode_bin_ack_frame(inbox.frontier))
-        else:
-            frames.send({"type": "ack", "seq": inbox.frontier})
+        frames.write(encode_bin_ack_frame(inbox.frontier))
 
     def _resolve_applied(self, applied: List[MSet]) -> None:
         """Applying remote MSets can release held-back local ones."""
@@ -2834,12 +2686,10 @@ class ReplicaServer:
                     if lats
                     else None
                 ),
-                "wire": self._peer_wire.get(peer, WIRE_JSON),
             }
         stats = self.engine.stats()
         stats.update(
             site=self.name,
-            wire=self.wire,
             peers=peers,
             degraded=self.degraded(),
             outbound_backlog={

@@ -4,9 +4,9 @@ The channel hot path now drains backlogs as multi-MSet ``mset-batch``
 frames with a window of batches in flight and cumulative acks.  These
 tests exercise that machinery through real sockets: backlogs actually
 travel as batches (observable via the ack high-water mark jumping in
-steps), extreme knob settings still converge, the legacy single-mset
-frame interoperates with a batching receiver, and the ``settle`` verb
-blocks server-side instead of clients polling stats.
+steps), extreme knob settings still converge, forged duplicate and
+gapped batches are acked at the frontier and never re-applied, and the
+``settle`` verb blocks server-side instead of clients polling stats.
 """
 
 import asyncio
@@ -16,7 +16,9 @@ import pytest
 from repro.core.transactions import EpsilonSpec
 from repro.live import FaultPlan, LiveCluster
 from repro.live.protocol import (
+    encode_bin_batch_frame,
     encode_mset,
+    payload_blob,
     read_frame,
     write_frame,
 )
@@ -165,45 +167,31 @@ class TestBatchedDrain:
         run(scenario())
 
 
-class TestWireInterop:
-    def test_legacy_single_mset_sender_accepted(self):
-        """An old peer that only speaks single-``mset`` frames gets
-        cumulative acks back and its update is applied."""
-
-        async def scenario():
-            cluster = LiveCluster(n_sites=2, method="commu")
-            await cluster.start()
-            try:
-                host, port = cluster.addrs["site0"]
-                reader, writer = await asyncio.open_connection(host, port)
-                # Impersonate site1's channel with the legacy frame.
-                await write_frame(
-                    writer, {"type": "peer-hello", "src": "site1"}
-                )
-                mset = MSet(
-                    tid="site1:1",
-                    ops=(IncrementOp("acct0", 5),),
-                    origin="site1",
-                )
-                await write_frame(
-                    writer,
+def _forged_batch(src, seqs):
+    """One binary ``mset-batch`` frame of unit increments from ``src``."""
+    return encode_bin_batch_frame(
+        src,
+        [
+            (
+                seq,
+                payload_blob(
                     {
-                        "type": "mset",
-                        "src": "site1",
-                        "seq": 1,
-                        "mset": encode_mset(mset),
-                    },
-                )
-                ack = await asyncio.wait_for(read_frame(reader), timeout=5)
-                assert ack == {"type": "ack", "seq": 1}
-                writer.close()
-                client = await cluster.client("site0")
-                assert await client.read("acct0") == 5
-            finally:
-                await cluster.stop()
+                        "mset": encode_mset(
+                            MSet(
+                                tid="%s:%d" % (src, seq),
+                                ops=(IncrementOp("acct0", 1),),
+                                origin=src,
+                            )
+                        )
+                    }
+                ),
+            )
+            for seq in seqs
+        ],
+    )
 
-        run(scenario())
 
+class TestWireInterop:
     def test_duplicate_batch_reacked_not_reapplied(self):
         """A re-sent batch (lost ack) is acknowledged at the frontier
         without double-applying."""
@@ -217,26 +205,10 @@ class TestWireInterop:
                 await write_frame(
                     writer, {"type": "peer-hello", "src": "site1"}
                 )
-                msets = [
-                    {
-                        "seq": seq,
-                        "mset": encode_mset(
-                            MSet(
-                                tid="site1:%d" % seq,
-                                ops=(IncrementOp("acct0", 1),),
-                                origin="site1",
-                            )
-                        ),
-                    }
-                    for seq in (1, 2, 3)
-                ]
-                batch = {
-                    "type": "mset-batch",
-                    "src": "site1",
-                    "msets": msets,
-                }
+                batch = _forged_batch("site1", (1, 2, 3))
                 for _ in range(3):  # original + two retries
-                    await write_frame(writer, batch)
+                    writer.write(batch)
+                    await writer.drain()
                     ack = await asyncio.wait_for(
                         read_frame(reader), timeout=5
                     )
@@ -262,23 +234,9 @@ class TestWireInterop:
                 await write_frame(
                     writer, {"type": "peer-hello", "src": "site1"}
                 )
-                batch = {
-                    "type": "mset-batch",
-                    "src": "site1",
-                    "msets": [
-                        {
-                            "seq": 5,  # frontier is 0: seqs 1-4 missing
-                            "mset": encode_mset(
-                                MSet(
-                                    tid="site1:5",
-                                    ops=(IncrementOp("acct0", 1),),
-                                    origin="site1",
-                                )
-                            ),
-                        }
-                    ],
-                }
-                await write_frame(writer, batch)
+                # frontier is 0: seqs 1-4 missing
+                writer.write(_forged_batch("site1", (5,)))
+                await writer.drain()
                 ack = await asyncio.wait_for(read_frame(reader), timeout=5)
                 assert ack == {"type": "ack", "seq": 0}
                 writer.close()

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.consistency import Consistency
 from repro.live import (
     ChaosConfig,
     FaultPlan,
@@ -142,12 +143,12 @@ class TestDegradedMode:
                 # Updates keep committing at the isolated replica...
                 await c2.increment("x", 1)
                 # ...bounded reads keep answering with honest error...
-                value = await c2.read("x", epsilon=100)
+                value = await c2.read("x", Consistency.BOUNDED(100))
                 assert value == 2
                 # ...and strict reads refuse fast instead of hanging.
                 t0 = time.monotonic()
                 with pytest.raises(LiveETFailed) as excinfo:
-                    await c2.read("x", epsilon=0, timeout=5.0)
+                    await c2.read("x", Consistency.STRICT, timeout=5.0)
                 assert time.monotonic() - t0 < 1.0
                 assert excinfo.value.code == "UNAVAILABLE"
                 assert excinfo.value.unavailable
@@ -162,7 +163,7 @@ class TestDegradedMode:
                 await cluster.settle(timeout=30)
                 assert await cluster.converged()
                 # Strict service restored once peers are back.
-                assert await c2.read("x", epsilon=0) == 2
+                assert await c2.read("x", Consistency.STRICT) == 2
                 stats = await c2.stats()
                 assert stats["degraded"] is False
             finally:
@@ -196,7 +197,7 @@ class TestDegradedMode:
                 # not yet tripped: it blocks, then aborts on detection.
                 t0 = time.monotonic()
                 with pytest.raises(LiveETFailed) as excinfo:
-                    await c2.read("x", epsilon=0, timeout=10.0)
+                    await c2.read("x", Consistency.STRICT, timeout=10.0)
                 elapsed = time.monotonic() - t0
                 assert excinfo.value.code == "UNAVAILABLE"
                 assert elapsed < 2.0  # detection + abort, not timeout

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.consistency import Consistency
 from repro.core.operations import IncrementOp, ReadOp
 from repro.core.transactions import EpsilonSpec
 from repro.live import FaultPlan, LiveCluster, LiveETFailed
@@ -310,7 +311,7 @@ class TestOrdupSemantics:
                 # The read evaluates at the ET's position in the global
                 # order: before its own write.
                 assert result["values"]["bal"] == 100
-                strict = await client.read("bal", epsilon=0)
+                strict = await client.read("bal", Consistency.STRICT)
                 assert strict == 150
             finally:
                 await cluster.stop()
@@ -335,7 +336,7 @@ class TestOrdupSemantics:
                 # invariant a == b can never appear broken.
                 await clients[0].write("b", 0)
                 await cluster.settle(timeout=30)
-                got = await clients[1].read_many(["a", "b"], epsilon=0)
+                got = await clients[1].read_many(["a", "b"], Consistency.STRICT)
                 assert got["a"] == 30
                 assert got["b"] == 0
             finally:

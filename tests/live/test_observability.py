@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.transactions import EpsilonSpec
 from repro.live import LiveCluster
-from repro.live.protocol import read_frame, write_frame
+from repro.live.protocol import encode_bin_batch_frame, write_frame
 
 
 def run(coro):
@@ -131,10 +131,8 @@ class TestSilentHandlerRegressions:
                 await write_frame(
                     writer, {"type": "peer-hello", "src": "stranger"}
                 )
-                await write_frame(
-                    writer,
-                    {"type": "mset", "src": "stranger", "seq": 1},
-                )
+                writer.write(encode_bin_batch_frame("stranger", [(1, b"{}")]))
+                await writer.drain()
                 await asyncio.sleep(0.1)
                 writer.close()
                 server = cluster.servers["site0"]

@@ -21,17 +21,13 @@ from repro.core.transactions import EpsilonSpec, UNLIMITED
 from repro.live.protocol import (
     MAX_BATCH_ENTRIES,
     MAX_FRAME,
-    SUPPORTED_WIRES,
-    WIRE_BIN1,
     FrameWriter,
     ProtocolError,
-    decode_batch_frame,
     decode_bin_frame,
     decode_mset,
     decode_op,
     decode_ops,
     decode_spec,
-    encode_batch_frame,
     encode_bin_ack_frame,
     encode_bin_batch_frame,
     encode_frame,
@@ -39,10 +35,8 @@ from repro.live.protocol import (
     encode_op,
     encode_ops,
     encode_spec,
-    negotiate_wire,
     payload_blob,
     read_frame,
-    write_frames,
 )
 from repro.replica.mset import MSet
 
@@ -189,119 +183,8 @@ class TestMSetCodec:
         assert back.ops[0].value == 5
 
 
-class TestBatchFrames:
-    def _mset_payload(self, n):
-        return encode_mset(
-            MSet(
-                tid="site0:%d" % n,
-                ops=(IncrementOp("x", n),),
-                origin="site0",
-            )
-        )
-
-    def test_roundtrip(self):
-        entries = [(seq, self._mset_payload(seq)) for seq in (4, 5, 6)]
-        frame = encode_batch_frame("site0", entries)
-        assert frame["type"] == "mset-batch"
-        assert frame["src"] == "site0"
-        back = decode_batch_frame(frame)
-        assert [seq for seq, _ in back] == [4, 5, 6]
-        assert decode_mset(back[0][1]).ops[0].amount == 4
-
-    def test_survives_the_wire(self):
-        entries = [(1, self._mset_payload(1)), (2, self._mset_payload(2))]
-        frame = encode_batch_frame("site0", entries)
-
-        async def scenario():
-            return await read_frame(_feed(encode_frame(frame)))
-
-        assert decode_batch_frame(asyncio.run(scenario())) == tuple(
-            (seq, payload) for seq, payload in entries
-        )
-
-    def test_empty_batch_rejected_on_encode(self):
-        with pytest.raises(ProtocolError):
-            encode_batch_frame("site0", [])
-
-    def test_empty_batch_rejected_on_decode(self):
-        with pytest.raises(ProtocolError):
-            decode_batch_frame(
-                {"type": "mset-batch", "src": "site0", "msets": []}
-            )
-        with pytest.raises(ProtocolError):
-            decode_batch_frame({"type": "mset-batch", "src": "site0"})
-
-    def test_oversize_batch_rejected_both_ways(self):
-        entries = [(i, {"tid": "t%d" % i}) for i in range(1, MAX_BATCH_ENTRIES + 2)]
-        with pytest.raises(ProtocolError):
-            encode_batch_frame("site0", entries)
-        with pytest.raises(ProtocolError):
-            decode_batch_frame(
-                {
-                    "type": "mset-batch",
-                    "src": "site0",
-                    "msets": [
-                        {"seq": seq, "mset": payload}
-                        for seq, payload in entries
-                    ],
-                }
-            )
-
-    def test_legacy_mset_frame_decodes_as_one_entry_batch(self):
-        """Mixed-version interop: an old peer's single-mset frame goes
-        through the same receive entry point as a batch."""
-        payload = self._mset_payload(9)
-        frame = {"type": "mset", "src": "site1", "seq": 9, "mset": payload}
-        assert decode_batch_frame(frame) == ((9, payload),)
-
-    def test_malformed_entries_rejected(self):
-        for bad in (
-            [{"seq": "x", "mset": {}}],  # non-int seq
-            [{"seq": 1, "mset": "nope"}],  # non-dict mset
-            [{"seq": 1}],  # missing mset
-            ["not-a-dict"],
-        ):
-            with pytest.raises(ProtocolError):
-                decode_batch_frame(
-                    {"type": "mset-batch", "src": "s", "msets": bad}
-                )
-
-    def test_batch_frame_respects_max_frame(self):
-        """A batch whose encoding exceeds MAX_FRAME is refused at the
-        framing layer (senders budget batches well under the cap)."""
-        big = "v" * (MAX_FRAME // 4)
-        frame = encode_batch_frame(
-            "site0", [(i, {"blob": big}) for i in range(1, 6)]
-        )
-        with pytest.raises(ProtocolError):
-            encode_frame(frame)
-
-    def test_write_frames_coalesces_on_the_wire(self):
-        """Several frames written as one burst read back individually."""
-        frames = [{"i": i} for i in range(4)]
-
-        class _Sink:
-            def __init__(self):
-                self.chunks = []
-
-            def write(self, data):
-                self.chunks.append(data)
-
-            async def drain(self):
-                pass
-
-        async def scenario():
-            sink = _Sink()
-            await write_frames(sink, frames)
-            assert len(sink.chunks) == 1  # single buffered write
-            reader = _feed(b"".join(sink.chunks))
-            return [await read_frame(reader) for _ in range(5)]
-
-        got = asyncio.run(scenario())
-        assert got == frames + [None]
-
 class TestBinaryFraming:
-    """The bin1 codec: struct envelopes around opaque payload blobs."""
+    """Binary frames: struct envelopes around opaque payload blobs."""
 
     def _blob(self, n):
         return payload_blob(
@@ -339,8 +222,8 @@ class TestBinaryFraming:
         assert asyncio.run(scenario()) == {"type": "ack", "seq": 712}
 
     def test_binary_and_json_frames_interleave(self):
-        """Frames are self-describing: a reader handles a mid-stream
-        codec switch with no negotiation state."""
+        """Frames are self-describing: a reader takes JSON control
+        frames and binary propagation frames off one stream."""
         stream = (
             encode_frame({"type": "ping"})
             + encode_bin_ack_frame(3)
@@ -427,23 +310,6 @@ class TestBinaryFraming:
         body = struct.pack(">BHI", 1, 1, MAX_BATCH_ENTRIES + 1) + b"s"
         with pytest.raises(ProtocolError):
             decode_bin_frame(body)
-
-
-class TestWireNegotiation:
-    def test_picks_supported_codec(self):
-        assert negotiate_wire(["bin1"]) == WIRE_BIN1
-        assert negotiate_wire(["future9", "bin1"]) == WIRE_BIN1
-        assert negotiate_wire(list(SUPPORTED_WIRES)) == WIRE_BIN1
-
-    def test_no_overlap_stays_json(self):
-        assert negotiate_wire(["future9"]) is None
-        assert negotiate_wire([]) is None
-
-    def test_malformed_advert_is_tolerated(self):
-        # Old peers / future extensions must never turn the hello into
-        # an error: wrong types mean "no advert", not a protocol fault.
-        for advert in (None, "bin1", 7, {"bin1": True}, True):
-            assert negotiate_wire(advert) is None
 
 
 class TestDecoderHardening:
@@ -600,17 +466,14 @@ class TestCodecProperties:
             back = decode_spec(encode_spec(spec))
             assert encode_spec(back) == encode_spec(spec)
 
-    def test_batch_frame_roundtrip_property_both_codecs(self):
+    def test_batch_frame_roundtrip_property(self):
         rng = random.Random(0xC0DEC + 3)
         for _ in range(30):
             entries = [
                 (seq, encode_mset(self._random_mset(rng, seq)))
                 for seq in range(1, rng.randrange(2, 12))
             ]
-            # JSON form
-            back = decode_batch_frame(encode_batch_frame("s0", entries))
-            assert list(back) == entries
-            # binary form relays canonical payload bytes bit-for-bit
+            # the frame relays canonical payload bytes bit-for-bit
             blobs = [
                 (seq, payload_blob({"mset": mset})) for seq, mset in entries
             ]
@@ -635,7 +498,7 @@ class TestCodecProperties:
         seeds = [
             encode_frame({"type": "ack", "seq": 7}),
             encode_frame(
-                encode_batch_frame("s0", [(1, mset), (2, mset)])
+                {"type": "hb", "src": "s0", "gossip": {"nodes": [mset]}}
             ),
             encode_bin_ack_frame(7),
             encode_bin_batch_frame(
@@ -687,17 +550,17 @@ class TestFrameWriter:
     """One socket write per connection per loop turn."""
 
     def test_one_turn_is_one_write_in_call_order(self):
-        """A JSON reply, a raw bin1 ack and a hello-ack written in one
-        turn leave as one transport write, in the order written."""
+        """A JSON reply, a raw binary ack and a heartbeat reply written
+        in one turn leave as one transport write, in the order written."""
         reply = {"type": "response", "id": 1, "ok": True}
-        hello_ack = {"type": "hello-ack", "src": "s0", "wire": WIRE_BIN1}
+        hb_ack = {"type": "hb-ack", "src": "s0", "seq": 9}
 
         async def scenario():
             sink = _Sink()
             frames = FrameWriter(sink)
             frames.send(reply)
             frames.write(encode_bin_ack_frame(9))
-            frames.send(hello_ack)
+            frames.send(hb_ack)
             frames.write(encode_bin_ack_frame(10))
             assert sink.chunks == []  # nothing before the turn ends
             await asyncio.sleep(0)
@@ -708,7 +571,7 @@ class TestFrameWriter:
         assert asyncio.run(scenario()) == [
             reply,
             {"type": "ack", "seq": 9},
-            hello_ack,
+            hb_ack,
             {"type": "ack", "seq": 10},
             None,
         ]

@@ -565,33 +565,20 @@ class TestTimeoutThreading:
 
 
 class TestDeprecatedKwargs:
-    def test_legacy_epsilon_warns_but_works(self, tmp_path):
-        async def main():
-            cluster = LiveCluster(n_sites=3, data_dir=tmp_path)
-            await cluster.start()
-            try:
-                client = await cluster.client(cluster.names[0])
-                await client.increment("acct", 4)
-                with pytest.warns(DeprecationWarning):
-                    assert await client.read("acct", epsilon=5) == 4
-                with pytest.warns(DeprecationWarning):
-                    got = await client.read_many(["acct"], epsilon=5)
-                assert got == {"acct": 4}
-                # Positional numeric epsilon (the oldest spelling).
-                with pytest.warns(DeprecationWarning):
-                    assert await client.read("acct", 5) == 4
-            finally:
-                await cluster.stop()
-
-        run(main())
-
     def test_mixing_typed_and_legacy_is_an_error(self):
+        """The ``epsilon=`` keywords and the bare-number spelling are
+        gone: alone or beside a typed level, each is a ``TypeError``."""
+
         async def main():
             client = LiveClient([("127.0.0.1", 1)])
             with pytest.raises(TypeError):
                 await client.read(
                     "k", Consistency.BOUNDED(2), epsilon=3
                 )
+            with pytest.raises(TypeError):
+                await client.read_many(["k"], epsilon=3)
+            with pytest.raises(TypeError):
+                await client.read("k", 5)
             await client.close()
 
         run(main())

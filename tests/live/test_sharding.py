@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import repro
+from repro.consistency import Consistency
 from repro.core.operations import IncrementOp, WriteOp
 from repro.live import (
     LiveClient,
@@ -120,7 +121,7 @@ class TestShardedRouting:
                 merged = await router.read_many(["acct0", "note", "k000"])
                 result = await router.query(["acct0", "note", "k000"])
                 await router.settle()
-                strict = await router.read("acct0", epsilon=0)
+                strict = await router.read("acct0", Consistency.STRICT)
                 stats = await router.stats()
                 return merged, result, strict, stats
             finally:

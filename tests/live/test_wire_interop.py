@@ -1,27 +1,31 @@
-"""Wire codec interop matrix: binary↔binary, binary↔JSON-only peer,
-and a mixed-codec cluster under fault pressure — all must converge to
-identical applied state, because the codec is transport dressing, not
-semantics.
+"""The one peer wire: a channel is a JSON ``peer-hello`` followed by
+binary ``mset-batch`` frames, answered by binary cumulative acks —
+nothing negotiated, no option to set, and a peer that speaks anything
+else is refused where an operator can see it.
 
-Also pins the wire-vs-durable-log split (channel logs stay JSON lines
-no matter what the wire negotiated) and the decode-before-record
-ordering: a malformed binary batch must drop the connection *without*
-poisoning the inbox log, so a restart replays cleanly.
+Also pins the wire-vs-durable-log split (channel logs are JSON lines
+under a binary wire) and the decode-before-record ordering: a malformed
+binary batch must drop the connection *without* poisoning the inbox
+log, so a restart replays cleanly.
 """
 
 import asyncio
 import json
+import time
 
 import pytest
 
-from repro.live import FaultPlan, LiveCluster
+from repro.__main__ import main
+from repro.core.operations import IncrementOp
+from repro.live import LiveClient, LiveCluster, ReplicaServer
 from repro.live.protocol import (
-    ProtocolError,
     encode_bin_batch_frame,
+    encode_mset,
     payload_blob,
     read_frame,
     write_frame,
 )
+from repro.replica.mset import MSet
 
 
 def run(coro):
@@ -47,8 +51,8 @@ async def _drive(cluster, site="site0", n=30):
     await cluster.settle(timeout=30)
 
 
-class TestInteropMatrix:
-    def test_binary_to_binary_converges_and_negotiates(self, tmp_path):
+class TestOneWire:
+    def test_every_channel_relays_binary_frames(self, tmp_path):
         async def scenario():
             cluster = await _booted(tmp_path)
             try:
@@ -58,127 +62,161 @@ class TestInteropMatrix:
                 for site in ("site0", "site1", "site2"):
                     await _drive(cluster, site=site, n=10)
                 assert await cluster.converged()
-                stats = await cluster.site_stats()
-                for site, stat in stats.items():
-                    assert stat["wire"] == "bin1"
-                    for peer, info in stat["peers"].items():
-                        assert info["wire"] == "bin1", (site, peer)
-                # The fast path actually carried the stream: every
-                # replica relayed pre-encoded bytes to each peer.
+                # Every replica relayed pre-encoded bytes to each peer.
                 for site, server in cluster.servers.items():
                     for peer in server.peer_names:
-                        assert (
-                            server.registry.get_sample(
-                                "frames_relayed_total", peer=peer
-                            )
-                            > 0
-                        )
-                        assert (
-                            server.registry.get_sample(
-                                "propagation_frames_total",
-                                peer=peer,
-                                wire_codec="bin1",
-                            )
-                            > 0
-                        )
+                        for family in (
+                            "frames_relayed_total",
+                            "propagation_frames_total",
+                        ):
+                            assert (
+                                server.registry.get_sample(family, peer=peer)
+                                > 0
+                            ), (site, peer, family)
             finally:
                 await cluster.stop()
 
         run(scenario())
 
-    def test_binary_peer_falls_back_to_json_only_peer(self, tmp_path):
-        """One JSON-pinned replica in a binary cluster: every channel
-        touching it stays JSON, the rest go binary, state converges."""
+    def test_silent_receiver_gets_binary_batch_at_once(self, tmp_path):
+        """A receiver that takes the ``peer-hello`` and never says a
+        word still gets the backlog at once, as a binary ``mset-batch``:
+        there is no verdict to wait for."""
 
         async def scenario():
-            cluster = await _booted(
-                tmp_path,
-                server_overrides={"site1": {"wire": "json"}},
-            )
-            try:
-                await _drive(cluster, site="site1")
-                await _drive(cluster, site="site0", n=10)
-                assert await cluster.converged()
-                stats = await cluster.site_stats()
-                # site1 never advertises nor accepts binary.
-                assert stats["site1"]["wire"] == "json"
-                for info in stats["site1"]["peers"].values():
-                    assert info["wire"] == "json"
-                # Binary peers negotiated bin1 among themselves but
-                # fell back to JSON toward site1.
-                assert stats["site0"]["peers"]["site1"]["wire"] == "json"
-                assert stats["site0"]["peers"]["site2"]["wire"] == "bin1"
-                assert stats["site2"]["peers"]["site1"]["wire"] == "json"
-                assert stats["site2"]["peers"]["site0"]["wire"] == "bin1"
-                site0 = cluster.servers["site0"]
-                assert (
-                    site0.registry.get_sample(
-                        "propagation_frames_total",
-                        peer="site1",
-                        wire_codec="json",
+            first = asyncio.get_running_loop().create_future()
+
+            async def receiver(reader, writer):
+                hello = await read_frame(reader)
+                greeted = time.monotonic()
+                frame = await read_frame(reader)
+                while frame["type"] == "hb":
+                    frame = await read_frame(reader)
+                if not first.done():  # the sender redials after the close
+                    first.set_result(
+                        (hello, frame, time.monotonic() - greeted)
                     )
-                    > 0
+                writer.close()
+
+            silent = await asyncio.start_server(receiver, "127.0.0.1", 0)
+            server = ReplicaServer(
+                "site0", peers=["site0", "site1"], data_dir=tmp_path
+            )
+            port = await server.bind()
+            try:
+                client = await LiveClient.connect("127.0.0.1", port)
+                await client.increment("x", 7)  # owed to site1 from now on
+                await client.close()
+                server.set_peers(
+                    {"site1": silent.sockets[0].getsockname()[:2]}
+                )
+                server.start_channels()
+                hello, frame, waited = await asyncio.wait_for(
+                    first, timeout=5
                 )
             finally:
-                await cluster.stop()
+                await server.stop()
+                silent.close()
+                await silent.wait_closed()
+            assert hello == {"type": "peer-hello", "src": "site0"}
+            # ``blobs``: only a binary frame decodes to them.
+            assert frame["type"] == "mset-batch"
+            assert [seq for seq, _ in frame["blobs"]] == [1]
+            assert waited < 0.15
 
         run(scenario())
 
-    def test_mixed_cluster_under_faults_converges(self, tmp_path):
-        """Drops, duplicates, and reordering on every link of a mixed
-        bin1/json cluster: retransmission and cumulative acks are
-        codec-independent, and all replicas end bit-identical."""
-        from repro.live.faults import LinkFaults
+    def test_json_batch_frames_are_refused_loudly(self, tmp_path):
+        """A mis-versioned peer's JSON ``mset-batch`` / ``mset`` frames
+        get an ``error`` reply and a counted drop; the inbox frontier
+        and the engine never see them, across a restart too."""
+        mset = encode_mset(
+            MSet(
+                tid="site1:1", ops=(IncrementOp("x", 5),), origin="site1"
+            )
+        )
 
         async def scenario():
-            plan = FaultPlan(
-                seed=11,
-                default=LinkFaults(
-                    drop=0.10, duplicate=0.08, reorder=0.15,
-                    delay_max=0.005,
-                ),
-            )
-            cluster = await _booted(
-                tmp_path,
-                faults=plan,
-                server_overrides={"site2": {"wire": "json"}},
-            )
+            cluster = await _booted(tmp_path, n_sites=2)
             try:
-                clients = {
-                    site: await cluster.client(site)
-                    for site in ("site0", "site1", "site2")
-                }
-                for i in range(40):
-                    site = "site%d" % (i % 3)
-                    await clients[site].increment("shared", 1)
-                for client in clients.values():
-                    await client.close()
-                # Heal the rate faults: retransmission finishes the job.
-                plan.set_default(LinkFaults())
-                await cluster.settle(timeout=60)
-                assert await cluster.converged()
-                values = await cluster.site_values()
-                assert values["site0"]["shared"] == 40
+                # Quiet the real peer so the forged frames own the seqs.
+                await cluster.kill("site1")
+                server = cluster.servers["site0"]
+                frontier = server.inboxes["site1"].frontier
+                host, port = cluster.addrs["site0"]
+                reader, writer = await asyncio.open_connection(host, port)
+                await write_frame(
+                    writer, {"type": "peer-hello", "src": "site1"}
+                )
+                for forged in (
+                    {
+                        "type": "mset-batch",
+                        "src": "site1",
+                        "msets": [{"seq": frontier + 1, "mset": mset}],
+                    },
+                    {
+                        "type": "mset",
+                        "src": "site1",
+                        "seq": frontier + 1,
+                        "mset": mset,
+                    },
+                ):
+                    await write_frame(writer, forged)
+                    reply = await asyncio.wait_for(
+                        read_frame(reader), timeout=5
+                    )
+                    assert reply["type"] == "error"
+                writer.close()
+                assert (
+                    server.registry.get_sample(
+                        "frames_dropped_total", reason="unknown_frame"
+                    )
+                    == 2
+                )
+                assert server.inboxes["site1"].frontier == frontier
+                assert server.engine.snapshot().get("x", 0) == 0
+
+                await cluster.kill("site0")
+                await cluster.restart("site0")
+                server = cluster.servers["site0"]
+                assert server.inboxes["site1"].frontier == frontier
+                assert server.engine.snapshot().get("x", 0) == 0
             finally:
                 await cluster.stop()
 
         run(scenario())
+
+    def test_there_is_no_wire_option(self, tmp_path, capsys):
+        with pytest.raises(TypeError):
+            ReplicaServer(
+                "site0", peers=["site0"], data_dir=tmp_path, wire="json"
+            )
+        with pytest.raises(TypeError):
+            LiveClient([("127.0.0.1", 1)], wire="json")
+        with pytest.raises(SystemExit) as refused:
+            main(["serve", "--name", "site0", "--wire", "json"])
+        assert refused.value.code == 2
+        assert "--wire" in capsys.readouterr().err
 
 
 class TestWireVsDurableLog:
     def test_channel_logs_stay_json_lines_after_binary_propagation(
         self, tmp_path
     ):
-        """The binary codec exists only on the wire: after a binary
-        run, every replication/inbox log line is plain JSON, bit-identical
-        to a full ``json.dumps`` of its record."""
+        """Binary framing exists only on the wire: after a run, every
+        replication/inbox log line is plain JSON, bit-identical to a
+        full ``json.dumps`` of its record."""
 
         async def scenario():
             cluster = await _booted(tmp_path, n_sites=2, fsync=False)
             try:
                 await _drive(cluster, n=10)
-                stats = await cluster.site_stats()
-                assert stats["site0"]["peers"]["site1"]["wire"] == "bin1"
+                assert (
+                    cluster.servers["site0"].registry.get_sample(
+                        "frames_relayed_total", peer="site1"
+                    )
+                    == 10
+                )
             finally:
                 await cluster.stop()
 
@@ -197,8 +235,8 @@ class TestWireVsDurableLog:
         assert checked > 0, "no channel log records found under %s" % tmp_path
 
     def test_restart_replays_binary_propagated_records(self, tmp_path):
-        """Records that arrived via binary frames must recover exactly
-        like JSON-era records (same log format, same replay path)."""
+        """Records that arrived via binary frames recover through the
+        ordinary JSON-lines replay path."""
 
         async def scenario():
             cluster = await _booted(tmp_path, n_sites=2)

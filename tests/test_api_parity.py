@@ -12,7 +12,6 @@ code portable between "validate on the simulator" and "run live".
 
 import asyncio
 import inspect
-import warnings
 
 import pytest
 
@@ -151,7 +150,9 @@ async def _shared_program(backend):
     )
     await backend.call("settle")
     out["acct"] = await backend.call("read", "acct")
-    out["strict_acct"] = await backend.call("read", "acct", epsilon=0)
+    out["strict_acct"] = await backend.call(
+        "read", "acct", Consistency.STRICT
+    )
     out["many"] = await backend.call("read_many", ["acct", "note", "flag"])
     result = await backend.call(
         "query", ["acct", "log"], EpsilonSpec(import_limit=5)
@@ -166,8 +167,7 @@ async def _shared_program(backend):
 async def _typed_program(backend):
     """The same portability contract over the Consistency-typed read
     surface: every backend accepts ``ReadOptions`` / ``Consistency``
-    uniformly, keeps the legacy epsilon keywords working (with a
-    deprecation warning), and offers session guarantees."""
+    uniformly and offers session guarantees."""
     out = {}
     await backend.call("increment", "acct", 40)
     await backend.call("increment", "acct", 2)
@@ -187,12 +187,6 @@ async def _typed_program(backend):
     )
     out["query_acct"] = result.values["acct"]
     out["query_inconsistency"] = result.inconsistency
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out["legacy"] = await backend.call("read", "acct", epsilon=0)
-    out["legacy_warns"] = any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
 
     async def in_session(call):
         await call("increment", "acct", 8)
@@ -211,7 +205,9 @@ async def _ritu_program(backend):
     await backend.call("write", "temp", 21)
     await backend.call("settle")
     out["city"] = await backend.call("read", "city")
-    out["strict_city"] = await backend.call("read", "city", epsilon=0)
+    out["strict_city"] = await backend.call(
+        "read", "city", Consistency.STRICT
+    )
     out["many"] = await backend.call("read_many", ["city", "temp"])
     result = await backend.call(
         "query", ["city", "temp"], EpsilonSpec(import_limit=4)
@@ -263,15 +259,16 @@ class TestSharedSurface:
 
     @pytest.mark.parametrize("verb", ("read", "read_many"))
     def test_budget_parameters_match(self, verb):
-        """The inconsistency-budget keywords are spelled identically."""
-        sim_params = set(
+        """The inconsistency budget has one spelling — the typed
+        ``options`` — and the live read adds only its deadline."""
+        sim_params = list(
             inspect.signature(getattr(Client, verb)).parameters
         )
-        live_params = set(
+        live_params = list(
             inspect.signature(getattr(LiveClient, verb)).parameters
         )
-        assert {"epsilon", "value_epsilon"} <= sim_params
-        assert {"epsilon", "value_epsilon"} <= live_params
+        assert sim_params[2:] == ["options"]
+        assert live_params == sim_params + ["timeout"]
 
     @pytest.mark.parametrize("verb", ("read", "read_many"))
     @pytest.mark.parametrize("cls", (Client, LiveClient, ShardRouter))
@@ -305,8 +302,6 @@ class TestSameProgramSameAnswers:
         assert out["many"] == {"acct": 42, "note": "typed"}
         assert out["query_acct"] == 42
         assert out["query_inconsistency"] == 0
-        assert out["legacy"] == 42
-        assert out["legacy_warns"], "legacy epsilon kwarg must deprecate"
         # Read-your-writes inside the session, on every backend.
         assert out["session"] == 50
 

@@ -5,6 +5,7 @@ import pytest
 from repro import (
     Client,
     CommutativeOperations,
+    Consistency,
     EpsilonSpec,
     ETFailed,
     IncrementOp,
@@ -13,7 +14,7 @@ from repro import (
     UniformLatency,
 )
 from repro.core.operations import DecrementOp
-from repro.core.transactions import reset_tid_counter
+from repro.core.transactions import UNLIMITED, reset_tid_counter
 from repro.replica.ritu import ReadIndependentUpdates
 
 
@@ -86,7 +87,7 @@ class TestEpsilonErgonomics:
         # A strict single-key read may legally serialize *before* the
         # in-flight update (stale is consistent); it must be one of
         # the two serializable values, never a torn intermediate.
-        assert reader.read("x", epsilon=0) in (0, 7)
+        assert reader.read("x", Consistency.STRICT) in (0, 7)
 
     def test_strict_multikey_read_never_torn(self):
         """Strictness bites on multi-key queries: an update writing x
@@ -95,7 +96,7 @@ class TestEpsilonErgonomics:
         writer = Client(system, "site0")
         reader = Client(system, "site1")
         writer.update([IncrementOp("x", 7), IncrementOp("y", 7)])
-        values = reader.read_many(["x", "y"], epsilon=0)
+        values = reader.read_many(["x", "y"], Consistency.STRICT)
         assert values in (
             {"x": 0, "y": 0},
             {"x": 7, "y": 7},
@@ -124,7 +125,8 @@ class TestEpsilonErgonomics:
         client.increment("x", 100)
         client.settle()
         # Settled system: even a zero drift budget reads cleanly.
-        assert client.read("x", value_epsilon=0) == 100
+        drift_free = Consistency.BOUNDED(UNLIMITED, value_limit=0)
+        assert client.read("x", drift_free) == 100
 
 
 class TestFailureSurface:
@@ -169,11 +171,11 @@ class TestFailureSurface:
         result = client.update([ReadOp("x"), IncrementOp("x", 5)])
         assert result.values["x"] == 10  # read at the ET's serial position
         client.settle()
-        assert client.read("x", epsilon=0) == 15
+        assert client.read("x", Consistency.STRICT) == 15
 
     def test_strict_read_on_unknown_key_is_default(self):
         client = Client(_system(), "site0")
-        assert client.read("never-written", epsilon=0) == 0
+        assert client.read("never-written", Consistency.STRICT) == 0
 
     def test_etfailed_carries_the_result(self):
         from repro.core.transactions import ETResult, ETStatus, make_et
