@@ -1,5 +1,4 @@
-"""Live runtime — async update throughput vs the ROWA sync baseline,
-plus a propagation-throughput mode measuring the batched pipeline.
+"""Live runtime — async update throughput vs the ROWA sync baseline.
 
 The live analogue of E2: on a real 3-replica localhost TCP cluster,
 asynchronous replica control (COMMU, ORDUP) commits updates at local
@@ -8,20 +7,16 @@ acknowledgements per commit.  Reported per method: update throughput
 (ET/s) and p50/p99 query latency, with convergence checked at
 quiescence.
 
-The **propagation mode** isolates the inter-replica hot path: one
-writer replica is partitioned off, commits a backlog of updates
-locally (asynchronous commit does not need its peers), then the
-partition heals and the drain of that backlog across both peer
-channels is timed — pure MSet propagation, no client traffic in the
-measurement window.  Run at batch sizes {1, 8, 64} (batch size 1 is
-paired with window 1, reproducing the old stop-and-wait path) it shows
-what batching + pipelining + group commit buy: channel MSets/sec and
-mean batch-ack latency per configuration.
+The propagation drain itself — one writer partitioned off, a backlog
+committed locally, the heal-to-settle drain across both peer channels
+timed — is the repo benchmark's ``drain_backlog`` workload
+(``python3 bench/run.py --workload drain_backlog``); frame size is a
+``server.py`` constant, so there is no batch-size sweep to run here.
 
 The **overhead mode** answers "what does the observability layer
-cost on the hot path?": the same propagation drain is run with
-metrics + tracing enabled and with ``observability=False`` (the null
-registry), best-of-N each, and the relative throughput delta is
+cost on the hot path?": such a drain is run with metrics + tracing
+enabled and with ``observability=False`` (the null registry),
+best-of-N each, and the relative throughput delta is
 reported.  The acceptance bound is <5% overhead on the drain.
 
 The **shards mode** measures what partitioning the keyspace into
@@ -38,8 +33,6 @@ shard count and reports aggregate ops/s and the speedup.
 
 Standalone:  PYTHONPATH=src python benchmarks/bench_live_throughput.py
              PYTHONPATH=src python benchmarks/bench_live_throughput.py \\
-                 --mode propagation --quick --json
-             PYTHONPATH=src python benchmarks/bench_live_throughput.py \\
                  --mode overhead --quick
              PYTHONPATH=src python benchmarks/bench_live_throughput.py \\
                  --shards 1,4 --quick --json BENCH_live_shards.json
@@ -54,12 +47,7 @@ import time
 
 from repro.consistency import Consistency
 from repro.core.transactions import EpsilonSpec
-from repro.live import (
-    FaultPlan,
-    LiveCluster,
-    ShardedCluster,
-    persist_cluster_artifacts,
-)
+from repro.live import FaultPlan, LiveCluster, ShardedCluster
 
 N_SITES = 3
 N_UPDATES = 200
@@ -67,9 +55,7 @@ N_QUERIES = 60
 KEYS = ["acct%d" % i for i in range(4)]
 METHODS = ("commu", "ordup", "rowa")
 
-#: propagation mode: (batch_size, window) configurations measured.
-#: batch 1 / window 1 reproduces the unbatched stop-and-wait baseline.
-BATCH_CONFIGS = ((1, 1), (8, 4), (64, 4))
+#: overhead mode: updates committed behind the partition per cycle.
 N_PROPAGATION_UPDATES = 400
 N_PROPAGATION_UPDATES_QUICK = 120
 
@@ -146,115 +132,6 @@ def run_live_throughput():
     return "\n".join(lines), data
 
 
-async def _drive_propagation(
-    batch_size, window, n_updates, observability=True, artifacts_dir=None
-):
-    """One propagation measurement: backlog behind a partition, then
-    time the healed drain across both peer channels."""
-    plan = FaultPlan(0)  # no link faults; partition/heal control only
-    cluster = LiveCluster(
-        n_sites=N_SITES,
-        method="commu",
-        faults=plan,
-        fsync=True,  # make the group-commit effect part of the story
-        batch_size=batch_size,
-        window=window,
-        observability=observability,
-        # Tight reconnect timing so post-heal redial latency does not
-        # pollute the drain measurement.
-        server_options={"retry_base": 0.005, "retry_max": 0.02},
-    )
-    await cluster.start()
-    try:
-        writer = cluster.names[0]
-        others = cluster.names[1:]
-        client = await cluster.client(writer)
-        plan.partition([[writer], others])
-        for i in range(n_updates):
-            await client.increment(KEYS[i % len(KEYS)], 1)
-        t0 = time.monotonic()
-        plan.heal_all()
-        await cluster.settle(timeout=120)
-        elapsed = time.monotonic() - t0
-        stats = (await cluster.site_stats())[writer]
-        ack_samples = [
-            peer["ack_ms"]
-            for peer in stats["peers"].values()
-            if peer["ack_ms"] is not None
-        ]
-        converged = await cluster.converged()
-        values = (await cluster.site_values())[writer]
-        total = sum(values.get(key, 0) for key in KEYS)
-        if artifacts_dir is not None:
-            await persist_cluster_artifacts(
-                cluster, pathlib.Path(artifacts_dir)
-            )
-    finally:
-        await cluster.stop()
-    n_msets = n_updates * (N_SITES - 1)  # each update crosses 2 channels
-    return {
-        "batch_size": batch_size,
-        "window": window,
-        "n_updates": n_updates,
-        "drain_seconds": elapsed,
-        "msets_per_sec": n_msets / max(elapsed, 1e-9),
-        "ack_ms": (
-            sum(ack_samples) / len(ack_samples) if ack_samples else None
-        ),
-        "converged": converged,
-        "total": total,
-    }
-
-
-def run_propagation_throughput(
-    configs=BATCH_CONFIGS, quick=False, artifacts_dir=None
-):
-    """Measure the propagation drain at each batch configuration."""
-    n_updates = (
-        N_PROPAGATION_UPDATES_QUICK if quick else N_PROPAGATION_UPDATES
-    )
-    data = {}
-    for batch_size, window in configs:
-        run_artifacts = (
-            pathlib.Path(artifacts_dir) / ("batch%d" % batch_size)
-            if artifacts_dir is not None
-            else None
-        )
-        data[batch_size] = asyncio.run(
-            _drive_propagation(
-                batch_size, window, n_updates,
-                artifacts_dir=run_artifacts,
-            )
-        )
-    baseline = data[configs[0][0]]["msets_per_sec"]
-    lines = [
-        "Propagation drain: %d updates committed behind a partition, "
-        "then healed and timed to settle (%d-replica COMMU cluster, "
-        "fsync on)" % (n_updates, N_SITES),
-        "",
-        "%-6s %-7s %12s %14s %12s %10s"
-        % ("batch", "window", "drain (s)", "msets/s", "ack (ms)", "speedup"),
-    ]
-    for batch_size, window in configs:
-        d = data[batch_size]
-        lines.append(
-            "%-6d %-7d %12.3f %14.0f %12s %9.1fx"
-            % (
-                batch_size,
-                window,
-                d["drain_seconds"],
-                d["msets_per_sec"],
-                (
-                    "%.2f" % d["ack_ms"]
-                    if d["ack_ms"] is not None
-                    else "-"
-                ),
-                d["msets_per_sec"] / max(baseline, 1e-9),
-            )
-        )
-    return "\n".join(lines), data
-
-
 OVERHEAD_BOUND_PCT = 5.0
 OVERHEAD_CYCLES = 5
 OVERHEAD_CYCLES_QUICK = 3
@@ -277,8 +154,6 @@ async def _drive_overhead(observability, n_updates, cycles):
         method="commu",
         faults=plan,
         fsync=False,
-        batch_size=64,
-        window=4,
         observability=observability,
         server_options={"retry_base": 0.005, "retry_max": 0.02},
     )
@@ -323,7 +198,7 @@ def run_metrics_overhead(quick=False, cycles=None):
     overhead_pct = 100.0 * (1.0 - best[True] / max(best[False], 1e-9))
     lines = [
         "Observability overhead on the propagation drain "
-        "(batch=64 window=4, %d updates/cycle, best of %d cycles each)"
+        "(%d updates/cycle, best of %d cycles each)"
         % (n_updates, cycles),
         "",
         "%-16s %14s" % ("observability", "msets/s"),
@@ -454,29 +329,6 @@ def test_live_throughput(benchmark, show):
     assert data["commu"]["throughput"] > data["rowa"]["throughput"]
 
 
-def test_propagation_batching(benchmark, show):
-    from conftest import run_once
-
-    text, data = run_once(
-        benchmark,
-        run_propagation_throughput,
-        configs=((1, 1), (64, 4)),
-        quick=True,
-    )
-    show(text)
-
-    for batch_size in (1, 64):
-        d = data[batch_size]
-        assert d["converged"], "batch=%d diverged" % batch_size
-        assert d["total"] == d["n_updates"], (
-            "batch=%d lost updates" % batch_size
-        )
-    # Batching + pipelining must beat stop-and-wait (the full 2x
-    # criterion is asserted on the standalone run; loaded CI machines
-    # get the looser bound).
-    assert data[64]["msets_per_sec"] > data[1]["msets_per_sec"]
-
-
 def test_shard_scaling(benchmark, show):
     from conftest import run_once
 
@@ -501,9 +353,7 @@ def _main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--mode",
-        choices=(
-            "throughput", "propagation", "overhead", "shards", "all",
-        ),
+        choices=("throughput", "overhead", "shards", "all"),
         default="all",
     )
     parser.add_argument(
@@ -513,22 +363,12 @@ def _main(argv=None):
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller propagation backlog (CI smoke runs)",
+        help="smaller backlogs and workloads (CI smoke runs)",
     )
     parser.add_argument(
-        "--batch-sizes", default=None,
-        help="comma-separated batch sizes for propagation mode "
-        "(e.g. 1,64); size 1 runs with window 1, others with window 4",
-    )
-    parser.add_argument(
-        "--json", nargs="?", const="BENCH_live_propagation.json",
+        "--json", nargs="?", const="BENCH_live_shards.json",
         default=None, metavar="PATH",
-        help="write propagation results to PATH as JSON",
-    )
-    parser.add_argument(
-        "--artifacts", metavar="DIR", default=None,
-        help="persist per-config metrics + trace artifacts under "
-        "DIR/batch<N>/ (propagation mode)",
+        help="write shards-mode results to PATH as JSON",
     )
     args = parser.parse_args(argv)
     if args.shards:
@@ -539,46 +379,6 @@ def _main(argv=None):
         text, _ = run_live_throughput()
         print(text)
         print()
-    if args.mode in ("propagation", "all"):
-        configs = BATCH_CONFIGS
-        if args.batch_sizes:
-            configs = tuple(
-                (size, 1 if size == 1 else 4)
-                for size in (
-                    int(part) for part in args.batch_sizes.split(",")
-                )
-            )
-        text, data = run_propagation_throughput(
-            configs, quick=args.quick, artifacts_dir=args.artifacts
-        )
-        print(text)
-        if args.artifacts:
-            print("\nartifacts under %s/" % args.artifacts)
-        for size, _ in configs:
-            if not data[size]["converged"]:
-                print("\nFAIL: batch=%d diverged" % size)
-                return 1
-            if data[size]["total"] != data[size]["n_updates"]:
-                print("\nFAIL: batch=%d lost updates" % size)
-                return 1
-        if len(configs) > 1:
-            small, large = configs[0][0], configs[-1][0]
-            if data[large]["msets_per_sec"] <= data[small]["msets_per_sec"]:
-                print(
-                    "\nFAIL: batch=%d did not beat batch=%d"
-                    % (large, small)
-                )
-                return 1
-        if args.json:
-            payload = {
-                "benchmark": "live_propagation",
-                "quick": args.quick,
-                "results": [data[size] for size, _ in configs],
-            }
-            pathlib.Path(args.json).write_text(
-                json.dumps(payload, indent=2) + "\n"
-            )
-            print("\nwrote %s" % args.json)
     if args.mode == "overhead":
         text, data = run_metrics_overhead(quick=args.quick)
         print(text)
@@ -617,8 +417,6 @@ def _main(argv=None):
                 return 1
         if args.json:
             path = args.json
-            if path == "BENCH_live_propagation.json":
-                path = "BENCH_live_shards.json"
             payload = {
                 "benchmark": "live_shards",
                 "quick": args.quick,

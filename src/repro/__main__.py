@@ -259,8 +259,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             data_dir=pathlib.Path(args.data),
             method=args.method,
             fsync=args.fsync,
-            batch_size=args.batch_size,
-            window=args.window,
             snapshot_interval=args.snapshot_interval,
             backlog_limit=args.backlog_limit,
             catchup=not args.no_catchup,
@@ -430,8 +428,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         n_queries=args.queries,
         workload_duration=args.duration,
         crash=not args.no_crash,
-        batch_size=args.batch_size,
-        window=args.window,
     )
     report = run_chaos_sync(config, artifacts_dir=artifacts_dir)
     print(report.render())
@@ -605,14 +601,6 @@ def main(argv: List[str] = None) -> int:
         help="fsync durable logs on every append",
     )
     serve.add_argument(
-        "--batch-size", type=int, default=32,
-        help="max MSets coalesced into one propagation frame",
-    )
-    serve.add_argument(
-        "--window", type=int, default=4,
-        help="max batch frames in flight per peer channel",
-    )
-    serve.add_argument(
         "--uvloop", action="store_true",
         help="use uvloop for the event loop when available "
         "(falls back to the default loop with a warning)",
@@ -704,14 +692,6 @@ def main(argv: List[str] = None) -> int:
     chaos.add_argument(
         "--no-crash", action="store_true",
         help="skip the crash/restart phase (keep drops/partition)",
-    )
-    chaos.add_argument(
-        "--batch-size", type=int, default=32,
-        help="propagation batch size for the cluster under test",
-    )
-    chaos.add_argument(
-        "--window", type=int, default=4,
-        help="in-flight batch window for the cluster under test",
     )
     chaos.add_argument(
         "--artifacts", metavar="DIR", default=None,

@@ -175,9 +175,6 @@ class ChaosConfig:
     suspect_after: float = 0.6
     request_timeout: float = 20.0
     settle_timeout: float = 60.0
-    #: propagation batching/pipelining under test (server knobs).
-    batch_size: int = 32
-    window: int = 4
 
 
 @dataclass
@@ -359,8 +356,6 @@ async def run_chaos(
         faults=plan,
         suspect_after=config.suspect_after,
         heartbeat_interval=config.heartbeat_interval,
-        batch_size=config.batch_size,
-        window=config.window,
     )
     report = ChaosReport(config=config)
     rng = random.Random(config.seed)

@@ -55,8 +55,6 @@ class LiveCluster:
         faults: Optional[FaultPlan] = None,
         suspect_after: float = 0.75,
         heartbeat_interval: float = 0.25,
-        batch_size: int = 32,
-        window: int = 4,
         observability: bool = True,
         server_options: Optional[Dict[str, Any]] = None,
         site_names: Optional[Sequence[str]] = None,
@@ -79,8 +77,6 @@ class LiveCluster:
         self.faults = faults
         self.suspect_after = suspect_after
         self.heartbeat_interval = heartbeat_interval
-        self.batch_size = batch_size
-        self.window = window
         #: False swaps every replica's registry/trace for no-ops (the
         #: benchmark's metrics-off baseline).
         self.observability = observability
@@ -101,18 +97,18 @@ class LiveCluster:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _make_server(self, name: str) -> ReplicaServer:
+    def _make_server(
+        self, name: str, peers: Optional[Sequence[str]] = None
+    ) -> ReplicaServer:
         return ReplicaServer(
             name,
-            peers=self.names,
+            peers=self.names if peers is None else peers,
             data_dir=self.data_dir / name,
             method=self.method,
             fsync=self.fsync,
             faults=self.faults,
             suspect_after=self.suspect_after,
             heartbeat_interval=self.heartbeat_interval,
-            batch_size=self.batch_size,
-            window=self.window,
             observability=self.observability,
             shard=dict(self.shard) if self.shard is not None else None,
             **self.server_options,
@@ -190,21 +186,7 @@ class LiveCluster:
             raise RuntimeError("%s is already running" % name)
         if seed is None:
             seed = next(iter(self.servers))
-        server = ReplicaServer(
-            name,
-            peers=[name, seed],
-            data_dir=self.data_dir / name,
-            method=self.method,
-            fsync=self.fsync,
-            faults=self.faults,
-            suspect_after=self.suspect_after,
-            heartbeat_interval=self.heartbeat_interval,
-            batch_size=self.batch_size,
-            window=self.window,
-            observability=self.observability,
-            shard=dict(self.shard) if self.shard is not None else None,
-            **self.server_options,
-        )
+        server = self._make_server(name, peers=[name, seed])
         port = await server.bind(self.host, 0)
         self.servers[name] = server
         self.addrs[name] = (self.host, port)

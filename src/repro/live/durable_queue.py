@@ -122,6 +122,7 @@ import pathlib
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .protocol import dumps
 from .snapshot import fsync_dir, write_atomic
 
 __all__ = ["DurableOutbox", "DurableInbox", "GrantLog"]
@@ -130,7 +131,7 @@ _SEQ_PREFIX = b'{"seq":'
 
 
 def _json_line(record: Dict[str, Any]) -> str:
-    return json.dumps(record, separators=(",", ":")) + "\n"
+    return dumps(record) + "\n"
 
 
 def _record_line(seq: int, payload: Any, blob: Optional[bytes]) -> str:
@@ -491,7 +492,7 @@ class DurableOutbox(_DurableLog):
         index += self._start
         payload, blob = self._window[index]
         if blob is None:
-            blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            blob = dumps(payload).encode("utf-8")
             self._window[index] = (payload, blob)
         return blob
 

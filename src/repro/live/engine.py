@@ -301,11 +301,11 @@ class LiveEngine:
     ) -> List[MSet]:
         """Process a whole delivered batch under ONE lock acquisition.
 
-        The batched propagation path delivers up to ``batch_size``
-        MSets per frame; acquiring the engine condition once per batch
-        (instead of once per MSet) and notifying waiters once keeps the
-        receive side from thrashing blocked queries awake N times for
-        one frame's worth of state change.
+        The batched propagation path delivers up to a full frame
+        (``server.FRAME_MSETS``) at once; acquiring the engine condition
+        once per batch (instead of once per MSet) and notifying waiters
+        once keeps the receive side from thrashing blocked queries awake
+        N times for one frame's worth of state change.
         """
         applied: List[MSet] = []
         async with self.cond:

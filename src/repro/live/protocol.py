@@ -71,6 +71,8 @@ __all__ = [
     "MAX_FRAME",
     "MAX_BATCH_ENTRIES",
     "ProtocolError",
+    "dumps",
+    "loads",
     "FrameWriter",
     "encode_frame",
     "read_frame",
@@ -119,10 +121,28 @@ class ProtocolError(RuntimeError):
 
 # -- framing -----------------------------------------------------------------
 
+#: ``json.dumps(obj, separators=(",", ":"))`` through one prebuilt encoder.
+dumps = json.JSONEncoder(separators=(",", ":")).encode
+_scan = json.JSONDecoder().raw_decode
+
+
+def loads(doc: Any) -> Any:
+    """``json.loads(doc)`` — same accepted set, value and exception —
+    minus its per-call encoding sniff and whitespace regexes: the C
+    scanner's result is taken when it consumed the whole document;
+    anything else (padding, a BOM, UTF-16, trailing data, malformed or
+    non-text input) goes to ``json.loads`` unchanged."""
+    try:
+        text = doc if type(doc) is str else bytes.decode(doc, "utf-8")
+        obj, end = _scan(text)
+    except (ValueError, TypeError):
+        return json.loads(doc)
+    return obj if end == len(text) else json.loads(doc)
+
 
 def encode_frame(obj: Dict[str, Any]) -> bytes:
     """Serialize one message to its on-wire representation."""
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    body = dumps(obj).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise ProtocolError("frame of %d bytes exceeds MAX_FRAME" % len(body))
     return _LEN.pack(len(body)) + body
@@ -152,7 +172,7 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     if binary:
         return decode_bin_frame(body)
     try:
-        obj = json.loads(body.decode("utf-8"))
+        obj = loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError("undecodable frame: %s" % exc) from exc
     if not isinstance(obj, dict):
@@ -276,7 +296,7 @@ def payload_blob(payload: Dict[str, Any]) -> bytes:
     keeps the durable logs debuggable — the binary framing around it
     is what removes the per-hop re-encode and field walk.
     """
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return dumps(payload).encode("utf-8")
 
 
 def encode_bin_batch_frame(

@@ -24,19 +24,19 @@ fsync, one engine-lock acquisition (:meth:`ReplicaServer._commit_local`)
 — and everything a turn writes back on a connection leaves in one
 socket write (:class:`~repro.live.protocol.FrameWriter`).
 
-Propagation hot path (batched + pipelined): each peer channel drains
-its backlog into multi-MSet ``mset-batch`` frames (up to ``batch_size``
-MSets each, written as one buffered burst) and keeps up to ``window``
-batches in flight instead of stop-and-waiting on each acknowledgement.
-Acks are *cumulative* — ``ack.seq`` covers every channel sequence
-number ``<= seq`` — so one reply retires a whole window and the
-peer's cursor moves in one step.  The receive side records a batch with
-one group-commit append (single write, one fsync before its ack) and
-applies it under one engine-lock acquisition; backpressure is
-structural: a receiver does not read the next frame from a connection
-until the current batch is durable and applied, so a fast sender fills
-TCP flow control (bounded by ``window`` batches) instead of the
-receiver's memory.
+Propagation hot path (batched + pipelined, no knob): each peer channel
+ships what the log owes the peer as ``mset-batch`` frames (everything
+pending, up to ``FRAME_MSETS`` a frame) with ``FRAMES_IN_FLIGHT`` of
+them unacknowledged instead of stop-and-waiting on each.  Acks are
+*cumulative* — ``ack.seq`` covers every channel sequence number
+``<= seq`` — so one reply can retire several frames and the peer's
+cursor moves in one step.  The receive side records a batch with one
+group-commit append (single write, one fsync before its ack), applies
+it under one engine-lock acquisition, then yields to the loop before
+the next frame; backpressure is structural: a receiver does not read
+the next frame from a connection until the current batch is durable and
+applied, so a fast sender fills TCP flow control (bounded by the frames
+in flight) instead of the receiver's memory.
 
 One peer wire: a channel opens with a JSON ``peer-hello`` naming the
 sender and streams binary frames from the next byte on — nothing is
@@ -133,6 +133,7 @@ from .protocol import (
     encode_bin_ack_frame,
     encode_bin_batch_frame,
     encode_mset,
+    loads,
     payload_blob,
     read_frame,
     write_encoded,
@@ -226,6 +227,12 @@ class Compensated(RuntimeError):
 #: always fits the existing framing.
 SNAPSHOT_CHUNK = 1 << 20
 
+#: MSets per ``mset-batch`` frame, at most, and frames a channel keeps
+#: unacknowledged.  The first bounds how long one frame holds the
+#: receiver's loop, so it is not "everything pending" (docs/LIVE.md).
+FRAME_MSETS = 256
+FRAMES_IN_FLIGHT = 4
+
 
 class ReplicaServer:
     """One live replica site serving ESR protocols over TCP."""
@@ -244,8 +251,6 @@ class ReplicaServer:
         heartbeat_interval: float = 0.25,
         suspect_after: float = 0.75,
         ack_timeout: float = 2.0,
-        batch_size: int = 32,
-        window: int = 4,
         snapshot_interval: float = 0.0,
         backlog_limit: int = 0,
         catchup: bool = True,
@@ -283,10 +288,6 @@ class ReplicaServer:
         self.data_dir = pathlib.Path(data_dir)
         self.method = method
         self.fsync = fsync
-        #: max MSets coalesced into one mset-batch frame.
-        self.batch_size = max(1, int(batch_size))
-        #: max batch frames in flight per channel before waiting on acks.
-        self.window = max(1, int(window))
         #: seconds between automatic snapshots (0 = manual only).
         self.snapshot_interval = float(snapshot_interval)
         #: per-channel durable backlog above which client updates are
@@ -490,7 +491,7 @@ class ReplicaServer:
         self.m_batch_msets = reg.histogram(
             "batch_msets",
             "MSets coalesced into each outbound propagation frame",
-            buckets=DEFAULT_SIZE_BUCKETS,
+            buckets=DEFAULT_SIZE_BUCKETS + (512,),  # past FRAME_MSETS
         )
         self.m_commit_group = reg.histogram(
             "commit_group_msets",
@@ -1393,7 +1394,7 @@ class ReplicaServer:
         self, peer: str, writer: asyncio.StreamWriter, state: Dict[str, Any]
     ) -> None:
         """Drain what the log owes ``peer`` as batch frames, keeping up
-        to ``window`` batches in flight; heartbeat while idle.
+        to ``FRAMES_IN_FLIGHT`` unacknowledged; heartbeat while idle.
 
         Under fault injection frames are dropped, delayed, duplicated,
         or reordered; whatever stays unacknowledged past ``ack_timeout``
@@ -1441,13 +1442,12 @@ class ReplicaServer:
                 state["hb_next"] = (
                     self.engine.clock() + self._heartbeat_jitter()
                 )
-            room = self.window - len(inflight)
-            # Bounded fetch: one send round can use at most a full
-            # window of full batches, so never scan (or plan) more —
-            # a deep backlog otherwise costs O(backlog) per wakeup,
-            # making its drain quadratic.
+            room = FRAMES_IN_FLIGHT - len(inflight)
+            # Bounded fetch: one send round uses at most ``room`` full
+            # frames; scanning (or planning) more would cost O(backlog)
+            # per wakeup and make a deep backlog's drain quadratic.
             fresh = log.pending_after(
-                peer, state["sent_hi"], room * self.batch_size
+                peer, state["sent_hi"], room * FRAME_MSETS
             ) if room > 0 else []
             if fresh:
                 await self._send_batches(peer, writer, state, fresh, room)
@@ -1520,7 +1520,7 @@ class ReplicaServer:
     def _plan_batches(
         self, entries: List[Tuple[int, Any]]
     ) -> List[List[Tuple[int, Any]]]:
-        """Split pending entries into frames of at most ``batch_size``
+        """Split pending entries into frames of at most ``FRAME_MSETS``
         MSets, cutting early when a frame approaches MAX_FRAME.
 
         Sizes come from the log's cached payload bytes, so planning
@@ -1535,7 +1535,7 @@ class ReplicaServer:
         for seq, payload in entries:
             size = len(wire_blob(seq))
             if current and (
-                len(current) >= self.batch_size
+                len(current) >= FRAME_MSETS
                 or current_bytes + size > budget
             ):
                 batches.append(current)
@@ -1751,6 +1751,8 @@ class ReplicaServer:
                             reason="malformed_mset"
                         ).inc()
                         break
+                    # Let the loop run between frames of one socket buffer.
+                    await asyncio.sleep(0)
                 elif kind == "hb":
                     src = str(frame.get("src", ""))
                     self._note_peer_alive(src)
@@ -1848,7 +1850,7 @@ class ReplicaServer:
             if seq > expected:
                 break  # gap (reordered/dropped frame): ack frontier
             try:
-                payload = json.loads(blob)
+                payload = loads(blob)
             except ValueError as exc:
                 raise ProtocolError(
                     "binary entry %d is not valid JSON: %s" % (seq, exc)

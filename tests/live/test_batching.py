@@ -4,9 +4,12 @@ The channel hot path now drains backlogs as multi-MSet ``mset-batch``
 frames with a window of batches in flight and cumulative acks.  These
 tests exercise that machinery through real sockets: backlogs actually
 travel as batches (observable via the ack high-water mark jumping in
-steps), extreme knob settings still converge, forged duplicate and
-gapped batches are acked at the frontier and never re-applied, and the
-``settle`` verb blocks server-side instead of clients polling stats.
+steps), extreme frame sizes still converge (the two ``server.py``
+frame constants are monkeypatched: there is no option), a healed
+backlog travels in full frames, a receiver working through one still
+answers its other connections, forged duplicate and gapped batches are
+acked at the frontier and never re-applied, and the ``settle`` verb
+blocks server-side instead of clients polling stats.
 """
 
 import asyncio
@@ -14,7 +17,7 @@ import asyncio
 import pytest
 
 from repro.core.transactions import EpsilonSpec
-from repro.live import FaultPlan, LiveCluster
+from repro.live import FaultPlan, LiveCluster, server
 from repro.live.protocol import (
     encode_bin_batch_frame,
     encode_mset,
@@ -33,6 +36,12 @@ def run(coro):
 KEYS = ["acct0", "acct1", "acct2", "acct3"]
 
 
+def _frames(monkeypatch, msets, in_flight):
+    """Small frames for one test: the constants are read at send time."""
+    monkeypatch.setattr(server, "FRAME_MSETS", msets)
+    monkeypatch.setattr(server, "FRAMES_IN_FLIGHT", in_flight)
+
+
 async def _backlogged_drain(cluster, plan, n_updates):
     """Commit a backlog at site0 behind a partition, heal, settle."""
     writer = cluster.names[0]
@@ -47,15 +56,17 @@ async def _backlogged_drain(cluster, plan, n_updates):
 
 class TestBatchedDrain:
     @pytest.mark.parametrize("batch_size,window", [(1, 1), (8, 2), (64, 4)])
-    def test_backlog_drains_and_converges(self, batch_size, window):
+    def test_backlog_drains_and_converges(
+        self, monkeypatch, batch_size, window
+    ):
+        _frames(monkeypatch, batch_size, window)
+
         async def scenario():
             plan = FaultPlan(0)
             cluster = LiveCluster(
                 n_sites=3,
                 method="commu",
                 faults=plan,
-                batch_size=batch_size,
-                window=window,
                 server_options={"retry_base": 0.005, "retry_max": 0.02},
             )
             await cluster.start()
@@ -69,15 +80,17 @@ class TestBatchedDrain:
 
         run(scenario())
 
-    def test_ack_high_water_reaches_backlog_and_counts_msets(self):
+    def test_ack_high_water_reaches_backlog_and_counts_msets(
+        self, monkeypatch
+    ):
+        _frames(monkeypatch, 16, 4)
+
         async def scenario():
             plan = FaultPlan(0)
             cluster = LiveCluster(
                 n_sites=3,
                 method="commu",
                 faults=plan,
-                batch_size=16,
-                window=4,
                 server_options={"retry_base": 0.005, "retry_max": 0.02},
             )
             await cluster.start()
@@ -98,9 +111,10 @@ class TestBatchedDrain:
 
         run(scenario())
 
-    def test_tiny_window_large_backlog_still_exact(self):
-        """window=1, batch=2 forces many ack round trips; the counters
-        must still come out exactly once."""
+    def test_tiny_window_large_backlog_still_exact(self, monkeypatch):
+        """One 2-MSet frame in flight forces many ack round trips; the
+        counters must still come out exactly once."""
+        _frames(monkeypatch, 2, 1)
 
         async def scenario():
             plan = FaultPlan(0)
@@ -108,8 +122,6 @@ class TestBatchedDrain:
                 n_sites=2,
                 method="commu",
                 faults=plan,
-                batch_size=2,
-                window=1,
                 server_options={"retry_base": 0.005, "retry_max": 0.02},
             )
             await cluster.start()
@@ -125,10 +137,12 @@ class TestBatchedDrain:
 
         run(scenario())
 
-    def test_batching_survives_lossy_links(self):
+    def test_batching_survives_lossy_links(self, monkeypatch):
         """Drops and reorders under batching: stall-and-resend from the
         cumulative frontier must still deliver exactly once."""
         from repro.live import LinkFaults
+
+        _frames(monkeypatch, 8, 3)
 
         async def scenario():
             plan = FaultPlan(
@@ -138,8 +152,6 @@ class TestBatchedDrain:
                 n_sites=3,
                 method="commu",
                 faults=plan,
-                batch_size=8,
-                window=3,
                 server_options={
                     "retry_base": 0.01,
                     "retry_max": 0.05,
@@ -161,6 +173,100 @@ class TestBatchedDrain:
                 assert await cluster.converged()
                 values = (await cluster.site_values())["site0"]
                 assert sum(values.get(k, 0) for k in KEYS) == 90
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+
+class TestFrameSizing:
+    def test_healed_backlog_travels_in_full_frames(self):
+        """Frames are cut by the cap, not by a 32-MSet default: what a
+        partition left behind reaches each peer in backlog/cap frames
+        (rounded up), counted where an operator would look."""
+        n_updates = 1000
+
+        async def scenario():
+            plan = FaultPlan(0)
+            cluster = LiveCluster(
+                n_sites=3,
+                method="commu",
+                faults=plan,
+                server_options={"retry_base": 0.005, "retry_max": 0.02},
+            )
+            await cluster.start()
+            try:
+                client = await cluster.client("site0")
+                plan.partition([["site0"], ["site1", "site2"]])
+                await asyncio.gather(
+                    *(
+                        client.increment(KEYS[i % len(KEYS)], 1)
+                        for i in range(n_updates)
+                    )
+                )
+                plan.heal_all()
+                await cluster.settle(timeout=60)
+                registry = cluster.servers["site0"].registry
+                for peer in ("site1", "site2"):
+                    assert registry.get_sample(
+                        "frames_relayed_total", peer=peer
+                    ) == n_updates
+                    assert registry.get_sample(
+                        "propagation_frames_total", peer=peer
+                    ) <= n_updates / server.FRAME_MSETS + 1
+                # ... with finite histogram buckets past a full frame.
+                (sizes,) = registry.to_dict()["repro_batch_msets"]["samples"]
+                bounds = [float(le) for le in sizes["buckets"]]
+                assert max(bounds) > server.FRAME_MSETS
+                assert max(sizes["buckets"].values()) == sizes["count"]
+                assert await cluster.converged()
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_receiver_answers_other_connections_mid_backlog(self):
+        """A receiver yields to its loop after each frame it answers:
+        with 64 frames sitting in one socket buffer, a ``ping`` sent on
+        another connection once the first ack is out is answered before
+        the last frame is acked, not after the whole stretch."""
+        n_frames, per_frame = 64, 2
+        last = n_frames * per_frame
+
+        async def scenario():
+            cluster = LiveCluster(n_sites=2, method="commu")
+            await cluster.start()
+            try:
+                await cluster.kill("site1")  # the forged frames own the seqs
+                host, port = cluster.addrs["site0"]
+                reader, writer = await asyncio.open_connection(host, port)
+                other_r, other_w = await asyncio.open_connection(host, port)
+                await write_frame(
+                    writer, {"type": "peer-hello", "src": "site1"}
+                )
+                writer.write(
+                    b"".join(
+                        _forged_batch(
+                            "site1", range(first, first + per_frame)
+                        )
+                        for first in range(1, last + 1, per_frame)
+                    )
+                )
+                ack = await asyncio.wait_for(read_frame(reader), 10)
+                await write_frame(
+                    other_w, {"type": "request", "id": 1, "verb": "ping"}
+                )
+                pong = await asyncio.wait_for(read_frame(other_r), 10)
+                assert pong["ok"] is True
+                # Answered with most of the backlog still unrecorded,
+                # so before its last frame could be acknowledged.
+                inbox = cluster.servers["site0"].inboxes["site1"]
+                assert inbox.frontier < last
+                while ack["seq"] < last:
+                    ack = await asyncio.wait_for(read_frame(reader), 10)
+                assert inbox.frontier == last
+                writer.close()
+                other_w.close()
             finally:
                 await cluster.stop()
 

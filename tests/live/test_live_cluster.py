@@ -18,7 +18,7 @@ import pytest
 from repro.consistency import Consistency
 from repro.core.operations import IncrementOp, ReadOp
 from repro.core.transactions import EpsilonSpec
-from repro.live import FaultPlan, LiveCluster, LiveETFailed
+from repro.live import FaultPlan, LiveCluster, LiveETFailed, server
 
 
 def run(coro):
@@ -173,7 +173,9 @@ class TestCrashRecovery:
         run(scenario())
 
 
-    def test_sender_killed_mid_drain_resends_never_loses(self, tmp_path):
+    def test_sender_killed_mid_drain_resends_never_loses(
+        self, tmp_path, monkeypatch
+    ):
         """Kill the *sender* halfway through draining a backlog and
         lose its newest ack markers with it (they are flushed, never
         fsynced): the restarted log sees each peer's cursor further
@@ -184,6 +186,8 @@ class TestCrashRecovery:
 
         n_updates = 400
         batch = 8
+        monkeypatch.setattr(server, "FRAME_MSETS", batch)
+        monkeypatch.setattr(server, "FRAMES_IN_FLIGHT", 1)
 
         async def scenario():
             plan = FaultPlan(0)
@@ -192,8 +196,6 @@ class TestCrashRecovery:
                 method="commu",
                 data_dir=tmp_path,
                 faults=plan,
-                batch_size=batch,
-                window=1,
                 server_options={"retry_base": 0.005, "retry_max": 0.02},
             )
             await cluster.start()

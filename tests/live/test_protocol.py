@@ -6,6 +6,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.operations import (
     AppendOp,
@@ -28,6 +30,7 @@ from repro.live.protocol import (
     decode_op,
     decode_ops,
     decode_spec,
+    dumps,
     encode_bin_ack_frame,
     encode_bin_batch_frame,
     encode_frame,
@@ -35,6 +38,7 @@ from repro.live.protocol import (
     encode_op,
     encode_ops,
     encode_spec,
+    loads,
     payload_blob,
     read_frame,
 )
@@ -405,6 +409,20 @@ class TestDecoderHardening:
             decode_spec({"value": [1]})
 
 
+_SEED_MSET = encode_mset(
+    MSet(tid="s0:1", ops=(IncrementOp("x", 1),), origin="s0")
+)
+#: valid frames of every kind, for byte-mutation fuzzing.
+_FUZZ_SEEDS = [
+    encode_frame({"type": "ack", "seq": 7}),
+    encode_frame(
+        {"type": "hb", "src": "s0", "gossip": {"nodes": [_SEED_MSET]}}
+    ),
+    encode_bin_ack_frame(7),
+    encode_bin_batch_frame("s0", [(1, payload_blob({"mset": _SEED_MSET}))]),
+]
+
+
 class TestCodecProperties:
     """Seeded-random roundtrip properties and byte-mutation fuzz."""
 
@@ -492,19 +510,7 @@ class TestCodecProperties:
         produce a frame, None (EOF), or ProtocolError — anything else
         would kill a connection task with an unhandled exception."""
         rng = random.Random(0xF022)
-        mset = encode_mset(
-            MSet(tid="s0:1", ops=(IncrementOp("x", 1),), origin="s0")
-        )
-        seeds = [
-            encode_frame({"type": "ack", "seq": 7}),
-            encode_frame(
-                {"type": "hb", "src": "s0", "gossip": {"nodes": [mset]}}
-            ),
-            encode_bin_ack_frame(7),
-            encode_bin_batch_frame(
-                "s0", [(1, payload_blob({"mset": mset}))]
-            ),
-        ]
+        seeds = _FUZZ_SEEDS
 
         async def poke(data):
             return await read_frame(_feed(data))
@@ -518,6 +524,110 @@ class TestCodecProperties:
             except ProtocolError:
                 continue
             assert frame is None or isinstance(frame, dict)
+
+
+def _outcome(parse, doc):
+    """What ``parse(doc)`` returned (``repr``: NaN equals itself) or
+    the exception it raised, type and message."""
+    try:
+        return "returned", repr(parse(doc))
+    except Exception as exc:  # the comparison is the point
+        return "raised", type(exc), str(exc)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+_PADDING = st.text(alphabet=" \t\r\n\ufeff\x00,]}1", max_size=3)
+
+
+@st.composite
+def _documents(draw):
+    """A JSON document the way a peer, a disk or an attacker might
+    hand it over: compact or spaced, padded, cut short, with trailing
+    data, as text or in any encoding ``json.loads`` sniffs."""
+    text = json.dumps(
+        draw(_JSON_VALUES),
+        ensure_ascii=draw(st.booleans()),
+        separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])),
+    )
+    text = draw(_PADDING) + text + draw(_PADDING)
+    if draw(st.integers(0, 3)) == 0:  # cut short
+        text = text[: draw(st.integers(0, len(text)))]
+    encoding = draw(
+        st.sampled_from(
+            [None, "utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-32-be"]
+        )
+    )
+    return text if encoding is None else text.encode(encoding)
+
+
+@st.composite
+def _mutated_frame_bodies(draw):
+    """The fuzz corpus above, sans length word, with a few bytes
+    flipped."""
+    data = bytearray(draw(st.sampled_from(_FUZZ_SEEDS))[4:])
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(
+            st.integers(0, 255)
+        )
+    return bytes(data)
+
+
+class TestCompactJsonCodec:
+    """``protocol.loads`` / ``dumps`` are ``json.loads`` /
+    ``json.dumps(..., separators=(",", ":"))`` — same accepted set,
+    same values, same bytes, same exceptions — only cheaper."""
+
+    @given(
+        _documents()
+        | _mutated_frame_bodies()
+        | st.binary(max_size=24)
+        | st.text(max_size=24)
+    )
+    @example(b'{"a":1}')
+    @example('{"a":1}')
+    @example(" [1, 2]\n")
+    @example('{"a":1}{"b":2}')  # Extra data
+    @example("[NaN,Infinity,-Infinity]")
+    @example(b"\xef\xbb\xbf[1]")  # UTF-8 BOM: bytes accepted ...
+    @example("\ufeff[1]")  # ... text refused
+    @example("[1]".encode("utf-16"))
+    @example(b"1\x00")
+    @example('"\ud800"')  # lone surrogate, as text and as bytes
+    @example(b'"\xed\xa0\x80"')
+    @example(b'"\xff"')
+    @example('{"a":')
+    @example("")
+    @example("9" * 5000)  # past the interpreter's int-digits limit
+    def test_loads_is_json_loads(self, doc):
+        assert _outcome(loads, doc) == _outcome(json.loads, doc)
+
+    @pytest.mark.parametrize(
+        "doc", [bytearray(b"[1]"), memoryview(b"[1]"), None, 7, [1]]
+    )
+    def test_loads_of_non_text_is_json_loads(self, doc):
+        assert _outcome(loads, doc) == _outcome(json.loads, doc)
+
+    @given(_JSON_VALUES)
+    @example({"ключ": {"nested": [1.5, float("nan"), "é", "\ud800"]}})
+    @example({1: "int key", None: "none key", 2.5: True})
+    def test_dumps_is_compact_json_dumps(self, obj):
+        assert dumps(obj) == json.dumps(obj, separators=(",", ":"))
+
+    @pytest.mark.parametrize(
+        "obj", [object(), {1, 2}, b"bytes", {"k": object()}, {(1,): 2}]
+    )
+    def test_unserialisable_is_a_type_error_from_both(self, obj):
+        with pytest.raises(TypeError) as ours:
+            dumps(obj)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(obj, separators=(",", ":"))
+        assert str(ours.value) == str(theirs.value)
 
 
 class _Transport:

@@ -198,6 +198,21 @@ class TestOneWire:
         assert refused.value.code == 2
         assert "--wire" in capsys.readouterr().err
 
+    def test_there_is_no_batch_option(self, tmp_path, capsys):
+        """Frame size and frames in flight are two ``server.py``
+        constants, not something a caller sets."""
+        with pytest.raises(TypeError):
+            ReplicaServer(
+                "site0", peers=["site0"], data_dir=tmp_path, batch_size=8
+            )
+        with pytest.raises(TypeError):
+            LiveCluster(n_sites=2, data_dir=tmp_path, window=2)
+        for flag in ("--batch-size", "--window"):
+            with pytest.raises(SystemExit) as refused:
+                main(["serve", "--name", "site0", flag, "8"])
+            assert refused.value.code == 2
+            assert flag in capsys.readouterr().err
+
 
 class TestWireVsDurableLog:
     def test_channel_logs_stay_json_lines_after_binary_propagation(
@@ -276,6 +291,29 @@ class TestMalformedBinaryBatch:
     def test_malformed_mset_drops_connection_without_poisoning_log(
         self, tmp_path
     ):
+        self._refused(tmp_path, [self._bad_blob()])
+
+    def test_entries_valid_only_when_joined_are_refused(self, tmp_path):
+        """Two entries, each invalid JSON alone, that read as a valid
+        two-element array once joined with a comma.  This is why a
+        batch is never parsed as one joined document: every blob is
+        parsed and validated on its own, so bytes that only make sense
+        across an entry boundary never reach the inbox log — where each
+        entry becomes a line of its own and the first would be torn."""
+        halves = [b'{"mset":{}', b'"x":1},{"mset":{}}']
+        assert json.loads(b"[" + b",".join(halves) + b"]") == [
+            {"mset": {}, "x": 1}, {"mset": {}},
+        ]
+        for half in halves:
+            with pytest.raises(ValueError):
+                json.loads(half)
+        self._refused(tmp_path, halves)
+
+    def _refused(self, tmp_path, blobs):
+        """Forge one batch of ``blobs``: the connection is dropped, the
+        drop counted, and neither the inbox frontier nor its log file
+        moves — across a restart either."""
+
         async def scenario():
             cluster = await _booted(tmp_path, n_sites=2)
             try:
@@ -283,6 +321,8 @@ class TestMalformedBinaryBatch:
                 await cluster.kill("site1")
                 server = cluster.servers["site0"]
                 frontier = server.inboxes["site1"].frontier
+                log = tmp_path / "site0" / "inbox" / "site1.log"
+                logged = log.read_bytes()
                 host, port = cluster.addrs["site0"]
                 reader, writer = await asyncio.open_connection(host, port)
                 await write_frame(
@@ -290,7 +330,11 @@ class TestMalformedBinaryBatch:
                 )
                 writer.write(
                     encode_bin_batch_frame(
-                        "site1", [(frontier + 1, self._bad_blob())]
+                        "site1",
+                        [
+                            (frontier + 1 + i, blob)
+                            for i, blob in enumerate(blobs)
+                        ],
                     )
                 )
                 await writer.drain()
@@ -315,6 +359,7 @@ class TestMalformedBinaryBatch:
                     cluster.servers["site0"].inboxes["site1"].frontier
                     == frontier
                 )
+                assert log.read_bytes() == logged
             finally:
                 await cluster.stop()
 
