@@ -160,6 +160,11 @@ class _ArithmeticOp(Operation):
     is_write_op: bool = field(default=True, init=False, repr=False)
 
     def _check_numeric(self, value: Any) -> float:
+        # Exact types first: the ``numbers.Number`` ABC check is the
+        # slow path, for bool, Fraction, Decimal and the refusal.
+        cls = type(value)
+        if cls is int or cls is float:
+            return value
         if not isinstance(value, numbers.Number):
             raise OperationError(
                 "%s requires a numeric value for %r, got %r"

@@ -53,6 +53,7 @@ import pathlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .durable_queue import _DurableLog, _read_json_lines, _record_line
+from .protocol import ProtocolError, decode_ops
 
 __all__ = ["CompensationLog"]
 
@@ -94,7 +95,10 @@ class CompensationLog(_DurableLog):
             self._seq = max(self._seq, seq)
             payload = record["payload"]
             self._records.append((seq, payload))
-            self._load(payload)
+            try:
+                self._load(payload)
+            except ProtocolError as exc:
+                raise self.unreadable(seq, exc) from exc
             self.records_total += 1
         self._open_log()
 
@@ -104,6 +108,7 @@ class CompensationLog(_DurableLog):
         if not isinstance(tid, str):
             return
         if kind == "undo":
+            decode_ops(payload.get("ops"))  # refuse now, not at the abort
             self.undo.setdefault(tid, payload)
         elif kind == "decided":
             self.decisions.setdefault(tid, str(payload.get("outcome")))

@@ -122,7 +122,7 @@ import pathlib
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .protocol import dumps
+from .protocol import ProtocolError, dumps
 from .snapshot import fsync_dir, write_atomic
 
 __all__ = ["DurableOutbox", "DurableInbox", "GrantLog"]
@@ -265,6 +265,11 @@ class _DurableLog:
         for record in _read_json_lines(self.path):
             if record.get("meta") is None:
                 yield record["seq"], record["payload"]
+
+    def unreadable(self, seq: int, exc: Exception) -> ProtocolError:
+        """What recovery raises for a record that is JSON but not what
+        this log holds: it names the file and the record."""
+        return ProtocolError("%s: record %d: %s" % (self.path, seq, exc))
 
     def replay(self) -> Iterator[Tuple[int, Any]]:
         """Logged (seqno, payload) pairs above the compaction floor,

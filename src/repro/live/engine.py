@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.operations import Operation, TimestampedWriteOp
-from ..core.transactions import EpsilonSpec, UNLIMITED, make_et
+from ..core.transactions import EpsilonSpec, UNLIMITED
 from ..obs.registry import (
     DEFAULT_COUNT_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
@@ -167,32 +167,35 @@ class LiveEngine:
             "engine-lock time spent applying one delivered batch",
             buckets=DEFAULT_LATENCY_BUCKETS,
         )
+        # An engine is one method for life: the ``method``-labelled
+        # families are bound to their one child here, not per query.
+        method = self.method_name
         self._queries_counter = registry.counter(
             "queries_total",
             "query ETs answered",
             labels=("method",),
-        )
+        ).labels(method=method)
         self._epsilon_last = registry.gauge(
             "epsilon_last",
             "inconsistency observed by the most recent query",
             labels=("method",),
-        )
+        ).labels(method=method)
         self._epsilon_max = registry.gauge(
             "epsilon_max",
             "largest inconsistency any query has observed",
             labels=("method",),
-        )
+        ).labels(method=method)
         self._epsilon_violations = registry.counter(
             "epsilon_violations_total",
             "queries whose observed inconsistency exceeded their limit",
             labels=("method",),
-        )
+        ).labels(method=method)
         self._inconsistency_hist = registry.histogram(
             "query_inconsistency",
             "distribution of per-query inconsistency counters",
             labels=("method",),
             buckets=DEFAULT_COUNT_BUCKETS,
-        )
+        ).labels(method=method)
         self._tracked_gauge = registry.gauge(
             "engine_tracked_tids",
             "update tids whose drift is resident: in flight, or "
@@ -217,21 +220,16 @@ class LiveEngine:
         self, outcome: "QueryOutcome", spec: EpsilonSpec
     ) -> None:
         """Publish one query's error accounting (epsilon gauges/trace)."""
-        method = self.method_name
-        self._queries_counter.labels(method=method).inc()
-        self._epsilon_last.labels(method=method).set(outcome.inconsistency)
-        self._epsilon_max.labels(method=method).set_max(
-            outcome.inconsistency
-        )
-        self._inconsistency_hist.labels(method=method).observe(
-            outcome.inconsistency
-        )
+        self._queries_counter.inc()
+        self._epsilon_last.set(outcome.inconsistency)
+        self._epsilon_max.set_max(outcome.inconsistency)
+        self._inconsistency_hist.observe(outcome.inconsistency)
         limit = spec.import_limit
         if limit != UNLIMITED and outcome.inconsistency > limit:
-            self._epsilon_violations.labels(method=method).inc()
+            self._epsilon_violations.inc()
         self.trace.event(
             "query",
-            method=method,
+            method=self.method_name,
             inconsistency=outcome.inconsistency,
             limit=(None if limit == UNLIMITED else limit),
             waits=outcome.waits,
@@ -545,7 +543,7 @@ class CommuLiveEngine(LiveEngine):
     def validate_update(self, ops: Sequence[Operation]) -> None:
         # The simulator's validator is the single source of truth for
         # the COMMU operation restriction.
-        CommutativeOperations.check_commutative(make_et(list(ops)))
+        CommutativeOperations.check_ops_commutative(ops)
 
     def _accept_locked(self, mset: MSet, local: bool) -> List[MSet]:
         # Held until every peer durably acks (fully_acked_many).
@@ -936,7 +934,7 @@ class RituLiveEngine(CommuLiveEngine):
     def validate_update(self, ops: Sequence[Operation]) -> None:
         # The simulator's validator is the single source of truth for
         # the RITU restriction (no reads, read-independent writes).
-        ReadIndependentUpdates.check_read_independent(make_et(list(ops)))
+        ReadIndependentUpdates.check_ops_read_independent(ops)
 
     def make_mset(
         self,
@@ -1188,8 +1186,6 @@ class CompeLiveEngine(CommuLiveEngine):
         self._clog: Optional[CompensationLog] = None
         #: tid -> encoded inverse ops (reverse op order), until decided.
         self._undo: Dict[Any, List[Any]] = {}
-        #: tid -> written keys, until decided.
-        self._undo_keys: Dict[Any, Tuple[str, ...]] = {}
         #: optimistically applied updates awaiting their decision.
         self._undecided: Dict[Any, Tuple[str, ...]] = {}
         self._undecided_by_key: Dict[str, Set[Any]] = {}
@@ -1268,9 +1264,6 @@ class CompeLiveEngine(CommuLiveEngine):
     def compensated_tids(self) -> List[Any]:
         return sorted(self._compensated)
 
-    def undo_keys(self, tid: Any) -> Tuple[str, ...]:
-        return tuple(self._undo_keys.get(tid, ()))
-
     def _log_records(self) -> int:
         return 0 if self._clog is None else self._clog.live_records
 
@@ -1295,7 +1288,6 @@ class CompeLiveEngine(CommuLiveEngine):
         ]
         encoded = encode_ops([op for op in inverses if op is not None])
         self._undo[tid] = encoded
-        self._undo_keys[tid] = mset.keys
         if self._clog is not None and self._clog.log_undo(
             tid, encoded, mset.keys, saga
         ):
@@ -1321,21 +1313,21 @@ class CompeLiveEngine(CommuLiveEngine):
             # before the update itself (on its origin's channel).
             # Compensate on delivery — the net effect is zero and the
             # tables end exactly as if the update had arrived first.
-            undone = 0
-            for op in decode_ops(encoded):
-                self.store.apply(op, default=0)
-                undone += 1
-            self._compensated.add(tid)
-            self.compensation_count += 1
-            self.operations_undone += undone
-            self._compensations_counter.inc()
-            self.trace.event(
-                "compensate", tid=tid, ops=undone, late=True
-            )
+            self._compensate(tid, encoded, late=True)
             self._undo.pop(tid, None)
-            self._undo_keys.pop(tid, None)
         self._undecided_gauge.set(len(self._undecided))
         return applied
+
+    def _compensate(self, tid: Any, encoded: List[Any], **how: Any) -> None:
+        """Backward recovery: apply ``tid``'s recorded inverse ops."""
+        ops = decode_ops(encoded)
+        for op in ops:
+            self.store.apply(op, default=0)
+        self._compensated.add(tid)
+        self.compensation_count += 1
+        self.operations_undone += len(ops)
+        self._compensations_counter.inc()
+        self.trace.event("compensate", tid=tid, ops=len(ops), **how)
 
     def _accept_decision_locked(
         self, mset: MSet, local: bool
@@ -1372,25 +1364,16 @@ class CompeLiveEngine(CommuLiveEngine):
                 # update's own delivery sees it and compensates then.
                 self.trace.event("compensate-pending", tid=target)
             else:
-                undone = 0
-                for op in decode_ops(encoded):
-                    self.store.apply(op, default=0)
-                    undone += 1
-                self._compensated.add(target)
-                self.compensation_count += 1
-                self.operations_undone += undone
-                self._compensations_counter.inc()
+                self._compensate(target, encoded)
                 # The compensation is itself a state change queries
                 # may observe mid-flight: charge it like any applied
                 # update.
                 if self._query_starts:
                     self._pin(mset.tid)
                     self.state.note_applied(self.clock(), mset.tid, keys)
-                self.trace.event("compensate", tid=target, ops=undone)
         # Decided tids never need their undo step again (duplicates
         # are dropped above), so the tables stay bounded.
         self._undo.pop(target, None)
-        self._undo_keys.pop(target, None)
         self.applied_count += 1
         self.last_applied_at = self.clock()
         self._undecided_gauge.set(len(self._undecided))
@@ -1424,10 +1407,7 @@ class CompeLiveEngine(CommuLiveEngine):
     def _method_checkpoint(self) -> Dict[str, Any]:
         return {
             "compe": {
-                "undo": {
-                    tid: [ops, list(self._undo_keys.get(tid, ()))]
-                    for tid, ops in self._undo.items()
-                },
+                "undo": dict(self._undo),
                 "undecided": {
                     tid: list(keys)
                     for tid, keys in self._undecided.items()
@@ -1444,11 +1424,7 @@ class CompeLiveEngine(CommuLiveEngine):
     def _method_restore(self, state: Dict[str, Any]) -> None:
         super()._method_restore(state)
         compe = state.get("compe", {})
-        self._undo = {}
-        self._undo_keys = {}
-        for tid, entry in dict(compe.get("undo", {})).items():
-            self._undo[tid] = list(entry[0])
-            self._undo_keys[tid] = tuple(entry[1])
+        self._undo = dict(compe.get("undo", {}))
         self._undecided = {
             tid: tuple(keys)
             for tid, keys in dict(compe.get("undecided", {})).items()

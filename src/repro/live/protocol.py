@@ -8,9 +8,14 @@ is negotiated.
 
 *JSON frames* (bit clear) carry a UTF-8 JSON object — every control
 and client frame.  The payload vocabulary reuses the simulator's
-operation algebra and MSet types: operations and epsilon specs are
-encoded structurally (class -> tag), so a live server and the
-deterministic simulator speak about the *same* transactions.
+operation algebra and MSet types, so a live server and the
+deterministic simulator speak about the *same* transactions.  An
+operation is a positional array, tag first — ``["read", key]``,
+``[tag, key, arg]`` (the amount of ``inc``/``dec``/``mul``/``div``,
+the value of ``write``, the item of ``append``), ``["tswrite", key,
+value, [time, site]]`` — and an MSet omits what it leaves at its
+default: one MSet text is the log line, the wire entry and every
+peer's inbox line, so its field names are paid for at every stage.
 
 * client -> server: ``{"type": "request", "id": n, "verb": ..., ...}``
 * server -> client: ``{"type": "response", "id": n, "ok": bool, ...}``
@@ -37,12 +42,6 @@ hands both kinds to consumers as dicts keyed by ``"type"``.
 Writes are per turn, not per frame: a :class:`FrameWriter` buffers
 whatever one event-loop turn sends on a connection — replies, acks,
 requests, of either kind — and hands it to the socket in one write.
-
-Wire format vs durable-log format: binary framing exists **only on
-the wire**.  Durable queue records (:mod:`repro.live.durable_queue`)
-are JSON lines, so channel logs remain greppable/debuggable; the
-shared piece is the canonical payload blob, which the queue splices
-into its JSON-line records without re-encoding.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from ..core.operations import (
     WriteOp,
 )
 from ..core.transactions import EpsilonSpec, UNLIMITED
-from ..replica.mset import MSet
+from ..replica.mset import MSet, MSetKind
 
 __all__ = [
     "MAX_FRAME",
@@ -395,49 +394,45 @@ def decode_bin_frame(body: bytes) -> Dict[str, Any]:
 
 # -- operation algebra <-> JSON ----------------------------------------------
 
-_OP_TAGS = {
-    ReadOp: "read",
-    WriteOp: "write",
-    IncrementOp: "inc",
-    DecrementOp: "dec",
-    MultiplyOp: "mul",
-    DivideOp: "div",
-    AppendOp: "append",
-    TimestampedWriteOp: "tswrite",
+_OP_ENCODERS = {
+    ReadOp: lambda op: ["read", op.key],
+    WriteOp: lambda op: ["write", op.key, op.value],
+    IncrementOp: lambda op: ["inc", op.key, op.amount],
+    DecrementOp: lambda op: ["dec", op.key, op.amount],
+    MultiplyOp: lambda op: ["mul", op.key, op.amount],
+    DivideOp: lambda op: ["div", op.key, op.amount],
+    AppendOp: lambda op: ["append", op.key, op.item],
+    TimestampedWriteOp: lambda op: [
+        "tswrite", op.key, op.value, list(op.timestamp)
+    ],
+}
+
+#: tag -> (operation class, exact array length, carries an amount).
+_OP_SHAPES = {
+    "read": (ReadOp, 2, False), "tswrite": (TimestampedWriteOp, 4, False),
+    "write": (WriteOp, 3, False), "append": (AppendOp, 3, False),
+    "inc": (IncrementOp, 3, True), "dec": (DecrementOp, 3, True),
+    "mul": (MultiplyOp, 3, True), "div": (DivideOp, 3, True),
 }
 
 
-def encode_op(op: Operation) -> Dict[str, Any]:
-    tag = _OP_TAGS.get(type(op))
-    if tag is None:
+def encode_op(op: Operation) -> list:
+    encode = _OP_ENCODERS.get(type(op))
+    if encode is None:
         raise ProtocolError("operation %r has no wire encoding" % op)
-    out: Dict[str, Any] = {"t": tag, "key": op.key}
-    if isinstance(op, (IncrementOp, DecrementOp, MultiplyOp, DivideOp)):
-        out["amount"] = op.amount
-    elif isinstance(op, WriteOp):
-        out["value"] = op.value
-    elif isinstance(op, AppendOp):
-        out["item"] = op.item
-    elif isinstance(op, TimestampedWriteOp):
-        out["value"] = op.value
-        out["ts"] = list(op.timestamp)
-    return out
+    return encode(op)
 
 
-def _decode_amount(data: Dict[str, Any]) -> float:
+def _decode_amount(amount: Any) -> float:
     """Validated arithmetic amount: a real, finite number.
 
     Rejects strings (JSON happily carries ``"NaN"`` where a number
-    belongs), booleans (``True`` is an ``int`` to ``isinstance``), and
-    non-finite floats (``json.loads`` accepts bare ``NaN``/
-    ``Infinity``) — any of which would poison the store value the
-    first time the operation applies.
+    belongs), booleans (``True`` is an ``int`` to ``isinstance``, but
+    not by exact type — and exact ``int``/``float`` is all
+    ``json.loads`` ever yields), and non-finite floats (it accepts
+    bare ``NaN``/``Infinity``) — any of which would poison the store
+    value the first time the operation applies.
     """
-    amount = data.get("amount", 0)
-    # Exact-type checks: json.loads only ever yields exact int/float,
-    # and ``type(True) is int`` is False, so bools fall through to the
-    # rejection without an explicit isinstance(bool) test on the hot
-    # path.
     if type(amount) is int:
         return amount
     if type(amount) is float:
@@ -449,44 +444,44 @@ def _decode_amount(data: Dict[str, Any]) -> float:
     raise ProtocolError("non-numeric operation amount %r" % (amount,))
 
 
-def decode_op(data: Dict[str, Any]) -> Operation:
-    if not isinstance(data, dict):
-        raise ProtocolError("operation must be an object: %r" % (data,))
-    tag = data.get("t")
-    key = data.get("key")
+def decode_op(data: list) -> Operation:
+    if not isinstance(data, list):
+        raise ProtocolError("operation must be an array: %r" % (data,))
+    tag = data[0] if data else None
+    # ``isinstance`` first: an unhashable tag must not reach the dict.
+    shape = _OP_SHAPES.get(tag) if isinstance(tag, str) else None
+    if shape is None:
+        raise ProtocolError("unknown operation tag %r" % (tag,))
+    cls, arity, numeric = shape
+    if len(data) != arity:
+        raise ProtocolError(
+            "%s operation must be an array of %d: %r" % (tag, arity, data)
+        )
+    key = data[1]
     if not isinstance(key, str):
         raise ProtocolError("operation without a key: %r" % (data,))
-    if tag == "read":
-        return ReadOp(key)
-    if tag == "write":
-        return WriteOp(key, data.get("value"))
-    if tag == "inc":
-        return IncrementOp(key, _decode_amount(data))
-    if tag == "dec":
-        return DecrementOp(key, _decode_amount(data))
-    if tag == "mul":
-        return MultiplyOp(key, _decode_amount(data))
-    if tag == "div":
-        return DivideOp(key, _decode_amount(data))
-    if tag == "append":
-        return AppendOp(key, data.get("item"))
-    if tag == "tswrite":
-        ts = data.get("ts", (0, 0))
-        # Thomas-rule timestamps are exactly (time, site) pairs; a
-        # wrong-arity ts would compare nonsensically forever after.
-        if not isinstance(ts, (list, tuple)) or len(ts) != 2:
-            raise ProtocolError(
-                "tswrite ts must be a [time, site] pair: %r" % (ts,)
-            )
-        return TimestampedWriteOp(key, data.get("value"), tuple(ts))
-    raise ProtocolError("unknown operation tag %r" % tag)
+    if arity == 3:
+        arg = data[2]
+        if numeric and type(arg) is not int:  # an exact int is fine as is
+            arg = _decode_amount(arg)
+        return cls(key, arg)
+    if arity == 2:
+        return cls(key)
+    ts = data[3]
+    # Thomas-rule timestamps are exactly (time, site) pairs; a
+    # wrong-arity ts would compare nonsensically forever after.
+    if not isinstance(ts, (list, tuple)) or len(ts) != 2:
+        raise ProtocolError(
+            "tswrite ts must be a [time, site] pair: %r" % (ts,)
+        )
+    return cls(key, data[2], tuple(ts))
 
 
 def encode_ops(ops: Sequence[Operation]) -> list:
     return [encode_op(op) for op in ops]
 
 
-def decode_ops(data: Sequence[Dict[str, Any]]) -> Tuple[Operation, ...]:
+def decode_ops(data: Sequence[list]) -> Tuple[Operation, ...]:
     if not isinstance(data, (list, tuple)):
         raise ProtocolError("ops must be a sequence: %r" % (data,))
     # List comprehension, not a genexpr: tuple() over a genexpr pays a
@@ -532,15 +527,22 @@ def decode_spec(data: Optional[Dict[str, Any]]) -> EpsilonSpec:
 
 
 def encode_mset(mset: MSet) -> Dict[str, Any]:
-    return {
+    """``tid``, ``ops`` and ``origin`` always; the rest only where it
+    differs from the default :func:`decode_mset` assumes."""
+    out: Dict[str, Any] = {
         "tid": mset.tid,
-        "kind": mset.kind,
         "ops": encode_ops(mset.ops),
         "origin": mset.origin,
-        "order": list(mset.order) if mset.order is not None else None,
-        "txn": mset.txn_number,
-        "info": [[k, v] for k, v in mset.info],
     }
+    if mset.kind != MSetKind.UPDATE:
+        out["kind"] = mset.kind
+    if mset.order is not None:
+        out["order"] = list(mset.order)
+    if mset.txn_number is not None:
+        out["txn"] = mset.txn_number
+    if mset.info:
+        out["info"] = [[k, v] for k, v in mset.info]
+    return out
 
 
 def decode_mset(data: Dict[str, Any]) -> MSet:
@@ -551,7 +553,7 @@ def decode_mset(data: Dict[str, Any]) -> MSet:
     """
     if not isinstance(data, dict):
         raise ProtocolError("mset must be an object: %r" % (data,))
-    kind = data.get("kind", "update")
+    kind = data.get("kind", MSetKind.UPDATE)
     if not isinstance(kind, str):
         raise ProtocolError("mset kind must be a string: %r" % (kind,))
     origin = data.get("origin", "")

@@ -541,6 +541,8 @@ class ReplicaServer:
             "client requests served, by verb and outcome",
             labels=("verb", "outcome"),
         )
+        #: verb -> its ``outcome="ok"`` child, resolved once per verb.
+        self._m_requests_ok: Dict[str, Any] = {}
         self.m_snapshots = reg.counter(
             "snapshots_total",
             "site snapshots persisted (periodic, manual, or install)",
@@ -718,6 +720,13 @@ class ReplicaServer:
                     inbox.reset_to(floor)
             if self.log.assigned < snap_frontiers.get(LOCAL_CHANNEL, 0):
                 self.log.reset_to(snap_frontiers[LOCAL_CHANNEL])
+
+        def logged(log: Any, seq: int, payload: Dict[str, Any]) -> MSet:
+            try:
+                return decode_mset(payload["mset"])
+            except ProtocolError as exc:
+                raise log.unreadable(seq, exc) from exc
+
         # One streamed pass over each log tail.  The log's cursors say
         # which local updates every peer already held before the crash
         # and which are still owed to someone.
@@ -728,7 +737,7 @@ class ReplicaServer:
         for seq, payload in self.log.replay():
             if seq <= floor and seq <= acked:
                 continue  # inside the snapshot image, owed to nobody
-            mset = decode_mset(payload["mset"])
+            mset = logged(self.log, seq, payload)
             if seq <= floor:
                 held.append(mset)
                 continue
@@ -740,7 +749,7 @@ class ReplicaServer:
             for seq, payload in inbox.replay():
                 if seq > floor:
                     await self.engine.accept(
-                        decode_mset(payload["mset"]), local=False
+                        logged(inbox, seq, payload), local=False
                     )
         # Fully acknowledged before the crash: release the lock-counters
         # replay re-raised.
@@ -1693,7 +1702,7 @@ class ReplicaServer:
         for _, payload in self.log.ack_through(peer, seq):
             mset = payload["mset"]  # encoded; the keys as ``MSet.keys``:
             released.append(  # distinct, in first-write order
-                (mset["tid"], tuple({op["key"]: None for op in mset["ops"]}))
+                (mset["tid"], tuple({op[1]: None for op in mset["ops"]}))
             )
         if released:
             # The slowest cursor moved: every peer now holds these
@@ -2395,7 +2404,12 @@ class ReplicaServer:
             if handler is None:
                 raise ValueError("unknown verb %r" % verb)
             body = await handler(frame)
-            self.m_requests.labels(verb=str(verb), outcome="ok").inc()
+            served = self._m_requests_ok.get(verb)
+            if served is None:
+                served = self._m_requests_ok[verb] = self.m_requests.labels(
+                    verb=verb, outcome="ok"
+                )
+            served.inc()
             frames.send({"type": "response", "id": rid, "ok": True, **body})
         except asyncio.CancelledError:
             raise

@@ -9,7 +9,7 @@ state — which is what licenses log compaction below the snapshot
 frontier and bounded-time rejoin of a wiped replica (catch-up fetches
 a peer's snapshot instead of replaying the peer's entire history).
 
-Format: an *envelope* ``{"version": 1, "checksum": <sha256 hex>,
+Format: an *envelope* ``{"version": 2, "checksum": <sha256 hex>,
 "body": {...}}`` where the checksum covers the canonical JSON
 encoding (sorted keys, no whitespace) of the body.  The body carries
 ``site``, ``method``, ``frontiers`` (channel name -> applied seq,
@@ -46,7 +46,8 @@ __all__ = [
     "fsync_dir",
 ]
 
-SNAPSHOT_VERSION = 1
+#: 2: operations inside engine checkpoints are positional arrays.
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):
@@ -149,15 +150,8 @@ class SnapshotStore:
         alien version — reads as "no snapshot": recovery then falls
         back to full log replay, which is always correct.
         """
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return None
-        try:
-            envelope = json.loads(raw.decode("utf-8"))
-            return open_snapshot(envelope)
-        except (UnicodeDecodeError, json.JSONDecodeError, SnapshotError):
-            return None
+        envelope = self.load_envelope()
+        return None if envelope is None else envelope["body"]
 
     def load_envelope(self) -> Optional[Dict[str, Any]]:
         """The persisted envelope (verified), or None — for shipping

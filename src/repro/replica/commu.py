@@ -37,9 +37,9 @@ Two variants, both from the paper:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.operations import ReadOp, commutes
+from ..core.operations import Operation, ReadOp, commutes, is_write
 from ..core.transactions import (
     EpsilonTransaction,
     ETResult,
@@ -103,28 +103,37 @@ class CommutativeOperations(ReplicaControlMethod):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def check_commutative(et: EpsilonTransaction) -> None:
-        """Reject ETs violating the COMMU operation restriction.
+    def check_ops_commutative(
+        ops: Sequence[Operation], who: str = "the update"
+    ) -> None:
+        """Reject operations violating the COMMU operation restriction.
 
         Reads inside update ETs are rejected too: a read creates R/W
         dependencies that do not commute with concurrent writes
         (Table 3's R_U/W_U cell is "Comm", and reads rarely commute
         with updates), which would break the method's premise that
         MSets can apply in any order.  Use ORDUP for read-modify-write
-        updates.
+        updates.  ``who`` names the update in the error.
         """
-        if any(True for _ in et.reads()):
+        if any(op.is_read_op for op in ops):
             raise NonCommutativeError(
-                "ET %s mixes reads into a COMMU update; read-modify-"
-                "write updates need ordered execution (ORDUP)" % et.tid
+                "%s mixes reads into a COMMU update; read-modify-"
+                "write updates need ordered execution (ORDUP)" % who
             )
-        writes = list(et.writes())
+        writes = [op for op in ops if is_write(op)]
         for a, b in itertools.combinations(writes, 2):
             if a.key == b.key and not commutes(a, b):
                 raise NonCommutativeError(
-                    "operations %r and %r of ET %s do not commute"
-                    % (a, b, et.tid)
+                    "operations %r and %r of %s do not commute"
+                    % (a, b, who)
                 )
+
+    @staticmethod
+    def check_commutative(et: EpsilonTransaction) -> None:
+        """:meth:`check_ops_commutative` over an ET's operations."""
+        CommutativeOperations.check_ops_commutative(
+            et.operations, "ET %s" % et.tid
+        )
 
     def submit_update(
         self, et: EpsilonTransaction, origin: str, on_done: DoneCallback

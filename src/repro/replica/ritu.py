@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.operations import Operation, ReadOp, TimestampedWriteOp, is_write
 from ..core.transactions import (
@@ -126,24 +126,34 @@ class ReadIndependentUpdates(ReplicaControlMethod):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def check_read_independent(et: EpsilonTransaction) -> None:
-        """Reject ETs whose writes depend on reads (non-blind).
+    def check_ops_read_independent(
+        ops: Sequence[Operation], who: str = "the update"
+    ) -> None:
+        """Reject operations whose writes depend on reads (non-blind).
 
         Reads inside update ETs are rejected outright: RITU's whole
         premise is that updates have no R/W dependencies ("blind
         writes"); an update that reads is not read-independent.
+        ``who`` names the update in the error.
         """
-        if any(True for _ in et.reads()):
+        if any(op.is_read_op for op in ops):
             raise NotReadIndependentError(
-                "ET %s reads inside a RITU update; RITU updates must "
-                "be blind (read-independent)" % et.tid
+                "%s reads inside a RITU update; RITU updates must "
+                "be blind (read-independent)" % who
             )
-        for op in et.writes():
-            if not op.read_independent:
+        for op in ops:
+            if is_write(op) and not op.read_independent:
                 raise NotReadIndependentError(
-                    "operation %r of ET %s is not read-independent"
-                    % (op, et.tid)
+                    "operation %r of %s is not read-independent"
+                    % (op, who)
                 )
+
+    @staticmethod
+    def check_read_independent(et: EpsilonTransaction) -> None:
+        """:meth:`check_ops_read_independent` over an ET's operations."""
+        ReadIndependentUpdates.check_ops_read_independent(
+            et.operations, "ET %s" % et.tid
+        )
 
     def submit_update(
         self, et: EpsilonTransaction, origin: str, on_done: DoneCallback

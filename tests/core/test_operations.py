@@ -46,6 +46,21 @@ class TestApplication:
         with pytest.raises(OperationError):
             IncrementOp("x", 1).apply("not a number")
 
+    def test_arithmetic_takes_every_number_and_nothing_else(self):
+        """``int``/``float`` by exact type, the rest of the numeric
+        tower — ``bool`` included — through ``numbers.Number``."""
+        from decimal import Decimal
+        from fractions import Fraction
+
+        assert IncrementOp("x", 2).apply(True) == 3
+        assert IncrementOp("x", 2).apply(Fraction(1, 2)) == Fraction(5, 2)
+        assert MultiplyOp("x", 2).apply(Decimal("1.5")) == Decimal("3.0")
+        assert DecrementOp("x", 0.5).apply(1) == 0.5
+        assert type(IncrementOp("x", 1).apply(1)) is int
+        for bad in ("1", None, [1], (1,)):
+            with pytest.raises(OperationError, match="requires a numeric"):
+                IncrementOp("x", 1).apply(bad)
+
     def test_append_to_empty(self):
         assert AppendOp("x", "a").apply(None) == ("a",)
 

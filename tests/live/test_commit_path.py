@@ -27,11 +27,12 @@ updates; ROWA's commit futures in place before the append.
 """
 
 import asyncio
+import copy
 import json
 
 import pytest
 
-from repro.core.operations import WriteOp
+from repro.core.operations import IncrementOp, WriteOp
 from repro.core.transactions import EpsilonSpec
 from repro.live import FaultPlan, LiveCluster, LiveETFailed
 from repro.live.engine import QueryTimeout
@@ -386,8 +387,9 @@ def test_compe_decisions_commit_in_a_later_group_than_their_updates(tmp_path):
             assert sizes == [4, 4]
             assert all(reply["decided"] == "commit" for reply in replies)
             logged = _logged_msets(server)
-            assert [mset["kind"] for _, mset in logged] == (
-                ["update"] * 4 + ["commit"] * 4
+            # An update's kind is the default and is not logged.
+            assert [mset.get("kind") for _, mset in logged] == (
+                [None] * 4 + ["commit"] * 4
             )
             position = {mset["tid"]: seq for seq, mset in logged}
             decides = {
@@ -436,6 +438,40 @@ def test_rowa_members_have_their_ack_futures_before_the_append(tmp_path):
             ]
             assert server._full_ack_futures == {}
             await cluster.settle(timeout=30)
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("method", ["commu", "ritu", "compe"])
+def test_a_live_update_draws_no_simulator_tid(method, tmp_path):
+    """Validation runs on the operations themselves: no throw-away
+    ``UpdateET`` per update, so the simulator's global tid counter —
+    which a live replica has no business touching — stands still."""
+    from repro.core import transactions
+
+    def next_tid():
+        return next(copy.copy(transactions._tid_counter))
+
+    async def scenario():
+        cluster = LiveCluster(n_sites=1, method=method, data_dir=tmp_path)
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            blind = method == "ritu"
+            before = next_tid()
+            for i in range(3):
+                await client.update(
+                    [WriteOp("k", i) if blind else IncrementOp("k", 1)]
+                )
+            refused = (
+                [IncrementOp("k", 1)] if blind
+                else [WriteOp("k", 1), WriteOp("k", 2)]
+            )
+            with pytest.raises(LiveETFailed):  # by the method's validator
+                await client.update(refused)
+            assert next_tid() == before
         finally:
             await cluster.stop()
 

@@ -327,7 +327,7 @@ def _redumped(path, through, header=()):
 AWKWARD = [
     {"n": 0},
     "plain",
-    {"mset": {"tid": "s0:3", "ops": [{"t": "inc", "key": "k\u00e9", "amount": 0.1}]}},
+    {"mset": {"tid": "s0:3", "ops": [["inc", "k\u00e9", 0.1]]}},
     {"nested": {"seq": 99, "payload": [1e-9, -2.5, None, True]}},
     ["a,b", '{"seq":7,'],
     {"text": "line\nbreak \\ \"quoted\" \u2028"},

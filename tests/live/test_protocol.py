@@ -126,19 +126,39 @@ class TestOperationCodec:
     def test_roundtrip(self, op):
         decoded = decode_op(encode_op(op))
         assert type(decoded) is type(op)
-        assert decoded.key == op.key
+        assert decoded == op
+
+    def test_an_operation_is_a_positional_array(self):
+        """Tag, key, then what the operation carries — no field names."""
+        assert encode_ops(self.OPS) == [
+            ["read", "k"],
+            ["write", "k", "v"],
+            ["write", "k", None],
+            ["inc", "k", 3],
+            ["dec", "k", 1.5],
+            ["mul", "k", 2],
+            ["div", "k", 4],
+            ["append", "log", {"event": "x"}],
+            ["tswrite", "k", 9, [3, "site1"]],
+        ]
 
     def test_batch_roundtrip_preserves_order(self):
-        decoded = decode_ops(encode_ops(self.OPS))
-        assert [type(op) for op in decoded] == [type(op) for op in self.OPS]
+        assert decode_ops(encode_ops(self.OPS)) == tuple(self.OPS)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_op({"t": "frobnicate", "key": "k"})
+            decode_op(["frobnicate", "k"])
 
     def test_missing_key_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_op({"t": "inc"})
+        for bad in (
+            ["inc"], ["inc", 7, 1], ["read", None], ["write", ["k"], 1],
+        ):
+            with pytest.raises(ProtocolError):
+                decode_op(bad)
+
+    def test_the_dict_form_has_no_reader(self):
+        with pytest.raises(ProtocolError, match="operation must be an array"):
+            decode_op({"t": "inc", "key": "k", "amount": 1})
 
 
 class TestSpecCodec:
@@ -185,6 +205,39 @@ class TestMSetCodec:
         back = decode_mset(encode_mset(mset))
         assert back.order is None
         assert back.ops[0].value == 5
+
+    def test_a_plain_update_carries_no_defaults(self):
+        """What every log line and wire entry of a COMMU update is."""
+        mset = MSet(
+            tid="site0:7",
+            ops=(IncrementOp("a", 1), DecrementOp("b", 1)),
+            origin="site0",
+        )
+        doc = dumps({"mset": encode_mset(mset)})
+        assert doc == (
+            '{"mset":{"tid":"site0:7","ops":[["inc","a",1],["dec","b",1]],'
+            '"origin":"site0"}}'
+        )
+        for absent in ('"kind"', '"order"', '"txn"', '"info"'):
+            assert absent not in doc
+        assert decode_mset(loads(doc)["mset"]) == mset
+
+    @pytest.mark.parametrize("kind", ["update", "commit"])
+    @pytest.mark.parametrize("order", [None, (4, 1)])
+    @pytest.mark.parametrize("txn_number", [None, 9])
+    @pytest.mark.parametrize("info", [(), (("decides", "site0:3"),)])
+    def test_a_field_is_emitted_exactly_when_it_is_not_its_default(
+        self, kind, order, txn_number, info
+    ):
+        mset = MSet("site0:4", kind, (), "site0", order, txn_number, info)
+        expected = {"tid", "ops", "origin"}
+        expected |= {"kind"} if kind != "update" else set()
+        expected |= {"order"} if order is not None else set()
+        expected |= {"txn"} if txn_number is not None else set()
+        expected |= {"info"} if info else set()
+        encoded = encode_mset(mset)
+        assert set(encoded) == expected
+        assert decode_mset(loads(dumps(encoded))) == mset
 
 
 class TestBinaryFraming:
@@ -325,42 +378,74 @@ class TestDecoderHardening:
         # Previously IncrementOp(amount='NaN') decoded "successfully"
         # and poisoned the store value on first apply.
         with pytest.raises(ProtocolError):
-            decode_op({"t": "inc", "key": "k", "amount": "NaN"})
+            decode_op(["inc", "k", "NaN"])
 
     def test_bool_amount_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_op({"t": "inc", "key": "k", "amount": True})
+            decode_op(["inc", "k", True])
 
     def test_non_finite_amount_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ProtocolError):
-                decode_op({"t": "dec", "key": "k", "amount": bad})
+                decode_op(["dec", "k", bad])
+        for doc in (
+            '["inc","k",NaN]', '["mul","k",1e999]', '["div","k",-Infinity]',
+        ):
+            with pytest.raises(ProtocolError):
+                decode_op(loads(doc))
 
     @pytest.mark.parametrize("tag", ["inc", "dec", "mul", "div"])
     def test_all_arithmetic_tags_validate_amount(self, tag):
         with pytest.raises(ProtocolError):
-            decode_op({"t": tag, "key": "k", "amount": [1]})
+            decode_op([tag, "k", [1]])
 
     def test_missing_amount_defaults_to_zero(self):
-        assert decode_op({"t": "inc", "key": "k"}).amount == 0
+        """It did while an operation was an object; a position cannot
+        be left out, so an array without its amount is the wrong arity
+        and refused — nothing is defaulted."""
+        with pytest.raises(ProtocolError):
+            decode_op(["inc", "k"])
+        assert decode_op(["inc", "k", 0]) == IncrementOp("k", 0)
+
+    @pytest.mark.parametrize(
+        "tag, arity",
+        [("read", 2), ("write", 3), ("inc", 3), ("dec", 3), ("mul", 3),
+         ("div", 3), ("append", 3), ("tswrite", 4)],
+    )
+    def test_only_the_exact_arity_decodes(self, tag, arity):
+        full = [tag, "k", 1, [1, "s"], "extra"]
+        for n in range(len(full) + 1):
+            if n == arity:
+                assert decode_op(full[:n]).key == "k"
+            else:
+                with pytest.raises(ProtocolError):
+                    decode_op(full[:n])
 
     def test_wrong_arity_ts_rejected(self):
         # Previously ts=[1] decoded to timestamp=(1,), which compares
         # nonsensically against every well-formed (time, site) pair.
-        for bad in ([1], [1, 2, 3], [], "12", 7):
+        for bad in ([1], [1, 2, 3], [], "12", 7, None):
             with pytest.raises(ProtocolError):
-                decode_op(
-                    {"t": "tswrite", "key": "k", "value": 1, "ts": bad}
-                )
+                decode_op(["tswrite", "k", 1, bad])
 
     def test_non_dict_op_rejected(self):
-        for bad in (["t", "inc"], "inc", 3, None):
+        """Nor a dict, now: nothing but a list is an operation."""
+        for bad in (
+            {"t": "inc", "key": "k", "amount": 1}, ("inc", "k", 1),
+            "inc", 3, None, [],
+        ):
             with pytest.raises(ProtocolError):
                 decode_op(bad)
 
+    def test_unhashable_tag_rejected(self):
+        for tag in (["inc"], {"t": "inc"}, None, 7):
+            with pytest.raises(ProtocolError):
+                decode_op([tag, "k", 1])
+
     def test_non_sequence_ops_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_ops({"t": "inc"})
+        for bad in ({"t": "inc"}, "inc", None, 7):
+            with pytest.raises(ProtocolError):
+                decode_ops(bad)
 
     def test_malformed_info_pair_rejected(self):
         # Previously raised a bare ValueError (dict() on a 1-tuple),
@@ -378,7 +463,8 @@ class TestDecoderHardening:
         )
         for field, bad in (
             ("ops", {"not": "a list"}),
-            ("ops", [["not-a-dict"]]),
+            ("ops", [["not-an-op"]]),
+            ("ops", [{"t": "inc", "key": "k", "amount": 1}]),
             ("order", "abc-not-a-seq-wait-it-is"),
             ("order", 7),
             ("info", 3),
@@ -628,6 +714,120 @@ class TestCompactJsonCodec:
         with pytest.raises(TypeError) as theirs:
             json.dumps(obj, separators=(",", ":"))
         assert str(ours.value) == str(theirs.value)
+
+
+#: what survives JSON unchanged, so that ``==`` can judge a round trip.
+_STABLE_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+_AMOUNTS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+_KEYS = st.text()  # any text: non-ASCII, empty, quotes, control characters
+
+
+def _operations():
+    arithmetic = st.sampled_from(
+        [IncrementOp, DecrementOp, MultiplyOp, DivideOp]
+    )
+    return st.one_of(
+        st.builds(ReadOp, _KEYS),
+        st.builds(WriteOp, _KEYS, _STABLE_VALUES),
+        st.builds(AppendOp, _KEYS, _STABLE_VALUES),
+        st.builds(
+            lambda cls, key, amount: cls(key, amount),
+            arithmetic, _KEYS, _AMOUNTS,
+        ),
+        st.builds(
+            TimestampedWriteOp,
+            _KEYS,
+            _STABLE_VALUES,
+            st.tuples(st.integers(0), st.integers(0) | st.text(max_size=5)),
+        ),
+    )
+
+
+_MSETS = st.builds(
+    MSet,
+    tid=st.text(min_size=1, max_size=12),
+    kind=st.sampled_from(["update", "commit", "abort"]),
+    ops=st.lists(_operations(), max_size=4).map(tuple),
+    origin=st.text(max_size=8),
+    order=st.none() | st.lists(st.integers(), max_size=2).map(tuple),
+    txn_number=st.none() | st.integers(),
+    info=st.lists(
+        st.tuples(st.text(max_size=8), _STABLE_VALUES), max_size=2
+    ).map(tuple),
+)
+
+#: arrays shaped almost like operations: a real tag (or not), then
+#: anything, at any length.
+_NEAR_OPERATIONS = st.lists(_JSON_VALUES, max_size=3).flatmap(
+    lambda rest: st.sampled_from(
+        ["read", "write", "inc", "dec", "mul", "div", "append", "tswrite", "t"]
+    ).map(lambda tag: [tag, *rest])
+)
+
+
+class TestPositionalCodecProperties:
+    """The operation and MSet codecs over generated values, through the
+    real JSON text: what is encoded comes back equal, and what is not
+    an encoding is a ``ProtocolError`` — never anything else."""
+
+    @given(_operations())
+    @example(IncrementOp("ключ\u00e9", -0.0))
+    @example(WriteOp("", {"": [[], {}]}))
+    def test_operation_round_trips_through_json(self, op):
+        assert decode_op(loads(dumps(encode_op(op)))) == op
+
+    @given(_MSETS)
+    def test_mset_round_trips_through_json(self, mset):
+        blob = payload_blob({"mset": encode_mset(mset)})
+        assert decode_mset(loads(blob)["mset"]) == mset
+
+    @given(_JSON_VALUES | _NEAR_OPERATIONS)
+    @example([])
+    @example(["inc"])
+    @example(["inc", "k", 1, 2, 3])
+    @example({"t": "inc", "key": "k", "amount": 1})
+    @example(["inc", "k", True])
+    @example(["inc", "k", "1"])
+    @example(["inc", "k", float("nan")])
+    @example(["inc", "k", float("inf")])
+    @example(["inc", 7, 1])
+    @example([["inc"], "k", 1])
+    @example([{"inc": 1}, "k", 1])
+    @example(["tswrite", "k", 1, [1]])
+    def test_decode_op_is_total(self, value):
+        # Through the text: what a peer or a log line can really carry.
+        value = loads(json.dumps(value))
+        try:
+            op = decode_op(value)
+        except ProtocolError:
+            return
+        assert encode_op(op) == value  # it decoded: it was an encoding
+
+    @given(
+        _JSON_VALUES
+        | st.dictionaries(
+            st.sampled_from(
+                ["tid", "ops", "origin", "kind", "order", "txn", "info"]
+            ),
+            _JSON_VALUES | st.lists(_NEAR_OPERATIONS, max_size=2),
+            max_size=7,
+        )
+    )
+    def test_decode_mset_is_total(self, value):
+        try:
+            mset = decode_mset(loads(json.dumps(value)))
+        except ProtocolError:
+            return
+        assert isinstance(mset, MSet)
 
 
 class _Transport:

@@ -10,6 +10,7 @@ scenario.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.live import (
 )
 from repro.live.client import LiveClient
 from repro.live.engine import make_engine
+from repro.live.protocol import ProtocolError
 from repro.live.server import LOCAL_CHANNEL, ReplicaServer
 
 
@@ -51,7 +53,7 @@ class TestSnapshotEnvelope:
     def test_seal_open_round_trip(self):
         body = _body()
         envelope = seal_snapshot(body)
-        assert envelope["version"] == 1
+        assert envelope["version"] == 2
         assert open_snapshot(envelope) == body
 
     def test_tampered_body_is_rejected(self):
@@ -61,10 +63,12 @@ class TestSnapshotEnvelope:
             open_snapshot(envelope)
 
     def test_alien_version_is_rejected(self):
-        envelope = seal_snapshot(_body())
-        envelope["version"] = 2
-        with pytest.raises(SnapshotError):
-            open_snapshot(envelope)
+        # 1 is what trees before the positional operation codec wrote.
+        for alien in (1, 3):
+            envelope = seal_snapshot(_body())
+            envelope["version"] = alien
+            with pytest.raises(SnapshotError):
+                open_snapshot(envelope)
 
     def test_missing_fields_are_rejected(self):
         envelope = seal_snapshot({"site": "site0"})
@@ -405,3 +409,84 @@ class TestRejoinScenario:
             assert report.converged
 
         run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Recovery names the record it cannot read.
+# ---------------------------------------------------------------------------
+
+#: log file under site0's data dir -> (site that originates the
+#: updates, an operation as the runtime logs it there, the same
+#: operation in the object form trees before the positional codec wrote).
+UNREADABLE = {
+    "replication.log": (
+        "site0", '["inc","x",1]', '{"t":"inc","key":"x","amount":1}',
+    ),
+    "inbox/site1.log": (
+        "site1", '["inc","x",1]', '{"t":"inc","key":"x","amount":1}',
+    ),
+    "compensation.log": (
+        "site0", '["dec","x",1]', '{"t":"dec","key":"x","amount":1}',
+    ),
+}
+
+
+@pytest.mark.parametrize("log_name", sorted(UNREADABLE))
+def test_recovery_names_the_record_it_cannot_read(log_name, tmp_path):
+    """A data dir written before operations were arrays is refused, by
+    design — with the file and the record in the error, nothing
+    applied, and the log left exactly as it was found."""
+    origin, array_form, object_form = UNREADABLE[log_name]
+
+    async def scenario():
+        cluster = LiveCluster(
+            n_sites=2, method="compe", data_dir=tmp_path, **FAST
+        )
+        await cluster.start()
+        try:
+            client = await cluster.client(origin)
+            for _ in range(3):
+                await client.increment("x", 1)
+            await cluster.settle(timeout=30)
+        finally:
+            await cluster.stop()
+
+        path = tmp_path / "site0" / log_name
+        lines = path.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if array_form in line)
+        seq = json.loads(lines[first])["seq"]
+        lines[first] = lines[first].replace(array_form, object_form)
+        json.loads(lines[first])  # still a JSON line, just not ours
+        path.write_text("".join(lines))
+        before = path.read_bytes()
+
+        server = ReplicaServer(
+            "site0", peers=["site0", "site1"],
+            data_dir=tmp_path / "site0", method="compe",
+        )
+        try:
+            with pytest.raises(ProtocolError) as refused:
+                await server.bind("127.0.0.1", 0)
+        finally:
+            await server.stop()
+        message = str(refused.value)
+        assert str(path) in message
+        assert "record %d" % seq in message
+        assert "operation must be an array" in message
+        assert server.engine.applied_count == 0
+        assert server.engine.store.as_dict() == {}
+        assert path.read_bytes() == before
+
+    run(scenario())
+
+
+def test_a_version_1_snapshot_reads_as_absent(tmp_path):
+    """The image of a tree that logged operations as objects: refused
+    by the unknown-version path, like any alien envelope."""
+    store = SnapshotStore(tmp_path / "snapshot.json")
+    envelope = seal_snapshot(_body())
+    store.save(envelope)
+    assert store.load() == _body()
+    envelope["version"] = 1
+    store.save(envelope)
+    assert store.load() is None and store.load_envelope() is None

@@ -271,19 +271,15 @@ class TestWireVsDurableLog:
 
 
 class TestMalformedBinaryBatch:
-    def _bad_blob(self):
+    def _bad_blob(self, op=None):
         # Valid JSON, valid envelope — but the mset inside carries the
         # poisoned amount the decoder sweep rejects.
         return payload_blob(
             {
                 "mset": {
                     "tid": "site1:1",
-                    "kind": "update",
-                    "ops": [{"t": "inc", "key": "x", "amount": "NaN"}],
+                    "ops": [op or ["inc", "x", "NaN"]],
                     "origin": "site1",
-                    "order": None,
-                    "txn": None,
-                    "info": [],
                 }
             }
         )
@@ -292,6 +288,14 @@ class TestMalformedBinaryBatch:
         self, tmp_path
     ):
         self._refused(tmp_path, [self._bad_blob()])
+
+    def test_an_operation_in_the_object_form_is_malformed(self, tmp_path):
+        """What a peer running a tree from before the positional codec
+        would send: there is no reader for it."""
+        self._refused(
+            tmp_path,
+            [self._bad_blob({"t": "inc", "key": "x", "amount": 1})],
+        )
 
     def test_entries_valid_only_when_joined_are_refused(self, tmp_path):
         """Two entries, each invalid JSON alone, that read as a valid

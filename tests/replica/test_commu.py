@@ -58,6 +58,27 @@ class TestRestriction:
             )
 
 
+    def test_the_et_check_is_the_ops_check_named_by_tid(self):
+        """One validator: the live engines hand it bare operations, the
+        simulator an ET — same exception, the message naming the ET."""
+        ops = [IncrementOp("x", 1), MultiplyOp("x", 2)]
+        with pytest.raises(NonCommutativeError) as bare:
+            CommutativeOperations.check_ops_commutative(ops)
+        et = UpdateET(ops)
+        with pytest.raises(NonCommutativeError) as named:
+            CommutativeOperations.check_commutative(et)
+        assert str(named.value) == str(bare.value).replace(
+            "the update", "ET %s" % et.tid
+        )
+        with pytest.raises(NonCommutativeError, match="mixes reads"):
+            CommutativeOperations.check_ops_commutative(
+                [ReadOp("x"), IncrementOp("x", 1)]
+            )
+        CommutativeOperations.check_ops_commutative(
+            (IncrementOp("x", 1), DecrementOp("x", 2), MultiplyOp("y", 2))
+        )
+
+
 class TestAsynchrony:
     def test_update_commits_immediately(self):
         system = _system(latency=UniformLatency(50.0, 60.0))

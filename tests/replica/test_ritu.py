@@ -49,6 +49,20 @@ class TestRestriction:
         system.run_to_quiescence()
         assert system.converged()
 
+    def test_the_et_check_is_the_ops_check_named_by_tid(self):
+        check = ReadIndependentUpdates.check_ops_read_independent
+        with pytest.raises(NotReadIndependentError) as bare:
+            check([WriteOp("y", 1), IncrementOp("x", 1)])
+        et = UpdateET([WriteOp("y", 1), IncrementOp("x", 1)])
+        with pytest.raises(NotReadIndependentError) as named:
+            ReadIndependentUpdates.check_read_independent(et)
+        assert str(named.value) == str(bare.value).replace(
+            "the update", "ET %s" % et.tid
+        )
+        with pytest.raises(NotReadIndependentError, match="reads inside"):
+            check([ReadOp("x"), WriteOp("x", 1)])
+        check((WriteOp("x", 1), TimestampedWriteOp("y", 2, (1, 0))))
+
     def test_invalid_versioning_rejected(self):
         with pytest.raises(ValueError):
             ReadIndependentUpdates(versioning="nope")
