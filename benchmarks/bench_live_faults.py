@@ -66,9 +66,13 @@ from repro.live import (
     ElectConfig,
     LiveCluster,
     SagaConfig,
-    run_chaos_sync,
-    run_elect_sync,
-    run_saga_sync,
+    run_scenario_sync,
+)
+from repro.live.chaos import (
+    ABORT_FRACTION,
+    BLACKOUT_LIMIT,
+    ELECT_HEARTBEAT_INTERVAL,
+    ELECT_SUSPECT_AFTER,
 )
 
 SEED = 7
@@ -104,7 +108,7 @@ def run_live_faults(artifacts_dir=None):
             if artifacts_dir is not None
             else None
         )
-        reports[method] = run_chaos_sync(
+        reports[method] = run_scenario_sync(
             _config(method), artifacts_dir=method_artifacts
         )
     lines = [
@@ -287,7 +291,7 @@ def run_live_elect(artifacts_dir=None):
             else None
         )
         reports.append(
-            run_elect_sync(
+            run_scenario_sync(
                 ElectConfig(seed=seed), artifacts_dir=seed_artifacts
             )
         )
@@ -296,7 +300,7 @@ def run_live_elect(artifacts_dir=None):
         "Sequencer failover: 3 replicas (ORDUP), leader killed at "
         "quiescence, blackout = crash -> first survivor-acked update "
         "(heartbeat %.2fs, suspect %.2fs, dead at 3x)"
-        % (config.heartbeat_interval, config.suspect_after),
+        % (ELECT_HEARTBEAT_INTERVAL, ELECT_SUSPECT_AFTER),
         "",
         "%-6s %10s %14s %12s %10s %10s"
         % ("seed", "blackout", "leader", "epoch", "acked", "invariants"),
@@ -327,16 +331,16 @@ def run_live_elect(artifacts_dir=None):
             sum(blackouts) / len(blackouts),
             max(blackouts),
             len(blackouts),
-            config.blackout_limit,
+            BLACKOUT_LIMIT,
         )
     )
     payload = {
         "benchmark": "live_elect",
-        "method": config.method,
+        "method": "ordup",
         "n_sites": config.n_sites,
-        "heartbeat_interval": config.heartbeat_interval,
-        "suspect_after": config.suspect_after,
-        "blackout_limit": config.blackout_limit,
+        "heartbeat_interval": ELECT_HEARTBEAT_INTERVAL,
+        "suspect_after": ELECT_SUSPECT_AFTER,
+        "blackout_limit": BLACKOUT_LIMIT,
         "blackout_seconds": {
             "min": min(blackouts),
             "mean": sum(blackouts) / len(blackouts),
@@ -374,7 +378,7 @@ def run_live_saga(artifacts_dir=None):
             else None
         )
         reports.append(
-            run_saga_sync(
+            run_scenario_sync(
                 SagaConfig(seed=seed), artifacts_dir=seed_artifacts
             )
         )
@@ -386,7 +390,7 @@ def run_live_saga(artifacts_dir=None):
             config.n_sites,
             config.n_sagas,
             config.steps_per_saga,
-            int(config.abort_fraction * 100),
+            int(ABORT_FRACTION * 100),
         ),
         "",
         "%-6s %12s %12s %10s %10s %10s %10s"
@@ -429,11 +433,11 @@ def run_live_saga(artifacts_dir=None):
     )
     payload = {
         "benchmark": "live_saga",
-        "method": config.method,
+        "method": "compe",
         "n_sites": config.n_sites,
         "n_sagas": config.n_sagas,
         "steps_per_saga": config.steps_per_saga,
-        "abort_fraction": config.abort_fraction,
+        "abort_fraction": ABORT_FRACTION,
         "per_seed": [
             {
                 "seed": r.config.seed,
@@ -489,7 +493,7 @@ def test_live_elect(benchmark, show):
         # The blackout window is bounded well inside the budget: the
         # detector needs 3x suspect_after to declare the leader dead,
         # and everything after (election + lease + retry) is fast.
-        assert report.blackout_seconds <= report.config.blackout_limit
+        assert report.blackout_seconds <= BLACKOUT_LIMIT
         assert report.epoch_after > report.epoch_before
         assert report.new_leader and report.new_leader != report.old_leader
 

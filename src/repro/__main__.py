@@ -342,94 +342,67 @@ def _cmd_live_demo(args: argparse.Namespace) -> int:
     return asyncio.run(main())
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    artifacts_dir = (
-        pathlib.Path(args.artifacts) if args.artifacts else None
+#: chaos flag (argparse dest) -> the config field(s) it sets, per
+#: scenario (the keys of ``repro.live.chaos.SCENARIOS``, spelled here so
+#: building the parser does not import the live runtime); every
+#: scenario also reads --seed and --artifacts.  A flag a scenario does
+#: not read is an error, not a silent no-op.
+_CHAOS_FLAGS: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    "faults": {
+        "sites": ("n_sites",),
+        "method": ("method",),
+        "updates": ("n_updates",),
+        "queries": ("n_queries",),
+        "duration": ("workload_duration",),
+        "no_crash": ("crash",),
+    },
+    "rejoin": {
+        "sites": ("n_sites",),
+        "method": ("method",),
+        "updates": ("n_updates_before", "n_updates_during"),
+        "no_wipe": ("wipe",),
+    },
+    "migrate": {
+        "shards": ("n_shards",),
+        "method": ("method",),
+        "no_crash": ("crash_during",),
+    },
+    "elect": {"sites": ("n_sites",), "updates": ("n_updates_during",)},
+    "wan": {"method": ("method",), "updates": ("n_updates_before",)},
+    "saga": {
+        "sites": ("n_sites",),
+        "sagas": ("n_sagas",),
+        "saga_steps": ("steps_per_saga",),
+        "no_crash": ("crash",),
+        "no_wipe": ("wipe",),
+    },
+}
+
+
+def _cmd_chaos(args: argparse.Namespace, error) -> int:
+    from .live.chaos import SCENARIOS, run_scenario_sync
+
+    reads = _CHAOS_FLAGS[args.scenario]
+    fields = {"seed": args.seed}
+    for flag in sorted({f for m in _CHAOS_FLAGS.values() for f in m}):
+        value = getattr(args, flag)
+        if value is None:  # unset: the config's own default stands
+            continue
+        if flag not in reads:
+            error(
+                "--%s is not read by --scenario %s (it reads: %s)"
+                % (
+                    flag.replace("_", "-"),
+                    args.scenario,
+                    " ".join("--" + f.replace("_", "-") for f in reads),
+                )
+            )
+        fields.update(dict.fromkeys(reads[flag], value))
+    config = SCENARIOS[args.scenario][0](**fields)
+    report = run_scenario_sync(
+        config,
+        artifacts_dir=pathlib.Path(args.artifacts) if args.artifacts else None,
     )
-    if args.scenario == "migrate":
-        from .live.chaos import MigrateConfig, run_migrate_sync
-
-        migrate_config = MigrateConfig(
-            seed=args.seed,
-            n_shards=args.shards,
-            method=args.method,
-            crash_during=not args.no_crash,
-        )
-        migrate_report = run_migrate_sync(
-            migrate_config, artifacts_dir=artifacts_dir
-        )
-        print(migrate_report.render())
-        return 0 if migrate_report.ok else 1
-    if args.scenario == "elect":
-        from .live.chaos import ElectConfig, run_elect_sync
-
-        elect_config = ElectConfig(
-            seed=args.seed,
-            n_sites=args.sites,
-            n_updates_during=args.updates,
-        )
-        elect_report = run_elect_sync(
-            elect_config, artifacts_dir=artifacts_dir
-        )
-        print(elect_report.render())
-        return 0 if elect_report.ok else 1
-    if args.scenario == "wan":
-        from .live.chaos import WanConfig, run_wan_sync
-
-        wan_config = WanConfig(
-            seed=args.seed,
-            method=args.method,
-            n_updates_before=args.updates,
-        )
-        wan_report = run_wan_sync(
-            wan_config, artifacts_dir=artifacts_dir
-        )
-        print(wan_report.render())
-        return 0 if wan_report.ok else 1
-    if args.scenario == "saga":
-        from .live.chaos import SagaConfig, run_saga_sync
-
-        saga_config = SagaConfig(
-            seed=args.seed,
-            n_sites=args.sites,
-            n_sagas=args.sagas,
-            steps_per_saga=args.saga_steps,
-            crash=not args.no_crash,
-            wipe=not args.no_wipe,
-        )
-        saga_report = run_saga_sync(
-            saga_config, artifacts_dir=artifacts_dir
-        )
-        print(saga_report.render())
-        return 0 if saga_report.ok else 1
-    if args.scenario == "rejoin":
-        from .live.chaos import RejoinConfig, run_rejoin_sync
-
-        rejoin_config = RejoinConfig(
-            seed=args.seed,
-            n_sites=args.sites,
-            method=args.method,
-            wipe=not args.no_wipe,
-            n_updates_before=args.updates,
-            n_updates_during=args.updates,
-        )
-        rejoin_report = run_rejoin_sync(
-            rejoin_config, artifacts_dir=artifacts_dir
-        )
-        print(rejoin_report.render())
-        return 0 if rejoin_report.ok else 1
-    from .live.chaos import ChaosConfig, run_chaos_sync
-
-    config = ChaosConfig(
-        seed=args.seed,
-        n_sites=args.sites,
-        method=args.method,
-        n_updates=args.updates,
-        n_queries=args.queries,
-        workload_duration=args.duration,
-        crash=not args.no_crash,
-    )
-    report = run_chaos_sync(config, artifacts_dir=artifacts_dir)
     print(report.render())
     return 0 if report.ok else 1
 
@@ -649,10 +622,8 @@ def main(argv: List[str] = None) -> int:
         help="seeded fault-injection run asserting the ESR invariants",
     )
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--sites", type=int, default=3)
     chaos.add_argument(
-        "--scenario", default="faults",
-        choices=("faults", "rejoin", "migrate", "elect", "wan", "saga"),
+        "--scenario", default="faults", choices=sorted(_CHAOS_FLAGS),
         help="'faults' = drops/partition/crash (default); 'rejoin' = "
         "snapshot + compaction + disk-wipe anti-entropy rejoin; "
         "'migrate' = live shard cutover under routed write load "
@@ -663,35 +634,38 @@ def main(argv: List[str] = None) -> int:
         "sides; 'saga' = COMPE compensation storm with a disk-wipe "
         "crash of one replica mid-storm (exact-convergence check)",
     )
+    # Every flag below defaults to None = "the scenario config's own
+    # default"; docs/LIVE.md tabulates which scenario reads which.
+    chaos.add_argument("--sites", type=int)
     chaos.add_argument(
-        "--sagas", type=int, default=10,
-        help="saga scenario only: number of sagas submitted",
+        "--method",
+        choices=("commu", "ordup", "rowa", "ritu", "ritu-mv", "compe"),
     )
     chaos.add_argument(
-        "--saga-steps", type=int, default=3,
-        help="saga scenario only: update steps per saga",
+        "--updates", type=int,
+        help="faults: total updates; rejoin: before and during the "
+        "outage, each; elect: during the outage; wan: before the "
+        "partition",
+    )
+    chaos.add_argument("--queries", type=int, help="faults: bounded queries")
+    chaos.add_argument(
+        "--duration", type=float,
+        help="faults: seconds the workload is paced to span",
+    )
+    chaos.add_argument("--shards", type=int, help="migrate: number of shards")
+    chaos.add_argument("--sagas", type=int, help="saga: sagas submitted")
+    chaos.add_argument(
+        "--saga-steps", type=int, help="saga: update steps per saga"
     )
     chaos.add_argument(
-        "--shards", type=int, default=3,
-        help="migrate scenario only: number of shards",
+        "--no-crash", action="store_const", const=False,
+        help="faults/saga: skip the crash/restart phase; migrate: no "
+        "crash mid-migration",
     )
     chaos.add_argument(
-        "--no-wipe", action="store_true",
-        help="rejoin/saga scenarios: keep the victim's disk (long "
-        "downtime instead of disk loss)",
-    )
-    chaos.add_argument(
-        "--method", default="commu", choices=("commu", "ordup", "rowa", "ritu", "ritu-mv", "compe")
-    )
-    chaos.add_argument("--updates", type=int, default=120)
-    chaos.add_argument("--queries", type=int, default=36)
-    chaos.add_argument(
-        "--duration", type=float, default=4.0,
-        help="seconds the workload is paced to span",
-    )
-    chaos.add_argument(
-        "--no-crash", action="store_true",
-        help="skip the crash/restart phase (keep drops/partition)",
+        "--no-wipe", action="store_const", const=False,
+        help="rejoin/saga: keep the victim's disk (long downtime "
+        "instead of disk loss)",
     )
     chaos.add_argument(
         "--artifacts", metavar="DIR", default=None,
@@ -799,7 +773,7 @@ def main(argv: List[str] = None) -> int:
     if args.command == "live-demo":
         return _cmd_live_demo(args)
     if args.command == "chaos":
-        return _cmd_chaos(args)
+        return _cmd_chaos(args, chaos.error)
     if args.command == "loadgen":
         return _cmd_loadgen(args)
     if args.command == "metrics-dump":

@@ -31,10 +31,10 @@ Layers:
 * :mod:`repro.live.cluster` — in-process N-replica bootstrapper.
 * :mod:`repro.live.faults` — seeded fault injection (drop / delay /
   duplicate / reorder / partition / crash schedules).
-* :mod:`repro.live.chaos` — randomized-but-seeded chaos harness
-  asserting the paper's invariants under faults, including the
-  disk-wipe / long-downtime rejoin, sequencer-failover, and
-  multi-region WAN partition scenarios.
+* :mod:`repro.live.chaos` — seeded chaos harness: one ``Run`` (cluster,
+  ledger, fault actions) and six scenarios asserting the paper's
+  invariants under faults, rejoin, migration, failover, WAN partition
+  and compensation storms.
 * :mod:`repro.live.snapshot` — versioned, checksummed site snapshots
   backing log compaction and anti-entropy rejoin.
 * :mod:`repro.live.shard` — epoch-versioned shard map plus the
@@ -44,27 +44,24 @@ Layers:
 """
 
 from .chaos import (
+    SCENARIOS,
     ChaosConfig,
     ChaosReport,
     ElectConfig,
     ElectReport,
+    MigrateConfig,
+    MigrateReport,
     RejoinConfig,
     RejoinReport,
+    Report,
+    Run,
     SagaConfig,
     SagaReport,
     WanConfig,
     WanReport,
     persist_cluster_artifacts,
-    run_chaos,
-    run_chaos_sync,
-    run_elect,
-    run_elect_sync,
-    run_rejoin,
-    run_rejoin_sync,
-    run_saga,
-    run_saga_sync,
-    run_wan,
-    run_wan_sync,
+    run_scenario,
+    run_scenario_sync,
 )
 from .compensation import CompensationLog
 from .client import (
@@ -118,27 +115,24 @@ from .snapshot import (
 )
 
 __all__ = [
+    "SCENARIOS",
     "ChaosConfig",
     "ChaosReport",
     "ElectConfig",
     "ElectReport",
+    "MigrateConfig",
+    "MigrateReport",
     "RejoinConfig",
     "RejoinReport",
+    "Report",
+    "Run",
     "SagaConfig",
     "SagaReport",
     "WanConfig",
     "WanReport",
-    "run_rejoin",
-    "run_rejoin_sync",
     "persist_cluster_artifacts",
-    "run_chaos",
-    "run_chaos_sync",
-    "run_elect",
-    "run_elect_sync",
-    "run_saga",
-    "run_saga_sync",
-    "run_wan",
-    "run_wan_sync",
+    "run_scenario",
+    "run_scenario_sync",
     "CompensationLog",
     "LiveClient",
     "LiveETFailed",

@@ -25,7 +25,7 @@ from repro.live import (
     ShardedCluster,
     key_shard,
 )
-from repro.live.chaos import MigrateConfig, run_migrate
+from repro.live.chaos import MigrateConfig, run_scenario
 from repro.live.shard import group_keys_by_shard
 
 
@@ -308,7 +308,7 @@ class TestMigration:
             n_updates_after=12,
             crash_during=True,
         )
-        report = run(run_migrate(config, data_dir=tmp_path))
+        report = run(run_scenario(config, data_dir=tmp_path))
         assert report.violations() == [], report.render()
         assert report.epoch_after > report.epoch_before
         # The replacement group really rebuilt itself through the

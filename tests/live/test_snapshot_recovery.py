@@ -21,7 +21,7 @@ from repro.live import (
     SnapshotError,
     SnapshotStore,
     open_snapshot,
-    run_rejoin,
+    run_scenario,
     seal_snapshot,
 )
 from repro.live.client import LiveClient
@@ -382,7 +382,7 @@ class TestRejoinScenario:
                 heartbeat_interval=0.1,
                 suspect_after=0.4,
             )
-            report = await run_rejoin(config)
+            report = await run_scenario(config)
             assert report.violations() == [], report.render()
             assert report.catchup_installs >= 1
             assert report.converged
@@ -404,7 +404,7 @@ class TestRejoinScenario:
                 heartbeat_interval=0.1,
                 suspect_after=0.4,
             )
-            report = await run_rejoin(config)
+            report = await run_scenario(config)
             assert report.violations() == [], report.render()
             assert report.converged
 

@@ -65,3 +65,44 @@ class TestRunWithOutput:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "T2"]) == 0
         assert list(tmp_path.iterdir()) == []
+
+
+class TestChaos:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--scenario", "elect", "--method", "commu"], "--method"),
+            (["--scenario", "saga", "--method", "commu"], "--method"),
+            (["--scenario", "wan", "--sites", "5"], "--sites"),
+            (["--scenario", "rejoin", "--queries", "3"], "--queries"),
+            (["--scenario", "migrate", "--duration", "2"], "--duration"),
+            (["--scenario", "elect", "--no-crash"], "--no-crash"),
+            (["--no-wipe"], "--no-wipe"),
+        ],
+    )
+    def test_flag_the_scenario_does_not_read_is_an_error(
+        self, argv, flag, capsys
+    ):
+        """Accepted-and-dropped flags ran a different scenario than the
+        one asked for; now they exit 2 naming flag and scenario."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos"] + argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        scenario = argv[1] if argv[0] == "--scenario" else "faults"
+        assert "%s is not read by --scenario %s" % (flag, scenario) in err
+
+    def test_unset_flags_leave_the_configs_own_defaults(self, capsys):
+        """``--updates`` used to default to the faults scenario's 120
+        and leak into every other scenario."""
+        assert main(["chaos", "--scenario", "rejoin"]) == 0
+        out = capsys.readouterr().out
+        assert "60+60+12 updates" in out
+        assert "all invariants held" in out
+
+    def test_set_flags_reach_the_config(self, capsys):
+        assert main(
+            ["chaos", "--scenario", "rejoin", "--seed", "11", "--no-wipe",
+             "--updates", "9"]
+        ) == 0
+        assert "wipe=False, 9+9+12 updates" in capsys.readouterr().out
