@@ -69,7 +69,7 @@ formats meet at the *canonical payload blob* (the compact JSON bytes
 of one payload): when the caller already holds that blob — computed
 once when an update enters the system — ``append``/``record`` splice
 it into the log line verbatim instead of re-serializing the payload,
-producing a line byte-identical to a full ``json.dumps`` of the
+producing a line byte-identical to the codec's own encoding of the
 record.  The blob also rides binary wire frames unchanged, so one
 encode covers every hop and every log.  :meth:`DurableOutbox.wire_blob`
 returns (computing and caching on demand, e.g. after a restart
@@ -122,7 +122,7 @@ import pathlib
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .protocol import ProtocolError, dumps
+from .protocol import ProtocolError, dumps, payload_blob
 from .snapshot import fsync_dir, write_atomic
 
 __all__ = ["DurableOutbox", "DurableInbox", "GrantLog"]
@@ -137,11 +137,11 @@ def _json_line(record: Dict[str, Any]) -> str:
 def _record_line(seq: int, payload: Any, blob: Optional[bytes]) -> str:
     """One data-record log line, spliced around ``blob`` when given.
 
-    ``blob`` must be the canonical compact-JSON encoding of the
-    payload (``json.dumps(payload, separators=(",", ":"))``), which
-    makes the spliced line byte-identical to a full
-    ``json.dumps({"seq": seq, "payload": payload})`` — the log stays
-    plain JSONL under a binary wire.
+    ``blob`` must be the payload's canonical encoding
+    (:func:`~repro.live.protocol.payload_blob`), which makes the
+    spliced line byte-identical to the codec's own encoding of
+    ``{"seq": seq, "payload": payload}`` — the log stays plain JSONL
+    under a binary wire.
     """
     if blob is None:
         return _json_line({"seq": seq, "payload": payload})
@@ -497,7 +497,7 @@ class DurableOutbox(_DurableLog):
         index += self._start
         payload, blob = self._window[index]
         if blob is None:
-            blob = dumps(payload).encode("utf-8")
+            blob = payload_blob(payload)
             self._window[index] = (payload, blob)
         return blob
 
@@ -732,7 +732,7 @@ class DurableInbox(_DurableLog):
         the first gap before calling.  The whole batch lands with one
         write + flush.  ``blobs`` (parallel to ``items``)
         carries the payloads' wire bytes as received — a binary batch
-        is logged without one ``json.dumps``.  Returns the number
+        is logged without one encode.  Returns the number
         recorded.
         """
         lines: List[str] = []

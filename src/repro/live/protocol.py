@@ -39,6 +39,19 @@ re-encode relay).  :func:`decode_bin_frame` validates a body totally —
 every malformation is a :class:`ProtocolError` — and :func:`read_frame`
 hands both kinds to consumers as dicts keyed by ``"type"``.
 
+One JSON codec, orjson, encodes and decodes every document an update
+crosses — frames, payload blobs, log lines — and rewrites no value.
+Integers are 64-bit: a wider one, a non-``str`` key or a lone
+surrogate is a ``TypeError`` at the sender; a wider integer *literal*
+in a foreign document decodes as the nearest float.  Operation
+arguments are finite and a divisor is not zero, or :func:`encode_op`
+and :func:`decode_op` raise :class:`ProtocolError`.  A store value
+that overflowed is encoded by the stdlib as ``Infinity``, which
+:func:`loads` hands on to ``json.loads``.  Cold files — snapshots
+(pure ASCII: fetch chunks are decoded as ASCII), ``election.json``,
+``membership.json``, the shard manifest, session tokens, trace JSONL —
+stay on the stdlib ``json``.
+
 Writes are per turn, not per frame: a :class:`FrameWriter` buffers
 whatever one event-loop turn sends on a connection — replies, acks,
 requests, of either kind — and hands it to the socket in one write.
@@ -51,6 +64,8 @@ import json
 import math
 import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import orjson
 
 from ..core.operations import (
     AppendOp,
@@ -120,28 +135,53 @@ class ProtocolError(RuntimeError):
 
 # -- framing -----------------------------------------------------------------
 
-#: ``json.dumps(obj, separators=(",", ":"))`` through one prebuilt encoder.
-dumps = json.JSONEncoder(separators=(",", ":")).encode
-_scan = json.JSONDecoder().raw_decode
+def _finite(obj: Any) -> bool:
+    """False when some float inside ``obj`` is NaN or infinite."""
+    todo = [obj]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif type(item) is float and not math.isfinite(item):
+            return False
+    return True
+
+
+def _encode(obj: Any) -> bytes:
+    """Compact UTF-8 JSON of ``obj``.  orjson writes a non-finite float
+    as ``null``, so a document holding one — an overflowed store value
+    — is encoded by the stdlib, which keeps it.  (``find``: a bytes
+    ``in`` first tries its operand as an int, at twice the cost.)"""
+    body = orjson.dumps(obj)
+    if body.find(b"null") >= 0 and not _finite(obj):
+        text = json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+        return text.encode("utf-8")
+    return body
+
+
+def dumps(obj: Any) -> str:
+    """:func:`_encode` as text: the durable logs' line encoder."""
+    return _encode(obj).decode("utf-8")
 
 
 def loads(doc: Any) -> Any:
-    """``json.loads(doc)`` — same accepted set, value and exception —
-    minus its per-call encoding sniff and whitespace regexes: the C
-    scanner's result is taken when it consumed the whole document;
-    anything else (padding, a BOM, UTF-16, trailing data, malformed or
-    non-text input) goes to ``json.loads`` unchanged."""
-    try:
-        text = doc if type(doc) is str else bytes.decode(doc, "utf-8")
-        obj, end = _scan(text)
-    except (ValueError, TypeError):
-        return json.loads(doc)
-    return obj if end == len(text) else json.loads(doc)
+    """``json.loads(doc)`` — same accepted set, values and exceptions,
+    but for an integer literal outside 64 bits, read as the nearest
+    float: orjson parses ``bytes`` and ``str``, and what it refuses
+    (``NaN``, a BOM, UTF-16, lone surrogates) goes to ``json.loads``."""
+    if type(doc) is bytes or type(doc) is str:
+        try:
+            return orjson.loads(doc)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(doc)
 
 
 def encode_frame(obj: Dict[str, Any]) -> bytes:
     """Serialize one message to its on-wire representation."""
-    body = dumps(obj).encode("utf-8")
+    body = _encode(obj)
     if len(body) > MAX_FRAME:
         raise ProtocolError("frame of %d bytes exceeds MAX_FRAME" % len(body))
     return _LEN.pack(len(body)) + body
@@ -171,8 +211,8 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     if binary:
         return decode_bin_frame(body)
     try:
-        obj = loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = loads(body)
+    except ValueError as exc:
         raise ProtocolError("undecodable frame: %s" % exc) from exc
     if not isinstance(obj, dict):
         raise ProtocolError("frame payload must be a JSON object")
@@ -290,12 +330,13 @@ def payload_blob(payload: Dict[str, Any]) -> bytes:
     This is the unit of the zero re-encode relay: computed once when
     an MSet enters its outbox, then forwarded verbatim inside binary
     batch frames *and* spliced verbatim into durable-log JSON lines
-    (see :mod:`repro.live.durable_queue`).  Deliberately JSON — the
-    C-accelerated ``json`` codec beats any pure-Python packer, and it
-    keeps the durable logs debuggable — the binary framing around it
-    is what removes the per-hop re-encode and field walk.
+    (see :mod:`repro.live.durable_queue`), in the module's codec and
+    value domain; JSON keeps the logs debuggable, the binary framing
+    around it removes the per-hop re-encode.  Held until every peer
+    acks it, a blob is copied to its exact size: orjson's ``bytes``
+    keep a ~1 KiB allocation each, ~100 MB for 100k held blobs.
     """
-    return dumps(payload).encode("utf-8")
+    return bytes(memoryview(_encode(payload)))
 
 
 def encode_bin_batch_frame(
@@ -416,32 +457,27 @@ _OP_SHAPES = {
 }
 
 
+def _check_arguments(data: list) -> None:
+    """Refuse, before anything is logged, a NaN or infinity in an
+    encoded operation's arguments (the codec has no spelling for it)
+    and a zero divisor (it fails at apply, after every replica logged
+    it).  Callers skip the common case: one non-zero exact int."""
+    if not _finite(data):
+        raise ProtocolError("non-finite number in operation %r" % (data,))
+    if data[0] == "div" and data[2] == 0:
+        raise ProtocolError("division by zero on %r" % (data[1],))
+
+
 def encode_op(op: Operation) -> list:
     encode = _OP_ENCODERS.get(type(op))
     if encode is None:
         raise ProtocolError("operation %r has no wire encoding" % op)
-    return encode(op)
-
-
-def _decode_amount(amount: Any) -> float:
-    """Validated arithmetic amount: a real, finite number.
-
-    Rejects strings (JSON happily carries ``"NaN"`` where a number
-    belongs), booleans (``True`` is an ``int`` to ``isinstance``, but
-    not by exact type — and exact ``int``/``float`` is all
-    ``json.loads`` ever yields), and non-finite floats (it accepts
-    bare ``NaN``/``Infinity``) — any of which would poison the store
-    value the first time the operation applies.
-    """
-    if type(amount) is int:
-        return amount
-    if type(amount) is float:
-        if not math.isfinite(amount):
-            raise ProtocolError(
-                "non-finite operation amount %r" % (amount,)
-            )
-        return amount
-    raise ProtocolError("non-numeric operation amount %r" % (amount,))
+    data = encode(op)
+    if len(data) > 2 and (
+        type(data[2]) is not int or not data[2] or len(data) > 3
+    ):
+        _check_arguments(data)
+    return data
 
 
 def decode_op(data: list) -> Operation:
@@ -460,13 +496,17 @@ def decode_op(data: list) -> Operation:
     key = data[1]
     if not isinstance(key, str):
         raise ProtocolError("operation without a key: %r" % (data,))
-    if arity == 3:
-        arg = data[2]
-        if numeric and type(arg) is not int:  # an exact int is fine as is
-            arg = _decode_amount(arg)
-        return cls(key, arg)
     if arity == 2:
         return cls(key)
+    arg = data[2]
+    # Exact int or float, all a JSON parse yields for a number: not a
+    # string (``"NaN"``) or a bool (an ``int`` to ``isinstance``).
+    if numeric and type(arg) is not int and type(arg) is not float:
+        raise ProtocolError("non-numeric operation amount %r" % (arg,))
+    if type(arg) is not int or not arg or arity > 3:
+        _check_arguments(data)
+    if arity == 3:
+        return cls(key, arg)
     ts = data[3]
     # Thomas-rule timestamps are exactly (time, site) pairs; a
     # wrong-arity ts would compare nonsensically forever after.
@@ -474,7 +514,7 @@ def decode_op(data: list) -> Operation:
         raise ProtocolError(
             "tswrite ts must be a [time, site] pair: %r" % (ts,)
         )
-    return cls(key, data[2], tuple(ts))
+    return cls(key, arg, tuple(ts))
 
 
 def encode_ops(ops: Sequence[Operation]) -> list:

@@ -1533,8 +1533,8 @@ class ReplicaServer:
         MSets, cutting early when a frame approaches MAX_FRAME.
 
         Sizes come from the log's cached payload bytes, so planning
-        costs a length lookup per entry instead of a ``json.dumps``
-        per entry per send attempt.
+        costs a length lookup per entry instead of an encode per
+        entry per send attempt.
         """
         batches: List[List[Tuple[int, Any]]] = []
         current: List[Tuple[int, Any]] = []

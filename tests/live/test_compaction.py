@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.live.durable_queue import DurableInbox
+from repro.live.protocol import dumps, payload_blob
 
 from .test_durable_queue import PEER, _outbox
 
@@ -305,13 +306,19 @@ def test_inbox_compaction_crash_recovers_old_or_new(
     reloaded.close()
 
 
-def _redumped(path, through, header=()):
-    """The log ``json.loads``-ed line by line and its survivors
-    ``json.dumps``-ed again — the compaction this module used to have."""
-    def dump(record):
-        return json.dumps(record, separators=(",", ":")) + "\n"
+def _lines(text):
+    """``text``'s lines, split on ``"\n"`` alone: a log line may hold a
+    raw U+2028, which ``str.splitlines`` would split on."""
+    return text.split("\n")[:-1]
 
-    records = [json.loads(line) for line in path.read_text().splitlines()]
+
+def _redumped(path, through, header=()):
+    """The log ``json.loads``-ed line by line and its survivors encoded
+    again by the codec — the compaction this module used to have."""
+    def dump(record):
+        return dumps(record) + "\n"
+
+    records = [json.loads(line) for line in _lines(path.read_text())]
     return "".join(
         [dump({"meta": "base", "base": through})]
         + [dump(marker) for marker in header]
@@ -341,9 +348,7 @@ def test_compaction_copies_survivors_byte_for_byte(kind, tmp_path):
     whether a line was spliced around a blob, dumped whole, or written
     by some other hand."""
     path = tmp_path / "peer.log"
-    blobs = [
-        json.dumps(p, separators=(",", ":")).encode("utf-8") for p in AWKWARD
-    ]
+    blobs = [payload_blob(p) for p in AWKWARD]
     if kind == "outbox":
         box = _outbox(path)
         box.append_many(AWKWARD[:3], blobs=blobs[:3])
@@ -365,7 +370,7 @@ def test_compaction_copies_survivors_byte_for_byte(kind, tmp_path):
     box.close()
     assert path.read_text() == want
     survivors = [
-        json.loads(line) for line in want.splitlines()[1 + len(header):]
+        json.loads(line) for line in _lines(want)[1 + len(header):]
     ]
     assert [r["seq"] for r in survivors] == [3, 4, 5, 6, 7, 8]
     assert [r["payload"] for r in survivors[:4]] == AWKWARD[2:]

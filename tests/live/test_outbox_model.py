@@ -20,7 +20,6 @@ way: there is one file, so a compaction cuts all of them at the same
 place — never past the slowest cursor.
 """
 
-import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -35,12 +34,13 @@ from hypothesis.stateful import (
 )
 
 from repro.live.durable_queue import DurableOutbox
+from repro.live.protocol import payload_blob
 
 PEERS = ("p0", "p1", "p2")
 
 
 def _blob(payload):
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return payload_blob(payload)
 
 
 class ReferenceOutbox:

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import math
 import random
 import struct
 
@@ -664,10 +665,41 @@ def _mutated_frame_bodies(draw):
     return bytes(data)
 
 
+def _wide_ints_as_floats(value):
+    """``value`` with every int outside 64 bits as the nearest float:
+    how orjson reads such a literal."""
+    if type(value) is int and not -(2**63) <= value < 2**64:
+        return float(value)
+    if isinstance(value, list):
+        return [_wide_ints_as_floats(item) for item in value]
+    if isinstance(value, dict):
+        return {k: _wide_ints_as_floats(v) for k, v in value.items()}
+    return value
+
+
+def _encodable(value):
+    """Inside what the codec encodes: 64-bit ints, ``str`` keys, no
+    lone surrogates."""
+    if type(value) is int:
+        return -(2**63) <= value < 2**64
+    if type(value) is str:
+        return not any("\ud800" <= char <= "\udfff" for char in value)
+    if isinstance(value, list):
+        return all(map(_encodable, value))
+    if isinstance(value, dict):
+        return all(
+            type(k) is str and _encodable(k) and _encodable(v)
+            for k, v in value.items()
+        )
+    return True
+
+
 class TestCompactJsonCodec:
-    """``protocol.loads`` / ``dumps`` are ``json.loads`` /
-    ``json.dumps(..., separators=(",", ":"))`` — same accepted set,
-    same values, same bytes, same exceptions — only cheaper."""
+    """``protocol.loads`` is ``json.loads`` — same accepted set, values
+    and exceptions — but for an integer literal outside 64 bits, which
+    it reads as the nearest float.  ``protocol.dumps`` writes what
+    ``json.loads`` reads back as ``json.loads(json.dumps(x))``, or
+    raises ``TypeError`` for what the value domain excludes."""
 
     @given(
         _documents()
@@ -690,8 +722,13 @@ class TestCompactJsonCodec:
     @example('{"a":')
     @example("")
     @example("9" * 5000)  # past the interpreter's int-digits limit
+    @example("[18446744073709551616,-9223372036854775809]")  # past 64 bits
     def test_loads_is_json_loads(self, doc):
-        assert _outcome(loads, doc) == _outcome(json.loads, doc)
+        ours = _outcome(loads, doc)
+        if ours != _outcome(json.loads, doc):  # the one documented residual
+            assert ours == _outcome(
+                lambda doc: _wide_ints_as_floats(json.loads(doc)), doc
+            )
 
     @pytest.mark.parametrize(
         "doc", [bytearray(b"[1]"), memoryview(b"[1]"), None, 7, [1]]
@@ -701,34 +738,60 @@ class TestCompactJsonCodec:
 
     @given(_JSON_VALUES)
     @example({"ключ": {"nested": [1.5, float("nan"), "é", "\ud800"]}})
+    @example({"ключ": {"nested": [1.5, float("nan"), "é", None]}})
+    @example({"overflowed": float("inf"), "unset": None})
     @example({1: "int key", None: "none key", 2.5: True})
+    @example([2**64, -(2**63) - 1])
     def test_dumps_is_compact_json_dumps(self, obj):
-        assert dumps(obj) == json.dumps(obj, separators=(",", ":"))
+        if not _encodable(obj):
+            with pytest.raises(TypeError):
+                dumps(obj)
+            return
+        assert _outcome(json.loads, dumps(obj)) == _outcome(
+            json.loads, json.dumps(obj)
+        )
 
     @pytest.mark.parametrize(
         "obj", [object(), {1, 2}, b"bytes", {"k": object()}, {(1,): 2}]
     )
     def test_unserialisable_is_a_type_error_from_both(self, obj):
-        with pytest.raises(TypeError) as ours:
+        with pytest.raises(TypeError):
             dumps(obj)
-        with pytest.raises(TypeError) as theirs:
+        with pytest.raises(TypeError):
             json.dumps(obj, separators=(",", ":"))
-        assert str(ours.value) == str(theirs.value)
 
+
+#: the value domain: 64-bit ints, finite floats.
+_INTS = st.integers(-(2**63), 2**64 - 1)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 #: what survives JSON unchanged, so that ``==`` can judge a round trip.
 _STABLE_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=False)
-    | st.text(),
+    st.none() | st.booleans() | _INTS | _FLOATS | st.text(),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=8,
 )
-_AMOUNTS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+_AMOUNTS = _INTS | _FLOATS
 _KEYS = st.text()  # any text: non-ASCII, empty, quotes, control characters
+
+
+def _representable(op):
+    """Inside the value domain: 64-bit ints, finite floats, and a
+    divisor that is not zero."""
+    def inside(value):
+        if type(value) is int:
+            return -(2**63) <= value < 2**64
+        if type(value) is float:
+            return math.isfinite(value)
+        if isinstance(value, (list, tuple)):
+            return all(map(inside, value))
+        if isinstance(value, dict):
+            return all(map(inside, value.values()))
+        return True
+
+    divides_by_zero = type(op) is DivideOp and op.amount == 0
+    return inside(list(vars(op).values())) and not divides_by_zero
 
 
 def _operations():
@@ -742,12 +805,15 @@ def _operations():
         st.builds(
             lambda cls, key, amount: cls(key, amount),
             arithmetic, _KEYS, _AMOUNTS,
-        ),
+        ).filter(_representable),
         st.builds(
             TimestampedWriteOp,
             _KEYS,
             _STABLE_VALUES,
-            st.tuples(st.integers(0), st.integers(0) | st.text(max_size=5)),
+            st.tuples(
+                st.integers(0, 2**64 - 1),
+                st.integers(0, 2**64 - 1) | st.text(max_size=5),
+            ),
         ),
     )
 
@@ -758,8 +824,8 @@ _MSETS = st.builds(
     kind=st.sampled_from(["update", "commit", "abort"]),
     ops=st.lists(_operations(), max_size=4).map(tuple),
     origin=st.text(max_size=8),
-    order=st.none() | st.lists(st.integers(), max_size=2).map(tuple),
-    txn_number=st.none() | st.integers(),
+    order=st.none() | st.lists(_INTS, max_size=2).map(tuple),
+    txn_number=st.none() | _INTS,
     info=st.lists(
         st.tuples(st.text(max_size=8), _STABLE_VALUES), max_size=2
     ).map(tuple),
@@ -776,13 +842,21 @@ _NEAR_OPERATIONS = st.lists(_JSON_VALUES, max_size=3).flatmap(
 
 class TestPositionalCodecProperties:
     """The operation and MSet codecs over generated values, through the
-    real JSON text: what is encoded comes back equal, and what is not
+    real JSON text: what is encoded inside the value domain comes back
+    equal, what is outside it is refused at the sender, and what is not
     an encoding is a ``ProtocolError`` — never anything else."""
 
     @given(_operations())
     @example(IncrementOp("ключ\u00e9", -0.0))
     @example(WriteOp("", {"": [[], {}]}))
+    @example(WriteOp("k", {"v": [float("nan")]}))  # refused: not finite
+    @example(IncrementOp("k", 2**64))  # refused: past 64 bits
+    @example(DivideOp("k", 0))  # refused: fails at apply, after logging
     def test_operation_round_trips_through_json(self, op):
+        if not _representable(op):
+            with pytest.raises((ProtocolError, TypeError)):
+                dumps(encode_op(op))
+            return
         assert decode_op(loads(dumps(encode_op(op)))) == op
 
     @given(_MSETS)
@@ -799,6 +873,8 @@ class TestPositionalCodecProperties:
     @example(["inc", "k", "1"])
     @example(["inc", "k", float("nan")])
     @example(["inc", "k", float("inf")])
+    @example(["div", "k", -0.0])
+    @example(["append", "k", [1, float("-inf")]])
     @example(["inc", 7, 1])
     @example([["inc"], "k", 1])
     @example([{"inc": 1}, "k", 1])
