@@ -14,7 +14,10 @@ and commutativity are decided structurally, so the serializability
 checkers, the lock manager, and the replica control methods all share a
 single source of truth about what reorderings are legal.
 
-Operations are immutable values.  Applying an operation to a store is
+Operations are immutable values: frozen, slotted dataclasses whose
+read/write flags are class facts, built by a constructor that stores
+each field through its slot descriptor (every replica builds every
+update's operations).  Applying an operation to a store is
 done through :meth:`Operation.apply`, which takes and returns plain
 Python values; the storage substrate decides versioning and visibility.
 """
@@ -22,8 +25,8 @@ Python values; the storage substrate decides versioning and visibility.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, ClassVar, Optional, Tuple
 
 __all__ = [
     "Operation",
@@ -47,7 +50,36 @@ class OperationError(Exception):
     """Raised when an operation cannot be applied or inverted."""
 
 
-@dataclass(frozen=True)
+def _slot_init(cls: type) -> type:
+    """Give the slotted frozen dataclass ``cls`` a constructor with the
+    generated one's signature that stores each field through its slot
+    descriptor.
+
+    The generated ``__init__`` of a frozen dataclass sets each field
+    with ``object.__setattr__(self, name, value)``, a by-name lookup
+    per field that makes construction about 1.7x slower.  Mutation
+    still goes through the dataclass ``__setattr__`` and raises
+    ``FrozenInstanceError``.  Descriptors are read off ``cls`` itself:
+    on Python 3.10 a subclass re-declares its base's slots.
+    """
+    env = {}
+    params, body = ["self"], []
+    for f in fields(cls):
+        env["_set_" + f.name] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env["_default_" + f.name] = f.default
+            params.append("%s=_default_%s" % (f.name, f.name))
+        body.append("    _set_%s(self, %s)\n" % (f.name, f.name))
+    exec("def __init__(%s):\n%s" % (", ".join(params), "".join(body)), env)
+    init = env["__init__"]
+    init.__qualname__ = cls.__qualname__ + ".__init__"
+    cls.__init__ = init
+    return cls
+
+
+@dataclass(frozen=True, slots=True)
 class Operation:
     """Base class for all operations in the algebra.
 
@@ -59,12 +91,12 @@ class Operation:
 
     key: str
 
-    #: Class-level flags consumed by checkers and replica control.
-    is_read_op: bool = field(default=False, init=False, repr=False)
-    is_write_op: bool = field(default=False, init=False, repr=False)
+    #: Class facts consumed by checkers and replica control.
+    is_read_op: ClassVar[bool] = False
+    is_write_op: ClassVar[bool] = False
     #: True when the new value does not depend on the old value
     #: (RITU-eligible "blind write").
-    read_independent: bool = field(default=False, init=False, repr=False)
+    read_independent: ClassVar[bool] = False
 
     def apply(self, value: Any) -> Any:
         """Return the new object value after this operation runs.
@@ -112,11 +144,12 @@ class Operation:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class ReadOp(Operation):
     """Read the current value of ``key``."""
 
-    is_read_op: bool = field(default=True, init=False, repr=False)
+    is_read_op = True
 
     def apply(self, value: Any) -> Any:
         return value
@@ -128,13 +161,14 @@ class ReadOp(Operation):
         return other.is_read_op
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class WriteOp(Operation):
     """Overwrite ``key`` with ``value`` (classical R/W model write)."""
 
     value: Any = None
-    is_write_op: bool = field(default=True, init=False, repr=False)
-    read_independent: bool = field(default=True, init=False, repr=False)
+    is_write_op = True
+    read_independent = True
 
     def apply(self, value: Any) -> Any:
         return self.value
@@ -152,12 +186,12 @@ class WriteOp(Operation):
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _ArithmeticOp(Operation):
     """Shared machinery for numeric read-modify-write operations."""
 
     amount: float = 0
-    is_write_op: bool = field(default=True, init=False, repr=False)
+    is_write_op = True
 
     def _check_numeric(self, value: Any) -> float:
         # Exact types first: the ``numbers.Number`` ABC check is the
@@ -173,7 +207,8 @@ class _ArithmeticOp(Operation):
         return value
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class IncrementOp(_ArithmeticOp):
     """``key += amount``.  Commutes with other increments/decrements."""
 
@@ -190,7 +225,8 @@ class IncrementOp(_ArithmeticOp):
         return abs(self.amount)
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class DecrementOp(_ArithmeticOp):
     """``key -= amount``.  Commutes with other increments/decrements."""
 
@@ -207,7 +243,8 @@ class DecrementOp(_ArithmeticOp):
         return abs(self.amount)
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class MultiplyOp(_ArithmeticOp):
     """``key *= amount``.  Commutes with other multiplies/divides only.
 
@@ -230,7 +267,8 @@ class MultiplyOp(_ArithmeticOp):
         return isinstance(other, (MultiplyOp, DivideOp))
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class DivideOp(_ArithmeticOp):
     """``key /= amount``.  Commutes with other multiplies/divides only."""
 
@@ -246,7 +284,8 @@ class DivideOp(_ArithmeticOp):
         return isinstance(other, (MultiplyOp, DivideOp))
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class AppendOp(Operation):
     """Append ``item`` to a sequence-valued object.
 
@@ -258,7 +297,7 @@ class AppendOp(Operation):
     """
 
     item: Any = None
-    is_write_op: bool = field(default=True, init=False, repr=False)
+    is_write_op = True
 
     def initial_value(self, default: Any) -> Any:
         return ()
@@ -283,12 +322,13 @@ class AppendOp(Operation):
         return isinstance(other, AppendOp)
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class _RemoveLastOp(Operation):
     """Compensation for :class:`AppendOp`: remove one occurrence of item."""
 
     item: Any = None
-    is_write_op: bool = field(default=True, init=False, repr=False)
+    is_write_op = True
 
     def apply(self, value: Any) -> Any:
         if not isinstance(value, tuple):
@@ -311,7 +351,8 @@ class _RemoveLastOp(Operation):
         return False
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class TimestampedWriteOp(Operation):
     """RITU-style timestamped blind write.
 
@@ -325,8 +366,8 @@ class TimestampedWriteOp(Operation):
 
     value: Any = None
     timestamp: Tuple[int, int] = (0, 0)
-    is_write_op: bool = field(default=True, init=False, repr=False)
-    read_independent: bool = field(default=True, init=False, repr=False)
+    is_write_op = True
+    read_independent = True
 
     def apply(self, value: Any) -> Any:
         # Plain apply ignores the stored timestamp; the RITU store uses

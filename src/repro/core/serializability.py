@@ -25,10 +25,11 @@ Definitions implemented (paper section 2.1):
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .history import Event, History, SerializationGraph
-from .operations import Operation, conflicts
+from .operations import conflicts
 from .transactions import TransactionID
 
 __all__ = [
@@ -155,23 +156,14 @@ def merge_site_histories(
     for _, site, _, ev in tagged:
         op = ev.op
         if key_map and op.key in key_map:
-            # dataclasses are frozen; rebuild with the logical key.
-            op = _with_key(op, key_map[op.key])
+            # Operations are frozen; rebuild with the logical key.
+            op = replace(op, key=key_map[op.key])
         merged.append(Event(ev.tid, op, site, ev.time))
     for site_hist in site_histories.values():
         for tid, et in site_hist._transactions.items():  # noqa: SLF001
             if et is not None:
                 merged._transactions[tid] = et  # noqa: SLF001
     return merged
-
-
-def _with_key(op: Operation, key: str) -> Operation:
-    """Rebuild a frozen operation dataclass with a different key."""
-    fields = dict(op.__dict__)
-    for derived in ("is_read_op", "is_write_op", "read_independent"):
-        fields.pop(derived, None)
-    fields["key"] = key
-    return type(op)(**fields)
 
 
 def is_one_copy_serializable(
@@ -202,7 +194,7 @@ def is_one_copy_serializable(
             for ev in hist:
                 op = ev.op
                 if op.key in key_map:
-                    op = _with_key(op, key_map[op.key])
+                    op = replace(op, key=key_map[op.key])
                 mapped.append(Event(ev.tid, op, ev.site, ev.time))
             for tid, et in hist._transactions.items():  # noqa: SLF001
                 if et is not None:

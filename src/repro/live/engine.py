@@ -359,8 +359,7 @@ class LiveEngine:
             self.read_results[mset.tid] = {
                 key: self.store.get(key, 0) for key in reads
             }
-        for op in mset.ops:
-            self.store.apply(op, default=0)
+        self.store.apply_many(mset.ops)
         self.applied_count += 1
         self.last_applied_at = self.clock()
 
@@ -1321,8 +1320,7 @@ class CompeLiveEngine(CommuLiveEngine):
     def _compensate(self, tid: Any, encoded: List[Any], **how: Any) -> None:
         """Backward recovery: apply ``tid``'s recorded inverse ops."""
         ops = decode_ops(encoded)
-        for op in ops:
-            self.store.apply(op, default=0)
+        self.store.apply_many(ops)
         self._compensated.add(tid)
         self.compensation_count += 1
         self.operations_undone += len(ops)

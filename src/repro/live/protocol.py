@@ -63,7 +63,7 @@ import asyncio
 import json
 import math
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import orjson
 
@@ -448,14 +448,6 @@ _OP_ENCODERS = {
     ],
 }
 
-#: tag -> (operation class, exact array length, carries an amount).
-_OP_SHAPES = {
-    "read": (ReadOp, 2, False), "tswrite": (TimestampedWriteOp, 4, False),
-    "write": (WriteOp, 3, False), "append": (AppendOp, 3, False),
-    "inc": (IncrementOp, 3, True), "dec": (DecrementOp, 3, True),
-    "mul": (MultiplyOp, 3, True), "div": (DivideOp, 3, True),
-}
-
 
 def _check_arguments(data: list) -> None:
     """Refuse, before anything is logged, a NaN or infinity in an
@@ -480,41 +472,84 @@ def encode_op(op: Operation) -> list:
     return data
 
 
-def decode_op(data: list) -> Operation:
-    if not isinstance(data, list):
-        raise ProtocolError("operation must be an array: %r" % (data,))
-    tag = data[0] if data else None
-    # ``isinstance`` first: an unhashable tag must not reach the dict.
-    shape = _OP_SHAPES.get(tag) if isinstance(tag, str) else None
-    if shape is None:
-        raise ProtocolError("unknown operation tag %r" % (tag,))
-    cls, arity, numeric = shape
-    if len(data) != arity:
-        raise ProtocolError(
-            "%s operation must be an array of %d: %r" % (tag, arity, data)
-        )
+def _wrong_arity(data: list, arity: int) -> ProtocolError:
+    return ProtocolError(
+        "%s operation must be an array of %d: %r" % (data[0], arity, data)
+    )
+
+
+def _keyless(data: list) -> ProtocolError:
+    return ProtocolError("operation without a key: %r" % (data,))
+
+
+def _decode_read(data: list) -> Operation:
+    if len(data) != 2:
+        raise _wrong_arity(data, 2)
     key = data[1]
     if not isinstance(key, str):
-        raise ProtocolError("operation without a key: %r" % (data,))
-    if arity == 2:
-        return cls(key)
-    arg = data[2]
-    # Exact int or float, all a JSON parse yields for a number: not a
-    # string (``"NaN"``) or a bool (an ``int`` to ``isinstance``).
-    if numeric and type(arg) is not int and type(arg) is not float:
-        raise ProtocolError("non-numeric operation amount %r" % (arg,))
-    if type(arg) is not int or not arg or arity > 3:
-        _check_arguments(data)
-    if arity == 3:
+        raise _keyless(data)
+    return ReadOp(key)
+
+
+def _decode_with_argument(cls: type, numeric: bool) -> Callable:
+    """Decoder of a ``[tag, key, arg]`` operation; ``numeric``: the
+    argument is an amount."""
+
+    def decode(data: list) -> Operation:
+        if len(data) != 3:
+            raise _wrong_arity(data, 3)
+        _, key, arg = data
+        if not isinstance(key, str):
+            raise _keyless(data)
+        # Exact int or float, all a JSON parse yields for a number: not
+        # a string (``"NaN"``) or a bool (an ``int`` to ``isinstance``).
+        if numeric and type(arg) is not int and type(arg) is not float:
+            raise ProtocolError("non-numeric operation amount %r" % (arg,))
+        if type(arg) is not int or not arg:
+            _check_arguments(data)
         return cls(key, arg)
-    ts = data[3]
+
+    return decode
+
+
+def _decode_tswrite(data: list) -> Operation:
+    if len(data) != 4:
+        raise _wrong_arity(data, 4)
+    _, key, value, ts = data
+    if not isinstance(key, str):
+        raise _keyless(data)
+    _check_arguments(data)
     # Thomas-rule timestamps are exactly (time, site) pairs; a
     # wrong-arity ts would compare nonsensically forever after.
     if not isinstance(ts, (list, tuple)) or len(ts) != 2:
         raise ProtocolError(
             "tswrite ts must be a [time, site] pair: %r" % (ts,)
         )
-    return cls(key, arg, tuple(ts))
+    return TimestampedWriteOp(key, value, tuple(ts))
+
+
+#: tag -> decoder of the whole array, tag included.
+_OP_DECODERS: Dict[str, Callable[[list], Operation]] = {
+    "read": _decode_read,
+    "write": _decode_with_argument(WriteOp, False),
+    "append": _decode_with_argument(AppendOp, False),
+    "inc": _decode_with_argument(IncrementOp, True),
+    "dec": _decode_with_argument(DecrementOp, True),
+    "mul": _decode_with_argument(MultiplyOp, True),
+    "div": _decode_with_argument(DivideOp, True),
+    "tswrite": _decode_tswrite,
+}
+
+
+def decode_op(data: list) -> Operation:
+    if not isinstance(data, list):
+        raise ProtocolError("operation must be an array: %r" % (data,))
+    try:
+        decode = _OP_DECODERS[data[0]]
+    except (IndexError, KeyError, TypeError):  # empty, unknown, unhashable
+        tag = data[0] if data else None
+        raise ProtocolError("unknown operation tag %r" % (tag,)) from None
+    return decode(data)
 
 
 def encode_ops(ops: Sequence[Operation]) -> list:
@@ -566,12 +601,14 @@ def decode_spec(data: Optional[Dict[str, Any]]) -> EpsilonSpec:
 # -- MSets -------------------------------------------------------------------
 
 
-def encode_mset(mset: MSet) -> Dict[str, Any]:
+def encode_mset(mset: MSet, ops: Optional[list] = None) -> Dict[str, Any]:
     """``tid``, ``ops`` and ``origin`` always; the rest only where it
-    differs from the default :func:`decode_mset` assumes."""
+    differs from the default :func:`decode_mset` assumes.  ``ops``:
+    ``mset.ops`` already encoded, when the caller holds them (the
+    origin, the request's own arrays)."""
     out: Dict[str, Any] = {
         "tid": mset.tid,
-        "ops": encode_ops(mset.ops),
+        "ops": encode_ops(mset.ops) if ops is None else ops,
         "origin": mset.origin,
     }
     if mset.kind != MSetKind.UPDATE:
@@ -615,11 +652,11 @@ def decode_mset(data: Dict[str, Any]) -> MSet:
             raise ProtocolError("malformed mset info pair: %r" % (pair,))
         info.append((pair[0], pair[1]))
     return MSet(
-        tid=data.get("tid"),
-        kind=kind,
-        ops=decode_ops(data.get("ops", ())),
-        origin=origin,
-        order=order,
-        txn_number=data.get("txn"),
-        info=tuple(info),
+        data.get("tid"),
+        kind,
+        decode_ops(data.get("ops", ())),
+        origin,
+        order,
+        data.get("txn"),
+        tuple(info),
     )

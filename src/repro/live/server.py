@@ -109,7 +109,6 @@ from typing import (
     Tuple,
 )
 
-from ..core.operations import is_write
 from ..obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -2925,10 +2924,12 @@ class ReplicaServer:
                 )
 
     async def _handle_update(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        ops = decode_ops(frame.get("ops", ()))
+        requested = frame.get("ops", ())
+        ops = decode_ops(requested)
         if not ops:
             raise ValueError("update without operations")
-        if not any(is_write(op) for op in ops):
+        writes = tuple([op for op in ops if op.is_write_op])
+        if not writes:
             raise ValueError("update ET must contain a write (use query)")
         self._check_shard([op.key for op in ops])
         if self._catching_up:
@@ -2949,7 +2950,11 @@ class ReplicaServer:
                     % (worst, self.backlog_limit)
                 )
         self.engine.validate_update(ops)
-        writes = tuple(op for op in ops if is_write(op))
+        # The writes' request arrays, validated by ``decode_ops``: the
+        # payload carries them rather than a re-encoding of ``writes``.
+        encoded_writes = [
+            data for data, op in zip(requested, ops) if op.is_write_op
+        ]
         read_keys = [op.key for op in ops if op.is_read_op]
 
         saga = frame.get("saga")
@@ -2974,7 +2979,7 @@ class ReplicaServer:
             info_items.append(("saga", saga))
         info = tuple(info_items)
 
-        def make(tid: str) -> MSet:
+        def make(tid: str) -> Tuple[MSet, Optional[list]]:
             # The engine owns local MSet construction: RITU stamps the
             # writes with its Lamport clock here, RITU-MV additionally
             # turns the order token into the global transaction number.
@@ -2982,7 +2987,10 @@ class ReplicaServer:
             self.trace.event(
                 "update-submit", tid=tid, keys=list(mset.keys)
             )
-            return mset
+            # An engine that kept the operations passed ``writes``
+            # through (``tuple`` of a tuple is that tuple); one that
+            # rewrote them is encoded.
+            return mset, (encoded_writes if mset.ops is writes else None)
 
         mset, held = await self._commit_local(make, order)
         tid = mset.tid
@@ -3027,14 +3035,16 @@ class ReplicaServer:
 
     async def _commit_local(
         self,
-        make: Callable[[str], MSet],
+        make: Callable[[str], Tuple[MSet, Optional[list]]],
         order: Optional[Tuple[int, int]] = None,
     ) -> Tuple[MSet, bool]:
         """Put one locally originated MSet — an update or a COMPE
         decision — in the stable queues and apply it at its origin,
         as one member of a *group commit*.  ``make`` builds the MSet
-        from the tid the group gives it; returns the MSet and whether
-        the engine held it back instead of applying it now.
+        from the tid the group gives it, and returns it with its
+        operations already encoded when it holds them (``None``
+        otherwise); returns the MSet and whether the engine held it
+        back instead of applying it now.
 
         A group is whatever one loop turn delivered; nothing else
         bounds it.  Callers join a queue.  The first to find no leader
@@ -3102,7 +3112,7 @@ class ReplicaServer:
                                 )
                                 continue
                             seq += 1
-                            mset = build("%s:%d" % (self.name, seq))
+                            mset, encoded = build("%s:%d" % (self.name, seq))
                             if await_apply:
                                 self._apply_futures[mset.tid] = (
                                     loop.create_future()
@@ -3113,7 +3123,9 @@ class ReplicaServer:
                                 )
                             waiting.append(fut)
                             msets.append(mset)
-                            payloads.append({"mset": encode_mset(mset)})
+                            payloads.append(
+                                {"mset": encode_mset(mset, encoded)}
+                            )
                         if not msets:
                             continue
                         self.log.append_many(
@@ -3180,17 +3192,14 @@ class ReplicaServer:
         """
         kind = MSetKind.ABORT if outcome == "abort" else MSetKind.COMMIT
 
-        def make(tid: str) -> MSet:
+        def make(tid: str) -> Tuple[MSet, Optional[list]]:
             self.trace.event(
                 "decision-submit", tid=tid, decides=target, outcome=outcome
             )
-            return MSet(
-                tid,
-                kind,
-                (),
-                origin=self.name,
-                info=(("decides", target),),
+            mset = MSet(
+                tid, kind, (), origin=self.name, info=(("decides", target),)
             )
+            return mset, None
 
         mset, _ = await self._commit_local(make)
         return mset.tid

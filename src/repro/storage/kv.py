@@ -4,7 +4,7 @@ This is the local storage substrate the paper assumes each site has
 ("each site is capable of maintaining local consistency", section 2.2).
 It supports:
 
-* plain get/put with apply-through for the operation algebra,
+* plain get/put and one apply loop for the operation algebra,
 * per-key access timestamps for the basic-timestamp divergence engine,
 * Thomas-write-rule application for RITU single-version overwrites,
 * snapshots and restores for crash simulation and convergence checks.
@@ -14,9 +14,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from ..core.operations import Operation, OperationError, TimestampedWriteOp
+from ..core.operations import (
+    DecrementOp,
+    IncrementOp,
+    Operation,
+    TimestampedWriteOp,
+)
 
 __all__ = ["KeyValueStore", "StoreSnapshot", "KeyNotFound"]
 
@@ -83,36 +88,53 @@ class KeyValueStore:
     # -- operation application -------------------------------------------------
 
     def apply(self, op: Operation, default: Any = 0) -> Any:
-        """Apply one operation and return the (new or read) value.
+        """Apply one operation and return the (new or read) value."""
+        return self.apply_many((op,), default)
+
+    def apply_many(self, ops: Iterable[Operation], default: Any = 0) -> Any:
+        """Apply ``ops`` in order; return the value the last one left
+        (or read).  The store's one apply loop.
 
         Timestamped writes go through the Thomas write rule: an update
         carrying an older timestamp than the installed one is ignored
         (paper section 3.3: 'An RITU update trying to overwrite a newer
         version is ignored').  Missing keys are materialized with
         ``default`` so commutative arithmetic has an identity to act on.
+        An increment or decrement of an exact ``int``/``float`` runs
+        inline — :meth:`_ArithmeticOp._check_numeric`'s own first test —
+        and every other operation through its :meth:`Operation.apply`.
         """
-        cell = self._cells.get(key := op.key)
-        if cell is None:
-            # Not setdefault: that would construct (and usually throw
-            # away) a _Cell per applied operation on the hot path.
-            cell = self._cells[key] = _Cell()
-        if not cell.present:
-            cell.value = copy.copy(op.initial_value(default))
-            cell.present = True
-        if isinstance(op, TimestampedWriteOp):
-            current = (
-                (cell.write_stamp, cell.value)
-                if cell.write_stamp is not None
-                else None
-            )
-            stamp, value = op.apply_timestamped(current)
-            cell.write_stamp = stamp
+        cells = self._cells
+        value = None
+        for op in ops:
+            cell = cells.get(key := op.key)
+            if cell is None:
+                # Not setdefault: that would construct (and usually
+                # throw away) a _Cell per applied operation.
+                cell = cells[key] = _Cell()
+            if not cell.present:
+                cell.value = copy.copy(op.initial_value(default))
+                cell.present = True
+            value = cell.value
+            cls = type(op)
+            exact = type(value) is int or type(value) is float
+            if cls is IncrementOp and exact:
+                value += op.amount
+            elif cls is DecrementOp and exact:
+                value -= op.amount
+            elif cls is TimestampedWriteOp:
+                current = (
+                    (cell.write_stamp, value)
+                    if cell.write_stamp is not None
+                    else None
+                )
+                cell.write_stamp, value = op.apply_timestamped(current)
+            else:
+                value = op.apply(value)
+                if not op.is_write_op:
+                    continue
             cell.value = value
-            return value
-        new_value = op.apply(cell.value)
-        if op.is_write_op:
-            cell.value = new_value
-        return new_value
+        return value
 
     def stamp_of(self, key: str) -> Optional[Tuple[int, int]]:
         """Timestamp of the newest RITU write on ``key``, if any."""

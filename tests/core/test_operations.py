@@ -1,5 +1,9 @@
 """Unit tests for the operation algebra."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.operations import (
@@ -226,6 +230,70 @@ class TestThomasWriteRule:
         ab = b.apply_timestamped(a.apply_timestamped(None))
         ba = a.apply_timestamped(b.apply_timestamped(None))
         assert ab == ba == ((2, 1), 2)
+
+
+#: one instance of every concrete operation class, with its class
+#: facts (is_read_op, is_write_op, read_independent).
+VALUES = [
+    (ReadOp("k"), (True, False, False)),
+    (WriteOp("k", ("v", 1)), (False, True, True)),
+    (IncrementOp("k", 2), (False, True, False)),
+    (DecrementOp("k", 2.5), (False, True, False)),
+    (MultiplyOp("k", 3), (False, True, False)),
+    (DivideOp("k", 4), (False, True, False)),
+    (AppendOp("k", "x"), (False, True, False)),
+    (AppendOp("k", "x").inverse(()), (False, True, False)),  # _RemoveLastOp
+    (TimestampedWriteOp("k", 1, (2, 0)), (False, True, True)),
+]
+_IDS = [type(op).__name__ for op, _ in VALUES]
+
+
+@pytest.mark.parametrize("op, facts", VALUES, ids=_IDS)
+class TestValueContract:
+    """Operations are frozen, slotted values: each field lives in a
+    slot and is stored by the class's own constructor, and the flags
+    are facts of the class, not fields."""
+
+    def test_no_instance_dict(self, op, facts):
+        assert not hasattr(op, "__dict__")
+
+    def test_mutation_is_refused(self, op, facts):
+        for f in dataclasses.fields(op):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(op, f.name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(op, f.name)
+        # No slot, no attribute (before Python 3.12 the generated
+        # ``__setattr__`` of a slotted frozen class says so as a
+        # TypeError).
+        with pytest.raises((AttributeError, TypeError)):
+            op.other = 1
+
+    def test_hash_pickle_and_copy_round_trip(self, op, facts):
+        for clone in (
+            pickle.loads(pickle.dumps(op)), copy.copy(op), copy.deepcopy(op)
+        ):
+            assert type(clone) is type(op)
+            assert clone == op and hash(clone) == hash(op)
+            assert repr(clone) == repr(op)
+
+    def test_constructor_takes_the_fields_by_name(self, op, facts):
+        fields = {f.name: getattr(op, f.name) for f in dataclasses.fields(op)}
+        assert type(op)(**fields) == op
+        assert dataclasses.replace(op, key="other").key == "other"
+
+    def test_flags_are_class_facts(self, op, facts):
+        names = ("is_read_op", "is_write_op", "read_independent")
+        assert not {f.name for f in dataclasses.fields(op)} & set(names)
+        assert tuple(getattr(type(op), name) for name in names) == facts
+        assert tuple(getattr(op, name) for name in names) == facts
+        assert "is_write_op" not in repr(op)
+
+
+def test_equal_fields_of_different_classes_are_different_values():
+    assert IncrementOp("k", 1) != DecrementOp("k", 1)
+    assert MultiplyOp("k", 2) != DivideOp("k", 2)
+    assert WriteOp("k", 1) != TimestampedWriteOp("k", 1)
 
 
 class TestPaperWorkedExample:

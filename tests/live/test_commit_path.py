@@ -32,10 +32,19 @@ import json
 
 import pytest
 
-from repro.core.operations import IncrementOp, WriteOp
+from repro.core.operations import (
+    AppendOp,
+    DecrementOp,
+    IncrementOp,
+    MultiplyOp,
+    ReadOp,
+    TimestampedWriteOp,
+    WriteOp,
+)
 from repro.core.transactions import EpsilonSpec
-from repro.live import FaultPlan, LiveCluster, LiveETFailed
+from repro.live import FaultPlan, LiveCluster, LiveETFailed, protocol
 from repro.live.engine import QueryTimeout
+from repro.live.protocol import decode_mset, encode_mset, loads, payload_blob
 
 
 class _Crash(Exception):
@@ -472,6 +481,86 @@ def test_a_live_update_draws_no_simulator_tid(method, tmp_path):
             with pytest.raises(LiveETFailed):  # by the method's validator
                 await client.update(refused)
             assert next_tid() == before
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+#: method -> one update's operations.  COMMU and ORDUP build their
+#: MSets from the request's operations as they are; RITU stamps them.
+ORIGIN_UPDATES = {
+    "commu": [
+        IncrementOp("a", 2),
+        DecrementOp("b", 1.5),
+        AppendOp("l", "x"),
+        WriteOp("w", {"v": [1, "é"]}),
+    ],
+    "ordup": [ReadOp("r"), IncrementOp("a", 2), MultiplyOp("m", 3)],
+    "ritu": [WriteOp("a", 1), WriteOp("b", "x")],
+}
+
+
+@pytest.mark.parametrize("method", sorted(ORIGIN_UPDATES))
+def test_the_origin_logs_the_request_arrays_unless_the_engine_rewrote_them(
+    method, tmp_path, monkeypatch
+):
+    """The origin's payload carries the request's own (validated) op
+    arrays, writes only: nothing is re-encoded, and the logged blob is
+    byte-identical to encoding the MSet it decodes to.  RITU's
+    ``make_mset`` rewrites the writes with its Lamport stamp, so those
+    are encoded, and the log holds the stamped ``tswrite``s."""
+    ops = ORIGIN_UPDATES[method]
+
+    async def scenario():
+        cluster = LiveCluster(n_sites=2, method=method, data_dir=tmp_path)
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            origin = cluster.servers["site0"]
+            logged = []
+            real = origin.log.append_many
+
+            def append_many(payloads, blobs=None):
+                logged.extend(blobs)
+                return real(payloads, blobs=blobs)
+
+            origin.log.append_many = append_many
+            encodes = []
+            real_encode_ops = protocol.encode_ops
+
+            def encode_ops(ops):
+                encodes.append(len(ops))
+                return real_encode_ops(ops)
+
+            monkeypatch.setattr(protocol, "encode_ops", encode_ops)
+            reply = await client.update(ops)
+            monkeypatch.undo()
+
+            (blob,) = logged
+            mset = decode_mset(loads(blob)["mset"])
+            assert mset.tid == reply["tid"]
+            assert blob == payload_blob({"mset": encode_mset(mset)})
+            assert _logged_msets(origin)[-1][1] == loads(blob)["mset"]
+            writes = tuple(op for op in ops if op.is_write_op)
+            if method == "ritu":
+                assert encodes == [len(writes)]
+                assert all(type(op) is TimestampedWriteOp for op in mset.ops)
+                assert [(op.key, op.value) for op in mset.ops] == [
+                    (op.key, op.value) for op in writes
+                ]
+                assert len({op.timestamp for op in mset.ops}) == 1
+            else:
+                assert encodes == []
+                assert mset.ops == writes
+            if method == "ordup":
+                assert mset.get_info("reads") == ["r"]
+            await cluster.settle(timeout=30)
+            values = {}
+            for name in ("site0", "site1"):
+                replica = await cluster.client(name)
+                values[name] = await replica.values()
+            assert values["site0"] == values["site1"]
         finally:
             await cluster.stop()
 

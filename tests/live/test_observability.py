@@ -4,12 +4,14 @@ attribution, fsync-window durability claims).
 """
 
 import asyncio
+import pathlib
 import re
 
 import pytest
 
 from repro.core.transactions import EpsilonSpec
 from repro.live import LiveCluster
+from repro.live.engine import ENGINES
 from repro.live.protocol import encode_bin_batch_frame, write_frame
 
 
@@ -23,6 +25,46 @@ async def _booted(tmp_path, **kwargs):
     )
     await cluster.start()
     return cluster
+
+
+OBSERVABILITY_MD = (
+    pathlib.Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+)
+
+
+def _documented_replica_families():
+    """family -> type, from the live-replica table of OBSERVABILITY.md."""
+    text = OBSERVABILITY_MD.read_text(encoding="utf-8")
+    section = text.split("## Metric families — live replica", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return dict(re.findall(r"^\| `(repro_\w+)` \| (\w+) \|", section, re.M))
+
+
+class TestDocsSync:
+    def test_documented_families_are_the_registered_ones(self, tmp_path):
+        """One replica per method: the union of the families their
+        ``metrics`` verb serves, with their types, is exactly the
+        documented table — a family added, renamed or retyped without
+        its row (or a row left behind) fails here."""
+
+        async def families(method):
+            cluster = await _booted(
+                tmp_path / method, n_sites=1, method=method
+            )
+            try:
+                client = await cluster.client("site0")
+                scrape = await client.metrics()
+            finally:
+                await cluster.stop()
+            return {
+                name: family["type"]
+                for name, family in scrape["metrics"].items()
+            }
+
+        registered = {}
+        for method in sorted(ENGINES):
+            registered.update(run(families(method)))
+        assert registered == _documented_replica_families()
 
 
 class TestMetricsVerb:

@@ -1,6 +1,7 @@
 """Wire protocol tests: framing and payload codecs."""
 
 import asyncio
+import dataclasses
 import json
 import math
 import random
@@ -791,7 +792,8 @@ def _representable(op):
         return True
 
     divides_by_zero = type(op) is DivideOp and op.amount == 0
-    return inside(list(vars(op).values())) and not divides_by_zero
+    arguments = [getattr(op, f.name) for f in dataclasses.fields(op)]
+    return inside(arguments) and not divides_by_zero
 
 
 def _operations():
@@ -904,6 +906,126 @@ class TestPositionalCodecProperties:
         except ProtocolError:
             return
         assert isinstance(mset, MSet)
+
+
+# -- the shape-driven decoder ``decode_op`` replaced, kept verbatim as
+# the reference its per-tag table must agree with.
+
+_REFERENCE_SHAPES = {
+    "read": (ReadOp, 2, False), "tswrite": (TimestampedWriteOp, 4, False),
+    "write": (WriteOp, 3, False), "append": (AppendOp, 3, False),
+    "inc": (IncrementOp, 3, True), "dec": (DecrementOp, 3, True),
+    "mul": (MultiplyOp, 3, True), "div": (DivideOp, 3, True),
+}
+
+
+def _reference_finite(obj):
+    todo = [obj]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif type(item) is float and not math.isfinite(item):
+            return False
+    return True
+
+
+def _reference_check_arguments(data):
+    if not _reference_finite(data):
+        raise ProtocolError("non-finite number in operation %r" % (data,))
+    if data[0] == "div" and data[2] == 0:
+        raise ProtocolError("division by zero on %r" % (data[1],))
+
+
+def _reference_decode_op(data):
+    if not isinstance(data, list):
+        raise ProtocolError("operation must be an array: %r" % (data,))
+    tag = data[0] if data else None
+    shape = _REFERENCE_SHAPES.get(tag) if isinstance(tag, str) else None
+    if shape is None:
+        raise ProtocolError("unknown operation tag %r" % (tag,))
+    cls, arity, numeric = shape
+    if len(data) != arity:
+        raise ProtocolError(
+            "%s operation must be an array of %d: %r" % (tag, arity, data)
+        )
+    key = data[1]
+    if not isinstance(key, str):
+        raise ProtocolError("operation without a key: %r" % (data,))
+    if arity == 2:
+        return cls(key)
+    arg = data[2]
+    if numeric and type(arg) is not int and type(arg) is not float:
+        raise ProtocolError("non-numeric operation amount %r" % (arg,))
+    if type(arg) is not int or not arg or arity > 3:
+        _reference_check_arguments(data)
+    if arity == 3:
+        return cls(key, arg)
+    ts = data[3]
+    if not isinstance(ts, (list, tuple)) or len(ts) != 2:
+        raise ProtocolError(
+            "tswrite ts must be a [time, site] pair: %r" % (ts,)
+        )
+    return cls(key, arg, tuple(ts))
+
+
+#: operation arguments as a decoder can meet them: numbers at and past
+#: every edge (zero, negative zero, NaN, infinity, 64 bits, bools),
+#: strings that look like numbers, and arbitrary JSON.
+_ARGUMENTS = (
+    st.sampled_from(
+        [0, -0.0, 0.0, 1, -1, 2**64, True, False, None, "1", "NaN",
+         float("nan"), float("inf"), float("-inf"), [], [1, 2], ["t", 1]]
+    )
+    | st.integers()
+    | st.floats()
+    | _JSON_VALUES
+)
+
+#: arrays shaped like operations, any tag (real or not), any key, any
+#: number of any arguments.
+_OPERATION_SHAPED = st.builds(
+    lambda tag, key, args: [tag, key, *args],
+    st.sampled_from(
+        ["read", "write", "inc", "dec", "mul", "div", "append", "tswrite"]
+    ) | _JSON_VALUES,
+    _KEYS | _JSON_VALUES,
+    st.lists(_ARGUMENTS, max_size=3),
+)
+
+
+class TestDecodeOpParity:
+    """The per-tag table decoder refuses exactly what the shape-driven
+    one did, with the same message, and builds equal operations."""
+
+    @given(_OPERATION_SHAPED | _JSON_VALUES | st.lists(_ARGUMENTS, max_size=5))
+    @example([])
+    @example([None])
+    @example([["inc"], "k", 1])
+    @example([{"inc": 1}, "k", 1])
+    @example(["div", "k", 0])
+    @example(["div", "k", -0.0])
+    @example(["div", "k", False])
+    @example(["inc", "k", True])
+    @example(["mul", "k", "2"])
+    @example(["dec", 7, 1])
+    @example(["inc", "k", 1, 2])
+    @example(["tswrite", "k", 1, [1, "s", 2]])
+    @example(["tswrite", "k", float("nan"), [1, "s"]])
+    @example(["tswrite", "k", 1, [float("inf"), "s"]])
+    @example(["write", "k", {"v": [float("nan")]}])
+    @example(["read", "k", 1])
+    def test_table_decoder_matches_the_reference(self, value):
+        new = _outcome(decode_op, value)
+        assert new == _outcome(_reference_decode_op, value)
+        if new[0] == "returned":
+            op = decode_op(value)
+            assert op == _reference_decode_op(value)
+            assert type(op) is type(_reference_decode_op(value))
+        else:
+            assert new[1] is ProtocolError
 
 
 class _Transport:

@@ -1,5 +1,6 @@
 """Unit tests for MSets and the shared method runtime."""
 
+import copy
 import dataclasses
 import pickle
 
@@ -57,6 +58,34 @@ class TestMSet:
         assert encode_mset(used) == encode_mset(fresh)
         assert decode_mset(encode_mset(used)) == fresh
         assert dataclasses.replace(used, ops=ops[:1]).keys == ("b",)
+
+    def test_value_contract(self):
+        """A frozen, slotted value: ``keys`` is a slot the constructor
+        fills; every field refuses mutation; hash, pickle and copy
+        round-trip."""
+        ops = (IncrementOp("b", 1), WriteOp("a", 2))
+        mset = MSet(
+            "t1", MSetKind.UPDATE, ops, "s", (3, 1), 7, (("reads", ["r"]),)
+        )
+        assert not hasattr(mset, "__dict__")
+        assert "keys" in MSet.__slots__ and mset.keys == ("b", "a")
+        for f in dataclasses.fields(mset):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(mset, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(mset, f.name)
+        for clone in (
+            pickle.loads(pickle.dumps(mset)),
+            copy.copy(mset),
+            copy.deepcopy(mset),
+        ):
+            assert clone == mset and repr(clone) == repr(mset)
+            assert clone.keys == ("b", "a")
+        hashable = dataclasses.replace(mset, info=(("saga", "s1"),))
+        assert hash(pickle.loads(pickle.dumps(hashable))) == hash(hashable)
+        assert hash(copy.copy(hashable)) == hash(hashable)
+        with pytest.raises(ValueError):  # computed, never passed
+            dataclasses.replace(mset, keys=("x",))
 
 
 class TestMethodRuntimeLifecycles:

@@ -1,10 +1,16 @@
 """Unit tests for the versioned KV store."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.core.operations import (
     AppendOp,
+    DecrementOp,
+    DivideOp,
     IncrementOp,
+    MultiplyOp,
+    OperationError,
     ReadOp,
     TimestampedWriteOp,
     WriteOp,
@@ -69,6 +75,44 @@ class TestApply:
         store.apply(AppendOp("log", "a"), default=())
         store.apply(AppendOp("log", "b"), default=())
         assert store.get("log") == ("a", "b")
+
+
+    def test_apply_many_runs_the_algebra_in_order(self):
+        """The one apply loop: exact ``int``/``float`` increments and
+        decrements inline, every other value and operation through its
+        ``apply`` (a ``bool`` becomes an ``int``, a ``Fraction`` stays
+        one, a tuple is refused); the last value is returned."""
+        store = KeyValueStore(
+            {"i": 1, "f": 0.5, "b": True, "q": Fraction(1, 3), "s": ("x",)}
+        )
+        last = store.apply_many(
+            [
+                IncrementOp("i", 2),
+                DecrementOp("f", 0.25),
+                IncrementOp("b", 1),
+                DecrementOp("q", Fraction(1, 6)),
+                MultiplyOp("i", 3),
+                DivideOp("f", 2),
+                ReadOp("i"),
+                AppendOp("s", "y"),
+                IncrementOp("new", 4),
+                WriteOp("w", [1]),
+                TimestampedWriteOp("t", 1, (2, 0)),
+                TimestampedWriteOp("t", 0, (1, 0)),  # older: ignored
+            ]
+        )
+        assert last == 1
+        assert store.as_dict() == {
+            "i": 9, "f": 0.125, "b": 2, "q": Fraction(1, 6), "s": ("x", "y"),
+            "new": 4, "w": [1], "t": 1,
+        }
+        assert type(store.get("b")) is int
+        assert type(store.get("q")) is Fraction
+        assert store.stamp_of("t") == (2, 0)
+        assert store.apply_many([ReadOp("i")]) == 9
+        with pytest.raises(OperationError):
+            store.apply_many([IncrementOp("s", 1)])
+        assert store.get("s") == ("x", "y")
 
 
 class TestThomasRule:

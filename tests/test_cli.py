@@ -1,5 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main
@@ -65,6 +70,27 @@ class TestRunWithOutput:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "T2"]) == 0
         assert list(tmp_path.iterdir()) == []
+
+    def test_regenerates_the_committed_results_byte_for_byte(self, tmp_path):
+        """Every experiment and table, in a fresh interpreter, is
+        exactly the committed ``results/``: the simulator shares the
+        operation algebra, MSets and store with the live runtime."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        subprocess.run(
+            [sys.executable, "-m", "repro", "run", "all", "-o", str(tmp_path)],
+            env=env, check=True, stdout=subprocess.DEVNULL, timeout=300,
+        )
+        committed = root / "results"
+        names = sorted(p.name for p in committed.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (
+                committed / name
+            ).read_bytes(), name
 
 
 class TestChaos:
