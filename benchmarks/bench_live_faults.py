@@ -26,14 +26,6 @@ text, combined metrics JSON, merged lifecycle trace) under
 ``BENCH_live_faults_artifacts/<method>/`` when run standalone with
 ``--artifacts``.
 
-``--mode rejoin`` measures recovery instead: a wiped replica rejoins
-a 3-site cluster once via snapshot catch-up (anti-entropy transfer of
-a compacted checkpoint) and once via full channel replay (catch-up
-disabled, every surviving log record re-delivered and re-applied).
-The workload is donor-only so replay *can* fully recover the victim —
-that is the fairest possible ground for the baseline, and snapshot
-catch-up must still beat it on records re-applied at the victim.
-
 ``--mode saga`` measures COMPE compensation-storm recovery: sagas are
 submitted across a 3-replica cluster, roughly half are aborted
 (backward recovery fans compensating operations out to every replica),
@@ -48,15 +40,12 @@ Standalone:  PYTHONPATH=src python benchmarks/bench_live_faults.py
              PYTHONPATH=src python benchmarks/bench_live_faults.py \\
                  --artifacts BENCH_live_faults_artifacts
              PYTHONPATH=src python benchmarks/bench_live_faults.py \\
-                 --mode rejoin
-             PYTHONPATH=src python benchmarks/bench_live_faults.py \\
                  --mode elect --json
              PYTHONPATH=src python benchmarks/bench_live_faults.py \\
                  --mode saga --json
 Under pytest: pytest benchmarks/bench_live_faults.py --benchmark-only
 """
 
-import asyncio
 import json
 import pathlib
 import time
@@ -64,7 +53,6 @@ import time
 from repro.live import (
     ChaosConfig,
     ElectConfig,
-    LiveCluster,
     SagaConfig,
     run_scenario_sync,
 )
@@ -152,130 +140,6 @@ def run_live_faults(artifacts_dir=None):
         for problem in problems:
             lines.append("  %s: %s" % (method.upper(), problem))
     return "\n".join(lines), reports
-
-
-REJOIN_UPDATES = 600
-
-
-async def _rejoin_variant(snapshot_catchup):
-    """Wipe-and-rejoin one replica; recover via snapshot or replay.
-
-    Returns a dict with the rejoin wall time, how many records the
-    victim had to re-apply through peer channels, and the invariant
-    verdict (convergence, no acked-update loss).
-    """
-    cluster = LiveCluster(
-        n_sites=3,
-        method="commu",
-        heartbeat_interval=0.15,
-        suspect_after=0.6,
-        server_options={"catchup": snapshot_catchup},
-    )
-    await cluster.start()
-    try:
-        victim = cluster.names[-1]
-        donors = cluster.names[:-1]
-        clients = {name: await cluster.client(name) for name in donors}
-        # Donor-only workload: every record the victim loses to the
-        # wipe survives in a donor outbox, so pure channel replay can
-        # (slowly) recover everything and the comparison is fair.
-        acked = 0
-        for i in range(REJOIN_UPDATES):
-            donor = donors[i % len(donors)]
-            await clients[donor].increment("k%d" % (i % 8), 1)
-            acked += 1
-        await cluster.settle()
-        if snapshot_catchup:
-            # Checkpoint + compact: donor logs can no longer serve
-            # seq 1, so the wiped victim *must* take the snapshot.
-            await cluster.snapshot_all()
-        before = await cluster.site_values()
-
-        await cluster.wipe(victim)
-        started = time.monotonic()
-        await cluster.restart(victim)
-        if snapshot_catchup:
-            await cluster.wait_caught_up(victim)
-        # settle() alone is not enough: a donor looks drained until
-        # the victim's first heartbeat-ack exposes the regression, so
-        # wait for the values themselves to agree.
-        deadline = started + 120.0
-        while time.monotonic() < deadline:
-            await cluster.settle(timeout=120.0)
-            if await cluster.converged():
-                break
-            await asyncio.sleep(0.05)
-        rejoin_seconds = time.monotonic() - started
-
-        stats = await cluster.site_stats()
-        vstats = stats[victim]
-        replayed = sum(
-            int(vstats["inbox_frontier"][src])
-            - int(vstats["log_bases"]["inbox"][src])
-            for src in donors
-        )
-        return {
-            "mode": "snapshot" if snapshot_catchup else "replay",
-            "acked": acked,
-            "rejoin_seconds": rejoin_seconds,
-            "replayed": replayed,
-            "installs": int(vstats["catchup_installs"]),
-            "converged": await cluster.converged(),
-            "lost": _canonical_diff(before, await cluster.site_values()),
-        }
-    finally:
-        await cluster.stop()
-
-
-def _canonical_diff(before, after):
-    """Keys whose pre-wipe value regressed anywhere after rejoin."""
-    lost = []
-    reference = before[sorted(before)[0]]
-    for site_values in after.values():
-        for key, value in reference.items():
-            if site_values.get(key) != value:
-                lost.append(key)
-    return sorted(set(lost))
-
-
-def run_live_rejoin():
-    """Snapshot catch-up vs full replay for a wiped replica."""
-    results = [
-        asyncio.run(_rejoin_variant(True)),
-        asyncio.run(_rejoin_variant(False)),
-    ]
-    lines = [
-        "Wiped-replica rejoin: 3 replicas (COMMU), %d donor updates, "
-        "victim disk wiped, then restarted" % REJOIN_UPDATES,
-        "",
-        "%-10s %10s %12s %10s %10s %10s"
-        % ("recovery", "rejoin s", "re-applied", "installs", "converged",
-           "lost"),
-    ]
-    for r in results:
-        lines.append(
-            "%-10s %9.2fs %8d rec %10d %10s %10d"
-            % (
-                r["mode"],
-                r["rejoin_seconds"],
-                r["replayed"],
-                r["installs"],
-                "yes" if r["converged"] else "NO",
-                len(r["lost"]),
-            )
-        )
-    snap, replay = results
-    lines.append("")
-    lines.append(
-        "snapshot catch-up re-applied %d/%d of the records full replay "
-        "did (%.1fx wall time)"
-        % (
-            snap["replayed"],
-            replay["replayed"],
-            snap["rejoin_seconds"] / max(replay["rejoin_seconds"], 1e-9),
-        )
-    )
-    return "\n".join(lines), results
 
 
 ELECT_SEEDS = (7, 11, 23)
@@ -498,27 +362,6 @@ def test_live_elect(benchmark, show):
         assert report.new_leader and report.new_leader != report.old_leader
 
 
-def test_live_rejoin(benchmark, show):
-    from conftest import run_once
-
-    text, results = run_once(benchmark, run_live_rejoin)
-    show(text)
-
-    snap, replay = results
-    for r in results:
-        assert r["converged"], r
-        assert r["lost"] == [], r
-    # The snapshot path installed at least one checkpoint and skipped
-    # channel replay almost entirely; the replay baseline re-applied
-    # every surviving record one by one.
-    assert snap["installs"] >= 1
-    assert replay["installs"] == 0
-    assert replay["replayed"] >= REJOIN_UPDATES
-    assert snap["replayed"] < 0.5 * replay["replayed"]
-    # "Measurably faster": catch-up must not be slower than replay.
-    assert snap["rejoin_seconds"] <= replay["rejoin_seconds"]
-
-
 def test_live_faults(benchmark, show):
     from conftest import run_once
 
@@ -547,10 +390,9 @@ if __name__ == "__main__":
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--mode", choices=("faults", "rejoin", "elect", "saga"),
+        "--mode", choices=("faults", "elect", "saga"),
         default="faults",
-        help="'faults' = chaos availability run (default); 'rejoin' = "
-        "snapshot catch-up vs full-replay recovery of a wiped replica; "
+        help="'faults' = chaos availability run (default); "
         "'elect' = sequencer-failover blackout window across seeds; "
         "'saga' = COMPE compensation-storm recovery across seeds",
     )
@@ -585,9 +427,6 @@ if __name__ == "__main__":
                 json.dumps(payload, indent=2, sort_keys=True) + "\n"
             )
             print("\nwrote %s" % args.json)
-    elif args.mode == "rejoin":
-        text, _ = run_live_rejoin()
-        print(text)
     else:
         text, reports = run_live_faults(artifacts_dir=args.artifacts)
         print(text)

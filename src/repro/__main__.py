@@ -261,8 +261,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fsync=args.fsync,
             snapshot_interval=args.snapshot_interval,
             backlog_limit=args.backlog_limit,
-            catchup=not args.no_catchup,
-            catchup_lag=args.catchup_lag,
             heartbeat_interval=args.heartbeat_interval,
             suspect_after=args.suspect_after,
         )
@@ -413,10 +411,10 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     import asyncio
     import json as json_mod
 
-    from .live.shard import shard_admin_request
+    from .live.client import request_once
 
     async def main() -> int:
-        reply = await shard_admin_request(
+        reply = await request_once(
             (args.host, args.admin_port),
             "migrate",
             timeout=args.timeout,
@@ -551,7 +549,9 @@ def main(argv: List[str] = None) -> int:
     )
     serve.add_argument(
         "--data", default=None,
-        help="durable queue / log directory (required unless --shards)",
+        help="durable queue / log directory (required unless --shards); "
+        "booted empty while its peers remember this site, the replica "
+        "rejoins by installing a peer snapshot",
     )
     serve.add_argument(
         "--shards", type=int, default=0,
@@ -587,17 +587,6 @@ def main(argv: List[str] = None) -> int:
         "--backlog-limit", type=int, default=0,
         help="per-channel durable backlog above which client updates "
         "are refused with OVERLOADED (0 = unlimited)",
-    )
-    serve.add_argument(
-        "--no-catchup", action="store_true",
-        help="disable anti-entropy snapshot catch-up (recover by "
-        "channel redelivery / full log replay only)",
-    )
-    serve.add_argument(
-        "--catchup-lag", type=int, default=0,
-        help="receiver lag (records) past which a sender prefers "
-        "snapshot catch-up over channel resend (0 = only when the "
-        "log cannot serve)",
     )
     serve.add_argument(
         "--heartbeat-interval", type=float, default=0.25,

@@ -89,6 +89,7 @@ from .protocol import (
     encode_ops,
     encode_spec,
     read_frame,
+    write_frame,
 )
 from .read_cache import EpsilonReadCache
 
@@ -98,6 +99,7 @@ __all__ = [
     "LiveETResult",
     "LiveSession",
     "RequestTimeout",
+    "request_once",
 ]
 
 #: verbs that are safe to re-issue after a reconnect.
@@ -219,6 +221,36 @@ class LiveETResult(Mapping):
 class RequestTimeout(ConnectionError):
     """A request exceeded its client-side deadline.  The request may
     or may not have executed at the server."""
+
+
+async def request_once(
+    addr: Tuple[str, int], verb: str, timeout: float = 5.0, **fields: Any
+) -> Dict[str, Any]:
+    """One request/response exchange on a fresh connection to a replica.
+
+    The out-of-band path — migration orchestration, a replica asking a
+    peer, an admin command — where pipelining, reconnects and failover
+    buy nothing.  A refusal raises :class:`LiveETFailed` with the
+    server's code; a connection closed before the reply raises
+    ``ConnectionError``.
+    """
+    reader, writer = await asyncio.open_connection(*addr)
+    try:
+        await write_frame(
+            writer, {"type": "request", "id": 1, "verb": verb, **fields}
+        )
+        reply = await asyncio.wait_for(read_frame(reader), timeout=timeout)
+    finally:
+        writer.close()
+    if reply is None:
+        raise ConnectionError(
+            "replica %s:%d closed during %s" % (addr[0], addr[1], verb)
+        )
+    if not reply.get("ok"):
+        raise LiveETFailed(
+            reply.get("error", "%s failed" % verb), reply.get("code", "")
+        )
+    return reply
 
 
 class LiveClient:

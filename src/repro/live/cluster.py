@@ -33,11 +33,11 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .client import LiveClient, LiveETFailed
+from .client import LiveClient, LiveETFailed, request_once
 from .faults import FaultPlan
 from .router import ShardRouter
 from .server import ReplicaServer
-from .shard import ShardMap, migrate_shard, shard_admin_request
+from .shard import ShardMap, migrate_shard
 
 __all__ = ["LiveCluster", "ShardedCluster"]
 
@@ -149,8 +149,8 @@ class LiveCluster:
     async def wipe(self, name: str) -> None:
         """Crash one replica AND destroy its durable state (logs,
         snapshot, order file) — the disk-loss scenario.  A subsequent
-        :meth:`restart` boots it empty; with catch-up enabled it
-        rejoins by fetching a peer snapshot (anti-entropy)."""
+        :meth:`restart` boots it empty, and it rejoins by fetching a
+        peer snapshot (anti-entropy)."""
         if name in self.servers:
             await self.kill(name)
         site_dir = self.data_dir / name
@@ -531,7 +531,7 @@ class ShardedCluster:
         for group in self.groups:
             group.shard["epoch"] = self.epoch  # restarts boot current
             for name in list(group.servers):
-                await shard_admin_request(
+                await request_once(
                     group.addrs[name], "shard-adopt", map=payload
                 )
         # Refresh retired groups' WRONG_SHARD hints too (best-effort —
@@ -539,7 +539,7 @@ class ShardedCluster:
         for group in self.retired:
             for name in list(group.servers):
                 try:
-                    await shard_admin_request(
+                    await request_once(
                         group.addrs[name], "shard-retire", map=payload
                     )
                 except (

@@ -92,6 +92,7 @@ bound.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import pathlib
@@ -117,6 +118,7 @@ from ..obs.registry import (
 )
 from ..obs.trace import TraceRecorder
 from ..replica.mset import MSet, MSetKind
+from .client import request_once
 from .durable_queue import DurableInbox, DurableOutbox, GrantLog
 from .election import ElectionState
 from .engine import LiveEngine, QueryTimeout, make_engine
@@ -232,6 +234,15 @@ SNAPSHOT_CHUNK = 1 << 20
 FRAME_MSETS = 256
 FRAMES_IN_FLIGHT = 4
 
+#: seconds a query may wait on divergence control, and an update on its
+#: commit (ORDUP's in-order apply, a synchronous method's peer acks).
+QUERY_TIMEOUT = 30.0
+COMMIT_TIMEOUT = 30.0
+#: seconds a channel's oldest frame may go unacknowledged before the
+#: sender re-sends from the cumulative-ack frontier; also how long an
+#: election request waits for its answer.
+ACK_TIMEOUT = 2.0
+
 
 class ReplicaServer:
     """One live replica site serving ESR protocols over TCP."""
@@ -245,19 +256,12 @@ class ReplicaServer:
         fsync: bool = False,
         retry_base: float = 0.05,
         retry_max: float = 1.0,
-        query_timeout: float = 30.0,
-        commit_timeout: float = 30.0,
         heartbeat_interval: float = 0.25,
         suspect_after: float = 0.75,
-        ack_timeout: float = 2.0,
         snapshot_interval: float = 0.0,
         backlog_limit: int = 0,
-        catchup: bool = True,
-        catchup_lag: int = 0,
         faults: Optional[FaultPlan] = None,
         observability: bool = True,
-        registry: Optional[Registry] = None,
-        trace: Optional[TraceRecorder] = None,
         shard: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.name = name
@@ -292,32 +296,17 @@ class ReplicaServer:
         #: per-channel durable backlog above which client updates are
         #: refused with OVERLOADED (0 = unlimited).
         self.backlog_limit = max(0, int(backlog_limit))
-        #: False disables anti-entropy (startup wipe probe, peer-reset
-        #: handling): a regressed replica then recovers by channel
-        #: rewind / full log replay only — the benchmark baseline.
-        self.catchup_enabled = bool(catchup)
-        #: when > 0, a receiver more than this many records behind is
-        #: sent a peer-reset hint (snapshot catch-up) even while the
-        #: log could still serve it — set it well above the largest
-        #: backlog a healthy channel reaches, or bursts will trigger
-        #: needless (if harmless) snapshot installs.
-        self.catchup_lag = max(0, int(catchup_lag))
         self.retry_base = retry_base
         self.retry_max = retry_max
-        self.query_timeout = query_timeout
-        self.commit_timeout = commit_timeout
         self.heartbeat_interval = heartbeat_interval
         self.suspect_after = suspect_after
-        self.ack_timeout = ack_timeout
         self.faults = faults
         #: one metrics registry + trace recorder per replica.  The
         #: registry takes the live runtime's single lock; ``site`` is
         #: stamped on every sample so scrapes across a cluster merge
         #: cleanly.  ``observability=False`` swaps in no-op instruments
         #: (the benchmark's metrics-off baseline).
-        if registry is not None:
-            self.registry = registry
-        elif observability:
+        if observability:
             # ``shard`` joins ``site`` as a constant label so scrapes
             # across a sharded cluster split per-shard health (epsilon
             # gauges, channel backlog, ack latency) without relabeling.
@@ -329,10 +318,7 @@ class ReplicaServer:
             )
         else:
             self.registry = NULL_REGISTRY
-        if trace is not None:
-            self.trace = trace
-        else:
-            self.trace = TraceRecorder(site=name, enabled=observability)
+        self.trace = TraceRecorder(site=name, enabled=observability)
         self.engine: LiveEngine = make_engine(method, name, self.peer_names)
         self.engine.bind_observability(self.registry, self.trace)
         self._init_instruments()
@@ -349,7 +335,9 @@ class ReplicaServer:
         #: peer -> what this site durably holds from it.
         self.inboxes: Dict[str, DurableInbox] = {}
         self._outbox_events: Dict[str, asyncio.Event] = {}
-        self._channel_tasks: List[asyncio.Task] = []
+        #: long-lived background tasks (:meth:`_spawn`), cancelled by
+        #: :meth:`stop`.
+        self._tasks: Set[asyncio.Task] = set()
         self._conn_tasks: Set[asyncio.Task] = set()
         #: peer -> monotonic instant of last evidence it is alive.
         self.peer_last_seen: Dict[str, float] = {}
@@ -390,7 +378,6 @@ class ReplicaServer:
         #: we are not resurrecting with a stale epoch.  Grants are
         #: refused until then.
         self._epoch_synced = not (self.engine.needs_order and self.peer_names)
-        self._election_task: Optional[asyncio.Task] = None
         #: serializes campaigns (one at a time per replica).
         self._campaign_lock = asyncio.Lock()
         #: deterministic per-server jitter stream (heartbeat spread).
@@ -400,7 +387,6 @@ class ReplicaServer:
         #: True once start_channels ran (gossip joins then spawn their
         #: channel loops immediately instead of waiting for it).
         self._channels_started = False
-        self._monitor_task: Optional[asyncio.Task] = None
         #: last degraded() value the monitor observed (gauge flips).
         self._last_degraded = False
         #: serializes record-then-apply against snapshot capture: a
@@ -428,17 +414,17 @@ class ReplicaServer:
         #: True while installing a peer snapshot; folded into
         #: degraded(): strict queries and updates are refused.
         self._catching_up = False
+        #: the running catch-up, if any: triggers while it runs are
+        #: absorbed by it.
         self._catchup_task: Optional[asyncio.Task] = None
         #: completed snapshot catch-up installs since boot.
         self.catchup_installs = 0
         #: peers owed a peer-reset frame by their channel sender.
         self._reset_peers: Set[str] = set()
-        #: precomputed verb dispatch — building this dict per request
-        #: was a measurable cost on the receive hot path.
-        # Precomputed verb dispatch: built once instead of a dict
-        # literal per request.  Values are attribute names (resolved
-        # with ``getattr`` at call time) so per-instance handler
-        # overrides still take effect.
+        #: precomputed verb dispatch: built once instead of a dict
+        #: literal per request.  Values are attribute names (resolved
+        #: with ``getattr`` at call time) so per-instance handler
+        #: overrides still take effect.
         self._verb_handlers = {
             "update": "_handle_update",
             "decide": "_handle_decide",
@@ -677,11 +663,7 @@ class ReplicaServer:
         self.inboxes[peer] = DurableInbox(
             self.data_dir / "inbox" / ("%s.log" % peer), self.fsync
         )
-        if (
-            self.log.add_cursor(peer)
-            and self.log.assigned > 0
-            and self.catchup_enabled
-        ):
+        if self.log.add_cursor(peer) and self.log.assigned > 0:
             self._reset_peers.add(peer)
 
     def _frontiers(self, local: str = LOCAL_CHANNEL) -> Dict[str, int]:
@@ -771,8 +753,10 @@ class ReplicaServer:
         self._order_target = None
 
     def start_channels(self) -> None:
-        """Launch one durable sender loop per peer channel."""
-        if self._channel_tasks:
+        """Launch one durable sender loop per peer channel, plus the
+        degraded monitor and whatever else this replica runs in the
+        background."""
+        if self._channels_started:
             return
         self._channels_started = True
         now = self.engine.clock()
@@ -782,39 +766,23 @@ class ReplicaServer:
             self.peer_last_seen.setdefault(peer, now)
             self._outbox_events[peer] = asyncio.Event()
             self._outbox_events[peer].set()
-            task = asyncio.ensure_future(self._channel_loop(peer))
-            task.add_done_callback(self._note_task_crash)
-            self._channel_tasks.append(task)
-        if self._monitor_task is None:
-            self._monitor_task = asyncio.ensure_future(
-                self._degraded_monitor()
-            )
+            self._spawn(self._channel_loop(peer))
+        self._spawn(self._degraded_monitor())
         if self.snapshot_interval > 0:
-            task = asyncio.ensure_future(self._snapshot_loop())
-            task.add_done_callback(self._note_task_crash)
-            self._channel_tasks.append(task)
+            self._spawn(self._snapshot_loop())
         if self.engine.needs_order and self.peer_names:
-            if self._election_task is None:
-                self._election_task = asyncio.ensure_future(
-                    self._election_loop()
-                )
-                self._election_task.add_done_callback(self._note_task_crash)
+            self._spawn(self._election_loop())
             if not self._epoch_synced:
-                task = asyncio.ensure_future(self._epoch_probe())
-                task.add_done_callback(self._note_task_crash)
-                self._channel_tasks.append(task)
+                self._spawn(self._epoch_probe())
         if (
-            self.catchup_enabled
-            and self.peer_names
+            self.peer_names
             and self.engine.applied_count == 0
             and not any(self._frontiers().values())
             and not self._snapshot_store.exists()
         ):
             # Empty engine, empty logs, no snapshot: either a fresh
             # cluster boot or a wiped disk.  Ask the peers which.
-            task = asyncio.ensure_future(self._startup_probe())
-            task.add_done_callback(self._note_task_crash)
-            self._channel_tasks.append(task)
+            self._spawn(self._startup_probe())
 
     async def stop(self) -> None:
         """Stop serving.  Durable state is already on disk (the
@@ -829,21 +797,10 @@ class ReplicaServer:
                     "%s: listener close raised %r", self.name, exc
                 )
             self._server = None
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
-            self._channel_tasks.append(self._monitor_task)
-            self._monitor_task = None
-        if self._catchup_task is not None:
-            self._catchup_task.cancel()
-            self._channel_tasks.append(self._catchup_task)
-            self._catchup_task = None
-        if self._election_task is not None:
-            self._election_task.cancel()
-            self._channel_tasks.append(self._election_task)
-            self._election_task = None
-        for task in self._channel_tasks + list(self._conn_tasks):
+        tasks = list(self._tasks | self._conn_tasks)
+        for task in tasks:
             task.cancel()
-        for task in self._channel_tasks + list(self._conn_tasks):
+        for task in tasks:
             try:
                 await task
             except asyncio.CancelledError:
@@ -857,7 +814,7 @@ class ReplicaServer:
                     "%s: task %r raised during stop: %r",
                     self.name, task, exc,
                 )
-        self._channel_tasks = []
+        self._tasks.clear()
         self._conn_tasks.clear()
         if self._order_conn is not None:
             self._order_conn[1].close()
@@ -872,6 +829,15 @@ class ReplicaServer:
                 fut.cancel()
         self._apply_futures.clear()
         self._full_ack_futures.clear()
+
+    def _spawn(self, coro: Any) -> asyncio.Task:
+        """Run ``coro`` as a long-lived background task: :meth:`stop`
+        cancels it, and an unexpected error in it is counted."""
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(self._note_task_crash)
+        return task
 
     def _note_task_crash(self, task: asyncio.Task) -> None:
         """A long-lived task died of an *unexpected* error: make it
@@ -1003,8 +969,8 @@ class ReplicaServer:
                 )
 
     async def _apply_member_change(self, name: str) -> None:
-        """React to one changed membership record: join, address
-        move, or a frontier digest showing we are far behind."""
+        """React to one changed membership record: a join or an
+        address move."""
         if name == self.name:
             return
         rec = self.membership.get(name)
@@ -1026,18 +992,6 @@ class ReplicaServer:
                     "membership", peer=name, status="moved",
                     host=rec.host, port=rec.port,
                 )
-        # Frontier digest: the peer has originated records far beyond
-        # what we durably hold from it — steer ourselves to snapshot
-        # catch-up instead of waiting to be told.
-        inbox = self.inboxes.get(name)
-        if (
-            self.catchup_lag
-            and self.catchup_enabled
-            and not self._catching_up
-            and inbox is not None
-            and rec.frontier - inbox.frontier > self.catchup_lag
-        ):
-            self._trigger_catchup("gossip-digest", preferred=name)
 
     def add_peer(self, name: str, host: str, port: int) -> None:
         """Dynamically wire a gossip-discovered member into this
@@ -1061,9 +1015,7 @@ class ReplicaServer:
             self.peer_last_seen.setdefault(name, self.engine.clock())
             self._outbox_events[name] = asyncio.Event()
             self._outbox_events[name].set()
-            task = asyncio.ensure_future(self._channel_loop(name))
-            task.add_done_callback(self._note_task_crash)
-            self._channel_tasks.append(task)
+            self._spawn(self._channel_loop(name))
 
     # -- sequencer election --------------------------------------------------
 
@@ -1144,43 +1096,19 @@ class ReplicaServer:
             self.name, leader, epoch, base,
         )
 
-    async def _elect_rpc(
+    async def _elect_request(
         self, peer: str, epoch: int
     ) -> Optional[Dict[str, Any]]:
         """One elect request to one peer (vote request, or a pure
-        epoch read at ``epoch=0``).  Returns the reply or None."""
-        addr = self.peer_addrs.get(peer) or self.membership.address(peer)
-        if addr is None:
-            return None
-        if self.faults is not None and (
-            self.faults.is_severed(self.name, peer)
-            or self.faults.is_severed(peer, self.name)
-        ):
-            return None
-        writer = None
+        epoch read at ``epoch=0``).  Returns the reply, or None when
+        the peer did not answer or refused."""
         try:
-            reader, writer = await asyncio.open_connection(*addr)
-            await write_frame(
-                writer,
-                {
-                    "type": "request",
-                    "id": 0,
-                    "verb": "elect",
-                    "epoch": epoch,
-                    "candidate": self.name,
-                },
+            return await self._peer_request(
+                peer, "elect", timeout=ACK_TIMEOUT,
+                epoch=epoch, candidate=self.name,
             )
-            reply = await asyncio.wait_for(
-                read_frame(reader), timeout=self.ack_timeout
-            )
-        except (OSError, ConnectionError, asyncio.TimeoutError, ProtocolError):
+        except (OSError, RuntimeError, asyncio.TimeoutError):
             return None
-        finally:
-            if writer is not None:
-                writer.close()
-        if not isinstance(reply, dict) or not reply.get("ok"):
-            return None
-        return reply
 
     async def _epoch_probe(self) -> None:
         """Boot-time epoch sync (ORDUP with peers): learn the cluster's
@@ -1192,7 +1120,7 @@ class ReplicaServer:
             replies = 0
             best: Optional[Tuple[int, str, int]] = None
             for peer in self.peer_names:
-                reply = await self._elect_rpc(peer, 0)
+                reply = await self._elect_request(peer, 0)
                 if reply is None:
                     continue
                 replies += 1
@@ -1260,7 +1188,7 @@ class ReplicaServer:
             max_seen = getattr(self.engine, "max_order_seen", None)
             frontiers = [max_seen() if max_seen is not None else 0]
             for peer in self.peer_names:
-                reply = await self._elect_rpc(peer, epoch)
+                reply = await self._elect_request(peer, epoch)
                 if reply is None:
                     continue
                 if reply.get("promised"):
@@ -1405,7 +1333,7 @@ class ReplicaServer:
         to ``FRAMES_IN_FLIGHT`` unacknowledged; heartbeat while idle.
 
         Under fault injection frames are dropped, delayed, duplicated,
-        or reordered; whatever stays unacknowledged past ``ack_timeout``
+        or reordered; whatever stays unacknowledged past ``ACK_TIMEOUT``
         is simply re-sent from the cumulative-ack frontier — the
         durable queue's at-least-once discipline does the recovery, no
         special cases."""
@@ -1433,7 +1361,7 @@ class ReplicaServer:
             # immediately instead of stalling a heartbeat interval.
             event.clear()
             now = self.engine.clock()
-            if inflight and now - inflight[0][1] > self.ack_timeout:
+            if inflight and now - inflight[0][1] > ACK_TIMEOUT:
                 # Stalled pipeline (dropped/reordered frames or a dead
                 # peer): fall back to the durable frontier and re-send.
                 inflight.clear()
@@ -1468,7 +1396,7 @@ class ReplicaServer:
                     timeout,
                     max(
                         self.retry_base,
-                        self.ack_timeout - (now - inflight[0][1]),
+                        ACK_TIMEOUT - (now - inflight[0][1]),
                     ),
                 )
             try:
@@ -1638,30 +1566,17 @@ class ReplicaServer:
           older image): trigger our own snapshot catch-up.
         * ``seq`` *below* the cumulative ack frontier — the receiver
           regressed.  Rewind the channel to re-send from its log when
-          the records survive; when compaction already dropped them
-          (or the receiver is ``catchup_lag`` records behind), flag
-          the sender to emit a ``peer-reset`` frame directing the
+          the records survive; when compaction already dropped them,
+          flag the sender to emit a ``peer-reset`` frame directing the
           receiver to snapshot catch-up instead.
         """
         log = self.log
         if seq > log.assigned:
-            if self.catchup_enabled and not self._catching_up:
+            if not self._catching_up:
                 self._trigger_catchup("regressed-ack", preferred=peer)
             return
-        if peer in self._reset_peers:
-            return  # already directed to snapshot catch-up
-        lag = log.assigned - seq
-        if seq >= log.frontier(peer):
-            # Not regressed, merely behind.  With ``catchup_lag`` set,
-            # a receiver this far back (e.g. returning from a long
-            # outage) is told to snapshot-install instead of drinking
-            # the whole backlog through the channel.
-            if self.catchup_lag and lag > self.catchup_lag:
-                self._reset_peers.add(peer)
-                self.trace.event(
-                    "channel-lag", peer=peer, seq=seq, lag=lag
-                )
-                self._outbox_events[peer].set()
+        if peer in self._reset_peers or seq >= log.frontier(peer):
+            # Already directed to snapshot catch-up, or not regressed.
             return
         rewound = log.rewind_to(peer, seq)
         self.m_channel_rewinds.labels(peer=peer).inc()
@@ -1670,14 +1585,14 @@ class ReplicaServer:
             # frontier instead of waiting out the stall deadline.
             state["inflight"].clear()
             state["sent_hi"] = log.frontier(peer)
-        if not rewound or (self.catchup_lag and lag > self.catchup_lag):
+        else:
             self._reset_peers.add(peer)
         self.trace.event(
             "channel-rewind", peer=peer, seq=seq, resend=rewound
         )
         logger.info(
             "%s: peer %s regressed to seq %d (rewind=%s, lag=%d)",
-            self.name, peer, seq, rewound, lag,
+            self.name, peer, seq, rewound, log.assigned - seq,
         )
         self._outbox_events[peer].set()
 
@@ -1780,16 +1695,12 @@ class ReplicaServer:
                     frames.send(reply)
                 elif kind == "peer-reset":
                     # A sender compacted away records we never saw (or
-                    # judged us too far behind to resend): the channel
-                    # alone cannot repair us — snapshot catch-up can.
+                    # holds history from before our cursor existed):
+                    # the channel alone cannot repair us — snapshot
+                    # catch-up can.
                     src = str(frame.get("src", ""))
                     self._note_peer_alive(src)
-                    if self.catchup_enabled:
-                        self._trigger_catchup("peer-reset", preferred=src)
-                    else:
-                        self.m_frames_dropped.labels(
-                            reason="peer_reset_ignored"
-                        ).inc()
+                    self._trigger_catchup("peer-reset", preferred=src)
                 elif kind == "peer-hello":
                     src = frame.get("src")
                     if src:
@@ -2011,49 +1922,23 @@ class ReplicaServer:
 
     # -- anti-entropy catch-up -------------------------------------------------
 
-    async def _addr_request(
-        self,
-        addr: Tuple[str, int],
-        verb: str,
-        timeout: float = 5.0,
-        label: str = "replica",
-        **params: Any,
-    ) -> Dict[str, Any]:
-        """One out-of-band request/response exchange with an arbitrary
-        replica address (a mesh peer, or a migration counterpart in a
-        different group)."""
-        reader, writer = await asyncio.open_connection(*addr)
-        try:
-            await write_frame(
-                writer,
-                {"type": "request", "id": 1, "verb": verb, **params},
-            )
-            reply = await asyncio.wait_for(
-                read_frame(reader), timeout=timeout
-            )
-        finally:
-            writer.close()
-        if reply is None:
-            raise ConnectionError(
-                "%s closed during %s" % (label, verb)
-            )
-        if not reply.get("ok"):
-            raise RuntimeError(
-                "%s refused %s: %s"
-                % (label, verb, reply.get("error", "unknown error"))
-            )
-        return reply
-
     async def _peer_request(
         self, peer: str, verb: str, timeout: float = 5.0, **params: Any
     ) -> Dict[str, Any]:
-        """One out-of-band request/response exchange with a peer."""
-        addr = self.peer_addrs.get(peer)
-        if addr is None or self._link_severed(peer):
+        """One out-of-band request/response exchange with a peer — the
+        one way this replica asks a peer anything (surveys, snapshot
+        pulls, election votes).  The peer is dialed at its configured
+        address, else its gossiped one; the reply needs the link back,
+        so a cut in either direction refuses before dialing."""
+        addr = self.peer_addrs.get(peer) or self.membership.address(peer)
+        if (
+            addr is None
+            or self._link_severed(peer)
+            or (self.faults is not None
+                and self.faults.is_severed(peer, self.name))
+        ):
             raise ConnectionError("no route to peer %s" % peer)
-        reply = await self._addr_request(
-            addr, verb, timeout=timeout, label="peer %s" % peer, **params
-        )
+        reply = await request_once(addr, verb, timeout=timeout, **params)
         self._note_peer_alive(peer)
         return reply
 
@@ -2122,7 +2007,7 @@ class ReplicaServer:
     ) -> None:
         """Enter catch-up mode and start the install task (idempotent
         while one is already running)."""
-        if not self.catchup_enabled or not self._running:
+        if not self._running:
             return
         if self._catchup_task is not None and not self._catchup_task.done():
             return
@@ -2132,10 +2017,7 @@ class ReplicaServer:
             "%s: snapshot catch-up triggered (%s, preferred=%s)",
             self.name, reason, preferred or "-",
         )
-        self._catchup_task = asyncio.ensure_future(
-            self._catchup(reason, preferred)
-        )
-        self._catchup_task.add_done_callback(self._note_task_crash)
+        self._catchup_task = self._spawn(self._catchup(reason, preferred))
 
     async def _catchup(
         self, reason: str, preferred: Optional[str]
@@ -2229,20 +2111,7 @@ class ReplicaServer:
         last_error: Optional[BaseException] = None
         for source in candidates:
             try:
-                body = await self._fetch_snapshot(source)
-                if body.get("method") != self.method:
-                    raise SnapshotError(
-                        "snapshot from %s is for method %r"
-                        % (source, body.get("method"))
-                    )
-                if body.get("site") != source:
-                    raise SnapshotError(
-                        "snapshot from %s claims site %r"
-                        % (source, body.get("site"))
-                    )
-                translated = self._translate_frontiers(
-                    source, body["frontiers"]
-                )
+                body, translated = await self._pull_snapshot(source)
                 if not self._dominates(translated, required_local):
                     raise RuntimeError(
                         "snapshot from %s does not dominate local state"
@@ -2264,38 +2133,32 @@ class ReplicaServer:
         assert last_error is not None
         raise last_error
 
-    async def _fetch_snapshot(self, source: str) -> Dict[str, Any]:
-        """Pull one mesh peer's snapshot in chunks (rejoin path)."""
-        addr = self.peer_addrs.get(source)
-        if addr is None or self._link_severed(source):
-            raise ConnectionError("no route to peer %s" % source)
-        body = await self._fetch_snapshot_addr(
-            addr, label="peer %s" % source
-        )
-        self._note_peer_alive(source)
-        return body
+    async def _pull_snapshot(
+        self, site: str, addr: Optional[Tuple[str, int]] = None
+    ) -> Tuple[Dict[str, Any], Dict[str, int]]:
+        """Pull ``site``'s snapshot in chunks, check it is one this
+        replica may install — this method's, taken at ``site`` — and
+        return it with its frontiers in this replica's channel names.
 
-    async def _fetch_snapshot_addr(
-        self, addr: Tuple[str, int], label: str
-    ) -> Dict[str, Any]:
-        """Pull a replica's snapshot in chunks over the request verb.
-
-        Address-based so it serves both rejoin (a mesh peer) and shard
-        migration (the same-named counterpart in the retired owner
-        group, which is *not* in this replica's peer set).
+        A mesh peer (rejoin) is asked through :meth:`_peer_request`; a
+        shard-migration counterpart — the same-named site of the retired
+        owner group, *not* in this replica's peer set — at ``addr``.
 
         ``fresh=True`` on the first chunk makes the source take a new
         snapshot before serving, so the image reflects its *current*
         frontiers — stale images would fail the dominance check."""
+        ask = (
+            functools.partial(self._peer_request, site)
+            if addr is None
+            else functools.partial(request_once, addr)
+        )
         chunks: List[str] = []
         offset = 0
         total: Optional[int] = None
         while True:
-            reply = await self._addr_request(
-                addr,
+            reply = await ask(
                 "snapshot-fetch",
                 timeout=15.0,
-                label=label,
                 offset=offset,
                 fresh=(offset == 0),
             )
@@ -2309,9 +2172,19 @@ class ReplicaServer:
         if total is not None and len(raw) != total:
             raise SnapshotError(
                 "snapshot fetch from %s truncated (%d of %d bytes)"
-                % (label, len(raw), total)
+                % (site, len(raw), total)
             )
-        return open_snapshot(json.loads(raw))
+        body = open_snapshot(json.loads(raw))
+        if body.get("method") != self.method:
+            raise SnapshotError(
+                "snapshot from %s is for method %r"
+                % (site, body.get("method"))
+            )
+        if body.get("site") != site:
+            raise SnapshotError(
+                "snapshot from %s claims site %r" % (site, body.get("site"))
+            )
+        return body, self._translate_frontiers(site, body["frontiers"])
 
     def _translate_frontiers(
         self, source: str, frontiers: Dict[str, Any]
@@ -2322,16 +2195,17 @@ class ReplicaServer:
         The source's ``_local`` channel is our inbound channel *from*
         the source; the source's channel *for us* carries our own
         updates, so it becomes our local frontier (and tid counter).
-        Channels to third peers keep their names.
+        Channels to third peers keep their names.  A source with this
+        site's own name (a migration counterpart) shares its namespace:
+        the identity.
         """
-        fr = {src: int(seq) for src, seq in frontiers.items()}
-        translated = {LOCAL_CHANNEL: fr.get(self.name, 0)}
-        for channel in self.inboxes:
-            if channel == source:
-                translated[channel] = fr.get(LOCAL_CHANNEL, 0)
-            else:
-                translated[channel] = fr.get(channel, 0)
-        return translated
+        swap = {} if source == self.name else {
+            LOCAL_CHANNEL: self.name, source: LOCAL_CHANNEL,
+        }
+        return {
+            channel: int(frontiers.get(swap.get(channel, channel), 0))
+            for channel in self._frontiers()
+        }
 
     def _dominates(
         self, translated: Dict[str, int], required_local: int
@@ -2560,10 +2434,11 @@ class ReplicaServer:
         Frontier translation is the *identity* because a replacement
         group reuses the source group's site names — the counterpart's
         channel namespace is exactly ours, unlike the rejoin path where
-        the source is a different site.  The drained source can only be
-        at-or-ahead of a cold replacement on every channel, so the
-        dominance rule degenerates to: install if ahead anywhere,
-        report already-current otherwise.
+        the source is a different site.  The dominance rule is the
+        rejoin's, with no tid floor: the drained source is at or ahead
+        of a cold replacement on every channel.  A snapshot at or behind
+        local state everywhere is a retry after a completed install and
+        is answered as already current.
         """
         if self._catching_up:
             raise Unavailable(
@@ -2581,40 +2456,14 @@ class ReplicaServer:
         host = str(frame.get("host", ""))
         port = int(frame.get("port", 0))
         site = str(frame.get("site", ""))
-        if not host or not port:
-            raise ValueError("fetch-install needs the source host/port")
+        if not host or not port or not site:
+            raise ValueError("fetch-install needs the source site/host/port")
         self._catching_up = True
         try:
-            body = await self._fetch_snapshot_addr(
-                (host, port),
-                label="counterpart %s" % (site or host),
-            )
-            if body.get("method") != self.method:
-                raise SnapshotError(
-                    "counterpart snapshot is for method %r"
-                    % body.get("method")
-                )
-            if site and body.get("site") != site:
-                raise SnapshotError(
-                    "counterpart snapshot claims site %r, wanted %r"
-                    % (body.get("site"), site)
-                )
-            frontiers = {
-                src: int(seq)
-                for src, seq in body.get("frontiers", {}).items()
-            }
-            mine = self._frontiers()
-            translated = {
-                channel: frontiers.get(channel, 0) for channel in mine
-            }
-            dominates = all(
-                translated[ch] >= frontier for ch, frontier in mine.items()
-            )
-            if not dominates:
-                if all(
-                    translated[ch] <= frontier
-                    for ch, frontier in mine.items()
-                ):
+            body, translated = await self._pull_snapshot(site, (host, port))
+            if not self._dominates(translated, 0):
+                mine = self._frontiers()
+                if all(translated[ch] <= mine[ch] for ch in mine):
                     # Retried after a completed install: local state
                     # already covers the snapshot.  Never roll back.
                     return {"installed": False, "current": True}
@@ -3001,12 +2850,12 @@ class ReplicaServer:
             # order (read-modify-report values are evaluated there).
             fut = self._apply_futures.get(tid)
             if fut is not None:
-                await asyncio.wait_for(fut, timeout=self.commit_timeout)
+                await asyncio.wait_for(fut, timeout=COMMIT_TIMEOUT)
         if self.engine.sync_commit and self.peer_names:
             # Synchronous baseline: wait for every peer's durable ack.
             fut = self._full_ack_futures.get(tid)
             if fut is not None:
-                await asyncio.wait_for(fut, timeout=self.commit_timeout)
+                await asyncio.wait_for(fut, timeout=COMMIT_TIMEOUT)
         decided: Optional[str] = None
         if is_compe:
             # COMPE commits optimistically; the *decision* is a separate
@@ -3309,7 +3158,7 @@ class ReplicaServer:
         else:
             try:
                 outcome = await self.engine.query(
-                    keys, spec, timeout=self.query_timeout
+                    keys, spec, timeout=QUERY_TIMEOUT
                 )
             except QueryTimeout as exc:
                 raise QueryTimeout(str(exc)) from None
@@ -3351,7 +3200,7 @@ class ReplicaServer:
                 % ",".join(self.suspected_peers())
             )
         query_task = asyncio.ensure_future(
-            self.engine.query(keys, spec, timeout=self.query_timeout)
+            self.engine.query(keys, spec, timeout=QUERY_TIMEOUT)
         )
         watcher = asyncio.ensure_future(self._until_degraded())
         try:

@@ -47,14 +47,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import WRONG_SHARD
-from .protocol import read_frame, write_frame
+from .client import LiveETFailed, request_once
 
 __all__ = [
     "ShardMap",
     "WrongShard",
     "key_shard",
     "group_keys_by_shard",
-    "shard_admin_request",
     "migrate_shard",
 ]
 
@@ -159,42 +158,7 @@ class ShardMap:
         )
 
 
-# -- admin wire helper ---------------------------------------------------------
-
-
-async def shard_admin_request(
-    addr: Tuple[str, int],
-    verb: str,
-    timeout: float = 5.0,
-    **fields: Any,
-) -> Dict[str, Any]:
-    """One out-of-band request/response exchange with a replica.
-
-    The migration orchestrator speaks to old and new owners over the
-    ordinary request protocol (same framing as clients), so the exact
-    same cutover code runs whether the groups live in this process,
-    in sibling processes, or on other machines.
-    """
-    reader, writer = await asyncio.open_connection(*addr)
-    try:
-        await write_frame(
-            writer, {"type": "request", "id": 1, "verb": verb, **fields}
-        )
-        reply = await asyncio.wait_for(read_frame(reader), timeout=timeout)
-    finally:
-        writer.close()
-    if reply is None:
-        raise ConnectionError(
-            "replica %s:%d closed during %s" % (addr[0], addr[1], verb)
-        )
-    if not reply.get("ok"):
-        from .client import LiveETFailed  # cycle-free at call time
-
-        raise LiveETFailed(
-            reply.get("error", "%s failed" % verb),
-            reply.get("code", ""),
-        )
-    return reply
+# -- cutover orchestration -----------------------------------------------------
 
 
 async def _retrying(
@@ -211,8 +175,6 @@ async def _retrying(
     (a replacement replica may be crashed and healing); everything
     else is a real error and surfaces immediately.
     """
-    from .client import LiveETFailed
-
     last: Optional[BaseException] = None
     while clock() < deadline:
         try:
@@ -257,7 +219,7 @@ async def migrate_shard(
     # could still acknowledge updates the transfer would miss.
     for name in names:
         await _retrying(
-            lambda name=name: shard_admin_request(
+            lambda name=name: request_once(
                 old_addr_of(name), "shard-retire", map=new_map
             ),
             clock() + step_timeout,
@@ -269,7 +231,7 @@ async def migrate_shard(
     # every acknowledged update (no new ones can arrive past the
     # fence), so the rejoin tail-drain below is degenerate.
     async def _settle(name: str) -> Dict[str, Any]:
-        return await shard_admin_request(
+        return await request_once(
             old_addr_of(name),
             "settle",
             timeout=settle_timeout + 5.0,
@@ -297,7 +259,7 @@ async def migrate_shard(
     # until the replica is reachable — a crash here only stalls.
     for name in names:
         await _retrying(
-            lambda name=name: shard_admin_request(
+            lambda name=name: request_once(
                 new_addr_of(name),
                 "fetch-install",
                 timeout=step_timeout,
@@ -313,7 +275,7 @@ async def migrate_shard(
     # 4. Adopt: the replacements start accepting at the new epoch.
     for name in names:
         await _retrying(
-            lambda name=name: shard_admin_request(
+            lambda name=name: request_once(
                 new_addr_of(name), "shard-adopt", map=new_map
             ),
             clock() + step_timeout,

@@ -4,8 +4,8 @@ The channel hot path now drains backlogs as multi-MSet ``mset-batch``
 frames with a window of batches in flight and cumulative acks.  These
 tests exercise that machinery through real sockets: backlogs actually
 travel as batches (observable via the ack high-water mark jumping in
-steps), extreme frame sizes still converge (the two ``server.py``
-frame constants are monkeypatched: there is no option), a healed
+steps), extreme frame sizes still converge (the ``server.py`` frame
+and ack-timeout constants are monkeypatched: there is no option), a healed
 backlog travels in full frames, a receiver working through one still
 answers its other connections, forged duplicate and gapped batches are
 acked at the frontier and never re-applied, and the ``settle`` verb
@@ -143,6 +143,7 @@ class TestBatchedDrain:
         from repro.live import LinkFaults
 
         _frames(monkeypatch, 8, 3)
+        monkeypatch.setattr(server, "ACK_TIMEOUT", 0.2)
 
         async def scenario():
             plan = FaultPlan(
@@ -152,11 +153,7 @@ class TestBatchedDrain:
                 n_sites=3,
                 method="commu",
                 faults=plan,
-                server_options={
-                    "retry_base": 0.01,
-                    "retry_max": 0.05,
-                    "ack_timeout": 0.2,
-                },
+                server_options={"retry_base": 0.01, "retry_max": 0.05},
             )
             await cluster.start()
             try:

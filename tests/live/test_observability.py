@@ -189,6 +189,46 @@ class TestSilentHandlerRegressions:
 
         run(scenario())
 
+    def test_crashed_degraded_monitor_is_counted(self, tmp_path):
+        """Regression: the degraded monitor was the one long-lived task
+        spawned without the crash callback, so its death silently
+        stopped degraded-flip reporting.  Now it counts as
+        ``frames_dropped_total{reason="task_crash"}`` while the replica
+        keeps serving."""
+
+        async def scenario():
+            cluster = await _booted(tmp_path)
+            try:
+                server = cluster.servers["site0"]
+                check = server._check_degraded_transition
+                crashed = []
+
+                def crash_once():
+                    if not crashed:
+                        crashed.append(True)
+                        raise RuntimeError("injected monitor crash")
+                    check()
+
+                server._check_degraded_transition = crash_once
+                deadline = asyncio.get_running_loop().time() + 5.0
+                while not crashed:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.02)
+                await asyncio.sleep(0)  # the done callback runs
+                assert (
+                    server.registry.get_sample(
+                        "frames_dropped_total", reason="task_crash"
+                    )
+                    == 1
+                )
+                client = await cluster.client("site0")
+                await client.increment("x", 1)
+                assert (await client.values())["x"] == 1
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
     def test_degraded_transition_flips_gauge(self, tmp_path):
         """Severing both links must flip the degraded gauge to 1 and
         count a transition (visible to an operator, not just pollers
