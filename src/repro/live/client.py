@@ -345,6 +345,8 @@ class LiveClient:
             "query ETs issued by this client, by serving replica",
             labels=("replica",),
         )
+        #: replica -> its ``reads_by_replica_total`` child, bound once.
+        self._m_reads_by: Dict[str, Any] = {}
         self.m_session_stale = self.registry.counter(
             "session_stale_total",
             "SESSION_STALE refusals this client retried",
@@ -766,7 +768,7 @@ class LiveClient:
         if token is not None:
             token.merge(frame.get("frontiers"))
         served = frame.get("served_by")
-        self.m_reads_by_replica.labels(replica=served or "unknown").inc()
+        self._count_read(served or "unknown")
         if self.cache is not None:
             now = asyncio.get_event_loop().time()
             for key in keys:
@@ -799,6 +801,7 @@ class LiveClient:
         values: Dict[str, Any] = {}
         estimate = 0.0
         served: set = set()
+        observed = []
         for key in keys:
             hit = self.cache.lookup(
                 key,
@@ -813,9 +816,13 @@ class LiveClient:
             values[key] = hit.value
             estimate += hit.estimate
             served.add(hit.served_by)
-            if opts.session is not None:
-                opts.session.merge(hit.frontiers)
-        self.m_reads_by_replica.labels(replica="cache").inc()
+            observed.append(hit.frontiers)
+        if opts.session is not None:
+            # Only once every key hit: a miss goes to a replica with the
+            # token as it was, not with frontiers it never observed.
+            for frontiers in observed:
+                opts.session.merge(frontiers)
+        self._count_read("cache")
         return LiveETResult(
             {
                 "values": values,
@@ -828,6 +835,14 @@ class LiveClient:
                 "from_cache": True,
             }
         )
+
+    def _count_read(self, replica: str) -> None:
+        child = self._m_reads_by.get(replica)
+        if child is None:
+            child = self._m_reads_by[replica] = (
+                self.m_reads_by_replica.labels(replica=replica)
+            )
+        child.inc()
 
     async def _issue_query(
         self, keys: List[str], espec: EpsilonSpec, opts: ReadOptions

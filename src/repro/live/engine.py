@@ -12,9 +12,12 @@ and live provably run the same MSet-processing logic.
 
 Engines are transport-agnostic: the server layer decides how MSets
 travel (durable queues over TCP) and calls :meth:`LiveEngine.accept`
-for every delivered MSet, local or remote.  All mutation happens under
-the engine's condition variable; queries wait on it for divergence
-control, exactly like the simulator's ``QueryRunner`` retry loop.
+for every delivered MSet, local or remote.  Every mutator finishes in
+the step of the event loop that calls it, so none needs a lock.  A
+query that can be charged now is answered in one step too
+(:meth:`LiveEngine.read_now`); one that must wait for divergence
+control parks a future under each of its keys, and the step that frees
+a key — a lock-counter release, a COMPE decision, a restore — wakes it.
 """
 
 from __future__ import annotations
@@ -112,6 +115,17 @@ class _QueryBudget:
         self.imported.clear()
         self.drift_used = 0.0
 
+    def outcome(
+        self, values: Dict[str, Any], waits: int = 0
+    ) -> "QueryOutcome":
+        """The query's answer, charged with what this budget imported."""
+        return QueryOutcome(
+            values=values,
+            inconsistency=len(self.imported),
+            overlap=tuple(sorted(self.imported)),
+            waits=waits,
+        )
+
 
 class LiveEngine:
     """Shared machinery for the live replica-control engines."""
@@ -133,8 +147,11 @@ class LiveEngine:
         self.peers = tuple(peers)
         self.clock = clock
         self.store = KeyValueStore()
-        #: guards all engine state; queries wait on it.
-        self.cond = asyncio.Condition()
+        #: key -> futures of the queries parked on it: a parked query
+        #: files one future under each of its keys (:meth:`_park`).
+        self._parked: Dict[str, Set["asyncio.Future[None]"]] = {}
+        #: the parked futures of strict (epsilon = 0) queries.
+        self._parked_strict: Set["asyncio.Future[None]"] = set()
         #: tid -> worst-case value drift of that update (None=unbounded).
         self._drift: Dict[Any, Optional[float]] = {}
         #: tid -> reasons a query could still be charged for it (see
@@ -164,7 +181,7 @@ class LiveEngine:
         )
         self._apply_hist = registry.histogram(
             "apply_batch_seconds",
-            "engine-lock time spent applying one delivered batch",
+            "time spent applying one delivered batch",
             buckets=DEFAULT_LATENCY_BUCKETS,
         )
         # An engine is one method for life: the ``method``-labelled
@@ -283,46 +300,39 @@ class LiveEngine:
 
         ``local`` marks the origin's own copy (it may carry divergence
         obligations a remote copy does not).  Recovery replays both
-        kinds through this same entry point.
+        kinds through this same entry point.  Like every mutator it
+        finishes in the step that calls it: nothing in it awaits.
         """
-        async with self.cond:
-            started = self.clock()
-            applied = self._accept_locked(mset, local)
-            self._forget_unreachable()
-            self._apply_hist.observe(self.clock() - started)
-            self.cond.notify_all()
-        self._applied_counter.inc(len(applied))
-        return applied
+        return self._accept_all((mset,), local)
 
     async def accept_batch(
         self, msets: Sequence[MSet], local: bool = False
     ) -> List[MSet]:
-        """Process a whole delivered batch under ONE lock acquisition.
+        """Process a whole delivered batch in one step.
 
         The batched propagation path delivers up to a full frame
-        (``server.FRAME_MSETS``) at once; acquiring the engine condition
-        once per batch (instead of once per MSet) and notifying waiters
-        once keeps the receive side from thrashing blocked queries awake
-        N times for one frame's worth of state change.
+        (``server.FRAME_MSETS``) at once; history pruning and the apply
+        histogram then run once per batch, not once per MSet.
         """
+        return self._accept_all(msets, local)
+
+    def _accept_all(self, msets: Sequence[MSet], local: bool) -> List[MSet]:
+        started = self.clock()
         applied: List[MSet] = []
-        async with self.cond:
-            started = self.clock()
-            for mset in msets:
-                applied.extend(self._accept_locked(mset, local))
-            self._forget_unreachable()
-            self._apply_hist.observe(self.clock() - started)
-            self.cond.notify_all()
+        for mset in msets:
+            applied.extend(self._accept_one(mset, local))
+        self._forget_unreachable()
+        self._apply_hist.observe(self.clock() - started)
         self._applied_counter.inc(len(applied))
         return applied
 
-    def _accept_locked(self, mset: MSet, local: bool) -> List[MSet]:
-        """Method-specific MSet processing; ``self.cond`` is held."""
+    def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
+        """Method-specific MSet processing."""
         raise NotImplementedError
 
     def _forget_unreachable(self) -> None:
         """Drop apply history no active query can still read (once per
-        delivered batch, ``self.cond`` held).  No-op without one."""
+        delivered batch).  No-op without one."""
 
     def _note_drift(self, mset: MSet, pins: int = 1) -> None:
         """Record ``mset``'s worst-case drift, pinned ``pins`` times."""
@@ -374,9 +384,8 @@ class LiveEngine:
 
         One peer ack can retire a whole send window of local updates;
         methods with per-update obligations override this to release
-        them under a single lock acquisition instead of thrashing
-        blocked queries awake once per retired update.  No-op for
-        methods without any.
+        them all in one step, waking the queries parked on the keys
+        they free.  No-op for methods without any.
         """
 
     async def hold_counters(self, mset: MSet) -> None:
@@ -387,6 +396,16 @@ class LiveEngine:
 
     # -- query path ----------------------------------------------------------
 
+    def read_now(
+        self, keys: Sequence[str], spec: EpsilonSpec
+    ) -> Optional[QueryOutcome]:
+        """Answer a query in this step — or return None, having changed
+        nothing, when it must go through :meth:`query`: it reads more
+        than one key (its reads interleave with applies), or its
+        sources cannot be charged now.  The first step of every
+        ``query``."""
+        raise NotImplementedError
+
     async def query(
         self,
         keys: Sequence[str],
@@ -395,30 +414,66 @@ class LiveEngine:
     ) -> QueryOutcome:
         raise NotImplementedError
 
-    async def _wait_for_change(
-        self, outcome: QueryOutcome, deadline: float
+    def _timed_out(self) -> QueryTimeout:
+        return QueryTimeout(
+            "query at %s blocked beyond its deadline" % self.site
+        )
+
+    async def _park(
+        self, keys: Sequence[str], strict: bool, deadline: float
     ) -> None:
-        """Block (counted) until engine state changes or the deadline."""
-        outcome.waits += 1
-        remaining = deadline - self.clock()
-        if remaining <= 0:
-            raise QueryTimeout(
-                "query at %s blocked beyond its deadline" % self.site
-            )
+        """Wait until a step that may free one of ``keys`` wakes this
+        query (:meth:`_wake`): one future, filed under every key, and
+        the deadline its only timer.  A strict query can also be failed
+        by :meth:`fail_parked_strict`."""
+        loop = asyncio.get_running_loop()
+        waiter = loop.create_future()
+        for key in keys:
+            self._parked.setdefault(key, set()).add(waiter)
+        if strict:
+            self._parked_strict.add(waiter)
+        timer = loop.call_later(
+            deadline - self.clock(), self._expire, waiter
+        )
         try:
-            await asyncio.wait_for(
-                self.cond.wait(), timeout=min(remaining, 0.25)
-            )
-        except asyncio.TimeoutError:
-            pass  # re-check state; protects against missed notifies
+            await waiter
+        finally:
+            timer.cancel()
+            self._parked_strict.discard(waiter)
+            for key in keys:
+                waiters = self._parked.get(key)
+                if waiters is not None:
+                    waiters.discard(waiter)
+                    if not waiters:
+                        del self._parked[key]
+
+    def _expire(self, waiter: "asyncio.Future[None]") -> None:
+        if not waiter.done():
+            waiter.set_exception(self._timed_out())
+
+    def _wake(self, keys: Sequence[str]) -> None:
+        """Wake every query parked on one of ``keys`` to re-check."""
+        parked = self._parked
+        if parked:
+            for key in keys:
+                for waiter in parked.get(key, ()):
+                    if not waiter.done():
+                        waiter.set_result(None)
+
+    def fail_parked_strict(self, error: Callable[[], Exception]) -> None:
+        """Fail every parked strict (epsilon = 0) query with its own
+        ``error()``: the server's answer once full replica agreement is
+        off the table."""
+        for waiter in self._parked_strict:
+            if not waiter.done():
+                waiter.set_exception(error())
 
     # -- checkpoint / restore ------------------------------------------------
 
     async def checkpoint(self) -> Dict[str, Any]:
         """A JSON-safe image of this engine's applied state.
 
-        Captured atomically under the engine condition: store values
-        with their write stamps (the RITU multiversion floor — a
+        Captured in one step: store values with their write stamps (the RITU multiversion floor — a
         restored site answers version queries exactly where the
         pre-snapshot site did), the applied-MSet count, the drift of
         every update a query could still be charged for, and
@@ -430,10 +485,6 @@ class LiveEngine:
         read-modify-report results (their client connection did not
         survive the crash, so nobody can claim them).
         """
-        async with self.cond:
-            return self._checkpoint_locked()
-
-    def _checkpoint_locked(self) -> Dict[str, Any]:
         image = self.store.snapshot()
         state: Dict[str, Any] = {
             "method": self.method_name,
@@ -466,11 +517,6 @@ class LiveEngine:
                 "checkpoint is for method %r, engine runs %r"
                 % (state.get("method"), self.method_name)
             )
-        async with self.cond:
-            self._restore_locked(state)
-            self.cond.notify_all()
-
-    def _restore_locked(self, state: Dict[str, Any]) -> None:
         store = state.get("store", {})
         stamps = store.get("stamps", {})
         self.store.restore(
@@ -487,9 +533,11 @@ class LiveEngine:
         self.read_results.clear()
         self.last_applied_at = self.clock()
         self._method_restore(state)
+        # Every parked query re-checks against the installed state.
+        self._wake(list(self._parked))
 
     def _method_restore(self, state: Dict[str, Any]) -> None:
-        """Method-specific state install; ``self.cond`` is held.  Pins
+        """Method-specific state install.  Pins
         (:meth:`_restore_pin`) the tids the installed state can still
         charge; the rest of the image's drift table is not loaded."""
 
@@ -544,7 +592,7 @@ class CommuLiveEngine(LiveEngine):
         # the COMMU operation restriction.
         CommutativeOperations.check_ops_commutative(ops)
 
-    def _accept_locked(self, mset: MSet, local: bool) -> List[MSet]:
+    def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
         # Held until every peer durably acks (fully_acked_many).
         held = local and self.state.raise_counters(mset.tid, mset.keys)
         # History is for the queries already reading: one that starts
@@ -573,21 +621,17 @@ class CommuLiveEngine(LiveEngine):
     def _release(self, tid: Any, keys: Sequence[str]) -> None:
         if self.state.release_counters(tid, keys):
             self._unpin(tid)
+            self._wake(keys)
 
     async def fully_acked_many(
         self, items: Sequence[Tuple[Any, Sequence[str]]]
     ) -> None:
-        if not items:
-            return
-        async with self.cond:
-            for tid, keys in items:
-                self._release(tid, keys)
-            self.cond.notify_all()
+        for tid, keys in items:
+            self._release(tid, keys)
 
     async def hold_counters(self, mset: MSet) -> None:
-        async with self.cond:
-            if self.state.raise_counters(mset.tid, mset.keys):
-                self._note_drift(mset)
+        if self.state.raise_counters(mset.tid, mset.keys):
+            self._note_drift(mset)
 
     def _query_sources(self, key: str, start: float) -> Set[Any]:
         """Inconsistency sources for one key read: in-flight updates
@@ -598,51 +642,80 @@ class CommuLiveEngine(LiveEngine):
             key, start
         )
 
+    def _chargeable(self, keys: Sequence[str], spec: EpsilonSpec) -> bool:
+        """Could a query starting now be charged for all of ``keys``?  A
+        fresh start has no mixed observations, so only the steps that
+        wake parked queries — a release, a decision, a restore — turn
+        this from False to True."""
+        now = self.clock()
+        sources: Set[Any] = set()
+        for key in keys:
+            sources |= self._query_sources(key, now)
+        return _QueryBudget(spec).try_charge(sources, self._drift.get)
+
+    def read_now(
+        self, keys: Sequence[str], spec: EpsilonSpec
+    ) -> Optional[QueryOutcome]:
+        if len(keys) != 1:
+            return None
+        key = keys[0]
+        budget = _QueryBudget(spec)
+        sources = self._query_sources(key, self.clock())
+        if not budget.try_charge(sources, self._drift.get):
+            return None
+        return budget.outcome({key: self.store.get(key, 0)})
+
     async def query(
         self,
         keys: Sequence[str],
         spec: EpsilonSpec,
         timeout: float = 30.0,
     ) -> QueryOutcome:
-        outcome = QueryOutcome()
+        answered = self.read_now(keys, spec)
+        if answered is not None:
+            return answered
+        keys = list(keys)
+        values: Dict[str, Any] = {}
+        waits = 0
         budget = _QueryBudget(spec)
         deadline = self.clock() + timeout
         # While registered, history applied after ``start`` is kept.
         start = self._query_starts[budget] = self.clock()
         index = 0
-        ordered_keys = list(keys)
         try:
-            while index < len(ordered_keys):
-                advanced = False
-                async with self.cond:
-                    key = ordered_keys[index]
-                    sources = self._query_sources(key, start)
-                    if budget.try_charge(sources, self._drift.get):
-                        outcome.values[key] = self.store.get(key, 0)
-                        index += 1
-                        advanced = True
-                    else:
-                        # COMMU blocked-query semantics: discard
-                        # partial reads and re-serialize after the
-                        # conflicting updates.
-                        index = 0
-                        outcome.values.clear()
-                        budget.reset()
-                        await self._wait_for_change(outcome, deadline)
-                        del self._query_starts[budget]
-                        start = self._query_starts[budget] = self.clock()
-                if advanced:
-                    # Yield between reads so update applies genuinely
-                    # interleave with the query — the inconsistency
-                    # ESR bounds is exactly this interleaving.
-                    await asyncio.sleep(0)
+            while index < len(keys):
+                key = keys[index]
+                sources = self._query_sources(key, start)
+                if budget.try_charge(sources, self._drift.get):
+                    values[key] = self.store.get(key, 0)
+                    index += 1
+                    if index < len(keys):
+                        # Yield between reads so update applies
+                        # genuinely interleave with the query — the
+                        # inconsistency ESR bounds is exactly this
+                        # interleaving.
+                        await asyncio.sleep(0)
+                    continue
+                # COMMU blocked-query semantics: discard partial reads
+                # and re-serialize after the conflicting updates — at
+                # once when a fresh start can be charged (only mixed
+                # observations blocked it), else parked on the keys
+                # until a step that frees them.
+                waits += 1
+                if self.clock() >= deadline:
+                    raise self._timed_out()
+                index = 0
+                values.clear()
+                budget.reset()
+                del self._query_starts[budget]
+                while not self._chargeable(keys, spec):
+                    await self._park(keys, spec.is_strict, deadline)
+                start = self._query_starts[budget] = self.clock()
         finally:
             # No await between here and return: atomic on the loop.
-            del self._query_starts[budget]
+            self._query_starts.pop(budget, None)
             self._forget_unreachable()
-        outcome.inconsistency = len(budget.imported)
-        outcome.overlap = tuple(sorted(budget.imported))
-        return outcome
+        return budget.outcome(values, waits)
 
     def quiescent(self) -> bool:
         return not self.state.holders
@@ -744,7 +817,7 @@ class OrdupLiveEngine(LiveEngine):
             seen = max(seen, max(self.buffer._holdback))
         return seen
 
-    def _accept_locked(self, mset: MSet, local: bool) -> List[MSet]:
+    def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
         assert mset.order is not None, "ORDUP MSets carry an order token"
         if not self._epoch_admits(mset.order[1], mset.order[0]):
             # Fenced: granted by a deposed leader past the handover
@@ -767,45 +840,46 @@ class OrdupLiveEngine(LiveEngine):
             applied.append(ready)
         return applied
 
+    def read_now(
+        self, keys: Sequence[str], spec: EpsilonSpec
+    ) -> Optional[QueryOutcome]:
+        # Ordered mode (strict): one atomic snapshot is a prefix of the
+        # global update order, hence serializable ("the query ET is
+        # allowed to proceed only when it is running in the global
+        # order").  A free one-key read cannot see a writer beyond the
+        # frontier it starts at.
+        if not spec.is_strict and len(keys) != 1:
+            return None
+        return QueryOutcome({key: self.store.get(key, 0) for key in keys})
+
     async def query(
         self,
         keys: Sequence[str],
         spec: EpsilonSpec,
         timeout: float = 30.0,
     ) -> QueryOutcome:
-        outcome = QueryOutcome()
+        answered = self.read_now(keys, spec)
+        if answered is not None:
+            return answered
         budget = _QueryBudget(spec)
-        ordered_keys = list(keys)
-        ordered_mode = spec.is_strict
-        if not ordered_mode:
-            async with self.cond:
-                start_frontier = self.frontier
-            for key in ordered_keys:
-                async with self.cond:
-                    # An applied writer beyond the query's start
-                    # frontier is an out-of-order observation.
-                    writer = self.last_writer.get(key)
-                    sources: Set[Any] = set()
-                    if writer is not None and writer[0] > start_frontier:
-                        sources = {writer[1]}
-                    if not budget.try_charge(sources, self._drift.get):
-                        # Counter exhausted: convert to ordered mode.
-                        outcome.waits += 1
-                        ordered_mode = True
-                        break
-                    outcome.values[key] = self.store.get(key, 0)
+        values: Dict[str, Any] = {}
+        start_frontier = self.frontier
+        for index, key in enumerate(keys):
+            if index:
                 await asyncio.sleep(0)  # let applies interleave
-        if ordered_mode:
-            # Ordered mode: one atomic snapshot under the engine lock
-            # is a prefix of the global update order, hence
-            # serializable ("the query ET is allowed to proceed only
-            # when it is running in the global order").
-            async with self.cond:
-                for key in ordered_keys:
-                    outcome.values[key] = self.store.get(key, 0)
-        outcome.inconsistency = len(budget.imported)
-        outcome.overlap = tuple(sorted(budget.imported))
-        return outcome
+            # An applied writer beyond the query's start frontier is an
+            # out-of-order observation.
+            writer = self.last_writer.get(key)
+            sources: Set[Any] = set()
+            if writer is not None and writer[0] > start_frontier:
+                sources = {writer[1]}
+            if not budget.try_charge(sources, self._drift.get):
+                # Counter exhausted: convert to ordered mode, the
+                # atomic snapshot of :meth:`read_now`.
+                snapshot = {key: self.store.get(key, 0) for key in keys}
+                return budget.outcome(snapshot, waits=1)
+            values[key] = self.store.get(key, 0)
+        return budget.outcome(values)
 
     def quiescent(self) -> bool:
         return self.buffer.drained()
@@ -903,7 +977,7 @@ class RituLiveEngine(CommuLiveEngine):
 
     Crash-safety: the Lamport counter is part of the method
     checkpoint.  Recovery replays the log tail through
-    :meth:`_accept_locked`, which re-observes every stamp it sees, so
+    :meth:`_accept_one`, which re-observes every stamp it sees, so
     a replica restored from a *compacted* log (where replay cannot
     re-derive the counter) still never re-issues a stale stamp — a
     stale stamp would be silently dropped by the Thomas rule
@@ -966,9 +1040,9 @@ class RituLiveEngine(CommuLiveEngine):
             ):
                 self._lamport = int(op.timestamp[0])
 
-    def _accept_locked(self, mset: MSet, local: bool) -> List[MSet]:
+    def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
         self._observe_stamps(mset)
-        applied = super()._accept_locked(mset, local)
+        applied = super()._accept_one(mset, local)
         self._stamped_keys.update(mset.keys)
         self._versions_gauge.set(len(self._stamped_keys))
         return applied
@@ -1057,7 +1131,7 @@ class RituMvLiveEngine(RituLiveEngine):
             self._unpin(self._applied_numbers.pop(frontier))
         self.mvstore.advance_vtnc(frontier)
 
-    def _accept_locked(self, mset: MSet, local: bool) -> List[MSet]:
+    def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
         assert mset.txn_number is not None, (
             "RITU-MV MSets carry a transaction number"
         )
@@ -1074,41 +1148,49 @@ class RituMvLiveEngine(RituLiveEngine):
         self._versions_gauge.set(self._version_count)
         return [mset]
 
+    def _read_version(self, key: str, budget: _QueryBudget) -> Any:
+        try:
+            latest = self.mvstore.read_latest(key)
+        except NoVisibleVersion:
+            return self.store.get(key, 0)
+        if latest.txn_number <= self.mvstore.vtnc:
+            # Stable (VTNC-visible): serializable for free.
+            return latest.value
+        if budget.try_charge({latest.writer}, self._drift.get):
+            return latest.value
+        # Budget exhausted: degrade to the newest *stable* version
+        # instead of blocking (RITU queries never wait — stability only
+        # moves forward).
+        self.degraded_reads += 1
+        try:
+            return self.mvstore.read_visible(key).value
+        except NoVisibleVersion:
+            return 0
+
+    def read_now(
+        self, keys: Sequence[str], spec: EpsilonSpec
+    ) -> Optional[QueryOutcome]:
+        if len(keys) != 1:
+            return None
+        budget = _QueryBudget(spec)
+        return budget.outcome({keys[0]: self._read_version(keys[0], budget)})
+
     async def query(
         self,
         keys: Sequence[str],
         spec: EpsilonSpec,
         timeout: float = 30.0,
     ) -> QueryOutcome:
-        outcome = QueryOutcome()
+        answered = self.read_now(keys, spec)
+        if answered is not None:
+            return answered
         budget = _QueryBudget(spec)
-        for key in list(keys):
-            async with self.cond:
-                try:
-                    latest = self.mvstore.read_latest(key)
-                except NoVisibleVersion:
-                    outcome.values[key] = self.store.get(key, 0)
-                    continue
-                if latest.txn_number <= self.mvstore.vtnc:
-                    # Stable (VTNC-visible): serializable for free.
-                    outcome.values[key] = latest.value
-                elif budget.try_charge({latest.writer}, self._drift.get):
-                    outcome.values[key] = latest.value
-                else:
-                    # Budget exhausted: degrade to the newest *stable*
-                    # version instead of blocking (RITU queries never
-                    # wait — stability only moves forward).
-                    self.degraded_reads += 1
-                    try:
-                        outcome.values[key] = (
-                            self.mvstore.read_visible(key).value
-                        )
-                    except NoVisibleVersion:
-                        outcome.values[key] = 0
-            await asyncio.sleep(0)  # let applies interleave
-        outcome.inconsistency = len(budget.imported)
-        outcome.overlap = tuple(sorted(budget.imported))
-        return outcome
+        values: Dict[str, Any] = {}
+        for index, key in enumerate(keys):
+            if index:
+                await asyncio.sleep(0)  # let applies interleave
+            values[key] = self._read_version(key, budget)
+        return budget.outcome(values)
 
     def max_order_seen(self) -> int:
         """Highest transaction number known here (failover resume)."""
@@ -1266,15 +1348,15 @@ class CompeLiveEngine(CommuLiveEngine):
     def _log_records(self) -> int:
         return 0 if self._clog is None else self._clog.live_records
 
-    def _accept_locked(self, mset: MSet, local: bool) -> List[MSet]:
+    def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
         if mset.kind == MSetKind.UPDATE:
-            return self._accept_update_locked(mset, local)
+            return self._accept_update(mset, local)
         if mset.kind in (MSetKind.COMMIT, MSetKind.ABORT):
-            return self._accept_decision_locked(mset, local)
-        return super()._accept_locked(mset, local)
+            return self._accept_decision(mset, local)
+        return super()._accept_one(mset, local)
 
-    def _accept_update_locked(self, mset: MSet, local: bool) -> List[MSet]:
-        applied = super()._accept_locked(mset, local)
+    def _accept_update(self, mset: MSet, local: bool) -> List[MSet]:
+        applied = super()._accept_one(mset, local)
         tid = mset.tid
         saga = mset.get_info("saga")
         # Record the undo step BEFORE any decision can arrive: inverse
@@ -1327,9 +1409,7 @@ class CompeLiveEngine(CommuLiveEngine):
         self._compensations_counter.inc()
         self.trace.event("compensate", tid=tid, ops=len(ops), **how)
 
-    def _accept_decision_locked(
-        self, mset: MSet, local: bool
-    ) -> List[MSet]:
+    def _accept_decision(self, mset: MSet, local: bool) -> List[MSet]:
         target = mset.get_info("decides", mset.tid)
         outcome = "abort" if mset.kind == MSetKind.ABORT else "commit"
         if target in self._decided:
@@ -1351,6 +1431,7 @@ class CompeLiveEngine(CommuLiveEngine):
                 holders.discard(target)
                 if not holders:
                     del self._undecided_by_key[key]
+        self._wake(keys)  # decided: no longer a source on its keys
         if outcome == "abort":
             encoded = self._undo.get(target)
             if encoded is None and self._clog is not None:
@@ -1379,18 +1460,10 @@ class CompeLiveEngine(CommuLiveEngine):
             self._clog.maybe_compact()
         return [mset]
 
-    async def accept(self, mset: MSet, local: bool = False) -> List[MSet]:
-        applied = await super().accept(mset, local)
+    def _accept_all(self, msets: Sequence[MSet], local: bool) -> List[MSet]:
+        applied = super()._accept_all(msets, local)
         # Durability claim follows (channel ack / client commit ack):
         # force a covering fsync of anything the accept logged.
-        if self._clog is not None:
-            self._clog.sync()
-        return applied
-
-    async def accept_batch(
-        self, msets: Sequence[MSet], local: bool = False
-    ) -> List[MSet]:
-        applied = await super().accept_batch(msets, local)
         if self._clog is not None:
             self._clog.sync()
         return applied

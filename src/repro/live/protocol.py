@@ -110,9 +110,9 @@ __all__ = [
 MAX_FRAME = 16 * 1024 * 1024
 
 #: Upper bound on MSets per batch frame; the receiver applies a batch
-#: under one lock acquisition, so this bounds both its memory buffer
-#: and the time the engine lock is held (backpressure against a fast
-#: sender flooding a slow replica).
+#: in one engine step, so this bounds both its memory buffer and how
+#: long that step holds the loop (backpressure against a fast sender
+#: flooding a slow replica).
 MAX_BATCH_ENTRIES = 4096
 
 _LEN = struct.Struct(">I")
@@ -567,10 +567,6 @@ def decode_ops(data: Sequence[list]) -> Tuple[Operation, ...]:
 # -- epsilon specs -----------------------------------------------------------
 
 
-def _limit_out(value: float) -> Any:
-    return None if value == UNLIMITED else value
-
-
 def _limit_in(value: Any) -> float:
     if value is None:
         return UNLIMITED
@@ -581,11 +577,15 @@ def _limit_in(value: Any) -> float:
 
 
 def encode_spec(spec: EpsilonSpec) -> Dict[str, Any]:
-    return {
-        "import": _limit_out(spec.import_limit),
-        "export": _limit_out(spec.export_limit),
-        "value": _limit_out(spec.value_limit),
-    }
+    """The finite limits only: :func:`decode_spec` reads an absent
+    limit (or a ``null`` one) as unlimited, so a query request carries
+    no ``null`` for :func:`_encode` to check."""
+    limits = (
+        ("import", spec.import_limit),
+        ("export", spec.export_limit),
+        ("value", spec.value_limit),
+    )
+    return {name: value for name, value in limits if value != UNLIMITED}
 
 
 def decode_spec(data: Optional[Dict[str, Any]]) -> EpsilonSpec:

@@ -20,7 +20,7 @@ by channel sequence number.
 
 Commit hot path (batched at the loop turn, no knob): the updates one
 event-loop turn delivers commit as one *group* — one log append, one
-fsync, one engine-lock acquisition (:meth:`ReplicaServer._commit_local`)
+fsync, one engine step (:meth:`ReplicaServer._commit_local`)
 — and everything a turn writes back on a connection leaves in one
 socket write (:class:`~repro.live.protocol.FrameWriter`).
 
@@ -32,7 +32,7 @@ them unacknowledged instead of stop-and-waiting on each.  Acks are
 ``<= seq`` — so one reply can retire several frames and the peer's
 cursor moves in one step.  The receive side records a batch with one
 group-commit append (single write, one fsync before its ack), applies
-it under one engine-lock acquisition, then yields to the loop before
+it in one engine step, then yields to the loop before
 the next frame; backpressure is structural: a receiver does not read
 the next frame from a connection until the current batch is durable and
 applied, so a fast sender fills TCP flow control (bounded by the frames
@@ -100,6 +100,7 @@ import random
 from collections import deque
 from typing import (
     Any,
+    Awaitable,
     Callable,
     Deque,
     Dict,
@@ -108,8 +109,10 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
+from ..core.transactions import EpsilonSpec
 from ..obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -121,7 +124,7 @@ from ..replica.mset import MSet, MSetKind
 from .client import request_once
 from .durable_queue import DurableInbox, DurableOutbox, GrantLog
 from .election import ElectionState
-from .engine import LiveEngine, QueryTimeout, make_engine
+from .engine import LiveEngine, QueryOutcome, QueryTimeout, make_engine
 from .faults import FaultPlan
 from .gossip import DEAD, LEFT, SUSPECT, FailureDetector, MembershipTable
 from .protocol import (
@@ -942,6 +945,15 @@ class ReplicaServer:
                 self.name, now_degraded,
                 ",".join(self.suspected_peers()) or "-",
             )
+        if now_degraded:
+            # Full agreement is off the table: a strict read parked on
+            # divergence control could only time out.
+            self.engine.fail_parked_strict(
+                lambda: Unavailable(
+                    "epsilon=0 query aborted: peers %s became unreachable"
+                    % ",".join(self.suspected_peers())
+                )
+            )
 
     # -- gossip membership ---------------------------------------------------
 
@@ -1621,8 +1633,8 @@ class ReplicaServer:
         if released:
             # The slowest cursor moved: every peer now holds these
             # local updates.  One cumulative ack can retire a whole
-            # send window of them: release their obligations under a
-            # single engine-lock acquisition instead of once per update.
+            # send window of them: release their obligations in one
+            # engine step.
             await self.engine.fully_acked_many(released)
             for tid, _ in released:
                 self.trace.event("update-ack", tid=tid)
@@ -1655,13 +1667,7 @@ class ReplicaServer:
                     break
                 kind = frame.get("type")
                 if kind == "request":
-                    # Requests may block on divergence control or
-                    # commit acknowledgements: serve them concurrently.
-                    req_task = asyncio.ensure_future(
-                        self._serve_request(frame, frames)
-                    )
-                    self._conn_tasks.add(req_task)
-                    req_task.add_done_callback(self._conn_tasks.discard)
+                    self._serve_request(frame, frames)
                     continue
                 # Only ``decode_bin_frame`` yields a tuple of blobs (a
                 # JSON array is a list): no JSON frame reaches the inbox.
@@ -1732,8 +1738,8 @@ class ReplicaServer:
         """Receive one (binary) ``mset-batch`` frame from a peer.
 
         The contiguous fresh prefix of the batch is durably recorded
-        with one group-commit append and applied under one engine-lock
-        acquisition, then acknowledged *cumulatively* with the inbox
+        with one group-commit append and applied in one engine step,
+        then acknowledged *cumulatively* with the inbox
         frontier — covering this batch, any duplicates, and anything
         earlier the sender may not know was acked.  Because the frame
         is processed inline (the connection reads no further frames
@@ -2266,9 +2272,14 @@ class ReplicaServer:
 
     # -- request serving -------------------------------------------------------
 
-    async def _serve_request(
+    def _serve_request(
         self, frame: Dict[str, Any], frames: FrameWriter
     ) -> None:
+        """Answer one request frame.  A verb handler returns its reply
+        body, or an awaitable of it: a body — or a refusal — is answered
+        in the step that read the frame, and only an awaitable (a
+        request that may block on divergence control or commit
+        acknowledgements) is served by its own task."""
         rid = frame.get("id")
         verb = frame.get("verb")
         try:
@@ -2276,32 +2287,68 @@ class ReplicaServer:
             handler = getattr(self, attr) if attr is not None else None
             if handler is None:
                 raise ValueError("unknown verb %r" % verb)
-            body = await handler(frame)
-            served = self._m_requests_ok.get(verb)
-            if served is None:
-                served = self._m_requests_ok[verb] = self.m_requests.labels(
-                    verb=verb, outcome="ok"
-                )
-            served.inc()
-            frames.send({"type": "response", "id": rid, "ok": True, **body})
+            body = handler(frame)
+        except Exception as exc:  # surfaced to the client, not fatal
+            body = exc
+        if asyncio.iscoroutine(body):
+            task = asyncio.ensure_future(
+                self._reply_when_done(rid, verb, body, frames)
+            )
+            self._conn_tasks.add(task)
+            task.add_done_callback(self._conn_tasks.discard)
+        else:
+            self._reply(rid, verb, body, frames)
+
+    async def _reply_when_done(
+        self,
+        rid: Any,
+        verb: Any,
+        pending: Awaitable[Any],
+        frames: FrameWriter,
+    ) -> None:
+        try:
+            body = await pending
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # surfaced to the client, not fatal
-            self.m_requests.labels(verb=str(verb), outcome="error").inc()
-            response = {
-                "type": "response",
-                "id": rid,
-                "ok": False,
-                "error": str(exc),
-                "code": getattr(exc, "code", None) or type(exc).__name__,
-            }
-            # Typed errors may carry structured context (WRONG_SHARD
-            # ships the newest shard map so the refusal itself is the
-            # routing-table refresh).
-            extra = getattr(exc, "extra", None)
-            if isinstance(extra, dict):
-                response.update(extra)
-            frames.send(response)
+            body = exc
+        self._reply(rid, verb, body, frames)
+
+    def _reply(
+        self, rid: Any, verb: Any, body: Any, frames: FrameWriter
+    ) -> None:
+        """Send one request's response: ``body`` is the ok reply's
+        fields, or the exception that refused the request."""
+        if not isinstance(body, Exception):
+            try:
+                frames.send(
+                    {"type": "response", "id": rid, "ok": True, **body}
+                )
+            except Exception as exc:  # an unencodable body is refused
+                body = exc
+            else:
+                served = self._m_requests_ok.get(verb)
+                if served is None:
+                    served = self._m_requests_ok[verb] = (
+                        self.m_requests.labels(verb=verb, outcome="ok")
+                    )
+                served.inc()
+                return
+        self.m_requests.labels(verb=str(verb), outcome="error").inc()
+        response = {
+            "type": "response",
+            "id": rid,
+            "ok": False,
+            "error": str(body),
+            "code": getattr(body, "code", None) or type(body).__name__,
+        }
+        # Typed errors may carry structured context (WRONG_SHARD ships
+        # the newest shard map so the refusal itself is the
+        # routing-table refresh).
+        extra = getattr(body, "extra", None)
+        if isinstance(extra, dict):
+            response.update(extra)
+        frames.send(response)
 
     async def _handle_ping(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         return {"site": self.name, "method": self.engine.method_name}
@@ -2920,15 +2967,13 @@ class ReplicaServer:
 
         Obligations before releases: ``append_many`` shows the records
         to a channel sender that is already awake, so a peer's ack for
-        them can be on its way before the group has been applied.  The
-        whole group therefore enters the engine through *one*
-        ``accept_batch`` call, made in the same synchronous step as the
-        append: it queues on the engine's FIFO lock ahead of any
-        ``fully_acked_many`` those acks bring, exactly as the single
-        ``accept`` of a lone update would.  One ``accept`` per member
-        lets an ack in between two of them whenever an accept suspends
-        — an obligation released before it was raised is then held
-        forever, and ``settle`` hangs.
+        them can be on its way before the group has been applied.
+        Nothing suspends between the append and the group's one
+        ``accept_batch`` (every engine mutator finishes in one step),
+        so the group's obligations are raised before the loop can run
+        any ``fully_acked_many`` those acks bring.  A suspension in
+        between lets an ack release an obligation before it was
+        raised; it is then held forever, and ``settle`` hangs.
         """
         loop = asyncio.get_event_loop()
         mine: asyncio.Future = loop.create_future()
@@ -3140,7 +3185,12 @@ class ReplicaServer:
                 frontiers,
             )
 
-    async def _handle_query(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_query(
+        self, frame: Dict[str, Any]
+    ) -> Union[Dict[str, Any], Awaitable[Dict[str, Any]]]:
+        """Serve one query ET: its reply body when the engine answers it
+        in this step (:meth:`LiveEngine.read_now`), else an awaitable of
+        the body — the query parks on its keys."""
         keys = frame.get("keys")
         if not keys or not all(isinstance(k, str) for k in keys):
             raise ValueError("query needs a list of string keys")
@@ -3154,14 +3204,26 @@ class ReplicaServer:
             session=bool(frame.get("session")),
         )
         if spec.is_strict and self.peer_names:
-            outcome = await self._strict_query_guarded(keys, spec)
-        else:
-            try:
-                outcome = await self.engine.query(
-                    keys, spec, timeout=QUERY_TIMEOUT
-                )
-            except QueryTimeout as exc:
-                raise QueryTimeout(str(exc)) from None
+            self._check_strict()
+        outcome = self.engine.read_now(keys, spec)
+        if outcome is None:
+            return self._await_query(keys, spec)
+        return self._query_reply(outcome, spec)
+
+    async def _await_query(
+        self, keys: List[str], spec: EpsilonSpec
+    ) -> Dict[str, Any]:
+        try:
+            outcome = await self.engine.query(
+                keys, spec, timeout=QUERY_TIMEOUT
+            )
+        except QueryTimeout as exc:
+            raise QueryTimeout(str(exc)) from None
+        return self._query_reply(outcome, spec)
+
+    def _query_reply(
+        self, outcome: QueryOutcome, spec: EpsilonSpec
+    ) -> Dict[str, Any]:
         self.engine.note_query_outcome(outcome, spec)
         frontiers = self._applied_frontiers()
         return {
@@ -3178,16 +3240,16 @@ class ReplicaServer:
             "staleness": self.membership.frontier_lag(frontiers),
         }
 
-    async def _strict_query_guarded(self, keys, spec):
-        """Serve an ``epsilon = 0`` query with degraded-mode fail-fast.
+    def _check_strict(self) -> None:
+        """Refuse an ``epsilon = 0`` query in degraded mode.
 
         A strict query must reflect full replica agreement; while a
         peer is suspected that agreement cannot be reached (COMMU's
         lock counters stay raised, ORDUP's order stream may be ahead
         elsewhere), so the honest answer is a typed ``UNAVAILABLE``
-        within a bounded time — not a silent hang until the query
-        timeout.  The guard also trips for queries already in flight
-        when the partition starts.
+        at once — not a silent hang until the query timeout.  A strict
+        query already parked when the partition starts is failed by
+        :meth:`_check_degraded_transition`.
         """
         if self._catching_up:
             raise Unavailable(
@@ -3199,28 +3261,3 @@ class ReplicaServer:
                 "epsilon=0 query refused: peers %s suspected"
                 % ",".join(self.suspected_peers())
             )
-        query_task = asyncio.ensure_future(
-            self.engine.query(keys, spec, timeout=QUERY_TIMEOUT)
-        )
-        watcher = asyncio.ensure_future(self._until_degraded())
-        try:
-            done, _ = await asyncio.wait(
-                {query_task, watcher},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        finally:
-            for task in (query_task, watcher):
-                if not task.done():
-                    task.cancel()
-        if query_task in done:
-            watcher.cancel()
-            return query_task.result()  # raises QueryTimeout if it lost
-        raise Unavailable(
-            "epsilon=0 query aborted: peers %s became unreachable"
-            % ",".join(self.suspected_peers())
-        )
-
-    async def _until_degraded(self) -> None:
-        """Resolve when the server enters degraded mode."""
-        while not self.degraded():
-            await asyncio.sleep(self.heartbeat_interval / 2)

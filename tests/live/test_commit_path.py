@@ -256,17 +256,17 @@ def test_a_turn_of_updates_costs_one_fsync_one_log_write_one_reply_write(
 
 
 def test_group_raises_its_obligations_before_any_ack_releases_them(tmp_path):
-    """Regression: the whole group enters the engine under one lock
-    acquisition, queued in the same step as the append.
+    """Regression: nothing suspends between a group's ``append_many``
+    and its apply.
 
     ``append_many`` shows the group to the channel senders at once, so
-    the peers' cumulative ack for all of it can queue on the engine
-    lock while the group is still waiting for that lock (here: held,
-    as a waiting query holds it across a turn, until both peers have
-    acked).  Applied with one ``accept`` per member, the ack's
-    ``fully_acked_many`` runs between two members' accepts and
-    releases obligations that are raised only afterwards —
-    ``state.holders`` never empties again and ``settle`` hangs.
+    the peers' cumulative ack for all of it can be on its way before
+    the group is applied.  Given a loop turn in between, that ack's
+    ``fully_acked_many`` can run first and release obligations raised
+    only afterwards — ``state.holders`` never empties again and
+    ``settle`` hangs.  So a callback the append schedules must not have
+    run when any member of its group is applied; a strict read of the
+    hot key parks behind the group and is woken by the acks.
     """
 
     async def scenario():
@@ -282,45 +282,40 @@ def test_group_raises_its_obligations_before_any_ack_releases_them(tmp_path):
             await cluster.settle(timeout=30)
             origin = cluster.servers["site0"]
             engine = origin.engine
-            base = origin.log.assigned
+            loop = asyncio.get_running_loop()
+            latest = [[]]  # what the newest append's callback wrote
+            groups, late = [], []
+            real_append, real_accept = origin.log.append_many, engine._accept_one
 
+            def append_many(payloads, blobs=None):
+                groups.append(len(payloads))
+                marker = latest[0] = []
+                loop.call_soon(marker.append, "a loop turn ran")
+                return real_append(payloads, blobs=blobs)
+
+            def accept_one(mset, local):
+                if local and latest[0]:
+                    late.append(mset.tid)
+                return real_accept(mset, local)
+
+            origin.log.append_many = append_many
+            engine._accept_one = accept_one
             cluster.partition([["site0"], ["site1", "site2"]])
-            await engine.cond.acquire()
-            try:
-                updates = asyncio.gather(
-                    *(client.increment("hot", 1) for _ in range(16))
-                )
-                # The group is in the log, and parked at the engine.
-                for _ in range(400):
-                    if origin.log.assigned == base + 16:
-                        break
-                    await asyncio.sleep(0.005)
-                assert origin.log.assigned == base + 16
-                # A strict read of the hot key queues behind it ...
-                query = asyncio.ensure_future(
-                    engine.query(
-                        ["hot"], EpsilonSpec(import_limit=0), timeout=5.0
-                    )
-                )
-                await asyncio.sleep(0)
-                # ... and behind that, both peers' acks of the whole
-                # group at once.
-                cluster.heal()
-                for _ in range(2000):
-                    if origin.log.drained():
-                        break
-                    await asyncio.sleep(0.005)
-                assert origin.log.drained()
-                await asyncio.sleep(0.05)
-            finally:
-                engine.cond.release()
-
+            updates = asyncio.gather(
+                *(client.increment("hot", 1) for _ in range(16))
+            )
             await asyncio.wait_for(updates, timeout=10)
-            # The read found the group in flight, waited in
-            # ``_wait_for_change`` and was released by the acks.
+            query = asyncio.ensure_future(
+                engine.query(["hot"], EpsilonSpec(import_limit=0), timeout=5.0)
+            )
+            await asyncio.sleep(0)
+            assert not query.done()  # parked behind the unacked group
+            cluster.heal()
             outcome = await asyncio.wait_for(query, timeout=10)
             assert outcome.values == {"hot": 17}
             assert outcome.inconsistency == 0 and outcome.waits >= 1
+            assert sum(groups) == 16 and len(groups) < 16
+            assert late == []
             await cluster.settle(timeout=10)
             assert engine.state.holders == {}
             assert engine._pins == {} and engine._drift == {}

@@ -201,8 +201,8 @@ async def drive(cls, method, script, audit=False):
             for tid in engine._pins:  # (a decision's own tid: unknown)
                 assert engine._drift.get(tid) == drifts.get(tid), tid
 
-    # Quiesce: deliver, decide and ack everything, then let every
-    # blocked query re-serialise and finish.
+    # Quiesce: deliver, decide and ack everything; each parked query is
+    # woken by the step that frees its keys and finishes on its own.
     await flush()
     while undecided:
         await decide(MSetKind.COMMIT)
@@ -210,20 +210,13 @@ async def drive(cls, method, script, audit=False):
     for _ in range(50):
         if all(query.done() for query in queries):
             break
-        # A query re-serialising after its conflicts waits for the
-        # next change (or a 0.25 s poll); stand in for that change.
-        async with engine.cond:
-            engine.cond.notify_all()
-        for _ in range(10):
-            await asyncio.sleep(0)
+        await asyncio.sleep(0)
     return engine, [query.result() for query in queries]
 
 
 def run(coro):
-    # Not asyncio.run: its shutdown waits for every task to honour a
-    # cancel, and a query that never finishes (the bug this test is
-    # for) polls inside wait_for, which can swallow one.  Fail, don't
-    # hang.
+    # Not asyncio.run: its shutdown would cancel a query that never
+    # finished (the bug this test is for) instead of failing on it.
     loop = asyncio.new_event_loop()
     try:
         return loop.run_until_complete(coro)

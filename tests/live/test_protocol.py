@@ -21,6 +21,7 @@ from repro.core.operations import (
     TimestampedWriteOp,
     WriteOp,
 )
+from repro.consistency import Consistency
 from repro.core.transactions import EpsilonSpec, UNLIMITED
 from repro.live.protocol import (
     MAX_BATCH_ENTRIES,
@@ -164,12 +165,37 @@ class TestOperationCodec:
 
 
 class TestSpecCodec:
-    def test_unlimited_encodes_as_null(self):
-        data = encode_spec(EpsilonSpec())
-        assert data == {"import": None, "export": None, "value": None}
-        spec = decode_spec(data)
+    def test_unlimited_limits_are_omitted(self):
+        assert encode_spec(EpsilonSpec()) == {}
+        assert encode_spec(EpsilonSpec(import_limit=2)) == {"import": 2}
+        spec = decode_spec({})
         assert spec.import_limit == UNLIMITED
         assert spec.value_limit == UNLIMITED
+
+    def test_the_null_spelling_still_decodes(self):
+        spec = decode_spec({"import": None, "export": None, "value": 4.0})
+        assert spec.import_limit == UNLIMITED
+        assert spec.export_limit == UNLIMITED
+        assert spec.value_limit == 4.0
+
+    @pytest.mark.parametrize(
+        "level",
+        [
+            Consistency.CACHED,
+            Consistency.BOUNDED(3),
+            Consistency.STRICT,
+            Consistency.SESSION,
+        ],
+        ids=repr,
+    )
+    def test_a_query_request_carries_no_null(self, level):
+        request = {
+            "type": "request", "id": 7, "verb": "query", "keys": ["k"],
+            "spec": encode_spec(level.spec()),
+        }
+        if level is Consistency.SESSION:
+            request["session"] = {"site0": 3}
+        assert b"null" not in encode_frame(request)
 
     def test_finite_limits_roundtrip(self):
         spec = EpsilonSpec(import_limit=3, export_limit=0, value_limit=2.5)

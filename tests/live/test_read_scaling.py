@@ -95,6 +95,31 @@ class TestEpsilonReadCache:
         assert stats["invalidations"] == 1 and stats["entries"] == 1
 
 
+class TestCacheSessionMerge:
+    def test_a_partial_hit_leaves_the_session_token_alone(self):
+        """Regression: a multi-key session read merged each cached
+        key's frontiers into the token before knowing every key hit;
+        a miss on a later key then went to a replica with a token it
+        never observed (spurious ``SESSION_STALE`` retries)."""
+
+        async def main():
+            client = LiveClient(
+                [("127.0.0.1", 1)], cache=EpsilonReadCache(ttl=None)
+            )
+            client.cache.store("a", 1, 0.0, {"site1": 5}, now=0.0)
+            token = SessionToken({"site1": 2})
+            opts = ReadOptions(consistency=Consistency.SESSION, session=token)
+            spec = Consistency.SESSION.spec()
+            assert client._cache_lookup(["a", "b"], spec, opts) is None
+            assert token.frontiers == {"site1": 2}
+            client.cache.store("b", 2, 0.0, {"site1": 4}, now=0.0)
+            hit = client._cache_lookup(["a", "b"], spec, opts)
+            assert hit is not None and hit.values == {"a": 1, "b": 2}
+            assert token.frontiers == {"site1": 5}
+
+        run(main())
+
+
 class TestSessionTokenWire:
     def test_encode_decode_roundtrip(self):
         token = SessionToken({"site1": 4, "site0": 9})
