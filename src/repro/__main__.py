@@ -117,7 +117,7 @@ def _cmd_serve_shards(args: argparse.Namespace) -> int:
     import asyncio
 
     from .live.cluster import ShardedCluster
-    from .live.protocol import read_frame, write_frame
+    from .live.protocol import FrameProtocol
 
     async def main() -> int:
         cluster = ShardedCluster(
@@ -129,62 +129,48 @@ def _cmd_serve_shards(args: argparse.Namespace) -> int:
             fsync=args.fsync,
         )
         await cluster.start()
+        answering = set()
 
-        async def admin(reader, writer) -> None:
+        async def answer(conn, frame) -> None:
+            rid = frame.get("id")
+            verb = frame.get("verb")
             try:
-                while True:
-                    frame = await read_frame(reader)
-                    if frame is None:
-                        return
-                    rid = frame.get("id")
-                    verb = frame.get("verb")
-                    try:
-                        if verb == "ping":
-                            body = {
-                                "shards": cluster.n_shards,
-                                "epoch": cluster.map.epoch,
-                            }
-                        elif verb == "shard-map":
-                            body = {"map": cluster.map.to_dict()}
-                        elif verb == "settle":
-                            await cluster.settle(
-                                timeout=float(frame.get("wait", 30.0))
-                            )
-                            body = {"drained": True}
-                        elif verb == "migrate":
-                            new_map = await cluster.migrate(
-                                int(frame.get("shard", 0))
-                            )
-                            body = {"map": new_map.to_dict()}
-                        elif verb == "stats":
-                            body = {"stats": await cluster.shard_stats()}
-                        else:
-                            raise ValueError("unknown admin verb %r" % verb)
-                        await write_frame(
-                            writer,
-                            {"type": "response", "id": rid, "ok": True,
-                             **body},
-                        )
-                    except (ConnectionError, OSError):
-                        raise
-                    except Exception as exc:
-                        await write_frame(
-                            writer,
-                            {
-                                "type": "response",
-                                "id": rid,
-                                "ok": False,
-                                "error": str(exc),
-                                "code": type(exc).__name__,
-                            },
-                        )
-            except (ConnectionError, OSError):
-                pass
-            finally:
-                writer.close()
+                if verb == "ping":
+                    body = {
+                        "shards": cluster.n_shards,
+                        "epoch": cluster.map.epoch,
+                    }
+                elif verb == "shard-map":
+                    body = {"map": cluster.map.to_dict()}
+                elif verb == "settle":
+                    wait = float(frame.get("wait", 30.0))
+                    await cluster.settle(timeout=wait)
+                    body = {"drained": True}
+                elif verb == "migrate":
+                    new_map = await cluster.migrate(int(frame.get("shard", 0)))
+                    body = {"map": new_map.to_dict()}
+                elif verb == "stats":
+                    body = {"stats": await cluster.shard_stats()}
+                else:
+                    raise ValueError("unknown admin verb %r" % verb)
+                reply = {"type": "response", "id": rid, "ok": True, **body}
+            except Exception as exc:
+                reply = {
+                    "type": "response",
+                    "id": rid,
+                    "ok": False,
+                    "error": str(exc),
+                    "code": type(exc).__name__,
+                }
+            conn.frames.send(reply)
 
-        admin_server = await asyncio.start_server(
-            admin, args.host, args.admin_port
+        def on_admin(conn, frame) -> None:
+            task = asyncio.ensure_future(answer(conn, frame))
+            answering.add(task)
+            task.add_done_callback(answering.discard)
+
+        admin_server = await asyncio.get_running_loop().create_server(
+            lambda: FrameProtocol(on_admin), args.host, args.admin_port
         )
         admin_port = admin_server.sockets[0].getsockname()[1]
         print(

@@ -84,12 +84,10 @@ from ..core.transactions import EpsilonSpec, UNLIMITED
 from ..errors import ETError, SESSION_STALE
 from ..obs.registry import NULL_REGISTRY, Registry
 from .protocol import (
-    FrameWriter,
-    ProtocolError,
+    FrameProtocol,
+    connect_frames,
     encode_ops,
     encode_spec,
-    read_frame,
-    write_frame,
 )
 from .read_cache import EpsilonReadCache
 
@@ -234,14 +232,22 @@ async def request_once(
     server's code; a connection closed before the reply raises
     ``ConnectionError``.
     """
-    reader, writer = await asyncio.open_connection(*addr)
+    answer: "asyncio.Future[Optional[Dict[str, Any]]]" = (
+        asyncio.get_running_loop().create_future()
+    )
+
+    def on_frame(conn: FrameProtocol, frame: Optional[Dict[str, Any]]) -> None:
+        if not answer.done():
+            answer.set_result(frame)
+
+    conn = await connect_frames(addr, on_frame)
+    conn.lost.add_done_callback(lambda _: on_frame(conn, None))
     try:
-        await write_frame(
-            writer, {"type": "request", "id": 1, "verb": verb, **fields}
-        )
-        reply = await asyncio.wait_for(read_frame(reader), timeout=timeout)
+        conn.frames.send({"type": "request", "id": 1, "verb": verb, **fields})
+        reply = await asyncio.wait_for(answer, timeout=timeout)
     finally:
-        writer.close()
+        conn.close()
+        await conn.wait_closed()
     if reply is None:
         raise ConnectionError(
             "replica %s:%d closed during %s" % (addr[0], addr[1], verb)
@@ -288,15 +294,14 @@ class LiveClient:
         #: over to a secondary (0 disables rehoming).
         self._primary_retry_interval = max(0.0, primary_retry_interval)
         self._rng = rng if rng is not None else random.Random()
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        #: the per-turn request buffer over ``_writer``.
-        self._frames: Optional[FrameWriter] = None
+        #: the live connection; its responses resolve ``_waiting``.
+        self._conn: Optional[FrameProtocol] = None
         self._ids = itertools.count(1)
         self._waiting: Dict[int, asyncio.Future] = {}
         self._dial_lock = asyncio.Lock()
         self._closed = False
-        self._reader_task: Optional[asyncio.Task] = None
+        #: True once a connection was attached (the next is a redial).
+        self._dialed = False
         #: observability: completed redials since construction.
         self.reconnects = 0
         #: index into the address list of the live connection (0 is
@@ -368,7 +373,7 @@ class LiveClient:
 
     @property
     def connected(self) -> bool:
-        return self._writer is not None and not self._writer.is_closing()
+        return self._conn is not None and not self._conn.closing
 
     # -- connection management -----------------------------------------------
 
@@ -404,35 +409,32 @@ class LiveClient:
         if now - self._last_primary_probe < self._primary_retry_interval:
             return
         self._last_primary_probe = now
-        host, port = self._addrs[0]
         try:
-            reader, writer = await asyncio.open_connection(host, port)
+            conn = await connect_frames(self._addrs[0], self._on_response)
         except (OSError, ConnectionError):
             return  # primary still down: stay failed over
         if self._waiting or not self.connected or self._closed:
-            writer.close()  # a bad moment to swap; try again later
+            conn.close()  # a bad moment to swap; try again later
             return
         self._teardown_connection()
-        self._attach(reader, writer, 0)
+        self._attach(conn, 0)
         self.rehomes += 1
 
     async def _dial(self) -> None:
         """Try each address with jittered exponential backoff."""
-        redial = self._reader_task is not None
+        redial = self._dialed
         self._teardown_connection()
         last_error: Optional[BaseException] = None
         for attempt in range(self._max_attempts):
-            for index, (host, port) in enumerate(self._addrs):
+            for index, addr in enumerate(self._addrs):
                 if self._closed:
                     raise ConnectionError("client is closed")
                 try:
-                    reader, writer = await asyncio.open_connection(
-                        host, port
-                    )
+                    conn = await connect_frames(addr, self._on_response)
                 except (OSError, ConnectionError) as exc:
                     last_error = exc
                     continue
-                self._attach(reader, writer, index)
+                self._attach(conn, index)
                 if redial:
                     self.reconnects += 1
                 return
@@ -442,18 +444,12 @@ class LiveClient:
             "could not reach any of %r: %s" % (self._addrs, last_error)
         )
 
-    def _attach(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        index: int,
-    ) -> None:
+    def _attach(self, conn: FrameProtocol, index: int) -> None:
         """Make an open connection to ``_addrs[index]`` the live one."""
-        self._reader = reader
-        self._writer = writer
-        self._frames = FrameWriter(writer)
+        self._conn = conn
         self._active_index = index
-        self._reader_task = asyncio.ensure_future(self._read_loop(reader))
+        self._dialed = True
+        conn.lost.add_done_callback(lambda _: self._on_lost(conn))
 
     def _backoff(self, attempt: int) -> float:
         """Exponential backoff with full jitter (decorrelates a herd
@@ -464,13 +460,9 @@ class LiveClient:
         return self._rng.uniform(0, ceiling)
 
     def _teardown_connection(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
-        self._reader = None
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
         self._fail_waiting(ConnectionError("connection lost"))
 
     def _fail_waiting(self, error: Exception) -> None:
@@ -479,31 +471,19 @@ class LiveClient:
                 fut.set_exception(error)
         self._waiting.clear()
 
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
-        try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                rid = frame.get("id")
-                fut = self._waiting.pop(rid, None)
-                if fut is not None and not fut.done():
-                    fut.set_result(frame)
-        except asyncio.CancelledError:
-            return  # close()/redial cancelled us; they handle cleanup
-        except (ConnectionError, OSError, ProtocolError):
-            pass  # the connection died; fail the waiters below
-        finally:
-            if self._reader is reader:
-                # Mark the connection dead so the next request redials
-                # instead of writing into a half-closed socket.
-                self._reader = None
-                if self._writer is not None:
-                    self._writer.close()
-                    self._writer = None
-                self._fail_waiting(
-                    ConnectionError("server connection closed")
-                )
+    def _on_response(self, conn: FrameProtocol, frame: Dict[str, Any]) -> None:
+        """A response, in the step that parsed it: its request's future
+        resolves."""
+        fut = self._waiting.pop(frame.get("id"), None)
+        if fut is not None and not fut.done():
+            fut.set_result(frame)
+
+    def _on_lost(self, conn: FrameProtocol) -> None:
+        if self._conn is conn:
+            # Mark the connection dead so the next request redials
+            # instead of writing into a half-closed socket.
+            self._conn = None
+            self._fail_waiting(ConnectionError("server connection closed"))
 
     # -- requests ------------------------------------------------------------
 
@@ -552,10 +532,13 @@ class LiveClient:
             await self._ensure_connected()
         elif not self.connected:
             raise ConnectionError("client is not connected")
+        conn = self._conn
+        if conn is None:  # lost while a rehome probe was dialing
+            raise ConnectionError("connection lost")
         rid = next(self._ids)
         fut: asyncio.Future = asyncio.get_event_loop().create_future()
         self._waiting[rid] = fut
-        frames = self._frames
+        frames = conn.frames
         try:
             # Buffered with whatever else this turn sends; ``fut`` fails
             # if the buffer never reaches the socket.
@@ -1025,7 +1008,7 @@ class LiveClient:
         )
         await client._ensure_connected()
         # Two reads may race to dial the same replica; keep one
-        # connection and close the loser, or its reader task leaks.
+        # connection and close the loser, or its socket leaks.
         existing = self._pool.get(addr)
         if existing is not None and not existing._closed:
             await client.close()
@@ -1146,24 +1129,11 @@ class LiveClient:
         self._pool.clear()
         for client in pool:
             await client.close()
-        task = self._reader_task
-        self._reader_task = None
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
         self._fail_waiting(ConnectionError("client closed"))
-        writer = self._writer
-        self._writer = None
-        self._reader = None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
+            await conn.wait_closed()
 
 
 class LiveSession:

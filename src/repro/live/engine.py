@@ -12,9 +12,13 @@ and live provably run the same MSet-processing logic.
 
 Engines are transport-agnostic: the server layer decides how MSets
 travel (durable queues over TCP) and calls :meth:`LiveEngine.accept`
-for every delivered MSet, local or remote.  Every mutator finishes in
-the step of the event loop that calls it, so none needs a lock.  A
-query that can be charged now is answered in one step too
+for every delivered MSet, local or remote.  Every mutator —
+:meth:`~LiveEngine.accept`, :meth:`~LiveEngine.accept_batch`,
+:meth:`~LiveEngine.fully_acked_many`, :meth:`~LiveEngine.hold_counters`,
+:meth:`~LiveEngine.checkpoint`, :meth:`~LiveEngine.restore` — is a plain
+method, so none needs a lock and the server calls each in the step
+that delivered its frame.  A query that can be charged now is answered
+in one step too
 (:meth:`LiveEngine.read_now`); one that must wait for divergence
 control parks a future under each of its keys, and the step that frees
 a key — a lock-counter release, a COMPE decision, a restore — wakes it.
@@ -295,17 +299,17 @@ class LiveEngine:
     def close(self) -> None:
         """Release method-owned resources (durable log handles)."""
 
-    async def accept(self, mset: MSet, local: bool = False) -> List[MSet]:
+    def accept(self, mset: MSet, local: bool = False) -> List[MSet]:
         """Process one delivered MSet; returns the MSets applied now.
 
         ``local`` marks the origin's own copy (it may carry divergence
         obligations a remote copy does not).  Recovery replays both
-        kinds through this same entry point.  Like every mutator it
-        finishes in the step that calls it: nothing in it awaits.
+        kinds through this same entry point.  Like every mutator it is a
+        plain method: it finishes in the step that calls it.
         """
         return self._accept_all((mset,), local)
 
-    async def accept_batch(
+    def accept_batch(
         self, msets: Sequence[MSet], local: bool = False
     ) -> List[MSet]:
         """Process a whole delivered batch in one step.
@@ -376,7 +380,7 @@ class LiveEngine:
     def pop_read_results(self, tid: Any) -> Dict[str, Any]:
         return self.read_results.pop(tid, {})
 
-    async def fully_acked_many(
+    def fully_acked_many(
         self, items: Sequence[Tuple[Any, Sequence[str]]]
     ) -> None:
         """Every peer durably holds these local updates' MSets, given
@@ -388,7 +392,7 @@ class LiveEngine:
         they free.  No-op for methods without any.
         """
 
-    async def hold_counters(self, mset: MSet) -> None:
+    def hold_counters(self, mset: MSet) -> None:
         """Re-assert the divergence obligation of a still-unacked local
         update whose apply is already inside a restored checkpoint (so
         replay could not re-raise it).  No-op for methods without
@@ -470,7 +474,7 @@ class LiveEngine:
 
     # -- checkpoint / restore ------------------------------------------------
 
-    async def checkpoint(self) -> Dict[str, Any]:
+    def checkpoint(self) -> Dict[str, Any]:
         """A JSON-safe image of this engine's applied state.
 
         Captured in one step: store values with their write stamps (the RITU multiversion floor — a
@@ -505,7 +509,7 @@ class LiveEngine:
         """Method-specific additions to the checkpoint image."""
         return {}
 
-    async def restore(self, state: Dict[str, Any]) -> None:
+    def restore(self, state: Dict[str, Any]) -> None:
         """Install a checkpoint image, replacing all applied state.
 
         The caller (server recovery or snapshot install) is
@@ -623,13 +627,13 @@ class CommuLiveEngine(LiveEngine):
             self._unpin(tid)
             self._wake(keys)
 
-    async def fully_acked_many(
+    def fully_acked_many(
         self, items: Sequence[Tuple[Any, Sequence[str]]]
     ) -> None:
         for tid, keys in items:
             self._release(tid, keys)
 
-    async def hold_counters(self, mset: MSet) -> None:
+    def hold_counters(self, mset: MSet) -> None:
         if self.state.raise_counters(mset.tid, mset.keys):
             self._note_drift(mset)
 
@@ -768,8 +772,9 @@ class OrdupLiveEngine(LiveEngine):
     def adopt_epoch(self, epoch: int, base: int) -> None:
         """Record a leadership handover: ``epoch``'s leader resumed at ``base``.
 
-        Must be called with the server's apply lock held (like
-        ``accept``).  Purges held-back MSets that the handover fences:
+        A plain method like ``accept``: the server adopts an epoch in
+        one step, between applies.  Purges held-back MSets that the
+        handover fences:
         entries above ``base`` carrying an older epoch were granted by
         a deposed leader after the handover point and can never become
         applicable.

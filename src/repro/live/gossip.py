@@ -401,6 +401,77 @@ class MembershipTable:
         return len(self._records)
 
 
+class _GapWindow:
+    """The last ``size`` inter-arrival gaps of one peer, with the sums
+    of their deviations from ``shift`` kept as they arrive: the mean and
+    variance cost O(1) per arrival instead of a pass over the window.
+
+    The sums are recomputed exactly — ``shift`` set to the window's
+    mean, one pass — once per window wrap, so rounding from adding and
+    removing terms cannot build up; and, sooner, whenever the variance
+    has fallen so far below the largest squared deviation still summed
+    (an outlier evicted from a steady stream) that the rounding left by
+    that term could show in the standard deviation.
+    """
+
+    __slots__ = ("gaps", "shift", "s1", "s2", "largest", "since")
+
+    #: variance, relative to the largest squared deviation summed, below
+    #: which the running sums are recomputed exactly (their rounding is
+    #: ~1e-13 of that deviation).
+    EXACT_BELOW = 1e-4
+
+    def __init__(self, size: int) -> None:
+        self.gaps: Deque[float] = deque(maxlen=size)
+        self.shift = 0.0
+        self.s1 = 0.0
+        self.s2 = 0.0
+        self.largest = 0.0
+        self.since = 0
+
+    def add(self, gap: float) -> None:
+        gaps = self.gaps
+        if not gaps:
+            self.shift = gap
+        elif len(gaps) == gaps.maxlen:
+            gone = gaps[0] - self.shift
+            self.s1 -= gone
+            self.s2 -= gone * gone
+        gaps.append(gap)
+        d = gap - self.shift
+        self.s1 += d
+        self.s2 += d * d
+        if d * d > self.largest:
+            self.largest = d * d
+        self.since += 1
+        if self.since >= gaps.maxlen:
+            self._recompute()
+
+    def _recompute(self) -> None:
+        gaps = self.gaps
+        shift = sum(gaps) / len(gaps)
+        s1 = s2 = largest = 0.0
+        for gap in gaps:
+            d = gap - shift
+            s1 += d
+            s2 += d * d
+            if d * d > largest:
+                largest = d * d
+        self.shift, self.s1, self.s2 = shift, s1, s2
+        self.largest, self.since = largest, 0
+
+    def bound(self) -> float:
+        """``mean + 4 * stddev`` of the window."""
+        n = len(self.gaps)
+        mean = self.s1 / n
+        var = self.s2 / n - mean * mean
+        if var < self.EXACT_BELOW * self.largest and self.since:
+            self._recompute()
+            mean = self.s1 / n
+            var = self.s2 / n - mean * mean
+        return self.shift + mean + 4.0 * math.sqrt(max(var, 0.0))
+
+
 class FailureDetector:
     """Adaptive suspicion-then-dead detector over heartbeat arrivals.
 
@@ -423,7 +494,7 @@ class FailureDetector:
         self.min_samples = int(min_samples)
         self.dead_multiple = float(dead_multiple)
         self._window = int(window)
-        self._gaps: Dict[str, Deque[float]] = {}
+        self._gaps: Dict[str, _GapWindow] = {}
         self._last: Dict[str, float] = {}
         #: peer -> suspicion bound over its current window: recomputed
         #: when the window changes, read on every query response.
@@ -437,15 +508,12 @@ class FailureDetector:
         gap = now - last
         if gap <= 0:
             return
-        gaps = self._gaps.setdefault(peer, deque(maxlen=self._window))
-        gaps.append(gap)
-        if len(gaps) >= self.min_samples:
-            n = len(gaps)
-            mean = sum(gaps) / n
-            var = sum((g - mean) ** 2 for g in gaps) / n
-            self._timeouts[peer] = max(
-                self.floor, mean + 4.0 * math.sqrt(var)
-            )
+        window = self._gaps.get(peer)
+        if window is None:
+            window = self._gaps[peer] = _GapWindow(self._window)
+        window.add(gap)
+        if len(window.gaps) >= self.min_samples:
+            self._timeouts[peer] = max(self.floor, window.bound())
 
     def forget(self, peer: str) -> None:
         self._gaps.pop(peer, None)

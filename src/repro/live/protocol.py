@@ -37,7 +37,7 @@ one channel payload, computed once when an MSet enters its
 replication log and forwarded byte-for-byte from then on (zero
 re-encode relay).  :func:`decode_bin_frame` validates a body totally —
 every malformation is a :class:`ProtocolError` — and :func:`read_frame`
-hands both kinds to consumers as dicts keyed by ``"type"``.
+decodes both kinds to dicts keyed by ``"type"``.
 
 One JSON codec, orjson, encodes and decodes every document an update
 crosses — frames, payload blobs, log lines — and rewrites no value.
@@ -52,9 +52,14 @@ that overflowed is encoded by the stdlib as ``Infinity``, which
 ``membership.json``, the shard manifest, session tokens, trace JSONL —
 stay on the stdlib ``json``.
 
-Writes are per turn, not per frame: a :class:`FrameWriter` buffers
-whatever one event-loop turn sends on a connection — replies, acks,
-requests, of either kind — and hands it to the socket in one write.
+Every socket the runtime owns — the replica listener, the peer
+channels, clients, the order connection, the admin endpoint — runs one
+:class:`FrameProtocol`: no stream, no reader task.  Its
+``data_received`` cuts the frames out of what the socket delivered and
+hands each to its consumer in that same step.  Writes are per turn,
+not per frame: the connection's :class:`FrameWriter` buffers whatever
+one event-loop turn sends on it — replies, acks, requests, of either
+kind — and hands it to the transport in one write.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ import asyncio
 import json
 import math
 import struct
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import orjson
 
@@ -87,11 +92,12 @@ __all__ = [
     "ProtocolError",
     "dumps",
     "loads",
+    "FrameProtocol",
     "FrameWriter",
+    "READ_AHEAD",
+    "connect_frames",
     "encode_frame",
     "read_frame",
-    "write_frame",
-    "write_encoded",
     "payload_blob",
     "encode_bin_batch_frame",
     "encode_bin_ack_frame",
@@ -187,27 +193,15 @@ def encode_frame(obj: Dict[str, Any]) -> bytes:
     return _LEN.pack(len(body)) + body
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
-    """Read one frame (JSON or binary); ``None`` on clean EOF.
+def read_frame(body: bytes, binary: int) -> Dict[str, Any]:
+    """Decode one frame's body; ``binary``: the length word's high bit.
 
-    Binary frames come back as dicts too (``mset-batch`` carries its
-    entries under ``"blobs"`` as undecoded payload bytes), so every
-    consumer dispatches on ``frame["type"]``.
+    The per-frame decoder :class:`FrameProtocol` calls for every frame
+    it cuts out of a connection's receive buffer.  Binary frames come
+    back as dicts too (``mset-batch`` carries its entries under
+    ``"blobs"`` as undecoded payload bytes), so every consumer
+    dispatches on ``frame["type"]``.
     """
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    (length,) = _LEN.unpack(header)
-    binary = bool(length & _BIN_FLAG)
-    if binary:
-        length &= ~_BIN_FLAG
-    if length > MAX_FRAME:
-        raise ProtocolError("frame of %d bytes exceeds MAX_FRAME" % length)
-    try:
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
     if binary:
         return decode_bin_frame(body)
     try:
@@ -219,40 +213,17 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     return obj
 
 
-async def write_frame(
-    writer: asyncio.StreamWriter, obj: Dict[str, Any]
-) -> None:
-    """Write one frame and flush it to the socket."""
-    writer.write(encode_frame(obj))
-    await writer.drain()
-
-
-async def write_encoded(
-    writer: asyncio.StreamWriter, chunks: Sequence[bytes]
-) -> None:
-    """Write pre-encoded frame bytes as one buffered burst.
-
-    The propagation sender hands over complete on-wire frames (header
-    included); this is the bytes-in -> bytes-out tail of the zero
-    re-encode relay.
-    """
-    if not chunks:
-        return
-    writer.write(b"".join(chunks))
-    await writer.drain()
-
-
 class FrameWriter:
-    """Everything one loop turn writes to a connection, as one socket
-    write.
+    """Everything one loop turn writes to a connection, as one
+    transport write.
 
     :meth:`write` (encoded bytes) and :meth:`send` (a JSON frame)
     append to one ordered buffer, and the first of a turn schedules a
     ``call_soon`` flush that hands the whole buffer to the transport in
     a single ``write``: a turn's frames leave in call order, whichever
-    coroutine wrote them and whichever kind they are.  Nothing
-    bounds the batch — no size cap, no timer: it is what the turn
-    produced, so a lone frame waits for nothing but the end of its
+    callback or coroutine wrote them and whichever kind they are.
+    Nothing bounds the batch — no size cap, no timer: it is what the
+    turn produced, so a lone frame waits for nothing but the end of its
     turn.
 
     A frame may carry a *waiter*, a future that is failed if the frame
@@ -261,18 +232,18 @@ class FrameWriter:
     buffer carried fail, and no one else.
 
     Back-pressure is :meth:`drain`: a producer that awaits it after
-    writing stops while the transport is paused.  However many do, at
-    most one of them is inside ``StreamWriter.drain()`` at a time —
-    Python 3.9 and 3.10 assert on a second waiter while paused.
+    writing waits while the transport's buffer is over its high-water
+    mark (:meth:`pause` / :meth:`resume`, driven by the protocol's
+    ``pause_writing`` / ``resume_writing``), however many producers do.
     """
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self._writer = writer
+    def __init__(self, transport: asyncio.WriteTransport) -> None:
+        self._transport = transport
         self._loop = asyncio.get_running_loop()
         self._frames: List[bytes] = []
         self._waiters: List["asyncio.Future[Any]"] = []
-        #: set while some coroutine is inside ``StreamWriter.drain()``.
-        self._draining: Optional["asyncio.Future[None]"] = None
+        #: set while the transport is over its high-water mark.
+        self._paused: Optional["asyncio.Future[None]"] = None
 
     def write(
         self, data: bytes, waiter: Optional["asyncio.Future[Any]"] = None
@@ -296,29 +267,210 @@ class FrameWriter:
         frames, self._frames = self._frames, []
         waiters, self._waiters = self._waiters, []
         try:
-            if self._writer.transport.is_closing():
+            if self._transport.is_closing():
                 raise ConnectionResetError("connection lost before the write")
-            self._writer.write(b"".join(frames))
+            self._transport.write(b"".join(frames))
         except (ConnectionError, OSError) as exc:
             for waiter in waiters:
                 if not waiter.done():
                     waiter.set_exception(exc)
 
+    def pause(self) -> None:
+        if self._paused is None:
+            self._paused = self._loop.create_future()
+
+    def resume(self) -> None:
+        paused, self._paused = self._paused, None
+        if paused is not None:
+            paused.set_result(None)
+
     async def drain(self) -> None:
         """Return once the transport takes more; at once unless it is
-        holding bytes the kernel would not."""
-        while self._draining is not None:
-            # Shielded: a cancelled waiter must not cancel the future
-            # every other waiter is parked on.
-            await asyncio.shield(self._draining)
-        if not self._writer.transport.get_write_buffer_size():
-            return
-        self._draining = self._loop.create_future()
-        try:
-            await self._writer.drain()
-        finally:
-            draining, self._draining = self._draining, None
-            draining.set_result(None)
+        paused."""
+        while self._paused is not None:
+            # Shielded: a cancelled producer must not cancel the future
+            # every other producer is parked on.
+            await asyncio.shield(self._paused)
+
+
+#: unparsed bytes a held connection buffers before it stops reading.
+READ_AHEAD = 1 << 18
+
+
+class FrameProtocol(asyncio.Protocol):
+    """One connection of the live runtime, both directions: an
+    :class:`asyncio.Protocol`, so no stream and no reader task.
+
+    :meth:`data_received` cuts every complete frame out of the bytes it
+    is given — one growable receive buffer holds only what straddles a
+    read — decodes each with :func:`read_frame` and hands it to
+    ``on_frame(conn, frame)`` in the same step.  A consumer that must
+    not see the next frame in this step calls :meth:`hold`: the parser
+    returns to the loop and goes on next turn, so one connection's
+    batch frames take turns with every other connection's.  Bytes that
+    arrive meanwhile are buffered, up to :data:`READ_AHEAD`, then the
+    connection stops reading.  A frame that does not decode —
+    oversized, truncated, not an object — is handed to
+    ``on_error(exc)`` and closes the connection.
+
+    Writes go through :attr:`frames`, the connection's
+    :class:`FrameWriter`.  While the transport's write buffer is over
+    its high-water mark, :meth:`FrameWriter.drain` waits and, with
+    ``throttle_reads``, the connection reads nothing either: a side
+    that answers what it reads takes no more than its answers drain.
+    """
+
+    def __init__(
+        self,
+        on_frame: Callable[["FrameProtocol", Dict[str, Any]], None],
+        on_error: Optional[Callable[[ProtocolError], None]] = None,
+        throttle_reads: bool = False,
+    ) -> None:
+        self._on_frame = on_frame
+        self._on_error = on_error
+        self._throttle = throttle_reads
+        self._buf = bytearray()
+        #: no further frame is parsed this turn (or ever, once closed).
+        self._held = False
+        #: why reading is paused ("writes", "buffer"); empty: reading.
+        self._stops: Set[str] = set()
+        self._loop = asyncio.get_running_loop()
+        #: resolved by ``connection_lost``.
+        self.lost: "asyncio.Future[None]" = self._loop.create_future()
+        self.transport: Optional[asyncio.Transport] = None
+        self.frames: FrameWriter
+
+    # -- transport callbacks ---------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.frames = FrameWriter(transport)  # type: ignore[arg-type]
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._held = True
+        self.frames.resume()  # a parked producer finds the loss itself
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.frames.pause()
+        if self._throttle:
+            self._stop("writes")
+
+    def resume_writing(self) -> None:
+        self.frames.resume()
+        if self._throttle:
+            self._go("writes")
+
+    def data_received(self, data: bytes) -> None:
+        buf = self._buf
+        if buf or self._held:
+            buf += data
+            if not self._held:
+                self._parse()
+        else:
+            used = self._cut(data)
+            if used < len(data):
+                buf += memoryview(data)[used:]
+        if self._held and len(buf) > READ_AHEAD:
+            self._stop("buffer")
+
+    # -- parsing ---------------------------------------------------------------
+
+    def _cut(self, src: Any) -> int:
+        """Hand each complete frame at the start of ``src`` to the
+        consumer, until it holds; returns the bytes consumed."""
+        pos = 0
+        size = len(src)
+        with memoryview(src) as view:
+            while size - pos >= 4 and not self._held:
+                (length,) = _LEN.unpack_from(view, pos)
+                binary = length & _BIN_FLAG
+                length &= ~_BIN_FLAG
+                if length > MAX_FRAME:
+                    self._fail(
+                        ProtocolError(
+                            "frame of %d bytes exceeds MAX_FRAME" % length
+                        )
+                    )
+                    break
+                end = pos + 4 + length
+                if end > size:
+                    break
+                body = bytes(view[pos + 4:end])
+                pos = end
+                try:
+                    frame = read_frame(body, binary)
+                except ProtocolError as exc:
+                    self._fail(exc)
+                    break
+                self._on_frame(self, frame)
+        return pos
+
+    def _parse(self) -> None:
+        buf = self._buf
+        del buf[:self._cut(buf)]
+        if not self._held or len(buf) <= READ_AHEAD:
+            self._go("buffer")
+
+    def hold(self) -> None:
+        """Parse no further frame in this step: go on next turn."""
+        self._held = True
+        self._loop.call_soon(self._release)
+
+    def _release(self) -> None:
+        if self.transport is not None and not self.transport.is_closing():
+            self._held = False
+            self._parse()
+
+    def _fail(self, exc: ProtocolError) -> None:
+        if self._on_error is not None:
+            self._on_error(exc)
+        self.close()
+
+    def _stop(self, reason: str) -> None:
+        if not self._stops:
+            self.transport.pause_reading()  # type: ignore[union-attr]
+        self._stops.add(reason)
+
+    def _go(self, reason: str) -> None:
+        if reason in self._stops:
+            self._stops.discard(reason)
+            if not self._stops:
+                self.transport.resume_reading()  # type: ignore[union-attr]
+
+    # -- lifetime --------------------------------------------------------------
+
+    @property
+    def closing(self) -> bool:
+        return self.transport is None or self.transport.is_closing()
+
+    def close(self) -> None:
+        """Stop parsing; close once what is buffered for writing left."""
+        self._held = True
+        if self.transport is not None:
+            self.transport.close()
+
+    def abort(self) -> None:
+        """Stop parsing and drop the connection now (a crash)."""
+        self._held = True
+        if self.transport is not None:
+            self.transport.abort()
+
+    async def wait_closed(self) -> None:
+        await asyncio.shield(self.lost)
+
+
+async def connect_frames(
+    addr: Tuple[str, int],
+    on_frame: Callable[[FrameProtocol, Dict[str, Any]], None],
+) -> FrameProtocol:
+    """Dial ``addr`` and run a :class:`FrameProtocol` on the socket."""
+    loop = asyncio.get_running_loop()
+    _, conn = await loop.create_connection(
+        lambda: FrameProtocol(on_frame), addr[0], addr[1]
+    )
+    return conn
 
 
 # -- binary frames -----------------------------------------------------------
@@ -625,8 +777,8 @@ def encode_mset(mset: MSet, ops: Optional[list] = None) -> Dict[str, Any]:
 def decode_mset(data: Dict[str, Any]) -> MSet:
     """Decode one encoded MSet, totally: any malformed payload raises
     :class:`ProtocolError`, never a bare ``ValueError``/``TypeError``
-    that would escape the receive loop's protocol-error handling (and
-    kill the connection task with an unhandled exception).
+    that would escape the receiver's protocol-error handling (and
+    leave ``data_received`` with an unhandled exception).
     """
     if not isinstance(data, dict):
         raise ProtocolError("mset must be an object: %r" % (data,))

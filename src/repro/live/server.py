@@ -20,9 +20,10 @@ by channel sequence number.
 
 Commit hot path (batched at the loop turn, no knob): the updates one
 event-loop turn delivers commit as one *group* — one log append, one
-fsync, one engine step (:meth:`ReplicaServer._commit_local`)
-— and everything a turn writes back on a connection leaves in one
-socket write (:class:`~repro.live.protocol.FrameWriter`).
+fsync, one engine step (:meth:`ReplicaServer._commit_local`), led by
+one callback, with no task per update — and everything a turn writes
+back on a connection leaves in one socket write
+(:class:`~repro.live.protocol.FrameWriter`).
 
 Propagation hot path (batched + pipelined, no knob): each peer channel
 ships what the log owes the peer as ``mset-batch`` frames (everything
@@ -30,13 +31,17 @@ pending, up to ``FRAME_MSETS`` a frame) with ``FRAMES_IN_FLIGHT`` of
 them unacknowledged instead of stop-and-waiting on each.  Acks are
 *cumulative* — ``ack.seq`` covers every channel sequence number
 ``<= seq`` — so one reply can retire several frames and the peer's
-cursor moves in one step.  The receive side records a batch with one
-group-commit append (single write, one fsync before its ack), applies
-it in one engine step, then yields to the loop before
-the next frame; backpressure is structural: a receiver does not read
-the next frame from a connection until the current batch is durable and
-applied, so a fast sender fills TCP flow control (bounded by the frames
-in flight) instead of the receiver's memory.
+cursor moves in one step.  Every connection is one
+:class:`~repro.live.protocol.FrameProtocol`, and every frame is
+handled in the step its socket delivered it: the receive side records
+a batch with one group-commit append (single write, one fsync before
+its ack), applies it in one engine step and acks it, all inside
+``data_received``, then parses that connection's next frame a turn
+later; a cumulative ack retires its window where it is parsed.
+Backpressure is structural: a connection buffers little while it is
+held, and a replica stops reading a connection whose answers back up,
+so a fast sender fills TCP flow control (bounded by the frames in
+flight) instead of the receiver's memory.
 
 One peer wire: a channel opens with a JSON ``peer-hello`` naming the
 sender and streams binary frames from the next byte on — nothing is
@@ -129,8 +134,10 @@ from .faults import FaultPlan
 from .gossip import DEAD, LEFT, SUSPECT, FailureDetector, MembershipTable
 from .protocol import (
     MAX_FRAME,
+    FrameProtocol,
     FrameWriter,
     ProtocolError,
+    connect_frames,
     decode_mset,
     decode_ops,
     decode_spec,
@@ -139,9 +146,6 @@ from .protocol import (
     encode_mset,
     loads,
     payload_blob,
-    read_frame,
-    write_encoded,
-    write_frame,
 )
 from .shard import WrongShard, key_shard
 from .snapshot import (
@@ -247,6 +251,47 @@ COMMIT_TIMEOUT = 30.0
 ACK_TIMEOUT = 2.0
 
 
+def _resolve(waiter: asyncio.Future) -> None:
+    if not waiter.done():
+        waiter.set_result(None)
+
+
+class _Wakeup:
+    """A flag one coroutine parks on, without a task per wait.
+
+    :meth:`set` raises the flag and wakes the parked :meth:`wait`;
+    :meth:`wait` returns at once while the flag is up, else parks one
+    future with one ``call_later`` deadline (``asyncio.wait_for`` would
+    wrap a task around every wake-up on Python 3.10 and 3.11).
+    """
+
+    __slots__ = ("is_set", "_waiter")
+
+    def __init__(self) -> None:
+        self.is_set = True
+        self._waiter: Optional[asyncio.Future] = None
+
+    def set(self) -> None:
+        self.is_set = True
+        if self._waiter is not None:
+            _resolve(self._waiter)
+
+    def clear(self) -> None:
+        self.is_set = False
+
+    async def wait(self, timeout: float) -> None:
+        if self.is_set:
+            return
+        loop = asyncio.get_running_loop()
+        waiter = self._waiter = loop.create_future()
+        timer = loop.call_later(timeout, _resolve, waiter)
+        try:
+            await waiter
+        finally:
+            timer.cancel()
+            self._waiter = None
+
+
 class ReplicaServer:
     """One live replica site serving ESR protocols over TCP."""
 
@@ -331,17 +376,23 @@ class ReplicaServer:
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
+        #: the loop :meth:`bind` ran on.
+        self._loop: asyncio.AbstractEventLoop
         self._running = False
         #: the replication log: every MSet this site originates, once,
         #: with one cursor per peer (opened by :meth:`bind`).
         self.log: DurableOutbox
         #: peer -> what this site durably holds from it.
         self.inboxes: Dict[str, DurableInbox] = {}
-        self._outbox_events: Dict[str, asyncio.Event] = {}
+        #: peer -> the wake-up of its channel sender.
+        self._outbox_events: Dict[str, _Wakeup] = {}
         #: long-lived background tasks (:meth:`_spawn`), cancelled by
         #: :meth:`stop`.
         self._tasks: Set[asyncio.Task] = set()
+        #: the tasks of requests whose handler returned a coroutine.
         self._conn_tasks: Set[asyncio.Task] = set()
+        #: the listener's open connections, aborted by :meth:`stop`.
+        self._conns: Set[FrameProtocol] = set()
         #: peer -> monotonic instant of last evidence it is alive.
         self.peer_last_seen: Dict[str, float] = {}
         #: peer -> consecutive channel connect/send failures.
@@ -350,16 +401,18 @@ class ReplicaServer:
         self._ack_latencies: Dict[str, Deque[float]] = {}
         #: peer -> total MSets cumulatively acknowledged since boot.
         self.acked_msets: Dict[str, int] = {}
-        #: notified whenever the drain condition may have changed; the
-        #: ``settle`` verb waits here instead of clients busy-polling.
-        self._drain_cond = asyncio.Condition()
+        #: the parked ``settle`` requests, resolved whenever the drain
+        #: condition may have changed (:meth:`_notify_drain`) instead of
+        #: clients busy-polling.
+        self._settle_waiters: Set[asyncio.Future] = set()
         #: tid -> future resolved when the MSet applies locally (ORDUP).
         self._apply_futures: Dict[Any, asyncio.Future] = {}
         #: tid -> future resolved when all peers acked (sync commit).
         self._full_ack_futures: Dict[Any, asyncio.Future] = {}
-        self._order_conn: Optional[
-            Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-        ] = None
+        #: the cached connection to the order site, and the future of
+        #: its one outstanding request.
+        self._order_conn: Optional[FrameProtocol] = None
+        self._order_reply: Optional[asyncio.Future] = None
         self._order_lock = asyncio.Lock()
         #: the order-token counter (opened by :meth:`bind`).
         self._order_log: GrantLog
@@ -392,17 +445,15 @@ class ReplicaServer:
         self._channels_started = False
         #: last degraded() value the monitor observed (gauge flips).
         self._last_degraded = False
-        #: serializes record-then-apply against snapshot capture: a
-        #: snapshot taken between an inbox record and its engine apply
-        #: would claim a frontier whose effects it does not contain.
-        self._apply_lock = asyncio.Lock()
         #: the group commit's waiting members — (MSet maker, order
-        #: token, result future) — and whether one of them is leading.
+        #: token, result future, reply builder) — and whether a group
+        #: is scheduled to lead them.
         self._commit_queue: List[
             Tuple[
-                Callable[[str], MSet],
+                Callable[..., Tuple[MSet, Optional[list]]],
                 Optional[Tuple[int, int]],
                 asyncio.Future,
+                Optional[Callable[[MSet, bool], Any]],
             ]
         ] = []
         self._commit_leader = False
@@ -644,10 +695,11 @@ class ReplicaServer:
         # Method-owned durable state (COMPE's compensation log) opens
         # before recovery so replay finds its dedup maps loaded.
         self.engine.attach_storage(self.data_dir, self.fsync)
-        await self._recover()
+        self._recover()
         self._running = True
-        self._server = await asyncio.start_server(
-            self._on_connection, host, port
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            self._accept_conn, host, port
         )
         self.host = host
         self.port = self._server.sockets[0].getsockname()[1]
@@ -676,7 +728,7 @@ class ReplicaServer:
         frontiers[local] = self.log.assigned
         return frontiers
 
-    async def _recover(self) -> None:
+    def _recover(self) -> None:
         """Restore the persisted snapshot (if any), then replay the
         durable log tails above it through the engine.
 
@@ -695,7 +747,7 @@ class ReplicaServer:
                 src: int(seq)
                 for src, seq in snap.get("frontiers", {}).items()
             }
-            await self.engine.restore(snap["engine"])
+            self.engine.restore(snap["engine"])
             self._snapshot_frontiers = dict(snap_frontiers)
             self._last_snapshot_at = self.engine.clock()
             for src, inbox in self.inboxes.items():
@@ -727,23 +779,23 @@ class ReplicaServer:
                 continue
             if seq <= acked:
                 released.append((mset.tid, mset.keys))
-            await self.engine.accept(mset, local=True)
+            self.engine.accept(mset, local=True)
         for src, inbox in sorted(self.inboxes.items()):
             floor = snap_frontiers.get(src, 0)
             for seq, payload in inbox.replay():
                 if seq > floor:
-                    await self.engine.accept(
+                    self.engine.accept(
                         logged(inbox, seq, payload), local=False
                     )
         # Fully acknowledged before the crash: release the lock-counters
         # replay re-raised.
-        await self.engine.fully_acked_many(released)
+        self.engine.fully_acked_many(released)
         # The inverse hole: local updates applied *inside* the snapshot
         # image (so replay never re-raised their counters) but still
         # awaiting a peer ack — re-raise so origin-site queries keep
         # observing the cluster-wide in-flight inconsistency.
         for mset in held:
-            await self.engine.hold_counters(mset)
+            self.engine.hold_counters(mset)
 
     def set_peers(self, addrs: Dict[str, Tuple[str, int]]) -> None:
         """Install (or update) peer addresses for the channel loops."""
@@ -752,8 +804,7 @@ class ReplicaServer:
                 self.peer_addrs[peer] = tuple(addr)
                 self.membership.observe(peer, addr[0], int(addr[1]))
         self.m_membership_size.set(self.membership.active_count())
-        self._order_conn = None  # re-resolve on next order request
-        self._order_target = None
+        self._order_target = None  # re-resolve on next order request
 
     def start_channels(self) -> None:
         """Launch one durable sender loop per peer channel, plus the
@@ -767,8 +818,7 @@ class ReplicaServer:
             # Grace period: a freshly booted cluster is not "degraded"
             # before the first heartbeat round had a chance to land.
             self.peer_last_seen.setdefault(peer, now)
-            self._outbox_events[peer] = asyncio.Event()
-            self._outbox_events[peer].set()
+            self._outbox_events[peer] = _Wakeup()
             self._spawn(self._channel_loop(peer))
         self._spawn(self._degraded_monitor())
         if self.snapshot_interval > 0:
@@ -791,15 +841,12 @@ class ReplicaServer:
         """Stop serving.  Durable state is already on disk (the
         stable queues write through), so stop doubles as a crash."""
         self._running = False
-        if self._server is not None:
-            self._server.close()
-            try:
-                await self._server.wait_closed()
-            except (OSError, ConnectionError) as exc:
-                logger.debug(
-                    "%s: listener close raised %r", self.name, exc
-                )
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for conn in list(self._conns):
+            conn.abort()
+        self._drop_order_conn()
         tasks = list(self._tasks | self._conn_tasks)
         for task in tasks:
             task.cancel()
@@ -819,9 +866,13 @@ class ReplicaServer:
                 )
         self._tasks.clear()
         self._conn_tasks.clear()
-        if self._order_conn is not None:
-            self._order_conn[1].close()
-            self._order_conn = None
+        if server is not None:
+            try:
+                await server.wait_closed()
+            except (OSError, ConnectionError) as exc:
+                logger.debug(
+                    "%s: listener close raised %r", self.name, exc
+                )
         for box in (self.log, self._order_log, *self.inboxes.values()):
             box.close()
         self.engine.close()
@@ -957,30 +1008,28 @@ class ReplicaServer:
 
     # -- gossip membership ---------------------------------------------------
 
-    async def _merge_gossip(
-        self, src: str, payload: Dict[str, Any]
-    ) -> None:
+    def _merge_gossip(self, src: str, payload: Dict[str, Any]) -> None:
         """Merge a heartbeat's piggybacked membership + leadership
         digest.  Membership changes may wire in newly discovered
         members or re-learn moved addresses; a higher leadership epoch
-        is adopted (fencing the engine) under the apply lock."""
+        is adopted (fencing the engine) in the same step."""
         if not isinstance(payload, dict):
             return
         changed = self.membership.merge(payload.get("nodes", ()))
         self.m_membership_size.set(self.membership.active_count())
         for name in changed:
-            await self._apply_member_change(name)
+            self._apply_member_change(name)
         leader = payload.get("leader")
         if isinstance(leader, dict):
             epoch = int(leader.get("epoch", 0))
             self._peer_epochs[src] = (epoch, self.engine.clock())
             who = leader.get("leader")
             if who and epoch > self.election.epoch:
-                await self._adopt_leader(
+                self._adopt_leader(
                     epoch, str(who), int(leader.get("base", 0))
                 )
 
-    async def _apply_member_change(self, name: str) -> None:
+    def _apply_member_change(self, name: str) -> None:
         """React to one changed membership record: a join or an
         address move."""
         if name == self.name:
@@ -999,7 +1048,7 @@ class ReplicaServer:
             if current != (rec.host, rec.port):
                 self.peer_addrs[name] = (rec.host, rec.port)
                 if self._order_target == name:
-                    self._order_conn = None
+                    self._order_target = None
                 self.trace.event(
                     "membership", peer=name, status="moved",
                     host=rec.host, port=rec.port,
@@ -1025,8 +1074,7 @@ class ReplicaServer:
         )
         if self._running and self._channels_started:
             self.peer_last_seen.setdefault(name, self.engine.clock())
-            self._outbox_events[name] = asyncio.Event()
-            self._outbox_events[name].set()
+            self._outbox_events[name] = _Wakeup()
             self._spawn(self._channel_loop(name))
 
     # -- sequencer election --------------------------------------------------
@@ -1084,20 +1132,16 @@ class ReplicaServer:
                 % (self.name, self.election.epoch)
             )
 
-    async def _adopt_leader(
-        self, epoch: int, leader: str, base: int
-    ) -> None:
+    def _adopt_leader(self, epoch: int, leader: str, base: int) -> None:
         """Adopt a leadership announcement (ours or gossiped) and
-        fence the engine, atomically with respect to applies."""
-        async with self._apply_lock:
-            if not self.election.adopt(epoch, leader, base):
-                return
-            if hasattr(self.engine, "adopt_epoch"):
-                self.engine.adopt_epoch(epoch, base)
+        fence the engine, in one step: no apply runs in between."""
+        if not self.election.adopt(epoch, leader, base):
+            return
+        if hasattr(self.engine, "adopt_epoch"):
+            self.engine.adopt_epoch(epoch, base)
         self._epoch_synced = True
         self.m_leader_epoch.set(epoch)
         if leader != self.name:
-            self._order_conn = None
             self._order_target = None
         self.trace.event(
             "election", phase="adopt", epoch=epoch, leader=leader,
@@ -1147,7 +1191,7 @@ class ReplicaServer:
                     )
             if replies + 1 >= self._quorum():
                 if best is not None and best[0] > self.election.epoch:
-                    await self._adopt_leader(*best)
+                    self._adopt_leader(*best)
                 self._epoch_synced = True
                 self.trace.event(
                     "election", phase="epoch-sync",
@@ -1224,7 +1268,7 @@ class ReplicaServer:
                 # member has durably seen; persisted before the first
                 # new grant can be issued.
                 self._order_log.grant(max(self._order_log.next, base), epoch)
-            await self._adopt_leader(epoch, self.name, base)
+            self._adopt_leader(epoch, self.name, base)
             self.m_elections.labels(outcome="won").inc()
             self.trace.event(
                 "election", phase="won", epoch=epoch, base=base,
@@ -1256,14 +1300,24 @@ class ReplicaServer:
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, self.retry_max)
                 continue
-            writer = None
+            conn = None
+            # ``sent_hi`` is the highest channel seq handed to this
+            # connection, ``inflight`` the (last_seq, sent_at, n_msets)
+            # record of each un-retired batch: the sender fills them,
+            # the acks parsed off the same connection retire them.
+            state: Dict[str, Any] = {"inflight": deque()}
             try:
-                reader, writer = await asyncio.open_connection(*addr)
-                await write_frame(
-                    writer, {"type": "peer-hello", "src": self.name}
+                conn = await connect_frames(
+                    addr,
+                    functools.partial(self._on_channel_frame, peer, state),
                 )
+                conn.lost.add_done_callback(
+                    lambda _, wakeup=self._outbox_events[peer]: wakeup.set()
+                )
+                conn.frames.send({"type": "peer-hello", "src": self.name})
                 backoff = self.retry_base
-                await self._channel_session(peer, reader, writer)
+                state["sent_hi"] = self.log.frontier(peer)
+                await self._channel_sender(peer, conn, state)
             except (
                 OSError,
                 ConnectionError,
@@ -1281,68 +1335,16 @@ class ReplicaServer:
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, self.retry_max)
             finally:
-                if writer is not None:
-                    writer.close()
-
-    async def _channel_session(
-        self,
-        peer: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """One connected session: a windowed batch sender pipelined
-        against a cumulative-ack reader.
-
-        ``state`` is shared between the two halves: ``sent_hi`` is the
-        highest channel seq handed to this connection, ``inflight`` the
-        (last_seq, sent_at, n_msets) record of each un-retired batch.
-        """
-        state = {
-            "sent_hi": self.log.frontier(peer),
-            "inflight": deque(),
-        }
-        sender = asyncio.ensure_future(
-            self._channel_sender(peer, writer, state)
-        )
-        ack_reader = asyncio.ensure_future(
-            self._channel_ack_reader(peer, reader, state)
-        )
-        try:
-            done, _ = await asyncio.wait(
-                {sender, ack_reader}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            for task in (sender, ack_reader):
-                if not task.done():
-                    task.cancel()
-            for task in (sender, ack_reader):
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                except (
-                    OSError,
-                    ConnectionError,
-                    asyncio.TimeoutError,
-                    ProtocolError,
-                ) as exc:
-                    # The losing half died of the same connection —
-                    # expected; the winner's error (below) is the one
-                    # that drives the retry.
-                    logger.debug(
-                        "%s: channel %s teardown raised %r",
-                        self.name, peer, exc,
-                    )
-        for task in done:
-            exc = task.exception()
-            if exc is not None:
-                raise exc
+                if conn is not None:
+                    conn.abort()
 
     async def _channel_sender(
-        self, peer: str, writer: asyncio.StreamWriter, state: Dict[str, Any]
+        self, peer: str, conn: FrameProtocol, state: Dict[str, Any]
     ) -> None:
         """Drain what the log owes ``peer`` as batch frames, keeping up
         to ``FRAMES_IN_FLIGHT`` unacknowledged; heartbeat while idle.
+        Returns only by raising: the connection is lost, or the link
+        severed.
 
         Under fault injection frames are dropped, delayed, duplicated,
         or reordered; whatever stays unacknowledged past ``ACK_TIMEOUT``
@@ -1353,14 +1355,15 @@ class ReplicaServer:
         event = self._outbox_events[peer]
         inflight: Deque[Tuple[int, float, int]] = state["inflight"]
         while self._running:
+            if conn.closing:
+                raise ConnectionResetError("peer %s closed" % peer)
             if self._link_severed(peer):
                 raise ConnectionResetError(
                     "link %s->%s severed" % (self.name, peer)
                 )
             if peer in self._reset_peers:
                 self._reset_peers.discard(peer)
-                await write_frame(
-                    writer,
+                conn.frames.send(
                     {
                         "type": "peer-reset",
                         "src": self.name,
@@ -1386,7 +1389,7 @@ class ReplicaServer:
                 # flowing under load.  Jittered per link so a large
                 # cluster's probes don't synchronize into bursts (and
                 # a synchronized stall into a false-suspicion storm).
-                await self._heartbeat_probe(peer, writer)
+                await self._heartbeat_probe(peer, conn.frames)
                 state["hb_next"] = (
                     self.engine.clock() + self._heartbeat_jitter()
                 )
@@ -1398,7 +1401,7 @@ class ReplicaServer:
                 peer, state["sent_hi"], room * FRAME_MSETS
             ) if room > 0 else []
             if fresh:
-                await self._send_batches(peer, writer, state, fresh, room)
+                await self._send_batches(peer, conn.frames, state, fresh, room)
                 continue
             timeout = max(0.01, state["hb_next"] - self.engine.clock())
             if inflight:
@@ -1411,21 +1414,18 @@ class ReplicaServer:
                         ACK_TIMEOUT - (now - inflight[0][1]),
                     ),
                 )
-            try:
-                await asyncio.wait_for(event.wait(), timeout=timeout)
-            except asyncio.TimeoutError:
-                pass
+            await event.wait(timeout)
 
     async def _send_batches(
         self,
         peer: str,
-        writer: asyncio.StreamWriter,
+        frames: FrameWriter,
         state: Dict[str, Any],
         entries: List[Tuple[int, Any]],
         room: int,
     ) -> None:
         """Chunk ``entries`` into at most ``room`` batch frames and
-        write them as one buffered burst of pre-encoded bytes.
+        write them, pre-encoded, into this turn's buffered write.
 
         Each MSet's payload bytes are forwarded exactly as cached when
         the update entered the log — the zero re-encode relay; re-sends
@@ -1435,7 +1435,6 @@ class ReplicaServer:
             entries = self.faults.reorder_batch(self.name, peer, entries)
         wire_blob = self.log.wire_blob
         now = self.engine.clock()
-        chunks: List[bytes] = []
         for batch in self._plan_batches(entries)[:room]:
             last_seq = max(seq for seq, _ in batch)
             state["sent_hi"] = max(state["sent_hi"], last_seq)
@@ -1454,16 +1453,15 @@ class ReplicaServer:
                 fate = self.faults.frame_fate(self.name, peer, nbytes)
                 if fate.delay:
                     # A link delay holds up everything behind it too:
-                    # flush what is already queued, then stall.
-                    await write_encoded(writer, chunks)
-                    chunks = []
+                    # what is already queued leaves, then the stall.
                     await asyncio.sleep(fate.delay)
                 if fate.drop:
                     continue  # stays inflight; the stall path re-sends
                 if fate.duplicate:
                     copies = 2
-            chunks.extend([data] * copies)
-        await write_encoded(writer, chunks)
+            for _ in range(copies):
+                frames.write(data)
+        await frames.drain()
 
     def _plan_batches(
         self, entries: List[Tuple[int, Any]]
@@ -1512,57 +1510,54 @@ class ReplicaServer:
             "leader": self.election.wire(),
         }
 
-    async def _heartbeat_probe(
-        self, peer: str, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _heartbeat_probe(self, peer: str, frames: FrameWriter) -> None:
         """One liveness probe, carrying the gossip digest.  The reply
-        (if any) is consumed by the ack reader; a lost probe is not an
-        error — the peer just stays un-refreshed and ages toward
-        suspicion."""
+        (if any) is parsed off the same connection
+        (:meth:`_on_channel_frame`); a lost probe is not an error — the
+        peer just stays un-refreshed and ages toward suspicion."""
         if self.faults is not None:
             fate = self.faults.frame_fate(self.name, peer)
             if fate.delay:
                 await asyncio.sleep(fate.delay)
             if fate.drop:
                 return
-        await write_frame(
-            writer,
+        frames.send(
             {
                 "type": "hb",
                 "src": self.name,
                 "gossip": self._gossip_payload(),
-            },
+            }
         )
 
-    async def _channel_ack_reader(
-        self, peer: str, reader: asyncio.StreamReader, state: Dict[str, Any]
+    def _on_channel_frame(
+        self,
+        peer: str,
+        state: Dict[str, Any],
+        conn: FrameProtocol,
+        frame: Dict[str, Any],
     ) -> None:
-        """Consume cumulative acks (and heartbeat replies) for one
-        connection, retiring in-flight batches and freeing the send
-        window without ever blocking the sender."""
-        event = self._outbox_events[peer]
-        inflight: Deque[Tuple[int, float, int]] = state["inflight"]
-        while self._running:
-            frame = await read_frame(reader)
-            if frame is None:
-                raise ConnectionResetError("peer closed")
-            kind = frame.get("type")
-            if kind == "ack":
-                self._note_peer_alive(peer)
-                seq = int(frame["seq"])
-                self._reconcile_ack(peer, seq, state)
-                now = self.engine.clock()
-                while inflight and inflight[0][0] <= seq:
-                    _, sent_at, count = inflight.popleft()
-                    self._record_ack_latency(peer, now - sent_at, count)
-                await self._on_peer_ack(peer, seq)
-                event.set()  # window freed: wake the sender
-            elif kind == "hb-ack":
-                self._note_peer_alive(peer)
-                if "seq" in frame:
-                    self._reconcile_ack(peer, int(frame["seq"]), state)
-                if "gossip" in frame:
-                    await self._merge_gossip(peer, frame["gossip"])
+        """One frame a peer sent back on our channel to it: a
+        cumulative ack retires in-flight batches and frees the send
+        window, a heartbeat reply refreshes liveness and gossip — in
+        the step that parsed it, never blocking the sender."""
+        kind = frame.get("type")
+        if kind == "ack":
+            self._note_peer_alive(peer)
+            seq = int(frame["seq"])
+            self._reconcile_ack(peer, seq, state)
+            inflight: Deque[Tuple[int, float, int]] = state["inflight"]
+            now = self.engine.clock()
+            while inflight and inflight[0][0] <= seq:
+                _, sent_at, count = inflight.popleft()
+                self._record_ack_latency(peer, now - sent_at, count)
+            self._on_peer_ack(peer, seq)
+            self._outbox_events[peer].set()  # window freed: wake the sender
+        elif kind == "hb-ack":
+            self._note_peer_alive(peer)
+            if "seq" in frame:
+                self._reconcile_ack(peer, int(frame["seq"]), state)
+            if "gossip" in frame:
+                self._merge_gossip(peer, frame["gossip"])
 
     def _reconcile_ack(
         self, peer: str, seq: int, state: Dict[str, Any]
@@ -1621,7 +1616,7 @@ class ReplicaServer:
             self.acked_msets[peer]
         )
 
-    async def _on_peer_ack(self, peer: str, seq: int) -> None:
+    def _on_peer_ack(self, peer: str, seq: int) -> None:
         """A peer durably holds every channel message ``<= seq``
         (cumulative acknowledgement)."""
         released = []
@@ -1635,104 +1630,89 @@ class ReplicaServer:
             # local updates.  One cumulative ack can retire a whole
             # send window of them: release their obligations in one
             # engine step.
-            await self.engine.fully_acked_many(released)
+            self.engine.fully_acked_many(released)
             for tid, _ in released:
                 self.trace.event("update-ack", tid=tid)
                 fut = self._full_ack_futures.pop(tid, None)
                 if fut is not None and not fut.done():
                     fut.set_result(True)
-            await self._notify_drain()
+            self._notify_drain()
 
     # -- connection handling ---------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        # Every frame *we* send back on this socket — JSON replies, raw
-        # binary acks — in one ordered per-turn buffer.
-        frames = FrameWriter(writer)
-        try:
-            while self._running:
-                try:
-                    frame = await read_frame(reader)
-                except ProtocolError:
-                    self.m_frames_dropped.labels(
-                        reason="protocol_error"
-                    ).inc()
-                    break
-                if frame is None:
-                    break
-                kind = frame.get("type")
-                if kind == "request":
-                    self._serve_request(frame, frames)
-                    continue
-                # Only ``decode_bin_frame`` yields a tuple of blobs (a
-                # JSON array is a list): no JSON frame reaches the inbox.
-                blobs = frame.get("blobs")
-                if kind == "mset-batch" and isinstance(blobs, tuple):
-                    try:
-                        await self._on_mset_batch_frame(frame, frames)
-                    except ProtocolError:
-                        self.m_frames_dropped.labels(
-                            reason="malformed_mset"
-                        ).inc()
-                        break
-                    # Let the loop run between frames of one socket buffer.
-                    await asyncio.sleep(0)
-                elif kind == "hb":
-                    src = str(frame.get("src", ""))
-                    self._note_peer_alive(src)
-                    if "gossip" in frame:
-                        await self._merge_gossip(src, frame["gossip"])
-                    reply: Dict[str, Any] = {
-                        "type": "hb-ack", "src": self.name,
-                    }
-                    inbox = self.inboxes.get(src)
-                    if inbox is not None:
-                        # Heartbeat replies carry the receiver's inbox
-                        # frontier so an idle channel still detects a
-                        # regressed (wiped) receiver.
-                        reply["seq"] = inbox.frontier
-                    if "gossip" in frame:
-                        reply["gossip"] = self._gossip_payload()
-                    frames.send(reply)
-                elif kind == "peer-reset":
-                    # A sender compacted away records we never saw (or
-                    # holds history from before our cursor existed):
-                    # the channel alone cannot repair us — snapshot
-                    # catch-up can.
-                    src = str(frame.get("src", ""))
-                    self._note_peer_alive(src)
-                    self._trigger_catchup("peer-reset", preferred=src)
-                elif kind == "peer-hello":
-                    src = frame.get("src")
-                    if src:
-                        self._note_peer_alive(str(src))
-                else:
-                    # Includes the JSON ``mset`` / ``mset-batch`` frames
-                    # of a mis-versioned peer: refused where it can be
-                    # seen, nothing recorded, nothing applied.
-                    self.m_frames_dropped.labels(
-                        reason="unknown_frame"
-                    ).inc()
-                    frames.send(
-                        {"type": "error", "error": "unknown frame %r" % kind}
-                    )
-                # Frames answered inline are not read faster than their
-                # answers are taken: a peer that stopped reading its
-                # acks fills TCP flow control, not this buffer.
-                await frames.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
+    def _accept_conn(self) -> FrameProtocol:
+        """The listener's protocol factory: one connection, read by
+        :meth:`_on_frame`.  Every frame *we* send back on it — JSON
+        replies, raw binary acks — goes into one ordered per-turn
+        buffer, and a connection whose answers back up is not read
+        further: a peer that stopped reading its acks fills TCP flow
+        control, not this process."""
+        conn = FrameProtocol(
+            self._on_frame, self._on_frame_error, throttle_reads=True
+        )
+        self._conns.add(conn)
+        conn.lost.add_done_callback(lambda _: self._conns.discard(conn))
+        return conn
 
-    async def _on_mset_batch_frame(
+    def _on_frame_error(self, exc: ProtocolError) -> None:
+        self.m_frames_dropped.labels(reason="protocol_error").inc()
+
+    def _on_frame(self, conn: FrameProtocol, frame: Dict[str, Any]) -> None:
+        """One frame a client or peer sent this replica, handled in the
+        step that parsed it."""
+        kind = frame.get("type")
+        if kind == "request":
+            self._serve_request(frame, conn.frames)
+            return
+        # Only ``decode_bin_frame`` yields a tuple of blobs (a JSON
+        # array is a list): no JSON frame reaches the inbox.
+        blobs = frame.get("blobs")
+        if kind == "mset-batch" and isinstance(blobs, tuple):
+            try:
+                self._on_mset_batch_frame(frame, conn.frames)
+            except ProtocolError:
+                self.m_frames_dropped.labels(reason="malformed_mset").inc()
+                conn.close()
+                return
+            # A batch is a whole engine step: the connection's next
+            # frame waits for the next turn, behind everyone else's.
+            conn.hold()
+        elif kind == "hb":
+            src = str(frame.get("src", ""))
+            self._note_peer_alive(src)
+            if "gossip" in frame:
+                self._merge_gossip(src, frame["gossip"])
+            reply: Dict[str, Any] = {"type": "hb-ack", "src": self.name}
+            inbox = self.inboxes.get(src)
+            if inbox is not None:
+                # Heartbeat replies carry the receiver's inbox frontier
+                # so an idle channel still detects a regressed (wiped)
+                # receiver.
+                reply["seq"] = inbox.frontier
+            if "gossip" in frame:
+                reply["gossip"] = self._gossip_payload()
+            conn.frames.send(reply)
+        elif kind == "peer-reset":
+            # A sender compacted away records we never saw (or holds
+            # history from before our cursor existed): the channel
+            # alone cannot repair us — snapshot catch-up can.
+            src = str(frame.get("src", ""))
+            self._note_peer_alive(src)
+            self._trigger_catchup("peer-reset", preferred=src)
+        elif kind == "peer-hello":
+            src = frame.get("src")
+            if src:
+                self._note_peer_alive(str(src))
+        else:
+            # Includes the JSON ``mset`` / ``mset-batch`` frames of a
+            # mis-versioned peer: refused where it can be seen, nothing
+            # recorded, nothing applied.
+            self.m_frames_dropped.labels(reason="unknown_frame").inc()
+            conn.frames.send(
+                {"type": "error", "error": "unknown frame %r" % kind}
+            )
+
+    def _on_mset_batch_frame(
         self, frame: Dict[str, Any], frames: FrameWriter
     ) -> None:
         """Receive one (binary) ``mset-batch`` frame from a peer.
@@ -1741,10 +1721,12 @@ class ReplicaServer:
         with one group-commit append and applied in one engine step,
         then acknowledged *cumulatively* with the inbox
         frontier — covering this batch, any duplicates, and anything
-        earlier the sender may not know was acked.  Because the frame
-        is processed inline (the connection reads no further frames
-        until this one is durable and applied), a fast sender fills
-        TCP flow control rather than the receiver's memory.
+        earlier the sender may not know was acked — all in the step
+        that parsed the frame.  Record and apply are one step, so no
+        snapshot can capture the inbox frontier without the batch's
+        engine effects; and the connection parses no further frame
+        before the next turn, so a fast sender fills TCP flow control
+        rather than the receiver's memory.
 
         Every entry is fully decoded *before* anything is durably
         recorded: a malformed MSet must raise ``ProtocolError`` here
@@ -1790,18 +1772,15 @@ class ReplicaServer:
             fresh_blobs.append(blob)
             expected += 1
         if fresh:
-            # Decode first (see docstring), then record + apply under
-            # the apply lock: a snapshot captured between the two
-            # would claim this inbox frontier without holding the
-            # batch's engine effects.
+            # Decode first (see docstring), then record + apply.
             msets = [
                 decode_mset(payload["mset"]) for _, payload in fresh
             ]
-            async with self._apply_lock:
-                inbox.record_many(fresh, blobs=fresh_blobs)
-                applied = await self.engine.accept_batch(msets, local=False)
-                self._resolve_applied(applied)
-            await self._notify_drain()
+            inbox.record_many(fresh, blobs=fresh_blobs)
+            self._resolve_applied(
+                self.engine.accept_batch(msets, local=False)
+            )
+            self._notify_drain()
         # The cumulative ack is a durability claim over everything
         # <= frontier: the sender will move our cursor on receipt.
         # The batch is written but not yet fsynced; it must be before
@@ -1825,11 +1804,12 @@ class ReplicaServer:
         holds no buffered or locked work."""
         return self.log.drained() and self.engine.quiescent()
 
-    async def _notify_drain(self) -> None:
+    def _notify_drain(self) -> None:
         """Wake any ``settle`` waiters; called whenever acks, applies,
         or local commits may have changed the drain condition."""
-        async with self._drain_cond:
-            self._drain_cond.notify_all()
+        if self._settle_waiters:
+            for waiter in self._settle_waiters:
+                _resolve(waiter)
 
     # -- snapshots + compaction ------------------------------------------------
 
@@ -1839,8 +1819,9 @@ class ReplicaServer:
         """Persist a checkpoint of the applied state, then compact the
         durable logs below its frontiers.
 
-        The capture runs under the apply lock, so the engine image and
-        the per-channel frontiers are one consistent cut; persistence
+        The capture is one step — every record-then-apply is one step
+        too — so the engine image and the per-channel frontiers are one
+        consistent cut; persistence
         is atomic (temp + fsync + rename), so the snapshot file is the
         commit point — compaction afterwards only ever drops records
         the snapshot provably contains.  Crash between the two and
@@ -1850,9 +1831,8 @@ class ReplicaServer:
         """
         async with self._snapshot_lock:
             started = self.engine.clock()
-            async with self._apply_lock:
-                frontiers = self._frontiers()
-                engine_state = await self.engine.checkpoint()
+            frontiers = self._frontiers()
+            engine_state = self.engine.checkpoint()
             body = {
                 "site": self.name,
                 "method": self.method,
@@ -2071,7 +2051,7 @@ class ReplicaServer:
             self._catching_up = False
             self.trace.event("catchup", phase="done", reason=reason)
             self._kick_channels()
-            await self._notify_drain()
+            self._notify_drain()
 
     async def _catchup_round(self, preferred: Optional[str]) -> str:
         """One attempt: survey peers, fetch the best candidate's fresh
@@ -2239,30 +2219,29 @@ class ReplicaServer:
         remembers acking) or refused.
         """
         async with self._snapshot_lock:
-            async with self._apply_lock:
-                mine = {
-                    "site": self.name,
-                    "method": self.method,
-                    "frontiers": translated,
-                    "engine": body["engine"],
-                }
-                size = self._snapshot_store.save(seal_snapshot(mine))
-                self.m_snapshots.labels(kind="install").inc()
-                self.m_snapshot_bytes.observe(size)
-                for src, inbox in self.inboxes.items():
-                    inbox.reset_to(translated.get(src, 0))
-                self.log.reset_to(translated.get(LOCAL_CHANNEL, 0))
-                for fut in list(self._apply_futures.values()) + list(
-                    self._full_ack_futures.values()
-                ):
-                    if not fut.done():
-                        fut.cancel()
-                self._apply_futures.clear()
-                self._full_ack_futures.clear()
-                await self.engine.restore(body["engine"])
-                self._snapshot_frontiers = dict(translated)
-                self._last_snapshot_at = self.engine.clock()
-                self.catchup_installs += 1
+            mine = {
+                "site": self.name,
+                "method": self.method,
+                "frontiers": translated,
+                "engine": body["engine"],
+            }
+            size = self._snapshot_store.save(seal_snapshot(mine))
+            self.m_snapshots.labels(kind="install").inc()
+            self.m_snapshot_bytes.observe(size)
+            for src, inbox in self.inboxes.items():
+                inbox.reset_to(translated.get(src, 0))
+            self.log.reset_to(translated.get(LOCAL_CHANNEL, 0))
+            for fut in list(self._apply_futures.values()) + list(
+                self._full_ack_futures.values()
+            ):
+                if not fut.done():
+                    fut.cancel()
+            self._apply_futures.clear()
+            self._full_ack_futures.clear()
+            self.engine.restore(body["engine"])
+            self._snapshot_frontiers = dict(translated)
+            self._last_snapshot_at = self.engine.clock()
+            self.catchup_installs += 1
             self.trace.event(
                 "catchup",
                 phase="install",
@@ -2276,10 +2255,11 @@ class ReplicaServer:
         self, frame: Dict[str, Any], frames: FrameWriter
     ) -> None:
         """Answer one request frame.  A verb handler returns its reply
-        body, or an awaitable of it: a body — or a refusal — is answered
-        in the step that read the frame, and only an awaitable (a
-        request that may block on divergence control or commit
-        acknowledgements) is served by its own task."""
+        body, a future of it, or a coroutine: a body — or a refusal —
+        is answered in the step that read the frame, a future (an
+        update in its commit group) from its done-callback, and only a
+        coroutine (a verb that awaits: a parked query, an order token,
+        peer acks, a snapshot) is served by its own task."""
         rid = frame.get("id")
         verb = frame.get("verb")
         try:
@@ -2290,29 +2270,26 @@ class ReplicaServer:
             body = handler(frame)
         except Exception as exc:  # surfaced to the client, not fatal
             body = exc
-        if asyncio.iscoroutine(body):
-            task = asyncio.ensure_future(
-                self._reply_when_done(rid, verb, body, frames)
+        if isinstance(body, asyncio.Future):
+            body.add_done_callback(
+                functools.partial(self._reply_done, rid, verb, frames)
             )
+        elif asyncio.iscoroutine(body):
+            task = asyncio.ensure_future(body)
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
+            task.add_done_callback(
+                functools.partial(self._reply_done, rid, verb, frames)
+            )
         else:
             self._reply(rid, verb, body, frames)
 
-    async def _reply_when_done(
-        self,
-        rid: Any,
-        verb: Any,
-        pending: Awaitable[Any],
-        frames: FrameWriter,
+    def _reply_done(
+        self, rid: Any, verb: Any, frames: FrameWriter, done: asyncio.Future
     ) -> None:
-        try:
-            body = await pending
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # surfaced to the client, not fatal
-            body = exc
-        self._reply(rid, verb, body, frames)
+        if done.cancelled():
+            return  # the replica is stopping: nobody is answered
+        self._reply(rid, verb, done.exception() or done.result(), frames)
 
     def _reply(
         self, rid: Any, verb: Any, body: Any, frames: FrameWriter
@@ -2651,34 +2628,34 @@ class ReplicaServer:
         """Block until this site is drained (or ``wait`` seconds pass).
 
         This is the poll-free replacement for clients hammering the
-        ``stats`` verb: waiters sleep on the drain condition and are
-        woken by the ack/apply/commit paths, with a short safety
-        re-check cap in case a wake-up is missed across a restart.
+        ``stats`` verb: a waiter parks one future, resolved by the
+        ack/apply/commit paths (:meth:`_notify_drain`), with a short
+        safety re-check deadline in case a wake-up is missed across a
+        restart.
         """
         timeout = float(frame.get("wait", 30.0))
         deadline = self.engine.clock() + timeout
         waited = False
-        async with self._drain_cond:
-            while not self._drained():
-                waited = True
-                remaining = deadline - self.engine.clock()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        "settle timed out after %.1fs: backlog %r"
-                        % (
-                            timeout,
-                            {
-                                p: self.log.backlog(p)
-                                for p in self.peer_names
-                            },
-                        )
+        loop = asyncio.get_running_loop()
+        while not self._drained():
+            waited = True
+            remaining = deadline - self.engine.clock()
+            if remaining <= 0:
+                raise TimeoutError(
+                    "settle timed out after %.1fs: backlog %r"
+                    % (
+                        timeout,
+                        {p: self.log.backlog(p) for p in self.peer_names},
                     )
-                try:
-                    await asyncio.wait_for(
-                        self._drain_cond.wait(), min(remaining, 0.25)
-                    )
-                except asyncio.TimeoutError:
-                    pass
+                )
+            waiter = loop.create_future()
+            timer = loop.call_later(min(remaining, 0.25), _resolve, waiter)
+            self._settle_waiters.add(waiter)
+            try:
+                await waiter
+            finally:
+                timer.cancel()
+                self._settle_waiters.discard(waiter)
         self.trace.event("drain", waited=waited)
         return {
             "drained": True,
@@ -2747,27 +2724,35 @@ class ReplicaServer:
                         "link to order site %s severed" % leader
                     )
                 async with self._order_lock:
-                    if self._order_conn is None or self._order_target != leader:
-                        if self._order_conn is not None:
-                            self._order_conn[1].close()
-                            self._order_conn = None
+                    conn = self._order_conn
+                    if (
+                        conn is None
+                        or conn.closing
+                        or self._order_target != leader
+                    ):
+                        self._drop_order_conn()
                         addr = self.peer_addrs.get(
                             leader
                         ) or self.membership.address(leader)
                         if addr is None:
                             raise ConnectionError("no address for order site")
-                        self._order_conn = await asyncio.open_connection(
-                            *addr
+                        conn = await connect_frames(
+                            addr, self._on_order_reply
                         )
+                        conn.lost.add_done_callback(
+                            lambda _, lost=conn: self._on_order_reply(
+                                lost, None
+                            )
+                        )
+                        self._order_conn = conn
                         self._order_target = leader
-                    reader, writer = self._order_conn
-                    await write_frame(
-                        writer,
-                        {"type": "request", "id": 0, "verb": "order"},
+                    reply = self._order_reply = (
+                        asyncio.get_running_loop().create_future()
                     )
-                    reply = await asyncio.wait_for(
-                        read_frame(reader), timeout=5.0
+                    conn.frames.send(
+                        {"type": "request", "id": 0, "verb": "order"}
                     )
+                    reply = await asyncio.wait_for(reply, timeout=5.0)
                 if reply is None or not reply.get("ok"):
                     raise ConnectionError(
                         "order request failed: %s"
@@ -2779,13 +2764,28 @@ class ReplicaServer:
                     return (int(order[0]), int(order[1]))
                 return (int(order[0]), 0)
             except (OSError, ConnectionError, asyncio.TimeoutError):
-                if self._order_conn is not None:
-                    self._order_conn[1].close()
-                    self._order_conn = None
-                    self._order_target = None
+                self._drop_order_conn()
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, self.retry_max)
         raise ConnectionError("server stopping")
+
+    def _on_order_reply(
+        self, conn: FrameProtocol, frame: Optional[Dict[str, Any]]
+    ) -> None:
+        """The order site answered (``None``: the connection was lost)."""
+        reply = self._order_reply
+        if conn is self._order_conn and reply is not None and not reply.done():
+            reply.set_result(frame)
+
+    def _drop_order_conn(self) -> None:
+        """Close the cached order connection: the next order request
+        re-resolves the leader and dials it.  (Only between requests:
+        a leader change just clears ``_order_target``, so a request in
+        flight still gets its answer.)"""
+        conn, self._order_conn = self._order_conn, None
+        self._order_target = None
+        if conn is not None:
+            conn.abort()
 
     def _check_shard(self, keys: Sequence[str]) -> None:
         """Refuse work this replica's group does not own.
@@ -2819,7 +2819,14 @@ class ReplicaServer:
                     self._shard_map,
                 )
 
-    async def _handle_update(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_update(
+        self, frame: Dict[str, Any]
+    ) -> Union["asyncio.Future[Dict[str, Any]]", Awaitable[Dict[str, Any]]]:
+        """Validate an update ET in the step that read it, then join the
+        commit group: the reply is the group's future for this member.
+        A coroutine serves the update only where it waits beyond its
+        group — ORDUP's order token, ROWA's peer acks, COMPE's
+        decision."""
         requested = frame.get("ops", ())
         ops = decode_ops(requested)
         if not ops:
@@ -2864,22 +2871,21 @@ class ReplicaServer:
         if saga is not None and (not isinstance(saga, str) or not saga):
             raise ValueError("saga id must be a non-empty string")
 
-        order = None
-        if self.engine.needs_order:
-            order = await self._acquire_order()
-
         info_items = []
         if read_keys:
             info_items.append(("reads", read_keys))
         if saga is not None:
             info_items.append(("saga", saga))
         info = tuple(info_items)
+        engine = self.engine
 
-        def make(tid: str) -> Tuple[MSet, Optional[list]]:
+        def make(
+            tid: str, order: Optional[Tuple[int, int]]
+        ) -> Tuple[MSet, Optional[list]]:
             # The engine owns local MSet construction: RITU stamps the
             # writes with its Lamport clock here, RITU-MV additionally
             # turns the order token into the global transaction number.
-            mset = self.engine.make_mset(tid, writes, order=order, info=info)
+            mset = engine.make_mset(tid, writes, order=order, info=info)
             self.trace.event(
                 "update-submit", tid=tid, keys=list(mset.keys)
             )
@@ -2888,6 +2894,33 @@ class ReplicaServer:
             # rewrote them is encoded.
             return mset, (encoded_writes if mset.ops is writes else None)
 
+        if (
+            engine.needs_order
+            or is_compe
+            or (engine.sync_commit and self.peer_names)
+        ):
+            return self._update_waits(make, saga, abort, is_compe)
+        return self._commit_local(make, reply=self._update_reply)
+
+    def _update_reply(self, mset: MSet, held: bool) -> Dict[str, Any]:
+        """An update's reply once its group committed."""
+        tid = mset.tid
+        self.trace.event("update-apply", tid=tid, held=held)
+        return {"tid": tid, "values": self.engine.pop_read_results(tid)}
+
+    async def _update_waits(
+        self,
+        make: Callable[..., Tuple[MSet, Optional[list]]],
+        saga: Optional[str],
+        abort: bool,
+        is_compe: bool,
+    ) -> Dict[str, Any]:
+        """An update that waits beyond its commit group: for an order
+        token before it, for its in-order apply, its peers' acks or its
+        COMPE decision after it."""
+        order = None
+        if self.engine.needs_order:
+            order = await self._acquire_order()
         mset, held = await self._commit_local(make, order)
         tid = mset.tid
         self.trace.event("update-apply", tid=tid, held=held)
@@ -2921,35 +2954,45 @@ class ReplicaServer:
             if saga is None:
                 await self._emit_decision(tid, "commit")
                 decided = "commit"
-        values = self.engine.pop_read_results(tid)
-        body = {"tid": tid, "values": values}
+        body = {"tid": tid, "values": self.engine.pop_read_results(tid)}
         if decided is not None:
             body["decided"] = decided
         if saga is not None:
             body["saga"] = saga
         return body
 
-    async def _commit_local(
+    def _commit_local(
         self,
-        make: Callable[[str], Tuple[MSet, Optional[list]]],
+        make: Callable[..., Tuple[MSet, Optional[list]]],
         order: Optional[Tuple[int, int]] = None,
-    ) -> Tuple[MSet, bool]:
+        reply: Optional[Callable[[MSet, bool], Any]] = None,
+    ) -> asyncio.Future:
         """Put one locally originated MSet — an update or a COMPE
         decision — in the stable queues and apply it at its origin,
-        as one member of a *group commit*.  ``make`` builds the MSet
-        from the tid the group gives it, and returns it with its
-        operations already encoded when it holds them (``None``
-        otherwise); returns the MSet and whether the engine held it
-        back instead of applying it now.
+        as one member of a *group commit*.  ``make(tid, order)`` builds
+        the MSet from the tid the group gives it, and returns it with
+        its operations already encoded when it holds them (``None``
+        otherwise).  Returns the member's future: it resolves to
+        ``reply(mset, held)`` — ``(mset, held)`` without a ``reply`` —
+        where ``held`` says the engine held the MSet back instead of
+        applying it now.
 
         A group is whatever one loop turn delivered; nothing else
-        bounds it.  Callers join a queue.  The first to find no leader
-        leads: it yields once, so the rest of the burst that arrived
-        with it can join, then — under one apply-lock hold, so a
-        snapshot never captures a frontier whose engine effects it
-        lacks — commits group after group until the queue is empty.
-        A member that joins while a group is in the engine rides the
-        next one; the lock is never handed from update to update.
+        bounds it.  Members join a queue; the first to find no group
+        scheduled schedules one ``call_soon`` callback,
+        :meth:`_commit_groups`, which leads the group: by the time it
+        runs, the rest of the burst that arrived with the first member
+        has joined.
+        """
+        fut = self._loop.create_future()
+        self._commit_queue.append((make, order, fut, reply))
+        if not self._commit_leader:
+            self._commit_leader = True
+            self._loop.call_soon(self._commit_groups)
+        return fut
+
+    def _commit_groups(self) -> None:
+        """Commit the queued members, group after group, in one step.
 
         One group, in order: a member whose ``order`` token a newer
         leadership epoch fenced is refused alone, *before* any append,
@@ -2959,7 +3002,9 @@ class ReplicaServer:
         bytes are the log line and, on a binary channel, what every
         peer is sent — and get their commit futures; then one
         ``append_many``, one ``sync()``, one ``accept_batch``, one
-        kick of the channel senders, one drain notification.
+        kick of the channel senders, one drain notification.  The
+        group is one step, so a snapshot never captures a frontier
+        whose engine effects it lacks.
 
         Durability before acknowledgement: a member's future resolves
         only after its group's ``sync()`` returned, and an exception
@@ -2969,99 +3014,79 @@ class ReplicaServer:
         to a channel sender that is already awake, so a peer's ack for
         them can be on its way before the group has been applied.
         Nothing suspends between the append and the group's one
-        ``accept_batch`` (every engine mutator finishes in one step),
-        so the group's obligations are raised before the loop can run
+        ``accept_batch`` (every engine mutator is a plain method), so
+        the group's obligations are raised before the loop can run
         any ``fully_acked_many`` those acks bring.  A suspension in
         between lets an ack release an obligation before it was
         raised; it is then held forever, and ``settle`` hangs.
         """
-        loop = asyncio.get_event_loop()
-        mine: asyncio.Future = loop.create_future()
-        self._commit_queue.append((make, order, mine))
-        if self._commit_leader:
-            return await mine
-        self._commit_leader = True
         engine = self.engine
         await_apply = engine.needs_order
         await_acks = engine.sync_commit and bool(self.peer_names)
         try:
-            await asyncio.sleep(0)
-            async with self._apply_lock:
-                while self._commit_queue:
-                    group, self._commit_queue = self._commit_queue, []
-                    try:
-                        seq = self.log.assigned
-                        waiting = []
-                        msets: List[MSet] = []
-                        payloads = []
-                        for build, token, fut in group:
-                            if fut.done():
-                                continue  # its caller was cancelled
-                            if token is not None and self._fenced(token):
-                                fut.set_exception(
-                                    Unavailable(
-                                        "order token %r fenced by a newer "
-                                        "leadership epoch" % (list(token),)
-                                    )
+            while self._commit_queue:
+                group, self._commit_queue = self._commit_queue, []
+                try:
+                    seq = self.log.assigned
+                    members = []
+                    msets: List[MSet] = []
+                    payloads = []
+                    for build, token, fut, reply in group:
+                        if fut.done():
+                            continue  # the replica stopped under it
+                        if token is not None and self._fenced(token):
+                            fut.set_exception(
+                                Unavailable(
+                                    "order token %r fenced by a newer "
+                                    "leadership epoch" % (list(token),)
                                 )
-                                continue
-                            seq += 1
-                            mset, encoded = build("%s:%d" % (self.name, seq))
-                            if await_apply:
-                                self._apply_futures[mset.tid] = (
-                                    loop.create_future()
-                                )
-                            if await_acks:
-                                self._full_ack_futures[mset.tid] = (
-                                    loop.create_future()
-                                )
-                            waiting.append(fut)
-                            msets.append(mset)
-                            payloads.append(
-                                {"mset": encode_mset(mset, encoded)}
                             )
-                        if not msets:
                             continue
-                        self.log.append_many(
-                            payloads, blobs=list(map(payload_blob, payloads))
-                        )
-                        self.log.sync()
-                        applied = await engine.accept_batch(
-                            msets, local=True
-                        )
-                        self._resolve_applied(applied)
-                        self._kick_channels()
-                        if not self.peer_names:
-                            await engine.fully_acked_many(
-                                [(mset.tid, mset.keys) for mset in msets]
+                        seq += 1
+                        tid = "%s:%d" % (self.name, seq)
+                        mset, encoded = build(tid, token)
+                        if await_apply:
+                            self._apply_futures[mset.tid] = (
+                                self._loop.create_future()
                             )
-                        self.m_commit_group.observe(len(msets))
-                        await self._notify_drain()
-                        applied_now = {mset.tid for mset in applied}
-                        for fut, mset in zip(waiting, msets):
-                            if not fut.done():
-                                fut.set_result(
-                                    (mset, mset.tid not in applied_now)
-                                )
-                    except BaseException as exc:
-                        # Whatever stopped the group stops every member
-                        # of it not yet answered (a cancelled leader
-                        # cancels them); the next group still runs.
-                        cancelled = not isinstance(exc, Exception)
-                        for _, _, fut in group:
-                            if fut.done():
-                                pass
-                            elif cancelled:
-                                fut.cancel()
-                            else:
-                                fut.set_exception(exc)
-                        if cancelled:
-                            raise
+                        if await_acks:
+                            self._full_ack_futures[mset.tid] = (
+                                self._loop.create_future()
+                            )
+                        members.append((fut, reply))
+                        msets.append(mset)
+                        payloads.append({"mset": encode_mset(mset, encoded)})
+                    if not msets:
+                        continue
+                    self.log.append_many(
+                        payloads, blobs=list(map(payload_blob, payloads))
+                    )
+                    self.log.sync()
+                    applied = engine.accept_batch(msets, local=True)
+                    self._resolve_applied(applied)
+                    self._kick_channels()
+                    if not self.peer_names:
+                        engine.fully_acked_many(
+                            [(mset.tid, mset.keys) for mset in msets]
+                        )
+                    self.m_commit_group.observe(len(msets))
+                    self._notify_drain()
+                    applied_now = {mset.tid for mset in applied}
+                    for (fut, reply), mset in zip(members, msets):
+                        held = mset.tid not in applied_now
+                        if not fut.done():
+                            fut.set_result(
+                                (mset, held) if reply is None
+                                else reply(mset, held)
+                            )
+                except Exception as exc:
+                    # Whatever stopped the group stops every member of
+                    # it not yet answered; the next group still runs.
+                    for _, _, fut, _ in group:
+                        if not fut.done():
+                            fut.set_exception(exc)
         finally:
-            # Same step as finding the queue empty: releasing the apply
-            # lock does not yield, so no member joins in between.
             self._commit_leader = False
-        return await mine
 
     def _fenced(self, order: Tuple[int, int]) -> bool:
         """True (and counted) when the leader that granted ``order``
@@ -3086,7 +3111,7 @@ class ReplicaServer:
         """
         kind = MSetKind.ABORT if outcome == "abort" else MSetKind.COMMIT
 
-        def make(tid: str) -> Tuple[MSet, Optional[list]]:
+        def make(tid: str, order: None) -> Tuple[MSet, Optional[list]]:
             self.trace.event(
                 "decision-submit", tid=tid, decides=target, outcome=outcome
             )

@@ -22,11 +22,11 @@ from repro.live.protocol import (
     encode_bin_batch_frame,
     encode_mset,
     payload_blob,
-    read_frame,
-    write_frame,
 )
 from repro.replica.mset import MSet
 from repro.core.operations import IncrementOp
+
+from .wire import RawConn
 
 
 def run(coro):
@@ -235,13 +235,10 @@ class TestFrameSizing:
             await cluster.start()
             try:
                 await cluster.kill("site1")  # the forged frames own the seqs
-                host, port = cluster.addrs["site0"]
-                reader, writer = await asyncio.open_connection(host, port)
-                other_r, other_w = await asyncio.open_connection(host, port)
-                await write_frame(
-                    writer, {"type": "peer-hello", "src": "site1"}
-                )
-                writer.write(
+                peer = await RawConn.open(*cluster.addrs["site0"])
+                other = await RawConn.open(*cluster.addrs["site0"])
+                peer.send({"type": "peer-hello", "src": "site1"})
+                peer.write(
                     b"".join(
                         _forged_batch(
                             "site1", range(first, first + per_frame)
@@ -249,21 +246,19 @@ class TestFrameSizing:
                         for first in range(1, last + 1, per_frame)
                     )
                 )
-                ack = await asyncio.wait_for(read_frame(reader), 10)
-                await write_frame(
-                    other_w, {"type": "request", "id": 1, "verb": "ping"}
-                )
-                pong = await asyncio.wait_for(read_frame(other_r), 10)
+                ack = await peer.recv()
+                other.send({"type": "request", "id": 1, "verb": "ping"})
+                pong = await other.recv()
                 assert pong["ok"] is True
                 # Answered with most of the backlog still unrecorded,
                 # so before its last frame could be acknowledged.
                 inbox = cluster.servers["site0"].inboxes["site1"]
                 assert inbox.frontier < last
                 while ack["seq"] < last:
-                    ack = await asyncio.wait_for(read_frame(reader), 10)
+                    ack = await peer.recv()
                 assert inbox.frontier == last
-                writer.close()
-                other_w.close()
+                await peer.close()
+                await other.close()
             finally:
                 await cluster.stop()
 
@@ -303,20 +298,14 @@ class TestWireInterop:
             cluster = LiveCluster(n_sites=2, method="commu")
             await cluster.start()
             try:
-                host, port = cluster.addrs["site0"]
-                reader, writer = await asyncio.open_connection(host, port)
-                await write_frame(
-                    writer, {"type": "peer-hello", "src": "site1"}
-                )
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "site1"})
                 batch = _forged_batch("site1", (1, 2, 3))
                 for _ in range(3):  # original + two retries
-                    writer.write(batch)
-                    await writer.drain()
-                    ack = await asyncio.wait_for(
-                        read_frame(reader), timeout=5
-                    )
+                    raw.write(batch)
+                    ack = await raw.recv(timeout=5)
                     assert ack == {"type": "ack", "seq": 3}
-                writer.close()
+                await raw.close()
                 client = await cluster.client("site0")
                 assert await client.read("acct0") == 3
             finally:
@@ -332,17 +321,13 @@ class TestWireInterop:
             cluster = LiveCluster(n_sites=2, method="commu")
             await cluster.start()
             try:
-                host, port = cluster.addrs["site0"]
-                reader, writer = await asyncio.open_connection(host, port)
-                await write_frame(
-                    writer, {"type": "peer-hello", "src": "site1"}
-                )
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "site1"})
                 # frontier is 0: seqs 1-4 missing
-                writer.write(_forged_batch("site1", (5,)))
-                await writer.drain()
-                ack = await asyncio.wait_for(read_frame(reader), timeout=5)
+                raw.write(_forged_batch("site1", (5,)))
+                ack = await raw.recv(timeout=5)
                 assert ack == {"type": "ack", "seq": 0}
-                writer.close()
+                await raw.close()
                 client = await cluster.client("site0")
                 assert await client.read("acct0") == 0  # never applied
             finally:

@@ -36,9 +36,9 @@ async def soak(method):
     applied = 0
     seq = 0
 
-    async def accept(mset, local):
+    def accept(mset, local):
         nonlocal applied
-        applied += len(await engine.accept(mset, local=local))
+        applied += len(engine.accept(mset, local=local))
         if local:
             unacked.append((mset.tid, mset.keys))
 
@@ -68,9 +68,9 @@ async def soak(method):
         if method in ORDERED and swapped is None and rng.random() < 0.2:
             swapped = (mset, local)  # its successor overtakes it
         else:
-            await accept(mset, local)
+            accept(mset, local)
             if swapped is not None:
-                await accept(*swapped)
+                accept(*swapped)
                 swapped = None
         if len(undecided) > ACK_LAG:
             seq += 1
@@ -79,10 +79,10 @@ async def soak(method):
                 "s0:%d" % seq, kind, (), origin="s0",
                 info=(("decides", undecided.pop(0)),),
             )
-            await accept(decision, True)
+            accept(decision, True)
         if len(unacked) > ACK_LAG:
             batch, unacked[:16] = unacked[:16], []
-            await engine.fully_acked_many(batch)
+            engine.fully_acked_many(batch)
         if seq % 40 == 0:
             query = engine.query(
                 rng.sample(KEYS, 3), EpsilonSpec(), timeout=5.0
@@ -93,7 +93,7 @@ async def soak(method):
         check()
 
     if swapped is not None:
-        await accept(*swapped)
+        accept(*swapped)
         swapped = None
     while undecided:
         seq += 1
@@ -101,8 +101,8 @@ async def soak(method):
             "s0:%d" % seq, MSetKind.COMMIT, (), origin="s0",
             info=(("decides", undecided.pop(0)),),
         )
-        await accept(decision, True)
-    await engine.fully_acked_many(unacked)
+        accept(decision, True)
+    engine.fully_acked_many(unacked)
     unacked.clear()
     await asyncio.gather(*active)
     check()

@@ -10,6 +10,8 @@ from repro.live import LiveCluster, LiveETFailed
 from repro.live.client import LiveClient, RequestTimeout
 from repro.live.server import ReplicaServer
 
+from .wire import listen
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -37,8 +39,8 @@ class TestFailedSendLeavesNoOrphanFuture:
             await cluster.start()
             try:
                 client = await cluster.client("site0", reconnect=False)
-                writer = client._writer
-                real_write = writer.write
+                transport = client._conn.transport
+                real_write = transport.write
                 calls = {"n": 0}
 
                 def flaky_write(data):
@@ -47,7 +49,7 @@ class TestFailedSendLeavesNoOrphanFuture:
                         raise ConnectionResetError("boom mid-send")
                     real_write(data)
 
-                writer.write = flaky_write
+                transport.write = flaky_write
                 outcomes = await asyncio.gather(
                     *(client.ping() for _ in range(3)),
                     return_exceptions=True,
@@ -83,7 +85,7 @@ class TestFailedSendLeavesNoOrphanFuture:
                 ]
                 await asyncio.sleep(0)  # buffered, flush still to come
                 assert len(client._waiting) == 4
-                client._writer.transport.abort()
+                client._conn.transport.abort()
                 outcomes = await asyncio.gather(*pings, return_exceptions=True)
                 assert all(isinstance(o, ConnectionError) for o in outcomes)
                 assert client._waiting == {}
@@ -99,16 +101,12 @@ class TestRequestTimeout:
         client past its per-request deadline."""
 
         async def scenario():
-            async def black_hole(reader, writer):
-                try:
-                    while await reader.read(4096):
-                        pass
-                finally:
-                    writer.close()
+            async def black_hole(raw):
+                while await raw.recv(timeout=None) is not None:
+                    pass  # takes every frame, answers none
+                await raw.close()
 
-            server = await asyncio.start_server(
-                black_hole, "127.0.0.1", 0
-            )
+            server = await listen(black_hole)
             port = server.sockets[0].getsockname()[1]
             try:
                 client = await LiveClient.connect("127.0.0.1", port)

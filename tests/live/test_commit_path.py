@@ -225,14 +225,21 @@ def test_a_turn_of_updates_costs_one_fsync_one_log_write_one_reply_write(
             origin.log._log = _CountingFile(origin.log._log, log_writes)
             fsyncs = origin.log.fsync_count
             reply_writes = []
-            real_write = asyncio.StreamWriter.write
 
-            def write(self, data):
-                if b'"type":"response"' in data:
-                    reply_writes.append(data.count(b'"type":"response"'))
-                return real_write(self, data)
+            def counting(real):
+                def write(data):
+                    if b'"type":"response"' in data:
+                        reply_writes.append(data.count(b'"type":"response"'))
+                    return real(data)
 
-            monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+                return write
+
+            # Every connection the origin accepted (the client's and the
+            # peers' channels): the replies must leave through one.
+            for conn in origin._conns:
+                monkeypatch.setattr(
+                    conn.transport, "write", counting(conn.transport.write)
+                )
             replies = await asyncio.gather(
                 *(client.increment("k%d" % i, 1) for i in range(16))
             )

@@ -149,10 +149,10 @@ def _saga_msets(engine):
 async def _seeded_engine(data_dir):
     engine = make_engine("compe", "site0", PEERS)
     engine.attach_storage(data_dir)
-    await engine.accept(
+    engine.accept(
         engine.make_mset("seed:1", (IncrementOp("a", 10),)), local=True
     )
-    await engine.accept(
+    engine.accept(
         engine.make_mset("seed:2", (IncrementOp("b", 10),)), local=True
     )
     return engine
@@ -176,7 +176,7 @@ class TestCrashAtEveryBoundary:
             reference = await _seeded_engine(reference_dir)
             msets = _saga_msets(reference)
             for mset in msets:
-                await reference.accept(mset)
+                reference.accept(mset)
             want = _observable(reference)
             reference.close()
             # The abort storm undid both steps: back to the seeds.
@@ -189,12 +189,12 @@ class TestCrashAtEveryBoundary:
                 first = await _seeded_engine(crash_dir)
                 plan = _saga_msets(first)
                 for mset in plan[:crash_after]:
-                    await first.accept(mset)
+                    first.accept(mset)
                 first.close()  # crash: in-memory state gone, log kept
 
                 recovered = await _seeded_engine(crash_dir)
                 for mset in plan:  # full durable-inbox replay
-                    await recovered.accept(mset)
+                    recovered.accept(mset)
                 got = _observable(recovered)
                 recovered.close()
                 assert got == want, "crash after %d" % crash_after
@@ -218,7 +218,7 @@ class TestCrashAtEveryBoundary:
             engine.close()
 
             recovered = await _seeded_engine(tmp_path)
-            await recovered.accept(u1)
+            recovered.accept(u1)
             assert recovered.store.as_dict()["a"] == 9
             assert recovered.saga_members("s1") == ["site0:1"]
             assert recovered.compensation_log.live_records >= 1
@@ -226,7 +226,7 @@ class TestCrashAtEveryBoundary:
                 "site1:1", MSetKind.ABORT, (), origin="site1",
                 info=(("decides", "site0:1"),),
             )
-            await recovered.accept(d1)
+            recovered.accept(d1)
             assert recovered.store.as_dict()["a"] == 10
             assert recovered.compensation_count == 1
             recovered.close()
@@ -243,7 +243,7 @@ class TestCrashAtEveryBoundary:
             msets = _saga_msets(engine)
             u1, u2, d2, d1 = msets
             for mset in (d1, d2, u1, u2):  # decisions first
-                await engine.accept(mset)
+                engine.accept(mset)
             got = _observable(engine)
             engine.close()
             assert got["values"] == {"a": 10, "b": 10}
@@ -258,15 +258,15 @@ class TestCrashAtEveryBoundary:
             msets = _saga_msets(engine)
             # Stop mid-story: one step undecided, one compensated.
             for mset in msets[:3]:
-                await engine.accept(mset)
-            image = await engine.checkpoint()
+                engine.accept(mset)
+            image = engine.checkpoint()
             clone = make_engine("compe", "site0", PEERS)
-            await clone.restore(image)
-            assert await clone.checkpoint() == image
+            clone.restore(image)
+            assert clone.checkpoint() == image
             assert _observable(clone) == _observable(engine)
             # The restored replica still resolves the open step.
-            await clone.accept(msets[3])
-            await engine.accept(msets[3])
+            clone.accept(msets[3])
+            engine.accept(msets[3])
             assert _observable(clone) == _observable(engine)
             engine.close()
 

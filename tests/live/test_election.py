@@ -86,7 +86,7 @@ class TestEngineEpochFence:
         async def main():
             engine = OrdupLiveEngine("siteA", ["siteA", "siteB"])
             for seq in range(1, 6):
-                await engine.accept(_ordered_mset(seq, 0))
+                engine.accept(_ordered_mset(seq, 0))
             assert engine.frontier == (5, 0)
 
             engine.adopt_epoch(1, base=5)
@@ -97,11 +97,11 @@ class TestEngineEpochFence:
             assert engine.order_admissible((5, 0))
             assert not engine.order_admissible((6, 0))
 
-            applied = await engine.accept(_ordered_mset(6, 1))
+            applied = engine.accept(_ordered_mset(6, 1))
             assert [m.order for m in applied] == [(6, 1)]
             # A deposed leader's grant past the base applies nowhere.
             fenced_before = engine.fenced_count
-            assert await engine.accept(_ordered_mset(7, 0)) == []
+            assert engine.accept(_ordered_mset(7, 0)) == []
             assert engine.fenced_count == fenced_before + 1
             assert engine.store.get("x", 0) == 6
 
@@ -110,16 +110,16 @@ class TestEngineEpochFence:
     def test_adopt_purges_fenced_holdback(self):
         async def main():
             engine = OrdupLiveEngine("siteA", ["siteA", "siteB"])
-            await engine.accept(_ordered_mset(1, 0))
+            engine.accept(_ordered_mset(1, 0))
             # Held back behind the gap at seq 2 — and granted past the
             # handover point by what turns out to be a deposed leader.
-            await engine.accept(_ordered_mset(3, 0))
+            engine.accept(_ordered_mset(3, 0))
             assert engine.max_order_seen() == 3
 
             engine.adopt_epoch(1, base=1)
             # The held-back (3, 0) can never become applicable: seqs
             # 2.. belong to epoch 1 now.  It must not wedge the buffer.
-            applied = await engine.accept(_ordered_mset(2, 1))
+            applied = engine.accept(_ordered_mset(2, 1))
             assert [m.order for m in applied] == [(2, 1)]
             assert engine.fenced_count >= 1
 
@@ -129,11 +129,11 @@ class TestEngineEpochFence:
         async def main():
             engine = OrdupLiveEngine("siteA", ["siteA", "siteB"])
             for seq in range(1, 4):
-                await engine.accept(_ordered_mset(seq, 0))
+                engine.accept(_ordered_mset(seq, 0))
             engine.adopt_epoch(2, base=3)
 
             reborn = OrdupLiveEngine("siteA", ["siteA", "siteB"])
-            await reborn.restore(await engine.checkpoint())
+            reborn.restore(engine.checkpoint())
             assert not reborn.order_admissible((4, 0))
             assert reborn.order_admissible((4, 2))
 

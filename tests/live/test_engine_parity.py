@@ -120,7 +120,7 @@ async def drive(cls, method, script, audit=False):
             engine.applies.append((now[0], tid, keys))
 
     async def deliver(mset, local):
-        await engine.accept_batch([mset], local=local)
+        engine.accept_batch([mset], local=local)
         log_apply(mset.tid, mset.keys)
         if local:
             unacked.append(mset)
@@ -175,16 +175,16 @@ async def drive(cls, method, script, audit=False):
                 await deliver(mset, local)
         elif kind == "ack":
             batch, unacked[: step[1]] = unacked[: step[1]], []
-            await engine.fully_acked_many([(m.tid, m.keys) for m in batch])
+            engine.fully_acked_many([(m.tid, m.keys) for m in batch])
         elif kind == "restart" and all(query.done() for query in queries):
             # A crash takes the running queries with it, so only between
             # them: checkpoint, restore into a fresh engine, and re-raise
             # what the outbox still owes — as ReplicaServer._recover does.
-            image, drift = await engine.checkpoint(), engine._drift
+            image, drift = engine.checkpoint(), engine._drift
             engine = cls("s0", ("s1", "s2"), clock=lambda: now[0])
-            await engine.restore(image)
+            engine.restore(image)
             for mset in unacked:
-                await engine.hold_counters(mset)
+                engine.hold_counters(mset)
             for tid in engine._pins:  # still chargeable: same drift
                 assert engine._drift.get(tid) == drift.get(tid), tid
         elif kind == "decide" and undecided:
@@ -206,7 +206,7 @@ async def drive(cls, method, script, audit=False):
     await flush()
     while undecided:
         await decide(MSetKind.COMMIT)
-    await engine.fully_acked_many([(m.tid, m.keys) for m in unacked])
+    engine.fully_acked_many([(m.tid, m.keys) for m in unacked])
     for _ in range(50):
         if all(query.done() for query in queries):
             break

@@ -12,7 +12,9 @@ import pytest
 from repro.core.transactions import EpsilonSpec
 from repro.live import LiveCluster
 from repro.live.engine import ENGINES
-from repro.live.protocol import encode_bin_batch_frame, write_frame
+from repro.live.protocol import encode_bin_batch_frame
+
+from .wire import RawConn
 
 
 def run(coro):
@@ -168,15 +170,11 @@ class TestSilentHandlerRegressions:
         async def scenario():
             cluster = await _booted(tmp_path)
             try:
-                host, port = cluster.addrs["site0"]
-                reader, writer = await asyncio.open_connection(host, port)
-                await write_frame(
-                    writer, {"type": "peer-hello", "src": "stranger"}
-                )
-                writer.write(encode_bin_batch_frame("stranger", [(1, b"{}")]))
-                await writer.drain()
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "stranger"})
+                raw.write(encode_bin_batch_frame("stranger", [(1, b"{}")]))
                 await asyncio.sleep(0.1)
-                writer.close()
+                await raw.close()
                 server = cluster.servers["site0"]
                 assert (
                     server.registry.get_sample(

@@ -20,6 +20,7 @@ Pinned here:
 """
 
 import asyncio
+import inspect
 
 import pytest
 from hypothesis import strategies as st
@@ -39,16 +40,19 @@ from repro.replica.mset import MSet, MSetKind
 KEYS = ("a", "b", "c")
 
 
-def _finishes_in_one_step(coro):
-    """Drive ``coro`` one step; it must be done after it."""
-    with pytest.raises(StopIteration) as stop:
-        coro.send(None)
-    return stop.value.value
+MUTATORS = (
+    "accept", "accept_batch", "fully_acked_many", "hold_counters",
+    "checkpoint", "restore",
+)
 
 
 @pytest.mark.parametrize("method", sorted(ENGINES))
 def test_every_mutator_finishes_in_the_step_that_calls_it(method):
+    """Every mutator is a plain method: the server calls it in the step
+    that parsed its frame, with nothing to await."""
     engine = ENGINES[method]("s0", ("s1", "s2"))
+    for name in MUTATORS:
+        assert not inspect.iscoroutinefunction(getattr(engine, name)), name
     op = WriteOp if method.startswith("ritu") else IncrementOp
     ordered = engine.needs_order
     first, second = (
@@ -57,14 +61,11 @@ def test_every_mutator_finishes_in_the_step_that_calls_it(method):
         )
         for n in (1, 2)
     )
-    assert _finishes_in_one_step(engine.accept(first, local=True)) == [first]
-    assert _finishes_in_one_step(
-        engine.accept_batch([second], local=True)
-    ) == [second]
-    _finishes_in_one_step(engine.fully_acked_many([(first.tid, first.keys)]))
-    _finishes_in_one_step(engine.hold_counters(second))
-    image = _finishes_in_one_step(engine.checkpoint())
-    _finishes_in_one_step(engine.restore(image))
+    assert engine.accept(first, local=True) == [first]
+    assert engine.accept_batch([second], local=True) == [second]
+    engine.fully_acked_many([(first.tid, first.keys)])
+    engine.hold_counters(second)
+    engine.restore(engine.checkpoint())
     assert engine.snapshot() == {"a": 2 if op is IncrementOp else 1}
 
 
@@ -164,14 +165,17 @@ class ParkedQueryMachine(RuleBasedStateMachine):
         self.loop.run_until_complete(coro)
         self.loop.run_until_complete(asyncio.sleep(0))
 
+    def turn(self):
+        """Give the loop the passes a mutator's wake-ups need."""
+        self.run(asyncio.sleep(0))
+
     def pending(self):
         return [task for task, _, _ in self.queries if not task.done()]
 
     def release(self, count):
         acked, self.unacked[:count] = self.unacked[:count], []
-        self.run(
-            self.engine.fully_acked_many([(m.tid, m.keys) for m in acked])
-        )
+        self.engine.fully_acked_many([(m.tid, m.keys) for m in acked])
+        self.turn()
 
     def settle_decision(self, target, abort):
         del self.undecided[target]
@@ -181,7 +185,8 @@ class ParkedQueryMachine(RuleBasedStateMachine):
             MSetKind.ABORT if abort else MSetKind.COMMIT,
             (), origin="s0", info=(("decides", target),),
         )
-        self.run(self.engine.accept_batch([decision], local=True))
+        self.engine.accept_batch([decision], local=True)
+        self.turn()
 
     @rule(local=st.booleans(), keys=key_sets, amount=st.integers(1, 3))
     def accept(self, local, keys, amount):
@@ -198,7 +203,8 @@ class ParkedQueryMachine(RuleBasedStateMachine):
             self.unacked.append(mset)
         if self.engine_cls is CompeLiveEngine:
             self.undecided[tid] = mset.keys
-        self.run(self.engine.accept_batch([mset], local=local))
+        self.engine.accept_batch([mset], local=local)
+        self.turn()
 
     @precondition(lambda self: self.unacked)
     @rule(count=st.integers(1, 3))
@@ -213,14 +219,12 @@ class ParkedQueryMachine(RuleBasedStateMachine):
 
     @rule()
     def restore(self):
-        async def restart():
-            # As recovery does: install the image, then re-raise what
-            # the outbox still owes — with no turn in between.
-            await self.engine.restore(await self.engine.checkpoint())
-            for mset in self.unacked:
-                await self.engine.hold_counters(mset)
-
-        self.run(restart())
+        # As recovery does: install the image, then re-raise what the
+        # outbox still owes — with no turn in between.
+        self.engine.restore(self.engine.checkpoint())
+        for mset in self.unacked:
+            self.engine.hold_counters(mset)
+        self.turn()
 
     @rule(
         keys=key_sets,

@@ -43,73 +43,42 @@ from repro.live.protocol import (
     encode_spec,
     loads,
     payload_blob,
-    read_frame,
 )
 from repro.replica.mset import MSet
 
-
-def _feed(*payloads: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    for payload in payloads:
-        reader.feed_data(payload)
-    reader.feed_eof()
-    return reader
+from .wire import decode_stream
 
 
 class TestFraming:
     def test_roundtrip(self):
         frame = encode_frame({"type": "ping", "n": 7})
-
-        async def scenario():
-            return await read_frame(_feed(frame))
-
-        assert asyncio.run(scenario()) == {"type": "ping", "n": 7}
+        assert decode_stream(frame) == [{"type": "ping", "n": 7}]
 
     def test_many_frames_in_sequence(self):
         frames = [encode_frame({"i": i}) for i in range(5)]
+        assert decode_stream(*frames) == [{"i": i} for i in range(5)]
 
-        async def scenario():
-            reader = _feed(*frames)
-            return [await read_frame(reader) for _ in range(6)]
-
-        got = asyncio.run(scenario())
-        assert got[:5] == [{"i": i} for i in range(5)]
-        assert got[5] is None  # clean EOF after the last frame
-
-    def test_eof_mid_frame_is_none(self):
+    def test_a_partial_frame_waits_for_its_bytes(self):
         frame = encode_frame({"big": "x" * 100})
-
-        async def scenario():
-            return await read_frame(_feed(frame[:20]))
-
-        assert asyncio.run(scenario()) is None
+        assert decode_stream(frame[:20]) == []
+        assert decode_stream(frame[:3], frame[3:20], frame[20:]) == [
+            {"big": "x" * 100}
+        ]
 
     def test_oversized_length_rejected(self):
         header = struct.pack(">I", MAX_FRAME + 1)
-
-        async def scenario():
-            return await read_frame(_feed(header))
-
         with pytest.raises(ProtocolError):
-            asyncio.run(scenario())
+            decode_stream(header)
 
     def test_undecodable_body_rejected(self):
         junk = struct.pack(">I", 4) + b"\xff\xfe\x00\x01"
-
-        async def scenario():
-            return await read_frame(_feed(junk))
-
         with pytest.raises(ProtocolError):
-            asyncio.run(scenario())
+            decode_stream(junk)
 
     def test_non_object_payload_rejected(self):
         frame = struct.pack(">I", 7) + b"[1,2,3]"
-
-        async def scenario():
-            return await read_frame(_feed(frame))
-
         with pytest.raises(ProtocolError):
-            asyncio.run(scenario())
+            decode_stream(frame)
 
 
 class TestOperationCodec:
@@ -287,11 +256,7 @@ class TestBinaryFraming:
     def test_batch_roundtrip_over_the_wire(self):
         entries = [(seq, self._blob(seq)) for seq in (4, 5, 6)]
         data = encode_bin_batch_frame("site0", entries)
-
-        async def scenario():
-            return await read_frame(_feed(data))
-
-        frame = asyncio.run(scenario())
+        (frame,) = decode_stream(data)
         assert frame["type"] == "mset-batch"
         assert frame["src"] == "site0"
         assert list(frame["blobs"]) == entries
@@ -301,10 +266,9 @@ class TestBinaryFraming:
         assert decode_mset(payload["mset"]).ops[0].amount == 4
 
     def test_ack_roundtrip_over_the_wire(self):
-        async def scenario():
-            return await read_frame(_feed(encode_bin_ack_frame(712)))
-
-        assert asyncio.run(scenario()) == {"type": "ack", "seq": 712}
+        assert decode_stream(encode_bin_ack_frame(712)) == [
+            {"type": "ack", "seq": 712}
+        ]
 
     def test_binary_and_json_frames_interleave(self):
         """Frames are self-describing: a reader takes JSON control
@@ -315,14 +279,8 @@ class TestBinaryFraming:
             + encode_frame({"type": "hb", "src": "s"})
             + encode_bin_batch_frame("s", [(1, self._blob(1))])
         )
-
-        async def scenario():
-            reader = _feed(stream)
-            return [await read_frame(reader) for _ in range(5)]
-
-        got = asyncio.run(scenario())
-        assert [f and f.get("type") for f in got] == [
-            "ping", "ack", "hb", "mset-batch", None,
+        assert [f["type"] for f in decode_stream(stream)] == [
+            "ping", "ack", "hb", "mset-batch",
         ]
 
     def test_empty_batch_rejected_on_encode(self):
@@ -342,20 +300,12 @@ class TestBinaryFraming:
 
     def test_oversized_binary_length_rejected(self):
         header = struct.pack(">I", 0x80000000 | (MAX_FRAME + 1))
-
-        async def scenario():
-            return await read_frame(_feed(header))
-
         with pytest.raises(ProtocolError):
-            asyncio.run(scenario())
+            decode_stream(header)
 
-    def test_eof_mid_binary_body_is_none(self):
+    def test_a_partial_binary_body_waits_for_its_bytes(self):
         data = encode_bin_batch_frame("site0", [(1, self._blob(1))])
-
-        async def scenario():
-            return await read_frame(_feed(data[: len(data) - 3]))
-
-        assert asyncio.run(scenario()) is None
+        assert decode_stream(data[: len(data) - 3]) == []
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ProtocolError):
@@ -621,23 +571,20 @@ class TestCodecProperties:
 
     def test_byte_mutation_fuzz_never_crashes_untyped(self):
         """Flipping arbitrary bytes in valid frames must only ever
-        produce a frame, None (EOF), or ProtocolError — anything else
-        would kill a connection task with an unhandled exception."""
+        produce frames, a wait for more bytes, or ProtocolError —
+        anything else would escape ``data_received`` as an unhandled
+        exception."""
         rng = random.Random(0xF022)
         seeds = _FUZZ_SEEDS
-
-        async def poke(data):
-            return await read_frame(_feed(data))
-
         for _ in range(400):
             data = bytearray(rng.choice(seeds))
             for _ in range(rng.randrange(1, 4)):
                 data[rng.randrange(len(data))] = rng.randrange(256)
             try:
-                frame = asyncio.run(poke(bytes(data)))
+                frames = decode_stream(bytes(data))
             except ProtocolError:
                 continue
-            assert frame is None or isinstance(frame, dict)
+            assert all(isinstance(frame, dict) for frame in frames)
 
 
 def _outcome(parse, doc):
@@ -1054,34 +1001,22 @@ class TestDecodeOpParity:
             assert new[1] is ProtocolError
 
 
-class _Transport:
+class _Sink:
+    """The part of a transport a :class:`FrameWriter` uses."""
+
     def __init__(self):
         self.closing = False
-        self.buffered = 0
+        self.chunks = []
 
     def is_closing(self):
         return self.closing
 
-    def get_write_buffer_size(self):
-        return self.buffered
-
-
-class _Sink:
-    """The part of a ``StreamWriter`` a :class:`FrameWriter` uses."""
-
-    def __init__(self):
-        self.transport = _Transport()
-        self.chunks = []
-
     def write(self, data):
         self.chunks.append(data)
 
-    async def drain(self):
-        pass
-
 
 class TestFrameWriter:
-    """One socket write per connection per loop turn."""
+    """One transport write per connection per loop turn."""
 
     def test_one_turn_is_one_write_in_call_order(self):
         """A JSON reply, a raw binary ack and a heartbeat reply written
@@ -1099,15 +1034,13 @@ class TestFrameWriter:
             assert sink.chunks == []  # nothing before the turn ends
             await asyncio.sleep(0)
             assert len(sink.chunks) == 1
-            reader = _feed(sink.chunks[0])
-            return [await read_frame(reader) for _ in range(5)]
+            return sink.chunks[0]
 
-        assert asyncio.run(scenario()) == [
+        assert decode_stream(asyncio.run(scenario())) == [
             reply,
             {"type": "ack", "seq": 9},
             hb_ack,
             {"type": "ack", "seq": 10},
-            None,
         ]
 
     def test_two_turns_are_two_writes(self):
@@ -1164,9 +1097,9 @@ class TestFrameWriter:
             frames.send({"i": 1}, lost_a)
             frames.send({"i": 2})  # a frame nobody waits on
             frames.send({"i": 3}, lost_b)
-            sink.transport.closing = True  # dies inside the turn
+            sink.closing = True  # dies inside the turn
             await asyncio.sleep(0)
-            sink.transport.closing = False
+            sink.closing = False
             frames.send({"i": 4}, after)
             await asyncio.sleep(0)
             assert not before.done() and not after.done()
@@ -1199,91 +1132,42 @@ class TestFrameWriter:
 
         asyncio.run(scenario())
 
-    def test_drain_returns_at_once_on_an_empty_transport(self):
+    def test_drain_returns_at_once_unless_paused(self):
         async def scenario():
-            sink = _Sink()
-            calls = []
-
-            async def drain():
-                calls.append(1)
-
-            sink.drain = drain
-            frames = FrameWriter(sink)
+            frames = FrameWriter(_Sink())
             frames.send({"i": 0})
+            await frames.drain()  # never paused: no wait at all
+            frames.pause()
+            frames.resume()
             await frames.drain()
-            return calls
 
-        assert asyncio.run(scenario()) == []
+        asyncio.run(scenario())
 
-    def test_paused_transport_has_one_drain_awaiter_at_a_time(self):
-        """Concurrent senders on a paused transport: Python 3.9/3.10
-        assert on a second ``StreamWriter.drain()`` waiter, so the
-        writer lets exactly one in at a time — over a real socket whose
-        far end does not read until every sender is waiting."""
-        senders = 8
-        blob = b"x" * (1 << 20)
+    def test_paused_producers_wait_together_and_one_may_leave(self):
+        """Any number of producers park on a paused writer; one that is
+        cancelled leaves the rest parked, and a resume releases them
+        all."""
 
         async def scenario():
-            release = asyncio.Event()
-            finished = asyncio.Event()
+            frames = FrameWriter(_Sink())
+            frames.pause()
+            done = []
 
-            async def far_end(reader, writer):
-                await release.wait()
-                while await reader.read(1 << 20):
-                    pass
-                writer.close()
-                finished.set()
-
-            server = await asyncio.start_server(far_end, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            inside = {"now": 0, "peak": 0, "calls": 0}
-            real_drain = writer.drain
-
-            async def drain():
-                inside["now"] += 1
-                inside["calls"] += 1
-                inside["peak"] = max(inside["peak"], inside["now"])
-                try:
-                    await real_drain()
-                finally:
-                    inside["now"] -= 1
-
-            writer.drain = drain
-            frames = FrameWriter(writer)
-            # Fill the kernel's buffers and then the transport's: paused.
-            writer.transport.set_write_buffer_limits(high=1 << 16)
-            for _ in range(16):
-                frames.write(blob)
-            await asyncio.sleep(0)
-            assert writer.transport.get_write_buffer_size() > (1 << 16)
-
-            async def sender(i):
+            async def producer(i):
                 frames.write(b"%d" % i)
                 await frames.drain()
+                done.append(i)
 
-            tasks = [asyncio.ensure_future(sender(i)) for i in range(senders)]
-            await asyncio.sleep(0.05)
-            assert not any(task.done() for task in tasks)
-            assert inside["now"] == 1
-            # One of the parked senders is cancelled: the rest stay
-            # parked, not cancelled with it.
+            tasks = [asyncio.ensure_future(producer(i)) for i in range(8)]
+            await asyncio.sleep(0.01)
+            assert done == []
             tasks[3].cancel()
             await asyncio.sleep(0.01)
-            assert [t.done() for t in tasks].count(True) == 1
-            release.set()
+            assert done == [] and tasks[3].cancelled()
+            frames.resume()
             await asyncio.wait_for(
-                asyncio.gather(*tasks, return_exceptions=True), timeout=20
+                asyncio.gather(*tasks, return_exceptions=True), timeout=5
             )
-            assert tasks[3].cancelled()
-            assert all(
-                t.exception() is None for t in tasks if not t.cancelled()
-            )
-            assert inside["peak"] == 1 and inside["calls"] >= 1
-            writer.close()
-            await writer.wait_closed()
-            await asyncio.wait_for(finished.wait(), timeout=20)
-            server.close()
-            await server.wait_closed()
+            assert sorted(done) == [0, 1, 2, 4, 5, 6, 7]
 
         asyncio.run(scenario())

@@ -31,6 +31,8 @@ from repro.live.client import LiveClient, RequestTimeout
 from repro.live.read_cache import EpsilonReadCache
 from repro.obs.registry import Registry
 
+from .wire import listen
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -543,14 +545,12 @@ class TestTimeoutThreading:
         verb by the per-call or client-default timeout."""
 
         async def main():
-            wedged_writer_holds = []
+            wedged = []
 
-            async def wedge(reader, writer):
-                wedged_writer_holds.append(writer)  # accept, say nothing
+            async def wedge(raw):
+                wedged.append(raw)  # accept, say nothing
 
-            server = await asyncio.start_server(
-                wedge, "127.0.0.1", 0
-            )
+            server = await listen(wedge)
             addr = server.sockets[0].getsockname()[:2]
             try:
                 client = LiveClient([addr], request_timeout=None)
@@ -564,6 +564,8 @@ class TestTimeoutThreading:
                     await client.refresh_membership(timeout=0.2)
                 await client.close()
             finally:
+                for raw in wedged:
+                    await raw.close()
                 server.close()
                 await server.wait_closed()
 
@@ -571,10 +573,12 @@ class TestTimeoutThreading:
 
     def test_client_default_timeout_covers_all_verbs(self, tmp_path):
         async def main():
-            async def wedge(reader, writer):
-                await asyncio.sleep(3600)
+            wedged = []
 
-            server = await asyncio.start_server(wedge, "127.0.0.1", 0)
+            async def wedge(raw):
+                wedged.append(raw)  # accept, say nothing
+
+            server = await listen(wedge)
             addr = server.sockets[0].getsockname()[:2]
             try:
                 client = LiveClient([addr], request_timeout=0.2)
@@ -583,6 +587,8 @@ class TestTimeoutThreading:
                     await client.values()  # no per-call timeout passed
                 await client.close()
             finally:
+                for raw in wedged:
+                    await raw.close()
                 server.close()
                 await server.wait_closed()
 

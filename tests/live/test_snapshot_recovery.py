@@ -101,12 +101,12 @@ class TestEngineCheckpoint:
         async def scenario():
             peers = ("site0", "site1", "site2")
             engine = make_engine(method, "site0", peers)
-            image = await engine.checkpoint()
+            image = engine.checkpoint()
             clone = make_engine(method, "site0", peers)
-            await clone.restore(image)
+            clone.restore(image)
             # The restore is faithful: checkpointing the clone yields
             # the identical image.
-            assert await clone.checkpoint() == image
+            assert clone.checkpoint() == image
 
         run(scenario())
 
@@ -125,12 +125,12 @@ class TestEngineCheckpoint:
                     await client.increment("k%d" % (i % 3), 1)
                 await cluster.settle()
                 engine = cluster.servers["site0"].engine
-                image = await engine.checkpoint()
+                image = engine.checkpoint()
                 clone = make_engine(
                     "commu", "site0", ("site0", "site1")
                 )
-                await clone.restore(image)
-                assert await clone.checkpoint() == image
+                clone.restore(image)
+                assert clone.checkpoint() == image
             finally:
                 await cluster.stop()
 

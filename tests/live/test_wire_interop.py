@@ -22,10 +22,10 @@ from repro.live.protocol import (
     encode_bin_batch_frame,
     encode_mset,
     payload_blob,
-    read_frame,
-    write_frame,
 )
 from repro.replica.mset import MSet
+
+from .wire import RawConn, listen
 
 
 def run(coro):
@@ -86,19 +86,19 @@ class TestOneWire:
         async def scenario():
             first = asyncio.get_running_loop().create_future()
 
-            async def receiver(reader, writer):
-                hello = await read_frame(reader)
+            async def receiver(raw):
+                hello = await raw.recv()
                 greeted = time.monotonic()
-                frame = await read_frame(reader)
+                frame = await raw.recv()
                 while frame["type"] == "hb":
-                    frame = await read_frame(reader)
+                    frame = await raw.recv()
                 if not first.done():  # the sender redials after the close
                     first.set_result(
                         (hello, frame, time.monotonic() - greeted)
                     )
-                writer.close()
+                await raw.close()
 
-            silent = await asyncio.start_server(receiver, "127.0.0.1", 0)
+            silent = await listen(receiver)
             server = ReplicaServer(
                 "site0", peers=["site0", "site1"], data_dir=tmp_path
             )
@@ -143,11 +143,8 @@ class TestOneWire:
                 await cluster.kill("site1")
                 server = cluster.servers["site0"]
                 frontier = server.inboxes["site1"].frontier
-                host, port = cluster.addrs["site0"]
-                reader, writer = await asyncio.open_connection(host, port)
-                await write_frame(
-                    writer, {"type": "peer-hello", "src": "site1"}
-                )
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "site1"})
                 for forged in (
                     {
                         "type": "mset-batch",
@@ -161,12 +158,10 @@ class TestOneWire:
                         "mset": mset,
                     },
                 ):
-                    await write_frame(writer, forged)
-                    reply = await asyncio.wait_for(
-                        read_frame(reader), timeout=5
-                    )
+                    raw.send(forged)
+                    reply = await raw.recv(timeout=5)
                     assert reply["type"] == "error"
-                writer.close()
+                await raw.close()
                 assert (
                     server.registry.get_sample(
                         "frames_dropped_total", reason="unknown_frame"
@@ -327,12 +322,9 @@ class TestMalformedBinaryBatch:
                 frontier = server.inboxes["site1"].frontier
                 log = tmp_path / "site0" / "inbox" / "site1.log"
                 logged = log.read_bytes()
-                host, port = cluster.addrs["site0"]
-                reader, writer = await asyncio.open_connection(host, port)
-                await write_frame(
-                    writer, {"type": "peer-hello", "src": "site1"}
-                )
-                writer.write(
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "site1"})
+                raw.write(
                     encode_bin_batch_frame(
                         "site1",
                         [
@@ -341,10 +333,9 @@ class TestMalformedBinaryBatch:
                         ],
                     )
                 )
-                await writer.drain()
                 # The server must sever the connection (EOF to us)...
-                assert await read_frame(reader) is None
-                writer.close()
+                assert await raw.recv() is None
+                await raw.close()
                 # ...count the drop...
                 assert (
                     server.registry.get_sample(
@@ -373,17 +364,13 @@ class TestMalformedBinaryBatch:
         async def scenario():
             cluster = await _booted(tmp_path, n_sites=2)
             try:
-                host, port = cluster.addrs["site0"]
-                reader, writer = await asyncio.open_connection(host, port)
-                await write_frame(
-                    writer, {"type": "peer-hello", "src": "site1"}
-                )
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "site1"})
                 # Binary flag set, unknown kind byte: ProtocolError at
                 # the framing layer.
-                writer.write(b"\x80\x00\x00\x04\x7fjnk")
-                await writer.drain()
-                assert await read_frame(reader) is None
-                writer.close()
+                raw.write(b"\x80\x00\x00\x04\x7fjnk")
+                assert await raw.recv() is None
+                await raw.close()
                 server = cluster.servers["site0"]
                 assert (
                     server.registry.get_sample(
