@@ -29,8 +29,8 @@ Layers:
 * :mod:`repro.live.client` — pipelined async client facade with
   per-request timeouts, reconnect, and failover.
 * :mod:`repro.live.cluster` — in-process N-replica bootstrapper.
-* :mod:`repro.live.faults` — seeded fault injection (drop / delay /
-  duplicate / reorder / partition / crash schedules).
+* :mod:`repro.live.faults` — seeded fault injection on the connections
+  a replica dials (drop / delay / duplicate / reorder / partition).
 * :mod:`repro.live.chaos` — seeded chaos harness: one ``Run`` (cluster,
   ledger, fault actions) and six scenarios asserting the paper's
   invariants under faults, rejoin, migration, failover, WAN partition
@@ -74,14 +74,7 @@ from .client import (
 from .cluster import LiveCluster, ShardedCluster
 from .durable_queue import DurableInbox, DurableOutbox
 from .election import ElectionState
-from .faults import (
-    CrashEvent,
-    FaultPlan,
-    FrameFate,
-    LinkFaults,
-    WAN_INTER,
-    WAN_INTRA,
-)
+from .faults import FaultPlan, LinkFaults, WAN_INTER, WAN_INTRA
 from .gossip import FailureDetector, MembershipTable, NodeRecord
 from .engine import (
     CommuLiveEngine,
@@ -149,9 +142,7 @@ __all__ = [
     "WrongShard",
     "key_shard",
     "migrate_shard",
-    "CrashEvent",
     "FaultPlan",
-    "FrameFate",
     "LinkFaults",
     "WAN_INTER",
     "WAN_INTRA",

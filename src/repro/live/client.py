@@ -222,7 +222,8 @@ class RequestTimeout(ConnectionError):
 
 
 async def request_once(
-    addr: Tuple[str, int], verb: str, timeout: float = 5.0, **fields: Any
+    addr: Tuple[str, int], verb: str, timeout: float = 5.0,
+    link: Any = None, **fields: Any,
 ) -> Dict[str, Any]:
     """One request/response exchange on a fresh connection to a replica.
 
@@ -230,7 +231,7 @@ async def request_once(
     peer, an admin command — where pipelining, reconnects and failover
     buy nothing.  A refusal raises :class:`LiveETFailed` with the
     server's code; a connection closed before the reply raises
-    ``ConnectionError``.
+    ``ConnectionError``.  ``link`` is handed to :func:`connect_frames`.
     """
     answer: "asyncio.Future[Optional[Dict[str, Any]]]" = (
         asyncio.get_running_loop().create_future()
@@ -240,7 +241,7 @@ async def request_once(
         if not answer.done():
             answer.set_result(frame)
 
-    conn = await connect_frames(addr, on_frame)
+    conn = await connect_frames(addr, on_frame, link)
     conn.lost.add_done_callback(lambda _: on_frame(conn, None))
     try:
         conn.frames.send({"type": "request", "id": 1, "verb": verb, **fields})

@@ -8,10 +8,10 @@ replicas (which exercises the durable-queue recovery path — a
 restarted replica replays its logs and peers' channel loops re-deliver
 whatever it missed).
 
-A shared :class:`~repro.live.faults.FaultPlan` can be installed to
-inject transport faults into every server's peer channels; the
-:meth:`partition` / :meth:`heal` helpers drive it for the common
-split-brain scenario.
+A shared :class:`~repro.live.faults.FaultPlan` can be installed: each
+server hands the plan's link to every connection it dials to a peer,
+and those connections carry the faults.  The :meth:`partition` /
+:meth:`heal` helpers drive it for the common split-brain scenario.
 
     cluster = LiveCluster(n_sites=3, method="commu", data_dir=tmp)
     await cluster.start()

@@ -1,47 +1,45 @@
 """Seeded fault injection for the live replica runtime.
 
-The live analogue of :mod:`repro.sim.failures`: where the simulator
-schedules crash and partition events on a virtual clock, this module
-perturbs the *real* inter-replica transport — frames between live
-:class:`~repro.live.server.ReplicaServer` peers can be dropped,
-delayed, duplicated, and reordered, and directed links can be severed
-outright (partitions).  Injection happens at the frame layer inside
-the sender's channel loop, so the wire format and the durable-queue
-contract are untouched: a dropped or reordered frame looks exactly
-like network loss, and the at-least-once retry + frontier dedup
-machinery must absorb it.
+The live analogue of :mod:`repro.sim.failures`, on the real transport.
+The adversary lives on the connection, not in the replica: a connection
+dialed with a plan's :class:`Link` (``connect_frames(addr, on_frame,
+link)``) decides the fate of each frame it writes, once, as it leaves.
+A frame is *dropped*, *duplicated*, *delayed* — it leaves at
+``max(previous leave time, now + delay)``, bandwidth included, so the
+connection stays FIFO and no sender awaits a fault — or *reordered*:
+swapped with its successor in its flush.  Whole frames are reordered,
+never the entries of one: a real sender writes only contiguous runs,
+and to a receiver a gap is a gap, whether a frame was lost or
+overtaken.  A severed link refuses every dial between its two sites,
+either way, before any socket exists, and :meth:`FaultPlan.sever`
+aborts the connections open between them.  Only frames the *dialer*
+writes take fate, not replies or acks; the at-least-once retry +
+frontier dedup machinery must absorb it all.
 
-Determinism: every directed link draws its fate stream from its own
-:class:`random.Random` seeded by ``(plan seed, src, dst)``, so the
-sequence of drop/delay/duplicate decisions *per link* is reproducible
-across runs regardless of how asyncio interleaves the channels.
-(Which payload meets which fate still depends on scheduling — the
-guarantee is a deterministic fault *pressure*, which is what the chaos
-invariant checks need.)
+Each directed link draws its fates from its own :class:`random.Random`
+seeded by ``(plan seed, src, dst)``: the fault *pressure* per link is
+reproducible however asyncio interleaves the connections.
 
 Usage::
 
     plan = FaultPlan(seed=7, default=LinkFaults(drop=0.05, delay_max=0.01))
     cluster = LiveCluster(n_sites=3, faults=plan)
-    ...
     plan.partition([["site2"], ["site0", "site1"]])   # sever cross links
     plan.heal_all()                                   # end the partition
 """
 
 from __future__ import annotations
 
+import asyncio
+import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-__all__ = [
-    "LinkFaults",
-    "FrameFate",
-    "CrashEvent",
-    "FaultPlan",
-    "WAN_INTRA",
-    "WAN_INTER",
-]
+from .protocol import FrameProtocol, FrameWriter
+
+__all__ = ["LinkFaults", "Link", "FaultPlan", "WAN_INTRA", "WAN_INTER"]
 
 
 @dataclass(frozen=True)
@@ -52,25 +50,19 @@ class LinkFaults:
     drop: float = 0.0
     #: probability a (non-dropped) frame is sent twice.
     duplicate: float = 0.0
-    #: probability a pending send batch is shuffled before sending.
+    #: probability a frame is swapped with its successor in its flush.
     reorder: float = 0.0
     #: uniform added latency range, seconds.
     delay_min: float = 0.0
     delay_max: float = 0.0
-    #: link bandwidth in bytes/second (0 = unmodelled/infinite).  When
-    #: set, each frame's serialized size adds ``nbytes / bandwidth`` of
-    #: transmission delay on top of the propagation delay above.
+    #: bytes/second (0 = unmodelled): ``nbytes / bandwidth`` of
+    #: transmission delay is added to each frame's propagation delay.
     bandwidth: float = 0.0
 
     def quiet(self) -> bool:
         """True when this spec injects nothing."""
-        return not (
-            self.drop
-            or self.duplicate
-            or self.reorder
-            or self.delay_max
-            or self.bandwidth
-        )
+        return not any((self.drop, self.duplicate, self.reorder,
+                        self.delay_max, self.bandwidth))
 
 
 #: Intra-region link profile: sub-millisecond propagation, no
@@ -83,37 +75,132 @@ WAN_INTRA = LinkFaults(delay_min=0.0005, delay_max=0.002)
 WAN_INTER = LinkFaults(delay_min=0.02, delay_max=0.06, bandwidth=4 << 20)
 
 
-@dataclass(frozen=True)
-class FrameFate:
-    """What the plan decided for one outbound frame."""
+class Link:
+    """The directed link ``src -> dst`` of a plan: its fate stream, its
+    :class:`LinkFaults`, its sever state and its open connections."""
 
-    drop: bool = False
-    duplicate: bool = False
-    delay: float = 0.0
+    def __init__(self, plan: "FaultPlan", src: str, dst: str) -> None:
+        self.plan, self.src, self.dst = plan, src, dst
+        # str seeding hashes with sha512 — stable across processes,
+        # unlike hash() which PYTHONHASHSEED randomizes.
+        self.rng = random.Random("%d|%s>%s" % (plan.seed, src, dst))
+        #: connections dialed over this link, until each is lost.
+        self.conns: Set[FrameProtocol] = set()
+
+    @property
+    def faults(self) -> LinkFaults:
+        return self.plan._specs.get((self.src, self.dst), self.plan.default)
+
+    @property
+    def severed(self) -> bool:
+        """Either direction is cut: a connection needs both."""
+        cut = self.plan._severed
+        return (self.src, self.dst) in cut or (self.dst, self.src) in cut
+
+    def fate(self, nbytes: int) -> Tuple[int, float]:
+        """``(copies, delay)`` of the next outbound frame of ``nbytes``:
+        0 copies drops it, 2 duplicate it; ``delay`` is in seconds."""
+        faults = self.faults
+        if faults.quiet():
+            return 1, 0.0
+        rng, counts = self.rng, self.plan.counts
+        copies = 1
+        if rng.random() < faults.drop:
+            copies = 0
+            counts["dropped"] += 1
+        elif rng.random() < faults.duplicate:
+            copies = 2
+            counts["duplicated"] += 1
+        delay = 0.0
+        if faults.delay_max > 0:
+            delay = rng.uniform(faults.delay_min, faults.delay_max)
+        if faults.bandwidth > 0:
+            delay += nbytes / faults.bandwidth
+        if delay:
+            counts["delayed"] += 1
+        return copies, delay
+
+    def reorder(self, frames: List[bytes]) -> None:
+        """Swap each of one flush's frames with its successor with the
+        link's ``reorder`` probability (a swapped pair stays swapped)."""
+        i = 0
+        while i < len(frames) - 1:
+            if self.rng.random() < self.faults.reorder:
+                frames[i], frames[i + 1] = frames[i + 1], frames[i]
+                self.plan.counts["reordered"] += 1
+                i += 1
+            i += 1
+
+    def check(self) -> None:
+        """Refuse a dial over a severed link, before any socket."""
+        if self.severed:
+            self.plan.counts["blocked"] += 1
+            raise ConnectionRefusedError("no route to peer %s" % self.dst)
+
+    def attach(self, conn: FrameProtocol) -> None:
+        """Write a connection just dialed over this link through it."""
+        conn.frames = _LinkWriter(conn.transport, self)  # type: ignore
+        self.conns.add(conn)
+        conn.lost.add_done_callback(lambda _: self.conns.discard(conn))
+        if self.severed:  # cut while the dial was in flight
+            self.abort()
+
+    def abort(self) -> None:
+        """Drop every connection open on this link now."""
+        for conn in list(self.conns):
+            self.plan.counts["blocked"] += 1
+            conn.abort()
 
 
-#: the do-nothing fate, shared to avoid per-frame allocation.
-_CLEAN = FrameFate()
+class _LinkWriter(FrameWriter):
+    """A :class:`FrameWriter` whose frames meet the link's fate as each
+    turn's flush hands them on.  Delayed frames wait, in leave order,
+    for ``loop.call_at``; a frame past the flush is the link's, so,
+    dropped or late, its waiter is not failed."""
 
+    def __init__(self, transport: asyncio.WriteTransport, link: Link) -> None:
+        super().__init__(transport)
+        self._link = link
+        #: frames not yet written, as (leave time, bytes), in order.
+        self._late: Deque[Tuple[float, bytes]] = deque()
 
-@dataclass(frozen=True)
-class CrashEvent:
-    """Crash ``site`` at ``at`` seconds into the run, restart after
-    ``duration`` more.  The chaos harness executes these; the plan only
-    carries the schedule so one seed describes the whole scenario."""
+    def _flush(self) -> None:
+        link, late = self._link, self._late
+        if self._transport.is_closing() or (link.faults.quiet() and not late):
+            super()._flush()
+            return
+        frames, self._frames, self._waiters = self._frames, [], []
+        if len(frames) > 1 and link.faults.reorder:
+            link.reorder(frames)
+        waiting = bool(late)  # a release is already scheduled
+        now = self._loop.time()
+        for data in frames:
+            copies, delay = link.fate(len(data))
+            leave = max(now + delay, late[-1][0] if late else now)
+            late.extend([(leave, data)] * copies)
+        if late and not waiting:
+            self._release(now)
 
-    site: str
-    at: float
-    duration: float
+    def _release(self, due: float) -> None:
+        """Write every frame due by ``due``; schedule the next."""
+        late = self._late
+        if self._transport.is_closing():
+            late.clear()
+            return
+        out: List[bytes] = []
+        while late and late[0][0] <= due:
+            out.append(late.popleft()[1])
+        if out:
+            self._transport.write(b"".join(out))
+        if late:
+            self._loop.call_at(late[0][0], self._release, late[0][0])
 
 
 class FaultPlan:
-    """A seeded, deterministic schedule of transport misbehavior.
-
-    One plan is shared by every replica of a cluster; each server
-    consults it from its peer channel loops.  All state mutations
-    (sever/heal) take effect on the next frame, so partitions can be
-    driven from test code while the cluster runs.
+    """A seeded, deterministic schedule of transport misbehavior,
+    shared by every replica of a cluster: each hands :meth:`link` to
+    every connection it dials.  Rates are read frame by frame and a
+    sever acts at once, so tests drive partitions while a cluster runs.
     """
 
     def __init__(
@@ -121,36 +208,20 @@ class FaultPlan:
     ) -> None:
         self.seed = seed
         self.default = default if default is not None else LinkFaults()
-        self._links: Dict[Tuple[str, str], LinkFaults] = {}
+        self._specs: Dict[Tuple[str, str], LinkFaults] = {}
         self._severed: Set[Tuple[str, str]] = set()
-        self._rngs: Dict[Tuple[str, str], random.Random] = {}
-        self.crashes: List[CrashEvent] = []
+        self._links: Dict[Tuple[str, str], Link] = {}
         #: region name -> site names, when set_regions configured one.
         self.regions: Dict[str, Tuple[str, ...]] = {}
-        #: True once any configured link models bandwidth — gates the
-        #: (mildly costly) frame-size computation in the send path.
-        self.models_bandwidth = bool(self.default.bandwidth)
-        #: observability: how much damage was actually injected.
-        self.counts: Dict[str, int] = {
-            "dropped": 0,
-            "duplicated": 0,
-            "delayed": 0,
-            "reordered": 0,
-            "blocked": 0,
-        }
-
-    # -- configuration -------------------------------------------------------
-
-    def set_default(self, faults: LinkFaults) -> None:
-        self.default = faults
-        if faults.bandwidth:
-            self.models_bandwidth = True
+        #: observability: how much damage was actually injected;
+        #: ``blocked`` counts refused dials plus aborted connections.
+        self.counts: Dict[str, int] = dict.fromkeys(
+            ("dropped", "duplicated", "delayed", "reordered", "blocked"), 0
+        )
 
     def set_link(self, src: str, dst: str, faults: LinkFaults) -> None:
         """Override the fault rates of one directed link."""
-        self._links[(src, dst)] = faults
-        if faults.bandwidth:
-            self.models_bandwidth = True
+        self._specs[(src, dst)] = faults
 
     def set_regions(
         self,
@@ -158,12 +229,8 @@ class FaultPlan:
         intra: Optional[LinkFaults] = None,
         inter: Optional[LinkFaults] = None,
     ) -> None:
-        """Model a multi-region topology: cheap links inside each
-        region, expensive (latency + bandwidth) links across regions.
-
-        ``regions`` maps region name -> site names.  Defaults:
-        :data:`WAN_INTRA` inside, :data:`WAN_INTER` across.
-        """
+        """Model regions (name -> site names): ``intra`` links inside
+        each (:data:`WAN_INTRA`), ``inter`` across (:data:`WAN_INTER`)."""
         intra = WAN_INTRA if intra is None else intra
         inter = WAN_INTER if inter is None else inter
         self.regions = {name: tuple(sites) for name, sites in regions.items()}
@@ -181,33 +248,28 @@ class FaultPlan:
         """Site groups for :meth:`partition`, one per configured region."""
         return [list(sites) for sites in self.regions.values()]
 
-    def faults_for(self, src: str, dst: str) -> LinkFaults:
-        return self._links.get((src, dst), self.default)
-
-    def schedule_crash(self, site: str, at: float, duration: float) -> None:
-        self.crashes.append(CrashEvent(site, at, duration))
-
-    # -- partitions ----------------------------------------------------------
+    def link(self, src: str, dst: str) -> Link:
+        """The directed link ``src -> dst``, for a dial to carry."""
+        key = (src, dst)
+        if key not in self._links:
+            self._links[key] = Link(self, src, dst)
+        return self._links[key]
 
     def sever(self, src: str, dst: str) -> None:
-        """Cut the directed link ``src -> dst`` (frames stop flowing)."""
+        """Cut the directed link ``src -> dst``: dials between the two
+        sites are refused either way, and the connections open between
+        them are aborted now."""
         self._severed.add((src, dst))
-
-    def sever_site(self, site: str, others: Iterable[str]) -> None:
-        """Isolate ``site`` from ``others`` in both directions."""
-        for other in others:
-            if other != site:
-                self.sever(site, other)
-                self.sever(other, site)
+        for key in ((src, dst), (dst, src)):
+            if key in self._links:
+                self._links[key].abort()
 
     def partition(self, groups: Sequence[Sequence[str]]) -> None:
         """Sever every directed link that crosses a group boundary."""
         for i, group in enumerate(groups):
             for j, other in enumerate(groups):
-                if i == j:
-                    continue
-                for src in group:
-                    for dst in other:
+                for src, dst in itertools.product(group, other):
+                    if i != j:
                         self.sever(src, dst)
 
     def heal(self, src: str, dst: str) -> None:
@@ -216,67 +278,3 @@ class FaultPlan:
     def heal_all(self) -> None:
         """End every partition; links resume their rate-based faults."""
         self._severed.clear()
-
-    def is_severed(self, src: str, dst: str) -> bool:
-        if (src, dst) in self._severed:
-            self.counts["blocked"] += 1
-            return True
-        return False
-
-    @property
-    def severed_links(self) -> Tuple[Tuple[str, str], ...]:
-        return tuple(sorted(self._severed))
-
-    # -- frame fates ---------------------------------------------------------
-
-    def _rng(self, src: str, dst: str) -> random.Random:
-        key = (src, dst)
-        rng = self._rngs.get(key)
-        if rng is None:
-            # str seeding hashes with sha512 — stable across processes,
-            # unlike hash() which PYTHONHASHSEED randomizes.
-            rng = random.Random("%d|%s>%s" % (self.seed, src, dst))
-            self._rngs[key] = rng
-        return rng
-
-    def frame_fate(self, src: str, dst: str, nbytes: int = 0) -> FrameFate:
-        """Decide the fate of the next outbound frame on a link.
-
-        ``nbytes`` is the frame's serialized size; links with a
-        bandwidth model add ``nbytes / bandwidth`` of transmission
-        delay on top of the sampled propagation delay.
-        """
-        faults = self.faults_for(src, dst)
-        if faults.quiet():
-            return _CLEAN
-        rng = self._rng(src, dst)
-        drop = rng.random() < faults.drop
-        duplicate = (not drop) and rng.random() < faults.duplicate
-        delay = 0.0
-        if faults.delay_max > 0:
-            delay = rng.uniform(faults.delay_min, faults.delay_max)
-        if faults.bandwidth > 0 and nbytes > 0:
-            delay += nbytes / faults.bandwidth
-        if drop:
-            self.counts["dropped"] += 1
-        if duplicate:
-            self.counts["duplicated"] += 1
-        if delay:
-            self.counts["delayed"] += 1
-        return FrameFate(drop=drop, duplicate=duplicate, delay=delay)
-
-    def reorder_batch(self, src: str, dst: str, batch: List) -> List:
-        """Possibly shuffle one pending send batch (FIFO violation).
-
-        The receiver's inbox refuses out-of-order sequence numbers, so
-        a reordered batch forces the retry path — exactly the stress
-        the stable-queue contract must absorb.
-        """
-        faults = self.faults_for(src, dst)
-        if len(batch) > 1 and faults.reorder:
-            rng = self._rng(src, dst)
-            if rng.random() < faults.reorder:
-                batch = list(batch)
-                rng.shuffle(batch)
-                self.counts["reordered"] += 1
-        return batch

@@ -464,12 +464,19 @@ class FrameProtocol(asyncio.Protocol):
 async def connect_frames(
     addr: Tuple[str, int],
     on_frame: Callable[[FrameProtocol, Dict[str, Any]], None],
+    link: Any = None,
 ) -> FrameProtocol:
-    """Dial ``addr`` and run a :class:`FrameProtocol` on the socket."""
+    """Dial ``addr`` and run a :class:`FrameProtocol` on the socket.  A
+    :class:`~repro.live.faults.Link` refuses the dial while severed and
+    otherwise faults every frame the connection writes."""
+    if link is not None:
+        link.check()
     loop = asyncio.get_running_loop()
     _, conn = await loop.create_connection(
         lambda: FrameProtocol(on_frame), addr[0], addr[1]
     )
+    if link is not None:
+        link.attach(conn)
     return conn
 
 

@@ -65,10 +65,13 @@ throughout (the paper's availability claim), with their inconsistency
 accounting intact.  Peer health, per-peer staleness, and outbound
 backlog are exposed via the ``stats`` verb.
 
-Fault injection (:mod:`repro.live.faults`) plugs into the channel
-loops: an installed :class:`~repro.live.faults.FaultPlan` can drop,
-delay, duplicate, and reorder outbound peer frames or sever directed
-links entirely, without touching the wire format.
+Fault injection lives on the connection, not here: with a
+``FaultPlan`` installed, every connection this replica dials to a peer
+— its channel, its order connection, its out-of-band requests —
+carries the plan's link to that peer, whose writer drops, delays,
+duplicates or reorders the frames it writes, and a severed link
+refuses the dial or aborts the connection.  The replica decides no
+frame's fate; it only recovers, as over any lossy network.
 
 Snapshots, compaction, and anti-entropy rejoin: the server
 periodically (``snapshot_interval``) — or on demand (``snapshot``
@@ -130,7 +133,7 @@ from .client import request_once
 from .durable_queue import DurableInbox, DurableOutbox, GrantLog
 from .election import ElectionState
 from .engine import LiveEngine, QueryOutcome, QueryTimeout, make_engine
-from .faults import FaultPlan
+from .faults import FaultPlan, Link
 from .gossip import DEAD, LEFT, SUSPECT, FailureDetector, MembershipTable
 from .protocol import (
     MAX_FRAME,
@@ -249,6 +252,9 @@ COMMIT_TIMEOUT = 30.0
 #: sender re-sends from the cumulative-ack frontier; also how long an
 #: election request waits for its answer.
 ACK_TIMEOUT = 2.0
+#: seconds between an order request's re-sends, and how many it gets.
+ORDER_RESEND = 0.25
+ORDER_SENDS = 20
 
 
 def _resolve(waiter: asyncio.Future) -> None:
@@ -414,6 +420,12 @@ class ReplicaServer:
         self._order_conn: Optional[FrameProtocol] = None
         self._order_reply: Optional[asyncio.Future] = None
         self._order_lock = asyncio.Lock()
+        #: the id of this replica's next order request, the same on
+        #: each re-send of it; random, so a restart reuses none.
+        self._order_id = random.SystemRandom().getrandbits(48)
+        #: requester -> ((request id, epoch), token) of the last order
+        #: granted: a re-sent or duplicated request is granted once.
+        self._order_granted: Dict[Any, Tuple[Any, Tuple[int, int]]] = {}
         #: the order-token counter (opened by :meth:`bind`).
         self._order_log: GrantLog
         #: which peer the cached order connection dials (re-dial on
@@ -1285,10 +1297,9 @@ class ReplicaServer:
         for event in self._outbox_events.values():
             event.set()
 
-    def _link_severed(self, dst: str) -> bool:
-        return self.faults is not None and self.faults.is_severed(
-            self.name, dst
-        )
+    def _link(self, peer: str) -> Optional[Link]:
+        """What a dial to ``peer`` carries: the plan's link, if any."""
+        return self.faults and self.faults.link(self.name, peer)
 
     async def _channel_loop(self, peer: str) -> None:
         """Persistently (re)connect one peer channel and run a
@@ -1296,7 +1307,7 @@ class ReplicaServer:
         backoff = self.retry_base
         while self._running:
             addr = self.peer_addrs.get(peer)
-            if addr is None or self._link_severed(peer):
+            if addr is None:
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, self.retry_max)
                 continue
@@ -1310,6 +1321,7 @@ class ReplicaServer:
                 conn = await connect_frames(
                     addr,
                     functools.partial(self._on_channel_frame, peer, state),
+                    self._link(peer),
                 )
                 conn.lost.add_done_callback(
                     lambda _, wakeup=self._outbox_events[peer]: wakeup.set()
@@ -1343,24 +1355,20 @@ class ReplicaServer:
     ) -> None:
         """Drain what the log owes ``peer`` as batch frames, keeping up
         to ``FRAMES_IN_FLIGHT`` unacknowledged; heartbeat while idle.
-        Returns only by raising: the connection is lost, or the link
-        severed.
+        Returns only by raising: the connection is lost.
 
-        Under fault injection frames are dropped, delayed, duplicated,
-        or reordered; whatever stays unacknowledged past ``ACK_TIMEOUT``
-        is simply re-sent from the cumulative-ack frontier — the
-        durable queue's at-least-once discipline does the recovery, no
-        special cases."""
+        The sender decides no frame's fate: on a lossy link the
+        connection's writer drops, delays, duplicates or reorders what
+        it writes, and whatever stays unacknowledged past
+        ``ACK_TIMEOUT`` is simply re-sent from the cumulative-ack
+        frontier — the durable queue's at-least-once discipline does
+        the recovery, no special cases."""
         log = self.log
         event = self._outbox_events[peer]
         inflight: Deque[Tuple[int, float, int]] = state["inflight"]
         while self._running:
             if conn.closing:
                 raise ConnectionResetError("peer %s closed" % peer)
-            if self._link_severed(peer):
-                raise ConnectionResetError(
-                    "link %s->%s severed" % (self.name, peer)
-                )
             if peer in self._reset_peers:
                 self._reset_peers.discard(peer)
                 conn.frames.send(
@@ -1389,7 +1397,7 @@ class ReplicaServer:
                 # flowing under load.  Jittered per link so a large
                 # cluster's probes don't synchronize into bursts (and
                 # a synchronized stall into a false-suspicion storm).
-                await self._heartbeat_probe(peer, conn.frames)
+                self._heartbeat_probe(conn.frames)
                 state["hb_next"] = (
                     self.engine.clock() + self._heartbeat_jitter()
                 )
@@ -1431,8 +1439,6 @@ class ReplicaServer:
         the update entered the log — the zero re-encode relay; re-sends
         from the log reuse the same cache.
         """
-        if self.faults is not None:
-            entries = self.faults.reorder_batch(self.name, peer, entries)
         wire_blob = self.log.wire_blob
         now = self.engine.clock()
         for batch in self._plan_batches(entries)[:room]:
@@ -1445,22 +1451,7 @@ class ReplicaServer:
             )
             self.m_frames_relayed.labels(peer=peer).inc(len(batch))
             self.m_propagation_frames.labels(peer=peer).inc()
-            copies = 1
-            if self.faults is not None:
-                nbytes = 0
-                if self.faults.models_bandwidth:
-                    nbytes = len(data) - 4  # body bytes, sans header
-                fate = self.faults.frame_fate(self.name, peer, nbytes)
-                if fate.delay:
-                    # A link delay holds up everything behind it too:
-                    # what is already queued leaves, then the stall.
-                    await asyncio.sleep(fate.delay)
-                if fate.drop:
-                    continue  # stays inflight; the stall path re-sends
-                if fate.duplicate:
-                    copies = 2
-            for _ in range(copies):
-                frames.write(data)
+            frames.write(data)
         await frames.drain()
 
     def _plan_batches(
@@ -1510,17 +1501,11 @@ class ReplicaServer:
             "leader": self.election.wire(),
         }
 
-    async def _heartbeat_probe(self, peer: str, frames: FrameWriter) -> None:
+    def _heartbeat_probe(self, frames: FrameWriter) -> None:
         """One liveness probe, carrying the gossip digest.  The reply
         (if any) is parsed off the same connection
         (:meth:`_on_channel_frame`); a lost probe is not an error — the
         peer just stays un-refreshed and ages toward suspicion."""
-        if self.faults is not None:
-            fate = self.faults.frame_fate(self.name, peer)
-            if fate.delay:
-                await asyncio.sleep(fate.delay)
-            if fate.drop:
-                return
         frames.send(
             {
                 "type": "hb",
@@ -1915,16 +1900,13 @@ class ReplicaServer:
         one way this replica asks a peer anything (surveys, snapshot
         pulls, election votes).  The peer is dialed at its configured
         address, else its gossiped one; the reply needs the link back,
-        so a cut in either direction refuses before dialing."""
+        so a cut in either direction refuses the dial."""
         addr = self.peer_addrs.get(peer) or self.membership.address(peer)
-        if (
-            addr is None
-            or self._link_severed(peer)
-            or (self.faults is not None
-                and self.faults.is_severed(peer, self.name))
-        ):
+        if addr is None:
             raise ConnectionError("no route to peer %s" % peer)
-        reply = await request_once(addr, verb, timeout=timeout, **params)
+        reply = await request_once(
+            addr, verb, timeout=timeout, link=self._link(peer), **params
+        )
         self._note_peer_alive(peer)
         return reply
 
@@ -2666,8 +2648,15 @@ class ReplicaServer:
         }
 
     async def _handle_order(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """Grant the next order token.  A replica's re-sent request
+        (same ``src`` and ``id``, same epoch) gets the token it got."""
         self._check_order_authority()
-        return {"order": list(self._grant_order())}
+        src = frame.get("src")
+        key = (frame.get("id"), self.election.epoch)
+        granted = self._order_granted.get(src)
+        if src is None or granted is None or granted[0] != key:
+            granted = self._order_granted[src] = (key, self._grant_order())
+        return {"order": list(granted[1])}
 
     async def _handle_elect(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Vote request (or pure epoch read at ``epoch=0``) from a
@@ -2719,10 +2708,6 @@ class ReplicaServer:
                     backoff = min(backoff * 2, self.retry_max)
                     continue
             try:
-                if self._link_severed(leader):
-                    raise ConnectionError(
-                        "link to order site %s severed" % leader
-                    )
                 async with self._order_lock:
                     conn = self._order_conn
                     if (
@@ -2737,7 +2722,7 @@ class ReplicaServer:
                         if addr is None:
                             raise ConnectionError("no address for order site")
                         conn = await connect_frames(
-                            addr, self._on_order_reply
+                            addr, self._on_order_reply, self._link(leader)
                         )
                         conn.lost.add_done_callback(
                             lambda _, lost=conn: self._on_order_reply(
@@ -2749,20 +2734,27 @@ class ReplicaServer:
                     reply = self._order_reply = (
                         asyncio.get_running_loop().create_future()
                     )
-                    conn.frames.send(
-                        {"type": "request", "id": 0, "verb": "order"}
-                    )
-                    reply = await asyncio.wait_for(reply, timeout=5.0)
+                    request = {"type": "request", "verb": "order",
+                               "id": self._order_id, "src": self.name}
+                    # A lost request is re-sent as it is: the order
+                    # site answers a repeated id with the same token.
+                    for _ in range(ORDER_SENDS):
+                        conn.frames.send(request)
+                        await asyncio.wait([reply], timeout=ORDER_RESEND)
+                        if reply.done():
+                            break
+                    else:
+                        raise asyncio.TimeoutError("order site silent")
+                    reply = reply.result()
                 if reply is None or not reply.get("ok"):
                     raise ConnectionError(
                         "order request failed: %s"
                         % (reply or {}).get("error", "connection lost")
                     )
-                order = reply["order"]
+                seq, epoch = reply["order"]
+                self._order_id += 1
                 self._note_peer_alive(leader)
-                if len(order) > 1:
-                    return (int(order[0]), int(order[1]))
-                return (int(order[0]), 0)
+                return (int(seq), int(epoch))
             except (OSError, ConnectionError, asyncio.TimeoutError):
                 self._drop_order_conn()
                 await asyncio.sleep(backoff)
@@ -2772,9 +2764,15 @@ class ReplicaServer:
     def _on_order_reply(
         self, conn: FrameProtocol, frame: Optional[Dict[str, Any]]
     ) -> None:
-        """The order site answered (``None``: the connection was lost)."""
+        """The order site answered (``None``: the connection was lost);
+        an answer to an earlier request's re-send is ignored."""
         reply = self._order_reply
-        if conn is self._order_conn and reply is not None and not reply.done():
+        if (
+            conn is self._order_conn
+            and reply is not None
+            and not reply.done()
+            and (frame is None or frame.get("id") == self._order_id)
+        ):
             reply.set_result(frame)
 
     def _drop_order_conn(self) -> None:

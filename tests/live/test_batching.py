@@ -335,6 +335,33 @@ class TestWireInterop:
 
         run(scenario())
 
+    def test_unordered_batch_records_its_contiguous_prefix(self):
+        """A frame whose seqs are out of order or gapped is recorded
+        only up to its contiguous fresh prefix and acked at the inbox
+        frontier; the rest arrives by re-send."""
+
+        async def scenario():
+            cluster = LiveCluster(n_sites=2, method="commu")
+            await cluster.start()
+            try:
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "site1"})
+                inbox = cluster.servers["site0"].inboxes["site1"]
+                raw.write(_forged_batch("site1", (1, 2, 4, 3)))
+                assert await raw.recv(timeout=5) == {"type": "ack", "seq": 2}
+                assert inbox.frontier == 2
+                raw.write(_forged_batch("site1", (3, 4, 6)))
+                assert await raw.recv(timeout=5) == {"type": "ack", "seq": 4}
+                raw.write(_forged_batch("site1", (5, 6)))
+                assert await raw.recv(timeout=5) == {"type": "ack", "seq": 6}
+                await raw.close()
+                client = await cluster.client("site0")
+                assert await client.read("acct0") == 6  # each once
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
 
 class TestSettleVerb:
     def test_settle_returns_immediately_when_drained(self):

@@ -156,8 +156,8 @@ class TestChaosInvariants:
         spec = LinkFaults(drop=0.2, duplicate=0.1, delay_max=0.005)
         one = FaultPlan(seed=SMOKE_CONFIG.seed, default=spec)
         two = FaultPlan(seed=SMOKE_CONFIG.seed, default=spec)
-        stream_one = [one.frame_fate("site0", "site1") for _ in range(64)]
-        stream_two = [two.frame_fate("site0", "site1") for _ in range(64)]
+        stream_one = [one.link("site0", "site1").fate(0) for _ in range(64)]
+        stream_two = [two.link("site0", "site1").fate(0) for _ in range(64)]
         assert stream_one == stream_two
 
 

@@ -14,11 +14,14 @@ import time
 import pytest
 
 from repro.core.operations import IncrementOp
-from repro.live import LiveCluster, LiveETFailed
+from repro.live import FaultPlan, LinkFaults, LiveCluster, LiveETFailed
+from repro.live import server
 from repro.live.client import RequestTimeout
 from repro.live.election import ElectionState
 from repro.live.engine import OrdupLiveEngine
 from repro.replica.mset import MSet
+
+from .wire import RawConn
 
 
 def run(coro):
@@ -206,6 +209,67 @@ class TestSequencerFailover:
                 assert probe["promised"] is False
                 assert probe["epoch"] == 0
                 await client.close()
+            finally:
+                await cluster.stop()
+
+        run(main())
+
+    def test_a_repeated_order_request_is_granted_once(self, tmp_path):
+        """A replica re-sends an unanswered order request under the
+        same id, and a lossy link may deliver it twice: the sequencer
+        answers a repeated id with the token it already granted."""
+
+        async def main():
+            cluster = _fast_cluster(tmp_path)
+            await cluster.start()
+            try:
+                leader = cluster.servers["site0"].current_leader()
+                client = await cluster.client(leader)
+                await client.increment("acct", 1)  # the sequencer grants
+                raw = await RawConn.open(*cluster.addrs[leader])
+                ask = {"type": "request", "id": 7, "verb": "order",
+                       "src": "site9"}
+                raw.send(ask)
+                raw.send(ask)
+                first, again = await raw.recv(), await raw.recv()
+                assert first["ok"] and again["order"] == first["order"]
+                raw.send({**ask, "id": 8})
+                after = await raw.recv()
+                assert after["order"][0] == first["order"][0] + 1
+                await raw.close()
+                await client.close()
+            finally:
+                await cluster.stop()
+
+        run(main())
+
+    def test_order_tokens_survive_a_lossy_duplicating_link(
+        self, tmp_path, monkeypatch
+    ):
+        """Every link drops and duplicates frames, order requests
+        included: each update is granted exactly one token, so the
+        global order has no gap and every site applies every update."""
+        monkeypatch.setattr(server, "ACK_TIMEOUT", 0.2)
+        monkeypatch.setattr(server, "ORDER_RESEND", 0.05)
+
+        async def main():
+            plan = FaultPlan(4, default=LinkFaults(drop=0.3, duplicate=0.5))
+            cluster = LiveCluster(
+                n_sites=3, method="ordup", data_dir=tmp_path, faults=plan,
+                server_options={"retry_base": 0.01, "retry_max": 0.05},
+            )
+            await cluster.start()
+            try:
+                leader = cluster.servers["site0"].current_leader()
+                others = [n for n in cluster.names if n != leader]
+                clients = [await cluster.client(n) for n in others]
+                for i in range(20):
+                    await clients[i % 2].increment("acct", 1)
+                await cluster.settle(timeout=30)
+                assert await cluster.converged()
+                assert (await cluster.site_values())[leader]["acct"] == 20
+                assert cluster.servers[leader]._order_log.next == 20
+                assert plan.counts["duplicated"] and plan.counts["dropped"]
             finally:
                 await cluster.stop()
 

@@ -429,7 +429,9 @@ class TestLiveGossip:
         """Regression for the fixed-threshold detector: with frame
         delays routinely exceeding ``suspect_after``, a healthy cluster
         must stop flapping in and out of degraded mode once the
-        adaptive bound has warmed up."""
+        adaptive bound has warmed up.  A delay holds up the frames
+        behind it but not the sender, so the heartbeat interval is
+        wide enough for the delay spread to open gaps past the floor."""
 
         async def main():
             plan = FaultPlan(
@@ -440,7 +442,7 @@ class TestLiveGossip:
                 n_sites=2,
                 data_dir=tmp_path,
                 faults=plan,
-                heartbeat_interval=0.05,
+                heartbeat_interval=0.1,
                 suspect_after=0.15,
             )
             await cluster.start()

@@ -12,7 +12,7 @@ import asyncio
 
 import pytest
 
-from repro.live import FaultPlan, LiveCluster, LiveETFailed
+from repro.live import FaultPlan, LinkFaults, LiveCluster, LiveETFailed
 from repro.live.client import request_once
 from repro.live.server import ReplicaServer
 
@@ -131,6 +131,31 @@ class TestPeerRequest:
                 plan.heal_all()
                 reply = await server._peer_request("site1", "ping")
                 assert reply["site"] == "site1"
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_a_dropping_link_loses_the_request(self, tmp_path):
+        """A peer request takes the link's faults like any frame the
+        replica dials out: all dropped, it times out."""
+
+        async def scenario():
+            plan = FaultPlan(0)
+            plan.set_link("site0", "site1", LinkFaults(drop=1.0))
+            cluster = LiveCluster(
+                n_sites=2, data_dir=tmp_path, faults=plan
+            )
+            await cluster.start()
+            try:
+                server = cluster.servers["site0"]
+                with pytest.raises(asyncio.TimeoutError):
+                    await server._peer_request("site1", "ping", timeout=0.2)
+                assert plan.counts["dropped"] >= 1
+                reply = await cluster.servers["site1"]._peer_request(
+                    "site0", "ping"
+                )
+                assert reply["site"] == "site0"
             finally:
                 await cluster.stop()
 

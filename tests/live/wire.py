@@ -77,12 +77,14 @@ async def listen(
 
 
 class _Transport(asyncio.Transport):
-    """Just what a :class:`FrameProtocol` calls on its transport."""
+    """Just what a :class:`FrameProtocol` calls on its transport; it
+    keeps what is written on it."""
 
     def __init__(self) -> None:
         super().__init__()
         self.closed = False
         self.reading = True
+        self.written: List[bytes] = []
 
     def is_closing(self) -> bool:
         return self.closed
@@ -93,7 +95,7 @@ class _Transport(asyncio.Transport):
     abort = close
 
     def write(self, data: bytes) -> None:
-        pass
+        self.written.append(data)
 
     def pause_reading(self) -> None:
         self.reading = False
@@ -106,8 +108,8 @@ def fake_connection(
     on_frame: Callable[[FrameProtocol, Dict[str, Any]], None],
 ) -> FrameProtocol:
     """A :class:`FrameProtocol` on a socketless transport that notes
-    whether it is reading; its refusals collect in ``conn.errors``.
-    Call inside a running loop."""
+    whether it is reading and what is written; its refusals collect in
+    ``conn.errors``.  Call inside a running loop."""
     errors: List[ProtocolError] = []
     conn = FrameProtocol(on_frame, errors.append)
     conn.errors = errors
