@@ -116,13 +116,12 @@ wins on reload.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .protocol import ProtocolError, dumps, payload_blob
+from .protocol import ProtocolError, dumps, loads, payload_blob
 from .snapshot import fsync_dir, write_atomic
 
 __all__ = ["DurableOutbox", "DurableInbox", "GrantLog"]
@@ -160,8 +159,8 @@ def _parse_line(line: bytes) -> Optional[Dict[str, Any]]:
     if not line.endswith(b"\n"):
         return None
     try:
-        record = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+        record = loads(line)
+    except ValueError:
         return None
     # A control record or a whole data record; anything else that
     # decodes (e.g. a partial buffer flush that happens to be valid

@@ -99,6 +99,7 @@ __all__ = [
     "encode_frame",
     "read_frame",
     "payload_blob",
+    "decode_payload_blob",
     "encode_bin_batch_frame",
     "encode_bin_ack_frame",
     "decode_bin_frame",
@@ -173,15 +174,18 @@ def dumps(obj: Any) -> str:
 
 
 def loads(doc: Any) -> Any:
-    """``json.loads(doc)`` — same accepted set, values and exceptions,
-    but for an integer literal outside 64 bits, read as the nearest
-    float: orjson parses ``bytes`` and ``str``, and what it refuses
-    (``NaN``, a BOM, UTF-16, lone surrogates) goes to ``json.loads``."""
+    """``json.loads`` of ``doc`` as UTF-8 text — same accepted set,
+    values and exceptions — but for an integer literal outside 64 bits,
+    read as the nearest float: orjson parses ``bytes`` and ``str``, and
+    what it refuses (``NaN``, lone surrogates) goes to ``json.loads``.
+    Bytes are read as the logs read a line, strict UTF-8: a BOM or
+    UTF-16/32 is refused."""
     if type(doc) is bytes or type(doc) is str:
         try:
             return orjson.loads(doc)
         except orjson.JSONDecodeError:
-            pass
+            if type(doc) is bytes:
+                doc = doc.decode("utf-8")
     return json.loads(doc)
 
 
@@ -498,6 +502,25 @@ def payload_blob(payload: Dict[str, Any]) -> bytes:
     return bytes(memoryview(_encode(payload)))
 
 
+def decode_payload_blob(blob: bytes) -> Dict[str, Any]:
+    """The payload of one batch entry, accepted iff the inbox log line
+    it is spliced into reads back as it: parsed on its own by the logs'
+    reader (orjson, else :func:`loads`), a JSON object, and holding no
+    raw newline to cut that line in two."""
+    if blob.find(b"\n") >= 0:
+        raise ProtocolError("payload blob holds a raw newline")
+    try:
+        payload = orjson.loads(blob)
+    except orjson.JSONDecodeError:
+        try:
+            payload = loads(blob)
+        except (ValueError, RecursionError) as exc:
+            raise ProtocolError("payload blob is not JSON: %s" % exc) from exc
+    if not isinstance(payload, dict):
+        raise ProtocolError("payload blob is not an object")
+    return payload
+
+
 def encode_bin_batch_frame(
     src: str, entries: Sequence[Tuple[int, bytes]]
 ) -> bytes:
@@ -622,7 +645,7 @@ def _check_arguments(data: list) -> None:
 def encode_op(op: Operation) -> list:
     encode = _OP_ENCODERS.get(type(op))
     if encode is None:
-        raise ProtocolError("operation %r has no wire encoding" % op)
+        raise ProtocolError("operation %r has no wire encoding" % (op,))
     data = encode(op)
     if len(data) > 2 and (
         type(data[2]) is not int or not data[2] or len(data) > 3
@@ -650,27 +673,6 @@ def _decode_read(data: list) -> Operation:
     return ReadOp(key)
 
 
-def _decode_with_argument(cls: type, numeric: bool) -> Callable:
-    """Decoder of a ``[tag, key, arg]`` operation; ``numeric``: the
-    argument is an amount."""
-
-    def decode(data: list) -> Operation:
-        if len(data) != 3:
-            raise _wrong_arity(data, 3)
-        _, key, arg = data
-        if not isinstance(key, str):
-            raise _keyless(data)
-        # Exact int or float, all a JSON parse yields for a number: not
-        # a string (``"NaN"``) or a bool (an ``int`` to ``isinstance``).
-        if numeric and type(arg) is not int and type(arg) is not float:
-            raise ProtocolError("non-numeric operation amount %r" % (arg,))
-        if type(arg) is not int or not arg:
-            _check_arguments(data)
-        return cls(key, arg)
-
-    return decode
-
-
 def _decode_tswrite(data: list) -> Operation:
     if len(data) != 4:
         raise _wrong_arity(data, 4)
@@ -687,28 +689,19 @@ def _decode_tswrite(data: list) -> Operation:
     return TimestampedWriteOp(key, value, tuple(ts))
 
 
-#: tag -> decoder of the whole array, tag included.
-_OP_DECODERS: Dict[str, Callable[[list], Operation]] = {
-    "read": _decode_read,
-    "write": _decode_with_argument(WriteOp, False),
-    "append": _decode_with_argument(AppendOp, False),
-    "inc": _decode_with_argument(IncrementOp, True),
-    "dec": _decode_with_argument(DecrementOp, True),
-    "mul": _decode_with_argument(MultiplyOp, True),
-    "div": _decode_with_argument(DivideOp, True),
-    "tswrite": _decode_tswrite,
+#: tag -> ``(class, numeric)`` of a ``[tag, key, arg]`` operation
+#: (``numeric``: the argument is an amount), or the decoder of the
+#: whole array, tag included.
+_OP_DECODERS: Dict[str, Any] = {
+    "write": (WriteOp, False), "append": (AppendOp, False),
+    "inc": (IncrementOp, True), "dec": (DecrementOp, True),
+    "mul": (MultiplyOp, True), "div": (DivideOp, True),
+    "read": _decode_read, "tswrite": _decode_tswrite,
 }
 
 
 def decode_op(data: list) -> Operation:
-    if not isinstance(data, list):
-        raise ProtocolError("operation must be an array: %r" % (data,))
-    try:
-        decode = _OP_DECODERS[data[0]]
-    except (IndexError, KeyError, TypeError):  # empty, unknown, unhashable
-        tag = data[0] if data else None
-        raise ProtocolError("unknown operation tag %r" % (tag,)) from None
-    return decode(data)
+    return decode_ops((data,))[0]
 
 
 def encode_ops(ops: Sequence[Operation]) -> list:
@@ -716,11 +709,34 @@ def encode_ops(ops: Sequence[Operation]) -> list:
 
 
 def decode_ops(data: Sequence[list]) -> Tuple[Operation, ...]:
+    """One loop: a table lookup per operation, not a call per layer."""
     if not isinstance(data, (list, tuple)):
         raise ProtocolError("ops must be a sequence: %r" % (data,))
-    # List comprehension, not a genexpr: tuple() over a genexpr pays a
-    # generator frame per element on the receive hot path.
-    return tuple([decode_op(d) for d in data])
+    ops = []
+    for item in data:
+        if not isinstance(item, list):
+            raise ProtocolError("operation must be an array: %r" % (item,))
+        try:
+            decoder = _OP_DECODERS[item[0]]
+        except (IndexError, KeyError, TypeError):  # empty, unknown, unhashable
+            tag = item[0] if item else None
+            raise ProtocolError("unknown operation tag %r" % (tag,)) from None
+        if type(decoder) is not tuple:
+            ops.append(decoder(item))
+            continue
+        if len(item) != 3:
+            raise _wrong_arity(item, 3)
+        _, key, arg = item
+        if not isinstance(key, str):
+            raise _keyless(item)
+        # Exact int or float, all a JSON parse yields for a number: not
+        # a string (``"NaN"``) or a bool (an ``int`` to ``isinstance``).
+        if decoder[1] and type(arg) is not int and type(arg) is not float:
+            raise ProtocolError("non-numeric operation amount %r" % (arg,))
+        if type(arg) is not int or not arg:
+            _check_arguments(item)
+        ops.append(decoder[0](key, arg))
+    return tuple(ops)
 
 
 # -- epsilon specs -----------------------------------------------------------
@@ -789,33 +805,34 @@ def decode_mset(data: Dict[str, Any]) -> MSet:
     """
     if not isinstance(data, dict):
         raise ProtocolError("mset must be an object: %r" % (data,))
-    kind = data.get("kind", MSetKind.UPDATE)
+    get = data.get
+    kind = get("kind", MSetKind.UPDATE)
     if not isinstance(kind, str):
         raise ProtocolError("mset kind must be a string: %r" % (kind,))
-    origin = data.get("origin", "")
+    origin = get("origin", "")
     if not isinstance(origin, str):
         raise ProtocolError("mset origin must be a string: %r" % (origin,))
-    order = data.get("order")
+    order = get("order")
     if order is not None:
         if not isinstance(order, (list, tuple)):
             raise ProtocolError(
                 "mset order must be a sequence: %r" % (order,)
             )
         order = tuple(order)
-    raw_info = data.get("info", ())
-    if not isinstance(raw_info, (list, tuple)):
-        raise ProtocolError("mset info must be a sequence: %r" % (raw_info,))
-    info = []
-    for pair in raw_info:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ProtocolError("malformed mset info pair: %r" % (pair,))
-        info.append((pair[0], pair[1]))
+    info = get("info", ())
+    if info != ():  # absent: no pairs to check
+        if not isinstance(info, (list, tuple)):
+            raise ProtocolError("mset info must be a sequence: %r" % (info,))
+        for pair in info:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ProtocolError("malformed mset info pair: %r" % (pair,))
+        info = tuple([(pair[0], pair[1]) for pair in info])
     return MSet(
-        data.get("tid"),
+        get("tid"),
         kind,
-        decode_ops(data.get("ops", ())),
+        decode_ops(get("ops", ())),
         origin,
         order,
-        data.get("txn"),
-        tuple(info),
+        get("txn"),
+        info,
     )

@@ -143,11 +143,11 @@ from .protocol import (
     connect_frames,
     decode_mset,
     decode_ops,
+    decode_payload_blob,
     decode_spec,
     encode_bin_ack_frame,
     encode_bin_batch_frame,
     encode_mset,
-    loads,
     payload_blob,
 )
 from .shard import WrongShard, key_shard
@@ -1432,8 +1432,13 @@ class ReplicaServer:
         entries: List[Tuple[int, Any]],
         room: int,
     ) -> None:
-        """Chunk ``entries`` into at most ``room`` batch frames and
+        """Cut ``entries`` into at most ``room`` batch frames and
         write them, pre-encoded, into this turn's buffered write.
+
+        One pass fetches each entry's cached bytes once, to size and to
+        fill its frame: a frame ends at ``FRAME_MSETS`` MSets or before
+        its blobs pass ``MAX_FRAME // 2`` bytes, the rest waits for the
+        next round, and ``sent_hi`` is the last seq written.
 
         Each MSet's payload bytes are forwarded exactly as cached when
         the update entered the log — the zero re-encode relay; re-sends
@@ -1441,48 +1446,34 @@ class ReplicaServer:
         """
         wire_blob = self.log.wire_blob
         now = self.engine.clock()
-        for batch in self._plan_batches(entries)[:room]:
-            last_seq = max(seq for seq, _ in batch)
-            state["sent_hi"] = max(state["sent_hi"], last_seq)
+
+        def write(batch: List[Tuple[int, bytes]]) -> None:
+            state["sent_hi"] = last_seq = batch[-1][0]
             state["inflight"].append((last_seq, now, len(batch)))
             self.m_batch_msets.observe(len(batch))
-            data = encode_bin_batch_frame(
-                self.name, [(seq, wire_blob(seq)) for seq, _ in batch]
-            )
+            frames.write(encode_bin_batch_frame(self.name, batch))
             self.m_frames_relayed.labels(peer=peer).inc(len(batch))
             self.m_propagation_frames.labels(peer=peer).inc()
-            frames.write(data)
-        await frames.drain()
 
-    def _plan_batches(
-        self, entries: List[Tuple[int, Any]]
-    ) -> List[List[Tuple[int, Any]]]:
-        """Split pending entries into frames of at most ``FRAME_MSETS``
-        MSets, cutting early when a frame approaches MAX_FRAME.
-
-        Sizes come from the log's cached payload bytes, so planning
-        costs a length lookup per entry instead of an encode per
-        entry per send attempt.
-        """
-        batches: List[List[Tuple[int, Any]]] = []
-        current: List[Tuple[int, Any]] = []
-        current_bytes = 0
         budget = MAX_FRAME // 2
-        wire_blob = self.log.wire_blob
-        for seq, payload in entries:
-            size = len(wire_blob(seq))
-            if current and (
-                len(current) >= FRAME_MSETS
-                or current_bytes + size > budget
+        batch: List[Tuple[int, bytes]] = []
+        size = 0
+        for seq, _ in entries:
+            blob = wire_blob(seq)
+            if batch and (
+                len(batch) >= FRAME_MSETS or size + len(blob) > budget
             ):
-                batches.append(current)
-                current = []
-                current_bytes = 0
-            current.append((seq, payload))
-            current_bytes += size
-        if current:
-            batches.append(current)
-        return batches
+                write(batch)
+                room -= 1
+                batch = []
+                if not room:
+                    break
+                size = 0
+            batch.append((seq, blob))
+            size += len(blob)
+        if batch:
+            write(batch)
+        await frames.drain()
 
     def _heartbeat_jitter(self) -> float:
         """Next heartbeat delay: the configured interval +/- 25%,
@@ -1614,13 +1605,15 @@ class ReplicaServer:
             # The slowest cursor moved: every peer now holds these
             # local updates.  One cumulative ack can retire a whole
             # send window of them: release their obligations in one
-            # engine step.
+            # engine step, record them at one instant.
             self.engine.fully_acked_many(released)
-            for tid, _ in released:
-                self.trace.event("update-ack", tid=tid)
-                fut = self._full_ack_futures.pop(tid, None)
-                if fut is not None and not fut.done():
-                    fut.set_result(True)
+            self.trace.event_each("update-ack", "tid", [t for t, _ in released])
+            futures = self._full_ack_futures
+            if futures:
+                for tid, _ in released:
+                    fut = futures.pop(tid, None)
+                    if fut is not None and not fut.done():
+                        fut.set_result(True)
             self._notify_drain()
 
     # -- connection handling ---------------------------------------------------
@@ -1714,9 +1707,11 @@ class ReplicaServer:
         rather than the receiver's memory.
 
         Every entry is fully decoded *before* anything is durably
-        recorded: a malformed MSet must raise ``ProtocolError`` here
-        (dropping the connection) rather than poison the inbox log,
-        where it would crash recovery replay on every restart.
+        recorded: a malformed MSet, or a blob whose log line would not
+        read back (:func:`~repro.live.protocol.decode_payload_blob`),
+        must raise ``ProtocolError`` here (dropping the connection)
+        rather than poison the inbox log, where replay would crash on
+        it or cut it, with every acked record after it, as a torn tail.
 
         The frame arrives with pre-encoded payload ``blobs``; those
         exact bytes are spliced into the inbox log, so the durable
@@ -1735,32 +1730,20 @@ class ReplicaServer:
         self._note_peer_alive(src)
         fresh: List[Tuple[int, Any]] = []
         fresh_blobs: List[bytes] = []
+        msets: List[MSet] = []
         expected = inbox.frontier + 1
         for seq, blob in frame["blobs"]:
             if seq < expected:
                 continue  # duplicate: the cumulative ack re-covers it
             if seq > expected:
                 break  # gap (reordered/dropped frame): ack frontier
-            try:
-                payload = loads(blob)
-            except ValueError as exc:
-                raise ProtocolError(
-                    "binary entry %d is not valid JSON: %s" % (seq, exc)
-                ) from exc
-            if not isinstance(payload, dict) or not isinstance(
-                payload.get("mset"), dict
-            ):
-                raise ProtocolError(
-                    "binary entry %d is not an mset payload" % seq
-                )
+            payload = decode_payload_blob(blob)
+            msets.append(decode_mset(payload.get("mset")))
             fresh.append((seq, payload))
             fresh_blobs.append(blob)
             expected += 1
         if fresh:
-            # Decode first (see docstring), then record + apply.
-            msets = [
-                decode_mset(payload["mset"]) for _, payload in fresh
-            ]
+            # Every entry decoded (see docstring): now record + apply.
             inbox.record_many(fresh, blobs=fresh_blobs)
             self._resolve_applied(
                 self.engine.accept_batch(msets, local=False)

@@ -74,6 +74,27 @@ class TraceRecorder:
         self.events.append(record)
         self.recorded += 1
 
+    def event_each(
+        self, kind: str, field: str, values: List[Any]
+    ) -> None:
+        """One ``kind`` event per value of ``field``, all stamped with
+        one clock read: what one step did to many items at once."""
+        if not self.enabled or not values:
+            return
+        base: Dict[str, Any] = {"ts": self.clock(), "kind": kind}
+        if self.site is not None:
+            base["site"] = self.site
+        events = self.events
+        if events.maxlen is not None:
+            self.dropped += max(
+                0, len(events) + len(values) - events.maxlen
+            )
+        for value in values:
+            record = base.copy()
+            record[field] = value
+            events.append(record)
+        self.recorded += len(values)
+
     def __len__(self) -> int:
         return len(self.events)
 

@@ -13,6 +13,7 @@ blocks server-side instead of clients polling stats.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.live.protocol import (
     payload_blob,
 )
 from repro.replica.mset import MSet
-from repro.core.operations import IncrementOp
+from repro.core.operations import IncrementOp, WriteOp
 
 from .wire import RawConn
 
@@ -222,6 +223,62 @@ class TestFrameSizing:
 
         run(scenario())
 
+    def test_frames_are_cut_at_half_the_frame_limit(self, monkeypatch):
+        """The byte cut: with ``MAX_FRAME`` at 8 KiB and ~1 KiB values,
+        a healed backlog travels in frames of at most 4 KiB of blobs,
+        more frames than a send round has room for; ``sent_hi`` is the
+        last seq written, not the last fetched."""
+        monkeypatch.setattr(server, "MAX_FRAME", 8 * 1024)
+        budget = server.MAX_FRAME // 2
+        frames = []  # per frame: (blob bytes, last seq)
+        rounds = []  # per send round: (sent_hi, last written, last fetched)
+        encode = server.encode_bin_batch_frame
+        send = server.ReplicaServer._send_batches
+
+        def spy_encode(src, entries):
+            frames.append(
+                (sum(len(blob) for _, blob in entries), entries[-1][0])
+            )
+            return encode(src, entries)
+
+        async def spy_send(self, peer, writer, state, entries, room):
+            written = len(frames)
+            await send(self, peer, writer, state, entries, room)
+            assert len(frames) > written
+            rounds.append((state["sent_hi"], frames[-1][1], entries[-1][0]))
+
+        monkeypatch.setattr(server, "encode_bin_batch_frame", spy_encode)
+        monkeypatch.setattr(server.ReplicaServer, "_send_batches", spy_send)
+
+        async def scenario():
+            plan = FaultPlan(0)
+            cluster = LiveCluster(
+                n_sites=2,
+                method="commu",
+                faults=plan,
+                server_options={"retry_base": 0.005, "retry_max": 0.02},
+            )
+            await cluster.start()
+            try:
+                client = await cluster.client("site0")
+                plan.partition([["site0"], ["site1"]])
+                for i in range(40):
+                    await client.update(
+                        [WriteOp("big%d" % (i % 8), "%04d" % i * 250)]
+                    )
+                plan.heal_all()
+                await cluster.settle(timeout=60)
+                assert await cluster.converged()
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+        assert len(frames) >= 40 // 4
+        assert all(size <= budget for size, _ in frames)
+        assert all(sent_hi == last for sent_hi, last, _ in rounds)
+        # Some round fetched more than its frames could carry.
+        assert any(last < fetched for _, last, fetched in rounds)
+
     def test_receiver_answers_other_connections_mid_backlog(self):
         """A receiver yields to its loop after each frame it answers:
         with 64 frames sitting in one socket buffer, a ``ping`` sent on
@@ -265,28 +322,30 @@ class TestFrameSizing:
         run(scenario())
 
 
+def _forged_entries(src, seqs):
+    """(seq, payload blob) entries of unit increments from ``src``."""
+    return [
+        (
+            seq,
+            payload_blob(
+                {
+                    "mset": encode_mset(
+                        MSet(
+                            tid="%s:%d" % (src, seq),
+                            ops=(IncrementOp("acct0", 1),),
+                            origin=src,
+                        )
+                    )
+                }
+            ),
+        )
+        for seq in seqs
+    ]
+
+
 def _forged_batch(src, seqs):
     """One binary ``mset-batch`` frame of unit increments from ``src``."""
-    return encode_bin_batch_frame(
-        src,
-        [
-            (
-                seq,
-                payload_blob(
-                    {
-                        "mset": encode_mset(
-                            MSet(
-                                tid="%s:%d" % (src, seq),
-                                ops=(IncrementOp("acct0", 1),),
-                                origin=src,
-                            )
-                        )
-                    }
-                ),
-            )
-            for seq in seqs
-        ],
-    )
+    return encode_bin_batch_frame(src, _forged_entries(src, seqs))
 
 
 class TestWireInterop:
@@ -357,6 +416,64 @@ class TestWireInterop:
                 await raw.close()
                 client = await cluster.client("site0")
                 assert await client.read("acct0") == 6  # each once
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            lambda blob: b"\xef\xbb\xbf" + blob,
+            lambda blob: blob.replace(b",", b",\n", 1),
+            lambda blob: blob.decode("utf-8").encode("utf-16"),
+        ],
+        ids=["utf8_bom", "raw_newline", "utf16"],
+    )
+    def test_blob_its_inbox_log_cannot_replay_is_refused(
+        self, tmp_path, poison
+    ):
+        """``json.loads`` reads each poisoned entry, but spliced into
+        an inbox log line it would not read back: replay would cut it,
+        and every acked record after it, as a torn tail (a BOM, a raw
+        newline), or the splice itself would fail (UTF-16).  The frame
+        is dropped and counted before anything is recorded or acked;
+        the same entries unpoisoned are acked and survive a restart."""
+
+        async def scenario():
+            cluster = LiveCluster(
+                n_sites=2, method="commu", data_dir=tmp_path
+            )
+            await cluster.start()
+            try:
+                await cluster.kill("site1")  # the forged frames own the seqs
+                server = cluster.servers["site0"]
+                first, second = _forged_entries("site1", (1, 2))
+                assert json.loads(poison(first[1]))["mset"]["tid"]
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "site1"})
+                raw.write(
+                    encode_bin_batch_frame(
+                        "site1", [(1, poison(first[1])), second]
+                    )
+                )
+                assert await raw.recv(timeout=5) is None  # severed, no ack
+                await raw.close()
+                assert server.registry.get_sample(
+                    "frames_dropped_total", reason="malformed_mset"
+                ) == 1
+                assert server.inboxes["site1"].frontier == 0
+
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "site1"})
+                raw.write(encode_bin_batch_frame("site1", [first, second]))
+                assert await raw.recv(timeout=5) == {"type": "ack", "seq": 2}
+                await raw.close()
+                await cluster.kill("site0")
+                await cluster.restart("site0")
+                assert cluster.servers["site0"].inboxes["site1"].frontier == 2
+                client = await cluster.client("site0")
+                assert await client.read("acct0") == 2
             finally:
                 await cluster.stop()
 

@@ -23,15 +23,21 @@ from repro.core.operations import (
 )
 from repro.consistency import Consistency
 from repro.core.transactions import EpsilonSpec, UNLIMITED
+from repro.live.durable_queue import _parse_line, _record_line
 from repro.live.protocol import (
     MAX_BATCH_ENTRIES,
     MAX_FRAME,
     FrameWriter,
     ProtocolError,
+    _decode_read,
+    _decode_tswrite,
+    _keyless,
+    _wrong_arity,
     decode_bin_frame,
     decode_mset,
     decode_op,
     decode_ops,
+    decode_payload_blob,
     decode_spec,
     dumps,
     encode_bin_ack_frame,
@@ -131,6 +137,14 @@ class TestOperationCodec:
     def test_the_dict_form_has_no_reader(self):
         with pytest.raises(ProtocolError, match="operation must be an array"):
             decode_op({"t": "inc", "key": "k", "amount": 1})
+
+    @pytest.mark.parametrize(
+        "op", [("inc", "k", 1), ["inc", "k", 1], {"t": "inc"}, None]
+    )
+    def test_what_is_not_an_operation_has_no_encoding(self, op):
+        """A tuple is formatted as one value, not as ``%`` arguments."""
+        with pytest.raises(ProtocolError, match="has no wire encoding"):
+            encode_op(op)
 
 
 class TestSpecCodec:
@@ -668,10 +682,18 @@ def _encodable(value):
     return True
 
 
+def _json_loads_utf8(doc):
+    """``json.loads`` of bytes decoded as strict UTF-8, the way a log
+    line is read: no BOM, UTF-16/32 or surrogate bytes sniffed."""
+    return json.loads(doc.decode("utf-8") if type(doc) is bytes else doc)
+
+
 class TestCompactJsonCodec:
-    """``protocol.loads`` is ``json.loads`` — same accepted set, values
-    and exceptions — but for an integer literal outside 64 bits, which
-    it reads as the nearest float.  ``protocol.dumps`` writes what
+    """``protocol.loads`` is ``json.loads`` of the UTF-8 text — same
+    accepted set, values and exceptions — but for an integer literal
+    outside 64 bits, which it reads as the nearest float.  Bytes are
+    strict UTF-8, as log replay reads them, so what a receiver accepts
+    its logs read back.  ``protocol.dumps`` writes what
     ``json.loads`` reads back as ``json.loads(json.dumps(x))``, or
     raises ``TypeError`` for what the value domain excludes."""
 
@@ -686,8 +708,8 @@ class TestCompactJsonCodec:
     @example(" [1, 2]\n")
     @example('{"a":1}{"b":2}')  # Extra data
     @example("[NaN,Infinity,-Infinity]")
-    @example(b"\xef\xbb\xbf[1]")  # UTF-8 BOM: bytes accepted ...
-    @example("\ufeff[1]")  # ... text refused
+    @example(b"\xef\xbb\xbf[1]")  # UTF-8 BOM: refused as bytes ...
+    @example("\ufeff[1]")  # ... and as text
     @example("[1]".encode("utf-16"))
     @example(b"1\x00")
     @example('"\ud800"')  # lone surrogate, as text and as bytes
@@ -699,9 +721,9 @@ class TestCompactJsonCodec:
     @example("[18446744073709551616,-9223372036854775809]")  # past 64 bits
     def test_loads_is_json_loads(self, doc):
         ours = _outcome(loads, doc)
-        if ours != _outcome(json.loads, doc):  # the one documented residual
+        if ours != _outcome(_json_loads_utf8, doc):  # the documented residual
             assert ours == _outcome(
-                lambda doc: _wide_ints_as_floats(json.loads(doc)), doc
+                lambda doc: _wide_ints_as_floats(_json_loads_utf8(doc)), doc
             )
 
     @pytest.mark.parametrize(
@@ -1171,3 +1193,217 @@ class TestFrameWriter:
             assert sorted(done) == [0, 1, 2, 4, 5, 6, 7]
 
         asyncio.run(scenario())
+
+
+# -- the receive decoder before it became one loop (a closure call per
+# operation, a ``data.get`` per field), kept as the reference the
+# one-pass decoder must agree with.
+
+def _parent_with_argument(cls, numeric):
+    def decode(data):
+        if len(data) != 3:
+            raise _wrong_arity(data, 3)
+        _, key, arg = data
+        if not isinstance(key, str):
+            raise _keyless(data)
+        if numeric and type(arg) is not int and type(arg) is not float:
+            raise ProtocolError("non-numeric operation amount %r" % (arg,))
+        if type(arg) is not int or not arg:
+            _reference_check_arguments(data)
+        return cls(key, arg)
+    return decode
+
+
+_PARENT_DECODERS = {
+    "read": _decode_read, "tswrite": _decode_tswrite,
+    **{tag: _parent_with_argument(cls, numeric)
+       for tag, (cls, arity, numeric) in _REFERENCE_SHAPES.items()
+       if arity == 3},
+}
+
+
+def _parent_decode_op(data):
+    if not isinstance(data, list):
+        raise ProtocolError("operation must be an array: %r" % (data,))
+    try:
+        decode = _PARENT_DECODERS[data[0]]
+    except (IndexError, KeyError, TypeError):
+        tag = data[0] if data else None
+        raise ProtocolError("unknown operation tag %r" % (tag,)) from None
+    return decode(data)
+
+
+def _parent_decode_ops(data):
+    if not isinstance(data, (list, tuple)):
+        raise ProtocolError("ops must be a sequence: %r" % (data,))
+    return tuple([_parent_decode_op(d) for d in data])
+
+
+def _parent_decode_mset(data):
+    if not isinstance(data, dict):
+        raise ProtocolError("mset must be an object: %r" % (data,))
+    kind = data.get("kind", "update")
+    if not isinstance(kind, str):
+        raise ProtocolError("mset kind must be a string: %r" % (kind,))
+    origin = data.get("origin", "")
+    if not isinstance(origin, str):
+        raise ProtocolError("mset origin must be a string: %r" % (origin,))
+    order = data.get("order")
+    if order is not None:
+        if not isinstance(order, (list, tuple)):
+            raise ProtocolError("mset order must be a sequence: %r" % (order,))
+        order = tuple(order)
+    raw_info = data.get("info", ())
+    if not isinstance(raw_info, (list, tuple)):
+        raise ProtocolError("mset info must be a sequence: %r" % (raw_info,))
+    info = []
+    for pair in raw_info:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ProtocolError("malformed mset info pair: %r" % (pair,))
+        info.append((pair[0], pair[1]))
+    return MSet(data.get("tid"), kind, _parent_decode_ops(data.get("ops", ())),
+                origin, order, data.get("txn"), tuple(info))
+
+
+_MSET_FIELDS = ["tid", "ops", "origin", "kind", "order", "txn", "info"]
+
+#: what a field of a hostile MSet can hold: anything JSON, numbers past
+#: every edge, operation-shaped arrays of any arity and tag (empty,
+#: unknown, unhashable), pair-shaped and odd-shaped ``info`` entries.
+_FIELD_JUNK = (
+    _ARGUMENTS
+    | st.lists(_OPERATION_SHAPED | _NEAR_OPERATIONS | _ARGUMENTS, max_size=3)
+    | st.lists(st.lists(_JSON_VALUES, max_size=3), max_size=3)
+)
+
+
+@st.composite
+def _mset_encodings(draw):
+    """A real MSet's encoding, through the JSON text, with up to two
+    fields dropped or replaced by junk."""
+    data = loads(payload_blob({"mset": encode_mset(draw(_MSETS))}))["mset"]
+    for _ in range(draw(st.integers(0, 2))):
+        field = draw(st.sampled_from(_MSET_FIELDS))
+        if draw(st.booleans()):
+            data[field] = draw(_FIELD_JUNK)
+        else:
+            data.pop(field, None)
+    return data
+
+
+class TestOnePassDecoderParity:
+    """``decode_ops`` and ``decode_mset`` in one pass accept exactly
+    what the per-call decoders did — equal MSets, the same operation
+    types and keys — and refuse the rest with the same message."""
+
+    @given(
+        st.lists(_OPERATION_SHAPED | _NEAR_OPERATIONS | _ARGUMENTS, max_size=4)
+        | _JSON_VALUES
+    )
+    @example([["inc", "k", 1], ["read", "k"], ["tswrite", "k", 1, [1, "s"]]])
+    @example([["inc", "k", 1], []])
+    @example([["inc", "k", 1], [[1], "k", 1]])
+    @example([["inc", "k", True]])
+    @example([["inc", "k", float("nan")]])
+    @example([["div", "k", 0]])
+    @example([["tswrite", "k", 1, "ts"]])
+    @example((["write", "k", "v"],))
+    @example("ops")
+    def test_decode_ops_matches_the_parent(self, value):
+        assert _outcome(decode_ops, value) == _outcome(
+            _parent_decode_ops, value
+        )
+
+    @given(
+        _mset_encodings()
+        | st.dictionaries(st.sampled_from(_MSET_FIELDS), _FIELD_JUNK)
+        | _JSON_VALUES
+    )
+    @example({"tid": "t", "ops": [["inc", "k", 1]], "origin": "s"})
+    @example({"tid": "t", "ops": [["inc", "k", 1], ["inc", "k", 2]]})
+    @example({"tid": "t", "ops": "nope"})
+    @example({"tid": "t", "info": None})
+    @example({"tid": "t", "info": [["a", 1], ["b"]]})
+    @example({"tid": "t", "info": {}})
+    @example({"tid": "t", "order": None, "kind": "commit"})
+    @example({"tid": "t", "order": 3})
+    @example({"tid": ["t"], "kind": 1})
+    @example({"origin": None})
+    def test_decode_mset_matches_the_parent(self, value):
+        ours = _outcome(decode_mset, value)
+        assert ours == _outcome(_parent_decode_mset, value)
+        if ours[0] == "returned":
+            mset, parent = decode_mset(value), _parent_decode_mset(value)
+            assert mset.keys == parent.keys
+            assert list(map(type, mset.ops)) == list(map(type, parent.ops))
+        else:
+            assert ours[1] is ProtocolError
+
+    def test_one_operation_keys(self):
+        assert MSet("t", ops=(IncrementOp("k", 1),)).keys == ("k",)
+        assert MSet("t", ops=(
+            IncrementOp("b", 1), WriteOp("a", 2), IncrementOp("b", 3),
+        )).keys == ("b", "a")
+        assert MSet("t").keys == ()
+
+
+@st.composite
+def _hostile_blobs(draw):
+    """A payload blob as a hostile or broken peer might send it: a real
+    MSet's, or a stdlib encoding of arbitrary values (wide integers,
+    ``NaN``), then BOM-prefixed, re-encoded as UTF-16/32, padded or
+    split by whitespace, or with bytes flipped."""
+    if draw(st.booleans()):
+        blob = payload_blob({"mset": encode_mset(draw(_MSETS))})
+    else:
+        blob = json.dumps(
+            {"mset": draw(st.dictionaries(
+                st.sampled_from(_MSET_FIELDS), _FIELD_JUNK | _JSON_VALUES
+            ))},
+            ensure_ascii=draw(st.booleans()),
+        ).encode("utf-8")
+    variant = draw(st.sampled_from(
+        ["as is", "bom", "utf-16", "utf-32", "whitespace", "mutated"]
+    ))
+    if variant == "bom":
+        blob = b"\xef\xbb\xbf" + blob
+    elif variant in ("utf-16", "utf-32"):
+        blob = blob.decode("utf-8").encode(variant)
+    elif variant == "whitespace":
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(blob)))
+            space = draw(st.sampled_from([b" ", b"\t", b"\r", b"\n"]))
+            blob = blob[:at] + space + blob[at:]
+    elif variant == "mutated":
+        data = bytearray(blob)
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(
+                st.integers(0, 255)
+            )
+        blob = bytes(data)
+    return blob
+
+
+class TestPayloadBlobReplay:
+    """The receiver accepts a payload blob iff the inbox log line it is
+    spliced into reads back at replay as the record it acknowledged."""
+
+    @given(_hostile_blobs(), st.integers(1, 2**63 - 1))
+    @example(b'{"mset":{"tid":"t"}}', 1)
+    @example(b'\xef\xbb\xbf{"mset":{"tid":"t"}}', 1)
+    @example(b'{"mset":\n{"tid":"t"}}', 1)
+    @example('{"mset":{"tid":"t"}}'.encode("utf-16"), 1)
+    @example(b'{"mset":{"tid":"t","txn":123456789012345678901234}}', 1)
+    @example(b'{"mset":{"tid":"t","info":[["x",NaN]]}}', 1)
+    @example(b'{"mset":{"tid":"\\ud800"}}', 1)
+    @example(b'{"mset":{"tid":"t","x":' + b"[" * 2000 + b"]" * 2000 + b"}}", 1)
+    @example(b' {"mset":{}}\r\t', 1)
+    def test_an_accepted_blob_reads_back_from_its_log_line(self, blob, seq):
+        try:
+            payload = decode_payload_blob(blob)
+        except ProtocolError:
+            return  # refused before anything is recorded or acked
+        line = _record_line(seq, payload, blob).encode("utf-8")
+        assert _outcome(_parse_line, line) == _outcome(
+            lambda _: {"seq": seq, "payload": payload}, line
+        )

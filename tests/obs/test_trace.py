@@ -46,6 +46,22 @@ class TestRecorder:
         # Oldest events were evicted; the latest survive.
         assert [e["i"] for e in rec.snapshot()] == [3, 4]
 
+    def test_event_each_is_one_event_per_value_at_one_instant(self):
+        """What ``event`` records per value, all with one ``ts``; the
+        bound drops and counts exactly as ``event`` would."""
+        rec = TraceRecorder(site="s", maxlen=3, clock=_fake_clock(5.0))
+        rec.event("drain")
+        rec.event_each("update-ack", "tid", ["s:1", "s:2", "s:3"])
+        rec.event_each("update-ack", "tid", [])
+        assert rec.snapshot() == [
+            {"ts": 6.0, "kind": "update-ack", "site": "s", "tid": tid}
+            for tid in ("s:1", "s:2", "s:3")
+        ]
+        assert (rec.recorded, rec.dropped) == (4, 1)
+        off = TraceRecorder(enabled=False)
+        off.event_each("update-ack", "tid", ["x"])
+        assert (len(off), off.recorded) == (0, 0)
+
     def test_span_kinds_cover_update_lifecycle(self):
         assert UPDATE_SPAN_KINDS == (
             "update-submit",
