@@ -26,23 +26,12 @@ from .consistency import (
     Consistency,
     ReadOptions,
     SessionToken,
+    UpdateVerbs,
+    query_keys,
     resolve_read_options,
 )
-from .core.operations import (
-    AppendOp,
-    DecrementOp,
-    IncrementOp,
-    Operation,
-    ReadOp,
-    WriteOp,
-)
-from .core.transactions import (
-    EpsilonSpec,
-    ETResult,
-    ETStatus,
-    QueryET,
-    UpdateET,
-)
+from .core.operations import Operation, ReadOp
+from .core.transactions import EpsilonSpec, ETResult, ETStatus
 from .errors import ABORTED, COMPENSATED, EPSILON_EXCEEDED, ETError
 from .replica.base import ReplicatedSystem
 
@@ -78,8 +67,11 @@ class ETFailed(ETError):
         self.result = result
 
 
-class Client:
-    """A blocking, site-homed handle onto a replicated system."""
+class Client(UpdateVerbs):
+    """A blocking, site-homed handle onto a replicated system.
+
+    ``write``/``increment``/``decrement``/``append`` come from
+    :class:`~repro.consistency.UpdateVerbs`, over :meth:`update`."""
 
     def __init__(self, system: ReplicatedSystem, site: str) -> None:
         if site not in system.sites:
@@ -120,19 +112,6 @@ class Client:
 
     # -- updates ---------------------------------------------------------------
 
-    def write(self, key: str, value: Any) -> ETResult:
-        """Blind write (RITU-compatible)."""
-        return self.execute([WriteOp(key, value)])
-
-    def increment(self, key: str, amount: float = 1) -> ETResult:
-        return self.execute([IncrementOp(key, amount)])
-
-    def decrement(self, key: str, amount: float = 1) -> ETResult:
-        return self.execute([DecrementOp(key, amount)])
-
-    def append(self, key: str, item: Any) -> ETResult:
-        return self.execute([AppendOp(key, item)])
-
     def update(self, operations: Sequence[Operation]) -> ETResult:
         """Multi-operation update ET."""
         return self.execute(list(operations))
@@ -158,7 +137,9 @@ class Client:
     ) -> Dict[str, Any]:
         """One query ET over several keys (a consistent unit of error)."""
         opts = resolve_read_options(options, caller="read_many")
-        result = self.execute([ReadOp(key) for key in keys], opts.spec())
+        result = self.execute(
+            [ReadOp(key) for key in query_keys(keys)], opts.spec()
+        )
         return dict(result.values)
 
     def query(
@@ -171,7 +152,7 @@ class Client:
         accepts a raw :class:`EpsilonSpec` or the typed surface."""
         if isinstance(spec, (ReadOptions, Consistency)):
             spec = resolve_read_options(spec, caller="query").spec()
-        return self.execute([ReadOp(key) for key in keys], spec)
+        return self.execute([ReadOp(key) for key in query_keys(keys)], spec)
 
     def session(self, token: Optional[SessionToken] = None) -> "ClientSession":
         """Open a session (``with client.session() as s:``).
@@ -179,9 +160,10 @@ class Client:
         The simulator client is site-homed and blocking — every call
         runs the simulation to completion at one site — so
         read-your-writes and monotonic reads hold trivially.  The
-        session still maintains a real :class:`SessionToken` (advanced
-        past every committed tid) so programs exercising cross-process
-        token handoff run unchanged against the simulator.
+        session carries a :class:`SessionToken` so programs exercising
+        cross-process token handoff run unchanged, but the simulator's
+        tids are global counters that name no site, so the token is
+        never advanced.
         """
         return ClientSession(self, token)
 
@@ -192,12 +174,15 @@ class Client:
         return self.system.run_to_quiescence()
 
 
-class ClientSession:
-    """Session sugar over the blocking simulator client.
+class ClientSession(UpdateVerbs):
+    """The simulator's session, as a *synchronous* context manager.
 
-    Mirrors the live :class:`~repro.live.client.LiveSession` surface
-    (reads, writes, ``token``) as a *synchronous* context manager, so
-    API-parity programs can drive sessions on either backend.
+    The same verbs and :class:`SessionToken` as the async
+    :class:`~repro.live.client.LiveSession` that ``LiveClient`` and
+    ``ShardRouter`` open, so API-parity programs drive sessions on every
+    backend.  Every verb goes to the site-homed client unchanged, where
+    the session guarantees already hold; the token is carried, not
+    advanced (see :meth:`Client.session`).
     """
 
     def __init__(
@@ -211,12 +196,6 @@ class ClientSession:
 
     def __exit__(self, *exc_info: Any) -> None:
         return None
-
-    def _observe(self, result: ETResult) -> ETResult:
-        tid = getattr(result.et, "tid", None)
-        if isinstance(tid, str):
-            self.token.observe_write(tid)
-        return result
 
     def read(
         self,
@@ -240,16 +219,4 @@ class ClientSession:
         return self._client.query(keys, spec)
 
     def update(self, operations: Sequence[Operation]) -> ETResult:
-        return self._observe(self._client.update(operations))
-
-    def write(self, key: str, value: Any) -> ETResult:
-        return self._observe(self._client.write(key, value))
-
-    def increment(self, key: str, amount: float = 1) -> ETResult:
-        return self._observe(self._client.increment(key, amount))
-
-    def decrement(self, key: str, amount: float = 1) -> ETResult:
-        return self._observe(self._client.decrement(key, amount))
-
-    def append(self, key: str, item: Any) -> ETResult:
-        return self._observe(self._client.append(key, item))
+        return self._client.update(operations)

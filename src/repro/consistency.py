@@ -4,7 +4,8 @@ The paper's pitch is that applications declare *how much* inconsistency
 a read may import instead of re-deriving serializability conditions.
 This module is that declaration: one typed surface, the only one
 ``read`` / ``read_many`` / ``query`` accept on the sim client, the live
-client, and the shard router:
+client, and the shard router — and the verbs written once over it
+(:class:`UpdateVerbs`, :class:`AsyncVerbs`):
 
 * :class:`Consistency` — the level of a read:
 
@@ -37,8 +38,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
+from .core.operations import AppendOp, DecrementOp, IncrementOp, WriteOp
 from .core.transactions import EpsilonSpec, UNLIMITED
 
 __all__ = [
@@ -289,3 +291,97 @@ def resolve_read_options(
         "%s(): options must be ReadOptions or Consistency, got %r"
         % (caller, type(options).__name__)
     )
+
+
+def query_options(
+    spec: Union[EpsilonSpec, ReadOptions, Consistency, None],
+    timeout: Optional[float],
+) -> ReadOptions:
+    """What a live ``query`` was given, as one :class:`ReadOptions`.
+
+    The typed surface goes through :func:`resolve_read_options`; a raw
+    :class:`EpsilonSpec` becomes a read bounded by its import and value
+    limits (a query exports nothing, so ``export_limit`` is dropped).
+    """
+    if isinstance(spec, EpsilonSpec):
+        return ReadOptions(
+            consistency=Consistency(
+                epsilon=spec.import_limit, value_limit=spec.value_limit
+            ),
+            timeout=timeout,
+        )
+    return resolve_read_options(spec, timeout=timeout, caller="query")
+
+
+def query_keys(keys: Sequence[str]) -> List[str]:
+    """The keys of one query ET, as a list.
+
+    Every backend's ``query``/``read_many`` refuses the same way before
+    anything runs or is sent: a bare ``str``/``bytes`` is a
+    ``TypeError`` (iterating it would read one key per character), and
+    no keys at all is a ``ValueError``.
+    """
+    if isinstance(keys, (str, bytes)):
+        raise TypeError(
+            "query keys must be a sequence of keys, not a bare %s"
+            % type(keys).__name__
+        )
+    keys = list(keys)
+    if not keys:
+        raise ValueError("a query needs at least one key")
+    return keys
+
+
+class UpdateVerbs:
+    """The one-operation update verbs, written once over ``update``.
+
+    Each only returns ``self.update(...)``, so one body serves the
+    blocking simulator client (it returns the ``ETResult``) and the
+    async live surfaces (it returns the coroutine the caller awaits).
+    """
+
+    def write(self, key: str, value: Any) -> Any:
+        """Blind write (RITU-compatible)."""
+        return self.update([WriteOp(key, value)])
+
+    def increment(self, key: str, amount: float = 1) -> Any:
+        return self.update([IncrementOp(key, amount)])
+
+    def decrement(self, key: str, amount: float = 1) -> Any:
+        return self.update([DecrementOp(key, amount)])
+
+    def append(self, key: str, item: Any) -> Any:
+        return self.update([AppendOp(key, item)])
+
+
+class AsyncVerbs(UpdateVerbs):
+    """The update verbs plus ``read``/``read_many``, written once over
+    an async ``query``: the live client, the shard router and the live
+    session all read through their own ``query``."""
+
+    async def read(
+        self,
+        key: str,
+        options: Union[ReadOptions, Consistency, None] = None,
+        *,
+        timeout: Optional[float] = None,
+    ) -> Any:
+        """Read one key at the given consistency: a
+        :class:`ReadOptions` or a :class:`Consistency` level."""
+        opts = resolve_read_options(options, timeout=timeout, caller="read")
+        result = await self.query([key], opts, timeout=opts.timeout)
+        return result.values[key]
+
+    async def read_many(
+        self,
+        keys: Sequence[str],
+        options: Union[ReadOptions, Consistency, None] = None,
+        *,
+        timeout: Optional[float] = None,
+    ) -> Dict[str, Any]:
+        """One query ET over several keys (a consistent unit of error)."""
+        opts = resolve_read_options(
+            options, timeout=timeout, caller="read_many"
+        )
+        result = await self.query(keys, opts, timeout=opts.timeout)
+        return dict(result.values)

@@ -90,7 +90,7 @@ from .engine import (
     make_engine,
 )
 from .read_cache import CachedRead, EpsilonReadCache
-from .router import RouterSession, ShardRouter
+from .router import ShardRouter
 from .server import (
     Compensated,
     LOCAL_CHANNEL,
@@ -136,7 +136,6 @@ __all__ = [
     "EpsilonReadCache",
     "LiveCluster",
     "ShardedCluster",
-    "RouterSession",
     "ShardMap",
     "ShardRouter",
     "WrongShard",

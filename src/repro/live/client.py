@@ -35,19 +35,17 @@ Read scaling (see docs/LIVE.md "Read scaling & session guarantees"):
 
 Robustness: requests take a per-request ``timeout``; a broken
 connection is redialed automatically with jittered exponential
-backoff, optionally failing over across a list of replica addresses.
-Idempotent verbs (``query``, ``values``, ``stats``, ``ping``) are
-retried transparently after a reconnect; updates are *not* retried by
-default — a timed-out update may still have committed, and blind
-re-submission would double-apply it (opt in with ``retry_updates``
-when the workload is tolerant, e.g. monotonic counters checked
-externally).
+backoff (``BACKOFF_BASE`` doubling up to ``BACKOFF_MAX``), optionally
+failing over across a list of replica addresses.  Idempotent verbs
+(``_IDEMPOTENT_VERBS``) are retried transparently after a reconnect;
+updates are never retried — a timed-out update may still have
+committed, and blind re-submission would double-apply it.
 
 Primary preference: after failing over, the client does not stick to
-the failover replica forever — every ``primary_retry_interval``
+the failover replica forever — every ``PRIMARY_RETRY_INTERVAL``
 seconds an idle moment re-probes the primary address and rehomes the
 connection when it answers, so a recovered replica wins its clients
-back without manual intervention (set the interval to 0 to disable).
+back without manual intervention.
 
 Failover::
 
@@ -64,22 +62,19 @@ import asyncio
 import itertools
 import random
 from collections.abc import Mapping
+from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..consistency import (
+    AsyncVerbs,
     CACHED,
     Consistency,
     ReadOptions,
     SessionToken,
-    resolve_read_options,
+    query_keys,
+    query_options,
 )
-from ..core.operations import (
-    AppendOp,
-    DecrementOp,
-    IncrementOp,
-    Operation,
-    WriteOp,
-)
+from ..core.operations import Operation
 from ..core.transactions import EpsilonSpec, UNLIMITED
 from ..errors import ETError, SESSION_STALE
 from ..obs.registry import NULL_REGISTRY, Registry
@@ -113,6 +108,19 @@ _IDEMPOTENT_VERBS = frozenset(
 
 #: membership statuses a fan-out read may be routed to.
 _ROUTABLE_STATUSES = frozenset({"alive"})
+
+#: redial backoff: full jitter under ``BACKOFF_BASE * 2**attempt``,
+#: capped at ``BACKOFF_MAX`` (seconds).
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 1.0
+#: seconds between probes of the primary address while failed over
+#: to a secondary.
+PRIMARY_RETRY_INTERVAL = 5.0
+#: seconds between membership refreshes while fanning out reads.
+FAN_OUT_REFRESH = 1.0
+#: how long a read with no timeout retries SESSION_STALE refusals (at
+#: fresher replicas, then waiting out propagation) before surfacing.
+SESSION_RETRY_WAIT = 5.0
 
 
 class LiveETFailed(ETError):
@@ -260,8 +268,13 @@ async def request_once(
     return reply
 
 
-class LiveClient:
-    """A pipelined client connection to one replica server."""
+class LiveClient(AsyncVerbs):
+    """A pipelined client connection to one replica server.
+
+    ``write``/``increment``/``decrement``/``append`` and
+    ``read``/``read_many`` come from
+    :class:`~repro.consistency.AsyncVerbs`, over :meth:`update` and
+    :meth:`query`."""
 
     def __init__(
         self,
@@ -269,15 +282,9 @@ class LiveClient:
         request_timeout: Optional[float] = None,
         reconnect: bool = True,
         max_attempts: int = 4,
-        backoff_base: float = 0.05,
-        backoff_max: float = 1.0,
-        retry_updates: bool = False,
-        primary_retry_interval: float = 5.0,
         rng: Optional[random.Random] = None,
         cache: Union[EpsilonReadCache, bool, None] = None,
         fan_out: bool = False,
-        fan_out_refresh: float = 1.0,
-        session_retry_wait: float = 5.0,
         registry: Optional[Registry] = None,
     ) -> None:
         if not addrs:
@@ -288,12 +295,6 @@ class LiveClient:
         self._request_timeout = request_timeout
         self._reconnect = reconnect
         self._max_attempts = max(1, max_attempts)
-        self._backoff_base = backoff_base
-        self._backoff_max = backoff_max
-        self._retry_updates = retry_updates
-        #: seconds between probes of the primary address while failed
-        #: over to a secondary (0 disables rehoming).
-        self._primary_retry_interval = max(0.0, primary_retry_interval)
         self._rng = rng if rng is not None else random.Random()
         #: the live connection; its responses resolve ``_waiting``.
         self._conn: Optional[FrameProtocol] = None
@@ -324,11 +325,6 @@ class LiveClient:
         )
         #: spread non-strict reads across gossip-discovered replicas.
         self._fan_out = bool(fan_out)
-        #: seconds between membership refreshes while fanning out.
-        self._fan_out_refresh = max(0.0, fan_out_refresh)
-        #: how long SESSION_STALE refusals are retried (at fresher
-        #: replicas, then waiting out propagation) before surfacing.
-        self._session_retry_wait = max(0.0, session_retry_wait)
         #: site name -> {"addr", "applied", "frontier", "status"},
         #: learned from gossiped membership on stats replies.
         self._replicas: Dict[str, Dict[str, Any]] = {}
@@ -400,14 +396,10 @@ class LiveClient:
         so no in-flight request can be failed by it — at worst the
         probe is skipped and retried on a later idle moment.
         """
-        if (
-            self._active_index == 0
-            or not self._primary_retry_interval
-            or len(self._addrs) < 2
-        ):
+        if self._active_index == 0 or len(self._addrs) < 2:
             return
         now = asyncio.get_event_loop().time()
-        if now - self._last_primary_probe < self._primary_retry_interval:
+        if now - self._last_primary_probe < PRIMARY_RETRY_INTERVAL:
             return
         self._last_primary_probe = now
         try:
@@ -455,9 +447,7 @@ class LiveClient:
     def _backoff(self, attempt: int) -> float:
         """Exponential backoff with full jitter (decorrelates a herd
         of clients redialing a recovering replica)."""
-        ceiling = min(
-            self._backoff_base * (2 ** attempt), self._backoff_max
-        )
+        ceiling = min(BACKOFF_BASE * (2 ** attempt), BACKOFF_MAX)
         return self._rng.uniform(0, ceiling)
 
     def _teardown_connection(self) -> None:
@@ -498,14 +488,12 @@ class LiveClient:
 
         ``timeout`` (or the client-wide ``request_timeout``) bounds the
         whole round trip.  Connection failures are retried with
-        reconnect/failover for idempotent verbs; updates surface the
-        error to the caller unless ``retry_updates`` was set.
+        reconnect/failover for idempotent verbs; any other verb (an
+        update) surfaces the error to the caller.
         """
         if timeout is None:
             timeout = self._request_timeout
-        retryable = self._reconnect and (
-            verb in _IDEMPOTENT_VERBS or self._retry_updates
-        )
+        retryable = self._reconnect and verb in _IDEMPOTENT_VERBS
         attempts = self._max_attempts if retryable else 1
         last_error: Optional[Exception] = None
         for attempt in range(attempts):
@@ -588,6 +576,8 @@ class LiveClient:
         :class:`LiveETFailed`.
         """
         operations = list(operations)
+        if not operations:
+            raise ValueError("update needs at least one operation")
         fields: Dict[str, Any] = {"ops": encode_ops(operations)}
         if spec is not None:
             fields["spec"] = encode_spec(spec)
@@ -608,18 +598,6 @@ class LiveClient:
         if self.cache is not None:
             self.cache.invalidate(op.key for op in operations)
         return frame
-
-    async def write(self, key: str, value: Any) -> Dict[str, Any]:
-        return await self.update([WriteOp(key, value)])
-
-    async def increment(self, key: str, amount: float = 1) -> Dict[str, Any]:
-        return await self.update([IncrementOp(key, amount)])
-
-    async def decrement(self, key: str, amount: float = 1) -> Dict[str, Any]:
-        return await self.update([DecrementOp(key, amount)])
-
-    async def append(self, key: str, item: Any) -> Dict[str, Any]:
-        return await self.update([AppendOp(key, item)])
 
     async def decide(
         self,
@@ -663,51 +641,8 @@ class LiveClient:
         ``spec`` accepts the typed surface (:class:`ReadOptions` or a
         :class:`Consistency` level) or a raw :class:`EpsilonSpec`.
         """
-        espec, opts = self._query_plan(spec, timeout)
-        return await self._query(list(keys), espec, opts)
-
-    def _query_plan(
-        self,
-        spec: Union[EpsilonSpec, ReadOptions, Consistency, None],
-        timeout: Optional[float],
-    ) -> Tuple[EpsilonSpec, ReadOptions]:
-        if isinstance(spec, (ReadOptions, Consistency)):
-            opts = resolve_read_options(spec, timeout=timeout, caller="query")
-            return opts.spec(), opts
-        espec = spec if spec is not None else EpsilonSpec()
-        return espec, ReadOptions(
-            consistency=Consistency(
-                epsilon=espec.import_limit, value_limit=espec.value_limit
-            ),
-            timeout=timeout,
-        )
-
-    async def read(
-        self,
-        key: str,
-        options: Union[ReadOptions, Consistency, None] = None,
-        *,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        """Read one key at the given consistency: a
-        :class:`ReadOptions` or a :class:`Consistency` level."""
-        opts = resolve_read_options(options, timeout=timeout, caller="read")
-        result = await self._query([key], opts.spec(), opts)
-        return result.values[key]
-
-    async def read_many(
-        self,
-        keys: Sequence[str],
-        options: Union[ReadOptions, Consistency, None] = None,
-        *,
-        timeout: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """One query ET over several keys (a consistent unit of error)."""
-        opts = resolve_read_options(
-            options, timeout=timeout, caller="read_many"
-        )
-        result = await self._query(list(keys), opts.spec(), opts)
-        return dict(result.values)
+        opts = query_options(spec, timeout)
+        return await self._query(query_keys(keys), opts.spec(), opts)
 
     def session(self, token: Optional[SessionToken] = None) -> "LiveSession":
         """Open a session enforcing read-your-writes + monotonic reads.
@@ -844,7 +779,7 @@ class LiveClient:
         client = await self._route(keys, espec, opts)
         loop = asyncio.get_event_loop()
         deadline = loop.time() + (
-            timeout if timeout is not None else self._session_retry_wait
+            timeout if timeout is not None else SESSION_RETRY_WAIT
         )
         tried: set = set()
         while True:
@@ -978,11 +913,11 @@ class LiveClient:
     async def _refresh_replicas(self) -> None:
         """Keep the fan-out view of the group reasonably fresh by
         piggybacking on the ``stats`` verb (which carries gossiped
-        membership) at most every ``fan_out_refresh`` seconds."""
+        membership) at most every ``FAN_OUT_REFRESH`` seconds."""
         now = asyncio.get_event_loop().time()
         if (
             self._replicas
-            and now - self._last_replica_refresh < self._fan_out_refresh
+            and now - self._last_replica_refresh < FAN_OUT_REFRESH
         ):
             return
         self._last_replica_refresh = now
@@ -1003,8 +938,6 @@ class LiveClient:
             request_timeout=self._request_timeout,
             reconnect=True,
             max_attempts=2,
-            backoff_base=self._backoff_base,
-            backoff_max=self._backoff_max,
             rng=self._rng,
         )
         await client._ensure_connected()
@@ -1137,21 +1070,24 @@ class LiveClient:
             await conn.wait_closed()
 
 
-class LiveSession:
-    """Read-your-writes + monotonic-reads session over a LiveClient.
+class LiveSession(AsyncVerbs):
+    """Read-your-writes + monotonic-reads session over a
+    :class:`LiveClient` or a :class:`~repro.live.router.ShardRouter`.
 
-    Every update advances the session token past its committed tid;
-    every read attaches the token (checked server-side) and folds the
-    reply's frontier vector back in.  The token is portable:
+    Every update advances the session token past its committed tid (a
+    routed update, past each shard's tid); every query attaches the
+    token — each replica checks the token sites it replicates, so the
+    per-shard checks compose to one guarantee — and folds the reply's
+    frontier vector back in.  The token is portable:
     ``session.token.encode()`` hands the session off to another
     process, which resumes it with
     ``client.session(SessionToken.decode(text))``.
     """
 
     def __init__(
-        self, client: LiveClient, token: Optional[SessionToken] = None
+        self, target: Any, token: Optional[SessionToken] = None
     ) -> None:
-        self._client = client
+        self._target = target
         self.token = token if token is not None else SessionToken()
 
     async def __aenter__(self) -> "LiveSession":
@@ -1160,60 +1096,16 @@ class LiveSession:
     async def __aexit__(self, *exc_info: Any) -> None:
         return None
 
-    def _opts(
-        self,
-        options: Union[ReadOptions, Consistency, None],
-        timeout: Optional[float],
-        caller: str,
-    ) -> ReadOptions:
-        opts = resolve_read_options(options, timeout=timeout, caller=caller)
-        return ReadOptions(
-            consistency=opts.consistency,
-            session=self.token,
-            prefer=opts.prefer,
-            timeout=opts.timeout,
-        )
-
-    # -- reads ---------------------------------------------------------------
-
-    async def read(
-        self,
-        key: str,
-        options: Union[ReadOptions, Consistency, None] = None,
-        *,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        opts = self._opts(options, timeout, "read")
-        result = await self._client._query([key], opts.spec(), opts)
-        return result.values[key]
-
-    async def read_many(
-        self,
-        keys: Sequence[str],
-        options: Union[ReadOptions, Consistency, None] = None,
-        *,
-        timeout: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        opts = self._opts(options, timeout, "read_many")
-        result = await self._client._query(list(keys), opts.spec(), opts)
-        return dict(result.values)
-
     async def query(
         self,
         keys: Sequence[str],
         spec: Union[EpsilonSpec, ReadOptions, Consistency, None] = None,
         timeout: Optional[float] = None,
     ) -> LiveETResult:
-        espec, opts = self._client._query_plan(spec, timeout)
-        opts = ReadOptions(
-            consistency=opts.consistency,
-            session=self.token,
-            prefer=opts.prefer,
-            timeout=opts.timeout,
-        )
-        return await self._client._query(list(keys), espec, opts)
-
-    # -- writes --------------------------------------------------------------
+        opts = replace(query_options(spec, timeout), session=self.token)
+        result = await self._target.query(keys, opts, timeout=opts.timeout)
+        self.token.merge(result.frontiers)
+        return result
 
     async def update(
         self,
@@ -1223,22 +1115,11 @@ class LiveSession:
         saga: Optional[str] = None,
         abort: bool = False,
     ) -> Dict[str, Any]:
-        frame = await self._client.update(
+        frame = await self._target.update(
             operations, spec, timeout, saga=saga, abort=abort
         )
-        tid = frame.get("tid")
-        if isinstance(tid, str):
-            self.token.observe_write(tid)
+        for reply in (frame, *frame.get("shards", {}).values()):
+            tid = reply.get("tid")
+            if isinstance(tid, str):
+                self.token.observe_write(tid)
         return frame
-
-    async def write(self, key: str, value: Any) -> Dict[str, Any]:
-        return await self.update([WriteOp(key, value)])
-
-    async def increment(self, key: str, amount: float = 1) -> Dict[str, Any]:
-        return await self.update([IncrementOp(key, amount)])
-
-    async def decrement(self, key: str, amount: float = 1) -> Dict[str, Any]:
-        return await self.update([DecrementOp(key, amount)])
-
-    async def append(self, key: str, item: Any) -> Dict[str, Any]:
-        return await self.update([AppendOp(key, item)])

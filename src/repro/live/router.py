@@ -42,30 +42,30 @@ import asyncio
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..consistency import (
+    AsyncVerbs,
     Consistency,
     ReadOptions,
     SessionToken,
-    resolve_read_options,
+    query_keys,
 )
-from ..core.operations import (
-    AppendOp,
-    DecrementOp,
-    IncrementOp,
-    Operation,
-    WriteOp,
-)
+from ..core.operations import Operation
 from ..core.transactions import EpsilonSpec
 from ..errors import ETError
-from .client import LiveClient, LiveETFailed, LiveETResult
+from .client import LiveClient, LiveETFailed, LiveETResult, LiveSession
 from .shard import GroupAddrs, ShardMap, group_keys_by_shard
 
-__all__ = ["RouterSession", "ShardRouter"]
+__all__ = ["ShardRouter"]
 
 Specish = Union[EpsilonSpec, ReadOptions, Consistency, None]
 
 
-class ShardRouter:
-    """Routes the ``LiveClient`` verb surface across replica groups."""
+class ShardRouter(AsyncVerbs):
+    """Routes the ``LiveClient`` verb surface across replica groups.
+
+    ``write``/``increment``/``decrement``/``append`` and
+    ``read``/``read_many`` come from
+    :class:`~repro.consistency.AsyncVerbs`, over :meth:`update` and
+    :meth:`query`."""
 
     def __init__(
         self,
@@ -258,18 +258,6 @@ class ShardRouter:
             "shards": dict(zip(shards, frames)),
         }
 
-    async def write(self, key: str, value: Any) -> Dict[str, Any]:
-        return await self.update([WriteOp(key, value)])
-
-    async def increment(self, key: str, amount: float = 1) -> Dict[str, Any]:
-        return await self.update([IncrementOp(key, amount)])
-
-    async def decrement(self, key: str, amount: float = 1) -> Dict[str, Any]:
-        return await self.update([DecrementOp(key, amount)])
-
-    async def append(self, key: str, item: Any) -> Dict[str, Any]:
-        return await self.update([AppendOp(key, item)])
-
     async def decide(
         self,
         outcome: str,
@@ -351,9 +339,7 @@ class ShardRouter:
         query; each group checks the token sites it replicates, so the
         per-shard checks compose to the same guarantee.
         """
-        by_shard = group_keys_by_shard(list(keys), self.n_shards)
-        if not by_shard:
-            raise ValueError("query needs at least one key")
+        by_shard = group_keys_by_shard(query_keys(keys), self.n_shards)
 
         async def one(shard: int) -> LiveETResult:
             return await self._call(
@@ -396,34 +382,10 @@ class ShardRouter:
             merged["served_by"] = ",".join(sorted(set(served)))
         return LiveETResult(merged)
 
-    async def read(
-        self,
-        key: str,
-        options: Union[ReadOptions, Consistency, None] = None,
-        *,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        opts = resolve_read_options(options, timeout=timeout, caller="read")
-        result = await self.query([key], opts, timeout=opts.timeout)
-        return result["values"][key]
-
-    async def read_many(
-        self,
-        keys: Sequence[str],
-        options: Union[ReadOptions, Consistency, None] = None,
-        *,
-        timeout: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        opts = resolve_read_options(
-            options, timeout=timeout, caller="read_many"
-        )
-        result = await self.query(list(keys), opts, timeout=opts.timeout)
-        return dict(result["values"])
-
-    def session(self, token: Optional[SessionToken] = None) -> "RouterSession":
+    def session(self, token: Optional[SessionToken] = None) -> LiveSession:
         """Open a read-your-writes + monotonic-reads session spanning
         shards (``async with router.session() as s:``)."""
-        return RouterSession(self, token)
+        return LiveSession(self, token)
 
     # -- fan-out convenience ---------------------------------------------------
 
@@ -495,115 +457,3 @@ class ShardRouter:
         self._clients.clear()
         for client in clients:
             await client.close()
-
-
-class RouterSession:
-    """Read-your-writes + monotonic-reads session across shards.
-
-    One :class:`~repro.consistency.SessionToken` spans every shard:
-    per-shard updates each advance the token past their committed tid,
-    and reads attach the whole token — every group checks the token
-    sites it replicates, so the per-shard checks compose to the same
-    session guarantee the single-group :class:`LiveSession` gives.
-    """
-
-    def __init__(
-        self, router: ShardRouter, token: Optional[SessionToken] = None
-    ) -> None:
-        self._router = router
-        self.token = token if token is not None else SessionToken()
-
-    async def __aenter__(self) -> "RouterSession":
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        return None
-
-    def _opts(
-        self,
-        options: Union[ReadOptions, Consistency, None],
-        timeout: Optional[float],
-        caller: str,
-    ) -> ReadOptions:
-        opts = resolve_read_options(options, timeout=timeout, caller=caller)
-        return ReadOptions(
-            consistency=opts.consistency,
-            session=self.token,
-            prefer=opts.prefer,
-            timeout=opts.timeout,
-        )
-
-    async def read(
-        self,
-        key: str,
-        options: Union[ReadOptions, Consistency, None] = None,
-        *,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        opts = self._opts(options, timeout, "read")
-        result = await self._router.query([key], opts, timeout=opts.timeout)
-        self.token.merge(result.frontiers)
-        return result.values[key]
-
-    async def read_many(
-        self,
-        keys: Sequence[str],
-        options: Union[ReadOptions, Consistency, None] = None,
-        *,
-        timeout: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        opts = self._opts(options, timeout, "read_many")
-        result = await self._router.query(
-            list(keys), opts, timeout=opts.timeout
-        )
-        self.token.merge(result.frontiers)
-        return dict(result.values)
-
-    async def query(
-        self,
-        keys: Sequence[str],
-        spec: Specish = None,
-        timeout: Optional[float] = None,
-    ) -> LiveETResult:
-        if isinstance(spec, EpsilonSpec):
-            opts = ReadOptions(
-                consistency=Consistency(
-                    epsilon=spec.import_limit, value_limit=spec.value_limit
-                ),
-                session=self.token,
-                timeout=timeout,
-            )
-        else:
-            opts = self._opts(spec, timeout, "query")
-        result = await self._router.query(list(keys), opts, timeout=timeout)
-        self.token.merge(result.frontiers)
-        return result
-
-    async def update(
-        self,
-        operations: Sequence[Operation],
-        spec: Optional[EpsilonSpec] = None,
-        timeout: Optional[float] = None,
-        saga: Optional[str] = None,
-        abort: bool = False,
-    ) -> Dict[str, Any]:
-        frame = await self._router.update(
-            operations, spec, timeout, saga=saga, abort=abort
-        )
-        for shard_frame in frame.get("shards", {}).values():
-            tid = shard_frame.get("tid")
-            if isinstance(tid, str):
-                self.token.observe_write(tid)
-        return frame
-
-    async def write(self, key: str, value: Any) -> Dict[str, Any]:
-        return await self.update([WriteOp(key, value)])
-
-    async def increment(self, key: str, amount: float = 1) -> Dict[str, Any]:
-        return await self.update([IncrementOp(key, amount)])
-
-    async def decrement(self, key: str, amount: float = 1) -> Dict[str, Any]:
-        return await self.update([DecrementOp(key, amount)])
-
-    async def append(self, key: str, item: Any) -> Dict[str, Any]:
-        return await self.update([AppendOp(key, item)])

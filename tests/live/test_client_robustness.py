@@ -2,12 +2,14 @@
 no-leaked-future guarantee on failed sends."""
 
 import asyncio
+import pathlib
+import re
 import socket
 
 import pytest
 
 from repro.live import LiveCluster, LiveETFailed
-from repro.live.client import LiveClient, RequestTimeout
+from repro.live.client import _IDEMPOTENT_VERBS, LiveClient, RequestTimeout
 from repro.live.server import ReplicaServer
 
 from .wire import listen
@@ -24,6 +26,24 @@ def _free_port() -> int:
     port = sock.getsockname()[1]
     sock.close()
     return port
+
+
+LIVE_MD = pathlib.Path(__file__).resolve().parents[2] / "docs" / "LIVE.md"
+
+
+class TestDocsSync:
+    def test_documented_retried_verbs_are_the_idempotent_ones(self):
+        """docs/LIVE.md "Client robustness" names exactly the verbs the
+        client re-issues after a reconnect — a verb added to or dropped
+        from ``_IDEMPOTENT_VERBS`` without its doc entry fails here."""
+        text = LIVE_MD.read_text(encoding="utf-8")
+        section = text.split("### Client robustness", 1)[1]
+        section = section.split("\n### ", 1)[0]
+        listed = re.search(r"Only\s+idempotent\s+verbs\s+\(([^)]*)\)", section)
+        assert listed is not None, "no verb list in Client robustness"
+        documented = re.findall(r"`([\w-]+)`", listed.group(1))
+        assert len(documented) == len(set(documented))
+        assert set(documented) == _IDEMPOTENT_VERBS
 
 
 class TestFailedSendLeavesNoOrphanFuture:

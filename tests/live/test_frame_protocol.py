@@ -244,8 +244,9 @@ def test_no_task_per_connection_per_commu_update_or_per_one_key_read(
             finally:
                 loop.set_task_factory(None)
             assert len(replies) == 8 and reads[-1] >= 9
-            # ``gather`` wraps the test's own eight calls; nothing else.
-            assert created == ["LiveClient.increment"] * 8
+            # ``gather`` wraps the test's own eight calls (``increment``
+            # hands back ``update``'s coroutine); nothing else.
+            assert created == ["LiveClient.update"] * 8
             await cluster.settle(timeout=30)
         finally:
             await cluster.stop()

@@ -27,6 +27,7 @@ from repro.live import (
     MembershipTable,
     NodeRecord,
 )
+from repro.live import client as live_client
 from repro.live.client import LiveClient, RequestTimeout
 from repro.live.read_cache import EpsilonReadCache
 from repro.obs.registry import Registry
@@ -390,10 +391,13 @@ class TestSessionGuarantees:
 
         run(main())
 
-    def test_session_stale_surfaces_typed_after_retries(self, tmp_path):
+    def test_session_stale_surfaces_typed_after_retries(
+        self, tmp_path, monkeypatch
+    ):
         """A token no replica can satisfy is refused with the typed
         code (carrying the refusing replica's frontiers) once the
         client's retry deadline passes."""
+        monkeypatch.setattr(live_client, "SESSION_RETRY_WAIT", 0.4)
 
         async def main():
             cluster = LiveCluster(n_sites=3, data_dir=tmp_path)
@@ -402,7 +406,6 @@ class TestSessionGuarantees:
                 client = LiveClient(
                     list(cluster.addrs.values()),
                     request_timeout=10.0,
-                    session_retry_wait=0.4,
                 )
                 await client._ensure_connected()
                 impossible = SessionToken({cluster.names[0]: 10 ** 9})

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import repro
-from repro.consistency import Consistency
+from repro.consistency import Consistency, ReadOptions
 from repro.core.operations import IncrementOp, WriteOp
 from repro.live import (
     LiveClient,
@@ -156,6 +156,48 @@ class TestShardedRouting:
         assert reply["applied"] == 2
         assert sorted(reply["shards"]) == [0, 1]
         assert values["acct0"] == 5 and values["note"] is True
+
+    def test_session_update_spanning_shards(self, tmp_path):
+        """One session update split across both groups advances the
+        token past each group's tid — one frontier entry per group's
+        origin site — and a SESSION read of each key afterwards, from
+        any replica, sees the write."""
+
+        async def scenario():
+            cluster = ShardedCluster(
+                n_shards=2, replicas=2, data_dir=tmp_path
+            )
+            await cluster.start()
+            try:
+                router = cluster.router()
+                names = ["k%03d" % i for i in range(32)]
+                key = {key_shard(name, 2): name for name in names}
+                async with router.session() as session:
+                    reply = await session.update(
+                        [IncrementOp(key[0], 3), IncrementOp(key[1], 4)]
+                    )
+                    token = dict(session.token.frontiers)
+                    anywhere = ReadOptions(
+                        consistency=Consistency.SESSION, prefer="any"
+                    )
+                    seen = {
+                        k: await session.read(k, anywhere)
+                        for k in (key[0], key[1])
+                    }
+                await router.close()
+                return key, reply, token, seen
+            finally:
+                await cluster.stop()
+
+        key, reply, token, seen = run(scenario())
+        assert sorted(reply["shards"]) == [0, 1]
+        tids = [frame["tid"] for frame in reply["shards"].values()]
+        assert token == {
+            site: int(seq)
+            for site, _, seq in (tid.rpartition(":") for tid in tids)
+        }
+        assert sorted(token) == ["s0r0", "s1r0"]
+        assert seen == {key[0]: 3, key[1]: 4}
 
     def test_wrong_shard_refused_with_map_hint(self, tmp_path):
         async def scenario():

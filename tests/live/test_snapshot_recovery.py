@@ -24,6 +24,7 @@ from repro.live import (
     run_scenario,
     seal_snapshot,
 )
+from repro.live import client as live_client
 from repro.live.client import LiveClient
 from repro.live.engine import make_engine
 from repro.live.protocol import ProtocolError
@@ -301,7 +302,11 @@ class TestBackpressure:
 
 
 class TestClientRehoming:
-    def test_client_rehomes_to_primary_after_failover(self, tmp_path):
+    def test_client_rehomes_to_primary_after_failover(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(live_client, "PRIMARY_RETRY_INTERVAL", 0.1)
+
         async def scenario():
             names = ["site0", "site1"]
             servers = {}
@@ -323,7 +328,6 @@ class TestClientRehoming:
             client = await LiveClient.connect(
                 *addrs["site0"],
                 failover=[addrs["site1"]],
-                primary_retry_interval=0.1,
             )
             try:
                 await client.values()

@@ -439,6 +439,42 @@ class TestMethodParity:
         assert out["stock"] == {"stock_a": 10, "stock_b": 10}
 
 
+#: request -> the exception type every backend raises for it, locally.
+REFUSALS = {
+    "read_many of a bare str": ("read_many", ("acct",), TypeError),
+    "query of a bare str": ("query", ("acct",), TypeError),
+    "query of bare bytes": ("query", (b"acct",), TypeError),
+    "empty update": ("update", ([],), ValueError),
+    "empty read_many": ("read_many", ([],), ValueError),
+    "empty query": ("query", ([],), ValueError),
+}
+
+
+async def _refusal_program(backend):
+    """Malformed requests: a bare string is not a list of keys, and an
+    ET needs at least one operation."""
+    out = {}
+    for name, (verb, args, _) in REFUSALS.items():
+        try:
+            await backend.call(verb, *args)
+        except Exception as exc:
+            out[name] = type(exc)
+        else:
+            out[name] = None
+    return out
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_refused_alike_on_every_backend(self, backend):
+        """Every backend refuses the same malformed requests with the
+        same exception type, before anything runs: the live client no
+        longer makes a round trip to be refused."""
+        assert _run(backend, _refusal_program) == {
+            name: expected for name, (_, _, expected) in REFUSALS.items()
+        }
+
+
 class TestSharedFailureTaxonomy:
     def test_both_failures_are_et_errors(self):
         assert issubclass(ETFailed, ETError)
