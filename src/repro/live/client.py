@@ -517,13 +517,16 @@ class LiveClient(AsyncVerbs):
     ) -> Dict[str, Any]:
         if self._closed:
             raise ConnectionError("client is closed")
-        if self._reconnect:
-            await self._ensure_connected()
-        elif not self.connected:
-            raise ConnectionError("client is not connected")
         conn = self._conn
-        if conn is None:  # lost while a rehome probe was dialing
-            raise ConnectionError("connection lost")
+        if conn is None or conn.closing or self._active_index:
+            # Not connected, or failed over: a rehome may be due.
+            if self._reconnect:
+                await self._ensure_connected()
+            elif not self.connected:
+                raise ConnectionError("client is not connected")
+            conn = self._conn
+            if conn is None:  # lost while a rehome probe was dialing
+                raise ConnectionError("connection lost")
         rid = next(self._ids)
         fut: asyncio.Future = asyncio.get_event_loop().create_future()
         self._waiting[rid] = fut
@@ -534,7 +537,8 @@ class LiveClient(AsyncVerbs):
             frames.send(
                 {"type": "request", "id": rid, "verb": verb, **fields}, fut
             )
-            await frames.drain()
+            if frames.paused is not None:
+                await frames.drain()
             if timeout is not None:
                 frame = await asyncio.wait_for(fut, timeout=timeout)
             else:

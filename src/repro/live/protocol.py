@@ -247,7 +247,7 @@ class FrameWriter:
         self._frames: List[bytes] = []
         self._waiters: List["asyncio.Future[Any]"] = []
         #: set while the transport is over its high-water mark.
-        self._paused: Optional["asyncio.Future[None]"] = None
+        self.paused: Optional["asyncio.Future[None]"] = None
 
     def write(
         self, data: bytes, waiter: Optional["asyncio.Future[Any]"] = None
@@ -280,21 +280,21 @@ class FrameWriter:
                     waiter.set_exception(exc)
 
     def pause(self) -> None:
-        if self._paused is None:
-            self._paused = self._loop.create_future()
+        if self.paused is None:
+            self.paused = self._loop.create_future()
 
     def resume(self) -> None:
-        paused, self._paused = self._paused, None
+        paused, self.paused = self.paused, None
         if paused is not None:
             paused.set_result(None)
 
     async def drain(self) -> None:
         """Return once the transport takes more; at once unless it is
         paused."""
-        while self._paused is not None:
+        while self.paused is not None:
             # Shielded: a cancelled producer must not cancel the future
             # every other producer is parked on.
-            await asyncio.shield(self._paused)
+            await asyncio.shield(self.paused)
 
 
 #: unparsed bytes a held connection buffers before it stops reading.

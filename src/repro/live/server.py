@@ -298,6 +298,17 @@ class _Wakeup:
             self._waiter = None
 
 
+class _Member:
+    """One member of a group commit: its MSet maker, order token, and
+    who hears the outcome — an awaiting caller's future or, with none,
+    the request (id, verb, writer) the group answers with ``body``."""
+
+    __slots__ = ("make", "order", "fut", "rid", "verb", "frames", "body")
+
+    def __init__(self, make: Callable, order: Any, fut: Any) -> None:
+        self.make, self.order, self.fut, self.body = make, order, fut, None
+
+
 class ReplicaServer:
     """One live replica site serving ESR protocols over TCP."""
 
@@ -457,17 +468,9 @@ class ReplicaServer:
         self._channels_started = False
         #: last degraded() value the monitor observed (gauge flips).
         self._last_degraded = False
-        #: the group commit's waiting members — (MSet maker, order
-        #: token, result future, reply builder) — and whether a group
-        #: is scheduled to lead them.
-        self._commit_queue: List[
-            Tuple[
-                Callable[..., Tuple[MSet, Optional[list]]],
-                Optional[Tuple[int, int]],
-                asyncio.Future,
-                Optional[Callable[[MSet, bool], Any]],
-            ]
-        ] = []
+        #: the group commit's waiting members, and whether a group is
+        #: scheduled to lead them.
+        self._commit_queue: List[_Member] = []
         self._commit_leader = False
         #: serializes snapshot capture/compaction/install.
         self._snapshot_lock = asyncio.Lock()
@@ -2220,11 +2223,12 @@ class ReplicaServer:
         self, frame: Dict[str, Any], frames: FrameWriter
     ) -> None:
         """Answer one request frame.  A verb handler returns its reply
-        body, a future of it, or a coroutine: a body — or a refusal —
-        is answered in the step that read the frame, a future (an
-        update in its commit group) from its done-callback, and only a
-        coroutine (a verb that awaits: a parked query, an order token,
-        peer acks, a snapshot) is served by its own task."""
+        body, a commit-group member, or a coroutine: a body — or a
+        refusal — is answered in the step that read the frame, a member
+        (a COMMU/RITU update) by its group once the group committed,
+        and only a coroutine (a verb that awaits: a parked query, an
+        order token, peer acks, a snapshot) is served by its own
+        task."""
         rid = frame.get("id")
         verb = frame.get("verb")
         try:
@@ -2235,10 +2239,8 @@ class ReplicaServer:
             body = handler(frame)
         except Exception as exc:  # surfaced to the client, not fatal
             body = exc
-        if isinstance(body, asyncio.Future):
-            body.add_done_callback(
-                functools.partial(self._reply_done, rid, verb, frames)
-            )
+        if type(body) is _Member:
+            body.rid, body.verb, body.frames = rid, verb, frames
         elif asyncio.iscoroutine(body):
             task = asyncio.ensure_future(body)
             self._conn_tasks.add(task)
@@ -2802,12 +2804,11 @@ class ReplicaServer:
 
     def _handle_update(
         self, frame: Dict[str, Any]
-    ) -> Union["asyncio.Future[Dict[str, Any]]", Awaitable[Dict[str, Any]]]:
+    ) -> Union[_Member, Awaitable[Dict[str, Any]]]:
         """Validate an update ET in the step that read it, then join the
-        commit group: the reply is the group's future for this member.
-        A coroutine serves the update only where it waits beyond its
-        group — ORDUP's order token, ROWA's peer acks, COMPE's
-        decision."""
+        commit group as a member the group answers itself.  A coroutine
+        serves the update only where it waits beyond its group —
+        ORDUP's order token, ROWA's peer acks, COMPE's decision."""
         requested = frame.get("ops", ())
         ops = decode_ops(requested)
         if not ops:
@@ -2867,9 +2868,6 @@ class ReplicaServer:
             # writes with its Lamport clock here, RITU-MV additionally
             # turns the order token into the global transaction number.
             mset = engine.make_mset(tid, writes, order=order, info=info)
-            self.trace.event(
-                "update-submit", tid=tid, keys=list(mset.keys)
-            )
             # An engine that kept the operations passed ``writes``
             # through (``tuple`` of a tuple is that tuple); one that
             # rewrote them is encoded.
@@ -2881,13 +2879,7 @@ class ReplicaServer:
             or (engine.sync_commit and self.peer_names)
         ):
             return self._update_waits(make, saga, abort, is_compe)
-        return self._commit_local(make, reply=self._update_reply)
-
-    def _update_reply(self, mset: MSet, held: bool) -> Dict[str, Any]:
-        """An update's reply once its group committed."""
-        tid = mset.tid
-        self.trace.event("update-apply", tid=tid, held=held)
-        return {"tid": tid, "values": self.engine.pop_read_results(tid)}
+        return self._commit_local(make, served=True)
 
     async def _update_waits(
         self,
@@ -2902,9 +2894,8 @@ class ReplicaServer:
         order = None
         if self.engine.needs_order:
             order = await self._acquire_order()
-        mset, held = await self._commit_local(make, order)
+        mset, _ = await self._commit_local(make, order)
         tid = mset.tid
-        self.trace.event("update-apply", tid=tid, held=held)
 
         if self.engine.needs_order:
             # Commit once the update executes at its origin in global
@@ -2946,17 +2937,17 @@ class ReplicaServer:
         self,
         make: Callable[..., Tuple[MSet, Optional[list]]],
         order: Optional[Tuple[int, int]] = None,
-        reply: Optional[Callable[[MSet, bool], Any]] = None,
-    ) -> asyncio.Future:
+        served: bool = False,
+    ) -> Union[asyncio.Future, _Member]:
         """Put one locally originated MSet — an update or a COMPE
         decision — in the stable queues and apply it at its origin,
         as one member of a *group commit*.  ``make(tid, order)`` builds
         the MSet from the tid the group gives it, and returns it with
         its operations already encoded when it holds them (``None``
-        otherwise).  Returns the member's future: it resolves to
-        ``reply(mset, held)`` — ``(mset, held)`` without a ``reply`` —
-        where ``held`` says the engine held the MSet back instead of
-        applying it now.
+        otherwise).  Returns the member's future, which resolves to
+        ``(mset, held)`` — ``held`` says the engine held the MSet back
+        instead of applying it now — or, when ``served``, the
+        :class:`_Member` itself: the group answers its request.
 
         A group is whatever one loop turn delivered; nothing else
         bounds it.  Members join a queue; the first to find no group
@@ -2965,12 +2956,14 @@ class ReplicaServer:
         runs, the rest of the burst that arrived with the first member
         has joined.
         """
-        fut = self._loop.create_future()
-        self._commit_queue.append((make, order, fut, reply))
+        member = _Member(
+            make, order, None if served else self._loop.create_future()
+        )
+        self._commit_queue.append(member)
         if not self._commit_leader:
             self._commit_leader = True
             self._loop.call_soon(self._commit_groups)
-        return fut
+        return member if served else member.fut
 
     def _commit_groups(self) -> None:
         """Commit the queued members, group after group, in one step.
@@ -2987,9 +2980,13 @@ class ReplicaServer:
         group is one step, so a snapshot never captures a frontier
         whose engine effects it lacks.
 
-        Durability before acknowledgement: a member's future resolves
+        Durability before acknowledgement: a member hears its outcome
         only after its group's ``sync()`` returned, and an exception
-        anywhere in the group reaches every member still waiting.
+        anywhere in the group reaches every member not yet answered.
+        A future resolves in this step; served members are answered by
+        one :meth:`_answer_group` per group, scheduled after the kick
+        so it runs after the woken senders: the batch frames are
+        written first, and no reply leaves a turn ahead of them.
 
         Obligations before releases: ``append_many`` shows the records
         to a channel sender that is already awake, so a peer's ack for
@@ -3002,6 +2999,7 @@ class ReplicaServer:
         raised; it is then held forever, and ``settle`` hangs.
         """
         engine = self.engine
+        trace = self.trace
         await_apply = engine.needs_order
         await_acks = engine.sync_commit and bool(self.peer_names)
         try:
@@ -3012,8 +3010,9 @@ class ReplicaServer:
                     members = []
                     msets: List[MSet] = []
                     payloads = []
-                    for build, token, fut, reply in group:
-                        if fut.done():
+                    for member in group:
+                        fut, token = member.fut, member.order
+                        if fut is not None and fut.done():
                             continue  # the replica stopped under it
                         if token is not None and self._fenced(token):
                             fut.set_exception(
@@ -3025,7 +3024,7 @@ class ReplicaServer:
                             continue
                         seq += 1
                         tid = "%s:%d" % (self.name, seq)
-                        mset, encoded = build(tid, token)
+                        mset, encoded = member.make(tid, token)
                         if await_apply:
                             self._apply_futures[mset.tid] = (
                                 self._loop.create_future()
@@ -3034,11 +3033,16 @@ class ReplicaServer:
                             self._full_ack_futures[mset.tid] = (
                                 self._loop.create_future()
                             )
-                        members.append((fut, reply))
+                        members.append(member)
                         msets.append(mset)
                         payloads.append({"mset": encode_mset(mset, encoded)})
                     if not msets:
                         continue
+                    updates = [m for m in msets if m.kind == MSetKind.UPDATE]
+                    trace.event_rows(
+                        "update-submit", ("tid", "keys"),
+                        ((m.tid, list(m.keys)) for m in updates),
+                    )
                     self.log.append_many(
                         payloads, blobs=list(map(payload_blob, payloads))
                     )
@@ -3053,21 +3057,41 @@ class ReplicaServer:
                     self.m_commit_group.observe(len(msets))
                     self._notify_drain()
                     applied_now = {mset.tid for mset in applied}
-                    for (fut, reply), mset in zip(members, msets):
-                        held = mset.tid not in applied_now
-                        if not fut.done():
+                    trace.event_rows(
+                        "update-apply", ("tid", "held"),
+                        ((m.tid, m.tid not in applied_now) for m in updates),
+                    )
+                    for member, mset in zip(members, msets):
+                        fut = member.fut
+                        if fut is None:
+                            member.body = {
+                                "tid": mset.tid,
+                                "values": engine.pop_read_results(mset.tid),
+                            }
+                        elif not fut.done():
                             fut.set_result(
-                                (mset, held) if reply is None
-                                else reply(mset, held)
+                                (mset, mset.tid not in applied_now)
                             )
                 except Exception as exc:
                     # Whatever stopped the group stops every member of
                     # it not yet answered; the next group still runs.
-                    for _, _, fut, _ in group:
-                        if not fut.done():
+                    for member in group:
+                        fut = member.fut
+                        if fut is None:
+                            if member.body is None:
+                                member.body = exc
+                        elif not fut.done():
                             fut.set_exception(exc)
+                self._loop.call_soon(self._answer_group, group)
         finally:
             self._commit_leader = False
+
+    def _answer_group(self, group: List[_Member]) -> None:
+        """Write a group's served replies in queue order (after
+        :meth:`stop`, none)."""
+        for m in group if self._running else ():
+            if m.fut is None:
+                self._reply(m.rid, m.verb, m.body, m.frames)
 
     def _fenced(self, order: Tuple[int, int]) -> bool:
         """True (and counted) when the leader that granted ``order``

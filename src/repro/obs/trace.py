@@ -79,21 +79,28 @@ class TraceRecorder:
     ) -> None:
         """One ``kind`` event per value of ``field``, all stamped with
         one clock read: what one step did to many items at once."""
-        if not self.enabled or not values:
+        self.event_rows(kind, (field,), zip(values))
+
+    def event_rows(
+        self, kind: str, names: tuple, rows: Iterable[tuple]
+    ) -> None:
+        """One ``kind`` event per row, fields ``names`` zipped with the
+        row, all at one clock read; ``rows`` is read only if enabled."""
+        if not self.enabled:
             return
         base: Dict[str, Any] = {"ts": self.clock(), "kind": kind}
         if self.site is not None:
             base["site"] = self.site
         events = self.events
-        if events.maxlen is not None:
-            self.dropped += max(
-                0, len(events) + len(values) - events.maxlen
-            )
-        for value in values:
+        before = total = len(events)
+        for row in rows:
             record = base.copy()
-            record[field] = value
+            record.update(zip(names, row))
             events.append(record)
-        self.recorded += len(values)
+            total += 1
+        if events.maxlen is not None:
+            self.dropped += max(0, total - events.maxlen)
+        self.recorded += total - before
 
     def __len__(self) -> int:
         return len(self.events)

@@ -185,7 +185,9 @@ class LockCounterSiteState:
         """True when ``tid`` newly holds at least one counter."""
         raised = False
         for key in keys:
-            held = self.holders.setdefault(key, set())
+            held = self.holders.get(key)
+            if held is None:
+                held = self.holders[key] = set()
             raised |= tid not in held
             held.add(tid)
         return raised

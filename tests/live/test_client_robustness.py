@@ -187,6 +187,44 @@ class TestReconnect:
         run(scenario())
 
 
+class TestHealthyConnectionFastPath:
+    def test_requests_on_a_healthy_primary_skip_the_connection_checks(
+        self, tmp_path, monkeypatch
+    ):
+        """On a live connection to the primary address with a writer
+        under its high-water mark, a request neither re-checks the
+        connection (``_ensure_connected``) nor awaits the writer's
+        ``drain``: 100 updates and 100 one-key reads call neither."""
+
+        async def scenario():
+            cluster = LiveCluster(n_sites=1, data_dir=tmp_path)
+            await cluster.start()
+            try:
+                client = await cluster.client("site0")
+                calls = []
+
+                async def ensure_connected():
+                    calls.append("_ensure_connected")
+
+                async def drain():
+                    calls.append("drain")
+
+                monkeypatch.setattr(
+                    client, "_ensure_connected", ensure_connected
+                )
+                monkeypatch.setattr(client._conn.frames, "drain", drain)
+                keys = ["k%d" % (i % 10) for i in range(100)]
+                for key in keys:
+                    await client.increment(key, 1)
+                values = [await client.read(key) for key in keys]
+                assert values == [10] * 100
+                assert calls == []
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+
 class TestFailover:
     def test_dead_primary_fails_over_to_live_replica(self, tmp_path):
         async def scenario():

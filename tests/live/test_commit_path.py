@@ -28,7 +28,9 @@ updates; ROWA's commit futures in place before the append.
 
 import asyncio
 import copy
+import gc
 import json
+import sys
 
 import pytest
 
@@ -567,3 +569,204 @@ def test_the_origin_logs_the_request_arrays_unless_the_engine_rewrote_them(
             await cluster.stop()
 
     asyncio.run(scenario())
+
+
+def _is_bound_to(callback, owner):
+    """True when ``callback`` (or the function a ``partial`` wraps) is a
+    method bound to ``owner``."""
+    func = getattr(callback, "func", callback)
+    return getattr(func, "__self__", None) is owner
+
+
+def test_a_turn_of_served_updates_makes_no_future_and_one_answer_callback(
+    tmp_path, monkeypatch
+):
+    """16 COMMU updates of one turn are one group, and the group answers
+    them itself: the replica creates no future for any of them and
+    schedules one callback besides the group's leader, not one per
+    update."""
+
+    async def scenario():
+        cluster = LiveCluster(n_sites=1, method="commu", data_dir=tmp_path)
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            await client.increment("warm", 1)
+            origin = cluster.servers["site0"]
+            loop = asyncio.get_running_loop()
+            futures, scheduled = [], []
+            real_create_future, real_call_soon = (
+                loop.create_future, loop.call_soon,
+            )
+
+            def create_future():
+                caller = sys._getframe(1).f_globals.get("__name__")
+                if caller == "repro.live.server":
+                    futures.append(sys._getframe(1).f_code.co_name)
+                return real_create_future()
+
+            def call_soon(callback, *args, **kwargs):
+                if _is_bound_to(callback, origin):
+                    scheduled.append(getattr(callback, "func", callback))
+                return real_call_soon(callback, *args, **kwargs)
+
+            monkeypatch.setattr(loop, "create_future", create_future)
+            monkeypatch.setattr(loop, "call_soon", call_soon)
+            replies = await asyncio.gather(
+                *(client.increment("k%d" % i, 1) for i in range(16))
+            )
+            monkeypatch.undo()
+            assert [reply["tid"] for reply in replies] == [
+                "site0:%d" % seq for seq in range(2, 18)
+            ]
+            groups = origin.m_commit_group
+            assert (groups.count, groups.sum) == (2, 17)
+            assert futures == []
+            answers = [
+                cb for cb in scheduled if cb.__name__ != "_commit_groups"
+            ]
+            assert len(answers) == 1, answers
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+def test_a_group_writes_its_batch_frames_before_its_first_reply(
+    tmp_path, monkeypatch
+):
+    """A group's replies go out after its senders woke and wrote the
+    group's batch frames, never a turn ahead of them: answering inline
+    in the group's step would write the replies first."""
+
+    async def scenario():
+        cluster = LiveCluster(n_sites=3, method="commu", data_dir=tmp_path)
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            await client.increment("warm", 1)
+            await cluster.settle(timeout=30)
+            written = []
+            real_write = protocol.FrameWriter.write
+
+            def write(self, data, waiter=None):
+                if b'"type":"response"' in data:
+                    written.append("reply")
+                elif b'{"mset":' in data:
+                    written.append("batch")
+                return real_write(self, data, waiter)
+
+            monkeypatch.setattr(protocol.FrameWriter, "write", write)
+            await asyncio.gather(
+                *(client.increment("k%d" % i, 1) for i in range(8))
+            )
+            monkeypatch.undo()
+            assert written.count("reply") == 8
+            assert written.index("batch") < written.index("reply")
+            assert written[:2] == ["batch", "batch"]  # one per peer
+            await cluster.settle(timeout=30)
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+def test_a_replica_stopped_before_its_group_is_answered_writes_no_reply(
+    tmp_path, monkeypatch
+):
+    """The replica stops between a group's commit and its answer: no
+    reply is written, and the client sees its connection lost."""
+
+    async def scenario():
+        cluster = LiveCluster(n_sites=3, method="commu", data_dir=tmp_path)
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            await client.increment("warm", 1)
+            origin = cluster.servers["site0"]
+            stopping = []
+            real_kick = origin._kick_channels
+
+            def kick_then_stop():
+                real_kick()
+                if not stopping:  # the stop's first step runs next
+                    stopping.append(
+                        asyncio.ensure_future(cluster.kill("site0"))
+                    )
+
+            origin._kick_channels = kick_then_stop
+            replies = []
+            real_send = protocol.FrameWriter.send
+
+            def send(self, obj, waiter=None):
+                if obj.get("type") == "response":
+                    replies.append(obj)
+                return real_send(self, obj, waiter)
+
+            monkeypatch.setattr(protocol.FrameWriter, "send", send)
+            outcomes = await asyncio.gather(
+                *(client.increment("k%d" % i, 1) for i in range(4)),
+                return_exceptions=True,
+            )
+            await stopping[0]
+            monkeypatch.undo()
+            assert replies == []
+            assert [type(outcome) for outcome in outcomes] == (
+                [ConnectionError] * 4
+            )
+            # The group committed before the stop: it is in the log.
+            await cluster.restart("site0")
+            assert cluster.servers["site0"].log.assigned == 5
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+def test_a_write_stream_stays_out_of_the_young_generation(tmp_path):
+    """Allocation-churn guard: 32 callers on 2 clients send 4096
+    three-op transfers to a 3-site COMMU cluster.  A group answers its
+    members without a future, done-callback or handle each, so the run
+    triggers about 60 generation-0 collections; one such object per
+    update again makes it about 120."""
+
+    async def scenario():
+        cluster = LiveCluster(
+            n_sites=3, method="commu", data_dir=tmp_path, fsync=False
+        )
+        await cluster.start()
+        try:
+            clients = [await cluster.client("site0") for _ in range(2)]
+
+            async def caller(index, count):
+                client = clients[index % 2]
+                for n in range(index, count, 32):
+                    await client.update(
+                        [
+                            DecrementOp("k%d" % (n % 4096), 1),
+                            IncrementOp("k%d" % ((n + 1) % 4096), 1),
+                            IncrementOp("k%d" % ((n + 2) % 4096), 1),
+                        ]
+                    )
+
+            await asyncio.gather(*(caller(i, 256) for i in range(32)))
+            await cluster.settle(timeout=30)
+            young = []
+
+            def note(phase, info):
+                if phase == "start" and info["generation"] == 0:
+                    young.append(phase)
+
+            gc.collect()
+            gc.callbacks.append(note)
+            try:
+                await asyncio.gather(*(caller(i, 4096) for i in range(32)))
+            finally:
+                gc.callbacks.remove(note)
+            assert len(young) <= 90, len(young)
+            await cluster.settle(timeout=30)
+        finally:
+            await cluster.stop()
+
+    # Debug mode (``-X dev``) records a traceback per handle and future.
+    asyncio.run(scenario(), debug=False)

@@ -3,6 +3,7 @@ for the latent-bug sweep (silent error handlers, settle error
 attribution, fsync-window durability claims).
 """
 
+import ast
 import asyncio
 import pathlib
 import re
@@ -29,9 +30,10 @@ async def _booted(tmp_path, **kwargs):
     return cluster
 
 
-OBSERVABILITY_MD = (
-    pathlib.Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
-)
+REPO = pathlib.Path(__file__).resolve().parents[2]
+OBSERVABILITY_MD = REPO / "docs" / "OBSERVABILITY.md"
+#: the ``TraceRecorder`` methods that record events of a literal kind.
+TRACE_CALLS = ("event", "event_each", "event_rows")
 
 
 def _documented_replica_families():
@@ -40,6 +42,54 @@ def _documented_replica_families():
     section = text.split("## Metric families — live replica", 1)[1]
     section = section.split("\n## ", 1)[0]
     return dict(re.findall(r"^\| `(repro_\w+)` \| (\w+) \|", section, re.M))
+
+
+def _emitted_trace_events():
+    """kind -> the literal field names, and literal ``phase`` /
+    ``status`` values, of every ``TraceRecorder`` call under
+    ``src/repro`` (the recorder's own module aside); plus the calls
+    whose kind is not a literal."""
+    emitted, computed = {}, []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        if path.parts[-2:] == ("obs", "trace.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in TRACE_CALLS
+            ):
+                continue
+            kind = node.args[0] if node.args else None
+            if not (
+                isinstance(kind, ast.Constant) and isinstance(kind.value, str)
+            ):
+                computed.append("%s:%d" % (path.name, node.lineno))
+                continue
+            words = emitted.setdefault(kind.value, set())
+            for arg in node.args[1:2]:  # event_each's field, event_rows' names
+                for name in ast.walk(arg):
+                    if isinstance(name, ast.Constant):
+                        words.add(name.value)
+            for keyword in node.keywords:
+                if keyword.arg is None:
+                    continue  # ``**fields``: documented by hand
+                words.add(keyword.arg)
+                value = keyword.value
+                if keyword.arg in ("phase", "status") and isinstance(
+                    value, ast.Constant
+                ):
+                    words.add(value.value)
+    return emitted, computed
+
+
+def _documented_trace_rows():
+    """kind -> the rest of its row, from the trace table of
+    OBSERVABILITY.md."""
+    text = OBSERVABILITY_MD.read_text(encoding="utf-8")
+    section = text.split("## Trace schema", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^\| `([\w-]+)` \|(.*)$", section, re.M))
 
 
 class TestDocsSync:
@@ -67,6 +117,21 @@ class TestDocsSync:
         for method in sorted(ENGINES):
             registered.update(run(families(method)))
         assert registered == _documented_replica_families()
+
+    def test_documented_trace_kinds_are_the_recorded_ones(self):
+        """The kinds the source records are exactly the trace table's
+        rows, and each row names its kind's literal fields and literal
+        ``phase``/``status`` values — a kind, field or phase added
+        without its row (or a row left behind) fails here."""
+        emitted, computed = _emitted_trace_events()
+        assert computed == [], "a trace kind must be a literal"
+        rows = _documented_trace_rows()
+        assert sorted(emitted) == sorted(rows)
+        undocumented = {
+            kind: sorted(w for w in words if "`%s`" % w not in rows[kind])
+            for kind, words in emitted.items()
+        }
+        assert {k: w for k, w in undocumented.items() if w} == {}
 
 
 class TestMetricsVerb:

@@ -62,6 +62,29 @@ class TestRecorder:
         off.event_each("update-ack", "tid", ["x"])
         assert (len(off), off.recorded) == (0, 0)
 
+    def test_event_rows_zip_the_names_with_each_row_at_one_instant(self):
+        """A commit group's events: one per row, its fields named by
+        ``names``, all with one ``ts``; a disabled recorder never reads
+        the rows."""
+        rec = TraceRecorder(site="s", clock=_fake_clock(2.0))
+        rec.event_rows(
+            "update-apply", ("tid", "held"), [("s:1", False), ("s:2", True)]
+        )
+        assert rec.snapshot() == [
+            {"ts": 2.0, "kind": "update-apply", "site": "s", "tid": "s:1",
+             "held": False},
+            {"ts": 2.0, "kind": "update-apply", "site": "s", "tid": "s:2",
+             "held": True},
+        ]
+        assert (rec.recorded, rec.dropped) == (2, 0)
+
+        def unread():
+            raise AssertionError("rows read while disabled")
+            yield
+
+        off = TraceRecorder(enabled=False)
+        off.event_rows("update-submit", ("tid",), unread())
+
     def test_span_kinds_cover_update_lifecycle(self):
         assert UPDATE_SPAN_KINDS == (
             "update-submit",
