@@ -16,9 +16,6 @@ Layers:
 * :mod:`repro.live.engine` — transport-agnostic COMMU / ORDUP engines,
   the synchronous write-all (ROWA) baseline, the timestamped RITU /
   RITU-MV engines, and the COMPE saga/compensation engine.
-* :mod:`repro.live.compensation` — append-only durable compensation
-  log (undo records + decisions) backing COMPE's backward recovery
-  across crashes.
 * :mod:`repro.live.server` — a per-replica asyncio TCP server with
   adaptive heartbeat failure detection, gossip-driven membership, and
   degraded-mode query handling.
@@ -63,7 +60,6 @@ from .chaos import (
     run_scenario,
     run_scenario_sync,
 )
-from .compensation import CompensationLog
 from .client import (
     LiveClient,
     LiveETFailed,
@@ -126,7 +122,6 @@ __all__ = [
     "persist_cluster_artifacts",
     "run_scenario",
     "run_scenario_sync",
-    "CompensationLog",
     "LiveClient",
     "LiveETFailed",
     "LiveETResult",

@@ -1398,11 +1398,13 @@ ABORT_FRACTION = 0.5
 class SagaConfig:
     """One reproducible COMPE saga scenario.
 
-    The victim is the last site; it is crashed (``wipe=True``
-    destroys its disk — including its compensation log — forcing a
-    snapshot-install rejoin whose COMPE tables come entirely from the
-    donor's engine checkpoint) in the middle of the abort storm, while
-    a survivor keeps deciding sagas.  The network is clean on purpose:
+    The victim is the last site; it is crashed in the middle of the
+    abort storm while a survivor keeps deciding sagas.  With ``wipe``
+    its disk is destroyed and it rejoins by snapshot install, its COMPE
+    tables coming entirely from the donor's engine checkpoint; without
+    it, it recovers from its own checkpoint and replayed logs, where
+    every undo step is re-derived from a logged update or read from
+    the checkpoint.  The network is clean on purpose:
     every submitted update must ack, so the final store is predicted
     *exactly* and any lost or double-applied compensation shows up as
     an off-by-amount, not a tolerance miss.
@@ -1431,8 +1433,6 @@ class SagaReport(Report):
     steps_compensated: int = 0
     #: per-replica compensations applied (engine counters), summed.
     compensations_total: int = 0
-    #: per-replica compensation-log lifetime appends, summed.
-    compensation_log_records_total: int = 0
     #: tids the abort-decide re-issue decided *again* (must be zero).
     reissue_decided: int = 0
     #: per-replica compensation-counter movement across the re-issue
@@ -1589,9 +1589,9 @@ async def _drive_saga(run: Run) -> None:
     report.sagas_committed = len(outcomes) - report.sagas_aborted
 
     # Phase 4: heal.  A wiped victim must rejoin by snapshot
-    # install (its compensation log is gone — the donor's engine
-    # checkpoint is the only source of its COMPE tables); a merely
-    # crashed one replays decisions from its durable channels.
+    # install (its disk is gone — the donor's engine checkpoint is
+    # the only source of its COMPE tables); a merely crashed one
+    # replays updates and decisions from its own durable logs.
     if config.crash:
         await run.restart(victim)
     await run.settle()
@@ -1633,11 +1633,6 @@ async def _drive_saga(run: Run) -> None:
     report.compensations_total = sum(
         server.engine.compensation_count
         for server in cluster.servers.values()
-    )
-    report.compensation_log_records_total = sum(
-        server.engine.compensation_log.records_total
-        for server in cluster.servers.values()
-        if getattr(server.engine, "compensation_log", None) is not None
     )
 
 

@@ -580,13 +580,6 @@ class ShardedCluster:
             for shard, group in enumerate(self.groups)
         }
 
-    async def shard_metrics(self) -> Dict[int, Dict[str, Dict[str, Any]]]:
-        """Per-shard, per-site metrics scrapes."""
-        return {
-            shard: await group.site_metrics()
-            for shard, group in enumerate(self.groups)
-        }
-
     # -- elasticity ------------------------------------------------------------
 
     async def migrate(

@@ -10,9 +10,12 @@ simulator.  The ordering and lock-counter state machines are the
 (:class:`OrderedApplyBuffer`, :class:`LockCounterSiteState`), so sim
 and live provably run the same MSet-processing logic.
 
-Engines are transport-agnostic: the server layer decides how MSets
-travel (durable queues over TCP) and calls :meth:`LiveEngine.accept`
-for every delivered MSet, local or remote.  Every mutator —
+Engines are transport- and storage-agnostic: the server layer decides
+how MSets travel (durable queues over TCP) and calls
+:meth:`LiveEngine.accept` for every delivered MSet, local or remote;
+it also owns every file, persisting :meth:`LiveEngine.checkpoint`
+images and replaying its logs through ``accept`` at recovery.  MSets go
+in, state comes out.  Every mutator —
 :meth:`~LiveEngine.accept`, :meth:`~LiveEngine.accept_batch`,
 :meth:`~LiveEngine.fully_acked_many`, :meth:`~LiveEngine.hold_counters`,
 :meth:`~LiveEngine.checkpoint`, :meth:`~LiveEngine.restore` — is a plain
@@ -27,7 +30,6 @@ a key — a lock-counter release, a COMPE decision, a restore — wakes it.
 from __future__ import annotations
 
 import asyncio
-import pathlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -47,7 +49,6 @@ from ..replica.mset import MSet, MSetKind
 from ..replica.ritu import ReadIndependentUpdates
 from ..storage.kv import KeyValueStore, StoreSnapshot
 from ..storage.mvstore import MultiVersionStore, NoVisibleVersion
-from .compensation import CompensationLog
 from .protocol import decode_mset, decode_ops, encode_mset, encode_ops
 
 __all__ = [
@@ -142,13 +143,9 @@ class LiveEngine:
     sync_commit = False
 
     def __init__(
-        self,
-        site: str,
-        peers: Sequence[str],
-        clock: Callable[[], float] = time.monotonic,
+        self, site: str, clock: Callable[[], float] = time.monotonic
     ) -> None:
         self.site = site
-        self.peers = tuple(peers)
         self.clock = clock
         self.store = KeyValueStore()
         #: key -> futures of the queries parked on it: a parked query
@@ -285,19 +282,6 @@ class LiveEngine:
             order=order,
             info=info,
         )
-
-    def attach_storage(
-        self, data_dir: pathlib.Path, fsync: bool = False
-    ) -> None:
-        """Open method-owned durable state under the site's data dir.
-
-        Called by the hosting server in ``bind()`` *before* recovery,
-        so a method that keeps its own log (COMPE's compensation log)
-        has it loaded when replay starts.  No-op for stateless methods.
-        """
-
-    def close(self) -> None:
-        """Release method-owned resources (durable log handles)."""
 
     def accept(self, mset: MSet, local: bool = False) -> List[MSet]:
         """Process one delivered MSet; returns the MSets applied now.
@@ -584,8 +568,8 @@ class CommuLiveEngine(LiveEngine):
 
     method_name = "COMMU"
 
-    def __init__(self, site, peers, clock=time.monotonic) -> None:
-        super().__init__(site, peers, clock)
+    def __init__(self, site, clock=time.monotonic) -> None:
+        super().__init__(site, clock)
         self.state = LockCounterSiteState()
         #: start of each query inside :meth:`query`, oldest first (a
         #: re-serialised query re-enters at the back).
@@ -753,8 +737,8 @@ class OrdupLiveEngine(LiveEngine):
     method_name = "ORDUP"
     needs_order = True
 
-    def __init__(self, site, peers, clock=time.monotonic) -> None:
-        super().__init__(site, peers, clock)
+    def __init__(self, site, clock=time.monotonic) -> None:
+        super().__init__(site, clock)
         self.buffer = OrderedApplyBuffer()
         #: key -> (order token, tid) of the last applied writer.
         self.last_writer: Dict[str, Tuple[Tuple[int, int], Any]] = {}
@@ -991,12 +975,11 @@ class RituLiveEngine(CommuLiveEngine):
 
     method_name = "RITU"
 
-    def __init__(self, site, peers, clock=time.monotonic) -> None:
-        super().__init__(site, peers, clock)
-        #: origin Lamport clock; ties broken by the site's index in
-        #: the sorted membership, so stamps totally order.
+    def __init__(self, site, clock=time.monotonic) -> None:
+        super().__init__(site, clock)
+        #: origin Lamport clock; ties broken by the site's name, so
+        #: stamps totally order whoever joins later.
         self._lamport = 0
-        self._site_index = sorted((site, *peers)).index(site)
         self._stamped_keys: Set[str] = set()
 
     def bind_observability(
@@ -1022,7 +1005,7 @@ class RituLiveEngine(CommuLiveEngine):
         info: Tuple[Tuple[str, Any], ...] = (),
     ) -> MSet:
         self._lamport += 1
-        stamp = (self._lamport, self._site_index)
+        stamp = (self._lamport, self.site)
         stamped = tuple(
             TimestampedWriteOp(op.key, op.value, stamp) for op in ops
         )
@@ -1088,8 +1071,8 @@ class RituMvLiveEngine(RituLiveEngine):
     method_name = "RITU-MV"
     needs_order = True
 
-    def __init__(self, site, peers, clock=time.monotonic) -> None:
-        super().__init__(site, peers, clock)
+    def __init__(self, site, clock=time.monotonic) -> None:
+        super().__init__(site, clock)
         self.mvstore = MultiVersionStore()
         #: transaction number -> writer tid, applied above the VTNC.
         self._applied_numbers: Dict[int, Any] = {}
@@ -1245,12 +1228,19 @@ class CompeLiveEngine(CommuLiveEngine):
 
     Every update applies (and propagates) *before* its global
     decision.  A COMMIT decision merely retires the obligation; an
-    ABORT decision runs **backward recovery** — the inverse operations
-    durably recorded in the compensation log apply as a compensating
-    step, and the update is reported ``COMPENSATED`` to its client.
-    At live scale this is the saga pattern: a saga's steps are
-    decision-deferred updates, and aborting the saga compensates its
-    committed steps in reverse submission order.
+    ABORT decision runs **backward recovery** — the update's inverse
+    operations apply as a compensating step, and the update is
+    reported ``COMPENSATED`` to its client.  At live scale this is the
+    saga pattern: a saga's steps are decision-deferred updates, and
+    aborting the saga compensates its committed steps in reverse
+    submission order.
+
+    The engine keeps no file of its own.  An undo step is derived from
+    the update MSet when it is accepted and held until the decision;
+    the durable record is the update itself (in the replication log or
+    an inbox), and the steps still undecided at a snapshot cut travel
+    in the checkpoint (``compe.undo``).  Recovery — checkpoint, then
+    the replayed log suffix — rebuilds exactly the same tables.
 
     Operation restriction (stricter than the simulator's, by design):
     admitted operations must commute *and* have prior-value-
@@ -1258,7 +1248,7 @@ class CompeLiveEngine(CommuLiveEngine):
     append).  That combination makes direct compensation exact in any
     interleaving at every replica — the rollback-and-replay path the
     simulator keeps for the general case is never needed — and makes
-    compensation-log replay order-free.
+    re-deriving an undo step on replay deterministic.
 
     Queries charge one unit per *undecided* update observed (its
     effects may yet be compensated away), on top of the COMMU
@@ -1267,9 +1257,8 @@ class CompeLiveEngine(CommuLiveEngine):
 
     method_name = "COMPE"
 
-    def __init__(self, site, peers, clock=time.monotonic) -> None:
-        super().__init__(site, peers, clock)
-        self._clog: Optional[CompensationLog] = None
+    def __init__(self, site, clock=time.monotonic) -> None:
+        super().__init__(site, clock)
         #: tid -> encoded inverse ops (reverse op order), until decided.
         self._undo: Dict[Any, List[Any]] = {}
         #: optimistically applied updates awaiting their decision.
@@ -1294,29 +1283,10 @@ class CompeLiveEngine(CommuLiveEngine):
             "compensations_total",
             "updates undone by COMPE backward recovery",
         )
-        self._clog_records_counter = registry.counter(
-            "compensation_log_records_total",
-            "records appended to the durable compensation log",
-        )
         self._undecided_gauge = registry.gauge(
             "compe_undecided_updates",
             "optimistically applied updates awaiting a decision",
         )
-
-    def attach_storage(
-        self, data_dir: pathlib.Path, fsync: bool = False
-    ) -> None:
-        self._clog = CompensationLog(
-            pathlib.Path(data_dir) / "compensation.log", fsync=fsync
-        )
-
-    def close(self) -> None:
-        if self._clog is not None:
-            self._clog.close()
-
-    @property
-    def compensation_log(self) -> Optional[CompensationLog]:
-        return self._clog
 
     def validate_update(self, ops: Sequence[Operation]) -> None:
         super().validate_update(ops)  # COMMU commutativity restriction
@@ -1350,9 +1320,6 @@ class CompeLiveEngine(CommuLiveEngine):
     def compensated_tids(self) -> List[Any]:
         return sorted(self._compensated)
 
-    def _log_records(self) -> int:
-        return 0 if self._clog is None else self._clog.live_records
-
     def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
         if mset.kind == MSetKind.UPDATE:
             return self._accept_update(mset, local)
@@ -1364,20 +1331,16 @@ class CompeLiveEngine(CommuLiveEngine):
         applied = super()._accept_one(mset, local)
         tid = mset.tid
         saga = mset.get_info("saga")
-        # Record the undo step BEFORE any decision can arrive: inverse
-        # ops in reverse op order, durably logged.  Inverses of the
-        # admitted algebra are prior-value-independent, so re-deriving
-        # them during recovery replay is deterministic — the log append
-        # is gated on the tid (idempotent), never the state change.
+        # Derive the undo step BEFORE any decision can arrive: inverse
+        # ops in reverse op order.  Inverses of the admitted algebra are
+        # prior-value-independent, so recovery replay re-derives the
+        # same step from the logged update; the checkpoint carries the
+        # steps of updates still undecided at the snapshot cut.
         inverses = [
             op.inverse(prior_value=None) for op in reversed(mset.ops)
         ]
         encoded = encode_ops([op for op in inverses if op is not None])
         self._undo[tid] = encoded
-        if self._clog is not None and self._clog.log_undo(
-            tid, encoded, mset.keys, saga
-        ):
-            self._clog_records_counter.inc()
         if saga is not None:
             self._saga_members[tid] = saga
             members = self._sagas.setdefault(saga, [])
@@ -1423,10 +1386,6 @@ class CompeLiveEngine(CommuLiveEngine):
             # is untouched — replaying decisions is idempotent.
             return []
         self._decided[target] = outcome
-        if self._clog is not None and self._clog.log_decision(
-            target, outcome
-        ):
-            self._clog_records_counter.inc()
         if target in self._undecided:
             self._unpin(target)
         keys = self._undecided.pop(target, ())
@@ -1439,8 +1398,6 @@ class CompeLiveEngine(CommuLiveEngine):
         self._wake(keys)  # decided: no longer a source on its keys
         if outcome == "abort":
             encoded = self._undo.get(target)
-            if encoded is None and self._clog is not None:
-                encoded = self._clog.undo_ops(target)
             if encoded is None:
                 # The decision outran its update (they may travel on
                 # different channels when a third site decided the
@@ -1461,17 +1418,7 @@ class CompeLiveEngine(CommuLiveEngine):
         self.applied_count += 1
         self.last_applied_at = self.clock()
         self._undecided_gauge.set(len(self._undecided))
-        if self._clog is not None:
-            self._clog.maybe_compact()
         return [mset]
-
-    def _accept_all(self, msets: Sequence[MSet], local: bool) -> List[MSet]:
-        applied = super()._accept_all(msets, local)
-        # Durability claim follows (channel ack / client commit ack):
-        # force a covering fsync of anything the accept logged.
-        if self._clog is not None:
-            self._clog.sync()
-        return applied
 
     def _query_sources(self, key: str, start: float) -> Set[Any]:
         sources = super()._query_sources(key, start)
@@ -1525,7 +1472,6 @@ class CompeLiveEngine(CommuLiveEngine):
         out["undecided"] = len(self._undecided)
         out["compensations"] = self.compensation_count
         out["operations_undone"] = self.operations_undone
-        out["compensation_log_records"] = self._log_records()
         return out
 
 
@@ -1539,9 +1485,7 @@ ENGINES = {
 }
 
 
-def make_engine(
-    method: str, site: str, peers: Sequence[str]
-) -> LiveEngine:
+def make_engine(method: str, site: str) -> LiveEngine:
     try:
         factory = ENGINES[method.lower()]
     except KeyError:
@@ -1549,4 +1493,4 @@ def make_engine(
             "unknown live method %r (have: %s)"
             % (method, ", ".join(sorted(ENGINES)))
         ) from None
-    return factory(site, peers)
+    return factory(site)

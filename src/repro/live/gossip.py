@@ -272,8 +272,6 @@ class MembershipTable:
         if STATUS_SEVERITY.get(status, 0) <= STATUS_SEVERITY.get(rec.status, 0):
             # only escalate at same incarnation; de-escalation needs a
             # higher incarnation from the node itself
-            if status != ALIVE:
-                return False
             return False
         rec.status = status
         self.version += 1

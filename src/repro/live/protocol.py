@@ -680,9 +680,16 @@ def _decode_tswrite(data: list) -> Operation:
     if not isinstance(key, str):
         raise _keyless(data)
     _check_arguments(data)
-    # Thomas-rule timestamps are exactly (time, site) pairs; a
-    # wrong-arity ts would compare nonsensically forever after.
-    if not isinstance(ts, (list, tuple)) or len(ts) != 2:
+    # Thomas-rule timestamps are exactly [int time, site name] pairs:
+    # any other stamp fails to compare (or compares nonsensically)
+    # with the store's stamps at apply time, after it was logged.
+    if (
+        not isinstance(ts, (list, tuple))
+        or len(ts) != 2
+        or type(ts[0]) is not int
+        or type(ts[1]) is not str
+        or not ts[1]
+    ):
         raise ProtocolError(
             "tswrite ts must be a [time, site] pair: %r" % (ts,)
         )

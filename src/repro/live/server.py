@@ -384,7 +384,7 @@ class ReplicaServer:
         else:
             self.registry = NULL_REGISTRY
         self.trace = TraceRecorder(site=name, enabled=observability)
-        self.engine: LiveEngine = make_engine(method, name, self.peer_names)
+        self.engine: LiveEngine = make_engine(method, name)
         self.engine.bind_observability(self.registry, self.trace)
         self._init_instruments()
         #: the site hosting the central order server (ORDUP).
@@ -683,9 +683,13 @@ class ReplicaServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def bind(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        """Open logs, recover state, and start listening.
+        """Open the site's durable logs, recover state, and start
+        listening.
 
-        Returns the bound port (useful with ``port=0``).  Channels to
+        Recovery installs the last snapshot's engine checkpoint and
+        replays the log suffix above it; the engine owns no file, so
+        every durable byte of the site is opened here.  Returns the
+        bound port (useful with ``port=0``).  Channels to
         peers start separately (:meth:`start_channels`) once peer
         addresses are known.
         """
@@ -707,9 +711,6 @@ class ReplicaServer:
         if self.election.epoch > 0 and hasattr(self.engine, "adopt_epoch"):
             self.engine.adopt_epoch(self.election.epoch, self.election.base)
         self.m_leader_epoch.set(self.election.epoch)
-        # Method-owned durable state (COMPE's compensation log) opens
-        # before recovery so replay finds its dedup maps loaded.
-        self.engine.attach_storage(self.data_dir, self.fsync)
         self._recover()
         self._running = True
         self._loop = asyncio.get_running_loop()
@@ -890,7 +891,6 @@ class ReplicaServer:
                 )
         for box in (self.log, self._order_log, *self.inboxes.values()):
             box.close()
-        self.engine.close()
         for fut in list(self._apply_futures.values()) + list(
             self._full_ack_futures.values()
         ):
@@ -1071,8 +1071,8 @@ class ReplicaServer:
 
     def add_peer(self, name: str, host: str, port: int) -> None:
         """Dynamically wire a gossip-discovered member into this
-        replica: durable channel state, engine peer set, address book,
-        and (when running) a live channel loop."""
+        replica: durable channel state, address book, and (when
+        running) a live channel loop."""
         if name == self.name:
             return
         if name in self.peer_names:
@@ -1082,7 +1082,6 @@ class ReplicaServer:
         self.peer_addrs[name] = (host, int(port))
         self.membership.observe(name, host, int(port))
         self._open_channel(name)
-        self.engine.peers = tuple(sorted(set(self.engine.peers) | {name}))
         self.trace.event("membership", peer=name, status="join")
         logger.info(
             "%s: discovered member %s at %s:%d", self.name, name, host, port

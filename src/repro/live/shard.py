@@ -126,9 +126,6 @@ class ShardMap:
     def shard_of(self, key: str) -> int:
         return key_shard(key, self.n_shards)
 
-    def group_of(self, key: str) -> GroupAddrs:
-        return self.groups[self.shard_of(key)]
-
     def with_group(self, shard: int, addrs: Sequence[Tuple[str, int]]) -> "ShardMap":
         """The next epoch: ``shard`` reassigned to ``addrs``."""
         groups = list(self.groups)

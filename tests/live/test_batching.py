@@ -25,7 +25,7 @@ from repro.live.protocol import (
     payload_blob,
 )
 from repro.replica.mset import MSet
-from repro.core.operations import IncrementOp, WriteOp
+from repro.core.operations import IncrementOp, TimestampedWriteOp, WriteOp
 
 from .wire import RawConn
 
@@ -474,6 +474,59 @@ class TestWireInterop:
                 assert cluster.servers["site0"].inboxes["site1"].frontier == 2
                 client = await cluster.client("site0")
                 assert await client.read("acct0") == 2
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+
+    def test_entry_with_a_malformed_stamp_is_refused_before_recording(
+        self, tmp_path
+    ):
+        """A peer entry whose ``tswrite`` stamp is not ``[int time,
+        site name]`` drops the frame before anything is recorded: the
+        inbox never holds a record that would fail at apply, and at
+        every replay after it."""
+
+        async def scenario():
+            cluster = LiveCluster(
+                n_sites=2, method="commu", data_dir=tmp_path
+            )
+            await cluster.start()
+            try:
+                await cluster.kill("site1")  # the forged frames own the seqs
+                server = cluster.servers["site0"]
+                good = MSet(
+                    tid="site1:1",
+                    ops=(TimestampedWriteOp("k", 1, (1, "site1")),),
+                    origin="site1",
+                )
+                bad = MSet(
+                    tid="site1:2",
+                    ops=(TimestampedWriteOp("k", 2, ("x", 0)),),
+                    origin="site1",
+                )
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "site1"})
+                raw.write(
+                    encode_bin_batch_frame(
+                        "site1",
+                        [
+                            (seq, payload_blob({"mset": encode_mset(m)}))
+                            for seq, m in ((1, good), (2, bad))
+                        ],
+                    )
+                )
+                assert await raw.recv(timeout=5) is None  # severed, no ack
+                await raw.close()
+                assert server.registry.get_sample(
+                    "frames_dropped_total", reason="malformed_mset"
+                ) == 1
+                assert server.inboxes["site1"].frontier == 0
+                await cluster.kill("site0")
+                await cluster.restart("site0")
+                client = await cluster.client("site0")
+                assert await client.read("k") == 0
             finally:
                 await cluster.stop()
 

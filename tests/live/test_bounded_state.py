@@ -27,7 +27,7 @@ ORDERED = ("ordup", "ritu-mv")
 
 
 async def soak(method):
-    engine = ENGINES[method]("s0", ("s1", "s2"))
+    engine = ENGINES[method]("s0")
     rng = random.Random(16)
     unacked = []  # (tid, keys), oldest first
     undecided = []  # COMPE

@@ -571,6 +571,36 @@ def test_the_origin_logs_the_request_arrays_unless_the_engine_rewrote_them(
     asyncio.run(scenario())
 
 
+def test_a_malformed_stamp_is_refused_before_it_is_logged(tmp_path):
+    """A ``tswrite`` whose stamp is not ``[int time, site name]`` is
+    refused at decode, before its group appends it: the replica keeps
+    serving, the log holds only what applied, and a restart replays
+    it."""
+
+    async def scenario():
+        cluster = LiveCluster(n_sites=1, method="commu", data_dir=tmp_path)
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            await client.update([TimestampedWriteOp("k", 1, (1, "site0"))])
+            for stamp in (("x", 0), (2, 0)):
+                with pytest.raises(LiveETFailed):
+                    await client.update(
+                        [TimestampedWriteOp("k", 2, stamp)]
+                    )
+            assert len(_logged_msets(cluster.servers["site0"])) == 1
+            await cluster.kill("site0")
+            await cluster.restart("site0")
+            client = await cluster.client("site0")
+            assert await client.read("k") == 1
+            await client.update([TimestampedWriteOp("k", 3, (2, "site0"))])
+            assert await client.read("k") == 3
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
 def _is_bound_to(callback, owner):
     """True when ``callback`` (or the function a ``partial`` wraps) is a
     method bound to ``owner``."""

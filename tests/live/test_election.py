@@ -87,7 +87,7 @@ def _ordered_mset(seq, epoch, origin="siteB", amount=1):
 class TestEngineEpochFence:
     def test_stale_epoch_tokens_are_fenced_past_the_base(self):
         async def main():
-            engine = OrdupLiveEngine("siteA", ["siteA", "siteB"])
+            engine = OrdupLiveEngine("siteA")
             for seq in range(1, 6):
                 engine.accept(_ordered_mset(seq, 0))
             assert engine.frontier == (5, 0)
@@ -112,7 +112,7 @@ class TestEngineEpochFence:
 
     def test_adopt_purges_fenced_holdback(self):
         async def main():
-            engine = OrdupLiveEngine("siteA", ["siteA", "siteB"])
+            engine = OrdupLiveEngine("siteA")
             engine.accept(_ordered_mset(1, 0))
             # Held back behind the gap at seq 2 — and granted past the
             # handover point by what turns out to be a deposed leader.
@@ -130,12 +130,12 @@ class TestEngineEpochFence:
 
     def test_epoch_state_survives_checkpoint_restore(self):
         async def main():
-            engine = OrdupLiveEngine("siteA", ["siteA", "siteB"])
+            engine = OrdupLiveEngine("siteA")
             for seq in range(1, 4):
                 engine.accept(_ordered_mset(seq, 0))
             engine.adopt_epoch(2, base=3)
 
-            reborn = OrdupLiveEngine("siteA", ["siteA", "siteB"])
+            reborn = OrdupLiveEngine("siteA")
             reborn.restore(engine.checkpoint())
             assert not reborn.order_admissible((4, 0))
             assert reborn.order_admissible((4, 2))

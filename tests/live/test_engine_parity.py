@@ -106,7 +106,7 @@ async def drive(cls, method, script, audit=False):
     pinned — nothing forgotten early, nothing kept late — each with
     the drift the script gave it."""
     now = [0.0]
-    engine = cls("s0", ("s1", "s2"), clock=lambda: now[0])
+    engine = cls("s0", clock=lambda: now[0])
     queries = []
     seq = 0
     unacked = []  # local update MSets no peer has acked, oldest first
@@ -181,7 +181,7 @@ async def drive(cls, method, script, audit=False):
             # them: checkpoint, restore into a fresh engine, and re-raise
             # what the outbox still owes — as ReplicaServer._recover does.
             image, drift = engine.checkpoint(), engine._drift
-            engine = cls("s0", ("s1", "s2"), clock=lambda: now[0])
+            engine = cls("s0", clock=lambda: now[0])
             engine.restore(image)
             for mset in unacked:
                 engine.hold_counters(mset)

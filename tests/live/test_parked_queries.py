@@ -50,7 +50,7 @@ MUTATORS = (
 def test_every_mutator_finishes_in_the_step_that_calls_it(method):
     """Every mutator is a plain method: the server calls it in the step
     that parsed its frame, with nothing to await."""
-    engine = ENGINES[method]("s0", ("s1", "s2"))
+    engine = ENGINES[method]("s0")
     for name in MUTATORS:
         assert not inspect.iscoroutinefunction(getattr(engine, name)), name
     op = WriteOp if method.startswith("ritu") else IncrementOp
@@ -135,7 +135,7 @@ class ParkedQueryMachine(RuleBasedStateMachine):
         self.loop = asyncio.new_event_loop()
         self.now = [0.0]
         self.engine = _probed(self.engine_cls)(
-            "s0", ("s1", "s2"), clock=lambda: self.now[0]
+            "s0", clock=lambda: self.now[0]
         )
         self.seq = 0
         self.unacked = []  # local update MSets no peer has acked, oldest first

@@ -420,6 +420,20 @@ class TestDecoderHardening:
             with pytest.raises(ProtocolError):
                 decode_op(["tswrite", "k", 1, bad])
 
+    def test_wrong_type_ts_rejected(self):
+        # A stamp is [int time, non-empty site name]: any other pair
+        # decoded, was logged, and then failed to compare with the
+        # store's stamps at apply time — and at every replay after.
+        for bad in (
+            ["x", 0], [1, 0], [1, ""], [1.5, "s"], [True, "s"],
+            [1, None], [None, "s"], [1, ["s"]], [[1], "s"],
+        ):
+            with pytest.raises(ProtocolError):
+                decode_op(["tswrite", "k", 1, bad])
+        assert decode_op(["tswrite", "k", 1, [0, "s"]]) == (
+            TimestampedWriteOp("k", 1, (0, "s"))
+        )
+
     def test_non_dict_op_rejected(self):
         """Nor a dict, now: nothing but a list is an operation."""
         for bad in (
@@ -808,8 +822,7 @@ def _operations():
             _KEYS,
             _STABLE_VALUES,
             st.tuples(
-                st.integers(0, 2**64 - 1),
-                st.integers(0, 2**64 - 1) | st.text(max_size=5),
+                st.integers(0, 2**64 - 1), st.text(min_size=1, max_size=5)
             ),
         ),
     )
@@ -959,7 +972,13 @@ def _reference_decode_op(data):
     if arity == 3:
         return cls(key, arg)
     ts = data[3]
-    if not isinstance(ts, (list, tuple)) or len(ts) != 2:
+    if (
+        not isinstance(ts, (list, tuple))
+        or len(ts) != 2
+        or type(ts[0]) is not int
+        or type(ts[1]) is not str
+        or not ts[1]
+    ):
         raise ProtocolError(
             "tswrite ts must be a [time, site] pair: %r" % (ts,)
         )
