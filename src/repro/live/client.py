@@ -99,7 +99,7 @@ __all__ = [
 _IDEMPOTENT_VERBS = frozenset(
     {
         "query", "values", "stats", "ping", "order", "settle",
-        "metrics", "snapshot", "snapshot-fetch", "shard-info",
+        "metrics", "snapshot", "snapshot-fetch",
         # ``decide`` is safe to re-issue: the first decision a tid sees
         # is final, so a replayed decide skips already-decided tids.
         "decide",

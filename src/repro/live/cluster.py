@@ -489,8 +489,8 @@ class ShardedCluster:
             group = self._make_group(shard, accepting=True)
             await group.start()
             self.groups.append(group)
-        # Seed every replica with the current map so shard-info (and
-        # the map hint on WRONG_SHARD refusals) works from boot.
+        # Seed every replica with the current map so ``stats`` and the
+        # map hint on WRONG_SHARD refusals work from boot.
         await self._broadcast_map()
         self._save_manifest()
 

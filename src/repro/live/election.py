@@ -24,11 +24,18 @@ Safety argument (one leader per epoch): a candidate needs promises
 from a majority of the full membership before adopting an epoch, and a
 replica promises each epoch at most once (monotonic ``promised``,
 durable).  Two leaders in the same epoch would need two disjoint
-majorities — impossible.  Fencing then ensures a deposed leader's
-grants can never commit past the handover point: the new leader's
-``base`` covers everything the old leader could have durably acked, and
-anything above it carries a stale epoch that every fenced replica
-refuses.
+majorities — impossible.  Fencing then stops a deposed leader's grants
+above the handover point: anything above the new leader's ``base``
+carries a stale epoch that every fenced replica refuses.
+
+What this does *not* give: ``base`` is the largest order frontier the
+new leader's majority has *seen*, not what the old sequencer *granted*.
+A grant the old sequencer made durable only in its own log, and acked,
+can sit above ``base``; every replica that adopts the new epoch before
+applying it then fences it for good — an acknowledged update lost
+there, and the replicas diverge (ROADMAP: "Close the ORDUP safety bug";
+``tests/live/test_election.py::TestSequencerFailover::
+test_an_acked_update_survives_a_handover`` is its strict xfail).
 """
 
 from __future__ import annotations

@@ -111,6 +111,7 @@ __all__ = [
     "decode_spec",
     "encode_mset",
     "decode_mset",
+    "decode_gossip",
 ]
 
 #: Upper bound on a single frame; a peer announcing more is corrupt.
@@ -843,3 +844,37 @@ def decode_mset(data: Dict[str, Any]) -> MSet:
         get("txn"),
         info,
     )
+
+
+# -- heartbeat gossip ----------------------------------------------------------
+
+
+def decode_gossip(data: Any) -> Optional[Tuple[List[Dict[str, Any]], Any]]:
+    """Decode a heartbeat's gossip digest, totally: ``None`` for no
+    digest, else ``(node records, leadership)``, the leadership as
+    ``(epoch, leader, base)`` or ``None`` when absent.  Any malformed
+    digest raises :class:`ProtocolError`, so a receiver checks it whole
+    before it changes anything.  The fields of one node record are read
+    by ``MembershipTable.merge``, which skips a record it cannot read."""
+    if data is None:
+        return None
+    if not isinstance(data, dict):
+        raise ProtocolError("gossip must be an object: %r" % (data,))
+    nodes = data.get("nodes", [])
+    if not isinstance(nodes, list) or not all(
+        isinstance(rec, dict) for rec in nodes
+    ):
+        raise ProtocolError("gossip nodes must be objects: %r" % (nodes,))
+    leader = data.get("leader")
+    if leader is None:
+        return nodes, None
+    if not isinstance(leader, dict):
+        raise ProtocolError("gossip leader must be an object: %r" % (leader,))
+    epoch, who, base = (
+        leader.get("epoch", 0), leader.get("leader"), leader.get("base", 0)
+    )
+    if type(epoch) is not int or type(base) is not int or not (
+        who is None or isinstance(who, str)
+    ):
+        raise ProtocolError("malformed gossip leader: %r" % (leader,))
+    return nodes, (epoch, who, base)

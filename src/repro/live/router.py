@@ -50,7 +50,6 @@ from ..consistency import (
 )
 from ..core.operations import Operation
 from ..core.transactions import EpsilonSpec
-from ..errors import ETError
 from .client import LiveClient, LiveETFailed, LiveETResult, LiveSession
 from .shard import GroupAddrs, ShardMap, group_keys_by_shard
 
@@ -114,24 +113,6 @@ class ShardRouter(AsyncVerbs):
         self._map = candidate
         self.map_refreshes += 1
         return True
-
-    async def refresh_map(self) -> ShardMap:
-        """Actively re-learn the routing table from the replicas.
-
-        Normally unnecessary — refusals carry the map — but useful
-        after a long disconnect.  Adopts the newest map any currently
-        reachable replica reports.
-        """
-        for shard in range(self._map.n_shards):
-            try:
-                client = await self._client(shard)
-                reply = await client.request("shard-info")
-            except (ETError, ConnectionError, OSError):
-                continue
-            hint = reply.get("map")
-            if isinstance(hint, dict):
-                self._adopt(hint)
-        return self._map
 
     async def _client(self, shard: int) -> LiveClient:
         """The shard's group client, (re)dialed lazily.

@@ -141,6 +141,7 @@ from .protocol import (
     FrameWriter,
     ProtocolError,
     connect_frames,
+    decode_gossip,
     decode_mset,
     decode_ops,
     decode_payload_blob,
@@ -366,11 +367,11 @@ class ReplicaServer:
         self.heartbeat_interval = heartbeat_interval
         self.suspect_after = suspect_after
         self.faults = faults
-        #: one metrics registry + trace recorder per replica.  The
-        #: registry takes the live runtime's single lock; ``site`` is
-        #: stamped on every sample so scrapes across a cluster merge
-        #: cleanly.  ``observability=False`` swaps in no-op instruments
-        #: (the benchmark's metrics-off baseline).
+        #: one metrics registry + trace recorder per replica, touched
+        #: only from the replica's event loop; ``site`` is stamped on
+        #: every sample so scrapes across a cluster merge cleanly.
+        #: ``observability=False`` swaps in no-op instruments (the
+        #: benchmark's metrics-off baseline).
         if observability:
             # ``shard`` joins ``site`` as a constant label so scrapes
             # across a sharded cluster split per-shard health (epsilon
@@ -378,9 +379,7 @@ class ReplicaServer:
             const_labels = {"site": name}
             if self.shard_index is not None:
                 const_labels["shard"] = str(self.shard_index)
-            self.registry = Registry(
-                threadsafe=True, const_labels=const_labels
-            )
+            self.registry = Registry(const_labels=const_labels)
         else:
             self.registry = NULL_REGISTRY
         self.trace = TraceRecorder(site=name, enabled=observability)
@@ -507,7 +506,6 @@ class ReplicaServer:
             "metrics": "_handle_metrics",
             "snapshot": "_handle_snapshot",
             "snapshot-fetch": "_handle_snapshot_fetch",
-            "shard-info": "_handle_shard_info",
             "shard-retire": "_handle_shard_retire",
             "shard-adopt": "_handle_shard_adopt",
             "fetch-install": "_handle_fetch_install",
@@ -1023,26 +1021,27 @@ class ReplicaServer:
 
     # -- gossip membership ---------------------------------------------------
 
-    def _merge_gossip(self, src: str, payload: Dict[str, Any]) -> None:
-        """Merge a heartbeat's piggybacked membership + leadership
-        digest.  Membership changes may wire in newly discovered
-        members or re-learn moved addresses; a higher leadership epoch
-        is adopted (fencing the engine) in the same step."""
-        if not isinstance(payload, dict):
-            return
-        changed = self.membership.merge(payload.get("nodes", ()))
+    def _merge_gossip(self, src: str, digest: Tuple[list, Any]) -> None:
+        """Merge a heartbeat's decoded membership + leadership digest
+        (:func:`~repro.live.protocol.decode_gossip`).  Membership
+        changes may wire in newly discovered members or re-learn moved
+        addresses.  The leadership counts only from a mesh peer (after
+        the merge) naming this replica or a peer as leader: it is then
+        lease evidence, and a higher epoch is adopted (fencing the
+        engine) in the same step."""
+        nodes, leader = digest
+        changed = self.membership.merge(nodes)
         self.m_membership_size.set(self.membership.active_count())
         for name in changed:
             self._apply_member_change(name)
-        leader = payload.get("leader")
-        if isinstance(leader, dict):
-            epoch = int(leader.get("epoch", 0))
-            self._peer_epochs[src] = (epoch, self.engine.clock())
-            who = leader.get("leader")
-            if who and epoch > self.election.epoch:
-                self._adopt_leader(
-                    epoch, str(who), int(leader.get("base", 0))
-                )
+        if leader is None or src not in self.peer_names:
+            return
+        epoch, who, base = leader
+        if who is not None and who not in self.peer_names + (self.name,):
+            return
+        self._peer_epochs[src] = (epoch, self.engine.clock())
+        if who and epoch > self.election.epoch:
+            self._adopt_leader(epoch, who, base)
 
     def _apply_member_change(self, name: str) -> None:
         """React to one changed membership record: a join or an
@@ -1531,11 +1530,22 @@ class ReplicaServer:
             self._on_peer_ack(peer, seq)
             self._outbox_events[peer].set()  # window freed: wake the sender
         elif kind == "hb-ack":
+            seq = frame.get("seq")
+            try:
+                if seq is not None and type(seq) is not int:
+                    raise ProtocolError("hb-ack seq %r" % (seq,))
+                digest = decode_gossip(frame.get("gossip"))
+            except ProtocolError:
+                self.m_frames_dropped.labels(
+                    reason="malformed_heartbeat"
+                ).inc()
+                conn.close()
+                return
             self._note_peer_alive(peer)
-            if "seq" in frame:
-                self._reconcile_ack(peer, int(frame["seq"]), state)
-            if "gossip" in frame:
-                self._merge_gossip(peer, frame["gossip"])
+            if seq is not None:
+                self._reconcile_ack(peer, seq, state)
+            if digest is not None:
+                self._merge_gossip(peer, digest)
 
     def _reconcile_ack(
         self, peer: str, seq: int, state: Dict[str, Any]
@@ -1659,9 +1669,17 @@ class ReplicaServer:
             conn.hold()
         elif kind == "hb":
             src = str(frame.get("src", ""))
+            try:
+                digest = decode_gossip(frame.get("gossip"))
+            except ProtocolError:
+                self.m_frames_dropped.labels(
+                    reason="malformed_heartbeat"
+                ).inc()
+                conn.close()
+                return
             self._note_peer_alive(src)
-            if "gossip" in frame:
-                self._merge_gossip(src, frame["gossip"])
+            if digest is not None:
+                self._merge_gossip(src, digest)
             reply: Dict[str, Any] = {"type": "hb-ack", "src": self.name}
             inbox = self.inboxes.get(src)
             if inbox is not None:
@@ -1669,7 +1687,7 @@ class ReplicaServer:
                 # so an idle channel still detects a regressed (wiped)
                 # receiver.
                 reply["seq"] = inbox.frontier
-            if "gossip" in frame:
+            if digest is not None:
                 reply["gossip"] = self._gossip_payload()
             conn.frames.send(reply)
         elif kind == "peer-reset":
@@ -2351,23 +2369,6 @@ class ReplicaServer:
             return
         self._shard_map = new_map
         self.shard_epoch = epoch
-
-    async def _handle_shard_info(
-        self, frame: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Routing discovery: this group's shard state and newest map."""
-        if self.shard_index is None:
-            return {"shard": None, "map": None}
-        return {
-            "shard": {
-                "index": self.shard_index,
-                "count": self.shard_count,
-                "epoch": self.shard_epoch,
-                "accepting": self._shard_accepting,
-                "retired": self._shard_retired,
-            },
-            "map": self._shard_map,
-        }
 
     async def _handle_shard_retire(
         self, frame: Dict[str, Any]

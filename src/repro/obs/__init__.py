@@ -4,9 +4,8 @@ Both runtimes report through the same two primitives:
 
 * :mod:`repro.obs.registry` — an in-process metrics registry
   (counters, gauges, fixed-bucket histograms) with Prometheus-text and
-  JSON exposition.  Zero third-party dependencies; lock-free for the
-  deterministic simulator, one ``threading.Lock`` when the live
-  runtime asks for thread safety.
+  JSON exposition.  Zero third-party dependencies and no lock: both
+  runtimes are single-threaded (the live one is one asyncio loop).
 * :mod:`repro.obs.trace` — structured ET/MSet lifecycle tracing
   (``submit -> apply -> ack -> drain`` span events with monotonic
   timestamps) exportable as JSONL.

@@ -1,11 +1,11 @@
 """In-process metrics registry: counters, gauges, histograms.
 
-Deliberately tiny and dependency-free.  The deterministic simulator
-runs single-threaded, so the default registry takes no lock at all;
-the live runtime (one asyncio loop, but scraped while mutating and
-occasionally touched from executor threads) passes
-``threadsafe=True`` to serialize mutation and exposition behind one
-``threading.Lock``.
+Deliberately tiny and dependency-free, and single-threaded: the
+simulator and the live runtime's one asyncio loop are the only callers,
+so an instrument call is its arithmetic and nothing else (no lock).  A
+tier-1 guard (``tests/obs/test_no_threads.py``) fails as soon as a
+module under ``repro`` starts a thread, so the first one to do so has
+to revisit this.
 
 Model (a strict subset of Prometheus semantics):
 
@@ -33,7 +33,6 @@ instrumentation's cost honestly.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -60,16 +59,6 @@ DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
 DEFAULT_COUNT_BUCKETS: Tuple[float, ...] = (
     0, 1, 2, 3, 5, 10, 20, 50, 100,
 )
-
-
-class _NullLock:
-    """Lock-shaped no-op for the single-threaded (sim) registry."""
-
-    def __enter__(self) -> "_NullLock":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
 
 
 def _escape_label_value(value: str) -> str:
@@ -99,85 +88,67 @@ def _labels_suffix(names: Tuple[str, ...], values: Tuple[str, ...],
     )
 
 
-class _Child:
-    """Shared child plumbing: one labeled instrument of a family."""
-
-    __slots__ = ("_family",)
-
-    def __init__(self, family: "_Family") -> None:
-        self._family = family
-
-
-class Counter(_Child):
+class Counter:
     """Monotonically increasing count."""
 
     __slots__ = ("value",)
 
-    def __init__(self, family: "_Family") -> None:
-        super().__init__(family)
+    def __init__(self) -> None:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up (inc by %r)" % amount)
-        with self._family._lock:
-            self.value += amount
+        self.value += amount
 
     def set_to(self, value: float) -> None:
         """Mirror an external monotonic source; never goes backwards."""
-        with self._family._lock:
-            if value > self.value:
-                self.value = value
+        if value > self.value:
+            self.value = value
 
 
-class Gauge(_Child):
+class Gauge:
     """Point-in-time value."""
 
     __slots__ = ("value",)
 
-    def __init__(self, family: "_Family") -> None:
-        super().__init__(family)
+    def __init__(self) -> None:
         self.value = 0.0
 
     def set(self, value: float) -> None:
-        with self._family._lock:
-            self.value = float(value)
+        self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        with self._family._lock:
-            self.value += amount
+        self.value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
     def set_max(self, value: float) -> None:
         """Ratchet: keep the largest value ever set (high-water mark)."""
-        with self._family._lock:
-            if value > self.value:
-                self.value = float(value)
+        if value > self.value:
+            self.value = float(value)
 
 
-class Histogram(_Child):
+class Histogram:
     """Fixed-bucket histogram; buckets are set by the family."""
 
-    __slots__ = ("counts", "sum", "count")
+    __slots__ = ("buckets", "counts", "sum", "count")
 
-    def __init__(self, family: "_Family") -> None:
-        super().__init__(family)
-        self.counts = [0] * (len(family.buckets) + 1)  # last = +Inf
+    def __init__(self, buckets: Tuple[float, ...]) -> None:
+        self.buckets = buckets
+        self.counts = [0] * (len(buckets) + 1)  # last = +Inf
         self.sum = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
-        family = self._family
-        with family._lock:
-            self.sum += value
-            self.count += 1
-            for i, bound in enumerate(family.buckets):
-                if value <= bound:
-                    self.counts[i] += 1
-                    return
-            self.counts[-1] += 1
+        self.sum += value
+        self.count += 1
+        for i, bound in enumerate(self.buckets):
+            if value <= bound:
+                self.counts[i] += 1
+                return
+        self.counts[-1] += 1
 
     def cumulative(self) -> List[int]:
         """Per-bucket cumulative counts, ending with the +Inf total."""
@@ -201,7 +172,6 @@ class _Family:
         help_text: str,
         kind: str,
         label_names: Tuple[str, ...],
-        lock: Any,
         buckets: Tuple[float, ...] = (),
     ) -> None:
         self.name = name
@@ -214,8 +184,7 @@ class _Family:
                 "histogram buckets must be sorted and distinct: %r"
                 % (buckets,)
             )
-        self._lock = lock
-        self._children: Dict[Tuple[str, ...], _Child] = {}
+        self._children: Dict[Tuple[str, ...], Any] = {}
 
     def labels(self, **labels: Any) -> Any:
         names = self.label_names
@@ -232,11 +201,10 @@ class _Family:
             )
         child = self._children.get(key)
         if child is None:
-            with self._lock:
-                child = self._children.get(key)
-                if child is None:
-                    child = _KINDS[self.kind](self)
-                    self._children[key] = child
+            child = self._children[key] = (
+                Histogram(self.buckets) if self.kind == "histogram"
+                else _KINDS[self.kind]()
+            )
         return child
 
     def default(self) -> Any:
@@ -248,7 +216,7 @@ class _Family:
             )
         return self.labels()
 
-    def children(self) -> Iterator[Tuple[Tuple[str, ...], _Child]]:
+    def children(self) -> Iterator[Tuple[Tuple[str, ...], Any]]:
         return iter(sorted(self._children.items()))
 
 
@@ -293,7 +261,6 @@ class Registry:
     def __init__(
         self,
         namespace: str = "repro",
-        threadsafe: bool = False,
         enabled: bool = True,
         const_labels: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -303,7 +270,6 @@ class Registry:
         self.const_labels: Tuple[Tuple[str, str], ...] = tuple(
             (str(k), str(v)) for k, v in sorted((const_labels or {}).items())
         )
-        self._lock = threading.Lock() if threadsafe else _NullLock()
         self._families: Dict[str, _Family] = {}
 
     # -- registration --------------------------------------------------------
@@ -320,14 +286,9 @@ class Registry:
             return _NULL_INSTRUMENT
         family = self._families.get(name)
         if family is None:
-            with self._lock:
-                family = self._families.get(name)
-                if family is None:
-                    family = _Family(
-                        name, help_text, kind, tuple(labels),
-                        self._lock, buckets,
-                    )
-                    self._families[name] = family
+            family = self._families[name] = _Family(
+                name, help_text, kind, tuple(labels), buckets
+            )
         if family.kind != kind:
             raise ValueError(
                 "metric %s already registered as a %s" % (name, family.kind)
@@ -366,9 +327,7 @@ class Registry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
         lines: List[str] = []
-        with self._lock:
-            families = sorted(self._families.items())
-        for _name, family in families:
+        for _name, family in sorted(self._families.items()):
             full = self._full_name(family)
             lines.append("# HELP %s %s" % (full, _escape_help(family.help)))
             lines.append("# TYPE %s %s" % (full, family.kind))
@@ -413,9 +372,7 @@ class Registry:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form: one entry per family, children by labels."""
         out: Dict[str, Any] = {}
-        with self._lock:
-            families = sorted(self._families.items())
-        for name, family in families:
+        for name, family in sorted(self._families.items()):
             samples: List[Dict[str, Any]] = []
             for values, child in family.children():
                 labels = dict(zip(family.label_names, values))

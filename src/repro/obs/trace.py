@@ -21,7 +21,6 @@ pipeline ingests; :func:`load_trace_jsonl` round-trips it.
 
 from __future__ import annotations
 
-import io
 import json
 import pathlib
 import time
@@ -111,24 +110,6 @@ class TraceRecorder:
 
     def clear(self) -> None:
         self.events.clear()
-
-    # -- export --------------------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """Serialize the buffered events as JSONL."""
-        buf = io.StringIO()
-        for record in self.events:
-            buf.write(json.dumps(record, separators=(",", ":"),
-                                 sort_keys=True))
-            buf.write("\n")
-        return buf.getvalue()
-
-    def dump_jsonl(self, path: Union[str, pathlib.Path]) -> int:
-        """Write the buffered events to ``path``; returns the count."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl(), encoding="utf-8")
-        return len(self.events)
 
 
 def merge_traces(

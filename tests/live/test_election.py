@@ -439,3 +439,50 @@ class TestSequencerFailover:
                 await cluster.stop()
 
         run(main())
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="Close the ORDUP safety bug with quorum-reserved order "
+        "ranges: a new leader's base is what a majority has seen, not "
+        "what the old sequencer granted, so an acked update is fenced",
+    )
+    def test_an_acked_update_survives_a_handover(self, tmp_path, monkeypatch):
+        """The sequencer site0 grants and acks a fourth update that no
+        peer has seen; site2 then wins epoch 1 with site1's promise.
+        Its base must cover that grant, so every site ends at 4."""
+        monkeypatch.setattr(server, "ACK_TIMEOUT", 0.3)
+        drop = LinkFaults(drop=1.0)
+
+        async def main():
+            plan = FaultPlan(0)
+            cluster = LiveCluster(
+                n_sites=3, method="ordup", data_dir=tmp_path, faults=plan,
+            )
+            await cluster.start()
+            try:
+                client = await cluster.client("site0")
+                for _ in range(3):
+                    await client.increment("acct", 1)
+                await cluster.settle(timeout=30.0)
+                cut = [("site0", "site1"), ("site0", "site2"),
+                       ("site2", "site0")]
+                for src, dst in cut:
+                    plan.set_link(src, dst, drop)
+                await client.increment("acct", 1)  # acknowledged
+                site2 = cluster.servers["site2"]
+                await site2._campaign()
+                assert site2.current_leader() == "site2"
+                assert site2.election.epoch == 1
+                for src, dst in cut:
+                    plan.set_link(src, dst, LinkFaults())
+                await cluster.settle(timeout=30.0)
+                values = await cluster.site_values()
+                assert {name: v["acct"] for name, v in values.items()} == {
+                    name: 4 for name in cluster.names
+                }
+                await client.close()
+            finally:
+                await cluster.stop()
+
+        run(main())

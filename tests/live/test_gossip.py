@@ -13,8 +13,10 @@ import math
 import random
 import time
 
+import pytest
+
 from repro.core.operations import WriteOp
-from repro.live import LiveCluster
+from repro.live import LiveClient, LiveCluster
 from repro.live.engine import make_engine
 from repro.live.faults import FaultPlan, LinkFaults
 from repro.live.gossip import (
@@ -27,6 +29,8 @@ from repro.live.gossip import (
     NodeRecord,
 )
 from repro.live.server import ReplicaServer
+
+from .wire import RawConn, listen
 
 
 def run(coro):
@@ -533,6 +537,128 @@ class TestLiveGossip:
                         ):
                             late_flips.append((server.name, event))
                 assert late_flips == [], late_flips
+            finally:
+                await cluster.stop()
+
+        run(main())
+
+
+def _heartbeat_drops(server):
+    return server.registry.get_sample(
+        "frames_dropped_total", reason="malformed_heartbeat"
+    )
+
+
+class TestGossipIsCheckedFirst:
+    """A heartbeat's gossip digest is decoded whole before it changes
+    anything, and only a mesh peer's leadership counts."""
+
+    @pytest.mark.parametrize("gossip", [
+        {"nodes": 5},
+        {"leader": {"epoch": "e", "leader": "z"}},
+    ])
+    def test_a_malformed_digest_drops_the_frame(self, tmp_path, gossip):
+        async def main():
+            server = ReplicaServer("site0", peers=["site0"], data_dir=tmp_path)
+            port = await server.bind()
+            try:
+                raw = await RawConn.open("127.0.0.1", port)
+                raw.send({"type": "hb", "src": "x", "gossip": gossip})
+                assert await raw.recv() is None  # the connection is closed
+                await raw.close()
+                assert _heartbeat_drops(server) == 1
+                assert server.membership.member_names() == ["site0"]
+            finally:
+                await server.stop()
+
+        run(main())
+
+    def test_a_malformed_heartbeat_reply_drops_the_channel(self, tmp_path):
+        """A peer's ``hb-ack`` whose ``seq`` is not an integer closes
+        the channel connection and is counted, not raised."""
+
+        async def main():
+            replied = asyncio.get_running_loop().create_future()
+
+            async def peer(raw):
+                frame = await raw.recv()
+                while frame is not None and frame["type"] != "hb":
+                    frame = await raw.recv()
+                raw.send({"type": "hb-ack", "src": "site1", "seq": "x"})
+                if not replied.done():  # the sender redials after a close
+                    replied.set_result(await raw.recv())
+                await raw.close()
+
+            fake = await listen(peer)
+            server = ReplicaServer(
+                "site0", peers=["site0", "site1"], data_dir=tmp_path,
+                heartbeat_interval=0.05,
+            )
+            await server.bind()
+            try:
+                server.set_peers({"site1": fake.sockets[0].getsockname()[:2]})
+                server.start_channels()
+                assert await asyncio.wait_for(replied, timeout=5) is None
+                assert _heartbeat_drops(server) == 1
+            finally:
+                await server.stop()
+                fake.close()
+                await fake.wait_closed()
+
+        run(main())
+
+    def test_a_stranger_cannot_install_a_leader(self, tmp_path):
+        async def main():
+            server = ReplicaServer(
+                "site0", peers=["site0"], data_dir=tmp_path, method="ordup"
+            )
+            port = await server.bind()
+            try:
+                raw = await RawConn.open("127.0.0.1", port)
+                raw.send({"type": "hb", "src": "stranger", "gossip": {
+                    "leader": {"epoch": 999, "leader": "nobody", "base": 0},
+                }})
+                assert (await raw.recv())["type"] == "hb-ack"
+                await raw.close()
+                assert server.election.epoch == 0
+                assert server.current_leader() == "site0"
+                # ...so this replica still sequences its own updates.
+                client = await LiveClient.connect("127.0.0.1", port)
+                await asyncio.wait_for(client.increment("acct", 1), 5)
+                await client.close()
+            finally:
+                await server.stop()
+
+        run(main())
+
+    def test_a_strangers_heartbeat_is_no_lease_evidence(self, tmp_path):
+        """The sequencer's peers are gone, so its lease lapses; a
+        heartbeat from a name outside the mesh must not renew it."""
+
+        async def main():
+            cluster = LiveCluster(
+                n_sites=3, method="ordup", data_dir=tmp_path,
+                heartbeat_interval=0.05, suspect_after=0.2,
+            )
+            await cluster.start()
+            try:
+                leader = cluster.servers["site0"]
+                deadline = time.monotonic() + 10.0
+                while not leader._grant_allowed():  # the lease is held
+                    assert time.monotonic() < deadline
+                    await asyncio.sleep(0.05)
+                await cluster.kill("site1")
+                await cluster.kill("site2")
+                while leader._grant_allowed():  # and then it lapses
+                    assert time.monotonic() < deadline
+                    await asyncio.sleep(0.05)
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "hb", "src": "stranger", "gossip": {
+                    "leader": {"epoch": 0, "leader": None, "base": 0},
+                }})
+                assert (await raw.recv())["type"] == "hb-ack"
+                await raw.close()
+                assert not leader._grant_allowed()
             finally:
                 await cluster.stop()
 

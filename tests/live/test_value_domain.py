@@ -123,7 +123,7 @@ def test_a_zero_divisor_fails_alone_before_anything_is_logged(tmp_path):
     strict=True,
     reason="an update that fails at apply is logged first: COMMU checks "
     "commutativity inside one update, not across updates on one key "
-    "(per-key operation discipline, ROADMAP item 4)",
+    "(per-key operation discipline, ROADMAP: per-key operation types)",
 )
 def test_an_update_that_fails_at_apply_leaves_the_cluster_converged(
     tmp_path,

@@ -215,13 +215,6 @@ class TestNullRegistry:
         assert NULL_REGISTRY.render_prometheus() == ""
         assert NULL_REGISTRY.to_dict() == {}
 
-    def test_threadsafe_registry_works(self):
-        reg = Registry(threadsafe=True)
-        c = reg.counter("n_total", "n")
-        for _ in range(10):
-            c.inc()
-        assert reg.get_sample("n_total") == 10
-
     def test_default_latency_buckets_are_sorted(self):
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(
             DEFAULT_LATENCY_BUCKETS

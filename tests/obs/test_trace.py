@@ -100,7 +100,7 @@ class TestJsonlRoundTrip:
         rec.event("update-submit", tid="s1:1", keys=["x"])
         rec.event("query", method="commu", inconsistency=2, limit=5)
         path = tmp_path / "trace.jsonl"
-        assert rec.dump_jsonl(path) == 2
+        assert dump_events_jsonl(rec.events, path) == 2
         loaded = load_trace_jsonl(path)
         assert loaded == rec.snapshot()
 
