@@ -14,7 +14,7 @@ Public API layers:
 * :mod:`repro.sim` — the substrate: event loop, network, stable
   queues, sites, failure injection.
 * :mod:`repro.storage` — versioned stores and the compensation log.
-* :mod:`repro.workload` / :mod:`repro.metrics` / :mod:`repro.harness`
+* :mod:`repro.workload` / :mod:`repro.harness`
   — experiment machinery reproducing the paper's tables and claims.
 
 Quickstart::
@@ -83,7 +83,7 @@ from .sim import (
     UniformLatency,
 )
 from .workload import WorkloadGenerator, WorkloadSpec, drive
-from .metrics import RunMetrics, divergence_of, summarize
+from .harness.runner import RunMetrics, divergence_of, summarize
 from .harness import AuditReport, audit
 from .client import Client, ClientSession, ETFailed
 from .consistency import (

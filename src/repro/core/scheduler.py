@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..obs.registry import NULL_REGISTRY, Registry
 from ..sim.events import Simulator
 from ..storage.kv import KeyValueStore
 from .divergence import Admission, BasicTimestampDC, DivergenceControl
@@ -76,15 +75,10 @@ class LocalScheduler:
         op_time: float = 0.5,
         max_restarts: int = 20,
         wait_limit: int = 40,
-        registry: Optional[Registry] = None,
     ) -> None:
         """``wait_limit`` bounds consecutive WAIT retries on a single
         operation before the ET aborts and restarts — the timeout that
         resolves deadlocks the polling model cannot observe.
-
-        ``registry`` (a :class:`repro.obs.Registry`) mirrors the
-        scheduler's wait/abort/commit tallies as metric samples; the
-        default no-op registry keeps standalone use dependency-free.
         """
         self.sim = sim
         self.dc = dc
@@ -98,20 +92,6 @@ class LocalScheduler:
         #: lock-table ablation reports).
         self.wait_count = 0
         self.abort_count = 0
-        self.registry = registry if registry is not None else NULL_REGISTRY
-        self._m_waits = self.registry.counter(
-            "scheduler_waits_total",
-            "WAIT admissions handed to local ET operations",
-        )
-        self._m_aborts = self.registry.counter(
-            "scheduler_aborts_total",
-            "local ET aborts (restarts included)",
-        )
-        self._m_ets = self.registry.counter(
-            "scheduler_ets_total",
-            "locally scheduled ETs by final status",
-            labels=("status",),
-        )
 
     # -- submission ---------------------------------------------------------
 
@@ -145,7 +125,6 @@ class LocalScheduler:
         decision = self.dc.request(state.et, op)
         if decision.admission is Admission.WAIT:
             self.wait_count += 1
-            self._m_waits.inc()
             state.result.waits += 1
             state.consecutive_waits += 1
             if state.consecutive_waits > self.wait_limit:
@@ -187,12 +166,10 @@ class LocalScheduler:
         state.result.finish_time = self.sim.now
         state.result.inconsistency = self.dc.inconsistency_of(state.et.tid)
         self.completed.append(state.result)
-        self._m_ets.labels(status="committed").inc()
         state.on_done(state.result)
 
     def _abort_and_maybe_restart(self, state: ScheduledET) -> None:
         self.abort_count += 1
-        self._m_aborts.inc()
         self.dc.abort(state.et)
         state.staged.clear()
         state.result.values.clear()
@@ -204,7 +181,6 @@ class LocalScheduler:
             state.result.status = ETStatus.ABORTED
             state.result.finish_time = self.sim.now
             self.completed.append(state.result)
-            self._m_ets.labels(status="aborted").inc()
             state.on_done(state.result)
             return
         delay = self.RETRY_DELAY * (1 + state.restarts)

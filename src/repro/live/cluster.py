@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import pathlib
 import shutil
 import tempfile
@@ -38,6 +37,7 @@ from .faults import FaultPlan
 from .router import ShardRouter
 from .server import ReplicaServer
 from .shard import ShardMap, migrate_shard
+from .snapshot import write_atomic
 
 __all__ = ["LiveCluster", "ShardedCluster"]
 
@@ -115,7 +115,9 @@ class LiveCluster:
         )
 
     async def start(self) -> None:
-        """Boot every replica, then connect the peer mesh."""
+        """Boot every replica, then connect the peer mesh.  Returns once
+        each replica that booted empty has finished its startup probe
+        (until then it refuses updates and strict reads)."""
         for name in self.names:
             server = self._make_server(name)
             port = await server.bind(self.host, 0)
@@ -124,6 +126,8 @@ class LiveCluster:
         for server in self.servers.values():
             server.set_peers(self.addrs)
             server.start_channels()
+        for server in self.servers.values():
+            await server.probed()
 
     async def stop(self) -> None:
         for client in self._clients:
@@ -160,6 +164,9 @@ class LiveCluster:
     async def restart(self, name: str, rewire: bool = True) -> None:
         """Recover a killed replica from its durable queues.
 
+        Does not wait for a wiped replica's startup probe: its rejoin
+        signal is :meth:`wait_caught_up`.
+
         With ``rewire=False`` the other replicas are *not* told the new
         address — they must re-learn it from the restarted replica's
         gossip (its bumped incarnation out-versions the stale record).
@@ -181,7 +188,8 @@ class LiveCluster:
     async def join(self, name: str, seed: Optional[str] = None) -> None:
         """Boot a brand-new member wired to a single seed peer; gossip
         spreads its membership to everyone else (and everyone else's
-        to it) without manual rewiring."""
+        to it) without manual rewiring.  Returns once the member's
+        startup probe has finished."""
         if name in self.servers:
             raise RuntimeError("%s is already running" % name)
         if seed is None:
@@ -194,6 +202,7 @@ class LiveCluster:
             self.names.append(name)
         server.set_peers({seed: self.addrs[seed]})
         server.start_channels()
+        await server.probed()
 
     # -- fault helpers -------------------------------------------------------
 
@@ -480,9 +489,7 @@ class ShardedCluster:
             },
             indent=2,
         )
-        tmp = self._manifest_path.with_suffix(".tmp")
-        tmp.write_text(payload + "\n")
-        os.replace(tmp, self._manifest_path)
+        write_atomic(self._manifest_path, (payload + "\n").encode("utf-8"))
 
     async def start(self) -> None:
         for shard in range(self.n_shards):

@@ -485,6 +485,10 @@ class ReplicaServer:
         #: the running catch-up, if any: triggers while it runs are
         #: absorbed by it.
         self._catchup_task: Optional[asyncio.Task] = None
+        #: the startup probe of an empty boot while it runs.  Until it
+        #: has decided fresh-vs-wiped, appends and strict reads are
+        #: refused (not degraded mode: no peer is suspect).
+        self._probe_task: Optional[asyncio.Task] = None
         #: completed snapshot catch-up installs since boot.
         self.catchup_installs = 0
         #: peers owed a peer-reset frame by their channel sender.
@@ -849,7 +853,20 @@ class ReplicaServer:
         ):
             # Empty engine, empty logs, no snapshot: either a fresh
             # cluster boot or a wiped disk.  Ask the peers which.
-            self._spawn(self._startup_probe())
+            self._probe_task = self._spawn(self._startup_probe())
+
+    async def probed(self) -> None:
+        """Return once the startup probe (if any) has decided."""
+        if self._probe_task is not None:
+            await asyncio.wait({self._probe_task})
+
+    def _refuse_while_probing(self, what: str) -> None:
+        if self._probe_task is not None:
+            self.m_updates_rejected.labels(reason="catchup").inc()
+            raise Unavailable(
+                "%s refused: replica is asking its peers whether it lost"
+                " its disk" % what
+            )
 
     async def stop(self) -> None:
         """Stop serving.  Durable state is already on disk (the
@@ -1921,10 +1938,17 @@ class ReplicaServer:
         site above zero (it durably holds updates this site no longer
         has) or a peer's channel to this site with a nonzero ack high
         water (this site once acknowledged records it no longer has).
-        Either one triggers snapshot catch-up; a clean no-evidence
-        sweep of every peer means a genuinely fresh cluster.
+        Either one triggers snapshot catch-up; only a clean
+        no-evidence answer from every peer means a genuinely fresh
+        cluster, so an unreachable peer keeps the probe (and the
+        refusals it gates) going: there is no timeout.
         """
-        deadline = self.engine.clock() + max(self.suspect_after * 4, 2.0)
+        try:
+            await self._probe_peers()
+        finally:
+            self._probe_task = None
+
+    async def _probe_peers(self) -> None:
         answered: Set[str] = set()
         evidence_from: Optional[str] = None
         while self._running and evidence_from is None:
@@ -1953,16 +1977,13 @@ class ReplicaServer:
                 if held > 0 or acked > 0:
                     evidence_from = peer
                     break
-            if len(answered) == len(self.peer_names):
-                break
-            if self.engine.clock() >= deadline:
+            if answered.issuperset(self.peer_names):
                 break
             if evidence_from is None:
                 await asyncio.sleep(self.retry_base * 4)
         if evidence_from is None:
             logger.debug(
-                "%s: startup probe found no prior state (%d/%d peers)",
-                self.name, len(answered), len(self.peer_names),
+                "%s: startup probe found no prior state", self.name
             )
             return
         # Re-check emptiness: normal channel traffic may have landed
@@ -2817,6 +2838,7 @@ class ReplicaServer:
         if not writes:
             raise ValueError("update ET must contain a write (use query)")
         self._check_shard([op.key for op in ops])
+        self._refuse_while_probing("update")
         if self._catching_up:
             # Accepting an update mid-install would stamp it with a tid
             # the incoming snapshot is about to overwrite.
@@ -3145,6 +3167,7 @@ class ReplicaServer:
         outcome = frame.get("outcome")
         if outcome not in ("commit", "abort"):
             raise ValueError("decide outcome must be 'commit' or 'abort'")
+        self._refuse_while_probing("decide")
         saga = frame.get("saga")
         tids = frame.get("tids")
         if saga is not None:
@@ -3281,6 +3304,7 @@ class ReplicaServer:
         query already parked when the partition starts is failed by
         :meth:`_check_degraded_transition`.
         """
+        self._refuse_while_probing("epsilon=0 query")
         if self._catching_up:
             raise Unavailable(
                 "epsilon=0 query refused: replica is installing a peer"

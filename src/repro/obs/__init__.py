@@ -1,11 +1,12 @@
 """Unified observability layer: metrics registry + lifecycle tracing.
 
-Both runtimes report through the same two primitives:
+The live runtime reports through two primitives (the simulator
+summarizes its runs from their ET results and imports neither):
 
 * :mod:`repro.obs.registry` — an in-process metrics registry
   (counters, gauges, fixed-bucket histograms) with Prometheus-text and
-  JSON exposition.  Zero third-party dependencies and no lock: both
-  runtimes are single-threaded (the live one is one asyncio loop).
+  JSON exposition.  Zero third-party dependencies and no lock: each
+  live replica runs on one asyncio loop.
 * :mod:`repro.obs.trace` — structured ET/MSet lifecycle tracing
   (``submit -> apply -> ack -> drain`` span events with monotonic
   timestamps) exportable as JSONL.

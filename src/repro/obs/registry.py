@@ -1,8 +1,8 @@
 """In-process metrics registry: counters, gauges, histograms.
 
-Deliberately tiny and dependency-free, and single-threaded: the
-simulator and the live runtime's one asyncio loop are the only callers,
-so an instrument call is its arithmetic and nothing else (no lock).  A
+Deliberately tiny and dependency-free, and single-threaded: the live
+runtime's one asyncio loop is the only caller, so an instrument call
+is its arithmetic and nothing else (no lock).  A
 tier-1 guard (``tests/obs/test_no_threads.py``) fails as soon as a
 module under ``repro`` starts a thread, so the first one to do so has
 to revisit this.

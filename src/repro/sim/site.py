@@ -24,7 +24,6 @@ from ..core.inconsistency import LockCounterTable
 from ..core.operations import Operation
 from ..core.overlap import OverlapTracker
 from ..core.transactions import EpsilonTransaction, TransactionID
-from ..obs.registry import NULL_REGISTRY, Registry
 from ..storage.kv import KeyValueStore
 from ..storage.mvstore import MultiVersionStore
 from ..storage.oplog import OperationLog
@@ -57,29 +56,10 @@ class Site:
         name: str,
         sim: Simulator,
         config: Optional[SiteConfig] = None,
-        registry: Optional[Registry] = None,
     ) -> None:
         self.name = name
         self.sim = sim
         self.config = config or SiteConfig()
-        #: metrics registry shared with the hosting system; defaults to
-        #: the no-op registry so a standalone site costs nothing.
-        self.registry = registry if registry is not None else NULL_REGISTRY
-        self._m_applied = self.registry.counter(
-            "site_ops_applied_total",
-            "update operations applied at one site",
-            labels=("site",),
-        )
-        self._m_reads = self.registry.counter(
-            "site_reads_total",
-            "query read operations served at one site",
-            labels=("site",),
-        )
-        self._m_crashes = self.registry.counter(
-            "site_crashes_total",
-            "fail-stop crashes injected at one site",
-            labels=("site",),
-        )
         self.store = KeyValueStore()
         self.mvstore = MultiVersionStore()
         self.oplog = OperationLog(self.store, default=self.config.default_value)
@@ -112,7 +92,6 @@ class Site:
         else:
             result = self.store.apply(op, default=self.config.default_value)
         self.history.record(tid, op, self.name, self.sim.now, et)
-        self._m_applied.labels(site=self.name).inc()
         return result
 
     def read(self, tid: TransactionID, key: str) -> Any:
@@ -123,7 +102,6 @@ class Site:
         """
         if self.crashed:
             raise RuntimeError("site %s is crashed" % self.name)
-        self._m_reads.labels(site=self.name).inc()
         return self.store.get(key, self.config.default_value)
 
     def values(self) -> Dict[str, Any]:
@@ -137,7 +115,6 @@ class Site:
         if self.crashed:
             return
         self.crashed = True
-        self._m_crashes.labels(site=self.name).inc()
         for hook in list(self.on_crash):
             hook()
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.runner import divergence_trace, run_experiment
-from repro.replica.base import SystemConfig
+from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.commu import CommutativeOperations
 from repro.sim.network import ConstantLatency
 from repro.workload.generator import WorkloadSpec
@@ -68,6 +68,23 @@ class TestRunExperiment:
         assert set(result.query_inconsistency) <= set(
             result.query_overlap_bound
         ) | set(result.query_inconsistency)
+
+    def test_audits_one_copy_serializability_once(self, monkeypatch):
+        """The run's guarantees come from one ``audit`` call; the 1SR
+        check (the costliest of the four) is not repeated beside it."""
+        calls = []
+        check = ReplicatedSystem.is_one_copy_serializable
+
+        def counted(system):
+            calls.append(system)
+            return check(system)
+
+        monkeypatch.setattr(
+            ReplicatedSystem, "is_one_copy_serializable", counted
+        )
+        result = run_experiment(CommutativeOperations, _config(), _spec())
+        assert result.one_copy_serializable
+        assert len(calls) == 1
 
     def test_failures_hook_invoked(self):
         seen = []

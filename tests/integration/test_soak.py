@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.transactions import reset_tid_counter
 from repro.harness.audit import audit
-from repro.metrics.collector import summarize
+from repro.harness.runner import summarize
 from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.commu import CommutativeOperations
 from repro.replica.compe import CompensationBased

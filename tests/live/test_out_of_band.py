@@ -142,11 +142,14 @@ class TestPeerRequest:
 
         async def scenario():
             plan = FaultPlan(0)
-            plan.set_link("site0", "site1", LinkFaults(drop=1.0))
             cluster = LiveCluster(
                 n_sites=2, data_dir=tmp_path, faults=plan
             )
+            # Cut after the boot: start() waits for each replica's
+            # startup probe, which a link dropping every frame from
+            # boot would keep from ever deciding.
             await cluster.start()
+            plan.set_link("site0", "site1", LinkFaults(drop=1.0))
             try:
                 server = cluster.servers["site0"]
                 with pytest.raises(asyncio.TimeoutError):

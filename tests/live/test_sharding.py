@@ -25,6 +25,7 @@ from repro.live import (
     ShardedCluster,
     key_shard,
 )
+from repro.live import cluster as cluster_module
 from repro.live.chaos import MigrateConfig, run_scenario
 from repro.live.shard import group_keys_by_shard
 
@@ -327,6 +328,34 @@ class TestMigration:
         # Fresh ports under a fresh boot: the published epoch moves
         # past anything a pre-restart router could be holding.
         assert epoch_after > epoch_before
+
+    def test_manifest_is_written_atomically(self, tmp_path, monkeypatch):
+        """``shards.json`` goes through the fsync + rename + directory
+        fsync discipline, at boot and at every migration."""
+        written = []
+        write_atomic = cluster_module.write_atomic
+
+        def recording(path, data):
+            written.append(path)
+            write_atomic(path, data)
+
+        monkeypatch.setattr(cluster_module, "write_atomic", recording)
+        manifest = tmp_path / "shards.json"
+
+        async def scenario():
+            cluster = ShardedCluster(
+                n_shards=2, replicas=2, data_dir=tmp_path
+            )
+            await cluster.start()
+            try:
+                assert written.count(manifest) == 1
+                await cluster.migrate(1)
+                assert written.count(manifest) == 2
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+        assert not (tmp_path / "shards.json.tmp").exists()
 
     def test_mismatched_shard_count_is_refused(self, tmp_path):
         async def scenario():

@@ -4,8 +4,9 @@ Bottom-up coverage of the recovery tentpole: the envelope format
 (versioned + checksummed, corrupt images read as absent), engine
 checkpoint/restore round-trips, the server's snapshot verb with log
 compaction, restart-from-snapshot equivalence, anti-entropy rejoin of
-a disk-wiped replica, backpressure shedding (``OVERLOADED``), client
-primary rehoming after failover, and the packaged rejoin chaos
+a disk-wiped replica (refusing appends and strict reads until its
+startup probe has decided), backpressure shedding (``OVERLOADED``),
+client primary rehoming after failover, and the packaged rejoin chaos
 scenario.
 """
 
@@ -14,7 +15,10 @@ import json
 
 import pytest
 
+from repro.consistency import Consistency
+from repro.errors import UNAVAILABLE
 from repro.live import (
+    FaultPlan,
     LiveCluster,
     LiveETFailed,
     RejoinConfig,
@@ -246,6 +250,113 @@ class TestWipedReplicaRejoin:
                     await client2.increment("k0", 1)
                 await cluster.settle()
                 assert await cluster.converged()
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+
+#: wiped-replica probe scenarios: fast heartbeats and quick redials.
+PROBE = dict(FAST, server_options={"retry_base": 0.01, "retry_max": 0.05})
+
+
+async def _wiped_cluster(tmp_path, writer, faults=None):
+    """A 3-site COMMU cluster whose ``site2`` has just lost its disk,
+    after 10 increments of ``k`` at ``writer`` were settled and
+    snapshotted everywhere (so only a snapshot install can repair it).
+    ``site2`` is not restarted yet."""
+    cluster = LiveCluster(
+        n_sites=3, method="commu", data_dir=tmp_path, faults=faults, **PROBE
+    )
+    await cluster.start()
+    try:
+        client = await cluster.client(writer)
+        for _ in range(10):
+            await client.increment("k", 1)
+        await cluster.settle()
+        await cluster.snapshot_all()
+        await cluster.wipe("site2")
+    except BaseException:
+        await cluster.stop()
+        raise
+    return cluster
+
+
+async def _increment_or_refused(client):
+    """1 when the increment was acknowledged, 0 when it was refused
+    with ``UNAVAILABLE``."""
+    try:
+        await client.increment("k", 1)
+    except LiveETFailed as exc:
+        assert exc.code == UNAVAILABLE, exc
+        return 0
+    return 1
+
+
+async def _every_site_holds(cluster, expected):
+    await cluster.wait_caught_up("site2", timeout=15.0)
+    await cluster.settle()
+    values = await cluster.site_values()
+    assert {name: v.get("k") for name, v in values.items()} == {
+        name: expected for name in cluster.names
+    }
+
+
+class TestWipedReplicaProbe:
+    """A wiped replica refuses appends and strict reads until its
+    startup probe has asked every peer about its former life: served
+    from the empty store, they would answer 0 or reuse tids the peers
+    drop as duplicates."""
+
+    def test_strict_read_straight_after_restart(self, tmp_path):
+        async def scenario():
+            cluster = await _wiped_cluster(tmp_path, "site0")
+            try:
+                await cluster.restart("site2")
+                client2 = await cluster.client("site2")
+                try:
+                    value = await client2.read(
+                        "k", Consistency.STRICT, timeout=5.0
+                    )
+                except LiveETFailed as exc:
+                    assert exc.code == UNAVAILABLE, exc
+                else:
+                    assert value == 10
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_update_straight_after_restart_is_kept(self, tmp_path):
+        async def scenario():
+            cluster = await _wiped_cluster(tmp_path, "site2")
+            try:
+                await cluster.restart("site2")
+                client2 = await cluster.client("site2")
+                acked = await _increment_or_refused(client2)
+                await _every_site_holds(cluster, 10 + acked)
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_updates_while_partitioned_across_restart_are_kept(
+        self, tmp_path
+    ):
+        async def scenario():
+            cluster = await _wiped_cluster(tmp_path, "site2", FaultPlan(0))
+            try:
+                cluster.partition([["site0", "site1"], ["site2"]])
+                await cluster.restart("site2")
+                client2 = await cluster.client("site2")
+                acked = 0
+                for _ in range(5):
+                    acked += await _increment_or_refused(client2)
+                # A long cut: however long its peers stay unreachable,
+                # the wiped replica must not conclude it is fresh.
+                await asyncio.sleep(2.5)
+                cluster.heal()
+                await _every_site_holds(cluster, 10 + acked)
             finally:
                 await cluster.stop()
 
