@@ -116,8 +116,8 @@ class LiveCluster:
 
     async def start(self) -> None:
         """Boot every replica, then connect the peer mesh.  Returns once
-        each replica that booted empty has finished its startup probe
-        (until then it refuses updates and strict reads)."""
+        each replica that booted empty has finished its recovery (until
+        then it refuses updates and strict reads)."""
         for name in self.names:
             server = self._make_server(name)
             port = await server.bind(self.host, 0)
@@ -127,7 +127,7 @@ class LiveCluster:
             server.set_peers(self.addrs)
             server.start_channels()
         for server in self.servers.values():
-            await server.probed()
+            await server.recovered()
 
     async def stop(self) -> None:
         for client in self._clients:
@@ -164,8 +164,8 @@ class LiveCluster:
     async def restart(self, name: str, rewire: bool = True) -> None:
         """Recover a killed replica from its durable queues.
 
-        Does not wait for a wiped replica's startup probe: its rejoin
-        signal is :meth:`wait_caught_up`.
+        Does not wait for a wiped replica's recovery: its rejoin signal
+        is :meth:`wait_caught_up`.
 
         With ``rewire=False`` the other replicas are *not* told the new
         address — they must re-learn it from the restarted replica's
@@ -189,7 +189,7 @@ class LiveCluster:
         """Boot a brand-new member wired to a single seed peer; gossip
         spreads its membership to everyone else (and everyone else's
         to it) without manual rewiring.  Returns once the member's
-        startup probe has finished."""
+        recovery has finished."""
         if name in self.servers:
             raise RuntimeError("%s is already running" % name)
         if seed is None:
@@ -202,7 +202,7 @@ class LiveCluster:
             self.names.append(name)
         server.set_peers({seed: self.addrs[seed]})
         server.start_channels()
-        await server.probed()
+        await server.recovered()
 
     # -- fault helpers -------------------------------------------------------
 
@@ -309,23 +309,21 @@ class LiveCluster:
     async def wait_caught_up(
         self, name: str, timeout: float = 30.0, installs: int = 1
     ) -> None:
-        """Block until one replica has completed at least ``installs``
-        snapshot catch-up installs and left catch-up mode — the wiped
-        replica's 'I have rejoined' signal (the startup probe needs a
-        beat to run, so 'no catch-up in flight yet' is not enough)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            server = self.servers.get(name)
-            if (
-                server is not None
-                and server.catchup_installs >= installs
-                and not server._catching_up
-            ):
-                return
-            await asyncio.sleep(0.05)
-        raise TimeoutError(
-            "%s did not finish catch-up in %.1fs" % (name, timeout)
-        )
+        """Block until one replica's recovery has finished — the wiped
+        replica's 'I have rejoined' signal — and check that it installed
+        at least ``installs`` peer snapshots since boot."""
+        server = self.servers[name]
+        try:
+            await asyncio.wait_for(server.recovered(), timeout)
+        except asyncio.TimeoutError:
+            raise TimeoutError(
+                "%s did not finish catch-up in %.1fs" % (name, timeout)
+            ) from None
+        if server.catchup_installs < installs:
+            raise RuntimeError(
+                "%s recovered with %d snapshot installs, expected %d"
+                % (name, server.catchup_installs, installs)
+            )
 
     async def site_stats(self) -> Dict[str, Dict[str, object]]:
         """Stats from every running replica (peer health, backlogs)."""

@@ -14,11 +14,14 @@ lets the authority move:
   durable order frontier across the majority that elected it); every
   sequence number it grants is > ``base`` and travels with the epoch as
   a ``(seq, epoch)`` token.
-* ``bases`` — per-epoch bases for every epoch this replica has adopted,
-  which the engine uses to fence stale-epoch tokens: a token from old
-  epoch ``e`` is admissible only if its seq is <= the base of every
-  adopted epoch newer than ``e`` (i.e. it was granted before the
-  handover point and is merely late).
+* ``bases`` — per-epoch bases for every epoch this replica has adopted.
+  The engine fences stale-epoch tokens from its own copy of this table
+  (a token from old epoch ``e`` is admissible only if its seq is <= the
+  base of every adopted epoch newer than ``e``: it was granted before
+  the handover point and is merely late).  That copy travels in the
+  engine checkpoint, so after every restore the server merges
+  ``bases`` back into it before anything replays: a snapshot older
+  than an adoption must not shrink the fence.
 
 Safety argument (one leader per epoch): a candidate needs promises
 from a majority of the full membership before adopting an epoch, and a
@@ -141,18 +144,6 @@ class ElectionState:
 
     # ------------------------------------------------------------------
     # views
-
-    def min_base_above(self, epoch: int) -> Optional[int]:
-        """Smallest adopted base among epochs strictly newer than ``epoch``.
-
-        A stale-epoch token is admissible only if its seq <= this value
-        (it predates every handover the replica knows about).  Returns
-        None when no newer epoch has been adopted.
-        """
-        newer = [b for e, b in self.bases.items() if e > epoch]
-        if not newer:
-            return None
-        return min(newer)
 
     def wire(self) -> Dict[str, Any]:
         return {

@@ -757,16 +757,20 @@ class OrdupLiveEngine(LiveEngine):
         """Record a leadership handover: ``epoch``'s leader resumed at ``base``.
 
         A plain method like ``accept``: the server adopts an epoch in
-        one step, between applies.  Purges held-back MSets that the
+        one step, between applies.  Epochs may arrive in any order — a
+        restore merges the election record's table into the
+        checkpoint's — and an epoch already recorded keeps its base, so
+        a merge never loosens the fence.  Purges held-back MSets that the
         handover fences:
         entries above ``base`` carrying an older epoch were granted by
         a deposed leader after the handover point and can never become
         applicable.
         """
-        if epoch <= self._current_epoch:
+        epoch = int(epoch)
+        if epoch in self._epoch_bases:
             return
-        self._current_epoch = int(epoch)
-        self._epoch_bases[int(epoch)] = int(base)
+        self._current_epoch = max(self._current_epoch, epoch)
+        self._epoch_bases[epoch] = int(base)
         stale = [
             seqno
             for seqno, held in self.buffer._holdback.items()

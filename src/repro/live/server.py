@@ -78,18 +78,22 @@ periodically (``snapshot_interval``) — or on demand (``snapshot``
 verb) — persists a versioned, checksummed image of its applied state
 (:mod:`repro.live.snapshot`) capturing the engine checkpoint and
 every channel's applied frontier in one atomic cut, then compacts the
-durable logs below those frontiers.  A replica that comes back from a
-long outage or a wiped disk catches up by *anti-entropy*: it fetches
-a peer's snapshot in chunks (``snapshot-fetch`` verb), installs it
-when the snapshot dominates its own frontiers, and drains only the
-log tail above the snapshot from the normal channels.  Senders repair
-regressed receivers symmetrically — a cumulative ack (or heartbeat
-reply) below the peer's cursor rewinds the channel from the log
-when the records survive, or sends a ``peer-reset`` frame directing
-the receiver to snapshot catch-up when they were compacted away.
-While catching up the replica refuses updates and ``epsilon = 0``
-queries with typed errors; epsilon-bounded queries keep answering
-from the (stale but bounded) local state.
+durable logs below those frontiers.  A replica that lost state
+recovers along one path, by *anti-entropy*: it surveys its peers,
+fetches a peer's snapshot in chunks (``snapshot-fetch`` verb),
+installs it when the snapshot dominates its own frontiers, and drains
+only the log tail above the snapshot from the normal channels.  Four
+things start that recovery: an empty boot (whose survey concludes
+"fresh" only once every peer has answered without evidence of a
+former life), a ``peer-reset`` frame, a regressed ack, and a
+``fetch-install``.  Senders repair regressed receivers symmetrically
+— a cumulative ack (or heartbeat reply) below the peer's cursor
+rewinds the channel from the log when the records survive, or sends
+a ``peer-reset`` frame when they were compacted away.  While a
+recovery runs, one admission check refuses every append, every
+``epsilon = 0`` query and the snapshot verbs with ``UNAVAILABLE``;
+epsilon-bounded queries keep answering from the (stale but bounded)
+local state.
 
 Backpressure: when any peer channel's backlog exceeds
 ``backlog_limit``, new client updates are refused with a typed
@@ -256,6 +260,13 @@ ACK_TIMEOUT = 2.0
 #: seconds between an order request's re-sends, and how many it gets.
 ORDER_RESEND = 0.25
 ORDER_SENDS = 20
+
+#: what a failed recovery exchange with a peer raises: a refused, cut
+#: or timed-out dial (OSError, asyncio.TimeoutError), a refusal reply,
+#: a garbled frame or snapshot, a snapshot that does not dominate
+#: (RuntimeError and its ProtocolError/SnapshotError), a malformed
+#: field (ValueError).  Recovery retries past every one of them.
+PEER_FAILURES = (OSError, RuntimeError, ValueError, asyncio.TimeoutError)
 
 
 def _resolve(waiter: asyncio.Future) -> None:
@@ -479,16 +490,14 @@ class ReplicaServer:
         #: frontiers of the last persisted snapshot (stats/compaction).
         self._snapshot_frontiers: Dict[str, int] = {}
         self._last_snapshot_at: Optional[float] = None
-        #: True while installing a peer snapshot; folded into
-        #: degraded(): strict queries and updates are refused.
+        #: the running recovery (an empty boot's survey, a snapshot
+        #: catch-up, a fetch-install), if any: while it runs,
+        #: :meth:`_admit` refuses appends, strict reads and the
+        #: snapshot verbs, and triggers are absorbed by it.
+        self._recovery: Optional[asyncio.Future] = None
+        #: True while the running recovery knows this replica lost
+        #: state and installs a peer snapshot; folded into degraded().
         self._catching_up = False
-        #: the running catch-up, if any: triggers while it runs are
-        #: absorbed by it.
-        self._catchup_task: Optional[asyncio.Task] = None
-        #: the startup probe of an empty boot while it runs.  Until it
-        #: has decided fresh-vs-wiped, appends and strict reads are
-        #: refused (not degraded mode: no peer is suspect).
-        self._probe_task: Optional[asyncio.Task] = None
         #: completed snapshot catch-up installs since boot.
         self.catchup_installs = 0
         #: peers owed a peer-reset frame by their channel sender.
@@ -710,8 +719,6 @@ class ReplicaServer:
             self.m_record_load_errors.labels(record=record).set_to(
                 owner.load_errors
             )
-        if self.election.epoch > 0 and hasattr(self.engine, "adopt_epoch"):
-            self.engine.adopt_epoch(self.election.epoch, self.election.base)
         self.m_leader_epoch.set(self.election.epoch)
         self._recover()
         self._running = True
@@ -774,6 +781,7 @@ class ReplicaServer:
                     inbox.reset_to(floor)
             if self.log.assigned < snap_frontiers.get(LOCAL_CHANNEL, 0):
                 self.log.reset_to(snap_frontiers[LOCAL_CHANNEL])
+        self._fence_engine()
 
         def logged(log: Any, seq: int, payload: Dict[str, Any]) -> MSet:
             try:
@@ -815,6 +823,16 @@ class ReplicaServer:
         for mset in held:
             self.engine.hold_counters(mset)
 
+    def _fence_engine(self) -> None:
+        """Make the engine's ORDUP fence the union of its own epoch
+        table — a restored checkpoint's — and every epoch this replica
+        adopted (``election.bases``).  Runs after every restore and
+        before any replay: a fence that shrank would admit a deposed
+        leader's stale grants."""
+        if hasattr(self.engine, "adopt_epoch"):
+            for epoch, base in sorted(self.election.bases.items()):
+                self.engine.adopt_epoch(epoch, base)
+
     def set_peers(self, addrs: Dict[str, Tuple[str, int]]) -> None:
         """Install (or update) peer addresses for the channel loops."""
         for peer, addr in addrs.items():
@@ -852,20 +870,26 @@ class ReplicaServer:
             and not self._snapshot_store.exists()
         ):
             # Empty engine, empty logs, no snapshot: either a fresh
-            # cluster boot or a wiped disk.  Ask the peers which.
-            self._probe_task = self._spawn(self._startup_probe())
+            # cluster boot or a wiped disk.  Recovery's survey decides.
+            self._trigger_catchup("boot")
 
-    async def probed(self) -> None:
-        """Return once the startup probe (if any) has decided."""
-        if self._probe_task is not None:
-            await asyncio.wait({self._probe_task})
+    async def recovered(self) -> None:
+        """Return once no recovery is running (one absorbs every
+        trigger that arrives while it runs)."""
+        while self._recovery is not None:
+            await asyncio.wait({self._recovery})
 
-    def _refuse_while_probing(self, what: str) -> None:
-        if self._probe_task is not None:
+    def _admit(self, what: str) -> None:
+        """Refuse ``what`` while a recovery runs — every append
+        (``update``, ``decide``), strict read and snapshot verb: served
+        from a store an install is about to replace, it would answer
+        from lost state, or reuse tids that peers drop as duplicates of
+        this site's former life."""
+        if self._recovery is not None:
             self.m_updates_rejected.labels(reason="catchup").inc()
             raise Unavailable(
-                "%s refused: replica is asking its peers whether it lost"
-                " its disk" % what
+                "%s refused: replica is recovering its state from its"
+                " peers" % what
             )
 
     async def stop(self) -> None:
@@ -981,9 +1005,10 @@ class ReplicaServer:
         )
 
     def degraded(self) -> bool:
-        """True when any peer is suspected — or this replica is mid
-        snapshot catch-up: full agreement is off the table, only
-        epsilon-bounded service remains."""
+        """True when any peer is suspected — or this replica is
+        installing a peer snapshot: full agreement is off the table,
+        only epsilon-bounded service remains.  A fresh boot's survey is
+        not degraded."""
         return bool(self.suspected_peers()) or self._catching_up
 
     async def _degraded_monitor(self) -> None:
@@ -1252,7 +1277,7 @@ class ReplicaServer:
         """Watch the order authority; campaign when it is dead."""
         while self._running:
             await asyncio.sleep(self._heartbeat_jitter())
-            if not self._epoch_synced or self._catching_up:
+            if not self._epoch_synced or self._recovery is not None:
                 continue
             leader = self.current_leader()
             if leader == self.name or not self.peer_dead(leader):
@@ -1584,8 +1609,7 @@ class ReplicaServer:
         """
         log = self.log
         if seq > log.assigned:
-            if not self._catching_up:
-                self._trigger_catchup("regressed-ack", preferred=peer)
+            self._trigger_catchup("regressed-ack", preferred=peer)
             return
         if peer in self._reset_peers or seq >= log.frontier(peer):
             # Already directed to snapshot catch-up, or not regressed.
@@ -1899,7 +1923,7 @@ class ReplicaServer:
         """Periodic snapshot + compaction driver."""
         while self._running:
             await asyncio.sleep(self.snapshot_interval)
-            if not self._running or self._catching_up:
+            if not self._running or self._recovery is not None:
                 continue
             try:
                 await self.take_snapshot(kind="periodic")
@@ -1930,112 +1954,61 @@ class ReplicaServer:
         self._note_peer_alive(peer)
         return reply
 
-    async def _startup_probe(self) -> None:
-        """Decide whether an empty boot is a fresh cluster or a wiped
-        disk, by asking the peers what they remember about this site.
-
-        Evidence of a former life: a peer's inbox frontier for this
-        site above zero (it durably holds updates this site no longer
-        has) or a peer's channel to this site with a nonzero ack high
-        water (this site once acknowledged records it no longer has).
-        Either one triggers snapshot catch-up; only a clean
-        no-evidence answer from every peer means a genuinely fresh
-        cluster, so an unreachable peer keeps the probe (and the
-        refusals it gates) going: there is no timeout.
-        """
-        try:
-            await self._probe_peers()
-        finally:
-            self._probe_task = None
-
-    async def _probe_peers(self) -> None:
-        answered: Set[str] = set()
-        evidence_from: Optional[str] = None
-        while self._running and evidence_from is None:
-            for peer in self.peer_names:
-                if peer in answered:
-                    continue
-                try:
-                    reply = await self._peer_request(
-                        peer, "stats", timeout=2.0
-                    )
-                except (
-                    OSError,
-                    ConnectionError,
-                    RuntimeError,
-                    asyncio.TimeoutError,
-                ):
-                    continue
-                stats = reply.get("stats", {})
-                answered.add(peer)
-                held = int(
-                    stats.get("inbox_frontier", {}).get(self.name, 0)
-                )
-                acked = int(
-                    stats.get("ack_high_water", {}).get(self.name, 0)
-                )
-                if held > 0 or acked > 0:
-                    evidence_from = peer
-                    break
-            if answered.issuperset(self.peer_names):
-                break
-            if evidence_from is None:
-                await asyncio.sleep(self.retry_base * 4)
-        if evidence_from is None:
-            logger.debug(
-                "%s: startup probe found no prior state", self.name
-            )
-            return
-        # Re-check emptiness: normal channel traffic may have landed
-        # while the probe was out, in which case the channels are
-        # already repairing us and a forced install is unnecessary.
-        if self.engine.applied_count == 0 and not any(
-            self._frontiers().values()
-        ):
-            self._trigger_catchup("wiped-disk", preferred=evidence_from)
-
     def _trigger_catchup(
         self, reason: str, preferred: Optional[str] = None
     ) -> None:
-        """Enter catch-up mode and start the install task (idempotent
-        while one is already running)."""
+        """Enter recovery and start its task.  ``boot`` — an empty boot
+        — first asks whether there is anything to recover; every other
+        reason knows this replica lost state.  A trigger while a
+        recovery runs is absorbed by it, and tells a boot survey that
+        it must install."""
         if not self._running:
             return
-        if self._catchup_task is not None and not self._catchup_task.done():
+        if self._recovery is not None:
+            self._catching_up = True
             return
-        self._catching_up = True
-        self.trace.event("catchup", phase="start", reason=reason)
-        logger.info(
-            "%s: snapshot catch-up triggered (%s, preferred=%s)",
-            self.name, reason, preferred or "-",
+        self._enter_recovery(
+            reason, self._spawn(self._catchup(reason, preferred))
         )
-        self._catchup_task = self._spawn(self._catchup(reason, preferred))
+
+    def _enter_recovery(self, reason: str, recovery: asyncio.Future) -> None:
+        """``recovery`` — the catch-up task, or a fetch-install's request
+        — is now the running recovery."""
+        self._recovery = recovery
+        self._catching_up = reason != "boot"
+        self.trace.event("catchup", phase="start", reason=reason)
+        logger.info("%s: recovery started (%s)", self.name, reason)
+
+    def _leave_recovery(self, reason: str) -> None:
+        """The running recovery ended, installed or not: admit requests
+        again and let the channels and settle waiters go on."""
+        self._recovery = None
+        self._catching_up = False
+        self.trace.event("catchup", phase="done", reason=reason)
+        self._kick_channels()
+        self._notify_drain()
 
     async def _catchup(
         self, reason: str, preferred: Optional[str]
     ) -> None:
-        """Fetch and install a dominating peer snapshot, with retry.
+        """Recover, with retry: survey the peers and — once this
+        replica knows it lost state — install a dominating peer
+        snapshot.
 
-        While this runs the replica is degraded: updates and strict
-        queries are refused (typed errors), epsilon-bounded queries
-        keep answering from the stale-but-bounded local state.
+        An empty boot concludes "fresh" only once every peer has
+        answered with no evidence of a former life: there is no
+        deadline, so a wiped replica cut off from its peers keeps
+        refusing (:meth:`_admit`) rather than reuse the tids of that
+        life.  Epsilon-bounded queries keep answering throughout.
         """
         backoff = self.retry_base
+        #: peers that answered a boot survey with no evidence.
+        clean: Set[str] = set()
         try:
             while self._running:
                 try:
-                    source = await self._catchup_round(preferred)
-                except asyncio.CancelledError:
-                    raise
-                except (
-                    OSError,
-                    ConnectionError,
-                    asyncio.TimeoutError,
-                    ProtocolError,
-                    SnapshotError,
-                    RuntimeError,
-                    ValueError,
-                ) as exc:
+                    source = await self._catchup_round(preferred, clean)
+                except PEER_FAILURES as exc:
                     self.m_catchup.labels(outcome="retry").inc()
                     logger.debug(
                         "%s: catch-up round failed (%r), retrying",
@@ -2044,6 +2017,12 @@ class ReplicaServer:
                     await asyncio.sleep(backoff)
                     backoff = min(backoff * 2, self.retry_max)
                     continue
+                if source is None:
+                    logger.debug(
+                        "%s: no peer remembers this site: fresh boot",
+                        self.name,
+                    )
+                    return
                 self.m_catchup.labels(outcome="installed").inc()
                 self.trace.event(
                     "catchup", phase="installed", source=source,
@@ -2054,27 +2033,45 @@ class ReplicaServer:
                 )
                 return
         finally:
-            self._catching_up = False
-            self.trace.event("catchup", phase="done", reason=reason)
-            self._kick_channels()
-            self._notify_drain()
+            self._leave_recovery(reason)
 
-    async def _catchup_round(self, preferred: Optional[str]) -> str:
+    async def _catchup_round(
+        self, preferred: Optional[str], clean: Set[str]
+    ) -> Optional[str]:
         """One attempt: survey peers, fetch the best candidate's fresh
-        snapshot, install it if it dominates.  Returns the source."""
+        snapshot, install it if it dominates.  Returns the source, or
+        None once a boot survey has found nothing to recover."""
         me = self.name
         surveys: Dict[str, Dict[str, Any]] = {}
         for peer in self.peer_names:
             try:
                 reply = await self._peer_request(peer, "stats", timeout=2.0)
-            except (
-                OSError,
-                ConnectionError,
-                RuntimeError,
-                asyncio.TimeoutError,
-            ):
+            except PEER_FAILURES:
                 continue
             surveys[peer] = reply.get("stats", {})
+        if not self._catching_up:
+            # An empty boot: a fresh cluster or a wiped disk?  A former
+            # life shows as a peer durably holding updates from this
+            # site, or a peer channel this site once acknowledged.
+            for peer, stats in surveys.items():
+                if int(stats.get("inbox_frontier", {}).get(me, 0)) or int(
+                    stats.get("ack_high_water", {}).get(me, 0)
+                ):
+                    logger.info(
+                        "%s: %s remembers this site: installing",
+                        me, peer,
+                    )
+                    self._catching_up = True
+                    preferred = peer
+                    break
+                clean.add(peer)
+            else:
+                missing = set(self.peer_names) - clean
+                if not missing:
+                    return None
+                raise ConnectionError(
+                    "no survey answer yet from %s" % ",".join(sorted(missing))
+                )
         if not surveys:
             raise ConnectionError("no reachable peer to catch up from")
         # The highest local tid any reachable peer has durably seen
@@ -2109,15 +2106,7 @@ class ReplicaServer:
                         "snapshot from %s does not dominate local state"
                         % source
                     )
-            except (
-                OSError,
-                ConnectionError,
-                asyncio.TimeoutError,
-                ProtocolError,
-                SnapshotError,
-                RuntimeError,
-                ValueError,
-            ) as exc:
+            except PEER_FAILURES as exc:
                 last_error = exc
                 continue
             await self._install_snapshot(body, translated)
@@ -2245,6 +2234,7 @@ class ReplicaServer:
             self._apply_futures.clear()
             self._full_ack_futures.clear()
             self.engine.restore(body["engine"])
+            self._fence_engine()
             self._snapshot_frontiers = dict(translated)
             self._last_snapshot_at = self.engine.clock()
             self.catchup_installs += 1
@@ -2337,10 +2327,7 @@ class ReplicaServer:
 
     async def _handle_snapshot(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """On-demand snapshot + compaction (operator / CLI verb)."""
-        if self._catching_up:
-            raise Unavailable(
-                "snapshot refused: replica is installing a peer snapshot"
-            )
+        self._admit("snapshot")
         result = await self.take_snapshot(kind="manual")
         return {
             "snapshot": {
@@ -2356,10 +2343,7 @@ class ReplicaServer:
         """Serve one chunk of this site's snapshot to a catching-up
         peer.  ``fresh`` forces a new capture first; chunks are byte
         slices of the (pure-ASCII) serialized envelope."""
-        if self._catching_up:
-            raise Unavailable(
-                "snapshot-fetch refused: this replica is itself catching up"
-            )
+        self._admit("snapshot-fetch")
         if bool(frame.get("fresh")) or not self._snapshot_store.exists():
             await self.take_snapshot(kind="serve")
         envelope = self._snapshot_store.load_envelope()
@@ -2450,12 +2434,10 @@ class ReplicaServer:
         rejoin's, with no tid floor: the drained source is at or ahead
         of a cold replacement on every channel.  A snapshot at or behind
         local state everywhere is a retry after a completed install and
-        is answered as already current.
+        is answered as already current.  The transfer is a recovery:
+        it runs inside the same state as snapshot catch-up.
         """
-        if self._catching_up:
-            raise Unavailable(
-                "fetch-install refused: an install is already running"
-            )
+        self._admit("fetch-install")
         if (
             self.shard_index is not None
             and self._shard_accepting
@@ -2470,7 +2452,7 @@ class ReplicaServer:
         site = str(frame.get("site", ""))
         if not host or not port or not site:
             raise ValueError("fetch-install needs the source site/host/port")
-        self._catching_up = True
+        self._enter_recovery("fetch-install", asyncio.current_task())
         try:
             body, translated = await self._pull_snapshot(site, (host, port))
             if not self._dominates(translated, 0):
@@ -2486,7 +2468,7 @@ class ReplicaServer:
             await self._install_snapshot(body, translated)
             return {"installed": True, "frontiers": translated}
         finally:
-            self._catching_up = False
+            self._leave_recovery("fetch-install")
 
     def _refresh_gauges(self) -> None:
         """Bring sampled (pull-model) series up to date for a scrape:
@@ -2838,14 +2820,7 @@ class ReplicaServer:
         if not writes:
             raise ValueError("update ET must contain a write (use query)")
         self._check_shard([op.key for op in ops])
-        self._refuse_while_probing("update")
-        if self._catching_up:
-            # Accepting an update mid-install would stamp it with a tid
-            # the incoming snapshot is about to overwrite.
-            self.m_updates_rejected.labels(reason="catchup").inc()
-            raise Unavailable(
-                "update refused: replica is installing a peer snapshot"
-            )
+        self._admit("update")
         if self.backlog_limit:
             worst = max(map(self.log.backlog, self.peer_names), default=0)
             if worst >= self.backlog_limit:
@@ -3167,7 +3142,7 @@ class ReplicaServer:
         outcome = frame.get("outcome")
         if outcome not in ("commit", "abort"):
             raise ValueError("decide outcome must be 'commit' or 'abort'")
-        self._refuse_while_probing("decide")
+        self._admit("decide")
         saga = frame.get("saga")
         tids = frame.get("tids")
         if saga is not None:
@@ -3294,7 +3269,8 @@ class ReplicaServer:
         }
 
     def _check_strict(self) -> None:
-        """Refuse an ``epsilon = 0`` query in degraded mode.
+        """Refuse an ``epsilon = 0`` query while a recovery runs or in
+        degraded mode.
 
         A strict query must reflect full replica agreement; while a
         peer is suspected that agreement cannot be reached (COMMU's
@@ -3304,12 +3280,7 @@ class ReplicaServer:
         query already parked when the partition starts is failed by
         :meth:`_check_degraded_transition`.
         """
-        self._refuse_while_probing("epsilon=0 query")
-        if self._catching_up:
-            raise Unavailable(
-                "epsilon=0 query refused: replica is installing a peer"
-                " snapshot"
-            )
+        self._admit("epsilon=0 query")
         if self.degraded():
             raise Unavailable(
                 "epsilon=0 query refused: peers %s suspected"

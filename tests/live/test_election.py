@@ -57,14 +57,6 @@ class TestElectionState:
         assert state.adopt(3, "siteC", base=40)
         assert state.bases == {2: 17, 3: 40}
 
-    def test_min_base_above_fences_stale_epochs(self, tmp_path):
-        state = ElectionState(tmp_path / "election.json")
-        state.adopt(1, "siteB", base=10)
-        state.adopt(3, "siteC", base=25)
-        assert state.min_base_above(0) == 10
-        assert state.min_base_above(1) == 25
-        assert state.min_base_above(3) is None
-
     def test_adoption_survives_restart(self, tmp_path):
         path = tmp_path / "election.json"
         state = ElectionState(path)
@@ -139,6 +131,53 @@ class TestEngineEpochFence:
             reborn.restore(engine.checkpoint())
             assert not reborn.order_admissible((4, 0))
             assert reborn.order_admissible((4, 2))
+
+        run(main())
+
+
+class TestFenceAcrossRestart:
+    """A restarted replica fences with every epoch its election record
+    adopted, merged into whatever epoch table its snapshot restored:
+    the fence a replica held live never shrinks across a restart."""
+
+    #: tokens either side of the adopted bases (epoch 1 at 3, epoch 2
+    #: at 10): only the late grants and the current epoch pass.
+    TOKENS = ((3, 0), (5, 0), (11, 0), (10, 1), (11, 1), (11, 2))
+
+    @pytest.mark.parametrize(
+        "snapshot_first", [False, True], ids=["no-snapshot", "stale-snapshot"]
+    )
+    def test_restart_keeps_the_live_fence(self, tmp_path, snapshot_first):
+        async def boot():
+            replica = server.ReplicaServer(
+                "site0",
+                peers=["site0", "site1", "site2"],
+                data_dir=tmp_path,
+                method="ordup",
+            )
+            await replica.bind("127.0.0.1", 0)
+            return replica
+
+        def fence(replica):
+            return [replica.engine.order_admissible(t) for t in self.TOKENS]
+
+        async def main():
+            replica = await boot()
+            try:
+                if snapshot_first:
+                    # The image predates both adoptions.
+                    await replica.take_snapshot(kind="manual")
+                replica._adopt_leader(1, "site1", 3)
+                replica._adopt_leader(2, "site2", 10)
+                live = fence(replica)
+            finally:
+                await replica.stop()
+            assert live == [True, False, False, True, False, True]
+            reborn = await boot()
+            try:
+                assert fence(reborn) == live
+            finally:
+                await reborn.stop()
 
         run(main())
 

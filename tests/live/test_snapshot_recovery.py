@@ -5,7 +5,8 @@ Bottom-up coverage of the recovery tentpole: the envelope format
 checkpoint/restore round-trips, the server's snapshot verb with log
 compaction, restart-from-snapshot equivalence, anti-entropy rejoin of
 a disk-wiped replica (refusing appends and strict reads until its
-startup probe has decided), backpressure shedding (``OVERLOADED``),
+recovery's survey has decided), what any recovering replica refuses,
+backpressure shedding (``OVERLOADED``),
 client primary rehoming after failover, and the packaged rejoin chaos
 scenario.
 """
@@ -16,6 +17,7 @@ import json
 import pytest
 
 from repro.consistency import Consistency
+from repro.core.operations import DecrementOp
 from repro.errors import UNAVAILABLE
 from repro.live import (
     FaultPlan,
@@ -29,10 +31,12 @@ from repro.live import (
     seal_snapshot,
 )
 from repro.live import client as live_client
-from repro.live.client import LiveClient
+from repro.live.client import LiveClient, request_once
 from repro.live.engine import make_engine
 from repro.live.protocol import ProtocolError
 from repro.live.server import LOCAL_CHANNEL, ReplicaServer
+
+from .wire import RawConn
 
 
 def run(coro):
@@ -361,6 +365,66 @@ class TestWipedReplicaProbe:
                 await cluster.stop()
 
         run(scenario())
+
+
+#: every request a recovering replica refuses, as a call on a client
+#: of the replica and the replica's address.
+REFUSED_WHILE_RECOVERING = {
+    "update": lambda client, addr: client.increment("acct", 1),
+    "decide": lambda client, addr: client.decide("abort", saga="s"),
+    "strict-query": lambda client, addr: client.read(
+        "acct", Consistency.STRICT, timeout=5.0
+    ),
+    "snapshot": lambda client, addr: client.snapshot(),
+    "snapshot-fetch": lambda client, addr: request_once(
+        addr, "snapshot-fetch", offset=0, fresh=True
+    ),
+    "fetch-install": lambda client, addr: request_once(
+        addr, "fetch-install", host=addr[0], port=addr[1], site="site0"
+    ),
+}
+
+
+@pytest.mark.parametrize("request_kind", sorted(REFUSED_WHILE_RECOVERING))
+def test_a_recovering_replica_refuses(request_kind, tmp_path):
+    """While a recovery runs — here one that can reach no peer, so it
+    keeps retrying — every append, strict read and snapshot verb is
+    refused with ``UNAVAILABLE``: the install would erase what it
+    acked.  Epsilon-bounded reads keep answering."""
+
+    async def scenario():
+        cluster = LiveCluster(
+            n_sites=3, method="compe", data_dir=tmp_path,
+            faults=FaultPlan(0), **PROBE,
+        )
+        await cluster.start()
+        try:
+            client0 = await cluster.client("site0")
+            await client0.increment("acct", 100)
+            await client0.update([DecrementOp("acct", 5)], saga="s")
+            await cluster.settle()
+            cluster.partition([["site0", "site1"], ["site2"]])
+            addr = cluster.addrs["site2"]
+            # A donor tells site2 its channel cannot repair it.
+            raw = await RawConn.open(*addr)
+            raw.send({"type": "peer-reset", "src": "site0"})
+            client2 = await cluster.client("site2")
+            while not (await client2.stats())["catching_up"]:
+                await asyncio.sleep(0.01)
+
+            with pytest.raises(LiveETFailed) as refused:
+                await REFUSED_WHILE_RECOVERING[request_kind](client2, addr)
+            assert refused.value.code == UNAVAILABLE, refused.value
+            bounded = await client2.query(["acct"], Consistency.BOUNDED(10))
+            assert bounded.values == {"acct": 95}
+            stats = await client2.stats()
+            assert stats["catching_up"] is True
+            assert stats["catchup_installs"] == 0
+            await raw.close()
+        finally:
+            await cluster.stop()
+
+    run(scenario())
 
 
 class TestBackpressure:
