@@ -232,7 +232,11 @@ class _DurableLog:
             return
         self._log.write(data)
         self._log.flush()
-        self.bytes_written += len(data)
+        # Bytes, not characters: ``len`` is the UTF-8 size of an ASCII
+        # string, which ``isascii`` tells in O(1).
+        self.bytes_written += (
+            len(data) if data.isascii() else len(data.encode("utf-8"))
+        )
         if durable and self.fsync:
             self.dirty = True
 
@@ -721,33 +725,44 @@ class DurableInbox(_DurableLog):
 
     def record_many(
         self,
-        items: Sequence[Tuple[int, Any]],
+        items: Optional[Sequence[Tuple[int, Any]]] = None,
         blobs: Optional[Sequence[bytes]] = None,
     ) -> int:
         """Group-commit record of a contiguous batch of receipts.
 
-        ``items`` must start at ``frontier + 1`` and be gap-free; the
-        caller (the batch receive path) filters duplicates and stops at
-        the first gap before calling.  The whole batch lands with one
-        write + flush.  ``blobs`` (parallel to ``items``)
-        carries the payloads' wire bytes as received — a binary batch
-        is logged without one encode.  Returns the number
-        recorded.
+        ``items`` are (seqno, payload) pairs that must start at
+        ``frontier + 1`` and be gap-free; the caller (the batch receive
+        path) filters duplicates and stops at the first gap before
+        calling.  The whole batch lands with one write + flush.
+        ``blobs`` (parallel to ``items``) carries the payloads' wire
+        bytes as received — a binary batch is logged without one
+        encode, and its payloads are never read, so the receive path
+        passes ``blobs`` alone for the receipts ``frontier + 1``
+        onwards.  Returns the number recorded.
         """
-        lines: List[str] = []
-        expected = self.frontier + 1
-        for index, (seqno, payload) in enumerate(items):
-            if seqno != expected:
-                raise ValueError(
-                    "non-contiguous batch record: got %d, expected %d"
-                    % (seqno, expected)
-                )
-            blob = None if blobs is None else blobs[index]
-            lines.append(_record_line(seqno, payload, blob))
-            expected += 1
-        self._write_data("".join(lines))
-        self.frontier = expected - 1
-        return len(lines)
+        first = self.frontier + 1
+        if items is not None:
+            for expected, (seqno, _) in enumerate(items, first):
+                if seqno != expected:
+                    raise ValueError(
+                        "non-contiguous batch record: got %d, expected %d"
+                        % (seqno, expected)
+                    )
+        if blobs is None:
+            count = len(items)
+            data = "".join(
+                [_record_line(seq, payload, None) for seq, payload in items]
+            )
+        else:
+            # _record_line's splice, for the whole batch at once.
+            count = len(blobs)
+            data = b"".join([
+                b'{"seq":%d,"payload":%s}\n' % (seq, blob)
+                for seq, blob in enumerate(blobs, first)
+            ]).decode("utf-8")
+        self._write_data(data)
+        self.frontier = first + count - 1
+        return count
 
     def duplicate(self, seqno: int) -> bool:
         """True when ``seqno`` was already recorded (needs re-ack only)."""

@@ -32,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.operations import Operation, TimestampedWriteOp
@@ -300,18 +301,28 @@ class LiveEngine:
 
         The batched propagation path delivers up to a full frame
         (``server.FRAME_MSETS``) at once; history pruning and the apply
-        histogram then run once per batch, not once per MSet.
+        histogram then run once per batch, not once per MSet, and COMMU
+        and ROWA apply a remote batch in one store pass.
         """
         return self._accept_all(msets, local)
 
     def _accept_all(self, msets: Sequence[MSet], local: bool) -> List[MSet]:
         started = self.clock()
-        applied: List[MSet] = []
-        for mset in msets:
-            applied.extend(self._accept_one(mset, local))
+        applied = self._accept_msets(msets, local)
         self._forget_unreachable()
         self._apply_hist.observe(self.clock() - started)
         self._applied_counter.inc(len(applied))
+        return applied
+
+    def _accept_msets(
+        self, msets: Sequence[MSet], local: bool
+    ) -> List[MSet]:
+        """Method-specific processing of a delivered batch, in order:
+        one :meth:`_accept_one` per MSet unless the method can do
+        better."""
+        applied: List[MSet] = []
+        for mset in msets:
+            applied.extend(self._accept_one(mset, local))
         return applied
 
     def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
@@ -350,16 +361,20 @@ class LiveEngine:
             self._drift.pop(tid, None)
 
     def _apply_ops(self, mset: MSet) -> None:
+        self.store.apply_many(self._reads_then_ops(mset))
+        self.applied_count += 1
+        self.last_applied_at = self.clock()
+
+    def _reads_then_ops(self, mset: MSet) -> Tuple[Operation, ...]:
+        """``mset``'s operations, called at its apply instant: the
+        reads of an update this site originated execute here, before
+        its own writes (read-modify-report)."""
         reads = mset.get_info("reads")
         if reads and mset.origin == self.site:
-            # The update's reads execute at its apply instant, before
-            # its own writes (read-modify-report).
             self.read_results[mset.tid] = {
                 key: self.store.get(key, 0) for key in reads
             }
-        self.store.apply_many(mset.ops)
-        self.applied_count += 1
-        self.last_applied_at = self.clock()
+        return mset.ops
 
     def pop_read_results(self, tid: Any) -> Dict[str, Any]:
         return self.read_results.pop(tid, {})
@@ -580,9 +595,20 @@ class CommuLiveEngine(LiveEngine):
         # the COMMU operation restriction.
         CommutativeOperations.check_ops_commutative(ops)
 
+    def _accept_msets(
+        self, msets: Sequence[MSet], local: bool
+    ) -> List[MSet]:
+        if local:
+            return super()._accept_msets(msets, local)
+        self._apply_remote(msets)
+        return list(msets)
+
     def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
+        if not local:
+            self._apply_remote((mset,))
+            return [mset]
         # Held until every peer durably acks (fully_acked_many).
-        held = local and self.state.raise_counters(mset.tid, mset.keys)
+        held = self.state.raise_counters(mset.tid, mset.keys)
         # History is for the queries already reading: one that starts
         # later cannot see this apply as a mixed observation.
         watched = bool(self._query_starts)
@@ -592,6 +618,48 @@ class CommuLiveEngine(LiveEngine):
         if watched:
             self.state.note_applied(self.clock(), mset.tid, mset.keys)
         return [mset]
+
+    def _apply_remote(self, msets: Sequence[MSet]) -> None:
+        """Apply remote MSets in one store pass, in order — under the
+        operation-semantics restriction any order is equivalent, and a
+        remote copy raises no counter.
+
+        One clock read stamps the batch.  Drift and apply history are
+        kept only while a query is reading (:meth:`_accept_one`'s
+        rule).  Should an operation fail, the MSets before its own
+        count as applied and the error propagates: the store and
+        ``applied_count`` end as one apply per MSet leaves them.
+        """
+        site = self.site
+        rest = iter(msets)
+        try:
+            # chain pulls an MSet's operations only once the previous
+            # MSet's are applied: its apply instant, for its reads.  The
+            # guard spares the common MSet (no info) a call.
+            self.store.apply_many(chain.from_iterable(
+                self._reads_then_ops(mset)
+                if mset.info and mset.origin == site
+                else mset.ops
+                for mset in rest
+            ))
+        except BaseException:
+            # ``rest`` stopped just past the MSet whose operation failed.
+            failed = len(msets) - 1 - sum(1 for _ in rest)
+            self._remote_applied(msets[:failed])
+            raise
+        self._remote_applied(msets)
+
+    def _remote_applied(self, msets: Sequence[MSet]) -> None:
+        """Count remote MSets whose operations are all in the store,
+        at one instant."""
+        if not msets:
+            return
+        self.applied_count += len(msets)
+        now = self.last_applied_at = self.clock()
+        if self._query_starts:
+            for mset in msets:
+                self._note_drift(mset)
+                self.state.note_applied(now, mset.tid, mset.keys)
 
     def _horizon(self) -> float:
         """Start of the oldest query still reading; now when none is."""
@@ -606,16 +674,12 @@ class CommuLiveEngine(LiveEngine):
     def history_entries(self) -> int:
         return sum(map(len, self.state.applied.values()))
 
-    def _release(self, tid: Any, keys: Sequence[str]) -> None:
-        if self.state.release_counters(tid, keys):
-            self._unpin(tid)
-            self._wake(keys)
-
     def fully_acked_many(
         self, items: Sequence[Tuple[Any, Sequence[str]]]
     ) -> None:
-        for tid, keys in items:
-            self._release(tid, keys)
+        for tid, keys in self.state.release_many(items):
+            self._unpin(tid)
+            self._wake(keys)
 
     def hold_counters(self, mset: MSet) -> None:
         if self.state.raise_counters(mset.tid, mset.keys):
@@ -1032,6 +1096,9 @@ class RituLiveEngine(CommuLiveEngine):
             ):
                 self._lamport = int(op.timestamp[0])
 
+    # One MSet at a time: each observes its stamps before it applies.
+    _accept_msets = LiveEngine._accept_msets
+
     def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
         self._observe_stamps(mset)
         applied = super()._accept_one(mset, local)
@@ -1323,6 +1390,10 @@ class CompeLiveEngine(CommuLiveEngine):
 
     def compensated_tids(self) -> List[Any]:
         return sorted(self._compensated)
+
+    # One MSet at a time: an update's undo step and a decision follow
+    # each apply.
+    _accept_msets = LiveEngine._accept_msets
 
     def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
         if mset.kind == MSetKind.UPDATE:

@@ -1789,7 +1789,6 @@ class ReplicaServer:
             )
             return
         self._note_peer_alive(src)
-        fresh: List[Tuple[int, Any]] = []
         fresh_blobs: List[bytes] = []
         msets: List[MSet] = []
         expected = inbox.frontier + 1
@@ -1798,14 +1797,13 @@ class ReplicaServer:
                 continue  # duplicate: the cumulative ack re-covers it
             if seq > expected:
                 break  # gap (reordered/dropped frame): ack frontier
-            payload = decode_payload_blob(blob)
-            msets.append(decode_mset(payload.get("mset")))
-            fresh.append((seq, payload))
+            msets.append(decode_mset(decode_payload_blob(blob).get("mset")))
             fresh_blobs.append(blob)
             expected += 1
-        if fresh:
+        if msets:
             # Every entry decoded (see docstring): now record + apply.
-            inbox.record_many(fresh, blobs=fresh_blobs)
+            # The blobs are the receipts frontier + 1 onwards.
+            inbox.record_many(blobs=fresh_blobs)
             self._resolve_applied(
                 self.engine.accept_batch(msets, local=False)
             )

@@ -196,14 +196,26 @@ class LockCounterSiteState:
         self, tid: TransactionID, keys: Sequence[str]
     ) -> bool:
         """True when ``tid`` held (and now released) a counter."""
-        released = False
-        for key in keys:
-            held = self.holders.get(key)
-            if held is not None:
-                released |= tid in held
-                held.discard(tid)
-                if not held:
-                    self.holders.pop(key, None)
+        return bool(self.release_many(((tid, keys),)))
+
+    def release_many(
+        self, items: Iterable[Tuple[TransactionID, Sequence[str]]]
+    ) -> List[Tuple[TransactionID, Sequence[str]]]:
+        """Release each (tid, keys) pair's counters, in order; return
+        the pairs whose tid held (and now released) at least one."""
+        holders = self.holders
+        released = []
+        for tid, keys in items:
+            freed = False
+            for key in keys:
+                held = holders.get(key)
+                if held is not None and tid in held:
+                    freed = True
+                    held.discard(tid)
+                    if not held:
+                        del holders[key]
+            if freed:
+                released.append((tid, keys))
         return released
 
     def count(self, key: str) -> int:

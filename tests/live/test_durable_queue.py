@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.live.durable_queue import DurableInbox, DurableOutbox
+from repro.live.protocol import payload_blob
 
 PEER = "peer"
 
@@ -775,4 +776,44 @@ class TestAckCostIsIndependentOfBacklog:
         ]
         assert outbox.pending_after(PEER, self.BACKLOG, 5) == []
         assert outbox.backlog(PEER) == self.BACKLOG - 100
+        outbox.close()
+
+
+class TestBytesWritten:
+    """``bytes_written`` (``repro_log_bytes_total``) counts the UTF-8
+    bytes a log wrote, not the characters: after a non-ASCII record it
+    is still the file's size."""
+
+    PAYLOAD = {
+        "mset": {
+            "tid": "site1:1",
+            "ops": [["append", "k", "héllo wörld"]],
+            "origin": "site1",
+        }
+    }
+
+    @pytest.mark.parametrize("how", ["record", "record_many", "blobs"])
+    def test_inbox_counter_is_the_file_size(self, tmp_path, how):
+        path = tmp_path / "peer.log"
+        inbox = DurableInbox(path)
+        if how == "record":
+            inbox.record(1, self.PAYLOAD)
+        elif how == "record_many":
+            inbox.record_many([(1, self.PAYLOAD)])
+        else:
+            inbox.record_many(blobs=[payload_blob(self.PAYLOAD)])
+        inbox.close()
+        assert path.stat().st_size > len(path.read_text("utf-8"))
+        assert inbox.bytes_written == path.stat().st_size
+
+    def test_outbox_counter_counts_appends_and_rewrites(self, tmp_path):
+        path = tmp_path / "out.log"
+        outbox = _outbox(path)
+        outbox.append(self.PAYLOAD)
+        appended = outbox.bytes_written
+        assert appended == path.stat().st_size
+        outbox.ack_through(PEER, 1)
+        before = outbox.bytes_written
+        outbox.compact(1)
+        assert outbox.bytes_written == before + path.stat().st_size
         outbox.close()
