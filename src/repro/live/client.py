@@ -235,11 +235,13 @@ async def request_once(
 ) -> Dict[str, Any]:
     """One request/response exchange on a fresh connection to a replica.
 
-    The out-of-band path — migration orchestration, a replica asking a
-    peer, an admin command — where pipelining, reconnects and failover
-    buy nothing.  A refusal raises :class:`LiveETFailed` with the
-    server's code; a connection closed before the reply raises
-    ``ConnectionError``.  ``link`` is handed to :func:`connect_frames`.
+    The out-of-band path — migration orchestration, a migration target
+    pulling from its counterpart, an admin command — where pipelining,
+    reconnects and failover buy nothing.  (A replica asks its mesh
+    peers over kept-open connections instead.)  A refusal raises
+    :class:`LiveETFailed` with the server's code; a connection closed
+    before the reply raises ``ConnectionError``.  ``link`` is handed to
+    :func:`connect_frames`.
     """
     answer: "asyncio.Future[Optional[Dict[str, Any]]]" = (
         asyncio.get_running_loop().create_future()

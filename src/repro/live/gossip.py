@@ -31,6 +31,8 @@ existing heartbeat frames):
     declared *dead* at three times that bound.  With fewer than
     ``min_samples`` observations it falls back to the configured floor,
     which matches the fixed-threshold behaviour of earlier revisions.
+    A peer is stale from its start mark (``watch``) until it is first
+    heard from.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import logging
 import math
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from .snapshot import write_atomic
 
@@ -473,6 +475,7 @@ class _GapWindow:
 class FailureDetector:
     """Adaptive suspicion-then-dead detector over heartbeat arrivals.
 
+    ``watch(peer, now)`` starts the clock on a peer not yet heard from,
     ``heartbeat(peer, now)`` records an arrival.  ``timeout(peer)``
     returns the current adaptive suspicion bound for that peer:
     ``max(floor, mean + 4*stddev)`` over the recent inter-arrival
@@ -493,15 +496,28 @@ class FailureDetector:
         self.dead_multiple = float(dead_multiple)
         self._window = int(window)
         self._gaps: Dict[str, _GapWindow] = {}
+        #: peer -> its last arrival, or its start mark until then.
         self._last: Dict[str, float] = {}
+        #: watched peers not yet heard from.
+        self._unheard: Set[str] = set()
         #: peer -> suspicion bound over its current window: recomputed
         #: when the window changes, read on every query response.
         self._timeouts: Dict[str, float] = {}
 
+    def watch(self, peer: str, now: float) -> None:
+        """Start the clock on ``peer`` unless it is already watched or
+        heard from: it is alive for ``floor`` from ``now``, dead after
+        ``dead_multiple`` times that.  The start mark is no arrival, so
+        the first heartbeat's gap from it is not a sample."""
+        if peer not in self._last:
+            self._last[peer] = now
+            self._unheard.add(peer)
+
     def heartbeat(self, peer: str, now: float) -> None:
         last = self._last.get(peer)
         self._last[peer] = now
-        if last is None:
+        if last is None or peer in self._unheard:
+            self._unheard.discard(peer)
             return
         gap = now - last
         if gap <= 0:
@@ -516,9 +532,12 @@ class FailureDetector:
     def forget(self, peer: str) -> None:
         self._gaps.pop(peer, None)
         self._last.pop(peer, None)
+        self._unheard.discard(peer)
         self._timeouts.pop(peer, None)
 
     def last_seen(self, peer: str) -> Optional[float]:
+        """The peer's last arrival, else its start mark; None while it
+        is neither watched nor heard from."""
         return self._last.get(peer)
 
     def timeout(self, peer: str) -> float:

@@ -53,10 +53,10 @@ that overflowed is encoded by the stdlib as ``Infinity``, which
 stay on the stdlib ``json``.
 
 Every socket the runtime owns — the replica listener, the peer
-channels, clients, the order connection, the admin endpoint — runs one
-:class:`FrameProtocol`: no stream, no reader task.  Its
-``data_received`` cuts the frames out of what the socket delivered and
-hands each to its consumer in that same step.  Writes are per turn,
+channels, clients, a replica's requests to its peers, the admin
+endpoint — runs one :class:`FrameProtocol`: no stream, no reader task.
+Its ``data_received`` cuts the frames out of what the socket delivered
+and hands each to its consumer in that same step.  Writes are per turn,
 not per frame: the connection's :class:`FrameWriter` buffers whatever
 one event-loop turn sends on it — replies, acks, requests, of either
 kind — and hands it to the transport in one write.

@@ -67,7 +67,7 @@ backlog are exposed via the ``stats`` verb.
 
 Fault injection lives on the connection, not here: with a
 ``FaultPlan`` installed, every connection this replica dials to a peer
-— its channel, its order connection, its out-of-band requests —
+— its channel, and the one it sends every request to that peer over —
 carries the plan's link to that peer, whose writer drops, delays,
 duplicates or reorders the frames it writes, and a severed link
 refuses the dial or aborts the connection.  The replica decides no
@@ -105,6 +105,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import itertools
 import json
 import logging
 import pathlib
@@ -133,7 +134,7 @@ from ..obs.registry import (
 )
 from ..obs.trace import TraceRecorder
 from ..replica.mset import MSet, MSetKind
-from .client import request_once
+from .client import LiveETFailed, request_once
 from .durable_queue import DurableInbox, DurableOutbox, GrantLog
 from .election import ElectionState
 from .engine import LiveEngine, QueryOutcome, QueryTimeout, make_engine
@@ -255,23 +256,52 @@ QUERY_TIMEOUT = 30.0
 COMMIT_TIMEOUT = 30.0
 #: seconds a channel's oldest frame may go unacknowledged before the
 #: sender re-sends from the cumulative-ack frontier; also how long an
-#: election request waits for its answer.
+#: election round, and the leader check before it, waits for answers.
 ACK_TIMEOUT = 2.0
-#: seconds between an order request's re-sends, and how many it gets.
+#: seconds an order request waits for its token before it is re-sent.
 ORDER_RESEND = 0.25
-ORDER_SENDS = 20
 
-#: what a failed recovery exchange with a peer raises: a refused, cut
-#: or timed-out dial (OSError, asyncio.TimeoutError), a refusal reply,
-#: a garbled frame or snapshot, a snapshot that does not dominate
+#: what a failed exchange with a peer raises: a refused, cut, lost or
+#: silent request (OSError, asyncio.TimeoutError), a refusal reply, a
+#: garbled frame or snapshot, a snapshot that does not dominate
 #: (RuntimeError and its ProtocolError/SnapshotError), a malformed
-#: field (ValueError).  Recovery retries past every one of them.
+#: field (ValueError).  Every caller retries past each of them.
 PEER_FAILURES = (OSError, RuntimeError, ValueError, asyncio.TimeoutError)
 
 
 def _resolve(waiter: asyncio.Future) -> None:
     if not waiter.done():
         waiter.set_result(None)
+
+
+def _dialed(dial: "asyncio.Future[FrameProtocol]") -> Optional[FrameProtocol]:
+    """The open connection a finished dial made, else None."""
+    if dial.done() and not dial.cancelled() and dial.exception() is None:
+        conn = dial.result()
+        if not conn.closing:
+            return conn
+    return None
+
+
+async def _dial_peer(
+    addr: Tuple[str, int], link: Any, replies: Dict[int, asyncio.Future]
+) -> FrameProtocol:
+    """Dial a peer to ask it things.  An answer resolves the future in
+    ``replies`` waiting on its id, if one still is; losing the
+    connection resolves every one left with None."""
+
+    def answer(conn: FrameProtocol, frame: Dict[str, Any]) -> None:
+        reply = replies.pop(frame.get("id"), None)
+        if reply is not None and not reply.done():
+            reply.set_result(frame)
+
+    def hung_up(lost: asyncio.Future) -> None:
+        for reply in replies.values():
+            _resolve(reply)
+
+    conn = await connect_frames(addr, answer, link)
+    conn.lost.add_done_callback(hung_up)
+    return conn
 
 
 class _Wakeup:
@@ -420,8 +450,6 @@ class ReplicaServer:
         self._conn_tasks: Set[asyncio.Task] = set()
         #: the listener's open connections, aborted by :meth:`stop`.
         self._conns: Set[FrameProtocol] = set()
-        #: peer -> monotonic instant of last evidence it is alive.
-        self.peer_last_seen: Dict[str, float] = {}
         #: peer -> consecutive channel connect/send failures.
         self.channel_failures: Dict[str, int] = {}
         #: peer -> rolling batch-acknowledgement latencies (seconds).
@@ -436,22 +464,25 @@ class ReplicaServer:
         self._apply_futures: Dict[Any, asyncio.Future] = {}
         #: tid -> future resolved when all peers acked (sync commit).
         self._full_ack_futures: Dict[Any, asyncio.Future] = {}
-        #: the cached connection to the order site, and the future of
-        #: its one outstanding request.
-        self._order_conn: Optional[FrameProtocol] = None
-        self._order_reply: Optional[asyncio.Future] = None
+        #: peer -> (address, dial, replies by id) of the connection
+        #: this replica asks it over (:meth:`_peer_request`).
+        self._peer_conns: Dict[str, Tuple[
+            Tuple[str, int], asyncio.Future, Dict[int, asyncio.Future]
+        ]] = {}
+        #: ids of this replica's requests to peers; random, so a
+        #: restart reuses none.
+        self._request_ids = itertools.count(
+            random.SystemRandom().getrandbits(48)
+        )
+        #: one order request outstanding at a time, under one id — the
+        #: same on each re-send of it — that moves on once answered.
         self._order_lock = asyncio.Lock()
-        #: the id of this replica's next order request, the same on
-        #: each re-send of it; random, so a restart reuses none.
-        self._order_id = random.SystemRandom().getrandbits(48)
+        self._order_id = next(self._request_ids)
         #: requester -> ((request id, epoch), token) of the last order
         #: granted: a re-sent or duplicated request is granted once.
         self._order_granted: Dict[Any, Tuple[Any, Tuple[int, int]]] = {}
         #: the order-token counter (opened by :meth:`bind`).
         self._order_log: GrantLog
-        #: which peer the cached order connection dials (re-dial on
-        #: leader change).
-        self._order_target: Optional[str] = None
         #: gossiped membership table + adaptive failure detector.
         self.membership = MembershipTable(
             name, self.data_dir / "membership.json"
@@ -840,7 +871,6 @@ class ReplicaServer:
                 self.peer_addrs[peer] = tuple(addr)
                 self.membership.observe(peer, addr[0], int(addr[1]))
         self.m_membership_size.set(self.membership.active_count())
-        self._order_target = None  # re-resolve on next order request
 
     def start_channels(self) -> None:
         """Launch one durable sender loop per peer channel, plus the
@@ -851,9 +881,7 @@ class ReplicaServer:
         self._channels_started = True
         now = self.engine.clock()
         for peer in self.peer_names:
-            # Grace period: a freshly booted cluster is not "degraded"
-            # before the first heartbeat round had a chance to land.
-            self.peer_last_seen.setdefault(peer, now)
+            self.detector.watch(peer, now)
             self._outbox_events[peer] = _Wakeup()
             self._spawn(self._channel_loop(peer))
         self._spawn(self._degraded_monitor())
@@ -901,7 +929,9 @@ class ReplicaServer:
             server.close()
         for conn in list(self._conns):
             conn.abort()
-        self._drop_order_conn()
+        for peer, (_, dial, _) in list(self._peer_conns.items()):
+            dial.cancel()
+            self._hang_up(peer)
         tasks = list(self._tasks | self._conn_tasks)
         for task in tasks:
             task.cancel()
@@ -963,10 +993,8 @@ class ReplicaServer:
 
     def _note_peer_alive(self, peer: str) -> None:
         if peer in self.inboxes:
-            now = self.engine.clock()
-            self.peer_last_seen[peer] = now
             self.channel_failures[peer] = 0
-            self.detector.heartbeat(peer, now)
+            self.detector.heartbeat(peer, self.engine.clock())
 
     def peer_alive(self, peer: str) -> bool:
         """True while we have recent evidence the peer is reachable.
@@ -974,28 +1002,17 @@ class ReplicaServer:
         Adaptive: the detector suspects a peer only when staleness
         exceeds its observed inter-arrival distribution (mean + 4
         sigma, floored at ``suspect_after``), so high-jitter WAN links
-        don't flap degraded mode on every slow heartbeat.
+        don't flap degraded mode on every slow heartbeat.  A peer is
+        watched from its channel's start: a freshly booted cluster is
+        not "degraded" before the first heartbeat round could land.
         """
-        seen = self.peer_last_seen.get(peer)
-        if seen is None:
-            return False
-        now = self.engine.clock()
-        if self.detector.last_seen(peer) is None:
-            # grace window before the first heartbeat lands
-            return now - seen < self.suspect_after
-        return not self.detector.suspect(peer, now)
+        return self.detector.last_seen(peer) is not None and not (
+            self.detector.suspect(peer, self.engine.clock())
+        )
 
     def peer_dead(self, peer: str) -> bool:
         """True once staleness passes the dead escalation (3x the
         adaptive suspicion bound) — the trigger for elections."""
-        if self.detector.last_seen(peer) is None:
-            seen = self.peer_last_seen.get(peer)
-            if seen is None:
-                return False
-            return (
-                self.engine.clock() - seen
-                > self.detector.dead_multiple * self.suspect_after
-            )
         return self.detector.dead(peer, self.engine.clock())
 
     def suspected_peers(self) -> Tuple[str, ...]:
@@ -1103,8 +1120,6 @@ class ReplicaServer:
             current = self.peer_addrs.get(name)
             if current != (rec.host, rec.port):
                 self.peer_addrs[name] = (rec.host, rec.port)
-                if self._order_target == name:
-                    self._order_target = None
                 self.trace.event(
                     "membership", peer=name, status="moved",
                     host=rec.host, port=rec.port,
@@ -1128,7 +1143,7 @@ class ReplicaServer:
             "%s: discovered member %s at %s:%d", self.name, name, host, port
         )
         if self._running and self._channels_started:
-            self.peer_last_seen.setdefault(name, self.engine.clock())
+            self.detector.watch(name, self.engine.clock())
             self._outbox_events[name] = _Wakeup()
             self._spawn(self._channel_loop(name))
 
@@ -1196,8 +1211,6 @@ class ReplicaServer:
             self.engine.adopt_epoch(epoch, base)
         self._epoch_synced = True
         self.m_leader_epoch.set(epoch)
-        if leader != self.name:
-            self._order_target = None
         self.trace.event(
             "election", phase="adopt", epoch=epoch, leader=leader,
             base=base,
@@ -1207,20 +1220,6 @@ class ReplicaServer:
             self.name, leader, epoch, base,
         )
 
-    async def _elect_request(
-        self, peer: str, epoch: int
-    ) -> Optional[Dict[str, Any]]:
-        """One elect request to one peer (vote request, or a pure
-        epoch read at ``epoch=0``).  Returns the reply, or None when
-        the peer did not answer or refused."""
-        try:
-            return await self._peer_request(
-                peer, "elect", timeout=ACK_TIMEOUT,
-                epoch=epoch, candidate=self.name,
-            )
-        except (OSError, RuntimeError, asyncio.TimeoutError):
-            return None
-
     async def _epoch_probe(self) -> None:
         """Boot-time epoch sync (ORDUP with peers): learn the cluster's
         current epoch from a majority before any grant is allowed, so
@@ -1228,23 +1227,15 @@ class ReplicaServer:
         resume sequencing at its old epoch."""
         backoff = self.retry_base
         while self._running and not self._epoch_synced:
-            replies = 0
-            best: Optional[Tuple[int, str, int]] = None
-            for peer in self.peer_names:
-                reply = await self._elect_request(peer, 0)
-                if reply is None:
-                    continue
-                replies += 1
-                epoch = int(reply.get("epoch", 0))
-                if reply.get("leader") and (
-                    best is None or epoch > best[0]
-                ):
-                    best = (
-                        epoch,
-                        str(reply["leader"]),
-                        int(reply.get("base", 0)),
-                    )
-            if replies + 1 >= self._quorum():
+            replies = await self._ask_peers(
+                "elect", ACK_TIMEOUT, epoch=0, candidate=self.name
+            )
+            best = max((
+                (int(r.get("epoch", 0)), str(r["leader"]),
+                 int(r.get("base", 0)))
+                for r in replies.values() if r.get("leader")
+            ), key=lambda found: found[0], default=None)
+            if len(replies) + 1 >= self._quorum():
                 if best is not None and best[0] > self.election.epoch:
                     self._adopt_leader(*best)
                 self._epoch_synced = True
@@ -1274,7 +1265,9 @@ class ReplicaServer:
         return best
 
     async def _election_loop(self) -> None:
-        """Watch the order authority; campaign when it is dead."""
+        """Watch the order authority; campaign when it is dead and does
+        not answer a ping either: a leader that answers is alive, and it
+        was this replica that was cut off (a healed partition)."""
         while self._running:
             await asyncio.sleep(self._heartbeat_jitter())
             if not self._epoch_synced or self._recovery is not None:
@@ -1282,7 +1275,11 @@ class ReplicaServer:
             leader = self.current_leader()
             if leader == self.name or not self.peer_dead(leader):
                 continue
-            if self._best_candidate(exclude=(leader,)) == self.name:
+            if self._best_candidate(exclude=(leader,)) != self.name:
+                continue
+            try:
+                await self._peer_request(leader, "ping", timeout=ACK_TIMEOUT)
+            except PEER_FAILURES:
                 await self._campaign()
 
     async def _campaign(self) -> None:
@@ -1295,16 +1292,16 @@ class ReplicaServer:
                 return
             self.m_elections.labels(outcome="started").inc()
             self.trace.event("election", phase="campaign", epoch=epoch)
-            votes = 1
+            replies = await self._ask_peers(
+                "elect", ACK_TIMEOUT, epoch=epoch, candidate=self.name
+            )
             max_seen = getattr(self.engine, "max_order_seen", None)
-            frontiers = [max_seen() if max_seen is not None else 0]
-            for peer in self.peer_names:
-                reply = await self._elect_request(peer, epoch)
-                if reply is None:
-                    continue
-                if reply.get("promised"):
-                    votes += 1
-                    frontiers.append(int(reply.get("frontier", 0)))
+            frontiers = [max_seen() if max_seen is not None else 0] + [
+                int(reply.get("frontier", 0))
+                for reply in replies.values()
+                if reply.get("promised")
+            ]
+            votes = len(frontiers)
             if votes < self._quorum():
                 self.m_elections.labels(outcome="lost").inc()
                 self.trace.event(
@@ -1318,11 +1315,10 @@ class ReplicaServer:
                 )
                 return
             base = max(frontiers)
-            async with self._order_lock:
-                # Resume sequencing above every grant any majority
-                # member has durably seen; persisted before the first
-                # new grant can be issued.
-                self._order_log.grant(max(self._order_log.next, base), epoch)
+            # Resume sequencing above every grant any majority member
+            # has durably seen; persisted before the first new grant
+            # can be issued.
+            self._order_log.grant(max(self._order_log.next, base), epoch)
             self._adopt_leader(epoch, self.name, base)
             self.m_elections.labels(outcome="won").inc()
             self.trace.event(
@@ -1933,24 +1929,94 @@ class ReplicaServer:
                     "%s: periodic snapshot failed: %r", self.name, exc
                 )
 
-    # -- anti-entropy catch-up -------------------------------------------------
+    # -- asking peers ---------------------------------------------------------
 
     async def _peer_request(
-        self, peer: str, verb: str, timeout: float = 5.0, **params: Any
+        self, peer: str, verb: str, timeout: float = 5.0,
+        rid: Optional[int] = None, **params: Any
     ) -> Dict[str, Any]:
-        """One out-of-band request/response exchange with a peer — the
-        one way this replica asks a peer anything (surveys, snapshot
-        pulls, election votes).  The peer is dialed at its configured
-        address, else its gossiped one; the reply needs the link back,
-        so a cut in either direction refuses the dial."""
+        """One request/response exchange with a peer — the one way this
+        replica asks a peer anything (order tokens, election votes,
+        surveys, snapshot pulls).  Every request to ``peer`` goes over
+        one kept-open connection, dialed on first use at the peer's
+        configured address, else its gossiped one, and dialed again once
+        it closed or the address moved; the reply is matched by frame
+        id on that connection only, so a late answer over a connection
+        since replaced resolves nothing.  ``rid`` re-sends an earlier
+        request under its id.  The reply needs the link back, so a cut
+        in either direction refuses the dial and aborts the connection.
+        A refusal raises :class:`LiveETFailed`, a lost connection
+        ``ConnectionError``, silence ``asyncio.TimeoutError``."""
         addr = self.peer_addrs.get(peer) or self.membership.address(peer)
         if addr is None:
             raise ConnectionError("no route to peer %s" % peer)
-        reply = await request_once(
-            addr, verb, timeout=timeout, link=self._link(peer), **params
-        )
+        held = self._peer_conns.get(peer)
+        if held is None or held[0] != addr or (
+            held[1].done() and _dialed(held[1]) is None
+        ):
+            if held is not None:
+                self._hang_up(peer)
+            replies: Dict[int, asyncio.Future] = {}
+            held = self._peer_conns[peer] = (addr, asyncio.ensure_future(
+                _dial_peer(addr, self._link(peer), replies)
+            ), replies)
+        _, dial, replies = held
+        conn = await asyncio.shield(dial)
+        frame = None
+        if not conn.closing:
+            rid = next(self._request_ids) if rid is None else rid
+            reply = replies[rid] = self._loop.create_future()
+            timer = self._loop.call_later(timeout, _resolve, reply)
+            try:
+                conn.frames.send(
+                    {"type": "request", "id": rid, "verb": verb, **params}
+                )
+                frame = await reply
+            finally:
+                timer.cancel()
+                replies.pop(rid, None)
+        if frame is None:
+            if conn.closing:
+                raise ConnectionError(
+                    "peer %s closed during %s" % (peer, verb)
+                )
+            raise asyncio.TimeoutError("%s to %s unanswered" % (verb, peer))
+        if not frame.get("ok"):
+            raise LiveETFailed(
+                frame.get("error", "%s failed" % verb), frame.get("code", "")
+            )
         self._note_peer_alive(peer)
-        return reply
+        return frame
+
+    def _hang_up(self, peer: str) -> None:
+        """Forget the connection to ``peer``; abort it once dialed."""
+        self._peer_conns.pop(peer)[1].add_done_callback(
+            lambda dial: _dialed(dial) and dial.result().abort()
+        )
+
+    async def _ask_peers(
+        self, verb: str, timeout: float, **params: Any
+    ) -> Dict[str, Dict[str, Any]]:
+        """Ask every peer at once; return, by peer, the replies of those
+        that answered within ``timeout`` — a peer that refused, failed
+        or stayed silent is left out."""
+        peers = self.peer_names
+        replies = await asyncio.gather(
+            *(
+                self._peer_request(peer, verb, timeout=timeout, **params)
+                for peer in peers
+            ),
+            return_exceptions=True,
+        )
+        answered: Dict[str, Dict[str, Any]] = {}
+        for peer, reply in zip(peers, replies):
+            if not isinstance(reply, PEER_FAILURES):
+                if isinstance(reply, BaseException):
+                    raise reply
+                answered[peer] = reply
+        return answered
+
+    # -- anti-entropy catch-up -------------------------------------------------
 
     def _trigger_catchup(
         self, reason: str, preferred: Optional[str] = None
@@ -2040,13 +2106,10 @@ class ReplicaServer:
         snapshot, install it if it dominates.  Returns the source, or
         None once a boot survey has found nothing to recover."""
         me = self.name
-        surveys: Dict[str, Dict[str, Any]] = {}
-        for peer in self.peer_names:
-            try:
-                reply = await self._peer_request(peer, "stats", timeout=2.0)
-            except PEER_FAILURES:
-                continue
-            surveys[peer] = reply.get("stats", {})
+        surveys = {
+            peer: reply.get("stats", {})
+            for peer, reply in (await self._ask_peers("stats", 2.0)).items()
+        }
         if not self._catching_up:
             # An empty boot: a fresh cluster or a wiped disk?  A former
             # life shows as a peer durably holding updates from this
@@ -2477,7 +2540,7 @@ class ReplicaServer:
             self.m_channel_backlog.labels(peer=peer).set(
                 self.log.backlog(peer)
             )
-            seen = self.peer_last_seen.get(peer)
+            seen = self.detector.last_seen(peer)
             if seen is not None:
                 self.m_peer_staleness.labels(peer=peer).set(now - seen)
             self.m_peer_alive.labels(peer=peer).set(
@@ -2526,7 +2589,7 @@ class ReplicaServer:
         now = self.engine.clock()
         peers: Dict[str, Dict[str, Any]] = {}
         for peer in self.peer_names:
-            seen = self.peer_last_seen.get(peer)
+            seen = self.detector.last_seen(peer)
             lats = self._ack_latencies.get(peer)
             peers[peer] = {
                 "alive": self.peer_alive(peer),
@@ -2681,95 +2744,31 @@ class ReplicaServer:
         Re-resolves the current leader on every attempt, so an
         election mid-retry redirects the request instead of hammering
         the dead sequencer; a local lease refusal (leader fenced or
-        not yet synced) backs off the same way."""
+        not yet synced) or a refused or failed request backs off.  An
+        unanswered request is re-sent as it is: the order site answers
+        a repeated id with the token it already granted."""
         backoff = self.retry_base
         while self._running:
             leader = self.current_leader()
-            if leader == self.name:
-                try:
-                    self._check_order_authority()
-                    return self._grant_order()
-                except (Unavailable, ValueError):
-                    await asyncio.sleep(backoff)
-                    backoff = min(backoff * 2, self.retry_max)
-                    continue
             try:
-                async with self._order_lock:
-                    conn = self._order_conn
-                    if (
-                        conn is None
-                        or conn.closing
-                        or self._order_target != leader
-                    ):
-                        self._drop_order_conn()
-                        addr = self.peer_addrs.get(
-                            leader
-                        ) or self.membership.address(leader)
-                        if addr is None:
-                            raise ConnectionError("no address for order site")
-                        conn = await connect_frames(
-                            addr, self._on_order_reply, self._link(leader)
+                if leader != self.name:
+                    async with self._order_lock:
+                        reply = await self._peer_request(
+                            leader, "order", timeout=ORDER_RESEND,
+                            rid=self._order_id, src=self.name,
                         )
-                        conn.lost.add_done_callback(
-                            lambda _, lost=conn: self._on_order_reply(
-                                lost, None
-                            )
-                        )
-                        self._order_conn = conn
-                        self._order_target = leader
-                    reply = self._order_reply = (
-                        asyncio.get_running_loop().create_future()
-                    )
-                    request = {"type": "request", "verb": "order",
-                               "id": self._order_id, "src": self.name}
-                    # A lost request is re-sent as it is: the order
-                    # site answers a repeated id with the same token.
-                    for _ in range(ORDER_SENDS):
-                        conn.frames.send(request)
-                        await asyncio.wait([reply], timeout=ORDER_RESEND)
-                        if reply.done():
-                            break
-                    else:
-                        raise asyncio.TimeoutError("order site silent")
-                    reply = reply.result()
-                if reply is None or not reply.get("ok"):
-                    raise ConnectionError(
-                        "order request failed: %s"
-                        % (reply or {}).get("error", "connection lost")
-                    )
-                seq, epoch = reply["order"]
-                self._order_id += 1
-                self._note_peer_alive(leader)
-                return (int(seq), int(epoch))
-            except (OSError, ConnectionError, asyncio.TimeoutError):
-                self._drop_order_conn()
+                        self._order_id = next(self._request_ids)
+                    seq, epoch = reply["order"]
+                    return (int(seq), int(epoch))
+                self._check_order_authority()
+            except asyncio.TimeoutError:
+                continue
+            except PEER_FAILURES:
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, self.retry_max)
+            else:
+                return self._grant_order()
         raise ConnectionError("server stopping")
-
-    def _on_order_reply(
-        self, conn: FrameProtocol, frame: Optional[Dict[str, Any]]
-    ) -> None:
-        """The order site answered (``None``: the connection was lost);
-        an answer to an earlier request's re-send is ignored."""
-        reply = self._order_reply
-        if (
-            conn is self._order_conn
-            and reply is not None
-            and not reply.done()
-            and (frame is None or frame.get("id") == self._order_id)
-        ):
-            reply.set_result(frame)
-
-    def _drop_order_conn(self) -> None:
-        """Close the cached order connection: the next order request
-        re-resolves the leader and dials it.  (Only between requests:
-        a leader change just clears ``_order_target``, so a request in
-        flight still gets its answer.)"""
-        conn, self._order_conn = self._order_conn, None
-        self._order_target = None
-        if conn is not None:
-            conn.abort()
 
     def _check_shard(self, keys: Sequence[str]) -> None:
         """Refuse work this replica's group does not own.

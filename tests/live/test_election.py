@@ -525,3 +525,79 @@ class TestSequencerFailover:
                 await cluster.stop()
 
         run(main())
+
+
+class TestWhenToCampaign:
+    def test_a_replica_back_from_a_partition_does_not_depose_a_live_leader(
+        self, tmp_path
+    ):
+        """site2, cut off long enough to declare the sequencer dead,
+        campaigns in vain; once the partition heals — and before its
+        slow channels reconnect — the sequencer answers its ping, so it
+        does not depose it."""
+
+        async def main():
+            plan = FaultPlan(0)
+            cluster = LiveCluster(
+                n_sites=3, method="ordup", data_dir=tmp_path, faults=plan,
+                heartbeat_interval=0.05, suspect_after=0.2,
+                server_options={"retry_base": 0.5, "retry_max": 3.0},
+            )
+            await cluster.start()
+            try:
+                site2 = cluster.servers["site2"]
+                plan.partition([["site2"], ["site0", "site1"]])
+                for _ in range(100):
+                    if site2.election.promised:
+                        break
+                    await asyncio.sleep(0.05)
+                assert site2.election.promised  # it campaigned, and lost
+                plan.heal_all()
+                await asyncio.sleep(1.5)
+                for server in cluster.servers.values():
+                    assert server.election.epoch == 0
+                    assert server.current_leader() == "site0"
+            finally:
+                await cluster.stop()
+
+        run(main())
+
+    def test_a_candidate_adopts_without_waiting_out_its_order_request(
+        self, tmp_path, monkeypatch
+    ):
+        """site2 has an order request outstanding to the sequencer site0
+        over a link that drops every frame, and campaigns: it adopts
+        leadership after one vote round, without waiting for that
+        request to give up, and the update it was ordering then acks
+        under the new epoch."""
+        monkeypatch.setattr(server, "ACK_TIMEOUT", 0.3)
+
+        async def main():
+            plan = FaultPlan(0)
+            cluster = LiveCluster(
+                n_sites=3, method="ordup", data_dir=tmp_path, faults=plan,
+            )
+            await cluster.start()
+            try:
+                client = await cluster.client("site2")
+                await client.increment("acct", 1)
+                plan.set_link("site2", "site0", LinkFaults(drop=1.0))
+                update = asyncio.ensure_future(client.increment("acct", 1))
+                site2 = cluster.servers["site2"]
+                for _ in range(200):
+                    if site2._order_lock.locked():
+                        break
+                    await asyncio.sleep(0.005)
+                assert site2._order_lock.locked()
+                started = time.monotonic()
+                await site2._campaign()
+                elapsed = time.monotonic() - started
+                assert site2.current_leader() == "site2"
+                assert site2.election.epoch == 1
+                assert elapsed < 3 * server.ACK_TIMEOUT
+                await asyncio.wait_for(update, 10.0)
+                await client.close()
+            finally:
+                await cluster.stop()
+
+        run(main())

@@ -286,6 +286,54 @@ class TestFailureDetector:
             assert det.timeout("p") == floor
 
 
+class TestPeerLiveness:
+    """A replica's one liveness record per peer is its detector's, and
+    a peer is watched from the start of its channel."""
+
+    def test_the_start_mark_is_no_gap_sample(self):
+        det = FailureDetector(floor=0.5, min_samples=2)
+        det.watch("p", 0.0)
+        assert det.last_seen("p") == 0.0
+        det.heartbeat("p", 5.0)
+        for i in range(1, 4):
+            det.heartbeat("p", 5.0 + 0.1 * i)
+        # A 5 s gap from the start mark would lift the bound above 2 s.
+        assert det.timeout("p") == 0.5
+        det.watch("p", 9.0)  # heard from already: no new start mark
+        assert math.isclose(det.last_seen("p"), 5.3)
+
+    def test_never_watched_not_yet_heard_and_dead(self, tmp_path):
+        async def main():
+            clock = [100.0]
+            server = ReplicaServer(
+                "siteA", ["siteA", "siteB"], tmp_path / "siteA",
+                suspect_after=0.5,
+            )
+            server.engine.clock = lambda: clock[0]
+            await server.bind("127.0.0.1", 0)
+            try:
+                # Never watched: not alive, and not dead either.
+                assert not server.peer_alive("siteB")
+                assert not server.peer_dead("siteB")
+                server.start_channels()
+                # Watched, not yet heard from: alive for suspect_after.
+                clock[0] = 100.4
+                assert server.peer_alive("siteB")
+                clock[0] = 100.6
+                assert not server.peer_alive("siteB")
+                assert not server.peer_dead("siteB")
+                assert server.suspected_peers() == ("siteB",)
+                # Dead after dead_multiple times that.
+                clock[0] = 101.4
+                assert not server.peer_dead("siteB")
+                clock[0] = 101.6
+                assert server.peer_dead("siteB")
+            finally:
+                await server.stop()
+
+        run(main())
+
+
 class TestHeartbeatJitter:
     def _server(self, tmp_path, name="siteA"):
         return ReplicaServer(

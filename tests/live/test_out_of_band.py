@@ -1,20 +1,27 @@
-"""A replica's out-of-band requests: one exchange, one snapshot pull.
+"""A replica's requests to its peers, and one snapshot pull.
 
 ``ReplicaServer._peer_request`` is the only way a replica asks a named
-peer anything (surveys, snapshot pulls, election votes): it dials the
-configured address, else the gossiped one, and refuses when either
-direction of the link is cut.  ``fetch-install`` (shard migration)
-pulls through the same checks as rejoin and keeps its idempotent
-``current`` answer.
+peer anything (order tokens, election votes, surveys, snapshot pulls):
+every request to one peer goes over one kept-open connection, dialed at
+the configured address, else the gossiped one, dialed again once the
+address moves, and refused when either direction of the link is cut.
+A round that asks every peer asks them at once, so silent peers cost
+one timeout, not one each.  ``fetch-install`` (shard migration) pulls
+through the same checks as rejoin and keeps its idempotent ``current``
+answer.
 """
 
 import asyncio
+import time
 
 import pytest
 
 from repro.live import FaultPlan, LinkFaults, LiveCluster, LiveETFailed
+from repro.live import server as server_module
 from repro.live.client import request_once
 from repro.live.server import ReplicaServer
+
+from .wire import listen
 
 
 def run(coro):
@@ -189,3 +196,164 @@ class TestPeerRequest:
                     await server.stop()
 
         run(scenario())
+
+    def test_every_request_to_a_peer_shares_one_connection(self, tmp_path):
+        """Requests of several verbs, an order request among them, reach
+        the peer on one connection; once the peer moves to a new port,
+        the next request dials the new address; a stopped replica
+        leaves no connection open."""
+
+        def record(server, into):
+            serve = server._serve_request
+
+            def recording(frame, frames):
+                into.append((frame.get("verb"), frames))
+                serve(frame, frames)
+
+            server._serve_request = recording
+
+        async def scenario():
+            cluster = LiveCluster(n_sites=2, data_dir=tmp_path)
+            await cluster.start()
+            try:
+                asker = cluster.servers["site0"]
+                seen = []
+                record(cluster.servers["site1"], seen)
+                asks = [
+                    asker._peer_request("site1", "ping"),
+                    asker._peer_request("site1", "stats"),
+                    asker._peer_request(
+                        "site1", "elect", epoch=0, candidate="site0"
+                    ),
+                    asker._peer_request("site1", "order", src="site0"),
+                ]
+                replies = await asyncio.gather(*asks, return_exceptions=True)
+                assert replies[0]["site"] == "site1"
+                # site1 is no order site: the request arrives, refused.
+                assert isinstance(replies[3], LiveETFailed)
+                assert sorted(verb for verb, _ in seen) == sorted([
+                    "ping", "stats", "elect", "order"
+                ])
+                assert len({id(frames) for _, frames in seen}) == 1
+
+                await cluster.kill("site1")
+                await cluster.restart("site1")
+                moved = []
+                record(cluster.servers["site1"], moved)
+                for _ in range(2):
+                    reply = await asker._peer_request("site1", "ping")
+                    assert reply["site"] == "site1"
+                assert len({id(frames) for _, frames in moved}) == 1
+
+                await cluster.kill("site0")
+                kept = moved[0][1]._transport
+                for _ in range(100):
+                    if kept.is_closing():
+                        break
+                    await asyncio.sleep(0.02)
+                assert kept.is_closing()
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_a_late_reply_from_a_deposed_leader_is_dropped(
+        self, tmp_path, monkeypatch
+    ):
+        """site0 asks the sequencer site1 for an order token; site1
+        stays silent, so site0 re-sends the request, under the same id,
+        to the new leader site2.  site1's answer then arrives late, on
+        its own connection: it resolves nothing, and the token site0
+        uses is site2's."""
+        monkeypatch.setattr(server_module, "ORDER_RESEND", 0.5)
+
+        async def scenario():
+            leader = ["site1"]
+            asked = asyncio.Event()
+            stale_sent = asyncio.Event()
+
+            async def old_leader(raw):
+                frame = await raw.recv()
+                leader[0] = "site2"
+                await asked.wait()
+                raw.send({"type": "response", "id": frame["id"], "ok": True,
+                          "order": [1, 0]})
+                stale_sent.set()
+                await raw.recv()  # until site0 hangs up
+
+            async def new_leader(raw):
+                frame = await raw.recv()
+                asked.set()
+                await stale_sent.wait()
+                await asyncio.sleep(0.1)  # the stale answer lands first
+                raw.send({"type": "response", "id": frame["id"], "ok": True,
+                          "order": [7, 1]})
+                await raw.recv()
+
+            listeners = [await listen(old_leader), await listen(new_leader)]
+            asker = ReplicaServer(
+                "site0", peers=["site0", "site1", "site2"],
+                data_dir=tmp_path / "site0",
+            )
+            await asker.bind("127.0.0.1", 0)
+            try:
+                asker.peer_addrs = {
+                    name: listener.sockets[0].getsockname()[:2]
+                    for name, listener in zip(("site1", "site2"), listeners)
+                }
+                asker.current_leader = lambda: leader[0]
+                token = await asyncio.wait_for(asker._acquire_order(), 5.0)
+                assert token == (7, 1)
+            finally:
+                await asker.stop()
+                for listener in listeners:
+                    listener.close()
+
+        run(scenario())
+
+
+class TestAllPeersRounds:
+    """Two of site0's four peers drop every frame site0 sends them: a
+    round that asks every peer waits one timeout for both, not one
+    timeout each."""
+
+    TIMEOUT = 0.5
+
+    async def _round(self, tmp_path, monkeypatch, ask):
+        monkeypatch.setattr(server_module, "ACK_TIMEOUT", self.TIMEOUT)
+        plan = FaultPlan(0)
+        cluster = LiveCluster(
+            n_sites=5, method="ordup", data_dir=tmp_path, faults=plan
+        )
+        await cluster.start()
+        try:
+            asker = cluster.servers["site0"]
+            for silent in ("site3", "site4"):
+                plan.set_link("site0", silent, LinkFaults(drop=1.0))
+            started = time.monotonic()
+            await ask(asker)
+            elapsed = time.monotonic() - started
+            assert plan.counts["dropped"] >= 2
+            return asker, elapsed
+        finally:
+            await cluster.stop()
+
+    def test_a_campaign_asks_every_peer_at_once(self, tmp_path, monkeypatch):
+        asker, elapsed = run(
+            self._round(tmp_path, monkeypatch, lambda s: s._campaign())
+        )
+        # Three votes of five, its own among them: a quorum.
+        assert asker.current_leader() == "site0"
+        assert asker.election.epoch == 1
+        assert elapsed < 1.5 * self.TIMEOUT
+
+    def test_the_epoch_probe_asks_every_peer_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        async def probe(asker):
+            asker._epoch_synced = False
+            await asker._epoch_probe()
+
+        asker, elapsed = run(self._round(tmp_path, monkeypatch, probe))
+        assert asker._epoch_synced
+        assert elapsed < 1.5 * self.TIMEOUT
