@@ -152,7 +152,7 @@ class LiveCluster:
 
     async def wipe(self, name: str) -> None:
         """Crash one replica AND destroy its durable state (logs,
-        snapshot, order file) — the disk-loss scenario.  A subsequent
+        snapshot, control log) — the disk-loss scenario.  A subsequent
         :meth:`restart` boots it empty, and it rejoins by fetching a
         peer snapshot (anti-entropy)."""
         if name in self.servers:
@@ -409,7 +409,7 @@ class ShardedCluster:
         #: current owner group of each shard, by shard index.
         self.groups: List[LiveCluster] = []
         #: groups fenced out by a migration, kept running (they serve
-        #: WRONG_SHARD hints) until :meth:`decommission_retired`.
+        #: WRONG_SHARD hints) until :meth:`stop`.
         self.retired: List[LiveCluster] = []
         #: replacement group mid-migration (chaos hooks reach it here).
         self.pending: Optional[LiveCluster] = None
@@ -514,14 +514,6 @@ class ShardedCluster:
             self._own_tmp.cleanup()
             self._own_tmp = None
 
-    async def decommission_retired(self) -> int:
-        """Stop groups fenced out by completed migrations."""
-        count = len(self.retired)
-        for group in self.retired:
-            await group.stop()
-        self.retired.clear()
-        return count
-
     # -- access ----------------------------------------------------------------
 
     def router(self, **options: Any) -> ShardRouter:
@@ -600,10 +592,10 @@ class ShardedCluster:
         group is fenced and drained, each replacement replica installs
         its same-named counterpart's snapshot, and the replacements
         adopt the bumped map.  The old group stays up, answering
-        ``WRONG_SHARD`` with the new map, until
-        :meth:`decommission_retired`.  ``before_install`` is a chaos
-        hook run between the fence and the transfer (the replacement
-        group is reachable as :attr:`pending` there).
+        ``WRONG_SHARD`` with the new map, until :meth:`stop`.
+        ``before_install`` is a chaos hook run between the fence and the
+        transfer (the replacement group is reachable as :attr:`pending`
+        there).
         """
         if not 0 <= shard < self.n_shards:
             raise ValueError("no such shard: %d" % shard)

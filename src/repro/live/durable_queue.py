@@ -109,22 +109,26 @@ Crash tails: a reload stops at the first torn (no newline),
 undecodable or structurally wrong line and cuts the file there before
 reopening it for append.  Loaders skip ``meta`` kinds they do not know.
 
-:class:`GrantLog` puts the ORDUP sequencer's order-token counter on
-the same primitive: one appended line per grant, last intact line
-wins on reload.
+:class:`ControlLog` puts election promises and adoptions, the ORDUP
+order-token counter and member records on the same primitive: a line
+per change, folded on reload, rewritten to the fold at compaction.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import pathlib
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .gossip import NodeRecord
 from .protocol import ProtocolError, dumps, loads, payload_blob
-from .snapshot import fsync_dir, write_atomic
+from .snapshot import fsync_dir
 
-__all__ = ["DurableOutbox", "DurableInbox", "GrantLog"]
+__all__ = ["DurableOutbox", "DurableInbox", "ControlLog"]
+
+logger = logging.getLogger(__name__)
 
 _SEQ_PREFIX = b'{"seq":'
 
@@ -792,50 +796,123 @@ class DurableInbox(_DurableLog):
         self.frontier = seqno
 
 
-class GrantLog(_DurableLog):
-    """The ORDUP sequencer's order-token counter.
+class ControlLog(_DurableLog):
+    """The small durable states ORDUP's total order rests on, as typed
+    records in one log: ``promise`` (epoch), ``adopt`` (epoch, leader,
+    base), ``grant`` (next, epoch) and ``member`` (the fields of one
+    :meth:`~repro.live.gossip.NodeRecord.wire`), each a ``{"meta":
+    kind, ...}`` line.
 
-    Each grant appends one ``{"meta": "grant", "next": N, "epoch": E}``
-    line before the token leaves this process (flushed; fsynced when
-    the server runs with ``fsync=True``); a reload takes the last
-    intact line and cuts a torn tail, so the counter never comes back
-    below a token that was handed out.
+    A reload folds them — ``promised`` is the max epoch promised or
+    adopted, every adopt feeds ``adopts``, the last grant and the last
+    member record per name win — and :meth:`compact` rewrites the log
+    to that fold, which appends keep current.  A torn final line is
+    cut as in every log; a line of a known kind whose fields do not
+    decode, or a cut that drops more than the last line, is counted in
+    ``load_errors`` and logged at ERROR: it can forget a promise.
+
+    Promise, adopt and member records are fsynced before their
+    method returns, in every mode; a grant only under
+    ``fsync=True``, as every data record.
     """
 
     def __init__(self, path: pathlib.Path, fsync: bool = False) -> None:
-        super().__init__(path, fsync)
+        super().__init__(path, fsync=True)
+        self.sync_grants = fsync
+        self.promised = 0
+        #: epoch -> (leader, base), for every epoch adopted.
+        self.adopts: Dict[int, Tuple[str, int]] = {}
         #: the last token granted (or the base an election resumed at).
-        self.next = 0
-        self._epoch = 0
-        self._lines = 0
+        self.next = self.grant_epoch = 0
+        #: name -> its last member record.
+        self.nodes: Dict[str, NodeRecord] = {}
+        self.load_errors = self._lines = 0
+        before = self.path.read_bytes() if self.path.exists() else b""
         for record in _read_json_lines(self.path, cut_tail=True):
-            if record.get("meta") == "grant" and isinstance(
-                record.get("next"), int
-            ):
-                self.next = record["next"]
-                self._epoch = int(record.get("epoch", 0))
-                self._lines += 1
+            try:
+                self._fold(record)
+            except (KeyError, TypeError, ValueError) as exc:
+                self._load_error("record %r unreadable: %r" % (record, exc))
+        cut = before[self.path.stat().st_size:] if before else b""
+        if b"\n" in cut[:-1]:
+            self._load_error("cut %d bytes past a bad line" % len(cut))
         self._open_log()
 
-    def _line(self) -> str:
-        return _json_line(
-            {"meta": "grant", "next": self.next, "epoch": self._epoch}
-        )
+    def _load_error(self, what: str) -> None:
+        self.load_errors += 1
+        logger.error("control log %s: %s", self.path, what)
 
-    def grant(self, next_token: int, epoch: int) -> None:
-        """Durably move the counter up to ``next_token``: synced before
-        returning, since the caller hands the token out at once."""
-        self.next, self._epoch = next_token, epoch
-        self._write_data(self._line())
+    def _fold(self, record: Dict[str, Any]) -> None:
+        """Apply one record; raises, changing nothing, if its fields do
+        not decode.  Kinds it does not know are skipped."""
+        kind = record.get("meta")
+        if kind == "promise":
+            self.promised = max(self.promised, int(record["epoch"]))
+        elif kind == "adopt":
+            epoch = int(record["epoch"])
+            self.adopts[epoch] = (str(record["leader"]), int(record["base"]))
+            self.promised = max(self.promised, epoch)
+        elif kind == "grant":
+            self.next, self.grant_epoch = (
+                int(record["next"]), int(record["epoch"])
+            )
+        elif kind == "member":
+            node = NodeRecord.from_wire(record)
+            self.nodes[node.name] = node
+        else:
+            return
         self._lines += 1
+
+    def _append(
+        self, records: Sequence[Dict[str, Any]], durable: bool = True
+    ) -> None:
+        """Log ``records`` in one write and fold them in: synced on
+        return when ``durable``, and an error raises."""
+        self._write_data("".join(map(_json_line, records)), durable)
+        for record in records:
+            self._fold(record)
         self.sync()
 
-    def fold(self) -> None:
-        """Replace the accumulated lines with the last one, atomically."""
-        if self._lines > 1:
-            self._log.close()
-            try:
-                write_atomic(self.path, self._line().encode("utf-8"))
-                self._lines = 1
-            finally:
-                self._open_log()
+    def promise(self, epoch: int) -> None:
+        self._append([{"meta": "promise", "epoch": epoch}])
+
+    def adopt(self, epoch: int, leader: str, base: int) -> None:
+        self._append(
+            [{"meta": "adopt", "epoch": epoch, "leader": leader, "base": base}]
+        )
+
+    def members(self, nodes: Sequence[NodeRecord]) -> None:
+        self._append([{"meta": "member", **node.wire()} for node in nodes])
+
+    def grant(self, next_token: int, epoch: int) -> None:
+        """Move the counter up to ``next_token``, in the log before the
+        caller hands the token out."""
+        self._append(
+            [{"meta": "grant", "next": next_token, "epoch": epoch}],
+            durable=self.sync_grants,
+        )
+
+    def compact(self) -> int:
+        """Rewrite the log as its fold — one promise, every adopt, one
+        grant, one member record per node — unless it is already that
+        short; returns the number of records dropped."""
+        state: List[Dict[str, Any]] = []
+        if self.promised:
+            state.append({"meta": "promise", "epoch": self.promised})
+        state += [
+            {"meta": "adopt", "epoch": epoch, "leader": leader, "base": base}
+            for epoch, (leader, base) in sorted(self.adopts.items())
+        ]
+        if self.next or self.grant_epoch:
+            state.append(
+                {"meta": "grant", "next": self.next, "epoch": self.grant_epoch}
+            )
+        state += [{"meta": "member", **n.wire()} for n in self.nodes.values()]
+        dropped = self._lines - len(state)
+        if dropped <= 0:
+            return 0
+        self._rewrite([], base=0, header=state)
+        self._lines = len(state)
+        self.compaction_count += 1
+        self.compacted_records += dropped
+        return dropped

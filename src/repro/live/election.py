@@ -7,8 +7,8 @@ lets the authority move:
 
 * ``promised`` — the highest epoch this replica has promised to (it
   will never promise a lower epoch, nor accept a leader announcement
-  for one).  Persisted *before* the promise reply is sent, so a crash
-  and restart cannot un-promise.
+  for one).  Appended to the site's control log and synced *before*
+  the promise reply is sent, so a crash and restart cannot un-promise.
 * ``epoch`` / ``leader`` / ``base`` — the currently adopted leadership:
   the leader of ``epoch`` resumed sequencing from ``base`` (the max
   durable order frontier across the majority that elected it); every
@@ -43,67 +43,35 @@ test_an_acked_update_survives_a_handover`` is its strict xfail).
 
 from __future__ import annotations
 
-import json
-import logging
-from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from .snapshot import write_atomic
+if TYPE_CHECKING:
+    from .durable_queue import ControlLog
 
 __all__ = ["ElectionState"]
 
-log = logging.getLogger(__name__)
-
 
 class ElectionState:
-    """Durable promise/adopt record for epoch-fenced leadership."""
+    """Durable promise/adopt record for epoch-fenced leadership.
 
-    def __init__(self, path: Optional[Path] = None) -> None:
-        self.path = path
+    ``log`` (the site's :class:`~repro.live.durable_queue.ControlLog`)
+    holds it: the state starts as the log's fold, and each transition
+    ends in one append, synced before it returns.  Without one the
+    state is in memory only."""
+
+    def __init__(self, log: Optional["ControlLog"] = None) -> None:
+        self._log = log
         self.promised = 0
         self.epoch = 0
         self.leader: Optional[str] = None
         self.base = 0
         #: epoch -> base, for every epoch adopted at this replica.
         self.bases: Dict[int, int] = {}
-        #: loads that found the record present but unreadable.
-        self.load_errors = 0
-
-    # ------------------------------------------------------------------
-    # persistence
-
-    def load(self) -> None:
-        if self.path is None or not self.path.exists():
-            return
-        try:
-            raw = json.loads(self.path.read_text())
-            promised = int(raw.get("promised", 0))
-            epoch = int(raw.get("epoch", 0))
-            base = int(raw.get("base", 0))
-            bases = {int(k): int(v) for k, v in raw.get("bases", {}).items()}
-        except (ValueError, AttributeError, TypeError, OSError) as exc:
-            # The atomic rewrite never leaves such a file: this is
-            # outside damage, and restarting from zero forgets promises
-            # the fence depends on — never do it silently.
-            self.load_errors += 1
-            log.error("election record %s unreadable: %r", self.path, exc)
-            return
-        self.promised, self.epoch, self.base = promised, epoch, base
-        self.leader, self.bases = raw.get("leader"), bases
-
-    def _persist(self) -> None:
-        """Durable on return (temp file + fsync + rename): a crash at
-        any instant keeps the previous record or this one, whole."""
-        if self.path is None:
-            return
-        payload = {
-            "promised": self.promised,
-            "epoch": self.epoch,
-            "leader": self.leader,
-            "base": self.base,
-            "bases": {str(k): v for k, v in self.bases.items()},
-        }
-        write_atomic(self.path, json.dumps(payload).encode("utf-8"))
+        if log is not None:
+            self.promised = log.promised
+            for epoch, (leader, base) in sorted(log.adopts.items()):
+                self.epoch, self.leader, self.base = epoch, leader, base
+                self.bases[epoch] = base
 
     # ------------------------------------------------------------------
     # transitions
@@ -117,8 +85,9 @@ class ElectionState:
         """
         if epoch <= self.promised:
             return False
+        if self._log is not None:
+            self._log.promise(epoch)
         self.promised = epoch
-        self._persist()
         return True
 
     def adopt(self, epoch: int, leader: str, base: int) -> bool:
@@ -133,13 +102,15 @@ class ElectionState:
             return False
         if epoch == self.epoch and self.leader == leader:
             return False
+        base = int(base)
+        if self._log is not None:
+            self._log.adopt(epoch, leader, base)
         self.epoch = epoch
         self.leader = leader
-        self.base = int(base)
-        self.bases[epoch] = int(base)
+        self.base = base
+        self.bases[epoch] = base
         if self.promised < epoch:
             self.promised = epoch
-        self._persist()
         return True
 
     # ------------------------------------------------------------------

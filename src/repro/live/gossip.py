@@ -18,9 +18,10 @@ existing heartbeat frames):
     A node that sees itself suspected or declared dead at an
     incarnation >= its own *refutes* by bumping its incarnation and
     re-asserting ``alive`` — the refutation then out-versions the stale
-    rumor everywhere it gossips.  The table persists to
-    ``membership.json`` and bumps its own incarnation on every boot so
-    a restarted node's fresh records dominate its former life's.
+    rumor everywhere it gossips.  The table lives in the site's control
+    log (one ``member`` record per change a restart must remember) and
+    bumps its own incarnation on every boot so a restarted node's fresh
+    records dominate its former life's.
 
 ``FailureDetector``
     A phi-accrual-flavoured adaptive detector.  Instead of one fixed
@@ -37,14 +38,14 @@ existing heartbeat frames):
 
 from __future__ import annotations
 
-import json
-import logging
 import math
 from collections import deque
-from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Deque, Dict, Iterable, List, Optional, Set, Tuple,
+)
 
-from .snapshot import write_atomic
+if TYPE_CHECKING:
+    from .durable_queue import ControlLog
 
 __all__ = [
     "ALIVE",
@@ -56,8 +57,6 @@ __all__ = [
     "MembershipTable",
     "FailureDetector",
 ]
-
-log = logging.getLogger(__name__)
 
 ALIVE = "alive"
 SUSPECT = "suspect"
@@ -149,63 +148,35 @@ class MembershipTable:
     frontier advances without diffing the whole table.
     """
 
-    def __init__(self, self_name: str, path: Optional[Path] = None) -> None:
+    def __init__(
+        self, self_name: str, log: Optional["ControlLog"] = None
+    ) -> None:
         self.self_name = self_name
-        self.path = path
-        self._records: Dict[str, NodeRecord] = {}
-        self.version = 0
-        #: loads that found the table present but unreadable.
-        self.load_errors = 0
-
-    # ------------------------------------------------------------------
-    # persistence
-
-    def load(self) -> None:
-        """Load persisted records and bump our own incarnation for this boot."""
-        if self.path is not None and self.path.exists():
-            try:
-                raw = json.loads(self.path.read_text())
-                for rec in raw.get("nodes", []):
-                    node = NodeRecord.from_wire(rec)
-                    self._records[node.name] = node
-            except (
-                ValueError, KeyError, AttributeError, TypeError, OSError
-            ) as exc:
-                # Not something the atomic rewrite can leave behind;
-                # our incarnation restarts from zero, so say so.
-                self.load_errors += 1
-                log.error(
-                    "membership table %s unreadable: %r", self.path, exc
-                )
-                self._records = {}
-        mine = self._records.get(self.self_name)
-        if mine is None:
-            mine = NodeRecord(self.self_name)
-            self._records[self.self_name] = mine
-        else:
-            mine.incarnation += 1
+        self._log = log
+        self._records: Dict[str, NodeRecord] = {
+            name: rec.clone()
+            for name, rec in (log.nodes if log else {}).items()
+        }
+        # A boot: our incarnation out-versions our former life's.
+        mine = self._records.setdefault(
+            self_name, NodeRecord(self_name, incarnation=0)
+        )
+        mine.incarnation += 1
         mine.status = ALIVE
-        self.version += 1
-        self._persist()
+        self.version = 1
+        self._persist([self_name])
 
-    def _persist(self) -> None:
-        if self.path is None:
-            return
-        payload = {"nodes": [rec.wire() for rec in self._records.values()]}
-        try:
-            write_atomic(self.path, json.dumps(payload).encode("utf-8"))
-        except OSError as exc:
-            log.error("membership table %s not persisted: %r", self.path, exc)
+    def _persist(self, names: Iterable[str]) -> None:
+        """Append the named records to the control log, one write and
+        one sync; an error raises."""
+        if self._log is not None:
+            self._log.members([self._records[name] for name in names])
 
     # ------------------------------------------------------------------
     # local mutation
 
     def self_record(self) -> NodeRecord:
-        rec = self._records.get(self.self_name)
-        if rec is None:
-            rec = NodeRecord(self.self_name)
-            self._records[self.self_name] = rec
-        return rec
+        return self._records[self.self_name]
 
     def update_self(
         self,
@@ -240,7 +211,7 @@ class MembershipTable:
         if changed or progressed:
             self.version += 1
         if changed:
-            self._persist()
+            self._persist([self.self_name])
 
     def observe(self, name: str, host: str = "", port: int = 0,
                 shard: Optional[int] = None) -> None:
@@ -259,7 +230,7 @@ class MembershipTable:
             name, host=host, port=port, incarnation=0, shard=shard,
         )
         self.version += 1
-        self._persist()
+        self._persist([name])
 
     def set_status(self, name: str, status: str) -> bool:
         """Locally assert a status for a peer (e.g. from failure detection).
@@ -277,7 +248,7 @@ class MembershipTable:
             return False
         rec.status = status
         self.version += 1
-        self._persist()
+        self._persist([name])
         return True
 
     # ------------------------------------------------------------------
@@ -291,7 +262,7 @@ class MembershipTable:
         re-assert alive — the refutation dominates the rumor.
         """
         changed: List[str] = []
-        durable = False  # frontier-only progress is not worth an fsync
+        durable: List[str] = []  # frontier-only progress is not worth an fsync
         for raw in records:
             try:
                 incoming = NodeRecord.from_wire(raw)
@@ -306,16 +277,16 @@ class MembershipTable:
                     mine.incarnation = incoming.incarnation + 1
                     mine.status = ALIVE
                     changed.append(mine.name)
-                    durable = True
+                    durable.append(mine.name)
                 continue
             current = self._records.get(incoming.name)
             if current is None:
                 self._records[incoming.name] = incoming
                 changed.append(incoming.name)
-                durable = True
+                durable.append(incoming.name)
                 continue
             if incoming.incarnation > current.incarnation:
-                durable = True
+                durable.append(incoming.name)
                 self._records[incoming.name] = incoming
                 if incoming.frontier < current.frontier:
                     incoming.frontier = current.frontier
@@ -323,13 +294,13 @@ class MembershipTable:
                     incoming.applied = current.applied
                 changed.append(incoming.name)
             elif incoming.incarnation == current.incarnation:
-                rec_changed = False
+                rec_changed = rec_durable = False
                 if (
                     STATUS_SEVERITY.get(incoming.status, 0)
                     > STATUS_SEVERITY.get(current.status, 0)
                 ):
                     current.status = incoming.status
-                    rec_changed = durable = True
+                    rec_changed = rec_durable = True
                 if incoming.frontier > current.frontier:
                     current.frontier = incoming.frontier
                     rec_changed = True
@@ -340,14 +311,16 @@ class MembershipTable:
                     incoming.host, incoming.port,
                 ):
                     current.host, current.port = incoming.host, incoming.port
-                    rec_changed = durable = True
+                    rec_changed = rec_durable = True
                 if rec_changed:
                     changed.append(current.name)
+                if rec_durable:
+                    durable.append(current.name)
             # lower incarnation: stale rumor, ignore
         if changed:
             self.version += 1
         if durable:
-            self._persist()
+            self._persist(durable)
         return changed
 
     # ------------------------------------------------------------------

@@ -48,9 +48,8 @@ arguments are finite and a divisor is not zero, or :func:`encode_op`
 and :func:`decode_op` raise :class:`ProtocolError`.  A store value
 that overflowed is encoded by the stdlib as ``Infinity``, which
 :func:`loads` hands on to ``json.loads``.  Cold files — snapshots
-(pure ASCII: fetch chunks are decoded as ASCII), ``election.json``,
-``membership.json``, the shard manifest, session tokens, trace JSONL —
-stay on the stdlib ``json``.
+(pure ASCII: fetch chunks are decoded as ASCII), the shard manifest,
+session tokens, trace JSONL — stay on the stdlib ``json``.
 
 Every socket the runtime owns — the replica listener, the peer
 channels, clients, a replica's requests to its peers, the admin

@@ -417,18 +417,6 @@ class ShardRouter(AsyncVerbs):
     ) -> Dict[int, Dict[str, Any]]:
         return await self._fan_out("ping", timeout=timeout)
 
-    async def refresh_membership(
-        self, timeout: Optional[float] = None
-    ) -> Dict[int, int]:
-        """Ask each group's client to re-learn replica addresses from
-        gossiped membership; returns per-shard refresh counters."""
-        out: Dict[int, int] = {}
-        for shard in range(self.n_shards):
-            client = await self._client(shard)
-            await client.refresh_membership(timeout=timeout)
-            out[shard] = client.membership_refreshes
-        return out
-
     async def snapshot(self, timeout: float = 30.0) -> Dict[int, Dict[str, Any]]:
         return await self._fan_out("snapshot", timeout=timeout)
 

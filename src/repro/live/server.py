@@ -135,7 +135,7 @@ from ..obs.registry import (
 from ..obs.trace import TraceRecorder
 from ..replica.mset import MSet, MSetKind
 from .client import LiveETFailed, request_once
-from .durable_queue import DurableInbox, DurableOutbox, GrantLog
+from .durable_queue import ControlLog, DurableInbox, DurableOutbox
 from .election import ElectionState
 from .engine import LiveEngine, QueryOutcome, QueryTimeout, make_engine
 from .faults import FaultPlan, Link
@@ -481,15 +481,14 @@ class ReplicaServer:
         #: requester -> ((request id, epoch), token) of the last order
         #: granted: a re-sent or duplicated request is granted once.
         self._order_granted: Dict[Any, Tuple[Any, Tuple[int, int]]] = {}
-        #: the order-token counter (opened by :meth:`bind`).
-        self._order_log: GrantLog
+        #: the order-token counter, election and membership records
+        #: (opened by :meth:`bind`, with the two views over it).
+        self._control: ControlLog
         #: gossiped membership table + adaptive failure detector.
-        self.membership = MembershipTable(
-            name, self.data_dir / "membership.json"
-        )
+        self.membership: MembershipTable
         self.detector = FailureDetector(floor=suspect_after)
         #: durable election state for the ORDUP sequencer.
-        self.election = ElectionState(self.data_dir / "election.json")
+        self.election: ElectionState
         #: peer -> (last epoch it gossiped, monotonic instant) — the
         #: leader's gossip lease: grants require a majority of fresh
         #: acks at the leader's own epoch.
@@ -706,8 +705,8 @@ class ReplicaServer:
         )
         self.m_record_load_errors = reg.counter(
             "record_load_errors_total",
-            "small durable records found present but unreadable at boot "
-            "(state restarted from zero)",
+            "control-log records found present but unusable at boot "
+            "(state restarted without them)",
             labels=("record",),
         )
         self.m_propagation_frames = reg.counter(
@@ -741,15 +740,12 @@ class ReplicaServer:
         )
         for peer in self.peer_names:
             self._open_channel(peer)
-        self._order_log = GrantLog(self.data_dir / "order.log", self.fsync)
-        self.membership.load()
-        self.election.load()
-        for record, owner in (
-            ("membership", self.membership), ("election", self.election)
-        ):
-            self.m_record_load_errors.labels(record=record).set_to(
-                owner.load_errors
-            )
+        self._control = ControlLog(self.data_dir / "control.log", self.fsync)
+        self.membership = MembershipTable(self.name, self._control)
+        self.election = ElectionState(self._control)
+        self.m_record_load_errors.labels(record="control").set_to(
+            self._control.load_errors
+        )
         self.m_leader_epoch.set(self.election.epoch)
         self._recover()
         self._running = True
@@ -958,7 +954,7 @@ class ReplicaServer:
                 logger.debug(
                     "%s: listener close raised %r", self.name, exc
                 )
-        for box in (self.log, self._order_log, *self.inboxes.values()):
+        for box in (self.log, self._control, *self.inboxes.values()):
             box.close()
         for fut in list(self._apply_futures.values()) + list(
             self._full_ack_futures.values()
@@ -1318,7 +1314,7 @@ class ReplicaServer:
             # Resume sequencing above every grant any majority member
             # has durably seen; persisted before the first new grant
             # can be issued.
-            self._order_log.grant(max(self._order_log.next, base), epoch)
+            self._control.grant(max(self._control.next, base), epoch)
             self._adopt_leader(epoch, self.name, base)
             self.m_elections.labels(outcome="won").inc()
             self.trace.event(
@@ -1891,8 +1887,8 @@ class ReplicaServer:
         replication log compacts through the *local* snapshot frontier
         — never past its slowest cursor (``compact`` clamps), and never
         past what the snapshot can serve to a receiver that later
-        regresses below the log's base.  The order log folds to its
-        last grant.
+        regresses below the log's base.  The control log is rewritten
+        to its current state.
         """
         total = 0
         for channel, label, box in self._logs():
@@ -1904,7 +1900,7 @@ class ReplicaServer:
                     "compaction", log=label, through=through,
                     dropped=dropped,
                 )
-        self._order_log.fold()
+        self._control.compact()
         return total
 
     def _logs(self) -> List[Tuple[str, str, Any]]:
@@ -2550,10 +2546,7 @@ class ReplicaServer:
         self.m_degraded.set(1 if self.degraded() else 0)
         self.m_updates_owed.set(self.log.assigned - self.log.released_hi)
         self.engine.refresh_gauges()
-        logs = self._logs()
-        if self.engine.needs_order:
-            logs.append(("", "order", self._order_log))
-        for _, label, box in logs:
+        for _, label, box in self._logs() + [("", "control", self._control)]:
             self.m_log_fsync.labels(log=label).set_to(box.fsync_count)
             self.m_log_fsync_seconds.labels(log=label).set_to(
                 box.fsync_seconds
@@ -2735,8 +2728,8 @@ class ReplicaServer:
         """Issue the next gap-free global order token (durable),
         stamped with the granting leader's epoch."""
         epoch = self.election.epoch
-        self._order_log.grant(self._order_log.next + 1, epoch)
-        return (self._order_log.next, epoch)
+        self._control.grant(self._control.next + 1, epoch)
+        return (self._control.next, epoch)
 
     async def _acquire_order(self) -> Tuple[int, int]:
         """Get a token from the cluster's order authority, with retry.

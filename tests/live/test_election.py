@@ -17,6 +17,7 @@ from repro.core.operations import IncrementOp
 from repro.live import FaultPlan, LinkFaults, LiveCluster, LiveETFailed
 from repro.live import server
 from repro.live.client import RequestTimeout
+from repro.live.durable_queue import ControlLog
 from repro.live.election import ElectionState
 from repro.live.engine import OrdupLiveEngine
 from repro.replica.mset import MSet
@@ -30,7 +31,7 @@ def run(coro):
 
 class TestElectionState:
     def test_promise_is_monotonic(self, tmp_path):
-        state = ElectionState(tmp_path / "election.json")
+        state = ElectionState(ControlLog(tmp_path / "control.log"))
         assert state.promise(3)
         assert not state.promise(3)  # each epoch promised at most once
         assert not state.promise(2)
@@ -38,17 +39,16 @@ class TestElectionState:
         assert state.promised == 4
 
     def test_promise_survives_restart(self, tmp_path):
-        path = tmp_path / "election.json"
-        state = ElectionState(path)
+        path = tmp_path / "control.log"
+        state = ElectionState(ControlLog(path))
         state.promise(5)
-        reborn = ElectionState(path)
-        reborn.load()
+        reborn = ElectionState(ControlLog(path))
         # A crash cannot un-promise: the reply never outruns the disk.
         assert not reborn.promise(5)
         assert reborn.promised == 5
 
     def test_adopt_is_monotonic_and_lifts_promised(self, tmp_path):
-        state = ElectionState(tmp_path / "election.json")
+        state = ElectionState(ControlLog(tmp_path / "control.log"))
         assert state.adopt(2, "siteB", base=17)
         assert (state.epoch, state.leader, state.base) == (2, "siteB", 17)
         assert state.promised == 2
@@ -58,11 +58,10 @@ class TestElectionState:
         assert state.bases == {2: 17, 3: 40}
 
     def test_adoption_survives_restart(self, tmp_path):
-        path = tmp_path / "election.json"
-        state = ElectionState(path)
+        path = tmp_path / "control.log"
+        state = ElectionState(ControlLog(path))
         state.adopt(2, "siteB", base=9)
-        reborn = ElectionState(path)
-        reborn.load()
+        reborn = ElectionState(ControlLog(path))
         assert reborn.wire() == state.wire()
         assert reborn.bases == {2: 9}
 
@@ -307,7 +306,7 @@ class TestSequencerFailover:
                 await cluster.settle(timeout=30)
                 assert await cluster.converged()
                 assert (await cluster.site_values())[leader]["acct"] == 20
-                assert cluster.servers[leader]._order_log.next == 20
+                assert cluster.servers[leader]._control.next == 20
                 assert plan.counts["duplicated"] and plan.counts["dropped"]
             finally:
                 await cluster.stop()

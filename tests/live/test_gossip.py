@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.operations import WriteOp
 from repro.live import LiveClient, LiveCluster
+from repro.live.durable_queue import ControlLog
 from repro.live.engine import make_engine
 from repro.live.faults import FaultPlan, LinkFaults
 from repro.live.gossip import (
@@ -166,14 +167,12 @@ class TestMembershipMerge:
 
 class TestMembershipPersistence:
     def test_incarnation_bumps_every_boot(self, tmp_path):
-        path = tmp_path / "membership.json"
-        table = MembershipTable("siteA", path)
-        table.load()
+        path = tmp_path / "control.log"
+        table = MembershipTable("siteA", ControlLog(path))
         first = table.self_record().incarnation
         table.update_self(host="127.0.0.1", port=7000)
 
-        reborn = MembershipTable("siteA", path)
-        reborn.load()
+        reborn = MembershipTable("siteA", ControlLog(path))
         # A reboot re-asserts alive at a strictly higher incarnation,
         # so the restarted node's record out-versions any death rumor
         # gossiped while it was down.
@@ -182,13 +181,11 @@ class TestMembershipPersistence:
         assert reborn.address("siteA") == ("127.0.0.1", 7000)
 
     def test_peer_records_survive_restart(self, tmp_path):
-        path = tmp_path / "membership.json"
-        table = MembershipTable("siteA", path)
-        table.load()
+        path = tmp_path / "control.log"
+        table = MembershipTable("siteA", ControlLog(path))
         table.merge([NodeRecord("siteB", "127.0.0.1", 7001,
                                 incarnation=2).wire()])
-        reborn = MembershipTable("siteA", path)
-        reborn.load()
+        reborn = MembershipTable("siteA", ControlLog(path))
         assert reborn.address("siteB") == ("127.0.0.1", 7001)
         assert reborn.get("siteB").incarnation == 2
 

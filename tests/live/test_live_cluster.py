@@ -226,8 +226,8 @@ class TestCrashRecovery:
                 assert sorted(
                     str(p.relative_to(site_dir)) for p in site_dir.rglob("*.log")
                 ) == [
-                    "inbox/site1.log", "inbox/site2.log",
-                    "order.log", "replication.log",
+                    "control.log", "inbox/site1.log", "inbox/site2.log",
+                    "replication.log",
                 ]
                 path = site_dir / "replication.log"
                 lines = path.read_text().splitlines(keepends=True)

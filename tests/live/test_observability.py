@@ -421,6 +421,13 @@ class TestFsyncWindowDurabilityClaims:
                     text,
                 )
                 assert "repro_log_bytes_total" in text
+                # A COMMU site grants no order token, but its membership
+                # records are synced on the control log, and counted.
+                assert re.search(
+                    r'repro_log_fsync_total\{log="control",'
+                    r'site="site0"\} [1-9]',
+                    text,
+                )
             finally:
                 await cluster.stop()
 

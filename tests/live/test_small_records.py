@@ -1,47 +1,164 @@
-"""The small durable records — election promise, membership
-incarnation, order-token counter — are durable in fact.
+"""The small durable records — election promise and adoptions, the
+order-token counter, membership incarnations — are durable in fact.
 
-The first two rewrite one JSON file through
-:func:`repro.live.snapshot.write_atomic` (temp file + fsync + rename).
-The crash test kills that rewrite at every boundary and reloads: the
-record is whole, and ``promised`` / ``incarnation`` never fall below
-the last value the dying process could have acknowledged.  A file that
-is present but unreadable is outside damage, and loading it is loud.
+All of them are typed records in one appended log
+(:class:`repro.live.durable_queue.ControlLog`, ``<data>/control.log``),
+folded on reload and rewritten to the current state at snapshot time.
+The crash tests kill each kind of change at every append boundary and
+a compaction at every rewrite boundary, then reload: ``promised``, the
+adopted ``epoch``, the grant counter and our incarnation never fall
+below the last value the dying process returned.  A record that is
+present but unusable is outside damage, and loading it is loud.
 
-The order-token counter changes with every ORDUP update, so it is an
-appended line per grant (:class:`repro.live.durable_queue.GrantLog`)
-folded to one line, through the same ``write_atomic``, at snapshot
-time.  Both halves are killed at every boundary too: the reloaded
-counter is never below a token that was handed out.
+A model-based test drives promises, adoptions, grants, member changes,
+compactions and crash-and-reopen (with and without a torn tail) in
+random order against a reference that keeps every returned change in
+a list.
 """
 
 import logging
 import os
 import pathlib
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import repro.live.durable_queue as durable_queue
-import repro.live.snapshot as snapshot
-from repro.live.durable_queue import GrantLog
+from repro.live.durable_queue import ControlLog
 from repro.live.election import ElectionState
-from repro.live.gossip import MembershipTable
+from repro.live.gossip import ALIVE, DEAD, SUSPECT, MembershipTable, NodeRecord
 
 
 class _Crash(Exception):
     """Stands in for the process dying at a chosen instant."""
 
 
-BOUNDARIES = ["before-temp-write", "torn-temp", "before-rename", "after-rename"]
-
-
 def _die(*args, **kwargs):
     raise _Crash
 
 
-def _arm(boundary, path, monkeypatch):
-    """Make the next ``write_atomic(path, ...)`` die at ``boundary``."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
+class _DyingWriter:
+    """The open log, dying ``keep`` characters into its next write."""
+
+    def __init__(self, real, keep):
+        self.real, self.keep = real, keep
+
+    def write(self, data):
+        self.real.write(data[: self.keep])
+        self.real.flush()
+        raise _Crash
+
+
+class _Site:
+    """One site's control log and the two views over it, as ``bind``
+    opens them."""
+
+    def __init__(self, path, fsync=False):
+        self.log = ControlLog(path, fsync=fsync)
+        self.election = ElectionState(self.log)
+        self.table = MembershipTable("siteA", self.log)
+
+
+def _lines(path):
+    return path.read_text().splitlines()
+
+
+APPEND_BOUNDARIES = ["before-write", "torn-line", "before-fsync"]
+
+
+def _arm_append(boundary, log, monkeypatch):
+    """Make the log's next append die at ``boundary``."""
+    if boundary == "before-fsync":
+        monkeypatch.setattr(durable_queue.os, "fsync", _die)
+    else:
+        keep = 0 if boundary == "before-write" else 9
+        log._log = _DyingWriter(log._log, keep)
+
+
+def _refute(site, n):
+    """Gossip that suspects us just below incarnation ``n``: we refute
+    it at ``n``."""
+    rumor = NodeRecord("siteA", incarnation=n - 1, status=SUSPECT)
+    site.table.merge([rumor.wire()])
+
+
+#: kind -> (move the value to ``n``, the value that must not regress,
+#: what a reboot adds to it).
+CHANGES = {
+    "promise": (
+        lambda site, n: site.election.promise(n),
+        lambda site: site.election.promised,
+        0,
+    ),
+    "member": (
+        _refute,
+        lambda site: site.table.self_record().incarnation,
+        1,
+    ),
+    "grant": (
+        lambda site, n: site.log.grant(n, epoch=2),
+        lambda site: site.log.next,
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("boundary", APPEND_BOUNDARIES)
+@pytest.mark.parametrize("kind", sorted(CHANGES))
+def test_a_killed_append_never_regresses(
+    kind, boundary, tmp_path, monkeypatch
+):
+    change, value, boot = CHANGES[kind]
+    path = tmp_path / "control.log"
+    site = _Site(path, fsync=True)
+    for n in (3, 4, 5):
+        change(site, n)  # returned: acknowledged to someone
+    returned = value(site)
+
+    _arm_append(boundary, site.log, monkeypatch)
+    with pytest.raises(_Crash):
+        change(site, 8)  # dies before it can return
+    monkeypatch.undo()
+
+    reborn = _Site(path)
+    assert reborn.log.load_errors == 0
+    assert value(reborn) >= returned
+    # The whole line reached the file only at the last boundary; a
+    # change that was never returned may or may not survive.
+    whole = boundary == "before-fsync"
+    assert value(reborn) == (8 if whole else returned) + boot
+    # A torn tail is cut, not buried: the next change survives too.
+    change(reborn, 20)
+    again = _Site(path)
+    assert value(again) == value(reborn) + boot
+    assert all(line.startswith('{"meta":') for line in _lines(path))
+
+
+def test_a_killed_adoption_never_regresses(tmp_path, monkeypatch):
+    path = tmp_path / "control.log"
+    site = _Site(path)
+    assert site.election.adopt(2, "siteB", base=9)
+    _arm_append("torn-line", site.log, monkeypatch)
+    with pytest.raises(_Crash):
+        site.election.adopt(3, "siteC", base=14)
+    monkeypatch.undo()
+    reborn = _Site(path)
+    election = reborn.election
+    assert (election.epoch, election.leader, election.base) == (2, "siteB", 9)
+    assert election.promised == 2 and election.bases == {2: 9}
+
+
+REWRITE_BOUNDARIES = [
+    "before-temp-write", "torn-temp", "before-rename", "after-rename",
+]
+
+
+def _arm_rewrite(boundary, path, monkeypatch):
+    """Make the log's next tail-verified rewrite die at ``boundary``."""
+    tmp = path.with_suffix(path.suffix + ".compact")
     if boundary == "before-temp-write":
         real_open = pathlib.Path.open
 
@@ -57,213 +174,308 @@ def _arm(boundary, path, monkeypatch):
             os.truncate(tmp, 7)
             raise _Crash
 
-        monkeypatch.setattr(snapshot.os, "fsync", torn)
+        monkeypatch.setattr(durable_queue.os, "fsync", torn)
     elif boundary == "before-rename":
-        monkeypatch.setattr(snapshot.os, "replace", _die)
+        monkeypatch.setattr(durable_queue.os, "replace", _die)
     elif boundary == "after-rename":
         # The rename is the commit point; die in the directory fsync.
-        monkeypatch.setattr(snapshot, "fsync_dir", _die)
+        monkeypatch.setattr(durable_queue, "fsync_dir", _die)
 
 
-@pytest.mark.parametrize("boundary", BOUNDARIES)
-def test_promise_never_regresses_across_a_crash(
-    boundary, tmp_path, monkeypatch
-):
-    path = tmp_path / "election.json"
-    state = ElectionState(path)
-    assert state.promise(4)  # acknowledged: must survive anything
-    state.adopt(4, "siteB", base=11)
-
-    _arm(boundary, path, monkeypatch)
-    with pytest.raises(_Crash):
-        state.promise(7)  # dies before it can return True
-    monkeypatch.undo()
-
-    reborn = ElectionState(path)
-    reborn.load()
-    assert reborn.load_errors == 0
-    committed = boundary == "after-rename"
-    assert reborn.promised == (7 if committed else 4)
-    assert (reborn.epoch, reborn.leader, reborn.base) == (4, "siteB", 11)
-    # Whatever was on disk, epoch 4 can never be promised twice, and
-    # the record still takes (and keeps) a later promise.
-    assert not reborn.promise(4)
-    assert reborn.promise(9)
-    again = ElectionState(path)
-    again.load()
-    assert again.promised == 9
-
-
-@pytest.mark.parametrize("boundary", BOUNDARIES)
-def test_incarnation_never_regresses_across_a_crash(
-    boundary, tmp_path, monkeypatch
-):
-    path = tmp_path / "membership.json"
-    table = MembershipTable("siteA", path)
-    table.load()
-    table.update_self(host="127.0.0.1", port=7000)
-    alive_at = table.self_record().incarnation
-
-    _arm(boundary, path, monkeypatch)
-    with pytest.raises(_Crash):
-        table.update_self(port=7001)
-    monkeypatch.undo()
-
-    reborn = MembershipTable("siteA", path)
-    reborn.load()
-    assert reborn.load_errors == 0
-    # The reboot out-versions everything the dead process gossiped.
-    assert reborn.self_record().incarnation == alive_at + 1
-    committed = boundary == "after-rename"
-    assert reborn.address("siteA") == (
-        "127.0.0.1", 7001 if committed else 7000
+def _state(site):
+    """Everything a reload must give back (our incarnation aside)."""
+    election = site.election
+    return (
+        election.promised, election.epoch, election.leader, election.base,
+        election.bases, site.log.next, site.log.grant_epoch,
+        {
+            rec.name: rec.wire() for rec in site.table.records()
+            if rec.name != "siteA"
+        },
     )
 
 
-@pytest.mark.parametrize(
-    "garbage", [b"", b'{"promised": 3, "epo', b"[1, 2]", b'{"promised": "x"}']
-)
-def test_unreadable_election_record_is_loud(garbage, tmp_path, caplog):
-    path = tmp_path / "election.json"
-    path.write_bytes(garbage)
-    state = ElectionState(path)
-    with caplog.at_level(logging.ERROR, logger="repro.live.election"):
-        state.load()
-    assert state.load_errors == 1
-    assert "unreadable" in caplog.text
-    assert (state.promised, state.epoch, state.leader) == (0, 0, None)
+@pytest.mark.parametrize("boundary", REWRITE_BOUNDARIES)
+def test_a_killed_compaction_never_regresses(boundary, tmp_path, monkeypatch):
+    path = tmp_path / "control.log"
+    site = _Site(path, fsync=True)
+    site.election.promise(3)
+    site.election.adopt(3, "siteB", base=7)
+    site.election.adopt(4, "siteA", base=12)
+    site.election.promise(6)
+    for token in range(13, 18):
+        site.log.grant(token, epoch=4)
+    site.table.observe("siteB", "127.0.0.1", 7001)
+    site.table.set_status("siteB", DEAD)
+    _refute(site, 2)
+    before = _state(site)
+    incarnation = site.table.self_record().incarnation
+    lines = len(_lines(path))
+
+    _arm_rewrite(boundary, path, monkeypatch)
+    with pytest.raises(_Crash):
+        site.log.compact()
+    monkeypatch.undo()
+
+    compacted = boundary == "after-rename"
+    # base marker, promise, two adopts, grant, siteA and siteB
+    assert len(_lines(path)) == (7 if compacted else lines)
+    reborn = _Site(path)
+    assert reborn.log.load_errors == 0
+    assert _state(reborn) == before
+    assert reborn.table.self_record().incarnation == incarnation + 1
+    # Whichever file won compacts (again) to the same state.
+    assert reborn.log.compact() > 0
+    assert _state(_Site(path)) == before
 
 
-def test_unreadable_membership_table_is_loud(tmp_path, caplog):
-    path = tmp_path / "membership.json"
-    path.write_bytes(b'{"nodes": [{"name": "siteA", "incarn')
-    table = MembershipTable("siteA", path)
-    with caplog.at_level(logging.ERROR, logger="repro.live.gossip"):
-        table.load()
-    assert table.load_errors == 1
-    assert "unreadable" in caplog.text
-    assert table.self_record().incarnation == 1
+def test_a_fresh_or_compacted_log_is_not_rewritten(tmp_path, monkeypatch):
+    path = tmp_path / "control.log"
+    site = _Site(path)
+    monkeypatch.setattr(durable_queue.os, "replace", _die)
+    assert site.log.compact() == 0  # one member record: already compact
+    monkeypatch.undo()
+    site.election.promise(2)
+    site.election.promise(3)
+    site.log.grant(1, epoch=0)
+    site.log.grant(2, epoch=0)
+    assert site.log.compact() == 2
+    assert site.log.compaction_count == 1 and site.log.compacted_records == 2
+    monkeypatch.setattr(durable_queue.os, "replace", _die)
+    assert site.log.compact() == 0
+    head, member = _lines(path)[:3], _lines(path)[3:]
+    assert head == [
+        '{"meta":"base","base":0}',
+        '{"meta":"promise","epoch":3}',
+        '{"meta":"grant","next":2,"epoch":0}',
+    ]
+    assert len(member) == 1
+    assert member[0].startswith('{"meta":"member","name":"siteA",')
 
 
-def test_a_missing_record_is_a_first_boot_not_an_error(tmp_path):
-    state = ElectionState(tmp_path / "election.json")
-    state.load()
-    table = MembershipTable("siteA", tmp_path / "membership.json")
-    table.load()
-    assert state.load_errors == 0 and table.load_errors == 0
+def test_a_promise_is_one_append_and_one_fsync(tmp_path, monkeypatch):
+    """No temp file, no rename, no directory fsync — and synced in
+    every mode, while a grant is synced only under ``fsync=True``."""
+    path = tmp_path / "control.log"
+    site = _Site(path)  # fsync=False
+    monkeypatch.setattr(durable_queue.os, "replace", _die)
+    monkeypatch.setattr(durable_queue, "fsync_dir", _die)
+    fsyncs, lines = site.log.fsync_count, len(_lines(path))
+    assert site.election.promise(1)
+    assert site.log.fsync_count == fsyncs + 1
+    assert len(_lines(path)) == lines + 1
+    assert not site.log.dirty
+    site.log.grant(1, epoch=0)
+    assert site.log.fsync_count == fsyncs + 1
+    assert [p.name for p in tmp_path.iterdir()] == ["control.log"]
+
+    durable = ControlLog(tmp_path / "durable.log", fsync=True)
+    durable.grant(1, epoch=0)
+    assert durable.fsync_count == 1
 
 
-def test_frontier_progress_does_not_rewrite_the_table(tmp_path, monkeypatch):
-    """A durable rewrite costs two fsyncs on the event loop; frontiers
-    advance with every heartbeat and gossip re-learns them, so only
-    what a restart must remember (members, addresses, statuses, our
-    incarnation) reaches the disk."""
-    import repro.live.gossip as gossip
-
-    writes = []
-    real = gossip.write_atomic
-    monkeypatch.setattr(
-        gossip, "write_atomic",
-        lambda path, data: (writes.append(path), real(path, data)),
+@pytest.mark.parametrize("garbage", [
+    b'{"meta":"promise","epoch":"x"}\n',
+    b'{"meta":"adopt","epoch":2,"base":0}\n',
+    b'{"meta":"grant","next":null,"epoch":0}\n',
+    b'{"meta":"member","incarnation":3}\n',
+])
+def test_an_undecodable_record_is_loud(garbage, tmp_path, caplog):
+    path = tmp_path / "control.log"
+    path.write_bytes(
+        b'{"meta":"promise","epoch":3}\n' + garbage
+        + b'{"meta":"grant","next":4,"epoch":1}\n'
     )
-    path = tmp_path / "membership.json"
-    table = MembershipTable("siteA", path)
-    table.load()
-    peer = gossip.NodeRecord("siteB", "127.0.0.1", 7001, incarnation=2)
+    with caplog.at_level(logging.ERROR, logger="repro.live.durable_queue"):
+        log = ControlLog(path)
+    assert log.load_errors == 1
+    assert str(path) in caplog.text
+    # The records around it still count.
+    assert (log.promised, log.next) == (3, 4)
+
+
+def test_a_cut_past_the_last_line_is_loud(tmp_path, caplog):
+    path = tmp_path / "control.log"
+    path.write_bytes(
+        b'{"meta":"promise","epoch":3}\n{"meta":"prom\n'
+        b'{"meta":"promise","epoch":9}\n'
+    )
+    with caplog.at_level(logging.ERROR, logger="repro.live.durable_queue"):
+        log = ControlLog(path)
+    assert log.load_errors == 1 and log.promised == 3
+    assert str(path) in caplog.text
+
+
+def test_a_torn_final_line_is_quiet(tmp_path, caplog):
+    path = tmp_path / "control.log"
+    path.write_bytes(b'{"meta":"promise","epoch":3}\n{"meta":"prom')
+    with caplog.at_level(logging.ERROR, logger="repro.live.durable_queue"):
+        log = ControlLog(path)
+    assert log.load_errors == 0 and log.promised == 3
+    assert not caplog.text
+    assert path.read_bytes() == b'{"meta":"promise","epoch":3}\n'
+
+
+def test_a_missing_log_is_a_first_boot_not_an_error(tmp_path):
+    site = _Site(tmp_path / "control.log")
+    assert site.log.load_errors == 0
+    assert site.table.self_record().incarnation == 1
+    assert (site.election.promised, site.log.next) == (0, 0)
+
+
+def test_frontier_progress_does_not_append(tmp_path):
+    """Frontiers advance with every heartbeat and gossip re-learns
+    them, so only what a restart must remember (members, addresses,
+    statuses, our incarnation) reaches the log."""
+    path = tmp_path / "control.log"
+    site = _Site(path)
+    table = site.table
+    peer = NodeRecord("siteB", "127.0.0.1", 7001, incarnation=2)
     table.merge([peer.wire()])
-    settled, version = len(writes), table.version
+    settled, version = len(_lines(path)), table.version
 
     table.update_self(frontier=5, applied=5)
     peer.frontier = peer.applied = 9
     assert table.merge([peer.wire()]) == ["siteB"]
-    assert len(writes) == settled and table.version == version + 2
+    assert len(_lines(path)) == settled and table.version == version + 2
 
-    peer.status = gossip.SUSPECT
+    peer.status = SUSPECT
     table.merge([peer.wire()])
-    assert len(writes) == settled + 1
-    reborn = MembershipTable("siteA", path)
-    reborn.load()
-    assert reborn.get("siteB").status == gossip.SUSPECT
-    assert reborn.get("siteB").frontier == 9  # rode along with the status
+    assert len(_lines(path)) == settled + 1
+    reborn = _Site(path)
+    assert reborn.table.get("siteB").status == SUSPECT
+    assert reborn.table.get("siteB").frontier == 9  # rode along
 
 
-class _DyingWriter:
-    """The open log, dying ``keep`` characters into its next write."""
-
-    def __init__(self, real, keep):
-        self.real, self.keep = real, keep
-
-    def write(self, data):
-        self.real.write(data[: self.keep])
-        self.real.flush()
-        raise _Crash
+# -- the model -------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "boundary", ["before-write", "torn-line", "before-fsync"]
-)
-def test_order_counter_never_regresses_below_a_granted_token(
-    boundary, tmp_path, monkeypatch
-):
-    path = tmp_path / "order.log"
-    log = GrantLog(path, fsync=True)
-    for token in (1, 2, 3):
-        log.grant(token, epoch=2)  # returned: handed out
-    assert log.fsync_count == 3
+class Reference:
+    """What a reload must fold to, the slow way: every returned change
+    kept in order, the state read off the lists."""
 
-    if boundary == "before-fsync":
-        monkeypatch.setattr(durable_queue.os, "fsync", _die)
-    else:
-        log._log = _DyingWriter(log._log, 0 if boundary == "before-write" else 9)
-    with pytest.raises(_Crash):
-        log.grant(4, epoch=2)  # dies before the token can leave
-    monkeypatch.undo()
+    def __init__(self):
+        self.promises, self.adopts, self.grants = [], [], []
+        #: name -> the wire form of its last change, as the table made it.
+        self.members = {}
 
-    reborn = GrantLog(path, fsync=True)
-    # The whole line reached the file only at the last boundary; a
-    # skipped token is harmless, a re-issued one is not.
-    assert reborn.next == (4 if boundary == "before-fsync" else 3)
-    # A torn tail is cut, not buried: the next grant survives too.
-    reborn.grant(reborn.next + 1, epoch=3)
-    reborn.close()
-    again = GrantLog(path)
-    assert again.next == reborn.next
-    assert all(
-        line.startswith('{"meta":"grant","next":')
-        for line in path.read_text().splitlines()
+    def promised(self):
+        return max(self.promises + [e for e, _, _ in self.adopts], default=0)
+
+    def adopted(self):
+        """The last adoption, and the base of every epoch adopted."""
+        last = self.adopts[-1] if self.adopts else (0, None, 0)
+        return last, {epoch: base for epoch, _, base in self.adopts}
+
+    def grant(self):
+        return self.grants[-1] if self.grants else (0, 0)
+
+    def boot(self, name):
+        mine = self.members.get(name)
+        if mine is None:
+            self.members[name] = NodeRecord(name).wire()
+        else:
+            mine.update(incarnation=mine["incarnation"] + 1, status=ALIVE)
+
+
+NAMES = ("siteA", "siteB", "siteC")
+
+
+class ControlLogMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.dir = pathlib.Path(tempfile.mkdtemp(prefix="control-model-"))
+        self.path = self.dir / "control.log"
+        self.ref = Reference()
+        #: the highest value of each watched state seen so far.
+        self.high = {}
+        self._boot()
+
+    def _boot(self):
+        self.site = _Site(self.path)
+        self.ref.boot("siteA")
+
+    def teardown(self):
+        self.site.log.close()
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+    @rule(epoch=st.integers(0, 12))
+    def promise(self, epoch):
+        if self.site.election.promise(epoch):
+            self.ref.promises.append(epoch)
+
+    @rule(
+        epoch=st.integers(0, 12),
+        leader=st.sampled_from(NAMES),
+        base=st.integers(0, 50),
     )
+    def adopt(self, epoch, leader, base):
+        if self.site.election.adopt(epoch, leader, base):
+            self.ref.adopts.append((epoch, leader, base))
+
+    @rule(step=st.integers(0, 3))
+    def grant(self, step):
+        token = (self.site.log.next + step, self.site.election.epoch)
+        self.site.log.grant(*token)
+        self.ref.grants.append(token)
+
+    @rule(
+        name=st.sampled_from(NAMES),
+        incarnation=st.integers(0, 6),
+        status=st.sampled_from([ALIVE, SUSPECT, DEAD]),
+        port=st.integers(7000, 7003),
+    )
+    def member_change(self, name, incarnation, status, port):
+        rumor = NodeRecord(name, "127.0.0.1", port, incarnation, status)
+        self.site.table.merge([rumor.wire()])
+        # Every change a frontier-free rumor makes is durable.
+        self.ref.members = {
+            rec.name: rec.wire() for rec in self.site.table.records()
+        }
+
+    @rule()
+    def compact(self):
+        self.site.log.compact()
+        assert self.site.log.compact() == 0
+
+    @rule(torn=st.booleans())
+    def crash_and_reopen(self, torn):
+        self.site.log._log.close()  # no sync, no compaction
+        if torn:
+            with self.path.open("a", encoding="utf-8") as handle:
+                handle.write('{"meta":"grant","next":99')
+        self._boot()
+
+    @invariant()
+    def folds_to_the_reference(self):
+        site, ref = self.site, self.ref
+        election = site.election
+        last, bases = ref.adopted()
+        assert election.promised == site.log.promised == ref.promised()
+        assert (election.epoch, election.leader, election.base) == last
+        assert election.bases == bases
+        assert (site.log.next, site.log.grant_epoch) == ref.grant()
+        assert {rec.name: rec.wire() for rec in site.table.records()} == (
+            ref.members
+        )
+        assert {n: r.wire() for n, r in site.log.nodes.items()} == (
+            ref.members
+        )
+        assert site.log.load_errors == 0
+
+    @invariant()
+    def never_regresses(self):
+        site = self.site
+        now = {
+            "promised": site.election.promised,
+            "epoch": site.election.epoch,
+            "next": site.log.next,
+        }
+        for rec in site.table.records():
+            now["incarnation/" + rec.name] = rec.incarnation
+        for key, value in now.items():
+            assert value >= self.high.get(key, 0), key
+            self.high[key] = value
 
 
-@pytest.mark.parametrize("boundary", BOUNDARIES)
-def test_folding_the_order_log_is_atomic(boundary, tmp_path, monkeypatch):
-    path = tmp_path / "order.log"
-    log = GrantLog(path, fsync=True)
-    for token in range(1, 6):
-        log.grant(token, epoch=1)
-
-    _arm(boundary, path, monkeypatch)
-    with pytest.raises(_Crash):
-        log.fold()
-    monkeypatch.undo()
-
-    folded = boundary == "after-rename"
-    assert len(path.read_text().splitlines()) == (1 if folded else 5)
-    assert GrantLog(path).next == 5
-    # The surviving process keeps granting into whichever file won.
-    log.grant(6, epoch=1)
-    assert GrantLog(path).next == 6
-    log.fold()
-    assert path.read_text() == '{"meta":"grant","next":6,"epoch":1}\n'
-    log.grant(7, epoch=1)
-    assert GrantLog(path).next == 7
-
-
-def test_a_fresh_or_folded_order_log_is_not_rewritten(tmp_path, monkeypatch):
-    path = tmp_path / "order.log"
-    log = GrantLog(path)
-    assert log.next == 0
-    monkeypatch.setattr(durable_queue, "write_atomic", _die)
-    log.fold()  # nothing granted
-    log.grant(1, epoch=0)
-    log.fold()  # already one line
-    assert path.read_text() == '{"meta":"grant","next":1,"epoch":0}\n'
+TestControlLogModel = ControlLogMachine.TestCase

@@ -207,6 +207,47 @@ class TestSnapshotVerb:
 
         run(scenario())
 
+    def test_the_periodic_loop_snapshots_and_compacts(self, tmp_path):
+        """``snapshot_interval`` (``repro serve --snapshot-interval``)
+        snapshots with no ``snapshot`` request, and compacts both the
+        replication log and the control log."""
+
+        async def scenario():
+            cluster = LiveCluster(
+                n_sites=3, method="commu", data_dir=tmp_path,
+                server_options={"snapshot_interval": 0.1}, **FAST
+            )
+            await cluster.start()
+            try:
+                client = await cluster.client("site0")
+                for i in range(20):
+                    await client.increment("k%d" % (i % 4), 1)
+                await cluster.settle()
+                site0 = cluster.servers["site0"]
+                deadline = asyncio.get_running_loop().time() + 10.0
+                while site0.log.base < 20 or (
+                    site0._control.compaction_count == 0
+                ):
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.05)
+                assert site0.registry.get_sample(
+                    "snapshots_total", kind="periodic"
+                ) >= 1
+                assert not site0.registry.get_sample(
+                    "snapshots_total", kind="manual"
+                )
+                assert site0._control.compacted_records > 0
+                text = (tmp_path / "site0" / "control.log").read_text()
+                records = [json.loads(line) for line in text.splitlines()]
+                # A rewritten log: the floor marker, then the members.
+                assert records[0] == {"meta": "base", "base": 0}
+                assert {r["meta"] for r in records[1:]} == {"member"}
+                assert {r["name"] for r in records[1:]} == set(cluster.names)
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
 
 class TestWipedReplicaRejoin:
     def test_wiped_replica_rejoins_via_snapshot_transfer(self, tmp_path):
