@@ -19,7 +19,7 @@ from conftest import run_once
 from repro.core.transactions import reset_tid_counter
 from repro.harness.report import render_series
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.replica.coherency import PrimaryCopy
 from repro.sim.network import ConstantLatency
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec, drive

@@ -15,7 +15,7 @@ from repro.core.operations import IncrementOp
 from repro.core.transactions import UpdateET, reset_tid_counter
 from repro.harness.report import render_series
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.replica.temporal import DeadlineTracker
 from repro.sim.network import UniformLatency
 

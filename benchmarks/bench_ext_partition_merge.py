@@ -19,7 +19,7 @@ from repro.core.operations import IncrementOp, MultiplyOp
 from repro.core.transactions import UpdateET, reset_tid_counter
 from repro.harness.report import render_series
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.replica.merge import LoggedOp, merge_partition_logs
 from repro.sim.failures import FailureInjector, PartitionEvent
 from repro.sim.network import ConstantLatency

@@ -28,7 +28,7 @@ from repro.core.transactions import (
 )
 from repro.harness.report import render_table
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.replica.quasicopy import ClosenessSpec, QuasiCopies
 from repro.sim.network import ConstantLatency
 

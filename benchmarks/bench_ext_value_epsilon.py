@@ -25,7 +25,7 @@ from repro.core.transactions import (
 )
 from repro.harness.report import render_series
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.sim.network import UniformLatency
 
 DEPOSIT = 100

@@ -13,7 +13,7 @@ from repro.core.operations import IncrementOp
 from repro.core.transactions import UpdateET, reset_tid_counter
 from repro.harness.experiments import experiment_table1
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.replica.ordup import OrderedUpdates
 from repro.replica.mset import MSet, MSetKind
 

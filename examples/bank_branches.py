@@ -33,7 +33,7 @@ from repro import (
     UniformLatency,
     UpdateET,
 )
-from repro.replica.commu import NonCommutativeError
+from repro.replica.host import NonCommutativeError
 
 ACCOUNTS = ("alice", "bob", "carol")
 BRANCHES = 4

@@ -24,7 +24,7 @@ from repro import (
     UpdateET,
     WriteOp,
 )
-from repro.replica.ritu import ReadIndependentUpdates
+from repro.replica.host import ReadIndependentUpdates
 from repro.sim.failures import FailureInjector, PartitionEvent
 
 

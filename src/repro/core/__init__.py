@@ -48,7 +48,6 @@ from .overlap import OverlapRecord, OverlapTracker, query_overlaps
 from .inconsistency import (
     EpsilonExceeded,
     InconsistencyCounter,
-    LockCounterTable,
 )
 from .locks import (
     CLASSIC_2PL,
@@ -87,7 +86,7 @@ __all__ = [
     "replicas_converged", "serial_witness",
     # overlap and inconsistency
     "OverlapRecord", "OverlapTracker", "query_overlaps",
-    "EpsilonExceeded", "InconsistencyCounter", "LockCounterTable",
+    "EpsilonExceeded", "InconsistencyCounter",
     # locks
     "CLASSIC_2PL", "COMMU_TABLE", "Compatibility", "CompatibilityTable",
     "DeadlockError", "LockGrant", "LockManager", "LockMode", "ORDUP_TABLE",

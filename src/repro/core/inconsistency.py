@@ -1,4 +1,4 @@
-"""Inconsistency accounting: counters and lock-counters.
+"""Inconsistency accounting: the per-query inconsistency counter.
 
 The paper bounds query-ET error with two bookkeeping devices:
 
@@ -15,22 +15,27 @@ The paper bounds query-ET error with two bookkeeping devices:
   counter raised for the whole saga so queries see a conservative
   estimate of potential compensation.
 
-Both devices live here so every replica control method shares one
-implementation and the tests can verify the arithmetic in isolation.
+The counter lives here; the lock-counters are
+:class:`~repro.replica.base.LockCounterSiteState`, the table the
+engines share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from .transactions import EpsilonSpec, TransactionID, UNLIMITED
 
 __all__ = [
     "InconsistencyCounter",
     "EpsilonExceeded",
-    "LockCounterTable",
+    "COUNT_BUCKETS",
 ]
+
+#: histogram buckets for per-query inconsistency counts: small
+#: integers, so the common values 0-3 get a bucket each.
+COUNT_BUCKETS: Tuple[float, ...] = (0, 1, 2, 3, 5, 10, 20, 50, 100)
 
 
 class EpsilonExceeded(Exception):
@@ -116,83 +121,3 @@ class InconsistencyCounter:
         if source is not None:
             self.imported.add(source)
         return self.value
-
-
-class LockCounterTable:
-    """Per-object lock-counters (COMMU divergence bounding).
-
-    'When updating an object, the update ET increments the object
-    lock-counter by one. ... At the end of update-ET execution all the
-    lock-counters are decremented.'  The table also supports the saga
-    variant where decrements are deferred to saga end.
-    """
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-        #: holder tid -> keys it has raised (for symmetric release).
-        self._held: Dict[TransactionID, List[str]] = {}
-        #: saga id -> participating update tids whose release is deferred.
-        self._sagas: Dict[str, List[TransactionID]] = {}
-        self._saga_of: Dict[TransactionID, str] = {}
-
-    def count(self, key: str) -> int:
-        """Current lock-counter of ``key`` (0 when untouched)."""
-        return self._counts.get(key, 0)
-
-    def raise_for(self, tid: TransactionID, key: str) -> int:
-        """Update ET ``tid`` starts touching ``key``; returns new count."""
-        self._counts[key] = self._counts.get(key, 0) + 1
-        self._held.setdefault(tid, []).append(key)
-        return self._counts[key]
-
-    def release(self, tid: TransactionID) -> None:
-        """Update ET ``tid`` finished: decrement all its counters.
-
-        If the tid is enrolled in a saga, the release is deferred until
-        :meth:`end_saga` (section 4.2's conservative estimate).
-        """
-        if tid in self._saga_of:
-            return
-        self._release_now(tid)
-
-    def _release_now(self, tid: TransactionID) -> None:
-        for key in self._held.pop(tid, ()):  # each raise gets one decrement
-            new = self._counts.get(key, 0) - 1
-            if new <= 0:
-                self._counts.pop(key, None)
-            else:
-                self._counts[key] = new
-
-    # -- saga support ------------------------------------------------------
-
-    def enroll_in_saga(self, saga_id: str, tid: TransactionID) -> None:
-        """Defer this update ET's counter release to the saga's end."""
-        self._sagas.setdefault(saga_id, []).append(tid)
-        self._saga_of[tid] = saga_id
-
-    def end_saga(self, saga_id: str) -> None:
-        """Release the counters of every step of the finished saga."""
-        for tid in self._sagas.pop(saga_id, ()):  # steps release together
-            self._saga_of.pop(tid, None)
-            self._release_now(tid)
-
-    # -- query-side accounting --------------------------------------------
-
-    def inconsistency_of(self, keys: Tuple[str, ...]) -> int:
-        """Total potential inconsistency a query importing ``keys`` sees.
-
-        'Each lock-counter different from zero means a certain degree of
-        inconsistency added to the query ET.'
-        """
-        return sum(self._counts.get(key, 0) for key in keys)
-
-    def exceeds(self, key: str, limit: float) -> bool:
-        """True when raising ``key`` again would pass ``limit``.
-
-        Used by the update-throttling variant: 'if the lock-counter of
-        an object exceeds a specified limit, then the update ET trying
-        to write must either wait or abort.'
-        """
-        if limit == UNLIMITED:
-            return False
-        return self._counts.get(key, 0) + 1 > limit

@@ -29,7 +29,6 @@ from ..core.transactions import (
     UpdateET,
     reset_tid_counter,
 )
-from ..replica.commu import CommutativeOperations
 from ..replica.compe import CompensationBased
 from ..replica.coherency import (
     PrimaryCopy,
@@ -37,8 +36,8 @@ from ..replica.coherency import (
     ReadOneWriteAll2PC,
 )
 from ..replica.ordup import OrderedUpdates
-from ..replica.ritu import ReadIndependentUpdates
 from ..replica.base import SystemConfig
+from ..replica.host import CommutativeOperations, ReadIndependentUpdates
 from ..sim.network import ConstantLatency
 from ..workload.generator import WorkloadSpec
 from .report import render_series, render_table

@@ -762,11 +762,7 @@ def encode_spec(spec: EpsilonSpec) -> Dict[str, Any]:
     """The finite limits only: :func:`decode_spec` reads an absent
     limit (or a ``null`` one) as unlimited, so a query request carries
     no ``null`` for :func:`_encode` to check."""
-    limits = (
-        ("import", spec.import_limit),
-        ("export", spec.export_limit),
-        ("value", spec.value_limit),
-    )
+    limits = (("import", spec.import_limit), ("value", spec.value_limit))
     return {name: value for name, value in limits if value != UNLIMITED}
 
 
@@ -775,7 +771,6 @@ def decode_spec(data: Optional[Dict[str, Any]]) -> EpsilonSpec:
         return EpsilonSpec()
     return EpsilonSpec(
         import_limit=_limit_in(data.get("import")),
-        export_limit=_limit_in(data.get("export")),
         value_limit=_limit_in(data.get("value")),
     )
 

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.inconsistency import COUNT_BUCKETS
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -56,9 +58,7 @@ DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
     1, 2, 4, 8, 16, 32, 64, 128, 256,
 )
 #: small-count buckets (inconsistency counters, wait counts).
-DEFAULT_COUNT_BUCKETS: Tuple[float, ...] = (
-    0, 1, 2, 3, 5, 10, 20, 50, 100,
-)
+DEFAULT_COUNT_BUCKETS = COUNT_BUCKETS
 
 
 def _escape_label_value(value: str) -> str:

@@ -11,8 +11,13 @@ from .base import (
 )
 from .common import MethodRuntime
 from .ordup import OrderedUpdates
-from .commu import CommutativeOperations, NonCommutativeError
-from .ritu import NotReadIndependentError, ReadIndependentUpdates
+from .host import (
+    CommutativeOperations,
+    EngineHost,
+    NonCommutativeError,
+    NotReadIndependentError,
+    ReadIndependentUpdates,
+)
 from .compe import CompensationBased, CompensationStats
 from .coherency import PrimaryCopy, QuorumConsensus, ReadOneWriteAll2PC
 from .quasicopy import ClosenessSpec, QuasiCopies
@@ -31,6 +36,7 @@ __all__ = [
     "MethodRuntime",
     "OrderedUpdates",
     "CommutativeOperations",
+    "EngineHost",
     "NonCommutativeError",
     "NotReadIndependentError",
     "ReadIndependentUpdates",

@@ -29,7 +29,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -166,7 +165,7 @@ class LockCounterSiteState:
         ``applied_since(key, start >= horizon)`` can return — and
         return the tid of each dropped ``note_applied`` call.  Apply
         times are monotone, so this pops a prefix.  For a caller that
-        knows its oldest reader (the live engine, not the simulator)."""
+        knows its oldest reader (the engine's query horizon)."""
         noted = self._noted
         dropped: List[TransactionID] = []
         while noted and noted[0][0] <= horizon:
@@ -390,10 +389,13 @@ class SiteExecutor:
 class QueryRunner:
     """Runs a query ET's reads serially over simulated time.
 
-    The method supplies an ``admit`` hook called before every read; the
-    hook returns either a value-producing callable (proceed) or a delay
-    hint (wait and re-admit).  The runner owns retries, abort on site
-    crash, and result assembly.
+    Each read takes the site's ``read_time`` and happens at its end:
+    the method's ``admit`` hook is called there and returns
+    ``(True, value)`` — the read is charged and done — or ``(False,
+    None)``: the query discards its reads and, after ``RETRY_DELAY``,
+    starts over, re-serializing *after* the conflicting updates (the
+    paper's 'put them at the beginning or at the end').  The runner
+    owns retries, abort on site crash, and result assembly.
     """
 
     RETRY_DELAY = 0.25
@@ -403,18 +405,14 @@ class QueryRunner:
         system: "ReplicatedSystem",
         et: EpsilonTransaction,
         site: Site,
-        admit: Callable[[str], Tuple[bool, Optional[Callable[[], Any]]]],
+        admit: Callable[[str], Tuple[bool, Any]],
         on_done: DoneCallback,
         inconsistency_of: Callable[[], int],
         overlap_of: Callable[[], Tuple[TransactionID, ...]],
-        restart_on_block: bool = False,
-        on_restart: Optional[Callable[[], None]] = None,
+        on_start: Optional[Callable[[], None]] = None,
     ) -> None:
-        """``restart_on_block=True`` makes a blocked query discard its
-        partial reads and start over (after calling ``on_restart``),
-        re-serializing *after* the conflicting updates — the paper's
-        'put them at the beginning or at the end' for COMMU.  The
-        default retries the same read in place (ORDUP-style waiting)."""
+        """``on_start`` is called at the first read of each attempt:
+        the query (re)starts there."""
         self.system = system
         self.et = et
         self.site = site
@@ -422,8 +420,7 @@ class QueryRunner:
         self.on_done = on_done
         self.inconsistency_of = inconsistency_of
         self.overlap_of = overlap_of
-        self.restart_on_block = restart_on_block
-        self.on_restart = on_restart
+        self.on_start = on_start
         self.result = ETResult(
             et,
             start_time=system.sim.now,
@@ -442,28 +439,26 @@ class QueryRunner:
         if self._index >= len(self._keys):
             self._finish(ETStatus.COMMITTED)
             return
+        self.system.sim.schedule(self.site.config.read_time, self._read)
+
+    def _read(self) -> None:
+        """One read, admitted and performed at its read instant."""
+        if self.site.crashed:
+            self._finish(ETStatus.ABORTED)
+            return
         key = self._keys[self._index]
-        admitted, read = self.admit(key)
+        if self._index == 0 and self.on_start is not None:
+            self.on_start()
+        admitted, value = self.admit(key)
         if not admitted:
             self.result.waits += 1
-            if self.restart_on_block:
-                self._index = 0
-                self.result.values.clear()
-                if self.on_restart is not None:
-                    self.on_restart()
+            self._index = 0
+            self.result.values.clear()
             self.system.sim.schedule(self.RETRY_DELAY, self._step)
             return
-
-        def do_read() -> None:
-            if self.site.crashed:
-                self._finish(ETStatus.ABORTED)
-                return
-            assert read is not None
-            self.result.values[key] = read()
-            self._index += 1
-            self._step()
-
-        self.system.sim.schedule(self.site.config.read_time, do_read)
+        self.result.values[key] = value
+        self._index += 1
+        self._step()
 
     def _finish(self, status: str) -> None:
         self.result.status = status

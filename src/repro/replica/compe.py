@@ -567,17 +567,12 @@ class CompensationBased(ReplicaControlMethod):
             )
             if not self.runtime.try_charge(et.tid, sources):
                 return False, None
+            site.history.record(
+                et.tid, ReadOp(key), site_name, site.sim.now, et
+            )
+            return True, site.read(et.tid, key)
 
-            def read():
-                value = site.read(et.tid, key)
-                site.history.record(
-                    et.tid, ReadOp(key), site_name, site.sim.now, et
-                )
-                return value
-
-            return True, read
-
-        def restart() -> None:
+        def start() -> None:
             query_start[0] = self.system.sim.now
 
         def done(result: ETResult) -> None:
@@ -599,8 +594,7 @@ class CompensationBased(ReplicaControlMethod):
             overlap_of=lambda: tuple(
                 self.runtime.tracker.overlap_members(et.tid)
             ),
-            restart_on_block=True,
-            on_restart=restart,
+            on_start=start,
         ).start()
 
     # ------------------------------------------------------------------

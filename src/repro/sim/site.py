@@ -1,8 +1,8 @@
 """Replica sites: local state, local execution, crash/recovery.
 
 A :class:`Site` owns the local storage substrate (plain store,
-multiversion store, operation log), the local history recording, the
-overlap tracker, and the lock-counter table.  Replica control methods
+multiversion store, operation log) and the local history
+recording.  Replica control methods
 drive sites through small primitives — sites know nothing about any
 particular method, matching the paper's framework split between "MSet
 delivery" and "MSet processing" (section 2.4).
@@ -16,13 +16,11 @@ encapsulating it in the local message processing".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.history import History
-from ..core.inconsistency import LockCounterTable
 from ..core.operations import Operation
-from ..core.overlap import OverlapTracker
 from ..core.transactions import EpsilonTransaction, TransactionID
 from ..storage.kv import KeyValueStore
 from ..storage.mvstore import MultiVersionStore
@@ -64,8 +62,6 @@ class Site:
         self.mvstore = MultiVersionStore()
         self.oplog = OperationLog(self.store, default=self.config.default_value)
         self.history = History()
-        self.tracker = OverlapTracker()
-        self.lock_counters = LockCounterTable()
         self.crashed = False
         #: hooks a replica control method installs (crash interruption).
         self.on_crash: List[Callable[[], None]] = []

@@ -1,11 +1,10 @@
-"""Unit tests for inconsistency counters and lock-counter tables."""
+"""Unit tests for inconsistency counters."""
 
 import pytest
 
 from repro.core.inconsistency import (
     EpsilonExceeded,
     InconsistencyCounter,
-    LockCounterTable,
 )
 from repro.core.transactions import EpsilonSpec, UNLIMITED
 
@@ -54,65 +53,3 @@ class TestInconsistencyCounter:
             counter.charge()
         assert exc.value.tid == 42
         assert exc.value.limit == 0
-
-
-class TestLockCounterTable:
-    def test_raise_and_count(self):
-        table = LockCounterTable()
-        assert table.count("x") == 0
-        table.raise_for(1, "x")
-        table.raise_for(2, "x")
-        assert table.count("x") == 2
-
-    def test_release_decrements_all_held(self):
-        table = LockCounterTable()
-        table.raise_for(1, "x")
-        table.raise_for(1, "y")
-        table.release(1)
-        assert table.count("x") == 0 and table.count("y") == 0
-
-    def test_release_only_own_raises(self):
-        table = LockCounterTable()
-        table.raise_for(1, "x")
-        table.raise_for(2, "x")
-        table.release(1)
-        assert table.count("x") == 1
-
-    def test_inconsistency_of_sums_counters(self):
-        table = LockCounterTable()
-        table.raise_for(1, "x")
-        table.raise_for(2, "x")
-        table.raise_for(3, "y")
-        assert table.inconsistency_of(("x", "y")) == 3
-        assert table.inconsistency_of(("x",)) == 2
-        assert table.inconsistency_of(("z",)) == 0
-
-    def test_exceeds_limit(self):
-        table = LockCounterTable()
-        table.raise_for(1, "x")
-        assert table.exceeds("x", 1)
-        assert not table.exceeds("x", 2)
-        assert not table.exceeds("x", UNLIMITED)
-
-    def test_saga_defers_release(self):
-        """Section 4.2: counters stay raised for the whole saga."""
-        table = LockCounterTable()
-        table.raise_for(1, "x")
-        table.enroll_in_saga("saga1", 1)
-        table.release(1)  # deferred
-        assert table.count("x") == 1
-        table.end_saga("saga1")
-        assert table.count("x") == 0
-
-    def test_saga_releases_all_steps_together(self):
-        table = LockCounterTable()
-        for tid in (1, 2, 3):
-            table.raise_for(tid, "x")
-            table.enroll_in_saga("s", tid)
-            table.release(tid)
-        assert table.count("x") == 3
-        table.end_saga("s")
-        assert table.count("x") == 0
-
-    def test_end_unknown_saga_is_noop(self):
-        LockCounterTable().end_saga("nothing")

@@ -25,7 +25,7 @@ from repro.core.transactions import (
     reset_tid_counter,
 )
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.sim.network import UniformLatency
 
 

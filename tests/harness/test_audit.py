@@ -13,7 +13,7 @@ from repro.core.transactions import (
 )
 from repro.harness.audit import AuditReport
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.sim.network import UniformLatency
 
 

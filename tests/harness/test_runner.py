@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness.runner import divergence_trace, run_experiment
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.sim.network import ConstantLatency
 from repro.workload.generator import WorkloadSpec
 

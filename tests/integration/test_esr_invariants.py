@@ -16,10 +16,10 @@ import pytest
 from repro.core.serializability import query_overlaps
 from repro.core.transactions import reset_tid_counter
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.replica.compe import CompensationBased
 from repro.replica.ordup import OrderedUpdates
-from repro.replica.ritu import ReadIndependentUpdates
+from repro.replica.host import ReadIndependentUpdates
 from repro.sim.failures import CrashEvent, FailureInjector, PartitionEvent
 from repro.sim.network import UniformLatency
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec, drive

@@ -12,9 +12,9 @@ import pytest
 from repro.core.operations import is_write
 from repro.core.transactions import reset_tid_counter
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.replica.ordup import OrderedUpdates
-from repro.replica.ritu import ReadIndependentUpdates
+from repro.replica.host import ReadIndependentUpdates
 from repro.sim.network import UniformLatency
 from repro.storage.kv import KeyValueStore
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec, drive

@@ -12,10 +12,10 @@ from repro.core.transactions import reset_tid_counter
 from repro.harness.audit import audit
 from repro.harness.runner import summarize
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.replica.compe import CompensationBased
 from repro.replica.ordup import OrderedUpdates
-from repro.replica.ritu import ReadIndependentUpdates
+from repro.replica.host import ReadIndependentUpdates
 from repro.sim.network import UniformLatency
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec, drive
 

@@ -156,9 +156,8 @@ class TestSpecCodec:
         assert spec.value_limit == UNLIMITED
 
     def test_the_null_spelling_still_decodes(self):
-        spec = decode_spec({"import": None, "export": None, "value": 4.0})
+        spec = decode_spec({"import": None, "value": 4.0})
         assert spec.import_limit == UNLIMITED
-        assert spec.export_limit == UNLIMITED
         assert spec.value_limit == 4.0
 
     @pytest.mark.parametrize(
@@ -181,11 +180,17 @@ class TestSpecCodec:
         assert b"null" not in encode_frame(request)
 
     def test_finite_limits_roundtrip(self):
-        spec = EpsilonSpec(import_limit=3, export_limit=0, value_limit=2.5)
+        spec = EpsilonSpec(import_limit=3, value_limit=2.5)
         back = decode_spec(encode_spec(spec))
         assert back.import_limit == 3
-        assert back.export_limit == 0
         assert back.value_limit == 2.5
+
+    def test_the_export_limit_is_not_on_the_wire(self):
+        """A query exports nothing, so its spec travels without one."""
+        assert encode_spec(EpsilonSpec(import_limit=1, export_limit=0)) == {
+            "import": 1
+        }
+        assert decode_spec({"export": 0}) == EpsilonSpec()
 
     def test_missing_spec_is_unlimited(self):
         spec = decode_spec(None)
@@ -570,7 +575,6 @@ class TestCodecProperties:
         for _ in range(100):
             spec = EpsilonSpec(
                 import_limit=rng.choice([UNLIMITED, 0, 1, 2.5, 100]),
-                export_limit=rng.choice([UNLIMITED, 0, 3]),
                 value_limit=rng.choice([UNLIMITED, 0.5, 7]),
             )
             back = decode_spec(encode_spec(spec))

@@ -13,7 +13,7 @@ from repro.replica.base import (
     SiteExecutor,
     SystemConfig,
 )
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.sim.events import Simulator
 from repro.sim.site import Site
 

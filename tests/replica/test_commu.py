@@ -18,7 +18,7 @@ from repro.core.transactions import (
     reset_tid_counter,
 )
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations, NonCommutativeError
+from repro.replica.host import CommutativeOperations, NonCommutativeError
 from repro.sim.network import UniformLatency
 
 
@@ -171,6 +171,42 @@ class TestUpdateThrottling:
         assert len(system.results) == 2
         assert system.converged()
         assert system.sites["site1"].store.get("x") == 2
+
+    def test_a_throttled_update_is_timed_from_its_submission(self):
+        """Its latency includes the wait: the second update on the hot
+        key launches only once the first has applied everywhere."""
+        method = CommutativeOperations(update_limit=1)
+        system = _system(method=method, latency=UniformLatency(5.0, 8.0))
+        first, second = (UpdateET([IncrementOp("x", 1)]) for _ in range(2))
+        system.submit(first, "site0")
+        system.submit(second, "site0")
+        launched = []
+        method.runtime.when_update_complete(
+            first.tid, lambda: launched.append(system.sim.now)
+        )
+        system.run_to_quiescence()
+        result = next(r for r in system.results if r.et is second)
+        assert result.start_time == 0.0
+        assert result.latency >= launched[0] >= 5.0
+
+    def test_the_limit_holds_when_several_updates_wait(self):
+        """Released one at a time: each waiting update's check sees the
+        counter the one launched before it raised."""
+        method = CommutativeOperations(update_limit=1)
+        system = _system(method=method, latency=UniformLatency(5.0, 8.0))
+        ets = [UpdateET([IncrementOp("x", 1)]) for _ in range(3)]
+        completed = {}
+        for et in ets:
+            system.submit(et, "site0")
+            method.runtime.when_update_complete(
+                et.tid,
+                lambda tid=et.tid: completed.setdefault(tid, system.sim.now),
+            )
+        system.run_to_quiescence()
+        launched = {r.et.tid: r.finish_time for r in system.results}
+        assert launched[ets[1].tid] >= completed[ets[0].tid]
+        assert launched[ets[2].tid] >= completed[ets[1].tid]
+        assert system.sites["site2"].store.get("x") == 3
 
     def test_unlimited_never_throttles(self):
         system = _system(latency=UniformLatency(5.0, 8.0))

@@ -7,7 +7,7 @@ that many live queries overlap its write set.
 
 import pytest
 
-from repro.core.operations import IncrementOp, ReadOp
+from repro.core.operations import IncrementOp, ReadOp, WriteOp
 from repro.core.transactions import (
     EpsilonSpec,
     QueryET,
@@ -16,7 +16,7 @@ from repro.core.transactions import (
     reset_tid_counter,
 )
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations, ReadIndependentUpdates
 from repro.sim.network import ConstantLatency
 
 
@@ -106,3 +106,18 @@ class TestExportLimit:
         system.run_to_quiescence()
         assert system.converged()
         assert system.sites["site0"].store.get("x") == 4
+
+    @pytest.mark.parametrize("versioning", ["overwrite", "multiversion"])
+    def test_ritu_does_not_throttle(self, versioning):
+        """The export limit is COMMU's update-side bound; a RITU update
+        commits at submission whatever queries are running."""
+        system = ReplicatedSystem(
+            ReadIndependentUpdates(versioning),
+            SystemConfig(n_sites=2, seed=1, initial=(("x", 0),)),
+        )
+        system.submit(QueryET([ReadOp("x"), ReadOp("x")]), "site0")
+        system.submit(
+            UpdateET([WriteOp("x", 5)], EpsilonSpec(export_limit=0)),
+            "site0",
+        )
+        assert [r.et.is_update for r in system.results] == [True]

@@ -9,7 +9,7 @@ from repro.core.transactions import (
     reset_tid_counter,
 )
 from repro.replica.base import QueryRunner, ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 
 
 @pytest.fixture(autouse=True)
@@ -47,11 +47,8 @@ class TestHappyPath:
         order = []
 
         def admit(key):
-            def read():
-                order.append(key)
-                return site.read(et.tid, key)
-
-            return True, read
+            order.append(key)
+            return True, site.read(et.tid, key)
 
         runner, done = _runner(system, site, et, admit)
         runner.start()
@@ -65,7 +62,7 @@ class TestHappyPath:
         et = QueryET([ReadOp("a"), ReadOp("b")])
 
         def admit(key):
-            return True, lambda: site.read(et.tid, key)
+            return True, site.read(et.tid, key)
 
         runner, done = _runner(system, site, et, admit)
         runner.start()
@@ -84,7 +81,7 @@ class TestBlockingModes:
         def admit(key):
             if not gate[0]:
                 return False, None
-            return True, lambda: site.read(et.tid, key)
+            return True, site.read(et.tid, key)
 
         runner, done = _runner(system, site, et, admit)
         runner.start()
@@ -98,30 +95,29 @@ class TestBlockingModes:
         et = QueryET([ReadOp("a"), ReadOp("b")])
         reads = []
         block_second_once = [True]
-        restarts = []
+        starts = []
 
         def admit(key):
             if key == "b" and block_second_once[0]:
                 block_second_once[0] = False
                 return False, None
 
-            def read():
-                reads.append(key)
-                return site.read(et.tid, key)
-
-            return True, read
+            reads.append(key)
+            return True, site.read(et.tid, key)
 
         runner, done = _runner(
             system, site, et, admit,
-            restart_on_block=True,
-            on_restart=lambda: restarts.append(system.sim.now),
+            on_start=lambda: starts.append(system.sim.now),
         )
         runner.start()
         system.sim.run()
         # "a" was read, then the blocked "b" discarded it; both were
         # re-read after the restart.
         assert reads == ["a", "a", "b"]
-        assert restarts
+        # Each attempt starts at its first read: one read time in, and
+        # one retry delay plus one read time after the block.
+        rt, retry = site.config.read_time, QueryRunner.RETRY_DELAY
+        assert starts == [rt, 2 * rt + retry + rt]
         assert done[0].values == {"a": 10, "b": 20}
 
 
@@ -131,7 +127,7 @@ class TestCrashHandling:
         et = QueryET([ReadOp("a")])
 
         def admit(key):
-            return True, lambda: site.read(et.tid, key)
+            return True, site.read(et.tid, key)
 
         runner, done = _runner(system, site, et, admit)
         site.crash()
@@ -144,7 +140,7 @@ class TestCrashHandling:
         et = QueryET([ReadOp("a"), ReadOp("b")])
 
         def admit(key):
-            return True, lambda: site.read(et.tid, key)
+            return True, site.read(et.tid, key)
 
         runner, done = _runner(system, site, et, admit)
         runner.start()

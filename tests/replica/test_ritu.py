@@ -16,7 +16,7 @@ from repro.core.transactions import (
     reset_tid_counter,
 )
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.ritu import (
+from repro.replica.host import (
     NotReadIndependentError,
     ReadIndependentUpdates,
 )

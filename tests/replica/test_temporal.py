@@ -9,7 +9,7 @@ from repro.core.transactions import (
     reset_tid_counter,
 )
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations
+from repro.replica.host import CommutativeOperations
 from repro.replica.coherency import PrimaryCopy
 from repro.replica.temporal import DeadlineTracker, PeriodicSubmitter
 from repro.sim.failures import FailureInjector, PartitionEvent

@@ -10,10 +10,10 @@ from repro.core.transactions import (
     reset_tid_counter,
 )
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.commu import CommutativeOperations, NonCommutativeError
+from repro.replica.host import CommutativeOperations, NonCommutativeError
 from repro.replica.compe import CompensationBased
 from repro.replica.ordup import OrderedUpdates
-from repro.replica.ritu import (
+from repro.replica.host import (
     NotReadIndependentError,
     ReadIndependentUpdates,
 )

@@ -15,7 +15,7 @@ from repro import (
 )
 from repro.core.operations import DecrementOp
 from repro.core.transactions import UNLIMITED, reset_tid_counter
-from repro.replica.ritu import ReadIndependentUpdates
+from repro.replica.host import ReadIndependentUpdates
 
 
 @pytest.fixture(autouse=True)
@@ -131,7 +131,7 @@ class TestEpsilonErgonomics:
 
 class TestFailureSurface:
     def test_failed_et_raises(self):
-        from repro.replica.commu import NonCommutativeError
+        from repro.replica.host import NonCommutativeError
         from repro.core.operations import MultiplyOp
 
         system = _system()
@@ -152,7 +152,7 @@ class TestFailureSurface:
         """COMMU applies updates at every replica independently, so an
         update ET may not embed reads; the error says to use ORDUP."""
         from repro.core.operations import ReadOp
-        from repro.replica.commu import NonCommutativeError
+        from repro.replica.host import NonCommutativeError
 
         client = Client(_system(), "site0")
         with pytest.raises(NonCommutativeError, match="ORDUP"):
