@@ -15,7 +15,7 @@ from conftest import run_once
 from repro.core.transactions import reset_tid_counter
 from repro.harness.report import render_table
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.ordup import OrderedUpdates
+from repro.replica.host import OrderedUpdates
 from repro.sim.network import UniformLatency
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec, drive
 

@@ -14,7 +14,7 @@ from repro.core.transactions import UpdateET, reset_tid_counter
 from repro.harness.experiments import experiment_table1
 from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.host import CommutativeOperations
-from repro.replica.ordup import OrderedUpdates
+from repro.replica.host import OrderedUpdates
 from repro.replica.mset import MSet, MSetKind
 
 

@@ -18,8 +18,8 @@ not create edges, matching the paper's divergence-control relaxation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .operations import Operation, conflicts, is_write
 from .transactions import EpsilonTransaction, TransactionID

@@ -27,7 +27,7 @@ guarantee progress).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..sim.events import Simulator
 from ..storage.kv import KeyValueStore

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .history import Event, History, SerializationGraph
 from .operations import conflicts

@@ -15,7 +15,7 @@ tripwire; benchmarks use the report fields for their tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
 from ..core.transactions import TransactionID
 from ..replica.base import ReplicatedSystem

@@ -7,37 +7,29 @@ The experiment ids match DESIGN.md section 4 and EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..core.history import History
-from ..core.locks import CLASSIC_2PL, COMMU_TABLE, ORDUP_TABLE
-from ..core.operations import (
-    IncrementOp,
-    MultiplyOp,
-    ReadOp,
-    WriteOp,
-)
+from ..core.locks import COMMU_TABLE, ORDUP_TABLE
+from ..core.operations import ReadOp, WriteOp
 from ..core.serializability import (
     is_epsilon_serial,
     is_serial,
     is_serializable,
 )
-from ..core.transactions import (
-    EpsilonSpec,
-    QueryET,
-    UNLIMITED,
-    UpdateET,
-    reset_tid_counter,
-)
+from ..core.transactions import QueryET, UNLIMITED, UpdateET, reset_tid_counter
 from ..replica.compe import CompensationBased
 from ..replica.coherency import (
     PrimaryCopy,
     QuorumConsensus,
     ReadOneWriteAll2PC,
 )
-from ..replica.ordup import OrderedUpdates
 from ..replica.base import SystemConfig
-from ..replica.host import CommutativeOperations, ReadIndependentUpdates
+from ..replica.host import (
+    CommutativeOperations,
+    OrderedUpdates,
+    ReadIndependentUpdates,
+)
 from ..sim.network import ConstantLatency
 from ..workload.generator import WorkloadSpec
 from .report import render_series, render_table

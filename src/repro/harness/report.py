@@ -7,7 +7,7 @@ cell against the original.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = ["render_table", "render_series", "format_cell"]
 

@@ -1,32 +1,28 @@
-"""The live-only engines — ORDUP, ROWA and COMPE — and :data:`ENGINES`,
-every engine the live server runs.
+"""The live-only engines — ROWA and COMPE — and :data:`ENGINES`, every
+engine the live server runs.
 
-The engine base and the COMMU and RITU engines are in
-:mod:`repro.replica.engine`, shared with the simulator; these subclass
-that base and need the live MSet codec for their checkpoints.
+The engine base and the COMMU, RITU and ORDUP engines are in
+:mod:`repro.replica.engine`, shared with the simulator (re-exported
+here); ROWA and COMPE subclass COMMU's.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.operations import Operation
-from ..core.transactions import EpsilonSpec
-from ..replica.base import OrderedApplyBuffer
 from ..replica.engine import (
     _UNBOUND,
     CommuLiveEngine,
     LiveEngine,
+    OrdupLiveEngine,
     QueryOutcome,
     QueryTimeout,
     RituLiveEngine,
     RituMvLiveEngine,
-    _QueryBudget,
 )
-from ..replica.mset import MSet, MSetKind
-from .protocol import decode_mset, decode_ops, encode_mset, encode_ops
+from ..replica.mset import MSet, MSetKind, decode_ops, encode_ops
 
 __all__ = [
     "LiveEngine",
@@ -41,222 +37,6 @@ __all__ = [
     "make_engine",
     "ENGINES",
 ]
-
-
-class OrdupLiveEngine(LiveEngine):
-    """ORDUP over real sockets (central ordering).
-
-    Every update acquires a gap-free sequence token from the cluster's
-    order server; each site feeds delivered MSets through the shared
-    :class:`OrderedApplyBuffer` and applies them in token order.  Free
-    queries charge their counter for writers applied beyond the
-    query's start frontier; an exhausted counter converts the query to
-    ordered mode — an atomic prefix-consistent snapshot read.
-    """
-
-    method_name = "ORDUP"
-    needs_order = True
-
-    def __init__(self, site, clock=time.monotonic) -> None:
-        super().__init__(site, clock)
-        self.buffer = OrderedApplyBuffer()
-        #: key -> (order token, tid) of the last applied writer.
-        self.last_writer: Dict[str, Tuple[Tuple[int, int], Any]] = {}
-        #: highest order token applied, gap-free.
-        self.frontier: Tuple[int, int] = (0, 0)
-        #: highest leadership epoch this engine has adopted; tokens
-        #: from older epochs are fenced unless they predate every
-        #: newer epoch's handover base.
-        self._current_epoch = 0
-        #: epoch -> base sequence the epoch's leader resumed from.
-        self._epoch_bases: Dict[int, int] = {0: 0}
-        #: stale-epoch tokens refused (observability).
-        self.fenced_count = 0
-
-    def adopt_epoch(self, epoch: int, base: int) -> None:
-        """Record a leadership handover: ``epoch``'s leader resumed at ``base``.
-
-        A plain method like ``accept``: the server adopts an epoch in
-        one step, between applies.  Epochs may arrive in any order — a
-        restore merges the election record's table into the
-        checkpoint's — and an epoch already recorded keeps its base, so
-        a merge never loosens the fence.  Purges held-back MSets that the
-        handover fences:
-        entries above ``base`` carrying an older epoch were granted by
-        a deposed leader after the handover point and can never become
-        applicable.
-        """
-        epoch = int(epoch)
-        if epoch in self._epoch_bases:
-            return
-        self._current_epoch = max(self._current_epoch, epoch)
-        self._epoch_bases[epoch] = int(base)
-        stale = [
-            seqno
-            for seqno, held in self.buffer._holdback.items()
-            if not self._epoch_admits(held.order[1], seqno)
-        ]
-        for seqno in stale:
-            del self.buffer._holdback[seqno]
-            self.fenced_count += 1
-
-    def _epoch_admits(self, epoch: int, seq: int) -> bool:
-        """Is a ``(seq, epoch)`` token admissible under the fence?
-
-        Current/newer epochs always admit (a newer epoch implies a
-        majority elected it; adoption follows via gossip).  An older
-        epoch admits only tokens at or below the base of every adopted
-        newer epoch — i.e. grants that predate the handover and are
-        merely arriving late.
-        """
-        if epoch >= self._current_epoch:
-            return True
-        floor = min(
-            b for e, b in self._epoch_bases.items() if e > epoch
-        )
-        return seq <= floor
-
-    def order_admissible(self, order: Tuple[int, int]) -> bool:
-        return self._epoch_admits(int(order[1]), int(order[0]))
-
-    def max_order_seen(self) -> int:
-        """Highest sequence number durably known here, held-back included.
-
-        A new leader resumes from the max of this across the electing
-        majority, so every grant any replica has seen is covered.
-        """
-        seen = self.frontier[0]
-        if self.buffer._holdback:
-            seen = max(seen, max(self.buffer._holdback))
-        return seen
-
-    def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
-        assert mset.order is not None, "ORDUP MSets carry an order token"
-        if not self._epoch_admits(mset.order[1], mset.order[0]):
-            # Fenced: granted by a deposed leader past the handover
-            # point.  Return no applies; the channel still acks so the
-            # sender's queue drains (the update was never client-acked).
-            self.fenced_count += 1
-            return []
-        applied: List[MSet] = []
-        for ready in self.buffer.offer(mset.order[0], mset):
-            self._apply_ops(ready)
-            self.frontier = max(self.frontier, ready.order)
-            if ready.keys:
-                # Chargeable while it is some key's last writer.
-                self._note_drift(ready, pins=len(ready.keys))
-            for key in ready.keys:
-                displaced = self.last_writer.get(key)
-                self.last_writer[key] = (ready.order, ready.tid)
-                if displaced is not None:
-                    self._unpin(displaced[1])
-            applied.append(ready)
-        return applied
-
-    def read_now(
-        self, keys: Sequence[str], spec: EpsilonSpec
-    ) -> Optional[QueryOutcome]:
-        # Ordered mode (strict): one atomic snapshot is a prefix of the
-        # global update order, hence serializable ("the query ET is
-        # allowed to proceed only when it is running in the global
-        # order").  A free one-key read cannot see a writer beyond the
-        # frontier it starts at.
-        if not spec.is_strict and len(keys) != 1:
-            return None
-        return QueryOutcome({key: self.store.get(key, 0) for key in keys})
-
-    async def query(
-        self,
-        keys: Sequence[str],
-        spec: EpsilonSpec,
-        timeout: float = 30.0,
-    ) -> QueryOutcome:
-        answered = self.read_now(keys, spec)
-        if answered is not None:
-            return answered
-        budget = _QueryBudget(spec)
-        values: Dict[str, Any] = {}
-        start_frontier = self.frontier
-        for index, key in enumerate(keys):
-            if index:
-                await asyncio.sleep(0)  # let applies interleave
-            # An applied writer beyond the query's start frontier is an
-            # out-of-order observation.
-            writer = self.last_writer.get(key)
-            sources: Set[Any] = set()
-            if writer is not None and writer[0] > start_frontier:
-                sources = {writer[1]}
-            if not budget.try_charge(sources, self._drift.get):
-                # Counter exhausted: convert to ordered mode, the
-                # atomic snapshot of :meth:`read_now`.
-                snapshot = {key: self.store.get(key, 0) for key in keys}
-                return budget.outcome(snapshot, waits=1)
-            values[key] = self.store.get(key, 0)
-        return budget.outcome(values)
-
-    def quiescent(self) -> bool:
-        return self.buffer.drained()
-
-    def history_entries(self) -> int:
-        return len(self.last_writer)
-
-    def _method_checkpoint(self) -> Dict[str, Any]:
-        # The apply-buffer position *is* ORDUP's recovery state: the
-        # next order token the site may apply, the gap-free frontier,
-        # the last writer per key (free-query accounting), and any
-        # held-back MSets waiting for an earlier token.
-        return {
-            "ordup": {
-                "expected": self.buffer.expected,
-                "frontier": list(self.frontier),
-                "last_writer": {
-                    key: [list(order), tid]
-                    for key, (order, tid) in self.last_writer.items()
-                },
-                "held": [
-                    [seqno, encode_mset(mset)]
-                    for seqno, mset in sorted(
-                        self.buffer._holdback.items()
-                    )
-                ],
-                "epoch": self._current_epoch,
-                "bases": {
-                    str(e): b for e, b in self._epoch_bases.items()
-                },
-            }
-        }
-
-    def _method_restore(self, state: Dict[str, Any]) -> None:
-        ordup = state.get("ordup", {})
-        self.buffer = OrderedApplyBuffer(
-            expected=int(ordup.get("expected", 1))
-        )
-        for seqno, encoded in ordup.get("held", ()):
-            self.buffer._holdback[int(seqno)] = decode_mset(encoded)
-        frontier = ordup.get("frontier", (0, 0))
-        self.frontier = (int(frontier[0]), int(frontier[1]))
-        self.last_writer = {
-            key: ((int(order[0]), int(order[1])), tid)
-            for key, (order, tid) in ordup.get(
-                "last_writer", {}
-            ).items()
-        }
-        for _, tid in self.last_writer.values():
-            self._restore_pin(state, tid)
-        self._current_epoch = int(ordup.get("epoch", 0))
-        self._epoch_bases = {
-            int(e): int(b)
-            for e, b in ordup.get("bases", {"0": 0}).items()
-        }
-        self._epoch_bases.setdefault(0, 0)
-
-    def stats(self) -> Dict[str, Any]:
-        out = super().stats()
-        out["frontier"] = list(self.frontier)
-        out["held_back"] = self.buffer.held
-        out["epoch"] = self._current_epoch
-        out["fenced"] = self.fenced_count
-        return out
 
 
 class RowaLiveEngine(CommuLiveEngine):

@@ -7,15 +7,11 @@ length never has the bit set); frames are self-describing, and nothing
 is negotiated.
 
 *JSON frames* (bit clear) carry a UTF-8 JSON object — every control
-and client frame.  The payload vocabulary reuses the simulator's
-operation algebra and MSet types, so a live server and the
-deterministic simulator speak about the *same* transactions.  An
-operation is a positional array, tag first — ``["read", key]``,
-``[tag, key, arg]`` (the amount of ``inc``/``dec``/``mul``/``div``,
-the value of ``write``, the item of ``append``), ``["tswrite", key,
-value, [time, site]]`` — and an MSet omits what it leaves at its
-default: one MSet text is the log line, the wire entry and every
-peer's inbox line, so its field names are paid for at every stage.
+and client frame.  Operations and MSets travel in the simulator's own
+codec (:mod:`repro.replica.mset`, re-exported here: the same function
+objects), so a live server and the simulator speak about the *same*
+transactions; one MSet text is the log line, the wire entry and every
+peer's inbox line.
 
 * client -> server: ``{"type": "request", "id": n, "verb": ..., ...}``
 * server -> client: ``{"type": "response", "id": n, "ok": bool, ...}``
@@ -43,9 +39,7 @@ One JSON codec, orjson, encodes and decodes every document an update
 crosses — frames, payload blobs, log lines — and rewrites no value.
 Integers are 64-bit: a wider one, a non-``str`` key or a lone
 surrogate is a ``TypeError`` at the sender; a wider integer *literal*
-in a foreign document decodes as the nearest float.  Operation
-arguments are finite and a divisor is not zero, or :func:`encode_op`
-and :func:`decode_op` raise :class:`ProtocolError`.  A store value
+in a foreign document decodes as the nearest float.  A store value
 that overflowed is encoded by the stdlib as ``Infinity``, which
 :func:`loads` hands on to ``json.loads``.  Cold files — snapshots
 (pure ASCII: fetch chunks are decoded as ASCII), the shard manifest,
@@ -65,25 +59,26 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import struct
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import orjson
 
-from ..core.operations import (
-    AppendOp,
-    DecrementOp,
-    DivideOp,
-    IncrementOp,
-    MultiplyOp,
-    Operation,
-    ReadOp,
-    TimestampedWriteOp,
-    WriteOp,
-)
 from ..core.transactions import EpsilonSpec, UNLIMITED
-from ..replica.mset import MSet, MSetKind
+from ..replica.mset import (
+    ProtocolError,
+    _decode_read,
+    _decode_tswrite,
+    _finite,
+    _keyless,
+    _wrong_arity,
+    decode_mset,
+    decode_op,
+    decode_ops,
+    encode_mset,
+    encode_op,
+    encode_ops,
+)
 
 __all__ = [
     "MAX_FRAME",
@@ -111,6 +106,10 @@ __all__ = [
     "encode_mset",
     "decode_mset",
     "decode_gossip",
+    "_decode_read",
+    "_decode_tswrite",
+    "_keyless",
+    "_wrong_arity",
 ]
 
 #: Upper bound on a single frame; a peer announcing more is corrupt.
@@ -136,25 +135,7 @@ _ENTRY_HDR = struct.Struct(">QI")   # channel seq, payload-blob length
 _ACK_BODY = struct.Struct(">BQ")    # kind, cumulative channel seq
 
 
-class ProtocolError(RuntimeError):
-    """Raised on malformed frames or unknown payload tags."""
-
-
 # -- framing -----------------------------------------------------------------
-
-def _finite(obj: Any) -> bool:
-    """False when some float inside ``obj`` is NaN or infinite."""
-    todo = [obj]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, dict):
-            todo.extend(item.values())
-        elif isinstance(item, (list, tuple)):
-            todo.extend(item)
-        elif type(item) is float and not math.isfinite(item):
-            return False
-    return True
-
 
 def _encode(obj: Any) -> bytes:
     """Compact UTF-8 JSON of ``obj``.  orjson writes a non-finite float
@@ -615,137 +596,6 @@ def decode_bin_frame(body: bytes) -> Dict[str, Any]:
     return {"type": "mset-batch", "src": src, "blobs": tuple(blobs)}
 
 
-# -- operation algebra <-> JSON ----------------------------------------------
-
-_OP_ENCODERS = {
-    ReadOp: lambda op: ["read", op.key],
-    WriteOp: lambda op: ["write", op.key, op.value],
-    IncrementOp: lambda op: ["inc", op.key, op.amount],
-    DecrementOp: lambda op: ["dec", op.key, op.amount],
-    MultiplyOp: lambda op: ["mul", op.key, op.amount],
-    DivideOp: lambda op: ["div", op.key, op.amount],
-    AppendOp: lambda op: ["append", op.key, op.item],
-    TimestampedWriteOp: lambda op: [
-        "tswrite", op.key, op.value, list(op.timestamp)
-    ],
-}
-
-
-def _check_arguments(data: list) -> None:
-    """Refuse, before anything is logged, a NaN or infinity in an
-    encoded operation's arguments (the codec has no spelling for it)
-    and a zero divisor (it fails at apply, after every replica logged
-    it).  Callers skip the common case: one non-zero exact int."""
-    if not _finite(data):
-        raise ProtocolError("non-finite number in operation %r" % (data,))
-    if data[0] == "div" and data[2] == 0:
-        raise ProtocolError("division by zero on %r" % (data[1],))
-
-
-def encode_op(op: Operation) -> list:
-    encode = _OP_ENCODERS.get(type(op))
-    if encode is None:
-        raise ProtocolError("operation %r has no wire encoding" % (op,))
-    data = encode(op)
-    if len(data) > 2 and (
-        type(data[2]) is not int or not data[2] or len(data) > 3
-    ):
-        _check_arguments(data)
-    return data
-
-
-def _wrong_arity(data: list, arity: int) -> ProtocolError:
-    return ProtocolError(
-        "%s operation must be an array of %d: %r" % (data[0], arity, data)
-    )
-
-
-def _keyless(data: list) -> ProtocolError:
-    return ProtocolError("operation without a key: %r" % (data,))
-
-
-def _decode_read(data: list) -> Operation:
-    if len(data) != 2:
-        raise _wrong_arity(data, 2)
-    key = data[1]
-    if not isinstance(key, str):
-        raise _keyless(data)
-    return ReadOp(key)
-
-
-def _decode_tswrite(data: list) -> Operation:
-    if len(data) != 4:
-        raise _wrong_arity(data, 4)
-    _, key, value, ts = data
-    if not isinstance(key, str):
-        raise _keyless(data)
-    _check_arguments(data)
-    # Thomas-rule timestamps are exactly [int time, site name] pairs:
-    # any other stamp fails to compare (or compares nonsensically)
-    # with the store's stamps at apply time, after it was logged.
-    if (
-        not isinstance(ts, (list, tuple))
-        or len(ts) != 2
-        or type(ts[0]) is not int
-        or type(ts[1]) is not str
-        or not ts[1]
-    ):
-        raise ProtocolError(
-            "tswrite ts must be a [time, site] pair: %r" % (ts,)
-        )
-    return TimestampedWriteOp(key, value, tuple(ts))
-
-
-#: tag -> ``(class, numeric)`` of a ``[tag, key, arg]`` operation
-#: (``numeric``: the argument is an amount), or the decoder of the
-#: whole array, tag included.
-_OP_DECODERS: Dict[str, Any] = {
-    "write": (WriteOp, False), "append": (AppendOp, False),
-    "inc": (IncrementOp, True), "dec": (DecrementOp, True),
-    "mul": (MultiplyOp, True), "div": (DivideOp, True),
-    "read": _decode_read, "tswrite": _decode_tswrite,
-}
-
-
-def decode_op(data: list) -> Operation:
-    return decode_ops((data,))[0]
-
-
-def encode_ops(ops: Sequence[Operation]) -> list:
-    return [encode_op(op) for op in ops]
-
-
-def decode_ops(data: Sequence[list]) -> Tuple[Operation, ...]:
-    """One loop: a table lookup per operation, not a call per layer."""
-    if not isinstance(data, (list, tuple)):
-        raise ProtocolError("ops must be a sequence: %r" % (data,))
-    ops = []
-    for item in data:
-        if not isinstance(item, list):
-            raise ProtocolError("operation must be an array: %r" % (item,))
-        try:
-            decoder = _OP_DECODERS[item[0]]
-        except (IndexError, KeyError, TypeError):  # empty, unknown, unhashable
-            tag = item[0] if item else None
-            raise ProtocolError("unknown operation tag %r" % (tag,)) from None
-        if type(decoder) is not tuple:
-            ops.append(decoder(item))
-            continue
-        if len(item) != 3:
-            raise _wrong_arity(item, 3)
-        _, key, arg = item
-        if not isinstance(key, str):
-            raise _keyless(item)
-        # Exact int or float, all a JSON parse yields for a number: not
-        # a string (``"NaN"``) or a bool (an ``int`` to ``isinstance``).
-        if decoder[1] and type(arg) is not int and type(arg) is not float:
-            raise ProtocolError("non-numeric operation amount %r" % (arg,))
-        if type(arg) is not int or not arg:
-            _check_arguments(item)
-        ops.append(decoder[0](key, arg))
-    return tuple(ops)
-
-
 # -- epsilon specs -----------------------------------------------------------
 
 
@@ -772,71 +622,6 @@ def decode_spec(data: Optional[Dict[str, Any]]) -> EpsilonSpec:
     return EpsilonSpec(
         import_limit=_limit_in(data.get("import")),
         value_limit=_limit_in(data.get("value")),
-    )
-
-
-# -- MSets -------------------------------------------------------------------
-
-
-def encode_mset(mset: MSet, ops: Optional[list] = None) -> Dict[str, Any]:
-    """``tid``, ``ops`` and ``origin`` always; the rest only where it
-    differs from the default :func:`decode_mset` assumes.  ``ops``:
-    ``mset.ops`` already encoded, when the caller holds them (the
-    origin, the request's own arrays)."""
-    out: Dict[str, Any] = {
-        "tid": mset.tid,
-        "ops": encode_ops(mset.ops) if ops is None else ops,
-        "origin": mset.origin,
-    }
-    if mset.kind != MSetKind.UPDATE:
-        out["kind"] = mset.kind
-    if mset.order is not None:
-        out["order"] = list(mset.order)
-    if mset.txn_number is not None:
-        out["txn"] = mset.txn_number
-    if mset.info:
-        out["info"] = [[k, v] for k, v in mset.info]
-    return out
-
-
-def decode_mset(data: Dict[str, Any]) -> MSet:
-    """Decode one encoded MSet, totally: any malformed payload raises
-    :class:`ProtocolError`, never a bare ``ValueError``/``TypeError``
-    that would escape the receiver's protocol-error handling (and
-    leave ``data_received`` with an unhandled exception).
-    """
-    if not isinstance(data, dict):
-        raise ProtocolError("mset must be an object: %r" % (data,))
-    get = data.get
-    kind = get("kind", MSetKind.UPDATE)
-    if not isinstance(kind, str):
-        raise ProtocolError("mset kind must be a string: %r" % (kind,))
-    origin = get("origin", "")
-    if not isinstance(origin, str):
-        raise ProtocolError("mset origin must be a string: %r" % (origin,))
-    order = get("order")
-    if order is not None:
-        if not isinstance(order, (list, tuple)):
-            raise ProtocolError(
-                "mset order must be a sequence: %r" % (order,)
-            )
-        order = tuple(order)
-    info = get("info", ())
-    if info != ():  # absent: no pairs to check
-        if not isinstance(info, (list, tuple)):
-            raise ProtocolError("mset info must be a sequence: %r" % (info,))
-        for pair in info:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ProtocolError("malformed mset info pair: %r" % (pair,))
-        info = tuple([(pair[0], pair[1]) for pair in info])
-    return MSet(
-        get("tid"),
-        kind,
-        decode_ops(get("ops", ())),
-        origin,
-        order,
-        get("txn"),
-        info,
     )
 
 

@@ -46,7 +46,7 @@ dominate the session token.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from ..consistency import SessionToken
 from ..core.transactions import UNLIMITED

@@ -134,6 +134,7 @@ from ..obs.registry import (
 )
 from ..obs.trace import TraceRecorder
 from ..replica.mset import MSet, MSetKind
+from . import protocol
 from .client import LiveETFailed, request_once
 from .durable_queue import ControlLog, DurableInbox, DurableOutbox
 from .election import ElectionState
@@ -2857,8 +2858,12 @@ class ReplicaServer:
             mset = engine.make_mset(tid, writes, order=order, info=info)
             # An engine that kept the operations passed ``writes``
             # through (``tuple`` of a tuple is that tuple); one that
-            # rewrote them is encoded.
-            return mset, (encoded_writes if mset.ops is writes else None)
+            # rewrote them is encoded here, through the wire module's
+            # ``encode_ops`` as it stands at call time (a test counts
+            # those calls by swapping it).
+            if mset.ops is writes:
+                return mset, encoded_writes
+            return mset, protocol.encode_ops(mset.ops)
 
         if (
             engine.needs_order

@@ -10,12 +10,12 @@ from .base import (
     SystemConfig,
 )
 from .common import MethodRuntime
-from .ordup import OrderedUpdates
 from .host import (
     CommutativeOperations,
     EngineHost,
     NonCommutativeError,
     NotReadIndependentError,
+    OrderedUpdates,
     ReadIndependentUpdates,
 )
 from .compe import CompensationBased, CompensationStats

@@ -60,33 +60,11 @@ __all__ = [
     "QueryRunner",
     "SystemConfig",
     "MethodTraits",
-    "MSetTransport",
     "OrderedApplyBuffer",
     "LockCounterSiteState",
 ]
 
 DoneCallback = Callable[[ETResult], None]
-
-
-class MSetTransport:
-    """Transport seam: how MSets leave a site.
-
-    Replica control is split between *what* a site does with an MSet
-    (method logic, shared) and *how* MSets travel between sites
-    (transport, pluggable).  :class:`ReplicatedSystem` implements this
-    interface over simulated stable queues; the live runtime
-    (:mod:`repro.live`) implements the same contract over asyncio TCP
-    with file-backed durable queues.  Both provide at-least-once,
-    dedup-to-exactly-once channel semantics, so method state machines
-    (:class:`OrderedApplyBuffer`, :class:`LockCounterSiteState`) work
-    unchanged on either side of the seam.
-    """
-
-    def send_mset(self, src: str, dst: str, mset: MSet) -> None:
-        raise NotImplementedError
-
-    def broadcast_mset(self, origin: str, mset: MSet) -> None:
-        raise NotImplementedError
 
 
 class OrderedApplyBuffer:
@@ -96,8 +74,8 @@ class OrderedApplyBuffer:
     global sequence.  The buffer holds each MSet until every earlier
     sequence number has been offered, then releases a maximal in-order
     run.  Duplicates of already-released sequence numbers are dropped.
-    Transport-agnostic: the simulator's ORDUP and the live ORDUP engine
-    both drive their applies through this class.
+    :class:`~repro.replica.engine.OrdupLiveEngine` drives its applies
+    through it, in the simulator and the live runtime alike.
     """
 
     def __init__(self, expected: int = 1) -> None:
@@ -271,23 +249,6 @@ class ReplicaControlMethod:
         """Bind to the assembled system (called once by the system)."""
         self.system = system
 
-    def evaluate_update_reads(
-        self, et: EpsilonTransaction, origin: str, result: ETResult
-    ) -> None:
-        """Evaluate an update ET's read operations at its origin.
-
-        Replica maintenance MSets carry only the writes; the ET's own
-        reads are served from the origin replica at commit time and
-        returned through the result, so read-modify-report updates
-        ("deposit and tell me the new balance") work naturally.
-        """
-        site = self.system.sites[origin]
-        for op in et.reads():
-            result.values[op.key] = site.read(et.tid, op.key)
-            site.history.record(
-                et.tid, op, origin, self.system.sim.now, et
-            )
-
     def submit_update(
         self, et: EpsilonTransaction, origin: str, on_done: DoneCallback
     ) -> None:
@@ -410,9 +371,12 @@ class QueryRunner:
         inconsistency_of: Callable[[], int],
         overlap_of: Callable[[], Tuple[TransactionID, ...]],
         on_start: Optional[Callable[[], None]] = None,
+        on_refused: Optional[Callable[[], None]] = None,
     ) -> None:
         """``on_start`` is called at the first read of each attempt:
-        the query (re)starts there."""
+        the query (re)starts there.  ``on_refused``, when given, is
+        called instead of the restart when a read is refused, and ends
+        the query with :meth:`finish`."""
         self.system = system
         self.et = et
         self.site = site
@@ -421,12 +385,13 @@ class QueryRunner:
         self.inconsistency_of = inconsistency_of
         self.overlap_of = overlap_of
         self.on_start = on_start
+        self.on_refused = on_refused
         self.result = ETResult(
             et,
             start_time=system.sim.now,
             site=site.name,
         )
-        self._keys = [op.key for op in et.operations]
+        self.keys = [op.key for op in et.operations]
         self._index = 0
 
     def start(self) -> None:
@@ -434,23 +399,26 @@ class QueryRunner:
 
     def _step(self) -> None:
         if self.site.crashed:
-            self._finish(ETStatus.ABORTED)
+            self.finish(ETStatus.ABORTED)
             return
-        if self._index >= len(self._keys):
-            self._finish(ETStatus.COMMITTED)
+        if self._index >= len(self.keys):
+            self.finish(ETStatus.COMMITTED)
             return
         self.system.sim.schedule(self.site.config.read_time, self._read)
 
     def _read(self) -> None:
         """One read, admitted and performed at its read instant."""
         if self.site.crashed:
-            self._finish(ETStatus.ABORTED)
+            self.finish(ETStatus.ABORTED)
             return
-        key = self._keys[self._index]
+        key = self.keys[self._index]
         if self._index == 0 and self.on_start is not None:
             self.on_start()
         admitted, value = self.admit(key)
         if not admitted:
+            if self.on_refused is not None:
+                self.on_refused()
+                return
             self.result.waits += 1
             self._index = 0
             self.result.values.clear()
@@ -460,7 +428,7 @@ class QueryRunner:
         self._index += 1
         self._step()
 
-    def _finish(self, status: str) -> None:
+    def finish(self, status: str) -> None:
         self.result.status = status
         self.result.finish_time = self.system.sim.now
         self.result.inconsistency = self.inconsistency_of()
@@ -468,13 +436,9 @@ class QueryRunner:
         self.on_done(self.result)
 
 
-class ReplicatedSystem(MSetTransport):
-    """An assembled replicated system running one control method.
-
-    Implements :class:`MSetTransport` over the simulator's stable-queue
-    mesh; the live runtime provides the same transport contract over
-    real sockets.
-    """
+class ReplicatedSystem:
+    """An assembled replicated system running one control method, its
+    MSets carried by the simulator's stable-queue mesh."""
 
     def __init__(
         self,

@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.operations import ReadOp, is_write
+from ..core.operations import ReadOp
 from ..core.transactions import (
     EpsilonTransaction,
     ETResult,

@@ -16,17 +16,11 @@ each method file focused on its own MSet delivery/processing rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
-from ..core.inconsistency import EpsilonExceeded, InconsistencyCounter
+from ..core.inconsistency import InconsistencyCounter
 from ..core.overlap import OverlapTracker
-from ..core.transactions import (
-    EpsilonTransaction,
-    ETResult,
-    ETStatus,
-    TransactionID,
-)
+from ..core.transactions import EpsilonTransaction, TransactionID
 
 __all__ = ["MethodRuntime"]
 
@@ -39,7 +33,6 @@ class MethodRuntime:
         self.tracker = OverlapTracker()
         self.counters: Dict[TransactionID, InconsistencyCounter] = {}
         self._remaining: Dict[TransactionID, int] = {}
-        self._update_keys: Dict[TransactionID, Tuple[str, ...]] = {}
         #: worst-case value drift per update (None = unknown/unbounded).
         self._update_drift: Dict[TransactionID, Optional[float]] = {}
         #: callbacks fired when a specific update ET fully propagates.
@@ -58,7 +51,6 @@ class MethodRuntime:
         """An update ET enters the system; ``copies`` MSets must apply."""
         self.tracker.update_started(et)
         self._remaining[et.tid] = copies if copies is not None else self.n_sites
-        self._update_keys[et.tid] = et.keys
         if et.tid in self._pre_hooks:
             self._on_complete.setdefault(et.tid, []).extend(
                 self._pre_hooks.pop(et.tid)
@@ -88,14 +80,6 @@ class MethodRuntime:
         self._remaining[tid] = left
         return False
 
-    def update_abandoned(self, tid: TransactionID) -> None:
-        """An update was aborted before full propagation (COMPE)."""
-        self._remaining.pop(tid, None)
-        self._completed.add(tid)
-        self.tracker.update_finished(tid)
-        for hook in self._on_complete.pop(tid, ()):  # completion hooks
-            hook()
-
     def when_update_complete(
         self, tid: TransactionID, hook: Callable[[], None]
     ) -> None:
@@ -115,14 +99,6 @@ class MethodRuntime:
     def in_flight_updates(self) -> int:
         return len(self._remaining)
 
-    def in_flight_touching(self, key: str) -> Set[TransactionID]:
-        """In-flight update tids whose write set includes ``key``."""
-        return {
-            tid
-            for tid in self._remaining
-            if key in self._update_keys.get(tid, ())
-        }
-
     # -- query lifecycle ----------------------------------------------------------
 
     def query_started(self, et: EpsilonTransaction) -> InconsistencyCounter:
@@ -133,9 +109,7 @@ class MethodRuntime:
 
     def query_finished(self, et: EpsilonTransaction) -> None:
         self.tracker.query_finished(et.tid)
-
-    def counter_of(self, tid: TransactionID) -> Optional[InconsistencyCounter]:
-        return self.counters.get(tid)
+        self.counters.pop(et.tid, None)
 
     # -- charging helpers -------------------------------------------------------------
 
@@ -169,23 +143,6 @@ class MethodRuntime:
             drift = self._update_drift.get(source, 0.0)
             counter.charge(1, source, drift=drift if drift is not None else 0.0)
         return True
-
-    def charge_unconditionally(
-        self, tid: TransactionID, sources: Set[TransactionID]
-    ) -> None:
-        """Force charges past the limit (compensation aftermath, §4.2).
-
-        Compensations 'introduce inconsistency into query ETs because
-        they are not rolled back and re-executed'; the counter records
-        the overrun so benchmarks can show why unlimited compensations
-        break the bound.
-        """
-        counter = self.counters.get(tid)
-        if counter is None:
-            return
-        for source in sorted(sources - counter.imported):
-            counter.value += 1
-            counter.imported.add(source)
 
     def inconsistency_of(self, tid: TransactionID) -> int:
         counter = self.counters.get(tid)

@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.operations import Operation, ReadOp
+from ..core.operations import ReadOp
 from ..core.transactions import (
     EpsilonTransaction,
     ETResult,
@@ -57,6 +57,7 @@ from ..sim.site import Site
 from .base import (
     DoneCallback,
     MethodTraits,
+    OrderedApplyBuffer,
     QueryRunner,
     ReplicaControlMethod,
     ReplicatedSystem,
@@ -101,9 +102,8 @@ class _SiteState:
     #: commits processed before their update MSet arrived (settled once
     #: the update applies).
     pending_commits: Set[TransactionID] = field(default_factory=set)
-    #: ordered mode: next sequence number to execute / hold-back buffer.
-    expected: int = 1
-    holdback: Dict[int, "MSet"] = field(default_factory=dict)
+    #: ordered mode: the hold-back buffer.
+    buffer: OrderedApplyBuffer = field(default_factory=OrderedApplyBuffer)
 
     def mark_undecided(self, tid: TransactionID, keys: Tuple[str, ...]) -> None:
         for key in keys:
@@ -360,13 +360,7 @@ class CompensationBased(ReplicaControlMethod):
         state = self.states[site.name]
         if self.ordered and mset.order is not None:
             # COMPE over ORDUP: hold back until the MSet's turn.
-            seqno = mset.order[0]
-            if seqno < state.expected:
-                return  # duplicate
-            state.holdback[seqno] = mset
-            while state.expected in state.holdback:
-                ready = state.holdback.pop(state.expected)
-                state.expected += 1
+            for ready in state.buffer.offer(mset.order[0], mset):
                 self._schedule_apply(site, ready)
             return
         self._schedule_apply(site, mset)
@@ -602,6 +596,6 @@ class CompensationBased(ReplicaControlMethod):
     def quiescent(self) -> bool:
         if self.runtime.in_flight_updates():
             return False
-        if any(state.holdback for state in self.states.values()):
+        if any(state.buffer.held for state in self.states.values()):
             return False
         return self._undecided_count == 0

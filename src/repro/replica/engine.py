@@ -5,8 +5,8 @@ the method-specific steps of the paper's framework — update
 validation, MSet processing and query admission.  The simulator
 (:class:`~repro.replica.host.EngineHost`, on the simulated clock) and
 the live server (on the wall clock) run the same classes.  This module
-holds the base, COMMU (§3.2) and RITU (§3.3, both variants); ORDUP,
-ROWA and COMPE subclass :class:`LiveEngine` in
+holds the base, COMMU (§3.2), RITU (§3.3, both variants) and ORDUP
+(§3.1); ROWA and COMPE subclass :class:`CommuLiveEngine` in
 :mod:`repro.live.engine`.
 
 MSets go in (:meth:`LiveEngine.accept`, local or remote; recovery
@@ -15,10 +15,12 @@ mutator — ``accept``, ``accept_batch``, ``fully_acked_many``,
 ``hold_counters``, ``checkpoint``, ``restore`` — is a plain method,
 called in the step that delivered its MSets.  A query that can be
 charged now is answered in one step (:meth:`LiveEngine.read_now`);
-otherwise it reads one key per step (:meth:`CommuLiveEngine.read_key`)
-and the async ``query`` parks a future under each of its keys when
-blocked, woken by the step that frees one.  Instruments are no-ops
-until the host binds a registry (:meth:`LiveEngine.bind_observability`).
+otherwise it reads one key per step (``open_query``, ``read_key``,
+``restart_query``, ``close_query``) and the async ``query`` drives the
+same steps: a blocked COMMU query parks a future under each of its
+keys, woken by the step that frees one; an ORDUP query converts to
+ordered mode.  Instruments are no-ops until the host binds a registry
+(:meth:`LiveEngine.bind_observability`).
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from ..core.operations import Operation, TimestampedWriteOp, commutes, is_write
 from ..core.transactions import EpsilonSpec, UNLIMITED
 from ..storage.kv import KeyValueStore, StoreSnapshot
 from ..storage.mvstore import MultiVersionStore, NoVisibleVersion
-from .base import LockCounterSiteState
-from .mset import MSet, MSetKind
+from .base import LockCounterSiteState, OrderedApplyBuffer
+from .mset import MSet, MSetKind, decode_mset, encode_mset
 
 __all__ = [
     "LiveEngine",
     "CommuLiveEngine",
+    "OrdupLiveEngine",
     "RituLiveEngine",
     "RituMvLiveEngine",
     "QueryOutcome",
@@ -147,6 +150,8 @@ class _QueryBudget:
         self.keys = frozenset(keys)
         self.imported: Set[Any] = set()
         self.drift_used = 0.0
+        #: ORDUP: the applied frontier the query started at.
+        self.frontier: Tuple[int, int] = (0, 0)
 
     def try_charge(
         self,
@@ -452,6 +457,11 @@ class LiveEngine:
         update whose apply is already inside a restored checkpoint (so
         replay could not re-raise it).  No-op for methods without
         lock-counter state."""
+
+    def release_counters(
+        self, items: Sequence[Tuple[Any, Sequence[str]]]
+    ) -> None:
+        """No-op for methods without lock-counter state."""
 
     # -- query path ----------------------------------------------------------
 
@@ -1147,3 +1157,243 @@ class RituMvLiveEngine(RituLiveEngine):
         out["degraded_reads"] = self.degraded_reads
         return out
 
+
+class OrdupLiveEngine(LiveEngine):
+    """ORDUP (§3.1): ordered updates.
+
+    Every update carries a gap-free sequence token — live, from the
+    cluster's order server; in the simulator, from the host's order
+    server or its Lamport delivery layer — with the leadership epoch
+    that granted it as ``order[1]``.  The engine feeds delivered MSets
+    through :class:`OrderedApplyBuffer` and applies them in token
+    order.  Free queries charge their counter for writers applied
+    beyond the query's start frontier; an exhausted counter converts
+    the query to ordered mode — an atomic prefix-consistent snapshot
+    read.
+    """
+
+    method_name = "ORDUP"
+    needs_order = True
+
+    def __init__(self, site, clock=time.monotonic) -> None:
+        super().__init__(site, clock)
+        self.buffer = OrderedApplyBuffer()
+        #: key -> (order token, tid) of the last applied writer.
+        self.last_writer: Dict[str, Tuple[Tuple[int, int], Any]] = {}
+        #: highest order token applied, gap-free.
+        self.frontier: Tuple[int, int] = (0, 0)
+        #: highest leadership epoch this engine has adopted; tokens
+        #: from older epochs are fenced unless they predate every
+        #: newer epoch's handover base.
+        self._current_epoch = 0
+        #: epoch -> base sequence the epoch's leader resumed from.
+        self._epoch_bases: Dict[int, int] = {0: 0}
+        #: stale-epoch tokens refused (observability).
+        self.fenced_count = 0
+
+    def adopt_epoch(self, epoch: int, base: int) -> None:
+        """Record a leadership handover: ``epoch``'s leader resumed at ``base``.
+
+        A plain method like ``accept``: the server adopts an epoch in
+        one step, between applies.  Epochs may arrive in any order — a
+        restore merges the election record's table into the
+        checkpoint's — and an epoch already recorded keeps its base, so
+        a merge never loosens the fence.  Purges held-back MSets that the
+        handover fences:
+        entries above ``base`` carrying an older epoch were granted by
+        a deposed leader after the handover point and can never become
+        applicable.
+        """
+        epoch = int(epoch)
+        if epoch in self._epoch_bases:
+            return
+        self._current_epoch = max(self._current_epoch, epoch)
+        self._epoch_bases[epoch] = int(base)
+        stale = [
+            seqno
+            for seqno, held in self.buffer._holdback.items()
+            if not self._epoch_admits(held.order[1], seqno)
+        ]
+        for seqno in stale:
+            del self.buffer._holdback[seqno]
+            self.fenced_count += 1
+
+    def _epoch_admits(self, epoch: int, seq: int) -> bool:
+        """Is a ``(seq, epoch)`` token admissible under the fence?
+
+        Current/newer epochs always admit (a newer epoch implies a
+        majority elected it; adoption follows via gossip).  An older
+        epoch admits only tokens at or below the base of every adopted
+        newer epoch — i.e. grants that predate the handover and are
+        merely arriving late.
+        """
+        if epoch >= self._current_epoch:
+            return True
+        floor = min(
+            b for e, b in self._epoch_bases.items() if e > epoch
+        )
+        return seq <= floor
+
+    def order_admissible(self, order: Tuple[int, int]) -> bool:
+        return self._epoch_admits(int(order[1]), int(order[0]))
+
+    def max_order_seen(self) -> int:
+        """Highest sequence number durably known here, held-back included.
+
+        A new leader resumes from the max of this across the electing
+        majority, so every grant any replica has seen is covered.
+        """
+        seen = self.frontier[0]
+        if self.buffer._holdback:
+            seen = max(seen, max(self.buffer._holdback))
+        return seen
+
+    def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
+        assert mset.order is not None, "ORDUP MSets carry an order token"
+        if not self._epoch_admits(mset.order[1], mset.order[0]):
+            # Fenced: granted by a deposed leader past the handover
+            # point.  Return no applies; the channel still acks so the
+            # sender's queue drains (the update was never client-acked).
+            self.fenced_count += 1
+            return []
+        applied: List[MSet] = []
+        for ready in self.buffer.offer(mset.order[0], mset):
+            self._apply_ops(ready)
+            self.frontier = max(self.frontier, ready.order)
+            if ready.keys:
+                # Chargeable while it is some key's last writer.
+                self._note_drift(ready, pins=len(ready.keys))
+            for key in ready.keys:
+                displaced = self.last_writer.get(key)
+                self.last_writer[key] = (ready.order, ready.tid)
+                if displaced is not None:
+                    self._unpin(displaced[1])
+            applied.append(ready)
+        return applied
+
+    def read_ordered(self, keys: Sequence[str]) -> Dict[str, Any]:
+        """Ordered mode: one atomic read of ``keys``, a prefix of the
+        global update order and hence serializable."""
+        return {key: self.store.get(key, 0) for key in keys}
+
+    def read_now(
+        self, keys: Sequence[str], spec: EpsilonSpec
+    ) -> Optional[QueryOutcome]:
+        # A strict query runs in ordered mode; a free one-key read
+        # cannot see a writer beyond the frontier it starts at.
+        if not spec.is_strict and len(keys) != 1:
+            return None
+        return QueryOutcome(self.read_ordered(keys))
+
+    def open_query(
+        self, spec: EpsilonSpec, keys: Sequence[str]
+    ) -> _QueryBudget:
+        """Start a free query of ``keys`` at the applied frontier."""
+        budget = _QueryBudget(spec, keys)
+        budget.frontier = self.frontier
+        return budget
+
+    def read_key(self, budget: _QueryBudget, key: str) -> Tuple[bool, Any]:
+        """One read of an open query, charged for ``key``'s writer if it
+        is beyond the query's start frontier; ``(False, None)``, having
+        changed nothing, when the budget cannot take it."""
+        writer = self.last_writer.get(key)
+        sources: Set[Any] = set()
+        if writer is not None and writer[0] > budget.frontier:
+            sources = {writer[1]}
+        if budget.try_charge(sources, self._drift.get):
+            return True, self.store.get(key, 0)
+        return False, None
+
+    def restart_query(self, budget: _QueryBudget) -> None:
+        """(Re)start an open query now, dropping its charges."""
+        budget.reset()
+        budget.frontier = self.frontier
+
+    def close_query(self, budget: _QueryBudget) -> None:
+        """Nothing to forget: the last-writer table is the history."""
+
+    async def query(
+        self,
+        keys: Sequence[str],
+        spec: EpsilonSpec,
+        timeout: float = 30.0,
+    ) -> QueryOutcome:
+        answered = self.read_now(keys, spec)
+        if answered is not None:
+            return answered
+        budget = self.open_query(spec, keys)
+        values: Dict[str, Any] = {}
+        for index, key in enumerate(keys):
+            if index:
+                await asyncio.sleep(0)  # let applies interleave
+            read, value = self.read_key(budget, key)
+            if not read:
+                # Counter exhausted: convert to ordered mode.
+                return budget.outcome(self.read_ordered(keys), waits=1)
+            values[key] = value
+        return budget.outcome(values)
+
+    def quiescent(self) -> bool:
+        return self.buffer.drained()
+
+    def history_entries(self) -> int:
+        return len(self.last_writer)
+
+    def _method_checkpoint(self) -> Dict[str, Any]:
+        # The apply-buffer position *is* ORDUP's recovery state: the
+        # next order token the site may apply, the gap-free frontier,
+        # the last writer per key (free-query accounting), and any
+        # held-back MSets waiting for an earlier token.
+        return {
+            "ordup": {
+                "expected": self.buffer.expected,
+                "frontier": list(self.frontier),
+                "last_writer": {
+                    key: [list(order), tid]
+                    for key, (order, tid) in self.last_writer.items()
+                },
+                "held": [
+                    [seqno, encode_mset(mset)]
+                    for seqno, mset in sorted(
+                        self.buffer._holdback.items()
+                    )
+                ],
+                "epoch": self._current_epoch,
+                "bases": {
+                    str(e): b for e, b in self._epoch_bases.items()
+                },
+            }
+        }
+
+    def _method_restore(self, state: Dict[str, Any]) -> None:
+        ordup = state.get("ordup", {})
+        self.buffer = OrderedApplyBuffer(
+            expected=int(ordup.get("expected", 1))
+        )
+        for seqno, encoded in ordup.get("held", ()):
+            self.buffer._holdback[int(seqno)] = decode_mset(encoded)
+        frontier = ordup.get("frontier", (0, 0))
+        self.frontier = (int(frontier[0]), int(frontier[1]))
+        self.last_writer = {
+            key: ((int(order[0]), int(order[1])), tid)
+            for key, (order, tid) in ordup.get(
+                "last_writer", {}
+            ).items()
+        }
+        for _, tid in self.last_writer.values():
+            self._restore_pin(state, tid)
+        self._current_epoch = int(ordup.get("epoch", 0))
+        self._epoch_bases = {
+            int(e): int(b)
+            for e, b in ordup.get("bases", {"0": 0}).items()
+        }
+        self._epoch_bases.setdefault(0, 0)
+
+    def stats(self) -> Dict[str, Any]:
+        out = super().stats()
+        out["frontier"] = list(self.frontier)
+        out["held_back"] = self.buffer.held
+        out["epoch"] = self._current_epoch
+        out["fenced"] = self.fenced_count
+        return out

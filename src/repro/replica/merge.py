@@ -29,9 +29,9 @@ idea:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from ..core.operations import Operation, commutes, conflicts
+from ..core.operations import Operation, conflicts
 from ..core.transactions import TransactionID
 from ..storage.kv import KeyValueStore
 

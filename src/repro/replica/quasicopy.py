@@ -33,11 +33,10 @@ query error everywhere.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Set, Tuple
 
-from ..core.operations import ReadOp, is_write
+from ..core.operations import ReadOp
 from ..core.transactions import (
     EpsilonTransaction,
     ETResult,

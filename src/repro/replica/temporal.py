@@ -26,15 +26,10 @@ replica control method:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
-from ..core.transactions import (
-    EpsilonTransaction,
-    ETResult,
-    TransactionID,
-    UpdateET,
-)
+from ..core.transactions import EpsilonTransaction, ETResult, TransactionID
 from .base import ReplicatedSystem
 
 __all__ = ["DeadlineTracker", "DeadlineRecord", "PeriodicSubmitter"]

@@ -12,8 +12,6 @@ either.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = ["LamportClock", "CentralOrderServer", "GlobalOrder"]
@@ -58,16 +56,16 @@ class CentralOrderServer:
     Gap-freedom is what lets ORDUP sites "simply wait for the next MSet
     in the execution sequence to show up" — with Lamport stamps a site
     cannot know whether a slightly earlier stamp is still in flight, so
-    the hold-back logic differs (see :mod:`repro.replica.ordup`).
+    the hold-back logic differs (see
+    :class:`repro.replica.host.OrderedUpdates`).
     """
 
     def __init__(self) -> None:
-        self._seq = itertools.count(1)
         self._issued = 0
 
     def next_order(self) -> GlobalOrder:
         """Issue the next global sequence token."""
-        self._issued = next(self._seq)
+        self._issued += 1
         return (self._issued, 0)
 
     @property

@@ -14,7 +14,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 __all__ = ["Simulator", "EventHandle", "SimulationError"]
 

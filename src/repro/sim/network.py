@@ -15,8 +15,8 @@ stable queue's job (:mod:`repro.sim.stable_queue`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from .events import Simulator
 

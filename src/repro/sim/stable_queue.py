@@ -21,8 +21,8 @@ crashed receiver simply acknowledges nothing until it recovers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Set
 
 from .events import Simulator
 from .network import Network

@@ -13,7 +13,7 @@ It supports:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from ..core.operations import (

@@ -17,8 +17,8 @@ previous value", or deleted outright.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..core.transactions import TransactionID
 

@@ -22,17 +22,8 @@ Two rollback strategies, matching the paper's analysis in section 4.1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Any, Iterable, List, Optional, Tuple
 
 from ..core.operations import Operation, commutes
 from ..core.transactions import TransactionID

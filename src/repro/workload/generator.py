@@ -16,8 +16,8 @@ Operation styles map to the methods' restrictions:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Sequence
 
 from ..core.operations import (
     DecrementOp,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import List, Sequence
+from typing import List
 
 __all__ = ["ZipfSampler"]
 

@@ -17,7 +17,7 @@ from repro.core.transactions import (
 from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.coherency import QuorumConsensus
 from repro.replica.host import CommutativeOperations
-from repro.replica.ordup import OrderedUpdates
+from repro.replica.host import OrderedUpdates
 from repro.replica.host import ReadIndependentUpdates
 from repro.sim.failures import CrashEvent, FailureInjector, PartitionEvent
 from repro.sim.network import ConstantLatency, UniformLatency

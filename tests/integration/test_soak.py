@@ -14,7 +14,7 @@ from repro.harness.runner import summarize
 from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.host import CommutativeOperations
 from repro.replica.compe import CompensationBased
-from repro.replica.ordup import OrderedUpdates
+from repro.replica.host import OrderedUpdates
 from repro.replica.host import ReadIndependentUpdates
 from repro.sim.network import UniformLatency
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec, drive

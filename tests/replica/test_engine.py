@@ -1,31 +1,34 @@
-"""The engines on the simulator side: the simulator's COMMU and RITU
-sites run the live runtime's engine classes, and an engine's
+"""The engines on the simulator side: the simulator's COMMU, RITU and
+ORDUP sites run the live runtime's engine classes, and an engine's
 divergence accounting holds on its own."""
 
 import asyncio
 
 import pytest
 
-from repro.core.operations import IncrementOp, WriteOp
+from repro.core.operations import IncrementOp, MultiplyOp, ReadOp, WriteOp
 from repro.core.transactions import (
     UNLIMITED,
     EpsilonSpec,
+    QueryET,
     UpdateET,
     reset_tid_counter,
 )
 from repro.live.engine import ENGINES
 from repro.replica import (
     CommutativeOperations,
+    OrderedUpdates,
     ReadIndependentUpdates,
     ReplicatedSystem,
     SystemConfig,
 )
 from repro.replica.engine import (
     CommuLiveEngine,
+    OrdupLiveEngine,
     RituLiveEngine,
     RituMvLiveEngine,
 )
-from repro.sim.network import ConstantLatency
+from repro.sim.network import ConstantLatency, UniformLatency
 from repro.sim.site import SiteConfig
 
 
@@ -40,8 +43,10 @@ def _fresh():
         (CommutativeOperations(), "commu"),
         (ReadIndependentUpdates(versioning="overwrite"), "ritu"),
         (ReadIndependentUpdates(versioning="multiversion"), "ritu-mv"),
+        (OrderedUpdates(ordering="central"), "ordup"),
+        (OrderedUpdates(ordering="lamport"), "ordup"),
     ],
-    ids=["commu", "ritu", "ritu-mv"],
+    ids=["commu", "ritu", "ritu-mv", "ordup-central", "ordup-lamport"],
 )
 def test_each_site_runs_the_live_engine(method, engine):
     system = ReplicatedSystem(method, SystemConfig(n_sites=3))
@@ -187,3 +192,106 @@ class TestRituMvStalledVtnc:
         assert engine.vtnc == 2
         assert engine._everywhere == set()
         assert engine._pins == {}
+
+
+class TestHostedOrdup:
+    @pytest.mark.parametrize("ordering", ["central", "lamport"])
+    def test_every_engine_applies_gap_free_tokens(self, ordering):
+        """Lamport stamps (time, site index) never reach an engine, which
+        reads ``order[1]`` as the leadership epoch: each site releases
+        its k-th stable MSet as token (k, 0)."""
+        method = OrderedUpdates(ordering=ordering)
+        config = SystemConfig(n_sites=3, latency=UniformLatency(0.5, 3.0))
+        system = ReplicatedSystem(method, config)
+        for i in range(12):
+            op = IncrementOp("x", 1) if i % 2 else MultiplyOp("x", 2)
+            system.submit_at(float(i) / 3, UpdateET([op]), "site%d" % (i % 3))
+        system.run_to_quiescence()
+        assert system.converged()
+        for engine in method.engines.values():
+            assert engine.frontier == (12, 0)
+            assert engine.buffer.expected == 13 and engine.quiescent()
+
+
+def _two_key_scenario():
+    """An ORDUP engine that has applied token 1 (x = 1), and token 2,
+    writing y, to deliver between a query's two reads."""
+    engine = OrdupLiveEngine("s0", clock=lambda: 0.0)
+    engine.accept(engine.make_mset("s0:1", [IncrementOp("x", 1)], order=(1, 0)))
+    late = engine.make_mset("s1:2", [IncrementOp("y", 5)], order=(2, 0))
+    return engine, late
+
+
+async def _query_around(engine, spec, between):
+    """``engine.query(["x", "y"], spec)``, running ``between`` once
+    the query has read ``x`` and yielded."""
+    query = asyncio.ensure_future(engine.query(["x", "y"], spec))
+    await asyncio.sleep(0)
+    between()
+    return await query
+
+
+class TestOrdupQuery:
+    def test_a_refused_second_read_gets_the_ordered_snapshot(self):
+        """The second read finds y's writer beyond the query's start
+        frontier, and the budget cannot take its drift: the query
+        converts to ordered mode, one wait."""
+        engine, late = _two_key_scenario()
+        spent = EpsilonSpec(value_limit=1.0)
+        outcome = asyncio.run(
+            _query_around(engine, spent, lambda: engine.accept(late))
+        )
+        assert outcome.values == {"x": 1, "y": 5}
+        assert (outcome.waits, outcome.inconsistency) == (1, 0)
+
+    @pytest.mark.parametrize("limit", [UNLIMITED, 1.0])
+    def test_the_steps_and_the_async_query_agree(self, limit):
+        spec = EpsilonSpec(value_limit=limit)
+        engine, late = _two_key_scenario()
+        budget = engine.open_query(spec, ["x", "y"])
+        values = {}
+        for key in ("x", "y"):
+            read, value = engine.read_key(budget, key)
+            if not read:
+                stepped = budget.outcome(engine.read_ordered(["x", "y"]), 1)
+                break
+            values[key] = value
+            if key == "x":
+                engine.accept(late)
+        else:
+            stepped = budget.outcome(values)
+        engine.close_query(budget)
+
+        engine, late = _two_key_scenario()
+        queried = asyncio.run(
+            _query_around(engine, spec, lambda: engine.accept(late))
+        )
+        assert queried == stepped
+        assert queried.values == {"x": 1, "y": 5}
+
+
+class TestBoundedBookkeeping:
+    @pytest.mark.parametrize(
+        "method",
+        [CommutativeOperations(), OrderedUpdates()],
+        ids=["commu", "ordup"],
+    )
+    def test_a_quiescent_run_keeps_no_per_et_entries(self, method):
+        """Neither the host's ETs nor the runtime's counters keep an
+        entry once every update is applied everywhere and every query
+        is done."""
+        config = SystemConfig(
+            n_sites=3, seed=4, latency=UniformLatency(0.5, 2.0),
+            initial=(("x", 0), ("y", 0)),
+        )
+        system = ReplicatedSystem(method, config)
+        for i in range(200):
+            at = float(i) / 4
+            site = "site%d" % (i % 3)
+            system.submit_at(at, UpdateET([IncrementOp("xy"[i % 2], 1)]), site)
+            query = QueryET([ReadOp("x"), ReadOp("y")], EpsilonSpec(import_limit=1))
+            system.submit_at(at, query, site)
+        system.run_to_quiescence()
+        assert len(system.results) == 400
+        assert method._ets == {}
+        assert method.runtime.counters == {}

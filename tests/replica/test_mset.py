@@ -140,22 +140,6 @@ class TestMethodRuntimeLifecycles:
         runtime.update_applied_at_site(et.tid)
         assert fired == [1]
 
-    def test_abandoned_update_completes(self):
-        runtime = MethodRuntime(3)
-        et = UpdateET([IncrementOp("x", 1)])
-        runtime.update_submitted(et)
-        runtime.update_abandoned(et.tid)
-        assert runtime.in_flight_updates() == 0
-
-    def test_in_flight_touching(self):
-        runtime = MethodRuntime(2)
-        a = UpdateET([IncrementOp("x", 1)])
-        b = UpdateET([IncrementOp("y", 1)])
-        runtime.update_submitted(a)
-        runtime.update_submitted(b)
-        assert runtime.in_flight_touching("x") == {a.tid}
-        assert runtime.in_flight_touching("z") == set()
-
 
 class TestMethodRuntimeCharging:
     def test_try_charge_respects_limit(self):
@@ -185,13 +169,6 @@ class TestMethodRuntimeCharging:
     def test_non_query_always_charges_free(self):
         runtime = MethodRuntime(2)
         assert runtime.try_charge(12345, {1})
-
-    def test_charge_unconditionally_overruns(self):
-        runtime = MethodRuntime(2)
-        q = QueryET([ReadOp("x")], EpsilonSpec(import_limit=0))
-        runtime.query_started(q)
-        runtime.charge_unconditionally(q.tid, {101, 102})
-        assert runtime.inconsistency_of(q.tid) == 2
 
     def test_value_drift_tracked_per_update(self):
         runtime = MethodRuntime(2)

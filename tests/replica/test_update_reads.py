@@ -12,7 +12,7 @@ from repro.core.transactions import (
 from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.host import CommutativeOperations, NonCommutativeError
 from repro.replica.compe import CompensationBased
-from repro.replica.ordup import OrderedUpdates
+from repro.replica.host import OrderedUpdates
 from repro.replica.host import (
     NotReadIndependentError,
     ReadIndependentUpdates,

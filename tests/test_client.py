@@ -162,7 +162,7 @@ class TestFailureSurface:
 
     def test_mixed_read_write_batch_allowed_by_ordup(self):
         from repro.core.operations import ReadOp
-        from repro.replica.ordup import OrderedUpdates
+        from repro.replica.host import OrderedUpdates
 
         system = _system(method=OrderedUpdates())
         client = Client(system, "site0")
