@@ -15,7 +15,7 @@ from conftest import run_once
 from repro.core.transactions import reset_tid_counter
 from repro.harness.report import render_series
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.compe import CompensationBased
+from repro.replica.host import CompensationBased
 from repro.sim.network import UniformLatency
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec, drive
 

@@ -31,7 +31,7 @@ from repro import (
     UniformLatency,
     UpdateET,
 )
-from repro.replica.compe import CompensationBased
+from repro.replica.host import CompensationBased
 
 INVENTORY = (("flight_seats", 10), ("hotel_rooms", 5), ("rental_cars", 3))
 

@@ -6,6 +6,8 @@ Usage::
     python -m repro run T1 E3            # run selected experiments
     python -m repro run all              # run everything (takes ~10 s)
     python -m repro run all -o results/  # also save one .txt per id
+        # exits 1 if an experiment raises or one of its runs fails
+        # the ESR audit (harness/audit.py), naming the guarantee
 
     python -m repro serve --name site0 --port 7000 \\
         --peers site1=127.0.0.1:7001,site2=127.0.0.1:7002 \\
@@ -36,6 +38,7 @@ import traceback
 from typing import Dict, List, Optional, Tuple
 
 from .harness.experiments import EXPERIMENTS
+from .harness.runner import audit_failures
 
 _DESCRIPTIONS = {
     "T1": "Table 1: replica-control method characteristics",
@@ -77,13 +80,18 @@ def _cmd_run(ids: List[str], out_dir: Optional[str] = None) -> int:
         destination.mkdir(parents=True, exist_ok=True)
     failed = False
     for eid in ids:
-        try:
-            text, _ = EXPERIMENTS[eid]()
-        except Exception:
-            print("experiment %s raised:" % eid, file=sys.stderr)
-            traceback.print_exc()
+        with audit_failures() as problems:
+            try:
+                text, _ = EXPERIMENTS[eid]()
+            except Exception:
+                print("experiment %s raised:" % eid, file=sys.stderr)
+                traceback.print_exc()
+                failed = True
+                continue
+        for problem in problems:
+            print("experiment %s failed its audit: %s" % (eid, problem),
+                  file=sys.stderr)
             failed = True
-            continue
         print(text)
         print()
         if destination is not None:

@@ -21,7 +21,7 @@ Two tools live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from .serializability import query_overlaps  # noqa: F401  (public re-export)
 from .transactions import EpsilonTransaction, TransactionID
@@ -58,8 +58,6 @@ class OverlapTracker:
         self._active_updates: Dict[TransactionID, Tuple[str, ...]] = {}
         #: tid -> record of currently active query ETs.
         self._active_queries: Dict[TransactionID, OverlapRecord] = {}
-        #: finished queries kept for post-run assertions.
-        self._finished: Dict[TransactionID, OverlapRecord] = {}
 
     # -- update ET lifecycle -------------------------------------------
 
@@ -98,11 +96,9 @@ class OverlapTracker:
         return record
 
     def query_finished(self, tid: TransactionID) -> Optional[OverlapRecord]:
-        """Close out a query's overlap record and archive it."""
-        record = self._active_queries.pop(tid, None)
-        if record is not None:
-            self._finished[tid] = record
-        return record
+        """Close out a query's overlap record and return it: a finished
+        query is forgotten (its result already carries its overlap)."""
+        return self._active_queries.pop(tid, None)
 
     # -- inspection ------------------------------------------------------
 
@@ -112,8 +108,8 @@ class OverlapTracker:
         return record.size if record else 0
 
     def overlap_members(self, tid: TransactionID) -> Set[TransactionID]:
-        """Members of an active or finished query's overlap set."""
-        record = self._active_queries.get(tid) or self._finished.get(tid)
+        """Members of an active query's overlap set."""
+        record = self._active_queries.get(tid)
         return set(record.members) if record else set()
 
     @property
@@ -137,7 +133,3 @@ class OverlapTracker:
             for tid, record in self._active_queries.items()
             if key_set.intersection(record.et.keys)
         }
-
-    def finished_records(self) -> List[OverlapRecord]:
-        """Archived overlap records, in query-finish order."""
-        return list(self._finished.values())

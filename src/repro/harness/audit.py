@@ -45,10 +45,8 @@ class AuditReport:
             and not self.overlap_violations
         )
 
-    def assert_ok(self) -> None:
-        """Raise with a readable diagnosis when any guarantee failed."""
-        if self.ok:
-            return
+    def problems(self) -> List[str]:
+        """One readable line per failed guarantee (none when ok)."""
         problems = []
         if not self.converged:
             problems.append("replicas did not converge")
@@ -62,7 +60,14 @@ class AuditReport:
             problems.append(
                 "queries over overlap bound: %s" % self.overlap_violations
             )
-        raise AssertionError("ESR audit failed: " + "; ".join(problems))
+        return problems
+
+    def assert_ok(self) -> None:
+        """Raise with a readable diagnosis when any guarantee failed."""
+        if not self.ok:
+            raise AssertionError(
+                "ESR audit failed: " + "; ".join(self.problems())
+            )
 
 
 def audit(system: ReplicatedSystem) -> AuditReport:

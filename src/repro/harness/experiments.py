@@ -18,7 +18,6 @@ from ..core.serializability import (
     is_serializable,
 )
 from ..core.transactions import QueryET, UNLIMITED, UpdateET, reset_tid_counter
-from ..replica.compe import CompensationBased
 from ..replica.coherency import (
     PrimaryCopy,
     QuorumConsensus,
@@ -27,6 +26,7 @@ from ..replica.coherency import (
 from ..replica.base import SystemConfig
 from ..replica.host import (
     CommutativeOperations,
+    CompensationBased,
     OrderedUpdates,
     ReadIndependentUpdates,
 )

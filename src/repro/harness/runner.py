@@ -8,18 +8,23 @@ A run is summarized from the list of
 :class:`~repro.core.transactions.ETResult` the system accumulates
 (throughput, latency percentiles, query inconsistency, waits) and
 judged by one :func:`~repro.harness.audit.audit` call, so methods need
-no metric hooks of their own.
+no metric hooks of their own.  Inside :func:`audit_failures` a failed
+audit is also collected: ``python -m repro run`` wraps each experiment
+in one.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -29,7 +34,7 @@ from typing import (
 
 from ..core.transactions import ETResult, ETStatus, reset_tid_counter
 from ..replica.base import ReplicaControlMethod, ReplicatedSystem, SystemConfig
-from ..replica.compe import CompensationBased
+from ..replica.host import CompensationBased
 from ..workload.generator import WorkloadGenerator, WorkloadSpec, drive
 from .audit import audit
 
@@ -41,7 +46,25 @@ __all__ = [
     "percentile",
     "run_experiment",
     "summarize",
+    "audit_failures",
 ]
+
+#: the list the innermost :func:`audit_failures` block collects into.
+_collector: ContextVar[Optional[List[str]]] = ContextVar(
+    "audit_failures", default=None
+)
+
+
+@contextmanager
+def audit_failures() -> Iterator[List[str]]:
+    """Collect the failed guarantees of every run audited inside the
+    block, one ``"<method>: <problems>"`` line per failed run."""
+    failures: List[str] = []
+    token = _collector.set(failures)
+    try:
+        yield failures
+    finally:
+        _collector.reset(token)
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -223,20 +246,14 @@ def run_experiment(
         keep_system: retain the system object on the result (memory-
             heavy; used by tests that need post-run inspection).
     """
-    reset_tid_counter()
-    method = method_factory()
-    system = ReplicatedSystem(method, config)
-    if failures is not None:
-        failures(system)
-    generator = WorkloadGenerator(spec, sorted(system.sites), workload_seed)
-    submissions = generator.generate()
-    drive(
-        system,
-        submissions,
-        compe_aborts=isinstance(method, CompensationBased),
-    )
+    system = _driven(method_factory, config, spec, workload_seed, failures)
     quiescence = system.run_to_quiescence()
     report = audit(system)
+    collected = _collector.get()
+    if collected is not None and not report.ok:
+        collected.append("%s: %s" % (
+            system.method.traits.name, "; ".join(report.problems())
+        ))
     return ExperimentResult(
         metrics=summarize(system.results, quiescence),
         quiescence_time=quiescence,
@@ -257,6 +274,28 @@ def run_experiment(
     )
 
 
+def _driven(
+    method_factory: Callable[[], ReplicaControlMethod],
+    config: SystemConfig,
+    spec: WorkloadSpec,
+    workload_seed: int,
+    failures: Optional[Callable[[ReplicatedSystem], None]],
+) -> ReplicatedSystem:
+    """A fresh system with its failures and workload scheduled."""
+    reset_tid_counter()
+    method = method_factory()
+    system = ReplicatedSystem(method, config)
+    if failures is not None:
+        failures(system)
+    generator = WorkloadGenerator(spec, sorted(system.sites), workload_seed)
+    drive(
+        system,
+        generator.generate(),
+        compe_aborts=isinstance(method, CompensationBased),
+    )
+    return system
+
+
 def divergence_trace(
     method_factory: Callable[[], ReplicaControlMethod],
     config: SystemConfig,
@@ -270,17 +309,7 @@ def divergence_trace(
     Returns ``(times, divergences, quiescence_time)``; the final sample
     is taken at quiescence and must be zero for a converged system.
     """
-    reset_tid_counter()
-    method = method_factory()
-    system = ReplicatedSystem(method, config)
-    if failures is not None:
-        failures(system)
-    generator = WorkloadGenerator(spec, sorted(system.sites), workload_seed)
-    drive(
-        system,
-        generator.generate(),
-        compe_aborts=isinstance(method, CompensationBased),
-    )
+    system = _driven(method_factory, config, spec, workload_seed, failures)
     times: List[float] = []
     values: List[float] = []
 

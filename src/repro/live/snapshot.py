@@ -9,7 +9,7 @@ state — which is what licenses log compaction below the snapshot
 frontier and bounded-time rejoin of a wiped replica (catch-up fetches
 a peer's snapshot instead of replaying the peer's entire history).
 
-Format: an *envelope* ``{"version": 2, "checksum": <sha256 hex>,
+Format: an *envelope* ``{"version": 3, "checksum": <sha256 hex>,
 "body": {...}}`` where the checksum covers the canonical JSON
 encoding (sorted keys, no whitespace) of the body.  The body carries
 ``site``, ``method``, ``frontiers`` (channel name -> applied seq,
@@ -47,7 +47,9 @@ __all__ = [
 ]
 
 #: 2: operations inside engine checkpoints are positional arrays.
-SNAPSHOT_VERSION = 2
+#: 3: a COMPE checkpoint carries its operation log (``compe.log``),
+#: not undo steps (``compe.undo``).
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(RuntimeError):

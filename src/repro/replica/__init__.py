@@ -12,13 +12,14 @@ from .base import (
 from .common import MethodRuntime
 from .host import (
     CommutativeOperations,
+    CompensationBased,
+    CompensationStats,
     EngineHost,
     NonCommutativeError,
     NotReadIndependentError,
     OrderedUpdates,
     ReadIndependentUpdates,
 )
-from .compe import CompensationBased, CompensationStats
 from .coherency import PrimaryCopy, QuorumConsensus, ReadOneWriteAll2PC
 from .quasicopy import ClosenessSpec, QuasiCopies
 from .merge import LoggedOp, MergeResult, apply_merged, merge_partition_logs

@@ -36,6 +36,8 @@ from typing import (
 )
 
 from ..core.history import History
+from ..core.operations import ReadOp
+from ..core.overlap import OverlapTracker
 from ..core.serializability import (
     is_one_copy_serializable,
     merge_site_histories,
@@ -98,9 +100,6 @@ class OrderedApplyBuffer:
     def held(self) -> int:
         """MSets waiting for an earlier sequence number."""
         return len(self._holdback)
-
-    def drained(self) -> bool:
-        return not self._holdback
 
 
 @dataclass
@@ -348,15 +347,18 @@ class SiteExecutor:
 
 
 class QueryRunner:
-    """Runs a query ET's reads serially over simulated time.
+    """Runs a query ET's reads serially over simulated time, through
+    its site's engine, with its overlap on the method's ``tracker``.
 
     Each read takes the site's ``read_time`` and happens at its end:
-    the method's ``admit`` hook is called there and returns
-    ``(True, value)`` — the read is charged and done — or ``(False,
-    None)``: the query discards its reads and, after ``RETRY_DELAY``,
-    starts over, re-serializing *after* the conflicting updates (the
-    paper's 'put them at the beginning or at the end').  The runner
-    owns retries, abort on site crash, and result assembly.
+    the engine's ``read_key`` charges the query's budget for the key
+    and reads it — the read is recorded in the site's history — or
+    refuses, having changed nothing: the query discards its reads and,
+    after ``RETRY_DELAY``, starts over, re-serializing *after* the
+    conflicting updates (the paper's 'put them at the beginning or at
+    the end').  Each attempt starts (``restart_query``) at its first
+    read.  The runner owns retries, abort on site crash, and result
+    assembly; the query's inconsistency is what its budget imported.
     """
 
     RETRY_DELAY = 0.25
@@ -366,26 +368,23 @@ class QueryRunner:
         system: "ReplicatedSystem",
         et: EpsilonTransaction,
         site: Site,
-        admit: Callable[[str], Tuple[bool, Any]],
+        engine: Any,
+        tracker: OverlapTracker,
         on_done: DoneCallback,
-        inconsistency_of: Callable[[], int],
-        overlap_of: Callable[[], Tuple[TransactionID, ...]],
-        on_start: Optional[Callable[[], None]] = None,
         on_refused: Optional[Callable[[], None]] = None,
     ) -> None:
-        """``on_start`` is called at the first read of each attempt:
-        the query (re)starts there.  ``on_refused``, when given, is
-        called instead of the restart when a read is refused, and ends
-        the query with :meth:`finish`."""
+        """``on_refused``, when given, is called instead of the restart
+        when a read is refused, and ends the query with
+        :meth:`finish`."""
         self.system = system
         self.et = et
         self.site = site
-        self.admit = admit
+        self.engine = engine
+        self.tracker = tracker
         self.on_done = on_done
-        self.inconsistency_of = inconsistency_of
-        self.overlap_of = overlap_of
-        self.on_start = on_start
         self.on_refused = on_refused
+        tracker.query_started(et)
+        self.budget = engine.open_query(et.spec, et.keys)
         self.result = ETResult(
             et,
             start_time=system.sim.now,
@@ -412,9 +411,9 @@ class QueryRunner:
             self.finish(ETStatus.ABORTED)
             return
         key = self.keys[self._index]
-        if self._index == 0 and self.on_start is not None:
-            self.on_start()
-        admitted, value = self.admit(key)
+        if self._index == 0:
+            self.engine.restart_query(self.budget)
+        admitted, value = self.engine.read_key(self.budget, key)
         if not admitted:
             if self.on_refused is not None:
                 self.on_refused()
@@ -424,6 +423,8 @@ class QueryRunner:
             self.result.values.clear()
             self.system.sim.schedule(self.RETRY_DELAY, self._step)
             return
+        site, et = self.site, self.et
+        site.history.record(et.tid, ReadOp(key), site.name, site.sim.now, et)
         self.result.values[key] = value
         self._index += 1
         self._step()
@@ -431,8 +432,11 @@ class QueryRunner:
     def finish(self, status: str) -> None:
         self.result.status = status
         self.result.finish_time = self.system.sim.now
-        self.result.inconsistency = self.inconsistency_of()
-        self.result.overlap = tuple(sorted(self.overlap_of()))
+        self.result.inconsistency = len(self.budget.imported)
+        tid = self.et.tid
+        self.result.overlap = tuple(sorted(self.tracker.overlap_members(tid)))
+        self.engine.close_query(self.budget)
+        self.tracker.query_finished(tid)
         self.on_done(self.result)
 
 

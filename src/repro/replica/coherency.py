@@ -500,13 +500,20 @@ class QuorumConsensus(ReplicaControlMethod):
                 )
 
         def phase_two() -> None:
-            # Pick a version strictly above everything a write quorum
-            # has seen; the tid breaks ties between concurrent writers.
+            # One version for all of the ET's keys, strictly above every
+            # version a write quorum has seen on any of them; the tid
+            # breaks ties between concurrent writers.  Per-key versions
+            # would let two concurrent writers of the same keys each win
+            # one key: a final state no serial order explains.
+            top = max(
+                (
+                    reply.get(key, (0, 0))
+                    for reply in version_replies
+                    for key in keys
+                ),
+                default=(0, 0),
+            )
             for key in keys:
-                top = max(
-                    (reply.get(key, (0, 0)) for reply in version_replies),
-                    default=(0, 0),
-                )
                 new_version[key] = (top[0] + 1, et.tid)
             # The write is *sent* everywhere; commit waits for w acks.
             for name in names:

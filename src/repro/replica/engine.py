@@ -5,9 +5,9 @@ the method-specific steps of the paper's framework — update
 validation, MSet processing and query admission.  The simulator
 (:class:`~repro.replica.host.EngineHost`, on the simulated clock) and
 the live server (on the wall clock) run the same classes.  This module
-holds the base, COMMU (§3.2), RITU (§3.3, both variants) and ORDUP
-(§3.1); ROWA and COMPE subclass :class:`CommuLiveEngine` in
-:mod:`repro.live.engine`.
+holds the base, COMMU (§3.2), RITU (§3.3, both variants), ORDUP (§3.1)
+and COMPE (§4); the live-only ROWA baseline subclasses
+:class:`CommuLiveEngine` in :mod:`repro.live.engine`.
 
 MSets go in (:meth:`LiveEngine.accept`, local or remote; recovery
 replays through it), state comes out; the host owns every file.  Every
@@ -37,8 +37,16 @@ from ..core.operations import Operation, TimestampedWriteOp, commutes, is_write
 from ..core.transactions import EpsilonSpec, UNLIMITED
 from ..storage.kv import KeyValueStore, StoreSnapshot
 from ..storage.mvstore import MultiVersionStore, NoVisibleVersion
+from ..storage.oplog import OperationLog
 from .base import LockCounterSiteState, OrderedApplyBuffer
-from .mset import MSet, MSetKind, decode_mset, encode_mset
+from .mset import (
+    MSet,
+    MSetKind,
+    decode_mset,
+    decode_op,
+    encode_mset,
+    encode_op,
+)
 
 __all__ = [
     "LiveEngine",
@@ -46,6 +54,7 @@ __all__ = [
     "OrdupLiveEngine",
     "RituLiveEngine",
     "RituMvLiveEngine",
+    "CompeLiveEngine",
     "QueryOutcome",
     "QueryTimeout",
     "NonCommutativeError",
@@ -1335,7 +1344,7 @@ class OrdupLiveEngine(LiveEngine):
         return budget.outcome(values)
 
     def quiescent(self) -> bool:
-        return self.buffer.drained()
+        return not self.buffer.held
 
     def history_entries(self) -> int:
         return len(self.last_writer)
@@ -1396,4 +1405,289 @@ class OrdupLiveEngine(LiveEngine):
         out["held_back"] = self.buffer.held
         out["epoch"] = self._current_epoch
         out["fenced"] = self.fenced_count
+        return out
+
+
+class CompeLiveEngine(CommuLiveEngine):
+    """COMPE (§4): optimistic apply, backward recovery.
+
+    Every update applies (and propagates) *before* its global decision,
+    through the engine's :class:`~repro.storage.oplog.OperationLog`,
+    which records each operation with the value it overwrote.  A COMMIT
+    decision retires the obligation; an ABORT decision compensates and
+    the update is reported ``COMPENSATED``: directly — its inverses —
+    when every operation logged after it commutes with them, otherwise
+    by §4.1's rollback and replay (undo the suffix, drop the update,
+    replay the rest: the paper's ``Inc``/``Mul`` example).  After each
+    decision the log is cut below the oldest record of an update still
+    undecided here, the furthest a rollback can reach, so at quiescence
+    it is empty.  A saga's steps stay undecided until the saga is
+    decided; aborting it compensates them newest first.
+
+    The engine keeps no file: the durable record is the update itself
+    (in the replication log or an inbox), and the log's records travel
+    in the checkpoint (``compe.log``).  Recovery — checkpoint, then the
+    replayed log suffix — rebuilds the same tables.  The live server
+    admits only commuting operations with prior-value-independent
+    inverses (:meth:`validate_update`), so there direct compensation is
+    exact in any interleaving; the simulator's host admits any
+    operation with an inverse, under ORDUP's order for mixed logs.
+
+    Queries charge one unit per *undecided* update observed (its
+    effects may yet be compensated away), on top of COMMU's.
+    """
+
+    method_name = "COMPE"
+    #: counters carried by the checkpoint under their own names.
+    _COUNTERS = (
+        "compensation_count",
+        "operations_undone",
+        "rollback_replays",
+        "operations_replayed",
+        "log_records_reclaimed",
+    )
+
+    def __init__(self, site, clock=time.monotonic) -> None:
+        super().__init__(site, clock)
+        #: optimistically applied updates awaiting their decision.
+        self._undecided: Dict[Any, Tuple[str, ...]] = {}
+        self._undecided_by_key: Dict[str, Set[Any]] = {}
+        #: tid -> "commit" | "abort"; the first decision is final.
+        self._decided: Dict[Any, str] = {}
+        #: tids undone by backward recovery (COMPENSATED reporting).
+        self._compensated: Set[Any] = set()
+        #: saga id -> member tids in submission order (compensated in
+        #: reverse).
+        self._sagas: Dict[str, List[Any]] = {}
+        self.compensation_count = 0
+        self.operations_undone = 0
+        #: compensations that rolled back and replayed the log suffix.
+        self.rollback_replays = 0
+        self.operations_replayed = 0
+        self.log_records_reclaimed = 0
+
+    # Every update applies through the log: a store gets a fresh log.
+    @property
+    def store(self) -> KeyValueStore:
+        return self.log.store
+
+    @store.setter
+    def store(self, store: KeyValueStore) -> None:
+        self.log = OperationLog(store)
+
+    _compensations_counter = _undecided_gauge = _UNBOUND
+
+    def bind_observability(self, registry: Any, trace: Any) -> None:
+        super().bind_observability(registry, trace)
+        self._compensations_counter = registry.counter(
+            "compensations_total",
+            "updates undone by COMPE backward recovery",
+        )
+        self._undecided_gauge = registry.gauge(
+            "compe_undecided_updates",
+            "optimistically applied updates awaiting a decision",
+        )
+
+    def validate_update(self, ops: Sequence[Operation]) -> None:
+        # COMMU's restriction: commuting writes, no reads.
+        super().validate_update(ops)
+        for op in ops:
+            # Probe with two different priors: an inverse that depends
+            # on the overwritten value (WriteOp, multiply-by-zero)
+            # would compensate to *different* values at different
+            # replicas, so direct compensation would diverge.
+            if (
+                op.inverse(prior_value=None) is None
+                or op.inverse(prior_value=0) != op.inverse(prior_value=1)
+            ):
+                raise ValueError(
+                    "operation %r has no replica-independent "
+                    "compensation; COMPE over TCP admits only "
+                    "prior-value-independent inverses" % (op,)
+                )
+
+    def saga_members(self, saga: str) -> List[Any]:
+        """Member tids of one saga, in submission order."""
+        return list(self._sagas.get(saga, ()))
+
+    def decision_of(self, tid: Any) -> Optional[str]:
+        return self._decided.get(tid)
+
+    def compensated_tids(self) -> List[Any]:
+        return sorted(self._compensated)
+
+    # One MSet at a time: a decision may compensate what came before.
+    _accept_msets = LiveEngine._accept_msets
+
+    def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
+        if mset.kind == MSetKind.UPDATE:
+            return self._accept_update(mset, local)
+        if mset.kind in (MSetKind.COMMIT, MSetKind.ABORT):
+            return self._accept_decision(mset, local)
+        return super()._accept_one(mset, local)
+
+    def _execute(self, mset: MSet) -> None:
+        execute, tid = self.log.execute, mset.tid
+        for op in mset.ops:
+            execute(tid, op)
+
+    def _apply_ops(self, mset: MSet) -> None:
+        self._execute(mset)
+        self.applied_count += 1
+        self.last_applied_at = self.clock()
+
+    def _apply_remote(self, msets: Sequence[MSet]) -> None:
+        for mset in msets:
+            self._execute(mset)
+        self._remote_applied(msets)
+
+    def _accept_update(self, mset: MSet, local: bool) -> List[MSet]:
+        applied = super()._accept_one(mset, local)
+        tid = mset.tid
+        saga = mset.get_info("saga")
+        if saga is not None:
+            members = self._sagas.setdefault(saga, [])
+            if tid not in members:
+                members.append(tid)
+        decided = self._decided.get(tid)
+        if decided is None:
+            if tid not in self._undecided:
+                self._note_drift(mset)  # chargeable until decided
+            self._undecided[tid] = mset.keys
+            for key in mset.keys:
+                self._undecided_by_key.setdefault(key, set()).add(tid)
+        else:
+            if decided == "abort" and tid not in self._compensated:
+                # The ABORT decision outran this update: decisions are
+                # emitted by whichever site decides the saga, so a third
+                # replica can hear the verdict (on the decider's channel)
+                # before the update itself (on its origin's channel).
+                # Compensate on delivery — the net effect is zero and
+                # the tables end exactly as if the update had come first.
+                self._compensate(tid, late=True)
+            self._cut_log()
+        self._undecided_gauge.set(len(self._undecided))
+        return applied
+
+    def _compensate(self, tid: Any, **how: Any) -> None:
+        """Backward recovery of ``tid``: its logged inverses when every
+        later operation commutes with them, else rollback and replay."""
+        log = self.log
+        if log.can_compensate_directly(tid):
+            undone = log.compensate_directly(tid)
+        elif log.records_of(tid):
+            undone, replayed = log.rollback_and_replay(tid)
+            self.rollback_replays += 1
+            self.operations_replayed += replayed
+            how["replayed"] = replayed
+        else:
+            undone = 0  # an update without operations
+        self._compensated.add(tid)
+        self.compensation_count += 1
+        self.operations_undone += undone
+        self._compensations_counter.inc()
+        self.trace.event("compensate", tid=tid, ops=undone, **how)
+
+    def _cut_log(self) -> None:
+        """Drop the log records no rollback can reach any more: those
+        below the oldest record of an update still undecided here."""
+        log = self.log
+        mark = log.low_water_mark(self._undecided)
+        self.log_records_reclaimed += log.truncate_before(mark)
+
+    def _accept_decision(self, mset: MSet, local: bool) -> List[MSet]:
+        target = mset.get_info("decides", mset.tid)
+        outcome = "abort" if mset.kind == MSetKind.ABORT else "commit"
+        if target in self._decided:
+            # Duplicate (recovery replay, or a second decider): the
+            # first decision a tid sees is final everywhere, so state
+            # is untouched — replaying decisions is idempotent.
+            return []
+        self._decided[target] = outcome
+        keys = self._undecided.pop(target, None)
+        if keys is not None:
+            self._unpin(target)
+            for key in keys:
+                holders = self._undecided_by_key.get(key)
+                if holders is not None:
+                    holders.discard(target)
+                    if not holders:
+                        del self._undecided_by_key[key]
+            self._wake(keys)  # decided: no longer a source on its keys
+        if outcome == "abort":
+            if keys is None:
+                # The decision outran its update (they may travel on
+                # different channels when a third site decided the
+                # saga).  Only the verdict is recorded here; the
+                # update's own delivery sees it and compensates then.
+                self.trace.event("compensate-pending", tid=target)
+            else:
+                self._compensate(target)
+                # The compensation is itself a state change queries
+                # may observe mid-flight: charge it like any applied
+                # update.
+                if self._query_starts:
+                    self._pin(mset.tid)
+                    self.state.note_applied(self.clock(), mset.tid, keys)
+        self._cut_log()
+        self.applied_count += 1
+        self.last_applied_at = self.clock()
+        self._undecided_gauge.set(len(self._undecided))
+        return [mset]
+
+    def _query_sources(self, key: str, start: float) -> Set[Any]:
+        sources = super()._query_sources(key, start)
+        undecided = self._undecided_by_key.get(key)
+        if undecided:
+            sources = sources | undecided
+        return sources
+
+    def _method_checkpoint(self) -> Dict[str, Any]:
+        return {
+            "compe": {
+                "log": [
+                    [r.tid, encode_op(r.op), r.prior_value]
+                    for r in self.log.records
+                ],
+                "undecided": {
+                    tid: list(keys)
+                    for tid, keys in self._undecided.items()
+                },
+                "decided": dict(self._decided),
+                "compensated": sorted(self._compensated),
+                "sagas": {s: list(t) for s, t in self._sagas.items()},
+                **{name: getattr(self, name) for name in self._COUNTERS},
+            }
+        }
+
+    def _method_restore(self, state: Dict[str, Any]) -> None:
+        super()._method_restore(state)
+        compe = state.get("compe", {})
+        self.log.load(
+            (tid, decode_op(op), prior)
+            for tid, op, prior in compe.get("log", ())
+        )
+        self._undecided = {
+            tid: tuple(keys)
+            for tid, keys in dict(compe.get("undecided", {})).items()
+        }
+        self._undecided_by_key = {}
+        for tid, keys in self._undecided.items():
+            self._restore_pin(state, tid)
+            for key in keys:
+                self._undecided_by_key.setdefault(key, set()).add(tid)
+        self._decided = dict(compe.get("decided", {}))
+        self._compensated = set(compe.get("compensated", ()))
+        self._sagas = {
+            s: list(t) for s, t in dict(compe.get("sagas", {})).items()
+        }
+        for name in self._COUNTERS:
+            setattr(self, name, int(compe.get(name, 0)))
+        self._undecided_gauge.set(len(self._undecided))
+
+    def stats(self) -> Dict[str, Any]:
+        out = super().stats()
+        out["undecided"] = len(self._undecided)
+        out["compensations"] = self.compensation_count
+        out["operations_undone"] = self.operations_undone
         return out

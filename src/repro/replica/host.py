@@ -1,5 +1,5 @@
-"""The simulator's host for the replica-control engines: COMMU, RITU
-and ORDUP.
+"""The simulator's host for the replica-control engines: COMMU, RITU,
+ORDUP and COMPE.
 
 :class:`EngineHost` runs one engine (:mod:`repro.replica.engine`) per
 site — the classes the live server runs — on the simulated clock.  Each
@@ -21,7 +21,17 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+)
 
 from ..core.operations import ReadOp
 from ..core.transactions import (
@@ -36,6 +46,7 @@ from ..sim.site import Site
 from .base import (
     DoneCallback,
     MethodTraits,
+    OrderedApplyBuffer,
     QueryRunner,
     ReplicaControlMethod,
     ReplicatedSystem,
@@ -43,6 +54,7 @@ from .base import (
 from .common import MethodRuntime
 from .engine import (
     CommuLiveEngine,
+    CompeLiveEngine,
     LiveEngine,
     NonCommutativeError,
     NotReadIndependentError,
@@ -59,6 +71,8 @@ __all__ = [
     "CommutativeOperations",
     "ReadIndependentUpdates",
     "OrderedUpdates",
+    "CompensationBased",
+    "CompensationStats",
     "NonCommutativeError",
     "NotReadIndependentError",
 ]
@@ -70,6 +84,10 @@ class EngineHost(ReplicaControlMethod):
     An update may wait at its origin (:meth:`_should_throttle`) and is
     launched once it may go; its latency counts from its submission.
     """
+
+    #: MSets of each update that apply at every site: the update, and
+    #: for COMPE its decision.
+    copies = 1
 
     def __init__(self, engine_class: Type[LiveEngine]) -> None:
         self.engine_class = engine_class
@@ -139,17 +157,9 @@ class EngineHost(ReplicaControlMethod):
         submitted: float,
     ) -> None:
         def start(order: Optional[GlobalOrder]) -> None:
-            self._ets[et.tid] = et
-            self.runtime.update_submitted(et)
             reads = tuple(op.key for op in et.reads())
-            mset = self.engines[origin].make_mset(
-                et.tid,
-                et.writes(),
-                order=order,
-                info=(("reads", reads),) if reads else (),
-            )
-            self.runtime.when_update_complete(
-                et.tid, lambda: self._fully_applied(mset)
+            mset = self._register(
+                et, origin, order, info=(("reads", reads),) if reads else ()
             )
             if reads:
                 self._awaiting_reads[et.tid, origin] = (on_done, submitted)
@@ -162,6 +172,27 @@ class EngineHost(ReplicaControlMethod):
                 ))
 
         self._acquire_order(origin, start)
+
+    def _register(
+        self,
+        et: EpsilonTransaction,
+        origin: str,
+        order: Optional[GlobalOrder],
+        info: Tuple[Tuple[str, Any], ...] = (),
+    ) -> MSet:
+        """``et``'s update MSet, built by ``origin``'s engine, tracked
+        until its :attr:`copies` have applied at every site."""
+        self._ets[et.tid] = et
+        self.runtime.update_submitted(
+            et, copies=self.copies * len(self.system.sites)
+        )
+        mset = self.engines[origin].make_mset(
+            et.tid, et.writes(), order=order, info=info
+        )
+        self.runtime.when_update_complete(
+            et.tid, lambda: self._fully_applied(mset)
+        )
+        return mset
 
     def _acquire_order(
         self, origin: str, then: Callable[[Optional[GlobalOrder]], None]
@@ -242,38 +273,16 @@ class EngineHost(ReplicaControlMethod):
         on_refused: Optional[Callable[[], None]] = None,
     ) -> QueryRunner:
         """A runner for query ``et``, reading through the engine."""
-        site = self.system.sites[site_name]
-        engine = self.engines[site_name]
-        tracker = self.runtime.tracker
-        tracker.query_started(et)
-        budget = engine.open_query(et.spec, et.keys)
-
-        def admit(key: str):
-            read, value = engine.read_key(budget, key)
-            if not read:
-                return False, None
-            site.history.record(
-                et.tid, ReadOp(key), site_name, self.system.sim.now, et
-            )
-            return True, value
 
         def done(result: ETResult) -> None:
-            engine.close_query(budget)
-            tracker.query_finished(et.tid)
             # A finished query may unblock export-limited updates.
             self._release_throttled()
             on_done(result)
 
+        site, engine = self.system.sites[site_name], self.engines[site_name]
+        tracker = self.runtime.tracker
         return QueryRunner(
-            self.system,
-            et,
-            site,
-            admit,
-            done,
-            inconsistency_of=lambda: len(budget.imported),
-            overlap_of=lambda: tuple(tracker.overlap_members(et.tid)),
-            on_start=lambda: engine.restart_query(budget),
-            on_refused=on_refused,
+            self.system, et, site, engine, tracker, done, on_refused
         )
 
     def quiescent(self) -> bool:
@@ -537,3 +546,271 @@ class OrderedUpdates(EngineHost):
             ordered()
         else:
             runner.start()
+
+
+@dataclass
+class CompensationStats:
+    """Counters reported by benchmark E8."""
+
+    commits: int = 0
+    aborts: int = 0
+    direct_compensations: int = 0
+    rollback_replays: int = 0
+    operations_undone: int = 0
+    operations_replayed: int = 0
+    #: finished queries later found to have imported aborted updates.
+    post_hoc_inconsistent_queries: int = 0
+    pessimistic_updates: int = 0
+    #: log records reclaimed once rollback risk expired (§4: "remember
+    #: the executed MSets until there is no risk of rollback").
+    log_records_reclaimed: int = 0
+
+
+class CompensationBased(EngineHost):
+    """COMPE (§4) over :class:`~repro.replica.engine.CompeLiveEngine`.
+
+    An update applies at its origin at once and propagates; its global
+    decision follows ``decision_delay`` later as a COMMIT or ABORT MSet,
+    sent like any other, on which every engine settles or compensates
+    (``will_abort`` stands in for whatever application logic dooms the
+    update).  The update stays in query overlaps until its decision has
+    settled at every site: each site applies two of its MSets.  Queries
+    that finished before an abort cannot be re-charged ("they have left
+    the system"): they are counted as *post-hoc inconsistent*, the
+    quantity that grows without bound when compensations are unlimited
+    (E8).
+
+    Once ``max_compensations`` aborts have happened — the paper's first
+    bounding strategy — new updates run pessimistically: they wait for
+    their decision, and only a committed one applies, its COMMIT right
+    behind it.  ``ordered=True`` runs COMPE over ORDUP (§4.2): updates
+    take central order tokens and each site holds an update back until
+    every earlier one has arrived.  Saga steps (:meth:`submit_saga`)
+    stay undecided, and so chargeable, until the whole saga ends.
+    """
+
+    traits = MethodTraits(
+        name="COMPE",
+        restriction="operation value",
+        direction="backward",
+        async_update_propagation=True,
+        async_query_processing=True,
+        sorting_time="N/A",
+    )
+    copies = 2
+
+    def __init__(
+        self,
+        decision_delay: float = 10.0,
+        max_compensations: Optional[int] = None,
+        ordered: bool = False,
+    ) -> None:
+        """``max_compensations=None`` means no budget (and unbounded
+        post-hoc inconsistency).  ``ordered`` is required when updates
+        do not commute (§4.2: rollback of the whole log "is the case
+        with ORDUP operations"): without an order, optimistic
+        application of non-commutative MSets would itself diverge,
+        aborts or not."""
+        super().__init__(CompeLiveEngine)
+        self.decision_delay = decision_delay
+        self.max_compensations = max_compensations
+        self.ordered = ordered
+
+    def attach(self, system: ReplicatedSystem) -> None:
+        super().attach(system)
+        #: the host's counters; the compensation ones are the engines'.
+        self._counts = CompensationStats()
+        self._buffers = {name: OrderedApplyBuffer() for name in system.sites}
+        #: updates applied optimistically and not yet decided.
+        self._undecided: Set[TransactionID] = set()
+        self._aborted: Set[TransactionID] = set()
+        #: undecided update -> finished queries that imported it.
+        self._importers: Dict[TransactionID, Set[TransactionID]] = {}
+        self._post_hoc: Set[TransactionID] = set()
+
+    @property
+    def stats(self) -> CompensationStats:
+        def total(counter: str) -> int:
+            return sum(getattr(e, counter) for e in self.engines.values())
+
+        return replace(
+            self._counts,
+            direct_compensations=(
+                total("compensation_count") - total("rollback_replays")
+            ),
+            rollback_replays=total("rollback_replays"),
+            operations_undone=total("operations_undone"),
+            operations_replayed=total("operations_replayed"),
+            post_hoc_inconsistent_queries=len(self._post_hoc),
+            log_records_reclaimed=total("log_records_reclaimed"),
+        )
+
+    def check(self, et: EpsilonTransaction) -> None:
+        if any(True for _ in et.reads()):
+            raise ValueError(
+                "ET %s reads inside a COMPE update; observations cannot "
+                "be compensated — use ORDUP for read-modify-write" % et.tid
+            )
+        for op in et.writes():
+            if op.inverse(prior_value=None) is None:
+                raise ValueError(
+                    "operation %r of ET %s has no compensation" % (op, et.tid)
+                )
+
+    # -- update path ---------------------------------------------------------
+
+    def submit_update(
+        self,
+        et: EpsilonTransaction,
+        origin: str,
+        on_done: DoneCallback,
+        will_abort: bool = False,
+    ) -> None:
+        """Optimistically run ``et``; ``will_abort`` forces a global
+        abort (the workload generator sets it by its abort rate).  With
+        the compensation budget spent, the decision comes first, and
+        only a committed update runs."""
+        self.check(et)
+        start = self.system.sim.now
+        pessimistic = (
+            self.max_compensations is not None
+            and self._counts.aborts >= self.max_compensations
+        )
+        if pessimistic:
+            self._counts.pessimistic_updates += 1
+        else:
+            self._originate(et, origin)
+
+        def decide() -> None:
+            if pessimistic and will_abort:
+                status = ETStatus.ABORTED  # it never ran anywhere
+            else:
+                if pessimistic:
+                    self._originate(et, origin)
+                self._settle(et.tid, origin, will_abort)
+                status = (
+                    ETStatus.COMPENSATED if will_abort else ETStatus.COMMITTED
+                )
+            on_done(self._result(et, origin, status, start))
+
+        self.system.sim.schedule(self.decision_delay, decide)
+
+    def _originate(self, et: EpsilonTransaction, origin: str) -> None:
+        """Apply ``et`` at ``origin`` and send it, undecided."""
+        order = self._order.next_order() if self.ordered else None
+        self._undecided.add(et.tid)
+        self._send(origin, self._register(et, origin, order))
+
+    def _settle(self, tid: TransactionID, origin: str, abort: bool) -> None:
+        """Send ``tid``'s global decision from ``origin`` to every site."""
+        self._undecided.discard(tid)
+        importers = self._importers.pop(tid, ())
+        if abort:
+            self._aborted.add(tid)
+            self._counts.aborts += 1
+            self._post_hoc.update(importers)
+        else:
+            self._counts.commits += 1
+        kind = MSetKind.ABORT if abort else MSetKind.COMMIT
+        self._send(origin, MSet(tid, kind, (), origin))
+
+    def _result(
+        self, et: EpsilonTransaction, origin: str, status: str, start: float
+    ) -> ETResult:
+        return ETResult(
+            et, status=status, start_time=start,
+            finish_time=self.system.sim.now, site=origin,
+        )
+
+    def _send(self, origin: str, mset: MSet) -> None:
+        self._deliver(self.system.sites[origin], mset)
+        self.system.broadcast_mset(origin, mset)
+
+    def handle_message(self, site: Site, mset: MSet) -> None:
+        if mset.kind not in (MSetKind.UPDATE, MSetKind.COMMIT, MSetKind.ABORT):
+            raise ValueError("COMPE cannot handle %r" % mset.kind)
+        self._deliver(site, mset)
+
+    def _deliver(self, site: Site, mset: MSet) -> None:
+        """Hand ``mset`` to ``site``'s engine; in ordered mode an update
+        waits for every earlier one."""
+        ready: Sequence[MSet] = (mset,)
+        if mset.order is not None:
+            ready = self._buffers[site.name].offer(mset.order[0], mset)
+        for each in ready:
+            self._receive(site, each, local=each.origin == site.name)
+
+    # -- sagas ---------------------------------------------------------------
+
+    def submit_saga(
+        self,
+        saga_id: str,
+        steps: Sequence[Tuple[EpsilonTransaction, bool]],
+        origin: str,
+        on_done: Callable[[List[ETResult]], None],
+    ) -> None:
+        """Run ``steps`` (ET, will_abort) one after another as one saga.
+
+        A step's outcome is known ``decision_delay`` after it starts; a
+        step that succeeds stays undecided at every site — its
+        potential-compensation charge raised (the paper's 'clearing the
+        lock-counters only at the end of the entire saga') — until the
+        saga ends, when every step commits.  A failing step aborts, and
+        so does every earlier step, newest first (the saga pattern's
+        backward recovery), which ends the saga.
+        """
+        for et, _ in steps:
+            self.check(et)
+        results: List[ETResult] = []
+        succeeded: List[EpsilonTransaction] = []
+        schedule = self.system.sim.schedule
+
+        def run(index: int) -> None:
+            if index == len(steps):
+                for et in succeeded:
+                    self._settle(et.tid, origin, abort=False)
+                on_done(results)
+                return
+            et, will_abort = steps[index]
+            start = self.system.sim.now
+            self._originate(et, origin)
+
+            def outcome() -> None:
+                status = (
+                    ETStatus.COMPENSATED if will_abort else ETStatus.COMMITTED
+                )
+                results.append(self._result(et, origin, status, start))
+                if will_abort:
+                    self._settle(et.tid, origin, abort=True)
+                    backward(len(succeeded) - 1)
+                else:
+                    succeeded.append(et)
+                    run(index + 1)
+
+            schedule(self.decision_delay, outcome)
+
+        def backward(index: int) -> None:
+            if index < 0:
+                on_done(results)
+                return
+            self._settle(succeeded[index].tid, origin, abort=True)
+            apply_time = self.system.config.site.apply_time
+            schedule(apply_time, lambda: backward(index - 1))
+
+        run(0)
+
+    # -- query path ----------------------------------------------------------
+
+    def submit_query(
+        self, et: EpsilonTransaction, site_name: str, on_done: DoneCallback
+    ) -> None:
+        def done(result: ETResult) -> None:
+            for tid in runner.budget.imported:
+                if tid in self._aborted:
+                    self._post_hoc.add(et.tid)
+                elif tid in self._undecided:
+                    self._importers.setdefault(tid, set()).add(et.tid)
+            on_done(result)
+
+        runner = self._query(et, site_name, done)
+        runner.start()

@@ -1,11 +1,10 @@
 """Replica sites: local state, local execution, crash/recovery.
 
-A :class:`Site` owns the local storage substrate (plain store,
-multiversion store, operation log) and the local history
-recording.  Replica control methods
-drive sites through small primitives — sites know nothing about any
-particular method, matching the paper's framework split between "MSet
-delivery" and "MSet processing" (section 2.4).
+A :class:`Site` owns the local storage substrate (plain store and
+multiversion store) and the local history recording.  Replica control
+methods drive sites through small primitives — sites know nothing about
+any particular method, matching the paper's framework split between
+"MSet delivery" and "MSet processing" (section 2.4).
 
 Crash model: a crashed site loses its volatile in-progress work but
 its store and stable queues survive (stable storage); recovery resumes
@@ -24,7 +23,6 @@ from ..core.operations import Operation
 from ..core.transactions import EpsilonTransaction, TransactionID
 from ..storage.kv import KeyValueStore
 from ..storage.mvstore import MultiVersionStore
-from ..storage.oplog import OperationLog
 from .events import Simulator
 
 __all__ = ["Site", "SiteConfig"]
@@ -60,7 +58,6 @@ class Site:
         self.config = config or SiteConfig()
         self.store = KeyValueStore()
         self.mvstore = MultiVersionStore()
-        self.oplog = OperationLog(self.store, default=self.config.default_value)
         self.history = History()
         self.crashed = False
         #: hooks a replica control method installs (crash interruption).
@@ -74,19 +71,11 @@ class Site:
         tid: TransactionID,
         op: Operation,
         et: Optional[EpsilonTransaction] = None,
-        logged: bool = False,
     ) -> Any:
-        """Apply one operation locally and record it in the history.
-
-        ``logged=True`` routes through the operation log so the action
-        is compensatable (COMPE); otherwise it applies directly.
-        """
+        """Apply one operation locally and record it in the history."""
         if self.crashed:
             raise RuntimeError("site %s is crashed" % self.name)
-        if logged:
-            result = self.oplog.execute(tid, op)
-        else:
-            result = self.store.apply(op, default=self.config.default_value)
+        result = self.store.apply(op, default=self.config.default_value)
         self.history.record(tid, op, self.name, self.sim.now, et)
         return result
 

@@ -1,4 +1,5 @@
-"""Operation log with undo and replay — the COMPE substrate.
+"""Operation log with undo and replay — COMPE's compensation record
+(:class:`~repro.replica.engine.CompeLiveEngine`, simulator and live).
 
 Backward replica control (paper section 4) needs each site to remember
 executed MSets "until there is no risk of rollback", together with the
@@ -52,7 +53,7 @@ class OperationLog:
     """Executed-operation log bound to one site's value store."""
 
     def __init__(self, store: KeyValueStore, default: Any = 0) -> None:
-        self._store = store
+        self.store = store
         self._default = default
         self._records: List[LogRecord] = []
         self._next_lsn = 1
@@ -61,13 +62,26 @@ class OperationLog:
 
     def execute(self, tid: TransactionID, op: Operation) -> Any:
         """Apply ``op`` through the store, logging undo information."""
-        prior = self._store.get(op.key, self._default)
-        result = self._store.apply(op, default=self._default)
+        prior = self.store.get(op.key, self._default)
+        result = self.store.apply(op, default=self._default)
+        self._append(tid, op, prior)
+        return result
+
+    def _append(self, tid: TransactionID, op: Operation, prior: Any) -> None:
         inverse = op.inverse(prior) if op.is_write_op else None
         record = LogRecord(tid, op, prior, inverse, self._next_lsn)
-        self._next_lsn += 1
         self._records.append(record)
-        return result
+        self._next_lsn += 1
+
+    def load(
+        self, entries: Iterable[Tuple[TransactionID, Operation, Any]]
+    ) -> None:
+        """Replace the records with ``entries`` — (tid, operation, prior
+        value), oldest first — without touching the store: the log as a
+        checkpoint of it recorded."""
+        self._records = []
+        for tid, op, prior in entries:
+            self._append(tid, op, prior)
 
     # -- inspection ----------------------------------------------------------
 
@@ -84,8 +98,9 @@ class OperationLog:
     def truncate_before(self, lsn: int) -> int:
         """Forget records older than ``lsn`` (no rollback risk remains).
 
-        Returns the number of records dropped.  COMPE calls this once a
-        global update is known committed everywhere.
+        Returns the number of records dropped.  COMPE's engine calls
+        this after each decision, at the :meth:`low_water_mark` of the
+        updates still undecided at its site.
         """
         kept = [r for r in self._records if r.lsn >= lsn]
         dropped = len(self._records) - len(kept)
@@ -142,7 +157,7 @@ class OperationLog:
         for record in reversed(self.records_of(tid)):
             if record.inverse is None:
                 continue
-            self._store.apply(record.inverse, default=self._default)
+            self.store.apply(record.inverse, default=self._default)
             applied += 1
         self._records = [r for r in self._records if r.tid != tid]
         return applied
@@ -168,7 +183,7 @@ class OperationLog:
         undone = 0
         for record in reversed(suffix):
             if record.inverse is not None:
-                self._store.apply(record.inverse, default=self._default)
+                self.store.apply(record.inverse, default=self._default)
             undone += 1
 
         replayed = 0

@@ -71,16 +71,18 @@ class TestOverlapDefinition:
 
 
 class TestLifecycle:
-    def test_query_finished_archives_record(self):
+    def test_query_finished_returns_and_forgets_record(self):
         tracker = OverlapTracker()
         u = _update("a")
         tracker.update_started(u)
         q = _query("a")
         tracker.query_started(q)
-        record = tracker.query_finished(q.tid)
-        assert record is not None
         assert tracker.overlap_members(q.tid) == {u.tid}
-        assert tracker.finished_records() == [record]
+        record = tracker.query_finished(q.tid)
+        assert record is not None and record.members == {u.tid}
+        # Nothing is kept per finished query.
+        assert tracker.overlap_members(q.tid) == set()
+        assert tracker.active_query_count == 0
 
     def test_finish_unknown_query_returns_none(self):
         assert OverlapTracker().query_finished(99) is None

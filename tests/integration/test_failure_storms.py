@@ -12,7 +12,7 @@ from repro.core.transactions import reset_tid_counter
 from repro.harness.audit import audit
 from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.host import CommutativeOperations
-from repro.replica.compe import CompensationBased
+from repro.replica.host import CompensationBased
 from repro.replica.host import OrderedUpdates
 from repro.replica.host import ReadIndependentUpdates
 from repro.sim.failures import CrashEvent, FailureInjector, PartitionEvent

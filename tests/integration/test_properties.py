@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.transactions import reset_tid_counter
 from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.host import CommutativeOperations
-from repro.replica.compe import CompensationBased
+from repro.replica.host import CompensationBased
 from repro.replica.host import OrderedUpdates
 from repro.replica.host import ReadIndependentUpdates
 from repro.sim.network import UniformLatency

@@ -13,7 +13,7 @@ from repro.harness.audit import audit
 from repro.harness.runner import summarize
 from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.host import CommutativeOperations
-from repro.replica.compe import CompensationBased
+from repro.replica.host import CompensationBased
 from repro.replica.host import OrderedUpdates
 from repro.replica.host import ReadIndependentUpdates
 from repro.sim.network import UniformLatency
@@ -101,6 +101,6 @@ def test_soak_compe_log_gc_bounds_memory():
     system.run_to_quiescence()
     assert system.converged()
     assert system.method.stats.log_records_reclaimed > 500
-    for site in system.sites.values():
-        # Only the undecided tail may remain; far below total history.
-        assert len(site.oplog) < 60
+    for engine in system.method.engines.values():
+        # Nothing is undecided at quiescence: the log is empty.
+        assert len(engine.log) == 0

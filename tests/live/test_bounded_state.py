@@ -54,6 +54,10 @@ async def soak(method):
         assert len(engine._pins) <= bound, (seq, len(engine._pins))
         assert engine._drift.keys() <= engine._pins.keys()
         assert engine.history_entries() <= floor + 3 * 2 * window
+        if method == "compe":
+            # Decided oldest first: every update the log still holds,
+            # from the oldest undecided one on, is undecided.
+            assert len(engine.log) <= 3 * len(undecided)
 
     for _ in range(UPDATES):
         seq += 1
@@ -118,6 +122,8 @@ def test_engine_state_is_bounded_by_in_flight_work(method):
     else:
         assert engine._pins == {} and engine._drift == {}
         assert engine.history_entries() == 0
+    if method == "compe":
+        assert len(engine.log) == 0  # nothing left to roll back
     assert engine.applied_count >= UPDATES
 
 

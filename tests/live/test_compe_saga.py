@@ -255,7 +255,7 @@ class TestSagaClusterRecovery:
                     for path in logs:
                         assert '"%s"' % tid not in path.read_text(), path
                     await cluster.restart(name)
-                    assert tid in cluster.servers[name].engine._undo
+                    assert cluster.servers[name].engine.log.records_of(tid)
                 await cluster.settle(timeout=30)
 
                 decider = await cluster.client(cluster.names[1])

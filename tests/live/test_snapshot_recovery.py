@@ -62,7 +62,7 @@ class TestSnapshotEnvelope:
     def test_seal_open_round_trip(self):
         body = _body()
         envelope = seal_snapshot(body)
-        assert envelope["version"] == 2
+        assert envelope["version"] == 3
         assert open_snapshot(envelope) == body
 
     def test_tampered_body_is_rejected(self):
@@ -72,8 +72,9 @@ class TestSnapshotEnvelope:
             open_snapshot(envelope)
 
     def test_alien_version_is_rejected(self):
-        # 1 is what trees before the positional operation codec wrote.
-        for alien in (1, 3):
+        # 1 is what trees before the positional operation codec wrote,
+        # 2 what trees before the COMPE operation log wrote.
+        for alien in (1, 2, 4):
             envelope = seal_snapshot(_body())
             envelope["version"] = alien
             with pytest.raises(SnapshotError):
@@ -702,5 +703,16 @@ def test_a_version_1_snapshot_reads_as_absent(tmp_path):
     store.save(envelope)
     assert store.load() == _body()
     envelope["version"] = 1
+    store.save(envelope)
+    assert store.load() is None and store.load_envelope() is None
+
+
+def test_a_version_2_snapshot_reads_as_absent(tmp_path):
+    """The image of a tree whose COMPE checkpoint carried undo steps
+    (``compe.undo``) instead of its operation log: refused by the
+    unknown-version path."""
+    store = SnapshotStore(tmp_path / "snapshot.json")
+    envelope = seal_snapshot(_body())
+    envelope["version"] = 2
     store.save(envelope)
     assert store.load() is None and store.load_envelope() is None

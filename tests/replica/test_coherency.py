@@ -122,6 +122,25 @@ class TestQuorumConsensus:
         assert system.converged()
         assert system.is_one_copy_serializable()
 
+    def test_two_writers_of_two_keys_do_not_split_them(self):
+        """``lo`` reads its versions after a write of x landed at the
+        write quorum but before ``hi``'s writes did; ``hi`` read before
+        either.  Per-key versions gave lo x (newer version) and hi y
+        (equal version, higher tid): a state no serial order explains.
+        One version per ET gives lo both keys."""
+        system = _system(QuorumConsensus(), latency=ConstantLatency(1.0))
+        first = UpdateET([WriteOp("x", 1)])
+        lo = UpdateET([WriteOp("x", 2), WriteOp("y", 2)])
+        hi = UpdateET([WriteOp("x", 3), WriteOp("y", 3)])
+        assert lo.tid < hi.tid
+        system.submit_at(0.0, first, "site0")
+        system.submit_at(0.0, hi, "site2")
+        system.submit_at(2.2, lo, "site0")
+        system.run_to_quiescence()
+        assert system.converged()
+        assert system.is_one_copy_serializable()
+        assert system.sites["site1"].values() == {"x": 2, "y": 2}
+
     def test_commit_waits_for_write_quorum(self):
         system = _system(QuorumConsensus(), latency=ConstantLatency(2.0))
         system.submit(UpdateET([WriteOp("x", 1)]), "site0")

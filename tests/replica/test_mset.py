@@ -6,14 +6,8 @@ import pickle
 
 import pytest
 
-from repro.core.operations import IncrementOp, ReadOp, WriteOp
-from repro.core.transactions import (
-    EpsilonSpec,
-    QueryET,
-    UNLIMITED,
-    UpdateET,
-    reset_tid_counter,
-)
+from repro.core.operations import IncrementOp, WriteOp
+from repro.core.transactions import UpdateET, reset_tid_counter
 from repro.live.protocol import decode_mset, encode_mset
 from repro.replica.common import MethodRuntime
 from repro.replica.mset import MSet, MSetKind
@@ -139,53 +133,3 @@ class TestMethodRuntimeLifecycles:
         runtime.update_submitted(et, copies=1)
         runtime.update_applied_at_site(et.tid)
         assert fired == [1]
-
-
-class TestMethodRuntimeCharging:
-    def test_try_charge_respects_limit(self):
-        runtime = MethodRuntime(2)
-        q = QueryET([ReadOp("x")], EpsilonSpec(import_limit=1))
-        runtime.query_started(q)
-        assert runtime.try_charge(q.tid, {101})
-        assert not runtime.try_charge(q.tid, {102})
-        assert runtime.inconsistency_of(q.tid) == 1
-
-    def test_known_sources_free(self):
-        runtime = MethodRuntime(2)
-        q = QueryET([ReadOp("x")], EpsilonSpec(import_limit=1))
-        runtime.query_started(q)
-        assert runtime.try_charge(q.tid, {101})
-        assert runtime.try_charge(q.tid, {101})  # already imported
-        assert runtime.inconsistency_of(q.tid) == 1
-
-    def test_charge_is_atomic(self):
-        runtime = MethodRuntime(2)
-        q = QueryET([ReadOp("x")], EpsilonSpec(import_limit=1))
-        runtime.query_started(q)
-        # Two new sources at once exceed the budget: nothing charged.
-        assert not runtime.try_charge(q.tid, {101, 102})
-        assert runtime.inconsistency_of(q.tid) == 0
-
-    def test_non_query_always_charges_free(self):
-        runtime = MethodRuntime(2)
-        assert runtime.try_charge(12345, {1})
-
-    def test_value_drift_tracked_per_update(self):
-        runtime = MethodRuntime(2)
-        u = UpdateET([IncrementOp("x", 30)])
-        runtime.update_submitted(u)
-        q = QueryET(
-            [ReadOp("x")],
-            EpsilonSpec(value_limit=25),
-        )
-        runtime.query_started(q)
-        # 30 units of drift exceed a 25-unit budget.
-        assert not runtime.try_charge(q.tid, {u.tid})
-
-    def test_unknown_drift_blocks_limited_budget(self):
-        runtime = MethodRuntime(2)
-        u = UpdateET([WriteOp("x", 5)])  # delta unknown
-        runtime.update_submitted(u)
-        q = QueryET([ReadOp("x")], EpsilonSpec(value_limit=1000))
-        runtime.query_started(q)
-        assert not runtime.try_charge(q.tid, {u.tid})

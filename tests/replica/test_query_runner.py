@@ -1,8 +1,11 @@
 """Direct unit tests for the shared QueryRunner."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.operations import ReadOp
+from repro.core.overlap import OverlapTracker
 from repro.core.transactions import (
     ETStatus,
     QueryET,
@@ -25,17 +28,37 @@ def _rig():
     return system, system.sites["site0"]
 
 
-def _runner(system, site, et, admit, **kw):
+class _Engine:
+    """An engine stand-in: ``admit(key)`` answers each ``read_key``,
+    and ``on_start`` hears each ``restart_query``."""
+
+    def __init__(self, admit, on_start=None):
+        self.admit = admit
+        self.on_start = on_start
+
+    def open_query(self, spec, keys):
+        return SimpleNamespace(imported=set())
+
+    def close_query(self, budget):
+        pass
+
+    def read_key(self, budget, key):
+        return self.admit(key)
+
+    def restart_query(self, budget):
+        if self.on_start is not None:
+            self.on_start()
+
+
+def _runner(system, site, et, admit, on_start=None):
     done = []
     runner = QueryRunner(
         system,
         et,
         site,
-        admit,
+        _Engine(admit, on_start),
+        OverlapTracker(),
         done.append,
-        inconsistency_of=lambda: 0,
-        overlap_of=lambda: (),
-        **kw,
     )
     return runner, done
 

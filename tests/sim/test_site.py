@@ -24,11 +24,6 @@ class TestLocalExecution:
         assert len(site.history) == 1
         assert site.history.events[0].tid == 1
 
-    def test_logged_apply_goes_through_oplog(self, site):
-        site.apply_op(1, IncrementOp("x", 5), logged=True)
-        assert len(site.oplog) == 1
-        assert site.store.get("x") == 5
-
     def test_read_returns_default_for_missing(self, site):
         assert site.read(1, "nope") == 0
 

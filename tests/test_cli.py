@@ -59,6 +59,41 @@ class TestRunFailure:
         assert "Table 3" in captured.out
 
 
+class TestRunAudit:
+    def test_a_run_failing_its_audit_gives_nonzero_exit(
+        self, capsys, monkeypatch
+    ):
+        """A planted run whose site1 diverges: its experiment prints,
+        and the command names it and the failed guarantee."""
+        from repro.harness.runner import run_experiment
+        from repro.replica import CommutativeOperations, SystemConfig
+        from repro.workload.generator import WorkloadSpec
+
+        class Diverging(CommutativeOperations):
+            def handle_message(self, site, mset):
+                super().handle_message(site, mset)
+                if site.name == "site1":
+                    site.store.put("planted", 1)
+
+        def planted():
+            result = run_experiment(
+                Diverging, SystemConfig(n_sites=3),
+                WorkloadSpec(n_keys=2, count=6, query_fraction=0.0),
+            )
+            assert not result.converged
+            return "planted table", {}
+
+        monkeypatch.setitem(EXPERIMENTS, "T2", planted)
+        assert main(["run", "T2", "T3"]) == 1
+        captured = capsys.readouterr()
+        assert "planted table" in captured.out and "Table 3" in captured.out
+        assert (
+            "experiment T2 failed its audit: COMMU: replicas did not "
+            "converge" in captured.err
+        )
+        assert "T3" not in captured.err
+
+
 class TestRunWithOutput:
     def test_saves_files(self, tmp_path, capsys):
         out = tmp_path / "results"
