@@ -21,9 +21,13 @@ at each receiver:
   own length at any cursor and ``ack_through(peer, seq)`` costs what
   it releases — neither depends on how far another peer has fallen
   behind.  A record the slowest cursor passes is acknowledged by every
-  peer: ``ack_through`` hands it back, exactly once (``released_hi``
-  is monotone, so a later rewind never releases it again).  After a
-  restart everything past a cursor is owed to that peer again.
+  peer: ``ack_through`` hands back what its full ack releases, exactly
+  once (``released_hi`` is monotone, so a later rewind never releases
+  it again).  A held record is kept as its wire bytes plus that
+  release — what the caller's ``release`` function makes of the
+  payload when the record enters the window — and never as the payload
+  itself.  After a restart everything past a cursor is owed to that
+  peer again.
 * :class:`DurableInbox` — the receiver's half of one (src, dst)
   channel.  ``record`` / ``record_many`` durably log received
   payloads and deduplicate by sequence number (the channel is FIFO,
@@ -71,11 +75,12 @@ once when an update enters the system — ``append``/``record`` splice
 it into the log line verbatim instead of re-serializing the payload,
 producing a line byte-identical to the codec's own encoding of the
 record.  The blob also rides binary wire frames unchanged, so one
-encode covers every hop and every log.  :meth:`DurableOutbox.wire_blob`
-returns (computing and caching on demand, e.g. after a restart
-reloaded pending payloads from the log) the blob for a pending
-record, which is what lets a sender re-send from its log without
-re-encoding either.
+encode covers every hop and every log.  The replication log's window
+holds every owed record as its blob — the one handed in, or encoded
+once when a record is appended without one or comes back from the
+file (a restart, a rewind) — and :meth:`DurableOutbox.pending_after`
+hands out ``(seq, blob)``, which is what lets a sender re-send from its
+log without re-encoding either.
 
 The cursors live in the log stream: each advance appends one
 ``{"meta": "ack", "peer": P, "seq": N}`` line to the open log (write
@@ -120,7 +125,9 @@ import logging
 import os
 import pathlib
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+)
 
 from .gossip import NodeRecord
 from .protocol import ProtocolError, dumps, loads, payload_blob
@@ -387,25 +394,40 @@ class _DurableLog:
             self._log.close()
 
 
+def _identity(payload: Any) -> Any:
+    return payload
+
+
 class DurableOutbox(_DurableLog):
     """A replica's replication log: every MSet it originates, logged
-    once, with one cursor per peer into it."""
+    once, with one cursor per peer into it.
 
-    def __init__(self, path: pathlib.Path, fsync: bool = False) -> None:
+    ``release`` maps a payload to what :meth:`ack_through` hands back
+    once every peer holds it; it runs once per record, when the record
+    enters the window (append, reload, rewind), so the window never
+    holds the payload unless ``release`` keeps it (the identity, by
+    default)."""
+
+    def __init__(
+        self,
+        path: pathlib.Path,
+        fsync: bool = False,
+        release: Callable[[Any], Any] = _identity,
+    ) -> None:
         super().__init__(path, fsync)
+        self._release = release
         self._seq = 0
         #: peer -> highest sequence number it cumulatively acknowledged.
         self._cursors: Dict[str, int] = {}
         #: the slowest cursor (``_seq`` with no cursors at all): the
         #: window holds exactly the records ``(_head, _seq]``.
         self._head = 0
-        #: ``(payload, blob)`` per held record, the one for sequence
+        #: ``(blob, release)`` per held record, the one for sequence
         #: number ``s`` at index ``_start + s - _head - 1``; slots below
         #: ``_start`` are dead and trimmed in bulk.  ``blob`` is the
         #: payload's canonical wire bytes (the zero re-encode relay
-        #: cache), ``None`` until :meth:`wire_blob` fills it for a
-        #: record reloaded from the log.
-        self._window: List[Tuple[Any, Optional[bytes]]] = []
+        #: cache), ``release`` what ``release(payload)`` returned.
+        self._window: List[Tuple[bytes, Any]] = []
         self._start = 0
         #: everything ``<= released_hi`` has been acknowledged by every
         #: peer and handed back by :meth:`ack_through`.  Monotone within
@@ -422,7 +444,7 @@ class DurableOutbox(_DurableLog):
                 if record["seq"] == self._seq + 1:
                     self._seq += 1
                     if self._seq > self._slowest():  # someone is owed it
-                        self._window.append((record["payload"], None))
+                        self._window.append(record["payload"])
                     else:
                         self._head = self._seq
             elif kind == "base":
@@ -438,13 +460,17 @@ class DurableOutbox(_DurableLog):
                 # passed, so the floor bounds a cursor from below.  A
                 # rewritten log states its cursors ahead of its records.
                 seq = max(record["seq"], self.base)
-                if self._rewind(min(seq, self._seq)):
+                if self._rewind(min(seq, self._seq), _identity):
                     self._cursors[record["peer"]] = seq
                     self._slide(min(self._slowest(), self._seq))
         # A log that lost its tail holds less than a cursor remembers.
         self._cursors = {
             peer: min(seq, self._seq) for peer, seq in self._cursors.items()
         }
+        # The scan held payloads; what is still owed is held from here
+        # on as its window entry.
+        self._window = list(map(self._held, self._window[self._start:]))
+        self._start = 0
         self.released_hi = self._head
         self._open_log()
 
@@ -472,16 +498,17 @@ class DurableOutbox(_DurableLog):
         Returns the assigned sequence numbers, contiguous and in
         payload order.  ``blobs`` (parallel to ``payloads``) carries
         each payload's canonical wire bytes
-        (:func:`repro.live.protocol.payload_blob`): the log line is
-        spliced around them instead of re-serializing, and they seed
-        the :meth:`wire_blob` cache for the sender's relay path.
+        (:func:`repro.live.protocol.payload_blob`), encoded here when
+        not given: the log line is spliced around them, and the window
+        holds them for the sender's relay path.
         """
         seqs: List[int] = []
         lines: List[str] = []
+        window, release = self._window, self._release
         for index, payload in enumerate(payloads):
-            blob = None if blobs is None else blobs[index]
+            blob = payload_blob(payload) if blobs is None else blobs[index]
             self._seq += 1
-            self._window.append((payload, blob))
+            window.append((blob, release(payload)))
             lines.append(_record_line(self._seq, payload, blob))
             seqs.append(self._seq)
         self._write_data("".join(lines))
@@ -490,23 +517,9 @@ class DurableOutbox(_DurableLog):
             self._head = self.released_hi = self._seq
         return seqs
 
-    def wire_blob(self, seqno: int) -> bytes:
-        """Canonical wire bytes of one held payload.
-
-        Cache hit for payloads appended with a blob; computed once and
-        cached for payloads reloaded from the log (restart, rewind) —
-        either way, every subsequent send and re-send of this record,
-        to any peer, forwards the same bytes with no re-encode.
-        """
-        index = seqno - self._head - 1
-        if index < 0:
-            raise KeyError(seqno)  # already acknowledged by every peer
-        index += self._start
-        payload, blob = self._window[index]
-        if blob is None:
-            blob = payload_blob(payload)
-            self._window[index] = (payload, blob)
-        return blob
+    def _held(self, payload: Any) -> Tuple[bytes, Any]:
+        """The window entry of a record read back from the file."""
+        return payload_blob(payload), self._release(payload)
 
     def drained(self) -> bool:
         """True when every peer has acknowledged everything."""
@@ -532,14 +545,14 @@ class DurableOutbox(_DurableLog):
         """How many records ``peer`` is still owed."""
         return self._seq - self._cursors[peer]
 
-    def pending(self, peer: str) -> List[Tuple[int, Any]]:
+    def pending(self, peer: str) -> List[Tuple[int, bytes]]:
         """Everything ``peer`` is still owed, in FIFO order."""
         return self.pending_after(peer, 0, self.backlog(peer))
 
     def pending_after(
         self, peer: str, seqno: int, limit: int
-    ) -> List[Tuple[int, Any]]:
-        """Up to ``limit`` (seqno, payload) pairs ``peer`` is owed
+    ) -> List[Tuple[int, bytes]]:
+        """Up to ``limit`` (seqno, wire blob) pairs ``peer`` is owed
         above ``seqno``, in order — the sender's fetch, a slice of the
         shared window bounded by ``limit``, wherever in it the cursor
         stands."""
@@ -576,14 +589,16 @@ class DurableOutbox(_DurableLog):
             del self._window[:self._start]
             self._start = 0
 
-    def _rewind(self, ack_seq: int) -> bool:
+    def _rewind(
+        self, ack_seq: int, hold: Callable[[Any], Any]
+    ) -> bool:
         """Make room for a cursor at ``ack_seq``: below the slowest
         cursor the records ``(ack_seq, _head]`` come back from the file
-        into the window; False (and no change) when the log no longer
-        holds all of them."""
+        into the window, each as ``hold(payload)``; False (and no
+        change) when the log no longer holds all of them."""
         if ack_seq < self._head:
             again = [
-                (payload, None)
+                hold(payload)
                 for seq, payload in self._logged()
                 if ack_seq < seq <= self._head
             ]
@@ -599,7 +614,7 @@ class DurableOutbox(_DurableLog):
         sequence number ``<= seqno``.
 
         Advances that peer's cursor (a stale or duplicate ack moves
-        nothing) and returns, as (seqno, payload) pairs in order, the
+        nothing) and returns, as (seqno, release) pairs in order, the
         records this ack made *fully* acknowledged — the slowest cursor
         just passed them — each exactly once.  Costs one marker line
         and one window slot per released record: no scan of anyone's
@@ -626,7 +641,7 @@ class DurableOutbox(_DurableLog):
             start = self._start + low - self._head
             stop = self._start + head - self._head
             released = [
-                (low + 1 + offset, entry[0])
+                (low + 1 + offset, entry[1])
                 for offset, entry in enumerate(self._window[start:stop])
             ]
             self.released_hi = head
@@ -646,7 +661,7 @@ class DurableOutbox(_DurableLog):
         """
         if ack_seq >= self._cursors[peer]:
             return True  # no regression; nothing to reload
-        if ack_seq < self.base or not self._rewind(ack_seq):
+        if ack_seq < self.base or not self._rewind(ack_seq, self._held):
             return False  # unservable from this log
         self._cursors[peer] = ack_seq
         self._mark(peer)

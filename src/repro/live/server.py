@@ -284,6 +284,19 @@ def _dialed(dial: "asyncio.Future[FrameProtocol]") -> Optional[FrameProtocol]:
     return None
 
 
+def _full_ack_release(payload: Dict[str, Any]) -> Tuple[str, Tuple[str, ...]]:
+    """What a replication-log record releases once every peer holds
+    it: its MSet's ``(tid, keys)``, the keys as ``MSet.keys`` —
+    distinct, in first-write order.  Read from the encoded payload
+    once, when the record enters the log's window, so an ack decodes
+    nothing."""
+    mset = payload["mset"]
+    ops = mset["ops"]
+    if len(ops) == 1:
+        return mset["tid"], (ops[0][1],)
+    return mset["tid"], tuple({op[1]: None for op in ops})
+
+
 async def _dial_peer(
     addr: Tuple[str, int], link: Any, replies: Dict[int, asyncio.Future]
 ) -> FrameProtocol:
@@ -737,7 +750,9 @@ class ReplicaServer:
         """
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.log = DurableOutbox(
-            self.data_dir / "replication.log", self.fsync
+            self.data_dir / "replication.log",
+            self.fsync,
+            release=_full_ack_release,
         )
         for peer in self.peer_names:
             self._open_channel(peer)
@@ -1465,22 +1480,22 @@ class ReplicaServer:
         peer: str,
         frames: FrameWriter,
         state: Dict[str, Any],
-        entries: List[Tuple[int, Any]],
+        entries: List[Tuple[int, bytes]],
         room: int,
     ) -> None:
-        """Cut ``entries`` into at most ``room`` batch frames and
-        write them, pre-encoded, into this turn's buffered write.
+        """Cut ``entries`` — ``(seq, blob)`` pairs — into at most
+        ``room`` batch frames and write them, pre-encoded, into this
+        turn's buffered write.
 
-        One pass fetches each entry's cached bytes once, to size and to
-        fill its frame: a frame ends at ``FRAME_MSETS`` MSets or before
-        its blobs pass ``MAX_FRAME // 2`` bytes, the rest waits for the
-        next round, and ``sent_hi`` is the last seq written.
+        One pass sizes and fills the frames: a frame ends at
+        ``FRAME_MSETS`` MSets or before its blobs pass
+        ``MAX_FRAME // 2`` bytes, the rest waits for the next round, and
+        ``sent_hi`` is the last seq written.
 
-        Each MSet's payload bytes are forwarded exactly as cached when
-        the update entered the log — the zero re-encode relay; re-sends
-        from the log reuse the same cache.
+        Each MSet's payload bytes are forwarded exactly as the log's
+        window holds them since the update entered it — the zero
+        re-encode relay; re-sends from the log reuse the same bytes.
         """
-        wire_blob = self.log.wire_blob
         now = self.engine.clock()
 
         def write(batch: List[Tuple[int, bytes]]) -> None:
@@ -1494,8 +1509,7 @@ class ReplicaServer:
         budget = MAX_FRAME // 2
         batch: List[Tuple[int, bytes]] = []
         size = 0
-        for seq, _ in entries:
-            blob = wire_blob(seq)
+        for seq, blob in entries:
             if batch and (
                 len(batch) >= FRAME_MSETS or size + len(blob) > budget
             ):
@@ -1641,12 +1655,9 @@ class ReplicaServer:
     def _on_peer_ack(self, peer: str, seq: int) -> None:
         """A peer durably holds every channel message ``<= seq``
         (cumulative acknowledgement)."""
-        released = []
-        for _, payload in self.log.ack_through(peer, seq):
-            mset = payload["mset"]  # encoded; the keys as ``MSet.keys``:
-            released.append(  # distinct, in first-write order
-                (mset["tid"], tuple({op[1]: None for op in mset["ops"]}))
-            )
+        released = [
+            release for _, release in self.log.ack_through(peer, seq)
+        ]
         if released:
             # The slowest cursor moved: every peer now holds these
             # local updates.  One cumulative ack can retire a whole
@@ -1810,7 +1821,10 @@ class ReplicaServer:
         frames.write(encode_bin_ack_frame(inbox.frontier))
 
     def _resolve_applied(self, applied: List[MSet]) -> None:
-        """Applying remote MSets can release held-back local ones."""
+        """Applying remote MSets can release held-back local ones
+        (only ORDUP registers apply futures)."""
+        if not self._apply_futures:
+            return
         for mset in applied:
             fut = self._apply_futures.pop(mset.tid, None)
             if fut is not None and not fut.done():
@@ -3222,9 +3236,10 @@ class ReplicaServer:
         self._check_session(frame.get("session"))
         self.trace.event(
             "read",
-            keys=len(keys),
-            strict=spec.is_strict,
-            session=bool(frame.get("session")),
+            ("keys", "strict", "session"),
+            len(keys),
+            spec.is_strict,
+            bool(frame.get("session")),
         )
         if spec.is_strict and self.peer_names:
             self._check_strict()

@@ -1,11 +1,11 @@
 """Structured lifecycle tracing: span events with monotonic timestamps.
 
-One :class:`TraceRecorder` accumulates flat event dicts describing the
+One :class:`TraceRecorder` accumulates flat events describing the
 life of ETs and MSets as they move through a runtime —
 ``submit -> apply -> ack -> drain`` for updates, one event per query
-outcome, plus state transitions (``degraded`` gauge flips).  Events
-are cheap (one dict append into a bounded deque) and schema-free
-except for three reserved keys:
+outcome, plus state transitions (``degraded`` gauge flips).  Each
+event is read back as one flat dict, schema-free except for three
+reserved keys:
 
 * ``ts`` — monotonic timestamp (``time.monotonic`` by default), so
   durations within one recorder are exact even when the wall clock
@@ -14,6 +14,15 @@ except for three reserved keys:
   ``update-ack``, ``drain``, ``query``, ``degraded``, ...);
 * ``site`` — the recording site, stamped automatically when the
   recorder was built with one.
+
+The ring is always on, so recording is cheap in time and in memory:
+an event is held as one flat row ``(ts, kind, names, *values)``,
+``names`` being the field-name tuple its call site passes — a literal,
+so one tuple object is shared by every event of that site — and the
+dict is built only when the ring is read (:attr:`TraceRecorder.events`,
+:meth:`~TraceRecorder.snapshot`, :func:`merge_traces`, the JSONL
+export).  An event recorded by keyword (the cold kinds) is held as
+``(ts, kind, fields)``, the call's own keyword dict.
 
 Export is JSONL (one JSON object per line), the format every log
 pipeline ingests; :func:`load_trace_jsonl` round-trips it.
@@ -51,26 +60,33 @@ class TraceRecorder:
         self.site = site
         self.clock = clock
         self.enabled = enabled
-        self.events: Deque[Dict[str, Any]] = deque(maxlen=maxlen)
-        #: total events ever recorded (survives deque eviction).
+        #: one ``(ts, kind, names, *values)`` row per event, oldest
+        #: first: ``names`` zipped with ``values`` are its fields (or
+        #: ``(ts, kind, fields)`` when recorded by keyword).
+        self._ring: Deque[tuple] = deque(maxlen=maxlen)
+        #: total events ever recorded (survives ring eviction).
         self.recorded = 0
         #: events lost to the maxlen bound.
         self.dropped = 0
 
-    def event(self, kind: str, **fields: Any) -> None:
-        """Record one span event; a no-op when disabled."""
+    def event(
+        self, kind: str, names: tuple = (), *values: Any, **fields: Any
+    ) -> None:
+        """Record one span event; a no-op when disabled.
+
+        ``event(kind, names, *values)`` is the hot path: ``names`` a
+        literal tuple of field names, ``values`` the fields in that
+        order.  ``event(kind, **fields)`` names them by keyword.
+        """
         if not self.enabled:
             return
-        record: Dict[str, Any] = {"ts": self.clock(), "kind": kind}
-        if self.site is not None:
-            record["site"] = self.site
-        record.update(fields)
-        if (
-            self.events.maxlen is not None
-            and len(self.events) == self.events.maxlen
-        ):
+        ring = self._ring
+        if len(ring) == ring.maxlen:
             self.dropped += 1
-        self.events.append(record)
+        if fields:
+            ring.append((self.clock(), kind, fields))
+        else:
+            ring.append((self.clock(), kind, names) + values)
         self.recorded += 1
 
     def event_each(
@@ -87,29 +103,39 @@ class TraceRecorder:
         row, all at one clock read; ``rows`` is read only if enabled."""
         if not self.enabled:
             return
-        base: Dict[str, Any] = {"ts": self.clock(), "kind": kind}
+        head = (self.clock(), kind, names)
+        held = [head + row for row in rows]
+        ring = self._ring
+        if ring.maxlen is not None:
+            self.dropped += max(0, len(ring) + len(held) - ring.maxlen)
+        ring.extend(held)
+        self.recorded += len(held)
+
+    def _record(self, row: tuple) -> Dict[str, Any]:
+        """One row as the flat event dict it stands for."""
+        record: Dict[str, Any] = {"ts": row[0], "kind": row[1]}
         if self.site is not None:
-            base["site"] = self.site
-        events = self.events
-        before = total = len(events)
-        for row in rows:
-            record = base.copy()
-            record.update(zip(names, row))
-            events.append(record)
-            total += 1
-        if events.maxlen is not None:
-            self.dropped += max(0, total - events.maxlen)
-        self.recorded += total - before
+            record["site"] = self.site
+        fields = row[2]
+        record.update(
+            fields if type(fields) is dict else zip(fields, row[3:])
+        )
+        return record
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """The held events as flat dicts, oldest first."""
+        return list(map(self._record, self._ring))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._ring)
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """A stable copy of the current event buffer."""
-        return list(self.events)
+        return self.events
 
     def clear(self) -> None:
-        self.events.clear()
+        self._ring.clear()
 
 
 def merge_traces(

@@ -318,10 +318,11 @@ class LiveEngine:
             self._epsilon_violations.inc()
         self.trace.event(
             "query",
-            method=self.method_name,
-            inconsistency=outcome.inconsistency,
-            limit=(None if limit == UNLIMITED else limit),
-            waits=outcome.waits,
+            ("method", "inconsistency", "limit", "waits"),
+            self.method_name,
+            outcome.inconsistency,
+            None if limit == UNLIMITED else limit,
+            outcome.waits,
         )
 
     # -- update path ---------------------------------------------------------

@@ -268,7 +268,9 @@ def test_outbox_compaction_crash_recovers_old_or_new(
     assert reloaded.frontier(PEER) == 5
     # Never half-dropped: the unacked tail is intact either way.
     assert [seq for seq, _ in reloaded.pending(PEER)] == [6, 7, 8]
-    assert [p["n"] for _, p in reloaded.pending(PEER)] == [5, 6, 7]
+    assert [json.loads(b)["n"] for _, b in reloaded.pending(PEER)] == [
+        5, 6, 7
+    ]
     # The channel still serves a regressed receiver from its floor.
     assert reloaded.rewind_to(PEER, reloaded.base) is True
     # And still assigns fresh sequence numbers above everything.

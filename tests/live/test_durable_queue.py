@@ -1,13 +1,29 @@
 """Durable queue tests: exactly-once FIFO channels that survive restarts."""
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
+from repro.core.operations import IncrementOp
 from repro.live.durable_queue import DurableInbox, DurableOutbox
 from repro.live.protocol import payload_blob
+from repro.live.server import _full_ack_release
+from repro.replica.mset import MSet, encode_mset
 
 PEER = "peer"
+
+
+def _owed(*pairs):
+    """``pending`` of these ``(seq, payload)`` pairs: the log's window
+    hands each payload out as its wire blob."""
+    return [(seq, payload_blob(payload)) for seq, payload in pairs]
+
+
+def _decoded(pending):
+    """``(seq, payload)`` of each ``(seq, blob)`` that ``pending`` lists."""
+    return [(seq, json.loads(blob)) for seq, blob in pending]
 
 
 def _outbox(path, **options):
@@ -22,7 +38,7 @@ class TestOutbox:
         outbox = _outbox(tmp_path / "peer.log")
         assert outbox.append("a") == 1
         assert outbox.append("b") == 2
-        assert outbox.pending(PEER) == [(1, "a"), (2, "b")]
+        assert outbox.pending(PEER) == _owed((1, "a"), (2, "b"))
         outbox.close()
 
     def test_ack_advances_frontier(self, tmp_path):
@@ -30,7 +46,7 @@ class TestOutbox:
         for payload in "abc":
             outbox.append(payload)
         outbox.ack_through(PEER, 1)
-        assert outbox.pending(PEER) == [(2, "b"), (3, "c")]
+        assert outbox.pending(PEER) == _owed((2, "b"), (3, "c"))
         assert outbox.frontier(PEER) == 1
         outbox.ack_through(PEER, 2)
         outbox.ack_through(PEER, 3)
@@ -62,7 +78,7 @@ class TestOutbox:
             handle.write('{"seq": 2, "payl')  # crash mid-append
 
         reloaded = _outbox(path)
-        assert reloaded.pending(PEER) == [(1, "whole")]
+        assert reloaded.pending(PEER) == _owed((1, "whole"))
         # The torn record's seqno is reused because it was never durable.
         assert reloaded.append("retry") == 2
         reloaded.close()
@@ -86,7 +102,7 @@ class TestCursors:
         # A cursor starts at the end of the log: owed what follows.
         assert reloaded.add_cursor("late") is True
         reloaded.append("d")
-        assert reloaded.pending("late") == [(4, "d")]
+        assert reloaded.pending("late") == _owed((4, "d"))
         assert reloaded.rewind_to("late", 1) is True  # one shared file
         assert [seq for seq, _ in reloaded.pending("late")] == [2, 3, 4]
         reloaded.close()
@@ -110,9 +126,9 @@ class TestCursors:
 
         reloaded = DurableOutbox(path)
         assert (reloaded.frontier("a"), reloaded.frontier("b")) == (3, 5)
-        assert reloaded.pending("a") == [(4, "y"), (5, "z")]
+        assert reloaded.pending("a") == _owed((4, "y"), (5, "z"))
         assert reloaded.pending("b") == []
-        assert reloaded.wire_blob(5) == b'"z"'
+        assert reloaded.pending("a")[-1] == (5, b'"z"')
         reloaded.close()
 
 
@@ -162,7 +178,7 @@ class TestCrashAtomicity:
             handle.write('{"seq": "not-an-int"}\n')
 
         recovered = _outbox(path)
-        assert recovered.pending(PEER) == [(1, "kept")]
+        assert recovered.pending(PEER) == _owed((1, "kept"))
         assert recovered.append("next") == 2
         recovered.close()
 
@@ -239,7 +255,9 @@ class TestGroupCommit:
         outbox.close()
 
         reloaded = _outbox(path)
-        assert [p["n"] for _, p in reloaded.pending(PEER)] == [0, 1, 2, 3, 4]
+        assert [p["n"] for _, p in _decoded(reloaded.pending(PEER))] == [
+            0, 1, 2, 3, 4
+        ]
         reloaded.close()
 
     def test_record_many_advances_frontier(self, tmp_path):
@@ -315,7 +333,7 @@ class TestGroupCommitCrash:
         # died before any ack made it back.
         inbox = DurableInbox(tmp_path / "in.log")
         inbox.record_many(
-            [(seq, payload) for seq, payload in outbox.pending(PEER)[:4]]
+            _decoded(outbox.pending(PEER)[:4])
         )
         inbox.close()
         # Sender crashes too (no volatile state survives).
@@ -330,7 +348,7 @@ class TestGroupCommitCrash:
         # The re-sent batch dedups its first half, applies the rest.
         applied = []
         fresh = []
-        for seq, payload in recovered_out.pending(PEER):
+        for seq, payload in _decoded(recovered_out.pending(PEER)):
             if recovered_in.duplicate(seq):
                 continue
             fresh.append((seq, payload))
@@ -372,7 +390,7 @@ class TestChannelContract:
             outbox.append(i)
         # The sender retries everything three times (acks were lost).
         for _ in range(3):
-            for seq, payload in outbox.pending(PEER):
+            for seq, payload in _decoded(outbox.pending(PEER)):
                 if inbox.duplicate(seq):
                     outbox.ack_through(PEER, seq)
                 elif inbox.record(seq, payload):
@@ -471,7 +489,7 @@ class TestTornTailSecondRestart:
         second.close()
 
         third = _outbox(path)
-        assert third.pending(PEER) == [(1, "a"), (2, "b")]
+        assert third.pending(PEER) == _owed((1, "a"), (2, "b"))
         third.close()
         # The torn bytes are gone, not buried mid-file.
         assert [
@@ -506,11 +524,11 @@ class TestTornTailSecondRestart:
             handle.write('{"seq":2,"payload":"never-flushed-whole"}')
 
         second = _outbox(path)
-        assert second.pending(PEER) == [(1, "a")]
+        assert second.pending(PEER) == _owed((1, "a"))
         assert second.append("b") == 2
         second.close()
         third = _outbox(path)
-        assert third.pending(PEER) == [(1, "a"), (2, "b")]
+        assert third.pending(PEER) == _owed((1, "a"), (2, "b"))
         third.close()
 
 
@@ -528,14 +546,14 @@ class TestUnknownMeta:
             handle.write(self.FUTURE)
 
         reloaded = _outbox(path)
-        assert reloaded.pending(PEER) == [(1, "a"), (2, "b"), (3, "c")]
+        assert reloaded.pending(PEER) == _owed((1, "a"), (2, "b"), (3, "c"))
         assert reloaded.append("d") == 4
         reloaded.ack_through(PEER, 4)
         assert reloaded.rewind_to(PEER, 1) is True
         assert [seq for seq, _ in reloaded.pending(PEER)] == [2, 3, 4]
         reloaded.ack_through(PEER, 3)
         assert reloaded.compact(2) == 2
-        assert reloaded.pending(PEER) == [(4, "d")]
+        assert reloaded.pending(PEER) == _owed((4, "d"))
         reloaded.close()
 
     def test_inbox_skips_unknown_meta_and_the_outbox_ack_marker(
@@ -604,12 +622,12 @@ class TestAckMarker:
 
         reloaded = _outbox(path)
         assert reloaded.frontier(PEER) == 1
-        assert reloaded.pending(PEER) == [
+        assert reloaded.pending(PEER) == _owed(
             (2, "b"),
             (3, "c"),
             (4, "d"),
             (5, "e"),
-        ]
+        )
         reloaded.ack_through(PEER, 3)
         reloaded.close()
         again = _outbox(path)
@@ -630,7 +648,7 @@ class TestAckMarker:
         ]
         reloaded = _outbox(path)
         assert (reloaded.base, reloaded.frontier(PEER)) == (3, 4)
-        assert reloaded.pending(PEER) == [(5, "e")]
+        assert reloaded.pending(PEER) == _owed((5, "e"))
         reloaded.close()
 
     def test_lost_markers_only_age_the_frontier(self, tmp_path):
@@ -648,17 +666,15 @@ class TestAckMarker:
 
         reloaded = _outbox(path)
         assert reloaded.frontier(PEER) == 2
-        assert reloaded.pending(PEER) == [(3, "c"), (4, "d")]
+        assert reloaded.pending(PEER) == _owed((3, "c"), (4, "d"))
         assert reloaded.ack_through(PEER, 4) == [(3, "c"), (4, "d")]
         reloaded.close()
 
-    def test_wire_blob_of_an_acked_record_is_a_key_error(self, tmp_path):
+    def test_an_acked_record_is_no_longer_handed_out(self, tmp_path):
         outbox = _outbox(tmp_path / "peer.log")
         outbox.append_many(list("ab"), blobs=[b'"a"', b'"b"'])
         outbox.ack_through(PEER, 1)
-        assert outbox.wire_blob(2) == b'"b"'
-        with pytest.raises(KeyError):
-            outbox.wire_blob(1)
+        assert outbox.pending_after(PEER, 0, 2) == [(2, b'"b"')]
         outbox.close()
 
 
@@ -765,15 +781,17 @@ class TestAckCostIsIndependentOfBacklog:
         outbox = _outbox(tmp_path / "peer.log")
         outbox.append_many(list(range(self.BACKLOG)))
         outbox.ack_through(PEER, 100)
-        assert outbox.pending_after(PEER, 0, 3) == [
+        assert outbox.pending_after(PEER, 0, 3) == _owed(
             (101, 100),
             (102, 101),
             (103, 102),
-        ]
-        assert outbox.pending_after(PEER, 150, 2) == [(151, 150), (152, 151)]
-        assert outbox.pending_after(PEER, self.BACKLOG - 1, 5) == [
+        )
+        assert outbox.pending_after(PEER, 150, 2) == _owed(
+            (151, 150), (152, 151)
+        )
+        assert outbox.pending_after(PEER, self.BACKLOG - 1, 5) == _owed(
             (self.BACKLOG, self.BACKLOG - 1)
-        ]
+        )
         assert outbox.pending_after(PEER, self.BACKLOG, 5) == []
         assert outbox.backlog(PEER) == self.BACKLOG - 100
         outbox.close()
@@ -816,4 +834,46 @@ class TestBytesWritten:
         before = outbox.bytes_written
         outbox.compact(1)
         assert outbox.bytes_written == before + path.stat().st_size
+        outbox.close()
+
+
+class TestResidentWindow:
+    """What a held record costs while a partitioned peer is owed it:
+    its wire blob plus a small fixed overhead (window slot, entry,
+    release ``(tid, keys)``), never the payload's dict tree — which
+    alone cost ~700 B for a one-operation update."""
+
+    HELD = 6144
+    #: bytes per record beyond its blob's length: the entry and release
+    #: tuples, the bytes object's header, the tid and key strings.
+    OVERHEAD = 384
+
+    def test_held_records_cost_their_blob_and_a_small_overhead(
+        self, tmp_path
+    ):
+        outbox = DurableOutbox(
+            tmp_path / "replication.log", release=_full_ack_release
+        )
+        outbox.add_cursor("partitioned")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            payloads = []
+            for i in range(1, self.HELD + 1):
+                key = "acct%d" % (i % 4096)
+                mset = MSet("site0:%d" % i, ops=(IncrementOp(key, 1),),
+                            origin="site0")
+                payloads.append(
+                    {"mset": encode_mset(mset, [["inc", key, 1]])}
+                )
+            blobs = [payload_blob(payload) for payload in payloads]
+            blob_bytes = sum(map(len, blobs))
+            outbox.append_many(payloads, blobs=blobs)
+            del payloads, blobs, mset
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert outbox.backlog("partitioned") == self.HELD
+        assert held <= blob_bytes + self.HELD * self.OVERHEAD
         outbox.close()

@@ -13,7 +13,11 @@ tail — run against both, and after every step each cursor must agree
 with its own reference on everything a caller can observe.  On top of
 that the log's one extra promise is checked against the references
 taken together: ``ack_through`` hands back exactly the records that
-just became acknowledged by *all* peers, each exactly once.
+just became acknowledged by *all* peers, each exactly once, as what the
+server's ``release`` makes of them — the same whether the record was
+appended (with or without its blob), reloaded after a restart or
+brought back by a rewind — while the window holds each owed record as
+its wire blob and that release, never the payload.
 
 The references differ from free-standing outboxes in one deliberate
 way: there is one file, so a compaction cuts all of them at the same
@@ -35,6 +39,7 @@ from hypothesis.stateful import (
 
 from repro.live.durable_queue import DurableOutbox
 from repro.live.protocol import payload_blob
+from repro.live.server import _full_ack_release
 
 PEERS = ("p0", "p1", "p2")
 
@@ -102,13 +107,27 @@ class ReferenceOutbox:
         self.regressed_acks = 0
 
 
+ops = st.lists(
+    st.tuples(st.just("inc"), st.sampled_from("xyz"), st.integers(0, 9)).map(
+        list
+    ),
+    max_size=3,
+)
 payloads = st.lists(
     st.fixed_dictionaries(
-        {"mset": st.fixed_dictionaries({"tid": st.text(max_size=4)})}
+        {
+            "mset": st.fixed_dictionaries(
+                {"tid": st.text(max_size=4), "ops": ops}
+            )
+        }
     ),
     min_size=1,
     max_size=5,
 )
+
+
+def _outbox(path):
+    return DurableOutbox(path, release=_full_ack_release)
 
 
 class OutboxMachine(RuleBasedStateMachine):
@@ -116,7 +135,7 @@ class OutboxMachine(RuleBasedStateMachine):
         super().__init__()
         self.dir = Path(tempfile.mkdtemp(prefix="outbox-model-"))
         self.path = self.dir / "replication.log"
-        self.real = DurableOutbox(self.path)
+        self.real = _outbox(self.path)
         self.refs = {}
         #: sequence numbers already handed back as acknowledged by all.
         self.released = set()
@@ -171,7 +190,7 @@ class OutboxMachine(RuleBasedStateMachine):
         self.refs[peer].ack_through(seqno)
         fresh = sorted(self.acked_by_all() - self.released)
         assert self.real.ack_through(peer, seqno) == [
-            (seq, payload_of[seq]) for seq in fresh
+            (seq, _full_ack_release(payload_of[seq])) for seq in fresh
         ]
         self.released.update(fresh)
 
@@ -205,7 +224,7 @@ class OutboxMachine(RuleBasedStateMachine):
         if torn:
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write('{"seq": %d, "payl' % (self.seq + 1))
-        self.real = DurableOutbox(self.path)
+        self.real = _outbox(self.path)
         for ref in self.refs.values():
             ref.reopen()
         # What every peer held before the restart is recovery's to
@@ -218,7 +237,7 @@ class OutboxMachine(RuleBasedStateMachine):
         floor = data.draw(st.integers(0, self.seq + 1))
         limit = data.draw(st.integers(1, 8))
         want = [
-            (s, p)
+            (s, _blob(p))
             for s, p in sorted(self.refs[peer].pending.items())
             if s > floor
         ][:limit]
@@ -230,13 +249,19 @@ class OutboxMachine(RuleBasedStateMachine):
         owed = {}
         for peer, ref in self.refs.items():
             assert real.frontier(peer) == ref.frontier
-            assert real.pending(peer) == sorted(ref.pending.items())
+            assert real.pending(peer) == [
+                (s, _blob(p)) for s, p in sorted(ref.pending.items())
+            ]
             assert real.backlog(peer) == len(ref.pending)
             assert real.regressed_acks.get(peer, 0) == ref.regressed_acks
             assert (real.base, real._seq) == (ref.base, ref.seq)
             owed.update(ref.pending)
-        for seq, payload in owed.items():
-            assert real.wire_blob(seq) == _blob(payload)
+        # Each owed record is held as its wire blob and its release.
+        held = real._window[real._start:]
+        assert held == [
+            (_blob(owed[seq]), _full_ack_release(owed[seq]))
+            for seq in range(real._head + 1, real._seq + 1)
+        ]
         assert real.drained() == (not owed)
         assert real.released_hi == max(self.released, default=0)
         # One dense window, anchored at the slowest cursor.

@@ -1,6 +1,15 @@
-"""Trace recorder tests: event stamping, bounds, JSONL round-trip."""
+"""Trace recorder tests: event stamping, bounds, JSONL round-trip,
+equivalence with a dict-per-event recorder, and the ring's memory."""
 
+import gc
 import itertools
+import json
+import pathlib
+import tempfile
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.trace import (
     TraceRecorder,
@@ -125,3 +134,168 @@ class TestJsonlRoundTrip:
         path = tmp_path / "trace.jsonl"
         path.write_text('{"ts": 1, "kind": "drain"}\n\n')
         assert load_trace_jsonl(path) == [{"ts": 1, "kind": "drain"}]
+
+
+class DictRecorder:
+    """The oracle: one flat dict per event, built when it is recorded —
+    what every reader of a :class:`TraceRecorder` must see."""
+
+    def __init__(self, site, clock, maxlen):
+        self.site, self.clock, self.maxlen = site, clock, maxlen
+        self.events, self.recorded, self.dropped = [], 0, 0
+
+    def _append(self, ts, kind, fields):
+        record = {"ts": ts, "kind": kind}
+        if self.site is not None:
+            record["site"] = self.site
+        record.update(fields)
+        self.events.append(record)
+        self.recorded += 1
+        if self.maxlen is not None and len(self.events) > self.maxlen:
+            del self.events[0]
+            self.dropped += 1
+
+    def event(self, kind, names=(), *values, **fields):
+        self._append(self.clock(), kind, fields or zip(names, values))
+
+    def event_each(self, kind, field, values):
+        ts = self.clock()
+        for value in values:
+            self._append(ts, kind, {field: value})
+
+    def event_rows(self, kind, names, rows):
+        ts = self.clock()
+        for row in rows:
+            self._append(ts, kind, zip(names, row))
+
+
+values = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=3),
+    st.lists(st.text(max_size=2), max_size=2),
+)
+field_names = st.sampled_from(["tid", "keys", "held", "peer", "site"])
+calls = st.one_of(
+    st.tuples(
+        st.just("event"),
+        st.dictionaries(field_names, values, max_size=3),
+    ),
+    st.tuples(
+        st.just("row"),
+        st.lists(field_names, max_size=3, unique=True).flatmap(
+            lambda names: st.tuples(
+                st.just(tuple(names)),
+                st.tuples(*[values] * len(names)),
+            )
+        ),
+    ),
+    st.tuples(st.just("each"), st.lists(values, max_size=4)),
+    st.tuples(
+        st.just("rows"),
+        st.lists(st.tuples(values, values), max_size=4),
+    ),
+)
+
+
+class TestEquivalence:
+    """Rows are only a representation: ``snapshot()``, ``events``,
+    ``merge_traces``, the JSONL export, ``recorded`` and ``dropped``
+    are exactly those of a recorder that builds each event's dict."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        script=st.lists(st.tuples(st.sampled_from("ab"), calls), max_size=25),
+        maxlen=st.sampled_from([None, 1, 3, 8]),
+        site=st.sampled_from([None, "s0"]),
+    )
+    def test_a_scripted_mix_reads_back_as_dicts(self, script, maxlen, site):
+        # Two sites per side, each side on its own clock: the same
+        # script reads each clock in the same order.
+        clock, ref_clock = _fake_clock(), _fake_clock()
+        twins = {
+            name: (
+                TraceRecorder(site=site, clock=clock, maxlen=maxlen),
+                DictRecorder(site, ref_clock, maxlen),
+            )
+            for name in "ab"
+        }
+        for name, (how, arg) in script:
+            for rec in twins[name]:
+                if how == "event":
+                    rec.event("k-%s" % how, **arg)
+                elif how == "row":
+                    rec.event("k-%s" % how, arg[0], *arg[1])
+                elif how == "each":
+                    rec.event_each("k-%s" % how, "tid", arg)
+                else:
+                    rec.event_rows("k-%s" % how, ("tid", "held"), iter(arg))
+        for rec, ref in twins.values():
+            assert rec.snapshot() == rec.events == ref.events
+            assert (rec.recorded, rec.dropped) == (ref.recorded, ref.dropped)
+            assert len(rec) == len(ref.events)
+        merged = merge_traces(rec for rec, _ in twins.values())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "trace.jsonl"
+            dump_events_jsonl(merged, path)
+            assert path.read_text().splitlines() == [
+                json.dumps(e, separators=(",", ":"), sort_keys=True)
+                for e in sorted(
+                    (e for _, ref in twins.values() for e in ref.events),
+                    key=lambda e: e["ts"],
+                )
+            ]
+
+
+def _ring_bytes_per_event(fill):
+    """What a full default-size ring holds per event, as tracemalloc
+    counts it: the rows, their timestamps and the ring itself."""
+    rec = TraceRecorder(site="site0")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fill(rec)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rec) == 16384  # the default bound, reached
+    return held / len(rec)
+
+
+class TestRingMemory:
+    """The ring is always on: a full one must stay small.  The hot kinds
+    record one flat row each — no dict — so a full ring of them holds
+    at most ~160 B per event (a dict per event held ~300 B)."""
+
+    BOUND = 160
+
+    def test_read_and_query_rows(self):
+        def fill(rec):
+            for i in range(16384 // 2):
+                rec.event(
+                    "read", ("keys", "strict", "session"), 1, False, i % 2
+                )
+                rec.event(
+                    "query",
+                    ("method", "inconsistency", "limit", "waits"),
+                    "COMMU", i % 3, None, 0,
+                )
+
+        assert _ring_bytes_per_event(fill) <= self.BOUND
+
+    def test_update_lifecycle_rows(self):
+        """One update per commit group and per ack, the worst case: its
+        submit, apply and ack rows.  The tids and keys are the MSets'
+        own, made before the ring sees them."""
+        n = 16384 // 3 + 1
+        tids = ["site0:%d" % i for i in range(n)]
+        keys = [("acct%d" % (i % 512),) for i in range(n)]
+
+        def fill(rec):
+            for tid, written in zip(tids, keys):
+                rec.event_rows(
+                    "update-submit", ("tid", "keys"), [(tid, list(written))]
+                )
+                rec.event_rows("update-apply", ("tid", "held"), [(tid, False)])
+                rec.event_each("update-ack", "tid", [tid])
+
+        assert _ring_bytes_per_event(fill) <= self.BOUND
