@@ -21,8 +21,6 @@ Layers:
   degraded-mode query handling.
 * :mod:`repro.live.gossip` — versioned membership table (incarnation-
   numbered node records) and the phi-style adaptive failure detector.
-* :mod:`repro.live.election` — durable epoch/promise/leader state for
-  the ORDUP sequencer's epoch-fenced leader election.
 * :mod:`repro.live.client` — pipelined async client facade with
   per-request timeouts, reconnect, and failover.
 * :mod:`repro.live.cluster` — in-process N-replica bootstrapper.
@@ -69,7 +67,6 @@ from .client import (
 )
 from .cluster import LiveCluster, ShardedCluster
 from .durable_queue import DurableInbox, DurableOutbox
-from .election import ElectionState
 from .faults import FaultPlan, LinkFaults, WAN_INTER, WAN_INTRA
 from .gossip import FailureDetector, MembershipTable, NodeRecord
 from .engine import (
@@ -142,7 +139,6 @@ __all__ = [
     "WAN_INTRA",
     "DurableInbox",
     "DurableOutbox",
-    "ElectionState",
     "FailureDetector",
     "MembershipTable",
     "NodeRecord",

@@ -129,6 +129,7 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 )
 
+from ..replica.sequencer import SequencerLog
 from .gossip import NodeRecord
 from .protocol import ProtocolError, dumps, loads, payload_blob
 from .snapshot import fsync_dir
@@ -811,20 +812,20 @@ class DurableInbox(_DurableLog):
         self.frontier = seqno
 
 
-class ControlLog(_DurableLog):
+class ControlLog(SequencerLog, _DurableLog):
     """The small durable states ORDUP's total order rests on, as typed
-    records in one log: ``promise`` (epoch), ``adopt`` (epoch, leader,
-    base), ``grant`` (next, epoch) and ``member`` (the fields of one
+    records in one log: the sequencer's ``promise``, ``adopt`` and
+    ``grant`` records (:class:`~repro.replica.sequencer.SequencerLog`,
+    whose fold this is) and ``member`` (the fields of one
     :meth:`~repro.live.gossip.NodeRecord.wire`), each a ``{"meta":
     kind, ...}`` line.
 
-    A reload folds them — ``promised`` is the max epoch promised or
-    adopted, every adopt feeds ``adopts``, the last grant and the last
-    member record per name win — and :meth:`compact` rewrites the log
-    to that fold, which appends keep current.  A torn final line is
-    cut as in every log; a line of a known kind whose fields do not
-    decode, or a cut that drops more than the last line, is counted in
-    ``load_errors`` and logged at ERROR: it can forget a promise.
+    A reload folds them — the last member record per name wins — and
+    :meth:`compact` rewrites the log to that fold, which appends keep
+    current.  A torn final line is cut as in every log; a line of a
+    known kind whose fields do not decode, or a cut that drops more
+    than the last line, is counted in ``load_errors`` and logged at
+    ERROR: it can forget a promise.
 
     Promise, adopt and member records are fsynced before their
     method returns, in every mode; a grant only under
@@ -832,13 +833,9 @@ class ControlLog(_DurableLog):
     """
 
     def __init__(self, path: pathlib.Path, fsync: bool = False) -> None:
-        super().__init__(path, fsync=True)
+        SequencerLog.__init__(self)
+        _DurableLog.__init__(self, path, fsync=True)
         self.sync_grants = fsync
-        self.promised = 0
-        #: epoch -> (leader, base), for every epoch adopted.
-        self.adopts: Dict[int, Tuple[str, int]] = {}
-        #: the last token granted (or the base an election resumed at).
-        self.next = self.grant_epoch = 0
         #: name -> its last member record.
         self.nodes: Dict[str, NodeRecord] = {}
         self.load_errors = self._lines = 0
@@ -857,26 +854,14 @@ class ControlLog(_DurableLog):
         self.load_errors += 1
         logger.error("control log %s: %s", self.path, what)
 
-    def _fold(self, record: Dict[str, Any]) -> None:
-        """Apply one record; raises, changing nothing, if its fields do
-        not decode.  Kinds it does not know are skipped."""
-        kind = record.get("meta")
-        if kind == "promise":
-            self.promised = max(self.promised, int(record["epoch"]))
-        elif kind == "adopt":
-            epoch = int(record["epoch"])
-            self.adopts[epoch] = (str(record["leader"]), int(record["base"]))
-            self.promised = max(self.promised, epoch)
-        elif kind == "grant":
-            self.next, self.grant_epoch = (
-                int(record["next"]), int(record["epoch"])
-            )
-        elif kind == "member":
+    def _fold(self, record: Dict[str, Any]) -> bool:
+        if record.get("meta") == "member":
             node = NodeRecord.from_wire(record)
             self.nodes[node.name] = node
-        else:
-            return
+        elif not super()._fold(record):
+            return False
         self._lines += 1
+        return True
 
     def _append(
         self, records: Sequence[Dict[str, Any]], durable: bool = True
@@ -888,40 +873,14 @@ class ControlLog(_DurableLog):
             self._fold(record)
         self.sync()
 
-    def promise(self, epoch: int) -> None:
-        self._append([{"meta": "promise", "epoch": epoch}])
-
-    def adopt(self, epoch: int, leader: str, base: int) -> None:
-        self._append(
-            [{"meta": "adopt", "epoch": epoch, "leader": leader, "base": base}]
-        )
-
     def members(self, nodes: Sequence[NodeRecord]) -> None:
         self._append([{"meta": "member", **node.wire()} for node in nodes])
 
-    def grant(self, next_token: int, epoch: int) -> None:
-        """Move the counter up to ``next_token``, in the log before the
-        caller hands the token out."""
-        self._append(
-            [{"meta": "grant", "next": next_token, "epoch": epoch}],
-            durable=self.sync_grants,
-        )
-
     def compact(self) -> int:
-        """Rewrite the log as its fold — one promise, every adopt, one
-        grant, one member record per node — unless it is already that
-        short; returns the number of records dropped."""
-        state: List[Dict[str, Any]] = []
-        if self.promised:
-            state.append({"meta": "promise", "epoch": self.promised})
-        state += [
-            {"meta": "adopt", "epoch": epoch, "leader": leader, "base": base}
-            for epoch, (leader, base) in sorted(self.adopts.items())
-        ]
-        if self.next or self.grant_epoch:
-            state.append(
-                {"meta": "grant", "next": self.next, "epoch": self.grant_epoch}
-            )
+        """Rewrite the log as its fold — the sequencer's records, one
+        member record per node — unless it is already that short;
+        returns the number of records dropped."""
+        state = self.records()
         state += [{"meta": "member", **n.wire()} for n in self.nodes.values()]
         dropped = self._lines - len(state)
         if dropped <= 0:

@@ -134,10 +134,10 @@ from ..obs.registry import (
 )
 from ..obs.trace import TraceRecorder
 from ..replica.mset import MSet, MSetKind
+from ..replica.sequencer import Sequencer
 from . import protocol
 from .client import LiveETFailed, request_once
 from .durable_queue import ControlLog, DurableInbox, DurableOutbox
-from .election import ElectionState
 from .engine import LiveEngine, QueryOutcome, QueryTimeout, make_engine
 from .faults import FaultPlan, Link
 from .gossip import DEAD, LEFT, SUSPECT, FailureDetector, MembershipTable
@@ -492,21 +492,14 @@ class ReplicaServer:
         #: same on each re-send of it — that moves on once answered.
         self._order_lock = asyncio.Lock()
         self._order_id = next(self._request_ids)
-        #: requester -> ((request id, epoch), token) of the last order
-        #: granted: a re-sent or duplicated request is granted once.
-        self._order_granted: Dict[Any, Tuple[Any, Tuple[int, int]]] = {}
-        #: the order-token counter, election and membership records
+        #: the sequencer's and the membership's records
         #: (opened by :meth:`bind`, with the two views over it).
         self._control: ControlLog
         #: gossiped membership table + adaptive failure detector.
         self.membership: MembershipTable
         self.detector = FailureDetector(floor=suspect_after)
-        #: durable election state for the ORDUP sequencer.
-        self.election: ElectionState
-        #: peer -> (last epoch it gossiped, monotonic instant) — the
-        #: leader's gossip lease: grants require a majority of fresh
-        #: acks at the leader's own epoch.
-        self._peer_epochs: Dict[str, Tuple[int, float]] = {}
+        #: the ORDUP sequencer: election state, grants and the lease.
+        self.election: Sequencer
         #: ORDUP with peers: True once the boot epoch probe confirmed
         #: we are not resurrecting with a stale epoch.  Grants are
         #: refused until then.
@@ -758,7 +751,7 @@ class ReplicaServer:
             self._open_channel(peer)
         self._control = ControlLog(self.data_dir / "control.log", self.fsync)
         self.membership = MembershipTable(self.name, self._control)
-        self.election = ElectionState(self._control)
+        self.election = Sequencer(self._control)
         self.m_record_load_errors.labels(record="control").set_to(
             self._control.load_errors
         )
@@ -824,7 +817,7 @@ class ReplicaServer:
                     inbox.reset_to(floor)
             if self.log.assigned < snap_frontiers.get(LOCAL_CHANNEL, 0):
                 self.log.reset_to(snap_frontiers[LOCAL_CHANNEL])
-        self._fence_engine()
+        self.election.fence(self.engine)
 
         def logged(log: Any, seq: int, payload: Dict[str, Any]) -> MSet:
             try:
@@ -865,16 +858,6 @@ class ReplicaServer:
         # observing the cluster-wide in-flight inconsistency.
         for mset in held:
             self.engine.hold_counters(mset)
-
-    def _fence_engine(self) -> None:
-        """Make the engine's ORDUP fence the union of its own epoch
-        table — a restored checkpoint's — and every epoch this replica
-        adopted (``election.bases``).  Runs after every restore and
-        before any replay: a fence that shrank would admit a deposed
-        leader's stale grants."""
-        if hasattr(self.engine, "adopt_epoch"):
-            for epoch, base in sorted(self.election.bases.items()):
-                self.engine.adopt_epoch(epoch, base)
 
     def set_peers(self, addrs: Dict[str, Tuple[str, int]]) -> None:
         """Install (or update) peer addresses for the channel loops."""
@@ -1110,7 +1093,7 @@ class ReplicaServer:
         epoch, who, base = leader
         if who is not None and who not in self.peer_names + (self.name,):
             return
-        self._peer_epochs[src] = (epoch, self.engine.clock())
+        self.election.heard(src, epoch, self.engine.clock())
         if who and epoch > self.election.epoch:
             self._adopt_leader(epoch, who, base)
 
@@ -1170,27 +1153,15 @@ class ReplicaServer:
         return self.order_site
 
     def _grant_allowed(self) -> bool:
-        """May this replica grant order tokens *right now*?
-
-        Two conditions beyond being the leader: the boot epoch probe
-        must have confirmed our epoch is current (a resurrected
+        """May this replica grant order tokens *right now*?  Once the
+        boot epoch probe confirmed its epoch is current (a resurrected
         deposed leader cannot self-grant at its stale epoch before
-        learning the new one), and a majority of the full membership
-        must have gossiped *our* epoch within the suspicion floor —
-        the leader's lease.  A leader isolated on the minority side of
-        a partition loses the lease and refuses, so it can never ack
-        updates the majority's new leader will fence."""
+        learning the new one), while it holds the lease."""
         if not self._epoch_synced:
             return False
-        if not self.peer_names:
-            return True
-        now = self.engine.clock()
-        epoch = self.election.epoch
-        fresh = 1  # ourselves
-        for peer, (peer_epoch, at) in self._peer_epochs.items():
-            if peer_epoch == epoch and now - at < self.suspect_after:
-                fresh += 1
-        return fresh >= self._quorum()
+        return not self.peer_names or self.election.lease_held(
+            self.engine.clock(), self._quorum(), self.suspect_after
+        )
 
     def _quorum(self) -> int:
         """Majority of the *full* membership (left members excluded).
@@ -1204,23 +1175,19 @@ class ReplicaServer:
         )
         return members // 2 + 1
 
-    def _check_order_authority(self) -> None:
-        leader = self.current_leader()
-        if self.name != leader:
-            raise ValueError("order tokens are issued by %s" % leader)
-        if not self._grant_allowed():
-            raise Unavailable(
-                "order authority lease not held at %s (epoch %d)"
-                % (self.name, self.election.epoch)
-            )
+    def _grant(self, src: Any = None, rid: Any = None) -> Tuple[int, int]:
+        """The next order token, if this replica is the order authority
+        now: the leader, holding its lease."""
+        return self.election.grant(
+            self.name, self.current_leader(), self._grant_allowed(), src, rid
+        )
 
     def _adopt_leader(self, epoch: int, leader: str, base: int) -> None:
         """Adopt a leadership announcement (ours or gossiped) and
         fence the engine, in one step: no apply runs in between."""
         if not self.election.adopt(epoch, leader, base):
             return
-        if hasattr(self.engine, "adopt_epoch"):
-            self.engine.adopt_epoch(epoch, base)
+        self.engine.adopt_epoch(epoch, base)
         self._epoch_synced = True
         self.m_leader_epoch.set(epoch)
         self.trace.event(
@@ -1242,14 +1209,10 @@ class ReplicaServer:
             replies = await self._ask_peers(
                 "elect", ACK_TIMEOUT, epoch=0, candidate=self.name
             )
-            best = max((
-                (int(r.get("epoch", 0)), str(r["leader"]),
-                 int(r.get("base", 0)))
-                for r in replies.values() if r.get("leader")
-            ), key=lambda found: found[0], default=None)
             if len(replies) + 1 >= self._quorum():
-                if best is not None and best[0] > self.election.epoch:
-                    self._adopt_leader(*best)
+                newer = self.election.newest(replies.values())
+                if newer is not None:
+                    self._adopt_leader(*newer)
                 self._epoch_synced = True
                 self.trace.event(
                     "election", phase="epoch-sync",
@@ -1299,22 +1262,17 @@ class ReplicaServer:
         promises (carrying durable order frontiers), and on majority
         adopt leadership resuming from the max frontier seen."""
         async with self._campaign_lock:
-            epoch = max(self.election.promised, self.election.epoch) + 1
-            if not self.election.promise(epoch):
-                return
+            epoch = self.election.campaign()
             self.m_elections.labels(outcome="started").inc()
             self.trace.event("election", phase="campaign", epoch=epoch)
             replies = await self._ask_peers(
                 "elect", ACK_TIMEOUT, epoch=epoch, candidate=self.name
             )
-            max_seen = getattr(self.engine, "max_order_seen", None)
-            frontiers = [max_seen() if max_seen is not None else 0] + [
-                int(reply.get("frontier", 0))
-                for reply in replies.values()
-                if reply.get("promised")
-            ]
-            votes = len(frontiers)
-            if votes < self._quorum():
+            votes, base = self.election.win(
+                epoch, self.engine.max_order_seen(), replies.values(),
+                self._quorum(),
+            )
+            if base is None:
                 self.m_elections.labels(outcome="lost").inc()
                 self.trace.event(
                     "election", phase="lost", epoch=epoch, votes=votes,
@@ -1326,11 +1284,6 @@ class ReplicaServer:
                     + self._rng.random() * self.heartbeat_interval
                 )
                 return
-            base = max(frontiers)
-            # Resume sequencing above every grant any majority member
-            # has durably seen; persisted before the first new grant
-            # can be issued.
-            self._control.grant(max(self._control.next, base), epoch)
             self._adopt_leader(epoch, self.name, base)
             self.m_elections.labels(outcome="won").inc()
             self.trace.event(
@@ -2306,7 +2259,7 @@ class ReplicaServer:
             self._apply_futures.clear()
             self._full_ack_futures.clear()
             self.engine.restore(body["engine"])
-            self._fence_engine()
+            self.election.fence(self.engine)
             self._snapshot_frontiers = dict(translated)
             self._last_snapshot_at = self.engine.clock()
             self.catchup_installs += 1
@@ -2704,47 +2657,21 @@ class ReplicaServer:
             },
         }
 
-    async def _handle_order(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        """Grant the next order token.  A replica's re-sent request
-        (same ``src`` and ``id``, same epoch) gets the token it got."""
-        self._check_order_authority()
-        src = frame.get("src")
-        key = (frame.get("id"), self.election.epoch)
-        granted = self._order_granted.get(src)
-        if src is None or granted is None or granted[0] != key:
-            granted = self._order_granted[src] = (key, self._grant_order())
-        return {"order": list(granted[1])}
+    def _handle_order(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """Grant the next order token (:meth:`Sequencer.next_order`)."""
+        return {"order": list(self._grant(frame.get("src"), frame.get("id")))}
 
-    async def _handle_elect(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_elect(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Vote request (or pure epoch read at ``epoch=0``) from a
-        candidate.  A promise is durable before the reply leaves this
-        process — a crash cannot un-promise — and carries the max
-        durable order sequence this replica has seen, from which the
-        winner computes its resume base."""
+        candidate (:meth:`Sequencer.vote`)."""
         epoch = int(frame.get("epoch", 0))
-        candidate = str(frame.get("candidate", ""))
-        granted = self.election.promise(epoch) if epoch > 0 else False
-        if granted:
+        reply = self.election.vote(epoch, self.engine.max_order_seen())
+        if reply["promised"]:
             self.trace.event(
                 "election", phase="promise", epoch=epoch,
-                candidate=candidate,
+                candidate=str(frame.get("candidate", "")),
             )
-        max_seen = getattr(self.engine, "max_order_seen", None)
-        return {
-            "promised": granted,
-            "promised_epoch": self.election.promised,
-            "epoch": self.election.epoch,
-            "leader": self.election.leader,
-            "base": self.election.base,
-            "frontier": max_seen() if max_seen is not None else 0,
-        }
-
-    def _grant_order(self) -> Tuple[int, int]:
-        """Issue the next gap-free global order token (durable),
-        stamped with the granting leader's epoch."""
-        epoch = self.election.epoch
-        self._control.grant(self._control.next + 1, epoch)
-        return (self._control.next, epoch)
+        return reply
 
     async def _acquire_order(self) -> Tuple[int, int]:
         """Get a token from the cluster's order authority, with retry.
@@ -2759,23 +2686,21 @@ class ReplicaServer:
         while self._running:
             leader = self.current_leader()
             try:
-                if leader != self.name:
-                    async with self._order_lock:
-                        reply = await self._peer_request(
-                            leader, "order", timeout=ORDER_RESEND,
-                            rid=self._order_id, src=self.name,
-                        )
-                        self._order_id = next(self._request_ids)
-                    seq, epoch = reply["order"]
-                    return (int(seq), int(epoch))
-                self._check_order_authority()
+                if leader == self.name:
+                    return self._grant()
+                async with self._order_lock:
+                    reply = await self._peer_request(
+                        leader, "order", timeout=ORDER_RESEND,
+                        rid=self._order_id, src=self.name,
+                    )
+                    self._order_id = next(self._request_ids)
+                seq, epoch = reply["order"]
+                return (int(seq), int(epoch))
             except asyncio.TimeoutError:
                 continue
             except PEER_FAILURES:
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, self.retry_max)
-            else:
-                return self._grant_order()
         raise ConnectionError("server stopping")
 
     def _check_shard(self, keys: Sequence[str]) -> None:
@@ -3102,8 +3027,7 @@ class ReplicaServer:
     def _fenced(self, order: Tuple[int, int]) -> bool:
         """True (and counted) when the leader that granted ``order``
         was deposed between the grant and our durable record."""
-        admissible = getattr(self.engine, "order_admissible", None)
-        if admissible is None or admissible(order):
+        if self.engine.order_admissible(order):
             return False
         self.m_updates_rejected.labels(reason="fenced").inc()
         return True

@@ -624,6 +624,17 @@ class LiveEngine:
         self._drift[tid] = state.get("drift", {}).get(tid)
         self._pin(tid)
 
+    # -- the order questions, for an engine no order fences -----------------
+
+    def max_order_seen(self) -> int:
+        return 0
+
+    def adopt_epoch(self, epoch: int, base: int) -> None:
+        pass
+
+    def order_admissible(self, order: Tuple[int, int]) -> bool:
+        return True
+
     # -- introspection -------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:

@@ -41,7 +41,7 @@ from ..core.transactions import (
     TransactionID,
     UNLIMITED,
 )
-from ..sim.clocks import CentralOrderServer, GlobalOrder, LamportClock
+from ..sim.clocks import GlobalOrder, LamportClock
 from ..sim.site import Site
 from .base import (
     DoneCallback,
@@ -65,6 +65,7 @@ from .engine import (
     check_ops_read_independent,
 )
 from .mset import MSet, MSetKind
+from .sequencer import Sequencer
 
 __all__ = [
     "EngineHost",
@@ -110,7 +111,7 @@ class EngineHost(ReplicaControlMethod):
                     site.mvstore.install(key, value, 0)
             self.engines[name] = engine
         #: order tokens, for engines that need one.
-        self._order = CentralOrderServer()
+        self._order = Sequencer()
         #: the ETs of updates not yet applied at every site.
         self._ets: Dict[TransactionID, EpsilonTransaction] = {}
         #: (et, origin, on_done, submitted at) of each waiting update.
@@ -389,8 +390,9 @@ class OrderedUpdates(EngineHost):
     """ORDUP (§3.1) over :class:`~repro.replica.engine.OrdupLiveEngine`.
 
     Each update carries an execution-order token.  With
-    ``ordering="central"`` an order server at the first site issues
-    gap-free numbers, a round trip away (retried until it gets through:
+    ``ordering="central"`` the first site's
+    :class:`~repro.replica.sequencer.Sequencer` issues gap-free
+    numbers, a round trip away (retried until it gets through:
     a partition blocks ordering, E9), and each engine holds an MSet
     back until every earlier one has arrived.  With ``"lamport"`` the
     token is a Lamport stamp and the host delivers over FIFO channels:

@@ -10,7 +10,7 @@ from .network import (
     UniformLatency,
 )
 from .stable_queue import Envelope, QueueStats, StableQueue
-from .clocks import CentralOrderServer, GlobalOrder, LamportClock
+from .clocks import GlobalOrder, LamportClock
 from .site import Site, SiteConfig
 from .failures import CrashEvent, FailureInjector, PartitionEvent
 
@@ -27,7 +27,6 @@ __all__ = [
     "Envelope",
     "QueueStats",
     "StableQueue",
-    "CentralOrderServer",
     "GlobalOrder",
     "LamportClock",
     "Site",

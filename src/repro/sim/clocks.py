@@ -1,20 +1,20 @@
-"""Ordering services: Lamport clocks and a central order server.
+"""Lamport clocks, and the global order token.
 
 ORDUP (paper section 3.1) needs a global execution order for update
 MSets.  "Such ordering can be generated easily by a centralized order
 server, sometimes true distributed control is desired.  In those cases
 we may use a Lamport-style global timestamp to mark the ordering."
 
-Both are provided; they produce the same kind of token — a totally
-ordered, hashable sequence identifier — so ORDUP can be configured with
-either.
+The order server is :class:`repro.replica.sequencer.Sequencer`.  Both
+produce the same kind of token — a totally ordered, hashable
+:data:`GlobalOrder` — so ORDUP can be configured with either.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-__all__ = ["LamportClock", "CentralOrderServer", "GlobalOrder"]
+__all__ = ["LamportClock", "GlobalOrder"]
 
 #: A total-order token: (logical time, site tiebreak index).
 GlobalOrder = Tuple[int, int]
@@ -48,27 +48,3 @@ class LamportClock:
         remote_time, _ = stamp
         self._counter = max(self._counter, remote_time) + 1
         return (self._counter, self.site_index)
-
-
-class CentralOrderServer:
-    """Globally unique, gap-free sequence numbers.
-
-    Gap-freedom is what lets ORDUP sites "simply wait for the next MSet
-    in the execution sequence to show up" — with Lamport stamps a site
-    cannot know whether a slightly earlier stamp is still in flight, so
-    the hold-back logic differs (see
-    :class:`repro.replica.host.OrderedUpdates`).
-    """
-
-    def __init__(self) -> None:
-        self._issued = 0
-
-    def next_order(self) -> GlobalOrder:
-        """Issue the next global sequence token."""
-        self._issued += 1
-        return (self._issued, 0)
-
-    @property
-    def issued(self) -> int:
-        """Highest sequence number issued so far."""
-        return self._issued

@@ -18,9 +18,9 @@ from repro.live import FaultPlan, LinkFaults, LiveCluster, LiveETFailed
 from repro.live import server
 from repro.live.client import RequestTimeout
 from repro.live.durable_queue import ControlLog
-from repro.live.election import ElectionState
 from repro.live.engine import OrdupLiveEngine
 from repro.replica.mset import MSet
+from repro.replica.sequencer import Sequencer
 
 from .wire import RawConn
 
@@ -31,7 +31,7 @@ def run(coro):
 
 class TestElectionState:
     def test_promise_is_monotonic(self, tmp_path):
-        state = ElectionState(ControlLog(tmp_path / "control.log"))
+        state = Sequencer(ControlLog(tmp_path / "control.log"))
         assert state.promise(3)
         assert not state.promise(3)  # each epoch promised at most once
         assert not state.promise(2)
@@ -40,15 +40,15 @@ class TestElectionState:
 
     def test_promise_survives_restart(self, tmp_path):
         path = tmp_path / "control.log"
-        state = ElectionState(ControlLog(path))
+        state = Sequencer(ControlLog(path))
         state.promise(5)
-        reborn = ElectionState(ControlLog(path))
+        reborn = Sequencer(ControlLog(path))
         # A crash cannot un-promise: the reply never outruns the disk.
         assert not reborn.promise(5)
         assert reborn.promised == 5
 
     def test_adopt_is_monotonic_and_lifts_promised(self, tmp_path):
-        state = ElectionState(ControlLog(tmp_path / "control.log"))
+        state = Sequencer(ControlLog(tmp_path / "control.log"))
         assert state.adopt(2, "siteB", base=17)
         assert (state.epoch, state.leader, state.base) == (2, "siteB", 17)
         assert state.promised == 2
@@ -59,9 +59,9 @@ class TestElectionState:
 
     def test_adoption_survives_restart(self, tmp_path):
         path = tmp_path / "control.log"
-        state = ElectionState(ControlLog(path))
+        state = Sequencer(ControlLog(path))
         state.adopt(2, "siteB", base=9)
-        reborn = ElectionState(ControlLog(path))
+        reborn = Sequencer(ControlLog(path))
         assert reborn.wire() == state.wire()
         assert reborn.bases == {2: 9}
 
@@ -276,6 +276,44 @@ class TestSequencerFailover:
                 assert after["order"][0] == first["order"][0] + 1
                 await raw.close()
                 await client.close()
+            finally:
+                await cluster.stop()
+
+        run(main())
+
+    def test_a_repeated_order_request_is_granted_once_across_a_restart(
+        self, tmp_path
+    ):
+        """The sequencer restarts between a grant and its re-send: the
+        re-send gets the token it got, not a second one that leaves the
+        first unused and every later update stalled behind it."""
+
+        async def ask(cluster, frame):
+            # A restarted sequencer refuses until it holds the lease.
+            deadline = time.monotonic() + 10.0
+            while True:
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send(frame)
+                reply = await raw.recv()
+                await raw.close()
+                if reply["ok"] or time.monotonic() > deadline:
+                    return reply
+                await asyncio.sleep(0.05)
+
+        async def main():
+            cluster = LiveCluster(n_sites=3, method="ordup", data_dir=tmp_path)
+            await cluster.start()
+            try:
+                frame = {"type": "request", "id": 7, "verb": "order",
+                         "src": "site9"}
+                first = await ask(cluster, frame)
+                await cluster.kill("site0")
+                await cluster.restart("site0")
+                again = await ask(cluster, frame)
+                assert cluster.servers["site0"].election.epoch == 0
+                assert again["order"] == first["order"]
+                after = await ask(cluster, {**frame, "id": 8})
+                assert after["order"][0] == first["order"][0] + 1
             finally:
                 await cluster.stop()
 

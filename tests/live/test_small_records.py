@@ -28,8 +28,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import repro.live.durable_queue as durable_queue
 from repro.live.durable_queue import ControlLog
-from repro.live.election import ElectionState
 from repro.live.gossip import ALIVE, DEAD, SUSPECT, MembershipTable, NodeRecord
+from repro.replica.sequencer import Sequencer
 
 
 class _Crash(Exception):
@@ -58,7 +58,7 @@ class _Site:
 
     def __init__(self, path, fsync=False):
         self.log = ControlLog(path, fsync=fsync)
-        self.election = ElectionState(self.log)
+        self.election = Sequencer(self.log)
         self.table = MembershipTable("siteA", self.log)
 
 
@@ -356,6 +356,8 @@ class Reference:
 
     def __init__(self):
         self.promises, self.adopts, self.grants = [], [], []
+        #: src -> (request id, token) of its last order request.
+        self.orders = {}
         #: name -> the wire form of its last change, as the table made it.
         self.members = {}
 
@@ -418,6 +420,20 @@ class ControlLogMachine(RuleBasedStateMachine):
         token = (self.site.log.next + step, self.site.election.epoch)
         self.site.log.grant(*token)
         self.ref.grants.append(token)
+
+    @rule(src=st.sampled_from(NAMES), rid=st.integers(0, 2))
+    def order(self, src, rid):
+        """A re-sent ``(src, rid)`` in the same epoch gets the token it
+        got — across ``crash_and_reopen`` and compactions too."""
+        (epoch, _, base), _ = self.ref.adopted()
+        token = self.site.election.next_order(src, rid)
+        last = self.ref.orders.get(src)
+        if last is not None and last[0] == rid and last[1][1] == epoch:
+            assert token == last[1]
+            return
+        assert token == (max(self.ref.grant()[0], base) + 1, epoch)
+        self.ref.grants.append(token)
+        self.ref.orders[src] = (rid, token)
 
     @rule(
         name=st.sampled_from(NAMES),

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.clocks import CentralOrderServer, LamportClock
+from repro.replica.sequencer import Sequencer
+from repro.sim.clocks import LamportClock
 
 
 class TestLamportClock:
@@ -44,14 +45,14 @@ class TestLamportClock:
         assert received > sent
 
 
-class TestCentralOrderServer:
+class TestSequencer:
     def test_gap_free_sequence(self):
-        server = CentralOrderServer()
+        server = Sequencer()
         orders = [server.next_order() for _ in range(5)]
         assert orders == [(i, 0) for i in range(1, 6)]
 
     def test_issued_tracks_highest(self):
-        server = CentralOrderServer()
+        server = Sequencer()
         assert server.issued == 0
         server.next_order()
         server.next_order()
