@@ -131,7 +131,7 @@ from typing import (
 
 from ..replica.sequencer import SequencerLog
 from .gossip import NodeRecord
-from .protocol import ProtocolError, dumps, loads, payload_blob
+from .protocol import ProtocolError, encode_line, loads, payload_blob
 from .snapshot import fsync_dir
 
 __all__ = ["DurableOutbox", "DurableInbox", "ControlLog"]
@@ -141,11 +141,7 @@ logger = logging.getLogger(__name__)
 _SEQ_PREFIX = b'{"seq":'
 
 
-def _json_line(record: Dict[str, Any]) -> str:
-    return dumps(record) + "\n"
-
-
-def _record_line(seq: int, payload: Any, blob: Optional[bytes]) -> str:
+def _record_line(seq: int, payload: Any, blob: Optional[bytes]) -> bytes:
     """One data-record log line, spliced around ``blob`` when given.
 
     ``blob`` must be the payload's canonical encoding
@@ -155,8 +151,8 @@ def _record_line(seq: int, payload: Any, blob: Optional[bytes]) -> str:
     under a binary wire.
     """
     if blob is None:
-        return _json_line({"seq": seq, "payload": payload})
-    return '{"seq":%d,"payload":%s}\n' % (seq, blob.decode("utf-8"))
+        return encode_line({"seq": seq, "payload": payload})
+    return b'{"seq":%d,"payload":%s}\n' % (seq, blob)
 
 
 def _ack_marker(peer: str, seq: int) -> Dict[str, Any]:
@@ -234,9 +230,9 @@ class _DurableLog:
         self._log = None  # opened by subclasses after recovery scan
 
     def _open_log(self) -> None:
-        self._log = self.path.open("a", encoding="utf-8")
+        self._log = self.path.open("ab")
 
-    def _write_data(self, data: str, durable: bool = True) -> None:
+    def _write_data(self, data: bytes, durable: bool = True) -> None:
         """Group commit: one write + flush for the whole pre-rendered
         batch of lines, which :meth:`sync` then owes an fsync — nothing
         ``dirty`` for lines that make no durability claim."""
@@ -244,11 +240,7 @@ class _DurableLog:
             return
         self._log.write(data)
         self._log.flush()
-        # Bytes, not characters: ``len`` is the UTF-8 size of an ASCII
-        # string, which ``isascii`` tells in O(1).
-        self.bytes_written += (
-            len(data) if data.isascii() else len(data.encode("utf-8"))
-        )
+        self.bytes_written += len(data)
         if durable and self.fsync:
             self.dirty = True
 
@@ -332,9 +324,7 @@ class _DurableLog:
                     continue  # superseded by the header
                 if record["seq"] > through:
                     lines.append(
-                        _record_line(
-                            record["seq"], record["payload"], None
-                        ).encode("utf-8")
+                        _record_line(record["seq"], record["payload"], None)
                     )
                 else:
                     dropped += 1
@@ -365,7 +355,7 @@ class _DurableLog:
         """
         tmp = self.path.with_suffix(self.path.suffix + ".compact")
         head = [{"meta": "base", "base": base}, *header]
-        data = "".join(map(_json_line, head)).encode("utf-8") + b"".join(lines)
+        data = b"".join(map(encode_line, head)) + b"".join(lines)
         with tmp.open("wb") as handle:
             handle.write(data)
             handle.flush()
@@ -504,7 +494,7 @@ class DurableOutbox(_DurableLog):
         holds them for the sender's relay path.
         """
         seqs: List[int] = []
-        lines: List[str] = []
+        lines: List[bytes] = []
         window, release = self._window, self._release
         for index, payload in enumerate(payloads):
             blob = payload_blob(payload) if blobs is None else blobs[index]
@@ -512,7 +502,7 @@ class DurableOutbox(_DurableLog):
             window.append((blob, release(payload)))
             lines.append(_record_line(self._seq, payload, blob))
             seqs.append(self._seq)
-        self._write_data("".join(lines))
+        self._write_data(b"".join(lines))
         if not self._cursors:  # held for nobody
             self._window.clear()
             self._head = self.released_hi = self._seq
@@ -570,7 +560,7 @@ class DurableOutbox(_DurableLog):
         """Note one cursor in the log stream: flushed, never fsynced
         on its own — the marker carries no durability claim; losing it
         only ages the reloaded cursor."""
-        line = _json_line(_ack_marker(peer, self._cursors[peer]))
+        line = encode_line(_ack_marker(peer, self._cursors[peer]))
         self._write_data(line, durable=False)
 
     def _slowest(self) -> int:
@@ -770,7 +760,7 @@ class DurableInbox(_DurableLog):
                     )
         if blobs is None:
             count = len(items)
-            data = "".join(
+            data = b"".join(
                 [_record_line(seq, payload, None) for seq, payload in items]
             )
         else:
@@ -779,7 +769,7 @@ class DurableInbox(_DurableLog):
             data = b"".join([
                 b'{"seq":%d,"payload":%s}\n' % (seq, blob)
                 for seq, blob in enumerate(blobs, first)
-            ]).decode("utf-8")
+            ])
         self._write_data(data)
         self.frontier = first + count - 1
         return count
@@ -868,7 +858,7 @@ class ControlLog(SequencerLog, _DurableLog):
     ) -> None:
         """Log ``records`` in one write and fold them in: synced on
         return when ``durable``, and an error raises."""
-        self._write_data("".join(map(_json_line, records)), durable)
+        self._write_data(b"".join(map(encode_line, records)), durable)
         for record in records:
             self._fold(record)
         self.sync()

@@ -181,7 +181,8 @@ class LockCounterSiteState:
         the pairs whose tid held (and now released) at least one."""
         holders = self.holders
         released = []
-        for tid, keys in items:
+        for item in items:
+            tid, keys = item
             freed = False
             for key in keys:
                 held = holders.get(key)
@@ -191,7 +192,7 @@ class LockCounterSiteState:
                     if not held:
                         del holders[key]
             if freed:
-                released.append((tid, keys))
+                released.append(item)
         return released
 
     def count(self, key: str) -> int:

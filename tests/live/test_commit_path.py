@@ -250,9 +250,9 @@ def test_a_turn_of_updates_costs_one_fsync_one_log_write_one_reply_write(
                 int(reply["tid"].rpartition(":")[2]) for reply in replies
             ) == list(range(2, 18))
             assert origin.log.fsync_count == fsyncs + 1
-            data_writes = [w for w in log_writes if w.startswith('{"seq":')]
+            data_writes = [w for w in log_writes if w.startswith(b'{"seq":')]
             assert len(data_writes) == 1
-            assert data_writes[0].count("\n") == 16
+            assert data_writes[0].count(b"\n") == 16
             assert sum(reply_writes) == 16 and len(reply_writes) <= 2
             # The warm-up's group of one, then this group of 16.
             groups = origin.m_commit_group

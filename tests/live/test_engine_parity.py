@@ -40,7 +40,7 @@ def never_forgetting(cls):
             super().__init__(*args, **kwargs)
             self.applies = []  # (time, tid, keys), appended by drive()
 
-        def _unpin(self, tid):
+        def _unpin(self, *tids):
             pass
 
         def _query_sources(self, key, start):

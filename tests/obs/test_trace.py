@@ -293,7 +293,7 @@ class TestRingMemory:
         def fill(rec):
             for tid, written in zip(tids, keys):
                 rec.event_rows(
-                    "update-submit", ("tid", "keys"), [(tid, list(written))]
+                    "update-submit", ("tid", "keys"), [(tid, written)]
                 )
                 rec.event_rows("update-apply", ("tid", "held"), [(tid, False)])
                 rec.event_each("update-ack", "tid", [tid])

@@ -293,3 +293,53 @@ def test_an_acked_grant_survives_a_handover():
     assert {name: e.store.get("acct", 0) for name, e in engines.items()} == {
         name: 4 for name in names
     }
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1, close the ORDUP safety bug: a sequencer that "
+    "rejoins with a wiped data dir restarts its grant counter at 0, so "
+    "it grants a seq every replica already applied",
+)
+def test_a_wiped_sequencer_grants_above_what_the_cluster_holds():
+    """site0 grants 1-6; 1-5 apply everywhere and token 6 is site1's,
+    still in flight.  site0 comes back wiped: a fresh ``Sequencer()``,
+    its engine restored from site2's checkpoint and fenced.  site2 takes
+    a token and increments; once site1's update arrives, every site
+    must hold 7."""
+    names = ("site0", "site1", "site2")
+    engines = {name: OrdupLiveEngine(name, clock=lambda: 0.0)
+               for name in names}
+    sequencer = Sequencer()
+    for _ in range(5):
+        mset = _increment(*sequencer.next_order())
+        for name in names:
+            engines[name].accept(mset, local=name == "site0")
+    in_flight = MSet(
+        tid="site1:6",
+        ops=(IncrementOp("acct", 1),),
+        origin="site1",
+        order=sequencer.next_order(),
+    )
+    engines["site1"].accept(in_flight, local=True)
+
+    wiped = Sequencer()
+    engines["site0"] = OrdupLiveEngine("site0", clock=lambda: 0.0)
+    engines["site0"].restore(engines["site2"].checkpoint())
+    wiped.fence(engines["site0"])
+    late = MSet(
+        tid="site2:1",
+        ops=(IncrementOp("acct", 1),),
+        origin="site2",
+        order=wiped.next_order(),
+    )
+    engines["site2"].accept(late, local=True)
+    for peer in ("site0", "site1"):
+        engines[peer].accept(late)
+    for peer in ("site0", "site2"):
+        engines[peer].accept(in_flight)  # site1's update arrives
+
+    assert {name: e.store.get("acct", 0) for name, e in engines.items()} == {
+        name: 7 for name in names
+    }
