@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.live.durable_queue import DurableInbox
-from repro.live.protocol import dumps, payload_blob
+from repro.live.protocol import encode_line, payload_blob
 
 from .test_durable_queue import PEER, _outbox
 
@@ -318,7 +318,7 @@ def _redumped(path, through, header=()):
     """The log ``json.loads``-ed line by line and its survivors encoded
     again by the codec — the compaction this module used to have."""
     def dump(record):
-        return dumps(record) + "\n"
+        return encode_line(record).decode("utf-8")
 
     records = [json.loads(line) for line in _lines(path.read_text())]
     return "".join(

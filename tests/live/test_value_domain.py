@@ -1,7 +1,7 @@
 """The live codec's value domain, end to end.
 
 Every document an update crosses — frames, payload blobs, log lines —
-is encoded by one codec (``protocol.dumps``/``payload_blob``, orjson)
+is encoded by one codec (``protocol.encode_line``/``payload_blob``, orjson)
 and read by ``protocol.loads``.  Its domain is JSON's with 64-bit
 integers and finite operation arguments; what lies outside is refused
 at the sender, never silently rewritten.  These tests pin it on a
