@@ -40,6 +40,10 @@ from typing import Dict, List, Optional, Tuple
 from .harness.experiments import EXPERIMENTS
 from .harness.runner import audit_failures
 
+#: the live runtime's methods, in ``live.engine.ENGINES`` order (not
+#: imported from there: ``list`` and ``run`` load no live code).
+LIVE_METHODS = ("commu", "ordup", "rowa", "ritu", "ritu-mv", "compe")
+
 _DESCRIPTIONS = {
     "T1": "Table 1: replica-control method characteristics",
     "T2": "Table 2: 2PL compatibility for ORDUP ETs",
@@ -560,9 +564,7 @@ def main(argv: List[str] = None) -> int:
         "--admin-port", type=int, default=0,
         help="admin endpoint port in sharded mode (0 = ephemeral)",
     )
-    serve.add_argument(
-        "--method", default="commu", choices=("commu", "ordup", "rowa", "ritu", "ritu-mv", "compe")
-    )
+    serve.add_argument("--method", default="commu", choices=LIVE_METHODS)
     serve.add_argument(
         "--fsync", action="store_true",
         help="fsync durable logs on every append",
@@ -596,9 +598,7 @@ def main(argv: List[str] = None) -> int:
         "live-demo", help="boot an in-process live cluster and drive it"
     )
     demo.add_argument("--sites", type=int, default=3)
-    demo.add_argument(
-        "--method", default="commu", choices=("commu", "ordup", "rowa", "ritu", "ritu-mv", "compe")
-    )
+    demo.add_argument("--method", default="commu", choices=LIVE_METHODS)
     demo.add_argument("--updates", type=int, default=200)
     chaos = sub.add_parser(
         "chaos",
@@ -620,10 +620,7 @@ def main(argv: List[str] = None) -> int:
     # Every flag below defaults to None = "the scenario config's own
     # default"; docs/LIVE.md tabulates which scenario reads which.
     chaos.add_argument("--sites", type=int)
-    chaos.add_argument(
-        "--method",
-        choices=("commu", "ordup", "rowa", "ritu", "ritu-mv", "compe"),
-    )
+    chaos.add_argument("--method", choices=LIVE_METHODS)
     chaos.add_argument(
         "--updates", type=int,
         help="faults: total updates; rejoin: before and during the "
@@ -703,9 +700,7 @@ def main(argv: List[str] = None) -> int:
         "--sites", type=int, default=3,
         help="in-process cluster size (ignored with --addr)",
     )
-    loadgen.add_argument(
-        "--method", default="commu", choices=("commu", "ordup", "rowa", "ritu", "ritu-mv", "compe")
-    )
+    loadgen.add_argument("--method", default="commu", choices=LIVE_METHODS)
     loadgen.add_argument(
         "--addr", action="append", default=None, metavar="HOST:PORT",
         help="connect to an existing deployment instead of booting an "

@@ -6,36 +6,8 @@ state machines (shared via :mod:`repro.replica.base`) under real
 concurrency — asyncio TCP transport, file-backed durable stable
 queues, wall-clock time, and genuinely parallel client load.
 
-Layers:
-
-* :mod:`repro.live.protocol` — length-prefixed wire protocol reusing
-  the operation algebra: JSON control and client frames, binary
-  propagation frames.
-* :mod:`repro.live.durable_queue` — at-least-once, FIFO-per-channel
-  durable queues that survive process restarts.
-* :mod:`repro.live.engine` — transport-agnostic COMMU / ORDUP engines,
-  the synchronous write-all (ROWA) baseline, the timestamped RITU /
-  RITU-MV engines, and the COMPE saga/compensation engine.
-* :mod:`repro.live.server` — a per-replica asyncio TCP server with
-  adaptive heartbeat failure detection, gossip-driven membership, and
-  degraded-mode query handling.
-* :mod:`repro.live.gossip` — versioned membership table (incarnation-
-  numbered node records) and the phi-style adaptive failure detector.
-* :mod:`repro.live.client` — pipelined async client facade with
-  per-request timeouts, reconnect, and failover.
-* :mod:`repro.live.cluster` — in-process N-replica bootstrapper.
-* :mod:`repro.live.faults` — seeded fault injection on the connections
-  a replica dials (drop / delay / duplicate / reorder / partition).
-* :mod:`repro.live.chaos` — seeded chaos harness: one ``Run`` (cluster,
-  ledger, fault actions) and six scenarios asserting the paper's
-  invariants under faults, rejoin, migration, failover, WAN partition
-  and compensation storms.
-* :mod:`repro.live.snapshot` — versioned, checksummed site snapshots
-  backing log compaction and anti-entropy rejoin.
-* :mod:`repro.live.shard` — epoch-versioned shard map plus the
-  epoch-fenced live shard migration orchestrator.
-* :mod:`repro.live.router` — client-side shard router: the
-  ``LiveClient`` verb surface over N replica groups.
+Its modules, one line each, are listed in ``docs/LIVE.md`` ("Layers"),
+which a test keeps equal to this package.
 """
 
 from .chaos import (

@@ -26,12 +26,8 @@ back on a connection leaves in one socket write
 (:class:`~repro.live.protocol.FrameWriter`).
 
 Propagation hot path (batched + pipelined, no knob): each peer channel
-ships what the log owes the peer as ``mset-batch`` frames (everything
-pending, up to ``FRAME_MSETS`` a frame) with ``FRAMES_IN_FLIGHT`` of
-them unacknowledged instead of stop-and-waiting on each.  Acks are
-*cumulative* — ``ack.seq`` covers every channel sequence number
-``<= seq`` — so one reply can retire several frames and the peer's
-cursor moves in one step.  Every connection is one
+(:class:`~repro.live.channel.PeerChannel`) keeps a window of batch
+frames in flight, retired by cumulative acks.  Every connection is one
 :class:`~repro.live.protocol.FrameProtocol`, and every frame is
 handled in the step its socket delivered it: the receive side records
 a batch with one group-commit append (single write, one fsync before
@@ -110,12 +106,10 @@ import json
 import logging
 import pathlib
 import random
-from collections import deque
 from typing import (
     Any,
     Awaitable,
     Callable,
-    Deque,
     Dict,
     List,
     Optional,
@@ -126,23 +120,18 @@ from typing import (
 )
 
 from ..core.transactions import EpsilonSpec
-from ..obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
-    NULL_REGISTRY,
-    Registry,
-)
+from ..obs.registry import DEFAULT_LATENCY_BUCKETS, NULL_REGISTRY, Registry
 from ..obs.trace import TraceRecorder
 from ..replica.mset import MSet, MSetKind
 from ..replica.sequencer import Sequencer
 from . import protocol
+from .channel import ChannelFamilies, PeerChannel, _resolve
 from .client import LiveETFailed, request_once
 from .durable_queue import ControlLog, DurableInbox, DurableOutbox
 from .engine import LiveEngine, QueryOutcome, QueryTimeout, make_engine
 from .faults import FaultPlan, Link
 from .gossip import DEAD, LEFT, SUSPECT, FailureDetector, MembershipTable
 from .protocol import (
-    MAX_FRAME,
     FrameProtocol,
     FrameWriter,
     ProtocolError,
@@ -245,12 +234,6 @@ class Compensated(RuntimeError):
 #: always fits the existing framing.
 SNAPSHOT_CHUNK = 1 << 20
 
-#: MSets per ``mset-batch`` frame, at most, and frames a channel keeps
-#: unacknowledged.  The first bounds how long one frame holds the
-#: receiver's loop, so it is not "everything pending" (docs/LIVE.md).
-FRAME_MSETS = 256
-FRAMES_IN_FLIGHT = 4
-
 #: seconds a query may wait on divergence control, and an update on its
 #: commit (ORDUP's in-order apply, a synchronous method's peer acks).
 QUERY_TIMEOUT = 30.0
@@ -268,11 +251,6 @@ ORDER_RESEND = 0.25
 #: (RuntimeError and its ProtocolError/SnapshotError), a malformed
 #: field (ValueError).  Every caller retries past each of them.
 PEER_FAILURES = (OSError, RuntimeError, ValueError, asyncio.TimeoutError)
-
-
-def _resolve(waiter: asyncio.Future) -> None:
-    if not waiter.done():
-        waiter.set_result(None)
 
 
 def _dialed(dial: "asyncio.Future[FrameProtocol]") -> Optional[FrameProtocol]:
@@ -316,42 +294,6 @@ async def _dial_peer(
     conn = await connect_frames(addr, answer, link)
     conn.lost.add_done_callback(hung_up)
     return conn
-
-
-class _Wakeup:
-    """A flag one coroutine parks on, without a task per wait.
-
-    :meth:`set` raises the flag and wakes the parked :meth:`wait`;
-    :meth:`wait` returns at once while the flag is up, else parks one
-    future with one ``call_later`` deadline (``asyncio.wait_for`` would
-    wrap a task around every wake-up on Python 3.10 and 3.11).
-    """
-
-    __slots__ = ("is_set", "_waiter")
-
-    def __init__(self) -> None:
-        self.is_set = True
-        self._waiter: Optional[asyncio.Future] = None
-
-    def set(self) -> None:
-        self.is_set = True
-        if self._waiter is not None:
-            _resolve(self._waiter)
-
-    def clear(self) -> None:
-        self.is_set = False
-
-    async def wait(self, timeout: float) -> None:
-        if self.is_set:
-            return
-        loop = asyncio.get_running_loop()
-        waiter = self._waiter = loop.create_future()
-        timer = loop.call_later(timeout, _resolve, waiter)
-        try:
-            await waiter
-        finally:
-            timer.cancel()
-            self._waiter = None
 
 
 class _Member:
@@ -455,8 +397,8 @@ class ReplicaServer:
         self.log: DurableOutbox
         #: peer -> what this site durably holds from it.
         self.inboxes: Dict[str, DurableInbox] = {}
-        #: peer -> the wake-up of its channel sender.
-        self._outbox_events: Dict[str, _Wakeup] = {}
+        #: peer -> its outbound channel (opened with the inbox).
+        self.channels: Dict[str, PeerChannel] = {}
         #: long-lived background tasks (:meth:`_spawn`), cancelled by
         #: :meth:`stop`.
         self._tasks: Set[asyncio.Task] = set()
@@ -464,12 +406,6 @@ class ReplicaServer:
         self._conn_tasks: Set[asyncio.Task] = set()
         #: the listener's open connections, aborted by :meth:`stop`.
         self._conns: Set[FrameProtocol] = set()
-        #: peer -> consecutive channel connect/send failures.
-        self.channel_failures: Dict[str, int] = {}
-        #: peer -> rolling batch-acknowledgement latencies (seconds).
-        self._ack_latencies: Dict[str, Deque[float]] = {}
-        #: peer -> total MSets cumulatively acknowledged since boot.
-        self.acked_msets: Dict[str, int] = {}
         #: the parked ``settle`` requests, resolved whenever the drain
         #: condition may have changed (:meth:`_notify_drain`) instead of
         #: clients busy-polling.
@@ -537,8 +473,6 @@ class ReplicaServer:
         self._catching_up = False
         #: completed snapshot catch-up installs since boot.
         self.catchup_installs = 0
-        #: peers owed a peer-reset frame by their channel sender.
-        self._reset_peers: Set[str] = set()
         #: precomputed verb dispatch: built once instead of a dict
         #: literal per request.  Values are attribute names (resolved
         #: with ``getattr`` at call time) so per-instance handler
@@ -579,32 +513,12 @@ class ReplicaServer:
             "1 while the peer passes the heartbeat deadline, else 0",
             labels=("peer",),
         )
-        self.m_acked_msets = reg.counter(
-            "channel_acked_msets_total",
-            "MSets cumulatively acknowledged by one peer since boot",
-            labels=("peer",),
-        )
-        self.m_ack_latency = reg.histogram(
-            "ack_latency_seconds",
-            "batch send-to-cumulative-ack latency per peer channel",
-            labels=("peer",),
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        self.m_batch_msets = reg.histogram(
-            "batch_msets",
-            "MSets coalesced into each outbound propagation frame",
-            buckets=DEFAULT_SIZE_BUCKETS + (512,),  # past FRAME_MSETS
-        )
+        self.channel_families = ChannelFamilies(reg)
         self.m_commit_group = reg.histogram(
             "commit_group_msets",
             "locally originated MSets committed by each group commit "
             "(one log append and one fsync per group)",
             buckets=(1, 2, 4, 8, 16, 32, 64),
-        )
-        self.m_channel_errors = reg.counter(
-            "channel_errors_total",
-            "peer channel sessions ended by a transport/protocol error",
-            labels=("peer",),
         )
         self.m_frames_dropped = reg.counter(
             "frames_dropped_total",
@@ -716,17 +630,6 @@ class ReplicaServer:
             "(state restarted without them)",
             labels=("record",),
         )
-        self.m_propagation_frames = reg.counter(
-            "propagation_frames_total",
-            "outbound propagation batch frames written",
-            labels=("peer",),
-        )
-        self.m_frames_relayed = reg.counter(
-            "frames_relayed_total",
-            "MSets forwarded as already-encoded payload bytes "
-            "(zero re-encode relay)",
-            labels=("peer",),
-        )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -779,8 +682,11 @@ class ReplicaServer:
         self.inboxes[peer] = DurableInbox(
             self.data_dir / "inbox" / ("%s.log" % peer), self.fsync
         )
-        if self.log.add_cursor(peer) and self.log.assigned > 0:
-            self._reset_peers.add(peer)
+        self.channels[peer] = PeerChannel(
+            peer,
+            self.log.add_cursor(peer) and self.log.assigned > 0,
+            self.channel_families,
+        )
 
     def _frontiers(self, local: str = LOCAL_CHANNEL) -> Dict[str, int]:
         """Every channel's durable frontier: what each peer has
@@ -874,11 +780,8 @@ class ReplicaServer:
         if self._channels_started:
             return
         self._channels_started = True
-        now = self.engine.clock()
         for peer in self.peer_names:
-            self.detector.watch(peer, now)
-            self._outbox_events[peer] = _Wakeup()
-            self._spawn(self._channel_loop(peer))
+            self._start_channel(peer)
         self._spawn(self._degraded_monitor())
         if self.snapshot_interval > 0:
             self._spawn(self._snapshot_loop())
@@ -955,13 +858,16 @@ class ReplicaServer:
                 )
         for box in (self.log, self._control, *self.inboxes.values()):
             box.close()
-        for fut in list(self._apply_futures.values()) + list(
-            self._full_ack_futures.values()
-        ):
-            if not fut.done():
-                fut.cancel()
-        self._apply_futures.clear()
-        self._full_ack_futures.clear()
+        self._cancel_commit_waiters()
+
+    def _cancel_commit_waiters(self) -> None:
+        """Cancel every update still waiting on a local apply or on
+        every peer's ack, and forget them."""
+        for futures in (self._apply_futures, self._full_ack_futures):
+            for fut in futures.values():
+                if not fut.done():
+                    fut.cancel()
+            futures.clear()
 
     def _spawn(self, coro: Any) -> asyncio.Task:
         """Run ``coro`` as a long-lived background task: :meth:`stop`
@@ -987,8 +893,8 @@ class ReplicaServer:
     # -- peer health ---------------------------------------------------------
 
     def _note_peer_alive(self, peer: str) -> None:
-        if peer in self.inboxes:
-            self.channel_failures[peer] = 0
+        if peer in self.channels:
+            self.channels[peer].failures = 0
             self.detector.heartbeat(peer, self.engine.clock())
 
     def peer_alive(self, peer: str) -> bool:
@@ -1138,9 +1044,7 @@ class ReplicaServer:
             "%s: discovered member %s at %s:%d", self.name, name, host, port
         )
         if self._running and self._channels_started:
-            self.detector.watch(name, self.engine.clock())
-            self._outbox_events[name] = _Wakeup()
-            self._spawn(self._channel_loop(name))
+            self._start_channel(name)
 
     # -- sequencer election --------------------------------------------------
 
@@ -1297,17 +1201,23 @@ class ReplicaServer:
 
     # -- channel sender loops ------------------------------------------------
 
+    def _start_channel(self, peer: str) -> None:
+        """Watch ``peer`` from now on and run its channel loop."""
+        self.detector.watch(peer, self.engine.clock())
+        self._spawn(self._channel_loop(self.channels[peer]))
+
     def _kick_channels(self) -> None:
-        for event in self._outbox_events.values():
-            event.set()
+        for channel in self.channels.values():
+            channel.wakeup.set()
 
     def _link(self, peer: str) -> Optional[Link]:
         """What a dial to ``peer`` carries: the plan's link, if any."""
         return self.faults and self.faults.link(self.name, peer)
 
-    async def _channel_loop(self, peer: str) -> None:
+    async def _channel_loop(self, channel: PeerChannel) -> None:
         """Persistently (re)connect one peer channel and run a
         pipelined delivery session over each connection."""
+        peer = channel.peer
         backoff = self.retry_base
         while self._running:
             addr = self.peer_addrs.get(peer)
@@ -1316,34 +1226,26 @@ class ReplicaServer:
                 backoff = min(backoff * 2, self.retry_max)
                 continue
             conn = None
-            # ``sent_hi`` is the highest channel seq handed to this
-            # connection, ``inflight`` the (last_seq, sent_at, n_msets)
-            # record of each un-retired batch: the sender fills them,
-            # the acks parsed off the same connection retire them.
-            state: Dict[str, Any] = {"inflight": deque()}
             try:
+                # The sender fills the channel's window, the acks
+                # parsed off the same connection retire it.
                 conn = await connect_frames(
                     addr,
-                    functools.partial(self._on_channel_frame, peer, state),
+                    functools.partial(self._on_channel_frame, channel),
                     self._link(peer),
                 )
-                conn.lost.add_done_callback(
-                    lambda _, wakeup=self._outbox_events[peer]: wakeup.set()
-                )
+                conn.lost.add_done_callback(lambda _: channel.wakeup.set())
                 conn.frames.send({"type": "peer-hello", "src": self.name})
                 backoff = self.retry_base
-                state["sent_hi"] = self.log.frontier(peer)
-                await self._channel_sender(peer, conn, state)
+                channel.connect(self.log.frontier(peer))
+                await self._channel_sender(channel, conn)
             except (
                 OSError,
                 ConnectionError,
                 asyncio.TimeoutError,
                 ProtocolError,
             ) as exc:
-                self.channel_failures[peer] = (
-                    self.channel_failures.get(peer, 0) + 1
-                )
-                self.m_channel_errors.labels(peer=peer).inc()
+                channel.failed()
                 logger.debug(
                     "%s: channel to %s failed (%s), retrying in %.3fs",
                     self.name, peer, exc, backoff,
@@ -1355,9 +1257,9 @@ class ReplicaServer:
                     conn.abort()
 
     async def _channel_sender(
-        self, peer: str, conn: FrameProtocol, state: Dict[str, Any]
+        self, channel: PeerChannel, conn: FrameProtocol
     ) -> None:
-        """Drain what the log owes ``peer`` as batch frames, keeping up
+        """Drain what the log owes the peer as batch frames, keeping up
         to ``FRAMES_IN_FLIGHT`` unacknowledged; heartbeat while idle.
         Returns only by raising: the connection is lost.
 
@@ -1368,13 +1270,12 @@ class ReplicaServer:
         frontier — the durable queue's at-least-once discipline does
         the recovery, no special cases."""
         log = self.log
-        event = self._outbox_events[peer]
-        inflight: Deque[Tuple[int, float, int]] = state["inflight"]
+        peer = channel.peer
         while self._running:
             if conn.closing:
                 raise ConnectionResetError("peer %s closed" % peer)
-            if peer in self._reset_peers:
-                self._reset_peers.discard(peer)
+            if channel.reset_owed:
+                channel.reset_owed = False
                 conn.frames.send(
                     {
                         "type": "peer-reset",
@@ -1386,96 +1287,52 @@ class ReplicaServer:
             # Clear-before-check: an ack or new append landing during
             # the scan re-sets the event, so the wait below returns
             # immediately instead of stalling a heartbeat interval.
-            event.clear()
+            channel.wakeup.clear()
             now = self.engine.clock()
-            if inflight and now - inflight[0][1] > ACK_TIMEOUT:
-                # Stalled pipeline (dropped/reordered frames or a dead
-                # peer): fall back to the durable frontier and re-send.
-                inflight.clear()
-                state["sent_hi"] = log.frontier(peer)
+            if channel.stalled(now, ACK_TIMEOUT, log.frontier(peer)):
                 await asyncio.sleep(self.retry_base)
                 continue
-            if now >= state.get("hb_next", 0.0):
+            if now >= channel.hb_next:
                 # Time-based, not idle-only: gossip and the leader's
                 # epoch lease ride heartbeats, so they must keep
                 # flowing under load.  Jittered per link so a large
                 # cluster's probes don't synchronize into bursts (and
                 # a synchronized stall into a false-suspicion storm).
-                self._heartbeat_probe(conn.frames)
-                state["hb_next"] = (
+                # The reply is parsed off this connection
+                # (:meth:`_on_channel_frame`); a lost probe is not an
+                # error — the peer just ages toward suspicion.
+                conn.frames.send(
+                    {"type": "hb", "src": self.name,
+                     "gossip": self._gossip_payload()}
+                )
+                channel.hb_next = (
                     self.engine.clock() + self._heartbeat_jitter()
                 )
-            room = FRAMES_IN_FLIGHT - len(inflight)
-            # Bounded fetch: one send round uses at most ``room`` full
-            # frames; scanning (or planning) more would cost O(backlog)
-            # per wakeup and make a deep backlog's drain quadratic.
-            fresh = log.pending_after(
-                peer, state["sent_hi"], room * FRAME_MSETS
-            ) if room > 0 else []
+            fresh = log.pending_after(peer, channel.sent_hi, channel.want())
             if fresh:
-                await self._send_batches(peer, conn.frames, state, fresh, room)
+                await self._send_batches(channel, conn.frames, fresh)
                 continue
-            timeout = max(0.01, state["hb_next"] - self.engine.clock())
-            if inflight:
-                # Wake in time for the stall deadline of the oldest
-                # in-flight batch.
-                timeout = min(
-                    timeout,
-                    max(
-                        self.retry_base,
-                        ACK_TIMEOUT - (now - inflight[0][1]),
-                    ),
+            await channel.wakeup.wait(
+                channel.wait_timeout(
+                    self.engine.clock(), self.retry_base, ACK_TIMEOUT
                 )
-            await event.wait(timeout)
+            )
 
     async def _send_batches(
         self,
-        peer: str,
+        channel: PeerChannel,
         frames: FrameWriter,
-        state: Dict[str, Any],
         entries: List[Tuple[int, bytes]],
-        room: int,
     ) -> None:
-        """Cut ``entries`` — ``(seq, blob)`` pairs — into at most
-        ``room`` batch frames and write them, pre-encoded, into this
-        turn's buffered write.
-
-        One pass sizes and fills the frames: a frame ends at
-        ``FRAME_MSETS`` MSets or before its blobs pass
-        ``MAX_FRAME // 2`` bytes, the rest waits for the next round, and
-        ``sent_hi`` is the last seq written.
+        """Write the frames the channel cuts ``entries`` into,
+        pre-encoded, into this turn's buffered write.
 
         Each MSet's payload bytes are forwarded exactly as the log's
         window holds them since the update entered it — the zero
         re-encode relay; re-sends from the log reuse the same bytes.
         """
-        now = self.engine.clock()
-
-        def write(batch: List[Tuple[int, bytes]]) -> None:
-            state["sent_hi"] = last_seq = batch[-1][0]
-            state["inflight"].append((last_seq, now, len(batch)))
-            self.m_batch_msets.observe(len(batch))
+        for batch in channel.cut(entries, self.engine.clock()):
             frames.write(encode_bin_batch_frame(self.name, batch))
-            self.m_frames_relayed.labels(peer=peer).inc(len(batch))
-            self.m_propagation_frames.labels(peer=peer).inc()
-
-        budget = MAX_FRAME // 2
-        batch: List[Tuple[int, bytes]] = []
-        size = 0
-        for seq, blob in entries:
-            if batch and (
-                len(batch) >= FRAME_MSETS or size + len(blob) > budget
-            ):
-                write(batch)
-                room -= 1
-                batch = []
-                if not room:
-                    break
-                size = 0
-            batch.append((seq, blob))
-            size += len(blob)
-        if batch:
-            write(batch)
         await frames.drain()
 
     def _heartbeat_jitter(self) -> float:
@@ -1495,23 +1352,9 @@ class ReplicaServer:
             "leader": self.election.wire(),
         }
 
-    def _heartbeat_probe(self, frames: FrameWriter) -> None:
-        """One liveness probe, carrying the gossip digest.  The reply
-        (if any) is parsed off the same connection
-        (:meth:`_on_channel_frame`); a lost probe is not an error — the
-        peer just stays un-refreshed and ages toward suspicion."""
-        frames.send(
-            {
-                "type": "hb",
-                "src": self.name,
-                "gossip": self._gossip_payload(),
-            }
-        )
-
     def _on_channel_frame(
         self,
-        peer: str,
-        state: Dict[str, Any],
+        channel: PeerChannel,
         conn: FrameProtocol,
         frame: Dict[str, Any],
     ) -> None:
@@ -1519,18 +1362,15 @@ class ReplicaServer:
         cumulative ack retires in-flight batches and frees the send
         window, a heartbeat reply refreshes liveness and gossip — in
         the step that parsed it, never blocking the sender."""
+        peer = channel.peer
         kind = frame.get("type")
         if kind == "ack":
             self._note_peer_alive(peer)
             seq = int(frame["seq"])
-            self._reconcile_ack(peer, seq, state)
-            inflight: Deque[Tuple[int, float, int]] = state["inflight"]
-            now = self.engine.clock()
-            while inflight and inflight[0][0] <= seq:
-                _, sent_at, count = inflight.popleft()
-                self._record_ack_latency(peer, now - sent_at, count)
+            self._reconcile_ack(channel, seq)
+            channel.retire(seq, self.engine.clock())
             self._on_peer_ack(peer, seq)
-            self._outbox_events[peer].set()  # window freed: wake the sender
+            channel.wakeup.set()  # window freed: wake the sender
         elif kind == "hb-ack":
             seq = frame.get("seq")
             try:
@@ -1545,13 +1385,11 @@ class ReplicaServer:
                 return
             self._note_peer_alive(peer)
             if seq is not None:
-                self._reconcile_ack(peer, seq, state)
+                self._reconcile_ack(channel, seq)
             if digest is not None:
                 self._merge_gossip(peer, digest)
 
-    def _reconcile_ack(
-        self, peer: str, seq: int, state: Dict[str, Any]
-    ) -> None:
+    def _reconcile_ack(self, channel: PeerChannel, seq: int) -> None:
         """Compare a receiver's durability claim against its cursor.
 
         Normal operation only ever moves ``seq`` forward.  Two
@@ -1568,10 +1406,11 @@ class ReplicaServer:
           receiver to snapshot catch-up instead.
         """
         log = self.log
+        peer = channel.peer
         if seq > log.assigned:
             self._trigger_catchup("regressed-ack", preferred=peer)
             return
-        if peer in self._reset_peers or seq >= log.frontier(peer):
+        if channel.reset_owed or seq >= log.frontier(peer):
             # Already directed to snapshot catch-up, or not regressed.
             return
         rewound = log.rewind_to(peer, seq)
@@ -1579,10 +1418,9 @@ class ReplicaServer:
         if rewound:
             # Force the session to restart sending from the rewound
             # frontier instead of waiting out the stall deadline.
-            state["inflight"].clear()
-            state["sent_hi"] = log.frontier(peer)
+            channel.restart(log.frontier(peer))
         else:
-            self._reset_peers.add(peer)
+            channel.reset_owed = True
         self.trace.event(
             "channel-rewind", peer=peer, seq=seq, resend=rewound
         )
@@ -1590,20 +1428,7 @@ class ReplicaServer:
             "%s: peer %s regressed to seq %d (rewind=%s, lag=%d)",
             self.name, peer, seq, rewound, log.assigned - seq,
         )
-        self._outbox_events[peer].set()
-
-    def _record_ack_latency(
-        self, peer: str, latency: float, n_msets: int
-    ) -> None:
-        lats = self._ack_latencies.get(peer)
-        if lats is None:
-            lats = self._ack_latencies[peer] = deque(maxlen=512)
-        lats.append(latency)
-        self.acked_msets[peer] = self.acked_msets.get(peer, 0) + n_msets
-        self.m_ack_latency.labels(peer=peer).observe(latency)
-        self.m_acked_msets.labels(peer=peer).set_to(
-            self.acked_msets[peer]
-        )
+        channel.wakeup.set()
 
     def _on_peer_ack(self, peer: str, seq: int) -> None:
         """A peer durably holds every channel message ``<= seq``
@@ -2251,13 +2076,7 @@ class ReplicaServer:
             for src, inbox in self.inboxes.items():
                 inbox.reset_to(translated.get(src, 0))
             self.log.reset_to(translated.get(LOCAL_CHANNEL, 0))
-            for fut in list(self._apply_futures.values()) + list(
-                self._full_ack_futures.values()
-            ):
-                if not fut.done():
-                    fut.cancel()
-            self._apply_futures.clear()
-            self._full_ack_futures.clear()
+            self._cancel_commit_waiters()
             self.engine.restore(body["engine"])
             self.election.fence(self.engine)
             self._snapshot_frontiers = dict(translated)
@@ -2551,21 +2370,17 @@ class ReplicaServer:
         peers: Dict[str, Dict[str, Any]] = {}
         for peer in self.peer_names:
             seen = self.detector.last_seen(peer)
-            lats = self._ack_latencies.get(peer)
+            channel = self.channels[peer]
             peers[peer] = {
                 "alive": self.peer_alive(peer),
                 "staleness": (
                     None if seen is None else round(now - seen, 4)
                 ),
                 "backlog": self.log.backlog(peer),
-                "failures": self.channel_failures.get(peer, 0),
+                "failures": channel.failures,
                 "ack_high_water": self.log.frontier(peer),
-                "acked_msets": self.acked_msets.get(peer, 0),
-                "ack_ms": (
-                    round(sum(lats) / len(lats) * 1000.0, 3)
-                    if lats
-                    else None
-                ),
+                "acked_msets": channel.acked_msets,
+                "ack_ms": channel.ack_ms,
             }
         stats = self.engine.stats()
         stats.update(

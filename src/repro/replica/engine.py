@@ -373,7 +373,7 @@ class LiveEngine:
         """Process a whole delivered batch in one step.
 
         The batched propagation path delivers up to a full frame
-        (``server.FRAME_MSETS``) at once; history pruning and the apply
+        (``channel.FRAME_MSETS``) at once; history pruning and the apply
         histogram then run once per batch, not once per MSet, and COMMU
         and ROWA apply a remote batch in one store pass.
         """

@@ -4,12 +4,13 @@ The channel hot path now drains backlogs as multi-MSet ``mset-batch``
 frames with a window of batches in flight and cumulative acks.  These
 tests exercise that machinery through real sockets: backlogs actually
 travel as batches (observable via the ack high-water mark jumping in
-steps), extreme frame sizes still converge (the ``server.py`` frame
-and ack-timeout constants are monkeypatched: there is no option), a healed
-backlog travels in full frames, a receiver working through one still
-answers its other connections, forged duplicate and gapped batches are
-acked at the frontier and never re-applied, and the ``settle`` verb
-blocks server-side instead of clients polling stats.
+steps), extreme frame sizes still converge (the ``channel.py`` frame
+constants and ``server.py``'s ack timeout are monkeypatched: there is
+no option), a healed backlog travels in full frames, a receiver
+working through one still answers its other connections, forged
+duplicate and gapped batches are acked at the frontier and never
+re-applied, and the ``settle`` verb blocks server-side instead of
+clients polling stats.
 """
 
 import asyncio
@@ -18,14 +19,14 @@ import json
 import pytest
 
 from repro.core.transactions import EpsilonSpec
-from repro.live import FaultPlan, LiveCluster, server
+from repro.live import FaultPlan, LiveCluster, channel, server
 from repro.live.protocol import (
     encode_bin_batch_frame,
     encode_mset,
     payload_blob,
 )
 from repro.replica.mset import MSet
-from repro.core.operations import IncrementOp, TimestampedWriteOp, WriteOp
+from repro.core.operations import IncrementOp, TimestampedWriteOp
 
 from .wire import RawConn
 
@@ -39,8 +40,8 @@ KEYS = ["acct0", "acct1", "acct2", "acct3"]
 
 def _frames(monkeypatch, msets, in_flight):
     """Small frames for one test: the constants are read at send time."""
-    monkeypatch.setattr(server, "FRAME_MSETS", msets)
-    monkeypatch.setattr(server, "FRAMES_IN_FLIGHT", in_flight)
+    monkeypatch.setattr(channel, "FRAME_MSETS", msets)
+    monkeypatch.setattr(channel, "FRAMES_IN_FLIGHT", in_flight)
 
 
 async def _backlogged_drain(cluster, plan, n_updates):
@@ -211,73 +212,17 @@ class TestFrameSizing:
                     ) == n_updates
                     assert registry.get_sample(
                         "propagation_frames_total", peer=peer
-                    ) <= n_updates / server.FRAME_MSETS + 1
+                    ) <= n_updates / channel.FRAME_MSETS + 1
                 # ... with finite histogram buckets past a full frame.
                 (sizes,) = registry.to_dict()["repro_batch_msets"]["samples"]
                 bounds = [float(le) for le in sizes["buckets"]]
-                assert max(bounds) > server.FRAME_MSETS
+                assert max(bounds) > channel.FRAME_MSETS
                 assert max(sizes["buckets"].values()) == sizes["count"]
                 assert await cluster.converged()
             finally:
                 await cluster.stop()
 
         run(scenario())
-
-    def test_frames_are_cut_at_half_the_frame_limit(self, monkeypatch):
-        """The byte cut: with ``MAX_FRAME`` at 8 KiB and ~1 KiB values,
-        a healed backlog travels in frames of at most 4 KiB of blobs,
-        more frames than a send round has room for; ``sent_hi`` is the
-        last seq written, not the last fetched."""
-        monkeypatch.setattr(server, "MAX_FRAME", 8 * 1024)
-        budget = server.MAX_FRAME // 2
-        frames = []  # per frame: (blob bytes, last seq)
-        rounds = []  # per send round: (sent_hi, last written, last fetched)
-        encode = server.encode_bin_batch_frame
-        send = server.ReplicaServer._send_batches
-
-        def spy_encode(src, entries):
-            frames.append(
-                (sum(len(blob) for _, blob in entries), entries[-1][0])
-            )
-            return encode(src, entries)
-
-        async def spy_send(self, peer, writer, state, entries, room):
-            written = len(frames)
-            await send(self, peer, writer, state, entries, room)
-            assert len(frames) > written
-            rounds.append((state["sent_hi"], frames[-1][1], entries[-1][0]))
-
-        monkeypatch.setattr(server, "encode_bin_batch_frame", spy_encode)
-        monkeypatch.setattr(server.ReplicaServer, "_send_batches", spy_send)
-
-        async def scenario():
-            plan = FaultPlan(0)
-            cluster = LiveCluster(
-                n_sites=2,
-                method="commu",
-                faults=plan,
-                server_options={"retry_base": 0.005, "retry_max": 0.02},
-            )
-            await cluster.start()
-            try:
-                client = await cluster.client("site0")
-                plan.partition([["site0"], ["site1"]])
-                for i in range(40):
-                    await client.update(
-                        [WriteOp("big%d" % (i % 8), "%04d" % i * 250)]
-                    )
-                plan.heal_all()
-                await cluster.settle(timeout=60)
-                assert await cluster.converged()
-            finally:
-                await cluster.stop()
-
-        run(scenario())
-        assert len(frames) >= 40 // 4
-        assert all(size <= budget for size, _ in frames)
-        assert all(sent_hi == last for sent_hi, last, _ in rounds)
-        # Some round fetched more than its frames could carry.
-        assert any(last < fetched for _, last, fetched in rounds)
 
     def test_receiver_answers_other_connections_mid_backlog(self):
         """A receiver yields to its loop after each frame it answers:

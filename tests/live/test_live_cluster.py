@@ -18,7 +18,7 @@ import pytest
 from repro.consistency import Consistency
 from repro.core.operations import IncrementOp, ReadOp
 from repro.core.transactions import EpsilonSpec
-from repro.live import FaultPlan, LiveCluster, LiveETFailed, server
+from repro.live import FaultPlan, LiveCluster, LiveETFailed, channel
 
 
 def run(coro):
@@ -186,8 +186,8 @@ class TestCrashRecovery:
 
         n_updates = 400
         batch = 8
-        monkeypatch.setattr(server, "FRAME_MSETS", batch)
-        monkeypatch.setattr(server, "FRAMES_IN_FLIGHT", 1)
+        monkeypatch.setattr(channel, "FRAME_MSETS", batch)
+        monkeypatch.setattr(channel, "FRAMES_IN_FLIGHT", 1)
 
         async def scenario():
             plan = FaultPlan(0)

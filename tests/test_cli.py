@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import LIVE_METHODS, main
 from repro.harness.experiments import EXPERIMENTS
 
 
@@ -126,6 +126,15 @@ class TestRunWithOutput:
             assert (tmp_path / name).read_bytes() == (
                 committed / name
             ).read_bytes(), name
+
+
+class TestLiveMethods:
+    def test_the_cli_offers_the_live_engines_in_their_order(self):
+        """One tuple feeds every ``--method`` of the live subcommands;
+        it is the engine registry, so ``--help`` lists what runs."""
+        from repro.live.engine import ENGINES
+
+        assert LIVE_METHODS == tuple(ENGINES)
 
 
 class TestChaos:
