@@ -1,7 +1,7 @@
 """Gossip-based membership and adaptive failure detection.
 
-Two pieces, both transport-agnostic (the server piggybacks them on its
-existing heartbeat frames):
+Three pieces, all transport-agnostic (the server piggybacks the table
+on its existing heartbeat frames):
 
 ``MembershipTable``
     A SWIM-style versioned membership table.  Each node record carries
@@ -24,7 +24,7 @@ existing heartbeat frames):
     records dominate its former life's.
 
 ``FailureDetector``
-    A phi-accrual-flavoured adaptive detector.  Instead of one fixed
+    An adaptive detector.  Instead of one fixed
     staleness threshold (which flaps on high-jitter WAN links), it
     tracks observed heartbeat inter-arrival times per peer and suspects
     a peer only when current staleness exceeds
@@ -34,6 +34,12 @@ existing heartbeat frames):
     which matches the fixed-threshold behaviour of earlier revisions.
     A peer is stale from its start mark (``watch``) until it is first
     heard from.
+
+``Membership``
+    One replica's view of its group over the two: the peer set, one
+    address lookup, liveness and its suspicion edges, the quorum and
+    the election's candidate ranking.  It holds no socket and no clock;
+    every step takes ``now``.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ __all__ = [
     "NodeRecord",
     "MembershipTable",
     "FailureDetector",
+    "Membership",
 ]
 
 ALIVE = "alive"
@@ -139,13 +146,11 @@ class NodeRecord:
 
 
 class MembershipTable:
-    """Versioned membership table with SWIM-style merge semantics.
+    """Membership table with SWIM-style merge semantics.
 
-    ``version`` increments on every local mutation; callers can compare
-    it cheaply to decide whether anything changed since they last
-    looked.  ``merge`` returns the list of record names whose entries
-    changed, so the server can react to joins / address changes /
-    frontier advances without diffing the whole table.
+    ``merge`` returns the list of record names whose entries changed,
+    so its caller can react to joins / address changes / frontier
+    advances without diffing the whole table.
     """
 
     def __init__(
@@ -163,7 +168,6 @@ class MembershipTable:
         )
         mine.incarnation += 1
         mine.status = ALIVE
-        self.version = 1
         self._persist([self_name])
 
     def _persist(self, names: Iterable[str]) -> None:
@@ -187,34 +191,29 @@ class MembershipTable:
         applied: Optional[int] = None,
     ) -> None:
         rec = self.self_record()
+        # Frontiers are not worth an append: gossip re-learns them.
+        if frontier is not None:
+            rec.frontier = int(frontier)
+        if applied is not None:
+            rec.applied = int(applied)
         changed = False  # something a restart must remember
-        progressed = False  # frontiers: gossip re-learns them
         if host is not None and rec.host != host:
             rec.host = host
             changed = True
         if port is not None and rec.port != int(port):
             rec.port = int(port)
             changed = True
-        if frontier is not None and rec.frontier != int(frontier):
-            rec.frontier = int(frontier)
-            progressed = True
         if shard is not None and rec.shard != shard:
             rec.shard = shard
             changed = True
-        if applied is not None and rec.applied != int(applied):
-            rec.applied = int(applied)
-            progressed = True
         if rec.status != ALIVE:
             rec.status = ALIVE
             rec.incarnation += 1
             changed = True
-        if changed or progressed:
-            self.version += 1
         if changed:
             self._persist([self.self_name])
 
-    def observe(self, name: str, host: str = "", port: int = 0,
-                shard: Optional[int] = None) -> None:
+    def observe(self, name: str, host: str = "", port: int = 0) -> None:
         """Seed a record for a statically configured peer (incarnation 0).
 
         Incarnation 0 never beats a gossiped record from the node
@@ -224,12 +223,8 @@ class MembershipTable:
             rec = self._records[name]
             if not rec.host and host:
                 rec.host, rec.port = host, int(port)
-                self.version += 1
             return
-        self._records[name] = NodeRecord(
-            name, host=host, port=port, incarnation=0, shard=shard,
-        )
-        self.version += 1
+        self._records[name] = NodeRecord(name, host, port, incarnation=0)
         self._persist([name])
 
     def set_status(self, name: str, status: str) -> bool:
@@ -247,7 +242,6 @@ class MembershipTable:
             # higher incarnation from the node itself
             return False
         rec.status = status
-        self.version += 1
         self._persist([name])
         return True
 
@@ -317,8 +311,6 @@ class MembershipTable:
                 if rec_durable:
                     durable.append(current.name)
             # lower incarnation: stale rumor, ignore
-        if changed:
-            self.version += 1
         if durable:
             self._persist(durable)
         return changed
@@ -369,9 +361,6 @@ class MembershipTable:
             if gap > 0:
                 lag += gap
         return lag
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 class _GapWindow:
@@ -517,19 +506,154 @@ class FailureDetector:
         return self._timeouts.get(peer, self.floor)
 
     def staleness(self, peer: str, now: float) -> float:
+        """Seconds since the peer's last arrival (or start mark); 0
+        while it is neither watched nor heard from."""
         last = self._last.get(peer)
-        if last is None:
-            return 0.0
-        return max(0.0, now - last)
+        return 0.0 if last is None else max(0.0, now - last)
 
     def suspect(self, peer: str, now: float) -> bool:
-        last = self._last.get(peer)
-        if last is None:
-            return False
-        return (now - last) > self.timeout(peer)
+        return self.staleness(peer, now) > self.timeout(peer)
 
     def dead(self, peer: str, now: float) -> bool:
-        last = self._last.get(peer)
-        if last is None:
-            return False
-        return (now - last) > self.dead_multiple * self.timeout(peer)
+        bound = self.dead_multiple * self.timeout(peer)
+        return self.staleness(peer, now) > bound
+
+
+class Membership:
+    """One replica's view of its group: the peer set, where each peer
+    listens, who is alive, the quorum and the candidate ranking.
+
+    It owns the :class:`MembershipTable` (opened over the control log
+    by :meth:`open`) and the :class:`FailureDetector`.  Its steps take
+    ``now`` and do no I/O but the table's control-log appends; the
+    server dials, traces and counts around it.
+    """
+
+    def __init__(
+        self, name: str, peers: Iterable[str], suspect_after: float,
+        shard: Optional[int] = None,
+    ) -> None:
+        self.name = name
+        #: the replica group's shard: a gossiped member of another
+        #: shard is never wired in.
+        self.shard = shard
+        #: the peers this replica replicates with, sorted: the
+        #: configured ones plus every member gossip joined.
+        self.peers: Tuple[str, ...] = tuple(sorted(set(peers) - {name}))
+        self.detector = FailureDetector(floor=suspect_after)
+        #: peer -> the address it was configured at, or gossip moved
+        #: it to; :meth:`address` falls back to the table's record.
+        self.configured: Dict[str, Tuple[str, int]] = {}
+        #: peers suspected at the last :meth:`check`.
+        self._suspected: Set[str] = set()
+        self.table: MembershipTable
+
+    def open(self, log: Optional["ControlLog"]) -> None:
+        """Load the table from ``log``: one boot, so this node's
+        incarnation rises."""
+        self.table = MembershipTable(self.name, log)
+
+    # ------------------------------------------------------------------
+    # addresses
+
+    def address(self, peer: str) -> Optional[Tuple[str, int]]:
+        """Where ``peer`` listens: its configured (or gossip-moved)
+        address, else its table record's; None while neither is known."""
+        return self.configured.get(peer) or self.table.address(peer)
+
+    def configure(self, addrs: Dict[str, Tuple[str, int]]) -> None:
+        """Install (or update) statically configured peer addresses."""
+        for peer, (host, port) in addrs.items():
+            if peer != self.name:
+                self.configured[peer] = (host, int(port))
+                self.table.observe(peer, host, int(port))
+
+    def merge(
+        self, records: Iterable[Dict[str, Any]]
+    ) -> Tuple[List[str], List[str]]:
+        """Merge gossiped records; return the members that joined the
+        peer set and the peers whose address moved.  A record of this
+        node, of a member that left, of another shard's member or
+        without an address changes neither."""
+        joined: List[str] = []
+        moved: List[str] = []
+        for name in self.table.merge(records):
+            rec = self.table._records[name]
+            if name == self.name or rec.status == LEFT or (
+                rec.shard != self.shard or not (rec.host and rec.port)
+            ):
+                continue
+            addr = (rec.host, rec.port)
+            if name not in self.peers:
+                self.peers = tuple(sorted(self.peers + (name,)))
+                joined.append(name)
+            elif self.configured.get(name) != addr:
+                moved.append(name)
+            self.configured[name] = addr
+        return joined, moved
+
+    # ------------------------------------------------------------------
+    # liveness
+
+    def alive(self, peer: str, now: float) -> bool:
+        """True while ``peer`` is watched and its staleness is within
+        its adaptive bound (mean + 4 sigma of its recent heartbeat
+        gaps, floored at ``suspect_after``)."""
+        return self.detector.last_seen(peer) is not None and not (
+            self.detector.suspect(peer, now)
+        )
+
+    def dead(self, peer: str, now: float) -> bool:
+        """True once staleness passes the dead escalation (3x the
+        adaptive bound): the trigger for elections."""
+        return self.detector.dead(peer, now)
+
+    def suspected(self, now: float) -> Tuple[str, ...]:
+        """Peers currently failing their heartbeat deadline."""
+        return tuple(p for p in self.peers if not self.alive(p, now))
+
+    def check(self, now: float) -> List[Tuple[str, str]]:
+        """The liveness edges since the last check, as ``(peer,
+        status)``: each newly suspected peer once (``SUSPECT``), and a
+        suspected peer's first ``DEAD`` escalation in the table.  A peer
+        heard from again needs no local de-escalation: it sees our rumor
+        in gossip and refutes it at a higher incarnation."""
+        edges: List[Tuple[str, str]] = []
+        for peer in self.peers:
+            if self.alive(peer, now):
+                self._suspected.discard(peer)
+                continue
+            if peer not in self._suspected:
+                self._suspected.add(peer)
+                self.table.set_status(peer, SUSPECT)
+                edges.append((peer, SUSPECT))
+            if self.dead(peer, now) and self.table.set_status(peer, DEAD):
+                edges.append((peer, DEAD))
+        return edges
+
+    # ------------------------------------------------------------------
+    # agreement
+
+    def quorum(self) -> int:
+        """Majority of the *full* membership (left members excluded).
+
+        The denominator is everyone, not just reachable members — two
+        disjoint 'majorities' of reachable subsets is exactly the
+        split-brain this fences out.  Floored at the peer set so a
+        not-yet-gossiped table cannot shrink the quorum."""
+        return max(self.table.active_count(), len(self.peers) + 1) // 2 + 1
+
+    def best_candidate(self, now: float, exclude: Tuple[str, ...] = ()) -> str:
+        """Deterministic candidate ranking: highest incarnation among
+        this node and its live peers, ties to the lexicographically
+        smallest name.  Every replica computes the same answer from
+        converged gossip, so normally exactly one campaigns."""
+        best, best_inc = self.name, self.table.self_record().incarnation
+        for peer in self.peers:
+            if peer in exclude or not self.alive(peer, now):
+                continue
+            rec = self.table.get(peer)
+            inc = rec.incarnation if rec is not None else 0
+            if inc > best_inc or (inc == best_inc and peer < best):
+                best, best_inc = peer, inc
+        return best

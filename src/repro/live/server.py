@@ -52,8 +52,8 @@ kind this server does not know — a mis-versioned peer — is answered
 with an ``error`` frame and counted, never applied.
 
 Failure detection and graceful degradation: channel loops double as a
-heartbeat path — any acknowledgement or heartbeat reply marks the peer
-*alive*; a peer silent for longer than ``suspect_after`` seconds is
+heartbeat path — any frame from a peer marks it *alive*; a peer silent
+past its adaptive bound (:class:`~repro.live.gossip.Membership`) is
 *suspected*, the server enters **degraded mode**, and ``epsilon = 0``
 queries fail fast with a typed :class:`Unavailable` error instead of
 blocking until their timeout.  Epsilon-bounded queries keep answering
@@ -130,7 +130,7 @@ from .client import LiveETFailed, request_once
 from .durable_queue import ControlLog, DurableInbox, DurableOutbox
 from .engine import LiveEngine, QueryOutcome, QueryTimeout, make_engine
 from .faults import FaultPlan, Link
-from .gossip import DEAD, LEFT, SUSPECT, FailureDetector, MembershipTable
+from .gossip import SUSPECT, Membership
 from .protocol import (
     FrameProtocol,
     FrameWriter,
@@ -328,7 +328,6 @@ class ReplicaServer:
         shard: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.name = name
-        self.peer_names = tuple(sorted(p for p in peers if p != name))
         #: shard ownership, when this replica serves one partition of a
         #: sharded keyspace: ``{"index": i, "count": n, "epoch": e,
         #: "accepting": bool}``.  ``None`` means the replica owns the
@@ -345,6 +344,9 @@ class ReplicaServer:
             self.shard_count = None
             self.shard_epoch = 0
             self._shard_accepting = True
+        #: the peer set, where each peer listens and who is alive
+        #: (its table is opened by :meth:`bind`).
+        self.membership = Membership(name, peers, suspect_after, self.shard_index)
         #: True once this group was fenced out of its shard: every
         #: update/query is answered WRONG_SHARD with the newest map.
         self._shard_retired = False
@@ -385,7 +387,6 @@ class ReplicaServer:
         self._init_instruments()
         #: the site hosting the central order server (ORDUP).
         self.order_site = sorted((name,) + self.peer_names)[0]
-        self.peer_addrs: Dict[str, Tuple[str, int]] = {}
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -431,9 +432,6 @@ class ReplicaServer:
         #: the sequencer's and the membership's records
         #: (opened by :meth:`bind`, with the two views over it).
         self._control: ControlLog
-        #: gossiped membership table + adaptive failure detector.
-        self.membership: MembershipTable
-        self.detector = FailureDetector(floor=suspect_after)
         #: the ORDUP sequencer: election state, grants and the lease.
         self.election: Sequencer
         #: ORDUP with peers: True once the boot epoch probe confirmed
@@ -444,8 +442,6 @@ class ReplicaServer:
         self._campaign_lock = asyncio.Lock()
         #: deterministic per-server jitter stream (heartbeat spread).
         self._rng = random.Random(name)
-        #: peer -> currently suspected? (suspicion-transition counting).
-        self._suspected_state: Dict[str, bool] = {}
         #: True once start_channels ran (gossip joins then spawn their
         #: channel loops immediately instead of waiting for it).
         self._channels_started = False
@@ -653,7 +649,7 @@ class ReplicaServer:
         for peer in self.peer_names:
             self._open_channel(peer)
         self._control = ControlLog(self.data_dir / "control.log", self.fsync)
-        self.membership = MembershipTable(self.name, self._control)
+        self.membership.open(self._control)
         self.election = Sequencer(self._control)
         self.m_record_load_errors.labels(record="control").set_to(
             self._control.load_errors
@@ -667,11 +663,15 @@ class ReplicaServer:
         )
         self.host = host
         self.port = self._server.sockets[0].getsockname()[1]
-        self.membership.update_self(
+        self.membership.table.update_self(
             host=host, port=self.port, shard=self.shard_index,
         )
-        self.m_membership_size.set(self.membership.active_count())
         return self.port
+
+    @property
+    def peer_names(self) -> Tuple[str, ...]:
+        """The peers this replica replicates with, sorted."""
+        return self.membership.peers
 
     def _open_channel(self, peer: str) -> None:
         """Open one peer channel's durable state: the inbox for what
@@ -767,11 +767,7 @@ class ReplicaServer:
 
     def set_peers(self, addrs: Dict[str, Tuple[str, int]]) -> None:
         """Install (or update) peer addresses for the channel loops."""
-        for peer, addr in addrs.items():
-            if peer != self.name:
-                self.peer_addrs[peer] = tuple(addr)
-                self.membership.observe(peer, addr[0], int(addr[1]))
-        self.m_membership_size.set(self.membership.active_count())
+        self.membership.configure(addrs)
 
     def start_channels(self) -> None:
         """Launch one durable sender loop per peer channel, plus the
@@ -893,41 +889,18 @@ class ReplicaServer:
     # -- peer health ---------------------------------------------------------
 
     def _note_peer_alive(self, peer: str) -> None:
-        if peer in self.channels:
-            self.channels[peer].failures = 0
-            self.detector.heartbeat(peer, self.engine.clock())
-
-    def peer_alive(self, peer: str) -> bool:
-        """True while we have recent evidence the peer is reachable.
-
-        Adaptive: the detector suspects a peer only when staleness
-        exceeds its observed inter-arrival distribution (mean + 4
-        sigma, floored at ``suspect_after``), so high-jitter WAN links
-        don't flap degraded mode on every slow heartbeat.  A peer is
-        watched from its channel's start: a freshly booted cluster is
-        not "degraded" before the first heartbeat round could land.
-        """
-        return self.detector.last_seen(peer) is not None and not (
-            self.detector.suspect(peer, self.engine.clock())
-        )
-
-    def peer_dead(self, peer: str) -> bool:
-        """True once staleness passes the dead escalation (3x the
-        adaptive suspicion bound) — the trigger for elections."""
-        return self.detector.dead(peer, self.engine.clock())
-
-    def suspected_peers(self) -> Tuple[str, ...]:
-        """Peers currently failing the heartbeat deadline."""
-        return tuple(
-            p for p in self.peer_names if not self.peer_alive(p)
-        )
+        channel = self.channels.get(peer)
+        if channel is not None:
+            channel.failures = 0
+            self.membership.detector.heartbeat(peer, self.engine.clock())
 
     def degraded(self) -> bool:
         """True when any peer is suspected — or this replica is
         installing a peer snapshot: full agreement is off the table,
         only epsilon-bounded service remains.  A fresh boot's survey is
         not degraded."""
-        return bool(self.suspected_peers()) or self._catching_up
+        suspected = self.membership.suspected(self.engine.clock())
+        return bool(suspected) or self._catching_up
 
     async def _degraded_monitor(self) -> None:
         """Watch the degraded predicate and publish its transitions as
@@ -939,21 +912,12 @@ class ReplicaServer:
             await asyncio.sleep(self.heartbeat_interval / 2)
 
     def _check_degraded_transition(self) -> None:
-        suspected = set(self.suspected_peers())
-        for peer in self.peer_names:
-            was = self._suspected_state.get(peer, False)
-            now = peer in suspected
-            if now and not was:
+        now = self.engine.clock()
+        for peer, status in self.membership.check(now):
+            if status == SUSPECT:
                 self.m_suspicions.labels(peer=peer).inc()
-                self.membership.set_status(peer, SUSPECT)
-                self.trace.event("membership", peer=peer, status=SUSPECT)
-            # recovery needs no local de-escalation: the suspected
-            # peer sees our rumor in gossip, refutes by bumping its
-            # incarnation, and the refutation out-versions us.
-            self._suspected_state[peer] = now
-            if now and self.peer_dead(peer):
-                if self.membership.set_status(peer, DEAD):
-                    self.trace.event("membership", peer=peer, status=DEAD)
+            self.trace.event("membership", peer=peer, status=status)
+        suspected = self.membership.suspected(now)
         now_degraded = self.degraded()
         if now_degraded != self._last_degraded:
             self._last_degraded = now_degraded
@@ -962,12 +926,12 @@ class ReplicaServer:
             self.trace.event(
                 "degraded",
                 value=1 if now_degraded else 0,
-                suspected=list(self.suspected_peers()),
+                suspected=list(suspected),
             )
             logger.debug(
                 "%s: degraded -> %s (suspected: %s)",
                 self.name, now_degraded,
-                ",".join(self.suspected_peers()) or "-",
+                ",".join(suspected) or "-",
             )
         if now_degraded:
             # Full agreement is off the table: a strict read parked on
@@ -975,7 +939,7 @@ class ReplicaServer:
             self.engine.fail_parked_strict(
                 lambda: Unavailable(
                     "epsilon=0 query aborted: peers %s became unreachable"
-                    % ",".join(self.suspected_peers())
+                    % ",".join(suspected)
                 )
             )
 
@@ -990,10 +954,24 @@ class ReplicaServer:
         lease evidence, and a higher epoch is adopted (fencing the
         engine) in the same step."""
         nodes, leader = digest
-        changed = self.membership.merge(nodes)
-        self.m_membership_size.set(self.membership.active_count())
-        for name in changed:
-            self._apply_member_change(name)
+        membership = self.membership
+        joined, moved = membership.merge(nodes)
+        for name in joined:
+            # A gossip-discovered member: its durable channel state and,
+            # once running, its channel loop.
+            self._open_channel(name)
+            self.trace.event("membership", peer=name, status="join")
+            logger.info(
+                "%s: discovered member %s at %s:%d",
+                self.name, name, *membership.configured[name],
+            )
+            if self._running and self._channels_started:
+                self._start_channel(name)
+        for name in moved:
+            host, port = membership.configured[name]
+            self.trace.event(
+                "membership", peer=name, status="moved", host=host, port=port,
+            )
         if leader is None or src not in self.peer_names:
             return
         epoch, who, base = leader
@@ -1002,49 +980,6 @@ class ReplicaServer:
         self.election.heard(src, epoch, self.engine.clock())
         if who and epoch > self.election.epoch:
             self._adopt_leader(epoch, who, base)
-
-    def _apply_member_change(self, name: str) -> None:
-        """React to one changed membership record: a join or an
-        address move."""
-        if name == self.name:
-            return
-        rec = self.membership.get(name)
-        if rec is None or rec.status == LEFT:
-            return
-        if rec.shard != self.shard_index:
-            return  # a different shard's replica group
-        if name not in self.peer_names:
-            if rec.host and rec.port:
-                self.add_peer(name, rec.host, rec.port)
-            return
-        if rec.host and rec.port:
-            current = self.peer_addrs.get(name)
-            if current != (rec.host, rec.port):
-                self.peer_addrs[name] = (rec.host, rec.port)
-                self.trace.event(
-                    "membership", peer=name, status="moved",
-                    host=rec.host, port=rec.port,
-                )
-
-    def add_peer(self, name: str, host: str, port: int) -> None:
-        """Dynamically wire a gossip-discovered member into this
-        replica: durable channel state, address book, and (when
-        running) a live channel loop."""
-        if name == self.name:
-            return
-        if name in self.peer_names:
-            self.peer_addrs[name] = (host, int(port))
-            return
-        self.peer_names = tuple(sorted(self.peer_names + (name,)))
-        self.peer_addrs[name] = (host, int(port))
-        self.membership.observe(name, host, int(port))
-        self._open_channel(name)
-        self.trace.event("membership", peer=name, status="join")
-        logger.info(
-            "%s: discovered member %s at %s:%d", self.name, name, host, port
-        )
-        if self._running and self._channels_started:
-            self._start_channel(name)
 
     # -- sequencer election --------------------------------------------------
 
@@ -1064,20 +999,8 @@ class ReplicaServer:
         if not self._epoch_synced:
             return False
         return not self.peer_names or self.election.lease_held(
-            self.engine.clock(), self._quorum(), self.suspect_after
+            self.engine.clock(), self.membership.quorum(), self.suspect_after
         )
-
-    def _quorum(self) -> int:
-        """Majority of the *full* membership (left members excluded).
-
-        The denominator is everyone, not just reachable members — two
-        disjoint 'majorities' of reachable subsets is exactly the
-        split-brain this fences out.  Floored at the static peer list
-        so a not-yet-gossiped table cannot shrink the quorum."""
-        members = max(
-            self.membership.active_count(), len(self.peer_names) + 1
-        )
-        return members // 2 + 1
 
     def _grant(self, src: Any = None, rid: Any = None) -> Tuple[int, int]:
         """The next order token, if this replica is the order authority
@@ -1113,7 +1036,7 @@ class ReplicaServer:
             replies = await self._ask_peers(
                 "elect", ACK_TIMEOUT, epoch=0, candidate=self.name
             )
-            if len(replies) + 1 >= self._quorum():
+            if len(replies) + 1 >= self.membership.quorum():
                 newer = self.election.newest(replies.values())
                 if newer is not None:
                     self._adopt_leader(*newer)
@@ -1126,23 +1049,6 @@ class ReplicaServer:
             await asyncio.sleep(backoff)
             backoff = min(backoff * 2, self.retry_max)
 
-    def _best_candidate(self, exclude: Tuple[str, ...] = ()) -> str:
-        """Deterministic candidate ranking: highest incarnation among
-        live members, ties to the lexicographically smallest name.
-        Every replica computes the same answer from converged gossip,
-        so normally exactly one campaigns."""
-        best = self.name
-        rec = self.membership.get(self.name)
-        best_inc = rec.incarnation if rec is not None else 0
-        for peer in self.peer_names:
-            if peer in exclude or not self.peer_alive(peer):
-                continue
-            rec = self.membership.get(peer)
-            inc = rec.incarnation if rec is not None else 0
-            if inc > best_inc or (inc == best_inc and peer < best):
-                best, best_inc = peer, inc
-        return best
-
     async def _election_loop(self) -> None:
         """Watch the order authority; campaign when it is dead and does
         not answer a ping either: a leader that answers is alive, and it
@@ -1152,9 +1058,10 @@ class ReplicaServer:
             if not self._epoch_synced or self._recovery is not None:
                 continue
             leader = self.current_leader()
-            if leader == self.name or not self.peer_dead(leader):
+            now = self.engine.clock()
+            if leader == self.name or not self.membership.dead(leader, now):
                 continue
-            if self._best_candidate(exclude=(leader,)) != self.name:
+            if self.membership.best_candidate(now, (leader,)) != self.name:
                 continue
             try:
                 await self._peer_request(leader, "ping", timeout=ACK_TIMEOUT)
@@ -1174,7 +1081,7 @@ class ReplicaServer:
             )
             votes, base = self.election.win(
                 epoch, self.engine.max_order_seen(), replies.values(),
-                self._quorum(),
+                self.membership.quorum(),
             )
             if base is None:
                 self.m_elections.labels(outcome="lost").inc()
@@ -1203,7 +1110,7 @@ class ReplicaServer:
 
     def _start_channel(self, peer: str) -> None:
         """Watch ``peer`` from now on and run its channel loop."""
-        self.detector.watch(peer, self.engine.clock())
+        self.membership.detector.watch(peer, self.engine.clock())
         self._spawn(self._channel_loop(self.channels[peer]))
 
     def _kick_channels(self) -> None:
@@ -1220,7 +1127,7 @@ class ReplicaServer:
         peer = channel.peer
         backoff = self.retry_base
         while self._running:
-            addr = self.peer_addrs.get(peer)
+            addr = self.membership.address(peer)
             if addr is None:
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, self.retry_max)
@@ -1343,14 +1250,11 @@ class ReplicaServer:
     def _gossip_payload(self) -> Dict[str, Any]:
         """The membership + leadership digest piggybacked on every
         heartbeat and heartbeat reply."""
-        self.membership.update_self(
-            frontier=self.log.assigned,
-            applied=self.engine.applied_count,
+        table = self.membership.table
+        table.update_self(
+            frontier=self.log.assigned, applied=self.engine.applied_count,
         )
-        return {
-            "nodes": self.membership.wire(),
-            "leader": self.election.wire(),
-        }
+        return {"nodes": table.wire(), "leader": self.election.wire()}
 
     def _on_channel_frame(
         self,
@@ -1736,7 +1640,7 @@ class ReplicaServer:
         in either direction refuses the dial and aborts the connection.
         A refusal raises :class:`LiveETFailed`, a lost connection
         ``ConnectionError``, silence ``asyncio.TimeoutError``."""
-        addr = self.peer_addrs.get(peer) or self.membership.address(peer)
+        addr = self.membership.address(peer)
         if addr is None:
             raise ConnectionError("no route to peer %s" % peer)
         held = self._peer_conns.get(peer)
@@ -2323,14 +2227,14 @@ class ReplicaServer:
             self.m_channel_backlog.labels(peer=peer).set(
                 self.log.backlog(peer)
             )
-            seen = self.detector.last_seen(peer)
+            seen = self.membership.detector.last_seen(peer)
             if seen is not None:
                 self.m_peer_staleness.labels(peer=peer).set(now - seen)
             self.m_peer_alive.labels(peer=peer).set(
-                1 if self.peer_alive(peer) else 0
+                1 if self.membership.alive(peer, now) else 0
             )
         self._check_degraded_transition()
-        self.m_degraded.set(1 if self.degraded() else 0)
+        self.m_membership_size.set(self.membership.table.active_count())
         self.m_updates_owed.set(self.log.assigned - self.log.released_hi)
         self.engine.refresh_gauges()
         for _, label, box in self._logs() + [("", "control", self._control)]:
@@ -2369,10 +2273,10 @@ class ReplicaServer:
         now = self.engine.clock()
         peers: Dict[str, Dict[str, Any]] = {}
         for peer in self.peer_names:
-            seen = self.detector.last_seen(peer)
+            seen = self.membership.detector.last_seen(peer)
             channel = self.channels[peer]
             peers[peer] = {
-                "alive": self.peer_alive(peer),
+                "alive": self.membership.alive(peer, now),
                 "staleness": (
                     None if seen is None else round(now - seen, 4)
                 ),
@@ -2428,7 +2332,7 @@ class ReplicaServer:
         election["order_site"] = self.current_leader()
         election["synced"] = self._epoch_synced
         stats["election"] = election
-        stats["membership"] = self.membership.wire()
+        stats["membership"] = self.membership.table.wire()
         return {"stats": stats}
 
     async def _handle_settle(self, frame: Dict[str, Any]) -> Dict[str, Any]:
@@ -3014,7 +2918,7 @@ class ReplicaServer:
             # How far behind the group this replica can prove it is,
             # in update counts (gossiped own-update frontiers vs what
             # has actually been received here).
-            "staleness": self.membership.frontier_lag(frontiers),
+            "staleness": self.membership.table.frontier_lag(frontiers),
         }
 
     def _check_strict(self) -> None:
@@ -3033,5 +2937,5 @@ class ReplicaServer:
         if self.degraded():
             raise Unavailable(
                 "epsilon=0 query refused: peers %s suspected"
-                % ",".join(self.suspected_peers())
+                % ",".join(self.membership.suspected(self.engine.clock()))
             )

@@ -1,11 +1,12 @@
 """Gossip membership, adaptive failure detection, heartbeat jitter.
 
 Unit tests pin the SWIM-style merge semantics (incarnation versioning,
-severity tie-breaks, self-refutation) and the phi-style suspicion
-bound; integration tests boot real clusters and check that membership
-converges by gossip alone — a joined replica is discovered in both
-directions without manual wiring, and an address change after a
-restart propagates without the test re-pointing anyone.
+severity tie-breaks, self-refutation) and the adaptive suspicion bound
+(mean + 4 sigma of recent heartbeat gaps); integration tests boot real
+clusters and check that membership converges by gossip alone — a
+joined replica is discovered in both directions without manual wiring,
+and an address change after a restart propagates without the test
+re-pointing anyone.
 """
 
 import asyncio
@@ -308,23 +309,20 @@ class TestPeerLiveness:
             )
             server.engine.clock = lambda: clock[0]
             await server.bind("127.0.0.1", 0)
+            members = server.membership
             try:
                 # Never watched: not alive, and not dead either.
-                assert not server.peer_alive("siteB")
-                assert not server.peer_dead("siteB")
+                assert not members.alive("siteB", clock[0])
+                assert not members.dead("siteB", clock[0])
                 server.start_channels()
                 # Watched, not yet heard from: alive for suspect_after.
-                clock[0] = 100.4
-                assert server.peer_alive("siteB")
-                clock[0] = 100.6
-                assert not server.peer_alive("siteB")
-                assert not server.peer_dead("siteB")
-                assert server.suspected_peers() == ("siteB",)
+                assert members.alive("siteB", 100.4)
+                assert not members.alive("siteB", 100.6)
+                assert not members.dead("siteB", 100.6)
+                assert members.suspected(100.6) == ("siteB",)
                 # Dead after dead_multiple times that.
-                clock[0] = 101.4
-                assert not server.peer_dead("siteB")
-                clock[0] = 101.6
-                assert server.peer_dead("siteB")
+                assert not members.dead("siteB", 101.4)
+                assert members.dead("siteB", 101.6)
             finally:
                 await server.stop()
 
@@ -369,7 +367,7 @@ class TestLiveGossip:
                 deadline = time.monotonic() + 10.0
                 while time.monotonic() < deadline:
                     tables = [
-                        cluster.servers[n].membership for n in names
+                        cluster.servers[n].membership.table for n in names
                     ]
                     if all(
                         set(t.member_names()) == names
@@ -379,7 +377,7 @@ class TestLiveGossip:
                         break
                     await asyncio.sleep(0.05)
                 for name in names:
-                    table = cluster.servers[name].membership
+                    table = cluster.servers[name].membership.table
                     assert set(table.member_names()) == names
                     for member in names:
                         assert table.address(member) is not None
@@ -408,7 +406,7 @@ class TestLiveGossip:
                 expect = set(cluster.names)
                 deadline = time.monotonic() + 15.0
                 while time.monotonic() < deadline:
-                    joined = cluster.servers["site3"].membership
+                    joined = cluster.servers["site3"].membership.table
                     far = cluster.servers["site2"].membership
                     if (
                         set(joined.member_names()) == expect
@@ -420,7 +418,7 @@ class TestLiveGossip:
                 # and a replica the joiner never dialed learned the
                 # joiner's address.
                 assert set(
-                    cluster.servers["site3"].membership.member_names()
+                    cluster.servers["site3"].membership.table.member_names()
                 ) == expect
                 assert (
                     cluster.servers["site2"].membership.address("site3")
@@ -479,8 +477,8 @@ class TestLiveGossip:
                 expect = set(cluster.names)
                 deadline = time.monotonic() + 15.0
                 while time.monotonic() < deadline and not all(
-                    set(server.membership.member_names()) == expect
-                    and server.peer_addrs.keys() == expect - {name}
+                    set(server.membership.table.member_names()) == expect
+                    and server.membership.configured.keys() == expect - {name}
                     for name, server in cluster.servers.items()
                 ):
                     await asyncio.sleep(0.05)
@@ -573,7 +571,7 @@ class TestLiveGossip:
                         p for p in cluster.names if p != server.name
                     ][0]
                     # The bound adapted above the flappy fixed floor.
-                    assert server.detector.timeout(peer) > 0.15
+                    assert server.membership.detector.timeout(peer) > 0.15
                     for event in server.trace.snapshot():
                         if (
                             event.get("kind") == "degraded"
@@ -612,7 +610,7 @@ class TestGossipIsCheckedFirst:
                 assert await raw.recv() is None  # the connection is closed
                 await raw.close()
                 assert _heartbeat_drops(server) == 1
-                assert server.membership.member_names() == ["site0"]
+                assert server.membership.table.member_names() == ["site0"]
             finally:
                 await server.stop()
 

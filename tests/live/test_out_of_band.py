@@ -172,7 +172,8 @@ class TestPeerRequest:
         run(scenario())
 
     def test_dials_the_gossiped_address(self, tmp_path):
-        """No configured address: the membership table's is used."""
+        """No configured address: the membership table's is used, by a
+        request and by the peer channel alike."""
 
         async def scenario():
             names = ["site0", "site1"]
@@ -184,13 +185,30 @@ class TestPeerRequest:
                 for server in servers.values():
                     await server.bind("127.0.0.1", 0)
                 asker = servers["site0"]
-                assert asker.peer_addrs == {}
+                assert asker.membership.configured == {}
                 with pytest.raises(ConnectionError, match="no route"):
                     await asker._peer_request("site1", "ping")
-                asker.membership.merge(servers["site1"].membership.wire())
+                asker.membership.table.merge(
+                    servers["site1"].membership.table.wire()
+                )
                 reply = await asker._peer_request("site1", "ping")
                 assert reply["site"] == "site1"
-                assert asker.peer_addrs == {}
+                assert asker.membership.configured == {}
+                # The channel dials the same address: an increment at
+                # site0 reaches site1's inbox over it.
+                asker.start_channels()
+                await asker.recovered()
+                await request_once(
+                    ("127.0.0.1", asker.port), "update",
+                    ops=[["inc", "k", 1]],
+                )
+                inbox = servers["site1"].inboxes["site0"]
+                for _ in range(250):
+                    if inbox.frontier:
+                        break
+                    await asyncio.sleep(0.02)
+                assert inbox.frontier == 1
+                assert servers["site1"].engine.snapshot() == {"k": 1}
             finally:
                 for server in servers.values():
                     await server.stop()
@@ -297,10 +315,10 @@ class TestPeerRequest:
             )
             await asker.bind("127.0.0.1", 0)
             try:
-                asker.peer_addrs = {
+                asker.set_peers({
                     name: listener.sockets[0].getsockname()[:2]
                     for name, listener in zip(("site1", "site2"), listeners)
-                }
+                })
                 asker.current_leader = lambda: leader[0]
                 token = await asyncio.wait_for(asker._acquire_order(), 5.0)
                 assert token == (7, 1)
