@@ -58,11 +58,9 @@ from .core import (
     commutes,
     conflicts,
     is_epsilon_serial,
-    is_esr,
     is_one_copy_serializable,
     is_serializable,
     make_et,
-    query_overlaps,
     replicas_converged,
 )
 from .replica import (
@@ -78,7 +76,6 @@ from .replica import (
 )
 from .sim import (
     ConstantLatency,
-    ExponentialLatency,
     Simulator,
     UniformLatency,
 )
@@ -132,15 +129,15 @@ __all__ = [
     "EpsilonSpec", "EpsilonTransaction", "ETResult", "ETStatus", "Event",
     "History", "IncrementOp", "MultiplyOp", "Operation", "ORDUP_TABLE",
     "QueryET", "ReadOp", "TimestampedWriteOp", "UNLIMITED", "UpdateET",
-    "WriteOp", "commutes", "conflicts", "is_epsilon_serial", "is_esr",
+    "WriteOp", "commutes", "conflicts", "is_epsilon_serial",
     "is_one_copy_serializable", "is_serializable", "make_et",
-    "query_overlaps", "replicas_converged",
+    "replicas_converged",
     # replica
     "CommutativeOperations", "CompensationBased", "OrderedUpdates",
     "PrimaryCopy", "QuorumConsensus", "ReadIndependentUpdates",
     "ReadOneWriteAll2PC", "ReplicatedSystem", "SystemConfig",
     # sim
-    "ConstantLatency", "ExponentialLatency", "Simulator", "UniformLatency",
+    "ConstantLatency", "Simulator", "UniformLatency",
     # workload / metrics / audit
     "WorkloadGenerator", "WorkloadSpec", "drive",
     "RunMetrics", "divergence_of", "summarize",

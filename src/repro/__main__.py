@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list                 # show experiment ids
     python -m repro run T1 E3            # run selected experiments
-    python -m repro run all              # run everything (takes ~10 s)
+    python -m repro run all              # run everything (takes ~7 s)
     python -m repro run all -o results/  # also save one .txt per id
         # exits 1 if an experiment raises or one of its runs fails
         # the ESR audit (harness/audit.py), naming the guarantee
@@ -58,6 +58,15 @@ _DESCRIPTIONS = {
     "E8": "COMPE compensation strategy costs",
     "E9": "availability during a partition",
     "E10": "commit latency vs link latency",
+    "A1": "ablation: lock table vs blocking",
+    "A2": "ablation: ORDUP central vs Lamport ordering",
+    "A3": "ablation: COMPE decision delay",
+    "A4": "ablation: 2PL vs timestamp vs optimistic engine",
+    "X1": "extension: value-bounded queries",
+    "X2": "extension: quasi-copies vs ESR",
+    "X3": "extension: offline partition merge vs ESR reconnect",
+    "X4": "extension: deferred updates (ETs with deadlines)",
+    "X5": "extension: commit latency vs link bandwidth",
 }
 
 

@@ -18,7 +18,6 @@ from .operations import (
     WriteOp,
     commutes,
     conflicts,
-    is_read,
     is_write,
 )
 from .transactions import (
@@ -35,16 +34,13 @@ from .transactions import (
 from .history import Event, History, SerializationGraph
 from .serializability import (
     is_epsilon_serial,
-    is_esr,
     is_one_copy_serializable,
     is_serial,
     is_serializable,
     is_serializable_bruteforce,
-    merge_site_histories,
     replicas_converged,
-    serial_witness,
 )
-from .overlap import OverlapRecord, OverlapTracker, query_overlaps
+from .overlap import OverlapRecord, OverlapTracker
 from .inconsistency import (
     EpsilonExceeded,
     InconsistencyCounter,
@@ -54,7 +50,6 @@ from .locks import (
     COMMU_TABLE,
     Compatibility,
     CompatibilityTable,
-    DeadlockError,
     LockGrant,
     LockManager,
     LockMode,
@@ -67,7 +62,6 @@ from .divergence import (
     DivergenceControl,
     OptimisticDC,
     TwoPhaseLockingDC,
-    VTNCDC,
 )
 from .scheduler import LocalScheduler, ScheduledET
 
@@ -75,24 +69,23 @@ __all__ = [
     # operations
     "AppendOp", "DecrementOp", "DivideOp", "IncrementOp", "MultiplyOp",
     "Operation", "OperationError", "ReadOp", "TimestampedWriteOp",
-    "WriteOp", "commutes", "conflicts", "is_read", "is_write",
+    "WriteOp", "commutes", "conflicts", "is_write",
     # transactions
     "ETResult", "ETStatus", "EpsilonSpec", "EpsilonTransaction",
     "QueryET", "TransactionID", "UNLIMITED", "UpdateET", "make_et",
     # histories and checkers
     "Event", "History", "SerializationGraph", "is_epsilon_serial",
-    "is_esr", "is_one_copy_serializable", "is_serial", "is_serializable",
-    "is_serializable_bruteforce", "merge_site_histories",
-    "replicas_converged", "serial_witness",
+    "is_one_copy_serializable", "is_serial", "is_serializable",
+    "is_serializable_bruteforce", "replicas_converged",
     # overlap and inconsistency
-    "OverlapRecord", "OverlapTracker", "query_overlaps",
+    "OverlapRecord", "OverlapTracker",
     "EpsilonExceeded", "InconsistencyCounter",
     # locks
     "CLASSIC_2PL", "COMMU_TABLE", "Compatibility", "CompatibilityTable",
-    "DeadlockError", "LockGrant", "LockManager", "LockMode", "ORDUP_TABLE",
+    "LockGrant", "LockManager", "LockMode", "ORDUP_TABLE",
     # divergence control
     "Admission", "BasicTimestampDC", "Decision", "DivergenceControl",
-    "OptimisticDC", "TwoPhaseLockingDC", "VTNCDC",
+    "OptimisticDC", "TwoPhaseLockingDC",
     # local scheduling
     "LocalScheduler", "ScheduledET",
 ]

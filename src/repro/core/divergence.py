@@ -18,10 +18,6 @@ paper outlines:
   access"); out-of-order update accesses are rejected, out-of-order
   query reads charge the counter and degrade to waits when exhausted.
 
-* :class:`VTNCDC` — the multiversion visibility engine for RITU
-  (section 3.3): reads at or below the visible-transaction-number
-  counter are free; reads of newer versions charge the counter.
-
 Each engine exposes the same small interface (``begin`` / ``request`` /
 ``commit`` / ``abort``) so sites and tests can swap them.
 """
@@ -49,7 +45,6 @@ __all__ = [
     "TwoPhaseLockingDC",
     "BasicTimestampDC",
     "OptimisticDC",
-    "VTNCDC",
 ]
 
 
@@ -87,9 +82,6 @@ class DivergenceControl:
         """Start tracking an ET (queries get an inconsistency counter)."""
         if et.is_query:
             self._counters[et.tid] = InconsistencyCounter(et.tid, et.spec)
-
-    def counter_of(self, tid: TransactionID) -> Optional[InconsistencyCounter]:
-        return self._counters.get(tid)
 
     def inconsistency_of(self, tid: TransactionID) -> int:
         """Final/current inconsistency counter value of a query."""
@@ -349,75 +341,3 @@ class OptimisticDC(DivergenceControl):
 
     def abort(self, et: EpsilonTransaction) -> None:
         self._active.pop(et.tid, None)
-
-    def gc(self) -> int:
-        """Drop committed write-sets no active ET can still conflict
-        with; returns the number retained."""
-        if self._active:
-            low_water = min(s for s, _, _ in self._active.values())
-        else:
-            low_water = self._serial
-        self._committed = [
-            entry for entry in self._committed if entry[0] > low_water
-        ]
-        return len(self._committed)
-
-
-class VTNCDC(DivergenceControl):
-    """Visible-transaction-number-counter engine for RITU multiversion.
-
-    The VTNC marks the highest transaction number whose versions are
-    stably visible: 'no smaller version can be created by any active or
-    future transaction'.  Reads at or below the VTNC are SR and free;
-    a read of a newer version charges the query's counter, and when the
-    counter is exhausted newer versions are refused (the store then
-    serves the newest VTNC-visible version instead).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._vtnc = 0
-
-    @property
-    def vtnc(self) -> int:
-        return self._vtnc
-
-    def advance(self, txn_number: int) -> None:
-        """Raise the VTNC (monotone, by the modular-synchronization rule)."""
-        if txn_number > self._vtnc:
-            self._vtnc = txn_number
-
-    def request(self, et: EpsilonTransaction, op: Operation) -> Decision:
-        raise NotImplementedError(
-            "VTNCDC admits by version; use admit_version()"
-        )
-
-    def admit_version(
-        self,
-        et: EpsilonTransaction,
-        version_txn: int,
-        writer: Optional[TransactionID] = None,
-    ) -> Decision:
-        """Decide whether ``et`` may read a version made by txn number.
-
-        Returns GRANT for VTNC-visible versions, GRANT_CHARGE when the
-        version is newer and the counter absorbs it, and WAIT when the
-        counter is exhausted (the caller must fall back to the newest
-        visible version).
-        """
-        if version_txn <= self._vtnc:
-            return Decision(Admission.GRANT)
-        source = writer if writer is not None else version_txn
-        charged = self._charge_query(et, {source})
-        if charged is not None:
-            return charged
-        # Update ETs never read unstable versions under RITU (their
-        # updates are read-independent), so reaching here means a
-        # query with no counter — treat as strict.
-        return Decision(Admission.WAIT)
-
-    def commit(self, et: EpsilonTransaction) -> None:
-        return None
-
-    def abort(self, et: EpsilonTransaction) -> None:
-        return None

@@ -75,9 +75,6 @@ class SerializationGraph:
     def successors(self, tid: TransactionID) -> Set[TransactionID]:
         return set(self._edges.get(tid, ()))
 
-    def has_edge(self, a: TransactionID, b: TransactionID) -> bool:
-        return b in self._edges.get(a, ())
-
     def is_acyclic(self) -> bool:
         """Cycle test via iterative three-color DFS."""
         WHITE, GRAY, BLACK = 0, 1, 2
@@ -104,33 +101,6 @@ class SerializationGraph:
                     color[node] = BLACK
                     stack.pop()
         return True
-
-    def topological_order(self) -> Optional[List[TransactionID]]:
-        """A serial order witnessing SR, or ``None`` if cyclic.
-
-        Kahn's algorithm with deterministic (sorted) tie-breaking so
-        tests and experiments are reproducible.
-        """
-        indegree: Dict[TransactionID, int] = {n: 0 for n in self._nodes}
-        for a, outs in self._edges.items():
-            for b in outs:
-                indegree[b] += 1
-        ready = sorted(n for n, d in indegree.items() if d == 0)
-        order: List[TransactionID] = []
-        while ready:
-            node = ready.pop(0)
-            order.append(node)
-            inserted = []
-            for succ in self._edges.get(node, ()):
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    inserted.append(succ)
-            if inserted:
-                ready.extend(inserted)
-                ready.sort()
-        if len(order) != len(self._nodes):
-            return None
-        return order
 
 
 class History:
@@ -172,19 +142,12 @@ class History:
         return iter(self._events)
 
     @property
-    def events(self) -> Tuple[Event, ...]:
-        return tuple(self._events)
-
-    @property
     def tids(self) -> List[TransactionID]:
         """Transaction ids in first-appearance order."""
         seen: Dict[TransactionID, None] = {}
         for ev in self._events:
             seen.setdefault(ev.tid, None)
         return list(seen)
-
-    def operations_of(self, tid: TransactionID) -> List[Operation]:
-        return [ev.op for ev in self._events if ev.tid == tid]
 
     def is_update_tid(self, tid: TransactionID) -> bool:
         """Classify a transaction as update by its ET or logged writes."""
@@ -195,9 +158,6 @@ class History:
 
     def update_tids(self) -> List[TransactionID]:
         return [t for t in self.tids if self.is_update_tid(t)]
-
-    def query_tids(self) -> List[TransactionID]:
-        return [t for t in self.tids if not self.is_update_tid(t)]
 
     def project(self, tids: Iterable[TransactionID]) -> "History":
         """Sub-history containing only the given transactions.
@@ -245,19 +205,6 @@ class History:
         for first, second in self.conflict_pairs():
             graph.add_edge(first.tid, second.tid)
         return graph
-
-    def render(self) -> str:
-        """The paper's log notation: ``R1(a) W1(b) W2(b) ...``.
-
-        Reads render as ``R``, every write-class operation as ``W``
-        (the subscript is the transaction id).  Handy in test failure
-        messages and when eyeballing miniature histories.
-        """
-        parts = []
-        for ev in self._events:
-            letter = "R" if ev.op.is_read_op else "W"
-            parts.append("%s%d(%s)" % (letter, ev.tid, ev.op.key))
-        return " ".join(parts)
 
     def is_serial(self) -> bool:
         """True when transactions run one at a time (no interleaving)."""

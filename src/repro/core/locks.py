@@ -17,8 +17,8 @@ Three compatibility tables are provided:
   conflicts relax to "Comm" — compatible when the two operations
   commute.
 
-The :class:`LockManager` implements queued acquisition with FIFO
-fairness, waits-for deadlock detection, and youngest-victim abort, and
+The :class:`LockManager` grants or refuses at once (a refused ET
+waits in the scheduler, whose wait timeout also breaks deadlocks), and
 reports *compatibility-with-charge*: a query read that is admitted over
 a concurrent update write is granted but flagged, so divergence control
 can charge the query's inconsistency counter.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .operations import Operation, commutes
 from .transactions import TransactionID
@@ -42,7 +42,6 @@ __all__ = [
     "COMMU_TABLE",
     "LockManager",
     "LockGrant",
-    "DeadlockError",
 ]
 
 
@@ -52,9 +51,6 @@ class LockMode(enum.Enum):
     R_U = "RU"  #: read lock held by an update ET
     W_U = "WU"  #: write lock held by an update ET
     R_Q = "RQ"  #: read lock held by a query ET
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 class Compatibility(enum.Enum):
@@ -179,14 +175,6 @@ COMMU_TABLE = _table(
 )
 
 
-class DeadlockError(Exception):
-    """Raised against the victim transaction of a detected deadlock."""
-
-    def __init__(self, tid: TransactionID) -> None:
-        super().__init__("transaction %s aborted to break a deadlock" % tid)
-        self.tid = tid
-
-
 @dataclass
 class LockGrant:
     """A granted lock instance."""
@@ -200,36 +188,17 @@ class LockGrant:
     charged_against: Set[TransactionID] = field(default_factory=set)
 
 
-@dataclass
-class _Waiter:
-    tid: TransactionID
-    key: str
-    mode: LockMode
-    op: Operation
-    wake: Callable[[Optional[LockGrant]], None]
-
-
 class LockManager:
-    """Queued lock manager parameterized by a compatibility table.
+    """Lock manager parameterized by a compatibility table.
 
-    Grant policy: a request is granted when it is compatible with every
-    current holder of the key *and* no earlier waiter is still queued
-    for that key (FIFO fairness prevents starvation of W_U requests
-    behind streams of R_U).  Query (R_Q) requests skip the fairness
-    check — the whole point of Tables 2/3 is that queries never queue.
-
-    Deadlocks among update ETs are detected on the waits-for graph at
-    each enqueue; the youngest transaction in the cycle is aborted via
-    :class:`DeadlockError` delivered through its wake callback.
+    A request is granted when it is compatible with every current
+    holder of the key, and refused otherwise; nothing queues here.
     """
 
     def __init__(self, table: CompatibilityTable) -> None:
         self.table = table
         self._holders: Dict[str, List[LockGrant]] = {}
-        self._waiters: Dict[str, List[_Waiter]] = {}
         self._locks_of: Dict[TransactionID, List[LockGrant]] = {}
-
-    # -- acquisition -------------------------------------------------------
 
     def try_acquire(
         self,
@@ -238,222 +207,39 @@ class LockManager:
         mode: LockMode,
         op: Operation,
     ) -> Optional[LockGrant]:
-        """Grant immediately or return ``None`` (caller may queue).
+        """Grant immediately or return ``None`` (the caller waits).
 
         Re-entrant: a transaction already holding the key in the same
         or a stronger mode gets its existing grant back.
         """
-        existing = self._find_grant(tid, key, mode)
-        if existing is not None:
-            return existing
-        if not self._grantable(tid, key, mode, op):
-            return None
-        return self._grant(tid, key, mode, op)
-
-    def acquire(
-        self,
-        tid: TransactionID,
-        key: str,
-        mode: LockMode,
-        op: Operation,
-        wake: Callable[[Optional[LockGrant]], None],
-    ) -> Optional[LockGrant]:
-        """Grant now, or enqueue and deliver the grant through ``wake``.
-
-        Returns the grant when immediate, ``None`` when queued.  On
-        deadlock the victim's ``wake`` receives ``None`` after a
-        :class:`DeadlockError` is raised at the requester if the
-        requester itself is the victim.
-        """
-        grant = self.try_acquire(tid, key, mode, op)
-        if grant is not None:
-            return grant
-        waiter = _Waiter(tid, key, mode, op, wake)
-        self._waiters.setdefault(key, []).append(waiter)
-        victim = self._detect_deadlock()
-        if victim is not None:
-            self._abort_waiter(victim)
-            if victim == tid:
-                raise DeadlockError(tid)
-        return None
-
-    def _find_grant(
-        self, tid: TransactionID, key: str, mode: LockMode
-    ) -> Optional[LockGrant]:
-        for grant in self._holders.get(key, ()):  # re-entrancy check
-            if grant.tid != tid:
-                continue
-            if grant.mode == mode:
-                return grant
-            if grant.mode is LockMode.W_U and mode is LockMode.R_U:
-                return grant  # write lock subsumes the read lock
-        return None
-
-    def _grantable(
-        self, tid: TransactionID, key: str, mode: LockMode, op: Operation
-    ) -> bool:
-        for grant in self._holders.get(key, ()):  # pairwise compatibility
-            if grant.tid == tid:
-                continue
-            ok, _ = self.table.compatible(grant.mode, grant.op, mode, op)
-            if not ok:
-                return False
-        if mode is not LockMode.R_Q:
-            for waiter in self._waiters.get(key, ()):  # FIFO fairness
-                if waiter.tid != tid:
-                    return False
-        return True
-
-    def _grant(
-        self, tid: TransactionID, key: str, mode: LockMode, op: Operation
-    ) -> LockGrant:
+        holders = self._holders.get(key, ())
+        for grant in holders:
+            if grant.tid == tid and (
+                grant.mode == mode
+                or (grant.mode is LockMode.W_U and mode is LockMode.R_U)
+            ):
+                return grant  # held; a write lock subsumes the read
         charged: Set[TransactionID] = set()
-        for grant in self._holders.get(key, ()):  # collect charge sources
+        for grant in holders:
             if grant.tid == tid:
                 continue
             ok, charge = self.table.compatible(grant.mode, grant.op, mode, op)
-            if ok and charge:
+            if not ok:
+                return None
+            if charge:
                 charged.add(grant.tid)
         new = LockGrant(tid, key, mode, op, charged)
         self._holders.setdefault(key, []).append(new)
         self._locks_of.setdefault(tid, []).append(new)
         return new
 
-    # -- release -----------------------------------------------------------
-
     def release_all(self, tid: TransactionID) -> None:
-        """Drop every lock of ``tid`` and wake newly grantable waiters."""
-        for grant in self._locks_of.pop(tid, ()):  # drop each held lock
-            holders = self._holders.get(grant.key, [])
-            if grant in holders:
-                holders.remove(grant)
+        """Drop every lock of ``tid``."""
+        for grant in self._locks_of.pop(tid, ()):
+            holders = self._holders[grant.key]
+            holders.remove(grant)
             if not holders:
-                self._holders.pop(grant.key, None)
-        self._cancel_waits(tid)
-        self._wake_waiters()
-
-    def _cancel_waits(self, tid: TransactionID) -> None:
-        for key in list(self._waiters):
-            queue = [w for w in self._waiters[key] if w.tid != tid]
-            if queue:
-                self._waiters[key] = queue
-            else:
-                self._waiters.pop(key)
-
-    def _wake_waiters(self) -> None:
-        woke = True
-        while woke:
-            woke = False
-            for key in list(self._waiters):
-                queue = self._waiters.get(key, [])
-                for waiter in list(queue):
-                    if not self._grantable_as_waiter(waiter):
-                        continue
-                    queue.remove(waiter)
-                    if not queue:
-                        self._waiters.pop(key, None)
-                    grant = self._grant(
-                        waiter.tid, waiter.key, waiter.mode, waiter.op
-                    )
-                    waiter.wake(grant)
-                    woke = True
-
-    def _grantable_as_waiter(self, waiter: _Waiter) -> bool:
-        """Waiter grant check: only holders matter, plus queue position."""
-        for grant in self._holders.get(waiter.key, ()):  # holder check
-            if grant.tid == waiter.tid:
-                continue
-            ok, _ = self.table.compatible(
-                grant.mode, grant.op, waiter.mode, waiter.op
-            )
-            if not ok:
-                return False
-        queue = self._waiters.get(waiter.key, [])
-        for other in queue:
-            if other is waiter:
-                return True
-            incompatible, _ = self.table.compatible(
-                other.mode, other.op, waiter.mode, waiter.op
-            )
-            if not incompatible:
-                return False  # an earlier conflicting waiter goes first
-        return True
-
-    def _abort_waiter(self, tid: TransactionID) -> None:
-        victims: List[_Waiter] = []
-        for key in list(self._waiters):
-            remaining = []
-            for waiter in self._waiters[key]:
-                if waiter.tid == tid:
-                    victims.append(waiter)
-                else:
-                    remaining.append(waiter)
-            if remaining:
-                self._waiters[key] = remaining
-            else:
-                self._waiters.pop(key)
-        self.release_all(tid)
-        for waiter in victims:
-            waiter.wake(None)
-
-    # -- deadlock detection --------------------------------------------------
-
-    def _waits_for_edges(self) -> Dict[TransactionID, Set[TransactionID]]:
-        edges: Dict[TransactionID, Set[TransactionID]] = {}
-        for key, queue in self._waiters.items():
-            for waiter in queue:
-                blockers: Set[TransactionID] = set()
-                for grant in self._holders.get(key, ()):  # blocked by holders
-                    if grant.tid == waiter.tid:
-                        continue
-                    ok, _ = self.table.compatible(
-                        grant.mode, grant.op, waiter.mode, waiter.op
-                    )
-                    if not ok:
-                        blockers.add(grant.tid)
-                if blockers:
-                    edges.setdefault(waiter.tid, set()).update(blockers)
-        return edges
-
-    def _detect_deadlock(self) -> Optional[TransactionID]:
-        """Find a waits-for cycle; return the youngest member or None."""
-        edges = self._waits_for_edges()
-        visited: Set[TransactionID] = set()
-        for start in edges:
-            if start in visited:
-                continue
-            path: List[TransactionID] = []
-            on_path: Set[TransactionID] = set()
-
-            def dfs(node: TransactionID) -> Optional[List[TransactionID]]:
-                visited.add(node)
-                path.append(node)
-                on_path.add(node)
-                for succ in edges.get(node, ()):  # follow waits-for
-                    if succ in on_path:
-                        return path[path.index(succ):]
-                    if succ not in visited:
-                        cycle = dfs(succ)
-                        if cycle is not None:
-                            return cycle
-                path.pop()
-                on_path.discard(node)
-                return None
-
-            cycle = dfs(start)
-            if cycle:
-                return max(cycle)  # youngest = largest tid
-        return None
-
-    # -- inspection ----------------------------------------------------------
+                del self._holders[grant.key]
 
     def holders_of(self, key: str) -> List[LockGrant]:
         return list(self._holders.get(key, ()))
-
-    def locks_of(self, tid: TransactionID) -> List[LockGrant]:
-        return list(self._locks_of.get(tid, ()))
-
-    def waiting_count(self, key: Optional[str] = None) -> int:
-        if key is not None:
-            return len(self._waiters.get(key, ()))
-        return sum(len(q) for q in self._waiters.values())

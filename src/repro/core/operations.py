@@ -40,7 +40,6 @@ __all__ = [
     "TimestampedWriteOp",
     "conflicts",
     "commutes",
-    "is_read",
     "is_write",
     "OperationError",
 ]
@@ -389,11 +388,6 @@ class TimestampedWriteOp(Operation):
 
     def commutes_with(self, other: Operation) -> bool:
         return isinstance(other, TimestampedWriteOp)
-
-
-def is_read(op: Operation) -> bool:
-    """True when ``op`` is a pure read."""
-    return op.is_read_op
 
 
 def is_write(op: Operation) -> bool:

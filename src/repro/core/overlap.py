@@ -8,14 +8,10 @@ ET seeks to access.  The overlap is an upper bound of error on the
 amount of inconsistency that a query ET may accumulate.  If a query
 ET's overlap is empty, then it is SR."
 
-Two tools live here:
-
-* :class:`OverlapTracker` — an *online* tracker sites use while ETs
-  run, so divergence control can consult the current overlap before
-  admitting each read.
-* :func:`query_overlaps` — a *post-hoc* analysis over a recorded
-  history (re-exported from the checker module), used by tests to
-  verify that measured error never exceeds the overlap bound.
+:class:`OverlapTracker` is an *online* tracker sites use while ETs
+run, so divergence control can consult the current overlap before
+admitting each read, and the audit can check every query's error
+against it.
 """
 
 from __future__ import annotations
@@ -23,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
-from .serializability import query_overlaps  # noqa: F401  (public re-export)
 from .transactions import EpsilonTransaction, TransactionID
 
-__all__ = ["OverlapTracker", "query_overlaps", "OverlapRecord"]
+__all__ = ["OverlapTracker", "OverlapRecord"]
 
 
 @dataclass
@@ -36,10 +31,6 @@ class OverlapRecord:
     et: EpsilonTransaction
     #: Update tids concurrent with the query that touch its key set.
     members: Set[TransactionID] = field(default_factory=set)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 class OverlapTracker:
@@ -105,7 +96,7 @@ class OverlapTracker:
     def current_overlap(self, tid: TransactionID) -> int:
         """Current overlap size of an active query (0 if unknown)."""
         record = self._active_queries.get(tid)
-        return record.size if record else 0
+        return len(record.members) if record else 0
 
     def overlap_members(self, tid: TransactionID) -> Set[TransactionID]:
         """Members of an active query's overlap set."""

@@ -54,9 +54,9 @@ class ScheduledET:
     restarts: int = 0
     #: consecutive WAIT decisions on the current operation; reset on
     #: progress.  Exceeding the scheduler's wait limit aborts the ET —
-    #: timeout-based deadlock resolution, needed because polling
-    #: retries never enter the lock manager's waits-for graph (e.g.
-    #: two read-modify-write ETs deadlocking on a lock upgrade).
+    #: the only deadlock resolution: the lock manager grants or refuses
+    #: and keeps no waits-for graph (e.g. two read-modify-write ETs
+    #: deadlocking on a lock upgrade).
     consecutive_waits: int = 0
     #: pending writes staged until commit (strict 2PL discipline).
     staged: List[Operation] = field(default_factory=list)
@@ -192,10 +192,6 @@ class LocalScheduler:
         self.sim.schedule(delay, restart)
 
     # -- inspection ----------------------------------------------------------------
-
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
 
     def drained(self) -> bool:
         return not self._active

@@ -112,15 +112,6 @@ class EpsilonTransaction:
         return not self.is_query
 
     @property
-    def read_set(self) -> Tuple[str, ...]:
-        """Keys read by this ET, in operation order, deduplicated."""
-        seen: Dict[str, None] = {}
-        for op in self.operations:
-            if op.is_read_op:
-                seen.setdefault(op.key, None)
-        return tuple(seen)
-
-    @property
     def write_set(self) -> Tuple[str, ...]:
         """Keys written by this ET, in operation order, deduplicated."""
         seen: Dict[str, None] = {}

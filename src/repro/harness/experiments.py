@@ -1,39 +1,65 @@
 """Registered experiments: one per paper table plus analytic claims.
 
 Each experiment function returns ``(text, data)``: a rendered table in
-the paper's layout and the structured values benchmarks assert on.
-The experiment ids match DESIGN.md section 4 and EXPERIMENTS.md.
+the paper's layout and the structured values the tests assert on.
+The experiment ids match DESIGN.md section 4 and EXPERIMENTS.md: T1–T3
+and E1–E10 reproduce the paper, A1–A4 are ablations and X1–X5 make
+the paper's section 5 contrasts executable.  ``python -m repro run
+all -o results`` writes every one of them to ``results/``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+import random
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
+from ..core.divergence import (
+    BasicTimestampDC,
+    DivergenceControl,
+    OptimisticDC,
+    TwoPhaseLockingDC,
+)
 from ..core.history import History
-from ..core.locks import COMMU_TABLE, ORDUP_TABLE
-from ..core.operations import ReadOp, WriteOp
+from ..core.locks import CLASSIC_2PL, COMMU_TABLE, ORDUP_TABLE
+from ..core.operations import IncrementOp, MultiplyOp, ReadOp, WriteOp
+from ..core.scheduler import LocalScheduler
 from ..core.serializability import (
     is_epsilon_serial,
     is_serial,
     is_serializable,
 )
-from ..core.transactions import QueryET, UNLIMITED, UpdateET, reset_tid_counter
+from ..core.transactions import (
+    EpsilonSpec,
+    EpsilonTransaction,
+    ETStatus,
+    QueryET,
+    UNLIMITED,
+    UpdateET,
+    reset_tid_counter,
+)
 from ..replica.coherency import (
     PrimaryCopy,
     QuorumConsensus,
     ReadOneWriteAll2PC,
 )
-from ..replica.base import SystemConfig
+from ..replica.base import ReplicatedSystem, SystemConfig
 from ..replica.host import (
     CommutativeOperations,
     CompensationBased,
     OrderedUpdates,
     ReadIndependentUpdates,
 )
-from ..sim.network import ConstantLatency
+from ..replica.merge import LoggedOp, merge_partition_logs
+from ..replica.quasicopy import ClosenessSpec, QuasiCopies
+from ..replica.temporal import DeadlineTracker
+from ..sim.events import Simulator
+from ..sim.failures import FailureInjector, PartitionEvent
+from ..sim.network import ConstantLatency, UniformLatency
+from ..storage.kv import KeyValueStore
 from ..workload.generator import WorkloadSpec
+from .audit import AuditReport, audit
 from .report import render_series, render_table
-from .runner import divergence_trace, run_experiment
+from .runner import audited, divergence_trace, run_experiment
 
 __all__ = [
     "experiment_table1",
@@ -49,6 +75,15 @@ __all__ = [
     "experiment_e8_compe",
     "experiment_e9_availability",
     "experiment_e10_latency",
+    "experiment_a1_lock_tables",
+    "experiment_a2_ordering",
+    "experiment_a3_compe_delay",
+    "experiment_a4_dc_engines",
+    "experiment_x1_value_epsilon",
+    "experiment_x2_quasicopies",
+    "experiment_x3_partition_merge",
+    "experiment_x4_deadlines",
+    "experiment_x5_bandwidth",
     "EXPERIMENTS",
 ]
 
@@ -306,7 +341,6 @@ def experiment_e4_convergence(
     count: int = 60,
 ) -> Tuple[str, Dict[str, Any]]:
     """Divergence rises during a partition, falls to zero at quiescence."""
-    from ..sim.failures import FailureInjector, PartitionEvent
 
     def failures(system) -> None:
         injector = FailureInjector(
@@ -599,7 +633,6 @@ def experiment_e9_availability(
     count: int = 60,
 ) -> Tuple[str, Dict[str, Dict[str, float]]]:
     """Update progress during a partition: async vs sync methods."""
-    from ..sim.failures import FailureInjector, PartitionEvent
 
     partition_start, partition_end = 5.0, 65.0
 
@@ -721,6 +754,587 @@ def experiment_e10_latency(
     return text, data
 
 
+# ----------------------------------------------------------------------
+# A1/A4 — one site's scheduler under a contended workload
+# ----------------------------------------------------------------------
+
+
+def _scheduler_run(
+    seed: int,
+    dc: DivergenceControl,
+    initial: Dict[str, Any],
+    arrivals: Sequence[Tuple[float, Callable[[], EpsilonTransaction]]],
+) -> LocalScheduler:
+    """Run ``arrivals`` (time, ET factory) through one local scheduler.
+
+    Each ET is built when it arrives, so tids follow arrival order.
+    """
+    reset_tid_counter()
+    sim = Simulator(seed=seed)
+    sched = LocalScheduler(sim, dc, KeyValueStore(initial))
+    for at, make in arrivals:
+        sim.schedule_at(at, lambda make=make: sched.submit(make()))
+    sim.run()
+    return sched
+
+
+def experiment_a1_lock_tables() -> Tuple[str, Dict[str, Dict[str, float]]]:
+    """Same mixed ET workload under classic 2PL, Table 2 and Table 3.
+
+    Arrivals outpace the 0.5-unit op time, so same-key update ETs
+    overlap: W_U/W_U contention separates Table 3 ("Comm") from
+    Table 2, and R_Q admission separates Table 2 from classic 2PL.
+    """
+    keys = ("a", "b", "c")
+    arrivals: List[Tuple[float, Callable[[], EpsilonTransaction]]] = []
+    for i in range(12):
+        key = keys[i % 3]
+        arrivals.append(
+            (i * 0.1, lambda k=key: UpdateET([IncrementOp(k, 1)]))
+        )
+        if i % 2 == 0:
+            arrivals.append((
+                i * 0.1 + 0.05,
+                lambda k=key: QueryET(
+                    [ReadOp(k)], EpsilonSpec(import_limit=5)
+                ),
+            ))
+    data: Dict[str, Dict[str, float]] = {}
+    for name, table in (
+        ("classic", CLASSIC_2PL),
+        ("ordup", ORDUP_TABLE),
+        ("commu", COMMU_TABLE),
+    ):
+        sched = _scheduler_run(
+            5, TwoPhaseLockingDC(table), {k: 0 for k in keys}, arrivals
+        )
+        data[name] = {
+            "completed": len(sched.completed),
+            "waits": sched.wait_count,
+            "makespan": max(r.finish_time for r in sched.completed),
+        }
+    rows = [
+        [name, d["completed"], d["waits"], round(d["makespan"], 2)]
+        for name, d in data.items()
+    ]
+    text = render_table(
+        "A1: lock table vs blocking (same mixed workload)",
+        ["table", "ETs", "waits", "makespan"],
+        rows,
+    )
+    return text, data
+
+
+def experiment_a4_dc_engines() -> Tuple[str, Dict[str, Dict[str, float]]]:
+    """2PL vs basic timestamps vs OCC on read-modify-write ETs.
+
+    2PL blocks, and two read-lock holders that both need the write
+    lock deadlock; the scheduler's wait timeout resolves that.  The
+    timestamp and optimistic engines never block: they restart.
+    """
+    keys = ("a", "b")
+    arrivals: List[Tuple[float, Callable[[], EpsilonTransaction]]] = []
+    for i in range(10):
+        key = keys[i % 2]
+        arrivals.append((
+            i * 0.15,
+            lambda k=key: UpdateET([ReadOp(k), IncrementOp(k, 1)]),
+        ))
+        if i % 2 == 0:
+            arrivals.append((
+                i * 0.15 + 0.05,
+                lambda k=key: QueryET(
+                    [ReadOp(k)], EpsilonSpec(import_limit=3)
+                ),
+            ))
+    data: Dict[str, Dict[str, float]] = {}
+    for name, make_dc in (
+        ("2PL", lambda: TwoPhaseLockingDC(ORDUP_TABLE)),
+        ("timestamp", BasicTimestampDC),
+        ("optimistic", OptimisticDC),
+    ):
+        sched = _scheduler_run(9, make_dc(), {k: 0 for k in keys}, arrivals)
+        data[name] = {
+            "committed": sum(
+                1 for r in sched.completed
+                if r.status == ETStatus.COMMITTED
+            ),
+            "waits": sched.wait_count,
+            "aborts": sched.abort_count,
+            "final_a": sched.store.get("a"),
+            "final_b": sched.store.get("b"),
+            "makespan": max(r.finish_time for r in sched.completed),
+        }
+    rows = [
+        [
+            name,
+            d["committed"],
+            d["waits"],
+            d["aborts"],
+            round(d["makespan"], 2),
+        ]
+        for name, d in data.items()
+    ]
+    text = render_table(
+        "A4: divergence engine on contended RMW workload",
+        ["engine", "committed", "waits", "aborts", "makespan"],
+        rows,
+    )
+    return text, data
+
+
+# ----------------------------------------------------------------------
+# A2 — ORDUP ordering service: central server vs Lamport clocks
+# ----------------------------------------------------------------------
+
+
+def experiment_a2_ordering() -> Tuple[str, Dict[str, Dict[str, Any]]]:
+    """Commit latency, messages and stabilization of both orderings."""
+    data: Dict[str, Dict[str, Any]] = {}
+    for ordering in ("central", "lamport"):
+        config = SystemConfig(
+            n_sites=4,
+            seed=17,
+            latency=UniformLatency(0.5, 2.0),
+            initial=tuple(("x%d" % i, 0) for i in range(6)),
+        )
+        spec = WorkloadSpec(
+            n_keys=6, count=60, query_fraction=0.0, style="mixed",
+            mean_interarrival=1.0,
+        )
+        result = run_experiment(
+            lambda o=ordering: OrderedUpdates(ordering=o),
+            config, spec, workload_seed=3, keep_system=True,
+        )
+        assert result.system is not None
+        data[ordering] = {
+            "commit_latency": result.metrics.update_latency_mean,
+            "quiescence": result.quiescence_time,
+            "messages": result.system.network.stats.sent,
+            "converged": result.converged,
+            "one_copy_sr": result.one_copy_serializable,
+        }
+        result.system = None
+    rows = [
+        [
+            name,
+            round(d["commit_latency"], 2),
+            round(d["quiescence"], 1),
+            d["messages"],
+            d["converged"],
+        ]
+        for name, d in data.items()
+    ]
+    text = render_table(
+        "A2: ORDUP ordering service (60 non-commutative updates)",
+        ["ordering", "commit_lat", "quiescence", "messages", "converged"],
+        rows,
+    )
+    return text, data
+
+
+# ----------------------------------------------------------------------
+# A3 — COMPE decision delay: optimism window vs query exposure
+# ----------------------------------------------------------------------
+
+
+def experiment_a3_compe_delay(
+    delays: Tuple[float, ...] = (2.0, 8.0, 24.0),
+) -> Tuple[str, Dict[float, Dict[str, Any]]]:
+    """Longer undecided windows: more stalls and post-hoc errors."""
+    data: Dict[float, Dict[str, Any]] = {}
+    for delay in delays:
+        config = SystemConfig(
+            n_sites=3,
+            seed=23,
+            latency=UniformLatency(0.5, 1.5),
+            initial=tuple(("x%d" % i, 1) for i in range(5)),
+        )
+        spec = WorkloadSpec(
+            n_keys=5,
+            count=80,
+            query_fraction=0.5,
+            style="commutative",
+            epsilon=2,
+            mean_interarrival=0.8,
+            abort_rate=0.2,
+        )
+        result = run_experiment(
+            lambda d=delay: CompensationBased(decision_delay=d),
+            config, spec, workload_seed=7, keep_system=True,
+        )
+        assert result.system is not None
+        data[delay] = {
+            "query_waits": result.metrics.waits,
+            "mean_error": result.metrics.inconsistency_mean,
+            "post_hoc": (
+                result.system.method.stats.post_hoc_inconsistent_queries
+            ),
+            "converged": result.converged,
+        }
+        result.system = None
+    text = render_series(
+        "A3: COMPE decision delay (20% aborts, query eps=2)",
+        "delay",
+        list(delays),
+        {
+            "waits": [data[d]["query_waits"] for d in delays],
+            "mean_err": [round(data[d]["mean_error"], 2) for d in delays],
+            "post_hoc": [data[d]["post_hoc"] for d in delays],
+        },
+    )
+    return text, data
+
+
+# ----------------------------------------------------------------------
+# X1 — value-based epsilon (section 5.1)
+# ----------------------------------------------------------------------
+
+
+def experiment_x1_value_epsilon(
+    budgets: Tuple[float, ...] = (0, 150, 250, UNLIMITED),
+) -> Tuple[str, Dict[float, Dict[str, Any]]]:
+    """Four concurrent 100-unit deposits; one query bounds its drift."""
+    data: Dict[float, Dict[str, Any]] = {}
+    for budget in budgets:
+        reset_tid_counter()
+        system = ReplicatedSystem(
+            CommutativeOperations(),
+            SystemConfig(
+                n_sites=4,
+                seed=13,
+                latency=UniformLatency(3.0, 6.0),
+                initial=(("balance", 0),),
+            ),
+        )
+        for i in range(4):
+            system.submit_at(
+                0.1 * i, UpdateET([IncrementOp("balance", 100)]),
+                "site%d" % i,
+            )
+        system.submit_at(
+            0.5,
+            QueryET([ReadOp("balance")], EpsilonSpec(value_limit=budget)),
+            "site0",
+        )
+        system.run_to_quiescence()
+        report = audited(system)
+        query = [r for r in system.results if r.et.is_query][0]
+        data[budget] = {
+            "imported_updates": query.inconsistency,
+            "waits": query.waits,
+            "converged": report.converged,
+        }
+    text = render_series(
+        "X1: value-bounded queries (4 concurrent 100-unit deposits)",
+        "value_budget",
+        ["inf" if b == UNLIMITED else int(b) for b in budgets],
+        {
+            "imported": [data[b]["imported_updates"] for b in budgets],
+            "waits": [data[b]["waits"] for b in budgets],
+        },
+    )
+    return text, data
+
+
+# ----------------------------------------------------------------------
+# X2 — quasi-copies vs ESR bounded queries (section 5.2)
+# ----------------------------------------------------------------------
+
+
+def _audit_cell(report: AuditReport) -> str:
+    """``ok``, or the guarantees a run broke, in one table cell."""
+    broken = [
+        name
+        for name, failed in (
+            ("converge", not report.converged),
+            ("1SR", not report.one_copy_serializable),
+            ("epsilon", bool(report.epsilon_violations)),
+            ("overlap", bool(report.overlap_violations)),
+        )
+        if failed
+    ]
+    return "+".join(broken) or "ok"
+
+
+def experiment_x2_quasicopies() -> Tuple[str, Dict[str, Dict[str, Any]]]:
+    """One update/query load under quasi-copies and under COMMU.
+
+    Quasi-copies keep updates 1SR at a primary and let cached copies
+    lag, so they are meant to break ESR: their runs' audit outcome is
+    a table column, not an audit failure.  The COMMU run is audited
+    like every other run.
+    """
+    designs: Tuple[Tuple[str, Callable[[], Any]], ...] = (
+        ("QUASI lag=2",
+         lambda: QuasiCopies(ClosenessSpec(version_lag=2))),
+        ("QUASI lag=8",
+         lambda: QuasiCopies(ClosenessSpec(version_lag=8))),
+        ("COMMU eps=3", CommutativeOperations),
+    )
+    data: Dict[str, Dict[str, Any]] = {}
+    for name, factory in designs:
+        reset_tid_counter()
+        method = factory()
+        system = ReplicatedSystem(
+            method,
+            SystemConfig(
+                n_sites=4,
+                seed=19,
+                latency=ConstantLatency(2.0),
+                initial=(("stock", 0),),
+            ),
+        )
+        for i in range(20):
+            system.submit_at(
+                i * 1.0, UpdateET([IncrementOp("stock", 1)]),
+                "site%d" % (i % 4),
+            )
+            system.submit_at(
+                i * 1.0 + 0.5,
+                QueryET([ReadOp("stock")], EpsilonSpec(import_limit=3)),
+                "site%d" % ((i + 1) % 4),
+            )
+        system.run_to_quiescence()
+        report = (
+            audit(system) if isinstance(method, QuasiCopies)
+            else audited(system)
+        )
+        updates = [r for r in system.results if r.et.is_update]
+        queries = [r for r in system.results if r.et.is_query]
+        data[name] = {
+            "update_latency": sum(r.latency for r in updates) / len(updates),
+            "mean_query_error": (
+                sum(r.inconsistency for r in queries) / len(queries)
+            ),
+            "max_query_error": max(r.inconsistency for r in queries),
+            "converged": report.converged,
+            "audit": _audit_cell(report),
+        }
+    rows = [
+        [
+            name,
+            round(d["update_latency"], 2),
+            round(d["mean_query_error"], 2),
+            d["max_query_error"],
+            d["converged"],
+            d["audit"],
+        ]
+        for name, d in data.items()
+    ]
+    text = render_table(
+        "X2: quasi-copies vs ESR (20 updates, 20 queries)",
+        ["design", "upd_lat", "qry_err_mean", "qry_err_max", "converged",
+         "audit"],
+        rows,
+    )
+    return text, data
+
+
+# ----------------------------------------------------------------------
+# X3 — offline partition merge vs online ESR (section 5.3)
+# ----------------------------------------------------------------------
+
+
+def _partition_logs(
+    duration: int, seed: int
+) -> Tuple[List[LoggedOp], List[LoggedOp]]:
+    """Both sides' logs for a partition of ``duration``: one update
+    per time unit per side, a tenth of them multiplications."""
+    rng = random.Random(seed)
+    keys = ["k%d" % i for i in range(5)]
+
+    def side(base_tid: int) -> List[LoggedOp]:
+        log = []
+        for i in range(duration):
+            key = rng.choice(keys)
+            if rng.random() < 0.1:
+                op: Any = MultiplyOp(key, 2)
+            else:
+                op = IncrementOp(key, rng.randint(1, 5))
+            log.append(LoggedOp(base_tid + i, op))
+        return log
+
+    return side(1_000), side(2_000)
+
+
+def _esr_catchup_messages(duration: int) -> Tuple[int, bool]:
+    """The same offered load under COMMU through a real partition:
+    messages sent after healing, and whether the replicas converged."""
+    reset_tid_counter()
+    system = ReplicatedSystem(
+        CommutativeOperations(),
+        SystemConfig(
+            n_sites=2,
+            seed=duration,
+            latency=ConstantLatency(1.0),
+            retry_interval=3.0,
+            initial=tuple(("k%d" % i, 0) for i in range(5)),
+        ),
+    )
+    injector = FailureInjector(
+        system.sim, system.network, system.sites,
+        on_heal=system.kick_queues,
+    )
+    injector.schedule_partition(
+        PartitionEvent((("site0",), ("site1",)), at=0.0, duration=duration)
+    )
+    for i in range(duration * 2):
+        system.submit_at(
+            i * 0.5,
+            UpdateET([IncrementOp("k%d" % (i % 5), 1)]),
+            "site%d" % (i % 2),
+        )
+    system.run(until=duration)
+    sent_before_heal = system.network.stats.sent
+    system.run_to_quiescence()
+    report = audited(system)
+    return system.network.stats.sent - sent_before_heal, report.converged
+
+
+def experiment_x3_partition_merge(
+    durations: Tuple[int, ...] = (10, 30, 90),
+) -> Tuple[str, Dict[int, Dict[str, Any]]]:
+    """Reconnection work by partition length: merge vs ESR.
+
+    ESR never backs out a committed update, so its backouts are 0 by
+    construction; its converged flag is audited.
+    """
+    data: Dict[int, Dict[str, Any]] = {}
+    for duration in durations:
+        merged = merge_partition_logs(
+            *_partition_logs(duration, seed=duration)
+        )
+        messages, converged = _esr_catchup_messages(duration)
+        data[duration] = {
+            "merge_pairs": merged.ops_examined,
+            "merge_backouts": len(merged.backed_out),
+            "esr_catchup_msgs": messages,
+            "esr_converged": converged,
+        }
+    text = render_series(
+        "X3: offline merge vs ESR reconnect, by partition length",
+        "duration",
+        list(durations),
+        {
+            "pairs": [data[d]["merge_pairs"] for d in durations],
+            "backouts": [data[d]["merge_backouts"] for d in durations],
+            "esr_msgs": [data[d]["esr_catchup_msgs"] for d in durations],
+        },
+    )
+    return text, data
+
+
+# ----------------------------------------------------------------------
+# X4 — deferred updates: ETs with deadlines (section 5.1)
+# ----------------------------------------------------------------------
+
+
+def experiment_x4_deadlines(
+    deadlines: Tuple[float, ...] = (2.0, 6.0, 20.0),
+) -> Tuple[str, Dict[float, Dict[str, Dict[str, Any]]]]:
+    """Propagation-deadline hit-rate on lossy links, with and without
+    escalation (kicking the stable queues at the deadline)."""
+    data: Dict[float, Dict[str, Dict[str, Any]]] = {}
+    for deadline in deadlines:
+        data[deadline] = {}
+        for label, escalate in (("escalated", True), ("plain", False)):
+            reset_tid_counter()
+            system = ReplicatedSystem(
+                CommutativeOperations(),
+                SystemConfig(
+                    n_sites=4,
+                    seed=29,
+                    latency=UniformLatency(1.0, 4.0),
+                    loss_rate=0.2,
+                    retry_interval=10.0,
+                    initial=(("x", 0),),
+                ),
+            )
+            tracker = DeadlineTracker(system, escalate=escalate)
+            for i in range(30):
+                system.sim.schedule_at(
+                    i * 1.5,
+                    lambda i=i: tracker.submit(
+                        UpdateET([IncrementOp("x", 1)]),
+                        "site%d" % (i % 4),
+                        relative_deadline=deadline,
+                    ),
+                )
+            system.run_to_quiescence()
+            data[deadline][label] = {
+                "met": tracker.met_fraction(),
+                "converged": audited(system).converged,
+            }
+    text = render_series(
+        "X4: deadline hit-rate (lossy links, 10-unit retry timer)",
+        "deadline",
+        list(deadlines),
+        {
+            label: [round(data[d][label]["met"], 2) for d in deadlines]
+            for label in ("plain", "escalated")
+        },
+    )
+    return text, data
+
+
+# ----------------------------------------------------------------------
+# X5 — low-bandwidth links (section 2.4)
+# ----------------------------------------------------------------------
+
+
+def experiment_x5_bandwidth(
+    bandwidths: Tuple[float, ...] = (8.0, 2.0, 0.5),
+) -> Tuple[str, Dict[float, Dict[str, Dict[str, Any]]]]:
+    """Commit latency and convergence time as the link narrows."""
+    data: Dict[float, Dict[str, Dict[str, Any]]] = {}
+    for bandwidth in bandwidths:
+        data[bandwidth] = {}
+        for name, factory in (
+            ("COMMU", CommutativeOperations),
+            ("PRIMARY", PrimaryCopy),
+        ):
+            config = SystemConfig(
+                n_sites=4,
+                seed=31,
+                latency=ConstantLatency(1.0),
+                bandwidth=bandwidth,
+                initial=tuple(("x%d" % i, 0) for i in range(6)),
+            )
+            spec = WorkloadSpec(
+                n_keys=6,
+                count=40,
+                query_fraction=0.0,
+                style="commutative",
+                mean_interarrival=2.0,
+            )
+            result = run_experiment(factory, config, spec, workload_seed=5)
+            data[bandwidth][name] = {
+                "commit_latency": result.metrics.update_latency_mean,
+                "quiescence": result.quiescence_time,
+                "converged": result.converged,
+            }
+    text = render_series(
+        "X5: commit latency vs link bandwidth (latency fixed at 1)",
+        "bandwidth",
+        list(bandwidths),
+        {
+            "COMMU_commit": [
+                round(data[b]["COMMU"]["commit_latency"], 2)
+                for b in bandwidths
+            ],
+            "PRIMARY_commit": [
+                round(data[b]["PRIMARY"]["commit_latency"], 2)
+                for b in bandwidths
+            ],
+            "COMMU_quiesce": [
+                round(data[b]["COMMU"]["quiescence"], 1) for b in bandwidths
+            ],
+        },
+    )
+    return text, data
+
+
 #: Registry used by the CLI and by EXPERIMENTS.md regeneration.
 EXPERIMENTS: Dict[str, Callable[[], Tuple[str, Any]]] = {
     "T1": experiment_table1,
@@ -736,4 +1350,13 @@ EXPERIMENTS: Dict[str, Callable[[], Tuple[str, Any]]] = {
     "E8": experiment_e8_compe,
     "E9": experiment_e9_availability,
     "E10": experiment_e10_latency,
+    "A1": experiment_a1_lock_tables,
+    "A2": experiment_a2_ordering,
+    "A3": experiment_a3_compe_delay,
+    "A4": experiment_a4_dc_engines,
+    "X1": experiment_x1_value_epsilon,
+    "X2": experiment_x2_quasicopies,
+    "X3": experiment_x3_partition_merge,
+    "X4": experiment_x4_deadlines,
+    "X5": experiment_x5_bandwidth,
 }

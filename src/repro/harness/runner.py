@@ -36,10 +36,11 @@ from ..core.transactions import ETResult, ETStatus, reset_tid_counter
 from ..replica.base import ReplicaControlMethod, ReplicatedSystem, SystemConfig
 from ..replica.host import CompensationBased
 from ..workload.generator import WorkloadGenerator, WorkloadSpec, drive
-from .audit import audit
+from .audit import AuditReport, audit
 
 __all__ = [
     "ExperimentResult",
+    "audited",
     "RunMetrics",
     "divergence_of",
     "divergence_trace",
@@ -65,6 +66,18 @@ def audit_failures() -> Iterator[List[str]]:
         yield failures
     finally:
         _collector.reset(token)
+
+
+def audited(system: ReplicatedSystem) -> AuditReport:
+    """Audit a quiescent system; inside :func:`audit_failures` a failed
+    audit is also collected, named by the system's method."""
+    report = audit(system)
+    collected = _collector.get()
+    if collected is not None and not report.ok:
+        collected.append("%s: %s" % (
+            system.method.traits.name, "; ".join(report.problems())
+        ))
+    return report
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -111,26 +124,6 @@ class RunMetrics:
     within_bound_fraction: Optional[float] = None
     #: total divergence-control stalls across queries.
     waits: int = 0
-
-    def as_row(self) -> Dict[str, Any]:
-        """Flat dict for table rendering."""
-        return {
-            "ets": self.total_ets,
-            "committed": self.committed,
-            "thruput": round(self.throughput, 3),
-            "upd_lat": round(self.update_latency_mean, 3),
-            "upd_p95": round(self.update_latency_p95, 3),
-            "qry_lat": round(self.query_latency_mean, 3),
-            "qry_p95": round(self.query_latency_p95, 3),
-            "incons_mean": round(self.inconsistency_mean, 3),
-            "incons_max": self.inconsistency_max,
-            "in_bound": (
-                None
-                if self.within_bound_fraction is None
-                else round(self.within_bound_fraction, 3)
-            ),
-            "waits": self.waits,
-        }
 
 
 def summarize(results: Iterable[ETResult], duration: float) -> RunMetrics:
@@ -248,12 +241,7 @@ def run_experiment(
     """
     system = _driven(method_factory, config, spec, workload_seed, failures)
     quiescence = system.run_to_quiescence()
-    report = audit(system)
-    collected = _collector.get()
-    if collected is not None and not report.ok:
-        collected.append("%s: %s" % (
-            system.method.traits.name, "; ".join(report.problems())
-        ))
+    report = audited(system)
     return ExperimentResult(
         metrics=summarize(system.results, quiescence),
         quiescence_time=quiescence,

@@ -223,6 +223,7 @@ class MembershipTable:
             rec = self._records[name]
             if not rec.host and host:
                 rec.host, rec.port = host, int(port)
+                self._persist([name])
             return
         self._records[name] = NodeRecord(name, host, port, incarnation=0)
         self._persist([name])
@@ -519,6 +520,10 @@ class FailureDetector:
         return self.staleness(peer, now) > bound
 
 
+#: hosts a server binds to listen on every interface.
+WILDCARD_HOSTS = ("0.0.0.0", "::")
+
+
 class Membership:
     """One replica's view of its group: the peer set, where each peer
     listens, who is alive, the quorum and the candidate ranking.
@@ -574,7 +579,9 @@ class Membership:
         """Merge gossiped records; return the members that joined the
         peer set and the peers whose address moved.  A record of this
         node, of a member that left, of another shard's member or
-        without an address changes neither."""
+        without an address changes neither.  A wildcard host (a peer
+        bound to every interface) names no address to dial, so it
+        never replaces one already known."""
         joined: List[str] = []
         moved: List[str] = []
         for name in self.table.merge(records):
@@ -584,6 +591,8 @@ class Membership:
             ):
                 continue
             addr = (rec.host, rec.port)
+            if rec.host in WILDCARD_HOSTS and name in self.configured:
+                addr = self.configured[name]
             if name not in self.peers:
                 self.peers = tuple(sorted(self.peers + (name,)))
                 joined.append(name)

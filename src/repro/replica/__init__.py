@@ -23,7 +23,7 @@ from .host import (
 from .coherency import PrimaryCopy, QuorumConsensus, ReadOneWriteAll2PC
 from .quasicopy import ClosenessSpec, QuasiCopies
 from .merge import LoggedOp, MergeResult, apply_merged, merge_partition_logs
-from .temporal import DeadlineRecord, DeadlineTracker, PeriodicSubmitter
+from .temporal import DeadlineRecord, DeadlineTracker
 
 __all__ = [
     "MSet",
@@ -54,5 +54,4 @@ __all__ = [
     "merge_partition_logs",
     "DeadlineRecord",
     "DeadlineTracker",
-    "PeriodicSubmitter",
 ]

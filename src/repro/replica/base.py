@@ -35,12 +35,10 @@ from typing import (
     Tuple,
 )
 
-from ..core.history import History
 from ..core.operations import ReadOp
 from ..core.overlap import OverlapTracker
 from ..core.serializability import (
     is_one_copy_serializable,
-    merge_site_histories,
     replicas_converged,
 )
 from ..core.transactions import (
@@ -168,12 +166,6 @@ class LockCounterSiteState:
             held.add(tid)
         return raised
 
-    def release_counters(
-        self, tid: TransactionID, keys: Sequence[str]
-    ) -> bool:
-        """True when ``tid`` held (and now released) a counter."""
-        return bool(self.release_many(((tid, keys),)))
-
     def release_many(
         self, items: Iterable[Tuple[TransactionID, Sequence[str]]]
     ) -> List[Tuple[TransactionID, Sequence[str]]]:
@@ -300,13 +292,6 @@ class SiteExecutor:
         self._queue.append(self._Task(duration, action, label))
         self._maybe_start()
 
-    def submit_front(
-        self, duration: float, action: Callable[[], None], label: str = ""
-    ) -> None:
-        """Queue a task ahead of the backlog (not preempting a running one)."""
-        self._queue.insert(0, self._Task(duration, action, label))
-        self._maybe_start()
-
     def _maybe_start(self) -> None:
         if self._current is not None or not self._queue or self.site.crashed:
             return
@@ -337,11 +322,6 @@ class SiteExecutor:
 
     def _on_recover(self) -> None:
         self._maybe_start()
-
-    @property
-    def backlog(self) -> int:
-        """Queued (including running) task count."""
-        return len(self._queue) + (1 if self._current is not None else 0)
 
     def idle(self) -> bool:
         return not self._queue and self._current is None
@@ -616,12 +596,6 @@ class ReplicatedSystem:
     def converged(self) -> bool:
         """All replicas hold identical values (paper's convergence)."""
         return replicas_converged(self.site_values())
-
-    def global_history(self) -> History:
-        """Per-site histories merged on logical keys."""
-        return merge_site_histories(
-            {name: site.history for name, site in self.sites.items()}
-        )
 
     def is_one_copy_serializable(self) -> bool:
         return is_one_copy_serializable(

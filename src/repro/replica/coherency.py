@@ -539,9 +539,6 @@ class QuorumConsensus(ReplicaControlMethod):
 
                 self._rpc(origin, name, handler, collect_versions)
 
-    def handle_message(self, site: Site, mset: MSet) -> None:
-        raise ValueError("QuorumConsensus uses RPCs, not MSets")
-
     # -- queries -----------------------------------------------------------------
 
     def submit_query(
@@ -748,9 +745,6 @@ class PrimaryCopy(ReplicaControlMethod):
                 )
 
         forward_to_primary(at_primary)
-
-    def handle_message(self, site: Site, mset: MSet) -> None:
-        raise ValueError("PrimaryCopy uses RPCs, not MSets")
 
     def submit_query(
         self, et: EpsilonTransaction, site_name: str, on_done: DoneCallback

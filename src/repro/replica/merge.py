@@ -69,10 +69,6 @@ class MergeResult:
     )
     ops_examined: int = 0
 
-    @property
-    def merged_cleanly(self) -> bool:
-        return not self.backed_out
-
 
 def _ops_of(
     log: Sequence[LoggedOp],

@@ -15,8 +15,6 @@ This implementation provides the contrast the paper draws with ESR:
 
   - ``version_lag``: refresh a key's quasi-copy when the primary is
     more than *w* versions ahead (arithmetic condition),
-  - ``max_age``: refresh when the cached value is older than *t* time
-    units (delay condition),
 
 * queries read their local quasi-copy without coordination; their
   reported "inconsistency" is the number of keys read whose quasi-copy
@@ -43,14 +41,12 @@ from ..core.transactions import (
     ETStatus,
     TransactionID,
 )
-from ..sim.site import Site
 from .base import (
     DoneCallback,
     MethodTraits,
     ReplicaControlMethod,
     ReplicatedSystem,
 )
-from .mset import MSet
 
 __all__ = ["QuasiCopies", "ClosenessSpec"]
 
@@ -62,18 +58,13 @@ class ClosenessSpec:
     Attributes:
         version_lag: refresh once the primary is more than this many
             versions ahead of the cached copy (``None`` disables).
-        max_age: refresh once the cached value is older than this many
-            simulated time units (``None`` disables).
     """
 
     version_lag: Optional[int] = 2
-    max_age: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.version_lag is not None and self.version_lag < 0:
             raise ValueError("version_lag must be non-negative")
-        if self.max_age is not None and self.max_age <= 0:
-            raise ValueError("max_age must be positive")
 
 
 @dataclass
@@ -81,7 +72,6 @@ class _CacheEntry:
     """One key's quasi-copy state at a secondary."""
 
     version: int = 0
-    refreshed_at: float = 0.0
 
 
 class QuasiCopies(ReplicaControlMethod):
@@ -114,7 +104,6 @@ class QuasiCopies(ReplicaControlMethod):
         #: the age sweep is armed whenever some quasi-copy is stale and
         #: disarms itself once everything is fresh, so quiescence stays
         #: reachable.
-        self._sweep_armed = False
 
     # ------------------------------------------------------------------
     # Update path: strictly at the primary
@@ -186,33 +175,6 @@ class QuasiCopies(ReplicaControlMethod):
                     behind = self._primary_version.get(key, 0) - entry.version
                     if behind > lag:
                         self._refresh(secondary, key)
-        if self.closeness.max_age is not None:
-            self._arm_sweep()
-
-    def _arm_sweep(self) -> None:
-        if self._sweep_armed:
-            return
-        self._sweep_armed = True
-        self.system.sim.schedule(self.closeness.max_age, self._sweep)
-
-    def _sweep(self) -> None:
-        """Periodic age check (the delay-condition trigger)."""
-        self._sweep_armed = False
-        period = self.closeness.max_age
-        now = self.system.sim.now
-        any_stale = False
-        for secondary, cache in self._cache.items():
-            for key, pversion in self._primary_version.items():
-                entry = cache.setdefault(key, _CacheEntry())
-                if entry.version >= pversion:
-                    continue
-                any_stale = True
-                if now - entry.refreshed_at >= period:
-                    self._refresh(secondary, key)
-        if any_stale:
-            # Stay armed until every quasi-copy is fresh (in-flight
-            # refreshes land before the next sweep fires).
-            self._arm_sweep()
 
     def _refresh(self, secondary: str, key: str) -> None:
         """Ship the primary's current value of ``key`` to a secondary."""
@@ -228,7 +190,6 @@ class QuasiCopies(ReplicaControlMethod):
             site.store.put(key, value)
             entry = self._cache[secondary].setdefault(key, _CacheEntry())
             entry.version = version
-            entry.refreshed_at = self.system.sim.now
 
         self.system.network.send(
             self.primary,
@@ -288,9 +249,6 @@ class QuasiCopies(ReplicaControlMethod):
             on_done(result)
 
         step()
-
-    def handle_message(self, site: Site, mset: MSet) -> None:
-        raise ValueError("QuasiCopies uses RPCs, not MSets")
 
     def quiescent(self) -> bool:
         return True

@@ -168,11 +168,6 @@ class Sequencer:
         return self.log.adopted[2]
 
     @property
-    def issued(self) -> int:
-        """The highest sequence number issued so far."""
-        return self.log.next
-
-    @property
     def bases(self) -> Dict[int, int]:
         """epoch -> base, for every epoch adopted here."""
         return {epoch: base for epoch, (_, base) in self.log.adopts.items()}

@@ -12,27 +12,28 @@ onto ETs:
 * *potentially inconsistent updates* — "ETs with backward replica
   control" (COMPE; already implemented).
 
-This module supplies the two missing services as thin layers over any
-replica control method:
+This module supplies the deferred-update service as a thin layer over
+any replica control method:
 
 * :class:`DeadlineTracker` wraps update submission, records whether
   full propagation beat the deadline, and can optionally *escalate* —
   kick the stable queues when the deadline arrives and the update has
   not fully propagated (deferred updates get priority treatment at
   their deadline).
-* :class:`PeriodicSubmitter` re-submits a template update every period
-  until cancelled, implementing independent updates.
+
+Independent updates ("ETs applied periodically") are left to the
+application: a recurring submission of an update ET.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..core.transactions import EpsilonTransaction, ETResult, TransactionID
 from .base import ReplicatedSystem
 
-__all__ = ["DeadlineTracker", "DeadlineRecord", "PeriodicSubmitter"]
+__all__ = ["DeadlineTracker", "DeadlineRecord"]
 
 
 @dataclass
@@ -117,56 +118,3 @@ class DeadlineTracker:
         if not decided:
             return 1.0
         return sum(1 for r in decided if r.met) / len(decided)
-
-    def missed(self) -> List[DeadlineRecord]:
-        return [r for r in self.records.values() if r.met is False]
-
-
-class PeriodicSubmitter:
-    """Independent updates: a template ET re-submitted every period."""
-
-    def __init__(
-        self,
-        system: ReplicatedSystem,
-        make_et: Callable[[], EpsilonTransaction],
-        origin: str,
-        period: float,
-        count: Optional[int] = None,
-    ) -> None:
-        """Args:
-            make_et: factory producing a fresh ET per firing (ETs are
-                single-use: each firing needs a new tid).
-            period: simulated time between submissions.
-            count: total firings (``None`` = until :meth:`cancel` —
-                note an uncancelled infinite submitter prevents
-                quiescence by design).
-        """
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.system = system
-        self.make_et = make_et
-        self.origin = origin
-        self.period = period
-        self.remaining = count
-        self.fired = 0
-        self._cancelled = False
-        self._arm()
-
-    def _arm(self) -> None:
-        self.system.sim.schedule(self.period, self._fire)
-
-    def _fire(self) -> None:
-        if self._cancelled:
-            return
-        if self.remaining is not None and self.fired >= self.remaining:
-            return
-        et = self.make_et()
-        if not et.is_update:
-            raise ValueError("periodic ETs must be updates")
-        self.fired += 1
-        self.system.submit(et, self.origin)
-        if self.remaining is None or self.fired < self.remaining:
-            self._arm()
-
-    def cancel(self) -> None:
-        self._cancelled = True

@@ -3,7 +3,6 @@
 from .events import EventHandle, SimulationError, Simulator
 from .network import (
     ConstantLatency,
-    ExponentialLatency,
     LatencyModel,
     Network,
     NetworkStats,
@@ -19,7 +18,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "ConstantLatency",
-    "ExponentialLatency",
     "LatencyModel",
     "Network",
     "NetworkStats",

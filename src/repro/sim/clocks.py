@@ -34,10 +34,6 @@ class LamportClock:
         self.site_index = site_index
         self._counter = 0
 
-    @property
-    def time(self) -> int:
-        return self._counter
-
     def tick(self) -> GlobalOrder:
         """Advance for a local event; return its global stamp."""
         self._counter += 1

@@ -37,14 +37,6 @@ class EventHandle:
 
     _event: _ScheduledEvent
 
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
     def cancel(self) -> None:
         self._event.cancelled = True
 
@@ -141,11 +133,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of not-yet-cancelled scheduled events."""
         return sum(1 for e in self._queue if not e.cancelled)
-
-    @property
-    def executed(self) -> int:
-        """Total events executed over the simulator's lifetime."""
-        return self._executed
 
     def is_quiescent(self) -> bool:
         """True when no events remain — the paper's quiescent state."""

@@ -9,7 +9,7 @@ simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .events import Simulator
 from .network import Network
@@ -86,34 +86,4 @@ class FailureInjector:
         self.sim.schedule_at(event.at, split)
         self.sim.schedule_at(event.at + event.duration, heal)
 
-    def apply_schedule(
-        self, events: Iterable[object]
-    ) -> None:
-        """Schedule a mixed list of crash and partition events."""
-        for event in events:
-            if isinstance(event, CrashEvent):
-                self.schedule_crash(event)
-            elif isinstance(event, PartitionEvent):
-                self.schedule_partition(event)
-            else:
-                raise TypeError("unknown failure event %r" % (event,))
-
     # -- randomized schedules ----------------------------------------------------
-
-    def random_crashes(
-        self,
-        horizon: float,
-        rate_per_site: float,
-        mean_downtime: float,
-    ) -> List[CrashEvent]:
-        """Generate (and schedule) Poisson-ish crash events per site."""
-        events: List[CrashEvent] = []
-        for name in sorted(self.sites):
-            t = self.sim.rng.expovariate(rate_per_site) if rate_per_site else horizon
-            while t < horizon:
-                duration = self.sim.rng.expovariate(1.0 / mean_downtime)
-                event = CrashEvent(name, t, duration)
-                events.append(event)
-                self.schedule_crash(event)
-                t += duration + self.sim.rng.expovariate(rate_per_site)
-        return events

@@ -24,7 +24,6 @@ __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "UniformLatency",
-    "ExponentialLatency",
     "Network",
     "NetworkStats",
 ]
@@ -56,22 +55,6 @@ class UniformLatency(LatencyModel):
 
     def sample(self, sim: Simulator) -> float:
         return sim.rng.uniform(self.low, self.high)
-
-
-@dataclass(frozen=True)
-class ExponentialLatency(LatencyModel):
-    """Exponential delay with the given mean, plus a fixed floor.
-
-    The floor models propagation delay; the exponential tail models
-    queueing — a reasonable stand-in for the "moderately high latency"
-    links of paper section 2.4.
-    """
-
-    mean: float = 1.0
-    floor: float = 0.1
-
-    def sample(self, sim: Simulator) -> float:
-        return self.floor + sim.rng.expovariate(1.0 / self.mean)
 
 
 @dataclass
@@ -162,14 +145,6 @@ class Network:
 
     def site_up(self, site: str) -> None:
         self._down_sites.discard(site)
-
-    def is_reachable(self, src: str, dst: str) -> bool:
-        """True when a message sent now would be deliverable."""
-        return (
-            not self.is_partitioned(src, dst)
-            and src not in self._down_sites
-            and dst not in self._down_sites
-        )
 
     # -- messaging ---------------------------------------------------------------
 

@@ -182,11 +182,6 @@ class StableQueue:
 
     # -- monitoring ----------------------------------------------------------------
 
-    @property
-    def backlog(self) -> int:
-        """Messages enqueued but not yet acknowledged."""
-        return len(self._pending)
-
     def drained(self) -> bool:
         """True when everything enqueued has been delivered and acked."""
         return not self._pending

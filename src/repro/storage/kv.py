@@ -72,13 +72,6 @@ class KeyValueStore:
         cell.value = value
         cell.present = True
 
-    def delete(self, key: str) -> None:
-        self._cells.pop(key, None)
-
-    def __contains__(self, key: str) -> bool:
-        cell = self._cells.get(key)
-        return cell is not None and cell.present
-
     def keys(self) -> Iterator[str]:
         return (k for k, c in self._cells.items() if c.present)
 

@@ -6,12 +6,8 @@ versions tagged with transaction numbers and controls visibility with a
 VTNC are stable — "no smaller version can be created by any active or
 future transaction" — so queries reading at the VTNC are serializable.
 Queries may opt to read newer (unstable) versions at the cost of one
-inconsistency unit per read, which is exactly what
-:class:`repro.core.divergence.VTNCDC` accounts for.
-
-Compensation support (paper section 4.2): a version can be superseded
-"by adding another version with the same timestamp but bearing the
-previous value", or deleted outright.
+inconsistency unit per read, which RITU's multiversion engine
+(``replica/engine.py``) charges.
 """
 
 from __future__ import annotations
@@ -86,35 +82,6 @@ class MultiVersionStore:
         )
         return version
 
-    def compensate(
-        self,
-        key: str,
-        txn_number: int,
-        prior_value: Any,
-        writer: Optional[TransactionID] = None,
-    ) -> Version:
-        """Install a compensation version at the same transaction number.
-
-        Paper section 4.2: 'Multiple versions can support compensation
-        by ... adding another version with the same timestamp but
-        bearing the previous value.'  The higher sequence number makes
-        the compensation shadow the compensated version.
-        """
-        return self.install(key, prior_value, txn_number, writer)
-
-    def delete_version(self, key: str, txn_number: int) -> bool:
-        """Delete the newest version of ``key`` at ``txn_number``.
-
-        The alternative compensation strategy of section 4.2.  Returns
-        True when a version was removed.
-        """
-        versions = self._versions.get(key, [])
-        for i in range(len(versions) - 1, -1, -1):
-            if versions[i].txn_number == txn_number:
-                del versions[i]
-                return True
-        return False
-
     # -- reads -----------------------------------------------------------------
 
     def read_at(self, key: str, bound: int) -> Version:
@@ -155,10 +122,6 @@ class MultiVersionStore:
 
     def keys(self) -> Iterator[str]:
         return (k for k, v in self._versions.items() if v)
-
-    def latest_values(self) -> Dict[str, Any]:
-        """key -> newest value (for convergence comparison)."""
-        return {key: self.read_latest(key).value for key in self.keys()}
 
     # -- persistence -----------------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from ..core.operations import (
     DecrementOp,
@@ -172,9 +172,6 @@ class WorkloadGenerator:
                 will_abort = self.rng.random() < self.spec.abort_rate
                 submissions.append(Submission(time, site, et, will_abort))
         return submissions
-
-    def __iter__(self) -> Iterator[Submission]:
-        return iter(self.generate())
 
 
 def drive(system, submissions, compe_aborts: bool = False) -> None:

@@ -39,9 +39,6 @@ class ZipfSampler:
         """One draw using the given RNG."""
         return bisect.bisect_left(self._cdf, rng.random())
 
-    def sample_many(self, rng: random.Random, count: int) -> List[int]:
-        return [self.sample(rng) for _ in range(count)]
-
     def probability(self, index: int) -> float:
         """Exact probability mass of ``index``."""
         if not 0 <= index < self.n:

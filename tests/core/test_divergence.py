@@ -6,7 +6,6 @@ from repro.core.divergence import (
     Admission,
     BasicTimestampDC,
     TwoPhaseLockingDC,
-    VTNCDC,
 )
 from repro.core.locks import CLASSIC_2PL, COMMU_TABLE, ORDUP_TABLE
 from repro.core.operations import (
@@ -160,39 +159,3 @@ class TestBasicTimestampDC:
         dc.begin(q, timestamp=5)
         dc.request(u, WriteOp("x", 1))
         assert dc.request(q, ReadOp("x")).admission is Admission.GRANT
-
-
-class TestVTNCDC:
-    def test_visible_version_free(self):
-        dc = VTNCDC()
-        dc.advance(5)
-        q = QueryET([ReadOp("x")], EpsilonSpec(import_limit=0))
-        dc.begin(q)
-        assert dc.admit_version(q, 3).admission is Admission.GRANT
-
-    def test_unstable_version_charges(self):
-        dc = VTNCDC()
-        dc.advance(2)
-        q = QueryET([ReadOp("x")], EpsilonSpec(import_limit=1))
-        dc.begin(q)
-        decision = dc.admit_version(q, 5, writer=77)
-        assert decision.admission is Admission.GRANT_CHARGE
-        assert dc.counter_of(q.tid).imported == {77}
-
-    def test_exhausted_query_must_fall_back(self):
-        dc = VTNCDC()
-        q = QueryET([ReadOp("x")], EpsilonSpec(import_limit=0))
-        dc.begin(q)
-        assert dc.admit_version(q, 5).admission is Admission.WAIT
-
-    def test_vtnc_monotone(self):
-        dc = VTNCDC()
-        dc.advance(5)
-        dc.advance(3)
-        assert dc.vtnc == 5
-
-    def test_request_not_supported(self):
-        dc = VTNCDC()
-        q = QueryET([ReadOp("x")])
-        with pytest.raises(NotImplementedError):
-            dc.request(q, ReadOp("x"))

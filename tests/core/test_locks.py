@@ -6,7 +6,6 @@ from repro.core.locks import (
     CLASSIC_2PL,
     COMMU_TABLE,
     Compatibility,
-    DeadlockError,
     LockManager,
     LockMode,
     ORDUP_TABLE,
@@ -97,30 +96,6 @@ class TestLockManager:
         lm.try_acquire(1, "x", WU, WriteOp("x", 1))
         assert lm.try_acquire(1, "x", RU, ReadOp("x")) is not None
 
-    def test_release_wakes_waiter(self):
-        lm = LockManager(CLASSIC_2PL)
-        lm.try_acquire(1, "x", WU, WriteOp("x", 1))
-        woken = []
-        lm.acquire(2, "x", WU, WriteOp("x", 2), woken.append)
-        assert not woken
-        lm.release_all(1)
-        assert len(woken) == 1 and woken[0].tid == 2
-
-    def test_fifo_fairness_for_update_locks(self):
-        lm = LockManager(CLASSIC_2PL)
-        lm.try_acquire(1, "x", WU, WriteOp("x", 1))
-        lm.acquire(2, "x", WU, WriteOp("x", 2), lambda g: None)
-        # A later read must not jump the queued writer.
-        assert lm.try_acquire(3, "x", RU, ReadOp("x")) is None
-
-    def test_query_skips_fairness_queue(self):
-        lm = LockManager(ORDUP_TABLE)
-        lm.try_acquire(1, "x", WU, WriteOp("x", 1))
-        lm.acquire(2, "x", WU, WriteOp("x", 2), lambda g: None)
-        grant = lm.try_acquire(3, "x", RQ, ReadOp("x"))
-        assert grant is not None
-        assert grant.charged_against == {1}
-
     def test_charged_against_collects_all_writers(self):
         lm = LockManager(COMMU_TABLE)
         lm.try_acquire(1, "x", WU, IncrementOp("x", 1))
@@ -128,45 +103,15 @@ class TestLockManager:
         grant = lm.try_acquire(3, "x", RQ, ReadOp("x"))
         assert grant.charged_against == {1, 2}
 
-    def test_waiting_count(self):
+    def test_holders_of(self):
         lm = LockManager(CLASSIC_2PL)
         lm.try_acquire(1, "x", WU, WriteOp("x", 1))
-        lm.acquire(2, "x", WU, WriteOp("x", 2), lambda g: None)
-        assert lm.waiting_count("x") == 1
-        assert lm.waiting_count() == 1
-
-    def test_locks_of_and_holders_of(self):
-        lm = LockManager(CLASSIC_2PL)
-        lm.try_acquire(1, "x", WU, WriteOp("x", 1))
-        assert [g.key for g in lm.locks_of(1)] == ["x"]
         assert [g.tid for g in lm.holders_of("x")] == [1]
 
-
-class TestDeadlock:
-    def test_two_party_deadlock_aborts_youngest(self):
+    def test_release_lets_a_refused_request_through(self):
         lm = LockManager(CLASSIC_2PL)
         lm.try_acquire(1, "x", WU, WriteOp("x", 1))
-        lm.try_acquire(2, "y", WU, WriteOp("y", 2))
-        outcomes = {}
-        lm.acquire(1, "y", WU, WriteOp("y", 1), lambda g: outcomes.setdefault(1, g))
-        with pytest.raises(DeadlockError) as exc:
-            lm.acquire(2, "x", WU, WriteOp("x", 2), lambda g: outcomes.setdefault(2, g))
-        assert exc.value.tid == 2
-        # Victim's locks released; transaction 1 gets its wait granted.
-        assert outcomes.get(1) is not None
-
-    def test_no_false_deadlock_for_simple_wait(self):
-        lm = LockManager(CLASSIC_2PL)
-        lm.try_acquire(1, "x", WU, WriteOp("x", 1))
-        lm.acquire(2, "x", WU, WriteOp("x", 2), lambda g: None)  # no raise
-
-    def test_victim_waiter_woken_with_none(self):
-        lm = LockManager(CLASSIC_2PL)
-        lm.try_acquire(1, "x", WU, WriteOp("x", 1))
-        lm.try_acquire(2, "y", WU, WriteOp("y", 2))
-        wakes = []
-        lm.acquire(2, "x", WU, WriteOp("x", 2), wakes.append)
-        # tid 2 is waiting on x; now tid 1 requests y, closing the cycle.
-        # Youngest (2) is the victim; its waiter is woken with None.
-        lm.acquire(1, "y", WU, WriteOp("y", 1), lambda g: None)
-        assert wakes == [None]
+        assert lm.try_acquire(2, "x", WU, WriteOp("x", 2)) is None
+        lm.release_all(1)
+        assert lm.holders_of("x") == []
+        assert lm.try_acquire(2, "x", WU, WriteOp("x", 2)) is not None

@@ -18,7 +18,6 @@ from repro.core.operations import (
     WriteOp,
     commutes,
     conflicts,
-    is_read,
     is_write,
 )
 
@@ -78,12 +77,12 @@ class TestApplication:
 
 class TestClassification:
     def test_read_is_read(self):
-        assert is_read(ReadOp("x"))
+        assert ReadOp("x").is_read_op
         assert not is_write(ReadOp("x"))
 
     def test_write_is_write(self):
         assert is_write(WriteOp("x", 1))
-        assert not is_read(WriteOp("x", 1))
+        assert not WriteOp("x", 1).is_read_op
 
     def test_arithmetic_ops_are_writes(self):
         for op in (

@@ -83,22 +83,6 @@ class TestEngine:
         dc.commit(writer)
         assert not dc.validate(q)
 
-    def test_gc_retains_only_potentially_conflicting(self):
-        dc = OptimisticDC()
-        for i in range(5):
-            u = UpdateET([WriteOp("x", i)])
-            dc.begin(u)
-            dc.request(u, WriteOp("x", i))
-            dc.commit(u)
-        assert dc.gc() == 0  # nothing active: all write-sets droppable
-        late = QueryET([ReadOp("x")])
-        dc.begin(late)
-        u = UpdateET([WriteOp("x", 9)])
-        dc.begin(u)
-        dc.request(u, WriteOp("x", 9))
-        dc.commit(u)
-        assert dc.gc() == 1  # the one commit after the query began
-
 
 class TestSchedulerIntegration:
     def _scheduler(self):

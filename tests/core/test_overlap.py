@@ -67,7 +67,7 @@ class TestOverlapDefinition:
         q = _query("a")
         record = tracker.query_started(q)
         tracker.query_finished(q.tid)
-        assert record.size == 0
+        assert len(record.members) == 0
 
 
 class TestLifecycle:

@@ -221,8 +221,8 @@ class TestSchedulerProperties:
 class TestDeadlockTimeout:
     def test_upgrade_deadlock_resolved_by_timeout(self):
         """Two read-modify-write ETs both hold read locks on the same
-        key and spin on the write-lock upgrade — invisible to the
-        waits-for detector under polling.  The wait timeout must break
+        key and spin on the write-lock upgrade; the lock manager keeps
+        no waits-for graph.  The wait timeout must break
         the cycle and both ETs must commit with no lost update."""
         sim, sched = _scheduler(CLASSIC_2PL)
         sched.submit(UpdateET([ReadOp("x"), IncrementOp("x", 1)]))

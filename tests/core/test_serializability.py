@@ -12,15 +12,11 @@ from repro.core.operations import (
 )
 from repro.core.serializability import (
     is_epsilon_serial,
-    is_esr,
     is_one_copy_serializable,
     is_serial,
     is_serializable,
     is_serializable_bruteforce,
-    merge_site_histories,
-    query_overlaps,
     replicas_converged,
-    serial_witness,
 )
 from repro.core.transactions import (
     QueryET,
@@ -73,14 +69,6 @@ class TestSR:
         )
         assert is_serializable(h)
 
-    def test_witness_agrees_with_checker(self):
-        h = _history(
-            (1, WriteOp("a", 1)), (2, WriteOp("a", 2)), (3, ReadOp("a")),
-        )
-        witness = serial_witness(h)
-        assert witness is not None
-        assert witness.index(1) < witness.index(2)
-
 
 class TestEpsilonSerial:
     def test_paper_log_one(self):
@@ -99,7 +87,6 @@ class TestEpsilonSerial:
         h.record(q3.tid, ReadOp("b"))
         assert not is_serializable(h)
         assert is_epsilon_serial(h)
-        assert is_esr(h)
 
     def test_non_sr_updates_fail_epsilon_serial(self):
         h = _history(
@@ -160,40 +147,6 @@ class TestBruteForceOracle:
         assert is_serializable(h) == is_serializable_bruteforce(h)
 
 
-class TestQueryOverlaps:
-    def test_empty_overlap_for_isolated_query(self):
-        h = _history(
-            (1, WriteOp("a", 1), 0.0),
-            (2, ReadOp("a"), 5.0),
-        )
-        assert query_overlaps(h) == {2: []}
-
-    def test_concurrent_conflicting_update_in_overlap(self):
-        h = _history(
-            (2, ReadOp("a"), 0.0),
-            (1, WriteOp("a", 1), 1.0),
-            (2, ReadOp("b"), 2.0),
-        )
-        assert query_overlaps(h) == {2: [1]}
-
-    def test_non_conflicting_concurrent_update_excluded(self):
-        h = _history(
-            (2, ReadOp("a"), 0.0),
-            (1, WriteOp("z", 1), 1.0),
-            (2, ReadOp("b"), 2.0),
-        )
-        assert query_overlaps(h) == {2: []}
-
-    def test_overlap_counts_multiple_updates(self):
-        h = _history(
-            (3, ReadOp("a"), 0.0),
-            (1, WriteOp("a", 1), 1.0),
-            (2, WriteOp("a", 2), 2.0),
-            (3, ReadOp("a"), 3.0),
-        )
-        assert query_overlaps(h)[3] == [1, 2]
-
-
 class TestReplicaChecks:
     def test_converged_when_identical(self):
         assert replicas_converged(
@@ -238,14 +191,3 @@ class TestReplicaChecks:
             (1, MultiplyOp("a", 2), 10.0), (2, IncrementOp("a", 1), 11.0),
         )
         assert is_one_copy_serializable({"s0": h0, "s1": h1})
-
-    def test_merge_site_histories_orders_by_time(self):
-        h0 = _history((1, WriteOp("a", 1), 3.0))
-        h1 = _history((2, WriteOp("a", 2), 1.0))
-        merged = merge_site_histories({"s0": h0, "s1": h1})
-        assert [ev.tid for ev in merged] == [2, 1]
-
-    def test_merge_applies_key_map(self):
-        h0 = _history((1, WriteOp("a@s0", 1), 0.0))
-        merged = merge_site_histories({"s0": h0}, key_map={"a@s0": "a"})
-        assert [ev.op.key for ev in merged] == ["a"]

@@ -65,13 +65,12 @@ class TestClassification:
 class TestKeySets:
     def test_read_write_sets(self):
         et = make_et([ReadOp("a"), IncrementOp("b", 1), ReadOp("c")])
-        assert et.read_set == ("a", "c")
         assert et.write_set == ("b",)
         assert et.keys == ("a", "b", "c")
 
     def test_sets_deduplicate_in_order(self):
         et = make_et([ReadOp("a"), ReadOp("a"), ReadOp("b")])
-        assert et.read_set == ("a", "b")
+        assert et.keys == ("a", "b")
 
     def test_writes_and_reads_iterators(self):
         et = make_et([ReadOp("a"), IncrementOp("b", 1)])

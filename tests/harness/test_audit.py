@@ -44,7 +44,7 @@ class TestAuditOnRealSystem:
             )
         system.run_to_quiescence()
         report = audit(system)
-        report.assert_ok()
+        assert report.ok, report.problems()
         assert report.queries_audited == 6
         assert report.updates_audited == 6
 
@@ -53,17 +53,15 @@ class TestAuditReportDiagnosis:
     def test_ok_report(self):
         report = AuditReport(converged=True, one_copy_serializable=True)
         assert report.ok
-        report.assert_ok()
+        assert report.problems() == []
 
     def test_divergence_diagnosed(self):
         report = AuditReport(converged=False, one_copy_serializable=True)
-        with pytest.raises(AssertionError, match="did not converge"):
-            report.assert_ok()
+        assert report.problems() == ["replicas did not converge"]
 
     def test_non_sr_diagnosed(self):
         report = AuditReport(converged=True, one_copy_serializable=False)
-        with pytest.raises(AssertionError, match="not 1SR"):
-            report.assert_ok()
+        assert report.problems() == ["update projection is not 1SR"]
 
     def test_epsilon_violation_diagnosed(self):
         report = AuditReport(
@@ -71,8 +69,7 @@ class TestAuditReportDiagnosis:
             one_copy_serializable=True,
             epsilon_violations=[7],
         )
-        with pytest.raises(AssertionError, match="over epsilon"):
-            report.assert_ok()
+        assert report.problems() == ["queries over epsilon: [7]"]
 
     def test_overlap_violation_diagnosed(self):
         report = AuditReport(
@@ -80,17 +77,4 @@ class TestAuditReportDiagnosis:
             one_copy_serializable=True,
             overlap_violations=[9],
         )
-        with pytest.raises(AssertionError, match="overlap bound"):
-            report.assert_ok()
-
-
-class TestHistoryRender:
-    def test_paper_notation(self):
-        from repro.core.history import History
-        from repro.core.operations import ReadOp, WriteOp
-
-        h = History()
-        h.record(1, ReadOp("a"))
-        h.record(1, WriteOp("b", 1))
-        h.record(2, WriteOp("b", 2))
-        assert h.render() == "R1(a) W1(b) W2(b)"
+        assert report.problems() == ["queries over overlap bound: [9]"]

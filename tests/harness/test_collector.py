@@ -113,17 +113,10 @@ class TestSummarize:
         # 1.0 here would inflate "in_bound" aggregates across sweeps
         # that include query-free runs.
         assert m.within_bound_fraction is None
-        assert m.as_row()["in_bound"] is None
 
     def test_update_only_run_has_no_bound_fraction(self):
         m = summarize([_update_result(1.0)], duration=2.0)
         assert m.within_bound_fraction is None
-
-    def test_as_row_is_flat(self):
-        m = summarize([_update_result(1.0)], duration=2.0)
-        row = m.as_row()
-        assert row["ets"] == 1
-        assert isinstance(row["thruput"], float)
 
 
 class TestDivergence:

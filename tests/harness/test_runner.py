@@ -40,7 +40,7 @@ class TestRunExperiment:
     def test_determinism(self):
         a = run_experiment(CommutativeOperations, _config(), _spec())
         b = run_experiment(CommutativeOperations, _config(), _spec())
-        assert a.metrics.as_row() == b.metrics.as_row()
+        assert a.metrics == b.metrics
         assert a.quiescence_time == b.quiescence_time
 
     def test_different_workload_seed_differs(self):

@@ -13,7 +13,6 @@ hazards, we assert the four pillars of section 2:
 
 import pytest
 
-from repro.core.serializability import query_overlaps
 from repro.core.transactions import reset_tid_counter
 from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.host import CommutativeOperations
@@ -105,9 +104,7 @@ class TestCleanNetwork:
         The bound is checked against the online overlap tracker, which
         implements the paper's definition over full ET lifetimes
         (submission to full propagation — and, for COMPE, to the global
-        decision).  The post-hoc log analysis in ``query_overlaps``
-        necessarily underestimates lifetimes (it only sees logged
-        events), so it is used as a reporting aid, not as this bound.
+        decision).
         """
         system = _run(factory, style, seed=4)
         for result in system.results:

@@ -112,4 +112,4 @@ class TestFailureStorms:
         report = audit(system)
         # Crashed-site queries may abort; that is allowed.  Everything
         # that committed must satisfy the full ESR contract.
-        report.assert_ok()
+        assert report.ok, report.problems()

@@ -61,7 +61,7 @@ def test_soak_six_sites_six_hundred_ets(name, factory, style):
     )
     quiescence = system.run_to_quiescence()
     report = audit(system)
-    report.assert_ok()
+    assert report.ok, report.problems()
 
     metrics = summarize(system.results, quiescence)
     assert metrics.total_ets == 600

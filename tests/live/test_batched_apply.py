@@ -5,7 +5,7 @@ A remote batch reaches the store in one ``apply_many`` pass, and a
 cumulative ack releases its whole window through
 ``LockCounterSiteState.release_many``.  Each reference twin below is
 the same engine with that stage done the long way — one apply, or one
-``release_counters`` + ``_unpin`` + ``_wake``, per MSet — and every
+one-tid ``release_many`` + ``_unpin`` + ``_wake``, per MSet — and every
 observable piece of engine state must come out identical: the store,
 ``applied_count``, the apply history, pins and drift, read-modify-report
 results, the returned MSets and the woken queries.
@@ -58,7 +58,7 @@ def per_tid(cls):
 
         def fully_acked_many(self, items):
             for tid, keys in items:
-                if self.state.release_counters(tid, keys):
+                if self.state.release_many(((tid, keys),)):
                     self._unpin(tid)
                     self._wake(keys)
 

@@ -190,6 +190,14 @@ class TestMembershipPersistence:
         assert reborn.address("siteB") == ("127.0.0.1", 7001)
         assert reborn.get("siteB").incarnation == 2
 
+    def test_an_address_observed_later_survives_restart(self, tmp_path):
+        path = tmp_path / "control.log"
+        table = MembershipTable("siteA", ControlLog(path))
+        table.observe("siteB")
+        table.observe("siteB", "10.0.0.2", 7001)
+        reborn = MembershipTable("siteA", ControlLog(path))
+        assert reborn.address("siteB") == ("10.0.0.2", 7001)
+
 
 class TestFailureDetector:
     def test_floor_applies_before_enough_samples(self):

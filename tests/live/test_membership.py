@@ -10,7 +10,7 @@ checked against the slow, obvious account a ``Reference`` keeps:
   within its timeout, and a dead peer is not alive;
 * each suspicion edge is reported once;
 * a peer's address is its configured (or gossip-moved) one, else its
-  table record's;
+  table record's; a gossiped wildcard host never replaces a known one;
 * the quorum is a majority of the non-``LEFT`` records, floored at the
   peer set plus this node;
 * the election's candidate ranking;
@@ -47,6 +47,7 @@ STATIC = ("siteB", "siteC")
 NAMES = (SELF,) + STATIC + ("siteD", "siteE", "siteF")
 FLOOR = 0.5
 ADDRS = (("127.0.0.1", 7001), ("127.0.0.1", 7002), ("10.0.0.2", 7001))
+WILDCARDS = (("0.0.0.0", 7001), ("::", 7002))
 
 
 class Reference:
@@ -64,7 +65,9 @@ class Reference:
             if rec.name != SELF and rec.status != LEFT and rec.shard is None:
                 if rec.host and rec.port:
                     self.peers.add(rec.name)
-                    self.addrs[rec.name] = (rec.host, rec.port)
+                    wildcard = rec.host in ("0.0.0.0", "::")
+                    if not (wildcard and rec.name in self.addrs):
+                        self.addrs[rec.name] = (rec.host, rec.port)
 
     def quorum(self, table):
         members = sum(rec.status != LEFT for rec in table.records())
@@ -129,7 +132,7 @@ class MembershipMachine(RuleBasedStateMachine):
         name=st.sampled_from(NAMES),
         incarnation=st.integers(0, 4),
         status=st.sampled_from(sorted(STATUS_SEVERITY)),
-        addr=st.sampled_from(ADDRS + (("", 0),)),
+        addr=st.sampled_from(ADDRS + WILDCARDS + (("", 0),)),
         shard=st.sampled_from([None, None, 1]),
         frontier=st.integers(0, 3),
     )
@@ -198,3 +201,18 @@ class MembershipMachine(RuleBasedStateMachine):
 
 
 TestMembershipModel = MembershipMachine.TestCase
+
+
+def test_a_wildcard_announcement_keeps_the_configured_address(tmp_path):
+    """A peer bound to 0.0.0.0 gossips that host: it is not where the
+    peer can be dialed, so the configured address stays."""
+    log = ControlLog(tmp_path / "control.log")
+    try:
+        m = Membership("site1", ("site0", "site1"), FLOOR)
+        m.open(log)
+        m.configure({"site0": ("10.0.0.1", 7000)})
+        record = NodeRecord("site0", "0.0.0.0", 7000, incarnation=1)
+        assert m.merge([record.wire()]) == ([], [])
+        assert m.address("site0") == ("10.0.0.1", 7000)
+    finally:
+        log.close()

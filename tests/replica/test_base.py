@@ -102,21 +102,11 @@ class TestSiteExecutor:
         sim.run()
         assert done == [1.0, 2.0]
 
-    def test_submit_front_jumps_queue(self):
-        sim, site, ex = self._rig()
-        done = []
-        ex.submit(1.0, lambda: done.append("a"))
-        ex.submit(1.0, lambda: done.append("b"))
-        ex.submit_front(1.0, lambda: done.append("front"))
-        sim.run()
-        # "a" is already running; "front" beats "b".
-        assert done == ["a", "front", "b"]
-
     def test_backlog_and_idle(self):
         sim, site, ex = self._rig()
         assert ex.idle()
         ex.submit(1.0, lambda: None)
-        assert ex.backlog == 1
+        assert not ex.idle()
         sim.run()
         assert ex.idle()
 
@@ -161,13 +151,3 @@ class TestQuiescenceAndConvergence:
         system.run_to_quiescence()
         assert system.converged()
         assert system.sites["site0"].store.get("a") == 15
-
-    def test_global_history_merges_sites(self):
-        system = ReplicatedSystem(
-            CommutativeOperations(), SystemConfig(n_sites=2)
-        )
-        system.submit(UpdateET([IncrementOp("a", 1)]), "site0")
-        system.run_to_quiescence()
-        merged = system.global_history()
-        # One apply event per replica.
-        assert len(merged) == 2

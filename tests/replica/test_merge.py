@@ -24,7 +24,7 @@ class TestCleanMerges:
         log_a = [LoggedOp(1, IncrementOp("x", 5))]
         log_b = [LoggedOp(2, IncrementOp("x", 3))]
         result = merge_partition_logs(log_a, log_b)
-        assert result.merged_cleanly
+        assert not result.backed_out
         store = apply_merged(KeyValueStore({"x": 0}), result)
         assert store.get("x") == 8
 
@@ -32,7 +32,7 @@ class TestCleanMerges:
         log_a = [LoggedOp(1, WriteOp("x", 1))]
         log_b = [LoggedOp(2, WriteOp("y", 2))]
         result = merge_partition_logs(log_a, log_b)
-        assert result.merged_cleanly
+        assert not result.backed_out
         store = apply_merged(KeyValueStore(), result)
         assert store.get("x") == 1 and store.get("y") == 2
 
@@ -40,13 +40,13 @@ class TestCleanMerges:
         log_a = [LoggedOp(1, TimestampedWriteOp("x", "a", (5, 0)))]
         log_b = [LoggedOp(2, TimestampedWriteOp("x", "b", (3, 1)))]
         result = merge_partition_logs(log_a, log_b)
-        assert result.merged_cleanly
+        assert not result.backed_out
         store = apply_merged(KeyValueStore(), result)
         assert store.get("x") == "a"  # newer stamp wins either order
 
     def test_empty_logs(self):
         result = merge_partition_logs([], [])
-        assert result.merged_cleanly
+        assert not result.backed_out
         assert result.schedule == []
 
 
@@ -55,7 +55,7 @@ class TestConflictsAndBackouts:
         log_a = [LoggedOp(1, IncrementOp("x", 10))]
         log_b = [LoggedOp(2, MultiplyOp("x", 2))]
         result = merge_partition_logs(log_a, log_b)
-        assert not result.merged_cleanly
+        assert result.backed_out
         assert result.cross_conflicts == [(1, 2)]
         assert len(result.backed_out) == 1
 
@@ -95,7 +95,7 @@ class TestConflictsAndBackouts:
         ]
         log_b = [LoggedOp(3, IncrementOp("y", 1))]
         result = merge_partition_logs(log_a, log_b)
-        assert result.merged_cleanly
+        assert not result.backed_out
         store = apply_merged(KeyValueStore({"x": 0, "y": 0}), result)
         assert store.get("x") == 20  # A's order preserved
 
@@ -148,7 +148,7 @@ class TestMergeProperties:
         log_b = build(b_ops, 200)
         ab = merge_partition_logs(log_a, log_b)
         ba = merge_partition_logs(log_b, log_a)
-        assert ab.merged_cleanly and ba.merged_cleanly
+        assert not ab.backed_out and not ba.backed_out
         store_ab = apply_merged(KeyValueStore({"x": 0, "y": 0}), ab)
         store_ba = apply_merged(KeyValueStore({"x": 0, "y": 0}), ba)
         assert store_ab.as_dict() == store_ba.as_dict()
@@ -174,7 +174,7 @@ class TestMergeProperties:
             for i, s in enumerate(stamps_b)
         ]
         result = merge_partition_logs(log_a, log_b)
-        assert result.merged_cleanly
+        assert not result.backed_out
         store = apply_merged(KeyValueStore(), result)
         all_stamps = stamps_a + stamps_b
         if all_stamps:

@@ -34,8 +34,6 @@ class TestClosenessSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             ClosenessSpec(version_lag=-1)
-        with pytest.raises(ValueError):
-            ClosenessSpec(max_age=0)
 
     def test_defaults(self):
         spec = ClosenessSpec()
@@ -90,20 +88,6 @@ class TestCloseness:
             system.submit(UpdateET([IncrementOp("x", 1)]), "site0")
         system.run_to_quiescence()
         assert system.sites["site1"].store.get("x") == 3
-
-    def test_age_trigger_refreshes(self):
-        system = _system(
-            ClosenessSpec(version_lag=None, max_age=5.0)
-        )
-        system.submit(UpdateET([IncrementOp("x", 7)]), "site0")
-        # Queries keep the system busy so the age sweep keeps running.
-        for i in range(4):
-            system.submit_at(
-                2.0 + 3 * i, QueryET([ReadOp("x")]), "site1"
-            )
-        system.run_to_quiescence()
-        assert system.method.refresh_count > 0
-        assert system.sites["site1"].store.get("x") == 7
 
 
 class TestQueries:

@@ -11,7 +11,7 @@ from repro.core.transactions import (
 from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.host import CommutativeOperations
 from repro.replica.coherency import PrimaryCopy
-from repro.replica.temporal import DeadlineTracker, PeriodicSubmitter
+from repro.replica.temporal import DeadlineTracker
 from repro.sim.failures import FailureInjector, PartitionEvent
 from repro.sim.network import ConstantLatency, UniformLatency
 
@@ -52,7 +52,7 @@ class TestDeadlineTracker:
         )
         system.run_to_quiescence()
         assert record.met is False
-        assert tracker.missed() == [record]
+        assert tracker.met_fraction() == 0.0
 
     def test_escalation_kicks_queues(self):
         system = _system(retry_interval=500.0)
@@ -89,49 +89,3 @@ class TestDeadlineTracker:
         )
         system.run_to_quiescence()
         assert record.met is True
-
-
-class TestPeriodicSubmitter:
-    def test_fires_count_times(self):
-        system = _system()
-        submitter = PeriodicSubmitter(
-            system,
-            lambda: UpdateET([IncrementOp("x", 1)]),
-            "site0",
-            period=2.0,
-            count=5,
-        )
-        system.run_to_quiescence()
-        assert submitter.fired == 5
-        assert system.sites["site1"].store.get("x") == 5
-        assert system.converged()
-
-    def test_cancel_stops_firing(self):
-        system = _system()
-        submitter = PeriodicSubmitter(
-            system,
-            lambda: UpdateET([IncrementOp("x", 1)]),
-            "site0",
-            period=2.0,
-            count=100,
-        )
-        system.sim.schedule_at(5.0, submitter.cancel)
-        system.run_to_quiescence()
-        assert submitter.fired == 2  # t=2 and t=4 only
-
-    def test_rejects_bad_period(self):
-        system = _system()
-        with pytest.raises(ValueError):
-            PeriodicSubmitter(
-                system, lambda: UpdateET([IncrementOp("x", 1)]),
-                "site0", period=0.0,
-            )
-
-    def test_rejects_query_template(self):
-        system = _system()
-        PeriodicSubmitter(
-            system, lambda: QueryET([ReadOp("x")]), "site0",
-            period=1.0, count=1,
-        )
-        with pytest.raises(ValueError):
-            system.run_to_quiescence()

@@ -70,13 +70,6 @@ class TestCancellation:
         sim.run()
         assert seen == []
 
-    def test_cancelled_flag(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        assert not handle.cancelled
-        handle.cancel()
-        assert handle.cancelled
-
     def test_pending_excludes_cancelled(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)

@@ -5,7 +5,6 @@ import pytest
 from repro.sim.events import Simulator
 from repro.sim.network import (
     ConstantLatency,
-    ExponentialLatency,
     Network,
     UniformLatency,
 )
@@ -24,11 +23,6 @@ class TestLatencyModels:
         model = UniformLatency(1.0, 2.0)
         for _ in range(50):
             assert 1.0 <= model.sample(sim) <= 2.0
-
-    def test_exponential_above_floor(self, sim):
-        model = ExponentialLatency(mean=1.0, floor=0.5)
-        for _ in range(50):
-            assert model.sample(sim) >= 0.5
 
 
 class TestDelivery:
@@ -106,12 +100,6 @@ class TestPartitions:
         sim.schedule(1.0, lambda: net.partition([("a",), ("b",)]))
         sim.run()
         assert not delivered and len(dropped) == 1
-
-    def test_is_reachable(self, sim):
-        net = Network(sim)
-        assert net.is_reachable("a", "b")
-        net.partition([("a",), ("b",)])
-        assert not net.is_reachable("a", "b")
 
 
 class TestSiteFailures:

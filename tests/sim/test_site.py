@@ -22,7 +22,7 @@ class TestLocalExecution:
     def test_apply_op_records_history(self, site):
         site.apply_op(1, WriteOp("x", 3))
         assert len(site.history) == 1
-        assert site.history.events[0].tid == 1
+        assert [ev.tid for ev in site.history] == [1]
 
     def test_read_returns_default_for_missing(self, site):
         assert site.read(1, "nope") == 0
@@ -68,12 +68,15 @@ class TestFailureInjector:
         sim, net, sites = self._rig()
         injector = FailureInjector(sim, net, sites)
         injector.schedule_crash(CrashEvent("s0", at=5.0, duration=3.0))
+        delivered = []
         sim.run(until=6.0)
         assert sites["s0"].crashed
-        assert not net.is_reachable("s1", "s0")
+        net.send("s1", "s0", "lost", delivered.append)  # lands at 7
         sim.run()
         assert not sites["s0"].crashed
-        assert net.is_reachable("s1", "s0")
+        net.send("s1", "s0", "kept", delivered.append)
+        sim.run()
+        assert delivered == ["kept"]
 
     def test_partition_event_schedule(self):
         sim, net, sites = self._rig()
@@ -89,31 +92,3 @@ class TestFailureInjector:
         sim.run()
         assert not net.is_partitioned("s0", "s1")
         assert healed == [6.0]
-
-    def test_apply_schedule_mixed(self):
-        sim, net, sites = self._rig()
-        injector = FailureInjector(sim, net, sites)
-        injector.apply_schedule([
-            CrashEvent("s0", at=1.0, duration=1.0),
-            PartitionEvent((("s0",), ("s1",)), at=3.0, duration=1.0),
-        ])
-        sim.run()
-        assert injector.crash_count == 1
-        assert injector.partition_count == 1
-
-    def test_apply_schedule_rejects_unknown(self):
-        sim, net, sites = self._rig()
-        injector = FailureInjector(sim, net, sites)
-        with pytest.raises(TypeError):
-            injector.apply_schedule(["not an event"])
-
-    def test_random_crashes_deterministic(self):
-        sim1, net1, sites1 = self._rig()
-        events1 = FailureInjector(sim1, net1, sites1).random_crashes(
-            horizon=100.0, rate_per_site=0.05, mean_downtime=5.0
-        )
-        sim2, net2, sites2 = self._rig()
-        events2 = FailureInjector(sim2, net2, sites2).random_crashes(
-            horizon=100.0, rate_per_site=0.05, mean_downtime=5.0
-        )
-        assert events1 == events2

@@ -37,14 +37,8 @@ class TestBasics:
 
     def test_contains_len_keys(self):
         store = KeyValueStore({"a": 1})
-        assert "a" in store and "b" not in store
         assert len(store) == 1
         assert list(store.keys()) == ["a"]
-
-    def test_delete(self):
-        store = KeyValueStore({"a": 1})
-        store.delete("a")
-        assert "a" not in store
 
     def test_as_dict(self):
         store = KeyValueStore({"a": 1, "b": 2})

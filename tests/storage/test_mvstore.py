@@ -37,11 +37,6 @@ class TestInstallRead:
         with pytest.raises(NoVisibleVersion):
             store.read_at("x", 2)
 
-    def test_latest_values(self, store):
-        store.install("x", 1, 1)
-        store.install("y", 2, 2)
-        assert store.latest_values() == {"x": 1, "y": 2}
-
 
 class TestVTNC:
     def test_vtnc_monotone(self, store):
@@ -69,28 +64,6 @@ class TestVTNC:
             store.read_visible("x")
 
 
-class TestCompensation:
-    def test_compensation_shadows_at_same_number(self, store):
-        store.install("x", "original", 3)
-        store.compensate("x", 3, "restored")
-        assert store.read_at("x", 3).value == "restored"
-
-    def test_delete_version(self, store):
-        store.install("x", "a", 1)
-        store.install("x", "b", 2)
-        assert store.delete_version("x", 2)
-        assert store.read_latest("x").value == "a"
-
-    def test_delete_missing_returns_false(self, store):
-        assert not store.delete_version("x", 1)
-
-    def test_delete_removes_newest_duplicate_first(self, store):
-        store.install("x", "a", 3)
-        store.compensate("x", 3, "b")
-        assert store.delete_version("x", 3)
-        assert store.read_latest("x").value == "a"
-
-
 class TestOrderIndependence:
     def test_install_order_does_not_matter(self):
         """RITU convergence: same version set -> same visible state."""
@@ -100,5 +73,7 @@ class TestOrderIndependence:
             a.install(key, value, n)
         for key, value, n in reversed(installs):
             b.install(key, value, n)
-        assert a.latest_values() == b.latest_values()
+        assert {k: a.read_latest(k).value for k in a.keys()} == {
+            k: b.read_latest(k).value for k in b.keys()
+        }
         assert a.read_at("x", 3).value == b.read_at("x", 3).value

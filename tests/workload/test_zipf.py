@@ -28,7 +28,7 @@ class TestDistribution:
     def test_samples_within_domain(self):
         sampler = ZipfSampler(10, 1.0)
         rng = random.Random(1)
-        assert all(0 <= s < 10 for s in sampler.sample_many(rng, 500))
+        assert all(0 <= sampler.sample(rng) < 10 for _ in range(500))
 
     def test_probabilities_sum_to_one(self):
         sampler = ZipfSampler(20, 1.2)
@@ -54,7 +54,8 @@ class TestDistribution:
         rng = random.Random(42)
         counts = [0] * 5
         n = 20_000
-        for s in sampler.sample_many(rng, n):
+        for _ in range(n):
+            s = sampler.sample(rng)
             counts[s] += 1
         for i in range(5):
             assert counts[i] / n == pytest.approx(
@@ -63,6 +64,7 @@ class TestDistribution:
 
     def test_deterministic_given_seed(self):
         sampler = ZipfSampler(10, 1.0)
-        a = sampler.sample_many(random.Random(7), 20)
-        b = sampler.sample_many(random.Random(7), 20)
+        rng_a, rng_b = random.Random(7), random.Random(7)
+        a = [sampler.sample(rng_a) for _ in range(20)]
+        b = [sampler.sample(rng_b) for _ in range(20)]
         assert a == b
