@@ -139,16 +139,16 @@ def test_wire_bin_batch_relay(benchmark):
     from repro.live.protocol import encode_bin_batch_frame, payload_blob
 
     entries = _wire_batch()
-    blobs = [(seq, payload_blob(payload)) for seq, payload in entries]
+    blobs = [payload_blob(payload) for _, payload in entries]
 
     def run():
-        return len(encode_bin_batch_frame("site0", blobs))
+        return len(encode_bin_batch_frame("site0", entries[0][0], blobs))
 
     assert benchmark(run) > 0
 
 
 def test_wire_bin_batch_decode(benchmark):
-    """Receive: split the binary envelope into (seq, blob) pairs; blob
+    """Receive: split the binary envelope into its run of blobs; blob
     JSON decode happens once, on the apply path."""
     from repro.live.protocol import (
         decode_bin_frame,
@@ -158,7 +158,7 @@ def test_wire_bin_batch_decode(benchmark):
 
     entries = _wire_batch()
     data = encode_bin_batch_frame(
-        "site0", [(seq, payload_blob(payload)) for seq, payload in entries]
+        "site0", entries[0][0], [payload_blob(p) for _, p in entries]
     )
 
     def run():

@@ -13,7 +13,9 @@ dials, writes and waits around it, and moves the log's cursor.
 from __future__ import annotations
 
 import asyncio
+from bisect import bisect_right
 from collections import deque
+from itertools import accumulate
 from typing import Any, Deque, List, Optional, Tuple
 
 from ..obs.registry import DEFAULT_LATENCY_BUCKETS, DEFAULT_SIZE_BUCKETS
@@ -172,37 +174,33 @@ class PeerChannel:
 
     def cut(
         self, entries: List[Tuple[int, bytes]], now: float
-    ) -> List[List[Tuple[int, bytes]]]:
-        """Cut ``entries`` — ``(seq, blob)`` pairs — into at most the
-        free window's frames, and record them as in flight.
+    ) -> List[Tuple[int, List[bytes]]]:
+        """Cut ``entries`` — ``(seq, blob)`` pairs of consecutive seqs,
+        as the log's window holds them — into at most the free window's
+        runs, ``(first seq, blobs)`` each, and record them as in flight.
 
-        One pass sizes and fills the frames: a frame ends at
-        ``FRAME_MSETS`` MSets or before its blobs pass
-        ``MAX_FRAME // 2`` bytes, the rest waits for the next round, and
-        ``sent_hi`` is the last seq written.
+        A run ends at ``FRAME_MSETS`` MSets or before its blobs pass
+        ``MAX_FRAME // 2`` bytes (a blob over that goes alone), found by
+        a bisect over the blobs' running sizes; the rest waits for the
+        next round, and ``sent_hi`` is the last seq written.
         """
         room = FRAMES_IN_FLIGHT - len(self.inflight)
+        blobs = [blob for _, blob in entries]
+        ends = list(accumulate(map(len, blobs)))
         budget = MAX_FRAME // 2
-        frames: List[List[Tuple[int, bytes]]] = []
-        batch: List[Tuple[int, bytes]] = []
-        size = 0
-        for seq, blob in entries:
-            if not batch or (
-                len(batch) >= FRAME_MSETS or size + len(blob) > budget
-            ):
-                if len(frames) == room:
-                    break
-                batch, size = [], 0
-                frames.append(batch)
-            batch.append((seq, blob))
-            size += len(blob)
-        for batch in frames:
-            self.sent_hi = batch[-1][0]
-            self.inflight.append((self.sent_hi, now, len(batch)))
-            self._m_batch.observe(len(batch))
-            self._m_relayed.inc(len(batch))
+        runs: List[Tuple[int, List[bytes]]] = []
+        start, sent = 0, 0
+        while start < len(blobs) and len(runs) < room:
+            hi = min(len(blobs), start + FRAME_MSETS)
+            stop = max(start + 1, bisect_right(ends, sent + budget, start, hi))
+            runs.append((entries[start][0], blobs[start:stop]))
+            self.sent_hi = entries[stop - 1][0]
+            self.inflight.append((self.sent_hi, now, stop - start))
+            self._m_batch.observe(stop - start)
+            self._m_relayed.inc(stop - start)
             self._m_frames.inc()
-        return frames
+            start, sent = stop, ends[stop - 1]
+        return runs
 
     def retire(self, seq: int, now: float) -> None:
         """A cumulative ack of ``seq`` retires every frame in flight at

@@ -22,9 +22,9 @@ peer's inbox line.
 
 *Binary frames* (bit set) carry the propagation stream, and only it:
 
-* ``mset-batch`` — ``>BHI`` (kind, src length, entry count), the
-  sender's site name, then per entry ``>QI`` (channel seq, blob
-  length) and the blob;
+* ``mset-batch`` — ``>BHIQ`` (kind, src length, entry count, first
+  seq), the sender's site name, one ``>I`` length per blob, then the
+  blobs: the run of channel seqs ``first``, ``first + 1``, ...;
 * ``ack`` — ``>BQ`` (kind, seq): *cumulative*, covering every channel
   sequence number ``<= seq``.
 
@@ -58,6 +58,7 @@ kind — and hands it to the transport in one write.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import struct
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -130,9 +131,19 @@ _BIN_FLAG = 0x80000000
 _BIN_BATCH = 1
 _BIN_ACK = 2
 
-_BATCH_HDR = struct.Struct(">BHI")  # kind, src length, entry count
-_ENTRY_HDR = struct.Struct(">QI")   # channel seq, payload-blob length
-_ACK_BODY = struct.Struct(">BQ")    # kind, cumulative channel seq
+_BATCH_HDR = struct.Struct(">BHIQ")  # kind, src length, count, first seq
+_BATCH_HEAD = struct.Struct(">IBHIQ")  # the length word, then _BATCH_HDR
+_ACK_BODY = struct.Struct(">BQ")     # kind, cumulative channel seq
+
+#: the highest channel seq: a run must end at or below it.
+_SEQ_MAX = 2 ** 64 - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _table(count: int) -> struct.Struct:
+    """A ``count``-entry batch's blob-length table: one struct per count,
+    at most ``MAX_BATCH_ENTRIES`` of them, under 1 MB all told."""
+    return struct.Struct(">%dI" % count)
 
 
 # -- framing -----------------------------------------------------------------
@@ -503,32 +514,41 @@ def decode_payload_blob(blob: bytes) -> Dict[str, Any]:
 
 
 def encode_bin_batch_frame(
-    src: str, entries: Sequence[Tuple[int, bytes]]
+    src: str, first: int, blobs: Sequence[bytes]
 ) -> bytes:
-    """One complete binary ``mset-batch`` frame (header included) from
-    (seq, payload-blob) pairs."""
-    if not entries:
-        raise ProtocolError("refusing to encode an empty mset-batch")
-    if len(entries) > MAX_BATCH_ENTRIES:
+    """One complete binary ``mset-batch`` frame (header included): the
+    payload ``blobs`` of channel seqs ``first``, ``first + 1``, ...,
+    behind one header and one length table, written by one join."""
+    count = len(blobs)
+    if not 0 < count <= MAX_BATCH_ENTRIES:
         raise ProtocolError(
-            "mset-batch of %d entries exceeds MAX_BATCH_ENTRIES"
-            % len(entries)
+            "mset-batch of %d entries (1 to MAX_BATCH_ENTRIES)" % count
+        )
+    if first < 0 or first + count - 1 > _SEQ_MAX:
+        raise ProtocolError(
+            "mset-batch run %d+%d is not within 64-bit seqs" % (first, count)
         )
     src_bytes = src.encode("utf-8")
     if len(src_bytes) > 0xFFFF:
         raise ProtocolError("site name of %d bytes" % len(src_bytes))
-    parts: List[bytes] = [
-        _BATCH_HDR.pack(_BIN_BATCH, len(src_bytes), len(entries)),
-        src_bytes,
-    ]
-    size = _BATCH_HDR.size + len(src_bytes)
-    for seq, blob in entries:
-        parts.append(_ENTRY_HDR.pack(seq, len(blob)))
-        parts.append(blob)
-        size += _ENTRY_HDR.size + len(blob)
+    if count == 1:
+        size = len(blobs[0])
+        table = _LEN.pack(size)
+    else:
+        lengths = list(map(len, blobs))
+        size = sum(lengths)
+        table = _table(count).pack(*lengths)
+    size += _BATCH_HDR.size + len(src_bytes) + 4 * count
     if size > MAX_FRAME:
         raise ProtocolError("frame of %d bytes exceeds MAX_FRAME" % size)
-    return _LEN.pack(_BIN_FLAG | size) + b"".join(parts)
+    return b"".join([
+        _BATCH_HEAD.pack(
+            _BIN_FLAG | size, _BIN_BATCH, len(src_bytes), count, first
+        ),
+        src_bytes,
+        table,
+        *blobs,
+    ])
 
 
 def encode_bin_ack_frame(seq: int) -> bytes:
@@ -541,7 +561,8 @@ def encode_bin_ack_frame(seq: int) -> bytes:
 def decode_bin_frame(body: bytes) -> Dict[str, Any]:
     """Decode one binary frame body into the normalized dict form.
 
-    ``mset-batch`` entries come back as *undecoded* (seq, blob) pairs
+    An ``mset-batch`` comes back as its run: the channel seq of its
+    first entry under ``"first"`` and the *undecoded* payload blobs
     under ``"blobs"`` — the receiver decodes each blob exactly once,
     on the apply path.  Every malformation raises
     :class:`ProtocolError`, never an untyped exception.
@@ -560,40 +581,43 @@ def decode_bin_frame(body: bytes) -> Dict[str, Any]:
     if kind != _BIN_BATCH:
         raise ProtocolError("unknown binary frame kind %d" % kind)
     try:
-        _, src_len, count = _BATCH_HDR.unpack_from(body, 0)
+        _, src_len, count, first = _BATCH_HDR.unpack_from(body, 0)
     except struct.error as exc:
         raise ProtocolError("truncated binary batch header") from exc
-    if count == 0:
-        raise ProtocolError("binary mset-batch without entries")
-    if count > MAX_BATCH_ENTRIES:
+    if not 0 < count <= MAX_BATCH_ENTRIES:
         raise ProtocolError(
-            "mset-batch of %d entries exceeds MAX_BATCH_ENTRIES" % count
+            "mset-batch of %d entries (1 to MAX_BATCH_ENTRIES)" % count
         )
-    offset = _BATCH_HDR.size
-    if len(body) < offset + src_len:
+    if first + count - 1 > _SEQ_MAX:
+        raise ProtocolError(
+            "mset-batch run %d+%d passes 64-bit seqs" % (first, count)
+        )
+    offset = _BATCH_HDR.size + src_len
+    if len(body) < offset:
         raise ProtocolError("truncated binary batch src")
     try:
-        src = body[offset:offset + src_len].decode("utf-8")
+        src = body[_BATCH_HDR.size:offset].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError("undecodable batch src: %s" % exc) from exc
-    offset += src_len
-    blobs: List[Tuple[int, bytes]] = []
-    for _ in range(count):
-        try:
-            seq, blob_len = _ENTRY_HDR.unpack_from(body, offset)
-        except struct.error as exc:
-            raise ProtocolError("truncated binary batch entry") from exc
-        offset += _ENTRY_HDR.size
-        blob = body[offset:offset + blob_len]
-        if len(blob) != blob_len:
-            raise ProtocolError("truncated batch entry blob")
-        offset += blob_len
-        blobs.append((seq, blob))
-    if offset != len(body):
+    end = offset + 4 * count
+    if len(body) < end:
+        raise ProtocolError("truncated batch length table")
+    if count == 1:
+        start, end = end, end + _LEN.unpack_from(body, offset)[0]
+        blobs = [body[start:end]]
+    else:
+        blobs = []
+        for length in _table(count).unpack_from(body, offset):
+            start, end = end, end + length
+            blobs.append(body[start:end])
+    if end > len(body):
+        raise ProtocolError("truncated batch entry blob")
+    if end < len(body):
         raise ProtocolError(
-            "%d trailing bytes after binary batch" % (len(body) - offset)
+            "%d trailing bytes after binary batch" % (len(body) - end)
         )
-    return {"type": "mset-batch", "src": src, "blobs": tuple(blobs)}
+    return {"type": "mset-batch", "src": src, "first": first,
+            "blobs": tuple(blobs)}
 
 
 # -- epsilon specs -----------------------------------------------------------

@@ -1238,8 +1238,8 @@ class ReplicaServer:
         window holds them since the update entered it — the zero
         re-encode relay; re-sends from the log reuse the same bytes.
         """
-        for batch in channel.cut(entries, self.engine.clock()):
-            frames.write(encode_bin_batch_frame(self.name, batch))
+        for first, blobs in channel.cut(entries, self.engine.clock()):
+            frames.write(encode_bin_batch_frame(self.name, first, blobs))
         await frames.drain()
 
     def _heartbeat_jitter(self) -> float:
@@ -1345,11 +1345,11 @@ class ReplicaServer:
             # local updates.  One cumulative ack can retire a whole
             # send window of them: release their obligations in one
             # engine step, record them at one instant.
-            self.engine.fully_acked_many(released)
-            self.trace.event_each("update-ack", "tid", [t for t, _ in released])
+            tids = self.engine.fully_acked_many(released)
+            self.trace.event_each("update-ack", "tid", tids)
             futures = self._full_ack_futures
             if futures:
-                for tid, _ in released:
+                for tid in tids:
                     fut = futures.pop(tid, None)
                     if fut is not None and not fut.done():
                         fut.set_result(True)
@@ -1442,16 +1442,18 @@ class ReplicaServer:
     ) -> None:
         """Receive one (binary) ``mset-batch`` frame from a peer.
 
-        The contiguous fresh prefix of the batch is durably recorded
-        with one group-commit append and applied in one engine step,
-        then acknowledged *cumulatively* with the inbox
-        frontier — covering this batch, any duplicates, and anything
+        The frame's run of seqs past the inbox frontier is durably
+        recorded with one group-commit append and applied in one engine
+        step, then acknowledged *cumulatively* with the inbox frontier
+        — covering this batch, its duplicate prefix, and anything
         earlier the sender may not know was acked — all in the step
-        that parsed the frame.  Record and apply are one step, so no
-        snapshot can capture the inbox frontier without the batch's
-        engine effects; and the connection parses no further frame
-        before the next turn, so a fast sender fills TCP flow control
-        rather than the receiver's memory.
+        that parsed the frame.  A run starting past ``frontier + 1``
+        (an earlier frame was lost or reordered) records nothing.
+        Record and apply are one step, so no snapshot can capture the
+        inbox frontier without the batch's engine effects; and the
+        connection parses no further frame before the next turn, so a
+        fast sender fills TCP flow control rather than the receiver's
+        memory.
 
         Every entry is fully decoded *before* anything is durably
         recorded: a malformed MSet, or a blob whose log line would not
@@ -1475,21 +1477,16 @@ class ReplicaServer:
             )
             return
         self._note_peer_alive(src)
-        fresh_blobs: List[bytes] = []
-        msets: List[MSet] = []
-        expected = inbox.frontier + 1
-        for seq, blob in frame["blobs"]:
-            if seq < expected:
-                continue  # duplicate: the cumulative ack re-covers it
-            if seq > expected:
-                break  # gap (reordered/dropped frame): ack frontier
-            msets.append(decode_mset(decode_payload_blob(blob).get("mset")))
-            fresh_blobs.append(blob)
-            expected += 1
-        if msets:
+        skip = inbox.frontier + 1 - frame["first"]
+        fresh = frame["blobs"][skip:] if skip >= 0 else ()
+        if fresh:
+            msets = [
+                decode_mset(decode_payload_blob(blob).get("mset"))
+                for blob in fresh
+            ]
             # Every entry decoded (see docstring): now record + apply.
             # The blobs are the receipts frontier + 1 onwards.
-            inbox.record_many(blobs=fresh_blobs)
+            inbox.record_many(blobs=fresh)
             self._resolve_applied(
                 self.engine.accept_batch(msets, local=False)
             )

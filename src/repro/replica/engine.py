@@ -457,15 +457,17 @@ class LiveEngine:
 
     def fully_acked_many(
         self, items: Sequence[Tuple[Any, Sequence[str]]]
-    ) -> None:
+    ) -> List[Any]:
         """Every peer durably holds these local updates' MSets, given
-        as (tid, keys) pairs.
+        as (tid, keys) pairs; returns their tids, in order, for the
+        caller's ``update-ack`` rows.
 
         One peer ack can retire a whole send window of local updates;
         methods with per-update obligations override this to release
         them all in one step, waking the queries parked on the keys
-        they free.  No-op for methods without any.
+        they free.
         """
+        return [tid for tid, _ in items]
 
     def hold_counters(self, mset: MSet) -> None:
         """Re-assert the divergence obligation of a still-unacked local
@@ -768,8 +770,9 @@ class CommuLiveEngine(LiveEngine):
 
     def fully_acked_many(
         self, items: Sequence[Tuple[Any, Sequence[str]]]
-    ) -> None:
+    ) -> List[Any]:
         self.release_counters(items)
+        return [tid for tid, _ in items]
 
     def release_counters(
         self, items: Sequence[Tuple[Any, Sequence[str]]]
@@ -1077,12 +1080,13 @@ class RituMvLiveEngine(RituLiveEngine):
 
     def fully_acked_many(
         self, items: Sequence[Tuple[Any, Sequence[str]]]
-    ) -> None:
-        super().fully_acked_many(items)
+    ) -> List[Any]:
+        tids = super().fully_acked_many(items)
         # Only a writer above the VTNC is still pinned here
         # (:meth:`_note_number`); one at or below it is stable anyway.
         pins = self._pins
-        self._everywhere.update(tid for tid, _ in items if tid in pins)
+        self._everywhere.update(tid for tid in tids if tid in pins)
+        return tids
 
     def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
         assert mset.txn_number is not None, (

@@ -242,9 +242,7 @@ class TestFrameSizing:
                 peer.send({"type": "peer-hello", "src": "site1"})
                 peer.write(
                     b"".join(
-                        _forged_batch(
-                            "site1", range(first, first + per_frame)
-                        )
+                        _forged_batch("site1", first, first + per_frame - 1)
                         for first in range(1, last + 1, per_frame)
                     )
                 )
@@ -267,30 +265,29 @@ class TestFrameSizing:
         run(scenario())
 
 
-def _forged_entries(src, seqs):
-    """(seq, payload blob) entries of unit increments from ``src``."""
+def _forged_blobs(src, first, last):
+    """Payload blobs of unit increments from ``src``, seqs ``first`` to
+    ``last``."""
     return [
-        (
-            seq,
-            payload_blob(
-                {
-                    "mset": encode_mset(
-                        MSet(
-                            tid="%s:%d" % (src, seq),
-                            ops=(IncrementOp("acct0", 1),),
-                            origin=src,
-                        )
+        payload_blob(
+            {
+                "mset": encode_mset(
+                    MSet(
+                        tid="%s:%d" % (src, seq),
+                        ops=(IncrementOp("acct0", 1),),
+                        origin=src,
                     )
-                }
-            ),
+                )
+            }
         )
-        for seq in seqs
+        for seq in range(first, last + 1)
     ]
 
 
-def _forged_batch(src, seqs):
-    """One binary ``mset-batch`` frame of unit increments from ``src``."""
-    return encode_bin_batch_frame(src, _forged_entries(src, seqs))
+def _forged_batch(src, first, last):
+    """One binary ``mset-batch`` frame of unit increments from ``src``:
+    the run of seqs ``first`` to ``last``."""
+    return encode_bin_batch_frame(src, first, _forged_blobs(src, first, last))
 
 
 class TestWireInterop:
@@ -304,7 +301,7 @@ class TestWireInterop:
             try:
                 raw = await RawConn.open(*cluster.addrs["site0"])
                 raw.send({"type": "peer-hello", "src": "site1"})
-                batch = _forged_batch("site1", (1, 2, 3))
+                batch = _forged_batch("site1", 1, 3)
                 for _ in range(3):  # original + two retries
                     raw.write(batch)
                     ack = await raw.recv(timeout=5)
@@ -318,49 +315,88 @@ class TestWireInterop:
         run(scenario())
 
     def test_gapped_batch_acks_frontier_only(self):
-        """A batch starting past the frontier is not applied; the
-        cumulative ack tells the sender where to resume."""
+        """A frame whose run starts past ``frontier + 1`` (a frame
+        between was lost or reordered) records nothing; the cumulative
+        ack tells the sender where to resume."""
 
         async def scenario():
             cluster = LiveCluster(n_sites=2, method="commu")
             await cluster.start()
             try:
+                await cluster.kill("site1")  # the forged frames own the seqs
                 raw = await RawConn.open(*cluster.addrs["site0"])
                 raw.send({"type": "peer-hello", "src": "site1"})
-                # frontier is 0: seqs 1-4 missing
-                raw.write(_forged_batch("site1", (5,)))
-                ack = await raw.recv(timeout=5)
-                assert ack == {"type": "ack", "seq": 0}
+                inbox = cluster.servers["site0"].inboxes["site1"]
+                raw.write(_forged_batch("site1", 1, 2))
+                assert await raw.recv(timeout=5) == {"type": "ack", "seq": 2}
+                # frontier is 2: seqs 3-4 missing
+                raw.write(_forged_batch("site1", 5, 7))
+                assert await raw.recv(timeout=5) == {"type": "ack", "seq": 2}
+                assert inbox.frontier == 2
                 await raw.close()
                 client = await cluster.client("site0")
-                assert await client.read("acct0") == 0  # never applied
+                assert await client.read("acct0") == 2  # 5-7 never applied
             finally:
                 await cluster.stop()
 
         run(scenario())
 
     def test_unordered_batch_records_its_contiguous_prefix(self):
-        """A frame whose seqs are out of order or gapped is recorded
-        only up to its contiguous fresh prefix and acked at the inbox
-        frontier; the rest arrives by re-send."""
+        """A frame whose run starts below ``frontier + 1`` (a re-send
+        overlapping what an earlier frame delivered) records and
+        applies only its tail past the frontier, each MSet once."""
 
         async def scenario():
             cluster = LiveCluster(n_sites=2, method="commu")
             await cluster.start()
             try:
+                await cluster.kill("site1")  # the forged frames own the seqs
                 raw = await RawConn.open(*cluster.addrs["site0"])
                 raw.send({"type": "peer-hello", "src": "site1"})
                 inbox = cluster.servers["site0"].inboxes["site1"]
-                raw.write(_forged_batch("site1", (1, 2, 4, 3)))
+                raw.write(_forged_batch("site1", 1, 2))
                 assert await raw.recv(timeout=5) == {"type": "ack", "seq": 2}
-                assert inbox.frontier == 2
-                raw.write(_forged_batch("site1", (3, 4, 6)))
+                raw.write(_forged_batch("site1", 2, 4))
                 assert await raw.recv(timeout=5) == {"type": "ack", "seq": 4}
-                raw.write(_forged_batch("site1", (5, 6)))
+                assert inbox.frontier == 4
+                raw.write(_forged_batch("site1", 1, 6))
                 assert await raw.recv(timeout=5) == {"type": "ack", "seq": 6}
                 await raw.close()
                 client = await cluster.client("site0")
                 assert await client.read("acct0") == 6  # each once
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_a_batch_wholly_below_the_frontier_is_reacked(self, tmp_path):
+        """A frame whose whole run is at or below the frontier (a late
+        duplicate) is acked at the frontier and changes nothing: no
+        apply, no inbox line."""
+
+        async def scenario():
+            cluster = LiveCluster(
+                n_sites=2, method="commu", data_dir=tmp_path
+            )
+            await cluster.start()
+            try:
+                await cluster.kill("site1")  # the forged frames own the seqs
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "site1"})
+                inbox = cluster.servers["site0"].inboxes["site1"]
+                raw.write(_forged_batch("site1", 1, 5))
+                assert await raw.recv(timeout=5) == {"type": "ack", "seq": 5}
+                log = tmp_path / "site0" / "inbox" / "site1.log"
+                logged = log.read_bytes()
+                for first, last in ((2, 4), (1, 5), (5, 5)):
+                    raw.write(_forged_batch("site1", first, last))
+                    ack = await raw.recv(timeout=5)
+                    assert ack == {"type": "ack", "seq": 5}
+                assert inbox.frontier == 5
+                assert log.read_bytes() == logged
+                await raw.close()
+                client = await cluster.client("site0")
+                assert await client.read("acct0") == 5
             finally:
                 await cluster.stop()
 
@@ -393,14 +429,12 @@ class TestWireInterop:
             try:
                 await cluster.kill("site1")  # the forged frames own the seqs
                 server = cluster.servers["site0"]
-                first, second = _forged_entries("site1", (1, 2))
-                assert json.loads(poison(first[1]))["mset"]["tid"]
+                first, second = _forged_blobs("site1", 1, 2)
+                assert json.loads(poison(first))["mset"]["tid"]
                 raw = await RawConn.open(*cluster.addrs["site0"])
                 raw.send({"type": "peer-hello", "src": "site1"})
                 raw.write(
-                    encode_bin_batch_frame(
-                        "site1", [(1, poison(first[1])), second]
-                    )
+                    encode_bin_batch_frame("site1", 1, [poison(first), second])
                 )
                 assert await raw.recv(timeout=5) is None  # severed, no ack
                 await raw.close()
@@ -411,7 +445,7 @@ class TestWireInterop:
 
                 raw = await RawConn.open(*cluster.addrs["site0"])
                 raw.send({"type": "peer-hello", "src": "site1"})
-                raw.write(encode_bin_batch_frame("site1", [first, second]))
+                raw.write(encode_bin_batch_frame("site1", 1, [first, second]))
                 assert await raw.recv(timeout=5) == {"type": "ack", "seq": 2}
                 await raw.close()
                 await cluster.kill("site0")
@@ -456,10 +490,9 @@ class TestWireInterop:
                 raw.write(
                     encode_bin_batch_frame(
                         "site1",
-                        [
-                            (seq, payload_blob({"mset": encode_mset(m)}))
-                            for seq, m in ((1, good), (2, bad))
-                        ],
+                        1,
+                        [payload_blob({"mset": encode_mset(m)})
+                         for m in (good, bad)],
                     )
                 )
                 assert await raw.recv(timeout=5) is None  # severed, no ack

@@ -8,6 +8,7 @@ reference of the window: the frames in flight, ``sent_hi`` and the
 MSets acknowledged.
 """
 
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -32,7 +33,15 @@ def _blob(seq):
 
 
 def _bytes(frame):
-    return sum(len(blob) for _, blob in frame)
+    return sum(len(blob) for blob in frame[1])
+
+
+def _entries(frames):
+    """The (seq, blob) pairs a list of ``(first, blobs)`` runs carries."""
+    return [
+        (first + i, blob) for first, blobs in frames
+        for i, blob in enumerate(blobs)
+    ]
 
 
 def test_frames_are_cut_at_half_the_frame_limit(monkeypatch):
@@ -53,11 +62,11 @@ def test_frames_are_cut_at_half_the_frame_limit(monkeypatch):
         frames = ch.cut(fetched, 0.0)
         assert len(frames) <= FRAMES_IN_FLIGHT
         written += frames
-        rounds.append((ch.sent_hi, frames[-1][-1][0], fetched[-1][0]))
+        rounds.append((ch.sent_hi, _entries(frames)[-1][0], fetched[-1][0]))
         ch.retire(ch.sent_hi, 0.0)
     assert len(written) >= 40 // 4
     assert all(_bytes(frame) <= budget for frame in written)
-    assert [e for frame in written for e in frame] == owed
+    assert _entries(written) == owed
     assert all(sent_hi == last for sent_hi, last, _ in rounds)
     # Some round fetched more than its frames could carry.
     assert any(last < fetched for _, last, fetched in rounds)
@@ -66,6 +75,58 @@ def test_frames_are_cut_at_half_the_frame_limit(monkeypatch):
     assert registry.get_sample(
         "propagation_frames_total", peer="p"
     ) == len(written)
+
+
+def test_a_blob_over_half_the_frame_limit_goes_alone(monkeypatch):
+    """A blob larger than the ``MAX_FRAME // 2`` budget cannot share a
+    frame: it leaves alone, between the runs before and after it."""
+    monkeypatch.setattr(channel, "MAX_FRAME", 8 * 1024)
+    big = b"b" * (channel.MAX_FRAME // 2 + 1)
+    owed = [(1, b"a"), (2, b"a"), (3, big), (4, b"c"), (5, b"c")]
+    ch = _channel()
+    ch.connect(0)
+    frames = ch.cut(owed, 0.0)
+    assert frames == [(1, [b"a", b"a"]), (3, [big]), (4, [b"c", b"c"])]
+    assert ch.sent_hi == 5
+    assert [n for _, _, n in ch.inflight] == [2, 1, 2]
+
+
+@given(
+    first=st.integers(1, 2 ** 40),
+    sizes=st.lists(st.integers(0, 700), min_size=1, max_size=40),
+    frame_msets=st.integers(1, 6),
+    inflight=st.integers(0, FRAMES_IN_FLIGHT),
+)
+def test_runs_are_contiguous_and_bounded(first, sizes, frame_msets, inflight):
+    """However the blobs are sized, the runs carry a prefix of the owed
+    seqs, each run contiguous with the one before, none longer than
+    ``FRAME_MSETS`` nor (unless a lone blob) past the byte budget, at
+    most the free window's worth of them; ``sent_hi`` is the last seq
+    of the last run."""
+    saved = channel.FRAME_MSETS, channel.MAX_FRAME
+    channel.FRAME_MSETS, channel.MAX_FRAME = frame_msets, 2048
+    try:
+        ch = _channel()
+        ch.connect(first - 1)
+        for _ in range(inflight):
+            ch.inflight.append((first - 1, 0.0, 1))
+        owed = [(first + i, b"x" * n) for i, n in enumerate(sizes)]
+        frames = ch.cut(owed, 0.0)
+        budget = channel.MAX_FRAME // 2
+    finally:
+        channel.FRAME_MSETS, channel.MAX_FRAME = saved
+    room = FRAMES_IN_FLIGHT - inflight
+    written = _entries(frames)
+    assert len(frames) <= room
+    assert written == owed[: len(written)]
+    for run in frames:
+        assert 0 < len(run[1]) <= frame_msets
+        assert len(run[1]) == 1 or _bytes(run) <= budget
+    if frames:
+        assert ch.sent_hi == written[-1][0]
+        assert len(written) == len(owed) or len(frames) == room
+    else:
+        assert room == 0 and ch.sent_hi == first - 1
 
 
 class Reference:
@@ -78,8 +139,11 @@ class Reference:
         self.frames, self.sent_hi = [], frontier
 
     def send(self, frames, now):
-        self.frames += [(f[-1][0], now, len(f)) for f in frames]
-        self.sent_hi = frames[-1][-1][0] if frames else self.sent_hi
+        self.frames += [
+            (first + len(blobs) - 1, now, len(blobs))
+            for first, blobs in frames
+        ]
+        self.sent_hi = self.frames[-1][0] if frames else self.sent_hi
 
     def ack(self, seq):
         retired = [f for f in self.frames if f[0] <= seq]
@@ -127,16 +191,16 @@ class ChannelMachine(RuleBasedStateMachine):
         room = FRAMES_IN_FLIGHT - len(self.ch.inflight)
         frames = self.ch.cut(owed, self.now)
         assert len(frames) <= room
-        written = [e for frame in frames for e in frame]
+        written = _entries(frames)
         assert written == owed[: len(written)]
         assert len(written) == len(owed) or len(frames) == room
         budget = channel.MAX_FRAME // 2
         for i, frame in enumerate(frames):
-            assert 0 < len(frame) <= channel.FRAME_MSETS
+            assert 0 < len(frame[1]) <= channel.FRAME_MSETS
             assert _bytes(frame) <= budget
-            end = sum(len(f) for f in frames[: i + 1])
+            end = sum(len(f[1]) for f in frames[: i + 1])
             if end < len(owed):  # cut before the next blob: it did not fit
-                assert len(frame) == channel.FRAME_MSETS or (
+                assert len(frame[1]) == channel.FRAME_MSETS or (
                     _bytes(frame) + len(owed[end][1]) > budget
                 )
         self.ref.send(frames, self.now)

@@ -50,11 +50,12 @@ _JSON_FRAMES = st.dictionaries(
     ),
     max_size=4,
 ).map(encode_frame)
-_BATCH_FRAMES = st.lists(
-    st.tuples(st.integers(0, 2 ** 64 - 1), st.binary(max_size=40)),
-    min_size=1,
-    max_size=4,
-).map(lambda entries: encode_bin_batch_frame("site1", entries))
+_BATCH_FRAMES = st.builds(
+    encode_bin_batch_frame,
+    st.sampled_from(["site1", "s"]),
+    st.integers(0, 2 ** 64 - 4),
+    st.lists(st.binary(max_size=40), min_size=1, max_size=4),
+)
 _ACK_FRAMES = st.integers(0, 2 ** 64 - 1).map(encode_bin_ack_frame)
 _FRAMES = st.lists(_JSON_FRAMES | _BATCH_FRAMES | _ACK_FRAMES, max_size=12)
 
@@ -107,7 +108,7 @@ def test_a_held_connection_stops_reading_past_its_read_ahead():
         conn = fake_connection(
             lambda conn, frame: (batches.append(frame), conn.hold())
         )
-        frame = encode_bin_batch_frame("site1", [(1, b"x" * 4096)])
+        frame = encode_bin_batch_frame("site1", 1, [b"x" * 4096])
         n = READ_AHEAD // len(frame)
         conn.data_received(frame * n)
         assert len(batches) == 1 and conn.transport.reading
@@ -129,7 +130,7 @@ def test_malformed_frames_close_the_connection_and_are_counted(tmp_path):
     """An oversized length word, a truncated binary batch and a JSON
     body that is not an object each close their connection and count
     one ``protocol_error`` drop; the replica serves on."""
-    one_entry = encode_bin_batch_frame("site1", [(1, b"{}")])
+    one_entry = encode_bin_batch_frame("site1", 1, [b"{}"])
     body = bytearray(one_entry[4:])
     struct.pack_into(">I", body, 3, 2)  # claims two entries, carries one
     malformed = {

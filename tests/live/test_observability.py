@@ -210,6 +210,32 @@ class TestMetricsVerb:
 
         run(scenario())
 
+    def test_each_acked_update_has_one_ack_row_in_log_order(self, tmp_path):
+        """The origin's ``update-ack`` rows name every update once, in
+        the order its ``update-submit`` rows (the replication log's
+        order) name them, however the peer acks group them."""
+
+        async def scenario():
+            cluster = await _booted(tmp_path, n_sites=3)
+            try:
+                client = await cluster.client("site0")
+                for _ in range(3):
+                    await asyncio.gather(
+                        *(client.increment("k%d" % i, 1) for i in range(20))
+                    )
+                await cluster.settle(timeout=30)
+                events = cluster.servers["site0"].trace.snapshot()
+                submitted = [
+                    e["tid"] for e in events if e["kind"] == "update-submit"
+                ]
+                acked = [e["tid"] for e in events if e["kind"] == "update-ack"]
+                assert len(submitted) == 60
+                assert acked == submitted
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
     def test_observability_off_serves_empty_registry(self, tmp_path):
         async def scenario():
             cluster = await _booted(tmp_path, observability=False)
@@ -237,7 +263,7 @@ class TestSilentHandlerRegressions:
             try:
                 raw = await RawConn.open(*cluster.addrs["site0"])
                 raw.send({"type": "peer-hello", "src": "stranger"})
-                raw.write(encode_bin_batch_frame("stranger", [(1, b"{}")]))
+                raw.write(encode_bin_batch_frame("stranger", 1, [b"{}"]))
                 await asyncio.sleep(0.1)
                 await raw.close()
                 server = cluster.servers["site0"]

@@ -281,15 +281,16 @@ class TestBinaryFraming:
         )
 
     def test_batch_roundtrip_over_the_wire(self):
-        entries = [(seq, self._blob(seq)) for seq in (4, 5, 6)]
-        data = encode_bin_batch_frame("site0", entries)
+        blobs = [self._blob(seq) for seq in (4, 5, 6)]
+        data = encode_bin_batch_frame("site0", 4, blobs)
         (frame,) = decode_stream(data)
         assert frame["type"] == "mset-batch"
         assert frame["src"] == "site0"
-        assert list(frame["blobs"]) == entries
+        assert frame["first"] == 4
+        assert list(frame["blobs"]) == blobs
         # The relayed blob is bit-identical JSON: decoding it yields
         # exactly the payload the sender encoded.
-        payload = json.loads(frame["blobs"][0][1])
+        payload = json.loads(frame["blobs"][0])
         assert decode_mset(payload["mset"]).ops[0].amount == 4
 
     def test_ack_roundtrip_over_the_wire(self):
@@ -304,7 +305,7 @@ class TestBinaryFraming:
             encode_frame({"type": "ping"})
             + encode_bin_ack_frame(3)
             + encode_frame({"type": "hb", "src": "s"})
-            + encode_bin_batch_frame("s", [(1, self._blob(1))])
+            + encode_bin_batch_frame("s", 1, [self._blob(1)])
         )
         assert [f["type"] for f in decode_stream(stream)] == [
             "ping", "ack", "hb", "mset-batch",
@@ -312,18 +313,17 @@ class TestBinaryFraming:
 
     def test_empty_batch_rejected_on_encode(self):
         with pytest.raises(ProtocolError):
-            encode_bin_batch_frame("site0", [])
+            encode_bin_batch_frame("site0", 1, [])
 
     def test_oversize_batch_rejected_both_ways(self):
-        blob = b"{}"
-        entries = [(i, blob) for i in range(1, MAX_BATCH_ENTRIES + 2)]
+        blobs = [b"{}"] * (MAX_BATCH_ENTRIES + 1)
         with pytest.raises(ProtocolError):
-            encode_bin_batch_frame("site0", entries)
+            encode_bin_batch_frame("site0", 1, blobs)
 
     def test_oversize_frame_rejected_on_encode(self):
         big = b"x" * (MAX_FRAME // 2)
         with pytest.raises(ProtocolError):
-            encode_bin_batch_frame("site0", [(1, big), (2, big), (3, big)])
+            encode_bin_batch_frame("site0", 1, [big, big, big])
 
     def test_oversized_binary_length_rejected(self):
         header = struct.pack(">I", 0x80000000 | (MAX_FRAME + 1))
@@ -331,7 +331,7 @@ class TestBinaryFraming:
             decode_stream(header)
 
     def test_a_partial_binary_body_waits_for_its_bytes(self):
-        data = encode_bin_batch_frame("site0", [(1, self._blob(1))])
+        data = encode_bin_batch_frame("site0", 1, [self._blob(1)])
         assert decode_stream(data[: len(data) - 3]) == []
 
     def test_unknown_kind_rejected(self):
@@ -349,29 +349,80 @@ class TestBinaryFraming:
 
     def test_truncations_rejected(self):
         data = encode_bin_batch_frame(
-            "site0", [(1, self._blob(1)), (2, self._blob(2))]
+            "site0", 1, [self._blob(1), self._blob(2)]
         )
         body = data[4:]
         # Every strict prefix of the body is either a truncated header,
-        # src, entry header, or blob — all must raise, never crash.
+        # src, length table, or blob — all must raise, never crash.
         for cut in range(len(body)):
             with pytest.raises(ProtocolError):
                 decode_bin_frame(body[:cut])
 
     def test_trailing_bytes_rejected(self):
-        data = encode_bin_batch_frame("site0", [(1, self._blob(1))])
+        data = encode_bin_batch_frame("site0", 1, [self._blob(1)])
         with pytest.raises(ProtocolError):
             decode_bin_frame(data[4:] + b"!")
 
     def test_zero_entry_count_rejected(self):
-        body = struct.pack(">BHI", 1, 1, 0) + b"s"
+        body = struct.pack(">BHIQ", 1, 1, 0, 1) + b"s"
         with pytest.raises(ProtocolError):
             decode_bin_frame(body)
 
     def test_huge_entry_count_rejected(self):
-        body = struct.pack(">BHI", 1, 1, MAX_BATCH_ENTRIES + 1) + b"s"
+        body = struct.pack(">BHIQ", 1, 1, MAX_BATCH_ENTRIES + 1, 1) + b"s"
         with pytest.raises(ProtocolError):
             decode_bin_frame(body)
+
+    def test_a_run_past_64_bit_seqs_is_refused(self):
+        """The last seq must fit in 64 bits, as every seq did when each
+        entry carried its own."""
+        top = 2 ** 64 - 1
+        two = struct.pack(">BHIQ", 1, 1, 2, top) + b"s" + bytes(8)
+        with pytest.raises(ProtocolError, match="64-bit"):
+            decode_bin_frame(two)
+        with pytest.raises(ProtocolError, match="64-bit"):
+            encode_bin_batch_frame("s", top, [b"", b""])
+        one = struct.pack(">BHIQ", 1, 1, 1, top) + b"s" + bytes(4)
+        assert decode_bin_frame(one)["first"] == top
+
+    @given(
+        first=st.integers(0, 2 ** 64 - 1),
+        blobs=st.lists(st.binary(max_size=24), min_size=1, max_size=8),
+        src=st.text(max_size=6),
+        data=st.data(),
+    )
+    def test_a_run_round_trips_and_every_malformed_body_is_refused(
+        self, first, blobs, src, data
+    ):
+        """decode(encode) gives back ``first`` and the blobs, or the
+        encoder refuses a run whose last seq passes 64 bits; every
+        strict prefix of a valid body, every one-byte extension of it,
+        and a length table that overruns the body raise
+        ``ProtocolError``."""
+        if first + len(blobs) - 1 > 2 ** 64 - 1:
+            with pytest.raises(ProtocolError):
+                encode_bin_batch_frame(src, first, blobs)
+            return
+        body = encode_bin_batch_frame(src, first, blobs)[4:]
+        frame = decode_bin_frame(body)
+        assert frame == {
+            "type": "mset-batch", "src": src, "first": first,
+            "blobs": tuple(blobs),
+        }
+        for cut in range(len(body)):
+            with pytest.raises(ProtocolError):
+                decode_bin_frame(body[:cut])
+        extra = data.draw(st.binary(min_size=1, max_size=1))
+        with pytest.raises(ProtocolError):
+            decode_bin_frame(body + extra)
+        # One entry's length grown past the bytes that follow the table.
+        table = 15 + len(src.encode("utf-8"))
+        entry = data.draw(st.integers(0, len(blobs) - 1))
+        at = table + 4 * entry
+        (length,) = struct.unpack_from(">I", body, at)
+        over = length + data.draw(st.integers(1, 2 ** 32 - 1 - length))
+        with pytest.raises(ProtocolError):
+            decode_bin_frame(body[:at] + struct.pack(">I", over) + body[at + 4:])
 
 
 class TestDecoderHardening:
@@ -524,7 +575,7 @@ _FUZZ_SEEDS = [
         {"type": "hb", "src": "s0", "gossip": {"nodes": [_SEED_MSET]}}
     ),
     encode_bin_ack_frame(7),
-    encode_bin_batch_frame("s0", [(1, payload_blob({"mset": _SEED_MSET}))]),
+    encode_bin_batch_frame("s0", 1, [payload_blob({"mset": _SEED_MSET})]),
 ]
 
 
@@ -591,23 +642,21 @@ class TestCodecProperties:
     def test_batch_frame_roundtrip_property(self):
         rng = random.Random(0xC0DEC + 3)
         for _ in range(30):
-            entries = [
-                (seq, encode_mset(self._random_mset(rng, seq)))
-                for seq in range(1, rng.randrange(2, 12))
+            first = rng.randrange(1, 2 ** 40)
+            msets = [
+                encode_mset(self._random_mset(rng, first + i))
+                for i in range(rng.randrange(1, 11))
             ]
             # the frame relays canonical payload bytes bit-for-bit
-            blobs = [
-                (seq, payload_blob({"mset": mset})) for seq, mset in entries
-            ]
+            blobs = [payload_blob({"mset": mset}) for mset in msets]
             frame = decode_bin_frame(
-                encode_bin_batch_frame("s0", blobs)[4:]
+                encode_bin_batch_frame("s0", first, blobs)[4:]
             )
+            assert frame["first"] == first
             assert list(frame["blobs"]) == blobs
-            decoded = [
-                (seq, json.loads(blob)["mset"])
-                for seq, blob in frame["blobs"]
-            ]
-            assert decoded == entries
+            assert [json.loads(blob)["mset"] for blob in frame["blobs"]] == (
+                msets
+            )
 
     def test_byte_mutation_fuzz_never_crashes_untyped(self):
         """Flipping arbitrary bytes in valid frames must only ever

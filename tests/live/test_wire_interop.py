@@ -121,7 +121,7 @@ class TestOneWire:
             assert hello == {"type": "peer-hello", "src": "site0"}
             # ``blobs``: only a binary frame decodes to them.
             assert frame["type"] == "mset-batch"
-            assert [seq for seq, _ in frame["blobs"]] == [1]
+            assert frame["first"] == 1 and len(frame["blobs"]) == 1
             assert waited < 0.15
 
         run(scenario())
@@ -324,15 +324,7 @@ class TestMalformedBinaryBatch:
                 logged = log.read_bytes()
                 raw = await RawConn.open(*cluster.addrs["site0"])
                 raw.send({"type": "peer-hello", "src": "site1"})
-                raw.write(
-                    encode_bin_batch_frame(
-                        "site1",
-                        [
-                            (frontier + 1 + i, blob)
-                            for i, blob in enumerate(blobs)
-                        ],
-                    )
-                )
+                raw.write(encode_bin_batch_frame("site1", frontier + 1, blobs))
                 # The server must sever the connection (EOF to us)...
                 assert await raw.recv() is None
                 await raw.close()

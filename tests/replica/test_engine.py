@@ -117,6 +117,26 @@ class TestHostCounters:
         assert heard == {name: [et.tid] for name in system.sites}
 
 
+@pytest.mark.parametrize("method", sorted(ENGINES))
+def test_fully_acked_many_returns_every_tid_in_order(method):
+    """A peer ack's released updates come back as their tids, in the
+    order given, one each — also an update that no longer holds a
+    counter here — so the caller's ``update-ack`` rows need no list of
+    their own; every obligation is gone once all are acked."""
+    engine = ENGINES[method]("s0")
+    msets = [
+        engine.make_mset("s0:%d" % i, [WriteOp("k%d" % (i % 2), i)], (i, 0))
+        for i in range(1, 5)
+    ]
+    for mset in msets:
+        engine.accept(mset, local=True)
+    items = [(mset.tid, mset.keys) for mset in msets]
+    assert engine.fully_acked_many(items[:2]) == ["s0:1", "s0:2"]
+    assert engine.fully_acked_many(items[1:]) == ["s0:2", "s0:3", "s0:4"]
+    assert engine.fully_acked_many([]) == []
+    assert engine.quiescent()
+
+
 class TestEngineCharges:
     def test_a_restarted_query_drops_its_charges(self):
         engine = CommuLiveEngine("s0", clock=lambda: 0.0)
