@@ -58,7 +58,6 @@ from .read_cache import CachedRead, EpsilonReadCache
 from .router import ShardRouter
 from .server import (
     Compensated,
-    LOCAL_CHANNEL,
     Overloaded,
     ReplicaServer,
     SessionStale,
@@ -66,6 +65,7 @@ from .server import (
 )
 from .shard import ShardMap, WrongShard, key_shard, migrate_shard
 from .snapshot import (
+    LOCAL_CHANNEL,
     SnapshotError,
     SnapshotStore,
     open_snapshot,

@@ -856,7 +856,7 @@ async def _drive_rejoin(run: Run) -> None:
     await run.restart(victim)
     await run.settle()
     report.rejoin_seconds = time.monotonic() - t0
-    report.catchup_installs = cluster.servers[victim].catchup_installs
+    report.catchup_installs = cluster.servers[victim].recovery.installs
 
     # Phase 4: the rejoined victim must be a first-class replica
     # again — new updates, fresh tids, full propagation.
@@ -1013,7 +1013,7 @@ async def _drive_migrate(run: Run) -> None:
     report.migration_seconds = time.monotonic() - t0
     report.epoch_after = cluster.map.epoch
     report.new_group_installs = sum(
-        server.catchup_installs
+        server.recovery.installs
         for server in cluster.groups[shard].servers.values()
     )
 
@@ -1596,7 +1596,7 @@ async def _drive_saga(run: Run) -> None:
         await run.restart(victim)
     await run.settle()
     if config.crash:
-        report.catchup_installs = cluster.servers[victim].catchup_installs
+        report.catchup_installs = cluster.servers[victim].recovery.installs
 
     # Phase 5: idempotence probe.  Re-issue every abort decide —
     # at a survivor AND at the healed victim — and require that

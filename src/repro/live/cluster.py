@@ -319,10 +319,10 @@ class LiveCluster:
             raise TimeoutError(
                 "%s did not finish catch-up in %.1fs" % (name, timeout)
             ) from None
-        if server.catchup_installs < installs:
+        if server.recovery.installs < installs:
             raise RuntimeError(
                 "%s recovered with %d snapshot installs, expected %d"
-                % (name, server.catchup_installs, installs)
+                % (name, server.recovery.installs, installs)
             )
 
     async def site_stats(self) -> Dict[str, Dict[str, object]]:

@@ -733,46 +733,20 @@ class DurableInbox(_DurableLog):
         self.frontier = seqno
         return True
 
-    def record_many(
-        self,
-        items: Optional[Sequence[Tuple[int, Any]]] = None,
-        blobs: Optional[Sequence[bytes]] = None,
-    ) -> int:
-        """Group-commit record of a contiguous batch of receipts.
-
-        ``items`` are (seqno, payload) pairs that must start at
-        ``frontier + 1`` and be gap-free; the caller (the batch receive
-        path) filters duplicates and stops at the first gap before
-        calling.  The whole batch lands with one write + flush.
-        ``blobs`` (parallel to ``items``) carries the payloads' wire
-        bytes as received — a binary batch is logged without one
-        encode, and its payloads are never read, so the receive path
-        passes ``blobs`` alone for the receipts ``frontier + 1``
-        onwards.  Returns the number recorded.
-        """
+    def record_many(self, blobs: Sequence[bytes]) -> int:
+        """Group-commit record of a run of receipts: ``blobs`` are the
+        payloads' wire bytes for ``frontier + 1`` onwards, as received —
+        a batch is logged without one encode, and its payloads are never
+        read.  The whole run lands with one write + flush; a run is
+        contiguous by construction.  Returns the number recorded."""
         first = self.frontier + 1
-        if items is not None:
-            for expected, (seqno, _) in enumerate(items, first):
-                if seqno != expected:
-                    raise ValueError(
-                        "non-contiguous batch record: got %d, expected %d"
-                        % (seqno, expected)
-                    )
-        if blobs is None:
-            count = len(items)
-            data = b"".join(
-                [_record_line(seq, payload, None) for seq, payload in items]
-            )
-        else:
-            # _record_line's splice, for the whole batch at once.
-            count = len(blobs)
-            data = b"".join([
-                b'{"seq":%d,"payload":%s}\n' % (seq, blob)
-                for seq, blob in enumerate(blobs, first)
-            ])
-        self._write_data(data)
-        self.frontier = first + count - 1
-        return count
+        # _record_line's splice, for the whole run at once.
+        self._write_data(b"".join([
+            b'{"seq":%d,"payload":%s}\n' % (seq, blob)
+            for seq, blob in enumerate(blobs, first)
+        ]))
+        self.frontier = first + len(blobs) - 1
+        return len(blobs)
 
     def duplicate(self, seqno: int) -> bool:
         """True when ``seqno`` was already recorded (needs re-ack only)."""

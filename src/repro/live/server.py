@@ -74,7 +74,9 @@ periodically (``snapshot_interval``) — or on demand (``snapshot``
 verb) — persists a versioned, checksummed image of its applied state
 (:mod:`repro.live.snapshot`) capturing the engine checkpoint and
 every channel's applied frontier in one atomic cut, then compacts the
-durable logs below those frontiers.  A replica that lost state
+durable logs below those frontiers; the rules of that rebuild are
+:class:`~repro.live.snapshot.Recovery`'s, and the server runs the
+waits around them.  A replica that lost state
 recovers along one path, by *anti-entropy*: it surveys its peers,
 fetches a peer's snapshot in chunks (``snapshot-fetch`` verb),
 installs it when the snapshot dominates its own frontiers, and drains
@@ -102,7 +104,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import itertools
-import json
 import logging
 import pathlib
 import random
@@ -148,10 +149,10 @@ from .protocol import (
 )
 from .shard import WrongShard, key_shard
 from .snapshot import (
-    SnapshotError,
-    SnapshotStore,
-    open_snapshot,
-    seal_snapshot,
+    CURRENT,
+    INSTALL,
+    SURVEY,
+    Recovery,
     snapshot_bytes,
 )
 
@@ -162,13 +163,9 @@ __all__ = [
     "SessionStale",
     "Compensated",
     "WrongShard",
-    "LOCAL_CHANNEL",
 ]
 
 logger = logging.getLogger(__name__)
-
-#: inbox channel name for the site's own updates.
-LOCAL_CHANNEL = "_local"
 
 
 class Unavailable(RuntimeError):
@@ -453,22 +450,9 @@ class ReplicaServer:
         self._commit_leader = False
         #: serializes snapshot capture/compaction/install.
         self._snapshot_lock = asyncio.Lock()
-        self._snapshot_store = SnapshotStore(
-            self.data_dir / "snapshot.json"
-        )
-        #: frontiers of the last persisted snapshot (stats/compaction).
-        self._snapshot_frontiers: Dict[str, int] = {}
-        self._last_snapshot_at: Optional[float] = None
-        #: the running recovery (an empty boot's survey, a snapshot
-        #: catch-up, a fetch-install), if any: while it runs,
-        #: :meth:`_admit` refuses appends, strict reads and the
-        #: snapshot verbs, and triggers are absorbed by it.
-        self._recovery: Optional[asyncio.Future] = None
-        #: True while the running recovery knows this replica lost
-        #: state and installs a peer snapshot; folded into degraded().
-        self._catching_up = False
-        #: completed snapshot catch-up installs since boot.
-        self.catchup_installs = 0
+        #: the snapshot image, the recovery state and every rule of the
+        #: rebuild (made by :meth:`bind`, over the logs it opens).
+        self.recovery: Recovery
         #: precomputed verb dispatch: built once instead of a dict
         #: literal per request.  Values are attribute names (resolved
         #: with ``getattr`` at call time) so per-instance handler
@@ -633,8 +617,8 @@ class ReplicaServer:
         """Open the site's durable logs, recover state, and start
         listening.
 
-        Recovery installs the last snapshot's engine checkpoint and
-        replays the log suffix above it; the engine owns no file, so
+        Recovery (:meth:`Recovery.recover`) adopts the last snapshot and
+        replays the log tails above it; the engine owns no file, so
         every durable byte of the site is opened here.  Returns the
         bound port (useful with ``port=0``).  Channels to
         peers start separately (:meth:`start_channels`) once peer
@@ -655,7 +639,11 @@ class ReplicaServer:
             self._control.load_errors
         )
         self.m_leader_epoch.set(self.election.epoch)
-        self._recover()
+        self.recovery = Recovery(
+            self.name, self.method, self.data_dir / "snapshot.json",
+            self.engine, self.log, self.inboxes, self.election,
+        )
+        self.recovery.recover(self.engine.clock())
         self._running = True
         self._loop = asyncio.get_running_loop()
         self._server = await self._loop.create_server(
@@ -688,83 +676,6 @@ class ReplicaServer:
             self.channel_families,
         )
 
-    def _frontiers(self, local: str = LOCAL_CHANNEL) -> Dict[str, int]:
-        """Every channel's durable frontier: what each peer has
-        delivered here and, under ``local``, what this site originated."""
-        frontiers = {src: box.frontier for src, box in self.inboxes.items()}
-        frontiers[local] = self.log.assigned
-        return frontiers
-
-    def _recover(self) -> None:
-        """Restore the persisted snapshot (if any), then replay the
-        durable log tails above it through the engine.
-
-        Without a snapshot this is the original full-log replay.  With
-        one, the engine restores the checkpoint image first and only
-        records *above* the snapshot's per-channel frontiers replay —
-        including records a crash caught between snapshot persistence
-        and log compaction (they are skipped by frontier, so nothing
-        double-applies).  Logs that lag the snapshot (a crash between
-        snapshot install and the frontier resets) are aligned up to it.
-        """
-        snap_frontiers: Dict[str, int] = {}
-        snap = self._snapshot_store.load()
-        if snap is not None and snap.get("method") == self.method:
-            snap_frontiers = {
-                src: int(seq)
-                for src, seq in snap.get("frontiers", {}).items()
-            }
-            self.engine.restore(snap["engine"])
-            self._snapshot_frontiers = dict(snap_frontiers)
-            self._last_snapshot_at = self.engine.clock()
-            for src, inbox in self.inboxes.items():
-                floor = snap_frontiers.get(src, 0)
-                if inbox.frontier < floor:
-                    inbox.reset_to(floor)
-            if self.log.assigned < snap_frontiers.get(LOCAL_CHANNEL, 0):
-                self.log.reset_to(snap_frontiers[LOCAL_CHANNEL])
-        self.election.fence(self.engine)
-
-        def logged(log: Any, seq: int, payload: Dict[str, Any]) -> MSet:
-            try:
-                return decode_mset(payload["mset"])
-            except ProtocolError as exc:
-                raise log.unreadable(seq, exc) from exc
-
-        # One streamed pass over each log tail.  The log's cursors say
-        # which local updates every peer already held before the crash
-        # and which are still owed to someone.
-        floor = snap_frontiers.get(LOCAL_CHANNEL, 0)
-        acked = self.log.released_hi
-        released: List[Tuple[Any, Tuple[str, ...]]] = []
-        held: List[MSet] = []
-        for seq, payload in self.log.replay():
-            if seq <= floor and seq <= acked:
-                continue  # inside the snapshot image, owed to nobody
-            mset = logged(self.log, seq, payload)
-            if seq <= floor:
-                held.append(mset)
-                continue
-            if seq <= acked:
-                released.append((mset.tid, mset.keys))
-            self.engine.accept(mset, local=True)
-        for src, inbox in sorted(self.inboxes.items()):
-            floor = snap_frontiers.get(src, 0)
-            for seq, payload in inbox.replay():
-                if seq > floor:
-                    self.engine.accept(
-                        logged(inbox, seq, payload), local=False
-                    )
-        # Fully acknowledged before the crash: release the lock-counters
-        # replay re-raised.
-        self.engine.fully_acked_many(released)
-        # The inverse hole: local updates applied *inside* the snapshot
-        # image (so replay never re-raised their counters) but still
-        # awaiting a peer ack — re-raise so origin-site queries keep
-        # observing the cluster-wide in-flight inconsistency.
-        for mset in held:
-            self.engine.hold_counters(mset)
-
     def set_peers(self, addrs: Dict[str, Tuple[str, int]]) -> None:
         """Install (or update) peer addresses for the channel loops."""
         self.membership.configure(addrs)
@@ -785,21 +696,14 @@ class ReplicaServer:
             self._spawn(self._election_loop())
             if not self._epoch_synced:
                 self._spawn(self._epoch_probe())
-        if (
-            self.peer_names
-            and self.engine.applied_count == 0
-            and not any(self._frontiers().values())
-            and not self._snapshot_store.exists()
-        ):
-            # Empty engine, empty logs, no snapshot: either a fresh
-            # cluster boot or a wiped disk.  Recovery's survey decides.
+        if self.peer_names and self.recovery.blank():
             self._trigger_catchup("boot")
 
     async def recovered(self) -> None:
         """Return once no recovery is running (one absorbs every
         trigger that arrives while it runs)."""
-        while self._recovery is not None:
-            await asyncio.wait({self._recovery})
+        while self.recovery.state is not None:
+            await self._drain_changed(0.25)
 
     def _admit(self, what: str) -> None:
         """Refuse ``what`` while a recovery runs — every append
@@ -807,7 +711,7 @@ class ReplicaServer:
         from a store an install is about to replace, it would answer
         from lost state, or reuse tids that peers drop as duplicates of
         this site's former life."""
-        if self._recovery is not None:
+        if self.recovery.state is not None:
             self.m_updates_rejected.labels(reason="catchup").inc()
             raise Unavailable(
                 "%s refused: replica is recovering its state from its"
@@ -900,7 +804,7 @@ class ReplicaServer:
         only epsilon-bounded service remains.  A fresh boot's survey is
         not degraded."""
         suspected = self.membership.suspected(self.engine.clock())
-        return bool(suspected) or self._catching_up
+        return bool(suspected) or self.recovery.state == INSTALL
 
     async def _degraded_monitor(self) -> None:
         """Watch the degraded predicate and publish its transitions as
@@ -1055,7 +959,7 @@ class ReplicaServer:
         was this replica that was cut off (a healed partition)."""
         while self._running:
             await asyncio.sleep(self._heartbeat_jitter())
-            if not self._epoch_synced or self._recovery is not None:
+            if not self._epoch_synced or self.recovery.state is not None:
                 continue
             leader = self.current_leader()
             now = self.engine.clock()
@@ -1409,10 +1313,11 @@ class ReplicaServer:
                 self._merge_gossip(src, digest)
             reply: Dict[str, Any] = {"type": "hb-ack", "src": self.name}
             inbox = self.inboxes.get(src)
-            if inbox is not None:
+            if inbox is not None and self.recovery.state != SURVEY:
                 # Heartbeat replies carry the receiver's inbox frontier
                 # so an idle channel still detects a regressed (wiped)
-                # receiver.
+                # receiver — but not during a boot survey: a sender
+                # would rewind on it the evidence the survey looks for.
                 reply["seq"] = inbox.frontier
             if digest is not None:
                 reply["gossip"] = self._gossip_payload()
@@ -1478,7 +1383,13 @@ class ReplicaServer:
             return
         self._note_peer_alive(src)
         skip = inbox.frontier + 1 - frame["first"]
-        fresh = frame["blobs"][skip:] if skip >= 0 else ()
+        if skip >= 0:
+            fresh = frame["blobs"][skip:]
+        else:
+            # The sender's cursor is past what we hold: to a boot
+            # survey, evidence of a former life.
+            fresh = ()
+            self.recovery.evidence(src)
         if fresh:
             msets = [
                 decode_mset(decode_payload_blob(blob).get("mset"))
@@ -1524,38 +1435,44 @@ class ReplicaServer:
             for waiter in self._settle_waiters:
                 _resolve(waiter)
 
+    async def _drain_changed(self, timeout: float) -> None:
+        """Park until :meth:`_notify_drain` runs — the drain condition,
+        or the recovery state, may have changed — or ``timeout``
+        seconds pass, whichever is first."""
+        waiter = self._loop.create_future()
+        timer = self._loop.call_later(timeout, _resolve, waiter)
+        self._settle_waiters.add(waiter)
+        try:
+            await waiter
+        finally:
+            timer.cancel()
+            self._settle_waiters.discard(waiter)
+
     # -- snapshots + compaction ------------------------------------------------
 
     async def take_snapshot(
         self, kind: str = "manual", compact: bool = True
     ) -> Dict[str, Any]:
-        """Persist a checkpoint of the applied state, then compact the
-        durable logs below its frontiers.
+        """Persist a checkpoint of the applied state
+        (:meth:`Recovery.capture`), then compact the durable logs below
+        its frontiers.
 
-        The capture is one step — every record-then-apply is one step
-        too — so the engine image and the per-channel frontiers are one
-        consistent cut; persistence
-        is atomic (temp + fsync + rename), so the snapshot file is the
-        commit point — compaction afterwards only ever drops records
-        the snapshot provably contains.  Crash between the two and
-        recovery replays the not-yet-compacted records but skips
-        everything at or below the snapshot frontier, so nothing
-        double-applies.
+        The snapshot file is the commit point: compaction afterwards
+        only ever drops records the snapshot provably contains, and a
+        crash between the two replays the not-yet-compacted records
+        but skips everything at or below the snapshot frontier.
         """
         async with self._snapshot_lock:
             started = self.engine.clock()
-            frontiers = self._frontiers()
-            engine_state = self.engine.checkpoint()
-            body = {
-                "site": self.name,
-                "method": self.method,
-                "frontiers": frontiers,
-                "engine": engine_state,
-            }
-            size = self._snapshot_store.save(seal_snapshot(body))
-            self._snapshot_frontiers = dict(frontiers)
-            self._last_snapshot_at = self.engine.clock()
-            dropped = self._compact_logs(frontiers) if compact else 0
+            frontiers, size = self.recovery.capture(started)
+            dropped = 0
+            if compact:
+                for label, through, n in self.recovery.compact(frontiers):
+                    dropped += n
+                    self.trace.event(
+                        "compaction", log=label, through=through, dropped=n,
+                    )
+                self._control.compact()
             duration = self.engine.clock() - started
             self.m_snapshots.labels(kind=kind).inc()
             self.m_snapshot_bytes.observe(size)
@@ -1574,40 +1491,11 @@ class ReplicaServer:
                 "duration": duration,
             }
 
-    def _compact_logs(self, frontiers: Dict[str, int]) -> int:
-        """Drop log records the persisted snapshot already covers.
-
-        Inboxes compact through their snapshot frontier.  The
-        replication log compacts through the *local* snapshot frontier
-        — never past its slowest cursor (``compact`` clamps), and never
-        past what the snapshot can serve to a receiver that later
-        regresses below the log's base.  The control log is rewritten
-        to its current state.
-        """
-        total = 0
-        for channel, label, box in self._logs():
-            through = int(frontiers.get(channel, 0))
-            dropped = box.compact(through)
-            if dropped:
-                total += dropped
-                self.trace.event(
-                    "compaction", log=label, through=through,
-                    dropped=dropped,
-                )
-        self._control.compact()
-        return total
-
-    def _logs(self) -> List[Tuple[str, str, Any]]:
-        """Each channel log as (channel, ``log`` metric label, log)."""
-        return [(LOCAL_CHANNEL, "replication", self.log)] + [
-            (src, "inbox/%s" % src, box) for src, box in self.inboxes.items()
-        ]
-
     async def _snapshot_loop(self) -> None:
         """Periodic snapshot + compaction driver."""
         while self._running:
             await asyncio.sleep(self.snapshot_interval)
-            if not self._running or self._recovery is not None:
+            if not self._running or self.recovery.state is not None:
                 continue
             try:
                 await self.take_snapshot(kind="periodic")
@@ -1711,57 +1599,33 @@ class ReplicaServer:
     def _trigger_catchup(
         self, reason: str, preferred: Optional[str] = None
     ) -> None:
-        """Enter recovery and start its task.  ``boot`` — an empty boot
-        — first asks whether there is anything to recover; every other
-        reason knows this replica lost state.  A trigger while a
-        recovery runs is absorbed by it, and tells a boot survey that
-        it must install."""
-        if not self._running:
+        """Enter recovery (:meth:`Recovery.enter`: a trigger while one
+        runs is absorbed by it) and start its task."""
+        if not self._running or not self.recovery.enter(reason, preferred):
             return
-        if self._recovery is not None:
-            self._catching_up = True
-            return
-        self._enter_recovery(
-            reason, self._spawn(self._catchup(reason, preferred))
-        )
-
-    def _enter_recovery(self, reason: str, recovery: asyncio.Future) -> None:
-        """``recovery`` — the catch-up task, or a fetch-install's request
-        — is now the running recovery."""
-        self._recovery = recovery
-        self._catching_up = reason != "boot"
         self.trace.event("catchup", phase="start", reason=reason)
         logger.info("%s: recovery started (%s)", self.name, reason)
+        self._spawn(self._catchup(reason))
 
     def _leave_recovery(self, reason: str) -> None:
         """The running recovery ended, installed or not: admit requests
-        again and let the channels and settle waiters go on."""
-        self._recovery = None
-        self._catching_up = False
+        again and let the channels, settle waiters and
+        :meth:`recovered` go on."""
+        self.recovery.leave()
         self.trace.event("catchup", phase="done", reason=reason)
         self._kick_channels()
         self._notify_drain()
 
-    async def _catchup(
-        self, reason: str, preferred: Optional[str]
-    ) -> None:
-        """Recover, with retry: survey the peers and — once this
-        replica knows it lost state — install a dominating peer
-        snapshot.
-
-        An empty boot concludes "fresh" only once every peer has
-        answered with no evidence of a former life: there is no
-        deadline, so a wiped replica cut off from its peers keeps
-        refusing (:meth:`_admit`) rather than reuse the tids of that
-        life.  Epsilon-bounded queries keep answering throughout.
-        """
+    async def _catchup(self, reason: str) -> None:
+        """Recover, with retry and backoff: survey the peers until
+        :meth:`Recovery.survey` decides, then install the first
+        candidate's snapshot :meth:`Recovery.judge` accepts.
+        Epsilon-bounded queries keep answering throughout."""
         backoff = self.retry_base
-        #: peers that answered a boot survey with no evidence.
-        clean: Set[str] = set()
         try:
             while self._running:
                 try:
-                    source = await self._catchup_round(preferred, clean)
+                    source = await self._catchup_round()
                 except PEER_FAILURES as exc:
                     self.m_catchup.labels(outcome="retry").inc()
                     logger.debug(
@@ -1789,104 +1653,49 @@ class ReplicaServer:
         finally:
             self._leave_recovery(reason)
 
-    async def _catchup_round(
-        self, preferred: Optional[str], clean: Set[str]
-    ) -> Optional[str]:
-        """One attempt: survey peers, fetch the best candidate's fresh
-        snapshot, install it if it dominates.  Returns the source, or
-        None once a boot survey has found nothing to recover."""
-        me = self.name
-        surveys = {
-            peer: reply.get("stats", {})
-            for peer, reply in (await self._ask_peers("stats", 2.0)).items()
-        }
-        if not self._catching_up:
-            # An empty boot: a fresh cluster or a wiped disk?  A former
-            # life shows as a peer durably holding updates from this
-            # site, or a peer channel this site once acknowledged.
-            for peer, stats in surveys.items():
-                if int(stats.get("inbox_frontier", {}).get(me, 0)) or int(
-                    stats.get("ack_high_water", {}).get(me, 0)
-                ):
-                    logger.info(
-                        "%s: %s remembers this site: installing",
-                        me, peer,
-                    )
-                    self._catching_up = True
-                    preferred = peer
-                    break
-                clean.add(peer)
-            else:
-                missing = set(self.peer_names) - clean
-                if not missing:
-                    return None
-                raise ConnectionError(
-                    "no survey answer yet from %s" % ",".join(sorted(missing))
-                )
-        if not surveys:
-            raise ConnectionError("no reachable peer to catch up from")
-        # The highest local tid any reachable peer has durably seen
-        # from this site: the installed snapshot's local frontier must
-        # reach it, or freshly assigned tids could collide with updates
-        # of a former life still circulating in peers' logs.
-        required_local = max(
-            [
-                int(s.get("inbox_frontier", {}).get(me, 0))
-                for s in surveys.values()
-            ]
-            + [self.log.assigned]
-        )
-
-        def advance(peer: str) -> Tuple[int, int]:
-            fr = surveys[peer].get("inbox_frontier", {})
-            return (
-                int(fr.get(me, 0)),
-                sum(int(v) for v in fr.values()),
-            )
-
-        candidates = sorted(surveys, key=advance, reverse=True)
-        if preferred in surveys:
-            candidates.remove(preferred)
-            candidates.insert(0, preferred)
-        last_error: Optional[BaseException] = None
+    async def _catchup_round(self) -> Optional[str]:
+        """One attempt: survey the peers, then try the candidates in
+        turn.  Returns the source installed from, or None once a boot
+        survey has found nothing to recover."""
+        plan = self.recovery.survey(await self._ask_peers("stats", 2.0))
+        if plan is None:
+            return None
+        candidates, required = plan
+        error: BaseException = ConnectionError("no candidate")
         for source in candidates:
             try:
-                body, translated = await self._pull_snapshot(source)
-                if not self._dominates(translated, required_local):
-                    raise RuntimeError(
-                        "snapshot from %s does not dominate local state"
-                        % source
-                    )
+                verdict = await self._fetch_snapshot(source, required)
             except PEER_FAILURES as exc:
-                last_error = exc
+                error = exc
                 continue
-            await self._install_snapshot(body, translated)
-            return source
-        assert last_error is not None
-        raise last_error
+            if verdict == INSTALL:
+                return source
+            error = RuntimeError("%s's snapshot is %s" % (source, verdict))
+        raise error
 
-    async def _pull_snapshot(
-        self, site: str, addr: Optional[Tuple[str, int]] = None
-    ) -> Tuple[Dict[str, Any], Dict[str, int]]:
-        """Pull ``site``'s snapshot in chunks, check it is one this
-        replica may install — this method's, taken at ``site`` — and
-        return it with its frontiers in this replica's channel names.
+    async def _fetch_snapshot(
+        self, site: str, required: int = 0,
+        addr: Optional[Tuple[str, int]] = None,
+    ) -> str:
+        """Pull ``site``'s snapshot in chunks, judge it
+        (:meth:`Recovery.receive`, :meth:`Recovery.judge`) and install
+        it if the verdict is :data:`INSTALL`; return the verdict.
 
         A mesh peer (rejoin) is asked through :meth:`_peer_request`; a
         shard-migration counterpart — the same-named site of the retired
         owner group, *not* in this replica's peer set — at ``addr``.
-
         ``fresh=True`` on the first chunk makes the source take a new
         snapshot before serving, so the image reflects its *current*
-        frontiers — stale images would fail the dominance check."""
+        frontiers.  An install cancels the in-flight local commit
+        futures: their updates are either inside the snapshot (a former
+        life this site no longer remembers acking) or refused."""
         ask = (
             functools.partial(self._peer_request, site)
             if addr is None
             else functools.partial(request_once, addr)
         )
         chunks: List[str] = []
-        offset = 0
-        total: Optional[int] = None
+        offset = total = 0
         while True:
             reply = await ask(
                 "snapshot-fetch",
@@ -1900,95 +1709,26 @@ class ReplicaServer:
             total = int(reply.get("total", 0))
             if reply.get("eof") or not data:
                 break
-        raw = "".join(chunks)
-        if total is not None and len(raw) != total:
-            raise SnapshotError(
-                "snapshot fetch from %s truncated (%d of %d bytes)"
-                % (site, len(raw), total)
-            )
-        body = open_snapshot(json.loads(raw))
-        if body.get("method") != self.method:
-            raise SnapshotError(
-                "snapshot from %s is for method %r"
-                % (site, body.get("method"))
-            )
-        if body.get("site") != site:
-            raise SnapshotError(
-                "snapshot from %s claims site %r" % (site, body.get("site"))
-            )
-        return body, self._translate_frontiers(site, body["frontiers"])
-
-    def _translate_frontiers(
-        self, source: str, frontiers: Dict[str, Any]
-    ) -> Dict[str, int]:
-        """Re-index a source snapshot's frontiers into this site's
-        channel namespace.
-
-        The source's ``_local`` channel is our inbound channel *from*
-        the source; the source's channel *for us* carries our own
-        updates, so it becomes our local frontier (and tid counter).
-        Channels to third peers keep their names.  A source with this
-        site's own name (a migration counterpart) shares its namespace:
-        the identity.
-        """
-        swap = {} if source == self.name else {
-            LOCAL_CHANNEL: self.name, source: LOCAL_CHANNEL,
-        }
-        return {
-            channel: int(frontiers.get(swap.get(channel, channel), 0))
-            for channel in self._frontiers()
-        }
-
-    def _dominates(
-        self, translated: Dict[str, int], required_local: int
-    ) -> bool:
-        """A snapshot is installable only if it is at or ahead of this
-        site on *every* channel (installing would otherwise roll back
-        applied state) and its local frontier covers every tid any
-        reachable peer has seen from us (tid-collision protection)."""
-        for channel, frontier in self._frontiers().items():
-            if translated.get(channel, 0) < frontier:
-                return False
-        return translated.get(LOCAL_CHANNEL, 0) >= required_local
-
-    async def _install_snapshot(
-        self, body: Dict[str, Any], translated: Dict[str, int]
-    ) -> None:
-        """Adopt a peer snapshot as this site's new applied state.
-
-        Persisting the re-sealed snapshot (atomic rename) is the
-        commit point: a crash before it leaves the old state intact;
-        a crash after it recovers into the installed image, with
-        ``_recover`` aligning any log that missed its reset.  In-flight
-        local commit futures are cancelled — their updates are either
-        inside the snapshot (a former life this site no longer
-        remembers acking) or refused.
-        """
+        image, frontiers = self.recovery.receive(
+            site, "".join(chunks), total
+        )
+        verdict = self.recovery.judge(frontiers, required)
+        if verdict != INSTALL:
+            return verdict
         async with self._snapshot_lock:
-            mine = {
-                "site": self.name,
-                "method": self.method,
-                "frontiers": translated,
-                "engine": body["engine"],
-            }
-            size = self._snapshot_store.save(seal_snapshot(mine))
+            size = self.recovery.install(
+                frontiers, image, self.engine.clock()
+            )
             self.m_snapshots.labels(kind="install").inc()
             self.m_snapshot_bytes.observe(size)
-            for src, inbox in self.inboxes.items():
-                inbox.reset_to(translated.get(src, 0))
-            self.log.reset_to(translated.get(LOCAL_CHANNEL, 0))
             self._cancel_commit_waiters()
-            self.engine.restore(body["engine"])
-            self.election.fence(self.engine)
-            self._snapshot_frontiers = dict(translated)
-            self._last_snapshot_at = self.engine.clock()
-            self.catchup_installs += 1
             self.trace.event(
                 "catchup",
                 phase="install",
-                source=body.get("site"),
-                frontiers=dict(translated),
+                source=site,
+                frontiers=dict(frontiers),
             )
+        return verdict
 
     # -- request serving -------------------------------------------------------
 
@@ -2074,13 +1814,8 @@ class ReplicaServer:
         """On-demand snapshot + compaction (operator / CLI verb)."""
         self._admit("snapshot")
         result = await self.take_snapshot(kind="manual")
-        return {
-            "snapshot": {
-                "bytes": result["bytes"],
-                "frontiers": result["frontiers"],
-                "compacted": result["compacted"],
-            }
-        }
+        del result["duration"]
+        return {"snapshot": result}
 
     async def _handle_snapshot_fetch(
         self, frame: Dict[str, Any]
@@ -2089,9 +1824,9 @@ class ReplicaServer:
         peer.  ``fresh`` forces a new capture first; chunks are byte
         slices of the (pure-ASCII) serialized envelope."""
         self._admit("snapshot-fetch")
-        if bool(frame.get("fresh")) or not self._snapshot_store.exists():
+        if bool(frame.get("fresh")) or not self.recovery.store.exists():
             await self.take_snapshot(kind="serve")
-        envelope = self._snapshot_store.load_envelope()
+        envelope = self.recovery.store.load_envelope()
         if envelope is None:
             raise Unavailable("no valid snapshot available")
         data = snapshot_bytes(envelope)
@@ -2197,21 +1932,22 @@ class ReplicaServer:
         site = str(frame.get("site", ""))
         if not host or not port or not site:
             raise ValueError("fetch-install needs the source site/host/port")
-        self._enter_recovery("fetch-install", asyncio.current_task())
+        # A recovery too, run in this request: no task, no retry.
+        self.recovery.enter("fetch-install")
+        self.trace.event("catchup", phase="start", reason="fetch-install")
         try:
-            body, translated = await self._pull_snapshot(site, (host, port))
-            if not self._dominates(translated, 0):
-                mine = self._frontiers()
-                if all(translated[ch] <= mine[ch] for ch in mine):
-                    # Retried after a completed install: local state
-                    # already covers the snapshot.  Never roll back.
-                    return {"installed": False, "current": True}
+            verdict = await self._fetch_snapshot(site, addr=(host, port))
+            if verdict == CURRENT:
+                # Retried after a completed install: local state
+                # already covers the snapshot.  Never roll back.
+                return {"installed": False, "current": True}
+            if verdict != INSTALL:
                 raise RuntimeError(
                     "counterpart snapshot and local state diverged; "
                     "refusing install"
                 )
-            await self._install_snapshot(body, translated)
-            return {"installed": True, "frontiers": translated}
+            frontiers = dict(self.recovery.image_frontiers)
+            return {"installed": True, "frontiers": frontiers}
         finally:
             self._leave_recovery("fetch-install")
 
@@ -2234,7 +1970,9 @@ class ReplicaServer:
         self.m_membership_size.set(self.membership.table.active_count())
         self.m_updates_owed.set(self.log.assigned - self.log.released_hi)
         self.engine.refresh_gauges()
-        for _, label, box in self._logs() + [("", "control", self._control)]:
+        for _, label, box in self.recovery.logs() + [
+            ("", "control", self._control)
+        ]:
             self.m_log_fsync.labels(log=label).set_to(box.fsync_count)
             self.m_log_fsync_seconds.labels(log=label).set_to(
                 box.fsync_seconds
@@ -2294,28 +2032,10 @@ class ReplicaServer:
             ack_high_water={
                 p: peers[p]["ack_high_water"] for p in self.peer_names
             },
-            inbox_frontier=self._frontiers(),
             unacked_updates=self.log.assigned - self.log.released_hi,
             drained=self._drained(),
-            catching_up=self._catching_up,
-            catchup_installs=self.catchup_installs,
             backlog_limit=self.backlog_limit,
-            snapshot={
-                "exists": self._snapshot_store.exists(),
-                "frontiers": dict(self._snapshot_frontiers),
-                "age": (
-                    None
-                    if self._last_snapshot_at is None
-                    else round(now - self._last_snapshot_at, 4)
-                ),
-            },
-            log_bases={
-                "inbox": {
-                    LOCAL_CHANNEL: self.log.base,
-                    **{src: box.base for src, box in self.inboxes.items()},
-                },
-                "outbox": dict.fromkeys(self.peer_names, self.log.base),
-            },
+            **self.recovery.stats(now),
         )
         if self.shard_index is not None:
             stats["shard"] = {
@@ -2344,7 +2064,6 @@ class ReplicaServer:
         timeout = float(frame.get("wait", 30.0))
         deadline = self.engine.clock() + timeout
         waited = False
-        loop = asyncio.get_running_loop()
         while not self._drained():
             waited = True
             remaining = deadline - self.engine.clock()
@@ -2356,14 +2075,7 @@ class ReplicaServer:
                         {p: self.log.backlog(p) for p in self.peer_names},
                     )
                 )
-            waiter = loop.create_future()
-            timer = loop.call_later(min(remaining, 0.25), _resolve, waiter)
-            self._settle_waiters.add(waiter)
-            try:
-                await waiter
-            finally:
-                timer.cancel()
-                self._settle_waiters.discard(waiter)
+            await self._drain_changed(min(remaining, 0.25))
         self.trace.event("drain", waited=waited)
         return {
             "drained": True,
@@ -2826,12 +2538,6 @@ class ReplicaServer:
             body["saga"] = saga
         return body
 
-    def _applied_frontiers(self) -> Dict[str, int]:
-        """Per-site applied frontier vector, with the local channel
-        published under this site's own name (the wire/session-token
-        namespace — ``_local`` is a private disk-layout detail)."""
-        return self._frontiers(local=self.name)
-
     def _check_session(self, token: Any) -> None:
         """Refuse a session read this replica cannot serve honestly.
 
@@ -2843,7 +2549,7 @@ class ReplicaServer:
         """
         if not isinstance(token, dict) or not token:
             return
-        frontiers = self._applied_frontiers()
+        frontiers = self.recovery.frontiers(self.name)
         lagging: Dict[str, int] = {}
         for site, seq in token.items():
             try:
@@ -2903,7 +2609,7 @@ class ReplicaServer:
         self, outcome: QueryOutcome, spec: EpsilonSpec
     ) -> Dict[str, Any]:
         self.engine.note_query_outcome(outcome, spec)
-        frontiers = self._applied_frontiers()
+        frontiers = self.recovery.frontiers(self.name)
         return {
             "values": outcome.values,
             "inconsistency": outcome.inconsistency,

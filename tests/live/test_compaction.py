@@ -359,8 +359,9 @@ def test_compaction_copies_survivors_byte_for_byte(kind, tmp_path):
         header = [{"meta": "ack", "peer": PEER, "seq": 4}]
     else:
         box = DurableInbox(path)
-        box.record_many(list(enumerate(AWKWARD[:3], 1)), blobs=blobs[:3])
-        box.record_many(list(enumerate(AWKWARD[3:], 4)))
+        box.record_many(blobs=blobs[:3])
+        for seq, payload in enumerate(AWKWARD[3:], 4):
+            box.record(seq, payload)
         header = []
     box.close()
     with path.open("a", encoding="utf-8") as handle:

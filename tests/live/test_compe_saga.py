@@ -16,7 +16,7 @@ import asyncio
 import pytest
 
 from repro.core.operations import DecrementOp, IncrementOp, WriteOp
-from repro.live import LiveCluster, LiveETFailed
+from repro.live import FaultPlan, LinkFaults, LiveCluster, LiveETFailed
 from repro.live.engine import make_engine
 from repro.replica.mset import MSet, MSetKind
 
@@ -310,7 +310,7 @@ class TestSagaClusterRecovery:
                 assert await cluster.converged()
                 values = await cluster.site_values()
                 assert values[victim]["acct"] == 100
-                assert cluster.servers[victim].catchup_installs >= 1
+                assert cluster.servers[victim].recovery.installs >= 1
                 # Re-issuing both decisions at the healed victim moves
                 # nothing: its installed decision table gates replays.
                 vclient = await cluster.client(victim)
@@ -325,6 +325,56 @@ class TestSagaClusterRecovery:
                 ]
                 assert after == before
                 await vclient.close()
+                await client.close()
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_a_wiped_replica_installs_though_its_survey_is_slow(
+        self, tmp_path
+    ):
+        """The wiped victim's survey reaches site0 only after site0's
+        first batch frame to it: the victim, which holds nothing, must
+        not answer that frame (or a heartbeat) with a durability claim
+        site0 rewinds its channel cursor on before the survey reads it.
+        The frame, a run past the victim's empty inbox, is itself the
+        evidence of a former life, so the victim installs a snapshot
+        instead of concluding it booted fresh."""
+
+        async def scenario():
+            plan = FaultPlan(seed=1)
+            cluster = LiveCluster(
+                n_sites=3, method="compe", data_dir=tmp_path, faults=plan,
+            )
+            await cluster.start()
+            try:
+                victim = cluster.names[-1]
+                client = await cluster.client(cluster.names[0])
+                await client.increment("acct", 100)
+                for saga in ("s-a", "s-b"):
+                    for _ in range(2):
+                        await client.update(
+                            [DecrementOp("acct", 5)], saga=saga
+                        )
+                await cluster.settle()
+                await client.decide("abort", saga="s-a")
+
+                await cluster.wipe(victim)
+                await client.decide("abort", saga="s-b")
+                plan.set_link("site0", victim, LinkFaults(
+                    delay_min=0.2, delay_max=0.2,
+                ))
+                for peer in ("site0", "site1"):
+                    plan.set_link(victim, peer, LinkFaults(
+                        delay_min=0.3, delay_max=0.3,
+                    ))
+                await cluster.restart(victim)
+                await cluster.wait_caught_up(victim, timeout=30)
+                await cluster.settle(timeout=30)
+                assert await cluster.converged()
+                values = await cluster.site_values()
+                assert values[victim]["acct"] == 100
                 await client.close()
             finally:
                 await cluster.stop()

@@ -262,22 +262,9 @@ class TestGroupCommit:
 
     def test_record_many_advances_frontier(self, tmp_path):
         inbox = DurableInbox(tmp_path / "peer.log")
-        assert inbox.record_many([(1, "a"), (2, "b"), (3, "c")]) == 3
+        assert inbox.record_many(blobs=[b'"a"', b'"b"', b'"c"']) == 3
         assert inbox.frontier == 3
         assert list(inbox.replay()) == [(1, "a"), (2, "b"), (3, "c")]
-        inbox.close()
-
-    def test_record_many_rejects_gaps(self, tmp_path):
-        """The batch receive path filters duplicates and stops at the
-        first gap *before* calling; a non-contiguous batch reaching
-        the log is a programming error, refused before any write."""
-        inbox = DurableInbox(tmp_path / "peer.log")
-        inbox.record(1, "a")
-        with pytest.raises(ValueError):
-            inbox.record_many([(2, "b"), (4, "d")])
-        assert inbox.frontier == 1
-        # Nothing from the refused batch hit the log.
-        assert len((tmp_path / "peer.log").read_text().splitlines()) == 1
         inbox.close()
 
 
@@ -333,7 +320,7 @@ class TestGroupCommitCrash:
         # died before any ack made it back.
         inbox = DurableInbox(tmp_path / "in.log")
         inbox.record_many(
-            _decoded(outbox.pending(PEER)[:4])
+            blobs=[blob for _, blob in outbox.pending(PEER)[:4]]
         )
         inbox.close()
         # Sender crashes too (no volatile state survives).
@@ -352,7 +339,9 @@ class TestGroupCommitCrash:
             if recovered_in.duplicate(seq):
                 continue
             fresh.append((seq, payload))
-        recovered_in.record_many(fresh)
+        recovered_in.record_many(
+            blobs=[payload_blob(payload) for _, payload in fresh]
+        )
         applied = [p["n"] for _, p in fresh]
         assert applied == [4, 5, 6, 7]  # second half only: exactly-once
         # The receiver's cumulative frontier now acks the whole window.
@@ -369,14 +358,14 @@ class TestGroupCommitCrash:
         keeps the intact prefix and the sender re-sends the rest."""
         path = tmp_path / "in.log"
         inbox = DurableInbox(path)
-        inbox.record_many([(1, "a"), (2, "b")])
+        inbox.record_many(blobs=[b'"a"', b'"b"'])
         inbox.close()
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"seq": 3, "payload": "c"}\n{"seq": 4, "pa')
 
         recovered = DurableInbox(path)
         assert recovered.frontier == 3  # intact prefix of the torn batch
-        assert recovered.record_many([(4, "d")]) == 1
+        assert recovered.record_many(blobs=[b'"d"']) == 1
         recovered.close()
 
 
@@ -810,14 +799,12 @@ class TestBytesWritten:
         }
     }
 
-    @pytest.mark.parametrize("how", ["record", "record_many", "blobs"])
+    @pytest.mark.parametrize("how", ["record", "blobs"])
     def test_inbox_counter_is_the_file_size(self, tmp_path, how):
         path = tmp_path / "peer.log"
         inbox = DurableInbox(path)
         if how == "record":
             inbox.record(1, self.PAYLOAD)
-        elif how == "record_many":
-            inbox.record_many([(1, self.PAYLOAD)])
         else:
             inbox.record_many(blobs=[payload_blob(self.PAYLOAD)])
         inbox.close()

@@ -64,7 +64,7 @@ class TestFetchInstall:
                 assert reply["installed"] is False
                 assert reply["current"] is True
                 assert target.engine.snapshot() == {"k": 13}
-                assert target.catchup_installs == 1
+                assert target.recovery.installs == 1
             finally:
                 await target.stop()
                 await source.stop()
@@ -91,8 +91,8 @@ class TestFetchInstall:
                         addr, "fetch-install", host=host, port=port, site="a"
                     )
                 assert target.engine.snapshot() == {"k": 500}
-                assert target.catchup_installs == 0
-                assert target._catching_up is False
+                assert target.recovery.installs == 0
+                assert target.recovery.state is None
             finally:
                 await target.stop()
                 await source.stop()
@@ -111,7 +111,7 @@ class TestFetchInstall:
                         addr, "fetch-install", host=host, port=port
                     )
                 assert info.value.code == "ValueError"
-                assert target.catchup_installs == 0
+                assert target.recovery.installs == 0
             finally:
                 await target.stop()
                 await source.stop()

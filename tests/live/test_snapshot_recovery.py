@@ -34,7 +34,8 @@ from repro.live import client as live_client
 from repro.live.client import LiveClient, request_once
 from repro.live.engine import make_engine
 from repro.live.protocol import ProtocolError
-from repro.live.server import LOCAL_CHANNEL, ReplicaServer
+from repro.live.server import ReplicaServer
+from repro.live.snapshot import LOCAL_CHANNEL
 
 from .wire import RawConn
 
