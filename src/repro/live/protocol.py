@@ -68,8 +68,6 @@ import orjson
 from ..core.transactions import EpsilonSpec, UNLIMITED
 from ..replica.mset import (
     ProtocolError,
-    _decode_read,
-    _decode_tswrite,
     _finite,
     _keyless,
     _wrong_arity,
@@ -107,8 +105,6 @@ __all__ = [
     "encode_mset",
     "decode_mset",
     "decode_gossip",
-    "_decode_read",
-    "_decode_tswrite",
     "_keyless",
     "_wrong_arity",
 ]

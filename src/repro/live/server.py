@@ -138,7 +138,6 @@ from .protocol import (
     ProtocolError,
     connect_frames,
     decode_gossip,
-    decode_mset,
     decode_ops,
     decode_payload_blob,
     decode_spec,
@@ -153,7 +152,6 @@ from .snapshot import (
     INSTALL,
     SURVEY,
     Recovery,
-    snapshot_bytes,
 )
 
 __all__ = [
@@ -1119,9 +1117,8 @@ class ReplicaServer:
                 channel.hb_next = (
                     self.engine.clock() + self._heartbeat_jitter()
                 )
-            fresh = log.pending_after(peer, channel.sent_hi, channel.want())
-            if fresh:
-                await self._send_batches(channel, conn.frames, fresh)
+            if self._send_batches(channel, conn.frames):
+                await conn.frames.drain()
                 continue
             await channel.wakeup.wait(
                 channel.wait_timeout(
@@ -1129,22 +1126,26 @@ class ReplicaServer:
                 )
             )
 
-    async def _send_batches(
-        self,
-        channel: PeerChannel,
-        frames: FrameWriter,
-        entries: List[Tuple[int, bytes]],
-    ) -> None:
-        """Write the frames the channel cuts ``entries`` into,
-        pre-encoded, into this turn's buffered write.
+    def _send_batches(
+        self, channel: PeerChannel, frames: FrameWriter
+    ) -> bool:
+        """Fetch what the log owes the channel's peer past ``sent_hi``,
+        as much as the free window takes, and write the frames the
+        channel cuts it into, pre-encoded, into this turn's buffered
+        write.  False when nothing was owed.
 
         Each MSet's payload bytes are forwarded exactly as the log's
         window holds them since the update entered it — the zero
         re-encode relay; re-sends from the log reuse the same bytes.
         """
-        for first, blobs in channel.cut(entries, self.engine.clock()):
+        owed = self.log.pending_after(
+            channel.peer, channel.sent_hi, channel.want()
+        )
+        if not owed:
+            return False
+        for first, blobs in channel.cut(owed, self.engine.clock()):
             frames.write(encode_bin_batch_frame(self.name, first, blobs))
-        await frames.drain()
+        return True
 
     def _heartbeat_jitter(self) -> float:
         """Next heartbeat delay: the configured interval +/- 25%,
@@ -1360,8 +1361,11 @@ class ReplicaServer:
         fast sender fills TCP flow control rather than the receiver's
         memory.
 
-        Every entry is fully decoded *before* anything is durably
-        recorded: a malformed MSet, or a blob whose log line would not
+        Every entry is fully checked *before* anything is durably
+        recorded, in the form the engine applies it in
+        (:meth:`LiveEngine.decode_remote`: COMMU's checked operation
+        arrays, every other method's MSets): a malformed MSet, or a
+        blob whose log line would not
         read back (:func:`~repro.live.protocol.decode_payload_blob`),
         must raise ``ProtocolError`` here (dropping the connection)
         rather than poison the inbox log, where replay would crash on
@@ -1391,15 +1395,14 @@ class ReplicaServer:
             fresh = ()
             self.recovery.evidence(src)
         if fresh:
-            msets = [
-                decode_mset(decode_payload_blob(blob).get("mset"))
-                for blob in fresh
-            ]
-            # Every entry decoded (see docstring): now record + apply.
+            batch = self.engine.decode_remote([
+                decode_payload_blob(blob).get("mset") for blob in fresh
+            ])
+            # Every entry checked (see docstring): now record + apply.
             # The blobs are the receipts frontier + 1 onwards.
             inbox.record_many(blobs=fresh)
             self._resolve_applied(
-                self.engine.accept_batch(msets, local=False)
+                self.engine.accept_batch(batch, local=False)
             )
             self._notify_drain()
         # The cumulative ack is a durability claim over everything
@@ -1826,10 +1829,9 @@ class ReplicaServer:
         self._admit("snapshot-fetch")
         if bool(frame.get("fresh")) or not self.recovery.store.exists():
             await self.take_snapshot(kind="serve")
-        envelope = self.recovery.store.load_envelope()
-        if envelope is None:
+        data = self.recovery.store.served_bytes()
+        if data is None:
             raise Unavailable("no valid snapshot available")
-        data = snapshot_bytes(envelope)
         offset = max(0, int(frame.get("offset", 0)))
         chunk = data[offset:offset + SNAPSHOT_CHUNK]
         return {

@@ -161,6 +161,9 @@ class SnapshotStore:
     def __init__(self, path: pathlib.Path) -> None:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        #: ``(file identity, bytes)`` of the image :meth:`served_bytes`
+        #: last verified.
+        self._served: Optional[Tuple[Tuple[int, int, int], bytes]] = None
 
     def save(self, envelope: Dict[str, Any]) -> int:
         """Persist atomically (temp + fsync + rename); returns bytes."""
@@ -192,6 +195,30 @@ class SnapshotStore:
             return envelope
         except (UnicodeDecodeError, json.JSONDecodeError, SnapshotError):
             return None
+
+    def served_bytes(self) -> Optional[bytes]:
+        """The verified envelope as shipped to a catching-up peer
+        (:func:`snapshot_bytes` of :meth:`load_envelope`), or None.
+
+        Read and verified once per version of the file: the bytes are
+        kept under the file's ``(st_ino, st_size, st_mtime_ns)``, so
+        every chunk of one pull slices the same bytes, and a capture
+        between two chunks (an atomic rename: a new inode) changes what
+        is served exactly as a re-read would.
+        """
+        try:
+            st = self.path.stat()
+        except OSError:
+            return None
+        version = (st.st_ino, st.st_size, st.st_mtime_ns)
+        if self._served is not None and self._served[0] == version:
+            return self._served[1]
+        envelope = self.load_envelope()
+        if envelope is None:
+            return None
+        data = snapshot_bytes(envelope)
+        self._served = (version, data)
+        return data
 
     def exists(self) -> bool:
         return self.path.exists()

@@ -10,10 +10,11 @@ and COMPE (§4); the live-only ROWA baseline subclasses
 :class:`CommuLiveEngine` in :mod:`repro.live.engine`.
 
 MSets go in (:meth:`LiveEngine.accept`, local or remote; recovery
-replays through it), state comes out; the host owns every file.  Every
-mutator — ``accept``, ``accept_batch``, ``fully_acked_many``,
-``hold_counters``, ``checkpoint``, ``restore`` — is a plain method,
-called in the step that delivered its MSets.  A query that can be
+replays through it; a peer batch in the form
+:meth:`LiveEngine.decode_remote` chose), state comes out; the host
+owns every file.  Every mutator — ``accept``, ``accept_batch``,
+``fully_acked_many``, ``hold_counters``, ``checkpoint``, ``restore`` —
+is a plain method, called in the step that delivered its MSets.  A query that can be
 charged now is answered in one step (:meth:`LiveEngine.read_now`);
 otherwise it reads one key per step (``open_query``, ``read_key``,
 ``restart_query``, ``close_query``) and the async ``query`` drives the
@@ -42,10 +43,13 @@ from .base import LockCounterSiteState, OrderedApplyBuffer
 from .mset import (
     MSet,
     MSetKind,
+    check_ops,
     decode_mset,
     decode_op,
+    decode_ops,
     encode_mset,
     encode_op,
+    plain_update,
 )
 
 __all__ = [
@@ -357,6 +361,14 @@ class LiveEngine:
             info=info,
         )
 
+    def decode_remote(self, entries: Sequence[Any]) -> List[Any]:
+        """The form this engine applies each peer batch entry (an
+        encoded MSet, ``decode_mset``'s input) in, for
+        :meth:`accept_batch` with ``local=False``: by default its
+        :class:`MSet`.  Every refusal is a ``ProtocolError``, raised
+        before the receiver records anything."""
+        return [decode_mset(data) for data in entries]
+
     def accept(self, mset: MSet, local: bool = False) -> List[MSet]:
         """Process one delivered MSet; returns the MSets applied now.
 
@@ -368,9 +380,11 @@ class LiveEngine:
         return self._accept_all((mset,), local)
 
     def accept_batch(
-        self, msets: Sequence[MSet], local: bool = False
-    ) -> List[MSet]:
-        """Process a whole delivered batch in one step.
+        self, msets: Sequence[Any], local: bool = False
+    ) -> List[Any]:
+        """Process a whole delivered batch in one step; returns the
+        entries applied now.  A remote batch may be in the form
+        :meth:`decode_remote` returned.
 
         The batched propagation path delivers up to a full frame
         (``channel.FRAME_MSETS``) at once; history pruning and the apply
@@ -690,9 +704,24 @@ class CommuLiveEngine(LiveEngine):
     def validate_update(self, ops: Sequence[Operation]) -> None:
         check_ops_commutative(ops)
 
+    def decode_remote(self, entries: Sequence[Any]) -> List[Any]:
+        """A plain update entry (:func:`~repro.replica.mset.plain_update`)
+        is applied as ``(tid, ops)``, ``ops`` its checked wire arrays
+        themselves: under COMMU a remote copy only has to change the
+        store, so no :class:`MSet` and no operation object is built for
+        it.  Any other entry is decoded into its :class:`MSet`."""
+        out: List[Any] = []
+        for data in entries:
+            plain = plain_update(data)
+            if plain is None:
+                out.append(decode_mset(data))
+            else:
+                out.append((plain[0], check_ops(plain[1])))
+        return out
+
     def _accept_msets(
-        self, msets: Sequence[MSet], local: bool
-    ) -> List[MSet]:
+        self, msets: Sequence[Any], local: bool
+    ) -> List[Any]:
         if local:
             return super()._accept_msets(msets, local)
         self._apply_remote(msets)
@@ -714,47 +743,52 @@ class CommuLiveEngine(LiveEngine):
             self.state.note_applied(self.clock(), mset.tid, mset.keys)
         return [mset]
 
-    def _apply_remote(self, msets: Sequence[MSet]) -> None:
-        """Apply remote MSets in one store pass, in order — under the
+    def _apply_remote(self, entries: Sequence[Any]) -> None:
+        """Apply remote entries in one store pass, in order — under the
         operation-semantics restriction any order is equivalent, and a
-        remote copy raises no counter.
+        remote copy raises no counter.  An entry is an :class:`MSet`
+        or a ``(tid, ops)`` pair of :meth:`decode_remote`.
 
         One clock read stamps the batch.  Drift and apply history are
         kept only while a query is reading (:meth:`_accept_one`'s
-        rule).  Should an operation fail, the MSets before its own
+        rule).  Should an operation fail, the entries before its own
         count as applied and the error propagates: the store and
-        ``applied_count`` end as one apply per MSet leaves them.
+        ``applied_count`` end as one apply per entry leaves them.
         """
         site = self.site
-        rest = iter(msets)
+        rest = iter(entries)
         try:
-            # chain pulls an MSet's operations only once the previous
-            # MSet's are applied: its apply instant, for its reads.  The
-            # guard spares the common MSet (no info) a call.
+            # chain pulls an entry's operations only once the previous
+            # entry's are applied: its apply instant, for its reads.
+            # The guard spares the common MSet (no info) a call.
             self.store.apply_many(chain.from_iterable(
-                self._reads_then_ops(mset)
-                if mset.info and mset.origin == site
-                else mset.ops
-                for mset in rest
+                entry[1] if type(entry) is tuple
+                else self._reads_then_ops(entry)
+                if entry.info and entry.origin == site
+                else entry.ops
+                for entry in rest
             ))
         except BaseException:
-            # ``rest`` stopped just past the MSet whose operation failed.
-            failed = len(msets) - 1 - sum(1 for _ in rest)
-            self._remote_applied(msets[:failed])
+            # ``rest`` stopped just past the entry whose operation failed.
+            failed = len(entries) - 1 - sum(1 for _ in rest)
+            self._remote_applied(entries[:failed])
             raise
-        self._remote_applied(msets)
+        self._remote_applied(entries)
 
-    def _remote_applied(self, msets: Sequence[MSet]) -> None:
-        """Count remote MSets whose operations are all in the store,
+    def _remote_applied(self, entries: Sequence[Any]) -> None:
+        """Count remote entries whose operations are all in the store,
         at one instant."""
-        if not msets:
+        if not entries:
             return
-        self.applied_count += len(msets)
+        self.applied_count += len(entries)
         now = self.last_applied_at = self.clock()
         if self._query_starts:
-            for mset in msets:
-                self._note_drift(mset)
-                self.state.note_applied(now, mset.tid, mset.keys)
+            for entry in entries:
+                if type(entry) is tuple:
+                    # Built only for a reading query: its drift, its keys.
+                    entry = MSet(entry[0], ops=decode_ops(entry[1]))
+                self._note_drift(entry)
+                self.state.note_applied(now, entry.tid, entry.keys)
 
     def _horizon(self) -> float:
         """Start of the oldest query still reading; now when none is."""
@@ -985,6 +1019,7 @@ class RituLiveEngine(CommuLiveEngine):
                 self._lamport = int(op.timestamp[0])
 
     # One MSet at a time: each observes its stamps before it applies.
+    decode_remote = LiveEngine.decode_remote
     _accept_msets = LiveEngine._accept_msets
 
     def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
@@ -1540,6 +1575,7 @@ class CompeLiveEngine(CommuLiveEngine):
         return sorted(self._compensated)
 
     # One MSet at a time: a decision may compensate what came before.
+    decode_remote = LiveEngine.decode_remote
     _accept_msets = LiveEngine._accept_msets
 
     def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:

@@ -30,6 +30,19 @@ class KeyNotFound(KeyError):
     """Raised when reading a key with no value and no default."""
 
 
+#: value types no apply and no caller can change in place.
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
+def _detached(value: Any) -> Any:
+    """``value`` itself when it is an immutable scalar, else a deep
+    copy: a list or dict written from JSON, or an append tuple, which
+    can hold one."""
+    if type(value) in _SCALARS:
+        return value
+    return copy.deepcopy(value)
+
+
 @dataclass
 class _Cell:
     """Storage cell for one key."""
@@ -84,22 +97,49 @@ class KeyValueStore:
         """Apply one operation and return the (new or read) value."""
         return self.apply_many((op,), default)
 
-    def apply_many(self, ops: Iterable[Operation], default: Any = 0) -> Any:
+    def apply_many(self, ops: Iterable[Any], default: Any = 0) -> Any:
         """Apply ``ops`` in order; return the value the last one left
         (or read).  The store's one apply loop.
 
-        Timestamped writes go through the Thomas write rule: an update
-        carrying an older timestamp than the installed one is ignored
-        (paper section 3.3: 'An RITU update trying to overwrite a newer
-        version is ignored').  Missing keys are materialized with
-        ``default`` so commutative arithmetic has an identity to act on.
-        An increment or decrement of an exact ``int``/``float`` runs
-        inline — :meth:`_ArithmeticOp._check_numeric`'s own first test —
-        and every other operation through its :meth:`Operation.apply`.
+        An item is an :class:`Operation` or the checked wire array of
+        one (``["inc", key, amount]``, as ``mset.check_ops`` passed
+        it).  Timestamped writes go through the Thomas write rule: an
+        update carrying an older timestamp than the installed one is
+        ignored (paper section 3.3: 'An RITU update trying to overwrite
+        a newer version is ignored').  Missing keys are materialized
+        with ``default`` so commutative arithmetic has an identity to
+        act on.  An increment or decrement of an exact ``int``/``float``
+        runs inline — :meth:`_ArithmeticOp._check_numeric`'s own first
+        test — from an array as from an object; any other array is
+        built at its apply instant, and every other operation runs
+        through its :meth:`Operation.apply`.
         """
         cells = self._cells
         value = None
         for op in ops:
+            if type(op) is list:
+                tag = op[0]
+                if tag == "inc" or tag == "dec":
+                    cell = cells.get(key := op[1])
+                    if cell is None:
+                        cell = cells[key] = _Cell()
+                    if not cell.present:
+                        # An increment's initial value is ``default``.
+                        cell.value = copy.copy(default)
+                        cell.present = True
+                    value = cell.value
+                    if type(value) is int or type(value) is float:
+                        if tag == "inc":
+                            value += op[2]
+                        else:
+                            value -= op[2]
+                        cell.value = value
+                        continue
+                # The codec is a layer above the store: imported here,
+                # where an array first needs its object.
+                from ..replica.mset import decode_op
+
+                op = decode_op(op)
             cell = cells.get(key := op.key)
             if cell is None:
                 # Not setdefault: that would construct (and usually
@@ -137,9 +177,14 @@ class KeyValueStore:
     # -- snapshots ---------------------------------------------------------------
 
     def snapshot(self) -> StoreSnapshot:
-        """Deep-copied snapshot (crash simulation / convergence checks)."""
+        """A copy of the contents that later applies leave unchanged
+        (crash simulation / convergence checks): mutable values are
+        deep-copied, immutable scalars shared."""
         return StoreSnapshot(
-            values={k: copy.deepcopy(c.value) for k, c in self._cells.items() if c.present},
+            values={
+                k: _detached(c.value)
+                for k, c in self._cells.items() if c.present
+            },
             stamps={k: c.write_stamp for k, c in self._cells.items() if c.present},
         )
 
@@ -147,7 +192,7 @@ class KeyValueStore:
         """Replace contents with a snapshot (crash recovery)."""
         self._cells.clear()
         for key, value in snapshot.values.items():
-            self.put(key, copy.deepcopy(value))
+            self.put(key, _detached(value))
             self._cells[key].write_stamp = snapshot.stamps.get(key)
 
     def as_dict(self) -> Dict[str, Any]:

@@ -29,8 +29,6 @@ from repro.live.protocol import (
     MAX_FRAME,
     FrameWriter,
     ProtocolError,
-    _decode_read,
-    _decode_tswrite,
     _keyless,
     _wrong_arity,
     decode_bin_frame,
@@ -50,7 +48,9 @@ from repro.live.protocol import (
     loads,
     payload_blob,
 )
-from repro.replica.mset import MSet
+from repro.live.engine import ENGINES
+from repro.replica.mset import MSet, check_ops
+from repro.storage.kv import KeyValueStore
 
 from .wire import decode_stream
 
@@ -1295,6 +1295,35 @@ def _parent_with_argument(cls, numeric):
     return decode
 
 
+def _decode_read(data):
+    if len(data) != 2:
+        raise _wrong_arity(data, 2)
+    key = data[1]
+    if not isinstance(key, str):
+        raise _keyless(data)
+    return ReadOp(key)
+
+
+def _decode_tswrite(data):
+    if len(data) != 4:
+        raise _wrong_arity(data, 4)
+    _, key, value, ts = data
+    if not isinstance(key, str):
+        raise _keyless(data)
+    _reference_check_arguments(data)
+    if (
+        not isinstance(ts, (list, tuple))
+        or len(ts) != 2
+        or type(ts[0]) is not int
+        or type(ts[1]) is not str
+        or not ts[1]
+    ):
+        raise ProtocolError(
+            "tswrite ts must be a [time, site] pair: %r" % (ts,)
+        )
+    return TimestampedWriteOp(key, value, tuple(ts))
+
+
 _PARENT_DECODERS = {
     "read": _decode_read, "tswrite": _decode_tswrite,
     **{tag: _parent_with_argument(cls, numeric)
@@ -1429,6 +1458,200 @@ class TestOnePassDecoderParity:
             IncrementOp("b", 1), WriteOp("a", 2), IncrementOp("b", 3),
         )).keys == ("b", "a")
         assert MSet("t").keys == ()
+
+
+# -- the forms a COMMU receiver applies: checked wire arrays instead of
+# operations, ``(tid, ops)`` instead of an MSet -- held to the decoders
+# they stand in for.
+
+def _refusal(check, value):
+    """The ``ProtocolError`` text ``check(value)`` raised, or None when
+    it accepted ``value``."""
+    try:
+        check(value)
+    except ProtocolError as exc:
+        return str(exc)
+    return None
+
+
+def _commu_remote(data):
+    return ENGINES["commu"]("site0").decode_remote([data])[0]
+
+
+class TestCheckPassParity:
+    """The check pass refuses exactly what the parent's one-pass decoder
+    refused, with the same message, and ``decode_ops`` builds what it
+    built; COMMU's
+    ``decode_remote`` refuses exactly what ``decode_mset`` refuses and
+    keeps the same update."""
+
+    @given(
+        st.lists(_OPERATION_SHAPED | _NEAR_OPERATIONS | _ARGUMENTS, max_size=4)
+        | _JSON_VALUES
+    )
+    @example([["inc", "k", 1], ["read", "k"], ["tswrite", "k", 1, [1, "s"]]])
+    @example([["div", "k", 0]])
+    @example([["div", "k", -0.0]])
+    @example([["inc", "k", float("nan")]])
+    @example([["inc", "k", 1], ["mul", "k", float("nan")]])
+    @example([["write", "k", [1, float("inf")]]])
+    @example([["tswrite", "k", float("nan"), [1, "s"]]])
+    @example([["tswrite", "k", 1, [1, ""]]])
+    @example([["inc", "k", True]])
+    @example([["inc", 7, 1]])
+    @example([[]])
+    @example("ops")
+    def test_check_ops_refuses_what_the_parent_refused(self, value):
+        ours = _refusal(check_ops, value)
+        assert ours == _refusal(_parent_decode_ops, value)
+        assert ours == _refusal(decode_ops, value)
+        if ours is None:
+            assert check_ops(value) is value
+            built, parent = decode_ops(value), _parent_decode_ops(value)
+            assert built == parent
+            assert list(map(type, built)) == list(map(type, parent))
+
+    @given(
+        _mset_encodings()
+        | st.dictionaries(st.sampled_from(_MSET_FIELDS), _FIELD_JUNK)
+        | _JSON_VALUES
+    )
+    @example({"tid": "t", "ops": [["inc", "k", 1]], "origin": "s"})
+    @example({"tid": "t", "ops": [["div", "k", 0]], "origin": "s"})
+    @example({"tid": "t", "ops": [["inc", "k", float("nan")]], "origin": "s"})
+    @example({"tid": "t", "ops": [["inc", "k", 1], []], "origin": "s"})
+    @example({"tid": "t", "ops": "nope", "origin": "s"})
+    @example({"tid": "t", "ops": [["inc", "k", 1]], "origin": 7})
+    @example({"tid": "t", "ops": [["div", "k", 0]], "kind": "commit"})
+    @example({"ops": [["inc", "k", 1]], "origin": "s", "txn": 1})
+    def test_commu_decode_remote_refuses_what_decode_mset_refuses(self, value):
+        ours = _refusal(_commu_remote, value)
+        assert ours == _refusal(_parent_decode_mset, value)
+        assert ours == _refusal(decode_mset, value)
+        if ours is None:
+            entry, parent = _commu_remote(value), _parent_decode_mset(value)
+            if type(entry) is tuple:
+                tid, arrays = entry
+                assert arrays is value["ops"]
+                assert parent == MSet(
+                    tid, ops=decode_ops(arrays), origin=value["origin"]
+                )
+            else:
+                assert entry == parent
+
+
+_APPLY_KEYS = st.sampled_from(["a", "b", "c"])
+_APPLY_AMOUNTS = (
+    st.integers(-3, 3) | st.floats(-3, 3) | st.sampled_from([2**62, 0.5])
+)
+_APPLY_VALUES = st.integers(0, 3) | st.text(max_size=2) | st.lists(
+    st.integers(0, 3), max_size=2
+)
+
+#: checked arrays of every tag on a few keys, as a peer's blob holds them.
+_ARRAYS = st.one_of(
+    st.tuples(st.sampled_from(["inc", "dec", "mul"]), _APPLY_KEYS, _APPLY_AMOUNTS),
+    st.tuples(st.just("div"), _APPLY_KEYS, _APPLY_AMOUNTS.filter(bool)),
+    st.tuples(st.sampled_from(["write", "append"]), _APPLY_KEYS, _APPLY_VALUES),
+    st.tuples(st.just("read"), _APPLY_KEYS),
+    st.tuples(
+        st.just("tswrite"), _APPLY_KEYS, _APPLY_VALUES,
+        st.tuples(st.integers(0, 3), st.sampled_from(["s1", "s2"])),
+    ),
+).map(lambda array: loads(json.dumps(array)))
+
+#: what a key can hold before the batch: nothing, a number, text, a
+#: list, an append tuple.
+_START = st.dictionaries(
+    _APPLY_KEYS,
+    st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=2)
+    | st.lists(st.integers(0, 3), max_size=2)
+    | st.tuples(st.integers(0, 3)),
+)
+
+
+def _store_outcome(store, ops):
+    """What applying ``ops`` returned or raised (its class), and the
+    store it left (``repr``: NaN equals itself)."""
+    try:
+        outcome = "returned", repr(store.apply_many(ops))
+    except Exception as exc:  # the comparison is the point
+        outcome = "raised", type(exc)
+    contents = sorted(
+        (key, repr(store.get(key)), store.stamp_of(key))
+        for key in store.keys()
+    )
+    return outcome, contents
+
+
+class TestArrayApplyParity:
+    """``apply_many`` of checked arrays is ``apply_many`` of the
+    operations ``decode_ops`` builds from them, failure included; and a
+    COMMU batch of ``decode_remote`` entries applies as its MSets."""
+
+    @given(start=_START, arrays=st.lists(_ARRAYS, min_size=1, max_size=8))
+    @example(start={}, arrays=[["inc", "a", 1], ["inc", "a", 2]])
+    @example(
+        start={"a": 1},
+        arrays=[["inc", "a", 1], ["write", "b", "x"], ["dec", "b", 1],
+                ["inc", "a", 5]],
+    )
+    @example(start={"a": "x"}, arrays=[["inc", "b", 1], ["dec", "a", 1]])
+    @example(start={"a": [1]}, arrays=[["append", "a", 2]])
+    @example(start={"a": (1,)}, arrays=[["append", "a", [2]], ["inc", "a", 1]])
+    @example(start={"a": 1.5}, arrays=[["dec", "a", 2**62], ["mul", "a", 0.5]])
+    def test_arrays_apply_as_their_operations(self, start, arrays):
+        check_ops(arrays)
+        want = _store_outcome(KeyValueStore(start), decode_ops(arrays))
+        assert _store_outcome(KeyValueStore(start), arrays) == want
+
+    @pytest.mark.parametrize("method", ["commu", "rowa"])
+    @given(
+        start=_START,
+        batch=st.lists(
+            st.lists(_ARRAYS, min_size=1, max_size=3), min_size=1, max_size=6
+        ),
+        watched=st.booleans(),
+    )
+    @example(
+        start={}, watched=True,
+        batch=[[["inc", "a", 1]], [["write", "a", "x"]], [["inc", "a", 1]],
+               [["inc", "b", 1]]],
+    )
+    def test_a_batch_of_arrays_applies_as_its_msets(
+        self, method, start, batch, watched
+    ):
+        entries = [
+            {"tid": "r%d" % index, "ops": ops, "origin": "site1"}
+            for index, ops in enumerate(batch)
+        ]
+        engines = []
+        for form in ("arrays", "msets"):
+            engine = ENGINES[method]("site0", clock=lambda: 1.0)
+            for key, value in start.items():
+                engine.store.put(key, value)
+            if watched:
+                engine._query_starts[form] = 0.0
+            if form == "arrays":
+                decoded = engine.decode_remote(entries)
+                assert all(type(entry) is tuple for entry in decoded)
+            else:
+                decoded = [decode_mset(entry) for entry in entries]
+            try:
+                engine.accept_batch(decoded, local=False)
+                raised = None
+            except Exception as exc:  # the comparison is the point
+                raised = type(exc)
+            engines.append((engine, raised))
+        (ours, raised), (theirs, expected) = engines
+        assert raised is expected
+        assert ours.applied_count == theirs.applied_count
+        assert _store_outcome(ours.store, ()) == _store_outcome(theirs.store, ())
+        assert {k: list(v) for k, v in ours.state.applied.items()} == {
+            k: list(v) for k, v in theirs.state.applied.items()
+        }
+        assert repr(ours._drift) == repr(theirs._drift)
+        assert ours._pins == theirs._pins
 
 
 @st.composite

@@ -31,6 +31,7 @@ from repro.live import (
     seal_snapshot,
 )
 from repro.live import client as live_client
+from repro.live import server as live_server
 from repro.live.client import LiveClient, request_once
 from repro.live.engine import make_engine
 from repro.live.protocol import ProtocolError
@@ -171,6 +172,63 @@ class TestSnapshotVerb:
                 # with no new work compacts nothing further.
                 again = await cluster.snapshot("site0")
                 assert again["compacted"] == 0
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_a_chunked_pull_verifies_the_image_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Every chunk of a pull is a slice of one verified read of the
+        snapshot file; a capture after it is what the next pull gets."""
+        loads = []
+        load_envelope = SnapshotStore.load_envelope
+
+        def counted(store):
+            loads.append(store.path)
+            return load_envelope(store)
+
+        monkeypatch.setattr(SnapshotStore, "load_envelope", counted)
+
+        async def pull(addr):
+            chunks, offset = [], 0
+            while True:
+                reply = await request_once(
+                    addr, "snapshot-fetch", offset=offset
+                )
+                chunks.append(reply["data"])
+                offset += len(reply["data"])
+                if reply["eof"]:
+                    return "".join(chunks).encode("ascii"), len(chunks)
+
+        async def scenario():
+            cluster = LiveCluster(
+                n_sites=3, method="commu", data_dir=tmp_path, **FAST
+            )
+            await cluster.start()
+            try:
+                client = await cluster.client("site0")
+                for i in range(40):
+                    await client.increment("k%d" % i, 1)
+                await cluster.settle()
+                await cluster.snapshot("site0")
+                path = cluster.servers["site0"].recovery.store.path
+                image = path.read_bytes()
+                monkeypatch.setattr(
+                    live_server, "SNAPSHOT_CHUNK", -(-len(image) // 4)
+                )
+                loads.clear()
+                addr = cluster.addrs["site0"]
+                assert await pull(addr) == (image, 4)
+                assert loads == [path]
+
+                await client.increment("k0", 1)
+                await cluster.settle()
+                await cluster.snapshot("site0")
+                data, _ = await pull(addr)
+                assert data == path.read_bytes() != image
+                assert loads == [path, path]
             finally:
                 await cluster.stop()
 

@@ -157,3 +157,33 @@ class TestSnapshots:
         store.apply(TimestampedWriteOp("x", 2, (9, 0)))
         store.restore(snap)
         assert store.stamp_of("x") == (7, 0)
+
+    def test_restore_is_deep(self):
+        store = KeyValueStore({"a": [1, 2], "b": {"c": [3]}, "t": ([4],)})
+        snap = store.snapshot()
+        store.restore(snap)
+        store.get("a").append(3)
+        store.get("b")["c"].append(4)
+        store.get("t")[0].append(5)
+        assert snap.values == {"a": [1, 2], "b": {"c": [3]}, "t": ([4],)}
+
+    def test_immutable_scalars_are_shared_not_deep_copied(self, monkeypatch):
+        import repro.storage.kv as kv
+
+        calls = []
+        deepcopy = kv.copy.deepcopy
+
+        def counting(value, *args):
+            calls.append(value)
+            return deepcopy(value, *args)
+
+        monkeypatch.setattr(kv.copy, "deepcopy", counting)
+        values = {"i": 7, "f": 1.5, "s": "text", "b": True, "n": None}
+        store = KeyValueStore(values)
+        snap = store.snapshot()
+        store.restore(snap)
+        assert calls == []
+        assert snap.values == values and store.as_dict() == values
+        store.put("l", [1])
+        store.snapshot()
+        assert calls == [[1]]
