@@ -123,7 +123,7 @@ from typing import (
 from ..core.transactions import EpsilonSpec
 from ..obs.registry import DEFAULT_LATENCY_BUCKETS, NULL_REGISTRY, Registry
 from ..obs.trace import TraceRecorder
-from ..replica.mset import MSet, MSetKind
+from ..replica.mset import MSet, MSetKind, check_ops
 from ..replica.sequencer import Sequencer
 from . import protocol
 from .channel import ChannelFamilies, PeerChannel, _resolve
@@ -292,14 +292,16 @@ async def _dial_peer(
 
 
 class _Member:
-    """One member of a group commit: its MSet maker, order token, and
-    who hears the outcome — an awaiting caller's future or, with none,
-    the request (id, verb, writer) the group answers with ``body``."""
+    """One member of a group commit: what it logs — a plain update's
+    ``(arrays, keys)`` (``engine.plain_keys``) or the maker of its MSet
+    — its order token, and who hears the outcome — an awaiting caller's
+    future or, with none, the request (id, verb, writer) the group
+    answers with ``body``."""
 
-    __slots__ = ("make", "order", "fut", "rid", "verb", "frames", "body")
+    __slots__ = ("form", "order", "fut", "rid", "verb", "frames", "body")
 
-    def __init__(self, make: Callable, order: Any, fut: Any) -> None:
-        self.make, self.order, self.fut, self.body = make, order, fut, None
+    def __init__(self, form: Any, order: Any, fut: Any) -> None:
+        self.form, self.order, self.fut, self.body = form, order, fut, None
 
 
 class ReplicaServer:
@@ -2173,13 +2175,12 @@ class ReplicaServer:
         serves the update only where it waits beyond its group —
         ORDUP's order token, ROWA's peer acks, COMPE's decision."""
         requested = frame.get("ops", ())
-        ops = decode_ops(requested)
-        if not ops:
+        check_ops(requested)
+        if not requested:
             raise ValueError("update without operations")
-        writes = tuple([op for op in ops if op.is_write_op])
-        if not writes:
+        if all([data[0] == "read" for data in requested]):
             raise ValueError("update ET must contain a write (use query)")
-        self._check_shard([op.key for op in ops])
+        self._check_shard([data[1] for data in requested])
         self._admit("update")
         if self.backlog_limit:
             worst = max(map(self.log.backlog, self.peer_names), default=0)
@@ -2191,21 +2192,43 @@ class ReplicaServer:
                     "update refused: channel backlog %d >= limit %d"
                     % (worst, self.backlog_limit)
                 )
-        self.engine.validate_update(ops)
+        engine = self.engine
+        saga, abort = frame.get("saga"), bool(frame.get("abort"))
+        is_compe = hasattr(engine, "decision_of")
+        keys = None
+        if saga is None and not abort:
+            keys = engine.plain_keys(requested)
+        form: Any = (requested, keys) if keys is not None else (
+            self._update_maker(requested, saga, abort, is_compe)
+        )
+        if (
+            engine.needs_order
+            or is_compe
+            or (engine.sync_commit and self.peer_names)
+        ):
+            return self._update_waits(form, saga, abort, is_compe)
+        return self._commit_local(form, served=True)
+
+    def _update_maker(
+        self, requested: list, saga: Any, abort: bool, is_compe: bool
+    ) -> Callable[..., Tuple[MSet, Optional[list]]]:
+        """The maker of an update's MSet, for an engine that commits it
+        as one (:meth:`LiveEngine.plain_keys` said None), once the
+        method restriction and the saga fields passed it."""
+        ops = decode_ops(requested)
+        engine = self.engine
+        engine.validate_update(ops)
+        writes = tuple([op for op in ops if op.is_write_op])
         # The writes' request arrays, validated by ``decode_ops``: the
         # payload carries them rather than a re-encoding of ``writes``.
         encoded_writes = [
             data for data, op in zip(requested, ops) if op.is_write_op
         ]
         read_keys = [op.key for op in ops if op.is_read_op]
-
-        saga = frame.get("saga")
-        abort = bool(frame.get("abort"))
-        is_compe = hasattr(self.engine, "decision_of")
         if (saga is not None or abort) and not is_compe:
             raise ValueError(
                 "saga/abort updates need the COMPE method (got %s)"
-                % self.engine.method_name
+                % engine.method_name
             )
         if saga is not None and (not isinstance(saga, str) or not saga):
             raise ValueError("saga id must be a non-empty string")
@@ -2216,7 +2239,6 @@ class ReplicaServer:
         if saga is not None:
             info_items.append(("saga", saga))
         info = tuple(info_items)
-        engine = self.engine
 
         def make(
             tid: str, order: Optional[Tuple[int, int]]
@@ -2234,20 +2256,10 @@ class ReplicaServer:
                 return mset, encoded_writes
             return mset, protocol.encode_ops(mset.ops)
 
-        if (
-            engine.needs_order
-            or is_compe
-            or (engine.sync_commit and self.peer_names)
-        ):
-            return self._update_waits(make, saga, abort, is_compe)
-        return self._commit_local(make, served=True)
+        return make
 
     async def _update_waits(
-        self,
-        make: Callable[..., Tuple[MSet, Optional[list]]],
-        saga: Optional[str],
-        abort: bool,
-        is_compe: bool,
+        self, form: Any, saga: Optional[str], abort: bool, is_compe: bool
     ) -> Dict[str, Any]:
         """An update that waits beyond its commit group: for an order
         token before it, for its in-order apply, its peers' acks or its
@@ -2255,8 +2267,7 @@ class ReplicaServer:
         order = None
         if self.engine.needs_order:
             order = await self._acquire_order()
-        mset, _ = await self._commit_local(make, order)
-        tid = mset.tid
+        tid, _ = await self._commit_local(form, order)
 
         if self.engine.needs_order:
             # Commit once the update executes at its origin in global
@@ -2296,19 +2307,21 @@ class ReplicaServer:
 
     def _commit_local(
         self,
-        make: Callable[..., Tuple[MSet, Optional[list]]],
+        form: Any,
         order: Optional[Tuple[int, int]] = None,
         served: bool = False,
     ) -> Union[asyncio.Future, _Member]:
         """Put one locally originated MSet — an update or a COMPE
         decision — in the stable queues and apply it at its origin,
-        as one member of a *group commit*.  ``make(tid, order)`` builds
-        the MSet from the tid the group gives it, and returns it with
-        its operations already encoded when it holds them (``None``
-        otherwise).  Returns the member's future, which resolves to
-        ``(mset, held)`` — ``held`` says the engine held the MSet back
-        instead of applying it now — or, when ``served``, the
-        :class:`_Member` itself: the group answers its request.
+        as one member of a *group commit*.  ``form`` is a plain
+        update's ``(arrays, keys)``, logged and applied as they are, or
+        ``make(tid, order)``, which builds the MSet from the tid the
+        group gives it and returns it with its operations already
+        encoded when it holds them (``None`` otherwise).  Returns the
+        member's future, which resolves to ``(tid, held)`` — ``held``
+        says the engine held the MSet back instead of applying it now
+        — or, when ``served``, the :class:`_Member` itself: the group
+        answers its request.
 
         A group is whatever one loop turn delivered; nothing else
         bounds it.  Members join a queue; the first to find no group
@@ -2318,7 +2331,7 @@ class ReplicaServer:
         has joined.
         """
         member = _Member(
-            make, order, None if served else self._loop.create_future()
+            form, order, None if served else self._loop.create_future()
         )
         self._commit_queue.append(member)
         if not self._commit_leader:
@@ -2333,9 +2346,11 @@ class ReplicaServer:
         leadership epoch fenced is refused alone, *before* any append,
         so it is never client-acked and leaves no gap; the survivors
         are numbered ``log.assigned + 1 ...`` in queue order (the log
-        position *is* the tid), built, serialised once — the same
-        bytes are the log line and, on a binary channel, what every
-        peer is sent — and get their commit futures; then one
+        position *is* the tid) and entered in their form — a plain
+        update as its request arrays, anything else as its MSet —
+        serialised once — the same bytes are the log line and, on a
+        binary channel, what every peer is sent — and get their commit
+        futures; then one
         ``append_many``, one ``sync()``, one ``accept_batch``, one
         kick of the channel senders, one drain notification.  The
         group is one step, so a snapshot never captures a frontier
@@ -2359,8 +2374,7 @@ class ReplicaServer:
         between lets an ack release an obligation before it was
         raised; it is then held forever, and ``settle`` hangs.
         """
-        engine = self.engine
-        trace = self.trace
+        engine, trace, name = self.engine, self.trace, self.name
         await_apply = engine.needs_order
         await_acks = engine.sync_commit and bool(self.peer_names)
         try:
@@ -2368,9 +2382,9 @@ class ReplicaServer:
                 group, self._commit_queue = self._commit_queue, []
                 try:
                     seq = self.log.assigned
-                    members = []
-                    msets: List[MSet] = []
-                    payloads = []
+                    members, entries, payloads = [], [], []
+                    # (tid, keys) of every member, and of its updates.
+                    pairs, updates = [], []
                     for member in group:
                         fut, token = member.fut, member.order
                         if fut is not None and fut.done():
@@ -2384,55 +2398,62 @@ class ReplicaServer:
                             )
                             continue
                         seq += 1
-                        tid = "%s:%d" % (self.name, seq)
-                        mset, encoded = member.make(tid, token)
+                        tid = "%s:%d" % (name, seq)
+                        form = member.form
+                        if type(form) is tuple:
+                            ops, keys = form
+                            entries.append((tid, ops, keys))
+                            # encode_mset's plain update, byte for byte.
+                            payload = {"tid": tid, "ops": ops, "origin": name}
+                            updates.append((tid, keys))
+                        else:
+                            mset, encoded = form(tid, token)
+                            keys = mset.keys
+                            entries.append(mset)
+                            payload = encode_mset(mset, encoded)
+                            if mset.kind == MSetKind.UPDATE:
+                                updates.append((tid, keys))
                         if await_apply:
-                            self._apply_futures[mset.tid] = (
+                            self._apply_futures[tid] = (
                                 self._loop.create_future()
                             )
                         if await_acks:
-                            self._full_ack_futures[mset.tid] = (
+                            self._full_ack_futures[tid] = (
                                 self._loop.create_future()
                             )
                         members.append(member)
-                        msets.append(mset)
-                        payloads.append({"mset": encode_mset(mset, encoded)})
-                    if not msets:
+                        pairs.append((tid, keys))
+                        payloads.append({"mset": payload})
+                    if not entries:
                         continue
-                    updates = [m for m in msets if m.kind == MSetKind.UPDATE]
-                    trace.event_rows(
-                        "update-submit", ("tid", "keys"),
-                        ((m.tid, m.keys) for m in updates),
-                    )
+                    trace.event_rows("update-submit", ("tid", "keys"), updates)
                     self.log.append_many(
                         payloads, blobs=list(map(payload_blob, payloads))
                     )
                     self.log.sync()
-                    applied = engine.accept_batch(msets, local=True)
+                    applied = engine.accept_batch(entries, local=True)
                     self._resolve_applied(applied)
                     self._kick_channels()
                     if not self.peer_names:
-                        engine.fully_acked_many(
-                            [(mset.tid, mset.keys) for mset in msets]
-                        )
-                    self.m_commit_group.observe(len(msets))
+                        engine.fully_acked_many(pairs)
+                    self.m_commit_group.observe(len(entries))
                     self._notify_drain()
-                    applied_now = {mset.tid for mset in applied}
+                    applied_now = {
+                        e[0] if type(e) is tuple else e.tid for e in applied
+                    }
                     trace.event_rows(
                         "update-apply", ("tid", "held"),
-                        ((m.tid, m.tid not in applied_now) for m in updates),
+                        ((tid, tid not in applied_now) for tid, _ in updates),
                     )
-                    for member, mset in zip(members, msets):
+                    for member, (tid, _) in zip(members, pairs):
                         fut = member.fut
                         if fut is None:
                             member.body = {
-                                "tid": mset.tid,
-                                "values": engine.pop_read_results(mset.tid),
+                                "tid": tid,
+                                "values": engine.pop_read_results(tid),
                             }
                         elif not fut.done():
-                            fut.set_result(
-                                (mset, mset.tid not in applied_now)
-                            )
+                            fut.set_result((tid, tid not in applied_now))
                 except Exception as exc:
                     # Whatever stopped the group stops every member of
                     # it not yet answered; the next group still runs.
@@ -2485,8 +2506,8 @@ class ReplicaServer:
             )
             return mset, None
 
-        mset, _ = await self._commit_local(make)
-        return mset.tid
+        tid, _ = await self._commit_local(make)
+        return tid
 
     async def _handle_decide(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Decide a saga (or an explicit tid list) commit or abort.

@@ -11,7 +11,8 @@ and COMPE (§4); the live-only ROWA baseline subclasses
 
 MSets go in (:meth:`LiveEngine.accept`, local or remote; recovery
 replays through it; a peer batch in the form
-:meth:`LiveEngine.decode_remote` chose), state comes out; the host
+:meth:`LiveEngine.decode_remote` chose, an origin's commit group in
+the form :meth:`LiveEngine.plain_keys` chose), state comes out; the host
 owns every file.  Every mutator — ``accept``, ``accept_batch``,
 ``fully_acked_many``, ``hold_counters``, ``checkpoint``, ``restore`` —
 is a plain method, called in the step that delivered its MSets.  A query that can be
@@ -361,6 +362,15 @@ class LiveEngine:
             info=info,
         )
 
+    def plain_keys(self, data: Sequence[list]) -> Optional[Tuple[str, ...]]:
+        """The form this engine commits a local update in: given its
+        request arrays (``check_ops`` passed them, a write among them),
+        the distinct keys they write, in first-write order, once the
+        method restriction passed them — the update then enters
+        :meth:`accept_batch` as ``(tid, arrays, keys)`` — or None when
+        it needs its :class:`MSet` (:meth:`make_mset`): by default."""
+        return None
+
     def decode_remote(self, entries: Sequence[Any]) -> List[Any]:
         """The form this engine applies each peer batch entry (an
         encoded MSet, ``decode_mset``'s input) in, for
@@ -420,17 +430,24 @@ class LiveEngine:
         """Drop apply history no active query can still read (once per
         delivered batch).  No-op without one."""
 
-    def _note_drift(self, mset: MSet, pins: int = 1) -> None:
-        """Record ``mset``'s worst-case drift, pinned ``pins`` times."""
+    def _note_drift(self, tid: Any, ops: Sequence, pins: int = 1) -> None:
+        """Record the worst-case drift of update ``tid``'s operations
+        ``ops``, pinned ``pins`` times.  An ``inc``/``dec`` wire array
+        drifts by its amount; any other array is built to be asked."""
         total: Optional[float] = 0.0
-        for op in mset.ops:
+        for op in ops:
+            if type(op) is list:
+                if op[0] == "inc" or op[0] == "dec":
+                    total += abs(op[2])
+                    continue
+                op = decode_op(op)
             delta = op.value_delta()
             if delta is None:
                 total = None
                 break
             total += delta
-        self._drift[mset.tid] = total
-        self._pin(mset.tid, pins)
+        self._drift[tid] = total
+        self._pin(tid, pins)
 
     def _pin(self, tid: Any, pins: int = 1) -> None:
         """One more reason a query can still be charged for ``tid``:
@@ -719,39 +736,41 @@ class CommuLiveEngine(LiveEngine):
                 out.append((plain[0], check_ops(plain[1])))
         return out
 
-    def _accept_msets(
-        self, msets: Sequence[Any], local: bool
-    ) -> List[Any]:
-        if local:
-            return super()._accept_msets(msets, local)
-        self._apply_remote(msets)
-        return list(msets)
+    def plain_keys(self, data: Sequence[list]) -> Optional[Tuple[str, ...]]:
+        """An update of writes only is committed as its arrays.  Distinct
+        keys pass the restriction as they are; the writes of a key
+        written twice are built, alone, for :meth:`validate_update`,
+        which refuses them word for word as it would the whole update.
+        An update that reads is left to its MSet (COMMU refuses it)."""
+        counts: Dict[str, int] = {}
+        for item in data:
+            if item[0] == "read":
+                return None
+            counts[item[1]] = counts.get(item[1], 0) + 1
+        if len(counts) != len(data):
+            self.validate_update(decode_ops(
+                [item for item in data if counts[item[1]] > 1]
+            ))
+        return tuple(counts)
+
+    def _accept_msets(self, entries: Sequence[Any], local: bool) -> List[Any]:
+        self._apply_entries(entries, local)
+        return list(entries)
 
     def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
-        if not local:
-            self._apply_remote((mset,))
-            return [mset]
-        # Held until every peer durably acks (fully_acked_many).
-        held = self.state.raise_counters(mset.tid, mset.keys)
-        # History is for the queries already reading: one that starts
-        # later cannot see this apply as a mixed observation.
-        watched = bool(self._query_starts)
-        if held or watched:
-            self._note_drift(mset, pins=held + watched)
-        self._apply_ops(mset)
-        if watched:
-            self.state.note_applied(self.clock(), mset.tid, mset.keys)
+        self._apply_entries((mset,), local)
         return [mset]
 
-    def _apply_remote(self, entries: Sequence[Any]) -> None:
-        """Apply remote entries in one store pass, in order — under the
-        operation-semantics restriction any order is equivalent, and a
-        remote copy raises no counter.  An entry is an :class:`MSet`
-        or a ``(tid, ops)`` pair of :meth:`decode_remote`.
+    def _apply_entries(self, entries: Sequence[Any], local: bool) -> None:
+        """Apply delivered entries in one store pass, in order — under the
+        operation-semantics restriction any order is equivalent.  An
+        entry is an :class:`MSet`, a local ``(tid, ops, keys)`` triple
+        (:meth:`plain_keys`) or a remote ``(tid, ops)`` pair
+        (:meth:`decode_remote`), ``ops`` checked wire arrays.
 
-        One clock read stamps the batch.  Drift and apply history are
-        kept only while a query is reading (:meth:`_accept_one`'s
-        rule).  Should an operation fail, the entries before its own
+        One clock read stamps the batch.  A local entry raises its
+        counters as it applies (:meth:`_held_ops`); a remote copy raises
+        none.  Should an operation fail, the entries before its own
         count as applied and the error propagates: the store and
         ``applied_count`` end as one apply per entry leaves them.
         """
@@ -762,33 +781,58 @@ class CommuLiveEngine(LiveEngine):
             # entry's are applied: its apply instant, for its reads.
             # The guard spares the common MSet (no info) a call.
             self.store.apply_many(chain.from_iterable(
-                entry[1] if type(entry) is tuple
-                else self._reads_then_ops(entry)
-                if entry.info and entry.origin == site
-                else entry.ops
-                for entry in rest
+                self._held_ops(rest) if local else (
+                    entry[1] if type(entry) is tuple
+                    else self._reads_then_ops(entry)
+                    if entry.info and entry.origin == site
+                    else entry.ops
+                    for entry in rest
+                )
             ))
         except BaseException:
             # ``rest`` stopped just past the entry whose operation failed.
             failed = len(entries) - 1 - sum(1 for _ in rest)
-            self._remote_applied(entries[:failed])
+            self._applied(entries[:failed], local)
             raise
-        self._remote_applied(entries)
+        self._applied(entries, local)
 
-    def _remote_applied(self, entries: Sequence[Any]) -> None:
-        """Count remote entries whose operations are all in the store,
-        at one instant."""
+    def _held_ops(self, entries: Any) -> Any:
+        """Each local entry's operations, at its apply instant, once its
+        keys' counters are raised: held until every peer durably acks
+        it (:meth:`fully_acked_many`).  Its drift is noted while it
+        holds one, or while a query reads."""
+        state, reading = self.state, self._query_starts
+        for entry in entries:
+            if type(entry) is tuple:
+                tid, ops, keys = entry
+            else:
+                tid, keys = entry.tid, entry.keys
+                ops = self._reads_then_ops(entry)
+            held = state.raise_counters(tid, keys)
+            if held or reading:
+                self._note_drift(tid, ops, held + bool(reading))
+            yield ops
+
+    def _applied(self, entries: Sequence[Any], local: bool) -> None:
+        """Count entries whose operations are all in the store, at one
+        instant.  While a query reads, each enters the apply history —
+        one that starts later cannot see this apply as a mixed
+        observation — and a remote one is charged its drift (a local
+        one was, as it raised its counters)."""
         if not entries:
             return
         self.applied_count += len(entries)
         now = self.last_applied_at = self.clock()
         if self._query_starts:
             for entry in entries:
-                if type(entry) is tuple:
-                    # Built only for a reading query: its drift, its keys.
-                    entry = MSet(entry[0], ops=decode_ops(entry[1]))
-                self._note_drift(entry)
-                self.state.note_applied(now, entry.tid, entry.keys)
+                if type(entry) is not tuple:
+                    entry = entry.tid, entry.ops, entry.keys
+                elif not local:  # a remote pair's keys, as MSet.keys
+                    entry = (*entry, tuple({op[1]: None for op in entry[1]}))
+                tid, ops, keys = entry
+                if not local:
+                    self._note_drift(tid, ops)
+                self.state.note_applied(now, tid, keys)
 
     def _horizon(self) -> float:
         """Start of the oldest query still reading; now when none is."""
@@ -822,7 +866,7 @@ class CommuLiveEngine(LiveEngine):
 
     def hold_counters(self, mset: MSet) -> None:
         if self.state.raise_counters(mset.tid, mset.keys):
-            self._note_drift(mset)
+            self._note_drift(mset.tid, mset.ops)
 
     def _query_sources(self, key: str, start: float) -> Set[Any]:
         """Inconsistency sources for one key read: in-flight updates
@@ -1018,8 +1062,9 @@ class RituLiveEngine(CommuLiveEngine):
             ):
                 self._lamport = int(op.timestamp[0])
 
-    # One MSet at a time: each observes its stamps before it applies.
-    decode_remote = LiveEngine.decode_remote
+    # One MSet at a time: each observes its stamps before it applies,
+    # and its origin stamps it (make_mset).
+    decode_remote, plain_keys = LiveEngine.decode_remote, LiveEngine.plain_keys
     _accept_msets = LiveEngine._accept_msets
 
     def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
@@ -1100,7 +1145,7 @@ class RituMvLiveEngine(RituLiveEngine):
         if txn <= self.mvstore.vtnc:
             return
         # Chargeable (its versions unstable) until the VTNC passes it.
-        self._note_drift(mset)
+        self._note_drift(mset.tid, mset.ops)
         self._applied_numbers[txn] = mset.tid
         frontier = self.mvstore.vtnc
         while frontier + 1 in self._applied_numbers:
@@ -1329,7 +1374,7 @@ class OrdupLiveEngine(LiveEngine):
             self.frontier = max(self.frontier, ready.order)
             if ready.keys:
                 # Chargeable while it is some key's last writer.
-                self._note_drift(ready, pins=len(ready.keys))
+                self._note_drift(ready.tid, ready.ops, len(ready.keys))
             for key in ready.keys:
                 displaced = self.last_writer.get(key)
                 self.last_writer[key] = (ready.order, ready.tid)
@@ -1575,7 +1620,7 @@ class CompeLiveEngine(CommuLiveEngine):
         return sorted(self._compensated)
 
     # One MSet at a time: a decision may compensate what came before.
-    decode_remote = LiveEngine.decode_remote
+    decode_remote, plain_keys = LiveEngine.decode_remote, LiveEngine.plain_keys
     _accept_msets = LiveEngine._accept_msets
 
     def _accept_one(self, mset: MSet, local: bool) -> List[MSet]:
@@ -1585,20 +1630,15 @@ class CompeLiveEngine(CommuLiveEngine):
             return self._accept_decision(mset, local)
         return super()._accept_one(mset, local)
 
-    def _execute(self, mset: MSet) -> None:
+    def _apply_entries(self, msets: Sequence[MSet], local: bool) -> None:
+        # One MSet (_accept_msets), held first when local, each of its
+        # operations through the log.
+        (mset,) = msets
+        (ops,) = self._held_ops(msets) if local else (mset.ops,)
         execute, tid = self.log.execute, mset.tid
-        for op in mset.ops:
+        for op in ops:
             execute(tid, op)
-
-    def _apply_ops(self, mset: MSet) -> None:
-        self._execute(mset)
-        self.applied_count += 1
-        self.last_applied_at = self.clock()
-
-    def _apply_remote(self, msets: Sequence[MSet]) -> None:
-        for mset in msets:
-            self._execute(mset)
-        self._remote_applied(msets)
+        self._applied(msets, local)
 
     def _accept_update(self, mset: MSet, local: bool) -> List[MSet]:
         applied = super()._accept_one(mset, local)
@@ -1611,7 +1651,7 @@ class CompeLiveEngine(CommuLiveEngine):
         decided = self._decided.get(tid)
         if decided is None:
             if tid not in self._undecided:
-                self._note_drift(mset)  # chargeable until decided
+                self._note_drift(tid, mset.ops)  # chargeable until decided
             self._undecided[tid] = mset.keys
             for key in mset.keys:
                 self._undecided_by_key.setdefault(key, set()).add(tid)

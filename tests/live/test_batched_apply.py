@@ -1,8 +1,9 @@
-"""The COMMU receive path's one-pass stages against their per-MSet
-references.
+"""The COMMU apply and release paths' one-pass stages against their
+per-MSet references.
 
-A remote batch reaches the store in one ``apply_many`` pass, and a
-cumulative ack releases its whole window through
+A remote batch, and a local commit group, reaches the store in one
+``apply_many`` pass — a group given as its request arrays exactly as
+given as MSets — and a cumulative ack releases its whole window through
 ``LockCounterSiteState.release_many``.  Each reference twin below is
 the same engine with that stage done the long way — one apply, or one
 one-tid ``release_many`` + ``_unpin`` + ``_wake``, per MSet — and every
@@ -17,13 +18,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.operations import (
+    AppendOp,
     DecrementOp,
     IncrementOp,
     OperationError,
+    TimestampedWriteOp,
     WriteOp,
 )
 from repro.live.engine import ENGINES, LiveEngine
-from repro.replica.mset import MSet
+from repro.replica.mset import MSet, encode_ops
 
 SITE = "site0"
 KEYS = ["a", "b", "c"]
@@ -43,7 +46,7 @@ def per_mset(cls):
             held = local and self.state.raise_counters(mset.tid, mset.keys)
             watched = bool(self._query_starts)
             if held or watched:
-                self._note_drift(mset, pins=held + watched)
+                self._note_drift(mset.tid, mset.ops, pins=held + watched)
             self._apply_ops(mset)
             if watched:
                 self.state.note_applied(self.clock(), mset.tid, mset.keys)
@@ -183,6 +186,95 @@ class TestBatchedApply:
         assert batched.applied_count == 2
         assert batched.store.as_dict() == {"a": "text", "b": 1}
         assert _state(batched) == _state(reference)
+
+
+stamped = st.builds(
+    TimestampedWriteOp, keys, st.integers(0, 9),
+    st.tuples(st.integers(1, 3), st.sampled_from([SITE, "site1"])),
+)
+# An append under a key that a later increment then fails on.
+appended = st.builds(AppendOp, st.just("c"), st.just("x"))
+
+
+def _local(engine, group, watched):
+    """Commit ``group`` at ``engine`` in one step, as its origin's
+    commit group does: the outcome, and every piece of state it
+    leaves."""
+    if watched:
+        engine._query_starts[READING] = 0.0
+    try:
+        engine.accept_batch(group, local=True)
+        outcome = None
+    except OperationError as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, {
+        **_state(engine),
+        "stamps": dict(engine.store.snapshot().stamps),
+        "pins": engine._pins,
+        "drift": engine._drift,
+    }
+
+
+def _forms(cls, bodies):
+    """One local group three ways, each at its own fresh engine: as its
+    ``(tid, arrays, keys)`` triples, as MSets, and as MSets one accept
+    each (the per-MSet path the one pass replaces)."""
+    msets = [
+        MSet("l%d" % index, ops=tuple(body), origin=SITE)
+        for index, body in enumerate(bodies)
+    ]
+    triples = [(m.tid, encode_ops(m.ops), m.keys) for m in msets]
+    return [
+        (_engine(cls), triples),
+        (_engine(cls), msets),
+        (_engine(per_mset(cls)), msets),
+    ]
+
+
+class TestLocalGroup:
+    @pytest.mark.parametrize("method", ["commu", "rowa"])
+    @given(
+        bodies=st.lists(
+            st.lists(numeric | stamped | appended, min_size=1, max_size=3),
+            min_size=1,
+            max_size=8,
+        ),
+        watched=st.booleans(),
+    )
+    def test_arrays_match_msets_and_one_accept_per_mset(
+        self, method, bodies, watched
+    ):
+        (got, *want) = [
+            _local(engine, group, watched)
+            for engine, group in _forms(ENGINES[method], bodies)
+        ]
+        assert want == [got, got]
+
+    @pytest.mark.parametrize("method", ["commu", "rowa"])
+    @pytest.mark.parametrize("watched", [False, True])
+    def test_a_failed_apply_counts_the_entries_before_it(
+        self, method, watched
+    ):
+        bodies = [
+            [IncrementOp("a", 1)],
+            [AppendOp("k", "x")],
+            [IncrementOp("b", 1), IncrementOp("k", 1)],
+            [IncrementOp("b", 1)],
+        ]
+        (got, *want) = [
+            _local(engine, group, watched)
+            for engine, group in _forms(ENGINES[method], bodies)
+        ]
+        assert want == [got, got]
+        outcome, state = got
+        assert outcome == (
+            OperationError,
+            "IncrementOp requires a numeric value for 'k', got ('x',)",
+        )
+        assert state["applied_count"] == 2
+        assert state["store"] == {"a": 1, "k": ("x",), "b": 1}
+        # The failing entry raised its counters before it failed.
+        assert state["holders"]["b"] == {"l2"}
 
 
 steps = st.lists(
