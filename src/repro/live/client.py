@@ -229,6 +229,14 @@ class RequestTimeout(ConnectionError):
     or may not have executed at the server."""
 
 
+def _expire(fut: asyncio.Future, verb: str, timeout: float) -> None:
+    """A request's deadline passed: its waiter fails, unless answered."""
+    if not fut.done():
+        fut.set_exception(
+            RequestTimeout("%s request exceeded %.3fs" % (verb, timeout))
+        )
+
+
 async def request_once(
     addr: Tuple[str, int], verb: str, timeout: float = 5.0,
     link: Any = None, **fields: Any,
@@ -530,8 +538,15 @@ class LiveClient(AsyncVerbs):
             if conn is None:  # lost while a rehome probe was dialing
                 raise ConnectionError("connection lost")
         rid = next(self._ids)
-        fut: asyncio.Future = asyncio.get_event_loop().create_future()
+        loop = conn.loop
+        fut: asyncio.Future = loop.create_future()
         self._waiting[rid] = fut
+        # The deadline is one timer that fails ``fut`` (no
+        # ``asyncio.wait_for``: no second future, no extra coroutine);
+        # the reply cancels it.
+        timer = None if timeout is None else loop.call_later(
+            timeout, _expire, fut, verb, timeout
+        )
         frames = conn.frames
         try:
             # Buffered with whatever else this turn sends; ``fut`` fails
@@ -541,19 +556,14 @@ class LiveClient(AsyncVerbs):
             )
             if frames.paused is not None:
                 await frames.drain()
-            if timeout is not None:
-                frame = await asyncio.wait_for(fut, timeout=timeout)
-            else:
-                frame = await fut
-        except asyncio.TimeoutError:
-            raise RequestTimeout(
-                "%s request exceeded %.3fs" % (verb, timeout)
-            ) from None
+            frame = await fut
         finally:
             # However the wait ended, no orphan future is left behind
             # (to leak, or to be resolved by a later response reusing
-            # the id after a reconnect).
+            # the id after a reconnect), and no live timer.
             self._waiting.pop(rid, None)
+            if timer is not None:
+                timer.cancel()
         if not frame.get("ok"):
             raise LiveETFailed(
                 frame.get("error", "ET failed"),
@@ -591,7 +601,13 @@ class LiveClient(AsyncVerbs):
             fields["saga"] = saga
         if abort:
             fields["abort"] = True
-        frame = await self.request("update", timeout=timeout, **fields)
+        # An update is never retried (:meth:`request` would try it
+        # once): one round trip, awaited directly.
+        frame = await self._request_once(
+            "update",
+            self._request_timeout if timeout is None else timeout,
+            fields,
+        )
         # A committed write is evidence its origin's frontier reached
         # the tid's sequence — fold it into what the cache accounting
         # knows, and drop any cached copy of the written keys so the
@@ -600,7 +616,10 @@ class LiveClient(AsyncVerbs):
         if isinstance(tid, str):
             site, sep, seq = tid.rpartition(":")
             if sep and seq.isdigit():
-                self._merge_known({site: int(seq)})
+                frontier = int(seq)
+                known = self.known_frontiers
+                if frontier > known.get(site, 0):
+                    known[site] = frontier
         if self.cache is not None:
             self.cache.invalidate(op.key for op in operations)
         return frame

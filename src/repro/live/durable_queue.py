@@ -25,9 +25,9 @@ at each receiver:
   once (``released_hi`` is monotone, so a later rewind never releases
   it again).  A held record is kept as its wire bytes plus that
   release — what the caller's ``release`` function makes of the
-  payload when the record enters the window — and never as the payload
-  itself.  After a restart everything past a cursor is owed to that
-  peer again.
+  payload, which an appender that already holds it passes along — and
+  never as the payload itself.  After a restart everything past a
+  cursor is owed to that peer again.
 * :class:`DurableInbox` — the receiver's half of one (src, dst)
   channel.  ``record`` / ``record_many`` durably log received
   payloads and deduplicate by sequence number (the channel is FIFO,
@@ -394,10 +394,10 @@ class DurableOutbox(_DurableLog):
     once, with one cursor per peer into it.
 
     ``release`` maps a payload to what :meth:`ack_through` hands back
-    once every peer holds it; it runs once per record, when the record
-    enters the window (append, reload, rewind), so the window never
-    holds the payload unless ``release`` keeps it (the identity, by
-    default)."""
+    once every peer holds it; it runs once per record read back into
+    the window (reload, rewind), and once per appended record whose
+    caller did not pass its release, so the window never holds the
+    payload unless ``release`` keeps it (the identity, by default)."""
 
     def __init__(
         self,
@@ -482,6 +482,7 @@ class DurableOutbox(_DurableLog):
         self,
         payloads: Sequence[Any],
         blobs: Optional[Sequence[bytes]] = None,
+        releases: Optional[Sequence[Any]] = None,
     ) -> List[int]:
         """Group-commit append: one write for the whole batch, which
         the caller's ``sync()`` makes durable.
@@ -491,15 +492,19 @@ class DurableOutbox(_DurableLog):
         each payload's canonical wire bytes
         (:func:`repro.live.protocol.payload_blob`), encoded here when
         not given: the log line is spliced around them, and the window
-        holds them for the sender's relay path.
+        holds them for the sender's relay path.  ``releases`` (parallel
+        too) carries what ``release`` makes of each payload, from a
+        caller that already holds it; derived here when not given.
         """
         seqs: List[int] = []
         lines: List[bytes] = []
-        window, release = self._window, self._release
+        window = self._window
+        if releases is None:
+            releases = list(map(self._release, payloads))
         for index, payload in enumerate(payloads):
             blob = payload_blob(payload) if blobs is None else blobs[index]
             self._seq += 1
-            window.append((blob, release(payload)))
+            window.append((blob, releases[index]))
             lines.append(_record_line(self._seq, payload, blob))
             seqs.append(self._seq)
         self._write_data(b"".join(lines))

@@ -92,6 +92,7 @@ __all__ = [
     "encode_frame",
     "read_frame",
     "payload_blob",
+    "plain_update_blob",
     "decode_payload_blob",
     "encode_bin_batch_frame",
     "encode_bin_ack_frame",
@@ -326,9 +327,10 @@ class FrameProtocol(asyncio.Protocol):
         self._held = False
         #: why reading is paused ("writes", "buffer"); empty: reading.
         self._stops: Set[str] = set()
-        self._loop = asyncio.get_running_loop()
+        #: the loop the connection runs on.
+        self.loop = asyncio.get_running_loop()
         #: resolved by ``connection_lost``.
-        self.lost: "asyncio.Future[None]" = self._loop.create_future()
+        self.lost: "asyncio.Future[None]" = self.loop.create_future()
         self.transport: Optional[asyncio.Transport] = None
         self.frames: FrameWriter
 
@@ -408,7 +410,7 @@ class FrameProtocol(asyncio.Protocol):
     def hold(self) -> None:
         """Parse no further frame in this step: go on next turn."""
         self._held = True
-        self._loop.call_soon(self._release)
+        self.loop.call_soon(self._release)
 
     def _release(self) -> None:
         if self.transport is not None and not self.transport.is_closing():
@@ -488,6 +490,24 @@ def payload_blob(payload: Dict[str, Any]) -> bytes:
     keep a ~1 KiB allocation each, ~100 MB for 100k held blobs.
     """
     return bytes(memoryview(_encode(payload)))
+
+
+@functools.lru_cache(maxsize=None)
+def _encoded_name(name: str) -> bytes:
+    return _encode(name)
+
+
+def plain_update_blob(origin: str, seq: int, ops: list) -> bytes:
+    """:func:`payload_blob` of the plain update ``origin`` logs as
+    ``seq`` — ``{"mset": encode_mset(...)}`` with exactly ``tid``
+    (``"<origin>:<seq>"``), ``ops`` and ``origin`` — byte for byte,
+    spliced around one encode of ``ops``: a ``:`` and digits need no
+    escape, so the tid encodes as the name does with ``:<seq>`` inside
+    its quotes.  Built by ``%``, the blob is its exact size."""
+    name = _encoded_name(origin)
+    return b'{"mset":{"tid":%s:%d","ops":%s,"origin":%s}}' % (
+        name[:-1], seq, _encode(ops), name,
+    )
 
 
 def decode_payload_blob(blob: bytes) -> Dict[str, Any]:

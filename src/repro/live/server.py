@@ -145,6 +145,7 @@ from .protocol import (
     encode_bin_batch_frame,
     encode_mset,
     payload_blob,
+    plain_update_blob,
 )
 from .shard import WrongShard, key_shard
 from .snapshot import (
@@ -261,8 +262,9 @@ def _full_ack_release(payload: Dict[str, Any]) -> Tuple[str, Tuple[str, ...]]:
     """What a replication-log record releases once every peer holds
     it: its MSet's ``(tid, keys)``, the keys as ``MSet.keys`` —
     distinct, in first-write order.  Read from the encoded payload
-    once, when the record enters the log's window, so an ack decodes
-    nothing."""
+    once, when a record is read back into the log's window (reload,
+    rewind), so an ack decodes nothing; the commit group passes the
+    pairs it holds instead."""
     mset = payload["mset"]
     ops = mset["ops"]
     if len(ops) == 1:
@@ -381,6 +383,8 @@ class ReplicaServer:
         self.trace = TraceRecorder(site=name, enabled=observability)
         self.engine: LiveEngine = make_engine(method, name)
         self.engine.bind_observability(self.registry, self.trace)
+        #: the engine decides its updates (COMPE): sagas, ``decide``.
+        self._is_compe = hasattr(self.engine, "decision_of")
         self._init_instruments()
         #: the site hosting the central order server (ORDUP).
         self.order_site = sorted((name,) + self.peer_names)[0]
@@ -2180,7 +2184,8 @@ class ReplicaServer:
             raise ValueError("update without operations")
         if all([data[0] == "read" for data in requested]):
             raise ValueError("update ET must contain a write (use query)")
-        self._check_shard([data[1] for data in requested])
+        if self.shard_index is not None:
+            self._check_shard([data[1] for data in requested])
         self._admit("update")
         if self.backlog_limit:
             worst = max(map(self.log.backlog, self.peer_names), default=0)
@@ -2194,7 +2199,7 @@ class ReplicaServer:
                 )
         engine = self.engine
         saga, abort = frame.get("saga"), bool(frame.get("abort"))
-        is_compe = hasattr(engine, "decision_of")
+        is_compe = self._is_compe
         keys = None
         if saga is None and not abort:
             keys = engine.plain_keys(requested)
@@ -2351,7 +2356,8 @@ class ReplicaServer:
         serialised once — the same bytes are the log line and, on a
         binary channel, what every peer is sent — and get their commit
         futures; then one
-        ``append_many``, one ``sync()``, one ``accept_batch``, one
+        ``append_many``, handed each member's ``(tid, keys)`` as the
+        record's release, one ``sync()``, one ``accept_batch``, one
         kick of the channel senders, one drain notification.  The
         group is one step, so a snapshot never captures a frontier
         whose engine effects it lacks.
@@ -2382,7 +2388,7 @@ class ReplicaServer:
                 group, self._commit_queue = self._commit_queue, []
                 try:
                     seq = self.log.assigned
-                    members, entries, payloads = [], [], []
+                    members, entries, payloads, blobs = [], [], [], []
                     # (tid, keys) of every member, and of its updates.
                     pairs, updates = [], []
                     for member in group:
@@ -2404,13 +2410,17 @@ class ReplicaServer:
                             ops, keys = form
                             entries.append((tid, ops, keys))
                             # encode_mset's plain update, byte for byte.
-                            payload = {"tid": tid, "ops": ops, "origin": name}
+                            payload = {"mset": {
+                                "tid": tid, "ops": ops, "origin": name,
+                            }}
+                            blobs.append(plain_update_blob(name, seq, ops))
                             updates.append((tid, keys))
                         else:
                             mset, encoded = form(tid, token)
                             keys = mset.keys
                             entries.append(mset)
-                            payload = encode_mset(mset, encoded)
+                            payload = {"mset": encode_mset(mset, encoded)}
+                            blobs.append(payload_blob(payload))
                             if mset.kind == MSetKind.UPDATE:
                                 updates.append((tid, keys))
                         if await_apply:
@@ -2423,12 +2433,12 @@ class ReplicaServer:
                             )
                         members.append(member)
                         pairs.append((tid, keys))
-                        payloads.append({"mset": payload})
+                        payloads.append(payload)
                     if not entries:
                         continue
                     trace.event_rows("update-submit", ("tid", "keys"), updates)
                     self.log.append_many(
-                        payloads, blobs=list(map(payload_blob, payloads))
+                        payloads, blobs=blobs, releases=pairs
                     )
                     self.log.sync()
                     applied = engine.accept_batch(entries, local=True)
@@ -2438,12 +2448,17 @@ class ReplicaServer:
                         engine.fully_acked_many(pairs)
                     self.m_commit_group.observe(len(entries))
                     self._notify_drain()
-                    applied_now = {
+                    # The members the engine held back instead of applying
+                    # now: none when it applied every entry (always under
+                    # COMMU and ROWA).
+                    held = frozenset() if applied == entries else {
+                        tid for tid, _ in pairs
+                    }.difference(
                         e[0] if type(e) is tuple else e.tid for e in applied
-                    }
+                    )
                     trace.event_rows(
                         "update-apply", ("tid", "held"),
-                        ((tid, tid not in applied_now) for tid, _ in updates),
+                        ((tid, tid in held) for tid, _ in updates),
                     )
                     for member, (tid, _) in zip(members, pairs):
                         fut = member.fut
@@ -2453,7 +2468,7 @@ class ReplicaServer:
                                 "values": engine.pop_read_results(tid),
                             }
                         elif not fut.done():
-                            fut.set_result((tid, tid not in applied_now))
+                            fut.set_result((tid, tid in held))
                 except Exception as exc:
                     # Whatever stopped the group stops every member of
                     # it not yet answered; the next group still runs.
@@ -2518,7 +2533,7 @@ class ReplicaServer:
         skipped (the first decision is final), which makes retrying a
         partially delivered decide idempotent.
         """
-        if not hasattr(self.engine, "decision_of"):
+        if not self._is_compe:
             raise ValueError(
                 "decide needs the COMPE method (got %s)"
                 % self.engine.method_name

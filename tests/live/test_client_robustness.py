@@ -8,6 +8,7 @@ import socket
 
 import pytest
 
+from repro.core.operations import IncrementOp
 from repro.live import LiveCluster, LiveETFailed
 from repro.live.client import _IDEMPOTENT_VERBS, LiveClient, RequestTimeout
 from repro.live.server import ReplicaServer
@@ -133,6 +134,95 @@ class TestRequestTimeout:
                 with pytest.raises(RequestTimeout):
                     await client.request("ping", timeout=0.2)
                 assert client._waiting == {}
+                await client.close()
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
+
+
+    def test_a_deadline_is_one_timer_and_a_late_reply_is_dropped(
+        self, monkeypatch
+    ):
+        """The deadline is one ``call_later`` timer per request: a
+        request that misses it raises ``RequestTimeout`` and
+        leaves nothing in ``_waiting``; its late reply, arriving with the
+        next request's, resolves nobody; an answered request leaves no
+        live timer."""
+
+        async def scenario():
+            async def late(raw):
+                first = await raw.recv(timeout=None)
+                second = await raw.recv(timeout=None)
+                for frame, site in ((first, "late"), (second, "second")):
+                    raw.send(
+                        {"type": "response", "id": frame["id"], "ok": True,
+                         "site": site}
+                    )
+                while await raw.recv(timeout=None) is not None:
+                    pass
+                await raw.close()
+
+            server = await listen(late)
+            port = server.sockets[0].getsockname()[1]
+            loop = asyncio.get_running_loop()
+            timers = []
+            real_call_later = loop.call_later
+
+            def call_later(delay, callback, *args):
+                timers.append(real_call_later(delay, callback, *args))
+                return timers[-1]
+
+            try:
+                client = await LiveClient.connect(
+                    "127.0.0.1", port, request_timeout=0.05
+                )
+                monkeypatch.setattr(loop, "call_later", call_later)
+                with pytest.raises(RequestTimeout) as info:
+                    await client.ping()
+                assert str(info.value) == "ping request exceeded 0.050s"
+                assert client._waiting == {}
+                assert len(timers) == 1
+                reply = await client.request("ping", timeout=5.0)
+                assert reply["site"] == "second"
+                assert client._waiting == {}
+                assert len(timers) == 2 and timers[1].cancelled()
+                monkeypatch.undo()
+                await client.close()
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
+
+    def test_an_update_spends_its_deadline_once(self):
+        """An update awaits its one round trip directly, under the
+        client-wide deadline: it times out, and it is not re-sent."""
+
+        async def scenario():
+            frames = []
+
+            async def black_hole(raw):
+                while True:
+                    frame = await raw.recv(timeout=None)
+                    if frame is None:
+                        break
+                    frames.append(frame)
+                await raw.close()
+
+            server = await listen(black_hole)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                client = await LiveClient.connect(
+                    "127.0.0.1", port, request_timeout=0.05
+                )
+                with pytest.raises(RequestTimeout) as info:
+                    await client.update([IncrementOp("k", 1)])
+                assert str(info.value) == "update request exceeded 0.050s"
+                assert client._waiting == {}
+                await asyncio.sleep(0.05)
+                assert [frame["verb"] for frame in frames] == ["update"]
                 await client.close()
             finally:
                 server.close()

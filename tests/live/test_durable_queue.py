@@ -1,16 +1,19 @@
 """Durable queue tests: exactly-once FIFO channels that survive restarts."""
 
+import asyncio
 import gc
 import json
+import shutil
 import tracemalloc
 
 import pytest
 
-from repro.core.operations import IncrementOp
+from repro.core.operations import DecrementOp, IncrementOp, WriteOp
+from repro.live import FaultPlan, LiveCluster
 from repro.live.durable_queue import DurableInbox, DurableOutbox
-from repro.live.protocol import payload_blob
+from repro.live.protocol import loads, payload_blob
 from repro.live.server import _full_ack_release
-from repro.replica.mset import MSet, encode_mset
+from repro.replica.mset import MSet, MSetKind, encode_mset
 
 PEER = "peer"
 
@@ -864,3 +867,117 @@ class TestResidentWindow:
         assert outbox.backlog("partitioned") == self.HELD
         assert held <= blob_bytes + self.HELD * self.OVERHEAD
         outbox.close()
+
+
+class TestCallersRelease:
+    """A record's release — the ``(tid, keys)`` an ack hands back — is
+    what the appender passed, from the commit group that holds it, and
+    what ``_full_ack_release`` derives from the payload when the record
+    is read back (reload, rewind): the two must be the same entry."""
+
+    @staticmethod
+    def _group():
+        """A commit group's MSets: one key, a transfer, a key written
+        twice, and a decision without operations."""
+        return [
+            MSet("s:1", ops=(IncrementOp("a", 1),), origin="s"),
+            MSet(
+                "s:2",
+                ops=(DecrementOp("b", 1), IncrementOp("c", 1),
+                     IncrementOp("a", 1)),
+                origin="s",
+            ),
+            MSet(
+                "s:3", ops=(IncrementOp("a", 1), IncrementOp("a", 2)),
+                origin="s",
+            ),
+            MSet("s:4", MSetKind.COMMIT, (), origin="s",
+                 info=(("decides", "s:3"),)),
+        ]
+
+    def test_a_callers_release_is_the_one_a_reload_derives(self, tmp_path):
+        msets = self._group()
+        payloads = [{"mset": encode_mset(mset)} for mset in msets]
+        pairs = [(mset.tid, mset.keys) for mset in msets]
+        assert pairs[1][1] == ("b", "c", "a") and pairs[2][1] == ("a",)
+        path = tmp_path / "replication.log"
+        live = DurableOutbox(path, release=_full_ack_release)
+        live.add_cursor("p")
+        live.add_cursor("q")
+        live.append_many(payloads, releases=pairs)
+        held = [
+            (payload_blob(payload), pair)
+            for payload, pair in zip(payloads, pairs)
+        ]
+        assert live._window[live._start:] == held
+        # The same file, read back by a restarted replica.
+        shutil.copyfile(path, tmp_path / "restarted.log")
+        restarted = DurableOutbox(
+            tmp_path / "restarted.log", release=_full_ack_release
+        )
+        assert restarted._window[restarted._start:] == held
+        for log in (live, restarted):
+            assert log.ack_through("q", 2) == []
+            assert log.ack_through("p", 4) == [(1, pairs[0]), (2, pairs[1])]
+            # A rewind reads released records back into the window.
+            assert log.rewind_to("p", 0) is True
+            assert log._window[log._start:] == held
+            assert log.ack_through("q", 4) == []
+            assert log.ack_through("p", 4) == [(3, pairs[2]), (4, pairs[3])]
+            log.close()
+
+    @pytest.mark.parametrize("method", ["commu", "ritu", "compe"])
+    def test_the_commit_path_derives_no_release(self, method, tmp_path):
+        """The origin's groups — plain updates (COMMU), MSets (RITU),
+        updates and their decisions (COMPE) — hand ``append_many`` each
+        record's release: ``release`` runs for none of them, and the
+        window holds what it would have derived."""
+        update = (
+            [WriteOp("a", 1), WriteOp("b", 2)] if method == "ritu"
+            else [DecrementOp("a", 1), IncrementOp("b", 1),
+                  IncrementOp("c", 1)]
+        )
+        twice = (
+            [WriteOp("a", 3)] if method == "ritu"
+            else [IncrementOp("a", 1), IncrementOp("a", 2)]
+        )
+
+        async def scenario():
+            cluster = LiveCluster(
+                n_sites=3, method=method, data_dir=tmp_path,
+                faults=FaultPlan(0),
+            )
+            await cluster.start()
+            try:
+                client = await cluster.client("site0")
+                origin = cluster.servers["site0"]
+                calls = []
+                real = origin.log._release
+
+                def release(payload):
+                    calls.append(payload)
+                    return real(payload)
+
+                origin.log._release = release
+                cluster.partition([["site0"], ["site1", "site2"]])
+                await asyncio.gather(
+                    client.update(update),
+                    client.update(twice),
+                    *(client.update(update) for _ in range(4)),
+                )
+                await client.update(twice)
+                assert calls == []
+                log = origin.log
+                held = log._window[log._start:]
+                assert len(held) == log.assigned >= 7
+                assert held == [
+                    (blob, _full_ack_release(loads(blob)))
+                    for blob, _ in held
+                ]
+                cluster.heal()
+                await cluster.settle(timeout=30)
+                assert calls == []
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())

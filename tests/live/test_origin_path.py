@@ -24,6 +24,7 @@ from repro.core.operations import (
     WriteOp,
 )
 from repro.live import LiveCluster
+from repro.live import server as server_module
 from repro.live.server import ReplicaServer
 from repro.live.shard import key_shard
 from repro.replica import mset as mset_module
@@ -181,11 +182,12 @@ def test_a_plain_update_builds_no_operation_and_no_mset_at_its_origin(
     method, tmp_path, monkeypatch
 ):
     """A plain COMMU or ROWA update is logged and applied as its
-    request arrays: its origin builds no operation and no MSet for it.
-    The writes of a key written twice are built, those alone, for the
-    method's check (ROWA's passes them all).  RITU (which stamps its writes), ORDUP
-    (which orders them) and COMPE (which decides them) still build the
-    update's MSet."""
+    request arrays: its origin builds no operation and no MSet for it,
+    and splices its blob rather than encoding a payload
+    (``payload_blob``).  The writes of a key written twice are built,
+    those alone, for the method's check (ROWA's passes them all).  RITU
+    (which stamps its writes), ORDUP (which orders them) and COMPE
+    (which decides them) still build the update's MSet."""
     ops = PLAIN_UPDATES[method]
     twice = [IncrementOp("b", 1), DecrementOp("a", 1), IncrementOp("b", 2)]
 
@@ -195,7 +197,7 @@ def test_a_plain_update_builds_no_operation_and_no_mset_at_its_origin(
         try:
             client = await cluster.client("site0")
             await client.update(ops)  # warm: the first of its kind
-            built = {"operations": 0, "msets": 0}
+            built = {"operations": 0, "msets": 0, "blobs": 0}
 
             def counting(kind, real):
                 def count(*args, **kwargs):
@@ -211,13 +213,17 @@ def test_a_plain_update_builds_no_operation_and_no_mset_at_its_origin(
             monkeypatch.setattr(
                 mset_module, "_fill", counting("msets", mset_module._fill)
             )
+            monkeypatch.setattr(
+                server_module, "payload_blob",
+                counting("blobs", server_module.payload_blob),
+            )
             reply = await client.update(ops)
             if method in ("commu", "rowa"):
-                assert built == {"operations": 0, "msets": 0}
+                assert built == {"operations": 0, "msets": 0, "blobs": 0}
                 await client.update(twice)
-                assert built == {"operations": 2, "msets": 0}
+                assert built == {"operations": 2, "msets": 0, "blobs": 0}
             else:
-                assert built["msets"] >= 1
+                assert built["msets"] >= 1 and built["blobs"] >= 1
             monkeypatch.undo()
             assert reply["tid"].startswith("site0:")
             values = await client.values()

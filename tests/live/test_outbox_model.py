@@ -15,9 +15,10 @@ that the log's one extra promise is checked against the references
 taken together: ``ack_through`` hands back exactly the records that
 just became acknowledged by *all* peers, each exactly once, as what the
 server's ``release`` makes of them — the same whether the record was
-appended (with or without its blob), reloaded after a restart or
-brought back by a rewind — while the window holds each owed record as
-its wire blob and that release, never the payload.
+appended (with or without its blob, its release passed or derived),
+reloaded after a restart or brought back by a rewind — while the
+window holds each owed record as its wire blob and that release, never
+the payload.
 
 The references differ from free-standing outboxes in one deliberate
 way: there is one file, so a compaction cuts all of them at the same
@@ -174,10 +175,13 @@ class OutboxMachine(RuleBasedStateMachine):
     def add_cursor(self):
         self._add(PEERS[len(self.refs)])
 
-    @rule(batch=payloads, with_blobs=st.booleans())
-    def append_many(self, batch, with_blobs):
+    @rule(batch=payloads, with_blobs=st.booleans(), passed=st.booleans())
+    def append_many(self, batch, with_blobs, passed):
         blobs = [_blob(p) for p in batch] if with_blobs else None
-        seqs = self.real.append_many(batch, blobs=blobs)
+        # The origin's group passes each record's release; else the
+        # log derives it.
+        releases = list(map(_full_ack_release, batch)) if passed else None
+        seqs = self.real.append_many(batch, blobs=blobs, releases=releases)
         for ref in self.refs.values():
             assert ref.append_many(batch) == seqs
 

@@ -47,6 +47,7 @@ from repro.live.protocol import (
     encode_spec,
     loads,
     payload_blob,
+    plain_update_blob,
 )
 from repro.live.engine import ENGINES
 from repro.replica.mset import MSet, check_ops
@@ -1689,6 +1690,46 @@ def _hostile_blobs(draw):
             )
         blob = bytes(data)
     return blob
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63 - 1)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestPlainUpdateBlob:
+    """The origin splices a plain update's blob around one encode of its
+    arrays: byte for byte the :func:`payload_blob` of the payload
+    ``encode_mset`` writes for it (``tid``, ``ops``, ``origin``),
+    whatever the site's name."""
+
+    @given(
+        st.text(),
+        st.integers(1, 2**63 - 1),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["inc", "dec", "write", "append"]),
+                st.text(),
+                _json_values,
+            ).map(list),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @example("site0", 1, [["inc", "k", 1]])
+    @example('s"\\\x00\x1f\x7f\u2028é😀', 7, [["append", "é", {"v": [1.5]}]])
+    def test_the_splice_is_the_payloads_blob(self, name, seq, ops):
+        payload = {
+            "mset": {"tid": "%s:%d" % (name, seq), "ops": ops, "origin": name}
+        }
+        assert plain_update_blob(name, seq, ops) == payload_blob(payload)
 
 
 class TestPayloadBlobReplay:

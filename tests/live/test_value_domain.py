@@ -42,6 +42,7 @@ from repro.core.operations import (
 )
 from repro.live import FaultPlan, LiveCluster, LiveETFailed
 from repro.live import protocol
+from repro.live import server as server_module
 from repro.live.protocol import ProtocolError, loads
 
 #: timings tuned for test speed, not realism.
@@ -214,6 +215,14 @@ def test_every_document_a_scripted_run_sends_reads_back_as_json_loads_does(
         return body
 
     monkeypatch.setattr(protocol, "_encode", capturing)
+    # A plain update's blob is spliced around the encode of its arrays.
+    splice = server_module.plain_update_blob
+
+    def spliced(*args):
+        documents.append(splice(*args))
+        return documents[-1]
+
+    monkeypatch.setattr(server_module, "plain_update_blob", spliced)
 
     async def scenario():
         cluster = LiveCluster(
