@@ -173,10 +173,11 @@ class PeerChannel:
         return max(0, FRAMES_IN_FLIGHT - len(self.inflight)) * FRAME_MSETS
 
     def cut(
-        self, entries: List[Tuple[int, bytes]], now: float
+        self, first: int, blobs: List[bytes], now: float
     ) -> List[Tuple[int, List[bytes]]]:
-        """Cut ``entries`` — ``(seq, blob)`` pairs of consecutive seqs,
-        as the log's window holds them — into at most the free window's
+        """Cut ``blobs`` — the run of consecutive seqs from ``first``
+        the log's :meth:`~repro.live.durable_queue.DurableOutbox.
+        pending_after` handed out — into at most the free window's
         runs, ``(first seq, blobs)`` each, and record them as in flight.
 
         A run ends at ``FRAME_MSETS`` MSets or before its blobs pass
@@ -185,7 +186,6 @@ class PeerChannel:
         next round, and ``sent_hi`` is the last seq written.
         """
         room = FRAMES_IN_FLIGHT - len(self.inflight)
-        blobs = [blob for _, blob in entries]
         ends = list(accumulate(map(len, blobs)))
         budget = MAX_FRAME // 2
         runs: List[Tuple[int, List[bytes]]] = []
@@ -193,8 +193,8 @@ class PeerChannel:
         while start < len(blobs) and len(runs) < room:
             hi = min(len(blobs), start + FRAME_MSETS)
             stop = max(start + 1, bisect_right(ends, sent + budget, start, hi))
-            runs.append((entries[start][0], blobs[start:stop]))
-            self.sent_hi = entries[stop - 1][0]
+            runs.append((first + start, blobs[start:stop]))
+            self.sent_hi = first + stop - 1
             self.inflight.append((self.sent_hi, now, stop - start))
             self._m_batch.observe(stop - start)
             self._m_relayed.inc(stop - start)

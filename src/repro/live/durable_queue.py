@@ -79,8 +79,10 @@ encode covers every hop and every log.  The replication log's window
 holds every owed record as its blob — the one handed in, or encoded
 once when a record is appended without one or comes back from the
 file (a restart, a rewind) — and :meth:`DurableOutbox.pending_after`
-hands out ``(seq, blob)``, which is what lets a sender re-send from its
-log without re-encoding either.
+hands out a run of them, ``(first seq, blobs)``, which is what lets a
+sender re-send from its log without re-encoding either.  A run of
+lines is rendered by one ``%`` over the repeated line template, in
+either log.
 
 The cursors live in the log stream: each advance appends one
 ``{"meta": "ack", "peer": P, "seq": N}`` line to the open log (write
@@ -125,6 +127,7 @@ import logging
 import os
 import pathlib
 import time
+from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 )
@@ -139,6 +142,11 @@ __all__ = ["DurableOutbox", "DurableInbox", "ControlLog"]
 logger = logging.getLogger(__name__)
 
 _SEQ_PREFIX = b'{"seq":'
+#: one data record's log line, around its seq and its payload's blob.
+_LINE = b'{"seq":%d,"payload":%s}\n'
+#: a window entry's wire blob, and its release.
+_blob_of = itemgetter(0)
+_release_of = itemgetter(1)
 
 
 def _record_line(seq: int, payload: Any, blob: Optional[bytes]) -> bytes:
@@ -152,7 +160,18 @@ def _record_line(seq: int, payload: Any, blob: Optional[bytes]) -> bytes:
     """
     if blob is None:
         return encode_line({"seq": seq, "payload": payload})
-    return b'{"seq":%d,"payload":%s}\n' % (seq, blob)
+    return _LINE % (seq, blob)
+
+
+def _record_lines(first: int, blobs: Sequence[bytes]) -> bytes:
+    """:func:`_record_line` of each of ``blobs``, numbered ``first``
+    onwards, as one buffer: one ``%`` over the line template repeated,
+    its arguments slice-assigned — no line object per record."""
+    count = len(blobs)
+    args: List[Any] = [None] * (2 * count)
+    args[0::2] = range(first, first + count)
+    args[1::2] = blobs
+    return _LINE * count % tuple(args)
 
 
 def _ack_marker(peer: str, seq: int) -> Dict[str, Any]:
@@ -496,22 +515,19 @@ class DurableOutbox(_DurableLog):
         too) carries what ``release`` makes of each payload, from a
         caller that already holds it; derived here when not given.
         """
-        seqs: List[int] = []
-        lines: List[bytes] = []
-        window = self._window
+        if blobs is None:
+            blobs = list(map(payload_blob, payloads))
         if releases is None:
             releases = list(map(self._release, payloads))
-        for index, payload in enumerate(payloads):
-            blob = payload_blob(payload) if blobs is None else blobs[index]
-            self._seq += 1
-            window.append((blob, releases[index]))
-            lines.append(_record_line(self._seq, payload, blob))
-            seqs.append(self._seq)
-        self._write_data(b"".join(lines))
-        if not self._cursors:  # held for nobody
+        first = self._seq + 1
+        self._write_data(_record_lines(first, blobs))
+        self._seq += len(blobs)
+        if self._cursors:
+            self._window.extend(zip(blobs, releases))
+        else:  # held for nobody
             self._window.clear()
             self._head = self.released_hi = self._seq
-        return seqs
+        return list(range(first, self._seq + 1))
 
     def _held(self, payload: Any) -> Tuple[bytes, Any]:
         """The window entry of a record read back from the file."""
@@ -542,24 +558,22 @@ class DurableOutbox(_DurableLog):
         return self._seq - self._cursors[peer]
 
     def pending(self, peer: str) -> List[Tuple[int, bytes]]:
-        """Everything ``peer`` is still owed, in FIFO order."""
-        return self.pending_after(peer, 0, self.backlog(peer))
+        """Everything ``peer`` is still owed, in FIFO order, as
+        ``(seqno, wire blob)`` pairs."""
+        first, blobs = self.pending_after(peer, 0, self.backlog(peer))
+        return list(enumerate(blobs, first))
 
     def pending_after(
         self, peer: str, seqno: int, limit: int
-    ) -> List[Tuple[int, bytes]]:
-        """Up to ``limit`` (seqno, wire blob) pairs ``peer`` is owed
-        above ``seqno``, in order — the sender's fetch, a slice of the
-        shared window bounded by ``limit``, wherever in it the cursor
-        stands."""
+    ) -> Tuple[int, List[bytes]]:
+        """``(first, blobs)``: the wire blobs of up to ``limit`` records
+        ``peer`` is owed above ``seqno``, in order, the first of them
+        numbered ``first`` — the sender's fetch, one map over a slice of
+        the shared window bounded by ``limit``, wherever in it the
+        cursor stands."""
         first = max(seqno, self._cursors[peer]) + 1
         start = self._start + first - self._head - 1
-        return [
-            (first + offset, entry[0])
-            for offset, entry in enumerate(
-                self._window[start:start + limit]
-            )
-        ]
+        return first, list(map(_blob_of, self._window[start:start + limit]))
 
     def _mark(self, peer: str) -> None:
         """Note one cursor in the log stream: flushed, never fsynced
@@ -605,16 +619,16 @@ class DurableOutbox(_DurableLog):
             self._head = ack_seq
         return True
 
-    def ack_through(self, peer: str, seqno: int) -> List[Tuple[int, Any]]:
+    def ack_through(self, peer: str, seqno: int) -> List[Any]:
         """Cumulative acknowledgement: ``peer`` durably holds every
         sequence number ``<= seqno``.
 
         Advances that peer's cursor (a stale or duplicate ack moves
-        nothing) and returns, as (seqno, release) pairs in order, the
-        records this ack made *fully* acknowledged — the slowest cursor
-        just passed them — each exactly once.  Costs one marker line
-        and one window slot per released record: no scan of anyone's
-        backlog, no file opened.
+        nothing) and returns, in order, the release of each record this
+        ack made *fully* acknowledged — the slowest cursor just passed
+        them, each exactly once, and ``released_hi`` is the last one's
+        sequence number.  Costs one marker line and one window slot per
+        released record: no scan of anyone's backlog, no file opened.
         """
         if seqno > self._seq:
             # The receiver durably holds records we never assigned:
@@ -631,15 +645,12 @@ class DurableOutbox(_DurableLog):
         if behind > self._head:
             return []  # a slower cursor still holds the window's tail
         head = self._slowest()
-        released: List[Tuple[int, Any]] = []
+        released: List[Any] = []
         low = max(self._head, self.released_hi)
         if head > low:
             start = self._start + low - self._head
             stop = self._start + head - self._head
-            released = [
-                (low + 1 + offset, entry[1])
-                for offset, entry in enumerate(self._window[start:stop])
-            ]
+            released = list(map(_release_of, self._window[start:stop]))
             self.released_hi = head
         self._slide(head)
         return released
@@ -744,13 +755,8 @@ class DurableInbox(_DurableLog):
         a batch is logged without one encode, and its payloads are never
         read.  The whole run lands with one write + flush; a run is
         contiguous by construction.  Returns the number recorded."""
-        first = self.frontier + 1
-        # _record_line's splice, for the whole run at once.
-        self._write_data(b"".join([
-            b'{"seq":%d,"payload":%s}\n' % (seq, blob)
-            for seq, blob in enumerate(blobs, first)
-        ]))
-        self.frontier = first + len(blobs) - 1
+        self._write_data(_record_lines(self.frontier + 1, blobs))
+        self.frontier += len(blobs)
         return len(blobs)
 
     def duplicate(self, seqno: int) -> bool:

@@ -104,7 +104,7 @@ class TraceRecorder:
         if not self.enabled:
             return
         head = (self.clock(), kind, names)
-        held = [head + row for row in rows]
+        held = list(map(head.__add__, rows))
         ring = self._ring
         if ring.maxlen is not None:
             self.dropped += max(0, len(ring) + len(held) - ring.maxlen)

@@ -32,6 +32,7 @@ import itertools
 import time
 from dataclasses import dataclass, field, replace
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.inconsistency import COUNT_BUCKETS
@@ -44,13 +45,12 @@ from .base import LockCounterSiteState, OrderedApplyBuffer
 from .mset import (
     MSet,
     MSetKind,
-    check_ops,
+    check_ops_many,
     decode_mset,
     decode_op,
     decode_ops,
     encode_mset,
     encode_op,
-    plain_update,
 )
 
 __all__ = [
@@ -67,6 +67,13 @@ __all__ = [
     "check_ops_commutative",
     "check_ops_read_independent",
 ]
+
+#: the tid of a ``(tid, keys)`` pair, and the operations of a remote
+#: ``(tid, ops)`` pair; the entry types of a remote batch of plain
+#: updates alone.
+_tid_of = itemgetter(0)
+_ops_of = itemgetter(1)
+_PAIRS = {tuple}
 
 
 class NonCommutativeError(ValueError):
@@ -498,7 +505,7 @@ class LiveEngine:
         them all in one step, waking the queries parked on the keys
         they free.
         """
-        return [tid for tid, _ in items]
+        return list(map(_tid_of, items))
 
     def hold_counters(self, mset: MSet) -> None:
         """Re-assert the divergence obligation of a still-unacked local
@@ -722,18 +729,29 @@ class CommuLiveEngine(LiveEngine):
         check_ops_commutative(ops)
 
     def decode_remote(self, entries: Sequence[Any]) -> List[Any]:
-        """A plain update entry (:func:`~repro.replica.mset.plain_update`)
-        is applied as ``(tid, ops)``, ``ops`` its checked wire arrays
-        themselves: under COMMU a remote copy only has to change the
-        store, so no :class:`MSet` and no operation object is built for
-        it.  Any other entry is decoded into its :class:`MSet`."""
+        """A plain update entry (:func:`~repro.replica.mset.plain_update`'s
+        shape, tested here inline) is applied as ``(tid, ops)``, ``ops``
+        its checked wire arrays themselves: under COMMU a remote copy
+        only has to change the store, so no :class:`MSet` and no
+        operation object is built for it.  Any other entry is decoded
+        into its :class:`MSet`.  The plain entries' arrays are checked
+        in one pass over the batch (``check_ops_many``)."""
         out: List[Any] = []
+        arrays: List[Any] = []
         for data in entries:
-            plain = plain_update(data)
-            if plain is None:
-                out.append(decode_mset(data))
+            if (
+                type(data) is dict
+                and len(data) == 3
+                and type(data.get("origin")) is str
+                and "tid" in data
+                and "ops" in data
+            ):
+                ops = data["ops"]
+                out.append((data["tid"], ops))
+                arrays.append(ops)
             else:
-                out.append((plain[0], check_ops(plain[1])))
+                out.append(decode_mset(data))
+        check_ops_many(arrays)
         return out
 
     def plain_keys(self, data: Sequence[list]) -> Optional[Tuple[str, ...]]:
@@ -776,19 +794,25 @@ class CommuLiveEngine(LiveEngine):
         """
         site = self.site
         rest = iter(entries)
+        if local:
+            ops = self._held_ops(rest)
+        elif {*map(type, entries)} == _PAIRS:
+            # A run of remote pairs only (the common batch): no
+            # Python-level step per entry.
+            ops = map(_ops_of, rest)
+        else:
+            # The guard spares the common MSet (no info) a call.
+            ops = (
+                entry[1] if type(entry) is tuple
+                else self._reads_then_ops(entry)
+                if entry.info and entry.origin == site
+                else entry.ops
+                for entry in rest
+            )
         try:
             # chain pulls an entry's operations only once the previous
             # entry's are applied: its apply instant, for its reads.
-            # The guard spares the common MSet (no info) a call.
-            self.store.apply_many(chain.from_iterable(
-                self._held_ops(rest) if local else (
-                    entry[1] if type(entry) is tuple
-                    else self._reads_then_ops(entry)
-                    if entry.info and entry.origin == site
-                    else entry.ops
-                    for entry in rest
-                )
-            ))
+            self.store.apply_many(chain.from_iterable(ops))
         except BaseException:
             # ``rest`` stopped just past the entry whose operation failed.
             failed = len(entries) - 1 - sum(1 for _ in rest)
@@ -850,7 +874,7 @@ class CommuLiveEngine(LiveEngine):
         self, items: Sequence[Tuple[Any, Sequence[str]]]
     ) -> List[Any]:
         self.release_counters(items)
-        return [tid for tid, _ in items]
+        return list(map(_tid_of, items))
 
     def release_counters(
         self, items: Sequence[Tuple[Any, Sequence[str]]]
@@ -860,7 +884,7 @@ class CommuLiveEngine(LiveEngine):
         loop, and one look for parked queries, per call."""
         released = self.state.release_many(items)
         if released:
-            self._unpin(*[tid for tid, _ in released])
+            self._unpin(*map(_tid_of, released))
             if self._parked:
                 self._wake([key for _, keys in released for key in keys])
 

@@ -14,6 +14,7 @@ hazards, we assert the four pillars of section 2:
 import pytest
 
 from repro.core.transactions import reset_tid_counter
+from repro.harness.audit import audit
 from repro.replica.base import ReplicatedSystem, SystemConfig
 from repro.replica.host import CommutativeOperations
 from repro.replica.host import CompensationBased
@@ -158,3 +159,31 @@ class TestStrictLimitRecoversSR:
         queries = [r for r in system.results if r.et.is_query]
         assert queries
         assert all(r.inconsistency == 0 for r in queries)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="COMMU admits a lone blind write, and concurrent writes "
+    "diverge: ROADMAP item 8(a) (COMMU, ROWA and unordered COMPE "
+    "refuse write)",
+)
+def test_commu_keeps_every_guarantee_under_blind_writes():
+    """The sweep's COMMU x ``blind`` cell: 3 sites, 30 blind update ETs,
+    seeds 1-20, each run judged by :func:`harness.audit.audit`.  Every
+    run should converge one-copy serializably; today every seed fails
+    (e.g. ``converged=False``)."""
+    failed = {}
+    for seed in range(1, 21):
+        reset_tid_counter()
+        system = ReplicatedSystem(
+            CommutativeOperations(), SystemConfig(n_sites=3, seed=seed)
+        )
+        spec = WorkloadSpec(count=30, style="blind", query_fraction=0.0)
+        generator = WorkloadGenerator(spec, sorted(system.sites), seed)
+        drive(system, generator.generate())
+        system.run_to_quiescence()
+        report = audit(system)
+        if not report.ok:
+            failed[seed] = report.problems()
+    assert not failed, failed

@@ -402,6 +402,7 @@ class TestWireInterop:
 
         run(scenario())
 
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
     @pytest.mark.parametrize(
         "poison",
         [
@@ -412,14 +413,16 @@ class TestWireInterop:
         ids=["utf8_bom", "raw_newline", "utf16"],
     )
     def test_blob_its_inbox_log_cannot_replay_is_refused(
-        self, tmp_path, poison
+        self, tmp_path, poison, at
     ):
         """``json.loads`` reads each poisoned entry, but spliced into
         an inbox log line it would not read back: replay would cut it,
         and every acked record after it, as a torn tail (a BOM, a raw
-        newline), or the splice itself would fail (UTF-16).  The frame
-        is dropped and counted before anything is recorded or acked;
-        the same entries unpoisoned are acked and survive a restart."""
+        newline), or the splice itself would fail (UTF-16).  Wherever
+        in the run it stands — first, in the middle or last — the
+        frame is dropped and counted before anything is recorded or
+        acked; the same entries unpoisoned are acked and survive a
+        restart."""
 
         async def scenario():
             cluster = LiveCluster(
@@ -429,30 +432,33 @@ class TestWireInterop:
             try:
                 await cluster.kill("site1")  # the forged frames own the seqs
                 server = cluster.servers["site0"]
-                first, second = _forged_blobs("site1", 1, 2)
-                assert json.loads(poison(first))["mset"]["tid"]
+                log = tmp_path / "site0" / "inbox" / "site1.log"
+                logged = log.read_bytes()
+                blobs = _forged_blobs("site1", 1, 3)
+                poisoned = list(blobs)
+                poisoned[at] = poison(blobs[at])
+                assert json.loads(poisoned[at])["mset"]["tid"]
                 raw = await RawConn.open(*cluster.addrs["site0"])
                 raw.send({"type": "peer-hello", "src": "site1"})
-                raw.write(
-                    encode_bin_batch_frame("site1", 1, [poison(first), second])
-                )
+                raw.write(encode_bin_batch_frame("site1", 1, poisoned))
                 assert await raw.recv(timeout=5) is None  # severed, no ack
                 await raw.close()
                 assert server.registry.get_sample(
                     "frames_dropped_total", reason="malformed_mset"
                 ) == 1
                 assert server.inboxes["site1"].frontier == 0
+                assert log.read_bytes() == logged
 
                 raw = await RawConn.open(*cluster.addrs["site0"])
                 raw.send({"type": "peer-hello", "src": "site1"})
-                raw.write(encode_bin_batch_frame("site1", 1, [first, second]))
-                assert await raw.recv(timeout=5) == {"type": "ack", "seq": 2}
+                raw.write(encode_bin_batch_frame("site1", 1, blobs))
+                assert await raw.recv(timeout=5) == {"type": "ack", "seq": 3}
                 await raw.close()
                 await cluster.kill("site0")
                 await cluster.restart("site0")
-                assert cluster.servers["site0"].inboxes["site1"].frontier == 2
+                assert cluster.servers["site0"].inboxes["site1"].frontier == 3
                 client = await cluster.client("site0")
-                assert await client.read("acct0") == 2
+                assert await client.read("acct0") == 3
             finally:
                 await cluster.stop()
 

@@ -44,6 +44,12 @@ def _entries(frames):
     ]
 
 
+def _cut(ch, owed, now):
+    """``ch.cut`` of ``owed``, (seq, blob) pairs of consecutive seqs,
+    handed over as the log's run: the first seq and the blobs."""
+    return ch.cut(owed[0][0], [blob for _, blob in owed], now)
+
+
 def test_frames_are_cut_at_half_the_frame_limit(monkeypatch):
     """The byte cut: with ``MAX_FRAME`` at 8 KiB and ~1 KiB blobs, a
     backlog leaves in frames of at most 4 KiB of blobs, more of them
@@ -59,7 +65,7 @@ def test_frames_are_cut_at_half_the_frame_limit(monkeypatch):
     written = []
     while ch.sent_hi < owed[-1][0]:
         fetched = [e for e in owed if e[0] > ch.sent_hi][: ch.want()]
-        frames = ch.cut(fetched, 0.0)
+        frames = _cut(ch, fetched, 0.0)
         assert len(frames) <= FRAMES_IN_FLIGHT
         written += frames
         rounds.append((ch.sent_hi, _entries(frames)[-1][0], fetched[-1][0]))
@@ -85,7 +91,7 @@ def test_a_blob_over_half_the_frame_limit_goes_alone(monkeypatch):
     owed = [(1, b"a"), (2, b"a"), (3, big), (4, b"c"), (5, b"c")]
     ch = _channel()
     ch.connect(0)
-    frames = ch.cut(owed, 0.0)
+    frames = _cut(ch, owed, 0.0)
     assert frames == [(1, [b"a", b"a"]), (3, [big]), (4, [b"c", b"c"])]
     assert ch.sent_hi == 5
     assert [n for _, _, n in ch.inflight] == [2, 1, 2]
@@ -111,7 +117,7 @@ def test_runs_are_contiguous_and_bounded(first, sizes, frame_msets, inflight):
         for _ in range(inflight):
             ch.inflight.append((first - 1, 0.0, 1))
         owed = [(first + i, b"x" * n) for i, n in enumerate(sizes)]
-        frames = ch.cut(owed, 0.0)
+        frames = _cut(ch, owed, 0.0)
         budget = channel.MAX_FRAME // 2
     finally:
         channel.FRAME_MSETS, channel.MAX_FRAME = saved
@@ -189,7 +195,7 @@ class ChannelMachine(RuleBasedStateMachine):
         last = min(self.assigned, first - 1 + self.ch.want())
         owed = [(seq, _blob(seq)) for seq in range(first, last + 1)]
         room = FRAMES_IN_FLIGHT - len(self.ch.inflight)
-        frames = self.ch.cut(owed, self.now)
+        frames = self.ch.cut(first, [b for _, b in owed], self.now)
         assert len(frames) <= room
         written = _entries(frames)
         assert written == owed[: len(written)]

@@ -458,3 +458,42 @@ class TestSagaClusterRecovery:
             assert not any("compensation" in name for name in compe)
 
         run(scenario())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="two replicas accept opposite decides for one tid, and "
+    "arrival order picks the outcome per replica: ROADMAP item 20(a) "
+    "(log a decision only at the update's origin)",
+)
+def test_conflicting_decides_at_two_replicas_converge(tmp_path):
+    """One saga step applied at site0; ``decide commit`` at site1 and
+    ``decide abort`` at site2, sent at once.  Both replies list the tid
+    as decided; after ``settle`` every replica should hold one outcome.
+    Today site0 and site1 hold 5 and site2 holds 0."""
+
+    async def scenario():
+        cluster = LiveCluster(
+            n_sites=3, method="compe", data_dir=tmp_path, **FAST
+        )
+        await cluster.start()
+        try:
+            origin = await cluster.client("site0")
+            await origin.update([IncrementOp("k", 5)], saga="s")
+            await cluster.settle()
+            committer = await cluster.client("site1")
+            aborter = await cluster.client("site2")
+            await asyncio.gather(
+                committer.decide("commit", saga="s"),
+                aborter.decide("abort", saga="s"),
+            )
+            await cluster.settle(timeout=30)
+            values = await cluster.site_values()
+            for client in (origin, committer, aborter):
+                await client.close()
+        finally:
+            await cluster.stop()
+        assert len({repr(v) for v in values.values()}) == 1, values
+
+    run(scenario())

@@ -3,14 +3,18 @@
 import asyncio
 import gc
 import json
+import pathlib
 import shutil
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.operations import DecrementOp, IncrementOp, WriteOp
 from repro.live import FaultPlan, LiveCluster
-from repro.live.durable_queue import DurableInbox, DurableOutbox
+from repro.live.durable_queue import DurableInbox, DurableOutbox, _record_line
 from repro.live.protocol import loads, payload_blob
 from repro.live.server import _full_ack_release
 from repro.replica.mset import MSet, MSetKind, encode_mset
@@ -22,6 +26,19 @@ def _owed(*pairs):
     """``pending`` of these ``(seq, payload)`` pairs: the log's window
     hands each payload out as its wire blob."""
     return [(seq, payload_blob(payload)) for seq, payload in pairs]
+
+
+def _run(first, *payloads):
+    """``pending_after`` of these payloads, numbered ``first`` onwards:
+    the first seq and each payload's wire blob."""
+    return first, [payload_blob(payload) for payload in payloads]
+
+
+def _released(log, peer, seqno):
+    """``log.ack_through(peer, seqno)``'s releases, each with its seq:
+    the last one released is the log's ``released_hi``."""
+    released = log.ack_through(peer, seqno)
+    return list(enumerate(released, log.released_hi - len(released) + 1))
 
 
 def _decoded(pending):
@@ -117,12 +134,12 @@ class TestCursors:
         log.add_cursor("b")
         log.append_many(list("vwxyz"), blobs=[b'"%c"' % c for c in b"vwxyz"])
         assert log.ack_through("a", 4) == []  # "b" still holds the tail
-        assert log.ack_through("b", 2) == [(1, "v"), (2, "w")]
-        assert log.ack_through("b", 5) == [(3, "x"), (4, "y")]
+        assert _released(log, "b", 2) == [(1, "v"), (2, "w")]
+        assert _released(log, "b", 5) == [(3, "x"), (4, "y")]
         assert (log.backlog("a"), log.backlog("b")) == (1, 0)
         assert log.rewind_to("b", 1) is True
         assert log.ack_through("b", 5) == []  # released once, not twice
-        assert log.ack_through("a", 5) == [(5, "z")]
+        assert _released(log, "a", 5) == [(5, "z")]
         assert log.drained()
         log.rewind_to("a", 3)
         log.close()
@@ -271,11 +288,61 @@ class TestGroupCommit:
         inbox.close()
 
 
+_PAYLOADS = st.dictionaries(
+    st.text(max_size=3),
+    st.integers(-(2**63), 2**64 - 1) | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.lists(st.booleans() | st.none(), max_size=2),
+    max_size=3,
+)
+
+
+def _data_lines(path):
+    """The data-record lines of a log, byte for byte."""
+    return [
+        line for line in path.read_bytes().splitlines(True)
+        if line.startswith(b'{"seq":')
+    ]
+
+
+@given(
+    st.lists(_PAYLOADS, min_size=1, max_size=5),
+    st.integers(0, 2**40),
+    st.booleans(),
+)
+def test_a_run_is_logged_as_the_lines_of_its_records(payloads, base, blobs):
+    """``append_many`` and ``record_many`` render a run's lines in one
+    go; each is the line :func:`_record_line` renders for its record —
+    with the record's blob and without one (the codec's own encoding of
+    the record) — in both logs, wherever the run starts."""
+    wire = list(map(payload_blob, payloads))
+    seqs = range(base + 1, base + 1 + len(payloads))
+    want = list(map(_record_line, seqs, payloads, wire))
+    assert want == [
+        _record_line(seq, payload, None)
+        for seq, payload in zip(seqs, payloads)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        outbox = _outbox(pathlib.Path(tmp) / "out.log")
+        outbox.reset_to(base)
+        assert outbox.append_many(
+            payloads, blobs=wire if blobs else None
+        ) == list(seqs)
+        outbox.close()
+        inbox = DurableInbox(pathlib.Path(tmp) / "in.log")
+        inbox.reset_to(base)
+        assert inbox.record_many(blobs=wire) == len(payloads)
+        assert inbox.frontier == seqs[-1]
+        inbox.close()
+        assert _data_lines(pathlib.Path(tmp) / "out.log") == want
+        assert _data_lines(pathlib.Path(tmp) / "in.log") == want
+
+
 class TestCumulativeAck:
     def test_ack_through_truncates_covered_range(self, tmp_path):
         outbox = _outbox(tmp_path / "peer.log")
         outbox.append_many(list("abcde"))
-        assert outbox.ack_through(PEER, 3) == [(1, "a"), (2, "b"), (3, "c")]
+        assert _released(outbox, PEER, 3) == [(1, "a"), (2, "b"), (3, "c")]
         assert outbox.frontier(PEER) == 3
         assert [seq for seq, _ in outbox.pending(PEER)] == [4, 5]
         outbox.close()
@@ -348,7 +415,7 @@ class TestGroupCommitCrash:
         applied = [p["n"] for _, p in fresh]
         assert applied == [4, 5, 6, 7]  # second half only: exactly-once
         # The receiver's cumulative frontier now acks the whole window.
-        covered = recovered_out.ack_through(PEER, recovered_in.frontier)
+        covered = _released(recovered_out, PEER, recovered_in.frontier)
         assert covered == [(n + 1, {"n": n}) for n in range(8)]
         assert recovered_out.drained()
         recovered_out.close()
@@ -659,14 +726,14 @@ class TestAckMarker:
         reloaded = _outbox(path)
         assert reloaded.frontier(PEER) == 2
         assert reloaded.pending(PEER) == _owed((3, "c"), (4, "d"))
-        assert reloaded.ack_through(PEER, 4) == [(3, "c"), (4, "d")]
+        assert _released(reloaded, PEER, 4) == [(3, "c"), (4, "d")]
         reloaded.close()
 
     def test_an_acked_record_is_no_longer_handed_out(self, tmp_path):
         outbox = _outbox(tmp_path / "peer.log")
         outbox.append_many(list("ab"), blobs=[b'"a"', b'"b"'])
         outbox.ack_through(PEER, 1)
-        assert outbox.pending_after(PEER, 0, 2) == [(2, b'"b"')]
+        assert outbox.pending_after(PEER, 0, 2) == (2, [b'"b"'])
         outbox.close()
 
 
@@ -749,8 +816,8 @@ class TestAckCostIsIndependentOfBacklog:
             outbox.append_many([{"n": n} for n in range(limit)])
             sent_hi = outbox.frontier("fast")
             read = window.read
-            fetched = outbox.pending_after("fast", sent_hi, limit)
-            assert [seq for seq, _ in fetched] == list(
+            first, fetched = outbox.pending_after("fast", sent_hi, limit)
+            assert list(range(first, first + len(fetched))) == list(
                 range(sent_hi + 1, sent_hi + limit + 1)
             )
             assert window.read - read == limit
@@ -764,7 +831,7 @@ class TestAckCostIsIndependentOfBacklog:
 
         # The slow peer's own acks release exactly what they cover.
         read = window.read
-        released = outbox.ack_through("slow", self.STEP)
+        released = _released(outbox, "slow", self.STEP)
         assert [seq for seq, _ in released] == list(range(1, self.STEP + 1))
         assert window.read - read == self.STEP
         outbox.close()
@@ -773,18 +840,14 @@ class TestAckCostIsIndependentOfBacklog:
         outbox = _outbox(tmp_path / "peer.log")
         outbox.append_many(list(range(self.BACKLOG)))
         outbox.ack_through(PEER, 100)
-        assert outbox.pending_after(PEER, 0, 3) == _owed(
-            (101, 100),
-            (102, 101),
-            (103, 102),
+        assert outbox.pending_after(PEER, 0, 3) == _run(101, 100, 101, 102)
+        assert outbox.pending_after(PEER, 150, 2) == _run(151, 150, 151)
+        assert outbox.pending_after(PEER, self.BACKLOG - 1, 5) == _run(
+            self.BACKLOG, self.BACKLOG - 1
         )
-        assert outbox.pending_after(PEER, 150, 2) == _owed(
-            (151, 150), (152, 151)
+        assert outbox.pending_after(PEER, self.BACKLOG, 5) == _run(
+            self.BACKLOG + 1
         )
-        assert outbox.pending_after(PEER, self.BACKLOG - 1, 5) == _owed(
-            (self.BACKLOG, self.BACKLOG - 1)
-        )
-        assert outbox.pending_after(PEER, self.BACKLOG, 5) == []
         assert outbox.backlog(PEER) == self.BACKLOG - 100
         outbox.close()
 
@@ -918,12 +981,12 @@ class TestCallersRelease:
         assert restarted._window[restarted._start:] == held
         for log in (live, restarted):
             assert log.ack_through("q", 2) == []
-            assert log.ack_through("p", 4) == [(1, pairs[0]), (2, pairs[1])]
+            assert _released(log, "p", 4) == [(1, pairs[0]), (2, pairs[1])]
             # A rewind reads released records back into the window.
             assert log.rewind_to("p", 0) is True
             assert log._window[log._start:] == held
             assert log.ack_through("q", 4) == []
-            assert log.ack_through("p", 4) == [(3, pairs[2]), (4, pairs[3])]
+            assert _released(log, "p", 4) == [(3, pairs[2]), (4, pairs[3])]
             log.close()
 
     @pytest.mark.parametrize("method", ["commu", "ritu", "compe"])

@@ -24,10 +24,13 @@ from repro.core.operations import (
     WriteOp,
 )
 from repro.live import LiveCluster
+from repro.live import protocol as protocol_module
 from repro.live import server as server_module
 from repro.live.server import ReplicaServer
 from repro.live.shard import key_shard
 from repro.replica import mset as mset_module
+
+from .wire import RawConn
 
 #: request -> (exception class name, text) or None for accepted, as
 #: COMMU answers it.
@@ -230,6 +233,64 @@ def test_a_plain_update_builds_no_operation_and_no_mset_at_its_origin(
             assert values["a"] == {"ritu": 1, "commu": -3, "rowa": -3}.get(
                 method, -2
             )
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("method", ["commu", "rowa"])
+def test_a_plain_update_is_answered_without_encoding_its_reply(
+    method, tmp_path, monkeypatch
+):
+    """A served plain update's reply leaves as the frame its commit
+    group spliced: no ``encode_frame`` runs for it (the reply writer is
+    in no traced span, so a count pins it), and it is counted served.
+    A request whose id is not an int is answered from the reply's
+    fields, as every reply was."""
+
+    async def scenario():
+        cluster = LiveCluster(n_sites=1, method=method, data_dir=tmp_path)
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            await client.update([IncrementOp("a", 1)])  # warm
+            encoded = []
+            real = protocol_module.encode_frame
+
+            def counting(obj):
+                if obj.get("type") == "response":
+                    encoded.append(obj)
+                return real(obj)
+
+            monkeypatch.setattr(protocol_module, "encode_frame", counting)
+            replies = await asyncio.gather(*(
+                client.update([IncrementOp("a", 1), DecrementOp("b", 1)])
+                for _ in range(8)
+            ))
+            assert encoded == []
+            assert [r["tid"] for r in replies] == [
+                "site0:%d" % seq for seq in range(2, 10)
+            ]
+            assert all(r["values"] == {} and r["ok"] for r in replies)
+            registry = cluster.servers["site0"].registry
+            assert registry.get_sample(
+                "requests_total", verb="update", outcome="ok"
+            ) == 9
+
+            raw = await RawConn.open(*cluster.addrs["site0"])
+            raw.send({
+                "type": "request", "id": "x", "verb": "update",
+                "ops": [["inc", "a", 1]],
+            })
+            assert await raw.recv(timeout=5) == {
+                "type": "response", "id": "x", "ok": True,
+                "tid": "site0:10", "values": {},
+            }
+            await raw.close()
+            assert [r["id"] for r in encoded] == ["x"]
+            monkeypatch.undo()
+            assert (await client.values())["a"] == 10
         finally:
             await cluster.stop()
 

@@ -193,7 +193,9 @@ class OutboxMachine(RuleBasedStateMachine):
         payload_of = dict(self.refs[peer].pending)
         self.refs[peer].ack_through(seqno)
         fresh = sorted(self.acked_by_all() - self.released)
-        assert self.real.ack_through(peer, seqno) == [
+        released = self.real.ack_through(peer, seqno)
+        hi = self.real.released_hi
+        assert list(zip(range(hi - len(released) + 1, hi + 1), released)) == [
             (seq, _full_ack_release(payload_of[seq])) for seq in fresh
         ]
         self.released.update(fresh)
@@ -245,7 +247,9 @@ class OutboxMachine(RuleBasedStateMachine):
             for s, p in sorted(self.refs[peer].pending.items())
             if s > floor
         ][:limit]
-        assert self.real.pending_after(peer, floor, limit) == want
+        first, blobs = self.real.pending_after(peer, floor, limit)
+        assert first == max(floor, self.refs[peer].frontier) + 1
+        assert list(enumerate(blobs, first)) == want
 
     @invariant()
     def observably_equal(self):

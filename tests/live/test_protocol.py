@@ -23,7 +23,7 @@ from repro.core.operations import (
 )
 from repro.consistency import Consistency
 from repro.core.transactions import EpsilonSpec, UNLIMITED
-from repro.live.durable_queue import _parse_line, _record_line
+from repro.live.durable_queue import _parse_line, _record_line, _record_lines
 from repro.live.protocol import (
     MAX_BATCH_ENTRIES,
     MAX_FRAME,
@@ -35,7 +35,7 @@ from repro.live.protocol import (
     decode_mset,
     decode_op,
     decode_ops,
-    decode_payload_blob,
+    decode_batch_msets,
     decode_spec,
     encode_bin_ack_frame,
     encode_bin_batch_frame,
@@ -47,6 +47,7 @@ from repro.live.protocol import (
     encode_spec,
     loads,
     payload_blob,
+    plain_reply_frame,
     plain_update_blob,
 )
 from repro.live.engine import ENGINES
@@ -1731,6 +1732,33 @@ class TestPlainUpdateBlob:
         }
         assert plain_update_blob(name, seq, ops) == payload_blob(payload)
 
+    @given(
+        st.text(),
+        st.integers(1, 2**63 - 1),
+        st.integers(-(2**64), 2**65) | st.booleans() | st.floats()
+        | st.text(max_size=3) | st.none(),
+    )
+    @example("site0", 1, 7)
+    @example('s"\\\x00\x1f\x7f\u2028é😀', 7, 2**64 - 1)
+    @example("site0", 3, -(2**63))
+    @example("site0", 3, 2**64)
+    @example("site0", 3, -(2**63) - 1)
+    @example("site0", 3, True)
+    def test_the_reply_splice_is_the_replys_frame(self, name, seq, rid):
+        """A plain update's ok reply is spliced around its id and tid:
+        byte for byte the :func:`encode_frame` of the reply, whatever
+        the site's name; an id that frame would not carry as that
+        integer raises instead, and the reply takes the dict path."""
+        reply = {
+            "type": "response", "id": rid, "ok": True,
+            "tid": "%s:%d" % (name, seq), "values": {},
+        }
+        if type(rid) is int and -(2**63) <= rid < 2**64:
+            assert plain_reply_frame(rid, name, seq) == encode_frame(reply)
+        else:
+            with pytest.raises(TypeError):
+                plain_reply_frame(rid, name, seq)
+
 
 class TestPayloadBlobReplay:
     """The receiver accepts a payload blob iff the inbox log line it is
@@ -1748,10 +1776,52 @@ class TestPayloadBlobReplay:
     @example(b' {"mset":{}}\r\t', 1)
     def test_an_accepted_blob_reads_back_from_its_log_line(self, blob, seq):
         try:
-            payload = decode_payload_blob(blob)
+            mset = decode_batch_msets([blob])[0]
         except ProtocolError:
             return  # refused before anything is recorded or acked
+        payload = loads(blob)  # the logs' reader, which the decoder ran
+        assert _outcome(lambda p: p.get("mset"), payload) == _outcome(
+            lambda m: m, mset
+        )
         line = _record_line(seq, payload, blob)
         assert _outcome(_parse_line, line) == _outcome(
             lambda _: {"seq": seq, "payload": payload}, line
         )
+
+    @given(
+        st.lists(_hostile_blobs(), min_size=1, max_size=4),
+        st.integers(1, 2**40),
+    )
+    @example([b'{"mset":{"tid":"t"}}', b'{"mset":{"tid":"u","x":NaN}}'], 1)
+    @example([b'{"mset":{"tid":"t"}}', b'[{"mset":{}}]'], 1)
+    @example([b'{"mset":{"tid":"t"}}', b'{"mset":\n{}}', b'{}'], 7)
+    @example([b'{"a":1}', b'{"b":2}', b'{"c":123456789012345678901234}'], 2)
+    @example([b'\r{"mset": {}}'], 1)
+    def test_a_run_is_accepted_iff_each_blob_is_alone(self, blobs, first):
+        """The receiver's run decoder accepts a run iff it accepts every
+        blob of it alone, as a run of one, and reads each payload's
+        ``mset`` the same; the run's inbox lines (``record_many``'s one
+        render) are each blob's own line and read back as its record."""
+        alone = [
+            _outcome(lambda b: decode_batch_msets([b])[0], blob)
+            for blob in blobs
+        ]
+        try:
+            msets = decode_batch_msets(blobs)
+        except ProtocolError:
+            assert any(outcome[0] == "raised" for outcome in alone)
+            return
+        assert [_outcome(lambda m: m, m) for m in msets] == alone
+        payloads = list(map(loads, blobs))
+        seqs = range(first, first + len(blobs))
+        lines = _record_lines(first, blobs)
+        assert lines == b"".join(map(_record_line, seqs, payloads, blobs))
+        # Split as the log reader iterates a file: on ``\n`` alone.
+        for line, seq, payload in zip(
+            [line + b"\n" for line in lines.split(b"\n")[:-1]],
+            seqs,
+            payloads,
+        ):
+            assert _outcome(_parse_line, line) == _outcome(
+                lambda _: {"seq": seq, "payload": payload}, line
+            )
