@@ -12,7 +12,10 @@ never the entries of one: a real sender writes only contiguous runs,
 and to a receiver a gap is a gap, whether a frame was lost or
 overtaken.  A severed link refuses every dial between its two sites,
 either way, before any socket exists, and :meth:`FaultPlan.sever`
-aborts the connections open between them.  Only frames the *dialer*
+aborts the connections open between them.  A dialer waiting out its
+backoff over a severed link (:meth:`Link.backoff`) redials when the
+plan heals the link, as the simulator's heal kicks the queues
+(:mod:`repro.sim.failures`).  Only frames the *dialer*
 writes take fate, not replies or acks; the at-least-once retry +
 frontier dedup machinery must absorb it all.
 
@@ -37,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
+from .channel import _resolve
 from .protocol import FrameProtocol, FrameWriter
 
 __all__ = ["LinkFaults", "Link", "FaultPlan", "WAN_INTRA", "WAN_INTER"]
@@ -86,6 +90,8 @@ class Link:
         self.rng = random.Random("%d|%s>%s" % (plan.seed, src, dst))
         #: connections dialed over this link, until each is lost.
         self.conns: Set[FrameProtocol] = set()
+        #: dialers parked in :meth:`backoff` while the link is severed.
+        self.retries: Set[asyncio.Future] = set()
 
     @property
     def faults(self) -> LinkFaults:
@@ -136,6 +142,24 @@ class Link:
         if self.severed:
             self.plan.counts["blocked"] += 1
             raise ConnectionRefusedError("no route to peer %s" % self.dst)
+
+    async def backoff(self, delay: float) -> None:
+        """Wait ``delay`` seconds before the next dial over this link;
+        while it is severed, only until the plan heals it.  So a healed
+        link is redialed at the heal, not at a timer whose phase the
+        traffic before the heal happened to set."""
+        if not self.severed:
+            await asyncio.sleep(delay)
+            return
+        loop = asyncio.get_running_loop()
+        waiter = loop.create_future()
+        timer = loop.call_later(delay, _resolve, waiter)
+        self.retries.add(waiter)
+        try:
+            await waiter
+        finally:
+            timer.cancel()
+            self.retries.discard(waiter)
 
     def attach(self, conn: FrameProtocol) -> None:
         """Write a connection just dialed over this link through it."""
@@ -274,7 +298,17 @@ class FaultPlan:
 
     def heal(self, src: str, dst: str) -> None:
         self._severed.discard((src, dst))
+        self._wake_healed()
 
     def heal_all(self) -> None:
         """End every partition; links resume their rate-based faults."""
         self._severed.clear()
+        self._wake_healed()
+
+    def _wake_healed(self) -> None:
+        """End the backoff of every dialer parked on a link no longer
+        severed."""
+        for link in self._links.values():
+            if link.retries and not link.severed:
+                for waiter in link.retries:
+                    _resolve(waiter)

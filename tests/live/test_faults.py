@@ -117,6 +117,61 @@ class TestPartitions:
 
         run(scenario())
 
+    def test_a_severed_links_backoff_ends_at_the_heal(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            plan = FaultPlan()
+            plan.partition([["a"], ["b", "c"]])
+            parked = asyncio.ensure_future(plan.link("a", "b").backoff(30.0))
+            other = asyncio.ensure_future(plan.link("a", "c").backoff(30.0))
+            await asyncio.sleep(0)
+            plan.heal("a", "c")  # b -> a and a -> b stay cut
+            plan.heal("c", "a")
+            await asyncio.sleep(0)
+            assert other.done() and not parked.done()
+            started = loop.time()
+            plan.heal_all()
+            await asyncio.wait_for(parked, 1.0)
+            assert loop.time() - started < 1.0
+            assert not plan.link("a", "b").retries
+
+        run(scenario())
+
+    def test_a_backoff_over_an_open_link_waits_its_delay(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            plan = FaultPlan()
+            started = loop.time()
+            waiting = asyncio.ensure_future(plan.link("a", "b").backoff(0.05))
+            await asyncio.sleep(0)
+            plan.heal_all()
+            await waiting
+            assert loop.time() - started >= 0.05
+
+        run(scenario())
+
+    def test_a_healed_channel_redials_before_its_backoff_ends(self, tmp_path):
+        async def scenario():
+            plan = FaultPlan(0)
+            cluster = LiveCluster(
+                n_sites=2, data_dir=tmp_path, faults=plan,
+                server_options={"retry_base": 30.0, "retry_max": 30.0},
+            )
+            await cluster.start()
+            try:
+                client = await cluster.client("site0")
+                await client.increment("k", 1)
+                await cluster.settle()
+                plan.partition([["site0"], ["site1"]])
+                await asyncio.sleep(0.05)  # both channels park in backoff
+                await client.increment("k", 1)
+                plan.heal_all()
+                await cluster.settle(timeout=5.0)
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
     def test_partition_aborts_an_open_peer_channel_at_once(self, tmp_path):
         async def scenario():
             plan = FaultPlan(0)
