@@ -499,7 +499,7 @@ class DurableOutbox(_DurableLog):
 
     def append_many(
         self,
-        payloads: Sequence[Any],
+        payloads: Optional[Sequence[Any]],
         blobs: Optional[Sequence[bytes]] = None,
         releases: Optional[Sequence[Any]] = None,
     ) -> List[int]:
@@ -514,6 +514,7 @@ class DurableOutbox(_DurableLog):
         holds them for the sender's relay path.  ``releases`` (parallel
         too) carries what ``release`` makes of each payload, from a
         caller that already holds it; derived here when not given.
+        ``payloads`` is None from a caller that gives both.
         """
         if blobs is None:
             blobs = list(map(payload_blob, payloads))

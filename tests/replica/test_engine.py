@@ -137,6 +137,39 @@ def test_fully_acked_many_returns_every_tid_in_order(method):
     assert engine.quiescent()
 
 
+@pytest.mark.parametrize("method", ["commu", "rowa", "compe", "ritu"])
+def test_an_ack_unpins_exactly_the_updates_it_released(method, monkeypatch):
+    """``fully_acked_many`` builds its tid list once and, when every
+    item held a counter, unpins those same tids; an item that no longer
+    holds one is returned but not unpinned again.  (The server's
+    ``update-ack`` rows are the returned tids:
+    ``test_observability.py`` pins them in log order.)"""
+    engine = ENGINES[method]("s0")
+    op = WriteOp if method == "ritu" else IncrementOp
+    msets = [
+        engine.make_mset("s0:%d" % i, [op("k%d" % (i % 2), i)])
+        for i in range(1, 5)
+    ]
+    for mset in msets:
+        engine.accept(mset, local=True)
+    unpinned = []
+    real = engine._unpin
+
+    def unpin(*tids):
+        unpinned.append(tids)
+        real(*tids)
+
+    monkeypatch.setattr(engine, "_unpin", unpin)
+    items = [(mset.tid, mset.keys) for mset in msets]
+    assert engine.fully_acked_many(items[:2]) == ["s0:1", "s0:2"]
+    assert unpinned == [("s0:1", "s0:2")]
+    assert engine.fully_acked_many(items[1:]) == ["s0:2", "s0:3", "s0:4"]
+    assert unpinned[1:] == [("s0:3", "s0:4")]
+    assert engine.fully_acked_many(items) == [m.tid for m in msets]
+    assert unpinned[2:] == []
+    assert engine.state.holders == {}
+
+
 class TestEngineCharges:
     def test_a_restarted_query_drops_its_charges(self):
         engine = CommuLiveEngine("s0", clock=lambda: 0.0)
