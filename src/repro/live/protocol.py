@@ -95,6 +95,7 @@ __all__ = [
     "payload_blob",
     "plain_update_blob",
     "plain_reply_frame",
+    "check_request_id",
     "decode_batch_msets",
     "encode_bin_batch_frame",
     "encode_bin_ack_frame",
@@ -517,6 +518,26 @@ def plain_update_blob(origin: str, seq: int, ops: list) -> bytes:
     return b'{"mset":{"tid":%s:%d","ops":%s,"origin":%s}}' % (
         name[:-1], seq, _encode(ops), name,
     )
+
+
+def check_request_id(rid: Any) -> None:
+    """Refuse, as ``ProtocolError``, a request id no reply can carry
+    back: an int past 64 bits, or anything else :func:`encode_frame`
+    would not encode (a lone surrogate) — :func:`loads` yields those
+    from a frame that ``json.loads`` parsed.  Such a request is refused
+    unexecuted, with a null id."""
+    if type(rid) is int:
+        if -(2 ** 63) <= rid <= _SEQ_MAX:
+            return
+    elif rid is None or type(rid) is str and rid.isascii():
+        return
+    else:
+        try:
+            _encode(rid)
+            return
+        except (TypeError, ValueError):
+            pass
+    raise ProtocolError("request id cannot be carried by a reply")
 
 
 def plain_reply_frame(rid: int, origin: str, seq: int) -> bytes:
