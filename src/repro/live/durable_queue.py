@@ -99,7 +99,11 @@ Compaction: ``compact(through_seq)`` (both) is a tail-verified rewrite
 that drops every record at or below ``through_seq`` once a persisted
 site snapshot covers them (one shared path, ``_compact_log``, which
 filters the file on each line's ``{"seq":N,`` prefix and copies
-surviving lines byte for byte).  The rewritten log opens with a
+surviving lines byte for byte).  It reads only what it may keep: each
+group of data lines a log writes marks its first seq and byte offset,
+so the filter seeks to the last mark at or below ``through_seq + 1``
+— at a cut through the last record, the file's end — and counts every
+line before it as dropped.  The rewritten log opens with a
 ``{"meta": "base", "base": N}`` record so a reload knows the log
 starts above ``N``; the rewrite goes to a temporary file that is
 fsynced, re-parsed (tail verification), and atomically renamed over
@@ -127,6 +131,7 @@ import logging
 import os
 import pathlib
 import time
+from bisect import bisect_right
 from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -142,6 +147,10 @@ __all__ = ["DurableOutbox", "DurableInbox", "ControlLog"]
 logger = logging.getLogger(__name__)
 
 _SEQ_PREFIX = b'{"seq":'
+#: marks a log keeps before its oldest thin out (:meth:`_DurableLog.
+#: _write_records`): a bound on memory, not on the file.
+_MARKS = 256
+_bound_of = itemgetter(0)
 #: one data record's log line, around its seq and its payload's blob.
 _LINE = b'{"seq":%d,"payload":%s}\n'
 #: a window entry's wire blob, and its release.
@@ -203,13 +212,14 @@ def _parse_line(line: bytes) -> Optional[Dict[str, Any]]:
 
 def _read_json_lines(
     path: pathlib.Path, cut_tail: bool = False
-) -> Iterator[Dict[str, Any]]:
-    """Each intact record of ``path``, stopping at the first line that
-    is not one: everything before a torn line is intact, and the torn
-    record was never acknowledged to anyone, so it is safe to drop.
-    ``cut_tail`` (the recovery scan, once exhausted) truncates the file
-    there — appended behind torn bytes, the next record would be glued
-    onto them and lost, acknowledged or not, at the reload after that.
+) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Each intact record of ``path`` with the byte offset of its line,
+    stopping at the first line that is not one: everything before a
+    torn line is intact, and the torn record was never acknowledged to
+    anyone, so it is safe to drop.  ``cut_tail`` (the recovery scan,
+    once exhausted) truncates the file there — appended behind torn
+    bytes, the next record would be glued onto them and lost,
+    acknowledged or not, at the reload after that.
     """
     if not path.exists():
         return
@@ -220,7 +230,7 @@ def _read_json_lines(
                 record = _parse_line(line)
                 if record is None:
                     break
-                yield record
+                yield good, record
             good += len(line)
     if cut_tail and path.stat().st_size > good:
         os.truncate(path, good)
@@ -246,10 +256,33 @@ class _DurableLog:
         self.bytes_written = 0
         self.compaction_count = 0
         self.compacted_records = 0
+        #: where compaction may seek to: ``(bound, offset, count)``
+        #: with bounds ascending — the file holds ``count`` data lines
+        #: before ``offset``, each numbered below ``bound``.  A reload
+        #: and a rewrite note one at their first data line (bound 0:
+        #: none precedes it); every group of data lines written notes
+        #: one at its own first line, bound by the group's first seq.
+        self._marks: List[Tuple[int, int, int]] = []
+        #: the file's data lines and the highest number among them:
+        #: with the file's size, the mark at its end.
+        self._count = self._top = 0
+        self._end = 0
         self._log = None  # opened by subclasses after recovery scan
 
     def _open_log(self) -> None:
         self._log = self.path.open("ab")
+        self._end = self._log.tell()
+
+    def _reload(self) -> Iterator[Dict[str, Any]]:
+        """The loader's scan (:func:`_read_json_lines`, the torn tail
+        cut), counting the data lines and marking the first."""
+        for offset, record in _read_json_lines(self.path, cut_tail=True):
+            if record.get("meta") is None:
+                if not self._count:
+                    self._marks = [(0, offset, 0)]
+                self._count += 1
+                self._top = max(self._top, record["seq"])
+            yield record
 
     def _write_data(self, data: bytes, durable: bool = True) -> None:
         """Group commit: one write + flush for the whole pre-rendered
@@ -259,9 +292,25 @@ class _DurableLog:
             return
         self._log.write(data)
         self._log.flush()
+        self._end += len(data)
         self.bytes_written += len(data)
         if durable and self.fsync:
             self.dirty = True
+
+    def _write_records(self, first: int, count: int, data: bytes) -> None:
+        """:meth:`_write_data` of ``count`` data lines numbered ``first``
+        onwards, marking where they begin.  The oldest marks thin out
+        past :data:`_MARKS`, so a cut far behind the end seeks a little
+        early instead of the log holding a mark per group for ever."""
+        if not count:
+            return
+        marks = self._marks
+        marks.append((self._top + 1, self._end, self._count))
+        if len(marks) > _MARKS:
+            del marks[1:_MARKS // 2:2]
+        self._write_data(data)
+        self._count += count
+        self._top = max(self._top, first + count - 1)
 
     def sync(self) -> bool:
         """Fsync the log if it holds unsynced records — the only place
@@ -288,7 +337,7 @@ class _DurableLog:
 
     def _logged(self) -> Iterator[Tuple[int, Any]]:
         """The (seqno, payload) data records currently in the log."""
-        for record in _read_json_lines(self.path):
+        for _, record in _read_json_lines(self.path):
             if record.get("meta") is None:
                 yield record["seq"], record["payload"]
 
@@ -315,24 +364,34 @@ class _DurableLog:
         number of records dropped.  The caller caps ``through`` at what
         may go.
 
-        A line written by :func:`_record_line` is filtered on its
-        ``{"seq":N,`` prefix and survives byte for byte; only a line
-        rendered some other way is parsed (and re-rendered), so the
-        result is what parsing and re-dumping every line would give.
+        Only the file from the last mark that ``through`` passes is
+        read — every data line before it is dropped, and counted by the
+        mark — so a cut at the last record reads nothing of the old
+        log.  From there a line written by :func:`_record_line` is
+        filtered on its ``{"seq":N,`` prefix and survives byte for
+        byte; only a line rendered some other way is parsed (and
+        re-rendered), so the result is what parsing and re-dumping
+        every line would give.
         """
         if through <= self.base:
             return 0
+        marks = [*self._marks, (self._top + 1, self._end, self._count)]
+        at = bisect_right(marks, through + 1, key=_bound_of) - 1
+        _, offset, dropped = marks[at] if at >= 0 else (0, 0, 0)
         lines: List[bytes] = []
-        dropped = 0
+        top = 0
         with self.path.open("rb") as handle:
+            handle.seek(offset)
             for line in handle:
                 if not line.strip():
                     continue
                 if line.startswith(_SEQ_PREFIX) and line.endswith(b"\n"):
                     digits = line[len(_SEQ_PREFIX):line.find(b",")]
                     if digits.isdigit():
-                        if int(digits) > through:
+                        seq = int(digits)
+                        if seq > through:
                             lines.append(line)
+                            top = max(top, seq)
                         else:
                             dropped += 1
                         continue
@@ -341,13 +400,13 @@ class _DurableLog:
                     break  # torn tail: never acknowledged to anyone
                 if record.get("meta") is not None:
                     continue  # superseded by the header
-                if record["seq"] > through:
-                    lines.append(
-                        _record_line(record["seq"], record["payload"], None)
-                    )
+                seq = record["seq"]
+                if seq > through:
+                    lines.append(_record_line(seq, record["payload"], None))
+                    top = max(top, seq)
                 else:
                     dropped += 1
-        self._rewrite(lines, base=through, header=header)
+        self._rewrite(lines, base=through, header=header, top=top)
         self.base = through
         self.compaction_count += 1
         self.compacted_records += dropped
@@ -358,12 +417,14 @@ class _DurableLog:
         lines: Sequence[bytes],
         base: int,
         header: Sequence[Dict[str, Any]] = (),
+        top: int = 0,
     ) -> None:
         """Tail-verified atomic rewrite of the log.
 
         Writes a fresh log — a ``{"meta": "base", "base": N}`` marker,
         the ``header`` control records and the pre-rendered data
-        ``lines`` — to a temporary file, fsyncs it, re-parses it end to
+        ``lines``, numbered ``top`` at most — to a temporary file,
+        fsyncs it, re-parses it end to
         end (tail verification: the bytes that hit disk decode back to
         the control records we wrote and as many data records as we
         meant to keep, ending with the one we meant to end with), then
@@ -374,12 +435,13 @@ class _DurableLog:
         """
         tmp = self.path.with_suffix(self.path.suffix + ".compact")
         head = [{"meta": "base", "base": base}, *header]
-        data = b"".join(map(encode_line, head)) + b"".join(lines)
+        start = b"".join(map(encode_line, head))
+        data = start + b"".join(lines)
         with tmp.open("wb") as handle:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
-        check = list(_read_json_lines(tmp))
+        check = [record for _, record in _read_json_lines(tmp)]
         ok = (
             len(check) == len(head) + len(lines)
             and check[:len(head)] == head
@@ -396,6 +458,8 @@ class _DurableLog:
         self._fsync_dir()
         self.bytes_written += len(data)
         self._open_log()
+        self._marks = [(0, len(start), 0)] if lines else []
+        self._count, self._top = len(lines), top
 
     def close(self) -> None:
         if self._log is not None and not self._log.closed:
@@ -448,7 +512,7 @@ class DurableOutbox(_DurableLog):
         #: — the receiver durably holds records this (restarted) sender
         #: has no memory of sending, i.e. the sender lost its own log.
         self.regressed_acks: Dict[str, int] = {}
-        for record in _read_json_lines(self.path, cut_tail=True):
+        for record in self._reload():
             kind = record.get("meta")
             if kind is None:
                 if record["seq"] == self._seq + 1:
@@ -521,7 +585,7 @@ class DurableOutbox(_DurableLog):
         if releases is None:
             releases = list(map(self._release, payloads))
         first = self._seq + 1
-        self._write_data(_record_lines(first, blobs))
+        self._write_records(first, len(blobs), _record_lines(first, blobs))
         self._seq += len(blobs)
         if self._cursors:
             self._window.extend(zip(blobs, releases))
@@ -722,7 +786,7 @@ class DurableInbox(_DurableLog):
         #: highest sequence number durably recorded, contiguous from
         #: ``base + 1`` (``base`` is 0 for a never-compacted log).
         self.frontier = 0
-        for record in _read_json_lines(self.path, cut_tail=True):
+        for record in self._reload():
             kind = record.get("meta")
             if kind == "base":
                 base = int(record.get("base", 0))
@@ -746,7 +810,7 @@ class DurableInbox(_DurableLog):
         """
         if seqno != self.frontier + 1:
             return False
-        self._write_data(_record_line(seqno, payload, blob))
+        self._write_records(seqno, 1, _record_line(seqno, payload, blob))
         self.frontier = seqno
         return True
 
@@ -756,7 +820,8 @@ class DurableInbox(_DurableLog):
         a batch is logged without one encode, and its payloads are never
         read.  The whole run lands with one write + flush; a run is
         contiguous by construction.  Returns the number recorded."""
-        self._write_data(_record_lines(self.frontier + 1, blobs))
+        first = self.frontier + 1
+        self._write_records(first, len(blobs), _record_lines(first, blobs))
         self.frontier += len(blobs)
         return len(blobs)
 
@@ -816,7 +881,7 @@ class ControlLog(SequencerLog, _DurableLog):
         self.nodes: Dict[str, NodeRecord] = {}
         self.load_errors = self._lines = 0
         before = self.path.read_bytes() if self.path.exists() else b""
-        for record in _read_json_lines(self.path, cut_tail=True):
+        for _, record in _read_json_lines(self.path, cut_tail=True):
             try:
                 self._fold(record)
             except (KeyError, TypeError, ValueError) as exc:

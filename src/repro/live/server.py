@@ -1854,7 +1854,7 @@ class ReplicaServer:
     ) -> Dict[str, Any]:
         """Serve one chunk of this site's snapshot to a catching-up
         peer.  ``fresh`` forces a new capture first; chunks are byte
-        slices of the (pure-ASCII) serialized envelope."""
+        slices of the verified image file as it is (pure ASCII)."""
         self._admit("snapshot-fetch")
         if bool(frame.get("fresh")) or not self.recovery.store.exists():
             await self.take_snapshot(kind="serve")

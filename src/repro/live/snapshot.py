@@ -9,12 +9,18 @@ state — which is what licenses log compaction below the snapshot
 frontier and bounded-time rejoin of a wiped replica (catch-up fetches
 a peer's snapshot instead of replaying the peer's entire history).
 
-Format: an *envelope* ``{"version": 3, "checksum": <sha256 hex>,
-"body": {...}}`` where the checksum covers the canonical JSON
-encoding (sorted keys, no whitespace) of the body.  The body carries
-``site``, ``method``, ``frontiers`` (channel name -> applied seq,
-including the local ``_local`` channel, whose frontier doubles as the
-site's transaction-id counter) and ``engine`` (the
+Format: the body is encoded once, by the live codec, and the file is
+an *envelope* spliced around those bytes,
+``{"version":4,"checksum":"<sha256 hex>","body":<body bytes>}`` and a
+newline, where the checksum covers exactly the body bytes.  So the
+image is verified by slicing its body out and hashing it, and served
+to a peer as the file's bytes.  The file is pure ASCII (a non-ASCII
+character is escaped): a pull's chunks are ASCII-decoded slices.  A
+version-3 file, whose checksum covers the canonical stdlib encoding
+(sorted keys, no whitespace) of the parsed body, still opens.  The
+body carries ``site``, ``method``, ``frontiers`` (channel name ->
+applied seq, including the local ``_local`` channel, whose frontier
+doubles as the site's transaction-id counter) and ``engine`` (the
 :meth:`~repro.live.engine.LiveEngine.checkpoint` image).
 
 Persistence is atomic: :class:`SnapshotStore` writes to a temporary
@@ -24,7 +30,8 @@ previous complete snapshot or the new complete one, never a torn
 file.  :meth:`SnapshotStore.load` verifies version and checksum and
 returns ``None`` for anything unreadable, so a corrupt or torn
 snapshot degrades to "no snapshot" (full log replay) instead of
-installing garbage.
+installing garbage — unless a log was compacted below it, which
+:meth:`Recovery.recover` refuses to boot from.
 
 :class:`Recovery` holds the rules that judge and use such images for
 one replica (the paper's §2.2 rebuild from stable queues): boot
@@ -43,6 +50,7 @@ import pathlib
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..replica.mset import MSet, ProtocolError, decode_mset
+from .protocol import _encode, loads
 
 __all__ = [
     "LOCAL_CHANNEL",
@@ -55,7 +63,6 @@ __all__ = [
     "SnapshotError",
     "seal_snapshot",
     "open_snapshot",
-    "snapshot_bytes",
     "SnapshotStore",
     "write_atomic",
     "fsync_dir",
@@ -64,7 +71,17 @@ __all__ = [
 #: 2: operations inside engine checkpoints are positional arrays.
 #: 3: a COMPE checkpoint carries its operation log (``compe.log``),
 #: not undo steps (``compe.undo``).
-SNAPSHOT_VERSION = 3
+#: 4: the envelope is spliced around the body's one encode, and the
+#: checksum covers exactly those bytes.
+SNAPSHOT_VERSION = 4
+
+#: a version-4 file's bytes before its checksum, and between the
+#: checksum (64 hex digits) and the body.
+_HEAD = b'{"version":%d,"checksum":"' % SNAPSHOT_VERSION
+_BODY = b'","body":'
+#: where that checksum ends, and where the body begins.
+_SUM_END = len(_HEAD) + 64
+_BODY_AT = _SUM_END + len(_BODY)
 
 #: the frontier name of the site's own channel: its replication log,
 #: whose frontier doubles as the site's transaction-id counter.
@@ -77,55 +94,88 @@ SURVEY = "survey"
 
 
 class SnapshotError(RuntimeError):
-    """A snapshot envelope failed validation (version/checksum/shape)."""
+    """A snapshot image failed validation (version/checksum/shape)."""
 
 
-def _canonical(body: Dict[str, Any]) -> bytes:
-    return json.dumps(
-        body, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+def _body_bytes(body: Dict[str, Any]) -> bytes:
+    """The one encode of an image body: the codec's bytes
+    (:func:`~repro.live.protocol._encode`, which keeps an overflowed
+    value as ``Infinity``), or — for a body they cannot be, one holding
+    a non-ASCII character or an integer wider than 64 bits — the
+    stdlib's with every non-ASCII character escaped, so that a file is
+    always pure ASCII."""
+    try:
+        data = _encode(body)
+        if data.isascii():
+            return data
+    except TypeError:
+        pass
+    return json.dumps(body, separators=(",", ":")).encode("ascii")
 
 
-def seal_snapshot(body: Dict[str, Any]) -> Dict[str, Any]:
-    """Wrap a snapshot body in a versioned, checksummed envelope."""
-    return {
-        "version": SNAPSHOT_VERSION,
-        "checksum": hashlib.sha256(_canonical(body)).hexdigest(),
-        "body": body,
-    }
+def seal_snapshot(body: Dict[str, Any]) -> bytes:
+    """The image file of ``body``: its bytes encoded once, the checksum
+    over exactly those bytes, the envelope spliced around them."""
+    data = _body_bytes(body)
+    return b"%s%s%s%s}\n" % (
+        _HEAD, hashlib.sha256(data).hexdigest().encode("ascii"), _BODY, data,
+    )
 
 
-def open_snapshot(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate an envelope and return its body.
-
-    Raises :class:`SnapshotError` on unknown version, checksum
-    mismatch, or a structurally alien envelope — a snapshot that
-    fails here must be treated as absent, never installed.
-    """
+def _v3_body(data: bytes) -> Dict[str, Any]:
+    """A version-3 image's body under its own rule: the whole file
+    parsed, the checksum over the body's canonical encoding."""
+    envelope = json.loads(data.decode("utf-8"))
     if not isinstance(envelope, dict):
         raise SnapshotError("snapshot envelope is not an object")
     version = envelope.get("version")
-    if version != SNAPSHOT_VERSION:
+    if version != 3:
         raise SnapshotError("unsupported snapshot version %r" % (version,))
     body = envelope.get("body")
     if not isinstance(body, dict):
         raise SnapshotError("snapshot body missing or malformed")
-    digest = hashlib.sha256(_canonical(body)).hexdigest()
-    if digest != envelope.get("checksum"):
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    if hashlib.sha256(canonical.encode("utf-8")).hexdigest() != (
+        envelope.get("checksum")
+    ):
         raise SnapshotError(
             "snapshot checksum mismatch (corrupt or torn image)"
         )
+    return body
+
+
+def open_snapshot(data: bytes) -> Dict[str, Any]:
+    """Verify an image file's bytes and return its body.
+
+    A version-4 image is verified by slicing out its body bytes and
+    hashing them; only then are they parsed.  Anything else is read
+    under the version-3 rule, which refuses every other version.
+    Raises :class:`SnapshotError` on an unknown version, a checksum
+    mismatch, or a structurally alien image — an image that fails here
+    must be treated as absent, never installed.
+    """
+    try:
+        if data.startswith(_HEAD) and data.endswith(b"}\n") and (
+            data[_SUM_END:_BODY_AT] == _BODY
+        ):
+            raw = data[_BODY_AT:-2]
+            if hashlib.sha256(raw).hexdigest().encode("ascii") != (
+                data[len(_HEAD):_SUM_END]
+            ):
+                raise SnapshotError(
+                    "snapshot checksum mismatch (corrupt or torn image)"
+                )
+            body = loads(raw)
+        else:
+            body = _v3_body(data)
+    except ValueError as exc:  # undecodable bytes or text
+        raise SnapshotError("snapshot image unreadable: %s" % exc) from exc
+    if not isinstance(body, dict):
+        raise SnapshotError("snapshot body missing or malformed")
     for field in ("site", "method", "frontiers", "engine"):
         if field not in body:
             raise SnapshotError("snapshot body lacks %r" % field)
     return body
-
-
-def snapshot_bytes(envelope: Dict[str, Any]) -> bytes:
-    """The serialized form persisted to disk / shipped over the wire."""
-    return (
-        json.dumps(envelope, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
 
 
 def fsync_dir(directory: pathlib.Path) -> None:
@@ -165,9 +215,9 @@ class SnapshotStore:
         #: last verified.
         self._served: Optional[Tuple[Tuple[int, int, int], bytes]] = None
 
-    def save(self, envelope: Dict[str, Any]) -> int:
-        """Persist atomically (temp + fsync + rename); returns bytes."""
-        data = snapshot_bytes(envelope)
+    def save(self, data: bytes) -> int:
+        """Persist an image file's bytes (:func:`seal_snapshot`)
+        atomically (temp + fsync + rename); returns their size."""
         write_atomic(self.path, data)
         return len(data)
 
@@ -176,29 +226,27 @@ class SnapshotStore:
 
         Any failure mode — missing file, torn write that survived the
         atomic-rename discipline being bypassed, checksum mismatch,
-        alien version — reads as "no snapshot": recovery then falls
-        back to full log replay, which is always correct.
+        alien version — reads as "no snapshot"; :meth:`Recovery.recover`
+        then replays the logs in full, or refuses to boot when a log
+        was compacted below the image it cannot read.
         """
-        envelope = self.load_envelope()
-        return None if envelope is None else envelope["body"]
+        read = self.read()
+        return None if read is None else read[1]
 
-    def load_envelope(self) -> Optional[Dict[str, Any]]:
-        """The persisted envelope (verified), or None — for shipping
-        to a catching-up peer without re-sealing."""
+    def read(self) -> Optional[Tuple[bytes, Dict[str, Any]]]:
+        """The file's bytes and its verified body, or None."""
         try:
-            raw = self.path.read_bytes()
+            data = self.path.read_bytes()
         except OSError:
             return None
         try:
-            envelope = json.loads(raw.decode("utf-8"))
-            open_snapshot(envelope)  # validate before serving it
-            return envelope
-        except (UnicodeDecodeError, json.JSONDecodeError, SnapshotError):
+            return data, open_snapshot(data)
+        except SnapshotError:
             return None
 
     def served_bytes(self) -> Optional[bytes]:
-        """The verified envelope as shipped to a catching-up peer
-        (:func:`snapshot_bytes` of :meth:`load_envelope`), or None.
+        """The verified file, as its bytes are, for a catching-up peer;
+        or None.
 
         Read and verified once per version of the file: the bytes are
         kept under the file's ``(st_ino, st_size, st_mtime_ns)``, so
@@ -213,12 +261,11 @@ class SnapshotStore:
         version = (st.st_ino, st.st_size, st.st_mtime_ns)
         if self._served is not None and self._served[0] == version:
             return self._served[1]
-        envelope = self.load_envelope()
-        if envelope is None:
+        read = self.read()
+        if read is None:
             return None
-        data = snapshot_bytes(envelope)
-        self._served = (version, data)
-        return data
+        self._served = (version, read[0])
+        return read[0]
 
     def exists(self) -> bool:
         return self.path.exists()
@@ -376,13 +423,25 @@ class Recovery:
 
         Records a crash caught between persisting an image and
         compacting below it are skipped by frontier, so nothing applies
-        twice.  Without an image this is a full replay."""
+        twice.  Without an image this is a full replay — unless a log
+        was compacted, whose dropped records only the image held: then
+        this raises :class:`SnapshotError`, naming the image and the
+        floors, and nothing is applied."""
         floors: Dict[str, int] = {}
         body = self.store.load()
         if body is not None and body.get("method") == self.method:
             floors = {src: int(seq) for src, seq in body["frontiers"].items()}
             self.adopt(floors, body["engine"], now)
         else:
+            compacted = {
+                label: box.base for _, label, box in self.logs() if box.base
+            }
+            if compacted:
+                raise SnapshotError(
+                    "%s: no %s image opens, but logs were compacted below "
+                    "one (floors %s): booting would lose every record they "
+                    "dropped" % (self.store.path, self.method, compacted)
+                )
             self.election.fence(self.engine)
         engine, log = self.engine, self.log
 
@@ -508,7 +567,13 @@ class Recovery:
                 "snapshot fetch from %s truncated (%d of %d bytes)"
                 % (source, len(raw), total)
             )
-        body = open_snapshot(json.loads(raw))
+        try:
+            data = raw.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise SnapshotError(
+                "snapshot from %s is not ASCII" % source
+            ) from exc
+        body = open_snapshot(data)
         for field, want in (("method", self.method), ("site", source)):
             if body.get(field) != want:
                 raise SnapshotError(

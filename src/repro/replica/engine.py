@@ -593,29 +593,26 @@ class LiveEngine:
     def checkpoint(self) -> Dict[str, Any]:
         """A JSON-safe image of this engine's applied state.
 
-        Captured in one step: store values with their write stamps (the RITU multiversion floor — a
+        Captured in one step: store values with the write stamps of
+        the keys that have one (the RITU multiversion floor — a
         restored site answers version queries exactly where the
-        pre-snapshot site did), the applied-MSet count, the drift of
-        every update a query could still be charged for, and
-        method-specific apply state via :meth:`_method_checkpoint`.
+        pre-snapshot site did), as one copy of the store's dicts
+        (:meth:`~repro.storage.kv.KeyValueStore.image`), the
+        applied-MSet count, the drift of every update a query could
+        still be charged for, and method-specific apply state via
+        :meth:`_method_checkpoint`.
 
         Deliberately *not* captured: COMMU lock-counter holders (they
         mirror the outbox pending set and are rebuilt from it at
-        recovery — see ``ReplicaServer._recover``) and pending
+        recovery — see ``Recovery.recover``) and pending
         read-modify-report results (their client connection did not
         survive the crash, so nobody can claim them).
         """
-        image = self.store.snapshot()
+        values, stamps = self.store.image()
         state: Dict[str, Any] = {
             "method": self.method_name,
             "applied_count": self.applied_count,
-            "store": {
-                "values": dict(image.values),
-                "stamps": {
-                    key: (list(stamp) if stamp is not None else None)
-                    for key, stamp in image.stamps.items()
-                },
-            },
+            "store": {"values": values, "stamps": stamps},
             "drift": dict(self._drift),
         }
         state.update(self._method_checkpoint())

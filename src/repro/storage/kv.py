@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+)
 
 from ..core.operations import (
     DecrementOp,
@@ -43,14 +45,8 @@ def _detached(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
-@dataclass
-class _Cell:
-    """Storage cell for one key."""
-
-    value: Any = None
-    present: bool = False
-    #: Timestamp of the newest timestamped (RITU) write applied.
-    write_stamp: Optional[Tuple[int, int]] = None
+#: what a key that holds no value reads as, inside the store.
+_ABSENT = object()
 
 
 @dataclass(frozen=True)
@@ -62,10 +58,15 @@ class StoreSnapshot:
 
 
 class KeyValueStore:
-    """Dictionary-of-cells store with operation-algebra application."""
+    """Dictionary store with operation-algebra application: each key's
+    value in one dict, and the write stamp of each key that has one
+    in another."""
 
     def __init__(self, initial: Optional[Mapping[str, Any]] = None) -> None:
-        self._cells: Dict[str, _Cell] = {}
+        self._values: Dict[str, Any] = {}
+        #: key -> timestamp of the newest timestamped (RITU) write
+        #: applied to it; a key no such write reached has no entry.
+        self._stamps: Dict[str, Tuple[int, int]] = {}
         if initial:
             for key, value in initial.items():
                 self.put(key, value)
@@ -73,23 +74,21 @@ class KeyValueStore:
     # -- basic access --------------------------------------------------------
 
     def get(self, key: str, default: Any = KeyNotFound) -> Any:
-        cell = self._cells.get(key)
-        if cell is None or not cell.present:
+        value = self._values.get(key, _ABSENT)
+        if value is _ABSENT:
             if default is KeyNotFound:
                 raise KeyNotFound(key)
             return default
-        return cell.value
+        return value
 
     def put(self, key: str, value: Any) -> None:
-        cell = self._cells.setdefault(key, _Cell())
-        cell.value = value
-        cell.present = True
+        self._values[key] = value
 
     def keys(self) -> Iterator[str]:
-        return (k for k, c in self._cells.items() if c.present)
+        return iter(self._values)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
+        return len(self._values)
 
     # -- operation application -------------------------------------------------
 
@@ -114,41 +113,31 @@ class KeyValueStore:
         built at its apply instant, and every other operation runs
         through its :meth:`Operation.apply`.
         """
-        cells = self._cells
+        values = self._values
         value = None
         for op in ops:
             if type(op) is list:
                 tag = op[0]
                 if tag == "inc" or tag == "dec":
-                    cell = cells.get(key := op[1])
-                    if cell is None:
-                        cell = cells[key] = _Cell()
-                    if not cell.present:
+                    value = values.get(key := op[1], _ABSENT)
+                    if value is _ABSENT:
                         # An increment's initial value is ``default``.
-                        cell.value = copy.copy(default)
-                        cell.present = True
-                    value = cell.value
+                        value = values[key] = copy.copy(default)
                     if type(value) is int or type(value) is float:
                         if tag == "inc":
                             value += op[2]
                         else:
                             value -= op[2]
-                        cell.value = value
+                        values[key] = value
                         continue
                 # The codec is a layer above the store: imported here,
                 # where an array first needs its object.
                 from ..replica.mset import decode_op
 
                 op = decode_op(op)
-            cell = cells.get(key := op.key)
-            if cell is None:
-                # Not setdefault: that would construct (and usually
-                # throw away) a _Cell per applied operation.
-                cell = cells[key] = _Cell()
-            if not cell.present:
-                cell.value = copy.copy(op.initial_value(default))
-                cell.present = True
-            value = cell.value
+            value = values.get(key := op.key, _ABSENT)
+            if value is _ABSENT:
+                value = values[key] = copy.copy(op.initial_value(default))
             cls = type(op)
             exact = type(value) is int or type(value) is float
             if cls is IncrementOp and exact:
@@ -156,23 +145,19 @@ class KeyValueStore:
             elif cls is DecrementOp and exact:
                 value -= op.amount
             elif cls is TimestampedWriteOp:
-                current = (
-                    (cell.write_stamp, value)
-                    if cell.write_stamp is not None
-                    else None
-                )
-                cell.write_stamp, value = op.apply_timestamped(current)
+                stamp = self._stamps.get(key)
+                current = (stamp, value) if stamp is not None else None
+                self._stamps[key], value = op.apply_timestamped(current)
             else:
                 value = op.apply(value)
                 if not op.is_write_op:
                     continue
-            cell.value = value
+            values[key] = value
         return value
 
     def stamp_of(self, key: str) -> Optional[Tuple[int, int]]:
         """Timestamp of the newest RITU write on ``key``, if any."""
-        cell = self._cells.get(key)
-        return cell.write_stamp if cell else None
+        return self._stamps.get(key)
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -181,20 +166,27 @@ class KeyValueStore:
         (crash simulation / convergence checks): mutable values are
         deep-copied, immutable scalars shared."""
         return StoreSnapshot(
-            values={
-                k: _detached(c.value)
-                for k, c in self._cells.items() if c.present
-            },
-            stamps={k: c.write_stamp for k, c in self._cells.items() if c.present},
+            values={k: _detached(v) for k, v in self._values.items()},
+            stamps={k: self._stamps.get(k) for k in self._values},
         )
+
+    def image(self) -> Tuple[Dict[str, Any], Dict[str, List[int]]]:
+        """The contents as a checkpoint holds them: a copy of the values
+        dict — its value objects shared, which no apply changes in place
+        (:meth:`restore` detaches them) — and, for each key that has
+        one, its write stamp as a list."""
+        return dict(self._values), {
+            key: list(stamp) for key, stamp in self._stamps.items()
+        }
 
     def restore(self, snapshot: StoreSnapshot) -> None:
         """Replace contents with a snapshot (crash recovery)."""
-        self._cells.clear()
-        for key, value in snapshot.values.items():
-            self.put(key, _detached(value))
-            self._cells[key].write_stamp = snapshot.stamps.get(key)
+        self._values = {k: _detached(v) for k, v in snapshot.values.items()}
+        self._stamps = {
+            key: stamp for key, stamp in snapshot.stamps.items()
+            if stamp is not None and key in self._values
+        }
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain mapping of present keys to values (for assertions)."""
-        return {k: self.get(k) for k in self.keys()}
+        return dict(self._values)

@@ -11,9 +11,11 @@ asserts exactly that.
 
 import json
 import os
+import pathlib
 
 import pytest
 
+from repro.live import durable_queue as dq
 from repro.live.durable_queue import DurableInbox
 from repro.live.protocol import encode_line, payload_blob
 
@@ -377,3 +379,132 @@ def test_compaction_copies_survivors_byte_for_byte(kind, tmp_path):
     ]
     assert [r["seq"] for r in survivors] == [3, 4, 5, 6, 7, 8]
     assert [r["payload"] for r in survivors[:4]] == AWKWARD[2:]
+
+
+class _Counted:
+    """A log opened for reading that counts the bytes read from it."""
+
+    def __init__(self, handle, reads):
+        self.handle, self.reads = handle, reads
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def seek(self, offset):
+        return self.handle.seek(offset)
+
+    def __iter__(self):
+        for line in self.handle:
+            self.reads.append(len(line))
+            yield line
+
+
+def _read_by_compaction(box, through, monkeypatch):
+    """``box.compact(through)`` and the bytes it read of the old log."""
+    reads = []
+    log, real_open = box.path, pathlib.Path.open
+
+    def counted(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        if path == log and mode == "rb":
+            return _Counted(handle, reads)
+        return handle
+
+    monkeypatch.setattr(pathlib.Path, "open", counted)
+    try:
+        dropped = box.compact(through)
+    finally:
+        monkeypatch.undo()
+    return dropped, sum(reads)
+
+
+def _runs(box, first, sizes):
+    """Append (or record) runs of ``sizes`` records numbered from
+    ``first``; returns the log's size before each run."""
+    starts = []
+    for size in sizes:
+        starts.append(box.path.stat().st_size)
+        blobs = [payload_blob({"n": first + i}) for i in range(size)]
+        if isinstance(box, DurableInbox):
+            box.record_many(blobs)
+        else:
+            box.append_many(None, blobs=blobs, releases=[None] * size)
+        first += size
+    return starts
+
+
+@pytest.mark.parametrize("kind", ["outbox", "inbox"])
+def test_a_cut_at_the_last_record_reads_nothing_of_the_old_log(
+    kind, tmp_path, monkeypatch
+):
+    """A quiescent snapshot's cut: every record goes, so compaction
+    seeks to the log's end and reads zero bytes — once a reload has
+    scanned it, and again after a rewrite."""
+    path = tmp_path / "peer.log"
+    box = _outbox(path) if kind == "outbox" else DurableInbox(path)
+    _runs(box, 1, [4, 4, 4])
+    if kind == "outbox":
+        box.ack_through(PEER, 12)
+    assert _read_by_compaction(box, 12, monkeypatch) == (12, 0)
+    _runs(box, 13, [3, 5])
+    if kind == "outbox":
+        box.ack_through(PEER, 20)
+    box.close()
+    box = _outbox(path) if kind == "outbox" else DurableInbox(path)
+    assert _read_by_compaction(box, 20, monkeypatch) == (8, 0)
+    box.close()
+
+
+@pytest.mark.parametrize("kind", ["outbox", "inbox"])
+def test_a_partial_cut_reads_only_from_its_mark(kind, tmp_path, monkeypatch):
+    """A cut inside the log reads from the first line of the group
+    holding its first survivor, and writes what parsing and re-dumping
+    the whole log gives, with the same dropped count."""
+    path = tmp_path / "peer.log"
+    box = _outbox(path) if kind == "outbox" else DurableInbox(path)
+    header = []
+    starts = _runs(box, 1, [4, 4, 4])
+    if kind == "outbox":
+        box.ack_through(PEER, 12)
+        header = [{"meta": "ack", "peer": PEER, "seq": 12}]
+    want = _redumped(path, 8, header)
+    size = path.stat().st_size
+    assert _read_by_compaction(box, 8, monkeypatch) == (8, size - starts[2])
+    assert path.read_text() == want
+
+    # A cut mid-group seeks to that group's first line.
+    starts = _runs(box, 13, [5, 5])
+    if kind == "outbox":
+        box.ack_through(PEER, 22)
+        header = [{"meta": "ack", "peer": PEER, "seq": 22}]
+    want = _redumped(path, 15, header)
+    size = path.stat().st_size
+    assert _read_by_compaction(box, 15, monkeypatch) == (7, size - starts[0])
+    assert path.read_text() == want
+    box.close()
+
+
+def test_a_log_keeps_a_bounded_number_of_marks(tmp_path, monkeypatch):
+    """Past ``_MARKS`` the oldest marks thin out: memory stays bounded,
+    a cut far behind the end reads a little more, and the rewrite is
+    still exactly the re-dumped log."""
+    path = tmp_path / "peer.log"
+    inbox = DurableInbox(path)
+    starts = _runs(inbox, 1, [2] * (2 * dq._MARKS))
+    assert len(inbox._marks) <= dq._MARKS
+    want = _redumped(path, 100)
+    size = path.stat().st_size
+    dropped, read = _read_by_compaction(inbox, 100, monkeypatch)
+    assert dropped == 100
+    assert size - starts[50] <= read < size - starts[25]
+    assert path.read_text() == want
+    # The newest marks are all kept: a cut near the end reads one group.
+    starts = _runs(inbox, 4 * dq._MARKS + 1, [2] * 8)
+    size = path.stat().st_size
+    assert _read_by_compaction(inbox, 4 * dq._MARKS + 14, monkeypatch) == (
+        4 * dq._MARKS + 14 - 100, size - starts[7]
+    )
+    inbox.close()

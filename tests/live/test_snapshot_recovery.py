@@ -12,7 +12,11 @@ scenario.
 """
 
 import asyncio
+import hashlib
 import json
+import math
+import pathlib
+import shutil
 
 import pytest
 
@@ -32,6 +36,7 @@ from repro.live import (
 )
 from repro.live import client as live_client
 from repro.live import server as live_server
+from repro.live import snapshot as snapshot_module
 from repro.live.client import LiveClient, request_once
 from repro.live.engine import make_engine
 from repro.live.protocol import ProtocolError
@@ -60,32 +65,38 @@ def _body(**overrides):
     return body
 
 
+def _with_version(image, version):
+    """``image`` with its envelope's version rewritten."""
+    return image.replace(b'{"version":4,', b'{"version":%d,' % version, 1)
+
+
 class TestSnapshotEnvelope:
     def test_seal_open_round_trip(self):
         body = _body()
-        envelope = seal_snapshot(body)
-        assert envelope["version"] == 3
-        assert open_snapshot(envelope) == body
+        image = seal_snapshot(body)
+        assert json.loads(image)["version"] == 4
+        assert open_snapshot(image) == body
 
     def test_tampered_body_is_rejected(self):
-        envelope = seal_snapshot(_body())
-        envelope["body"]["frontiers"]["site1"] = 999
+        image = seal_snapshot(_body())
+        tampered = image.replace(b'"site1":2', b'"site1":9')
+        assert tampered != image
         with pytest.raises(SnapshotError):
-            open_snapshot(envelope)
+            open_snapshot(tampered)
 
     def test_alien_version_is_rejected(self):
         # 1 is what trees before the positional operation codec wrote,
-        # 2 what trees before the COMPE operation log wrote.
-        for alien in (1, 2, 4):
-            envelope = seal_snapshot(_body())
-            envelope["version"] = alien
+        # 2 what trees before the COMPE operation log wrote; 3 checks
+        # the canonical encoding of the body, which is not what a
+        # version-4 image hashes.
+        for alien in (1, 2, 3, 5):
             with pytest.raises(SnapshotError):
-                open_snapshot(envelope)
+                open_snapshot(_with_version(seal_snapshot(_body()), alien))
 
     def test_missing_fields_are_rejected(self):
-        envelope = seal_snapshot({"site": "site0"})
+        image = seal_snapshot({"site": "site0"})
         with pytest.raises(SnapshotError):
-            open_snapshot(envelope)
+            open_snapshot(image)
 
     def test_store_round_trip(self, tmp_path):
         store = SnapshotStore(tmp_path / "snapshot.json")
@@ -183,13 +194,13 @@ class TestSnapshotVerb:
         """Every chunk of a pull is a slice of one verified read of the
         snapshot file; a capture after it is what the next pull gets."""
         loads = []
-        load_envelope = SnapshotStore.load_envelope
+        read = SnapshotStore.read
 
         def counted(store):
             loads.append(store.path)
-            return load_envelope(store)
+            return read(store)
 
-        monkeypatch.setattr(SnapshotStore, "load_envelope", counted)
+        monkeypatch.setattr(SnapshotStore, "read", counted)
 
         async def pull(addr):
             chunks, offset = [], 0
@@ -229,6 +240,52 @@ class TestSnapshotVerb:
                 data, _ = await pull(addr)
                 assert data == path.read_bytes() != image
                 assert loads == [path, path]
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_a_snapshot_encodes_its_image_once(self, tmp_path, monkeypatch):
+        """Capture encodes the image once, with the live codec — no
+        stdlib encode, no null for an unstamped key — and the checksum
+        covers exactly the bytes the file holds as its body."""
+        encodes, dumps = [], []
+        encode, stdlib_dumps = snapshot_module._encode, json.dumps
+
+        def counted_encode(obj):
+            encodes.append(obj)
+            return encode(obj)
+
+        def counted_dumps(*args, **kwargs):
+            dumps.append(args)
+            return stdlib_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(snapshot_module, "_encode", counted_encode)
+        monkeypatch.setattr(json, "dumps", counted_dumps)
+
+        async def scenario():
+            cluster = LiveCluster(
+                n_sites=2, method="commu", data_dir=tmp_path, **FAST
+            )
+            await cluster.start()
+            try:
+                client = await cluster.client("site0")
+                for i in range(40):
+                    await client.increment("k%d" % (i % 8), 1)
+                await cluster.settle()
+                server = cluster.servers["site0"]
+                encodes.clear()
+                dumps.clear()
+                summary = await server.take_snapshot()
+                assert summary["compacted"] == 40
+                assert len(encodes) == 1 and dumps == []
+                image = server.recovery.store.path.read_bytes()
+                body = image[image.index(b'"body":') + 7:-2]
+                assert json.loads(image)["checksum"] == (
+                    hashlib.sha256(body).hexdigest()
+                )
+                assert b"null" not in image
+                assert json.loads(body) == encodes[0]
             finally:
                 await cluster.stop()
 
@@ -754,16 +811,25 @@ def test_recovery_names_the_record_it_cannot_read(log_name, tmp_path):
     run(scenario())
 
 
+def _v3_image(body):
+    """``body`` as a version-3 tree wrote it: the checksum over the
+    canonical (sorted, compact) stdlib encoding of the body."""
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return (json.dumps({
+        "version": 3,
+        "checksum": hashlib.sha256(canonical.encode()).hexdigest(),
+        "body": body,
+    }, separators=(",", ":")) + "\n").encode()
+
+
 def test_a_version_1_snapshot_reads_as_absent(tmp_path):
     """The image of a tree that logged operations as objects: refused
     by the unknown-version path, like any alien envelope."""
     store = SnapshotStore(tmp_path / "snapshot.json")
-    envelope = seal_snapshot(_body())
-    store.save(envelope)
+    store.save(seal_snapshot(_body()))
     assert store.load() == _body()
-    envelope["version"] = 1
-    store.save(envelope)
-    assert store.load() is None and store.load_envelope() is None
+    store.save(_v3_image(_body()).replace(b'"version":3', b'"version":1'))
+    assert store.load() is None and store.read() is None
 
 
 def test_a_version_2_snapshot_reads_as_absent(tmp_path):
@@ -771,7 +837,165 @@ def test_a_version_2_snapshot_reads_as_absent(tmp_path):
     (``compe.undo``) instead of its operation log: refused by the
     unknown-version path."""
     store = SnapshotStore(tmp_path / "snapshot.json")
-    envelope = seal_snapshot(_body())
-    envelope["version"] = 2
-    store.save(envelope)
-    assert store.load() is None and store.load_envelope() is None
+    store.save(_v3_image(_body()).replace(b'"version":3', b'"version":2'))
+    assert store.load() is None and store.read() is None
+
+
+def test_a_version_3_snapshot_opens_under_its_own_rule(tmp_path):
+    """A version-3 image, checksummed over the canonical encoding of
+    its body, still opens; tampered, it does not."""
+    store = SnapshotStore(tmp_path / "snapshot.json")
+    image = _v3_image(_body())
+    store.save(image)
+    assert store.load() == _body()
+    assert store.served_bytes() == image
+    store.save(image.replace(b'"site1":2', b'"site1":9'))
+    assert store.load() is None
+
+
+# ---------------------------------------------------------------------------
+# An image that does not open, below compacted logs; older images.
+# ---------------------------------------------------------------------------
+
+
+def test_a_compacted_replica_whose_image_does_not_open_refuses_to_boot(
+    tmp_path,
+):
+    """Without its image, a replica whose logs were compacted holds
+    only their tails: booting would serve that as its state.  It is
+    refused instead — the image and the floors named, nothing applied,
+    the image and the log left as they were found."""
+
+    async def scenario():
+        cluster = LiveCluster(
+            n_sites=1, method="commu", data_dir=tmp_path, fsync=True, **FAST
+        )
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            for _ in range(5):
+                await client.increment("x", 1)
+            summary = await cluster.snapshot("site0")
+            assert summary["compacted"] == 5
+            await client.increment("x", 1)
+        finally:
+            await cluster.stop()
+
+        data = tmp_path / "site0"
+        image = data / "snapshot.json"
+        image.write_bytes(image.read_bytes()[:50])  # torn
+        kept = [image, data / "replication.log"]
+        before = [path.read_bytes() for path in kept]
+        server = ReplicaServer(
+            "site0", peers=["site0"], data_dir=data, method="commu",
+            fsync=True,
+        )
+        try:
+            with pytest.raises(SnapshotError) as refused:
+                await server.bind("127.0.0.1", 0)
+        finally:
+            await server.stop()
+        message = str(refused.value)
+        assert str(image) in message
+        assert "'replication': 5" in message
+        assert server.engine.applied_count == 0
+        assert server.engine.store.as_dict() == {}
+        assert [path.read_bytes() for path in kept] == before
+
+    run(scenario())
+
+
+#: the data dir of ``site0`` of a 2-site COMMU cluster as a version-3
+#: tree left it (``tests/live/data/v3``): five increments of ``x`` and
+#: two of ``big`` by 1e308 at site0, five of ``café`` by 2 at site1, a
+#: snapshot on both sites that compacted every log, then one more
+#: increment of ``x`` here and of ``y`` by 3 there, settled.
+V3_DATA = pathlib.Path(__file__).parent / "data" / "v3" / "site0"
+V3_STORE = {"x": 6, "café": 10, "big": math.inf, "y": 3}
+
+
+def test_a_version_3_data_dir_boots_into_its_image(tmp_path):
+    """A data dir written before images were spliced boots into the same
+    store, and its next snapshot is a version-4 image that does too."""
+    data = tmp_path / "site0"
+    shutil.copytree(V3_DATA, data)
+    assert json.loads((data / "snapshot.json").read_text())["version"] == 3
+
+    async def boot():
+        server = ReplicaServer(
+            "site0", peers=["site0", "site1"], data_dir=data,
+            method="commu", fsync=True,
+        )
+        try:
+            await server.bind("127.0.0.1", 0)
+            store = server.engine.store.as_dict()
+            assert server.engine.applied_count == 14
+            assert server.log.assigned == 8
+            assert server.inboxes["site1"].frontier == 6
+            await server.take_snapshot()
+        finally:
+            await server.stop()
+        return store
+
+    assert run(boot()) == V3_STORE
+    assert (data / "snapshot.json").read_bytes().startswith(
+        b'{"version":4,'
+    )
+    assert run(boot()) == V3_STORE
+
+
+def test_an_awkward_image_is_pulled_in_chunks_and_installs(
+    tmp_path, monkeypatch
+):
+    """An image holding a non-ASCII key and an overflowed value is pure
+    ASCII on disk, crosses a chunked pull, and installs the same store
+    at the peer — after its checksum refused a pull with one byte
+    changed."""
+    monkeypatch.setattr(live_server, "SNAPSHOT_CHUNK", 64)
+    served = SnapshotStore.served_bytes
+    tamper = []
+
+    def serve(store):
+        data = served(store)
+        if tamper and data is not None:
+            at = data.index(b"caf")
+            data = data[:at] + b"kaf" + data[at + 3:]
+        return data
+
+    monkeypatch.setattr(SnapshotStore, "served_bytes", serve)
+
+    async def scenario():
+        cluster = LiveCluster(
+            n_sites=2, method="commu", data_dir=tmp_path, **FAST
+        )
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            await client.increment("café", 2)
+            await client.increment("big", 1e308)
+            await client.increment("big", 1e308)
+            await client.increment("\U0001d11e", 1)
+            await cluster.settle()
+            want = cluster.servers["site0"].engine.store.as_dict()
+            assert want["big"] == math.inf
+            await cluster.snapshot("site0")
+            image = cluster.servers["site0"].recovery.store.path.read_bytes()
+            assert image.isascii() and len(image) > 3 * 64
+            assert b"Infinity" in image
+
+            target = cluster.servers["site1"]
+            tamper.append(True)
+            with pytest.raises(SnapshotError, match="checksum"):
+                await target._fetch_snapshot("site0")
+            assert target.recovery.installs == 0
+            tamper.clear()
+            assert await target._fetch_snapshot("site0") == "install"
+            assert target.recovery.installs == 1
+            assert target.engine.store.as_dict() == want
+            assert target.recovery.store.load()["engine"]["store"][
+                "values"
+            ] == want
+        finally:
+            await cluster.stop()
+
+    run(scenario())
