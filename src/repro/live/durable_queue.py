@@ -127,6 +127,7 @@ per change, folded on reload, rewritten to the fold at compaction.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import pathlib
@@ -468,7 +469,7 @@ class _DurableLog:
             self._log.close()
 
 
-def _identity(payload: Any) -> Any:
+def _identity(seq: int, payload: Any) -> Any:
     return payload
 
 
@@ -476,8 +477,10 @@ class DurableOutbox(_DurableLog):
     """A replica's replication log: every MSet it originates, logged
     once, with one cursor per peer into it.
 
-    ``release`` maps a payload to what :meth:`ack_through` hands back
-    once every peer holds it; it runs once per record read back into
+    ``release`` maps a record's ``(seq, payload)`` to what
+    :meth:`ack_through` hands back once every peer holds it (a plain
+    update's payload does not carry its tid: its seq does); it runs
+    once per record read back into
     the window (reload, rewind), and once per appended record whose
     caller did not pass its release, so the window never holds the
     payload unless ``release`` keeps it (the identity, by default)."""
@@ -486,7 +489,7 @@ class DurableOutbox(_DurableLog):
         self,
         path: pathlib.Path,
         fsync: bool = False,
-        release: Callable[[Any], Any] = _identity,
+        release: Callable[[int, Any], Any] = _identity,
     ) -> None:
         super().__init__(path, fsync)
         self._release = release
@@ -543,7 +546,11 @@ class DurableOutbox(_DurableLog):
         }
         # The scan held payloads; what is still owed is held from here
         # on as its window entry.
-        self._window = list(map(self._held, self._window[self._start:]))
+        self._window = list(map(
+            self._held,
+            itertools.count(self._head + 1),
+            self._window[self._start:],
+        ))
         self._start = 0
         self.released_hi = self._head
         self._open_log()
@@ -583,7 +590,9 @@ class DurableOutbox(_DurableLog):
         if blobs is None:
             blobs = list(map(payload_blob, payloads))
         if releases is None:
-            releases = list(map(self._release, payloads))
+            releases = list(map(
+                self._release, itertools.count(self._seq + 1), payloads
+            ))
         first = self._seq + 1
         self._write_records(first, len(blobs), _record_lines(first, blobs))
         self._seq += len(blobs)
@@ -594,9 +603,13 @@ class DurableOutbox(_DurableLog):
             self._head = self.released_hi = self._seq
         return list(range(first, self._seq + 1))
 
-    def _held(self, payload: Any) -> Tuple[bytes, Any]:
-        """The window entry of a record read back from the file."""
-        return payload_blob(payload), self._release(payload)
+    def _held(self, seq: int, payload: Any) -> Tuple[bytes, Any]:
+        """The window entry of a record read back from the file; one
+        ``release`` refuses names the file and the record."""
+        try:
+            return payload_blob(payload), self._release(seq, payload)
+        except ProtocolError as exc:
+            raise self.unreadable(seq, exc) from exc
 
     def drained(self) -> bool:
         """True when every peer has acknowledged everything."""
@@ -665,15 +678,15 @@ class DurableOutbox(_DurableLog):
             self._start = 0
 
     def _rewind(
-        self, ack_seq: int, hold: Callable[[Any], Any]
+        self, ack_seq: int, hold: Callable[[int, Any], Any]
     ) -> bool:
         """Make room for a cursor at ``ack_seq``: below the slowest
         cursor the records ``(ack_seq, _head]`` come back from the file
-        into the window, each as ``hold(payload)``; False (and no
+        into the window, each as ``hold(seq, payload)``; False (and no
         change) when the log no longer holds all of them."""
         if ack_seq < self._head:
             again = [
-                hold(payload)
+                hold(seq, payload)
                 for seq, payload in self._logged()
                 if ack_seq < seq <= self._head
             ]

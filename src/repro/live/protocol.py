@@ -29,9 +29,12 @@ peer's inbox line.
   sequence number ``<= seq``.
 
 A batch entry is an *opaque payload blob*: the canonical JSON bytes of
-one channel payload, computed once when an MSet enters its
+one channel payload, computed once when an update enters its
 replication log and forwarded byte-for-byte from then on (zero
-re-encode relay).  :func:`decode_bin_frame` validates a body totally —
+re-encode relay).  A plain update's payload is the array of its
+operations — its tid is its origin and log position — and any other
+entry's is ``{"mset": ...}`` (:func:`~repro.replica.mset.decode_payloads`
+reads both).  :func:`decode_bin_frame` validates a body totally —
 every malformation is a :class:`ProtocolError` — and :func:`read_frame`
 decodes both kinds to dicts keyed by ``"type"``.
 
@@ -61,7 +64,6 @@ import asyncio
 import functools
 import json
 import struct
-from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import orjson
@@ -75,6 +77,7 @@ from ..replica.mset import (
     decode_mset,
     decode_op,
     decode_ops,
+    decode_payloads,
     encode_mset,
     encode_op,
     encode_ops,
@@ -96,7 +99,7 @@ __all__ = [
     "plain_update_blob",
     "plain_reply_frame",
     "check_request_id",
-    "decode_batch_msets",
+    "decode_batch_payloads",
     "encode_bin_batch_frame",
     "encode_bin_ack_frame",
     "decode_bin_frame",
@@ -108,6 +111,7 @@ __all__ = [
     "decode_spec",
     "encode_mset",
     "decode_mset",
+    "decode_payloads",
     "decode_gossip",
     "_keyless",
     "_wrong_arity",
@@ -137,8 +141,6 @@ _ACK_BODY = struct.Struct(">BQ")     # kind, cumulative channel seq
 
 #: the highest channel seq: a run must end at or below it.
 _SEQ_MAX = 2 ** 64 - 1
-#: the key of a batch payload's MSet, as ``map`` reads it from each.
-_MSET = repeat("mset")
 #: a plain update's ok response body, around its id and its tid's
 #: quoted origin (unclosed) and seq.
 _PLAIN_REPLY = (
@@ -507,17 +509,13 @@ def _encoded_name(name: str) -> bytes:
     return _encode(name)
 
 
-def plain_update_blob(origin: str, seq: int, ops: list) -> bytes:
-    """:func:`payload_blob` of the plain update ``origin`` logs as
-    ``seq`` — ``{"mset": encode_mset(...)}`` with exactly ``tid``
-    (``"<origin>:<seq>"``), ``ops`` and ``origin`` — byte for byte,
-    spliced around one encode of ``ops``: a ``:`` and digits need no
-    escape, so the tid encodes as the name does with ``:<seq>`` inside
-    its quotes.  Built by ``%``, the blob is its exact size."""
-    name = _encoded_name(origin)
-    return b'{"mset":{"tid":%s:%d","ops":%s,"origin":%s}}' % (
-        name[:-1], seq, _encode(ops), name,
-    )
+def plain_update_blob(ops: list) -> bytes:
+    """:func:`payload_blob` of a plain update, whose payload is its
+    operations' arrays ``ops`` (its tid is where it is logged, its
+    origin whose log that is): one encode, copied to its exact size.
+    Not :func:`payload_blob` itself, so a benchmark that times that
+    function times the payloads of other entries alone."""
+    return bytes(memoryview(_encode(ops)))
 
 
 def check_request_id(rid: Any) -> None:
@@ -544,7 +542,9 @@ def plain_reply_frame(rid: int, origin: str, seq: int) -> bytes:
     """:func:`encode_frame` of the ok response to the plain update
     ``origin`` logged as ``seq`` — ``{"type": "response", "id": rid,
     "ok": True, "tid": "<origin>:<seq>", "values": {}}`` — byte for
-    byte, spliced as :func:`plain_update_blob` quotes the site name.
+    byte, spliced around the site name's encoding: a ``:`` and digits
+    need no escape, so the tid encodes as the name does with ``:<seq>``
+    inside its quotes.
     Raises ``TypeError`` for an ``rid`` orjson would not encode as
     that integer (not exactly an ``int``, or past 64 bits), and
     ``ProtocolError`` past ``MAX_FRAME``, as :func:`encode_frame`
@@ -565,29 +565,20 @@ def _read_blob(blob: bytes) -> Any:
         raise ProtocolError("payload blob is not JSON: %s" % exc) from exc
 
 
-def decode_batch_msets(blobs: Sequence[bytes]) -> List[Any]:
-    """The ``mset`` of each payload of a run of batch entries, in order
-    (None for a payload without one, which ``decode_mset`` refuses).
-    The run is accepted iff each blob is — iff the inbox log line it is
-    spliced into reads back as it: holding no raw newline to cut that
-    line in two (one search over the run), parsed on its own by the
-    logs' reader (orjson mapped over the run, else :func:`loads` blob
-    by blob), and a JSON object (``dict.get`` takes nothing else).  A
-    refused run raises :class:`ProtocolError`.
-
-    A payload is dropped as soon as its ``mset`` is read: a run's
-    payloads held at once would take their containers through the
-    young GC generation together — on a drain, about ten times the
-    gen-0 collections."""
+def decode_batch_payloads(blobs: Sequence[bytes]) -> List[Any]:
+    """The payload of each of a run of batch entries, in order, for
+    :func:`~repro.replica.mset.decode_payloads`.  The run is accepted
+    iff each blob is — iff the inbox log line it is spliced into reads
+    back as it: holding no raw newline to cut that line in two (one
+    search over the run), and parsed on its own by the logs' reader
+    (orjson mapped over the run, else :func:`loads` blob by blob).  A
+    refused run raises :class:`ProtocolError`."""
     if b"".join(blobs).find(b"\n") >= 0:
         raise ProtocolError("payload blob holds a raw newline")
     try:
-        try:
-            return list(map(dict.get, map(orjson.loads, blobs), _MSET))
-        except orjson.JSONDecodeError:
-            return list(map(dict.get, map(_read_blob, blobs), _MSET))
-    except TypeError:
-        raise ProtocolError("payload blob is not an object") from None
+        return list(map(orjson.loads, blobs))
+    except orjson.JSONDecodeError:
+        return list(map(_read_blob, blobs))
 
 
 def encode_bin_batch_frame(

@@ -140,8 +140,9 @@ from .protocol import (
     ProtocolError,
     connect_frames,
     decode_gossip,
+    decode_batch_payloads,
     decode_ops,
-    decode_batch_msets,
+    decode_payloads,
     decode_spec,
     encode_bin_ack_frame,
     encode_bin_batch_frame,
@@ -262,18 +263,22 @@ def _dialed(dial: "asyncio.Future[FrameProtocol]") -> Optional[FrameProtocol]:
     return None
 
 
-def _full_ack_release(payload: Dict[str, Any]) -> Tuple[str, Tuple[str, ...]]:
-    """What a replication-log record releases once every peer holds
-    it: its MSet's ``(tid, keys)``, the keys as ``MSet.keys`` —
-    distinct, in first-write order.  Read from the encoded payload
-    once, when a record is read back into the log's window (reload,
-    rewind), so an ack decodes nothing; the commit group passes the
-    pairs it holds instead."""
-    mset = payload["mset"]
-    ops = mset["ops"]
+def _full_ack_release(
+    origin: str, seq: int, payload: Any
+) -> Tuple[str, Tuple[str, ...]]:
+    """What the record ``origin``'s replication log holds as ``seq``
+    releases once every peer holds it: its ``(tid, keys)``, the keys as
+    ``MSet.keys`` — distinct, in first-write order.  Read from the
+    payload (:func:`decode_payloads`) once, when a record is read back
+    into the log's window (reload, rewind), so an ack decodes nothing;
+    the commit group passes the pairs it holds instead."""
+    entry = decode_payloads(origin, seq, (payload,), pairs=True)[0]
+    if type(entry) is not tuple:
+        return entry.tid, entry.keys
+    tid, ops = entry
     if len(ops) == 1:
-        return mset["tid"], (ops[0][1],)
-    return mset["tid"], tuple({op[1]: None for op in ops})
+        return tid, (ops[0][1],)
+    return tid, tuple({op[1]: None for op in ops})
 
 
 async def _dial_peer(
@@ -638,12 +643,11 @@ class ReplicaServer:
         self.log = DurableOutbox(
             self.data_dir / "replication.log",
             self.fsync,
-            release=_full_ack_release,
+            release=functools.partial(_full_ack_release, self.name),
         )
         for peer in self.peer_names:
             self._open_channel(peer)
         self._control = ControlLog(self.data_dir / "control.log", self.fsync)
-        self.membership.open(self._control)
         self.election = Sequencer(self._control)
         self.m_record_load_errors.labels(record="control").set_to(
             self._control.load_errors
@@ -654,6 +658,9 @@ class ReplicaServer:
             self.engine, self.log, self.inboxes, self.election,
         )
         self.recovery.recover(self.engine.clock())
+        # A boot recovery refuses leaves the control log as it was: the
+        # incarnation rises only for a replica that will serve.
+        self.membership.open(self._control)
         self._running = True
         self._loop = asyncio.get_running_loop()
         self._server = await self._loop.create_server(
@@ -1389,9 +1396,9 @@ class ReplicaServer:
         Every entry is fully checked *before* anything is durably
         recorded, in the form the engine applies it in
         (:meth:`LiveEngine.decode_remote`: COMMU's checked operation
-        arrays, every other method's MSets): a malformed MSet, or a
+        arrays, every other method's MSets): a malformed entry, or a
         blob whose log line would not read back
-        (:func:`~repro.live.protocol.decode_batch_msets`, one step
+        (:func:`~repro.live.protocol.decode_batch_payloads`, one step
         over the run), must raise ``ProtocolError`` here (dropping the
         connection)
         rather than poison the inbox log, where replay would crash on
@@ -1421,7 +1428,9 @@ class ReplicaServer:
             fresh = ()
             self.recovery.evidence(src)
         if fresh:
-            batch = self.engine.decode_remote(decode_batch_msets(fresh))
+            batch = self.engine.decode_remote(
+                src, inbox.frontier + 1, decode_batch_payloads(fresh)
+            )
             # Every entry checked (see docstring): now record + apply.
             # The blobs are the receipts frontier + 1 onwards.
             inbox.record_many(blobs=fresh)
@@ -2425,8 +2434,8 @@ class ReplicaServer:
         append, so it is never client-acked and leaves no gap.  The
         rest are numbered ``log.assigned + 1 ...`` in queue order (the
         log position *is* the tid) and entered in their form — a plain
-        update as its request arrays, logged as the blob spliced around
-        them (:func:`plain_update_blob`), anything else as its MSet —
+        update as its request arrays, logged as their one encode
+        (:func:`plain_update_blob`), anything else as its MSet —
         serialised once — the same bytes are the log line and, on a
         binary channel, what every peer is sent — and get their commit
         futures before one :meth:`_commit_entries` logs, syncs and
@@ -2489,7 +2498,7 @@ class ReplicaServer:
                 if type(form) is tuple:
                     ops, keys = form
                     entries.append((tid, ops, keys))
-                    blobs.append(plain_update_blob(name, seq, ops))
+                    blobs.append(plain_update_blob(ops))
                     updates.append((tid, keys))
                     if member is None:
                         outcomes[at] = seq  # its reply, spliced

@@ -49,7 +49,7 @@ import os
 import pathlib
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..replica.mset import MSet, ProtocolError, decode_mset
+from ..replica.mset import MSet, ProtocolError, decode_payloads
 from .protocol import _encode, loads
 
 __all__ = [
@@ -205,6 +205,11 @@ def write_atomic(path: pathlib.Path, data: bytes) -> None:
     fsync_dir(path.parent)
 
 
+def _file_version(st: os.stat_result) -> Tuple[int, int, int]:
+    """A file version: a rename over the path is a new inode."""
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
 class SnapshotStore:
     """Atomic persistence for one site's snapshot file."""
 
@@ -212,13 +217,16 @@ class SnapshotStore:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         #: ``(file identity, bytes)`` of the image :meth:`served_bytes`
-        #: last verified.
+        #: serves: the one :meth:`save` wrote, or last verified.
         self._served: Optional[Tuple[Tuple[int, int, int], bytes]] = None
 
     def save(self, data: bytes) -> int:
         """Persist an image file's bytes (:func:`seal_snapshot`)
-        atomically (temp + fsync + rename); returns their size."""
+        atomically (temp + fsync + rename); returns their size.  The
+        bytes are served from here on as they were written, under the
+        new file's identity: serving them reads nothing back."""
         write_atomic(self.path, data)
+        self._served = (_file_version(self.path.stat()), data)
         return len(data)
 
     def load(self) -> Optional[Dict[str, Any]]:
@@ -248,7 +256,8 @@ class SnapshotStore:
         """The verified file, as its bytes are, for a catching-up peer;
         or None.
 
-        Read and verified once per version of the file: the bytes are
+        Read and verified once per version of the file this store did
+        not write itself (:meth:`save` keeps what it wrote): the bytes are
         kept under the file's ``(st_ino, st_size, st_mtime_ns)``, so
         every chunk of one pull slices the same bytes, and a capture
         between two chunks (an atomic rename: a new inode) changes what
@@ -258,7 +267,7 @@ class SnapshotStore:
             st = self.path.stat()
         except OSError:
             return None
-        version = (st.st_ino, st.st_size, st.st_mtime_ns)
+        version = _file_version(st)
         if self._served is not None and self._served[0] == version:
             return self._served[1]
         read = self.read()
@@ -445,9 +454,9 @@ class Recovery:
             self.election.fence(self.engine)
         engine, log = self.engine, self.log
 
-        def logged(box: Any, seq: int, payload: Dict[str, Any]) -> MSet:
+        def logged(box: Any, origin: str, seq: int, payload: Any) -> MSet:
             try:
-                return decode_mset(payload["mset"])
+                return decode_payloads(origin, seq, (payload,))[0]
             except ProtocolError as exc:
                 raise box.unreadable(seq, exc) from exc
 
@@ -460,7 +469,7 @@ class Recovery:
         for seq, payload in log.replay():
             if seq <= floor and seq <= acked:
                 continue  # inside the image, owed to nobody
-            mset = logged(log, seq, payload)
+            mset = logged(log, self.site, seq, payload)
             if seq <= floor:
                 held.append(mset)
                 continue
@@ -471,7 +480,9 @@ class Recovery:
             floor = floors.get(src, 0)
             for seq, payload in box.replay():
                 if seq > floor:
-                    engine.accept(logged(box, seq, payload), local=False)
+                    engine.accept(
+                        logged(box, src, seq, payload), local=False
+                    )
         # Fully acknowledged before the crash: release the lock-counters
         # replay re-raised.  The inverse hole — local updates inside the
         # image still awaiting a peer's ack — re-raises them, so origin

@@ -45,9 +45,9 @@ from .base import LockCounterSiteState, OrderedApplyBuffer
 from .mset import (
     MSet,
     MSetKind,
-    check_ops_many,
     decode_mset,
     decode_op,
+    decode_payloads,
     encode_mset,
     encode_op,
 )
@@ -374,13 +374,16 @@ class LiveEngine:
             info=info,
         )
 
-    def decode_remote(self, entries: Sequence[Any]) -> List[Any]:
-        """The form this engine applies each peer batch entry (an
-        encoded MSet, ``decode_mset``'s input) in, for
+    def decode_remote(
+        self, src: str, first: int, payloads: Sequence[Any]
+    ) -> List[Any]:
+        """The form this engine applies each entry of a peer batch in —
+        the payloads ``src`` logged as ``first``, ``first + 1``, ...
+        (:func:`~repro.replica.mset.decode_payloads`) — for
         :meth:`accept_batch` with ``local=False``: by default its
         :class:`MSet`.  Every refusal is a ``ProtocolError``, raised
         before the receiver records anything."""
-        return [decode_mset(data) for data in entries]
+        return decode_payloads(src, first, payloads)
 
     def accept(self, mset: MSet, local: bool = False) -> List[MSet]:
         """Process one delivered MSet; returns the MSets applied now.
@@ -721,31 +724,16 @@ class CommuLiveEngine(LiveEngine):
     def validate_update(self, ops: Sequence[Operation]) -> None:
         check_ops_commutative(ops)
 
-    def decode_remote(self, entries: Sequence[Any]) -> List[Any]:
-        """A plain update entry (:func:`~repro.replica.mset.plain_update`'s
-        shape, tested here inline) is applied as ``(tid, ops)``, ``ops``
-        its checked wire arrays themselves: under COMMU a remote copy
-        only has to change the store, so no :class:`MSet` and no
-        operation object is built for it.  Any other entry is decoded
-        into its :class:`MSet`.  The plain entries' arrays are checked
-        in one pass over the batch (``check_ops_many``)."""
-        out: List[Any] = []
-        arrays: List[Any] = []
-        for data in entries:
-            if (
-                type(data) is dict
-                and len(data) == 3
-                and type(data.get("origin")) is str
-                and "tid" in data
-                and "ops" in data
-            ):
-                ops = data["ops"]
-                out.append((data["tid"], ops))
-                arrays.append(ops)
-            else:
-                out.append(decode_mset(data))
-        check_ops_many(arrays)
-        return out
+    def decode_remote(
+        self, src: str, first: int, payloads: Sequence[Any]
+    ) -> List[Any]:
+        """A plain update's payload (an array) is applied as ``(tid,
+        ops)``, ``ops`` its checked wire arrays themselves: under COMMU
+        a remote copy only has to change the store, so no :class:`MSet`
+        and no operation object is built for it.  Any other entry is
+        decoded into its :class:`MSet`.  The arrays are checked in one
+        pass over the batch."""
+        return decode_payloads(src, first, payloads, pairs=True)
 
     plain_form = True
 

@@ -14,7 +14,9 @@ site]]`` — with finite arguments and a non-zero divisor, or
 :func:`encode_op` and :func:`decode_op` raise :class:`ProtocolError`;
 an encoded MSet omits what it leaves at its default.  Decoding is one
 checking pass over one table: :func:`check_ops` runs it alone,
-:func:`decode_ops` builds the operations as it goes.
+:func:`decode_ops` builds the operations as it goes.  A logged or
+relayed entry's payload is a plain update's operations alone, or
+``{"mset": ...}``; :func:`decode_payloads` reads both.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ __all__ = [
     "decode_ops",
     "check_ops",
     "check_ops_many",
-    "plain_update",
     "encode_mset",
     "decode_mset",
+    "decode_payloads",
 ]
 
 
@@ -351,37 +353,15 @@ def encode_mset(mset: MSet, ops: Optional[list] = None) -> Dict[str, Any]:
     return out
 
 
-def plain_update(data: Any) -> Optional[Tuple[Any, Any, str]]:
-    """``(tid, ops, origin)`` of the entry :func:`encode_mset` writes
-    for every plain update — exactly ``tid``, ``ops`` and a ``str``
-    ``origin`` — or None for any other shape.  ``ops`` is not checked
-    yet."""
-    if type(data) is dict and len(data) == 3:
-        try:
-            tid, ops, origin = data["tid"], data["ops"], data["origin"]
-        except KeyError:
-            return None
-        if type(origin) is str:
-            return tid, ops, origin
-    return None
-
-
 def decode_mset(data: Dict[str, Any]) -> MSet:
     """Decode one encoded MSet, totally: any malformed payload raises
     :class:`ProtocolError`, never a bare ``ValueError``/``TypeError``
     that would escape the receiver's protocol-error handling (and
     leave ``data_received`` with an unhandled exception).
 
-    A :func:`plain_update` is built directly, with the defaults the
-    field-by-field path derives for it; any other shape is decoded
-    field by field.  A check added to one path belongs in both.
+    A plain update's entry written by a tree from before the array
+    form (exactly ``tid``, ``ops`` and ``origin``) is one of these.
     """
-    plain = plain_update(data)
-    if plain is not None:
-        return _fill(
-            _new(MSet), plain[0], MSetKind.UPDATE, decode_ops(plain[1]),
-            plain[2], None, None, (),
-        )
     if not isinstance(data, dict):
         raise ProtocolError("mset must be an object: %r" % (data,))
     get = data.get
@@ -416,3 +396,54 @@ def decode_mset(data: Dict[str, Any]) -> MSet:
         get("txn"),
         info,
     )
+
+
+# -- log and wire payloads ---------------------------------------------------
+
+#: the entry types of a run of plain updates' payloads alone.
+_ARRAYS = {list}
+
+
+def decode_payloads(
+    origin: str, first: int, payloads: Sequence[Any], pairs: bool = False
+) -> List[Any]:
+    """The entry each of ``payloads`` applies as — the records
+    ``origin`` logged as ``first``, ``first + 1``, ... — the one reader
+    of the payload format, for a peer batch, a log replay and an
+    outbox reload alike.
+
+    An array is a plain update's payload: its write operations'
+    encodings.  Its tid is ``"<origin>:<seq>"`` — its log position, so
+    the payload does not carry it — and it comes back as ``(tid,
+    ops)``, ``ops`` the checked arrays themselves, with ``pairs``; else
+    as its :class:`MSet`.  An object is any other entry, ``{"mset":
+    ...}``, and comes back as its ``mset`` decoded (:func:`decode_mset`).
+    Anything else is refused, as is any malformed entry, with
+    :class:`ProtocolError`.  With ``pairs`` the arrays of the run are
+    checked in one pass, and a run of arrays alone builds no
+    :class:`MSet` and no dict."""
+    if pairs and {*map(type, payloads)} == _ARRAYS:
+        # The common run: a peer's plain updates, nothing else.
+        check_ops_many(payloads)
+        seqs = range(first, first + len(payloads))
+        return list(zip([f"{origin}:{seq}" for seq in seqs], payloads))
+    out: List[Any] = []
+    arrays = []
+    for seq, payload in enumerate(payloads, first):
+        if type(payload) is list:
+            if pairs:
+                out.append((f"{origin}:{seq}", payload))
+                arrays.append(payload)
+            else:
+                out.append(_fill(
+                    _new(MSet), f"{origin}:{seq}", MSetKind.UPDATE,
+                    decode_ops(payload), origin, None, None, (),
+                ))
+        elif type(payload) is dict:
+            out.append(decode_mset(payload.get("mset")))
+        else:
+            raise ProtocolError(
+                "payload must be an array or an object: %r" % (payload,)
+            )
+    check_ops_many(arrays)
+    return out

@@ -24,7 +24,9 @@ from repro.live.protocol import (
     encode_bin_batch_frame,
     encode_mset,
     payload_blob,
+    plain_update_blob,
 )
+from repro.replica import mset as mset_module
 from repro.replica.mset import MSet
 from repro.core.operations import IncrementOp, TimestampedWriteOp
 
@@ -267,19 +269,9 @@ class TestFrameSizing:
 
 def _forged_blobs(src, first, last):
     """Payload blobs of unit increments from ``src``, seqs ``first`` to
-    ``last``."""
+    ``last``: plain updates, each its operations' arrays."""
     return [
-        payload_blob(
-            {
-                "mset": encode_mset(
-                    MSet(
-                        tid="%s:%d" % (src, seq),
-                        ops=(IncrementOp("acct0", 1),),
-                        origin=src,
-                    )
-                )
-            }
-        )
+        plain_update_blob([["inc", "acct0", 1]])
         for seq in range(first, last + 1)
     ]
 
@@ -437,7 +429,7 @@ class TestWireInterop:
                 blobs = _forged_blobs("site1", 1, 3)
                 poisoned = list(blobs)
                 poisoned[at] = poison(blobs[at])
-                assert json.loads(poisoned[at])["mset"]["tid"]
+                assert json.loads(poisoned[at]) == [["inc", "acct0", 1]]
                 raw = await RawConn.open(*cluster.addrs["site0"])
                 raw.send({"type": "peer-hello", "src": "site1"})
                 raw.write(encode_bin_batch_frame("site1", 1, poisoned))
@@ -464,6 +456,64 @@ class TestWireInterop:
 
         run(scenario())
 
+
+    def test_a_plain_run_is_one_check_pass_and_builds_no_mset(
+        self, monkeypatch
+    ):
+        """A full frame of a peer's plain updates — 256 arrays — is
+        checked in one ``check_ops_many`` pass over the run and applied
+        as ``(tid, arrays)`` pairs: no ``decode_mset``, no MSet and no
+        operation is built for any of them (pinned by count: the
+        receiver's traced span holds every cost together)."""
+
+        async def scenario():
+            cluster = LiveCluster(n_sites=2, method="commu")
+            await cluster.start()
+            try:
+                await cluster.kill("site1")  # the forged frames own the seqs
+                counts = {"passes": [], "decodes": 0, "msets": 0, "ops": 0}
+                check, decode = (
+                    mset_module.check_ops_many, mset_module.decode_mset
+                )
+                fill = mset_module._fill
+
+                def checking(run):
+                    counts["passes"].append(len(run))
+                    return check(run)
+
+                def counting(kind, real):
+                    def count(*args):
+                        counts[kind] += 1
+                        return real(*args)
+
+                    return count
+
+                monkeypatch.setattr(mset_module, "check_ops_many", checking)
+                monkeypatch.setattr(
+                    mset_module, "decode_mset", counting("decodes", decode)
+                )
+                monkeypatch.setattr(
+                    mset_module, "_fill", counting("msets", fill)
+                )
+                for cls, _, _ in set(mset_module._OPS.values()):
+                    monkeypatch.setattr(
+                        cls, "__init__", counting("ops", cls.__init__)
+                    )
+                raw = await RawConn.open(*cluster.addrs["site0"])
+                raw.send({"type": "peer-hello", "src": "site1"})
+                raw.write(_forged_batch("site1", 1, 256))
+                assert await raw.recv(timeout=5) == {"type": "ack", "seq": 256}
+                await raw.close()
+                assert counts == {
+                    "passes": [256], "decodes": 0, "msets": 0, "ops": 0,
+                }
+                monkeypatch.undo()
+                client = await cluster.client("site0")
+                assert await client.read("acct0") == 256
+            finally:
+                await cluster.stop()
+
+        run(scenario())
 
     def test_entry_with_a_malformed_stamp_is_refused_before_recording(
         self, tmp_path

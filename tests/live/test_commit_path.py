@@ -49,7 +49,13 @@ from repro.core.operations import (
 from repro.core.transactions import EpsilonSpec
 from repro.live import FaultPlan, LiveCluster, LiveETFailed, protocol
 from repro.live.engine import QueryTimeout
-from repro.live.protocol import decode_mset, encode_mset, loads, payload_blob
+from repro.live.protocol import (
+    decode_payloads,
+    encode_mset,
+    encode_op,
+    loads,
+    payload_blob,
+)
 
 
 class _Crash(Exception):
@@ -87,14 +93,23 @@ def _record_group_sizes(server, sizes):
     server.log.append_many = append_many
 
 
-def _logged_msets(server):
-    """The data records of ``server``'s replication log, as (seq, mset)."""
+def _logged_payloads(server):
+    """The data records of ``server``'s replication log, as (seq,
+    payload)."""
     lines = (server.data_dir / "replication.log").read_text().splitlines()
     records = [json.loads(line) for line in lines]
     return [
-        (record["seq"], record["payload"]["mset"])
+        (record["seq"], record["payload"])
         for record in records
         if "meta" not in record
+    ]
+
+
+def _logged_msets(server):
+    """The encoded MSets of ``server``'s replication log, as (seq,
+    mset): every record, when none is a plain update."""
+    return [
+        (seq, payload["mset"]) for seq, payload in _logged_payloads(server)
     ]
 
 
@@ -436,10 +451,13 @@ def test_rowa_members_have_their_ack_futures_before_the_append(tmp_path):
             real = server.log.append_many
 
             def append_many(payloads, blobs=None, releases=None):
+                first = server.log.assigned + 1
                 seen.append(
                     [
-                        loads(blob)["mset"]["tid"] in server._full_ack_futures
-                        for blob in blobs
+                        entry.tid in server._full_ack_futures
+                        for entry in decode_payloads(
+                            "site0", first, list(map(loads, blobs))
+                        )
                     ]
                 )
                 return real(payloads, blobs=blobs, releases=releases)
@@ -513,10 +531,12 @@ def test_the_origin_logs_the_request_arrays_unless_the_engine_rewrote_them(
     method, tmp_path, monkeypatch
 ):
     """The origin's payload carries the request's own (validated) op
-    arrays, writes only: nothing is re-encoded, and the logged blob is
-    byte-identical to encoding the MSet it decodes to.  RITU's
-    ``make_mset`` rewrites the writes with its Lamport stamp, so those
-    are encoded, and the log holds the stamped ``tswrite``s."""
+    arrays, writes only: nothing is re-encoded.  A plain update's
+    (COMMU) logged blob is exactly the encoding of those arrays, and
+    reads back as its MSet under the tid its log position gives;
+    any other's is byte-identical to encoding the MSet it decodes to.
+    RITU's ``make_mset`` rewrites the writes with its Lamport stamp, so
+    those are encoded, and the log holds the stamped ``tswrite``s."""
     ops = ORIGIN_UPDATES[method]
 
     async def scenario():
@@ -545,11 +565,15 @@ def test_the_origin_logs_the_request_arrays_unless_the_engine_rewrote_them(
             monkeypatch.undo()
 
             (blob,) = logged
-            mset = decode_mset(loads(blob)["mset"])
-            assert mset.tid == reply["tid"]
-            assert blob == payload_blob({"mset": encode_mset(mset)})
-            assert _logged_msets(origin)[-1][1] == loads(blob)["mset"]
+            seq, payload = _logged_payloads(origin)[-1]
+            assert payload == loads(blob)
+            (mset,) = decode_payloads("site0", seq, [payload])
+            assert mset.tid == reply["tid"] == "site0:%d" % seq
             writes = tuple(op for op in ops if op.is_write_op)
+            if method == "commu":
+                assert blob == payload_blob(list(map(encode_op, writes)))
+            else:
+                assert blob == payload_blob({"mset": encode_mset(mset)})
             if method == "ritu":
                 assert encodes == [len(writes)]
                 assert all(type(op) is TimestampedWriteOp for op in mset.ops)
@@ -591,7 +615,7 @@ def test_a_malformed_stamp_is_refused_before_it_is_logged(tmp_path):
                     await client.update(
                         [TimestampedWriteOp("k", 2, stamp)]
                     )
-            assert len(_logged_msets(cluster.servers["site0"])) == 1
+            assert len(_logged_payloads(cluster.servers["site0"])) == 1
             await cluster.kill("site0")
             await cluster.restart("site0")
             client = await cluster.client("site0")
@@ -688,7 +712,7 @@ def test_a_group_writes_its_batch_frames_before_its_first_reply(
                     written.extend(
                         ["reply"] * data.count(b'"type":"response"')
                     )
-                elif b'{"mset":' in data:
+                elif data[0] & 0x80 and data[4] == 1:  # binary mset-batch
                     written.append("batch")
                 return real_write(self, data, waiter)
 

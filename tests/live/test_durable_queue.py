@@ -1,6 +1,7 @@
 """Durable queue tests: exactly-once FIFO channels that survive restarts."""
 
 import asyncio
+import functools
 import gc
 import json
 import pathlib
@@ -15,9 +16,14 @@ from hypothesis import strategies as st
 from repro.core.operations import DecrementOp, IncrementOp, WriteOp
 from repro.live import FaultPlan, LiveCluster
 from repro.live.durable_queue import DurableInbox, DurableOutbox, _record_line
-from repro.live.protocol import loads, payload_blob
+from repro.live.protocol import (
+    ProtocolError,
+    loads,
+    payload_blob,
+    plain_update_blob,
+)
 from repro.live.server import _full_ack_release
-from repro.replica.mset import MSet, MSetKind, encode_mset
+from repro.replica.mset import MSet, MSetKind, encode_mset, encode_op
 
 PEER = "peer"
 
@@ -893,7 +899,7 @@ class TestBytesWritten:
 class TestResidentWindow:
     """What a held record costs while a partitioned peer is owed it:
     its wire blob plus a small fixed overhead (window slot, entry,
-    release ``(tid, keys)``), never the payload's dict tree — which
+    release ``(tid, keys)``), never the payload's tree — a dict tree
     alone cost ~700 B for a one-operation update."""
 
     HELD = 6144
@@ -905,24 +911,21 @@ class TestResidentWindow:
         self, tmp_path
     ):
         outbox = DurableOutbox(
-            tmp_path / "replication.log", release=_full_ack_release
+            tmp_path / "replication.log",
+            release=functools.partial(_full_ack_release, "site0"),
         )
         outbox.add_cursor("partitioned")
         gc.collect()
         tracemalloc.start()
         try:
-            payloads = []
-            for i in range(1, self.HELD + 1):
-                key = "acct%d" % (i % 4096)
-                mset = MSet("site0:%d" % i, ops=(IncrementOp(key, 1),),
-                            origin="site0")
-                payloads.append(
-                    {"mset": encode_mset(mset, [["inc", key, 1]])}
-                )
-            blobs = [payload_blob(payload) for payload in payloads]
+            payloads = [
+                [["inc", "acct%d" % (i % 4096), 1]]
+                for i in range(1, self.HELD + 1)
+            ]
+            blobs = [plain_update_blob(payload) for payload in payloads]
             blob_bytes = sum(map(len, blobs))
             outbox.append_many(payloads, blobs=blobs)
-            del payloads, blobs, mset
+            del payloads, blobs
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
         finally:
@@ -935,8 +938,17 @@ class TestResidentWindow:
 class TestCallersRelease:
     """A record's release — the ``(tid, keys)`` an ack hands back — is
     what the appender passed, from the commit group that holds it, and
-    what ``_full_ack_release`` derives from the payload when the record
-    is read back (reload, rewind): the two must be the same entry."""
+    what ``_full_ack_release`` derives from the payload and its seq
+    when the record is read back (reload, rewind): the two must be the
+    same entry, for a plain update's array and an MSet's object."""
+
+    @staticmethod
+    def _payload(mset):
+        """The payload the origin logs for ``mset``: its operations'
+        arrays for a plain update, else its encoding."""
+        if mset.kind == MSetKind.UPDATE:
+            return [encode_op(op) for op in mset.ops]
+        return {"mset": encode_mset(mset)}
 
     @staticmethod
     def _group():
@@ -960,11 +972,13 @@ class TestCallersRelease:
 
     def test_a_callers_release_is_the_one_a_reload_derives(self, tmp_path):
         msets = self._group()
-        payloads = [{"mset": encode_mset(mset)} for mset in msets]
+        payloads = list(map(self._payload, msets))
+        assert [type(payload) for payload in payloads] == [list] * 3 + [dict]
         pairs = [(mset.tid, mset.keys) for mset in msets]
         assert pairs[1][1] == ("b", "c", "a") and pairs[2][1] == ("a",)
         path = tmp_path / "replication.log"
-        live = DurableOutbox(path, release=_full_ack_release)
+        release = functools.partial(_full_ack_release, "s")
+        live = DurableOutbox(path, release=release)
         live.add_cursor("p")
         live.add_cursor("q")
         live.append_many(payloads, releases=pairs)
@@ -975,9 +989,7 @@ class TestCallersRelease:
         assert live._window[live._start:] == held
         # The same file, read back by a restarted replica.
         shutil.copyfile(path, tmp_path / "restarted.log")
-        restarted = DurableOutbox(
-            tmp_path / "restarted.log", release=_full_ack_release
-        )
+        restarted = DurableOutbox(tmp_path / "restarted.log", release=release)
         assert restarted._window[restarted._start:] == held
         for log in (live, restarted):
             assert log.ack_through("q", 2) == []
@@ -988,6 +1000,28 @@ class TestCallersRelease:
             assert log.ack_through("q", 4) == []
             assert _released(log, "p", 4) == [(3, pairs[2]), (4, pairs[3])]
             log.close()
+
+    @pytest.mark.parametrize(
+        "payload", [7, "x", None, [["inc", "k"]], {"mset": {"ops": 1}}]
+    )
+    def test_a_record_no_release_reads_names_its_file_and_seq(
+        self, payload, tmp_path
+    ):
+        """A record read back into the window whose payload is no entry
+        — neither form, or a malformed one — refuses the reload with
+        the log's path and the record's seq, as recovery names an
+        unreadable record."""
+        path = tmp_path / "replication.log"
+        path.write_bytes(
+            b'{"meta":"ack","peer":"p","seq":0}\n'
+            + _record_line(1, [["inc", "a", 1]], None)
+            + _record_line(2, payload, None)
+        )
+        with pytest.raises(ProtocolError) as refused:
+            DurableOutbox(
+                path, release=functools.partial(_full_ack_release, "s")
+            )
+        assert str(refused.value).startswith("%s: record 2: " % path)
 
     @pytest.mark.parametrize("method", ["commu", "ritu", "compe"])
     def test_the_commit_path_derives_no_release(self, method, tmp_path):
@@ -1017,9 +1051,9 @@ class TestCallersRelease:
                 calls = []
                 real = origin.log._release
 
-                def release(payload):
+                def release(seq, payload):
                     calls.append(payload)
-                    return real(payload)
+                    return real(seq, payload)
 
                 origin.log._release = release
                 cluster.partition([["site0"], ["site1", "site2"]])
@@ -1034,8 +1068,8 @@ class TestCallersRelease:
                 held = log._window[log._start:]
                 assert len(held) == log.assigned >= 7
                 assert held == [
-                    (blob, _full_ack_release(loads(blob)))
-                    for blob, _ in held
+                    (blob, _full_ack_release("site0", seq, loads(blob)))
+                    for seq, (blob, _) in enumerate(held, log._head + 1)
                 ]
                 cluster.heal()
                 await cluster.settle(timeout=30)

@@ -193,7 +193,7 @@ def test_a_plain_update_builds_no_operation_and_no_mset_at_its_origin(
 ):
     """A plain COMMU or ROWA update is logged and applied as its
     request arrays: its origin builds no operation and no MSet for it,
-    and splices its blob rather than encoding a payload
+    and encodes its arrays as its blob rather than a payload
     (``payload_blob``).  The writes of a key written twice are built,
     those alone, for the method's check (ROWA's passes them all).  RITU
     (which stamps its writes), ORDUP (which orders them) and COMPE
@@ -254,6 +254,73 @@ def test_a_plain_update_builds_no_operation_and_no_mset_at_its_origin(
             assert values["a"] == {"ritu": 1, "commu": -3, "rowa": -3}.get(
                 method, -2
             )
+        finally:
+            await cluster.stop()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("method", ["commu", "rowa"])
+def test_a_plain_updates_blob_is_one_encode_of_its_arrays(
+    method, tmp_path, monkeypatch
+):
+    """A plain update's payload blob is one encode of its request
+    arrays, copied to its size — no splice around it, no payload dict,
+    no ``encode_mset``, no ``payload_blob`` (the commit group is in no
+    traced span, so counts pin it) — and its log line is that blob
+    behind its seq: no tid, origin or envelope."""
+    ops = PLAIN_UPDATES[method]
+
+    async def scenario():
+        cluster = LiveCluster(n_sites=1, method=method, data_dir=tmp_path)
+        await cluster.start()
+        try:
+            client = await cluster.client("site0")
+            await client.update(ops)  # warm
+            server = cluster.servers["site0"]
+            encoded, logged = [], []
+            counts = {"encode_mset": 0, "payload_blob": 0}
+            real_encode = protocol_module._encode
+
+            def encoding(obj):
+                out = real_encode(obj)
+                encoded.append((obj, out))
+                return out
+
+            def counting(kind, real):
+                def count(*args, **kwargs):
+                    counts[kind] += 1
+                    return real(*args, **kwargs)
+
+                return count
+
+            real_append = server.log.append_many
+
+            def append_many(payloads, blobs=None, releases=None):
+                logged.extend(blobs)
+                return real_append(payloads, blobs=blobs, releases=releases)
+
+            monkeypatch.setattr(protocol_module, "_encode", encoding)
+            for name in counts:
+                monkeypatch.setattr(
+                    server_module, name,
+                    counting(name, getattr(server_module, name)),
+                )
+            monkeypatch.setattr(server.log, "append_many", append_many)
+            reply = await client.update(ops)
+            monkeypatch.undo()
+            arrays = [protocol_module.encode_op(op) for op in ops]
+            lists = [(obj, out) for obj, out in encoded if type(obj) is list]
+            assert [obj for obj, _ in lists] == [arrays]
+            assert not any(
+                type(obj) is dict and "mset" in obj for obj, _ in encoded
+            )
+            assert counts == {"encode_mset": 0, "payload_blob": 0}
+            (blob,) = logged
+            assert blob == lists[0][1] and blob is not lists[0][1]
+            seq = int(reply["tid"].split(":")[1])
+            log = (server.data_dir / "replication.log").read_bytes()
+            assert log.endswith(b'{"seq":%d,"payload":%s}\n' % (seq, blob))
         finally:
             await cluster.stop()
 

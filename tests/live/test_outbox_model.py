@@ -25,6 +25,7 @@ way: there is one file, so a compaction cuts all of them at the same
 place — never past the slowest cursor.
 """
 
+import functools
 import shutil
 import tempfile
 from pathlib import Path
@@ -43,6 +44,9 @@ from repro.live.protocol import payload_blob
 from repro.live.server import _full_ack_release
 
 PEERS = ("p0", "p1", "p2")
+
+#: what the server's log releases of each record: it is site ``o``'s.
+_release = functools.partial(_full_ack_release, "o")
 
 
 def _blob(payload):
@@ -115,7 +119,10 @@ ops = st.lists(
     max_size=3,
 )
 payloads = st.lists(
-    st.fixed_dictionaries(
+    # A plain update's payload is its operations; any other entry's is
+    # its MSet.
+    ops
+    | st.fixed_dictionaries(
         {
             "mset": st.fixed_dictionaries(
                 {"tid": st.text(max_size=4), "ops": ops}
@@ -128,7 +135,7 @@ payloads = st.lists(
 
 
 def _outbox(path):
-    return DurableOutbox(path, release=_full_ack_release)
+    return DurableOutbox(path, release=_release)
 
 
 class OutboxMachine(RuleBasedStateMachine):
@@ -180,7 +187,11 @@ class OutboxMachine(RuleBasedStateMachine):
         blobs = [_blob(p) for p in batch] if with_blobs else None
         # The origin's group passes each record's release; else the
         # log derives it.
-        releases = list(map(_full_ack_release, batch)) if passed else None
+        releases = (
+            list(map(_release, range(self.seq + 1, self.seq + 1 + len(batch)),
+                     batch))
+            if passed else None
+        )
         seqs = self.real.append_many(batch, blobs=blobs, releases=releases)
         for ref in self.refs.values():
             assert ref.append_many(batch) == seqs
@@ -196,7 +207,7 @@ class OutboxMachine(RuleBasedStateMachine):
         released = self.real.ack_through(peer, seqno)
         hi = self.real.released_hi
         assert list(zip(range(hi - len(released) + 1, hi + 1), released)) == [
-            (seq, _full_ack_release(payload_of[seq])) for seq in fresh
+            (seq, _release(seq, payload_of[seq])) for seq in fresh
         ]
         self.released.update(fresh)
 
@@ -267,7 +278,7 @@ class OutboxMachine(RuleBasedStateMachine):
         # Each owed record is held as its wire blob and its release.
         held = real._window[real._start:]
         assert held == [
-            (_blob(owed[seq]), _full_ack_release(owed[seq]))
+            (_blob(owed[seq]), _release(seq, owed[seq]))
             for seq in range(real._head + 1, real._seq + 1)
         ]
         assert real.drained() == (not owed)

@@ -34,8 +34,9 @@ from repro.live.protocol import (
     decode_bin_frame,
     decode_mset,
     decode_op,
+    decode_batch_payloads,
     decode_ops,
-    decode_batch_msets,
+    decode_payloads,
     decode_spec,
     encode_bin_ack_frame,
     encode_bin_batch_frame,
@@ -233,12 +234,17 @@ class TestMSetCodec:
         assert back.ops[0].value == 5
 
     def test_a_plain_update_carries_no_defaults(self):
-        """What every log line and wire entry of a COMMU update is."""
+        """What every log line and wire entry of a COMMU update is: its
+        seq and its operations — no tid, origin or envelope.  Its MSet
+        encoding (what a log from before the array form holds) carries
+        no default field either, and both read back as the one MSet."""
         mset = MSet(
             tid="site0:7",
             ops=(IncrementOp("a", 1), DecrementOp("b", 1)),
             origin="site0",
         )
+        line = _line_text({"seq": 7, "payload": encode_ops(mset.ops)})
+        assert line == '{"seq":7,"payload":[["inc","a",1],["dec","b",1]]}'
         doc = _line_text({"mset": encode_mset(mset)})
         assert doc == (
             '{"mset":{"tid":"site0:7","ops":[["inc","a",1],["dec","b",1]],'
@@ -246,7 +252,10 @@ class TestMSetCodec:
         )
         for absent in ('"kind"', '"order"', '"txn"', '"info"'):
             assert absent not in doc
-        assert decode_mset(loads(doc)["mset"]) == mset
+        payloads = [loads(line)["payload"], loads(doc)]
+        assert [
+            decode_payloads("site0", 7, [payload])[0] for payload in payloads
+        ] == [mset, mset]
 
     @pytest.mark.parametrize("kind", ["update", "commit"])
     @pytest.mark.parametrize("order", [None, (4, 1)])
@@ -1476,16 +1485,28 @@ def _refusal(check, value):
     return None
 
 
-def _commu_remote(data):
-    return ENGINES["commu"]("site0").decode_remote([data])[0]
+def _remote(method, payload):
+    """The entry ``method``'s receiver makes of ``payload``, as the
+    record site1 logged as seq 7."""
+    return ENGINES[method]("site0").decode_remote("site1", 7, [payload])[0]
+
+
+def _commu_remote(payload):
+    return _remote("commu", payload)
+
+
+#: what a log from before the array form holds for the plain update
+#: site1 logged as seq 7 with the operations ``ops``.
+def _parents_plain_entry(ops):
+    return {"tid": "site1:7", "ops": ops, "origin": "site1"}
 
 
 class TestCheckPassParity:
     """The check pass refuses exactly what the parent's one-pass decoder
     refused, with the same message, and ``decode_ops`` builds what it
-    built; COMMU's
-    ``decode_remote`` refuses exactly what ``decode_mset`` refuses and
-    keeps the same update."""
+    built; a receiver refuses exactly what ``decode_mset`` refuses —
+    of an array payload, what it refused of the entry a log from
+    before the array form holds for it — and keeps the same update."""
 
     @given(
         st.lists(_OPERATION_SHAPED | _NEAR_OPERATIONS | _ARGUMENTS, max_size=4)
@@ -1526,20 +1547,59 @@ class TestCheckPassParity:
     @example({"tid": "t", "ops": [["inc", "k", 1]], "origin": 7})
     @example({"tid": "t", "ops": [["div", "k", 0]], "kind": "commit"})
     @example({"ops": [["inc", "k", 1]], "origin": "s", "txn": 1})
-    def test_commu_decode_remote_refuses_what_decode_mset_refuses(self, value):
-        ours = _refusal(_commu_remote, value)
-        assert ours == _refusal(_parent_decode_mset, value)
-        assert ours == _refusal(decode_mset, value)
-        if ours is None:
-            entry, parent = _commu_remote(value), _parent_decode_mset(value)
-            if type(entry) is tuple:
-                tid, arrays = entry
-                assert arrays is value["ops"]
-                assert parent == MSet(
-                    tid, ops=decode_ops(arrays), origin=value["origin"]
-                )
-            else:
-                assert entry == parent
+    def test_an_object_payload_is_refused_as_decode_mset_refuses(
+        self, value
+    ):
+        """An object payload is an MSet's: every receiver decodes it
+        into its MSet — a plain one a log from before the array form
+        holds included — or refuses what ``decode_mset`` refuses."""
+        for method in ("commu", "ritu"):
+            ours = _refusal(lambda v: _remote(method, {"mset": v}), value)
+            assert ours == _refusal(_parent_decode_mset, value)
+            assert ours == _refusal(decode_mset, value)
+            if ours is None:
+                entry = _remote(method, {"mset": value})
+                assert entry == _parent_decode_mset(value)
+
+    @given(
+        st.lists(_OPERATION_SHAPED | _NEAR_OPERATIONS | _ARGUMENTS, max_size=4)
+    )
+    @example([["inc", "k", 1]])
+    @example([["div", "k", 0]])
+    @example([["inc", "k", float("nan")]])
+    @example([["inc", "k", 1], []])
+    @example([["inc", "k", "1"]])
+    @example([["inc", "k"]])
+    @example([["nope", "k", 1]])
+    @example([])
+    def test_an_array_payload_is_refused_as_the_parents_entry_was(
+        self, value
+    ):
+        """An array payload is a plain update's operations: COMMU keeps
+        them as ``(tid, ops)``, the tid from the record's origin and
+        seq, any other method builds the MSet — the parent's entry for
+        it, either way — or both refuse what the parent refused of
+        that entry, with the same message."""
+        value = loads(json.dumps(value))
+        parent = _refusal(_parent_decode_mset, _parents_plain_entry(value))
+        for method in ("commu", "ritu"):
+            assert _refusal(lambda v: _remote(method, v), value) == parent
+        if parent is None:
+            tid, arrays = _commu_remote(value)
+            assert tid == "site1:7" and arrays is value
+            mset = _parent_decode_mset(_parents_plain_entry(value))
+            assert MSet(tid, ops=decode_ops(arrays), origin="site1") == mset
+            assert _remote("ritu", value) == mset
+
+    @given(_JSON_VALUES.filter(lambda v: type(v) not in (list, dict)))
+    @example(1)
+    @example("x")
+    @example(None)
+    def test_a_payload_neither_array_nor_object_is_refused(self, value):
+        for method in ("commu", "ritu"):
+            assert _refusal(lambda v: _remote(method, v), value) == (
+                "payload must be an array or an object: %r" % (value,)
+            )
 
 
 _APPLY_KEYS = st.sampled_from(["a", "b", "c"])
@@ -1589,7 +1649,9 @@ def _store_outcome(store, ops):
 class TestArrayApplyParity:
     """``apply_many`` of checked arrays is ``apply_many`` of the
     operations ``decode_ops`` builds from them, failure included; and a
-    COMMU batch of ``decode_remote`` entries applies as its MSets."""
+    COMMU batch of array payloads (``decode_remote``'s pairs) applies
+    as the MSets of the entries a log from before the array form holds
+    for them."""
 
     @given(start=_START, arrays=st.lists(_ARRAYS, min_size=1, max_size=8))
     @example(start={}, arrays=[["inc", "a", 1], ["inc", "a", 2]])
@@ -1624,8 +1686,8 @@ class TestArrayApplyParity:
         self, method, start, batch, watched
     ):
         entries = [
-            {"tid": "r%d" % index, "ops": ops, "origin": "site1"}
-            for index, ops in enumerate(batch)
+            {"tid": "site1:%d" % seq, "ops": ops, "origin": "site1"}
+            for seq, ops in enumerate(batch, 3)
         ]
         engines = []
         for form in ("arrays", "msets"):
@@ -1635,7 +1697,7 @@ class TestArrayApplyParity:
             if watched:
                 engine._query_starts[form] = 0.0
             if form == "arrays":
-                decoded = engine.decode_remote(entries)
+                decoded = engine.decode_remote("site1", 3, batch)
                 assert all(type(entry) is tuple for entry in decoded)
             else:
                 decoded = [decode_mset(entry) for entry in entries]
@@ -1659,17 +1721,23 @@ class TestArrayApplyParity:
 @st.composite
 def _hostile_blobs(draw):
     """A payload blob as a hostile or broken peer might send it: a real
-    MSet's, or a stdlib encoding of arbitrary values (wide integers,
-    ``NaN``), then BOM-prefixed, re-encoded as UTF-16/32, padded or
-    split by whitespace, or with bytes flipped."""
-    if draw(st.booleans()):
+    MSet's or plain update's, or a stdlib encoding of arbitrary values
+    (wide integers, ``NaN``) in either form or neither, then
+    BOM-prefixed, re-encoded as UTF-16/32, padded or split by
+    whitespace, or with bytes flipped."""
+    form = draw(st.sampled_from(["mset", "plain", "junk mset", "junk"]))
+    if form == "mset":
         blob = payload_blob({"mset": encode_mset(draw(_MSETS))})
+    elif form == "plain":
+        blob = plain_update_blob(encode_ops(draw(_MSETS).ops))
     else:
-        blob = json.dumps(
-            {"mset": draw(st.dictionaries(
+        junk = draw(_FIELD_JUNK | _JSON_VALUES)
+        if form == "junk mset":
+            junk = {"mset": draw(st.dictionaries(
                 st.sampled_from(_MSET_FIELDS), _FIELD_JUNK | _JSON_VALUES
-            ))},
-            ensure_ascii=draw(st.booleans()),
+            ))}
+        blob = json.dumps(
+            junk, ensure_ascii=draw(st.booleans())
         ).encode("utf-8")
     variant = draw(st.sampled_from(
         ["as is", "bom", "utf-16", "utf-32", "whitespace", "mutated"]
@@ -1706,10 +1774,11 @@ _json_values = st.recursive(
 
 
 class TestPlainUpdateBlob:
-    """The origin splices a plain update's blob around one encode of its
-    arrays: byte for byte the :func:`payload_blob` of the payload
-    ``encode_mset`` writes for it (``tid``, ``ops``, ``origin``),
-    whatever the site's name."""
+    """A plain update's blob is the encoding of its arrays alone, at its
+    exact size, and reads back — under the origin and seq of the record
+    it is — as the entry a log from before the array form holds for it,
+    whatever the site's name; its ok reply is spliced around its id and
+    tid."""
 
     @given(
         st.text(),
@@ -1726,11 +1795,30 @@ class TestPlainUpdateBlob:
     )
     @example("site0", 1, [["inc", "k", 1]])
     @example('s"\\\x00\x1f\x7f\u2028é😀', 7, [["append", "é", {"v": [1.5]}]])
-    def test_the_splice_is_the_payloads_blob(self, name, seq, ops):
-        payload = {
+    def test_the_blob_reads_back_as_the_parents_entry(self, name, seq, ops):
+        blob = plain_update_blob(ops)
+        assert type(blob) is bytes
+        assert blob == payload_blob(ops) == encode_line(ops)[:-1]
+        parent = {
             "mset": {"tid": "%s:%d" % (name, seq), "ops": ops, "origin": name}
         }
-        assert plain_update_blob(name, seq, ops) == payload_blob(payload)
+
+        def read(payload, pairs):
+            return decode_payloads(name, seq, [payload], pairs)[0]
+
+        for pairs in (False, True):
+            ours, theirs = (
+                _outcome(lambda p: read(p, pairs), loads(doc))
+                for doc in (blob, payload_blob(parent))
+            )
+            if pairs and ours[0] == "returned":
+                tid, arrays = read(loads(blob), pairs)
+                assert tid == "%s:%d" % (name, seq) and arrays == ops
+                ours = _outcome(
+                    lambda _: MSet(tid, ops=decode_ops(arrays), origin=name),
+                    None,
+                )
+            assert ours == theirs
 
     @given(
         st.text(),
@@ -1760,9 +1848,18 @@ class TestPlainUpdateBlob:
                 plain_reply_frame(rid, name, seq)
 
 
+def _received(blobs, first):
+    """The entries a COMMU receiver applies of a batch of ``blobs`` from
+    site1, numbered ``first`` onwards: every check before it records."""
+    return ENGINES["commu"]("site0").decode_remote(
+        "site1", first, decode_batch_payloads(blobs)
+    )
+
+
 class TestPayloadBlobReplay:
     """The receiver accepts a payload blob iff the inbox log line it is
-    spliced into reads back at replay as the record it acknowledged."""
+    spliced into reads back at replay as the record it acknowledged,
+    and as the entry it applied."""
 
     @given(_hostile_blobs(), st.integers(1, 2**63 - 1))
     @example(b'{"mset":{"tid":"t"}}', 1)
@@ -1774,19 +1871,32 @@ class TestPayloadBlobReplay:
     @example(b'{"mset":{"tid":"\\ud800"}}', 1)
     @example(b'{"mset":{"tid":"t","x":' + b"[" * 2000 + b"]" * 2000 + b"}}", 1)
     @example(b' {"mset":{}}\r\t', 1)
+    @example(b'[["inc","k",1]]', 1)
+    @example(b'[["inc","k",123456789012345678901234]]', 3)
+    @example(b'[["inc","k",NaN]]', 1)
+    @example(b'[["inc",\n"k",1]]', 1)
+    @example(b' [["write","\\ud800",1]]\r', 1)
+    @example(b'[]', 1)
+    @example(b'7', 1)
+    @example(b'null', 1)
     def test_an_accepted_blob_reads_back_from_its_log_line(self, blob, seq):
         try:
-            mset = decode_batch_msets([blob])[0]
+            (entry,) = _received([blob], seq)
         except ProtocolError:
             return  # refused before anything is recorded or acked
         payload = loads(blob)  # the logs' reader, which the decoder ran
-        assert _outcome(lambda p: p.get("mset"), payload) == _outcome(
-            lambda m: m, mset
-        )
         line = _record_line(seq, payload, blob)
         assert _outcome(_parse_line, line) == _outcome(
             lambda _: {"seq": seq, "payload": payload}, line
         )
+        # Replay reads the record back as the entry the receiver applied.
+        logged = _parse_line(line)["payload"]
+        (replayed,) = decode_payloads("site1", seq, [logged])
+        if type(entry) is tuple:
+            tid, ops = entry
+            assert tid == replayed.tid == "site1:%d" % seq
+            entry = MSet(tid, ops=decode_ops(ops), origin="site1")
+        assert repr(replayed) == repr(entry)
 
     @given(
         st.lists(_hostile_blobs(), min_size=1, max_size=4),
@@ -1797,23 +1907,26 @@ class TestPayloadBlobReplay:
     @example([b'{"mset":{"tid":"t"}}', b'{"mset":\n{}}', b'{}'], 7)
     @example([b'{"a":1}', b'{"b":2}', b'{"c":123456789012345678901234}'], 2)
     @example([b'\r{"mset": {}}'], 1)
+    @example([b'[["inc","k",1]]', b'{"mset":{"tid":"t"}}', b'[]'], 1)
+    @example([b'[["inc","k",1]]', b'[["inc","k",NaN]]'], 1)
+    @example([b'[["inc","k",1]]', b'1'], 1)
     def test_a_run_is_accepted_iff_each_blob_is_alone(self, blobs, first):
-        """The receiver's run decoder accepts a run iff it accepts every
-        blob of it alone, as a run of one, and reads each payload's
-        ``mset`` the same; the run's inbox lines (``record_many``'s one
-        render) are each blob's own line and read back as its record."""
+        """The receiver accepts a run iff it accepts every blob of it
+        alone, as a run of one under its own seq, and makes each the
+        same entry; the run's inbox lines (``record_many``'s one render)
+        are each blob's own line and read back as its record."""
+        seqs = range(first, first + len(blobs))
         alone = [
-            _outcome(lambda b: decode_batch_msets([b])[0], blob)
-            for blob in blobs
+            _outcome(lambda b: _received([b], seq)[0], blob)
+            for seq, blob in zip(seqs, blobs)
         ]
         try:
-            msets = decode_batch_msets(blobs)
+            entries = _received(blobs, first)
         except ProtocolError:
             assert any(outcome[0] == "raised" for outcome in alone)
             return
-        assert [_outcome(lambda m: m, m) for m in msets] == alone
+        assert [_outcome(lambda e: e, e) for e in entries] == alone
         payloads = list(map(loads, blobs))
-        seqs = range(first, first + len(blobs))
         lines = _record_lines(first, blobs)
         assert lines == b"".join(map(_record_line, seqs, payloads, blobs))
         # Split as the log reader iterates a file: on ``\n`` alone.

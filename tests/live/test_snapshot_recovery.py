@@ -21,7 +21,7 @@ import shutil
 import pytest
 
 from repro.consistency import Consistency
-from repro.core.operations import DecrementOp
+from repro.core.operations import DecrementOp, IncrementOp
 from repro.errors import UNAVAILABLE
 from repro.live import (
     FaultPlan,
@@ -39,11 +39,16 @@ from repro.live import server as live_server
 from repro.live import snapshot as snapshot_module
 from repro.live.client import LiveClient, request_once
 from repro.live.engine import make_engine
-from repro.live.protocol import ProtocolError
+from repro.live.protocol import (
+    ProtocolError,
+    encode_bin_ack_frame,
+    encode_bin_batch_frame,
+    loads,
+)
 from repro.live.server import ReplicaServer
 from repro.live.snapshot import LOCAL_CHANNEL
 
-from .wire import RawConn
+from .wire import RawConn, listen
 
 
 def run(coro):
@@ -191,8 +196,11 @@ class TestSnapshotVerb:
     def test_a_chunked_pull_verifies_the_image_once(
         self, tmp_path, monkeypatch
     ):
-        """Every chunk of a pull is a slice of one verified read of the
-        snapshot file; a capture after it is what the next pull gets."""
+        """Every chunk of a pull is a slice of one image: the one this
+        replica captured is served as it wrote it, with no read of the
+        file — a pull after a capture, or a ``fresh`` pull, reads
+        nothing back — and a file it did not write this life is read
+        and verified once, for every chunk of the pull."""
         loads = []
         read = SnapshotStore.read
 
@@ -202,11 +210,12 @@ class TestSnapshotVerb:
 
         monkeypatch.setattr(SnapshotStore, "read", counted)
 
-        async def pull(addr):
+        async def pull(addr, fresh=False):
             chunks, offset = [], 0
             while True:
                 reply = await request_once(
-                    addr, "snapshot-fetch", offset=offset
+                    addr, "snapshot-fetch", offset=offset,
+                    fresh=fresh and offset == 0,
                 )
                 chunks.append(reply["data"])
                 offset += len(reply["data"])
@@ -232,14 +241,26 @@ class TestSnapshotVerb:
                 loads.clear()
                 addr = cluster.addrs["site0"]
                 assert await pull(addr) == (image, 4)
-                assert loads == [path]
+                assert loads == []
 
                 await client.increment("k0", 1)
                 await cluster.settle()
                 await cluster.snapshot("site0")
                 data, _ = await pull(addr)
                 assert data == path.read_bytes() != image
-                assert loads == [path, path]
+                await client.increment("k1", 1)
+                await cluster.settle()
+                fresh, _ = await pull(addr, fresh=True)
+                assert fresh == path.read_bytes() != data
+                assert loads == []
+
+                # A restarted replica serves the file its former life
+                # wrote: read and verified once for the whole pull.
+                await cluster.kill("site0")
+                await cluster.restart("site0")
+                loads.clear()
+                assert await pull(cluster.addrs["site0"]) == (fresh, 4)
+                assert loads == [path]
             finally:
                 await cluster.stop()
 
@@ -864,7 +885,8 @@ def test_a_compacted_replica_whose_image_does_not_open_refuses_to_boot(
     """Without its image, a replica whose logs were compacted holds
     only their tails: booting would serve that as its state.  It is
     refused instead — the image and the floors named, nothing applied,
-    the image and the log left as they were found."""
+    the image, the log and the control log left as they were found: a
+    refused boot raises no incarnation."""
 
     async def scenario():
         cluster = LiveCluster(
@@ -884,7 +906,7 @@ def test_a_compacted_replica_whose_image_does_not_open_refuses_to_boot(
         data = tmp_path / "site0"
         image = data / "snapshot.json"
         image.write_bytes(image.read_bytes()[:50])  # torn
-        kept = [image, data / "replication.log"]
+        kept = [image, data / "replication.log", data / "control.log"]
         before = [path.read_bytes() for path in kept]
         server = ReplicaServer(
             "site0", peers=["site0"], data_dir=data, method="commu",
@@ -942,6 +964,152 @@ def test_a_version_3_data_dir_boots_into_its_image(tmp_path):
         b'{"version":4,'
     )
     assert run(boot()) == V3_STORE
+
+
+def _data_records(path):
+    """``(seq, payload)`` of each data line of a log file."""
+    return [
+        (record["seq"], record["payload"])
+        for record in map(json.loads, path.read_text().splitlines())
+        if "meta" not in record
+    ]
+
+
+def test_a_version_3_data_dir_replays_and_relays_both_payload_forms(
+    tmp_path, monkeypatch
+):
+    """The fixture's logs hold plain updates as MSet objects, the form
+    written before a plain update's payload was its operations; new
+    plain updates, the replica's own and a peer's, are logged as
+    arrays after them.  A restart replays both forms into the store the
+    same updates make, and a rewound peer is re-sent both, the object
+    line byte for byte; every entry read back has the tid its origin
+    and seq give."""
+    data = tmp_path / "site0"
+    shutil.copytree(V3_DATA, data)
+    replayed = []
+    decode = snapshot_module.decode_payloads
+
+    def replaying(origin, first, payloads, pairs=False):
+        entries = decode(origin, first, payloads, pairs)
+        replayed.extend(
+            (origin, seq, type(payload), entry.tid)
+            for seq, payload, entry in zip(
+                range(first, first + len(payloads)), payloads, entries
+            )
+        )
+        return entries
+
+    monkeypatch.setattr(snapshot_module, "decode_payloads", replaying)
+    want = dict(V3_STORE, x=8, y=8, z=2, w=5)
+    want["café"] += 1
+
+    def server():
+        return ReplicaServer(
+            "site0", peers=["site0", "site1"], data_dir=data,
+            method="commu", fsync=True, **FAST,
+        )
+
+    async def append():
+        origin = server()
+        try:
+            port = await origin.bind("127.0.0.1", 0)
+            client = LiveClient([("127.0.0.1", port)])
+            try:
+                await client.increment("x", 1)
+                await client.update(
+                    [IncrementOp("z", 2), IncrementOp("café", 1)]
+                )
+                await client.increment("x", 1)
+            finally:
+                await client.close()
+            peer = await RawConn.open("127.0.0.1", port)
+            peer.send({"type": "peer-hello", "src": "site1"})
+            peer.write(encode_bin_batch_frame(
+                "site1", 7, [b'[["inc","y",5]]', b'[["inc","w",5]]'],
+            ))
+            assert await peer.recv() == {"type": "ack", "seq": 8}
+            await peer.close()
+        finally:
+            await origin.stop()
+
+    async def boot():
+        origin = server()
+        try:
+            await origin.bind("127.0.0.1", 0)
+            return origin.engine.store.as_dict()
+        finally:
+            await origin.stop()
+
+    async def restart_and_rewind():
+        relayed = []
+        done = asyncio.Event()
+
+        async def site1(raw):
+            # A peer whose inbox regressed to seq 7: its first ack
+            # rewinds the sender, which re-sends from seq 8.
+            acked = 7
+            while not done.is_set():
+                frame = await raw.recv()
+                if frame is None:
+                    return
+                if frame.get("type") != "mset-batch":
+                    continue
+                first, blobs = frame["first"], frame["blobs"]
+                if first <= acked + 1:
+                    relayed.extend(enumerate(blobs, first))
+                    acked = first + len(blobs) - 1
+                raw.write(encode_bin_ack_frame(acked))
+                if acked == 11:
+                    done.set()
+
+        listener = await listen(site1)
+        origin = server()
+        try:
+            await origin.bind("127.0.0.1", 0)
+            store = origin.engine.store.as_dict()
+            origin.set_peers({"site1": listener.sockets[0].getsockname()})
+            origin.start_channels()
+            await asyncio.wait_for(done.wait(), 10)
+        finally:
+            await origin.stop()
+            listener.close()
+        return store, relayed
+
+    run(append())
+    logged = _data_records(data / "replication.log")
+    assert [(seq, type(payload)) for seq, payload in logged] == [
+        (8, dict), (9, list), (10, list), (11, list),
+    ]
+    inbox = _data_records(data / "inbox" / "site1.log")
+    assert [(seq, type(payload)) for seq, payload in inbox] == [
+        (6, dict), (7, list), (8, list),
+    ]
+    replayed.clear()
+    store, relayed = run(restart_and_rewind())
+    assert store == want
+    # The restart replayed every line above the image's floors (7 and
+    # 5), of both forms and both logs, each under the tid its origin
+    # and seq give.
+    read = sorted((origin, seq, form) for origin, seq, form, _ in replayed)
+    assert read == [
+        ("site0", 8, dict), ("site0", 9, list), ("site0", 10, list),
+        ("site0", 11, list), ("site1", 6, dict), ("site1", 7, list),
+        ("site1", 8, list),
+    ]
+    for origin, seq, _, tid in replayed:
+        assert tid == "%s:%d" % (origin, seq)
+    # Both forms re-sent, byte for byte the logged payloads.
+    assert [seq for seq, _ in relayed] == [8, 9, 10, 11]
+    log = (data / "replication.log").read_bytes()
+    for seq, blob in relayed:
+        assert b'\n{"seq":%d,"payload":%s}\n' % (seq, blob) in log
+    entries = decode("site0", 8, [loads(blob) for _, blob in relayed])
+    assert [entry.tid for entry in entries] == [
+        "site0:%d" % seq for seq in range(8, 12)
+    ]
+    # And the replica that relayed them boots into the same store again.
+    assert run(boot()) == want
 
 
 def test_an_awkward_image_is_pulled_in_chunks_and_installs(

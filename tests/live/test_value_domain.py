@@ -42,7 +42,6 @@ from repro.core.operations import (
 )
 from repro.live import FaultPlan, LiveCluster, LiveETFailed
 from repro.live import protocol
-from repro.live import server as server_module
 from repro.live.protocol import ProtocolError, loads
 
 #: timings tuned for test speed, not realism.
@@ -215,14 +214,6 @@ def test_every_document_a_scripted_run_sends_reads_back_as_json_loads_does(
         return body
 
     monkeypatch.setattr(protocol, "_encode", capturing)
-    # A plain update's blob is spliced around the encode of its arrays.
-    splice = server_module.plain_update_blob
-
-    def spliced(*args):
-        documents.append(splice(*args))
-        return documents[-1]
-
-    monkeypatch.setattr(server_module, "plain_update_blob", spliced)
 
     async def scenario():
         cluster = LiveCluster(
@@ -267,8 +258,10 @@ def test_every_document_a_scripted_run_sends_reads_back_as_json_loads_does(
     asyncio.run(scenario())
     assert refused == []
     for kind in (b'"type":"request"', b'"type":"response"', b'"gossip"',
-                 b'"type":"peer-hello"', b'{"mset":', b'{"meta":'):
+                 b'"type":"peer-hello"', b'{"meta":'):
         assert any(kind in body for body in documents), kind
+    # A plain update's payload blob: its operations, encoded alone.
+    assert b'[["inc","a",1],["dec","b",1]]' in documents
     for body in documents:
         assert loads(body) == json.loads(body)
 
@@ -276,16 +269,19 @@ def test_every_document_a_scripted_run_sends_reads_back_as_json_loads_does(
 _HOLD_BLOBS = """
 import resource
 from repro.core.operations import DecrementOp, IncrementOp
-from repro.live.protocol import encode_mset, payload_blob
+from repro.live.protocol import encode_mset, payload_blob, plain_update_blob
 from repro.replica.mset import MSet
 
 def blob(n):
     ops = (IncrementOp("a%d" % (n % 4096), 1), DecrementOp("b%d" % n, 1))
-    return payload_blob({"mset": encode_mset(MSet("site0:%d" % n, "update", ops, "site0"))})
+    return payload_blob({"mset": encode_mset(MSet("site0:%d" % n, "commit", ops, "site0"))})
 
-blob(0)
+def plain(n):
+    return plain_update_blob([["inc", "a%d" % (n % 4096), 1], ["dec", "b%d" % n, 1]])
+
+blob(0), plain(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-held = [blob(n) for n in range(100000)]
+held = [blob(n) for n in range(50000)] + [plain(n) for n in range(50000)]
 print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 """
 
@@ -295,8 +291,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 )
 def test_held_payload_blobs_cost_their_size():
     """A replication log holds each blob until every peer acks it: 100k
-    held blobs of ~85 bytes grow the peak RSS by ~11 MB.  As orjson
-    returns them — each in a ~1 KiB allocation — they take ~100 MB."""
+    held blobs — half MSets' of ~100 bytes, half plain updates' of ~40
+    — grow the peak RSS by ~10 MB.  As orjson returns them — each in a
+    ~1 KiB allocation — they take ~100 MB."""
     src = pathlib.Path(protocol.__file__).parents[2]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(

@@ -265,7 +265,46 @@ class TestWireVsDurableLog:
         run(scenario())
 
 
+#: array payloads (a plain update's form) a peer must not get recorded,
+#: each behind a valid one in its batch, and payloads of neither form.
+HOSTILE_PAYLOADS = {
+    "unknown-tag": b'[["bogus","x",1]]',
+    "wrong-arity": b'[["inc","x"]]',
+    "string-amount": b'[["inc","x","1"]]',
+    "nan": b'[["inc","x",NaN]]',
+    "zero-divisor": b'[["inc","y",1],["div","x",0]]',
+    "raw-newline": b'[["inc",\n"x",1]]',
+    "not-an-operation": b'[5]',
+    "int": b"1",
+    "string": b'"x"',
+    "null": b"null",
+}
+
+
 class TestMalformedBinaryBatch:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_PAYLOADS))
+    def test_a_hostile_payload_drops_the_connection_unrecorded(
+        self, case, tmp_path
+    ):
+        self._refused(
+            tmp_path, [b'[["inc","x",1]]', HOSTILE_PAYLOADS[case]]
+        )
+
+    def test_array_halves_valid_only_when_joined_are_refused(
+        self, tmp_path
+    ):
+        """The array form's analogue of the object halves below: two
+        entries, each invalid JSON alone, that read as two plain
+        updates once joined."""
+        halves = [b'[["inc","k",1]],[["inc"', b',"j",1]]']
+        assert json.loads(b"[" + b"".join(halves) + b"]") == [
+            [["inc", "k", 1]], [["inc", "j", 1]],
+        ]
+        for half in halves:
+            with pytest.raises(ValueError):
+                json.loads(half)
+        self._refused(tmp_path, halves)
+
     def _bad_blob(self, op=None):
         # Valid JSON, valid envelope — but the mset inside carries the
         # poisoned amount the decoder sweep rejects.
